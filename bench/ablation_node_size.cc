@@ -21,7 +21,6 @@
 #include "chunk/buffer_cache.h"
 #include "chunk/chunk_store.h"
 #include "chunk/file_chunk_store.h"
-#include "index/node_cache.h"
 #include "index/pos_tree.h"
 
 namespace spitz {
@@ -36,7 +35,7 @@ constexpr size_t kProofOps = 3000;
 // Measures one pattern width against `store`. `after_build` is the
 // durability barrier for file-backed runs: it pushes the freshly built
 // node set out of the cache's pinned set so reads actually page.
-void RunOne(uint32_t bits, ChunkStore& store, PosNodeCache* node_cache,
+void RunOne(uint32_t bits, ChunkStore& store, BufferCache* node_cache,
             const std::function<void()>& after_build) {
   PosTreeOptions options;
   options.leaf_pattern_bits = bits;
@@ -120,8 +119,7 @@ void Run() {
     if (!FileChunkStore::Open(Env::Default(), dir, fopts, &store).ok()) {
       abort();
     }
-    PosNodeCache node_cache(&cache);
-    RunOne(bits, *store, &node_cache, [&] {
+    RunOne(bits, *store, &cache, [&] {
       if (!store->Sync().ok()) abort();
     });
   }

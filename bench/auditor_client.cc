@@ -24,9 +24,11 @@
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <unistd.h>
@@ -36,12 +38,9 @@
 
 #include "bench/auditor.h"
 #include "cluster/cluster_client.h"
+#include "cluster/local_fleet.h"
 #include "common/random.h"
 #include "core/spitz_db.h"
-#include "net/spitz_client.h"
-#include "net/spitz_server.h"
-#include "replica/backup.h"
-#include "replica/replicator.h"
 
 namespace spitz {
 namespace {
@@ -60,21 +59,39 @@ constexpr size_t kKeySpace = 400;
 
 std::string Key(size_t i) { return "acct" + std::to_string(1000 + i); }
 
-// A background writer mutating the audited key space for the whole run
-// — the auditor must observe digest transitions, and every proof it
-// samples races real commits.
-template <typename Client>
-std::thread StartWriter(Client* client, std::atomic<bool>* stop,
-                        std::atomic<uint64_t>* writes) {
-  return std::thread([client, stop, writes] {
-    Random rng(777);
-    while (!stop->load(std::memory_order_acquire)) {
-      Status s = client->Put(WriteOptions(), Key(rng.Uniform(kKeySpace)),
-                             rng.Bytes(24));
-      if (s.ok()) writes->fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
+// Set-up failures end the run: nothing after them can be audited.
+void Require(const Status& s, const char* what) {
+  if (s.ok()) return;
+  fprintf(stderr, "auditor_client: FAILED: %s: %s\n", what,
+          s.ToString().c_str());
+  exit(1);
+}
+
+std::unique_ptr<LocalFleet> OpenFleet(const LocalFleet::Options& options) {
+  std::unique_ptr<LocalFleet> fleet;
+  Require(LocalFleet::Open(options, &fleet), "fleet open");
+  return fleet;
+}
+
+std::unique_ptr<SpitzClient> OpenClient(const SpitzClient::Options& options) {
+  std::unique_ptr<SpitzClient> client;
+  Require(SpitzClient::Open(options, &client), "client open");
+  return client;
+}
+
+std::unique_ptr<ClusterClient> OpenClient(
+    const ClusterClient::Options& options) {
+  std::unique_ptr<ClusterClient> client;
+  Require(ClusterClient::Open(options, &client), "cluster client open");
+  return client;
+}
+
+void Reconnect(SpitzClient* client) { client->Reconnect(); }
+
+void Reconnect(ClusterClient* client) {
+  for (size_t i = 0; i < client->shard_count(); i++) {
+    client->shard(i)->Reconnect();
+  }
 }
 
 void PrintReport(const char* target, const bench::AuditorReport& report) {
@@ -112,93 +129,78 @@ bench::AuditorOptions BaseOptions(bool smoke) {
   return options;
 }
 
-void RunSingle(bool smoke) {
-  SpitzDb db;
-  SpitzServer::Options server_options;
-  server_options.db = &db;
-  std::unique_ptr<SpitzServer> server;
-  AC_CHECK(SpitzServer::Open(server_options, &server).ok(), "server open");
-
-  SpitzClient::Options client_options;
-  client_options.net.port = server->port();
-  std::unique_ptr<SpitzClient> writer_client, audit_client;
-  AC_CHECK(SpitzClient::Open(client_options, &writer_client).ok(),
-           "writer client open");
-  AC_CHECK(SpitzClient::Open(client_options, &audit_client).ok(),
-           "audit client open");
+// Seeds the key space through `writer`, then runs the audit loop
+// through `audit` while a background writer keeps mutating the keys —
+// the auditor must observe digest transitions, and every proof it
+// samples races real commits. The writer redials after a failed Put,
+// so it rides through faults; `chaos`, when set, runs alongside. The
+// audit client redials after every round with an IO error, after
+// calling any reconnect hook the caller set.
+template <typename Client>
+bench::AuditorReport AuditUnderLoad(Client* writer, Client* audit,
+                                    bench::AuditorOptions options,
+                                    uint64_t seed,
+                                    const std::function<void()>& chaos = {}) {
   for (size_t i = 0; i < kKeySpace; i += 2) {
-    AC_CHECK(writer_client->Put(Key(i), "seed").ok(), "seed put");
+    AC_CHECK(writer->Put(Key(i), "seed").ok(), "seed put");
   }
-
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> writes{0};
-  std::thread writer = StartWriter(writer_client.get(), &stop, &writes);
+  std::thread writer_thread([&] {
+    Random rng(seed);
+    while (!stop.load(std::memory_order_acquire)) {
+      Status s = writer->Put(WriteOptions(), Key(rng.Uniform(kKeySpace)),
+                             rng.Bytes(24));
+      if (s.ok()) {
+        writes.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        Reconnect(writer);
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
 
-  bench::AuditorOptions options = BaseOptions(smoke);
-  options.mode = bench::AuditorOptions::Mode::kSingle;
-  Random key_rng(31);
+  Random key_rng(seed + 1);
   options.sample_key = [&key_rng] { return Key(key_rng.Uniform(kKeySpace)); };
   options.sample_range = [&key_rng] {
-    const size_t lo = key_rng.Uniform(kKeySpace);
-    return std::make_pair(Key(lo), std::string("acct~"));
+    return std::make_pair(Key(key_rng.Uniform(kKeySpace)),
+                          std::string("acct~"));
   };
-  options.reconnect = [&audit_client] { audit_client->Reconnect(); };
+  options.reconnect = [observe = options.reconnect, audit] {
+    if (observe) observe();
+    Reconnect(audit);
+  };
+  std::thread chaos_thread;
+  if (chaos) chaos_thread = std::thread(chaos);
 
-  bench::AuditorReport report = bench::RunAuditor(audit_client.get(), options);
+  bench::AuditorReport report = bench::RunAuditor(audit, options);
   stop.store(true, std::memory_order_release);
-  writer.join();
+  writer_thread.join();
+  if (chaos_thread.joinable()) chaos_thread.join();
   AC_CHECK(writes.load() > 0, "background writer made progress");
-  CheckReport("single", report);
+  return report;
+}
+
+void RunSingle(bool smoke) {
+  std::unique_ptr<LocalFleet> fleet = OpenFleet(LocalFleet::Options());
+  auto writer = OpenClient(fleet->ClientOptions(0));
+  auto audit = OpenClient(fleet->ClientOptions(0));
+  bench::AuditorOptions options = BaseOptions(smoke);
+  options.mode = bench::AuditorOptions::Mode::kSingle;
+  CheckReport("single",
+              AuditUnderLoad(writer.get(), audit.get(), options, 777));
 }
 
 void RunCluster(bool smoke, size_t shards) {
-  std::vector<std::unique_ptr<SpitzDb>> dbs;
-  std::vector<std::unique_ptr<SpitzServer>> servers;
-  ClusterClient::Options client_options;
-  for (size_t i = 0; i < shards; i++) {
-    dbs.push_back(std::make_unique<SpitzDb>());
-    SpitzServer::Options server_options;
-    server_options.db = dbs.back().get();
-    std::unique_ptr<SpitzServer> server;
-    AC_CHECK(SpitzServer::Open(server_options, &server).ok(),
-             "shard server open");
-    NetClient::Options endpoint;
-    endpoint.port = server->port();
-    client_options.shards.push_back(endpoint);
-    servers.push_back(std::move(server));
-  }
-  std::unique_ptr<ClusterClient> writer_client, audit_client;
-  AC_CHECK(ClusterClient::Open(client_options, &writer_client).ok(),
-           "writer client open");
-  AC_CHECK(ClusterClient::Open(client_options, &audit_client).ok(),
-           "audit client open");
-  for (size_t i = 0; i < kKeySpace; i += 2) {
-    AC_CHECK(writer_client->Put(Key(i), "seed").ok(), "seed put");
-  }
-
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> writes{0};
-  std::thread writer = StartWriter(writer_client.get(), &stop, &writes);
-
+  LocalFleet::Options fleet_options;
+  fleet_options.shards = shards;
+  std::unique_ptr<LocalFleet> fleet = OpenFleet(fleet_options);
+  auto writer = OpenClient(fleet->ClusterOptions());
+  auto audit = OpenClient(fleet->ClusterOptions());
   bench::AuditorOptions options = BaseOptions(smoke);
   options.mode = bench::AuditorOptions::Mode::kCluster;
-  Random key_rng(32);
-  options.sample_key = [&key_rng] { return Key(key_rng.Uniform(kKeySpace)); };
-  options.sample_range = [&key_rng] {
-    const size_t lo = key_rng.Uniform(kKeySpace);
-    return std::make_pair(Key(lo), std::string("acct~"));
-  };
-  options.reconnect = [&audit_client] {
-    for (size_t i = 0; i < audit_client->shard_count(); i++) {
-      audit_client->shard(i)->Reconnect();
-    }
-  };
-
-  bench::AuditorReport report = bench::RunAuditor(audit_client.get(), options);
-  stop.store(true, std::memory_order_release);
-  writer.join();
-  AC_CHECK(writes.load() > 0, "background writer made progress");
-  CheckReport("cluster3", report);
+  CheckReport("cluster3",
+              AuditUnderLoad(writer.get(), audit.get(), options, 787));
 }
 
 // --- chaos scenario 1: audit through a server bounce ----------------------
@@ -208,66 +210,25 @@ void RunCluster(bool smoke, size_t shards) {
 // (never verification failures), heals through its reconnect hook, and
 // must still end with zero verification failures and live transitions.
 void RunChaosBounce(bool smoke) {
-  SpitzDb db;
-  SpitzServer::Options server_options;
-  server_options.db = &db;
-  std::unique_ptr<SpitzServer> server;
-  AC_CHECK(SpitzServer::Open(server_options, &server).ok(), "server open");
-  const uint16_t port = server->port();
-
-  SpitzClient::Options client_options;
-  client_options.net.port = port;
-  std::unique_ptr<SpitzClient> writer_client, audit_client;
-  AC_CHECK(SpitzClient::Open(client_options, &writer_client).ok(),
-           "writer client open");
-  AC_CHECK(SpitzClient::Open(client_options, &audit_client).ok(),
-           "audit client open");
-  for (size_t i = 0; i < kKeySpace; i += 2) {
-    AC_CHECK(writer_client->Put(Key(i), "seed").ok(), "seed put");
-  }
-
-  // A writer that heals itself: a Put that dies in the outage redials
-  // and carries on, so the auditor keeps observing transitions after
-  // the bounce.
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> writes{0};
-  std::thread writer([&] {
-    Random rng(777);
-    while (!stop.load(std::memory_order_acquire)) {
-      Status s = writer_client->Put(WriteOptions(),
-                                    Key(rng.Uniform(kKeySpace)), rng.Bytes(24));
-      if (s.ok()) {
-        writes.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        writer_client->Reconnect();
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-
+  std::unique_ptr<LocalFleet> fleet = OpenFleet(LocalFleet::Options());
+  auto writer = OpenClient(fleet->ClientOptions(0));
+  auto audit = OpenClient(fleet->ClientOptions(0));
   bench::AuditorOptions options = BaseOptions(smoke);
   options.rounds = smoke ? 40 : 120;
-  Random key_rng(41);
-  options.sample_key = [&key_rng] { return Key(key_rng.Uniform(kKeySpace)); };
-  options.sample_range = [&key_rng] {
-    return std::make_pair(Key(key_rng.Uniform(kKeySpace)),
-                          std::string("acct~"));
-  };
   // The reconnect hook doubles as the chaos trigger's observation
   // point: the chaos thread holds the server down until the auditor has
   // actually seen the outage (saw_outage), which makes the test
   // deterministic instead of a sleep race.
   std::atomic<bool> saw_outage{false};
-  options.reconnect = [&audit_client, &saw_outage] {
+  options.reconnect = [&saw_outage] {
     saw_outage.store(true, std::memory_order_release);
-    audit_client->Reconnect();
   };
 
-  std::thread chaos([&] {
+  auto chaos = [&] {
     // Let the audit get going, then pull the server.
     std::this_thread::sleep_for(
         std::chrono::milliseconds(options.interval_ms * 5));
-    server->Shutdown();
+    fleet->KillPrimary(0);
     // Hold the outage until the auditor has observed it.
     for (int i = 0; i < 10'000 && !saw_outage.load(std::memory_order_acquire);
          i++) {
@@ -276,25 +237,10 @@ void RunChaosBounce(bool smoke) {
     AC_CHECK(saw_outage.load(), "auditor observed the outage");
     // Same database, same port: the bounced server is the same logical
     // node, so the digest stream must continue monotonically.
-    SpitzServer::Options reopen_options;
-    reopen_options.db = &db;
-    reopen_options.net.loop.port = port;
-    std::unique_ptr<SpitzServer> reopened;
-    Status s;
-    for (int i = 0; i < 100; i++) {
-      s = SpitzServer::Open(reopen_options, &reopened);
-      if (s.ok()) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    AC_CHECK(s.ok(), "server reopen on the same port");
-    server = std::move(reopened);
-  });
-
-  bench::AuditorReport report = bench::RunAuditor(audit_client.get(), options);
-  stop.store(true, std::memory_order_release);
-  writer.join();
-  chaos.join();
-  AC_CHECK(writes.load() > 0, "background writer made progress");
+    AC_CHECK(fleet->Bounce(0).ok(), "server reopen on the same port");
+  };
+  bench::AuditorReport report =
+      AuditUnderLoad(writer.get(), audit.get(), options, 797, chaos);
   AC_CHECK(report.io_errors > 0, "bounce produced io errors, not failures");
   CheckReport("bounce", report);
 }
@@ -308,122 +254,42 @@ void RunChaosBounce(bool smoke) {
 // backup's last-agreed digest, and sustain zero verification failures
 // across the kill, the promotion, and the post-promotion write stream.
 void RunChaosFailover(bool smoke) {
-  struct ChaosShard {
-    SpitzDb primary;
-    SpitzDb backup_db;
-    std::unique_ptr<BackupReplica> backup;
-    std::unique_ptr<SpitzServer> primary_server;
-    std::unique_ptr<SpitzServer> backup_server;
-    std::unique_ptr<Replicator> replicator;
-    ChaosShard()
-        : primary(SmallBlockOptions()), backup_db(SmallBlockOptions()) {}
-    static SpitzOptions SmallBlockOptions() {
-      SpitzOptions options;
-      options.block_size = 8;  // seal often so replication has traffic
-      return options;
-    }
-  };
-  constexpr size_t kShards = 2;
-  std::vector<std::unique_ptr<ChaosShard>> shards;
-  ClusterClient::Options client_options;
-  for (size_t i = 0; i < kShards; i++) {
-    auto shard = std::make_unique<ChaosShard>();
-    BackupReplica::Options backup_options;
-    backup_options.db = &shard->backup_db;
-    AC_CHECK(BackupReplica::Open(backup_options, &shard->backup).ok(),
-             "backup replica open");
-    SpitzServer::Options backup_server_options;
-    backup_server_options.db = &shard->backup_db;
-    backup_server_options.replica = shard->backup.get();
-    AC_CHECK(SpitzServer::Open(backup_server_options,
-                               &shard->backup_server).ok(),
-             "backup server open");
-    SpitzServer::Options primary_server_options;
-    primary_server_options.db = &shard->primary;
-    AC_CHECK(SpitzServer::Open(primary_server_options,
-                               &shard->primary_server).ok(),
-             "primary server open");
-    Replicator::Options replicator_options;
-    replicator_options.db = &shard->primary;
-    replicator_options.backup.port = shard->backup_server->port();
-    AC_CHECK(Replicator::Open(replicator_options, &shard->replicator).ok(),
-             "replicator open");
-    NetClient::Options primary_endpoint, backup_endpoint;
-    primary_endpoint.port = shard->primary_server->port();
-    // A dead primary should cost one refused dial per failover, not a
-    // ten-attempt backoff ladder inside every snapshot.
-    primary_endpoint.connect_attempts = 1;
-    backup_endpoint.port = shard->backup_server->port();
-    client_options.shards.push_back(primary_endpoint);
-    client_options.backups.push_back(backup_endpoint);
-    shards.push_back(std::move(shard));
+  LocalFleet::Options fleet_options;
+  fleet_options.shards = 2;
+  fleet_options.replicated = true;
+  fleet_options.db.block_size = 8;  // seal often so replication has traffic
+  std::unique_ptr<LocalFleet> fleet = OpenFleet(fleet_options);
+  ClusterClient::Options client_options = fleet->ClusterOptions();
+  // A dead primary should cost one refused dial per failover, not a
+  // ten-attempt backoff ladder inside every snapshot.
+  for (NetClient::Options& primary : client_options.shards) {
+    primary.connect_attempts = 1;
   }
-  std::unique_ptr<ClusterClient> writer_client, audit_client;
-  AC_CHECK(ClusterClient::Open(client_options, &writer_client).ok(),
-           "writer client open");
-  AC_CHECK(ClusterClient::Open(client_options, &audit_client).ok(),
-           "audit client open");
-  for (size_t i = 0; i < kKeySpace; i += 2) {
-    AC_CHECK(writer_client->Put(Key(i), "seed").ok(), "seed put");
-  }
-
-  // The writer tolerates the shard-0 outage window (Puts routed there
-  // fail until promotion) — the auditor is the component under test.
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> writes{0};
-  std::thread writer([&] {
-    Random rng(778);
-    while (!stop.load(std::memory_order_acquire)) {
-      Status s = writer_client->Put(WriteOptions(),
-                                    Key(rng.Uniform(kKeySpace)), rng.Bytes(24));
-      if (s.ok()) writes.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-
+  auto writer = OpenClient(client_options);
+  auto audit = OpenClient(client_options);
   bench::AuditorOptions options = BaseOptions(smoke);
   options.mode = bench::AuditorOptions::Mode::kCluster;
   options.rounds = smoke ? 40 : 120;
-  Random key_rng(42);
-  options.sample_key = [&key_rng] { return Key(key_rng.Uniform(kKeySpace)); };
-  options.sample_range = [&key_rng] {
-    return std::make_pair(Key(key_rng.Uniform(kKeySpace)),
-                          std::string("acct~"));
-  };
-  std::atomic<bool> saw_outage{false};
-  options.reconnect = [&audit_client, &saw_outage] {
-    saw_outage.store(true, std::memory_order_release);
-    for (size_t i = 0; i < audit_client->shard_count(); i++) {
-      audit_client->shard(i)->Reconnect();
-    }
-  };
 
-  std::thread chaos([&] {
+  // The writer tolerates the shard-0 outage window (Puts routed there
+  // fail until promotion) — the auditor is the component under test.
+  auto chaos = [&] {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(options.interval_ms * 5));
-    ChaosShard* victim = shards[0].get();
     // Planned-enough failover: drain the replication stream so the
     // backup's last-agreed digest covers everything sealed, then kill.
-    victim->primary.FlushBlock();
-    victim->replicator->WaitDrained(5'000);
-    victim->replicator->Stop();
-    victim->primary_server->Shutdown();
+    AC_CHECK(fleet->Drain().ok(), "replication drains before the kill");
+    fleet->KillPrimary(0);
     // Writes to shard 0 are dark until the operator promotes.
-    Status s = writer_client->Promote(0);
-    AC_CHECK(s.ok(), "promote shard 0 after primary kill");
-  });
-
-  bench::AuditorReport report = bench::RunAuditor(audit_client.get(), options);
-  stop.store(true, std::memory_order_release);
-  writer.join();
-  chaos.join();
-  AC_CHECK(writes.load() > 0, "background writer made progress");
-  AC_CHECK(writer_client->promoted(0), "shard 0 backup was promoted");
-  AC_CHECK(!audit_client->promoted(0),
-           "audit client failed over without promoting");
-  AC_CHECK(shards[0]->backup->Applied().applied_blocks > 0,
+    AC_CHECK(writer->Promote(0).ok(), "promote shard 0 after primary kill");
+  };
+  bench::AuditorReport report =
+      AuditUnderLoad(writer.get(), audit.get(), options, 807, chaos);
+  AC_CHECK(writer->promoted(0), "shard 0 backup was promoted");
+  AC_CHECK(!audit->promoted(0), "audit client failed over without promoting");
+  AC_CHECK(fleet->replica(0)->Applied().applied_blocks > 0,
            "backup applied replicated blocks before the kill");
-  AC_CHECK(shards[0]->backup->digest_mismatches() == 0,
+  AC_CHECK(fleet->replica(0)->digest_mismatches() == 0,
            "zero digest mismatches on the surviving backup");
   CheckReport("failover", report);
 }

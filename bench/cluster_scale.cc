@@ -30,10 +30,8 @@
 #include <vector>
 
 #include "cluster/cluster_client.h"
-#include "cluster/partition.h"
+#include "cluster/local_fleet.h"
 #include "common/clock.h"
-#include "core/spitz_db.h"
-#include "net/spitz_server.h"
 
 namespace spitz {
 namespace {
@@ -62,35 +60,14 @@ struct Row {
   uint64_t errors = 0;
 };
 
-// One loopback cluster: N in-memory shards, each behind its own
-// SpitzServer, plus one ClusterClient per bench thread.
-struct Cluster {
-  std::vector<std::unique_ptr<SpitzDb>> dbs;
-  std::vector<std::unique_ptr<SpitzServer>> servers;
-  ClusterClient::Options client_options;
-
-  explicit Cluster(size_t n) {
-    for (size_t i = 0; i < n; i++) {
-      dbs.push_back(std::make_unique<SpitzDb>());
-      SpitzServer::Options options;
-      options.db = dbs.back().get();
-      std::unique_ptr<SpitzServer> server;
-      Status s = SpitzServer::Open(options, &server);
-      CS_CHECK(s.ok(), "shard server open");
-      NetClient::Options endpoint;
-      endpoint.port = server->port();
-      client_options.shards.push_back(endpoint);
-      servers.push_back(std::move(server));
-    }
-  }
-
-  std::unique_ptr<ClusterClient> Client() {
-    std::unique_ptr<ClusterClient> client;
-    Status s = ClusterClient::Open(client_options, &client);
-    CS_CHECK(s.ok(), "cluster client open");
-    return client;
-  }
-};
+// One ClusterClient over every shard of the fleet; each bench thread
+// opens its own.
+std::unique_ptr<ClusterClient> NewClient(const LocalFleet& fleet) {
+  std::unique_ptr<ClusterClient> client;
+  CS_CHECK(ClusterClient::Open(fleet.ClusterOptions(), &client).ok(),
+           "cluster client open");
+  return client;
+}
 
 std::string Key(size_t space, size_t i) {
   return "c" + std::to_string(space) + "-key" + std::to_string(i);
@@ -102,10 +79,10 @@ const std::string kValue(20, 'v');
 // Runs `clients` threads of `ops` operations each and fills the shared
 // row fields. `fn(client, thread, i)` returns ok/failed per op.
 template <typename Fn>
-void RunThreads(Cluster* cluster, size_t clients, size_t ops, Row* row,
-                Fn&& fn) {
+void RunThreads(const LocalFleet& fleet, size_t clients, size_t ops,
+                Row* row, Fn&& fn) {
   std::vector<std::unique_ptr<ClusterClient>> conns;
-  for (size_t c = 0; c < clients; c++) conns.push_back(cluster->Client());
+  for (size_t c = 0; c < clients; c++) conns.push_back(NewClient(fleet));
   std::atomic<bool> go{false};
   std::atomic<uint64_t> errors{0};
   std::vector<std::thread> pool;
@@ -133,12 +110,12 @@ void RunThreads(Cluster* cluster, size_t clients, size_t ops, Row* row,
   }
 }
 
-Row RunRmwTxns(Cluster* cluster, size_t shards, size_t clients, size_t ops) {
+Row RunRmwTxns(const LocalFleet& fleet, size_t clients, size_t ops) {
   Row row;
-  row.shards = shards;
+  row.shards = fleet.shards();
   row.clients = clients;
   row.workload = "rmw_txn";
-  RunThreads(cluster, clients, ops, &row,
+  RunThreads(fleet, clients, ops, &row,
              [&](ClusterClient* client, size_t c, size_t i) {
                // Read two keys from disjoint halves of the key space
                // (usually on different shards), then write both back in
@@ -163,13 +140,13 @@ Row RunRmwTxns(Cluster* cluster, size_t shards, size_t clients, size_t ops) {
   return row;
 }
 
-Row RunVerifiedGets(Cluster* cluster, size_t shards, size_t clients,
-                    size_t ops, std::atomic<uint64_t>* proof_failures) {
+Row RunVerifiedGets(const LocalFleet& fleet, size_t clients, size_t ops,
+                    std::atomic<uint64_t>* proof_failures) {
   Row row;
-  row.shards = shards;
+  row.shards = fleet.shards();
   row.clients = clients;
   row.workload = "verified_get";
-  RunThreads(cluster, clients, ops, &row,
+  RunThreads(fleet, clients, ops, &row,
              [&](ClusterClient* client, size_t c, size_t i) {
                std::string value;
                Status s =
@@ -181,13 +158,13 @@ Row RunVerifiedGets(Cluster* cluster, size_t shards, size_t clients,
   return row;
 }
 
-Row RunVerifiedScans(Cluster* cluster, size_t shards, size_t clients,
-                     size_t ops, std::atomic<uint64_t>* proof_failures) {
+Row RunVerifiedScans(const LocalFleet& fleet, size_t clients, size_t ops,
+                     std::atomic<uint64_t>* proof_failures) {
   Row row;
-  row.shards = shards;
+  row.shards = fleet.shards();
   row.clients = clients;
   row.workload = "verified_scan";
-  RunThreads(cluster, clients, ops, &row,
+  RunThreads(fleet, clients, ops, &row,
              [&](ClusterClient* client, size_t c, size_t /*i*/) {
                std::vector<PosEntry> rows;
                Status s = client->VerifiedScan(
@@ -224,22 +201,25 @@ int Run(bool smoke, const std::string& out_path) {
   std::vector<Row> rows;
   for (size_t s = 0; s < sweep_n; s++) {
     const size_t shards = sweep[s];
-    Cluster cluster(shards);
+    LocalFleet::Options options;
+    options.shards = shards;
+    std::unique_ptr<LocalFleet> fleet;
+    CS_CHECK(LocalFleet::Open(options, &fleet).ok(), "fleet open");
+    if (fleet == nullptr) break;
     // Seed the key space so reads and scans have data to prove.
-    auto seeder = cluster.Client();
+    auto seeder = NewClient(*fleet);
     for (size_t c = 0; c < clients; c++) {
       for (size_t i = 0; i < kKeySpace; i += 4) {
         CS_CHECK(seeder->Put(Key(c, i), kValue).ok(), "seed put");
       }
     }
 
-    rows.push_back(RunRmwTxns(&cluster, shards, clients, txn_ops));
+    rows.push_back(RunRmwTxns(*fleet, clients, txn_ops));
     std::atomic<uint64_t> get_failures{0};
-    rows.push_back(
-        RunVerifiedGets(&cluster, shards, clients, get_ops, &get_failures));
+    rows.push_back(RunVerifiedGets(*fleet, clients, get_ops, &get_failures));
     std::atomic<uint64_t> scan_failures{0};
     rows.push_back(
-        RunVerifiedScans(&cluster, shards, clients, scan_ops, &scan_failures));
+        RunVerifiedScans(*fleet, clients, scan_ops, &scan_failures));
 
     // The cluster digest at rest: assembled, serialized, re-decoded and
     // re-verified — the envelope a client would retain.

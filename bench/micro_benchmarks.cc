@@ -14,7 +14,6 @@
 #include "core/spitz_db.h"
 #include "crypto/sha256.h"
 #include "index/btree.h"
-#include "index/node_cache.h"
 #include "index/pos_tree.h"
 #include "index/skiplist.h"
 #include "ledger/merkle_tree.h"

@@ -11,7 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/spitz_db.h"
+#include "cluster/local_fleet.h"
 #include "net/spitz_client.h"
 #include "net/spitz_server.h"
 
@@ -29,11 +29,10 @@ constexpr size_t kOpsPerClient = 200;
     }                                                        \
   } while (0)
 
-void RunClient(uint16_t port, size_t id, std::atomic<uint64_t>* failures) {
-  SpitzClient::Options options;
-  options.net.port = port;
+void RunClient(const SpitzClient::Options& options, size_t id,
+               std::atomic<uint64_t>* failures) {
   std::unique_ptr<SpitzClient> client;
-  if (!SpitzClient::Connect(options, &client).ok()) {
+  if (!SpitzClient::Open(options, &client).ok()) {
     failures->fetch_add(kOpsPerClient);
     return;
   }
@@ -58,26 +57,24 @@ void RunClient(uint16_t port, size_t id, std::atomic<uint64_t>* failures) {
 }
 
 int Run() {
-  SpitzDb db;
-  std::unique_ptr<SpitzServer> server;
-  Status s = SpitzServer::Start(&db, SpitzServer::Options(), &server);
+  std::unique_ptr<LocalFleet> fleet;
+  Status s = LocalFleet::Open(LocalFleet::Options(), &fleet);
   SMOKE_CHECK(s.ok(), "server start");
+  SpitzServer* server = fleet->server(0);
   SMOKE_CHECK(server->port() != 0, "ephemeral port assignment");
 
   std::atomic<uint64_t> failures{0};
   std::vector<std::thread> clients;
   for (size_t c = 0; c < kClients; c++) {
-    clients.emplace_back(RunClient, server->port(), c, &failures);
+    clients.emplace_back(RunClient, fleet->ClientOptions(0), c, &failures);
   }
   for (auto& t : clients) t.join();
   SMOKE_CHECK(failures.load() == 0, "all client operations succeed");
 
   // The digest that verified every proof above must describe the
   // written data.
-  SpitzClient::Options options;
-  options.net.port = server->port();
   std::unique_ptr<SpitzClient> checker;
-  SMOKE_CHECK(SpitzClient::Connect(options, &checker).ok(),
+  SMOKE_CHECK(SpitzClient::Open(fleet->ClientOptions(0), &checker).ok(),
               "checker connect");
   SpitzDigest digest;
   SMOKE_CHECK(checker->Digest(&digest).ok(), "digest fetch");

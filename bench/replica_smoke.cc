@@ -28,13 +28,9 @@
 #include <vector>
 
 #include "cluster/cluster_client.h"
+#include "cluster/local_fleet.h"
 #include "common/clock.h"
 #include "common/random.h"
-#include "core/spitz_db.h"
-#include "net/spitz_client.h"
-#include "net/spitz_server.h"
-#include "replica/backup.h"
-#include "replica/replicator.h"
 
 namespace spitz {
 namespace {
@@ -53,10 +49,14 @@ constexpr size_t kKeySpace = 512;
 
 std::string Key(size_t i) { return "user" + std::to_string(100000 + i); }
 
-SpitzOptions SmallBlocks() {
-  SpitzOptions options;
-  options.block_size = 8;  // seal often: replication traffic per ~8 writes
-  return options;
+// One shard, optionally with a backup fed by a Replicator.
+std::unique_ptr<LocalFleet> OpenShard(bool replicated) {
+  LocalFleet::Options options;
+  options.replicated = replicated;
+  options.db.block_size = 8;  // seal often: replication traffic per ~8 writes
+  std::unique_ptr<LocalFleet> fleet;
+  RS_CHECK(LocalFleet::Open(options, &fleet).ok(), "fleet open");
+  return fleet;
 }
 
 // One YCSB-style op against any VerifiedKv-shaped client. Returns
@@ -100,36 +100,12 @@ struct ThroughputResult {
 ThroughputResult MeasureThroughput(bool replicated, uint64_t ops,
                                    uint64_t* proof_failures) {
   ThroughputResult result;
-  SpitzDb primary(SmallBlocks());
-  SpitzServer::Options server_options;
-  server_options.db = &primary;
-  std::unique_ptr<SpitzServer> server;
-  RS_CHECK(SpitzServer::Open(server_options, &server).ok(), "server open");
-
-  SpitzDb backup_db(SmallBlocks());
-  std::unique_ptr<BackupReplica> backup;
-  std::unique_ptr<SpitzServer> backup_server;
-  std::unique_ptr<Replicator> replicator;
-  if (replicated) {
-    BackupReplica::Options backup_options;
-    backup_options.db = &backup_db;
-    RS_CHECK(BackupReplica::Open(backup_options, &backup).ok(), "backup open");
-    SpitzServer::Options backup_server_options;
-    backup_server_options.db = &backup_db;
-    backup_server_options.replica = backup.get();
-    RS_CHECK(SpitzServer::Open(backup_server_options, &backup_server).ok(),
-             "backup server open");
-    Replicator::Options replicator_options;
-    replicator_options.db = &primary;
-    replicator_options.backup.port = backup_server->port();
-    RS_CHECK(Replicator::Open(replicator_options, &replicator).ok(),
-             "replicator open");
-  }
-
-  SpitzClient::Options client_options;
-  client_options.net.port = server->port();
+  std::unique_ptr<LocalFleet> fleet = OpenShard(replicated);
+  if (fleet == nullptr) return result;
   std::unique_ptr<SpitzClient> client;
-  RS_CHECK(SpitzClient::Open(client_options, &client).ok(), "client open");
+  RS_CHECK(SpitzClient::Open(fleet->ClientOptions(0), &client).ok(),
+           "client open");
+  if (client == nullptr) return result;
 
   Random rng(replicated ? 9102 : 9101);
   const uint64_t start = MonotonicNanos();
@@ -147,8 +123,8 @@ ThroughputResult MeasureThroughput(bool replicated, uint64_t ops,
   if (replicated) {
     // Drain: every block sealed by the run must be acked, with the
     // backup's independently derived digest agreeing block for block.
-    RS_CHECK(primary.FlushBlock().ok(), "flush tail block");
-    RS_CHECK(replicator->WaitDrained(30'000).ok(), "replication drains");
+    Replicator* replicator = fleet->replicator(0);
+    RS_CHECK(fleet->Drain().ok(), "replication drains");
     RS_CHECK(replicator->ReplicationFault().ok(), "stream stays healthy");
     MetricsSnapshot m = replicator->Metrics();
     RS_CHECK(m.CounterValue("replica.primary.digest_mismatches") == 0,
@@ -160,8 +136,8 @@ ThroughputResult MeasureThroughput(bool replicated, uint64_t ops,
     }
     result.batches_acked = replicator->acked_blocks();
     RS_CHECK(result.batches_acked > 0, "replication saw traffic");
-    RS_CHECK(backup->digest_mismatches() == 0, "backup agrees throughout");
-    replicator->Stop();
+    RS_CHECK(fleet->replica(0)->digest_mismatches() == 0,
+             "backup agrees throughout");
   }
   return result;
 }
@@ -179,39 +155,14 @@ struct FailoverResult {
 FailoverResult MeasureFailover(uint64_t ops, uint64_t* proof_failures) {
   FailoverResult result;
   result.ops = ops;
-  SpitzDb primary(SmallBlocks());
-  SpitzDb backup_db(SmallBlocks());
-  std::unique_ptr<BackupReplica> backup;
-  BackupReplica::Options backup_options;
-  backup_options.db = &backup_db;
-  RS_CHECK(BackupReplica::Open(backup_options, &backup).ok(), "backup open");
-  SpitzServer::Options backup_server_options;
-  backup_server_options.db = &backup_db;
-  backup_server_options.replica = backup.get();
-  std::unique_ptr<SpitzServer> backup_server;
-  RS_CHECK(SpitzServer::Open(backup_server_options, &backup_server).ok(),
-           "backup server open");
-  SpitzServer::Options server_options;
-  server_options.db = &primary;
-  std::unique_ptr<SpitzServer> primary_server;
-  RS_CHECK(SpitzServer::Open(server_options, &primary_server).ok(),
-           "primary server open");
-  Replicator::Options replicator_options;
-  replicator_options.db = &primary;
-  replicator_options.backup.port = backup_server->port();
-  std::unique_ptr<Replicator> replicator;
-  RS_CHECK(Replicator::Open(replicator_options, &replicator).ok(),
-           "replicator open");
-
-  ClusterClient::Options client_options;
-  NetClient::Options primary_endpoint, backup_endpoint;
-  primary_endpoint.port = primary_server->port();
-  primary_endpoint.connect_attempts = 2;  // fail over fast, not after 10 dials
-  backup_endpoint.port = backup_server->port();
-  client_options.shards.push_back(primary_endpoint);
-  client_options.backups.push_back(backup_endpoint);
+  std::unique_ptr<LocalFleet> fleet = OpenShard(/*replicated=*/true);
+  if (fleet == nullptr) return result;
+  ClusterClient::Options client_options = fleet->ClusterOptions();
+  // Fail over fast, not after 10 dials.
+  client_options.shards[0].connect_attempts = 2;
   std::unique_ptr<ClusterClient> client;
   RS_CHECK(ClusterClient::Open(client_options, &client).ok(), "client open");
+  if (client == nullptr) return result;
 
   Random rng(9103);
   const uint64_t half = ops / 2;
@@ -222,21 +173,12 @@ FailoverResult MeasureFailover(uint64_t ops, uint64_t* proof_failures) {
     if (!s.ok()) return result;
   }
 
-  // The kill: stop the stream first (a dead process ships nothing),
+  // The kill: the stream stops first (a dead process ships nothing),
   // then the server. Deliberately NO drain — the unacked tail is the
   // loss this phase bounds.
-  result.sealed_at_kill = 0;
-  {
-    std::string encoded;
-    RS_CHECK(primary.Digest(&encoded).ok(), "primary digest at kill");
-    Slice input(encoded);
-    SpitzDigest digest;
-    RS_CHECK(SpitzDigest::DecodeFrom(&input, &digest).ok(), "digest decode");
-    result.sealed_at_kill = digest.journal.block_count;
-  }
-  result.acked_at_kill = replicator->acked_blocks();
-  replicator->Stop();
-  primary_server->Shutdown();
+  result.sealed_at_kill = fleet->db(0)->Digest().journal.block_count;
+  result.acked_at_kill = fleet->replicator(0)->acked_blocks();
+  fleet->KillPrimary(0);
   const uint64_t kill_ns = MonotonicNanos();
   result.unacked_blocks_lost = result.sealed_at_kill - result.acked_at_kill;
 

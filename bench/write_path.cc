@@ -40,10 +40,10 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/local_fleet.h"
 #include "common/clock.h"
 #include "core/spitz_db.h"
 #include "net/spitz_client.h"
-#include "net/spitz_server.h"
 
 namespace spitz {
 namespace {
@@ -149,12 +149,11 @@ Row RunInProcess(const std::string& dir, const std::string& mode,
 Row RunTcp(const std::string& dir, bool sync_writes, size_t clients,
            size_t ops) {
   std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  SpitzOptions options;
-  options.data_dir = dir;
-  options.sync_writes = sync_writes;
-  std::unique_ptr<SpitzDb> db;
-  Status open = SpitzDb::Open(options, &db);
+  LocalFleet::Options options;
+  options.db.data_dir = dir;
+  options.db.sync_writes = sync_writes;
+  std::unique_ptr<LocalFleet> fleet;
+  Status open = LocalFleet::Open(options, &fleet);
   WP_CHECK(open.ok(), "tcp durable open");
   Row row;
   row.transport = "tcp";
@@ -163,21 +162,14 @@ Row RunTcp(const std::string& dir, bool sync_writes, size_t clients,
   row.puts = clients * ops;
   if (!open.ok()) return row;
 
-  std::unique_ptr<SpitzServer> server;
-  WP_CHECK(SpitzServer::Start(db.get(), SpitzServer::Options(), &server).ok(),
-           "server start");
-  if (server == nullptr) return row;
-
   std::atomic<bool> go{false};
   std::atomic<uint64_t> errors{0};
   std::vector<std::thread> pool;
   pool.reserve(clients);
   for (size_t c = 0; c < clients; c++) {
     pool.emplace_back([&, c] {
-      SpitzClient::Options copt;
-      copt.net.port = server->port();
       std::unique_ptr<SpitzClient> client;
-      if (!SpitzClient::Connect(copt, &client).ok()) {
+      if (!SpitzClient::Open(fleet->ClientOptions(0), &client).ok()) {
         errors.fetch_add(ops);
         return;
       }
@@ -195,14 +187,13 @@ Row RunTcp(const std::string& dir, bool sync_writes, size_t clients,
   row.puts_per_sec = row.secs > 0 ? static_cast<double>(row.puts) / row.secs
                                   : 0;
   row.errors = errors.load();
-  MetricsSnapshot m = db->Metrics();
+  MetricsSnapshot m = fleet->db(0)->Metrics();
   row.fsyncs = m.CounterValue("core.db.journal.fsyncs");
   if (const HistogramSnapshot* h =
           m.FindHistogram("core.db.commit.group_size")) {
     row.group_size_mean =
         h->count > 0 ? static_cast<double>(h->sum) / h->count : 0;
   }
-  server->Shutdown();
   return row;
 }
 

@@ -45,11 +45,10 @@
 #include <vector>
 
 #include "cluster/cluster_client.h"
+#include "cluster/local_fleet.h"
 #include "common/clock.h"
 #include "common/metrics.h"
 #include "common/random.h"
-#include "core/spitz_db.h"
-#include "net/spitz_server.h"
 
 namespace spitz {
 namespace {
@@ -302,85 +301,34 @@ void Worker(Client* client, const MixSpec& mix, const KeyChooser& chooser,
 
 // --- Deployment shapes ------------------------------------------------------
 
-struct SingleTarget {
-  using Client = SpitzClient;
-  static constexpr const char* kName = "single";
+// "single" drives a one-shard fleet through SpitzClient; "cluster3"
+// drives a three-shard fleet through ClusterClient.
+void OpenClient(const LocalFleet& fleet, std::unique_ptr<SpitzClient>* out) {
+  Y_CHECK(SpitzClient::Open(fleet.ClientOptions(0), out).ok(), "client open");
+}
 
-  SpitzDb db;
-  std::unique_ptr<SpitzServer> server;
-  SpitzClient::Options client_options;
+void OpenClient(const LocalFleet& fleet, std::unique_ptr<ClusterClient>* out) {
+  Y_CHECK(ClusterClient::Open(fleet.ClusterOptions(), out).ok(),
+          "cluster client open");
+}
 
-  SingleTarget() {
-    SpitzServer::Options options;
-    options.db = &db;
-    Y_CHECK(SpitzServer::Open(options, &server).ok(), "single server open");
-    client_options.net.port = server->port();
-  }
+uint64_t Commits2pc(SpitzClient*) { return 0; }
 
-  std::unique_ptr<SpitzClient> NewClient() {
-    std::unique_ptr<SpitzClient> client;
-    Y_CHECK(SpitzClient::Open(client_options, &client).ok(),
-            "single client open");
-    return client;
-  }
-
-  static uint64_t Commits2pc(
-      const std::vector<std::unique_ptr<SpitzClient>>&) {
-    return 0;
-  }
-};
-
-struct ClusterTarget {
-  using Client = ClusterClient;
-  static constexpr const char* kName = "cluster3";
-
-  std::vector<std::unique_ptr<SpitzDb>> dbs;
-  std::vector<std::unique_ptr<SpitzServer>> servers;
-  ClusterClient::Options client_options;
-
-  explicit ClusterTarget(size_t shards) {
-    for (size_t i = 0; i < shards; i++) {
-      dbs.push_back(std::make_unique<SpitzDb>());
-      SpitzServer::Options options;
-      options.db = dbs.back().get();
-      std::unique_ptr<SpitzServer> server;
-      Y_CHECK(SpitzServer::Open(options, &server).ok(), "shard server open");
-      NetClient::Options endpoint;
-      endpoint.port = server->port();
-      client_options.shards.push_back(endpoint);
-      servers.push_back(std::move(server));
-    }
-  }
-
-  std::unique_ptr<ClusterClient> NewClient() {
-    std::unique_ptr<ClusterClient> client;
-    Y_CHECK(ClusterClient::Open(client_options, &client).ok(),
-            "cluster client open");
-    return client;
-  }
-
-  static uint64_t Commits2pc(
-      const std::vector<std::unique_ptr<ClusterClient>>& clients) {
-    uint64_t total = 0;
-    for (const auto& client : clients) {
-      total += client->coordinator()->Metrics().CounterValue(
-          "cluster.coordinator.commits_2pc");
-    }
-    return total;
-  }
-};
+uint64_t Commits2pc(ClusterClient* client) {
+  return client->coordinator()->Metrics().CounterValue(
+      "cluster.coordinator.commits_2pc");
+}
 
 // --- One measured run -------------------------------------------------------
 
-template <typename Target>
-Row RunMix(Target* target, const MixSpec& mix, const KeyChooser& chooser,
-           const RunConfig& config, std::atomic<uint64_t>* next_insert) {
+template <typename Client>
+Row RunMix(const LocalFleet& fleet, const char* target, const MixSpec& mix,
+           const KeyChooser& chooser, const RunConfig& config,
+           std::atomic<uint64_t>* next_insert) {
   const size_t ops =
       mix.scan_pct > 0 ? config.scan_ops_per_thread : config.ops_per_thread;
-  std::vector<std::unique_ptr<typename Target::Client>> clients;
-  for (size_t t = 0; t < config.threads; t++) {
-    clients.push_back(target->NewClient());
-  }
+  std::vector<std::unique_ptr<Client>> clients(config.threads);
+  for (auto& client : clients) OpenClient(fleet, &client);
   OpStats stats;
   std::atomic<bool> go{false};
   std::vector<std::thread> pool;
@@ -400,7 +348,7 @@ Row RunMix(Target* target, const MixSpec& mix, const KeyChooser& chooser,
       static_cast<double>(MonotonicNanos() - start) / 1e9;
 
   Row row;
-  row.target = Target::kName;
+  row.target = target;
   row.mix = mix.name;
   row.chooser = chooser.name();
   row.threads = config.threads;
@@ -424,15 +372,24 @@ Row RunMix(Target* target, const MixSpec& mix, const KeyChooser& chooser,
   row.proof_failures = stats.proof_failures.load();
   row.errors = stats.errors.load();
   row.busy = stats.busy.load();
-  row.commits_2pc = Target::Commits2pc(clients);
+  for (const auto& client : clients) {
+    row.commits_2pc += Commits2pc(client.get());
+  }
   return row;
 }
 
-template <typename Target>
-void RunTarget(Target* target, const RunConfig& config,
+// Opens a fleet of `shards` and runs every mix against it through Client.
+template <typename Client>
+void RunTarget(const char* target, size_t shards, const RunConfig& config,
                std::vector<Row>* rows) {
+  LocalFleet::Options options;
+  options.shards = shards;
+  std::unique_ptr<LocalFleet> fleet;
+  Y_CHECK(LocalFleet::Open(options, &fleet).ok(), "fleet open");
+  if (fleet == nullptr) return;
   // Load phase: the initial key space, in batches for throughput.
-  auto loader = target->NewClient();
+  std::unique_ptr<Client> loader;
+  OpenClient(*fleet, &loader);
   Random value_rng(4242);
   for (uint64_t i = 0; i < config.records;) {
     WriteBatch batch;
@@ -446,7 +403,8 @@ void RunTarget(Target* target, const RunConfig& config,
   for (auto kind : {KeyChooser::Kind::kZipfian, KeyChooser::Kind::kUniform}) {
     KeyChooser chooser(kind, config.records);
     for (const MixSpec& mix : kMixes) {
-      rows->push_back(RunMix(target, mix, chooser, config, &next_insert));
+      rows->push_back(
+          RunMix<Client>(*fleet, target, mix, chooser, config, &next_insert));
       const Row& r = rows->back();
       printf("ycsb_driver: %-8s mix=%s %-7s ops=%" PRIu64
              " rate=%.0f/s read_p50=%.0fus errors=%" PRIu64
@@ -489,14 +447,8 @@ int Run(bool smoke, const std::string& out_path) {
   config.max_scan_limit = smoke ? 20 : 100;
 
   std::vector<Row> rows;
-  {
-    SingleTarget single;
-    RunTarget(&single, config, &rows);
-  }
-  {
-    ClusterTarget cluster(3);
-    RunTarget(&cluster, config, &rows);
-  }
+  RunTarget<SpitzClient>("single", 1, config, &rows);
+  RunTarget<ClusterClient>("cluster3", 3, config, &rows);
 
   // Invariants, hard CI assertions under --smoke: an honest deployment
   // never fails a proof and never errors; the cluster's skewed RMW mix

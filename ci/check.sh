@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 suite in Release (plus metrics, recovery,
-# network, write-path, cluster, replication and auditor-chaos smoke
-# runs), the concurrency + network + cluster + replica tests under
-# ThreadSanitizer, and the proof-codec + database + network + cluster +
-# replica tests under ASan+UBSan (untrusted wire bytes are decoded
-# there, so memory errors and UB are the failure modes that matter).
+# network, write-path, cluster, replication, auditor-chaos and
+# repository-benchmark smoke runs), the concurrency + network + cluster
+# + replica tests under ThreadSanitizer, and the proof-codec + database
+# + network + cluster + replica tests under ASan+UBSan (untrusted wire
+# bytes are decoded there, so memory errors and UB are the failure modes
+# that matter).
 # All legs must be green for a change to land.
 #
 # Usage: ci/check.sh [build-dir-prefix]   (default: build)
@@ -97,6 +98,13 @@ echo "==> tier-1: auditor chaos (bounce, failover, tampered run)"
 # evidence envelopes) must FAIL, proving the non-zero-exit contract
 # actually fires.
 "${PREFIX}/bench/auditor_client" --chaos --smoke
+
+echo "==> tier-1: repository benchmark smoke (spitzbench, all workloads)"
+# spitzbench compiles src/ through its own CMake project, which ctest
+# never builds, so this leg is what catches a src/ change that breaks
+# the benchmark. Every workload runs at a tiny size with every
+# correctness check on; any failed check exits non-zero.
+CARGO_TARGET_DIR="${PREFIX}-spitzbench" python3 spitzbench/run.py --smoke
 
 echo "==> tier-2: ThreadSanitizer concurrency suite"
 cmake -B "${PREFIX}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

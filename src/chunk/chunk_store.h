@@ -22,9 +22,9 @@ namespace spitz {
 // chunk_count and physical_bytes shrink again when the version GC
 // (RetainLive) collects chunks unreachable from the retained roots.
 //
-// DEPRECATED as a public surface: read these through the owning
-// database's Metrics() snapshot (chunk.store.* metrics) instead. The
-// struct remains for component-level tests and the Fig. 1 bench.
+// The component-level API: tests and benches that drive a bare
+// ChunkStore (no owning database, so no registry) read it here. Code
+// holding a SpitzDb reads the same numbers as chunk.store.* metrics.
 struct ChunkStoreStats {
   uint64_t puts = 0;           // total Put calls
   uint64_t dedup_hits = 0;     // Puts that found an existing chunk

@@ -20,11 +20,12 @@ class JsonValue;
 // ---------------------------------------------------------------------------
 // The unified observability substrate (DESIGN.md section 8).
 //
-// Every subsystem used to expose its own ad-hoc stats struct
-// (ChunkStoreStats, PosNodeCacheStats, DeferredVerifier::Stats, ...);
-// this header replaces them with three lock-cheap instruments — Counter,
-// Gauge, Histogram — collected by a MetricsRegistry and exported as one
-// MetricsSnapshot that serializes to JSON. The paper's evaluation is
+// Every subsystem used to expose its own ad-hoc stats struct (only
+// ChunkStoreStats survives, as a component-level API for tests and
+// benches that drive a bare ChunkStore); this header replaces them with
+// three lock-cheap instruments — Counter, Gauge, Histogram — collected
+// by a MetricsRegistry and exported as one MetricsSnapshot that
+// serializes to JSON. The paper's evaluation is
 // entirely about measured costs (proof generation latency, verification
 // latency, proof size, storage amplification — Figures 1, 6-10), so the
 // instruments are chosen to answer exactly those questions: counters for

@@ -104,7 +104,6 @@ SpitzDb::SpitzDb(SpitzOptions options)
           options.buffer_cache_bytes > 0 ? options.buffer_cache_bytes
                                          : BufferCache::kDefaultCapacityBytes)),
       chunks_(std::make_unique<ChunkStore>()),
-      node_cache_(std::make_unique<PosNodeCache>(buffer_cache_.get())),
       auditor_(std::make_unique<DeferredVerifier>(DeferredVerifier::Options(
           options.audit_batch_size, options.audit_workers))) {
   // Durable databases must go through Open() so recovery errors are
@@ -120,7 +119,7 @@ SpitzDb::SpitzDb(SpitzOptions options)
   if (options_.retain_versions == 0) options_.retain_versions = 1;
   index_ = MakeSiriIndex(options_.index_backend, chunks_.get(),
                          MakeSiriOptions(options_));
-  index_->SetNodeCache(node_cache_.get());
+  index_->SetNodeCache(buffer_cache_.get());
   WireMetrics();
   PublishSnapshotLocked(/*journal_changed=*/true);
   StartGcThread();
@@ -165,7 +164,26 @@ void SpitzDb::WireMetrics() {
                             [this] { return gc_live_chunks_.value(); });
   chunks_->ExportMetrics(&registry_);
   buffer_cache_->ExportMetrics(&registry_);
-  if (node_cache_) node_cache_->ExportMetrics(&registry_);
+  // The decoded-node share of the unified cache, under index.cache.*.
+  using KindStats = BufferCache::KindStats;
+  auto node_stat = [this](uint64_t KindStats::*field) {
+    return [this, field] {
+      return buffer_cache_->stats().kind[BufferCache::kPosNode].*field;
+    };
+  };
+  registry_.RegisterCounterFn("index.cache.hits", node_stat(&KindStats::hits));
+  registry_.RegisterCounterFn("index.cache.misses",
+                              node_stat(&KindStats::misses));
+  registry_.RegisterCounterFn("index.cache.inserts",
+                              node_stat(&KindStats::inserts));
+  registry_.RegisterCounterFn("index.cache.evictions",
+                              node_stat(&KindStats::evictions));
+  registry_.RegisterGaugeFn("index.cache.entries",
+                            node_stat(&KindStats::entries));
+  registry_.RegisterGaugeFn("index.cache.bytes", node_stat(&KindStats::bytes));
+  registry_.RegisterGaugeFn("index.cache.capacity_bytes", [this] {
+    return static_cast<uint64_t>(buffer_cache_->capacity_bytes());
+  });
   auditor_->ExportMetrics(&registry_);
 }
 
@@ -182,19 +200,16 @@ Status SpitzDb::Open(SpitzOptions options, std::unique_ptr<SpitzDb>* db) {
   // durable store and the index to it (the default-constructed members
   // pointed at the throwaway in-memory components; recreating the cache
   // also guarantees no entry aliases ids from the old store).
-  instance->node_cache_.reset();
   instance->buffer_cache_ =
       std::make_unique<BufferCache>(options.buffer_cache_bytes);
   instance->chunks_ =
       MakeChunkStore(options, instance->env_, instance->buffer_cache_.get(),
                      &s);
   if (!s.ok()) return s;
-  instance->node_cache_ =
-      std::make_unique<PosNodeCache>(instance->buffer_cache_.get());
   instance->index_ = MakeSiriIndex(options.index_backend,
                                    instance->chunks_.get(),
                                    MakeSiriOptions(options));
-  instance->index_->SetNodeCache(instance->node_cache_.get());
+  instance->index_->SetNodeCache(instance->buffer_cache_.get());
   // The constructor wired metrics against the throwaway in-memory
   // components; re-wire against the durable ones (Clear() inside drops
   // the now-dangling registrations).

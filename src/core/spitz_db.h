@@ -21,7 +21,6 @@
 #include "common/status.h"
 #include "core/verified_kv.h"
 #include "crypto/hash.h"
-#include "index/node_cache.h"
 #include "index/pos_tree_iterator.h"
 #include "index/siri.h"
 #include "ledger/journal.h"
@@ -643,12 +642,9 @@ class SpitzDb : public VerifiedKv {
   MetricsRegistry registry_;
   DbMetrics metrics_;
   // The unified cache. Declared before the components that read through
-  // it (chunk store, node-cache facade) so it outlives them.
+  // it (chunk store, index) so it outlives them.
   std::unique_ptr<BufferCache> buffer_cache_;
   std::unique_ptr<ChunkStore> chunks_;
-  // Typed facade over buffer_cache_ for decoded POS-tree nodes; keeps
-  // the index.cache.* metric surface.
-  std::unique_ptr<PosNodeCache> node_cache_;
   // The pluggable SIRI index chosen by options_.index_backend.
   std::unique_ptr<SiriIndex> index_;
   // Durable mode: the resolved I/O environment and the journal log of

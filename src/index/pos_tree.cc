@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "chunk/buffer_cache.h"
 #include "common/codec.h"
-#include "index/node_cache.h"
 
 namespace spitz {
 
@@ -122,8 +122,8 @@ Status PosTree::DecodeMeta(const Slice& payload, std::vector<ChildRef>* out) {
 Status PosTree::LoadNode(const Hash256& id,
                          std::shared_ptr<const PosNode>* node) const {
   if (cache_ != nullptr) {
-    if (auto cached = cache_->Lookup(id)) {
-      *node = std::move(cached);
+    if (auto cached = cache_->Lookup(BufferCache::kPosNode, id)) {
+      *node = std::static_pointer_cast<const PosNode>(std::move(cached));
       return Status::OK();
     }
   }
@@ -141,7 +141,9 @@ Status PosTree::LoadNode(const Hash256& id,
     return Status::Corruption("unexpected chunk type in tree");
   }
   if (!s.ok()) return s;
-  if (cache_ != nullptr) cache_->Insert(id, decoded);
+  if (cache_ != nullptr) {
+    cache_->Insert(BufferCache::kPosNode, id, decoded, decoded->ByteSize());
+  }
   *node = std::move(decoded);
   return Status::OK();
 }

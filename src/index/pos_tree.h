@@ -101,7 +101,7 @@ struct PosTreeOptions {
   }
 };
 
-class PosNodeCache;
+class BufferCache;
 struct PosNode;
 
 // A handle over one version of a POS-tree. The tree itself lives in the
@@ -136,12 +136,12 @@ class PosTree {
     cache_ = nullptr;
   }
 
-  // Attaches a decoded-node cache consulted (and populated) by every
-  // traversal. Pass nullptr to detach. The cache may be shared across
-  // trees over the same chunk store; because node ids are content
-  // hashes of immutable chunks, cached entries can never go stale.
-  void SetNodeCache(PosNodeCache* cache) { cache_ = cache; }
-  PosNodeCache* node_cache() const { return cache_; }
+  // Attaches a cache whose kPosNode entries every traversal consults
+  // (and populates with decoded nodes, charged at PosNode::ByteSize()).
+  // Pass nullptr to detach. The cache may be shared across trees over
+  // the same chunk store; because node ids are content hashes of
+  // immutable chunks, cached entries can never go stale.
+  void SetNodeCache(BufferCache* cache) { cache_ = cache; }
 
   // Bulk-loads a tree from entries (they will be sorted and deduplicated
   // by key, last write wins). Returns the new root.
@@ -279,7 +279,7 @@ class PosTree {
 
   ChunkStore* store_;
   PosTreeOptions options_;
-  PosNodeCache* cache_ = nullptr;
+  BufferCache* cache_ = nullptr;
 };
 
 // A fully decoded POS-tree node: the raw payload (kept because proofs

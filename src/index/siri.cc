@@ -252,7 +252,7 @@ class PosSiriIndex : public SiriIndex {
   SiriBackend kind() const override { return SiriBackend::kPosTree; }
   bool SupportsScan() const override { return true; }
   bool SupportsBulkBuild() const override { return true; }
-  void SetNodeCache(PosNodeCache* cache) override {
+  void SetNodeCache(BufferCache* cache) override {
     tree_.SetNodeCache(cache);
   }
 

@@ -18,8 +18,6 @@
 
 namespace spitz {
 
-class PosNodeCache;
-
 // ---------------------------------------------------------------------------
 // SIRI — Structurally-Invariant Reusable Index (paper section 3.1).
 //
@@ -124,8 +122,9 @@ class SiriIndex {
   // The empty index is the zero hash for every backend.
   Hash256 EmptyRoot() const { return Hash256(); }
 
-  // Backends with a decoded-node cache accept one here; others ignore it.
-  virtual void SetNodeCache(PosNodeCache* /*cache*/) {}
+  // Backends that cache decoded nodes (under BufferCache::kPosNode)
+  // accept a cache here; others ignore it.
+  virtual void SetNodeCache(BufferCache* /*cache*/) {}
 
   // --- Core operations ----------------------------------------------------
   virtual Status Get(const Hash256& root, const Slice& key,

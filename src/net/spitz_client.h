@@ -49,12 +49,6 @@ class SpitzClient : public VerifiedKv {
   static Status Open(const Options& options,
                      std::unique_ptr<SpitzClient>* out);
 
-  // Deprecated: use Open(options, out).
-  static Status Connect(const Options& options,
-                        std::unique_ptr<SpitzClient>* out) {
-    return Open(options, out);
-  }
-
   SpitzClient(const SpitzClient&) = delete;
   SpitzClient& operator=(const SpitzClient&) = delete;
 

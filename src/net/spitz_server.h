@@ -89,13 +89,6 @@ class SpitzServer {
   // dispatcher pool and (if configured) the txn sweeper.
   static Status Open(Options options, std::unique_ptr<SpitzServer>* out);
 
-  // Deprecated: use Open(options, out) with options.db set.
-  static Status Start(SpitzDb* db, Options options,
-                      std::unique_ptr<SpitzServer>* out) {
-    options.db = db;
-    return Open(std::move(options), out);
-  }
-
   ~SpitzServer();
 
   SpitzServer(const SpitzServer&) = delete;

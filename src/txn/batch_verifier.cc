@@ -70,14 +70,15 @@ Status DeferredVerifier::Submit(Check check) {
     if (!s.ok()) failures_.fetch_add(1, std::memory_order_release);
     return s;
   }
-  submitted_.fetch_add(1, std::memory_order_acq_rel);
-  if (!queue_.Push(Task{std::move(check), MonotonicNanos()})) {
+  const uint64_t seq = submitted_.fetch_add(1, std::memory_order_acq_rel);
+  if (!queue_.Push(Task{std::move(check), MonotonicNanos(), seq})) {
     // Queue already closed (shutdown race): the check was not enqueued,
-    // so no worker will complete it. Roll back the submission watermark
-    // so Flush barriers stay exact, and wake any flusher that captured
-    // the watermark before the rollback.
-    submitted_.fetch_sub(1, std::memory_order_acq_rel);
-    { std::lock_guard<std::mutex> lock(flush_mu_); }
+    // so no worker will run it. Retire its sequence number so Flush
+    // barriers do not wait for it.
+    {
+      std::lock_guard<std::mutex> lock(flush_mu_);
+      RetireLocked(seq);
+    }
     flush_cv_.notify_all();
     return Status::InvalidArgument("verifier is shut down");
   }
@@ -92,30 +93,33 @@ void DeferredVerifier::WorkerLoop() {
       RunCheck(task);
     }
     // Publish completions under the flush mutex so a flusher's predicate
-    // check cannot interleave between the counter bump and the notify.
+    // check cannot interleave between the retirement and the notify.
     {
       std::lock_guard<std::mutex> lock(flush_mu_);
-      completed_.fetch_add(batch.size(), std::memory_order_release);
+      for (const Task& task : batch) RetireLocked(task.seq);
     }
     flush_cv_.notify_all();
     batch.clear();
   }
 }
 
+void DeferredVerifier::RetireLocked(uint64_t seq) {
+  retired_ahead_.push(seq);
+  while (!retired_ahead_.empty() && retired_ahead_.top() == retired_below_) {
+    retired_ahead_.pop();
+    retired_below_++;
+  }
+}
+
 void DeferredVerifier::Flush() {
   if (options_.batch_size == 0) return;  // online checks ran inline
-  // Exact barrier: wait for everything submitted before this call. The
-  // flush mutex synchronizes with workers' completion publishing, so
-  // counter reads after Flush() see every check it waited for.
+  // Exact barrier: wait until every sequence number handed out before
+  // this call has retired. The flush mutex synchronizes with workers'
+  // completion publishing, so counter reads after Flush() see every
+  // check it waited for.
   const uint64_t target = submitted_.load(std::memory_order_acquire);
   std::unique_lock<std::mutex> lock(flush_mu_);
-  flush_cv_.wait(lock, [&] {
-    uint64_t done = completed_.load(std::memory_order_acquire);
-    // The second clause covers a Submit that rolled back its watermark
-    // after this flush captured `target` (shutdown race).
-    return done >= target ||
-           done >= submitted_.load(std::memory_order_acquire);
-  });
+  flush_cv_.wait(lock, [&] { return retired_below_ >= target; });
 }
 
 void DeferredVerifier::ExportMetrics(MetricsRegistry* registry) const {
@@ -134,16 +138,6 @@ void DeferredVerifier::ExportMetrics(MetricsRegistry* registry) const {
                             [this] { return workers_.size(); });
   registry->RegisterHistogram("txn.verifier.queue_wait_ns", &queue_wait_ns_);
   registry->RegisterHistogram("txn.verifier.verify_latency_ns", &verify_ns_);
-}
-
-DeferredVerifier::Stats DeferredVerifier::stats() const {
-  Stats s;
-  s.submitted = submitted_.load(std::memory_order_acquire);
-  s.verified = verified_.load(std::memory_order_acquire);
-  s.failures = failures_.load(std::memory_order_acquire);
-  s.queue_depth = queue_.size();
-  s.workers = workers_.size();
-  return s;
 }
 
 }  // namespace spitz

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <queue>
 #include <thread>
 #include <vector>
 
@@ -64,16 +65,6 @@ class DeferredVerifier {
     size_t queue_capacity = 0;
   };
 
-  // DEPRECATED as a public surface: read these through the owning
-  // database's Metrics() snapshot (txn.verifier.* metrics) instead.
-  struct Stats {
-    uint64_t submitted = 0;
-    uint64_t verified = 0;
-    uint64_t failures = 0;
-    size_t queue_depth = 0;  // checks waiting (excludes in-flight)
-    size_t workers = 0;
-  };
-
   using Check = std::function<Status()>;
 
   explicit DeferredVerifier(Options options = Options());
@@ -85,7 +76,7 @@ class DeferredVerifier {
   // Queues a check (deferred mode) or runs it inline (online mode).
   // In online mode the check's status is returned directly; in deferred
   // mode OK is returned immediately and failures are counted (visible
-  // via stats() and failed()).
+  // via failure_count() and failed()).
   Status Submit(Check check);
 
   // Blocks until every check submitted before this call has executed.
@@ -106,7 +97,6 @@ class DeferredVerifier {
 
   size_t worker_count() const { return workers_.size(); }
   size_t queue_depth() const { return queue_.size(); }
-  Stats stats() const;
 
   // Registers the verification pipeline's counters, queue-wait and
   // verify-latency histograms under `txn.verifier.*`. The verifier must
@@ -120,25 +110,35 @@ class DeferredVerifier {
   struct Task {
     Check check;
     uint64_t enqueue_ns = 0;
+    uint64_t seq = 0;  // submission order
   };
 
   void WorkerLoop();
   // Runs one check and records its outcome in the counters.
   void RunCheck(Task& task);
+  // Marks submission `seq` finished and advances retired_below_.
+  // Caller holds flush_mu_.
+  void RetireLocked(uint64_t seq);
 
   const Options options_;
   BoundedQueue<Task> queue_;
-  // submitted_ is bumped before the enqueue, completed_ after the
-  // execution; Flush waits for completed_ to catch up to the submitted_
-  // watermark it observed.
+  // Hands out submission sequence numbers; Flush waits until every
+  // sequence below the value it observed has retired.
   std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> verified_{0};
   std::atomic<uint64_t> failures_{0};
   Histogram queue_wait_ns_;
   Histogram verify_ns_;
   mutable std::mutex flush_mu_;
   std::condition_variable flush_cv_;
+  // Guarded by flush_mu_. Every sequence below retired_below_ has run
+  // (or was refused at shutdown); retired_ahead_ holds those that
+  // finished out of order above it. Workers finish batches in any
+  // order, so a bare completion count could reach a flusher's target
+  // while one of its own checks is still running.
+  uint64_t retired_below_ = 0;
+  std::priority_queue<uint64_t, std::vector<uint64_t>, std::greater<>>
+      retired_ahead_;
   std::vector<std::thread> workers_;
 };
 

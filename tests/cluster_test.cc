@@ -22,6 +22,7 @@
 #include "cluster/cluster_client.h"
 #include "cluster/cluster_digest.h"
 #include "cluster/coordinator.h"
+#include "cluster/local_fleet.h"
 #include "cluster/partition.h"
 #include "common/clock.h"
 #include "common/fault_env.h"
@@ -30,7 +31,6 @@
 #include "net/net_client.h"
 #include "net/spitz_client.h"
 #include "net/spitz_server.h"
-#include "txn/two_phase_commit.h"
 
 namespace spitz {
 namespace {
@@ -44,45 +44,53 @@ std::string KeyOnShard(size_t shard, size_t shard_count,
   }
 }
 
-// An in-memory N-shard cluster: one SpitzDb + SpitzServer per shard,
-// one ClusterClient over all of them.
+// An in-memory N-shard fleet and one ClusterClient over it.
 struct ClusterFixture {
-  std::vector<std::unique_ptr<SpitzDb>> dbs;
-  std::vector<std::unique_ptr<SpitzServer>> servers;
+  std::unique_ptr<LocalFleet> fleet;
   std::unique_ptr<ClusterClient> client;
 
   explicit ClusterFixture(size_t n) {
-    ClusterClient::Options options;
-    for (size_t i = 0; i < n; i++) {
-      dbs.push_back(std::make_unique<SpitzDb>());
-      SpitzServer::Options server_options;
-      server_options.db = dbs.back().get();
-      std::unique_ptr<SpitzServer> server;
-      Status s = SpitzServer::Open(server_options, &server);
-      EXPECT_TRUE(s.ok()) << s.ToString();
-      NetClient::Options endpoint;
-      endpoint.port = server->port();
-      options.shards.push_back(endpoint);
-      servers.push_back(std::move(server));
-    }
-    Status s = ClusterClient::Open(options, &client);
+    LocalFleet::Options options;
+    options.shards = n;
+    Status s = LocalFleet::Open(options, &fleet);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    s = ClusterClient::Open(fleet->ClusterOptions(), &client);
     EXPECT_TRUE(s.ok()) << s.ToString();
   }
 };
 
 // --- Routing ----------------------------------------------------------------
 
-TEST(ClusterRoutingTest, ClientAndShardedStoreAgreeOnEveryKey) {
-  // One partition function for the whole system: the in-process
-  // transaction layer and the cluster client must never route one key
-  // to two different shards.
-  for (size_t shard_count : {1u, 2u, 3u, 5u, 16u}) {
-    ShardedStore store(shard_count);
-    for (int i = 0; i < 500; i++) {
-      std::string key = "route-key-" + std::to_string(i * 7919);
-      EXPECT_EQ(store.ShardOf(key), PartitionOf(key, shard_count));
-    }
+TEST(ClusterRoutingTest, PartitionFunctionMatchesGoldenValues) {
+  // Every shard's data lives where this function put it, so a change to
+  // it is a cluster-wide resharding event (partition.h), never a
+  // refactor. The values pin the function as deployed, including its
+  // offset basis, which differs from the published FNV-1a constant.
+  EXPECT_EQ(PartitionHash(""), 0x14650fb0739d0383ull);
+  EXPECT_EQ(PartitionHash("a"), 0x44bd8ad473cd9906ull);
+  EXPECT_EQ(PartitionHash("foobar"), 0x88fad7c0a8ff07f2ull);
+  EXPECT_EQ(PartitionHash("user000000000042"), 0x3b44973a585379aaull);
+  // Key bytes hash as unsigned.
+  EXPECT_EQ(PartitionHash(Slice("\xff\x80", 2)), 0x9a50c900c533a95cull);
+  EXPECT_EQ(PartitionHash(Slice("\0", 1)), 0x44bd2bd473ccf799ull);
+
+  struct Golden {
+    const char* key;
+    size_t shard_count;
+    size_t shard;
+  };
+  const Golden golden[] = {
+      {"foobar", 2, 0},           {"foobar", 3, 1},
+      {"foobar", 5, 0},           {"foobar", 16, 2},
+      {"user000000000042", 3, 0}, {"user000000000042", 5, 3},
+      {"user000000000042", 16, 10}, {"route-key-7919", 2, 1},
+      {"route-key-7919", 5, 3},   {"a", 16, 6},
+  };
+  for (const Golden& g : golden) {
+    EXPECT_EQ(PartitionOf(g.key, g.shard_count), g.shard)
+        << g.key << " over " << g.shard_count << " shards";
   }
+  EXPECT_EQ(PartitionOf("anything", 1), 0u);
 }
 
 // --- Cluster digest ---------------------------------------------------------
@@ -564,30 +572,26 @@ class ClusterCrashTest : public ::testing::Test {
 
 TEST_F(ClusterCrashTest, ParticipantRestartRestagesInDoubtThenCommits) {
   const uint64_t txn_id = 909;
+  LocalFleet::Options options;
+  options.db.data_dir = dir_;
   // Session 1: vote yes, then "crash" before any decision arrives.
   {
-    std::unique_ptr<SpitzDb> db;
-    ASSERT_TRUE(SpitzDb::Open(DurableOptions(), &db).ok());
+    std::unique_ptr<LocalFleet> fleet;
+    ASSERT_TRUE(LocalFleet::Open(options, &fleet).ok());
     WriteOptions synced;
     synced.sync = true;
-    ASSERT_TRUE(db->Put(synced, "pre-existing", "durable").ok());
+    ASSERT_TRUE(fleet->db(0)->Put(synced, "pre-existing", "durable").ok());
     WriteBatch batch;
     batch.Put("staged-a", "A");
     batch.Put("staged-b", "B");
-    ASSERT_TRUE(db->PrepareTxn(txn_id, batch).ok());
+    ASSERT_TRUE(fleet->db(0)->PrepareTxn(txn_id, batch).ok());
   }
   // Session 2: the restarted shard, reached over TCP like a real
   // coordinator would.
-  std::unique_ptr<SpitzDb> db;
-  ASSERT_TRUE(SpitzDb::Open(DurableOptions(), &db).ok());
-  SpitzServer::Options server_options;
-  server_options.db = db.get();
-  std::unique_ptr<SpitzServer> server;
-  ASSERT_TRUE(SpitzServer::Open(server_options, &server).ok());
-  SpitzClient::Options client_options;
-  client_options.net.port = server->port();
+  std::unique_ptr<LocalFleet> fleet;
+  ASSERT_TRUE(LocalFleet::Open(options, &fleet).ok());
   std::unique_ptr<SpitzClient> client;
-  ASSERT_TRUE(SpitzClient::Open(client_options, &client).ok());
+  ASSERT_TRUE(SpitzClient::Open(fleet->ClientOptions(0), &client).ok());
 
   // The vote survived: the txn is in-doubt and its locks are re-taken.
   std::vector<uint64_t> in_doubt;
@@ -741,17 +745,13 @@ TEST_F(ClusterCrashTest, CrashDuringTxnLogCompactionLosesNoPromises) {
 // --- Coordinator crash: presumed abort ---------------------------------------
 
 TEST(ClusterSweeperTest, SilentCoordinatorIsPresumedAbortedOnTimeout) {
-  SpitzDb db;
-  SpitzServer::Options options;
-  options.db = &db;
-  options.txn_abort_after_ms = 50;
-  options.txn_sweep_interval_ms = 10;
-  std::unique_ptr<SpitzServer> server;
-  ASSERT_TRUE(SpitzServer::Open(options, &server).ok());
-  SpitzClient::Options client_options;
-  client_options.net.port = server->port();
+  LocalFleet::Options options;
+  options.server.txn_abort_after_ms = 50;
+  options.server.txn_sweep_interval_ms = 10;
+  std::unique_ptr<LocalFleet> fleet;
+  ASSERT_TRUE(LocalFleet::Open(options, &fleet).ok());
   std::unique_ptr<SpitzClient> client;
-  ASSERT_TRUE(SpitzClient::Open(client_options, &client).ok());
+  ASSERT_TRUE(SpitzClient::Open(fleet->ClientOptions(0), &client).ok());
 
   WriteBatch batch;
   batch.Put("swept-key", "never-committed");
@@ -780,14 +780,10 @@ TEST(ClusterSweeperTest, SilentCoordinatorIsPresumedAbortedOnTimeout) {
 // --- Handshake and factories -------------------------------------------------
 
 TEST(ClusterHandshakeTest, VersionMismatchIsRejectedAtConnect) {
-  SpitzDb db;
-  SpitzServer::Options options;
-  options.db = &db;
-  std::unique_ptr<SpitzServer> server;
-  ASSERT_TRUE(SpitzServer::Open(options, &server).ok());
+  std::unique_ptr<LocalFleet> fleet;
+  ASSERT_TRUE(LocalFleet::Open(LocalFleet::Options(), &fleet).ok());
 
-  NetClient::Options bad;
-  bad.port = server->port();
+  NetClient::Options bad = fleet->ClientOptions(0).net;
   bad.protocol_version = kProtocolVersion + 7;
   std::unique_ptr<NetClient> client;
   Status s = NetClient::Connect(bad, &client);
@@ -797,9 +793,7 @@ TEST(ClusterHandshakeTest, VersionMismatchIsRejectedAtConnect) {
 
   // A well-versioned client on the same server still connects and
   // learns the server's feature bits.
-  NetClient::Options good;
-  good.port = server->port();
-  ASSERT_TRUE(NetClient::Connect(good, &client).ok());
+  ASSERT_TRUE(NetClient::Connect(fleet->ClientOptions(0).net, &client).ok());
   EXPECT_NE(client->server_features() & kFeatureTwoPhaseCommit, 0u);
   EXPECT_NE(client->server_features() & kFeatureClusterDigest, 0u);
 }
@@ -924,16 +918,12 @@ TEST(ClusterClientTest, NonVerifiedReadsForwardTheCallersOptions) {
   // against a shard that never answers, a 100ms per-read deadline must
   // surface as a fast TimedOut — the dropped-options bug fell back to
   // the 60s transport default instead.
-  SpitzDb db0;
-  SpitzServer::Options server_options;
-  server_options.db = &db0;
-  std::unique_ptr<SpitzServer> server0;
-  ASSERT_TRUE(SpitzServer::Open(server_options, &server0).ok());
+  std::unique_ptr<LocalFleet> fleet;
+  ASSERT_TRUE(LocalFleet::Open(LocalFleet::Options(), &fleet).ok());
   SilentShard shard1;
 
   ClusterClient::Options options;
-  NetClient::Options endpoint0, endpoint1;
-  endpoint0.port = server0->port();
+  NetClient::Options endpoint0 = fleet->ClientOptions(0).net, endpoint1;
   endpoint1.port = shard1.port();
   endpoint1.connect_attempts = 1;
   endpoint0.deadline_ms = endpoint1.deadline_ms = 60'000;
@@ -982,10 +972,9 @@ TEST(ClusterTxnTest, CommitRetryReconnectsToABouncedShard) {
   ClusterFixture fx(2);
   const std::string k0 = KeyOnShard(0, 2, "bounce");
   const std::string k1 = KeyOnShard(1, 2, "bounce");
-  const uint16_t port1 = fx.servers[1]->port();
 
   fx.client->coordinator()->SetBetweenPhasesHookForTest([&] {
-    fx.servers[1]->Shutdown();
+    fx.fleet->KillPrimary(1);
     // The client's shard-1 connection must notice the close and go
     // sticky before phase 2 issues its first commit RPC.
     for (int i = 0;
@@ -993,18 +982,8 @@ TEST(ClusterTxnTest, CommitRetryReconnectsToABouncedShard) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     EXPECT_FALSE(fx.client->shard(1)->ConnectionStatus().ok());
-    SpitzServer::Options server_options;
-    server_options.db = fx.dbs[1].get();
-    server_options.net.loop.port = port1;
-    std::unique_ptr<SpitzServer> server;
-    Status s;
-    for (int i = 0; i < 50; i++) {
-      s = SpitzServer::Open(server_options, &server);
-      if (s.ok()) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
+    Status s = fx.fleet->Bounce(1);
     ASSERT_TRUE(s.ok()) << s.ToString();
-    fx.servers[1] = std::move(server);
   });
 
   WriteBatch batch;

@@ -12,9 +12,9 @@
 #include <thread>
 #include <vector>
 
+#include "chunk/buffer_cache.h"
 #include "core/spitz_db.h"
 #include "gtest/gtest.h"
-#include "index/node_cache.h"
 #include "txn/batch_verifier.h"
 
 namespace spitz {
@@ -286,7 +286,7 @@ TEST(ConcurrencyTest, VerifierWorkerCountDefaultsToHardware) {
   EXPECT_EQ(online.worker_count(), 0u);  // online mode: no pool
 }
 
-// --- PosNodeCache ----------------------------------------------------------
+// --- Decoded nodes in the BufferCache ---------------------------------------
 
 std::shared_ptr<const PosNode> MakeLeafNode(const std::string& key,
                                             size_t value_bytes) {
@@ -296,42 +296,58 @@ std::shared_ptr<const PosNode> MakeLeafNode(const std::string& key,
   return node;
 }
 
+// Caches a node the way PosTree::LoadNode does: under kPosNode, charged
+// at its decoded size.
+void InsertNode(BufferCache* cache, const Hash256& id,
+                std::shared_ptr<const PosNode> node) {
+  const size_t charge = node->ByteSize();
+  cache->Insert(BufferCache::kPosNode, id, std::move(node), charge);
+}
+
+std::shared_ptr<const PosNode> LookupNode(BufferCache* cache,
+                                          const Hash256& id) {
+  return std::static_pointer_cast<const PosNode>(
+      cache->Lookup(BufferCache::kPosNode, id));
+}
+
 TEST(ConcurrencyTest, NodeCacheHitMissAndEviction) {
   // One shard so eviction order is deterministic; budget fits ~3 small
   // nodes.
-  PosNodeCache cache(/*capacity_bytes=*/3 * 400, /*shard_count=*/1);
+  BufferCache cache(/*capacity_bytes=*/3 * 400, /*shard_count=*/1);
   std::vector<Hash256> ids;
   for (int i = 0; i < 5; i++) {
     Hash256 id = Hash256::Of("node" + std::to_string(i));
     ids.push_back(id);
-    cache.Insert(id, MakeLeafNode("k" + std::to_string(i), 200));
+    InsertNode(&cache, id, MakeLeafNode("k" + std::to_string(i), 200));
   }
-  PosNodeCacheStats stats = cache.stats();
+  BufferCache::KindStats stats = cache.stats().kind[BufferCache::kPosNode];
   EXPECT_EQ(stats.inserts, 5u);
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_LE(stats.bytes, 3u * 400u);
   // The most recent insert must still be resident; the oldest must not.
-  EXPECT_NE(cache.Lookup(ids[4]), nullptr);
-  EXPECT_EQ(cache.Lookup(ids[0]), nullptr);
-  stats = cache.stats();
+  EXPECT_NE(LookupNode(&cache, ids[4]), nullptr);
+  EXPECT_EQ(LookupNode(&cache, ids[0]), nullptr);
+  stats = cache.stats().kind[BufferCache::kPosNode];
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
+  // Raw-chunk traffic is accounted separately.
+  EXPECT_EQ(cache.stats().kind[BufferCache::kRawChunk].inserts, 0u);
 
   cache.Clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.Lookup(ids[4]), nullptr);
+  EXPECT_EQ(cache.stats().entries(), 0u);
+  EXPECT_EQ(LookupNode(&cache, ids[4]), nullptr);
 }
 
 TEST(ConcurrencyTest, NodeCacheOversizedNodeNotCached) {
-  PosNodeCache cache(/*capacity_bytes=*/1024, /*shard_count=*/1);
+  BufferCache cache(/*capacity_bytes=*/1024, /*shard_count=*/1);
   Hash256 id = Hash256::Of("huge");
-  cache.Insert(id, MakeLeafNode("k", 4096));
-  EXPECT_EQ(cache.Lookup(id), nullptr);
-  EXPECT_EQ(cache.stats().inserts, 0u);
+  InsertNode(&cache, id, MakeLeafNode("k", 4096));
+  EXPECT_EQ(LookupNode(&cache, id), nullptr);
+  EXPECT_EQ(cache.stats().inserts(), 0u);
 }
 
 TEST(ConcurrencyTest, NodeCacheSharedUnderConcurrentTraffic) {
-  PosNodeCache cache(/*capacity_bytes=*/1 << 20);
+  BufferCache cache(/*capacity_bytes=*/1 << 20);
   const int kIds = 64;
   std::vector<Hash256> ids;
   for (int i = 0; i < kIds; i++) {
@@ -343,9 +359,10 @@ TEST(ConcurrencyTest, NodeCacheSharedUnderConcurrentTraffic) {
     pool.emplace_back([&, t] {
       for (int round = 0; round < 2000; round++) {
         int i = (round + t * 17) % kIds;
-        auto node = cache.Lookup(ids[i]);
+        auto node = LookupNode(&cache, ids[i]);
         if (node == nullptr) {
-          cache.Insert(ids[i], MakeLeafNode("k" + std::to_string(i), 32));
+          InsertNode(&cache, ids[i],
+                     MakeLeafNode("k" + std::to_string(i), 32));
         } else if (node->entries[0].key != "k" + std::to_string(i)) {
           mismatches.fetch_add(1);
         }
@@ -354,7 +371,7 @@ TEST(ConcurrencyTest, NodeCacheSharedUnderConcurrentTraffic) {
   }
   for (auto& t : pool) t.join();
   EXPECT_EQ(mismatches.load(), 0u);
-  EXPECT_GT(cache.stats().hits, 0u);
+  EXPECT_GT(cache.stats().kind[BufferCache::kPosNode].hits, 0u);
 }
 
 TEST(ConcurrencyTest, SpitzDbNodeCacheServesRepeatTraversals) {

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <thread>
 
+#include "cluster/local_fleet.h"
 #include "common/clock.h"
 #include "common/codec.h"
 #include "common/random.h"
@@ -538,20 +539,20 @@ TEST(NetFuzzTest, HalfClosedSocketStillReceivesItsResponses) {
 
 // --- The typed pair: SpitzServer + SpitzClient ------------------------------
 
+// One served in-memory node.
 struct SpitzFixture {
-  SpitzDb db;
-  std::unique_ptr<SpitzServer> server;
+  std::unique_ptr<LocalFleet> fleet;
 
-  explicit SpitzFixture(SpitzServer::Options options = {}) {
-    Status s = SpitzServer::Start(&db, options, &server);
+  SpitzFixture() {
+    Status s = LocalFleet::Open(LocalFleet::Options(), &fleet);
     EXPECT_TRUE(s.ok()) << s.ToString();
   }
 
+  SpitzServer* server() const { return fleet->server(0); }
+
   std::unique_ptr<SpitzClient> Client() {
-    SpitzClient::Options options;
-    options.net.port = server->port();
     std::unique_ptr<SpitzClient> client;
-    Status s = SpitzClient::Connect(options, &client);
+    Status s = SpitzClient::Open(fleet->ClientOptions(0), &client);
     EXPECT_TRUE(s.ok()) << s.ToString();
     return client;
   }
@@ -679,7 +680,7 @@ TEST(NetSpitzTest, EightConcurrentClientsStress) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0u);
 
-  MetricsSnapshot m = fx.server->Metrics();
+  MetricsSnapshot m = fx.server()->Metrics();
   EXPECT_EQ(m.CounterValue("net.protocol_errors"), 0u);
   EXPECT_GE(m.CounterValue("net.server.accepts"), kClients);
   // The processor pool's counters ride along in the same snapshot.
@@ -694,7 +695,7 @@ TEST(NetSpitzTest, PerMethodLatencyHistogramsPopulate) {
   ASSERT_TRUE(client->Get("k", &value).ok());
   ASSERT_TRUE(client->VerifiedGet("k", &value).ok());
 
-  MetricsSnapshot m = fx.server->Metrics();
+  MetricsSnapshot m = fx.server()->Metrics();
   auto count_of = [&](const char* name) {
     auto it = m.histograms.find(name);
     return it == m.histograms.end() ? uint64_t{0} : it->second.count;
@@ -821,19 +822,12 @@ TEST(NetSpitzTest, ReconnectHealsAStickyBrokenConnection) {
   // so SpitzClient::Reconnect() dials a fresh connection with the saved
   // options and swaps it in — a bounced server heals instead of every
   // later call failing with the old connection's corpse.
-  SpitzDb db;
-  std::unique_ptr<SpitzServer> server;
-  ASSERT_TRUE(SpitzServer::Start(&db, {}, &server).ok());
-  const uint16_t port = server->port();
-
-  SpitzClient::Options options;
-  options.net.port = port;
-  std::unique_ptr<SpitzClient> client;
-  ASSERT_TRUE(SpitzClient::Open(options, &client).ok());
+  SpitzFixture fx;
+  auto client = fx.Client();
   ASSERT_TRUE(client->Put("k", "v").ok());
   EXPECT_TRUE(client->ConnectionStatus().ok());
 
-  server->Shutdown();
+  fx.fleet->KillPrimary(0);
   std::string value;
   EXPECT_FALSE(client->Get("k", &value).ok());
   // The reader notices the close asynchronously; the sticky state must
@@ -848,14 +842,7 @@ TEST(NetSpitzTest, ReconnectHealsAStickyBrokenConnection) {
                client->Get("k", &value).ok());
 
   // Same database, same port: the server comes back.
-  SpitzServer::Options server_options;
-  server_options.net.loop.port = port;
-  Status restarted;
-  for (int i = 0; i < 50; i++) {
-    restarted = SpitzServer::Start(&db, server_options, &server);
-    if (restarted.ok()) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
+  Status restarted = fx.fleet->Bounce(0);
   ASSERT_TRUE(restarted.ok()) << restarted.ToString();
 
   ASSERT_TRUE(client->Reconnect().ok());
@@ -893,12 +880,11 @@ TEST(NetSpitzTest, GracefulShutdownThenConnectFails) {
   SpitzFixture fx;
   auto client = fx.Client();
   ASSERT_TRUE(client->Put("k", "v").ok());
-  fx.server->Shutdown();
+  fx.fleet->KillPrimary(0);
 
   std::string value;
   EXPECT_FALSE(client->Get("k", &value).ok());
-  NetClient::Options copts;
-  copts.port = fx.server->port();
+  NetClient::Options copts = fx.fleet->ClientOptions(0).net;
   copts.connect_attempts = 1;
   std::unique_ptr<NetClient> late;
   Status s = NetClient::Connect(copts, &late);

@@ -103,7 +103,7 @@ TEST(PosTreeCapDominatedTest, InvarianceUnderCapCuts) {
 // --- POS-tree with adversarial keys ------------------------------------------
 
 class PosTreeHostileKeys
-    : public ::testing::TestWithParam<std::pair<const char*, int>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, int>> {};
 
 TEST_P(PosTreeHostileKeys, RoundTripsAndProves) {
   auto [mode, n] = GetParam();
@@ -114,13 +114,13 @@ TEST_P(PosTreeHostileKeys, RoundTripsAndProves) {
   Hash256 root = PosTree::EmptyRoot();
   for (int i = 0; i < n; i++) {
     std::string key;
-    if (std::string(mode) == "nul-bytes") {
+    if (mode == "nul-bytes") {
       key = std::string(1, '\0') + std::to_string(i) + std::string(1, '\0');
-    } else if (std::string(mode) == "high-bytes") {
+    } else if (mode == "high-bytes") {
       key = std::string(2, '\xff') + std::to_string(i);
-    } else if (std::string(mode) == "long-keys") {
+    } else if (mode == "long-keys") {
       key = std::string(500, 'a' + (i % 26)) + std::to_string(i);
-    } else if (std::string(mode) == "shared-prefix") {
+    } else if (mode == "shared-prefix") {
       key = std::string(64, 'p') + std::to_string(i);
     } else {  // empty-ish
       key = i == 0 ? std::string() : std::string(i % 4, ' ') +
@@ -150,11 +150,11 @@ TEST_P(PosTreeHostileKeys, RoundTripsAndProves) {
 
 INSTANTIATE_TEST_SUITE_P(
     KeyShapes, PosTreeHostileKeys,
-    ::testing::Values(std::pair<const char*, int>{"nul-bytes", 100},
-                      std::pair<const char*, int>{"high-bytes", 100},
-                      std::pair<const char*, int>{"long-keys", 60},
-                      std::pair<const char*, int>{"shared-prefix", 150},
-                      std::pair<const char*, int>{"empty-ish", 40}));
+    ::testing::Values(std::pair<std::string, int>{"nul-bytes", 100},
+                      std::pair<std::string, int>{"high-bytes", 100},
+                      std::pair<std::string, int>{"long-keys", 60},
+                      std::pair<std::string, int>{"shared-prefix", 150},
+                      std::pair<std::string, int>{"empty-ish", 40}));
 
 // --- Chunker bounds across options --------------------------------------------
 

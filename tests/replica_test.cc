@@ -14,6 +14,7 @@
 
 #include "cluster/cluster_client.h"
 #include "cluster/cluster_digest.h"
+#include "cluster/local_fleet.h"
 #include "cluster/partition.h"
 #include "core/spitz_db.h"
 #include "net/spitz_client.h"
@@ -41,16 +42,26 @@ std::string KeyOnShard(size_t shard, size_t shard_count,
   }
 }
 
-// One replicated shard: a primary db, a backup db behind a
-// BackupReplica + SpitzServer, and a Replicator streaming between
-// them. The primary is optionally served too (for cluster tests).
+// A replicated in-memory fleet with small blocks, so short tests seal.
+std::unique_ptr<LocalFleet> OpenReplicatedFleet(size_t shards) {
+  LocalFleet::Options options;
+  options.shards = shards;
+  options.replicated = true;
+  options.db = SmallBlocks();
+  std::unique_ptr<LocalFleet> fleet;
+  Status s = LocalFleet::Open(options, &fleet);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return fleet;
+}
+
+// A replication pair wired by hand, for the tests that stage history
+// or records before (or instead of) a live stream: a primary db, and a
+// backup db behind a BackupReplica and a SpitzServer.
 struct ReplicaPair {
   SpitzDb primary{SmallBlocks()};
   SpitzDb backup_db{SmallBlocks()};
   std::unique_ptr<BackupReplica> backup;
   std::unique_ptr<SpitzServer> backup_server;
-  std::unique_ptr<SpitzServer> primary_server;
-  std::unique_ptr<Replicator> replicator;
 
   void StartBackup() {
     BackupReplica::Options backup_options;
@@ -62,17 +73,19 @@ struct ReplicaPair {
     ASSERT_TRUE(SpitzServer::Open(server_options, &backup_server).ok());
   }
 
-  void StartPrimaryServer() {
-    SpitzServer::Options server_options;
-    server_options.db = &primary;
-    ASSERT_TRUE(SpitzServer::Open(server_options, &primary_server).ok());
-  }
-
-  void StartReplicator() {
+  Replicator::Options StreamOptions() {
     Replicator::Options options;
     options.db = &primary;
     options.backup.port = backup_server->port();
-    ASSERT_TRUE(Replicator::Open(options, &replicator).ok());
+    return options;
+  }
+
+  std::unique_ptr<SpitzClient> BackupClient() {
+    SpitzClient::Options options;
+    options.net.port = backup_server->port();
+    std::unique_ptr<SpitzClient> client;
+    EXPECT_TRUE(SpitzClient::Open(options, &client).ok());
+    return client;
   }
 };
 
@@ -93,8 +106,9 @@ TEST(ReplicaTest, BackupIndependentlyDerivesThePrimarysDigest) {
   ASSERT_TRUE(pair.primary.FlushBlock().ok());
 
   pair.StartBackup();
-  pair.StartReplicator();
-  ASSERT_TRUE(pair.replicator->WaitDrained(10'000).ok());
+  std::unique_ptr<Replicator> replicator;
+  ASSERT_TRUE(Replicator::Open(pair.StreamOptions(), &replicator).ok());
+  ASSERT_TRUE(replicator->WaitDrained(10'000).ok());
   EXPECT_TRUE(pair.primary.Digest() == pair.backup_db.Digest());
 
   // Live path: blocks sealed while subscribed stream without polling.
@@ -102,9 +116,9 @@ TEST(ReplicaTest, BackupIndependentlyDerivesThePrimarysDigest) {
     ASSERT_TRUE(pair.primary.Put("live" + std::to_string(i), "w").ok());
   }
   ASSERT_TRUE(pair.primary.FlushBlock().ok());
-  ASSERT_TRUE(pair.replicator->WaitDrained(10'000).ok());
+  ASSERT_TRUE(replicator->WaitDrained(10'000).ok());
   EXPECT_TRUE(pair.primary.Digest() == pair.backup_db.Digest());
-  EXPECT_TRUE(pair.replicator->ReplicationFault().ok());
+  EXPECT_TRUE(replicator->ReplicationFault().ok());
   EXPECT_EQ(pair.backup->digest_mismatches(), 0u);
 
   // The replicated value is really there, behind a verifiable proof.
@@ -114,7 +128,7 @@ TEST(ReplicaTest, BackupIndependentlyDerivesThePrimarysDigest) {
   Status s = pair.backup_db.VerifiedGet("k4", &value);
   EXPECT_TRUE(s.IsNotFound()) << s.ToString();
 
-  MetricsSnapshot m = pair.replicator->Metrics();
+  MetricsSnapshot m = replicator->Metrics();
   EXPECT_GT(m.CounterValue("replica.primary.batches_acked"), 0u);
   EXPECT_EQ(m.CounterValue("replica.primary.digest_mismatches"), 0u);
 }
@@ -128,10 +142,8 @@ TEST(ReplicaTest, TamperedRecordIsRejectedAndCounted) {
 
   std::string record;
   ASSERT_TRUE(pair.primary.BuildReplicationRecord(0, &record).ok());
-  SpitzClient::Options client_options;
-  client_options.net.port = pair.backup_server->port();
-  std::unique_ptr<SpitzClient> client;
-  ASSERT_TRUE(SpitzClient::Open(client_options, &client).ok());
+  std::unique_ptr<SpitzClient> client = pair.BackupClient();
+  ASSERT_NE(client, nullptr);
 
   // Flip one byte of a shipped value: the value-hash cross-check (and
   // with it the derived root) must reject the record as a hard fault,
@@ -162,10 +174,8 @@ TEST(ReplicaTest, DuplicateRecordIsIdempotentlyReAcked) {
   pair.StartBackup();
   std::string record;
   ASSERT_TRUE(pair.primary.BuildReplicationRecord(0, &record).ok());
-  SpitzClient::Options client_options;
-  client_options.net.port = pair.backup_server->port();
-  std::unique_ptr<SpitzClient> client;
-  ASSERT_TRUE(SpitzClient::Open(client_options, &client).ok());
+  std::unique_ptr<SpitzClient> client = pair.BackupClient();
+  ASSERT_NE(client, nullptr);
 
   wire::ReplicaAck first, second;
   ASSERT_TRUE(client->Replicate(record, &first).ok());
@@ -184,18 +194,15 @@ TEST(ReplicaTest, DuplicateRecordIsIdempotentlyReAcked) {
 // --- Roles and promotion ----------------------------------------------------
 
 TEST(ReplicaTest, BackupIsReadOnlyUntilPromotedThenRejectsReplication) {
-  ReplicaPair pair;
+  std::unique_ptr<LocalFleet> fleet = OpenReplicatedFleet(1);
+  SpitzDb* primary = fleet->db(0);
   for (int i = 0; i < static_cast<int>(kBlockSize); i++) {
-    ASSERT_TRUE(pair.primary.Put("p" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(primary->Put("p" + std::to_string(i), "v").ok());
   }
-  pair.StartBackup();
-  pair.StartReplicator();
-  ASSERT_TRUE(pair.replicator->WaitDrained(10'000).ok());
+  ASSERT_TRUE(fleet->Drain().ok());
 
-  SpitzClient::Options client_options;
-  client_options.net.port = pair.backup_server->port();
   std::unique_ptr<SpitzClient> client;
-  ASSERT_TRUE(SpitzClient::Open(client_options, &client).ok());
+  ASSERT_TRUE(SpitzClient::Open(fleet->BackupClientOptions(0), &client).ok());
 
   // Read-only while a backup: reads and proofs work, writes do not.
   std::string value;
@@ -215,7 +222,7 @@ TEST(ReplicaTest, BackupIsReadOnlyUntilPromotedThenRejectsReplication) {
   EXPECT_TRUE(client->Put("write", "accepted").ok());
 
   std::string record;
-  ASSERT_TRUE(pair.primary.BuildReplicationRecord(0, &record).ok());
+  ASSERT_TRUE(primary->BuildReplicationRecord(0, &record).ok());
   wire::ReplicaAck ack;
   s = client->Replicate(record, &ack);
   EXPECT_TRUE(s.IsAborted()) << s.ToString();
@@ -226,16 +233,13 @@ TEST(ReplicaTest, BackupIsReadOnlyUntilPromotedThenRejectsReplication) {
 TEST(ReplicaTest, ReplicatorRefusesAnEndpointWithoutReplication) {
   // A plain SpitzServer (no BackupReplica wired in) does not advertise
   // kFeatureReplication; the replicator must refuse to stream at it.
-  SpitzDb db;
-  SpitzServer::Options server_options;
-  server_options.db = &db;
-  std::unique_ptr<SpitzServer> server;
-  ASSERT_TRUE(SpitzServer::Open(server_options, &server).ok());
+  std::unique_ptr<LocalFleet> fleet;
+  ASSERT_TRUE(LocalFleet::Open(LocalFleet::Options(), &fleet).ok());
 
   SpitzDb primary{SmallBlocks()};
   Replicator::Options options;
   options.db = &primary;
-  options.backup.port = server->port();
+  options.backup = fleet->ClientOptions(0).net;
   std::unique_ptr<Replicator> replicator;
   Status s = Replicator::Open(options, &replicator);
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
@@ -255,44 +259,26 @@ TEST(ReplicaTest, ReplicatorRefusesABackupWithForeignHistory) {
   for (int i = 0; i < 2 * static_cast<int>(kBlockSize); i++) {
     ASSERT_TRUE(pair.primary.Put("mine" + std::to_string(i), "y").ok());
   }
-  Replicator::Options options;
-  options.db = &pair.primary;
-  options.backup.port = pair.backup_server->port();
   std::unique_ptr<Replicator> replicator;
-  Status s = Replicator::Open(options, &replicator);
+  Status s = Replicator::Open(pair.StreamOptions(), &replicator);
   EXPECT_TRUE(s.IsVerificationFailed()) << s.ToString();
 }
 
 // --- Cluster failover -------------------------------------------------------
 
+// A replicated fleet and one ClusterClient over its primaries and
+// backups.
 struct ReplicatedCluster {
-  std::vector<std::unique_ptr<ReplicaPair>> pairs;
+  std::unique_ptr<LocalFleet> fleet;
   std::unique_ptr<ClusterClient> client;
 
-  explicit ReplicatedCluster(size_t n) {
-    ClusterClient::Options options;
-    for (size_t i = 0; i < n; i++) {
-      pairs.push_back(std::make_unique<ReplicaPair>());
-      ReplicaPair& pair = *pairs.back();
-      pair.StartBackup();
-      pair.StartPrimaryServer();
-      pair.StartReplicator();
-      NetClient::Options primary_endpoint, backup_endpoint;
-      primary_endpoint.port = pair.primary_server->port();
-      primary_endpoint.connect_attempts = 2;
-      backup_endpoint.port = pair.backup_server->port();
-      options.shards.push_back(primary_endpoint);
-      options.backups.push_back(backup_endpoint);
+  explicit ReplicatedCluster(size_t n) : fleet(OpenReplicatedFleet(n)) {
+    ClusterClient::Options options = fleet->ClusterOptions();
+    for (NetClient::Options& primary : options.shards) {
+      primary.connect_attempts = 2;
     }
     Status s = ClusterClient::Open(options, &client);
     EXPECT_TRUE(s.ok()) << s.ToString();
-  }
-
-  void DrainAll() {
-    for (auto& pair : pairs) {
-      ASSERT_TRUE(pair->primary.FlushBlock().ok());
-      ASSERT_TRUE(pair->replicator->WaitDrained(10'000).ok());
-    }
   }
 };
 
@@ -301,7 +287,7 @@ TEST(ReplicaClusterTest, SnapshotCommitsTheReplicaPairPerShard) {
   for (size_t shard = 0; shard < 2; shard++) {
     ASSERT_TRUE(cluster.client->Put(KeyOnShard(shard, 2, "pair"), "v").ok());
   }
-  cluster.DrainAll();
+  ASSERT_TRUE(cluster.fleet->Drain().ok());
 
   ClusterDigest digest;
   ASSERT_TRUE(cluster.client->GetClusterDigest(&digest).ok());
@@ -327,11 +313,10 @@ TEST(ReplicaClusterTest, VerifiedReadsFailOverAndPromoteRestoresWrites) {
   const std::string key1 = KeyOnShard(1, 2, "fo");
   ASSERT_TRUE(cluster.client->Put(key0, "v0").ok());
   ASSERT_TRUE(cluster.client->Put(key1, "v1").ok());
-  cluster.DrainAll();
+  ASSERT_TRUE(cluster.fleet->Drain().ok());
 
   // Kill shard 0's primary under the client.
-  cluster.pairs[0]->replicator->Stop();
-  cluster.pairs[0]->primary_server->Shutdown();
+  cluster.fleet->KillPrimary(0);
 
   // Verified reads keep verifying: shard 0's slot re-pins at the
   // backup's last-agreed root and the proof comes from the backup.
@@ -370,15 +355,11 @@ TEST(ReplicaClusterTest, OpenProbeRejectsABackupListedAsPrimary) {
   // The misordered-endpoint trap the open-time probe exists for: a
   // backup in the primary slot would reject every write; Open must say
   // so, naming the shard.
-  ReplicaPair pair;
-  pair.StartBackup();
-  pair.StartPrimaryServer();
-  pair.StartReplicator();
+  std::unique_ptr<LocalFleet> fleet = OpenReplicatedFleet(1);
 
   ClusterClient::Options options;
-  NetClient::Options endpoint;
-  endpoint.port = pair.backup_server->port();  // wrong slot on purpose
-  options.shards.push_back(endpoint);
+  // The backup in the primary slot, on purpose.
+  options.shards.push_back(fleet->BackupClientOptions(0).net);
   std::unique_ptr<ClusterClient> client;
   Status s = ClusterClient::Open(options, &client);
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
@@ -386,30 +367,15 @@ TEST(ReplicaClusterTest, OpenProbeRejectsABackupListedAsPrimary) {
 }
 
 TEST(ReplicaClusterTest, OpenProbeFailsFastOnADeadEndpointWithShardIndex) {
-  SpitzDb db;
-  SpitzServer::Options server_options;
-  server_options.db = &db;
-  std::unique_ptr<SpitzServer> server;
-  ASSERT_TRUE(SpitzServer::Open(server_options, &server).ok());
-  const uint16_t dead_port = [] {
-    // A port nothing listens on: bind-then-close.
-    SpitzDb probe_db;
-    SpitzServer::Options probe_options;
-    probe_options.db = &probe_db;
-    std::unique_ptr<SpitzServer> probe;
-    EXPECT_TRUE(SpitzServer::Open(probe_options, &probe).ok());
-    const uint16_t port = probe->port();
-    probe->Shutdown();
-    return port;
-  }();
+  LocalFleet::Options fleet_options;
+  fleet_options.shards = 2;
+  std::unique_ptr<LocalFleet> fleet;
+  ASSERT_TRUE(LocalFleet::Open(fleet_options, &fleet).ok());
+  // Nothing listens on shard 1's port once its server is down.
+  fleet->KillPrimary(1);
 
-  ClusterClient::Options options;
-  NetClient::Options live, dead;
-  live.port = server->port();
-  dead.port = dead_port;
-  dead.connect_attempts = 1;
-  options.shards.push_back(live);
-  options.shards.push_back(dead);
+  ClusterClient::Options options = fleet->ClusterOptions();
+  options.shards[1].connect_attempts = 1;
   std::unique_ptr<ClusterClient> client;
   Status s = ClusterClient::Open(options, &client);
   EXPECT_FALSE(s.ok());

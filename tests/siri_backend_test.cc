@@ -6,10 +6,10 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster_client.h"
+#include "cluster/local_fleet.h"
 #include "core/spitz_db.h"
 #include "core/verified_kv.h"
 #include "net/spitz_client.h"
-#include "net/spitz_server.h"
 #include "nonintrusive/non_intrusive_db.h"
 
 namespace spitz {
@@ -315,35 +315,20 @@ TEST(VerifiedKvInterfaceTest, EmbeddedDbPassesTheBattery) {
 }
 
 TEST(VerifiedKvInterfaceTest, ServedNodePassesTheBattery) {
-  SpitzDb db;
-  SpitzServer::Options options;
-  options.db = &db;
-  std::unique_ptr<SpitzServer> server;
-  ASSERT_TRUE(SpitzServer::Open(options, &server).ok());
-  SpitzClient::Options client_options;
-  client_options.net.port = server->port();
+  std::unique_ptr<LocalFleet> fleet;
+  ASSERT_TRUE(LocalFleet::Open(LocalFleet::Options(), &fleet).ok());
   std::unique_ptr<SpitzClient> client;
-  ASSERT_TRUE(SpitzClient::Open(client_options, &client).ok());
+  ASSERT_TRUE(SpitzClient::Open(fleet->ClientOptions(0), &client).ok());
   RunVerifiedKvBattery(client.get());
 }
 
 TEST(VerifiedKvInterfaceTest, ShardedClusterPassesTheBattery) {
-  std::vector<std::unique_ptr<SpitzDb>> dbs;
-  std::vector<std::unique_ptr<SpitzServer>> servers;
-  ClusterClient::Options options;
-  for (size_t i = 0; i < 3; i++) {
-    dbs.push_back(std::make_unique<SpitzDb>());
-    SpitzServer::Options server_options;
-    server_options.db = dbs.back().get();
-    std::unique_ptr<SpitzServer> server;
-    ASSERT_TRUE(SpitzServer::Open(server_options, &server).ok());
-    NetClient::Options endpoint;
-    endpoint.port = server->port();
-    options.shards.push_back(endpoint);
-    servers.push_back(std::move(server));
-  }
+  LocalFleet::Options options;
+  options.shards = 3;
+  std::unique_ptr<LocalFleet> fleet;
+  ASSERT_TRUE(LocalFleet::Open(options, &fleet).ok());
   std::unique_ptr<ClusterClient> client;
-  ASSERT_TRUE(ClusterClient::Open(options, &client).ok());
+  ASSERT_TRUE(ClusterClient::Open(fleet->ClusterOptions(), &client).ok());
   RunVerifiedKvBattery(client.get());
 }
 
