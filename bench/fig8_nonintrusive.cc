@@ -9,17 +9,10 @@
 //   (b) writes: Spitz ~ 3x Non-intrusive — each write must commit in
 //       both systems.
 //
-// The composed design is measured over BOTH transports that implement
-// the RpcChannel seam, and the results land in one JSON document so
-// BENCH_*.json tracking can diff runs:
-//
-//   * in_process — the bounded-queue simulation whose per-message cost
-//     is a synthetic spin (RpcServer::Options::latency_micros);
-//   * tcp — the same handlers served over real loopback TCP sockets
-//     (framing, CRC, kernel round trips), so the overhead is measured,
-//     not modelled.
-
-#include <cinttypes>
+// The composed design's two services are served over real loopback TCP
+// sockets (framing, CRC, kernel round trips), so the overhead is
+// measured, not modelled. The results land in one JSON document so
+// BENCH_*.json tracking can diff runs.
 
 #include "bench/bench_util.h"
 #include "core/spitz_db.h"
@@ -33,34 +26,19 @@ constexpr size_t kReadOps = 20000;
 constexpr size_t kVerifiedReadOps = 3000;
 constexpr size_t kWriteOps = 4000;
 
-using Transport = NonIntrusiveDb::Transport;
-
-constexpr Transport kTransports[] = {Transport::kInProcess, Transport::kTcp};
-
-const char* TransportName(Transport t) {
-  return t == Transport::kInProcess ? "in_process" : "tcp";
-}
-
-std::unique_ptr<NonIntrusiveDb> MakeComposed(Transport transport) {
-  NonIntrusiveDb::Options options;
-  options.transport = transport;
+std::unique_ptr<NonIntrusiveDb> MakeComposed() {
   std::unique_ptr<NonIntrusiveDb> composed;
-  if (!NonIntrusiveDb::Open(std::move(options), &composed).ok()) {
-    fprintf(stderr, "fig8: failed to start %s transport\n",
-            TransportName(transport));
+  if (!NonIntrusiveDb::Open(NonIntrusiveDb::Options(), &composed).ok()) {
+    fprintf(stderr, "fig8: failed to start the tcp transport\n");
     exit(1);
   }
   return composed;
 }
 
-struct ComposedPoint {
-  double plain = 0, verify = 0;  // Kops/s
-};
-
 struct Row {
   size_t records = 0;
   double spitz = 0, spitz_verify = 0;              // Kops/s
-  ComposedPoint composed[2];                       // indexed like kTransports
+  double composed = 0, composed_verify = 0;        // Kops/s
 };
 
 Row RunReads(size_t records) {
@@ -87,21 +65,20 @@ Row RunReads(size_t records) {
       if (!SpitzDb::VerifyRead(digest, key, value, proof).ok()) abort();
     }) / 1000.0;
   }
-  for (size_t t = 0; t < 2; t++) {
-    std::unique_ptr<NonIntrusiveDb> composed = MakeComposed(kTransports[t]);
+  {
+    std::unique_ptr<NonIntrusiveDb> composed = MakeComposed();
     if (!composed->BulkLoad(data).ok()) abort();
     std::string value;
-    row.composed[t].plain = MeasureOpsPerSec(kReadOps / 2, [&](size_t i) {
+    row.composed = MeasureOpsPerSec(kReadOps / 2, [&](size_t i) {
       composed->Get(random_key(i), &value);
     }) / 1000.0;
     SpitzDigest digest = composed->Digest();
-    row.composed[t].verify =
-        MeasureOpsPerSec(kVerifiedReadOps, [&](size_t i) {
-          NonIntrusiveDb::VerifiedValue vv;
-          const std::string& key = random_key(i);
-          if (!composed->GetVerified(key, &vv).ok()) abort();
-          if (!NonIntrusiveDb::VerifyValue(digest, key, vv).ok()) abort();
-        }) / 1000.0;
+    row.composed_verify = MeasureOpsPerSec(kVerifiedReadOps, [&](size_t i) {
+      NonIntrusiveDb::VerifiedValue vv;
+      const std::string& key = random_key(i);
+      if (!composed->GetVerified(key, &vv).ok()) abort();
+      if (!NonIntrusiveDb::VerifyValue(digest, key, vv).ok()) abort();
+    }) / 1000.0;
   }
   return row;
 }
@@ -138,33 +115,30 @@ Row RunWrites(size_t records) {
     row.spitz_verify = static_cast<double>(kWriteOps) * 1e9 /
                        (MonotonicNanos() - start) / 1000.0;
   }
-  for (size_t t = 0; t < 2; t++) {
-    {
-      std::unique_ptr<NonIntrusiveDb> composed = MakeComposed(kTransports[t]);
-      if (!composed->BulkLoad(data).ok()) abort();
-      // Writes commit in both systems whether or not the client later
-      // verifies, so "Non-intrusive" and "Non-intrusive-verify" writes
-      // differ only in the client's verification of the write's proof.
-      row.composed[t].plain = MeasureOpsPerSec(kWriteOps, [&](size_t i) {
-        if (!composed->Put(target(i), value_rng.Bytes(20)).ok()) abort();
-      }) / 1000.0;
-    }
-    {
-      std::unique_ptr<NonIntrusiveDb> composed = MakeComposed(kTransports[t]);
-      if (!composed->BulkLoad(data).ok()) abort();
-      SpitzDigest digest;
-      row.composed[t].verify =
-          MeasureOpsPerSec(kWriteOps / 2, [&](size_t i) {
-            const std::string& key = target(i);
-            if (!composed->Put(key, value_rng.Bytes(20)).ok()) abort();
-            // Client verification of the write: fetch the proof from
-            // the ledger database and check the binding.
-            NonIntrusiveDb::VerifiedValue vv;
-            if (!composed->GetVerified(key, &vv).ok()) abort();
-            digest = composed->Digest();
-            if (!NonIntrusiveDb::VerifyValue(digest, key, vv).ok()) abort();
-          }) / 1000.0;
-    }
+  {
+    std::unique_ptr<NonIntrusiveDb> composed = MakeComposed();
+    if (!composed->BulkLoad(data).ok()) abort();
+    // Writes commit in both systems whether or not the client later
+    // verifies, so "Non-intrusive" and "Non-intrusive-verify" writes
+    // differ only in the client's verification of the write's proof.
+    row.composed = MeasureOpsPerSec(kWriteOps, [&](size_t i) {
+      if (!composed->Put(target(i), value_rng.Bytes(20)).ok()) abort();
+    }) / 1000.0;
+  }
+  {
+    std::unique_ptr<NonIntrusiveDb> composed = MakeComposed();
+    if (!composed->BulkLoad(data).ok()) abort();
+    SpitzDigest digest;
+    row.composed_verify = MeasureOpsPerSec(kWriteOps / 2, [&](size_t i) {
+      const std::string& key = target(i);
+      if (!composed->Put(key, value_rng.Bytes(20)).ok()) abort();
+      // Client verification of the write: fetch the proof from the
+      // ledger database and check the binding.
+      NonIntrusiveDb::VerifiedValue vv;
+      if (!composed->GetVerified(key, &vv).ok()) abort();
+      digest = composed->Digest();
+      if (!NonIntrusiveDb::VerifyValue(digest, key, vv).ok()) abort();
+    }) / 1000.0;
   }
   return row;
 }
@@ -177,24 +151,19 @@ void PrintRows(const char* key, const std::vector<Row>& rows,
   for (size_t i = 0; i < rows.size(); i++) {
     const Row& r = rows[i];
     printf("    {\"records\": %zu, \"spitz_kops\": %.2f, "
-           "\"spitz_verify_kops\": %.2f, \"nonintrusive\": [\n",
-           r.records, r.spitz, r.spitz_verify);
-    for (size_t t = 0; t < 2; t++) {
-      printf("      {\"transport\": \"%s\", \"plain_kops\": %.2f, "
-             "\"verify_kops\": %.2f}%s\n",
-             TransportName(kTransports[t]), r.composed[t].plain,
-             r.composed[t].verify, t + 1 < 2 ? "," : "");
-    }
-    printf("    ]}%s\n", i + 1 < rows.size() ? "," : "");
+           "\"spitz_verify_kops\": %.2f, \"nonintrusive\": "
+           "{\"transport\": \"tcp\", \"plain_kops\": %.2f, "
+           "\"verify_kops\": %.2f}}%s\n",
+           r.records, r.spitz, r.spitz_verify, r.composed, r.composed_verify,
+           i + 1 < rows.size() ? "," : "");
   }
   printf("  ]");
 }
 
-// One measured loopback round trip per Digest() call — reported so the
-// synthetic in-process latency can be sanity-checked against the real
-// kernel cost on this machine.
+// One measured loopback round trip per Digest() call: the per-hop cost
+// the composed design pays on the machine that runs the bench.
 double MeasureTcpRttMicros() {
-  std::unique_ptr<NonIntrusiveDb> composed = MakeComposed(Transport::kTcp);
+  std::unique_ptr<NonIntrusiveDb> composed = MakeComposed();
   constexpr size_t kProbes = 2000;
   uint64_t start = MonotonicNanos();
   for (size_t i = 0; i < kProbes; i++) composed->Digest();
@@ -208,9 +177,8 @@ void Run() {
 
   printf("{\n");
   printf("  \"benchmark\": \"fig8_nonintrusive\",\n");
-  printf("  \"transport_config\": {\"in_process_latency_micros\": %" PRIu64
-         ", \"tcp_digest_rtt_micros\": %.2f},\n",
-         RpcServer::Options().latency_micros, MeasureTcpRttMicros());
+  printf("  \"transport_config\": {\"tcp_digest_rtt_micros\": %.2f},\n",
+         MeasureTcpRttMicros());
   bool first_section = true;
   PrintRows("reads", reads, &first_section);
   PrintRows("writes", writes, &first_section);

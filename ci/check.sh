@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 suite in Release (plus metrics, recovery,
+# CI entry point: tier-1 suite in Release (plus examples, metrics, recovery,
 # network, write-path, cluster, replication, auditor-chaos and
 # repository-benchmark smoke runs), the concurrency + network + cluster
 # + replica tests under ThreadSanitizer, and the proof-codec + database
@@ -19,6 +19,13 @@ echo "==> tier-1: Release build + full ctest"
 cmake -B "${PREFIX}" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "${PREFIX}" -j "${JOBS}"
 ctest --test-dir "${PREFIX}" --output-on-failure -j "${JOBS}"
+
+echo "==> tier-1: examples smoke (runnable scenarios exit zero)"
+# The examples that need no arguments and finish on their own; each
+# exits non-zero when a check inside it fails.
+for example in quickstart ecommerce_audit federated_analytics medical_records; do
+  "${PREFIX}/examples/${example}" > /dev/null
+done
 
 echo "==> tier-1: metrics smoke (instrumented paths must populate)"
 # micro_benchmarks emits a MetricsSnapshot after the benches run;

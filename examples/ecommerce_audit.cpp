@@ -7,8 +7,9 @@
 // This example exercises:
 //   * serializable purchases through MVCC + 2PC across processor shards
 //     (no oversold stock under concurrency);
-//   * the control layer: requests flow through the global message queue
-//     to processor nodes, results come back with proofs;
+//   * the served control layer: orders go over TCP to a Spitz server
+//     whose dispatcher threads take them off its message queue, and
+//     results come back with proofs the client verifies;
 //   * an analytical stock-level query ("getting all items with
 //     stock-level lower than 50") over the verifiable store.
 //
@@ -20,8 +21,9 @@
 #include <vector>
 
 #include "common/random.h"
-#include "core/processor.h"
 #include "core/spitz_db.h"
+#include "net/spitz_client.h"
+#include "net/spitz_server.h"
 #include "txn/two_phase_commit.h"
 
 using namespace spitz;
@@ -97,53 +99,54 @@ int main() {
              : "INCONSISTENT!");
   if (kItems * kInitialStock != remaining + sold.load()) return 1;
 
-  // --- Verifiable store side: the control layer ----------------------------
-  // Completed orders are recorded in Spitz through processor nodes; a
-  // compliance client verifies what it reads.
+  // --- Verifiable store side: the served control layer ---------------------
+  // Completed orders are recorded in a Spitz server, whose dispatcher
+  // threads take requests off its message queue; a compliance client
+  // verifies what it reads against the digest in each reply.
   SpitzDb db;
-  ProcessorPool processors(&db, 4);
-  std::vector<std::future<Response>> pending;
+  SpitzServer::Options server_options;
+  server_options.db = &db;
+  std::unique_ptr<SpitzServer> server;
+  Status s = SpitzServer::Open(server_options, &server);
+  if (!s.ok()) {
+    fprintf(stderr, "server open failed: %s\n", s.ToString().c_str());
+    return 1;
+  }
+  SpitzClient::Options client_options;
+  client_options.net.port = server->port();
+  std::unique_ptr<SpitzClient> client;
+  s = SpitzClient::Open(client_options, &client);
+  if (!s.ok()) {
+    fprintf(stderr, "connect failed: %s\n", s.ToString().c_str());
+    return 1;
+  }
   for (int i = 0; i < sold.load(); i++) {
-    Request put;
-    put.type = Request::Type::kPut;
     char key[32];
     snprintf(key, sizeof(key), "order/%06d", i);
-    put.key = key;
-    put.value = "item-sold";
-    pending.push_back(processors.Submit(std::move(put)));
-  }
-  for (auto& f : pending) {
-    if (!f.get().status.ok()) {
+    if (!client->Put(key, "item-sold").ok()) {
       fprintf(stderr, "ledgered order write failed\n");
       return 1;
     }
   }
+  // Every served put queued a deferred audit of its key.
   if (!db.DrainAudits().ok()) {
     fprintf(stderr, "deferred audits failed\n");
     return 1;
   }
-  printf("\ncontrol layer: %llu requests processed by %zu processor nodes\n",
-         static_cast<unsigned long long>(processors.processed()),
-         processors.processor_count());
+  printf("\ncontrol layer: %llu requests served by %zu dispatcher threads\n",
+         static_cast<unsigned long long>(server->frames_served()),
+         server_options.net.dispatcher_count);
 
-  // Verified order lookup through the message queue.
-  Request vget;
-  vget.type = Request::Type::kVerifiedGet;
-  vget.key = "order/000000";
-  Response r = processors.Execute(vget);
-  Status verified =
-      SpitzDb::VerifyRead(r.digest, vget.key, r.value, r.read_proof);
+  // Verified order lookup: the proof is checked client-side.
+  std::string value;
+  Status verified = client->VerifiedGet("order/000000", &value);
   printf("verified order read: %s\n", verified.ToString().c_str());
 
   // Analytical range query with proof: all recorded orders in a range.
-  Request scan;
-  scan.type = Request::Type::kVerifiedScan;
-  scan.key = "order/000010";
-  scan.end_key = "order/000020";
-  Response sr = processors.Execute(scan);
-  Status scan_ok = SpitzDb::VerifyScan(sr.digest, scan.key, scan.end_key, 0,
-                                       sr.rows, sr.scan_proof);
-  printf("verified order scan: %zu rows, %s\n", sr.rows.size(),
+  std::vector<PosEntry> rows;
+  Status scan_ok =
+      client->VerifiedScan("order/000010", "order/000020", 0, &rows);
+  printf("verified order scan: %zu rows, %s\n", rows.size(),
          scan_ok.ToString().c_str());
 
   return verified.ok() && scan_ok.ok() ? 0 : 1;

@@ -1,5 +1,7 @@
 #include "net/net_server.h"
 
+#include "common/clock.h"
+
 namespace spitz {
 
 Status NetServer::Start(Handler handler, Options options,
@@ -19,6 +21,8 @@ Status NetServer::Start(Handler handler, Options options,
   server->overloaded_ = server->registry_.counter("net.server.overloaded");
   server->dispatch_ns_ =
       server->registry_.histogram("net.server.dispatch_latency_ns");
+  server->queue_wait_ns_ =
+      server->registry_.histogram("net.server.queue_wait_ns");
   server->registry_.RegisterCounterFn("net.server.frames_served", [s =
                                           server.get()] {
     return s->frames_served_.load(std::memory_order_relaxed);
@@ -29,7 +33,8 @@ Status NetServer::Start(Handler handler, Options options,
       options.loop, [raw](uint64_t conn_id, Frame frame) {
         uint32_t method = frame.method;
         uint64_t request_id = frame.request_id;
-        if (!raw->queue_->TryPush(Work{conn_id, std::move(frame)})) {
+        if (!raw->queue_->TryPush(
+                Work{conn_id, std::move(frame), MonotonicNanos()})) {
           // Queue full: answer Busy rather than blocking the loop.
           raw->overloaded_->Increment();
           Frame reply;
@@ -51,8 +56,8 @@ Status NetServer::Start(Handler handler, Options options,
 NetServer::~NetServer() { Shutdown(); }
 
 void NetServer::Shutdown() {
-  // Idempotent like ProcessorPool::Shutdown: only the first caller
-  // drains and joins; concurrent callers may return before that ends.
+  // Idempotent: only the first caller drains and joins; concurrent
+  // callers may return before that ends.
   bool expected = false;
   if (!shutdown_.compare_exchange_strong(expected, true)) return;
   // The loop drains first: it stops accepting and reading, then waits
@@ -67,6 +72,7 @@ void NetServer::Shutdown() {
 
 void NetServer::DispatcherLoop() {
   while (auto work = queue_->Pop()) {
+    queue_wait_ns_->Record(MonotonicNanos() - work->enqueue_ns);
     ScopedTimer timer(dispatch_ns_);
     Frame reply;
     reply.method = work->frame.method;

@@ -18,18 +18,17 @@ namespace spitz {
 
 // ---------------------------------------------------------------------------
 // NetServer — a framed request/response RPC server over an EventLoop.
-//
-// The handler signature is deliberately identical to the in-process
-// RpcServer's (nonintrusive/rpc.h): (method, request bytes) ->
-// (status, response bytes). That makes real TCP and the in-process
-// queue interchangeable transports — the non-intrusive design's
-// Figure 8 measurement runs over either.
+// The handler maps (method, request bytes) to (status, response bytes);
+// SpitzServer and the non-intrusive design's TcpChannel both serve
+// through it.
 //
 // Threading model: the event loop thread only moves bytes; decoded
 // frames are queued to a pool of dispatcher threads that run the
-// handler and queue the response frame back to the loop. If the
-// dispatch queue is full the server answers Busy instead of stalling
-// the loop (backpressure is explicit, never head-of-line blocking).
+// handler and queue the response frame back to the loop. The bounded
+// queue and its dispatchers are the paper's global message queue and
+// processor nodes (Figure 5). If the dispatch queue is full the server
+// answers Busy instead of stalling the loop (backpressure is explicit,
+// never head-of-line blocking).
 // ---------------------------------------------------------------------------
 class NetServer {
  public:
@@ -79,6 +78,7 @@ class NetServer {
   struct Work {
     uint64_t conn_id = 0;
     Frame frame;
+    uint64_t enqueue_ns = 0;  // stamped on push, for queue_wait_ns
   };
 
   void DispatcherLoop();
@@ -90,6 +90,7 @@ class NetServer {
   MetricsRegistry registry_;
   Counter* overloaded_ = nullptr;
   Histogram* dispatch_ns_ = nullptr;
+  Histogram* queue_wait_ns_ = nullptr;
   EventLoop loop_;
   std::unique_ptr<BoundedQueue<Work>> queue_;
   std::vector<std::thread> dispatchers_;

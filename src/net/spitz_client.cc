@@ -138,7 +138,7 @@ Status SpitzClient::ScanProof(const Slice& start, const Slice& end,
   out->proof.clear();
   proof.EncodeTo(&out->proof);
   SpitzDigest digest;
-  s = wire::DecodeDigest(&input, &digest);
+  s = SpitzDigest::DecodeFrom(&input, &digest);
   if (!s.ok()) return s;
   out->digest.clear();
   digest.EncodeTo(&out->digest);
@@ -185,7 +185,7 @@ Status SpitzClient::GetProof(const Slice& key, ProofResult* out,
                    : std::nullopt;
   s = ReadProof::DecodeFrom(&input, &out->proof);
   if (!s.ok()) return s;
-  s = wire::DecodeDigest(&input, &out->digest);
+  s = SpitzDigest::DecodeFrom(&input, &out->digest);
   if (!s.ok()) return s;
   return call_status;
 }
@@ -219,7 +219,7 @@ Status SpitzClient::VerifiedScan(const Slice& start, const Slice& end,
   s = spitz::ScanProof::DecodeFrom(&input, &proof);
   if (!s.ok()) return s;
   SpitzDigest digest;
-  s = wire::DecodeDigest(&input, &digest);
+  s = SpitzDigest::DecodeFrom(&input, &digest);
   if (!s.ok()) return s;
   s = SpitzDb::VerifyScan(digest, start, end, limit, decoded, proof);
   if (!s.ok()) return s;
@@ -232,7 +232,7 @@ Status SpitzClient::Digest(SpitzDigest* out) {
   Status s = Call(wire::kDigest, std::string(), &response);
   if (!s.ok()) return s;
   Slice input(response);
-  return wire::DecodeDigest(&input, out);
+  return SpitzDigest::DecodeFrom(&input, out);
 }
 
 // --- Pinned-root proofs ----------------------------------------------------

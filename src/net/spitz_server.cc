@@ -31,9 +31,6 @@ Status GetHashField(Slice* input, Hash256* out) {
 
 Status SpitzServer::Options::Validate() const {
   if (db == nullptr) return Status::InvalidArgument("options.db must be set");
-  if (processor_count == 0) {
-    return Status::InvalidArgument("processor_count must be positive");
-  }
   if (txn_abort_after_ms > 0 && txn_sweep_interval_ms == 0) {
     return Status::InvalidArgument(
         "txn_sweep_interval_ms must be positive when the sweeper is on");
@@ -44,17 +41,12 @@ Status SpitzServer::Options::Validate() const {
 Status SpitzServer::Open(Options options, std::unique_ptr<SpitzServer>* out) {
   Status s = options.Validate();
   if (!s.ok()) return s;
-  if (options.net.dispatcher_count == 0) {
-    options.net.dispatcher_count = options.processor_count;
-  }
   if (options.replica != nullptr) {
     options.net.features |= kFeatureReplication;
   }
   auto server = std::unique_ptr<SpitzServer>(new SpitzServer());
   server->options_ = options;
   server->db_ = options.db;
-  server->pool_ =
-      std::make_unique<ProcessorPool>(options.db, options.processor_count);
   SpitzServer* raw = server.get();
   s = NetServer::Start(
       [raw](uint32_t method, const std::string& request,
@@ -62,13 +54,10 @@ Status SpitzServer::Open(Options options, std::unique_ptr<SpitzServer>* out) {
         return raw->Handle(method, request, response);
       },
       options.net, &server->net_);
-  if (!s.ok()) {
-    server->pool_->Shutdown();
-    return s;
-  }
-  // Per-method latency over the whole server path: decode + pool
-  // round trip + encode. Lives in the NetServer's registry so one
-  // snapshot carries transport and service metrics together.
+  if (!s.ok()) return s;
+  // Per-method latency over the whole server path: decode + execute +
+  // encode. Lives in the NetServer's registry so one snapshot carries
+  // transport and service metrics together.
   for (uint32_t m = 1; m <= wire::kMethodCount; m++) {
     raw->method_ns_[m] = server->net_->registry()->histogram(
         std::string("net.server.method_latency_ns.") + wire::MethodName(m));
@@ -93,10 +82,9 @@ void SpitzServer::Shutdown() {
     sweep_cv_.notify_all();
     sweeper_.join();
   }
-  // Network first: in-flight requests drain through the pool while it
-  // is still alive, and their responses flush before the loop exits.
+  // In-flight requests finish on the dispatchers and their responses
+  // flush before the loop exits.
   if (net_ != nullptr) net_->Shutdown();
-  if (pool_ != nullptr) pool_->Shutdown();
 }
 
 void SpitzServer::SweeperLoop() {
@@ -112,12 +100,6 @@ void SpitzServer::SweeperLoop() {
     db_->AbortTxnsOlderThan(options_.txn_abort_after_ms, nullptr);
     lock.lock();
   }
-}
-
-MetricsSnapshot SpitzServer::Metrics() const {
-  MetricsSnapshot snap = net_->Metrics();
-  snap.MergeFrom(pool_->Metrics());
-  return snap;
 }
 
 Status SpitzServer::Handle(uint32_t method, const std::string& request,
@@ -161,54 +143,47 @@ Status SpitzServer::Handle(uint32_t method, const std::string& request,
       }
       return options_.replica->HandleStatus(input, response);
     }
-    case wire::kPut: {
+    case wire::kPut:
+    case wire::kDelete: {
       Slice key, value;
       Status s = GetLengthPrefixedSlice(&input, &key);
       if (!s.ok()) return s;
-      s = GetLengthPrefixedSlice(&input, &value);
-      if (!s.ok()) return s;
-      Request req;
-      req.type = Request::Type::kPut;
-      req.key = key.ToString();
-      req.value = value.ToString();
-      return pool_->Execute(std::move(req)).status;
-    }
-    case wire::kDelete: {
-      Slice key;
-      Status s = GetLengthPrefixedSlice(&input, &key);
-      if (!s.ok()) return s;
-      Request req;
-      req.type = Request::Type::kDelete;
-      req.key = key.ToString();
-      return pool_->Execute(std::move(req)).status;
+      if (method == wire::kPut) {
+        s = GetLengthPrefixedSlice(&input, &value);
+        if (!s.ok()) return s;
+        s = db_->Put(key, value);
+      } else {
+        s = db_->Delete(key);
+      }
+      // The auditor role: queue a deferred, integrity-only audit of the
+      // key (later writers may legally change it before the audit runs).
+      if (s.ok()) s = db_->AuditKey(key);
+      return s;
     }
     case wire::kGet: {
       Slice key;
       Status s = GetLengthPrefixedSlice(&input, &key);
       if (!s.ok()) return s;
-      Request req;
-      req.type = Request::Type::kGet;
-      req.key = key.ToString();
-      Response r = pool_->Execute(std::move(req));
-      if (r.status.ok()) PutLengthPrefixedSlice(response, r.value);
-      return r.status;
+      std::string value;
+      s = db_->Get(key, &value);
+      if (s.ok()) PutLengthPrefixedSlice(response, value);
+      return s;
     }
     case wire::kGetProof: {
+      // The proof is built against the root of the digest it ships with.
       Slice key;
       Status s = GetLengthPrefixedSlice(&input, &key);
       if (!s.ok()) return s;
-      Request req;
-      req.type = Request::Type::kVerifiedGet;
-      req.key = key.ToString();
-      Response r = pool_->Execute(std::move(req));
-      if (!r.status.ok() && !r.status.IsNotFound()) return r.status;
+      VerifiedKv::Evidence evidence;
+      s = db_->GetProof(key, &evidence);
+      if (!s.ok() && !s.IsNotFound()) return s;
       // NotFound still carries a proof of absence; the value slot is
       // simply empty, so the layout is one shape for both outcomes.
-      PutLengthPrefixedSlice(response,
-                             r.status.ok() ? Slice(r.value) : Slice());
-      r.read_proof.EncodeTo(response);
-      wire::EncodeDigest(r.digest, response);
-      return r.status;
+      PutLengthPrefixedSlice(
+          response, evidence.value ? Slice(*evidence.value) : Slice());
+      response->append(evidence.proof);
+      response->append(evidence.digest);
+      return s;
     }
     case wire::kScan:
     case wire::kScanProof: {
@@ -220,23 +195,23 @@ Status SpitzServer::Handle(uint32_t method, const std::string& request,
       if (!s.ok()) return s;
       s = GetVarint64(&input, &limit);
       if (!s.ok()) return s;
-      Request req;
-      req.type = method == wire::kScan ? Request::Type::kScan
-                                       : Request::Type::kVerifiedScan;
-      req.key = start.ToString();
-      req.end_key = end.ToString();
-      req.limit = static_cast<size_t>(limit);
-      Response r = pool_->Execute(std::move(req));
-      if (!r.status.ok()) return r.status;
-      wire::EncodeRows(r.rows, response);
-      if (method == wire::kScanProof) {
-        r.scan_proof.EncodeTo(response);
-        wire::EncodeDigest(r.digest, response);
+      if (method == wire::kScan) {
+        std::vector<PosEntry> rows;
+        s = db_->Scan(start, end, static_cast<size_t>(limit), &rows);
+        if (!s.ok()) return s;
+        wire::EncodeRows(rows, response);
+        return Status::OK();
       }
+      VerifiedKv::ScanEvidence evidence;
+      s = db_->ScanProof(start, end, static_cast<size_t>(limit), &evidence);
+      if (!s.ok()) return s;
+      wire::EncodeRows(evidence.rows, response);
+      response->append(evidence.proof);
+      response->append(evidence.digest);
       return Status::OK();
     }
     case wire::kDigest: {
-      wire::EncodeDigest(db_->Digest(), response);
+      db_->Digest().EncodeTo(response);
       return Status::OK();
     }
     case wire::kWrite: {

@@ -6,7 +6,6 @@
 #include <mutex>
 #include <thread>
 
-#include "core/processor.h"
 #include "core/spitz_db.h"
 #include "net/net_server.h"
 #include "net/spitz_wire.h"
@@ -16,11 +15,12 @@ namespace spitz {
 // ---------------------------------------------------------------------------
 // SpitzServer — the served form of the database (paper section 4: the
 // service layer between clients and processor nodes). A NetServer
-// accepts framed requests over TCP; each frame is decoded into a
-// Request and dispatched onto the existing ProcessorPool — the same
-// control layer the in-process benchmarks exercise — so a networked
-// deployment runs exactly the request-handler/transaction-manager/
-// auditor pipeline of Figure 5, plus a kernel round trip.
+// accepts framed requests over TCP and queues them to its dispatcher
+// threads — the global message queue and processor nodes of Figure 5.
+// The dispatcher that took a frame off the queue decodes it and runs it
+// against the SpitzDb, combining the paper's three roles: request
+// handler (decode, reply with proofs), transaction manager (execute)
+// and auditor (every put or delete queues a deferred audit of its key).
 //
 // Every proof travels as the serialized ReadProof/ScanProof wire bytes
 // together with the digest it proves against, so clients verify
@@ -32,9 +32,10 @@ namespace spitz {
 // aborts prepared transactions whose coordinator went silent.
 //
 // Metrics: the NetServer's transport counters (net.frames.{rx,tx},
-// net.server.accepts, net.protocol_errors, ...) plus a per-method
-// latency histogram (net.server.method_latency_ns.<method>) and the
-// ProcessorPool's core.processor.* — all in one Metrics() snapshot.
+// net.server.accepts, net.protocol_errors, net.server.queue_wait_ns,
+// ...) plus a per-method latency histogram
+// (net.server.method_latency_ns.<method>) — all in one Metrics()
+// snapshot.
 // ---------------------------------------------------------------------------
 // The replication surface a SpitzServer can front (protocol v3). The
 // concrete implementation (replica/BackupReplica) lives one layer up —
@@ -60,6 +61,8 @@ class SpitzServer {
  public:
   struct Options {
     Options() {}
+    // net.dispatcher_count is the number of handler threads, i.e. how
+    // many requests this server runs at once.
     NetServer::Options net;
     // The database this server fronts; must outlive the server.
     SpitzDb* db = nullptr;
@@ -69,9 +72,6 @@ class SpitzServer {
     // Unavailable — a backup's state must be exactly the replicated
     // stream until Promote(). Must outlive the server.
     ReplicaService* replica = nullptr;
-    // Processor nodes the pool runs; the dispatcher count defaults to
-    // the same value so the network layer can keep them all busy.
-    size_t processor_count = 4;
     // When positive, a background sweeper aborts prepared (in-doubt)
     // transactions older than this — the presumed-abort answer to a
     // coordinator that died after prepare. Must be much larger than a
@@ -96,14 +96,14 @@ class SpitzServer {
 
   uint16_t port() const { return net_->port(); }
 
-  // Graceful: drains in-flight network requests (responses flush), then
-  // stops the processor pool. Idempotent.
+  // Graceful: stops the sweeper, then drains in-flight network requests
+  // (responses flush). Idempotent.
   void Shutdown();
 
   uint64_t frames_served() const { return net_->frames_served(); }
 
-  // net.* and core.processor.* in one snapshot.
-  MetricsSnapshot Metrics() const;
+  // The server's net.* instruments.
+  MetricsSnapshot Metrics() const { return net_->Metrics(); }
 
  private:
   SpitzServer() = default;
@@ -114,7 +114,6 @@ class SpitzServer {
 
   Options options_;
   SpitzDb* db_ = nullptr;
-  std::unique_ptr<ProcessorPool> pool_;
   std::unique_ptr<NetServer> net_;
   Histogram* method_ns_[wire::kMethodCount + 1] = {};  // +1: unknown
 

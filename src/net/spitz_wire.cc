@@ -48,17 +48,6 @@ const char* MethodName(uint32_t method) {
   }
 }
 
-// The digest codec is owned by the core type (it is also the cluster
-// digest's leaf format); the wire layer keeps these thin aliases for
-// its existing call sites.
-void EncodeDigest(const SpitzDigest& digest, std::string* out) {
-  digest.EncodeTo(out);
-}
-
-Status DecodeDigest(Slice* input, SpitzDigest* out) {
-  return SpitzDigest::DecodeFrom(input, out);
-}
-
 void EncodeRows(const std::vector<PosEntry>& rows, std::string* out) {
   PutVarint64(out, rows.size());
   for (const PosEntry& row : rows) {

@@ -44,10 +44,8 @@ const char* MethodName(uint32_t method);
 constexpr size_t kMethodCount = 18;
 
 // --- Shared payload fragments -------------------------------------------
-
-// SpitzDigest <-> bytes: index root, journal digest, last commit ts.
-void EncodeDigest(const SpitzDigest& digest, std::string* out);
-Status DecodeDigest(Slice* input, SpitzDigest* out);
+//
+// A digest travels as SpitzDigest::EncodeTo / DecodeFrom bytes.
 
 // Row vectors for scan responses: varint count, then lp(key) lp(value)
 // per row.

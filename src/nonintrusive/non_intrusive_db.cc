@@ -1,8 +1,6 @@
 #include "nonintrusive/non_intrusive_db.h"
 
 #include "common/codec.h"
-#include "net/spitz_wire.h"
-#include "nonintrusive/tcp_channel.h"
 
 namespace spitz {
 
@@ -28,20 +26,17 @@ Status GetHash(Slice* input, Hash256* h) {
 NonIntrusiveDb::NonIntrusiveDb(Options options)
     : ledger_db_(options.ledger) {
   kvs_server_ = MakeChannel(
-      options, [this](uint32_t m, const std::string& req, std::string* resp) {
+      [this](uint32_t m, const std::string& req, std::string* resp) {
         return HandleKvs(m, req, resp);
       });
   ledger_server_ = MakeChannel(
-      options, [this](uint32_t m, const std::string& req, std::string* resp) {
+      [this](uint32_t m, const std::string& req, std::string* resp) {
         return HandleLedger(m, req, resp);
       });
 }
 
-std::unique_ptr<RpcChannel> NonIntrusiveDb::MakeChannel(
-    const Options& options, RpcChannel::Handler handler) {
-  if (options.transport == Transport::kInProcess) {
-    return std::make_unique<RpcServer>(std::move(handler), options.rpc);
-  }
+std::unique_ptr<TcpChannel> NonIntrusiveDb::MakeChannel(
+    NetServer::Handler handler) {
   std::unique_ptr<TcpChannel> channel;
   Status s = TcpChannel::Start(std::move(handler), TcpChannel::Options(),
                                &channel);
@@ -135,7 +130,7 @@ Status NonIntrusiveDb::HandleLedger(uint32_t method,
       return Status::OK();
     }
     case kLedgerDigest: {
-      wire::EncodeDigest(ledger_db_.Digest(), response);
+      ledger_db_.Digest().EncodeTo(response);
       return Status::OK();
     }
     default:
@@ -262,7 +257,7 @@ SpitzDigest NonIntrusiveDb::Digest() {
   Status s = ledger_server_->Call(kLedgerDigest, std::string(), &response);
   if (!s.ok()) return d;
   Slice input(response);
-  if (!wire::DecodeDigest(&input, &d).ok()) return SpitzDigest{};
+  if (!SpitzDigest::DecodeFrom(&input, &d).ok()) return SpitzDigest{};
   return d;
 }
 

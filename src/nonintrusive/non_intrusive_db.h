@@ -6,7 +6,7 @@
 
 #include "core/spitz_db.h"
 #include "kvs/immutable_kvs.h"
-#include "nonintrusive/rpc.h"
+#include "nonintrusive/tcp_channel.h"
 
 namespace spitz {
 
@@ -17,7 +17,8 @@ namespace spitz {
 // systems". Here, as in the paper's experiment, the underlying system is
 // the immutable KVS and the ledger database is a Spitz instance deployed
 // as a separate service (its auditor/ledger role), each behind its own
-// RPC server.
+// loopback TCP server (tcp_channel.h), so the composed design's overhead
+// is grounded in measured kernel round trips.
 //
 //  * Writes commit to both systems: the value goes to the underlying
 //    database and the (key, value-hash) record goes to the ledger
@@ -29,25 +30,16 @@ namespace spitz {
 // ---------------------------------------------------------------------------
 class NonIntrusiveDb {
  public:
-  // Which transport carries the two RPC boundaries (underlying + ledger
-  // service). kInProcess is the bounded-queue simulation with its
-  // synthetic per-message latency; kTcp serves the same handlers over
-  // real loopback TCP sockets (tcp_channel.h), so the composed design's
-  // overhead is grounded in measured kernel round trips.
-  enum class Transport { kInProcess, kTcp };
-
   struct Options {
     Options() {}
-    Transport transport = Transport::kInProcess;
-    RpcServer::Options rpc;  // kInProcess only
     SpitzOptions ledger;
   };
 
   explicit NonIntrusiveDb(Options options = Options());
 
   // Surfaces transport construction failures (e.g. TCP bind errors),
-  // which the constructor can only record; with the in-process
-  // transport construction never fails.
+  // which the constructor can only record (every later call then
+  // returns them).
   static Status Open(Options options,
                      std::unique_ptr<NonIntrusiveDb>* db);
 
@@ -108,17 +100,16 @@ class NonIntrusiveDb {
   Status HandleLedger(uint32_t method, const std::string& request,
                       std::string* response);
 
-  // Builds the configured transport for `handler`; sets init_status_ on
-  // failure (and leaves the channel null).
-  std::unique_ptr<RpcChannel> MakeChannel(const Options& options,
-                                          RpcChannel::Handler handler);
+  // Serves `handler` on a new channel; sets init_status_ on failure (and
+  // leaves the channel null).
+  std::unique_ptr<TcpChannel> MakeChannel(NetServer::Handler handler);
 
   ImmutableKvs kvs_;
   SpitzDb ledger_db_;
   // Non-OK when a transport failed to come up; returned by every call.
   Status init_status_;
-  std::unique_ptr<RpcChannel> kvs_server_;
-  std::unique_ptr<RpcChannel> ledger_server_;
+  std::unique_ptr<TcpChannel> kvs_server_;
+  std::unique_ptr<TcpChannel> ledger_server_;
 };
 
 }  // namespace spitz

@@ -2,7 +2,7 @@
 
 namespace spitz {
 
-Status TcpChannel::Start(Handler handler, Options options,
+Status TcpChannel::Start(NetServer::Handler handler, Options options,
                          std::unique_ptr<TcpChannel>* out) {
   auto channel = std::unique_ptr<TcpChannel>(new TcpChannel());
   Status s = NetServer::Start(std::move(handler), options.server,

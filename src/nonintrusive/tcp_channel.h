@@ -5,17 +5,18 @@
 
 #include "net/net_client.h"
 #include "net/net_server.h"
-#include "nonintrusive/rpc.h"
 
 namespace spitz {
 
-// The real-network counterpart of RpcServer: the same Handler served
-// over an actual loopback TCP socket — a NetServer on an ephemeral
-// 127.0.0.1 port and a pipelined NetClient connected to it. Every Call
-// pays genuine serialization, framing, CRC, and two kernel socket
-// round trips, so the Figure 8 "composed design" overhead can be
-// grounded in measured transport cost instead of a synthetic spin.
-class TcpChannel : public RpcChannel {
+// The transport of the non-intrusive design: a synchronous
+// (method, request) -> (status, response) channel between the composed
+// database's client side and one of its two services. The handler is
+// served over an actual loopback TCP socket — a NetServer on an
+// ephemeral 127.0.0.1 port and a pipelined NetClient connected to it —
+// so every Call pays genuine serialization, framing, CRC, and two kernel
+// socket round trips, and the Figure 8 "composed design" overhead is
+// measured, not modelled.
+class TcpChannel {
  public:
   struct Options {
     Options() {}
@@ -24,15 +25,18 @@ class TcpChannel : public RpcChannel {
     uint64_t deadline_ms = 10'000;
   };
 
-  static Status Start(Handler handler, Options options,
+  static Status Start(NetServer::Handler handler, Options options,
                       std::unique_ptr<TcpChannel>* out);
 
-  ~TcpChannel() override;
+  ~TcpChannel();
+
+  TcpChannel(const TcpChannel&) = delete;
+  TcpChannel& operator=(const TcpChannel&) = delete;
 
   Status Call(uint32_t method, const std::string& request,
-              std::string* response) override;
+              std::string* response);
 
-  uint64_t calls_served() const override { return server_->frames_served(); }
+  uint64_t calls_served() const { return server_->frames_served(); }
 
   uint16_t port() const { return server_->port(); }
 

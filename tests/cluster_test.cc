@@ -808,7 +808,7 @@ TEST(ClusterFactoryTest, OpenFactoriesValidateTheirOptions) {
     SpitzDb db;
     SpitzServer::Options options;
     options.db = &db;
-    options.processor_count = 0;
+    options.net.dispatcher_count = 0;
     std::unique_ptr<SpitzServer> server;
     EXPECT_TRUE(SpitzServer::Open(options, &server).IsInvalidArgument());
   }

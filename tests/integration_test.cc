@@ -1,6 +1,6 @@
 // Cross-layer integration: the full production story in one test file —
 // SQL front end over a durable SpitzDb, crash/reopen, client-side
-// verification across restarts, control-layer request flow, and the
+// verification across restarts, requests served over TCP, and the
 // analytics surfaces all interoperating.
 
 #include <gtest/gtest.h>
@@ -8,7 +8,7 @@
 #include <filesystem>
 #include <string>
 
-#include "core/processor.h"
+#include "cluster/local_fleet.h"
 #include "core/spitz_db.h"
 #include "core/sql.h"
 #include "core/verifier.h"
@@ -91,33 +91,35 @@ TEST_F(IntegrationTest, SqlOverDurableDbSurvivesRestart) {
 }
 
 TEST_F(IntegrationTest, ControlLayerOverDurableDb) {
-  std::unique_ptr<SpitzDb> db;
-  ASSERT_TRUE(SpitzDb::Open(Durable(), &db).ok());
+  LocalFleet::Options fleet_options;
+  fleet_options.db = Durable();
+  SpitzDigest digest;
   {
-    ProcessorPool pool(db.get(), 3);
+    std::unique_ptr<LocalFleet> fleet;
+    ASSERT_TRUE(LocalFleet::Open(fleet_options, &fleet).ok());
+    std::unique_ptr<SpitzClient> client;
+    ASSERT_TRUE(SpitzClient::Open(fleet->ClientOptions(0), &client).ok());
     for (int i = 0; i < 64; i++) {
-      Request put;
-      put.type = Request::Type::kPut;
-      put.key = "req" + std::to_string(i);
-      put.value = "v" + std::to_string(i);
-      ASSERT_TRUE(pool.Execute(put).status.ok());
+      ASSERT_TRUE(client
+                      ->Put("req" + std::to_string(i), "v" + std::to_string(i))
+                      .ok());
     }
-    Request vget;
-    vget.type = Request::Type::kVerifiedGet;
-    vget.key = "req42";
-    Response r = pool.Execute(vget);
-    ASSERT_TRUE(r.status.ok());
-    EXPECT_TRUE(
-        SpitzDb::VerifyRead(r.digest, "req42", r.value, r.read_proof).ok());
-    pool.Shutdown();
+    std::string value;
+    ASSERT_TRUE(client->VerifiedGet("req42", &value).ok());
+    EXPECT_EQ(value, "v42");
+    fleet->server(0)->Shutdown();
+    SpitzDb* db = fleet->db(0);
+    ASSERT_TRUE(db->DrainAudits().ok());
+    db->FlushBlock();
+    digest = db->Digest();
   }
-  ASSERT_TRUE(db->DrainAudits().ok());
-  db->FlushBlock();
-  SpitzDigest digest = db->Digest();
-  db.reset();
 
-  // After restart the processor-written data is intact and provable.
-  ASSERT_TRUE(SpitzDb::Open(Durable(), &db).ok());
+  // After restart the served writes are intact and provable. The fleet
+  // keeps shard 0's primary under primary0/.
+  SpitzOptions reopen = Durable();
+  reopen.data_dir += "/primary0";
+  std::unique_ptr<SpitzDb> db;
+  ASSERT_TRUE(SpitzDb::Open(reopen, &db).ok());
   EXPECT_EQ(db->Digest().index_root, digest.index_root);
   std::string value;
   ASSERT_TRUE(db->Get("req63", &value).ok());

@@ -217,6 +217,13 @@ struct OracleParams {
   int ops;
 };
 
+// The printed parameter becomes the ctest name ("…/seed1_ops800").
+// Without this gtest prints the struct's raw bytes, padding included,
+// so the name would change from build to build.
+void PrintTo(const OracleParams& p, std::ostream* os) {
+  *os << "seed" << p.seed << "_ops" << p.ops;
+}
+
 class PosTreeOracleTest : public ::testing::TestWithParam<OracleParams> {};
 
 TEST_P(PosTreeOracleTest, RandomOpsMatchStdMap) {

@@ -164,6 +164,14 @@ struct ChunkerParams {
   uint32_t mask;
 };
 
+// The printed parameter becomes the ctest name ("…/min64_max1024_mask3f").
+// Without this gtest prints the struct's raw bytes, padding included,
+// so the name would change from build to build.
+void PrintTo(const ChunkerParams& p, std::ostream* os) {
+  *os << "min" << p.min_size << "_max" << p.max_size << "_mask" << std::hex
+      << p.mask << std::dec;
+}
+
 class ChunkerOptionsSweep : public ::testing::TestWithParam<ChunkerParams> {};
 
 TEST_P(ChunkerOptionsSweep, CoverageAndBounds) {

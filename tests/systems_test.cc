@@ -1,18 +1,14 @@
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <future>
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/clock.h"
-#include "common/random.h"
-#include "core/processor.h"
+#include "cluster/local_fleet.h"
 #include "core/verifier.h"
 #include "kvs/immutable_kvs.h"
 #include "nonintrusive/non_intrusive_db.h"
-#include "nonintrusive/rpc.h"
 
 namespace spitz {
 namespace {
@@ -88,85 +84,67 @@ TEST(ImmutableKvsTest, MetricsCoverOperations) {
   EXPECT_GT(snap.CounterValue("chunk.store.puts"), 0u);
 }
 
-// --- RpcServer ------------------------------------------------------------------
+// --- TcpChannel -----------------------------------------------------------------
+
+std::unique_ptr<TcpChannel> StartChannel(NetServer::Handler handler) {
+  std::unique_ptr<TcpChannel> channel;
+  Status s = TcpChannel::Start(std::move(handler), TcpChannel::Options(),
+                               &channel);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return channel;
+}
 
 TEST(RpcTest, EchoCall) {
-  RpcServer::Options options;
-  options.latency_micros = 0;
-  RpcServer server(
+  auto channel = StartChannel(
       [](uint32_t method, const std::string& req, std::string* resp) {
         *resp = std::to_string(method) + ":" + req;
         return Status::OK();
-      },
-      options);
+      });
   std::string response;
-  ASSERT_TRUE(server.Call(7, "ping", &response).ok());
+  ASSERT_TRUE(channel->Call(7, "ping", &response).ok());
   EXPECT_EQ(response, "7:ping");
-  EXPECT_EQ(server.calls_served(), 1u);
+  EXPECT_EQ(channel->calls_served(), 1u);
 }
 
 TEST(RpcTest, HandlerErrorPropagates) {
-  RpcServer::Options options;
-  options.latency_micros = 0;
-  RpcServer server(
-      [](uint32_t, const std::string&, std::string*) {
+  auto channel =
+      StartChannel([](uint32_t, const std::string&, std::string*) {
         return Status::NotFound("nope");
-      },
-      options);
+      });
   std::string response;
-  EXPECT_TRUE(server.Call(1, "", &response).IsNotFound());
+  EXPECT_TRUE(channel->Call(1, "", &response).IsNotFound());
 }
 
 TEST(RpcTest, ConcurrentCallersSerializedThroughQueue) {
-  RpcServer::Options options;
-  options.latency_micros = 0;
-  std::atomic<int> in_handler{0};
-  std::atomic<bool> overlap{false};
-  RpcServer server(
-      [&](uint32_t, const std::string& req, std::string* resp) {
-        if (in_handler.fetch_add(1) > 0) overlap = true;
+  auto channel =
+      StartChannel([](uint32_t, const std::string& req, std::string* resp) {
         *resp = req;
-        in_handler--;
         return Status::OK();
-      },
-      options);
+      });
+  // Eight callers pipeline over the one connection; every echo must come
+  // back to the caller that sent it.
+  std::atomic<int> misrouted{0};
   std::vector<std::thread> callers;
   for (int t = 0; t < 8; t++) {
-    callers.emplace_back([&] {
+    callers.emplace_back([&, t] {
       for (int i = 0; i < 100; i++) {
+        std::string req = std::to_string(t) + ":" + std::to_string(i);
         std::string resp;
-        ASSERT_TRUE(server.Call(0, "x", &resp).ok());
+        // Method 0 is the transport's handshake; services start at 1.
+        ASSERT_TRUE(channel->Call(1, req, &resp).ok());
+        if (resp != req) misrouted++;
       }
     });
   }
   for (auto& t : callers) t.join();
-  EXPECT_FALSE(overlap.load()) << "one server thread implies no overlap";
-  EXPECT_EQ(server.calls_served(), 800u);
-}
-
-TEST(RpcTest, LatencyIsApplied) {
-  RpcServer::Options options;
-  options.latency_micros = 200;  // 400us round trip
-  RpcServer server(
-      [](uint32_t, const std::string&, std::string*) { return Status::OK(); },
-      options);
-  std::string response;
-  uint64_t start = MonotonicNanos();
-  ASSERT_TRUE(server.Call(0, "", &response).ok());
-  uint64_t elapsed_us = (MonotonicNanos() - start) / 1000;
-  EXPECT_GE(elapsed_us, 380u);
+  EXPECT_EQ(misrouted.load(), 0);
+  EXPECT_EQ(channel->calls_served(), 800u);
 }
 
 // --- NonIntrusiveDb --------------------------------------------------------------
 
-NonIntrusiveDb::Options FastOptions() {
-  NonIntrusiveDb::Options options;
-  options.rpc.latency_micros = 0;
-  return options;
-}
-
 TEST(NonIntrusiveDbTest, PutGetRoundTrip) {
-  NonIntrusiveDb db(FastOptions());
+  NonIntrusiveDb db;
   ASSERT_TRUE(db.Put("k", "v").ok());
   std::string value;
   ASSERT_TRUE(db.Get("k", &value).ok());
@@ -175,14 +153,14 @@ TEST(NonIntrusiveDbTest, PutGetRoundTrip) {
 }
 
 TEST(NonIntrusiveDbTest, WriteHitsBothSystems) {
-  NonIntrusiveDb db(FastOptions());
+  NonIntrusiveDb db;
   ASSERT_TRUE(db.Put("k", "v").ok());
   EXPECT_EQ(db.underlying_rpc_calls(), 1u);
   EXPECT_EQ(db.ledger_rpc_calls(), 1u);
 }
 
 TEST(NonIntrusiveDbTest, VerifiedReadRoundTrip) {
-  NonIntrusiveDb db(FastOptions());
+  NonIntrusiveDb db;
   for (int i = 0; i < 300; i++) {
     ASSERT_TRUE(
         db.Put("key" + std::to_string(i), "val" + std::to_string(i)).ok());
@@ -195,7 +173,7 @@ TEST(NonIntrusiveDbTest, VerifiedReadRoundTrip) {
 }
 
 TEST(NonIntrusiveDbTest, VerifyDetectsUnderlyingTampering) {
-  NonIntrusiveDb db(FastOptions());
+  NonIntrusiveDb db;
   ASSERT_TRUE(db.Put("k", "honest").ok());
   SpitzDigest digest = db.Digest();
   NonIntrusiveDb::VerifiedValue vv;
@@ -207,7 +185,7 @@ TEST(NonIntrusiveDbTest, VerifyDetectsUnderlyingTampering) {
 }
 
 TEST(NonIntrusiveDbTest, ScanAndVerify) {
-  NonIntrusiveDb db(FastOptions());
+  NonIntrusiveDb db;
   for (int i = 0; i < 200; i++) {
     char key[16];
     snprintf(key, sizeof(key), "k%06d", i);
@@ -226,126 +204,122 @@ TEST(NonIntrusiveDbTest, ScanAndVerify) {
   EXPECT_GE(db.ledger_rpc_calls(), 211u);
 }
 
-// --- ProcessorPool -----------------------------------------------------------------
+// --- The served control layer ----------------------------------------------------
+//
+// Figure 5's processor pool: SpitzServer's dispatcher threads taking
+// requests off NetServer's queue, driven through a one-node fleet and a
+// SpitzClient.
+
+struct ServedNode {
+  std::unique_ptr<LocalFleet> fleet;
+  std::unique_ptr<SpitzClient> client;
+
+  ServedNode() {
+    Status s = LocalFleet::Open(LocalFleet::Options(), &fleet);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    s = SpitzClient::Open(fleet->ClientOptions(0), &client);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  }
+
+  SpitzServer* server() const { return fleet->server(0); }
+};
 
 TEST(ProcessorPoolTest, HandlesAllRequestTypes) {
-  SpitzDb db;
-  ProcessorPool pool(&db, 4);
+  ServedNode node;
+  SpitzClient* client = node.client.get();
+  ASSERT_TRUE(client->Put("k1", "v1").ok());
+  std::string value;
+  ASSERT_TRUE(client->Get("k1", &value).ok());
+  EXPECT_EQ(value, "v1");
+  SpitzClient::ProofResult pr;
+  ASSERT_TRUE(client->GetProof("k1", &pr).ok());
+  ASSERT_TRUE(pr.value.has_value());
+  EXPECT_TRUE(SpitzDb::VerifyRead(pr.digest, "k1", *pr.value, pr.proof).ok());
+  std::vector<PosEntry> rows;
+  ASSERT_TRUE(client->Scan("", "", 0, &rows).ok());
+  EXPECT_EQ(rows.size(), 1u);
+  ASSERT_TRUE(client->VerifiedScan("", "", 0, &rows).ok());
+  EXPECT_EQ(rows.size(), 1u);
+  ASSERT_TRUE(client->Delete("k1").ok());
+  EXPECT_TRUE(client->Get("k1", &value).IsNotFound());
 
-  Request put;
-  put.type = Request::Type::kPut;
-  put.key = "k1";
-  put.value = "v1";
-  Response r = pool.Execute(put);
-  ASSERT_TRUE(r.status.ok());
-
-  Request get;
-  get.type = Request::Type::kGet;
-  get.key = "k1";
-  r = pool.Execute(get);
-  ASSERT_TRUE(r.status.ok());
-  EXPECT_EQ(r.value, "v1");
-
-  Request vget;
-  vget.type = Request::Type::kVerifiedGet;
-  vget.key = "k1";
-  r = pool.Execute(vget);
-  ASSERT_TRUE(r.status.ok());
-  EXPECT_TRUE(
-      SpitzDb::VerifyRead(r.digest, "k1", r.value, r.read_proof).ok());
-
-  Request del;
-  del.type = Request::Type::kDelete;
-  del.key = "k1";
-  ASSERT_TRUE(pool.Execute(del).status.ok());
-  EXPECT_TRUE(pool.Execute(get).status.IsNotFound());
-  EXPECT_EQ(pool.processed(), 5u);
-
-  // Every handled request type shows up in the pool's metrics, with
-  // queue-wait attributed separately from handling.
-  MetricsSnapshot snap = pool.Metrics();
-  EXPECT_EQ(snap.CounterValue("core.processor.processed"), 5u);
-  EXPECT_EQ(snap.GaugeValue("core.processor.processors"), 4u);
-  for (const char* name :
-       {"core.processor.handle_latency_ns.put",
-        "core.processor.handle_latency_ns.get",
-        "core.processor.handle_latency_ns.verified_get",
-        "core.processor.handle_latency_ns.delete"}) {
+  // Every request type shows up in the server's metrics, with queue
+  // wait attributed separately from handling.
+  MetricsSnapshot snap = node.server()->Metrics();
+  EXPECT_EQ(snap.CounterValue("net.server.frames_served"), 7u);
+  for (const char* name : {"net.server.method_latency_ns.put",
+                           "net.server.method_latency_ns.get",
+                           "net.server.method_latency_ns.get_proof",
+                           "net.server.method_latency_ns.scan",
+                           "net.server.method_latency_ns.scan_proof",
+                           "net.server.method_latency_ns.delete"}) {
     const HistogramSnapshot* h = snap.FindHistogram(name);
     ASSERT_NE(h, nullptr) << name;
     EXPECT_GT(h->count, 0u) << name;
   }
   const HistogramSnapshot* wait =
-      snap.FindHistogram("core.processor.queue_wait_ns");
+      snap.FindHistogram("net.server.queue_wait_ns");
   ASSERT_NE(wait, nullptr);
-  EXPECT_EQ(wait->count, 5u);
+  // +1: the connect-time handshake frame waits in the same queue.
+  EXPECT_EQ(wait->count, 8u);
 }
 
 TEST(ProcessorPoolTest, VerifiedScanThroughPool) {
-  SpitzDb db;
-  ProcessorPool pool(&db, 2);
+  ServedNode node;
   for (int i = 0; i < 100; i++) {
-    Request put;
-    put.type = Request::Type::kPut;
     char key[16];
     snprintf(key, sizeof(key), "k%06d", i);
-    put.key = key;
-    put.value = "v";
-    ASSERT_TRUE(pool.Execute(put).status.ok());
+    ASSERT_TRUE(node.client->Put(key, "v").ok());
   }
-  Request scan;
-  scan.type = Request::Type::kVerifiedScan;
-  scan.key = "k000010";
-  scan.end_key = "k000030";
-  Response r = pool.Execute(scan);
-  ASSERT_TRUE(r.status.ok());
-  EXPECT_EQ(r.rows.size(), 20u);
-  EXPECT_TRUE(SpitzDb::VerifyScan(r.digest, "k000010", "k000030", 0, r.rows,
-                                  r.scan_proof)
-                  .ok());
+  // VerifiedScan checks the range proof against the digest in the reply.
+  std::vector<PosEntry> rows;
+  ASSERT_TRUE(node.client->VerifiedScan("k000010", "k000030", 0, &rows).ok());
+  ASSERT_EQ(rows.size(), 20u);
+  EXPECT_EQ(rows.front().key, "k000010");
+  EXPECT_EQ(rows.back().key, "k000029");
 }
 
 TEST(ProcessorPoolTest, ConcurrentMixedWorkload) {
-  SpitzDb db;
-  ProcessorPool pool(&db, 4);
-  std::vector<std::future<Response>> futures;
-  for (int i = 0; i < 500; i++) {
-    Request put;
-    put.type = Request::Type::kPut;
-    put.key = "k" + std::to_string(i % 50);
-    put.value = "v" + std::to_string(i);
-    futures.push_back(pool.Submit(std::move(put)));
+  ServedNode node;
+  // 500 puts over 50 keys from five pipelining threads.
+  std::atomic<int> failures{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 5; t++) {
+    writers.emplace_back([&, t] {
+      for (int i = t * 100; i < (t + 1) * 100; i++) {
+        if (!node.client->Put("k" + std::to_string(i % 50),
+                              "v" + std::to_string(i))
+                 .ok()) {
+          failures++;
+        }
+      }
+    });
   }
-  for (auto& f : futures) {
-    ASSERT_TRUE(f.get().status.ok());
-  }
-  ASSERT_TRUE(db.DrainAudits().ok());
-  EXPECT_EQ(db.key_count(), 50u);
+  for (auto& w : writers) w.join();
+  EXPECT_EQ(failures.load(), 0);
+  SpitzDb* db = node.fleet->db(0);
+  ASSERT_TRUE(db->DrainAudits().ok());
+  EXPECT_EQ(db->key_count(), 50u);
 }
 
 TEST(ProcessorPoolTest, ShutdownRejectsNewWork) {
-  SpitzDb db;
-  ProcessorPool pool(&db, 2);
-  pool.Shutdown();
-  // Submit after Shutdown must resolve the future immediately with
-  // Unavailable — it never hangs and never crashes.
-  Request get;
-  get.type = Request::Type::kGet;
-  get.key = "x";
-  std::future<Response> future = pool.Submit(get);
-  ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_TRUE(future.get().status.IsUnavailable());
-  // The rejection is visible in the pool's metrics.
-  EXPECT_GE(pool.Metrics().CounterValue("core.processor.rejected"), 1u);
+  ServedNode node;
+  node.server()->Shutdown();
+  // A call after Shutdown fails on the closed connection: it never hangs
+  // until its deadline and never crashes.
+  std::string value;
+  Status s = node.client->Get("x", &value);
+  EXPECT_FALSE(s.ok());
+  EXPECT_FALSE(s.IsTimedOut()) << s.ToString();
+  EXPECT_EQ(node.server()->frames_served(), 0u);
 }
 
 TEST(ProcessorPoolTest, DoubleShutdownIsNoOp) {
-  SpitzDb db;
-  ProcessorPool pool(&db, 2);
-  pool.Shutdown();
-  pool.Shutdown();  // second call must be a harmless no-op
-  EXPECT_TRUE(pool.Execute(Request{}).status.IsUnavailable());
+  ServedNode node;
+  node.server()->Shutdown();
+  node.server()->Shutdown();  // second call must be a harmless no-op
+  std::string value;
+  EXPECT_FALSE(node.client->Get("x", &value).ok());
 }
 
 // --- ClientVerifier ------------------------------------------------------------------
