@@ -9,8 +9,8 @@
 // digest evolves:
 //
 //   * every Evidence / ScanEvidence envelope is decoded from bytes and
-//     pushed through the static verifiers (SpitzDb::VerifyRead/Scan for
-//     a single node, ClusterClient::Verify*Evidence for a cluster) —
+//     checked by the one verifier of its format (SpitzDb::Verify*Evidence
+//     for a single node, ClusterClient::Verify*Evidence for a cluster) —
 //     never through any state the serving process handed us in memory;
 //   * the digest stream must be consistent: the journal entry count
 //     (per shard, for a cluster) never decreases — a digest that "goes
@@ -44,7 +44,9 @@ namespace bench {
 struct AuditorOptions {
   // How the serialized evidence decodes: a single node emits
   // ReadProof/ScanProof + SpitzDigest, a cluster emits the
-  // shard-tagged envelope + ClusterDigest.
+  // shard-tagged envelope + ClusterDigest. The auditor picks its
+  // verifier from what it expects to receive, never by asking the
+  // deployment it audits.
   enum class Mode { kSingle, kCluster };
   Mode mode = Mode::kSingle;
 
@@ -91,35 +93,6 @@ struct AuditorReport {
 };
 
 namespace internal {
-
-// Stateless single-node re-verification: decode every envelope byte,
-// then run the same static verifiers an embedder would.
-inline Status VerifySingleGetEvidence(const Slice& key,
-                                      const VerifiedKv::Evidence& evidence) {
-  Slice digest_input(evidence.digest);
-  SpitzDigest digest;
-  Status s = SpitzDigest::DecodeFrom(&digest_input, &digest);
-  if (!s.ok()) return s;
-  Slice proof_input(evidence.proof);
-  ReadProof proof;
-  s = ReadProof::DecodeFrom(&proof_input, &proof);
-  if (!s.ok()) return s;
-  return SpitzDb::VerifyRead(digest, key, evidence.value, proof);
-}
-
-inline Status VerifySingleScanEvidence(
-    const Slice& start, const Slice& end, size_t limit,
-    const VerifiedKv::ScanEvidence& evidence) {
-  Slice digest_input(evidence.digest);
-  SpitzDigest digest;
-  Status s = SpitzDigest::DecodeFrom(&digest_input, &digest);
-  if (!s.ok()) return s;
-  Slice proof_input(evidence.proof);
-  ScanProof proof;
-  s = ScanProof::DecodeFrom(&proof_input, &proof);
-  if (!s.ok()) return s;
-  return SpitzDb::VerifyScan(digest, start, end, limit, evidence.rows, proof);
-}
 
 // The digest-stream consistency check: decodes the serialized digest
 // and enforces per-shard journal monotonicity against the previous
@@ -213,7 +186,7 @@ inline AuditorReport RunAuditor(VerifiedKv* kv, const AuditorOptions& options) {
       }
       report.get_samples++;
       Status v = options.mode == AuditorOptions::Mode::kSingle
-                     ? internal::VerifySingleGetEvidence(key, evidence)
+                     ? SpitzDb::VerifyGetEvidence(key, evidence)
                      : ClusterClient::VerifyGetEvidence(key, evidence);
       if (!v.ok()) {
         report.Fail("get evidence for '" + key + "': " + v.ToString());
@@ -241,9 +214,8 @@ inline AuditorReport RunAuditor(VerifiedKv* kv, const AuditorOptions& options) {
       }
       report.scan_samples++;
       Status v = options.mode == AuditorOptions::Mode::kSingle
-                     ? internal::VerifySingleScanEvidence(
-                           range.first, range.second, options.scan_limit,
-                           evidence)
+                     ? SpitzDb::VerifyScanEvidence(range.first, range.second,
+                                                   options.scan_limit, evidence)
                      : ClusterClient::VerifyScanEvidence(
                            range.first, range.second, options.scan_limit,
                            evidence);

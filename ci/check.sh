@@ -23,7 +23,8 @@ ctest --test-dir "${PREFIX}" --output-on-failure -j "${JOBS}"
 echo "==> tier-1: examples smoke (runnable scenarios exit zero)"
 # The examples that need no arguments and finish on their own; each
 # exits non-zero when a check inside it fails.
-for example in quickstart ecommerce_audit federated_analytics medical_records; do
+for example in quickstart tamper_detection ecommerce_audit \
+               federated_analytics medical_records; do
   "${PREFIX}/examples/${example}" > /dev/null
 done
 

@@ -40,6 +40,25 @@ Status TagShard(size_t shard, const Status& s) {
   }
 }
 
+// Verifies shard `shard`'s range proof, then that the shard owns every
+// row it proved: otherwise a scan could return a row that a point read
+// of the same key (routed to the owner) proves absent.
+Status VerifyShardScan(const ClusterDigest& digest, size_t shard,
+                       const Slice& start, const Slice& end, size_t limit,
+                       const std::vector<PosEntry>& rows,
+                       const ScanProof& proof) {
+  Status s = SpitzDb::VerifyScan(digest.shards[shard], start, end, limit, rows,
+                                 proof);
+  if (!s.ok()) return s;
+  for (const PosEntry& row : rows) {
+    if (PartitionOf(row.key, digest.shards.size()) != shard) {
+      return TagShard(shard, Status::VerificationFailed(
+                                 "proved a row it does not own: " + row.key));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Status ClusterClient::Options::Validate() const {
@@ -254,6 +273,19 @@ Status ClusterClient::GetClusterDigest(ClusterDigest* out) {
 
 // --- Read path --------------------------------------------------------------
 
+// The one retry rule of verified reads and evidence alike: re-run the
+// attempt (a fresh snapshot each time) until OK or NotFound, at most
+// 1 + verify_retries_ times, and return the last status.
+template <typename Attempt>
+Status ClusterClient::WithRetries(Attempt attempt) {
+  Status s;
+  for (int i = 0; i <= verify_retries_; i++) {
+    s = attempt();
+    if (s.ok() || s.IsNotFound()) return s;
+  }
+  return s;
+}
+
 Status ClusterClient::Get(const ReadOptions& options, const Slice& key,
                           std::string* value) {
   if (!options.verify) {
@@ -263,33 +295,9 @@ Status ClusterClient::Get(const ReadOptions& options, const Slice& key,
     return WriteClient(PartitionOf(key, shards_.size()))
         ->Get(options, key, value);
   }
-  // Each attempt pins a fresh snapshot; a root that aged out of a busy
-  // shard's retention window heals on retry, a genuine mismatch keeps
-  // failing and the last verdict surfaces.
-  Status s;
-  for (int attempt = 0; attempt <= verify_retries_; attempt++) {
-    s = VerifiedGetOnce(key, value);
-    if (s.ok() || s.IsNotFound()) return s;
-  }
-  return s;
-}
-
-Status ClusterClient::VerifiedGetOnce(const Slice& key, std::string* value) {
-  ClusterSnapshot snapshot;
-  Status s = TakeSnapshot(&snapshot);
-  if (!s.ok()) return s;
-  const ClusterDigest& digest = snapshot.digest;
-  const size_t shard = PartitionOf(key, shards_.size());
-  std::optional<std::string> found;
-  ReadProof proof;
-  // The same node whose digest pinned this shard's leaf serves the
-  // proof — after failover that is the backup, at its last-agreed root.
-  s = snapshot.readers[shard]->GetProofAt(digest.shards[shard].index_root, key,
-                                          &found, &proof);
-  if (!s.ok() && !s.IsNotFound()) return s;
-  Status verdict = SpitzDb::VerifyRead(digest.shards[shard], key, found, proof);
-  if (!verdict.ok()) return verdict;
-  if (found.has_value()) *value = std::move(*found);
+  VerifiedGetResult read;
+  Status s = WithRetries([&] { return GetAttempt(key, &read); });
+  if (s.ok()) *value = std::move(*read.value);
   return s;
 }
 
@@ -306,34 +314,51 @@ Status ClusterClient::Scan(const ReadOptions& options, const Slice& start,
     MergeShardRows(std::move(per_shard), limit, rows);
     return Status::OK();
   }
-  Status s;
-  for (int attempt = 0; attempt <= verify_retries_; attempt++) {
-    s = VerifiedScanOnce(start, end, limit, rows);
-    if (s.ok()) return s;
-  }
-  return s;
+  VerifiedScanResult scan;
+  Status s = WithRetries([&] { return ScanAttempt(start, end, limit, &scan); });
+  if (!s.ok()) return s;
+  // Every shard proved its first `limit` in-range rows, so the merged
+  // first `limit` rows are each covered by some shard's proof.
+  MergeShardRows(std::move(scan.rows), limit, rows);
+  return Status::OK();
 }
 
-Status ClusterClient::VerifiedScanOnce(const Slice& start, const Slice& end,
-                                       size_t limit,
-                                       std::vector<PosEntry>* rows) {
+Status ClusterClient::GetAttempt(const Slice& key, VerifiedGetResult* out) {
   ClusterSnapshot snapshot;
   Status s = TakeSnapshot(&snapshot);
   if (!s.ok()) return s;
-  const ClusterDigest& digest = snapshot.digest;
-  std::vector<std::vector<PosEntry>> per_shard(shards_.size());
-  for (size_t i = 0; i < shards_.size(); i++) {
-    spitz::ScanProof proof;
-    s = snapshot.readers[i]->ScanProofAt(digest.shards[i].index_root, start,
-                                         end, limit, &per_shard[i], &proof);
+  out->digest = std::move(snapshot.digest);
+  out->shard = PartitionOf(key, shards_.size());
+  const SpitzDigest& pinned = out->digest.shards[out->shard];
+  // The same node whose digest pinned this shard's leaf serves the
+  // proof — after failover that is the backup, at its last-agreed root.
+  s = snapshot.readers[out->shard]->GetProofAt(pinned.index_root, key,
+                                               &out->value, &out->proof);
+  if (!s.ok() && !s.IsNotFound()) return s;
+  Status verdict = SpitzDb::VerifyRead(pinned, key, out->value, out->proof);
+  return verdict.ok() ? s : verdict;
+}
+
+Status ClusterClient::ScanAttempt(const Slice& start, const Slice& end,
+                                  size_t limit, VerifiedScanResult* out) {
+  ClusterSnapshot snapshot;
+  Status s = TakeSnapshot(&snapshot);
+  if (!s.ok()) return s;
+  out->digest = std::move(snapshot.digest);
+  const size_t n = shards_.size();
+  out->rows.assign(n, {});
+  out->proofs.assign(n, {});
+  for (size_t i = 0; i < n; i++) {
+    s = snapshot.readers[i]->ScanProofAt(out->digest.shards[i].index_root,
+                                         start, end, limit, &out->rows[i],
+                                         &out->proofs[i]);
+    // As for a point read, NotFound (a root lost to GC) goes to the
+    // verifier, which fails it unless the root is provably empty.
+    if (!s.ok() && !s.IsNotFound()) return s;
+    s = VerifyShardScan(out->digest, i, start, end, limit, out->rows[i],
+                        out->proofs[i]);
     if (!s.ok()) return s;
-    Status verdict = SpitzDb::VerifyScan(digest.shards[i], start, end, limit,
-                                         per_shard[i], proof);
-    if (!verdict.ok()) return verdict;
   }
-  // Every shard proved its first `limit` in-range rows, so the merged
-  // first `limit` rows are each covered by some shard's proof.
-  MergeShardRows(std::move(per_shard), limit, rows);
   return Status::OK();
 }
 
@@ -344,67 +369,36 @@ Status ClusterClient::VerifiedScanOnce(const Slice& start, const Slice& end,
 // proof slot carries which shard answered plus the shard's pinned-root
 // proof — for scans, every shard's full row set and proof, since the
 // merged rows alone cannot be re-verified per shard after truncation.
+// The encoding is deterministic, so the attempt's verdict covers it.
 
 Status ClusterClient::GetProof(const Slice& key, Evidence* out) {
-  Status s;
-  for (int attempt = 0; attempt <= verify_retries_; attempt++) {
-    ClusterSnapshot snapshot;
-    s = TakeSnapshot(&snapshot);
-    if (!s.ok()) return s;
-    const ClusterDigest& digest = snapshot.digest;
-    const size_t shard = PartitionOf(key, shards_.size());
-    std::optional<std::string> found;
-    ReadProof proof;
-    s = snapshot.readers[shard]->GetProofAt(digest.shards[shard].index_root,
-                                            key, &found, &proof);
-    if (!s.ok() && !s.IsNotFound()) continue;
-    out->value = found;
-    out->proof.clear();
-    PutVarint64(&out->proof, shard);
-    proof.EncodeTo(&out->proof);
-    out->digest.clear();
-    digest.EncodeTo(&out->digest);
-    // Only hand out evidence that checks: an aged-out root retries, so
-    // the caller never has to distinguish staleness from tamper.
-    if (VerifyGetEvidence(key, *out).ok()) return s;
-  }
-  return s.ok() || s.IsNotFound()
-             ? Status::VerificationFailed("could not assemble verifiable get evidence")
-             : s;
+  VerifiedGetResult read;
+  Status s = WithRetries([&] { return GetAttempt(key, &read); });
+  if (!s.ok() && !s.IsNotFound()) return s;
+  out->value = std::move(read.value);
+  out->proof.clear();
+  PutVarint64(&out->proof, read.shard);
+  read.proof.EncodeTo(&out->proof);
+  out->digest.clear();
+  read.digest.EncodeTo(&out->digest);
+  return s;
 }
 
 Status ClusterClient::ScanProof(const Slice& start, const Slice& end,
                                 size_t limit, ScanEvidence* out) {
-  Status s;
-  for (int attempt = 0; attempt <= verify_retries_; attempt++) {
-    ClusterSnapshot snapshot;
-    s = TakeSnapshot(&snapshot);
-    if (!s.ok()) return s;
-    const ClusterDigest& digest = snapshot.digest;
-    out->proof.clear();
-    PutVarint64(&out->proof, shards_.size());
-    std::vector<std::vector<PosEntry>> per_shard(shards_.size());
-    bool failed = false;
-    for (size_t i = 0; i < shards_.size(); i++) {
-      spitz::ScanProof proof;
-      s = snapshot.readers[i]->ScanProofAt(digest.shards[i].index_root, start,
-                                           end, limit, &per_shard[i], &proof);
-      if (!s.ok()) {
-        failed = true;
-        break;
-      }
-      wire::EncodeRows(per_shard[i], &out->proof);
-      proof.EncodeTo(&out->proof);
-    }
-    if (failed) continue;
-    out->digest.clear();
-    digest.EncodeTo(&out->digest);
-    MergeShardRows(std::move(per_shard), limit, &out->rows);
-    if (VerifyScanEvidence(start, end, limit, *out).ok()) return Status::OK();
+  VerifiedScanResult scan;
+  Status s = WithRetries([&] { return ScanAttempt(start, end, limit, &scan); });
+  if (!s.ok()) return s;
+  out->proof.clear();
+  PutVarint64(&out->proof, scan.rows.size());
+  for (size_t i = 0; i < scan.rows.size(); i++) {
+    wire::EncodeRows(scan.rows[i], &out->proof);
+    scan.proofs[i].EncodeTo(&out->proof);
   }
-  return s.ok() ? Status::VerificationFailed(
-                      "could not assemble verifiable scan evidence")
-                : s;
+  out->digest.clear();
+  scan.digest.EncodeTo(&out->digest);
+  MergeShardRows(std::move(scan.rows), limit, &out->rows);
+  return Status::OK();
 }
 
 Status ClusterClient::Digest(std::string* out) {
@@ -474,22 +468,15 @@ Status ClusterClient::VerifyScanEvidence(const Slice& start, const Slice& end,
     spitz::ScanProof proof;
     s = spitz::ScanProof::DecodeFrom(&proof_input, &proof);
     if (!s.ok()) return s;
-    Status verdict = SpitzDb::VerifyScan(digest.shards[i], start, end, limit,
-                                         per_shard[i], proof);
-    if (!verdict.ok()) return verdict;
+    s = VerifyShardScan(digest, i, start, end, limit, per_shard[i], proof);
+    if (!s.ok()) return s;
   }
   // The merged rows must be exactly the merge of the proven per-shard
   // sets — no row invented, dropped, or reordered after verification.
   std::vector<PosEntry> expected;
   MergeShardRows(std::move(per_shard), limit, &expected);
-  if (expected.size() != evidence.rows.size()) {
+  if (expected != evidence.rows) {
     return Status::VerificationFailed("scan evidence rows diverge from proofs");
-  }
-  for (size_t i = 0; i < expected.size(); i++) {
-    if (expected[i].key != evidence.rows[i].key ||
-        expected[i].value != evidence.rows[i].value) {
-      return Status::VerificationFailed("scan evidence rows diverge from proofs");
-    }
   }
   return Status::OK();
 }

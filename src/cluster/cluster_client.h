@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,10 +37,10 @@ namespace spitz {
 // (Options::verify_retries); a proof that fails because rows and hash
 // disagree keeps failing and surfaces as VerificationFailed.
 //
-// Scans fan out to every shard at the pinned roots, verify per shard,
-// then merge-sort by key and truncate to `limit` — each shard proved
-// its first `limit` in-range rows, so the global first `limit` rows
-// are covered by proofs.
+// Scans fan out to every shard at the pinned roots, verify per shard
+// (and that the shard owns every row it proved), then merge-sort by key
+// and truncate to `limit` — each shard proved its first `limit`
+// in-range rows, so the global first `limit` rows are covered by proofs.
 //
 // Replicated shards (protocol v3): Options::backups names each shard's
 // backup endpoint. A snapshot then commits the {primary, backup}
@@ -178,10 +179,25 @@ class ClusterClient : public VerifiedKv {
     return promoted(i) ? backups_[i].get() : shards_[i].get();
   }
 
-  // One verified-get / verified-scan attempt at a fresh snapshot.
-  Status VerifiedGetOnce(const Slice& key, std::string* value);
-  Status VerifiedScanOnce(const Slice& start, const Slice& end, size_t limit,
-                          std::vector<PosEntry>* rows);
+  // One verified-read attempt at a fresh snapshot (protocol above), the
+  // routine behind both Get/Scan with verify and GetProof/ScanProof,
+  // which only encode the verified result.
+  struct VerifiedGetResult {
+    ClusterDigest digest;
+    size_t shard = 0;
+    std::optional<std::string> value;
+    ReadProof proof;
+  };
+  Status GetAttempt(const Slice& key, VerifiedGetResult* out);
+  struct VerifiedScanResult {
+    ClusterDigest digest;
+    std::vector<std::vector<PosEntry>> rows;  // per shard
+    std::vector<spitz::ScanProof> proofs;     // per shard
+  };
+  Status ScanAttempt(const Slice& start, const Slice& end, size_t limit,
+                     VerifiedScanResult* out);
+  template <typename Attempt>
+  Status WithRetries(Attempt attempt);
 
   std::vector<std::unique_ptr<SpitzClient>> shards_;
   // backups_[i] == nullptr when shard i is unreplicated; empty when no

@@ -17,26 +17,11 @@ Status FederatedAnalytics::FederatedScan(const Slice& start, const Slice& end,
   for (const auto& [name, db] : parties_) {
     PartyEvidence evidence;
     evidence.party = name;
-    evidence.digest = db->Digest();
-    ScanProof proof;
-    Status s = db->ScanWithProof(start, end, limit, &evidence.rows, &proof);
+    Status s = db->ScanProof(start, end, limit, &evidence);
     if (!s.ok()) return s;
-    // Serialize the proof immediately and verify the *decoded* copy —
-    // the coordinator trusts nothing a party handed it beyond what
-    // survives the wire format.
-    proof.EncodeTo(&evidence.proof_wire);
-    ScanProof decoded;
-    Slice wire(evidence.proof_wire);
-    s = ScanProof::DecodeFrom(&wire, &decoded);
-    if (!s.ok()) {
-      return Status::VerificationFailed("party '" + name +
-                                        "' produced an undecodable proof: " +
-                                        s.message());
-    }
-    // Verify THIS party's result against THIS party's digest before it
-    // can contribute to the merged answer.
-    s = SpitzDb::VerifyScan(evidence.digest, start, end, limit,
-                            evidence.rows, decoded);
+    // Verify THIS party's evidence against THIS party's digest, from the
+    // bytes alone, before it can contribute to the merged answer.
+    s = SpitzDb::VerifyScanEvidence(start, end, limit, evidence);
     if (!s.ok()) {
       return Status::VerificationFailed("party '" + name +
                                         "' returned an unverifiable result: " +
@@ -74,13 +59,7 @@ Status FederatedAnalytics::AuditEvidence(
     const Slice& start, const Slice& end, size_t limit,
     const std::vector<PartyEvidence>& evidence) {
   for (const PartyEvidence& e : evidence) {
-    ScanProof proof;
-    Slice wire(e.proof_wire);
-    Status s = ScanProof::DecodeFrom(&wire, &proof);
-    if (s.ok()) {
-      s = SpitzDb::VerifyScan(e.digest, start, end, limit, e.rows, proof);
-    }
-    if (!s.ok()) {
+    if (!SpitzDb::VerifyScanEvidence(start, end, limit, e).ok()) {
       return Status::VerificationFailed("evidence from party '" + e.party +
                                         "' does not verify");
     }

@@ -33,16 +33,12 @@ class FederatedAnalytics {
   // Registers a participant (not owned).
   void AddParty(const std::string& name, SpitzDb* db);
 
-  struct PartyEvidence {
+  // One party's single-node ScanEvidence (rows plus proof and digest
+  // bytes), tagged with the party. Bytes, so the bundle ships to a
+  // downstream auditor verbatim; every verification — including the
+  // coordinator's own — is SpitzDb::VerifyScanEvidence on these bytes.
+  struct PartyEvidence : VerifiedKv::ScanEvidence {
     std::string party;
-    SpitzDigest digest;
-    // The party's scan proof in serialized wire form (ScanProof
-    // encoding). Stored as bytes so the bundle can be shipped to a
-    // downstream auditor verbatim; every verification — including the
-    // coordinator's own — decodes from these bytes rather than sharing
-    // an in-process struct with the party.
-    std::string proof_wire;
-    std::vector<PosEntry> rows;
   };
 
   struct FederatedResult {

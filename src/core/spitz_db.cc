@@ -59,7 +59,34 @@ constexpr uint8_t kTxnRecordPrepare = 1;
 constexpr uint8_t kTxnRecordCommit = 2;
 constexpr uint8_t kTxnRecordAbort = 3;
 
-// One CRC-framed txn.log record: [len][type:1][txn_id:8]([batch])[crc:4].
+// journal.log and txn.log share one record frame:
+// lp(payload) ‖ masked crc32c(payload).
+void AppendRecordFrame(const Slice& payload, std::string* out) {
+  PutLengthPrefixedSlice(out, payload);
+  PutFixed32(out, crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
+}
+
+// A frame that never finished (a crash mid-append) is torn; a complete
+// frame whose CRC does not match is corrupt (bad bytes, not a crash).
+enum class FrameRead { kComplete, kTorn, kCorrupt };
+
+// Reads one frame off non-empty *input, consuming it only if complete.
+FrameRead ReadRecordFrame(Slice* input, Slice* payload) {
+  Slice rest = *input;
+  if (!GetLengthPrefixedSlice(&rest, payload).ok() ||
+      rest.size() < sizeof(uint32_t)) {
+    return FrameRead::kTorn;
+  }
+  if (crc32c::Unmask(DecodeFixed32(rest.data())) !=
+      crc32c::Value(payload->data(), payload->size())) {
+    return FrameRead::kCorrupt;
+  }
+  rest.remove_prefix(sizeof(uint32_t));
+  *input = rest;
+  return FrameRead::kComplete;
+}
+
+// One txn.log record: payload = [type:1][txn_id:8]([batch]).
 std::string EncodeTxnRecord(uint8_t type, uint64_t txn_id,
                             const WriteBatch* batch) {
   std::string payload;
@@ -67,9 +94,7 @@ std::string EncodeTxnRecord(uint8_t type, uint64_t txn_id,
   PutFixed64(&payload, txn_id);
   if (batch != nullptr) payload.append(batch->Encode());
   std::string record;
-  PutLengthPrefixedSlice(&record, payload);
-  PutFixed32(&record,
-             crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
+  AppendRecordFrame(payload, &record);
   return record;
 }
 
@@ -229,31 +254,24 @@ Status SpitzDb::Recover() {
   if (!read_status.ok() && !read_status.IsNotFound()) return read_status;
   if (read_status.ok()) {
     Slice input(contents);
-    uint64_t consumed = 0;  // end offset of the last intact record
     while (!input.empty()) {
-      Slice rest = input;
       Slice record;
-      if (!GetLengthPrefixedSlice(&rest, &record).ok() ||
-          rest.size() < sizeof(uint32_t)) {
-        break;  // torn tail after a crash: stop at last complete record
-      }
-      uint32_t stored = DecodeFixed32(rest.data());
-      rest.remove_prefix(sizeof(uint32_t));
-      if (crc32c::Unmask(stored) !=
-          crc32c::Value(record.data(), record.size())) {
-        // Complete record, wrong bytes: corruption, not a torn write.
+      FrameRead read = ReadRecordFrame(&input, &record);
+      if (read == FrameRead::kTorn) break;  // stop at last complete record
+      if (read == FrameRead::kCorrupt) {
         // Restoring it would rebuild the ledger over a block whose
         // hashes no longer match its content.
-        return Status::Corruption("journal record CRC mismatch at offset " +
-                                  std::to_string(consumed) + " in " +
-                                  journal_path);
+        return Status::Corruption(
+            "journal record CRC mismatch at offset " +
+            std::to_string(contents.size() - input.size()) + " in " +
+            journal_path);
       }
       Status s = ledger_.Restore(record);
       if (!s.ok()) return s;
       IndexBlockHistoryLocked(ledger_.block_count() - 1);
-      consumed += input.size() - rest.size();
-      input = rest;
     }
+    // End offset of the last intact record.
+    const uint64_t consumed = contents.size() - input.size();
     // Discard the torn tail before reopening for append; otherwise
     // every block persisted from now on would sit behind unparseable
     // garbage, unreachable by all future recoveries.
@@ -713,10 +731,8 @@ void SpitzDb::SealPendingLocked(std::vector<std::string>* records) {
   pending_.clear();
   IndexBlockHistoryLocked(height);
   if (journal_log_ == nullptr) return;
-  const std::string& block = ledger_.SerializedBlock(height);
   std::string record;
-  PutLengthPrefixedSlice(&record, block);
-  PutFixed32(&record, crc32c::Mask(crc32c::Value(block.data(), block.size())));
+  AppendRecordFrame(ledger_.SerializedBlock(height), &record);
   records->push_back(std::move(record));
 }
 
@@ -899,17 +915,7 @@ Status SpitzDb::CommitTxn(uint64_t txn_id) {
     // outcome. A retried CommitTxn re-applies and retries the marker.
     return s;
   }
-  for (const WriteBatch::Op& op : it->second.batch.ops()) {
-    auto locked = prepared_keys_.find(op.key);
-    if (locked != prepared_keys_.end() && locked->second == txn_id) {
-      prepared_keys_.erase(locked);
-    }
-  }
-  prepared_.erase(it);
-  RecordResolvedLocked(txn_id, /*committed=*/true);
-  prepared_count_.store(prepared_.size(), std::memory_order_release);
-  txn_commits_.Increment();
-  txn_in_doubt_.Set(prepared_.size());
+  ResolveTxnLocked(it, /*committed=*/true);
   return Status::OK();
 }
 
@@ -934,17 +940,7 @@ Status SpitzDb::AbortTxn(uint64_t txn_id) {
   }
   Status s = AppendTxnRecord(kTxnRecordAbort, txn_id, nullptr);
   if (!s.ok()) return s;
-  for (const WriteBatch::Op& op : it->second.batch.ops()) {
-    auto locked = prepared_keys_.find(op.key);
-    if (locked != prepared_keys_.end() && locked->second == txn_id) {
-      prepared_keys_.erase(locked);
-    }
-  }
-  prepared_.erase(it);
-  RecordResolvedLocked(txn_id, /*committed=*/false);
-  prepared_count_.store(prepared_.size(), std::memory_order_release);
-  txn_aborts_.Increment();
-  txn_in_doubt_.Set(prepared_.size());
+  ResolveTxnLocked(it, /*committed=*/false);
   return Status::OK();
 }
 
@@ -978,21 +974,26 @@ Status SpitzDb::AbortTxnsOlderThan(uint64_t max_age_ms, size_t* aborted) {
   for (uint64_t txn_id : victims) {
     Status s = AppendTxnRecord(kTxnRecordAbort, txn_id, nullptr);
     if (!s.ok()) return s;
-    auto it = prepared_.find(txn_id);
-    for (const WriteBatch::Op& op : it->second.batch.ops()) {
-      auto locked = prepared_keys_.find(op.key);
-      if (locked != prepared_keys_.end() && locked->second == txn_id) {
-        prepared_keys_.erase(locked);
-      }
-    }
-    prepared_.erase(it);
-    RecordResolvedLocked(txn_id, /*committed=*/false);
-    txn_aborts_.Increment();
+    ResolveTxnLocked(prepared_.find(txn_id), /*committed=*/false);
     if (aborted != nullptr) (*aborted)++;
   }
+  return Status::OK();
+}
+
+void SpitzDb::ResolveTxnLocked(std::map<uint64_t, PreparedTxn>::iterator it,
+                               bool committed) {
+  const uint64_t txn_id = it->first;
+  for (const WriteBatch::Op& op : it->second.batch.ops()) {
+    auto locked = prepared_keys_.find(op.key);
+    if (locked != prepared_keys_.end() && locked->second == txn_id) {
+      prepared_keys_.erase(locked);
+    }
+  }
+  prepared_.erase(it);
+  RecordResolvedLocked(txn_id, committed);
+  (committed ? txn_commits_ : txn_aborts_).Increment();
   prepared_count_.store(prepared_.size(), std::memory_order_release);
   txn_in_doubt_.Set(prepared_.size());
-  return Status::OK();
 }
 
 void SpitzDb::RecordResolvedLocked(uint64_t txn_id, bool committed) {
@@ -1055,24 +1056,20 @@ Status SpitzDb::RecoverTxnLog() {
   bool tail_torn = false;
   if (read_status.ok()) {
     Slice input(contents);
-    uint64_t consumed = 0;
     while (!input.empty()) {
-      Slice rest = input;
       Slice payload;
-      if (!GetLengthPrefixedSlice(&rest, &payload).ok() ||
-          rest.size() < sizeof(uint32_t)) {
-        // Torn tail: the record never finished; drop it. The log must
-        // then be compacted — appending after garbage would make every
-        // later record unreachable.
+      FrameRead read = ReadRecordFrame(&input, &payload);
+      if (read == FrameRead::kTorn) {
+        // The record never finished; drop it. The log must then be
+        // compacted — appending after garbage would make every later
+        // record unreachable.
         tail_torn = true;
         break;
       }
-      uint32_t stored = DecodeFixed32(rest.data());
-      rest.remove_prefix(sizeof(uint32_t));
-      if (crc32c::Unmask(stored) !=
-          crc32c::Value(payload.data(), payload.size())) {
-        return Status::Corruption("txn log record CRC mismatch at offset " +
-                                  std::to_string(consumed) + " in " + path);
+      if (read == FrameRead::kCorrupt) {
+        return Status::Corruption(
+            "txn log record CRC mismatch at offset " +
+            std::to_string(contents.size() - input.size()) + " in " + path);
       }
       if (payload.size() < 1 + sizeof(uint64_t)) {
         return Status::Corruption("short txn log record");
@@ -1107,8 +1104,6 @@ Status SpitzDb::RecoverTxnLog() {
                                     std::to_string(type));
       }
       records_replayed++;
-      consumed += input.size() - rest.size();
-      input = rest;
     }
   }
   // The survivors are the in-doubt set: voted yes, never heard the
@@ -1313,26 +1308,38 @@ SpitzDigest SpitzDb::Digest() const {
 }
 
 // --- VerifiedKv surface -----------------------------------------------------
-//
-// The verified variants capture one digest up front and prove against
-// its pinned root, so a commit landing between the digest capture and
-// the traversal can never produce a spurious "different version"
-// failure.
+
+Status SpitzDb::ProveAtDigest(const Slice& key, SpitzDigest* digest,
+                              std::optional<std::string>* value,
+                              ReadProof* proof) const {
+  *digest = Digest();
+  std::string found;
+  Status s = GetWithProofAt(digest->index_root, key, &found, proof);
+  *value = s.ok() ? std::optional<std::string>(std::move(found))
+                  : std::nullopt;
+  return s;
+}
+
+Status SpitzDb::ProveAtDigest(const Slice& start, const Slice& end,
+                              size_t limit, SpitzDigest* digest,
+                              std::vector<PosEntry>* rows,
+                              spitz::ScanProof* proof) const {
+  *digest = Digest();
+  return ScanWithProofAt(digest->index_root, start, end, limit, rows, proof);
+}
 
 Status SpitzDb::Get(const ReadOptions& options, const Slice& key,
                     std::string* value) {
   const SpitzDb* self = this;
   if (!options.verify) return self->Get(key, value);
-  SpitzDigest digest = Digest();
+  SpitzDigest digest;
+  std::optional<std::string> found;
   ReadProof proof;
-  std::string found;
-  Status s = GetWithProofAt(digest.index_root, key, &found, &proof);
+  Status s = ProveAtDigest(key, &digest, &found, &proof);
   if (!s.ok() && !s.IsNotFound()) return s;
-  std::optional<std::string> expected =
-      s.ok() ? std::optional<std::string>(found) : std::nullopt;
-  Status verdict = VerifyRead(digest, key, expected, proof);
+  Status verdict = VerifyRead(digest, key, found, proof);
   if (!verdict.ok()) return verdict;
-  if (s.ok()) *value = std::move(found);
+  if (s.ok()) *value = std::move(*found);
   return s;
 }
 
@@ -1341,11 +1348,10 @@ Status SpitzDb::Scan(const ReadOptions& options, const Slice& start,
                      std::vector<PosEntry>* rows) {
   const SpitzDb* self = this;
   if (!options.verify) return self->Scan(start, end, limit, rows);
-  SpitzDigest digest = Digest();
-  spitz::ScanProof proof;
+  SpitzDigest digest;
   std::vector<PosEntry> found;
-  Status s = ScanWithProofAt(digest.index_root, start, end, limit, &found,
-                             &proof);
+  spitz::ScanProof proof;
+  Status s = ProveAtDigest(start, end, limit, &digest, &found, &proof);
   if (!s.ok()) return s;
   Status verdict = VerifyScan(digest, start, end, limit, found, proof);
   if (!verdict.ok()) return verdict;
@@ -1354,13 +1360,10 @@ Status SpitzDb::Scan(const ReadOptions& options, const Slice& start,
 }
 
 Status SpitzDb::GetProof(const Slice& key, Evidence* out) {
-  SpitzDigest digest = Digest();
+  SpitzDigest digest;
   ReadProof proof;
-  std::string found;
-  Status s = GetWithProofAt(digest.index_root, key, &found, &proof);
+  Status s = ProveAtDigest(key, &digest, &out->value, &proof);
   if (!s.ok() && !s.IsNotFound()) return s;
-  out->value = s.ok() ? std::optional<std::string>(std::move(found))
-                      : std::nullopt;
   out->proof.clear();
   proof.EncodeTo(&out->proof);
   out->digest.clear();
@@ -1370,11 +1373,9 @@ Status SpitzDb::GetProof(const Slice& key, Evidence* out) {
 
 Status SpitzDb::ScanProof(const Slice& start, const Slice& end, size_t limit,
                           ScanEvidence* out) {
-  SpitzDigest digest = Digest();
+  SpitzDigest digest;
   spitz::ScanProof proof;
-  out->rows.clear();
-  Status s = ScanWithProofAt(digest.index_root, start, end, limit, &out->rows,
-                             &proof);
+  Status s = ProveAtDigest(start, end, limit, &digest, &out->rows, &proof);
   if (!s.ok()) return s;
   out->proof.clear();
   proof.EncodeTo(&out->proof);
@@ -1425,6 +1426,27 @@ Status SpitzDb::VerifyScan(const SpitzDigest& digest, const Slice& start,
   }
   return proof.index_proof.Verify(digest.index_root, start, end, limit,
                                   results);
+}
+
+Status SpitzDb::VerifyGetEvidence(const Slice& key, const Evidence& evidence) {
+  Slice digest_input(evidence.digest), proof_input(evidence.proof);
+  SpitzDigest digest;
+  ReadProof proof;
+  Status s = SpitzDigest::DecodeFrom(&digest_input, &digest);
+  if (s.ok()) s = ReadProof::DecodeFrom(&proof_input, &proof);
+  return s.ok() ? VerifyRead(digest, key, evidence.value, proof) : s;
+}
+
+Status SpitzDb::VerifyScanEvidence(const Slice& start, const Slice& end,
+                                   size_t limit,
+                                   const ScanEvidence& evidence) {
+  Slice digest_input(evidence.digest), proof_input(evidence.proof);
+  SpitzDigest digest;
+  spitz::ScanProof proof;
+  Status s = SpitzDigest::DecodeFrom(&digest_input, &digest);
+  if (s.ok()) s = spitz::ScanProof::DecodeFrom(&proof_input, &proof);
+  return s.ok() ? VerifyScan(digest, start, end, limit, evidence.rows, proof)
+                : s;
 }
 
 // --- Proof wire formats -----------------------------------------------------
@@ -1737,12 +1759,8 @@ Status SpitzDb::ApplyReplicatedRecord(const Slice& record, bool sync,
     }
     IndexBlockHistoryLocked(height);
     if (journal_log_ != nullptr) {
-      std::string journal_record;
-      PutLengthPrefixedSlice(&journal_record, serialized);
-      PutFixed32(&journal_record, crc32c::Mask(crc32c::Value(
-                                      serialized.data(), serialized.size())));
-      std::vector<std::string> records;
-      records.push_back(std::move(journal_record));
+      std::vector<std::string> records(1);
+      AppendRecordFrame(serialized, &records[0]);
       s = AppendJournalRecordsLocked(records);
       if (!s.ok()) return s;
     }
@@ -1823,29 +1841,7 @@ Status SpitzDb::ResolveAuditResult(const Hash256& root, Status result) {
 }
 
 Status SpitzDb::AuditKey(const Slice& key) {
-  Hash256 root = CurrentSnapshot()->root;
-  std::string key_copy = key.ToString();
-  return auditor_->Submit([this, root, key_copy] {
-    Status result;
-    {
-      auto pin = chunks_->PinReads();
-      std::string value;
-      SiriProof proof;
-      Status s = index_->GetWithProof(root, key_copy, &value, &proof);
-      auto timed_verify = [&](const std::optional<std::string>& expect) {
-        ScopedTimer timer(metrics_.proof_verify_ns);
-        return proof.Verify(root, key_copy, expect);
-      };
-      if (s.ok()) {
-        result = timed_verify(value);
-      } else if (s.IsNotFound()) {
-        result = root.IsZero() ? Status::OK() : timed_verify(std::nullopt);
-      } else {
-        result = s;
-      }
-    }
-    return ResolveAuditResult(root, std::move(result));
-  });
+  return AuditWrite(key, std::nullopt);
 }
 
 Status SpitzDb::DrainAudits() {

@@ -302,6 +302,12 @@ class SpitzDb : public VerifiedKv {
                            const Slice& end, size_t limit,
                            const std::vector<PosEntry>& results,
                            const spitz::ScanProof& proof);
+  // The one verifier of single-node evidence (SpitzDb and SpitzClient
+  // GetProof/ScanProof): decodes it, then runs VerifyRead/VerifyScan.
+  static Status VerifyGetEvidence(const Slice& key, const Evidence& evidence);
+  static Status VerifyScanEvidence(const Slice& start, const Slice& end,
+                                   size_t limit,
+                                   const ScanEvidence& evidence);
 
   // Proves the ledger grew append-only between two digests the client
   // observed.
@@ -480,6 +486,16 @@ class SpitzDb : public VerifiedKv {
   // journal digest is O(sealed blocks) to recompute, so it is carried
   // over from the previous snapshot unless `journal_changed`.
   void PublishSnapshotLocked(bool journal_changed);
+
+  // Captures Digest() and proves at exactly its index root (a commit in
+  // between cannot skew the pair): the one proof build behind the
+  // verified Get/Scan and GetProof/ScanProof.
+  Status ProveAtDigest(const Slice& key, SpitzDigest* digest,
+                       std::optional<std::string>* value,
+                       ReadProof* proof) const;
+  Status ProveAtDigest(const Slice& start, const Slice& end, size_t limit,
+                       SpitzDigest* digest, std::vector<PosEntry>* rows,
+                       spitz::ScanProof* proof) const;
 
   // --- Group-commit pipeline ----------------------------------------------
 
@@ -706,6 +722,10 @@ class SpitzDb : public VerifiedKv {
     // abort marker.
     bool committing = false;
   };
+  // After its durable decision record: drops the txn at `it` and its key
+  // locks, records the tombstone, updates counters. Caller holds txn_mu_.
+  void ResolveTxnLocked(std::map<uint64_t, PreparedTxn>::iterator it,
+                        bool committed);
   mutable std::mutex txn_mu_;
   std::map<uint64_t, PreparedTxn> prepared_;
   std::map<std::string, uint64_t> prepared_keys_;  // key -> owning txn

@@ -172,18 +172,13 @@ Status Table::ScanRows(
 }
 
 Status Table::GetRowVerified(const Slice& primary_key, Row* row) const {
-  // Read each cell's latest value through the ledgered key space with a
-  // proof, verify against the current digest, then return the row.
+  // Each cell's latest value is a verified read of the ledgered key
+  // space (proved and checked at one pinned digest per cell).
   row->clear();
-  SpitzDigest digest = db_->Digest();
   for (const ColumnSpec& col : schema_.columns) {
-    std::string key = CellKey(primary_key, col.name);
     std::string value;
-    ReadProof proof;
-    Status s = db_->GetWithProof(key, &value, &proof);
+    Status s = db_->VerifiedGet(CellKey(primary_key, col.name), &value);
     if (s.IsNotFound()) continue;
-    if (!s.ok()) return s;
-    s = SpitzDb::VerifyRead(digest, key, value, proof);
     if (!s.ok()) return s;
     (*row)[col.name] = value;
   }

@@ -121,25 +121,13 @@ Status SpitzClient::GetProof(const Slice& key, Evidence* out) {
 
 Status SpitzClient::ScanProof(const Slice& start, const Slice& end,
                               size_t limit, ScanEvidence* out) {
-  std::string request, response;
-  PutLengthPrefixedSlice(&request, start);
-  PutLengthPrefixedSlice(&request, end);
-  PutVarint64(&request, limit);
-  Status s = Call(wire::kScanProof, request, &response);
-  if (!s.ok()) return s;
-  Slice input(response);
-  s = wire::DecodeRows(&input, &out->rows);
-  if (!s.ok()) return s;
-  // The envelope splits at the same boundaries the server encoded:
-  // everything after the rows and before the digest is proof bytes.
   spitz::ScanProof proof;
-  s = spitz::ScanProof::DecodeFrom(&input, &proof);
+  SpitzDigest digest;
+  Status s = FetchScanProof(start, end, limit, /*deadline_ms=*/0, &out->rows,
+                            &proof, &digest);
   if (!s.ok()) return s;
   out->proof.clear();
   proof.EncodeTo(&out->proof);
-  SpitzDigest digest;
-  s = SpitzDigest::DecodeFrom(&input, &digest);
-  if (!s.ok()) return s;
   out->digest.clear();
   digest.EncodeTo(&out->digest);
   return Status::OK();
@@ -202,9 +190,11 @@ Status SpitzClient::VerifiedGet(const Slice& key, std::string* value,
   return s;
 }
 
-Status SpitzClient::VerifiedScan(const Slice& start, const Slice& end,
-                                 size_t limit, std::vector<PosEntry>* rows,
-                                 uint64_t deadline_ms) {
+Status SpitzClient::FetchScanProof(const Slice& start, const Slice& end,
+                                   size_t limit, uint64_t deadline_ms,
+                                   std::vector<PosEntry>* rows,
+                                   spitz::ScanProof* proof,
+                                   SpitzDigest* digest) {
   std::string request, response;
   PutLengthPrefixedSlice(&request, start);
   PutLengthPrefixedSlice(&request, end);
@@ -212,18 +202,25 @@ Status SpitzClient::VerifiedScan(const Slice& start, const Slice& end,
   Status s = Call(wire::kScanProof, request, &response, deadline_ms);
   if (!s.ok()) return s;
   Slice input(response);
-  std::vector<PosEntry> decoded;
-  s = wire::DecodeRows(&input, &decoded);
+  s = wire::DecodeRows(&input, rows);
   if (!s.ok()) return s;
+  s = spitz::ScanProof::DecodeFrom(&input, proof);
+  if (!s.ok()) return s;
+  return SpitzDigest::DecodeFrom(&input, digest);
+}
+
+Status SpitzClient::VerifiedScan(const Slice& start, const Slice& end,
+                                 size_t limit, std::vector<PosEntry>* rows,
+                                 uint64_t deadline_ms) {
+  std::vector<PosEntry> found;
   spitz::ScanProof proof;
-  s = spitz::ScanProof::DecodeFrom(&input, &proof);
-  if (!s.ok()) return s;
   SpitzDigest digest;
-  s = SpitzDigest::DecodeFrom(&input, &digest);
+  Status s = FetchScanProof(start, end, limit, deadline_ms, &found, &proof,
+                            &digest);
   if (!s.ok()) return s;
-  s = SpitzDb::VerifyScan(digest, start, end, limit, decoded, proof);
+  s = SpitzDb::VerifyScan(digest, start, end, limit, found, proof);
   if (!s.ok()) return s;
-  *rows = std::move(decoded);
+  *rows = std::move(found);
   return Status::OK();
 }
 

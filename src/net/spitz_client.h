@@ -169,6 +169,12 @@ class SpitzClient : public VerifiedKv {
   Status Call(uint32_t method, const std::string& request,
               std::string* response, uint64_t deadline_ms = 0);
 
+  // The one kScanProof round trip, decoded: VerifiedScan verifies it,
+  // ScanProof(ScanEvidence) encodes it.
+  Status FetchScanProof(const Slice& start, const Slice& end, size_t limit,
+                        uint64_t deadline_ms, std::vector<PosEntry>* rows,
+                        spitz::ScanProof* proof, SpitzDigest* digest);
+
   Options options_;  // saved for Reconnect()
   mutable std::mutex net_mu_;
   std::shared_ptr<NetClient> net_;

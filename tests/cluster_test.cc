@@ -25,12 +25,14 @@
 #include "cluster/local_fleet.h"
 #include "cluster/partition.h"
 #include "common/clock.h"
+#include "common/codec.h"
 #include "common/fault_env.h"
 #include "core/spitz_db.h"
 #include "net/frame.h"
 #include "net/net_client.h"
 #include "net/spitz_client.h"
 #include "net/spitz_server.h"
+#include "net/spitz_wire.h"
 
 namespace spitz {
 namespace {
@@ -547,6 +549,53 @@ TEST(ClusterVerifyTest, ScanEvidenceVerifiesAndSampledTampersAreRejected) {
       (*field)[i] = original;
     }
   }
+}
+
+TEST(ClusterVerifyTest, ScanRejectsRowsFromNonOwningShard) {
+  ClusterFixture fx(3);
+  for (int i = 0; i < 6; i++) {
+    ASSERT_TRUE(fx.client->Put("fr-" + std::to_string(i), "honest").ok());
+  }
+  // A key the partition function assigns to shard 1, planted in shard
+  // 0's own tree: shard 0 can prove the row, but does not own it.
+  const std::string planted = KeyOnShard(1, 3, "fr-x");
+  ASSERT_TRUE(fx.fleet->db(0)->Put(planted, "planted").ok());
+  std::string value;
+  EXPECT_TRUE(fx.client->VerifiedGet(planted, &value).IsNotFound());
+
+  std::vector<PosEntry> rows;
+  EXPECT_TRUE(
+      fx.client->VerifiedScan("fr-", "fr-~", 0, &rows).IsVerificationFailed());
+  VerifiedKv::ScanEvidence evidence;
+  EXPECT_TRUE(fx.client->ScanProof("fr-", "fr-~", 0, &evidence)
+                  .IsVerificationFailed());
+
+  // The same answer assembled by hand into the cluster envelope, as a
+  // dishonest aggregator would ship it: every shard proof checks out
+  // against its pinned root, and the evidence verifier must still
+  // refuse the row shard 0 does not own.
+  ClusterDigest digest;
+  ASSERT_TRUE(fx.client->GetClusterDigest(&digest).ok());
+  std::vector<std::vector<PosEntry>> per_shard(3);
+  VerifiedKv::ScanEvidence forged;
+  PutVarint64(&forged.proof, per_shard.size());
+  for (size_t i = 0; i < per_shard.size(); i++) {
+    ScanProof proof;
+    ASSERT_TRUE(fx.client->shard(i)
+                    ->ScanProofAt(digest.shards[i].index_root, "fr-", "fr-~",
+                                  0, &per_shard[i], &proof)
+                    .ok());
+    ASSERT_TRUE(SpitzDb::VerifyScan(digest.shards[i], "fr-", "fr-~", 0,
+                                    per_shard[i], proof)
+                    .ok());
+    wire::EncodeRows(per_shard[i], &forged.proof);
+    proof.EncodeTo(&forged.proof);
+  }
+  digest.EncodeTo(&forged.digest);
+  MergeShardRows(per_shard, 0, &forged.rows);
+  ASSERT_EQ(forged.rows.size(), 7u);
+  EXPECT_TRUE(ClusterClient::VerifyScanEvidence("fr-", "fr-~", 0, forged)
+                  .IsVerificationFailed());
 }
 
 // --- Participant crash recovery ----------------------------------------------

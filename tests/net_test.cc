@@ -636,6 +636,71 @@ TEST(NetSpitzTest, VerifiedScanChecksTheRangeProof) {
   EXPECT_EQ(rows.front().value, "v10");
 }
 
+TEST(NetSpitzTest, EvidenceVerifiesAndEveryTamperIsRejected) {
+  SpitzFixture fx;
+  auto client = fx.Client();
+  for (int i = 0; i < 20; i++) {
+    ASSERT_TRUE(
+        client->Put("ev-" + std::to_string(100 + i), "v" + std::to_string(i))
+            .ok());
+  }
+  VerifiedKv::Evidence evidence;
+  ASSERT_TRUE(client->GetProof("ev-107", &evidence).ok());
+  ASSERT_TRUE(evidence.value.has_value());
+  ASSERT_TRUE(SpitzDb::VerifyGetEvidence("ev-107", evidence).ok());
+  VerifiedKv::Evidence absent;
+  ASSERT_TRUE(client->GetProof("ev-never", &absent).IsNotFound());
+  EXPECT_TRUE(SpitzDb::VerifyGetEvidence("ev-never", absent).ok());
+
+  // A read's claim binds the value, the proof and the digest's index
+  // root (its first Hash256::kSize bytes); the digest's journal fields
+  // are checked by consistency proofs, not by read evidence. No flipped
+  // byte of the claim may verify.
+  std::string root_bytes = evidence.digest.substr(0, Hash256::kSize);
+  auto flip_every_byte = [](std::string* field, const auto& verifies) {
+    for (size_t i = 0; i < field->size(); i++) {
+      const char original = (*field)[i];
+      (*field)[i] = static_cast<char>(original ^ 0x2d);
+      EXPECT_FALSE(verifies()) << "tampered byte " << i << " accepted";
+      (*field)[i] = original;
+    }
+  };
+  auto get_verifies = [&] {
+    VerifiedKv::Evidence forged = evidence;
+    forged.digest.replace(0, Hash256::kSize, root_bytes);
+    return SpitzDb::VerifyGetEvidence("ev-107", forged).ok();
+  };
+  flip_every_byte(&*evidence.value, get_verifies);
+  flip_every_byte(&evidence.proof, get_verifies);
+  flip_every_byte(&root_bytes, get_verifies);
+  // The key is part of the claim, and absence cannot vouch for presence.
+  EXPECT_FALSE(SpitzDb::VerifyGetEvidence("ev-108", evidence).ok());
+  absent.value = "v7";
+  EXPECT_FALSE(SpitzDb::VerifyGetEvidence("ev-never", absent).ok());
+
+  VerifiedKv::ScanEvidence scan;
+  ASSERT_TRUE(client->ScanProof("ev-", "ev-~", 0, &scan).ok());
+  ASSERT_EQ(scan.rows.size(), 20u);
+  ASSERT_TRUE(SpitzDb::VerifyScanEvidence("ev-", "ev-~", 0, scan).ok());
+  VerifiedKv::ScanEvidence dropped = scan;
+  dropped.rows.erase(dropped.rows.begin() + 3);
+  EXPECT_FALSE(SpitzDb::VerifyScanEvidence("ev-", "ev-~", 0, dropped).ok());
+  VerifiedKv::ScanEvidence rewritten = scan;
+  rewritten.rows[0].value = "forged";
+  EXPECT_FALSE(SpitzDb::VerifyScanEvidence("ev-", "ev-~", 0, rewritten).ok());
+  // A limit is part of the claim: the full range does not verify as a
+  // 5-row answer.
+  EXPECT_FALSE(SpitzDb::VerifyScanEvidence("ev-", "ev-~", 5, scan).ok());
+  root_bytes = scan.digest.substr(0, Hash256::kSize);
+  auto scan_verifies = [&] {
+    VerifiedKv::ScanEvidence forged = scan;
+    forged.digest.replace(0, Hash256::kSize, root_bytes);
+    return SpitzDb::VerifyScanEvidence("ev-", "ev-~", 0, forged).ok();
+  };
+  flip_every_byte(&scan.proof, scan_verifies);
+  flip_every_byte(&root_bytes, scan_verifies);
+}
+
 TEST(NetSpitzTest, DigestAndAuditOverTheWire) {
   SpitzFixture fx;
   auto client = fx.Client();

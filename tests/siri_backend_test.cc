@@ -251,8 +251,16 @@ TEST(SpitzOptionsTest, DefaultsValidate) {
 // node behind SpitzClient, and a 3-shard cluster behind ClusterClient.
 // Code written against the interface must behave identically on all of
 // them — that is the point of having exactly one verified-KV surface.
+// Each shape brings the one verifier of its evidence format.
 
-void RunVerifiedKvBattery(VerifiedKv* kv) {
+using GetEvidenceVerifier = Status (*)(const Slice& key,
+                                       const VerifiedKv::Evidence& evidence);
+using ScanEvidenceVerifier = Status (*)(
+    const Slice& start, const Slice& end, size_t limit,
+    const VerifiedKv::ScanEvidence& evidence);
+
+void RunVerifiedKvBattery(VerifiedKv* kv, GetEvidenceVerifier verify_get,
+                          ScanEvidenceVerifier verify_scan) {
   // Unverified writes and reads.
   for (int i = 0; i < 40; i++) {
     ASSERT_TRUE(
@@ -297,6 +305,29 @@ void RunVerifiedKvBattery(VerifiedKv* kv) {
   EXPECT_EQ(scan_evidence.rows.size(), 39u);
   EXPECT_FALSE(scan_evidence.digest.empty());
 
+  // Evidence verifies with the shape's verifier and carries exactly
+  // what the verified read returns: one read, two encodings.
+  for (const char* key : {"vk-123", "vk-117", "vk-never"}) {
+    SCOPED_TRACE(key);
+    std::string verified;
+    Status read = kv->VerifiedGet(key, &verified);
+    ASSERT_TRUE(read.ok() || read.IsNotFound()) << read.ToString();
+    Status fetched = kv->GetProof(key, &evidence);
+    EXPECT_EQ(fetched.code(), read.code());
+    EXPECT_TRUE(verify_get(key, evidence).ok());
+    ASSERT_EQ(evidence.value.has_value(), read.ok());
+    if (read.ok()) {
+      EXPECT_EQ(*evidence.value, verified);
+    }
+  }
+  for (size_t limit : {0, 5}) {
+    SCOPED_TRACE(limit);
+    ASSERT_TRUE(kv->VerifiedScan("vk-", "vk-~", limit, &rows).ok());
+    ASSERT_TRUE(kv->ScanProof("vk-", "vk-~", limit, &scan_evidence).ok());
+    EXPECT_TRUE(verify_scan("vk-", "vk-~", limit, scan_evidence).ok());
+    EXPECT_TRUE(scan_evidence.rows == rows);
+  }
+
   // The digest tracks committed state.
   std::string digest_before, digest_after;
   ASSERT_TRUE(kv->Digest(&digest_before).ok());
@@ -311,7 +342,8 @@ void RunVerifiedKvBattery(VerifiedKv* kv) {
 
 TEST(VerifiedKvInterfaceTest, EmbeddedDbPassesTheBattery) {
   SpitzDb db;
-  RunVerifiedKvBattery(&db);
+  RunVerifiedKvBattery(&db, &SpitzDb::VerifyGetEvidence,
+                       &SpitzDb::VerifyScanEvidence);
 }
 
 TEST(VerifiedKvInterfaceTest, ServedNodePassesTheBattery) {
@@ -319,7 +351,8 @@ TEST(VerifiedKvInterfaceTest, ServedNodePassesTheBattery) {
   ASSERT_TRUE(LocalFleet::Open(LocalFleet::Options(), &fleet).ok());
   std::unique_ptr<SpitzClient> client;
   ASSERT_TRUE(SpitzClient::Open(fleet->ClientOptions(0), &client).ok());
-  RunVerifiedKvBattery(client.get());
+  RunVerifiedKvBattery(client.get(), &SpitzDb::VerifyGetEvidence,
+                       &SpitzDb::VerifyScanEvidence);
 }
 
 TEST(VerifiedKvInterfaceTest, ShardedClusterPassesTheBattery) {
@@ -329,7 +362,8 @@ TEST(VerifiedKvInterfaceTest, ShardedClusterPassesTheBattery) {
   ASSERT_TRUE(LocalFleet::Open(options, &fleet).ok());
   std::unique_ptr<ClusterClient> client;
   ASSERT_TRUE(ClusterClient::Open(fleet->ClusterOptions(), &client).ok());
-  RunVerifiedKvBattery(client.get());
+  RunVerifiedKvBattery(client.get(), &ClusterClient::VerifyGetEvidence,
+                       &ClusterClient::VerifyScanEvidence);
 }
 
 }  // namespace
