@@ -36,7 +36,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -49,6 +48,7 @@
 #include "common/clock.h"
 #include "common/metrics.h"
 #include "common/random.h"
+#include "spitzbench/workload_keys.h"
 
 namespace spitz {
 namespace {
@@ -69,54 +69,9 @@ constexpr uint64_t kVerifyEvery = 10;
 
 // --- Key choosers -----------------------------------------------------------
 
-// The YCSB zipfian generator (Gray et al.'s rejection-free form):
-// draws ranks in [0, items) with P(rank) proportional to 1/(rank+1)^theta.
-class ZipfianChooser {
- public:
-  explicit ZipfianChooser(uint64_t items, double theta = 0.99)
-      : items_(items), theta_(theta) {
-    zetan_ = Zeta(items_);
-    const double zeta2 = Zeta(2);
-    alpha_ = 1.0 / (1.0 - theta_);
-    eta_ = (1.0 - std::pow(2.0 / static_cast<double>(items_), 1.0 - theta_)) /
-           (1.0 - zeta2 / zetan_);
-  }
-
-  uint64_t Next(Random* rng) const {
-    const double u = rng->NextDouble();
-    const double uz = u * zetan_;
-    if (uz < 1.0) return 0;
-    if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
-    uint64_t rank = static_cast<uint64_t>(
-        static_cast<double>(items_) *
-        std::pow(eta_ * u - eta_ + 1.0, alpha_));
-    return rank < items_ ? rank : items_ - 1;
-  }
-
- private:
-  double Zeta(uint64_t n) const {
-    double sum = 0;
-    for (uint64_t i = 1; i <= n; i++) {
-      sum += 1.0 / std::pow(static_cast<double>(i), theta_);
-    }
-    return sum;
-  }
-
-  uint64_t items_;
-  double theta_;
-  double zetan_;
-  double alpha_;
-  double eta_;
-};
-
-// SplitMix64 finalizer: scatters zipfian ranks across the key space so
-// the hot set is not one dense prefix (and, on the cluster, not one
-// shard).
-uint64_t Scramble(uint64_t x) {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
+// The zipfian generator, scramble and key format are the repository
+// benchmark's, so a key index names the same record in both.
+using bench::RecordKey;
 
 struct KeyChooser {
   enum class Kind { kZipfian, kUniform };
@@ -127,7 +82,7 @@ struct KeyChooser {
   // A key index in [0, items), hot-key skewed under zipfian.
   uint64_t Next(Random* rng) const {
     if (kind == Kind::kUniform) return rng->Uniform(items);
-    return Scramble(zipf.Next(rng)) % items;
+    return bench::Scramble(zipf.Next(rng)) % items;
   }
 
   // Mix D's "latest" choice: rank 0 is the newest inserted key.
@@ -144,14 +99,8 @@ struct KeyChooser {
 
   Kind kind;
   uint64_t items;
-  ZipfianChooser zipf;
+  bench::ZipfianChooser zipf;
 };
-
-std::string RecordKey(uint64_t index) {
-  char buf[32];
-  snprintf(buf, sizeof(buf), "user%012" PRIu64, index);
-  return std::string(buf);
-}
 
 // --- Mixes ------------------------------------------------------------------
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 suite in Release (plus examples, metrics, recovery,
 # network, write-path, cluster, replication, auditor-chaos and
-# repository-benchmark smoke runs), the concurrency + network + cluster
-# + replica tests under ThreadSanitizer, and the proof-codec + database
-# + network + cluster + replica tests under ASan+UBSan (untrusted wire
+# repository-benchmark smoke runs), the concurrency + 2PC participant +
+# network + cluster + replica tests under ThreadSanitizer, and the
+# proof-codec + database + 2PC participant + network + cluster + replica
+# tests under ASan+UBSan (untrusted wire
 # bytes are decoded there, so memory errors and UB are the failure modes
 # that matter).
 # All legs must be green for a change to land.
@@ -123,17 +124,17 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
 # TSAN_OPTIONS makes any reported race fail the run (exit code).
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
   ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
-        -R 'Concurrency|DeferredVerifier|SpitzDb|Metrics|Recovery|Net|Cluster|Replica'
+        -R 'Concurrency|DeferredVerifier|TxnParticipant|SpitzDb|Metrics|Recovery|Net|Cluster|Replica'
 
 echo "==> tier-2: ASan+UBSan proof-codec and database suite"
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DSPITZ_SANITIZE=address,undefined
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
       --target siri_proof_test siri_backend_test spitz_db_test recovery_test \
-               net_test concurrency_test cluster_test replica_test
+               net_test concurrency_test cluster_test replica_test txn_test
 ASAN_OPTIONS="halt_on_error=1 exitcode=66" \
 UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \
   ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-        -R 'Siri|SpitzDb|SpitzOptions|Recovery|Net|Concurrency|Cluster|Replica'
+        -R 'Siri|SpitzDb|SpitzOptions|TxnParticipant|Recovery|Net|Concurrency|Cluster|Replica'
 
 echo "==> all checks passed"

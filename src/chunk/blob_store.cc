@@ -31,11 +31,10 @@ Status BlobStore::Get(const Hash256& id, std::string* out) const {
   if (!s.ok()) return s;
   out->clear();
   for (uint64_t i = 0; i < count; i++) {
-    if (input.size() < Hash256::kSize) {
+    Hash256 seg_id;
+    if (!GetHash256(&input, &seg_id)) {
       return Status::Corruption("truncated blob meta");
     }
-    Hash256 seg_id = Hash256::FromBytes(Slice(input.data(), Hash256::kSize));
-    input.remove_prefix(Hash256::kSize);
     uint64_t len = 0;
     s = GetVarint64(&input, &len);
     if (!s.ok()) return s;

@@ -103,11 +103,9 @@ Status ClusterDigest::DecodeFrom(Slice* input, ClusterDigest* out) {
     out->shards.push_back(shard);
     out->backups.push_back(backup);
   }
-  if (input->size() < Hash256::kSize) {
+  if (!GetHash256(input, &out->root)) {
     return Status::Corruption("cluster digest truncated before root");
   }
-  out->root = Hash256::FromBytes(Slice(input->data(), Hash256::kSize));
-  input->remove_prefix(Hash256::kSize);
   if (out->root != ComputeRoot(out->shards, out->backups)) {
     return Status::VerificationFailed(
         "cluster digest root does not commit its replica pairs");

@@ -269,17 +269,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return snap;
 }
 
-void MetricsRegistry::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  external_counters_.clear();
-  external_histograms_.clear();
-  counter_fns_.clear();
-  gauge_fns_.clear();
-}
-
 MetricsRegistry* MetricsRegistry::Global() {
   static MetricsRegistry* global = new MetricsRegistry();
   return global;

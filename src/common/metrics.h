@@ -215,8 +215,8 @@ struct MetricsSnapshot {
 //
 // Thread safety: all methods are thread-safe. Instrument creation and
 // registration take a mutex and are meant for setup time; the returned
-// pointers are stable for the registry's lifetime (Clear() invalidates
-// them) and operating on them is lock-free.
+// pointers are stable for the registry's lifetime and operating on them
+// is lock-free.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -239,11 +239,6 @@ class MetricsRegistry {
   void RegisterGaugeFn(const std::string& name, std::function<uint64_t()> fn);
 
   MetricsSnapshot Snapshot() const;
-
-  // Drops every instrument and registration. Pointers handed out before
-  // the call are invalid after it. Used when a registry's components are
-  // rebound (e.g. SpitzDb::Open replacing the chunk store).
-  void Clear();
 
   // The process-wide default registry: home of metrics with no owning
   // instance, such as the client-side static verification helpers.

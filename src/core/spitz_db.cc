@@ -5,17 +5,19 @@
 #include "chunk/file_chunk_store.h"
 #include "common/clock.h"
 #include "common/codec.h"
-#include "common/crc32c.h"
+#include "common/record_frame.h"
 
 namespace spitz {
 
 namespace {
 
+// The paged store under options.data_dir; the in-memory store without a
+// data_dir or when *status already failed (a rejected configuration
+// creates no files).
 std::unique_ptr<ChunkStore> MakeChunkStore(const SpitzOptions& options,
                                            Env* env, BufferCache* cache,
                                            Status* status) {
-  *status = Status::OK();
-  if (options.data_dir.empty()) {
+  if (!status->ok() || options.data_dir.empty()) {
     return std::make_unique<ChunkStore>();
   }
   // A data directory that cannot be created must fail Open() here, with
@@ -33,13 +35,6 @@ std::unique_ptr<ChunkStore> MakeChunkStore(const SpitzOptions& options,
   return file_store;
 }
 
-SiriIndexOptions MakeSiriOptions(const SpitzOptions& options) {
-  SiriIndexOptions siri;
-  siri.pos = options.index_options;
-  siri.mbt_bucket_count = options.mbt_bucket_count;
-  return siri;
-}
-
 // Bounds on one commit group. The leader drains the queue up to these
 // caps so a burst of writers cannot stretch one group (and thus the
 // tail latency of its first member) without bound; writers past the cap
@@ -53,50 +48,6 @@ constexpr size_t kMaxGroupBytes = 4 << 20;
 // (FlushJournal) before finishing — bounding user-space memory for
 // workloads that never ask for a barrier.
 constexpr size_t kJournalBackpressureBytes = 4 << 20;
-
-// txn.log record types (2PC participant; see PrepareTxn in the header).
-constexpr uint8_t kTxnRecordPrepare = 1;
-constexpr uint8_t kTxnRecordCommit = 2;
-constexpr uint8_t kTxnRecordAbort = 3;
-
-// journal.log and txn.log share one record frame:
-// lp(payload) ‖ masked crc32c(payload).
-void AppendRecordFrame(const Slice& payload, std::string* out) {
-  PutLengthPrefixedSlice(out, payload);
-  PutFixed32(out, crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
-}
-
-// A frame that never finished (a crash mid-append) is torn; a complete
-// frame whose CRC does not match is corrupt (bad bytes, not a crash).
-enum class FrameRead { kComplete, kTorn, kCorrupt };
-
-// Reads one frame off non-empty *input, consuming it only if complete.
-FrameRead ReadRecordFrame(Slice* input, Slice* payload) {
-  Slice rest = *input;
-  if (!GetLengthPrefixedSlice(&rest, payload).ok() ||
-      rest.size() < sizeof(uint32_t)) {
-    return FrameRead::kTorn;
-  }
-  if (crc32c::Unmask(DecodeFixed32(rest.data())) !=
-      crc32c::Value(payload->data(), payload->size())) {
-    return FrameRead::kCorrupt;
-  }
-  rest.remove_prefix(sizeof(uint32_t));
-  *input = rest;
-  return FrameRead::kComplete;
-}
-
-// One txn.log record: payload = [type:1][txn_id:8]([batch]).
-std::string EncodeTxnRecord(uint8_t type, uint64_t txn_id,
-                            const WriteBatch* batch) {
-  std::string payload;
-  payload.push_back(static_cast<char>(type));
-  PutFixed64(&payload, txn_id);
-  if (batch != nullptr) payload.append(batch->Encode());
-  std::string record;
-  AppendRecordFrame(payload, &record);
-  return record;
-}
 
 }  // namespace
 
@@ -123,17 +74,26 @@ Status SpitzOptions::Validate() const {
 }
 
 SpitzDb::SpitzDb(SpitzOptions options)
-    : options_(options),
-      init_status_(options.Validate()),
+    : SpitzDb(std::move(options), /*durable=*/false) {
+  StartGcThread();
+}
+
+SpitzDb::SpitzDb(SpitzOptions options, bool durable)
+    : options_(std::move(options)),
+      init_status_(options_.Validate()),
       buffer_cache_(std::make_unique<BufferCache>(
-          options.buffer_cache_bytes > 0 ? options.buffer_cache_bytes
-                                         : BufferCache::kDefaultCapacityBytes)),
-      chunks_(std::make_unique<ChunkStore>()),
+          options_.buffer_cache_bytes > 0
+              ? options_.buffer_cache_bytes
+              : BufferCache::kDefaultCapacityBytes)),
       auditor_(std::make_unique<DeferredVerifier>(DeferredVerifier::Options(
-          options.audit_batch_size, options.audit_workers))) {
+          options_.audit_batch_size, options_.audit_workers))) {
   // Durable databases must go through Open() so recovery errors are
   // reported; the plain constructor is the in-memory path.
-  options_.data_dir.clear();
+  if (durable) {
+    env_ = options_.env != nullptr ? options_.env : Env::Default();
+  } else {
+    options_.data_dir.clear();
+  }
   // Clamp rejected values so nothing downstream divides by zero even if
   // the caller ignores the statuses carrying init_status_.
   if (options_.block_size == 0) options_.block_size = 64;
@@ -142,17 +102,27 @@ SpitzDb::SpitzDb(SpitzOptions options)
     options_.buffer_cache_bytes = BufferCache::kDefaultCapacityBytes;
   }
   if (options_.retain_versions == 0) options_.retain_versions = 1;
-  index_ = MakeSiriIndex(options_.index_backend, chunks_.get(),
-                         MakeSiriOptions(options_));
+  chunks_ = MakeChunkStore(options_, env_, buffer_cache_.get(), &init_status_);
+  SiriIndexOptions siri;
+  siri.pos = options_.index_options;
+  siri.mbt_bucket_count = options_.mbt_bucket_count;
+  index_ = MakeSiriIndex(options_.index_backend, chunks_.get(), siri);
   index_->SetNodeCache(buffer_cache_.get());
+  // A commit decision applies through the ordinary group-commit
+  // pipeline, durably, exempt from its own prepared-key locks.
+  participant_ = std::make_unique<TxnParticipant>(
+      env_, options_.data_dir,
+      [this](uint64_t txn_id, const WriteBatch& batch) {
+        WriteOptions sync;
+        sync.sync = true;
+        return WriteInternal(sync, batch, txn_id);
+      },
+      init_status_);
   WireMetrics();
   PublishSnapshotLocked(/*journal_changed=*/true);
-  StartGcThread();
 }
 
 void SpitzDb::WireMetrics() {
-  registry_.Clear();
-  metrics_ = DbMetrics{};
   if (!options_.enable_metrics) return;
   metrics_.write_ns = registry_.histogram("core.db.write_latency_ns");
   metrics_.read_ns = registry_.histogram("core.db.read_latency_ns");
@@ -173,12 +143,7 @@ void SpitzDb::WireMetrics() {
   registry_.RegisterCounter("core.db.journal.truncated_bytes",
                             &journal_truncated_bytes_);
   registry_.RegisterCounter("core.db.journal.fsyncs", &journal_fsyncs_);
-  registry_.RegisterCounter("core.db.txn.prepares", &txn_prepares_);
-  registry_.RegisterCounter("core.db.txn.commits", &txn_commits_);
-  registry_.RegisterCounter("core.db.txn.aborts", &txn_aborts_);
-  registry_.RegisterCounter("core.db.txn.prepare_conflicts", &txn_conflicts_);
-  registry_.RegisterGaugeFn("core.db.txn.in_doubt",
-                            [this] { return txn_in_doubt_.value(); });
+  participant_->ExportMetrics(&registry_);
   registry_.RegisterCounter("gc.runs", &gc_runs_);
   registry_.RegisterCounter("gc.failures", &gc_failures_);
   registry_.RegisterCounter("gc.dead_chunks", &gc_dead_chunks_);
@@ -216,30 +181,10 @@ Status SpitzDb::Open(SpitzOptions options, std::unique_ptr<SpitzDb>* db) {
   if (options.data_dir.empty()) {
     return Status::InvalidArgument("Open() requires options.data_dir");
   }
-  Status s = options.Validate();
-  if (!s.ok()) return s;
-  auto instance = std::unique_ptr<SpitzDb>(new SpitzDb());
-  instance->options_ = options;
-  instance->env_ = options.env != nullptr ? options.env : Env::Default();
-  // Rebuild the unified cache at the configured budget, then bind the
-  // durable store and the index to it (the default-constructed members
-  // pointed at the throwaway in-memory components; recreating the cache
-  // also guarantees no entry aliases ids from the old store).
-  instance->buffer_cache_ =
-      std::make_unique<BufferCache>(options.buffer_cache_bytes);
-  instance->chunks_ =
-      MakeChunkStore(options, instance->env_, instance->buffer_cache_.get(),
-                     &s);
-  if (!s.ok()) return s;
-  instance->index_ = MakeSiriIndex(options.index_backend,
-                                   instance->chunks_.get(),
-                                   MakeSiriOptions(options));
-  instance->index_->SetNodeCache(instance->buffer_cache_.get());
-  // The constructor wired metrics against the throwaway in-memory
-  // components; re-wire against the durable ones (Clear() inside drops
-  // the now-dangling registrations).
-  instance->WireMetrics();
-  s = instance->Recover();
+  auto instance = std::unique_ptr<SpitzDb>(
+      new SpitzDb(std::move(options), /*durable=*/true));
+  Status s = instance->init_status_;
+  if (s.ok()) s = instance->Recover();
   if (!s.ok()) return s;
   instance->PublishSnapshotLocked(/*journal_changed=*/true);
   instance->StartGcThread();
@@ -253,37 +198,29 @@ Status SpitzDb::Recover() {
   Status read_status = env_->ReadFileToString(journal_path, &contents);
   if (!read_status.ok() && !read_status.IsNotFound()) return read_status;
   if (read_status.ok()) {
-    Slice input(contents);
-    while (!input.empty()) {
-      Slice record;
-      FrameRead read = ReadRecordFrame(&input, &record);
-      if (read == FrameRead::kTorn) break;  // stop at last complete record
-      if (read == FrameRead::kCorrupt) {
-        // Restoring it would rebuild the ledger over a block whose
-        // hashes no longer match its content.
-        return Status::Corruption(
-            "journal record CRC mismatch at offset " +
-            std::to_string(contents.size() - input.size()) + " in " +
-            journal_path);
-      }
-      Status s = ledger_.Restore(record);
+    // A corrupt record fails recovery: restoring it would rebuild the
+    // ledger over a block whose hashes no longer match its content.
+    std::vector<Slice> records;
+    uint64_t consumed = 0;
+    Status s = ReadRecordFrames(contents, journal_path, &records, &consumed);
+    if (!s.ok()) return s;
+    for (const Slice& record : records) {
+      s = ledger_.Restore(record);
       if (!s.ok()) return s;
       IndexBlockHistoryLocked(ledger_.block_count() - 1);
     }
-    // End offset of the last intact record.
-    const uint64_t consumed = contents.size() - input.size();
     // Discard the torn tail before reopening for append; otherwise
     // every block persisted from now on would sit behind unparseable
     // garbage, unreachable by all future recoveries.
     if (consumed < contents.size()) {
-      Status t = env_->Truncate(journal_path, consumed);
-      if (!t.ok()) return t;
+      s = env_->Truncate(journal_path, consumed);
+      if (!s.ok()) return s;
       journal_truncated_bytes_.Increment(contents.size() - consumed);
     }
     // The current version is the index root recorded in the last block.
     if (ledger_.block_count() > 0) {
       Block last;
-      Status s = ledger_.GetBlock(ledger_.block_count() - 1, &last);
+      s = ledger_.GetBlock(ledger_.block_count() - 1, &last);
       if (!s.ok()) return s;
       root_ = last.index_root();
       // Sanity: the recovered root must resolve in the chunk store.
@@ -314,7 +251,7 @@ Status SpitzDb::Recover() {
   journal_log_->SetManualFlush(true);
   // Replay the 2PC participant log: prepares without a decision marker
   // become the in-doubt set, their key locks re-taken.
-  return RecoverTxnLog();
+  return participant_->Recover();
 }
 
 SpitzDb::~SpitzDb() {
@@ -328,7 +265,6 @@ SpitzDb::~SpitzDb() {
   }
   auditor_->Flush();
   if (journal_log_ != nullptr) journal_log_->Close();
-  if (txn_log_ != nullptr) txn_log_->Close();
 }
 
 void SpitzDb::StartGcThread() {
@@ -571,19 +507,11 @@ Status SpitzDb::CommitGroup(const std::vector<CommitRequest*>& group,
     std::lock_guard<std::mutex> lock(mu_);
     for (CommitRequest* r : group) {
       // Prepared-key locks: a batch touching a key some in-doubt 2PC
-      // transaction prepared must wait for the coordinator's decision
-      // (Busy), or the decided outcome could be clobbered between vote
-      // and commit. The atomic fast path keeps the common nothing-
-      // prepared case free of the extra lock.
-      if (prepared_count_.load(std::memory_order_acquire) != 0 ||
-          r->bypass_txn != 0) {
-        std::lock_guard<std::mutex> txn_lock(txn_mu_);
-        r->status = CheckPreparedConflictsLocked(*r->batch, r->bypass_txn);
-        if (!r->status.ok()) {
-          txn_conflicts_.Increment();
-          continue;
-        }
-      }
+      // transaction prepared fails Busy until the coordinator decides,
+      // or the decided outcome could be clobbered between vote and
+      // commit.
+      r->status = participant_->CheckConflicts(*r->batch, r->bypass_txn);
+      if (!r->status.ok()) continue;
       r->status = ApplyBatchLocked(*r->batch);
       // Seal inside the per-batch loop, exactly where the serial path
       // would: block boundaries (and each block's recorded index root)
@@ -805,380 +733,6 @@ Status SpitzDb::BulkLoad(std::vector<PosEntry> entries) {
   // hand them to the kernel now instead of waiting for backpressure.
   if (io.ok() && journal_log_ != nullptr) FlushJournal();
   return io;
-}
-
-// --- 2PC participant --------------------------------------------------------
-
-Status SpitzDb::PrepareTxn(uint64_t txn_id, const WriteBatch& batch) {
-  if (!init_status_.ok()) return init_status_;
-  if (txn_id == 0) {
-    return Status::InvalidArgument("txn_id must be nonzero");
-  }
-  if (batch.empty()) {
-    return Status::InvalidArgument("cannot prepare an empty batch");
-  }
-  std::lock_guard<std::mutex> lock(txn_mu_);
-  // Idempotent re-prepare: a coordinator retrying a lost vote gets the
-  // same yes it got the first time — but only for the same batch. A
-  // different batch under a known id is a coordinator id collision, and
-  // a yes here would vote for bytes that were never staged.
-  auto existing = prepared_.find(txn_id);
-  if (existing != prepared_.end()) {
-    if (existing->second.batch.Encode() == batch.Encode()) {
-      return Status::OK();
-    }
-    return Status::InvalidArgument(
-        "txn " + std::to_string(txn_id) +
-        " re-prepared with a different batch (coordinator id collision?)");
-  }
-  // Same hazard for an id this shard already resolved: re-staging it
-  // would let one coordinator's commit retry apply another's batch.
-  if (resolved_.count(txn_id) != 0) {
-    return Status::InvalidArgument("txn " + std::to_string(txn_id) +
-                                   " was already resolved on this shard");
-  }
-  Status s = CheckPreparedConflictsLocked(batch, txn_id);
-  if (!s.ok()) {
-    txn_conflicts_.Increment();
-    return s;
-  }
-  // The vote is durable before it is cast: a participant that said yes
-  // must still know it after a crash (RecoverTxnLog re-stages it).
-  s = AppendTxnRecord(kTxnRecordPrepare, txn_id, &batch);
-  if (!s.ok()) return s;
-  PreparedTxn prepared;
-  prepared.batch = batch;
-  prepared.since_ms = MonotonicNanos() / 1000000;
-  for (const WriteBatch::Op& op : batch.ops()) {
-    prepared_keys_[op.key] = txn_id;
-  }
-  prepared_.emplace(txn_id, std::move(prepared));
-  prepared_count_.store(prepared_.size(), std::memory_order_release);
-  txn_prepares_.Increment();
-  txn_in_doubt_.Set(prepared_.size());
-  return Status::OK();
-}
-
-Status SpitzDb::CommitTxn(uint64_t txn_id) {
-  if (!init_status_.ok()) return init_status_;
-  WriteBatch batch;
-  {
-    std::lock_guard<std::mutex> lock(txn_mu_);
-    auto it = prepared_.find(txn_id);
-    if (it == prepared_.end()) {
-      auto resolved = resolved_.find(txn_id);
-      if (resolved != resolved_.end()) {
-        // The tombstone knows the true outcome: a retried commit of a
-        // committed txn is idempotent OK; a commit of a txn this shard
-        // resolved by abort (sweeper, takeover coordinator) is a broken
-        // decision the coordinator must hear about.
-        if (resolved->second) return Status::OK();
-        return Status::Aborted("txn " + std::to_string(txn_id) +
-                               " was resolved by abort on this shard");
-      }
-      return Status::NotFound("transaction not prepared on this shard");
-    }
-    // Pin the txn for the apply window below: once the commit decision
-    // is being acted on, no abort path may resolve it.
-    it->second.committing = true;
-    batch = it->second.batch;
-  }
-  // Apply through the ordinary group-commit pipeline, bypassing the key
-  // locks this transaction's own prepare took. sync=true: the data must
-  // be durable before the decision marker says it is.
-  WriteOptions options;
-  options.sync = true;
-  Status s = WriteInternal(options, batch, txn_id);
-  std::lock_guard<std::mutex> lock(txn_mu_);
-  auto it = prepared_.find(txn_id);
-  if (!s.ok()) {
-    // The apply failed; unpin so the sweeper / an abort can still
-    // resolve the txn.
-    if (it != prepared_.end()) it->second.committing = false;
-    return s;
-  }
-  if (it == prepared_.end()) {
-    // A concurrent CommitTxn for the same id finished first (aborts
-    // cannot race here — the committing pin blocks them) and left a
-    // committed tombstone.
-    return Status::OK();
-  }
-  // A crash between the apply above and this marker leaves the txn in
-  // doubt; the coordinator re-sends CommitTxn after recovery and the
-  // batch re-applies — state-convergent (puts re-set the same values,
-  // deletes stay deleted) at the cost of duplicate ledger entries for
-  // the retried batch.
-  s = AppendTxnRecord(kTxnRecordCommit, txn_id, nullptr);
-  if (!s.ok()) {
-    // Keep the committing pin: the batch is already applied, so letting
-    // an abort resolve the txn now would durably record the wrong
-    // outcome. A retried CommitTxn re-applies and retries the marker.
-    return s;
-  }
-  ResolveTxnLocked(it, /*committed=*/true);
-  return Status::OK();
-}
-
-Status SpitzDb::AbortTxn(uint64_t txn_id) {
-  if (!init_status_.ok()) return init_status_;
-  std::lock_guard<std::mutex> lock(txn_mu_);
-  auto it = prepared_.find(txn_id);
-  if (it == prepared_.end()) {
-    auto resolved = resolved_.find(txn_id);
-    if (resolved != resolved_.end() && resolved->second) {
-      return Status::InvalidArgument(
-          "cannot abort txn " + std::to_string(txn_id) +
-          ": already committed on this shard");
-    }
-    // Unknown or already aborted — benign under presumed abort.
-    return Status::NotFound("transaction not prepared on this shard");
-  }
-  if (it->second.committing) {
-    // The commit decision is being applied right now; resolving by
-    // abort would drop writes under a durable abort marker.
-    return Status::Busy("txn " + std::to_string(txn_id) + " is committing");
-  }
-  Status s = AppendTxnRecord(kTxnRecordAbort, txn_id, nullptr);
-  if (!s.ok()) return s;
-  ResolveTxnLocked(it, /*committed=*/false);
-  return Status::OK();
-}
-
-Status SpitzDb::InDoubtTxns(std::vector<uint64_t>* out) const {
-  out->clear();
-  std::lock_guard<std::mutex> lock(txn_mu_);
-  for (const auto& [txn_id, prepared] : prepared_) {
-    // A committing txn is not in doubt — its decision is in flight, and
-    // listing it would invite a racing presumed-abort.
-    if (prepared.committing) continue;
-    out->push_back(txn_id);
-  }
-  return Status::OK();
-}
-
-Status SpitzDb::AbortTxnsOlderThan(uint64_t max_age_ms, size_t* aborted) {
-  if (aborted != nullptr) *aborted = 0;
-  if (!init_status_.ok()) return init_status_;
-  const uint64_t now_ms = MonotonicNanos() / 1000000;
-  std::lock_guard<std::mutex> lock(txn_mu_);
-  std::vector<uint64_t> victims;
-  for (const auto& [txn_id, prepared] : prepared_) {
-    if (prepared.committing) continue;  // decision in flight: not ours
-    // since_ms is monotonic, but guard the unsigned subtraction anyway:
-    // an underflow here would sweep every prepared txn at once.
-    if (now_ms >= prepared.since_ms &&
-        now_ms - prepared.since_ms >= max_age_ms) {
-      victims.push_back(txn_id);
-    }
-  }
-  for (uint64_t txn_id : victims) {
-    Status s = AppendTxnRecord(kTxnRecordAbort, txn_id, nullptr);
-    if (!s.ok()) return s;
-    ResolveTxnLocked(prepared_.find(txn_id), /*committed=*/false);
-    if (aborted != nullptr) (*aborted)++;
-  }
-  return Status::OK();
-}
-
-void SpitzDb::ResolveTxnLocked(std::map<uint64_t, PreparedTxn>::iterator it,
-                               bool committed) {
-  const uint64_t txn_id = it->first;
-  for (const WriteBatch::Op& op : it->second.batch.ops()) {
-    auto locked = prepared_keys_.find(op.key);
-    if (locked != prepared_keys_.end() && locked->second == txn_id) {
-      prepared_keys_.erase(locked);
-    }
-  }
-  prepared_.erase(it);
-  RecordResolvedLocked(txn_id, committed);
-  (committed ? txn_commits_ : txn_aborts_).Increment();
-  prepared_count_.store(prepared_.size(), std::memory_order_release);
-  txn_in_doubt_.Set(prepared_.size());
-}
-
-void SpitzDb::RecordResolvedLocked(uint64_t txn_id, bool committed) {
-  // Bounded FIFO: enough history that any plausible retry window is
-  // covered, without letting a long-lived shard accumulate a tombstone
-  // per transaction it ever saw.
-  static constexpr size_t kMaxResolvedTxns = 4096;
-  auto [it, inserted] = resolved_.emplace(txn_id, committed);
-  if (!inserted) {
-    it->second = committed;
-    return;
-  }
-  resolved_order_.push_back(txn_id);
-  while (resolved_order_.size() > kMaxResolvedTxns) {
-    resolved_.erase(resolved_order_.front());
-    resolved_order_.pop_front();
-  }
-}
-
-Status SpitzDb::CheckPreparedConflictsLocked(const WriteBatch& batch,
-                                             uint64_t bypass_txn) const {
-  for (const WriteBatch::Op& op : batch.ops()) {
-    auto it = prepared_keys_.find(op.key);
-    if (it != prepared_keys_.end() && it->second != bypass_txn) {
-      return Status::Busy("key locked by prepared transaction " +
-                          std::to_string(it->second));
-    }
-  }
-  return Status::OK();
-}
-
-Status SpitzDb::AppendTxnRecord(uint8_t type, uint64_t txn_id,
-                                const WriteBatch* batch) {
-  // In-memory databases have no txn log; prepares then live only in
-  // memory, which loses nothing (there is no recovery either).
-  if (txn_log_ == nullptr) return Status::OK();
-  Status s = txn_log_->Append(EncodeTxnRecord(type, txn_id, batch));
-  if (s.ok()) s = txn_log_->Sync();
-  if (!s.ok()) {
-    return Status::IOError("txn log append failed: " + s.message());
-  }
-  return Status::OK();
-}
-
-Status SpitzDb::RecoverTxnLog() {
-  const std::string path = options_.data_dir + "/txn.log";
-  // A stale compaction temp file is a crash artifact: either the rename
-  // never happened (txn.log is still the complete old log) or it
-  // happened and this is a leftover name. Either way it is dead bytes.
-  const std::string tmp_path = path + ".tmp";
-  if (env_->FileExists(tmp_path)) {
-    Status s = env_->DeleteFile(tmp_path);
-    if (!s.ok() && !s.IsNotFound()) return s;
-  }
-  std::string contents;
-  Status read_status = env_->ReadFileToString(path, &contents);
-  if (!read_status.ok() && !read_status.IsNotFound()) return read_status;
-  std::lock_guard<std::mutex> lock(txn_mu_);
-  size_t records_replayed = 0;
-  bool tail_torn = false;
-  if (read_status.ok()) {
-    Slice input(contents);
-    while (!input.empty()) {
-      Slice payload;
-      FrameRead read = ReadRecordFrame(&input, &payload);
-      if (read == FrameRead::kTorn) {
-        // The record never finished; drop it. The log must then be
-        // compacted — appending after garbage would make every later
-        // record unreachable.
-        tail_torn = true;
-        break;
-      }
-      if (read == FrameRead::kCorrupt) {
-        return Status::Corruption(
-            "txn log record CRC mismatch at offset " +
-            std::to_string(contents.size() - input.size()) + " in " + path);
-      }
-      if (payload.size() < 1 + sizeof(uint64_t)) {
-        return Status::Corruption("short txn log record");
-      }
-      const uint8_t type = static_cast<uint8_t>(payload[0]);
-      const uint64_t txn_id = DecodeFixed64(payload.data() + 1);
-      Slice body(payload.data() + 1 + sizeof(uint64_t),
-                 payload.size() - 1 - sizeof(uint64_t));
-      switch (type) {
-        case kTxnRecordPrepare: {
-          WriteBatch batch;
-          Status s = WriteBatch::Decode(body, &batch);
-          if (!s.ok()) return s;
-          PreparedTxn prepared;
-          prepared.batch = std::move(batch);
-          // Recovered in-doubt txns age from restart, so the timeout
-          // sweep gives the coordinator a full window to resolve them.
-          prepared.since_ms = MonotonicNanos() / 1000000;
-          prepared_[txn_id] = std::move(prepared);
-          break;
-        }
-        case kTxnRecordCommit:
-        case kTxnRecordAbort:
-          // The decision survives as a tombstone: a coordinator retry
-          // after this restart must learn the true outcome, not
-          // NotFound.
-          prepared_.erase(txn_id);
-          RecordResolvedLocked(txn_id, type == kTxnRecordCommit);
-          break;
-        default:
-          return Status::Corruption("unknown txn log record type " +
-                                    std::to_string(type));
-      }
-      records_replayed++;
-    }
-  }
-  // The survivors are the in-doubt set: voted yes, never heard the
-  // outcome. Re-take their key locks until the coordinator resolves
-  // them (or the timeout sweep aborts them).
-  for (const auto& [txn_id, prepared] : prepared_) {
-    for (const WriteBatch::Op& op : prepared.batch.ops()) {
-      prepared_keys_[op.key] = txn_id;
-    }
-  }
-  prepared_count_.store(prepared_.size(), std::memory_order_release);
-  txn_in_doubt_.Set(prepared_.size());
-  // Compact only when the file differs from the surviving state (a
-  // decision superseded a prepare, a tombstone aged out, or the tail
-  // was torn); a log that is already canonical reopens for append
-  // untouched.
-  if (tail_torn ||
-      records_replayed != prepared_.size() + resolved_.size()) {
-    return CompactTxnLogLocked();
-  }
-  Status s = env_->NewWritableLog(path, &txn_log_);
-  if (!s.ok()) {
-    return Status::IOError("cannot open txn log: " + path + ": " +
-                           s.message());
-  }
-  return Status::OK();
-}
-
-Status SpitzDb::CompactTxnLogLocked() {
-  const std::string path = options_.data_dir + "/txn.log";
-  const std::string tmp_path = path + ".tmp";
-  if (txn_log_ != nullptr) {
-    txn_log_->Close();
-    txn_log_.reset();
-  }
-  // Never rewrite txn.log in place: a crash mid-rewrite would lose
-  // durably promised yes votes. Write the full compacted log to a temp
-  // file, harden it, then atomically swap it in — at every crash point
-  // either the old complete log or the new one is on disk.
-  if (env_->FileExists(tmp_path)) {
-    Status s = env_->DeleteFile(tmp_path);
-    if (!s.ok() && !s.IsNotFound()) return s;
-  }
-  std::unique_ptr<WritableLog> out;
-  Status s = env_->NewWritableLog(tmp_path, &out);
-  if (!s.ok()) {
-    return Status::IOError("cannot open txn log temp: " + tmp_path + ": " +
-                           s.message());
-  }
-  for (const auto& [txn_id, prepared] : prepared_) {
-    s = out->Append(EncodeTxnRecord(kTxnRecordPrepare, txn_id,
-                                    &prepared.batch));
-    if (!s.ok()) return s;
-  }
-  for (uint64_t txn_id : resolved_order_) {
-    auto it = resolved_.find(txn_id);
-    if (it == resolved_.end()) continue;
-    s = out->Append(EncodeTxnRecord(
-        it->second ? kTxnRecordCommit : kTxnRecordAbort, txn_id, nullptr));
-    if (!s.ok()) return s;
-  }
-  s = out->Sync();
-  if (s.ok()) s = out->Close();
-  if (!s.ok()) return s;
-  out.reset();
-  s = env_->Rename(tmp_path, path);
-  if (!s.ok()) return s;
-  s = env_->SyncDir(options_.data_dir);
-  if (!s.ok()) return s;
-  s = env_->NewWritableLog(path, &txn_log_);
-  if (!s.ok()) {
-    return Status::IOError("cannot open txn log: " + path + ": " +
-                           s.message());
-  }
-  return Status::OK();
 }
 
 Status SpitzDb::AuditLastBlock() {
@@ -1404,9 +958,6 @@ Status SpitzDb::Audit(const Slice& key) {
 Status SpitzDb::VerifyRead(const SpitzDigest& digest, const Slice& key,
                            const std::optional<std::string>& expected_value,
                            const ReadProof& proof) {
-  // Looked up per call (not cached) so a Clear() of the global registry
-  // can never leave a dangling pointer; the lookup is noise next to the
-  // hash re-computation below.
   ScopedTimer timer(
       MetricsRegistry::Global()->histogram("client.db.verify_read_latency_ns"));
   if (proof.index_root != digest.index_root) {
@@ -1454,12 +1005,8 @@ Status SpitzDb::VerifyScanEvidence(const Slice& start, const Slice& end,
 namespace {
 
 Status GetHashField(Slice* input, Hash256* out) {
-  if (input->size() < Hash256::kSize) {
-    return Status::Corruption("truncated hash field");
-  }
-  *out = Hash256::FromBytes(Slice(input->data(), Hash256::kSize));
-  input->remove_prefix(Hash256::kSize);
-  return Status::OK();
+  return GetHash256(input, out) ? Status::OK()
+                                : Status::Corruption("truncated hash field");
 }
 
 }  // namespace
@@ -1495,11 +1042,9 @@ void ReadProof::EncodeTo(std::string* out) const {
 }
 
 Status ReadProof::DecodeFrom(Slice* input, ReadProof* out) {
-  if (input->size() < Hash256::kSize) {
+  if (!GetHash256(input, &out->index_root)) {
     return Status::Corruption("truncated read proof");
   }
-  out->index_root = Hash256::FromBytes(Slice(input->data(), Hash256::kSize));
-  input->remove_prefix(Hash256::kSize);
   return SiriProof::DecodeFrom(input, &out->index_proof);
 }
 
@@ -1509,11 +1054,9 @@ void ScanProof::EncodeTo(std::string* out) const {
 }
 
 Status ScanProof::DecodeFrom(Slice* input, ScanProof* out) {
-  if (input->size() < Hash256::kSize) {
+  if (!GetHash256(input, &out->index_root)) {
     return Status::Corruption("truncated scan proof");
   }
-  out->index_root = Hash256::FromBytes(Slice(input->data(), Hash256::kSize));
-  input->remove_prefix(Hash256::kSize);
   return SiriRangeProof::DecodeFrom(input, &out->index_proof);
 }
 

@@ -1,7 +1,6 @@
 #ifndef SPITZ_CORE_SPITZ_DB_H_
 #define SPITZ_CORE_SPITZ_DB_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -25,6 +24,7 @@
 #include "index/siri.h"
 #include "ledger/journal.h"
 #include "txn/batch_verifier.h"
+#include "txn/participant.h"
 #include "txn/timestamp_oracle.h"
 #include "txn/write_batch.h"
 
@@ -192,42 +192,10 @@ class SpitzDb : public VerifiedKv {
   // Fails if the database is not empty.
   Status BulkLoad(std::vector<PosEntry> entries);
 
-  // --- Two-phase-commit participant (DESIGN.md section 13) ----------------
-  //
-  // The shard-side half of cross-shard transactions. PrepareTxn makes a
-  // coordinator-assigned transaction durable *without applying it*: the
-  // batch is CRC-framed into a dedicated txn.log (fsync'd before the
-  // vote returns — a participant that voted yes can always recover its
-  // promise), and every key it touches is locked against other writers
-  // until the coordinator resolves the outcome. CommitTxn applies the
-  // prepared batch through the ordinary group-commit pipeline (sync)
-  // and seals the decision with a durable commit marker; AbortTxn drops
-  // the prepared state with an abort marker.
-  //
-  // Resolved outcomes leave a durable tombstone (bounded history, kept
-  // across txn.log compaction), so a retried decision learns the truth
-  // instead of guessing: CommitTxn on a committed txn is idempotent OK,
-  // on an aborted txn it is Status::Aborted — the coordinator must
-  // surface that as a broken commit, never as success. NotFound means
-  // the txn was never prepared here (or its tombstone aged out of the
-  // bounded history), which a committing coordinator must also treat as
-  // failure. AbortTxn on an already-aborted or unknown txn is NotFound
-  // (benign under presumed abort); on a committed one, InvalidArgument.
-  //
-  // After a crash, Open() replays txn.log: prepares without a decision
-  // marker are re-staged as in-doubt (their key locks re-taken) and
-  // surface via InDoubtTxns() until the coordinator — or the timeout
-  // sweep AbortTxnsOlderThan — resolves them.
-
-  Status PrepareTxn(uint64_t txn_id, const WriteBatch& batch);
-  Status CommitTxn(uint64_t txn_id);
-  Status AbortTxn(uint64_t txn_id);
-  // Transaction ids prepared (or recovered) but not yet resolved.
-  Status InDoubtTxns(std::vector<uint64_t>* out) const;
-  // Presumed-abort safety valve: aborts every prepared transaction
-  // older than `max_age_ms` (coordinator died after prepare). Returns
-  // the number aborted via *aborted when non-null.
-  Status AbortTxnsOlderThan(uint64_t max_age_ms, size_t* aborted = nullptr);
+  // The 2PC participant (DESIGN.md section 13). Its txn.log lives in
+  // data_dir and Open() recovers it before returning; commits apply
+  // through the group-commit pipeline, durably.
+  TxnParticipant* participant() { return participant_.get(); }
 
   // --- Read path ------------------------------------------------------------
 
@@ -462,6 +430,10 @@ class SpitzDb : public VerifiedKv {
   Status SyncStorage();
 
  private:
+  // The one construction path of the in-memory constructor and Open():
+  // every component is built from `options`, on data_dir when durable.
+  SpitzDb(SpitzOptions options, bool durable);
+
   // The immutable read-path state published by every commit: readers
   // grab one shared_ptr and then traverse chunks that can never change
   // underneath them, so Get/GetWithProof/Scan/Digest never serialize
@@ -505,9 +477,9 @@ class SpitzDb : public VerifiedKv {
   struct CommitRequest {
     const WriteBatch* batch = nullptr;
     bool sync = false;
-    // Prepared-key lock bypass: CommitTxn applies the prepared batch
-    // through the ordinary pipeline, and must not conflict with the
-    // locks its own prepare took. 0 = ordinary write (no bypass).
+    // Prepared-key lock bypass: the participant applies a committing
+    // batch through the ordinary pipeline, and it must not conflict
+    // with the locks its own prepare took. 0 = ordinary write.
     uint64_t bypass_txn = 0;
     Status status;
     bool done = false;
@@ -581,33 +553,9 @@ class SpitzDb : public VerifiedKv {
   // Adds the sealed block's entries to the history index.
   void IndexBlockHistoryLocked(uint64_t height);
 
-  // Recovery of a durable database; called by Open().
+  // Recovery of a durable database (journal, then the participant's
+  // txn.log); called by Open().
   Status Recover();
-
-  // --- 2PC participant internals ------------------------------------------
-
-  // Appends one CRC-framed record to txn.log and fsyncs it (the vote /
-  // decision must survive a crash before it is acted on). payload =
-  // [type:1][txn_id:8]([batch] for prepares).
-  Status AppendTxnRecord(uint8_t type, uint64_t txn_id,
-                         const WriteBatch* batch);
-  // Replays txn.log (tolerating a torn tail, like the journal): the
-  // surviving prepares without a decision marker become the in-doubt
-  // set; decisions become outcome tombstones. Compacts the log when the
-  // replayed bytes differ from that surviving state.
-  Status RecoverTxnLog();
-  // Rewrites txn.log to exactly the live prepares plus the resolved
-  // tombstones, crash-safely: the new contents are written to a temp
-  // file, fsync'd, and renamed over txn.log (a crash leaves either the
-  // old complete log or the new one). Caller holds txn_mu_.
-  Status CompactTxnLogLocked();
-  // Records a resolved outcome in the bounded tombstone history. Caller
-  // holds txn_mu_.
-  void RecordResolvedLocked(uint64_t txn_id, bool committed);
-  // Busy if any key of `batch` is locked by a prepared transaction
-  // other than `bypass_txn`. Caller holds txn_mu_.
-  Status CheckPreparedConflictsLocked(const WriteBatch& batch,
-                                      uint64_t bypass_txn) const;
 
   // Post-seal work that must run outside mu_: aligns the chunk store's
   // segment boundary with the sealed block and wakes the background GC
@@ -642,10 +590,7 @@ class SpitzDb : public VerifiedKv {
     Histogram* group_size = nullptr;
   };
 
-  // (Re)binds every component's instruments into registry_. Called at
-  // construction and again by Open() after the chunk store, node cache
-  // and index are rebound to the durable store (the registry is cleared
-  // first so no registration dangles into the replaced components).
+  // Binds every component's instruments into registry_ (construction).
   void WireMetrics();
 
   SpitzOptions options_;
@@ -705,47 +650,9 @@ class SpitzDb : public VerifiedKv {
   bool sync_in_flight_ = false;
   uint64_t synced_seq_ = 0;
 
-  // --- 2PC participant state ----------------------------------------------
-
-  // txn_mu_ guards the prepared map, the key-lock table and txn.log
-  // appends. Leaf-ish lock: held while checking conflicts inside the
-  // apply path (under mu_), so the order is mu_ -> txn_mu_, never the
-  // reverse.
-  struct PreparedTxn {
-    WriteBatch batch;
-    // Steady-clock milliseconds at prepare (monotonic; recovery stamps
-    // "now" so recovered in-doubt txns age from restart).
-    uint64_t since_ms = 0;
-    // Set while CommitTxn applies the batch outside txn_mu_: an abort
-    // (explicit or sweeper) must not resolve the txn in that window, or
-    // the late apply would clobber post-abort writes under a durable
-    // abort marker.
-    bool committing = false;
-  };
-  // After its durable decision record: drops the txn at `it` and its key
-  // locks, records the tombstone, updates counters. Caller holds txn_mu_.
-  void ResolveTxnLocked(std::map<uint64_t, PreparedTxn>::iterator it,
-                        bool committed);
-  mutable std::mutex txn_mu_;
-  std::map<uint64_t, PreparedTxn> prepared_;
-  std::map<std::string, uint64_t> prepared_keys_;  // key -> owning txn
-  // Outcomes of resolved transactions (txn_id -> committed?): a bounded
-  // FIFO tombstone history, durable in txn.log (decision records are
-  // preserved across compaction) so a retried CommitTxn/AbortTxn after
-  // a crash still learns the true outcome instead of NotFound.
-  std::map<uint64_t, bool> resolved_;
-  std::deque<uint64_t> resolved_order_;
-  // Fast path: writers skip the conflict check entirely when nothing is
-  // prepared (the common case on a non-cluster deployment).
-  std::atomic<uint64_t> prepared_count_{0};
-  // Durable mode only: the prepare/decision log (nullptr in-memory —
-  // prepares then live only in memory, which is fine for tests).
-  std::unique_ptr<WritableLog> txn_log_;
-  Counter txn_prepares_;   // core.db.txn.prepares
-  Counter txn_commits_;    // core.db.txn.commits
-  Counter txn_aborts_;     // core.db.txn.aborts
-  Counter txn_conflicts_;  // core.db.txn.prepare_conflicts
-  Gauge txn_in_doubt_;     // core.db.txn.in_doubt
+  // Lock order mu_ -> participant (CommitGroup checks prepared-key locks
+  // under mu_); its apply callback is WriteInternal.
+  std::unique_ptr<TxnParticipant> participant_;
 
   // Replication seal listener (see SetSealListener). Leaf lock, taken
   // only outside mu_.

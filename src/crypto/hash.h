@@ -93,6 +93,16 @@ class Hash256 {
   std::array<uint8_t, kSize> bytes_;
 };
 
+// Decodes a raw 32-byte hash field off the front of *input and advances
+// past it. False (nothing consumed) when the input is too short; each
+// caller reports the truncation with its own status.
+inline bool GetHash256(Slice* input, Hash256* out) {
+  if (input->size() < Hash256::kSize) return false;
+  *out = Hash256::FromBytes(Slice(input->data(), Hash256::kSize));
+  input->remove_prefix(Hash256::kSize);
+  return true;
+}
+
 struct Hash256Hasher {
   size_t operator()(const Hash256& h) const {
     // The digest bytes are already uniformly distributed.

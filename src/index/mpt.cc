@@ -90,10 +90,9 @@ Status MerklePatriciaTrie::DecodeNode(const Slice& payload, Node* node) {
       if (input.size() < n) return Status::Corruption("truncated ext path");
       node->path.assign(input.data(), input.data() + n);
       input.remove_prefix(n);
-      if (input.size() < Hash256::kSize) {
+      if (!GetHash256(&input, &node->child)) {
         return Status::Corruption("truncated ext child");
       }
-      node->child = Hash256::FromBytes(Slice(input.data(), Hash256::kSize));
       return Status::OK();
     }
     case NodeKind::kBranch: {
@@ -102,12 +101,9 @@ Status MerklePatriciaTrie::DecodeNode(const Slice& payload, Node* node) {
       if (!s.ok()) return s;
       for (int i = 0; i < 16; i++) {
         if (mask & (1u << i)) {
-          if (input.size() < Hash256::kSize) {
+          if (!GetHash256(&input, &node->children[i])) {
             return Status::Corruption("truncated branch child");
           }
-          node->children[i] =
-              Hash256::FromBytes(Slice(input.data(), Hash256::kSize));
-          input.remove_prefix(Hash256::kSize);
         } else {
           node->children[i] = Hash256();
         }

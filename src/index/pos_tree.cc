@@ -107,11 +107,9 @@ Status PosTree::DecodeMeta(const Slice& payload, std::vector<ChildRef>* out) {
     s = GetLengthPrefixedSlice(&input, &key);
     if (!s.ok()) return s;
     c.last_key = key.ToString();
-    if (input.size() < Hash256::kSize) {
+    if (!GetHash256(&input, &c.id)) {
       return Status::Corruption("truncated meta node");
     }
-    c.id = Hash256::FromBytes(Slice(input.data(), Hash256::kSize));
-    input.remove_prefix(Hash256::kSize);
     s = GetVarint64(&input, &c.count);
     if (!s.ok()) return s;
     out->push_back(std::move(c));

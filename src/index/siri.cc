@@ -186,11 +186,10 @@ Status SiriRangeProof::DecodeFrom(Slice* input, SiriRangeProof* out) {
   Status s = GetVarint64(input, &n);
   if (!s.ok()) return s;
   for (uint64_t i = 0; i < n; i++) {
-    if (input->size() < Hash256::kSize + 1) {
+    Hash256 id;
+    if (!GetHash256(input, &id) || input->empty()) {
       return Status::Corruption("truncated range proof node");
     }
-    Hash256 id = Hash256::FromBytes(Slice(input->data(), Hash256::kSize));
-    input->remove_prefix(Hash256::kSize);
     uint8_t type = static_cast<uint8_t>((*input)[0]);
     input->remove_prefix(1);
     Slice payload;

@@ -21,11 +21,9 @@ Status LedgerEntry::DecodeFrom(Slice* input, LedgerEntry* entry) {
   Status s = GetLengthPrefixedSlice(input, &key);
   if (!s.ok()) return s;
   entry->key = key.ToString();
-  if (input->size() < Hash256::kSize) {
+  if (!GetHash256(input, &entry->value_hash)) {
     return Status::Corruption("truncated ledger entry hash");
   }
-  entry->value_hash = Hash256::FromBytes(Slice(input->data(), Hash256::kSize));
-  input->remove_prefix(Hash256::kSize);
   s = GetVarint64(input, &entry->txn_id);
   if (!s.ok()) return s;
   return GetVarint64(input, &entry->commit_ts);
@@ -83,13 +81,10 @@ Status Block::Decode(Slice input, Block* block) {
   if (!s.ok()) return s;
   s = GetVarint64(&input, &b.first_seq_);
   if (!s.ok()) return s;
-  if (input.size() < 2 * Hash256::kSize) {
+  if (!GetHash256(&input, &b.prev_hash_) ||
+      !GetHash256(&input, &b.index_root_)) {
     return Status::Corruption("truncated block header");
   }
-  b.prev_hash_ = Hash256::FromBytes(Slice(input.data(), Hash256::kSize));
-  input.remove_prefix(Hash256::kSize);
-  b.index_root_ = Hash256::FromBytes(Slice(input.data(), Hash256::kSize));
-  input.remove_prefix(Hash256::kSize);
   s = GetVarint64(&input, &b.timestamp_);
   if (!s.ok()) return s;
   uint64_t n = 0;

@@ -30,12 +30,9 @@ Status MerkleInclusionProof::Decode(Slice input,
   if (!s.ok()) return s;
   proof->path.clear();
   for (uint64_t i = 0; i < n; i++) {
-    if (input.size() < Hash256::kSize) {
+    if (!GetHash256(&input, &proof->path.emplace_back())) {
       return Status::Corruption("truncated inclusion proof");
     }
-    proof->path.push_back(
-        Hash256::FromBytes(Slice(input.data(), Hash256::kSize)));
-    input.remove_prefix(Hash256::kSize);
   }
   return Status::OK();
 }

@@ -1,5 +1,6 @@
 #include "net/spitz_server.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/codec.h"
@@ -7,34 +8,8 @@
 
 namespace spitz {
 
-namespace {
-
-Status GetFixed64Field(Slice* input, uint64_t* out) {
-  if (input->size() < sizeof(uint64_t)) {
-    return Status::InvalidArgument("truncated fixed64 field");
-  }
-  *out = DecodeFixed64(input->data());
-  input->remove_prefix(sizeof(uint64_t));
-  return Status::OK();
-}
-
-Status GetHashField(Slice* input, Hash256* out) {
-  if (input->size() < Hash256::kSize) {
-    return Status::InvalidArgument("truncated hash field");
-  }
-  *out = Hash256::FromBytes(Slice(input->data(), Hash256::kSize));
-  input->remove_prefix(Hash256::kSize);
-  return Status::OK();
-}
-
-}  // namespace
-
 Status SpitzServer::Options::Validate() const {
   if (db == nullptr) return Status::InvalidArgument("options.db must be set");
-  if (txn_abort_after_ms > 0 && txn_sweep_interval_ms == 0) {
-    return Status::InvalidArgument(
-        "txn_sweep_interval_ms must be positive when the sweeper is on");
-  }
   return Status::OK();
 }
 
@@ -88,16 +63,19 @@ void SpitzServer::Shutdown() {
 }
 
 void SpitzServer::SweeperLoop() {
+  // Waking five times per timeout bounds how late an orphan is aborted
+  // to a fifth of the timeout past its deadline.
+  const auto interval = std::chrono::milliseconds(
+      std::max<uint64_t>(1, options_.txn_abort_after_ms / 5));
   std::unique_lock<std::mutex> lock(sweep_mu_);
   while (!sweep_stop_) {
-    sweep_cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.txn_sweep_interval_ms),
-        [&] { return sweep_stop_; });
+    sweep_cv_.wait_for(lock, interval, [&] { return sweep_stop_; });
     if (sweep_stop_) return;
     lock.unlock();
     // Failures surface through core.db.txn.* metrics; the sweeper has
     // no caller to report to.
-    db_->AbortTxnsOlderThan(options_.txn_abort_after_ms, nullptr);
+    db_->participant()->AbortTxnsOlderThan(options_.txn_abort_after_ms,
+                                           nullptr);
     lock.lock();
   }
 }
@@ -229,28 +207,28 @@ Status SpitzServer::Handle(uint32_t method, const std::string& request,
     }
     case wire::kTxnPrepare: {
       uint64_t txn_id = 0;
-      Status s = GetFixed64Field(&input, &txn_id);
+      Status s = GetFixed64(&input, &txn_id);
       if (!s.ok()) return s;
       WriteBatch batch;
       s = WriteBatch::Decode(input, &batch);
       if (!s.ok()) return s;
-      return db_->PrepareTxn(txn_id, batch);
+      return db_->participant()->PrepareTxn(txn_id, batch);
     }
     case wire::kTxnCommit: {
       uint64_t txn_id = 0;
-      Status s = GetFixed64Field(&input, &txn_id);
+      Status s = GetFixed64(&input, &txn_id);
       if (!s.ok()) return s;
-      return db_->CommitTxn(txn_id);
+      return db_->participant()->CommitTxn(txn_id);
     }
     case wire::kTxnAbort: {
       uint64_t txn_id = 0;
-      Status s = GetFixed64Field(&input, &txn_id);
+      Status s = GetFixed64(&input, &txn_id);
       if (!s.ok()) return s;
-      return db_->AbortTxn(txn_id);
+      return db_->participant()->AbortTxn(txn_id);
     }
     case wire::kTxnInDoubt: {
       std::vector<uint64_t> txn_ids;
-      Status s = db_->InDoubtTxns(&txn_ids);
+      Status s = db_->participant()->InDoubtTxns(&txn_ids);
       if (!s.ok()) return s;
       PutVarint64(response, txn_ids.size());
       for (uint64_t txn_id : txn_ids) PutFixed64(response, txn_id);
@@ -261,10 +239,11 @@ Status SpitzServer::Handle(uint32_t method, const std::string& request,
       // digest snapshot named, immune to concurrent commits. No digest
       // in the reply — the client verifies against the digest it pinned.
       Hash256 root;
-      Status s = GetHashField(&input, &root);
-      if (!s.ok()) return s;
+      if (!GetHash256(&input, &root)) {
+        return Status::InvalidArgument("truncated hash field");
+      }
       Slice key;
-      s = GetLengthPrefixedSlice(&input, &key);
+      Status s = GetLengthPrefixedSlice(&input, &key);
       if (!s.ok()) return s;
       std::string value;
       ReadProof proof;
@@ -276,11 +255,12 @@ Status SpitzServer::Handle(uint32_t method, const std::string& request,
     }
     case wire::kScanProofAt: {
       Hash256 root;
-      Status s = GetHashField(&input, &root);
-      if (!s.ok()) return s;
+      if (!GetHash256(&input, &root)) {
+        return Status::InvalidArgument("truncated hash field");
+      }
       Slice start, end;
       uint64_t limit = 0;
-      s = GetLengthPrefixedSlice(&input, &start);
+      Status s = GetLengthPrefixedSlice(&input, &start);
       if (!s.ok()) return s;
       s = GetLengthPrefixedSlice(&input, &end);
       if (!s.ok()) return s;

@@ -76,10 +76,9 @@ class SpitzServer {
     // transactions older than this — the presumed-abort answer to a
     // coordinator that died after prepare. Must be much larger than a
     // coordinator's worst-case decision time, or a timed-out abort can
-    // race a commit decision already in flight. 0 = no sweeper.
+    // race a commit decision already in flight. The sweeper wakes every
+    // fifth of this (at least 1 ms). 0 = no sweeper.
     uint64_t txn_abort_after_ms = 0;
-    // How often the sweeper wakes. Ignored without txn_abort_after_ms.
-    uint64_t txn_sweep_interval_ms = 100;
 
     Status Validate() const;
   };

@@ -59,24 +59,17 @@ void EncodeRows(const std::vector<PosEntry>& rows, std::string* out) {
 namespace {
 
 Status GetRawHash(Slice* input, Hash256* out) {
-  if (input->size() < Hash256::kSize) {
-    return Status::InvalidArgument("truncated hash in replica payload");
-  }
-  *out = Hash256::FromBytes(Slice(input->data(), Hash256::kSize));
-  input->remove_prefix(Hash256::kSize);
-  return Status::OK();
-}
-
-void PutRawHash(std::string* out, const Hash256& hash) {
-  out->append(reinterpret_cast<const char*>(hash.data()), Hash256::kSize);
+  return GetHash256(input, out)
+             ? Status::OK()
+             : Status::InvalidArgument("truncated hash in replica payload");
 }
 
 }  // namespace
 
 void ReplicaAck::EncodeTo(std::string* out) const {
   PutFixed64(out, applied_blocks);
-  PutRawHash(out, index_root);
-  PutRawHash(out, tip_hash);
+  out->append(index_root.ToBytes());
+  out->append(tip_hash.ToBytes());
 }
 
 Status ReplicaAck::DecodeFrom(Slice* input, ReplicaAck* out) {

@@ -13,12 +13,8 @@ namespace {
 // off the wire — whatever SIRI backend the ledger database runs.
 
 Status GetHash(Slice* input, Hash256* h) {
-  if (input->size() < Hash256::kSize) {
-    return Status::Corruption("truncated hash");
-  }
-  *h = Hash256::FromBytes(Slice(input->data(), Hash256::kSize));
-  input->remove_prefix(Hash256::kSize);
-  return Status::OK();
+  return GetHash256(input, h) ? Status::OK()
+                              : Status::Corruption("truncated hash");
 }
 
 }  // namespace

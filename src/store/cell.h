@@ -47,10 +47,9 @@ struct UniversalKey {
     s = GetFixed64(&input, &ts);
     if (!s.ok()) return s;
     key->timestamp = __builtin_bswap64(ts);
-    if (input.size() < Hash256::kSize) {
+    if (!GetHash256(&input, &key->value_hash)) {
       return Status::Corruption("truncated universal key");
     }
-    key->value_hash = Hash256::FromBytes(Slice(input.data(), Hash256::kSize));
     return Status::OK();
   }
 

@@ -365,16 +365,16 @@ TEST(ClusterTxnTest, LateCommitOfAnAbortedTxnReportsAborted) {
   SpitzDb db;
   WriteBatch batch;
   batch.Put("tomb-key", "staged");
-  ASSERT_TRUE(db.PrepareTxn(501, batch).ok());
-  ASSERT_TRUE(db.AbortTxn(501).ok());
+  ASSERT_TRUE(db.participant()->PrepareTxn(501, batch).ok());
+  ASSERT_TRUE(db.participant()->AbortTxn(501).ok());
   // The commit decision lost the race against a presumed abort: the
   // late commit must hear Aborted — never OK (silent write loss) and
   // never NotFound (outcome guesswork).
-  EXPECT_TRUE(db.CommitTxn(501).IsAborted());
+  EXPECT_TRUE(db.participant()->CommitTxn(501).IsAborted());
   // Re-aborting an aborted txn stays a benign no-op under presumed
   // abort, and the id can never be re-staged.
-  EXPECT_TRUE(db.AbortTxn(501).IsNotFound());
-  EXPECT_TRUE(db.PrepareTxn(501, batch).IsInvalidArgument());
+  EXPECT_TRUE(db.participant()->AbortTxn(501).IsNotFound());
+  EXPECT_TRUE(db.participant()->PrepareTxn(501, batch).IsInvalidArgument());
   std::string value;
   EXPECT_TRUE(db.Get("tomb-key", &value).IsNotFound());
 }
@@ -383,15 +383,15 @@ TEST(ClusterTxnTest, RePrepareMustMatchTheStagedBatch) {
   SpitzDb db;
   WriteBatch original;
   original.Put("collide", "first");
-  ASSERT_TRUE(db.PrepareTxn(601, original).ok());
+  ASSERT_TRUE(db.participant()->PrepareTxn(601, original).ok());
   // Retrying the identical prepare is the idempotent lost-vote path.
-  EXPECT_TRUE(db.PrepareTxn(601, original).ok());
+  EXPECT_TRUE(db.participant()->PrepareTxn(601, original).ok());
   // A different batch under the same id is a coordinator id collision:
   // a yes here would vote for bytes that were never staged.
   WriteBatch forged;
   forged.Put("collide", "second");
-  EXPECT_TRUE(db.PrepareTxn(601, forged).IsInvalidArgument());
-  ASSERT_TRUE(db.CommitTxn(601).ok());
+  EXPECT_TRUE(db.participant()->PrepareTxn(601, forged).IsInvalidArgument());
+  ASSERT_TRUE(db.participant()->CommitTxn(601).ok());
   std::string value;
   ASSERT_TRUE(db.Get("collide", &value).ok());
   EXPECT_EQ(value, "first");
@@ -406,7 +406,7 @@ TEST(ClusterTxnTest, SweeperNeverAbortsACommittingTxn) {
   SpitzDb db;
   std::atomic<bool> stop{false};
   std::thread sweeper([&] {
-    while (!stop.load()) db.AbortTxnsOlderThan(0);
+    while (!stop.load()) db.participant()->AbortTxnsOlderThan(0);
   });
   int committed = 0;
   int aborted = 0;
@@ -414,8 +414,8 @@ TEST(ClusterTxnTest, SweeperNeverAbortsACommittingTxn) {
     const std::string key = "race-" + std::to_string(txn_id);
     WriteBatch batch;
     batch.Put(key, "v");
-    ASSERT_TRUE(db.PrepareTxn(txn_id, batch).ok());
-    Status s = db.CommitTxn(txn_id);
+    ASSERT_TRUE(db.participant()->PrepareTxn(txn_id, batch).ok());
+    Status s = db.participant()->CommitTxn(txn_id);
     std::string value;
     if (s.ok()) {
       committed++;
@@ -633,7 +633,7 @@ TEST_F(ClusterCrashTest, ParticipantRestartRestagesInDoubtThenCommits) {
     WriteBatch batch;
     batch.Put("staged-a", "A");
     batch.Put("staged-b", "B");
-    ASSERT_TRUE(fleet->db(0)->PrepareTxn(txn_id, batch).ok());
+    ASSERT_TRUE(fleet->db(0)->participant()->PrepareTxn(txn_id, batch).ok());
   }
   // Session 2: the restarted shard, reached over TCP like a real
   // coordinator would.
@@ -670,13 +670,13 @@ TEST_F(ClusterCrashTest, ParticipantRestartHonorsDurableAbort) {
     ASSERT_TRUE(SpitzDb::Open(DurableOptions(), &db).ok());
     WriteBatch batch;
     batch.Put("aborted-key", "never");
-    ASSERT_TRUE(db->PrepareTxn(txn_id, batch).ok());
-    ASSERT_TRUE(db->AbortTxn(txn_id).ok());
+    ASSERT_TRUE(db->participant()->PrepareTxn(txn_id, batch).ok());
+    ASSERT_TRUE(db->participant()->AbortTxn(txn_id).ok());
   }
   std::unique_ptr<SpitzDb> db;
   ASSERT_TRUE(SpitzDb::Open(DurableOptions(), &db).ok());
   std::vector<uint64_t> in_doubt;
-  ASSERT_TRUE(db->InDoubtTxns(&in_doubt).ok());
+  ASSERT_TRUE(db->participant()->InDoubtTxns(&in_doubt).ok());
   EXPECT_TRUE(in_doubt.empty());
   std::string value;
   EXPECT_TRUE(db->Get("aborted-key", &value).IsNotFound());
@@ -692,15 +692,15 @@ TEST_F(ClusterCrashTest, ResolvedOutcomesSurviveRestart) {
     ASSERT_TRUE(SpitzDb::Open(DurableOptions(), &db).ok());
     WriteBatch committed;
     committed.Put("c-key", "C");
-    ASSERT_TRUE(db->PrepareTxn(committed_id, committed).ok());
-    ASSERT_TRUE(db->CommitTxn(committed_id).ok());
+    ASSERT_TRUE(db->participant()->PrepareTxn(committed_id, committed).ok());
+    ASSERT_TRUE(db->participant()->CommitTxn(committed_id).ok());
     WriteBatch aborted;
     aborted.Put("a-key", "A");
-    ASSERT_TRUE(db->PrepareTxn(aborted_id, aborted).ok());
-    ASSERT_TRUE(db->AbortTxn(aborted_id).ok());
+    ASSERT_TRUE(db->participant()->PrepareTxn(aborted_id, aborted).ok());
+    ASSERT_TRUE(db->participant()->AbortTxn(aborted_id).ok());
     WriteBatch undecided;
     undecided.Put("d-key", "D");
-    ASSERT_TRUE(db->PrepareTxn(in_doubt_id, undecided).ok());
+    ASSERT_TRUE(db->participant()->PrepareTxn(in_doubt_id, undecided).ok());
   }
   // Two restarts: the first replays the raw log (and compacts it), the
   // second replays the compacted one. The outcome tombstones must
@@ -711,12 +711,12 @@ TEST_F(ClusterCrashTest, ResolvedOutcomesSurviveRestart) {
     std::unique_ptr<SpitzDb> db;
     ASSERT_TRUE(SpitzDb::Open(DurableOptions(), &db).ok());
     std::vector<uint64_t> in_doubt;
-    ASSERT_TRUE(db->InDoubtTxns(&in_doubt).ok());
+    ASSERT_TRUE(db->participant()->InDoubtTxns(&in_doubt).ok());
     ASSERT_EQ(in_doubt.size(), 1u);
     EXPECT_EQ(in_doubt[0], in_doubt_id);
-    EXPECT_TRUE(db->CommitTxn(committed_id).ok());
-    EXPECT_TRUE(db->CommitTxn(aborted_id).IsAborted());
-    EXPECT_TRUE(db->AbortTxn(committed_id).IsInvalidArgument());
+    EXPECT_TRUE(db->participant()->CommitTxn(committed_id).ok());
+    EXPECT_TRUE(db->participant()->CommitTxn(aborted_id).IsAborted());
+    EXPECT_TRUE(db->participant()->AbortTxn(committed_id).IsInvalidArgument());
     std::string value;
     ASSERT_TRUE(db->Get("c-key", &value).ok());
     EXPECT_EQ(value, "C");
@@ -740,11 +740,11 @@ TEST_F(ClusterCrashTest, CrashDuringTxnLogCompactionLosesNoPromises) {
     ASSERT_TRUE(SpitzDb::Open(DurableOptions(), &db).ok());
     WriteBatch done;
     done.Put("done-key", "v");
-    ASSERT_TRUE(db->PrepareTxn(resolved_id, done).ok());
-    ASSERT_TRUE(db->CommitTxn(resolved_id).ok());
+    ASSERT_TRUE(db->participant()->PrepareTxn(resolved_id, done).ok());
+    ASSERT_TRUE(db->participant()->CommitTxn(resolved_id).ok());
     WriteBatch promised;
     promised.Put("promised-key", "v");
-    ASSERT_TRUE(db->PrepareTxn(promised_id, promised).ok());
+    ASSERT_TRUE(db->participant()->PrepareTxn(promised_id, promised).ok());
   };
 
   // Dry run: count the I/O ops of the compacting Open.
@@ -781,12 +781,12 @@ TEST_F(ClusterCrashTest, CrashDuringTxnLogCompactionLosesNoPromises) {
       ASSERT_TRUE(s.ok()) << s.ToString();
       // The durable yes vote survived every crash point...
       std::vector<uint64_t> in_doubt;
-      ASSERT_TRUE(db->InDoubtTxns(&in_doubt).ok());
+      ASSERT_TRUE(db->participant()->InDoubtTxns(&in_doubt).ok());
       ASSERT_EQ(in_doubt.size(), 1u) << "in-doubt prepare lost";
       EXPECT_EQ(in_doubt[0], promised_id);
       // ...and so did the resolved outcome.
-      EXPECT_TRUE(db->CommitTxn(resolved_id).ok());
-      EXPECT_TRUE(db->AbortTxn(resolved_id).IsInvalidArgument());
+      EXPECT_TRUE(db->participant()->CommitTxn(resolved_id).ok());
+      EXPECT_TRUE(db->participant()->AbortTxn(resolved_id).IsInvalidArgument());
     }
   }
 }
@@ -796,7 +796,6 @@ TEST_F(ClusterCrashTest, CrashDuringTxnLogCompactionLosesNoPromises) {
 TEST(ClusterSweeperTest, SilentCoordinatorIsPresumedAbortedOnTimeout) {
   LocalFleet::Options options;
   options.server.txn_abort_after_ms = 50;
-  options.server.txn_sweep_interval_ms = 10;
   std::unique_ptr<LocalFleet> fleet;
   ASSERT_TRUE(LocalFleet::Open(options, &fleet).ok());
   std::unique_ptr<SpitzClient> client;

@@ -143,16 +143,6 @@ TEST(MetricsRegistryTest, ExternalAndCallbackRegistrations) {
   EXPECT_EQ(snap.FindHistogram("ext.histogram")->count, 1u);
 }
 
-TEST(MetricsRegistryTest, ClearDropsEverything) {
-  MetricsRegistry registry;
-  registry.counter("a")->Increment();
-  registry.RegisterCounterFn("b", [] { return uint64_t{1}; });
-  registry.Clear();
-  MetricsSnapshot snap = registry.Snapshot();
-  EXPECT_TRUE(snap.counters.empty());
-  EXPECT_TRUE(snap.histograms.empty());
-}
-
 TEST(MetricsSnapshotTest, MergeCombinesHistogramsBucketwise) {
   Histogram a, b;
   a.Record(10);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -292,7 +293,42 @@ TEST(SpitzDbTest, OptionsRejectDisabledCacheAndRetention) {
     options.retain_versions = 0;
     SpitzDb db(options);
     EXPECT_TRUE(db.Put("k", "v").IsInvalidArgument());
+    // The 2PC participant refuses too: a prepare would lock keys no
+    // write can ever touch.
+    WriteBatch batch;
+    batch.Put("k", "v");
+    EXPECT_TRUE(db.participant()->PrepareTxn(1, batch).IsInvalidArgument());
   }
+}
+
+// Open and the in-memory constructor build the database the same way:
+// the audit options reach the deferred verifier on both paths.
+TEST(SpitzDbTest, DurableOpenHonorsAuditOptions) {
+  const std::string dir =
+      ::testing::TempDir() + "/spitz_db_durable_audit_options";
+  struct Case {
+    size_t batch_size;
+    size_t workers;
+    uint64_t expected_workers;
+  };
+  // Online audits run inline on no worker; a deferred verifier runs the
+  // configured worker count.
+  for (const Case& c : {Case{0, 0, 0}, Case{64, 2, 2}}) {
+    SCOPED_TRACE("audit_batch_size " + std::to_string(c.batch_size));
+    SpitzOptions options;
+    options.audit_batch_size = c.batch_size;
+    options.audit_workers = c.workers;
+    SpitzDb in_memory(options);
+    EXPECT_EQ(in_memory.Metrics().GaugeValue("txn.verifier.workers"),
+              c.expected_workers);
+    std::filesystem::remove_all(dir);
+    options.data_dir = dir;
+    std::unique_ptr<SpitzDb> durable;
+    ASSERT_TRUE(SpitzDb::Open(options, &durable).ok());
+    EXPECT_EQ(durable->Metrics().GaugeValue("txn.verifier.workers"),
+              c.expected_workers);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SpitzDbTest, AuditLastBlockPasses) {

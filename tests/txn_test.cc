@@ -1,15 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/fault_env.h"
 #include "common/random.h"
 #include "txn/batch_verifier.h"
 #include "txn/hlc.h"
 #include "txn/mvcc.h"
+#include "txn/participant.h"
 #include "txn/timestamp_oracle.h"
 #include "txn/two_phase_commit.h"
 #include "txn/write_batch.h"
@@ -487,6 +490,73 @@ TEST(DeferredVerifierTest, DestructorDrainsWorker) {
     v.Flush();
   }
   EXPECT_EQ(ran.load(), 8);
+}
+
+// --- TxnParticipant -----------------------------------------------------------
+
+TEST(TxnParticipantTest, FailedApplyLeavesTheTxnInDoubtAndAbortable) {
+  int applies = 0;
+  TxnParticipant participant(nullptr, "", [&](uint64_t, const WriteBatch&) {
+    applies++;
+    return Status::IOError("apply failed");
+  });
+  WriteBatch batch;
+  batch.Put("k", "v");
+  ASSERT_TRUE(participant.PrepareTxn(7, batch).ok());
+  EXPECT_TRUE(participant.CommitTxn(7).IsIOError());
+  EXPECT_EQ(applies, 1);
+  // Nothing was applied, so the txn is in doubt again and the committing
+  // pin is released: an abort may resolve it.
+  std::vector<uint64_t> in_doubt;
+  ASSERT_TRUE(participant.InDoubtTxns(&in_doubt).ok());
+  EXPECT_EQ(in_doubt, std::vector<uint64_t>{7});
+  ASSERT_TRUE(participant.AbortTxn(7).ok());
+  EXPECT_TRUE(participant.CheckConflicts(batch, 0).ok());
+  EXPECT_TRUE(participant.CommitTxn(7).IsAborted());
+}
+
+TEST(TxnParticipantTest, FailedCommitMarkerKeepsThePinUntilARetry) {
+  const std::string dir = ::testing::TempDir() + "/spitz_txn_participant";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  FaultInjectionEnv env(Env::Default());
+  int applies = 0;
+  auto apply = [&](uint64_t, const WriteBatch&) {
+    applies++;
+    return Status::OK();
+  };
+  WriteBatch batch;
+  batch.Put("k", "v");
+  {
+    TxnParticipant participant(&env, dir, apply);
+    ASSERT_TRUE(participant.Recover().ok());
+    // Ops 0 and 1: the prepare record's append and fsync. Op 2: the
+    // commit marker's append, after the apply succeeded.
+    ASSERT_TRUE(participant.PrepareTxn(7, batch).ok());
+    env.FailAt(2, FaultKind::kFailWrite);
+    EXPECT_TRUE(participant.CommitTxn(7).IsIOError());
+    EXPECT_EQ(applies, 1);
+    // The batch is applied but its decision is not durable: no abort
+    // may resolve the txn, and it is not reported in doubt.
+    EXPECT_TRUE(participant.AbortTxn(7).IsBusy());
+    std::vector<uint64_t> in_doubt;
+    ASSERT_TRUE(participant.InDoubtTxns(&in_doubt).ok());
+    EXPECT_TRUE(in_doubt.empty());
+    EXPECT_TRUE(participant.CheckConflicts(batch, 0).IsBusy());
+    // A retried commit re-applies and writes the marker.
+    env.Revive();
+    ASSERT_TRUE(participant.CommitTxn(7).ok());
+    EXPECT_EQ(applies, 2);
+    EXPECT_TRUE(participant.CheckConflicts(batch, 0).ok());
+  }
+  // The retried marker is durable: a restarted participant knows the
+  // outcome.
+  TxnParticipant restarted(&env, dir, apply);
+  ASSERT_TRUE(restarted.Recover().ok());
+  EXPECT_TRUE(restarted.CommitTxn(7).ok());
+  EXPECT_TRUE(restarted.AbortTxn(7).IsInvalidArgument());
+  EXPECT_EQ(applies, 2);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
