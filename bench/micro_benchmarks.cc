@@ -9,6 +9,7 @@
 
 #include "chunk/chunk_store.h"
 #include "chunk/chunker.h"
+#include "common/crc32c.h"
 #include "common/metrics.h"
 #include "common/random.h"
 #include "core/spitz_db.h"
@@ -35,6 +36,19 @@ void BM_Sha256(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(16384);
+
+// 13 KiB is the size of a typical point-proof reply frame, which is
+// CRC'd on both ends of the connection.
+void BM_Crc32c(benchmark::State& state) {
+  Random rng(1);
+  std::string data = rng.Bytes(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32c::Value(data.data(), data.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(13 * 1024);
 
 void BM_ContentDefinedChunking(benchmark::State& state) {
   Random rng(2);

@@ -4,9 +4,10 @@
 # repository-benchmark smoke runs), the concurrency + 2PC participant +
 # network + cluster + replica tests under ThreadSanitizer, and the
 # proof-codec + database + 2PC participant + network + cluster + replica
-# tests under ASan+UBSan (untrusted wire
-# bytes are decoded there, so memory errors and UB are the failure modes
-# that matter).
+# + SHA-256/CRC32C kernel + journal + persistence tests under ASan+UBSan
+# (untrusted wire bytes are decoded there, and the hardware hash kernels
+# make unaligned vector loads, so memory errors and UB are the failure
+# modes that matter).
 # All legs must be green for a change to land.
 #
 # Usage: ci/check.sh [build-dir-prefix]   (default: build)
@@ -131,10 +132,11 @@ cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DSPITZ_SANITIZE=address,undefined
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
       --target siri_proof_test siri_backend_test spitz_db_test recovery_test \
-               net_test concurrency_test cluster_test replica_test txn_test
+               net_test concurrency_test cluster_test replica_test txn_test \
+               crypto_test common_test journal_test persistence_test
 ASAN_OPTIONS="halt_on_error=1 exitcode=66" \
 UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \
   ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-        -R 'Siri|SpitzDb|SpitzOptions|TxnParticipant|Recovery|Net|Concurrency|Cluster|Replica'
+        -R 'Siri|SpitzDb|SpitzOptions|TxnParticipant|Recovery|Net|Concurrency|Cluster|Replica|Sha256|Crc32c|Journal|Block|Persistence'
 
 echo "==> all checks passed"

@@ -11,7 +11,10 @@ namespace crc32c {
 // the checksum guarding every on-disk log record (chunk log and journal;
 // DESIGN.md section 9). Chosen over CRC-32 for its better error-
 // detection properties and because it matches what LevelDB-lineage
-// stores put on their log records, making the formats familiar.
+// stores put on their log records, making the formats familiar. Runs
+// on the SSE4.2 CRC32 instruction when the CPU has it and on a
+// slice-by-4 table otherwise (crc32c_internal.h); both give the same
+// value.
 
 // Returns the crc of data[0, n) concatenated onto a prefix whose crc
 // was `crc`. Extend(0, ...) computes the crc of data[0, n) itself.

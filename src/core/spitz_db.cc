@@ -204,10 +204,13 @@ Status SpitzDb::Recover() {
     uint64_t consumed = 0;
     Status s = ReadRecordFrames(contents, journal_path, &records, &consumed);
     if (!s.ok()) return s;
+    Block last;
     for (const Slice& record : records) {
-      s = ledger_.Restore(record);
+      s = Block::Decode(record, &last);
       if (!s.ok()) return s;
-      IndexBlockHistoryLocked(ledger_.block_count() - 1);
+      s = ledger_.Restore(last, record);
+      if (!s.ok()) return s;
+      IndexBlockHistoryLocked(last.height(), last.entries());
     }
     // Discard the torn tail before reopening for append; otherwise
     // every block persisted from now on would sit behind unparseable
@@ -219,9 +222,6 @@ Status SpitzDb::Recover() {
     }
     // The current version is the index root recorded in the last block.
     if (ledger_.block_count() > 0) {
-      Block last;
-      s = ledger_.GetBlock(ledger_.block_count() - 1, &last);
-      if (!s.ok()) return s;
       root_ = last.index_root();
       // Sanity: the recovered root must resolve in the chunk store.
       uint64_t count = 0;
@@ -651,24 +651,25 @@ Status SpitzDb::ApplyBatchLocked(const WriteBatch& batch) {
 void SpitzDb::SealPendingLocked(std::vector<std::string>* records) {
   if (pending_.empty()) return;
   ScopedTimer timer(metrics_.seal_ns);
+  // Index history from the entries in hand, before Append takes them:
+  // decoding the sealed block back would hash it a second time.
+  IndexBlockHistoryLocked(ledger_.block_count(), pending_);
   // Each block stores the index root as of its last entry — "each block
   // in the ledger stores a historical index instance" (section 6.1).
   // Because sealing happens immediately after the batch that crossed
   // the boundary, root_ covers exactly the entries sealed so far.
   uint64_t height = ledger_.Append(std::move(pending_), root_, NowMicros());
   pending_.clear();
-  IndexBlockHistoryLocked(height);
   if (journal_log_ == nullptr) return;
   std::string record;
   AppendRecordFrame(ledger_.SerializedBlock(height), &record);
   records->push_back(std::move(record));
 }
 
-void SpitzDb::IndexBlockHistoryLocked(uint64_t height) {
-  Block block;
-  if (!ledger_.GetBlock(height, &block).ok()) return;
-  for (size_t i = 0; i < block.entries().size(); i++) {
-    history_index_[block.entries()[i].key].emplace_back(height, i);
+void SpitzDb::IndexBlockHistoryLocked(
+    uint64_t height, const std::vector<LedgerEntry>& entries) {
+  for (size_t i = 0; i < entries.size(); i++) {
+    history_index_[entries[i].key].emplace_back(height, i);
   }
 }
 
@@ -753,14 +754,12 @@ Status SpitzDb::AuditLastBlock() {
   }
   return auditor_->Submit([serialized = std::move(serialized), block_path,
                            digest] {
-    // 1. The block's internal hashes (entry Merkle root, block hash)
-    //    must recompute correctly from its serialized form.
+    // The block hash recomputed from the stored bytes (entry Merkle
+    // root, then header) must be included in the journal the digest
+    // covers.
     Block block;
     Status s = Block::Decode(serialized, &block);
     if (!s.ok()) return s;
-    s = block.Validate();
-    if (!s.ok()) return s;
-    // 2. The block must be included in the journal the digest covers.
     if (!MerkleTree::VerifyInclusion(
             Hash256::OfLeaf(block.block_hash().slice()), block_path,
             digest.merkle_root)) {
@@ -1204,10 +1203,6 @@ Status SpitzDb::ApplyReplicatedRecord(const Slice& record, bool sync,
   Block block;
   s = Block::Decode(serialized, &block);
   if (!s.ok()) return s;
-  // Internal integrity first: a record whose entries do not hash to
-  // the block's own roots is tampered regardless of our state.
-  s = block.Validate();
-  if (!s.ok()) return s;
   if (block.height() != height) {
     return Status::InvalidArgument(
         "replication record height disagrees with its block header");
@@ -1289,9 +1284,9 @@ Status SpitzDb::ApplyReplicatedRecord(const Slice& record, bool sync,
           "for block " +
           std::to_string(height) + " disagrees with the sealed root");
     }
-    // Chain the identical journal bytes; Restore re-validates the
-    // block's hashes and that it links from our current tip.
-    s = ledger_.Restore(serialized);
+    // Chain the identical journal bytes; Restore checks that the block
+    // (its hash derived from these bytes) links from our current tip.
+    s = ledger_.Restore(block, serialized);
     if (!s.ok()) return s;
     root_ = root;
     if (max_ts > last_commit_ts_) last_commit_ts_ = max_ts;
@@ -1300,7 +1295,7 @@ Status SpitzDb::ApplyReplicatedRecord(const Slice& record, bool sync,
     while (clock_.Peek() <= max_ts) {
       clock_.AllocateBatch(max_ts + 1 - clock_.Peek());
     }
-    IndexBlockHistoryLocked(height);
+    IndexBlockHistoryLocked(height, block.entries());
     if (journal_log_ != nullptr) {
       std::vector<std::string> records(1);
       AppendRecordFrame(serialized, &records[0]);

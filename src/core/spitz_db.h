@@ -550,8 +550,9 @@ class SpitzDb : public VerifiedKv {
   // failure to every writer in the group.
   Status AppendJournalRecordsLocked(const std::vector<std::string>& records);
 
-  // Adds the sealed block's entries to the history index.
-  void IndexBlockHistoryLocked(uint64_t height);
+  // Adds the entries of the block at `height` to the history index.
+  void IndexBlockHistoryLocked(uint64_t height,
+                               const std::vector<LedgerEntry>& entries);
 
   // Recovery of a durable database (journal, then the participant's
   // txn.log); called by Open().

@@ -8,9 +8,12 @@
 
 namespace spitz {
 
-// A from-scratch implementation of FIPS 180-4 SHA-256. This is the only
-// cryptographic hash used by the system: every chunk id, index node id,
-// ledger block hash, and proof digest is a SHA-256 output.
+// FIPS 180-4 SHA-256. This is the only cryptographic hash used by the
+// system: every chunk id, index node id, ledger block hash, and proof
+// digest is a SHA-256 output. The compression runs on the x86 SHA
+// extensions when the CPU has them and on a portable C++ kernel
+// otherwise; the choice is made once per process and never changes a
+// digest (sha256_internal.h).
 //
 // Streaming usage:
 //   Sha256 h;
@@ -36,10 +39,8 @@ class Sha256 {
   static void Digest(const Slice& data, uint8_t out[kDigestSize]);
 
  private:
-  void ProcessBlock(const uint8_t block[kBlockSize]);
-
   uint32_t state_[8];
-  uint64_t bit_count_;
+  uint64_t byte_count_;
   uint8_t buffer_[kBlockSize];
   size_t buffer_len_;
 };

@@ -103,14 +103,4 @@ Status Block::Decode(Slice input, Block* block) {
   return Status::OK();
 }
 
-Status Block::Validate() const {
-  if (ComputeEntriesRoot(entries_) != entries_root_) {
-    return Status::VerificationFailed("block entries root mismatch");
-  }
-  if (ComputeBlockHash() != block_hash_) {
-    return Status::VerificationFailed("block hash mismatch");
-  }
-  return Status::OK();
-}
-
 }  // namespace spitz

@@ -63,11 +63,9 @@ class Block {
   uint64_t first_seq() const { return first_seq_; }
 
   std::string Encode() const;
+  // Decodes a block and derives its entries root and block hash from
+  // the decoded bytes (neither is stored in the encoding).
   static Status Decode(Slice input, Block* block);
-
-  // Recomputes the entry Merkle root and block hash from the current
-  // contents and checks them against the stored values.
-  Status Validate() const;
 
   // Computes the Merkle root over the entries of this block.
   static Hash256 ComputeEntriesRoot(const std::vector<LedgerEntry>& entries);

@@ -20,12 +20,7 @@ uint64_t Journal::Append(std::vector<LedgerEntry> entries,
   return height;
 }
 
-Status Journal::Restore(const Slice& serialized) {
-  Block block;
-  Status s = Block::Decode(serialized, &block);
-  if (!s.ok()) return s;
-  s = block.Validate();
-  if (!s.ok()) return s;
+Status Journal::Restore(const Block& block, const Slice& serialized) {
   if (block.height() != block_hashes_.size()) {
     return Status::Corruption("restored block at wrong height");
   }

@@ -57,10 +57,11 @@ class Journal {
   uint64_t Append(std::vector<LedgerEntry> entries, const Hash256& index_root,
                   uint64_t timestamp);
 
-  // Restores a serialized block during recovery. Validates the block's
-  // internal hashes and that it chains from the current tip at the
-  // expected height.
-  Status Restore(const Slice& serialized);
+  // Restores a block read back from disk or received from a primary.
+  // `block` is `serialized` decoded by the caller (Block::Decode derived
+  // its hashes); Restore checks that it chains from the current tip at
+  // the expected height and sequence, and keeps `serialized` as stored.
+  Status Restore(const Block& block, const Slice& serialized);
 
   // Serialized form of the block at `height` (for persistence).
   const std::string& SerializedBlock(uint64_t height) const {

@@ -7,6 +7,8 @@
 
 #include "common/clock.h"
 #include "common/codec.h"
+#include "common/crc32c.h"
+#include "common/crc32c_internal.h"
 #include "common/queue.h"
 #include "common/random.h"
 #include "common/slice.h"
@@ -344,6 +346,78 @@ TEST(BoundedQueueTest, ConcurrentProducersConsumers) {
   const uint64_t n = kProducers * kItemsEach;
   EXPECT_EQ(count.load(), static_cast<int>(n));
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
+}
+
+// --- CRC32C -----------------------------------------------------------------
+
+using Crc32cFn = uint32_t (*)(uint32_t, const char*, size_t);
+
+// RFC 3720 (iSCSI) appendix B.4 vectors, plus the common "123456789"
+// check value of CRC-32C.
+void ExpectRfc3720Vectors(Crc32cFn extend) {
+  std::string zeros(32, '\0');
+  EXPECT_EQ(extend(0, zeros.data(), zeros.size()), 0x8a9136aau);
+  std::string ones(32, '\xff');
+  EXPECT_EQ(extend(0, ones.data(), ones.size()), 0x62a8ab43u);
+  std::string ascending(32, '\0');
+  for (int i = 0; i < 32; i++) ascending[i] = static_cast<char>(i);
+  EXPECT_EQ(extend(0, ascending.data(), ascending.size()), 0x46dd794eu);
+  std::string descending(32, '\0');
+  for (int i = 0; i < 32; i++) descending[i] = static_cast<char>(31 - i);
+  EXPECT_EQ(extend(0, descending.data(), descending.size()), 0x113fdb5cu);
+  EXPECT_EQ(extend(0, "123456789", 9), 0xe3069283u);
+  EXPECT_EQ(extend(0, "", 0), 0u);
+}
+
+#define SKIP_WITHOUT_SSE42()                                               \
+  if (!crc32c::internal::HasSse42()) {                                     \
+    GTEST_SKIP() << "this CPU lacks the SSE4.2 CRC32 instruction; the "    \
+                    "table kernel is the one in use";                      \
+  }
+
+TEST(Crc32cTest, Rfc3720Vectors) {
+  ExpectRfc3720Vectors(crc32c::Extend);
+  ExpectRfc3720Vectors(crc32c::internal::ExtendTable);
+}
+
+TEST(Crc32cTest, Sse42Rfc3720Vectors) {
+  SKIP_WITHOUT_SSE42();
+  ExpectRfc3720Vectors(crc32c::internal::ExtendSse42);
+}
+
+TEST(Crc32cTest, ExtendChainsLikeOneShot) {
+  Random rng(3720);
+  for (int trial = 0; trial < 200; trial++) {
+    std::string data = rng.Bytes(rng.Uniform(3000));
+    const size_t cut = data.empty() ? 0 : rng.Uniform(data.size() + 1);
+    const uint32_t head = crc32c::Value(data.data(), cut);
+    EXPECT_EQ(crc32c::Extend(head, data.data() + cut, data.size() - cut),
+              crc32c::Value(data.data(), data.size()))
+        << "trial " << trial;
+  }
+}
+
+TEST(Crc32cTest, MaskRoundTripsAndChangesTheValue) {
+  const uint32_t crc = crc32c::Value("123456789", 9);
+  EXPECT_NE(crc32c::Mask(crc), crc);
+  EXPECT_EQ(crc32c::Unmask(crc32c::Mask(crc)), crc);
+}
+
+// Hardware vs table over random lengths, unaligned offsets and
+// chaining seeds.
+TEST(Crc32cTest, Sse42MatchesTableRandomized) {
+  SKIP_WITHOUT_SSE42();
+  Random rng(0x82f63b78);
+  std::string buffer(16 * 1024 + 16, '\0');
+  for (int trial = 0; trial < 3000; trial++) {
+    for (char& c : buffer) c = static_cast<char>(rng.Next());
+    const size_t n = rng.Uniform(trial % 10 == 0 ? 16 * 1024 : 300);
+    const char* data = buffer.data() + rng.Uniform(16);
+    const uint32_t seed = static_cast<uint32_t>(rng.Next());
+    ASSERT_EQ(crc32c::internal::ExtendSse42(seed, data, n),
+              crc32c::internal::ExtendTable(seed, data, n))
+        << "trial " << trial << ", " << n << " bytes";
+  }
 }
 
 }  // namespace

@@ -76,7 +76,7 @@ TEST(BlockTest, EncodeDecodePreservesHash) {
   EXPECT_EQ(decoded.first_seq(), 10u);
   EXPECT_EQ(decoded.block_hash(), block.block_hash());
   EXPECT_EQ(decoded.entries().size(), 2u);
-  EXPECT_TRUE(decoded.Validate().ok());
+  EXPECT_EQ(decoded.entries_root(), block.entries_root());
 }
 
 TEST(BlockTest, HashCoversEveryHeaderField) {
@@ -107,7 +107,10 @@ TEST(BlockTest, HashCoversEntries) {
 
 TEST(BlockTest, EmptyBlockIsValid) {
   Block b(0, 0, Hash256(), {}, Hash256(), 1);
-  EXPECT_TRUE(b.Validate().ok());
+  Block decoded;
+  ASSERT_TRUE(Block::Decode(b.Encode(), &decoded).ok());
+  EXPECT_TRUE(decoded.entries().empty());
+  EXPECT_EQ(decoded.block_hash(), b.block_hash());
 }
 
 // --- Journal -------------------------------------------------------------------
@@ -136,6 +139,74 @@ TEST(JournalTest, BlocksAreHashChained) {
   ASSERT_TRUE(j.GetBlock(1, &b1).ok());
   EXPECT_EQ(b1.prev_hash(), b0.block_hash());
   EXPECT_TRUE(b0.prev_hash().IsZero());
+}
+
+// Restore's checks are the ones recovery and replication rely on: a
+// block decoded from bytes always matches its own derived hashes, so
+// what can be wrong is where it claims to sit in the chain.
+class JournalRestoreTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Block genesis(0, 0, Hash256(), {MakeEntry("a", "1"), MakeEntry("b", "2")},
+                  Hash256::Of("idx0"), 1);
+    ASSERT_TRUE(Restore(genesis).ok());
+    tip_ = genesis.block_hash();
+  }
+
+  // Restores `block` the way recovery does: from its decoded bytes.
+  Status Restore(const Block& block) {
+    std::string serialized = block.Encode();
+    Block decoded;
+    Status s = Block::Decode(serialized, &decoded);
+    if (!s.ok()) return s;
+    return journal_.Restore(decoded, serialized);
+  }
+
+  Block Next(uint64_t height, uint64_t first_seq, const Hash256& prev) {
+    return Block(height, first_seq, prev, {MakeEntry("c", "3")},
+                 Hash256::Of("idx1"), 2);
+  }
+
+  // A rejected block must leave the journal exactly as it was.
+  void ExpectRejected(const Block& block, const std::string& reason) {
+    JournalDigest before = journal_.Digest();
+    Status s = Restore(block);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_NE(s.ToString().find(reason), std::string::npos) << s.ToString();
+    JournalDigest after = journal_.Digest();
+    EXPECT_EQ(after.block_count, before.block_count);
+    EXPECT_EQ(after.entry_count, before.entry_count);
+    EXPECT_EQ(after.tip_hash, before.tip_hash);
+    EXPECT_EQ(after.merkle_root, before.merkle_root);
+  }
+
+  Journal journal_;
+  Hash256 tip_;
+};
+
+TEST_F(JournalRestoreTest, AcceptsTheNextBlockInTheChain) {
+  Block next = Next(1, 2, tip_);
+  ASSERT_TRUE(Restore(next).ok());
+  JournalDigest d = journal_.Digest();
+  EXPECT_EQ(d.block_count, 2u);
+  EXPECT_EQ(d.entry_count, 3u);
+  EXPECT_EQ(d.tip_hash, next.block_hash());
+  EXPECT_EQ(journal_.SerializedBlock(1), next.Encode());
+}
+
+TEST_F(JournalRestoreTest, RejectsWrongHeight) {
+  ExpectRejected(Next(2, 2, tip_), "wrong height");
+  ExpectRejected(Next(0, 2, tip_), "wrong height");
+}
+
+TEST_F(JournalRestoreTest, RejectsBrokenPrevHashChain) {
+  ExpectRejected(Next(1, 2, Hash256()), "hash chain");
+  ExpectRejected(Next(1, 2, Hash256::Of("forged")), "hash chain");
+}
+
+TEST_F(JournalRestoreTest, RejectsWrongFirstSeq) {
+  ExpectRejected(Next(1, 1, tip_), "wrong sequence");
+  ExpectRejected(Next(1, 3, tip_), "wrong sequence");
 }
 
 TEST(JournalTest, GetBlockBeyondEndFails) {

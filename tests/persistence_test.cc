@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <unordered_set>
 
 #include "chunk/file_chunk_store.h"
+#include "common/codec.h"
 #include "common/random.h"
+#include "common/record_frame.h"
 #include "core/spitz_db.h"
+#include "net/frame.h"
 
 namespace spitz {
 namespace {
@@ -17,6 +22,19 @@ std::string RandomPayload(Random* rnd, size_t n) {
   std::string s(n, '\0');
   for (char& c : s) c = static_cast<char>('a' + rnd->Uniform(26));
   return s;
+}
+
+std::string BinaryPayload(Random* rnd, size_t n) {
+  std::string s(n, '\0');
+  for (char& c : s) c = static_cast<char>(rnd->Next());
+  return s;
+}
+
+std::string ReadWholeFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
 }
 
 class PersistenceTest : public ::testing::Test {
@@ -332,6 +350,50 @@ TEST_F(PersistenceTest, TamperedJournalBlockDetectedOnRecovery) {
   EXPECT_FALSE(s.ok()) << "tampered block must fail recovery validation";
 }
 
+// A forger who rewrites a middle block and recomputes its frame CRC
+// gets past the CRC; the next block's prev-hash link must still catch
+// the change.
+TEST_F(PersistenceTest, ForgedMiddleBlockWithValidCrcFailsRecovery) {
+  {
+    std::unique_ptr<SpitzDb> db;
+    ASSERT_TRUE(SpitzDb::Open(DurableOptions(), &db).ok());
+    for (int i = 0; i < 24; i++) {  // three sealed blocks of 8
+      ASSERT_TRUE(db->Put("k" + std::to_string(i), "honest").ok());
+    }
+    ASSERT_TRUE(db->FlushBlock().ok());
+    ASSERT_TRUE(db->SyncStorage().ok());
+  }
+  const std::string path = dir_ + "/journal.log";
+  const std::string original = ReadWholeFile(path);
+  std::vector<Slice> records;
+  uint64_t consumed = 0;
+  ASSERT_TRUE(ReadRecordFrames(original, path, &records, &consumed).ok());
+  ASSERT_EQ(records.size(), 3u);
+  std::string forged_journal;
+  for (size_t i = 0; i < records.size(); i++) {
+    std::string payload = records[i].ToString();
+    if (i == 1) {
+      // The last byte is the final varint byte of the last entry's
+      // commit timestamp; flipping its low bit keeps the block
+      // decodable but changes what it records.
+      payload.back() ^= 0x01;
+      Block forged;
+      ASSERT_TRUE(Block::Decode(payload, &forged).ok());
+    }
+    AppendRecordFrame(payload, &forged_journal);
+  }
+  ASSERT_EQ(forged_journal.size(), original.size());
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << forged_journal;
+  }
+  std::unique_ptr<SpitzDb> db;
+  Status s = SpitzDb::Open(DurableOptions(), &db);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find("hash chain"), std::string::npos)
+      << s.ToString();
+}
+
 TEST_F(PersistenceTest, BulkLoadIsDurable) {
   std::vector<PosEntry> entries;
   for (int i = 0; i < 200; i++) {
@@ -372,6 +434,96 @@ TEST_F(PersistenceTest, KeyHistorySurvivesRecovery) {
     EXPECT_TRUE(
         Journal::VerifyEntry(write.entry, write.proof, digest.journal).ok());
   }
+}
+
+// --- Format pin -------------------------------------------------------------
+
+// Every byte Spitz puts on disk or on the wire is named by a SHA-256 or
+// guarded by a CRC32C. These constants were captured from the portable
+// kernels; any change to either hash, to the block encoding or to the
+// seal path that moved a single output byte fails here. Block
+// timestamps are wall-clock, so the journal is re-chained from its
+// decoded blocks with timestamp = height before its hashes are pinned.
+TEST_F(PersistenceTest, FormatPinBulkLoadJournalAndFrameMatchGolden) {
+  const char kGoldenPosRoot[] =
+      "e27fbe46a315f79f2226f0673406d098f632fab9cf701ec4d98aee0e2d4012db";
+  const char kGoldenSegments[] =
+      "ecad8fa4d6b96a4ec589fb39cfb4706b79941ae91a1a6aa603a66ae189e725b7";
+  const char kGoldenTipHash[] =
+      "c09f00719066316771c39fef4617dd59b575a6fdf8cee8c3e7f9e80adca035a3";
+  const char kGoldenMerkleRoot[] =
+      "8d95186c1cc2f370c55dab7c6687df1a22f1665e4c9ec4ecca5a33d148b66ef7";
+  const char kGoldenFrame[] =
+      "37456a166ded5f85902b4006baf237e2a5ed7ba1d9d94697aeb50aa2cc1b761b";
+  const uint32_t kGoldenFrameCrc = 0xedab5670u;
+  Random rnd(20200901);
+  std::vector<PosEntry> entries;
+  for (int i = 0; i < 2000; i++) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "user%06d", i);
+    entries.push_back({key, BinaryPayload(&rnd, 1 + rnd.Uniform(600))});
+  }
+  {
+    std::unique_ptr<SpitzDb> db;
+    ASSERT_TRUE(SpitzDb::Open(DurableOptions(64), &db).ok());
+    ASSERT_TRUE(db->BulkLoad(entries).ok());
+    ASSERT_TRUE(db->FlushBlock().ok());
+    ASSERT_TRUE(db->SyncStorage().ok());
+    EXPECT_EQ(db->Digest().index_root.ToHex(), kGoldenPosRoot);
+  }
+
+  // Chunk segments: every chunk record, id and CRC, byte for byte.
+  std::vector<std::string> segments;
+  for (const auto& file :
+       std::filesystem::directory_iterator(dir_ + "/chunks")) {
+    std::string name = file.path().filename().string();
+    if (name.rfind("chunk-", 0) == 0) segments.push_back(name);
+  }
+  std::sort(segments.begin(), segments.end());
+  ASSERT_FALSE(segments.empty());
+  std::string segment_bytes;
+  for (const std::string& name : segments) {
+    segment_bytes += ReadWholeFile(dir_ + "/chunks/" + name);
+  }
+  EXPECT_EQ(Hash256::Of(segment_bytes).ToHex(), kGoldenSegments);
+
+  const std::string journal_path = dir_ + "/journal.log";
+  const std::string journal_bytes = ReadWholeFile(journal_path);
+  std::vector<Slice> records;
+  uint64_t consumed = 0;
+  ASSERT_TRUE(
+      ReadRecordFrames(journal_bytes, journal_path, &records, &consumed).ok());
+  ASSERT_EQ(consumed, journal_bytes.size());
+  Journal rechained;
+  for (const Slice& record : records) {
+    Block block;
+    ASSERT_TRUE(Block::Decode(record, &block).ok());
+    EXPECT_EQ(block.Encode(), record.ToString());
+    rechained.Append(block.entries(), block.index_root(), block.height());
+  }
+  JournalDigest journal = rechained.Digest();
+  EXPECT_EQ(journal.block_count, 32u);
+  EXPECT_EQ(journal.entry_count, 2000u);
+  EXPECT_EQ(journal.tip_hash.ToHex(), kGoldenTipHash);
+  EXPECT_EQ(journal.merkle_root.ToHex(), kGoldenMerkleRoot);
+
+  // Recovery replays that journal onto the same index root.
+  {
+    std::unique_ptr<SpitzDb> db;
+    ASSERT_TRUE(SpitzDb::Open(DurableOptions(64), &db).ok());
+    EXPECT_EQ(db->Digest().index_root.ToHex(), kGoldenPosRoot);
+    EXPECT_EQ(db->Digest().journal.block_count, 32u);
+  }
+
+  // Wire: one frame the size of a point-proof reply.
+  Frame frame;
+  frame.method = 5;
+  frame.request_id = 0x0102030405060708ull;
+  frame.payload = BinaryPayload(&rnd, 13 * 1024 + 5);
+  std::string encoded;
+  EncodeFrame(frame, &encoded);
+  EXPECT_EQ(DecodeFixed32(encoded.data() + 4), kGoldenFrameCrc);
+  EXPECT_EQ(Hash256::Of(encoded).ToHex(), kGoldenFrame);
 }
 
 }  // namespace
