@@ -19,7 +19,6 @@
 #include "index/skiplist.h"
 #include "ledger/merkle_tree.h"
 #include "txn/batch_verifier.h"
-#include "txn/mvcc.h"
 
 namespace spitz {
 namespace {
@@ -269,18 +268,6 @@ void BM_MerkleInclusionProof(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MerkleInclusionProof)->Arg(4096)->Arg(1048576);
-
-void BM_MvccCommit(benchmark::State& state) {
-  MvccStore store;
-  uint64_t ts = 1;
-  Random rng(7);
-  for (auto _ : state) {
-    WriteBatch batch;
-    batch.Put("key" + std::to_string(rng.Uniform(10000)), "value");
-    if (!store.CommitBatch(batch, ts++).ok()) abort();
-  }
-}
-BENCHMARK(BM_MvccCommit);
 
 void BM_SkipListRangeScan(benchmark::State& state) {
   SkipList sl;

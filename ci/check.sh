@@ -2,12 +2,15 @@
 # CI entry point: tier-1 suite in Release (plus examples, metrics, recovery,
 # network, write-path, cluster, replication, auditor-chaos and
 # repository-benchmark smoke runs), the concurrency + 2PC participant +
-# network + cluster + replica tests under ThreadSanitizer, and the
-# proof-codec + database + 2PC participant + network + cluster + replica
-# + SHA-256/CRC32C kernel + journal + persistence tests under ASan+UBSan
-# (untrusted wire bytes are decoded there, and the hardware hash kernels
-# make unaligned vector loads, so memory errors and UB are the failure
-# modes that matter).
+# read-set + network + cluster + replica tests under ThreadSanitizer,
+# and the proof-codec + database + 2PC participant + write-batch and
+# read-set + network + cluster + replica + SHA-256/CRC32C kernel +
+# journal + persistence tests under ASan+UBSan (untrusted wire bytes are
+# decoded there, and the hardware hash kernels make unaligned vector
+# loads, so memory errors and UB are the failure modes that matter).
+# The read-set suites are ClusterReadSetTest, TwoPhaseCommitTest,
+# MvccTest and TxnConfigSweep (cluster_test) plus WriteBatchTest
+# (txn_test).
 # All legs must be green for a change to land.
 #
 # Usage: ci/check.sh [build-dir-prefix]   (default: build)
@@ -125,7 +128,7 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
 # TSAN_OPTIONS makes any reported race fail the run (exit code).
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
   ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
-        -R 'Concurrency|DeferredVerifier|TxnParticipant|SpitzDb|Metrics|Recovery|Net|Cluster|Replica'
+        -R 'Concurrency|DeferredVerifier|TxnParticipant|SpitzDb|Metrics|Recovery|Net|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep'
 
 echo "==> tier-2: ASan+UBSan proof-codec and database suite"
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -137,6 +140,6 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
 ASAN_OPTIONS="halt_on_error=1 exitcode=66" \
 UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \
   ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-        -R 'Siri|SpitzDb|SpitzOptions|TxnParticipant|Recovery|Net|Concurrency|Cluster|Replica|Sha256|Crc32c|Journal|Block|Persistence'
+        -R 'Siri|SpitzDb|SpitzOptions|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence'
 
 echo "==> all checks passed"

@@ -45,9 +45,13 @@ int main(int argc, char** argv) {
   printf("wrote 100 records across %zu shards\n", shard_count);
 
   // --- A cross-shard transfer commits atomically via 2PC -----------------
+  // The batch names the balances it was computed from: had another
+  // client changed either since, the write would fail Aborted.
   const char* from = "account/0007";
   const char* to = "account/0042";
   WriteBatch transfer;
+  transfer.Expect(from, Slice("balance=70"));
+  transfer.Expect(to, Slice("balance=420"));
   transfer.Put(from, "balance=20");
   transfer.Put(to, "balance=470");
   s = cluster->Write(WriteOptions(), transfer);

@@ -18,9 +18,10 @@ namespace spitz {
 // ---------------------------------------------------------------------------
 // ClusterClient — a sharded Spitz cluster behind the one VerifiedKv
 // surface. Keys route by the shared partition function (the same one
-// ShardedStore and the coordinator use); cross-shard batches commit
-// via 2PC; verified reads and scans check out against a single cluster
-// root digest.
+// the coordinator uses); cross-shard batches commit via 2PC, and a
+// batch's read set makes a read-modify-write serializable (Write);
+// verified reads and scans check out against a single cluster root
+// digest.
 //
 // Verified read protocol (Get/Scan with ReadOptions::verify):
 //
@@ -118,8 +119,9 @@ class ClusterClient : public VerifiedKv {
 
   // --- Cluster surface ----------------------------------------------------
 
-  // Atomic cross-shard write: splits by partition, one-phase on a
-  // single shard, 2PC otherwise.
+  // Atomic cross-shard write: splits writes and read set by partition,
+  // one-phase on a single shard, 2PC otherwise. Aborted when a read in
+  // the batch's read set is stale: re-read and retry.
   Status Write(const WriteOptions& options, const WriteBatch& batch);
 
   // Captures a fresh cluster snapshot (per-shard digests + root).

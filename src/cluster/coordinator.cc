@@ -60,7 +60,9 @@ Status ClusterCoordinator::CommitBatch(const WriteOptions& options,
   if (batch.empty()) return Status::OK();
 
   // Split by the shared partition function — the same routing every
-  // reader uses, so a batch's writes land where its readers will look.
+  // reader uses, so a batch's writes land where its readers will look
+  // and each read is validated by the shard that owns its key. A shard
+  // that is only read still votes: its prepare locks the read keys.
   std::map<size_t, WriteBatch> parts;
   for (const WriteBatch::Op& op : batch.ops()) {
     WriteBatch& part = parts[PartitionOf(op.key, shards_.size())];
@@ -70,9 +72,13 @@ Status ClusterCoordinator::CommitBatch(const WriteOptions& options,
       part.Delete(op.key);
     }
   }
+  for (const WriteBatch::Read& read : batch.reads()) {
+    parts[PartitionOf(read.key, shards_.size())].Expect(read);
+  }
 
   if (parts.size() == 1) {
-    // One-phase fast path: a single shard's kWrite is already atomic.
+    // One-phase fast path: a single shard's kWrite is already atomic,
+    // and the shard checks the read set where it applies the writes.
     Status s = shards_[parts.begin()->first]->Write(options,
                                                     parts.begin()->second);
     if (s.ok()) commits_1pc_->Increment();

@@ -14,18 +14,20 @@ namespace spitz {
 
 // ---------------------------------------------------------------------------
 // ClusterCoordinator — the client-side 2PC driver of a sharded Spitz
-// deployment (paper section 5.2, now over real TCP instead of the
-// in-process ShardedStore).
+// deployment (paper section 5.2, over TCP).
 //
-// The coordinator owns no server: like TxnCoordinator, it is a library
-// the writing client runs. A cross-shard batch is split by the shared
-// partition function, prepared on every touched shard (each shard
-// journals its vote durably before answering), and committed once all
-// votes are in. Failure matrix:
+// The coordinator owns no server: it is a library the writing client
+// runs. A cross-shard batch — writes and read set — is split by the
+// shared partition function, prepared on every touched shard (each
+// shard locks the keys, checks its reads and journals its vote durably
+// before answering), and committed once all votes are in. Failure
+// matrix:
 //
 //   * any prepare fails        -> abort the already-prepared shards,
 //                                 return that prepare's status
-//                                 (Busy = key conflict, retryable).
+//                                 (Busy = key conflict, retryable;
+//                                 Aborted = stale read, re-read and
+//                                 retry).
 //   * a commit RPC fails       -> the decision is already durable on
 //                                 the shards that took it; the driver
 //                                 retries the stragglers, then reports
@@ -51,7 +53,8 @@ namespace spitz {
 //                                 presumes abort.
 //
 // Single-shard batches skip 2PC entirely (one-phase fast path: a plain
-// kWrite, which is atomic and synced on the shard).
+// kWrite, which is atomic, checks the read set and is synced on the
+// shard).
 //
 // Not thread-safe per call; share one instance across threads only for
 // NextTxnId(), which is atomic.
@@ -71,8 +74,9 @@ class ClusterCoordinator {
   size_t shard_count() const { return shards_.size(); }
 
   // Splits `batch` by partition and commits it atomically across every
-  // touched shard. options.sync is honored on the one-phase path;
-  // prepared batches are always durable (a vote is a promise).
+  // touched shard, or not at all: Aborted when a read in its read set
+  // is stale. options.sync is honored on the one-phase path; prepared
+  // batches are always durable (a vote is a promise).
   Status CommitBatch(const WriteOptions& options, const WriteBatch& batch);
 
   // Presumed-abort recovery: collects every shard's in-doubt list and

@@ -10,11 +10,10 @@ namespace spitz {
 
 // ---------------------------------------------------------------------------
 // The ONE key-partitioning function of the system. Shard placement must
-// agree everywhere a key is routed — the in-process ShardedStore, the
-// cluster coordinator's 2PC driver, and every ClusterClient — or a
-// transaction prepared on one shard would be committed on another.
-// Header-only so the txn layer can share it without a link dependency
-// on the cluster library.
+// agree everywhere a key is routed — the 2PC coordinator and every
+// ClusterClient — or a transaction prepared on one shard would be
+// committed on another. Header-only, so tests and
+// benches can place keys on a chosen shard.
 //
 // FNV-1a over the key bytes, reduced mod shard_count. Stable by
 // construction: changing this function is a cluster-wide resharding

@@ -175,7 +175,7 @@ class ScopedTimer {
 
 // The serializable, JSON-convertible view of a registry at one instant.
 // Also constructible by hand, for components that aggregate state under
-// their own locks (e.g. ShardedStore summing per-shard MVCC stats).
+// their own locks or merge several registries (MergeFrom).
 struct MetricsSnapshot {
   std::map<std::string, uint64_t> counters;
   std::map<std::string, uint64_t> gauges;

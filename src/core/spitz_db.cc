@@ -117,6 +117,10 @@ SpitzDb::SpitzDb(SpitzOptions options, bool durable)
         sync.sync = true;
         return WriteInternal(sync, batch, txn_id);
       },
+      [this](const WriteBatch& batch) {
+        std::lock_guard<std::mutex> lock(mu_);
+        return ValidateReadsLocked(batch);
+      },
       init_status_);
   WireMetrics();
   PublishSnapshotLocked(/*journal_changed=*/true);
@@ -511,6 +515,12 @@ Status SpitzDb::CommitGroup(const std::vector<CommitRequest*>& group,
       // or the decided outcome could be clobbered between vote and
       // commit.
       r->status = participant_->CheckConflicts(*r->batch, r->bypass_txn);
+      // The read set is checked against root_ as the batches before it
+      // in this group left it, exactly as a serial run would. A commit
+      // decision's reads were checked at prepare and are locked since.
+      if (r->status.ok() && r->bypass_txn == 0) {
+        r->status = ValidateReadsLocked(*r->batch);
+      }
       if (!r->status.ok()) continue;
       r->status = ApplyBatchLocked(*r->batch);
       // Seal inside the per-batch loop, exactly where the serial path
@@ -616,6 +626,12 @@ void SpitzDb::FlushJournal() {
   sync_cv_.wait(sync_lock, [&] { return !sync_in_flight_; });
   std::lock_guard<std::mutex> lock(mu_);
   journal_log_->Flush();
+}
+
+Status SpitzDb::ValidateReadsLocked(const WriteBatch& batch) const {
+  return batch.ValidateReads([this](const Slice& key, std::string* value) {
+    return index_->Get(root_, key, value);
+  });
 }
 
 Status SpitzDb::ApplyBatchLocked(const WriteBatch& batch) {

@@ -182,7 +182,8 @@ class SpitzDb : public VerifiedKv {
   Status Delete(const Slice& key);
   Status Delete(const WriteOptions& options, const Slice& key) override;
   // Atomic multi-key write (one commit timestamp, one set of ledger
-  // entries).
+  // entries). A batch with a read set fails Aborted, applying nothing,
+  // when a read is stale at its turn in the commit order.
   Status Write(const WriteBatch& batch);
   Status Write(const WriteOptions& options, const WriteBatch& batch);
 
@@ -533,6 +534,10 @@ class SpitzDb : public VerifiedKv {
   // buffer cannot grow without bound.
   void FlushJournal();
 
+  // Checks the batch's read set against root_ under mu_: Aborted when
+  // a read is stale (WriteBatch::ValidateReads).
+  Status ValidateReadsLocked(const WriteBatch& batch) const;
+
   // Applies one batch's ops to the index and the ledger buffer under
   // mu_ (no seal, no I/O). The batch is atomic: on failure root_ and
   // pending_ are untouched.
@@ -652,7 +657,8 @@ class SpitzDb : public VerifiedKv {
   uint64_t synced_seq_ = 0;
 
   // Lock order mu_ -> participant (CommitGroup checks prepared-key locks
-  // under mu_); its apply callback is WriteInternal.
+  // under mu_); its apply callback is WriteInternal, and its validate
+  // callback takes mu_ to check a prepare's read set.
   std::unique_ptr<TxnParticipant> participant_;
 
   // Replication seal listener (see SetSealListener). Leaf lock, taken

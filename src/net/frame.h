@@ -111,8 +111,9 @@ inline constexpr uint32_t kHandshakeMethod = 0;
 // handshake frame existed). v2: handshake + cluster methods (2PC,
 // pinned-root proofs, cluster digest). v3: primary-backup replication
 // (kReplicate/kReplicaAck/kReplicaStatus) and the replica-pair cluster
-// digest envelope.
-inline constexpr uint32_t kProtocolVersion = 3;
+// digest envelope. v4: a kWrite/kTxnPrepare batch may carry a read set,
+// and every request must be consumed exactly (no trailing bytes).
+inline constexpr uint32_t kProtocolVersion = 4;
 inline constexpr char kHandshakeMagic[4] = {'S', 'P', 'T', 'Z'};
 
 // Feature bits advertised in the handshake.

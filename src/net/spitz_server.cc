@@ -80,11 +80,112 @@ void SpitzServer::SweeperLoop() {
   }
 }
 
+namespace {
+
+// Every method's arguments, decoded off the request before anything
+// runs. Slices point into the request bytes.
+struct Request {
+  Slice key, value, start, end;
+  uint64_t limit = 0;
+  uint64_t txn_id = 0;
+  bool sync = false;
+  Hash256 root;
+  WriteBatch batch;
+  Slice record;  // kReplicate / kReplicaStatus: the replica decodes it
+};
+
+Status GetRoot(Slice* input, Hash256* root) {
+  if (!GetHash256(input, root)) {
+    return Status::InvalidArgument("truncated hash field");
+  }
+  return Status::OK();
+}
+
+Status GetRange(Slice* input, Request* req) {
+  Status s = GetLengthPrefixedSlice(input, &req->start);
+  if (s.ok()) s = GetLengthPrefixedSlice(input, &req->end);
+  if (s.ok()) s = GetVarint64(input, &req->limit);
+  return s;
+}
+
+// A batch is always a request's last field and takes the rest of it.
+Status GetBatch(Slice* input, WriteBatch* batch) {
+  Status s = WriteBatch::Decode(*input, batch);
+  *input = Slice();
+  if (!s.ok()) {
+    return Status::InvalidArgument("bad write batch: " + s.message());
+  }
+  return Status::OK();
+}
+
+// Decodes `method`'s request (wire layouts in spitz_wire.h). The whole
+// input must be consumed: leftover bytes are InvalidArgument, so junk
+// after a valid request never executes.
+Status DecodeRequest(uint32_t method, Slice input, Request* req) {
+  Status s;
+  switch (method) {
+    case wire::kPut:
+      s = GetLengthPrefixedSlice(&input, &req->key);
+      if (s.ok()) s = GetLengthPrefixedSlice(&input, &req->value);
+      break;
+    case wire::kDelete:
+    case wire::kGet:
+    case wire::kGetProof:
+    case wire::kAudit:
+      s = GetLengthPrefixedSlice(&input, &req->key);
+      break;
+    case wire::kScan:
+    case wire::kScanProof:
+      s = GetRange(&input, req);
+      break;
+    case wire::kDigest:
+    case wire::kTxnInDoubt:
+    case wire::kReplicaAck:
+      break;
+    case wire::kWrite:
+      if (input.empty()) return Status::InvalidArgument("short write request");
+      req->sync = input[0] != 0;
+      input.remove_prefix(1);
+      s = GetBatch(&input, &req->batch);
+      break;
+    case wire::kTxnPrepare:
+      s = GetFixed64(&input, &req->txn_id);
+      if (s.ok()) s = GetBatch(&input, &req->batch);
+      break;
+    case wire::kTxnCommit:
+    case wire::kTxnAbort:
+      s = GetFixed64(&input, &req->txn_id);
+      break;
+    case wire::kGetProofAt:
+      s = GetRoot(&input, &req->root);
+      if (s.ok()) s = GetLengthPrefixedSlice(&input, &req->key);
+      break;
+    case wire::kScanProofAt:
+      s = GetRoot(&input, &req->root);
+      if (s.ok()) s = GetRange(&input, req);
+      break;
+    case wire::kReplicate:
+    case wire::kReplicaStatus:
+      req->record = input;
+      input = Slice();
+      break;
+    default:
+      return Status::NotSupported("unknown method id");
+  }
+  if (!s.ok()) return s;
+  if (!input.empty()) {
+    return Status::InvalidArgument(std::string("trailing bytes after ") +
+                                   wire::MethodName(method) + " request");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Status SpitzServer::Handle(uint32_t method, const std::string& request,
                            std::string* response) {
   ScopedTimer timer(
       method_ns_[method >= 1 && method <= wire::kMethodCount ? method : 0]);
-  Slice input(request);
   // An un-promoted backup serves reads and proofs but takes no writes:
   // its state must be exactly the replicated stream, or digest
   // agreement with the primary is meaningless.
@@ -102,58 +203,43 @@ Status SpitzServer::Handle(uint32_t method, const std::string& request,
         break;
     }
   }
+  Request req;
+  Status s = DecodeRequest(method, request, &req);
+  if (!s.ok()) return s;
   switch (method) {
-    case wire::kReplicate: {
-      if (options_.replica == nullptr) {
-        return Status::NotSupported("replication is not configured here");
-      }
-      return options_.replica->HandleReplicate(input, response);
-    }
-    case wire::kReplicaAck: {
-      if (options_.replica == nullptr) {
-        return Status::NotSupported("replication is not configured here");
-      }
-      return options_.replica->HandleAck(response);
-    }
+    case wire::kReplicate:
+    case wire::kReplicaAck:
     case wire::kReplicaStatus: {
       if (options_.replica == nullptr) {
         return Status::NotSupported("replication is not configured here");
       }
-      return options_.replica->HandleStatus(input, response);
+      if (method == wire::kReplicate) {
+        return options_.replica->HandleReplicate(req.record, response);
+      }
+      if (method == wire::kReplicaAck) {
+        return options_.replica->HandleAck(response);
+      }
+      return options_.replica->HandleStatus(req.record, response);
     }
     case wire::kPut:
     case wire::kDelete: {
-      Slice key, value;
-      Status s = GetLengthPrefixedSlice(&input, &key);
-      if (!s.ok()) return s;
-      if (method == wire::kPut) {
-        s = GetLengthPrefixedSlice(&input, &value);
-        if (!s.ok()) return s;
-        s = db_->Put(key, value);
-      } else {
-        s = db_->Delete(key);
-      }
+      s = method == wire::kPut ? db_->Put(req.key, req.value)
+                               : db_->Delete(req.key);
       // The auditor role: queue a deferred, integrity-only audit of the
       // key (later writers may legally change it before the audit runs).
-      if (s.ok()) s = db_->AuditKey(key);
+      if (s.ok()) s = db_->AuditKey(req.key);
       return s;
     }
     case wire::kGet: {
-      Slice key;
-      Status s = GetLengthPrefixedSlice(&input, &key);
-      if (!s.ok()) return s;
       std::string value;
-      s = db_->Get(key, &value);
+      s = db_->Get(req.key, &value);
       if (s.ok()) PutLengthPrefixedSlice(response, value);
       return s;
     }
     case wire::kGetProof: {
       // The proof is built against the root of the digest it ships with.
-      Slice key;
-      Status s = GetLengthPrefixedSlice(&input, &key);
-      if (!s.ok()) return s;
       VerifiedKv::Evidence evidence;
-      s = db_->GetProof(key, &evidence);
+      s = db_->GetProof(req.key, &evidence);
       if (!s.ok() && !s.IsNotFound()) return s;
       // NotFound still carries a proof of absence; the value slot is
       // simply empty, so the layout is one shape for both outcomes.
@@ -163,25 +249,18 @@ Status SpitzServer::Handle(uint32_t method, const std::string& request,
       response->append(evidence.digest);
       return s;
     }
-    case wire::kScan:
+    case wire::kScan: {
+      std::vector<PosEntry> rows;
+      s = db_->Scan(req.start, req.end, static_cast<size_t>(req.limit),
+                    &rows);
+      if (!s.ok()) return s;
+      wire::EncodeRows(rows, response);
+      return Status::OK();
+    }
     case wire::kScanProof: {
-      Slice start, end;
-      uint64_t limit = 0;
-      Status s = GetLengthPrefixedSlice(&input, &start);
-      if (!s.ok()) return s;
-      s = GetLengthPrefixedSlice(&input, &end);
-      if (!s.ok()) return s;
-      s = GetVarint64(&input, &limit);
-      if (!s.ok()) return s;
-      if (method == wire::kScan) {
-        std::vector<PosEntry> rows;
-        s = db_->Scan(start, end, static_cast<size_t>(limit), &rows);
-        if (!s.ok()) return s;
-        wire::EncodeRows(rows, response);
-        return Status::OK();
-      }
       VerifiedKv::ScanEvidence evidence;
-      s = db_->ScanProof(start, end, static_cast<size_t>(limit), &evidence);
+      s = db_->ScanProof(req.start, req.end, static_cast<size_t>(req.limit),
+                         &evidence);
       if (!s.ok()) return s;
       wire::EncodeRows(evidence.rows, response);
       response->append(evidence.proof);
@@ -195,40 +274,19 @@ Status SpitzServer::Handle(uint32_t method, const std::string& request,
     case wire::kWrite: {
       // Atomic batch with an explicit durability flag: the wire form of
       // SpitzDb::Write(WriteOptions, WriteBatch).
-      if (input.empty()) return Status::InvalidArgument("short write request");
-      const bool sync = input[0] != 0;
-      input.remove_prefix(1);
-      WriteBatch batch;
-      Status s = WriteBatch::Decode(input, &batch);
-      if (!s.ok()) return s;
       WriteOptions write_options;
-      write_options.sync = sync;
-      return db_->Write(write_options, batch);
+      write_options.sync = req.sync;
+      return db_->Write(write_options, req.batch);
     }
-    case wire::kTxnPrepare: {
-      uint64_t txn_id = 0;
-      Status s = GetFixed64(&input, &txn_id);
-      if (!s.ok()) return s;
-      WriteBatch batch;
-      s = WriteBatch::Decode(input, &batch);
-      if (!s.ok()) return s;
-      return db_->participant()->PrepareTxn(txn_id, batch);
-    }
-    case wire::kTxnCommit: {
-      uint64_t txn_id = 0;
-      Status s = GetFixed64(&input, &txn_id);
-      if (!s.ok()) return s;
-      return db_->participant()->CommitTxn(txn_id);
-    }
-    case wire::kTxnAbort: {
-      uint64_t txn_id = 0;
-      Status s = GetFixed64(&input, &txn_id);
-      if (!s.ok()) return s;
-      return db_->participant()->AbortTxn(txn_id);
-    }
+    case wire::kTxnPrepare:
+      return db_->participant()->PrepareTxn(req.txn_id, req.batch);
+    case wire::kTxnCommit:
+      return db_->participant()->CommitTxn(req.txn_id);
+    case wire::kTxnAbort:
+      return db_->participant()->AbortTxn(req.txn_id);
     case wire::kTxnInDoubt: {
       std::vector<uint64_t> txn_ids;
-      Status s = db_->participant()->InDoubtTxns(&txn_ids);
+      s = db_->participant()->InDoubtTxns(&txn_ids);
       if (!s.ok()) return s;
       PutVarint64(response, txn_ids.size());
       for (uint64_t txn_id : txn_ids) PutFixed64(response, txn_id);
@@ -238,38 +296,19 @@ Status SpitzServer::Handle(uint32_t method, const std::string& request,
       // Pinned-root read: proves against the exact version a cluster
       // digest snapshot named, immune to concurrent commits. No digest
       // in the reply — the client verifies against the digest it pinned.
-      Hash256 root;
-      if (!GetHash256(&input, &root)) {
-        return Status::InvalidArgument("truncated hash field");
-      }
-      Slice key;
-      Status s = GetLengthPrefixedSlice(&input, &key);
-      if (!s.ok()) return s;
       std::string value;
       ReadProof proof;
-      s = db_->GetWithProofAt(root, key, &value, &proof);
+      s = db_->GetWithProofAt(req.root, req.key, &value, &proof);
       if (!s.ok() && !s.IsNotFound()) return s;
       PutLengthPrefixedSlice(response, s.ok() ? Slice(value) : Slice());
       proof.EncodeTo(response);
       return s;
     }
     case wire::kScanProofAt: {
-      Hash256 root;
-      if (!GetHash256(&input, &root)) {
-        return Status::InvalidArgument("truncated hash field");
-      }
-      Slice start, end;
-      uint64_t limit = 0;
-      Status s = GetLengthPrefixedSlice(&input, &start);
-      if (!s.ok()) return s;
-      s = GetLengthPrefixedSlice(&input, &end);
-      if (!s.ok()) return s;
-      s = GetVarint64(&input, &limit);
-      if (!s.ok()) return s;
       std::vector<PosEntry> rows;
       ScanProof proof;
-      s = db_->ScanWithProofAt(root, start, end, static_cast<size_t>(limit),
-                               &rows, &proof);
+      s = db_->ScanWithProofAt(req.root, req.start, req.end,
+                               static_cast<size_t>(req.limit), &rows, &proof);
       if (!s.ok()) return s;
       wire::EncodeRows(rows, response);
       proof.EncodeTo(response);
@@ -279,10 +318,7 @@ Status SpitzServer::Handle(uint32_t method, const std::string& request,
       // Synchronous audit verdict: queue the requested audit (a key's
       // current binding, or the last sealed block when the key is
       // empty), then drain so the reply carries the result.
-      Slice key;
-      Status s = GetLengthPrefixedSlice(&input, &key);
-      if (!s.ok()) return s;
-      s = key.empty() ? db_->AuditLastBlock() : db_->AuditKey(key);
+      s = req.key.empty() ? db_->AuditLastBlock() : db_->AuditKey(req.key);
       if (!s.ok()) return s;
       return db_->DrainAudits();
     }

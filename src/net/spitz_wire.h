@@ -24,6 +24,7 @@ enum Method : uint32_t {
   kAudit = 8,      // req: lp(key)                      resp: -
   // v2 (protocol version 2): atomic batches, the 2PC participant
   // surface, and pinned-root proofs for cluster-digest verification.
+  // A batch (WriteBatch::Encode) may end in a read set (protocol v4).
   kWrite = 9,        // req: byte(sync) batch            resp: -
   kTxnPrepare = 10,  // req: fixed64(txn_id) batch       resp: -
   kTxnCommit = 11,   // req: fixed64(txn_id)             resp: -

@@ -32,14 +32,23 @@ std::string EncodeRecord(uint8_t type, uint64_t txn_id,
 
 uint64_t NowMs() { return MonotonicNanos() / 1000000; }
 
+// Calls `fn` on every key `batch` writes or reads: the keys a prepare
+// locks.
+template <typename Fn>
+void ForEachKey(const WriteBatch& batch, Fn&& fn) {
+  for (const WriteBatch::Op& op : batch.ops()) fn(op.key);
+  for (const WriteBatch::Read& read : batch.reads()) fn(read.key);
+}
+
 }  // namespace
 
 TxnParticipant::TxnParticipant(Env* env, std::string dir, ApplyFn apply,
-                               Status status)
+                               ValidateFn validate, Status status)
     : env_(env),
       dir_(std::move(dir)),
       path_(dir_ + "/txn.log"),
       apply_(std::move(apply)),
+      validate_(std::move(validate)),
       status_(std::move(status)) {}
 
 void TxnParticipant::ExportMetrics(MetricsRegistry* registry) const {
@@ -59,38 +68,51 @@ Status TxnParticipant::PrepareTxn(uint64_t txn_id, const WriteBatch& batch) {
   if (batch.empty()) {
     return Status::InvalidArgument("cannot prepare an empty batch");
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  // Idempotent re-prepare: a coordinator retrying a lost vote gets the
-  // same yes it got the first time — but only for the same batch. A
-  // different batch under a known id is a coordinator id collision, and
-  // a yes here would vote for bytes that were never staged.
-  auto existing = prepared_.find(txn_id);
-  if (existing != prepared_.end()) {
-    if (existing->second.batch.Encode() == batch.Encode()) {
-      return Status::OK();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Idempotent re-prepare: a coordinator retrying a lost vote gets the
+    // same yes it got the first time — but only for the same batch. A
+    // different batch under a known id is a coordinator id collision,
+    // and a yes here would vote for bytes that were never staged.
+    auto existing = prepared_.find(txn_id);
+    if (existing != prepared_.end()) {
+      if (existing->second.batch.Encode() == batch.Encode()) {
+        return Status::OK();
+      }
+      return Status::InvalidArgument(
+          "txn " + std::to_string(txn_id) +
+          " re-prepared with a different batch (coordinator id collision?)");
     }
-    return Status::InvalidArgument(
-        "txn " + std::to_string(txn_id) +
-        " re-prepared with a different batch (coordinator id collision?)");
+    // Same hazard for an id this shard already resolved: re-staging it
+    // would let one coordinator's commit retry apply another's batch.
+    if (resolved_.count(txn_id) != 0) {
+      return Status::InvalidArgument("txn " + std::to_string(txn_id) +
+                                     " was already resolved on this shard");
+    }
+    // No bypass: a duplicate prepare racing this one finds its keys
+    // taken and is Busy, never a second vote.
+    Status s = CheckConflictsLocked(batch, /*bypass_txn=*/0);
+    if (!s.ok()) return s;
+    LockKeysLocked(txn_id, batch);
+    PublishCountLocked();
   }
-  // Same hazard for an id this shard already resolved: re-staging it
-  // would let one coordinator's commit retry apply another's batch.
-  if (resolved_.count(txn_id) != 0) {
-    return Status::InvalidArgument("txn " + std::to_string(txn_id) +
-                                   " was already resolved on this shard");
-  }
-  Status s = CheckConflictsLocked(batch, txn_id);
-  if (!s.ok()) return s;
+  // The read set is checked after the locks are taken, under the
+  // owner's writer lock: a writer that passed CheckConflicts before the
+  // locks holds that lock until its batch is applied, so the check sees
+  // it, and every later writer of these keys is Busy.
+  Status s = validate_(batch);
+  std::lock_guard<std::mutex> lock(mu_);
   // The vote is durable before it is cast: a participant that said yes
   // must still know it after a crash (Recover re-stages it).
-  s = AppendRecordLocked(kPrepareRecord, txn_id, &batch);
-  if (!s.ok()) return s;
+  if (s.ok()) s = AppendRecordLocked(kPrepareRecord, txn_id, &batch);
+  if (!s.ok()) {
+    UnlockKeysLocked(txn_id, batch);
+    PublishCountLocked();
+    return s;
+  }
   PreparedTxn prepared;
   prepared.batch = batch;
   prepared.since_ms = NowMs();
-  for (const WriteBatch::Op& op : batch.ops()) {
-    prepared_keys_[op.key] = txn_id;
-  }
   prepared_.emplace(txn_id, std::move(prepared));
   prepares_.Increment();
   PublishCountLocked();
@@ -123,8 +145,9 @@ Status TxnParticipant::CommitTxn(uint64_t txn_id) {
   }
   // Outside mu_ (the owner's apply takes its writer lock, which orders
   // before mu_). The apply is durable: the data must be on disk before
-  // the decision marker says it is.
-  Status s = apply_(txn_id, batch);
+  // the decision marker says it is. A shard that only read has nothing
+  // to apply; its decision just releases the read locks.
+  Status s = batch.size() == 0 ? Status::OK() : apply_(txn_id, batch);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = prepared_.find(txn_id);
   if (!s.ok()) {
@@ -220,8 +243,8 @@ Status TxnParticipant::AbortTxnsOlderThan(uint64_t max_age_ms,
 
 Status TxnParticipant::CheckConflicts(const WriteBatch& batch,
                                       uint64_t bypass_txn) {
-  // The common nothing-prepared case never takes the mutex.
-  if (prepared_count_.load(std::memory_order_acquire) == 0 &&
+  // The common nothing-locked case never takes the mutex.
+  if (locked_count_.load(std::memory_order_acquire) == 0 &&
       bypass_txn == 0) {
     return Status::OK();
   }
@@ -231,26 +254,38 @@ Status TxnParticipant::CheckConflicts(const WriteBatch& batch,
 
 Status TxnParticipant::CheckConflictsLocked(const WriteBatch& batch,
                                             uint64_t bypass_txn) {
-  for (const WriteBatch::Op& op : batch.ops()) {
-    auto it = prepared_keys_.find(op.key);
+  uint64_t owner = 0;  // txn ids are nonzero
+  ForEachKey(batch, [&](const std::string& key) {
+    auto it = prepared_keys_.find(key);
     if (it != prepared_keys_.end() && it->second != bypass_txn) {
-      conflicts_.Increment();
-      return Status::Busy("key locked by prepared transaction " +
-                          std::to_string(it->second));
+      owner = it->second;
     }
-  }
-  return Status::OK();
+  });
+  if (owner == 0) return Status::OK();
+  conflicts_.Increment();
+  return Status::Busy("key locked by prepared transaction " +
+                      std::to_string(owner));
+}
+
+void TxnParticipant::LockKeysLocked(uint64_t txn_id, const WriteBatch& batch) {
+  ForEachKey(batch,
+             [&](const std::string& key) { prepared_keys_[key] = txn_id; });
+}
+
+void TxnParticipant::UnlockKeysLocked(uint64_t txn_id,
+                                      const WriteBatch& batch) {
+  ForEachKey(batch, [&](const std::string& key) {
+    auto locked = prepared_keys_.find(key);
+    if (locked != prepared_keys_.end() && locked->second == txn_id) {
+      prepared_keys_.erase(locked);
+    }
+  });
 }
 
 void TxnParticipant::ResolveLocked(
     std::map<uint64_t, PreparedTxn>::iterator it, bool committed) {
   const uint64_t txn_id = it->first;
-  for (const WriteBatch::Op& op : it->second.batch.ops()) {
-    auto locked = prepared_keys_.find(op.key);
-    if (locked != prepared_keys_.end() && locked->second == txn_id) {
-      prepared_keys_.erase(locked);
-    }
-  }
+  UnlockKeysLocked(txn_id, it->second.batch);
   prepared_.erase(it);
   RecordResolvedLocked(txn_id, committed);
   (committed ? commits_ : aborts_).Increment();
@@ -271,7 +306,7 @@ void TxnParticipant::RecordResolvedLocked(uint64_t txn_id, bool committed) {
 }
 
 void TxnParticipant::PublishCountLocked() {
-  prepared_count_.store(prepared_.size(), std::memory_order_release);
+  locked_count_.store(prepared_keys_.size(), std::memory_order_release);
   in_doubt_.Set(prepared_.size());
 }
 
@@ -340,9 +375,7 @@ Status TxnParticipant::Recover() {
   // outcome. Re-take their key locks until the coordinator resolves
   // them (or the timeout sweep aborts them).
   for (const auto& [txn_id, prepared] : prepared_) {
-    for (const WriteBatch::Op& op : prepared.batch.ops()) {
-      prepared_keys_[op.key] = txn_id;
-    }
+    LockKeysLocked(txn_id, prepared.batch);
   }
   PublishCountLocked();
   // Compact when the file differs from the surviving state: a decision

@@ -7,11 +7,8 @@
 namespace spitz {
 
 // A centralized timestamp allocation service in the style of Percolator's
-// Timestamp Oracle (cited as [41] in the paper). Section 5.2 describes
-// ordering distributed transactions by timestamps from such a service,
-// and notes it can become a bottleneck — which the HLC scheme (hlc.h)
-// addresses. Both are provided; the concurrency benchmarks can compare
-// them.
+// Timestamp Oracle (cited as [41] in the paper). SpitzDb, Table and the
+// baseline stamp their commits with one.
 class TimestampOracle {
  public:
   explicit TimestampOracle(uint64_t start = 1) : next_(start) {}

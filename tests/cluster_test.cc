@@ -1,6 +1,7 @@
 // Tests for the sharded-cluster layer (DESIGN.md section 13): the
 // shared partition function, the cluster root digest, client-side 2PC
-// over real TCP, participant crash recovery from the durable txn log,
+// over real TCP, read sets that make read-modify-writes serializable,
+// participant crash recovery from the durable txn log,
 // presumed-abort sweeping when the coordinator dies, and — in the
 // style of the wire-protocol fuzz tests — byte-level tampering of the
 // cluster evidence envelope, which must always be rejected and never
@@ -15,6 +16,8 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +30,7 @@
 #include "common/clock.h"
 #include "common/codec.h"
 #include "common/fault_env.h"
+#include "common/random.h"
 #include "core/spitz_db.h"
 #include "net/frame.h"
 #include "net/net_client.h"
@@ -432,6 +436,441 @@ TEST(ClusterTxnTest, SweeperNeverAbortsACommittingTxn) {
   EXPECT_EQ(committed + aborted, 200);
 }
 
+// --- Read sets: serializable read-modify-writes -----------------------------
+
+// A transaction's read of `key`: nullopt when absent. Verified unless
+// `verify` is off — either way the read set carries the value's hash.
+std::optional<std::string> TxnRead(ClusterClient* client,
+                                   const std::string& key,
+                                   bool verify = true) {
+  ReadOptions options;
+  options.verify = verify;
+  std::string value;
+  Status s = client->Get(options, key, &value);
+  EXPECT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
+  if (!s.ok()) return std::nullopt;
+  return value;
+}
+
+void ExpectSeen(WriteBatch* batch, const std::string& key,
+                const std::optional<std::string>& seen) {
+  batch->Expect(key, seen ? std::optional<Slice>(*seen) : std::nullopt);
+}
+
+int AsCount(const std::optional<std::string>& value) {
+  return value ? std::stoi(*value) : 0;
+}
+
+// Reads every key, then writes each one's count + 1 in one batch that
+// carries the reads — or, with `with_reads` off, blindly.
+Status IncrementAll(ClusterClient* client,
+                    const std::vector<std::string>& keys,
+                    bool with_reads = true) {
+  WriteBatch batch;
+  for (const std::string& key : keys) {
+    std::optional<std::string> seen = TxnRead(client, key);
+    if (with_reads) ExpectSeen(&batch, key, seen);
+    batch.Put(key, std::to_string(AsCount(seen) + 1));
+  }
+  return client->Write(WriteOptions(), batch);
+}
+
+// Re-runs `txn` (which re-reads) while it fails Aborted (a stale read)
+// or Busy (a key locked by a transaction mid-commit).
+Status RetryConflicts(const std::function<Status()>& txn) {
+  Status s;
+  for (int attempt = 0; attempt < 1000; attempt++) {
+    s = txn();
+    if (!s.IsAborted() && !s.IsBusy()) return s;
+  }
+  return s;
+}
+
+TEST(ClusterReadSetTest, OfTwoIncrementsFromTheSameReadExactlyOneCommits) {
+  ClusterFixture fx(3);
+  std::unique_ptr<ClusterClient> other;
+  ASSERT_TRUE(ClusterClient::Open(fx.fleet->ClusterOptions(), &other).ok());
+  const std::string x = KeyOnShard(0, 3, "x");
+  const std::string y = KeyOnShard(2, 3, "y");
+  // One-phase (x alone), then two-phase (x plus a write on another
+  // shard): both paths check the read set.
+  for (bool cross_shard : {false, true}) {
+    SCOPED_TRACE(cross_shard ? "2PC" : "1PC");
+    ASSERT_TRUE(fx.client->Put(x, "0").ok());
+    std::optional<std::string> a_seen = TxnRead(fx.client.get(), x);
+    std::optional<std::string> b_seen = TxnRead(other.get(), x);
+    ASSERT_EQ(a_seen, "0");
+    ASSERT_EQ(b_seen, "0");
+    WriteBatch a, b;
+    ExpectSeen(&a, x, a_seen);
+    a.Put(x, std::to_string(AsCount(a_seen) + 1));
+    ExpectSeen(&b, x, b_seen);
+    b.Put(x, std::to_string(AsCount(b_seen) + 1));
+    if (cross_shard) {
+      a.Put(y, "a");
+      b.Put(y, "b");
+    }
+    ASSERT_TRUE(fx.client->Write(WriteOptions(), a).ok());
+    Status lost = other->Write(WriteOptions(), b);
+    EXPECT_TRUE(lost.IsAborted()) << lost.ToString();
+    // Nothing of the aborted batch applied.
+    EXPECT_EQ(TxnRead(fx.client.get(), x), "1");
+    if (cross_shard) {
+      EXPECT_EQ(TxnRead(fx.client.get(), y), "a");
+    }
+    // The loser re-reads and retries.
+    ASSERT_TRUE(IncrementAll(other.get(), {x}).ok());
+    EXPECT_EQ(TxnRead(fx.client.get(), x), "2");
+  }
+  std::vector<uint64_t> in_doubt;
+  for (size_t shard = 0; shard < 3; shard++) {
+    ASSERT_TRUE(fx.client->shard(shard)->TxnInDoubt(&in_doubt).ok());
+    EXPECT_TRUE(in_doubt.empty());
+  }
+}
+
+TEST(ClusterReadSetTest, ConcurrentCrossShardIncrementsLoseNoUpdate) {
+  constexpr int kThreads = 4;
+  constexpr int kIncrementsEach = 25;
+  ClusterFixture fx(3);
+  // One counter per shard: every increment is a three-shard 2PC.
+  const std::vector<std::string> counters = {KeyOnShard(0, 3, "counter"),
+                                             KeyOnShard(1, 3, "counter"),
+                                             KeyOnShard(2, 3, "counter")};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kIncrementsEach; i++) {
+        Status s = RetryConflicts(
+            [&] { return IncrementAll(fx.client.get(), counters); });
+        if (!s.ok()) failures++;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  for (const std::string& counter : counters) {
+    EXPECT_EQ(TxnRead(fx.client.get(), counter),
+              std::to_string(kThreads * kIncrementsEach));
+  }
+  MetricsSnapshot m = fx.client->coordinator()->Metrics();
+  EXPECT_EQ(m.CounterValue("cluster.coordinator.commits_2pc"),
+            static_cast<uint64_t>(kThreads * kIncrementsEach));
+}
+
+TEST(ClusterReadSetTest, AShardThatIsOnlyReadVotesAndLocksItsReads) {
+  ClusterFixture fx(2);
+  const std::string read_key = KeyOnShard(1, 2, "read-only");
+  const std::string write_key = KeyOnShard(0, 2, "written");
+  ASSERT_TRUE(fx.client->Put(read_key, "r").ok());
+  WriteBatch batch;
+  ExpectSeen(&batch, read_key, TxnRead(fx.client.get(), read_key));
+  batch.Put(write_key, "w");
+  ASSERT_TRUE(fx.client->Write(WriteOptions(), batch).ok());
+  MetricsSnapshot m = fx.client->coordinator()->Metrics();
+  EXPECT_EQ(m.CounterValue("cluster.coordinator.commits_2pc"), 1u);
+
+  // The read-only shard's prepare holds its read key until the decision.
+  WriteBatch reads_only;
+  reads_only.Expect(read_key, Slice("r"));
+  ASSERT_TRUE(fx.client->shard(1)->TxnPrepare(31, reads_only).ok());
+  EXPECT_TRUE(fx.client->Put(read_key, "intruder").IsBusy());
+  ASSERT_TRUE(fx.client->shard(1)->TxnCommit(31).ok());
+  EXPECT_TRUE(fx.client->Put(read_key, "after").ok());
+  // A stale read on a shard that is only read fails the prepare there.
+  EXPECT_TRUE(fx.client->shard(1)->TxnPrepare(32, reads_only).IsAborted());
+}
+
+// --- The production 2PC path: atomicity and isolation ------------------------
+
+TEST(TwoPhaseCommitTest, CrossShardCommit) {
+  ClusterFixture fx(4);
+  WriteBatch batch;
+  for (int i = 0; i < 20; i++) {
+    batch.Put("key" + std::to_string(i), "v" + std::to_string(i));
+  }
+  ASSERT_TRUE(fx.client->Write(WriteOptions(), batch).ok());
+  for (int i = 0; i < 20; i++) {
+    EXPECT_EQ(TxnRead(fx.client.get(), "key" + std::to_string(i)),
+              "v" + std::to_string(i));
+  }
+}
+
+TEST(TwoPhaseCommitTest, AbortDropsWrites) {
+  ClusterFixture fx(2);
+  const std::string a = KeyOnShard(0, 2, "dropped");
+  const std::string b = KeyOnShard(1, 2, "dropped");
+  WriteBatch part_a, part_b;
+  part_a.Put(a, "v");
+  part_b.Put(b, "v");
+  ASSERT_TRUE(fx.client->shard(0)->TxnPrepare(41, part_a).ok());
+  ASSERT_TRUE(fx.client->shard(1)->TxnPrepare(41, part_b).ok());
+  ASSERT_TRUE(fx.client->shard(0)->TxnAbort(41).ok());
+  ASSERT_TRUE(fx.client->shard(1)->TxnAbort(41).ok());
+  EXPECT_EQ(TxnRead(fx.client.get(), a), std::nullopt);
+  EXPECT_EQ(TxnRead(fx.client.get(), b), std::nullopt);
+  EXPECT_TRUE(fx.client->Put(a, "free").ok());
+  EXPECT_TRUE(fx.client->Put(b, "free").ok());
+}
+
+TEST(TwoPhaseCommitTest, ConflictAbortsAtomicallyAcrossShards) {
+  ClusterFixture fx(4);
+  // The cold key's shard prepares first (shards vote in index order),
+  // so the stale read on the hot key's shard must roll that vote back.
+  const std::string cold = KeyOnShard(0, 4, "cold");
+  const std::string hot = KeyOnShard(3, 4, "hot");
+  WriteBatch seed;
+  seed.Put(cold, "seed");
+  seed.Put(hot, "seed");
+  ASSERT_TRUE(fx.client->Write(WriteOptions(), seed).ok());
+
+  std::optional<std::string> seen = TxnRead(fx.client.get(), hot);
+  ASSERT_TRUE(fx.client->Put(hot, "overtaken").ok());
+  WriteBatch doomed;
+  ExpectSeen(&doomed, hot, seen);
+  doomed.Put(cold, "doomed");
+  doomed.Put(hot, "doomed");
+  Status s = fx.client->Write(WriteOptions(), doomed);
+  EXPECT_TRUE(s.IsAborted()) << s.ToString();
+
+  EXPECT_EQ(TxnRead(fx.client.get(), cold), "seed")
+      << "2PC must roll back prepared shards";
+  EXPECT_EQ(TxnRead(fx.client.get(), hot), "overtaken");
+  for (size_t shard = 0; shard < 4; shard++) {
+    std::vector<uint64_t> in_doubt;
+    ASSERT_TRUE(fx.client->shard(shard)->TxnInDoubt(&in_doubt).ok());
+    EXPECT_TRUE(in_doubt.empty()) << "shard " << shard;
+  }
+  // The rolled-back prepare released its locks.
+  EXPECT_TRUE(fx.client->Put(cold, "free").ok());
+  MetricsSnapshot m = fx.client->coordinator()->Metrics();
+  EXPECT_EQ(m.CounterValue("cluster.coordinator.aborts"), 1u);
+}
+
+// Random transfers between accounts, each a read-modify-write of two
+// balances retried until it commits; returns how many committed.
+int RunTransfers(ClusterClient* client, int accounts, int threads,
+                 int transfers_each, bool verify, uint64_t seed) {
+  std::atomic<int> committed{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; t++) {
+    pool.emplace_back([&, t] {
+      Random rng(seed + t);
+      for (int i = 0; i < transfers_each; i++) {
+        const std::string from = "acct" + std::to_string(rng.Uniform(accounts));
+        const std::string to = "acct" + std::to_string(rng.Uniform(accounts));
+        if (from == to) continue;
+        const int amount = static_cast<int>(rng.Range(1, 40));
+        Status s = RetryConflicts([&] {
+          std::optional<std::string> fv = TxnRead(client, from, verify);
+          std::optional<std::string> tv = TxnRead(client, to, verify);
+          if (AsCount(fv) < amount) return Status::OK();  // refused
+          WriteBatch batch;
+          ExpectSeen(&batch, from, fv);
+          ExpectSeen(&batch, to, tv);
+          batch.Put(from, std::to_string(AsCount(fv) - amount));
+          batch.Put(to, std::to_string(AsCount(tv) + amount));
+          Status s = client->Write(WriteOptions(), batch);
+          if (s.ok()) committed++;
+          return s;
+        });
+        EXPECT_TRUE(s.ok()) << s.ToString();
+      }
+    });
+  }
+  for (auto& th : pool) th.join();
+  return committed.load();
+}
+
+long TotalBalance(ClusterClient* client, int accounts) {
+  long total = 0;
+  for (int i = 0; i < accounts; i++) {
+    total += AsCount(TxnRead(client, "acct" + std::to_string(i)));
+  }
+  return total;
+}
+
+void OpenAccounts(ClusterClient* client, int accounts, int initial) {
+  WriteBatch init;
+  for (int i = 0; i < accounts; i++) {
+    init.Put("acct" + std::to_string(i), std::to_string(initial));
+  }
+  ASSERT_TRUE(client->Write(WriteOptions(), init).ok());
+}
+
+// Property: concurrent transfers preserve the total balance invariant
+// (serializability smoke test).
+TEST(TwoPhaseCommitTest, ConcurrentTransfersPreserveTotal) {
+  constexpr int kAccounts = 16;
+  constexpr int kInitial = 1000;
+  ClusterFixture fx(4);
+  OpenAccounts(fx.client.get(), kAccounts, kInitial);
+  EXPECT_GT(RunTransfers(fx.client.get(), kAccounts, /*threads=*/8,
+                         /*transfers_each=*/30, /*verify=*/true, 1000),
+            0);
+  EXPECT_EQ(TotalBalance(fx.client.get(), kAccounts),
+            static_cast<long>(kAccounts) * kInitial);
+}
+
+TEST(TwoPhaseCommitTest, ReadCommittedAnalyticsDoNotAbortOltp) {
+  // The section 3.3 scenario: an analytical status check reads at read
+  // committed — verified, but in no read set — while purchases
+  // continue; the purchases never abort on account of the analytics.
+  ClusterFixture fx(4);
+  WriteBatch init;
+  for (int i = 0; i < 20; i++) {
+    init.Put("stock" + std::to_string(i), std::to_string(100 - i * 5));
+  }
+  ASSERT_TRUE(fx.client->Write(WriteOptions(), init).ok());
+  ReadOptions verified;
+  verified.verify = true;
+  std::vector<PosEntry> report;
+  ASSERT_TRUE(fx.client->Scan(verified, "stock", "stock~", 0, &report).ok());
+  ASSERT_EQ(report.size(), 20u);
+  int low_stock = 0;
+  for (int i = 0; i < 20; i++) {
+    const std::string item = "stock" + std::to_string(i);
+    std::optional<std::string> analytics = TxnRead(fx.client.get(), item);
+    ASSERT_TRUE(analytics.has_value());
+    if (std::stoi(*analytics) < 50) low_stock++;
+    // A purchase of the same item, with its own read, right after the
+    // analytics read it.
+    ASSERT_TRUE(IncrementAll(fx.client.get(), {item}).ok())
+        << "read-committed reads must not abort writers";
+  }
+  EXPECT_GT(low_stock, 0);
+  // The earlier report read every item too; none of it aborted anyone.
+  MetricsSnapshot m = fx.client->coordinator()->Metrics();
+  EXPECT_EQ(m.CounterValue("cluster.coordinator.aborts"), 0u);
+}
+
+// --- Multi-version reads and read-set isolation ------------------------------
+
+TEST(MvccTest, SnapshotReadsSeeCorrectVersions) {
+  ClusterFixture fx(2);
+  const std::string key = KeyOnShard(1, 2, "versioned");
+  ASSERT_TRUE(fx.client->Put(key, "v10").ok());
+  ClusterDigest at_v10;
+  ASSERT_TRUE(fx.client->GetClusterDigest(&at_v10).ok());
+  ASSERT_TRUE(fx.client->Put(key, "v20").ok());
+  ClusterDigest at_v20;
+  ASSERT_TRUE(fx.client->GetClusterDigest(&at_v20).ok());
+  std::optional<std::string> value;
+  ReadProof proof;
+  ASSERT_TRUE(fx.client->shard(1)
+                  ->GetProofAt(at_v10.shards[1].index_root, key, &value, &proof)
+                  .ok());
+  EXPECT_EQ(value, "v10");
+  ASSERT_TRUE(fx.client->shard(1)
+                  ->GetProofAt(at_v20.shards[1].index_root, key, &value, &proof)
+                  .ok());
+  EXPECT_EQ(value, "v20");
+}
+
+TEST(MvccTest, DeleteCreatesTombstone) {
+  ClusterFixture fx(2);
+  const std::string key = KeyOnShard(0, 2, "deleted");
+  ASSERT_TRUE(fx.client->Put(key, "v").ok());
+  ClusterDigest before;
+  ASSERT_TRUE(fx.client->GetClusterDigest(&before).ok());
+  ASSERT_TRUE(fx.client->Delete(key).ok());
+  EXPECT_EQ(TxnRead(fx.client.get(), key), std::nullopt);
+  // The older version stays readable at its snapshot.
+  std::optional<std::string> value;
+  ReadProof proof;
+  ASSERT_TRUE(fx.client->shard(0)
+                  ->GetProofAt(before.shards[0].index_root, key, &value, &proof)
+                  .ok());
+  EXPECT_EQ(value, "v");
+}
+
+TEST(MvccTest, PreparedKeyBlocksReadersAndWriters) {
+  ClusterFixture fx(2);
+  const std::string key = KeyOnShard(0, 2, "prepared");
+  ASSERT_TRUE(fx.client->Put(key, "1").ok());
+  WriteBatch staged;
+  staged.Put(key, "10");
+  ASSERT_TRUE(fx.client->shard(0)->TxnPrepare(51, staged).ok());
+  // Writers and serializable readers (a read set naming the key) wait
+  // for the decision...
+  EXPECT_TRUE(fx.client->Put(key, "w").IsBusy());
+  EXPECT_TRUE(IncrementAll(fx.client.get(), {key}).IsBusy());
+  WriteBatch reads_only;
+  reads_only.Expect(key, Slice("1"));
+  reads_only.Put(KeyOnShard(0, 2, "elsewhere"), "x");
+  EXPECT_TRUE(fx.client->Write(WriteOptions(), reads_only).IsBusy());
+  // ...while a plain read proceeds at read committed.
+  EXPECT_EQ(TxnRead(fx.client.get(), key), "1");
+  ASSERT_TRUE(fx.client->shard(0)->TxnCommit(51).ok());
+}
+
+TEST(MvccTest, AbortPreparedReleasesLock) {
+  ClusterFixture fx(2);
+  const std::string key = KeyOnShard(1, 2, "released");
+  WriteBatch staged;
+  staged.Put(key, "in-doubt");
+  ASSERT_TRUE(fx.client->shard(1)->TxnPrepare(52, staged).ok());
+  EXPECT_TRUE(fx.client->Put(key, "w").IsBusy());
+  ASSERT_TRUE(fx.client->shard(1)->TxnAbort(52).ok());
+  EXPECT_TRUE(fx.client->Put(key, "w").ok());
+  EXPECT_EQ(TxnRead(fx.client.get(), key), "w");
+}
+
+TEST(MvccTest, TimestampOrderingConflictAborts) {
+  // A writer whose read was overtaken by a later commit aborts: the
+  // serial order must place it before that commit, and its write would
+  // not be.
+  ClusterFixture fx(2);
+  const std::string key = KeyOnShard(0, 2, "ordered");
+  ASSERT_TRUE(fx.client->Put(key, "v0").ok());
+  std::optional<std::string> seen = TxnRead(fx.client.get(), key);
+  ASSERT_TRUE(fx.client->Put(key, "v1").ok());
+  WriteBatch late;
+  ExpectSeen(&late, key, seen);
+  late.Put(key, "late");
+  EXPECT_TRUE(fx.client->Write(WriteOptions(), late).IsAborted());
+  EXPECT_EQ(TxnRead(fx.client.get(), key), "v1");
+}
+
+TEST(MvccTest, ReadCommittedDoesNotPoisonWriters) {
+  ClusterFixture fx(2);
+  const std::string key = KeyOnShard(1, 2, "analyzed");
+  ASSERT_TRUE(fx.client->Put(key, "v0").ok());
+  // A read outside any read set...
+  EXPECT_EQ(TxnRead(fx.client.get(), key), "v0");
+  // ...does not abort a later writer, blind or read-modify-write.
+  EXPECT_TRUE(fx.client->Put(key, "v1").ok());
+  EXPECT_TRUE(IncrementAll(fx.client.get(), {KeyOnShard(1, 2, "other")}).ok());
+  WriteBatch rmw;
+  ExpectSeen(&rmw, key, TxnRead(fx.client.get(), key));
+  rmw.Put(key, "v2");
+  EXPECT_TRUE(fx.client->Write(WriteOptions(), rmw).ok());
+}
+
+TEST(MvccTest, ReadCommittedIgnoresPreparedWrites) {
+  ClusterFixture fx(2);
+  const std::string key = KeyOnShard(0, 2, "rc");
+  ASSERT_TRUE(fx.client->Put(key, "committed").ok());
+  WriteBatch staged;
+  staged.Put(key, "in-doubt");
+  ASSERT_TRUE(fx.client->shard(0)->TxnPrepare(53, staged).ok());
+  EXPECT_EQ(TxnRead(fx.client.get(), key), "committed");
+  EXPECT_EQ(TxnRead(fx.client.get(), key, /*verify=*/false), "committed");
+  ASSERT_TRUE(fx.client->shard(0)->TxnCommit(53).ok());
+  EXPECT_EQ(TxnRead(fx.client.get(), key), "in-doubt");
+}
+
+TEST(MvccTest, ReadCommittedSeesLatestNotSnapshot) {
+  ClusterFixture fx(2);
+  const std::string key = KeyOnShard(1, 2, "latest");
+  ASSERT_TRUE(fx.client->Put(key, "old").ok());
+  EXPECT_EQ(TxnRead(fx.client.get(), key), "old");
+  ASSERT_TRUE(fx.client->Put(key, "new").ok());
+  EXPECT_EQ(TxnRead(fx.client.get(), key), "new");
+  EXPECT_EQ(TxnRead(fx.client.get(), key, /*verify=*/false), "new");
+}
+
 // --- Verified reads against the cluster root --------------------------------
 
 TEST(ClusterVerifyTest, VerifiedScanMergesAllShardsInKeyOrder) {
@@ -722,6 +1161,42 @@ TEST_F(ClusterCrashTest, ResolvedOutcomesSurviveRestart) {
     EXPECT_EQ(value, "C");
     EXPECT_TRUE(db->Get("a-key", &value).IsNotFound());
   }
+}
+
+TEST_F(ClusterCrashTest, ReadSetPrepareSurvivesRestartWithItsReadLock) {
+  const uint64_t txn_id = 930;
+  LocalFleet::Options options;
+  options.db.data_dir = dir_;
+  {
+    std::unique_ptr<LocalFleet> fleet;
+    ASSERT_TRUE(LocalFleet::Open(options, &fleet).ok());
+    WriteOptions synced;
+    synced.sync = true;
+    ASSERT_TRUE(fleet->db(0)->Put(synced, "seen", "v").ok());
+    WriteBatch batch;
+    batch.Expect("seen", Slice("v"));
+    batch.Put("written", "w");
+    ASSERT_TRUE(fleet->db(0)->participant()->PrepareTxn(txn_id, batch).ok());
+  }
+  std::unique_ptr<LocalFleet> fleet;
+  ASSERT_TRUE(LocalFleet::Open(options, &fleet).ok());
+  std::unique_ptr<SpitzClient> client;
+  ASSERT_TRUE(SpitzClient::Open(fleet->ClientOptions(0), &client).ok());
+  std::vector<uint64_t> in_doubt;
+  ASSERT_TRUE(client->TxnInDoubt(&in_doubt).ok());
+  EXPECT_EQ(in_doubt, std::vector<uint64_t>{txn_id});
+  // The read key is locked again, not only the written one: a blind
+  // write could otherwise slip under a read the vote already vouched
+  // for.
+  EXPECT_TRUE(client->Put("seen", "blind").IsBusy());
+  EXPECT_TRUE(client->Put("written", "blind").IsBusy());
+  ASSERT_TRUE(client->TxnCommit(txn_id).ok());
+  std::string value;
+  ASSERT_TRUE(client->VerifiedGet("written", &value).ok());
+  EXPECT_EQ(value, "w");
+  ASSERT_TRUE(client->VerifiedGet("seen", &value).ok());
+  EXPECT_EQ(value, "v");
+  EXPECT_TRUE(client->Put("seen", "blind").ok());
 }
 
 TEST_F(ClusterCrashTest, CrashDuringTxnLogCompactionLosesNoPromises) {
@@ -1054,6 +1529,41 @@ TEST(ClusterTxnTest, CommitRetryReconnectsToABouncedShard) {
   EXPECT_GE(m.CounterValue("cluster.coordinator.commit_retries"), 1u);
   EXPECT_EQ(m.CounterValue("cluster.coordinator.aborts"), 0u);
 }
+
+// --- Serializability across cluster configurations --------------------------
+
+// How a transfer reads the balances its read set names.
+enum class ReadPath : int { kPlain = 0, kVerified = 1 };
+
+struct TxnParams {
+  size_t shards;
+  int threads;
+  ReadPath reads;
+};
+
+class TxnConfigSweep : public ::testing::TestWithParam<TxnParams> {};
+
+TEST_P(TxnConfigSweep, TransfersPreserveTotal) {
+  constexpr int kAccounts = 12;
+  constexpr int kInitial = 500;
+  ClusterFixture fx(GetParam().shards);
+  OpenAccounts(fx.client.get(), kAccounts, kInitial);
+  RunTransfers(fx.client.get(), kAccounts, GetParam().threads,
+               /*transfers_each=*/20, GetParam().reads == ReadPath::kVerified,
+               500);
+  EXPECT_EQ(TotalBalance(fx.client.get(), kAccounts),
+            static_cast<long>(kAccounts) * kInitial);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, TxnConfigSweep,
+    ::testing::Values(TxnParams{1, 4, ReadPath::kPlain},
+                      TxnParams{3, 4, ReadPath::kVerified},
+                      TxnParams{3, 8, ReadPath::kPlain},
+                      TxnParams{4, 4, ReadPath::kPlain},
+                      TxnParams{4, 4, ReadPath::kVerified},
+                      TxnParams{8, 8, ReadPath::kPlain},
+                      TxnParams{8, 8, ReadPath::kVerified}));
 
 }  // namespace
 }  // namespace spitz

@@ -944,6 +944,107 @@ TEST(NetSpitzTest, ReadOptionsDeadlineReachesTheTransport) {
   EXPECT_LT(elapsed_ms, 10'000u);
 }
 
+// One valid request per method, in the layouts of spitz_wire.h.
+std::vector<std::pair<uint32_t, std::string>> OneRequestPerMethod(
+    const Hash256& root, const std::string& replication_record) {
+  auto key = [](const std::string& k) {
+    std::string out;
+    PutLengthPrefixedSlice(&out, k);
+    return out;
+  };
+  std::string range = key("") + key("");
+  PutVarint64(&range, 0);
+  WriteBatch write;
+  write.Put("junk-write", "v");
+  WriteBatch prepare;
+  prepare.Put("junk-txn", "v");
+  prepare.Expect("present", Slice("v"));
+  std::string txn_id, unknown_txn_id;
+  PutFixed64(&txn_id, 77);
+  PutFixed64(&unknown_txn_id, 78);
+  return {
+      {wire::kPut, key("junk-put") + key("v")},
+      {wire::kDelete, key("absent")},
+      {wire::kGet, key("present")},
+      {wire::kGetProof, key("present")},
+      {wire::kScan, range},
+      {wire::kScanProof, range},
+      {wire::kDigest, ""},
+      {wire::kAudit, key("present")},
+      {wire::kWrite, std::string(1, '\0') + write.Encode()},
+      {wire::kTxnPrepare, txn_id + prepare.Encode()},
+      {wire::kTxnCommit, txn_id},
+      {wire::kTxnAbort, unknown_txn_id},
+      {wire::kTxnInDoubt, ""},
+      {wire::kGetProofAt, root.ToBytes() + key("present")},
+      {wire::kScanProofAt, root.ToBytes() + range},
+      {wire::kReplicate, replication_record},
+      {wire::kReplicaAck, ""},
+      {wire::kReplicaStatus, std::string(1, wire::kReplicaStatusQuery)},
+  };
+}
+
+TEST(NetSpitzTest, EveryMethodRejectsTrailingBytesAndChangesNothing) {
+  LocalFleet::Options options;
+  options.replicated = true;
+  std::unique_ptr<LocalFleet> fleet;
+  ASSERT_TRUE(LocalFleet::Open(options, &fleet).ok());
+  SpitzDb* primary = fleet->db(0);
+  ASSERT_TRUE(primary->Put("present", "v").ok());
+  // Block 0 of another history: a record the empty backup would apply.
+  SpitzOptions source_options;
+  source_options.block_size = 1;
+  SpitzDb source(source_options);
+  ASSERT_TRUE(source.Put("replicated", "r").ok());
+  std::string record;
+  ASSERT_TRUE(source.BuildReplicationRecord(0, &record).ok());
+
+  std::unique_ptr<NetClient> to_primary, to_backup;
+  ASSERT_TRUE(
+      NetClient::Connect(fleet->ClientOptions(0).net, &to_primary).ok());
+  ASSERT_TRUE(
+      NetClient::Connect(fleet->BackupClientOptions(0).net, &to_backup).ok());
+  auto channel = [&](uint32_t method) {
+    return method >= wire::kReplicate ? to_backup.get() : to_primary.get();
+  };
+  std::unique_ptr<SpitzClient> backup;
+  ASSERT_TRUE(SpitzClient::Open(fleet->BackupClientOptions(0), &backup).ok());
+  auto state = [&] {
+    std::vector<uint64_t> in_doubt;
+    EXPECT_TRUE(primary->participant()->InDoubtTxns(&in_doubt).ok());
+    SpitzDigest backup_digest;
+    EXPECT_TRUE(backup->Digest(&backup_digest).ok());
+    std::string bytes;
+    primary->Digest().EncodeTo(&bytes);
+    backup_digest.EncodeTo(&bytes);
+    return bytes + std::to_string(in_doubt.size());
+  };
+
+  const auto requests =
+      OneRequestPerMethod(primary->Digest().index_root, record);
+  ASSERT_EQ(requests.size(), wire::kMethodCount);
+  const std::string before = state();
+  for (const auto& [method, request] : requests) {
+    std::string response;
+    Status s = channel(method)->Call(method, request + '\x07', &response);
+    EXPECT_TRUE(s.IsInvalidArgument())
+        << wire::MethodName(method) << ": " << s.ToString();
+  }
+  EXPECT_EQ(state(), before);
+  std::string value;
+  EXPECT_TRUE(primary->Get("junk-put", &value).IsNotFound());
+  EXPECT_TRUE(primary->Get("junk-write", &value).IsNotFound());
+
+  // Without the extra byte every request decodes and runs.
+  for (const auto& [method, request] : requests) {
+    std::string response;
+    Status s = channel(method)->Call(method, request, &response);
+    EXPECT_TRUE(s.ok() || s.IsNotFound())
+        << wire::MethodName(method) << ": " << s.ToString();
+  }
+  EXPECT_TRUE(primary->Get("junk-write", &value).ok());
+}
+
 TEST(NetSpitzTest, GracefulShutdownThenConnectFails) {
   SpitzFixture fx;
   auto client = fx.Client();

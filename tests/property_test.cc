@@ -7,7 +7,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <thread>
 
 #include "chunk/chunk_store.h"
 #include "chunk/chunker.h"
@@ -15,7 +14,6 @@
 #include "core/spitz_db.h"
 #include "index/pos_tree.h"
 #include "ledger/merkle_tree.h"
-#include "txn/two_phase_commit.h"
 
 namespace spitz {
 namespace {
@@ -234,69 +232,6 @@ TEST_P(MerkleSizeSweep, AllLeavesProveAndConsistencyHolds) {
 INSTANTIATE_TEST_SUITE_P(Sizes, MerkleSizeSweep,
                          ::testing::Values(1, 2, 3, 7, 8, 9, 63, 64, 65,
                                            255, 257));
-
-// --- Serializability across coordinator configurations -------------------------
-
-struct TxnParams {
-  size_t shards;
-  int threads;
-  TimestampScheme scheme;
-};
-
-class TxnConfigSweep : public ::testing::TestWithParam<TxnParams> {};
-
-TEST_P(TxnConfigSweep, TransfersPreserveTotal) {
-  constexpr int kAccounts = 12;
-  constexpr int kInitial = 500;
-  ShardedStore store(GetParam().shards);
-  TxnCoordinator coord(&store, GetParam().scheme);
-  {
-    DistributedTxn init = coord.Begin();
-    for (int i = 0; i < kAccounts; i++) {
-      init.Put("a" + std::to_string(i), std::to_string(kInitial));
-    }
-    ASSERT_TRUE(init.Commit().ok());
-  }
-  std::vector<std::thread> threads;
-  for (int t = 0; t < GetParam().threads; t++) {
-    threads.emplace_back([&, t] {
-      Random rng(500 + t);
-      for (int i = 0; i < 150; i++) {
-        DistributedTxn txn = coord.Begin();
-        int from = static_cast<int>(rng.Uniform(kAccounts));
-        int to = static_cast<int>(rng.Uniform(kAccounts));
-        if (from == to) continue;
-        std::string fv, tv;
-        if (!txn.Get("a" + std::to_string(from), &fv).ok()) continue;
-        if (!txn.Get("a" + std::to_string(to), &tv).ok()) continue;
-        int amount = static_cast<int>(rng.Range(1, 40));
-        if (atoi(fv.c_str()) < amount) continue;
-        txn.Put("a" + std::to_string(from),
-                std::to_string(atoi(fv.c_str()) - amount));
-        txn.Put("a" + std::to_string(to),
-                std::to_string(atoi(tv.c_str()) + amount));
-        (void)txn.Commit();
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  DistributedTxn audit = coord.Begin();
-  long total = 0;
-  for (int i = 0; i < kAccounts; i++) {
-    std::string value;
-    ASSERT_TRUE(audit.Get("a" + std::to_string(i), &value).ok());
-    total += atoi(value.c_str());
-  }
-  EXPECT_EQ(total, static_cast<long>(kAccounts) * kInitial);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Configs, TxnConfigSweep,
-    ::testing::Values(TxnParams{1, 4, TimestampScheme::kOracle},
-                      TxnParams{4, 4, TimestampScheme::kOracle},
-                      TxnParams{8, 8, TimestampScheme::kOracle},
-                      TxnParams{4, 4, TimestampScheme::kHlc},
-                      TxnParams{8, 8, TimestampScheme::kHlc}));
 
 // --- SpitzDb block-size sweep: proofs hold regardless of sealing cadence -------
 

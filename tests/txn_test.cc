@@ -2,60 +2,18 @@
 
 #include <atomic>
 #include <filesystem>
-#include <set>
+#include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/fault_env.h"
-#include "common/random.h"
 #include "txn/batch_verifier.h"
-#include "txn/hlc.h"
-#include "txn/mvcc.h"
 #include "txn/participant.h"
 #include "txn/timestamp_oracle.h"
-#include "txn/two_phase_commit.h"
 #include "txn/write_batch.h"
 
 namespace spitz {
 namespace {
-
-// --- HybridLogicalClock -------------------------------------------------------
-
-TEST(HlcTest, StrictlyIncreasing) {
-  HybridLogicalClock hlc;
-  uint64_t prev = 0;
-  for (int i = 0; i < 10000; i++) {
-    uint64_t t = hlc.Now();
-    EXPECT_GT(t, prev);
-    prev = t;
-  }
-}
-
-TEST(HlcTest, ObservePreservesCausality) {
-  HybridLogicalClock a, b;
-  uint64_t ta = a.Now();
-  uint64_t remote = ta + (1000ull << HybridLogicalClock::kLogicalBits);
-  uint64_t tb = b.Observe(remote);
-  EXPECT_GT(tb, remote);
-  EXPECT_GT(b.Now(), tb);
-}
-
-TEST(HlcTest, ConcurrentNowIsUnique) {
-  HybridLogicalClock hlc;
-  constexpr int kThreads = 8, kEach = 2000;
-  std::vector<std::vector<uint64_t>> results(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; t++) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kEach; i++) results[t].push_back(hlc.Now());
-    });
-  }
-  for (auto& th : threads) th.join();
-  std::set<uint64_t> all;
-  for (auto& v : results) all.insert(v.begin(), v.end());
-  EXPECT_EQ(all.size(), static_cast<size_t>(kThreads * kEach));
-}
 
 // --- TimestampOracle ------------------------------------------------------------
 
@@ -70,6 +28,49 @@ TEST(TimestampOracleTest, AllocateAndBatch) {
 
 // --- WriteBatch -------------------------------------------------------------------
 
+// Pinned format: a batch without a read set encodes to exactly these
+// bytes, on the wire and inside txn.log.
+constexpr char kBlindBatchHex[] =
+    "030006616363742f31033130300106616363742f3200016b00";
+// One txn.log prepare record of that batch under txn 0x0102030405060708.
+constexpr char kBlindPrepareRecordHex[] =
+    "22010807060504030201030006616363742f31033130300106616363742f3200016b00"
+    "8d81c9f0";
+constexpr uint64_t kGoldenTxnId = 0x0102030405060708ull;
+
+WriteBatch BlindBatch() {
+  WriteBatch batch;
+  batch.Put("acct/1", "100");
+  batch.Delete("acct/2");
+  batch.Put("k", "");
+  return batch;
+}
+
+WriteBatch BatchWithReads() {
+  WriteBatch batch = BlindBatch();
+  batch.Expect("acct/1", Slice("90"));
+  batch.Expect("acct/3", std::nullopt);
+  return batch;
+}
+
+std::string ToHex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xf]);
+  }
+  return out;
+}
+
+std::string FromHex(const std::string& hex) {
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return out;
+}
+
 TEST(WriteBatchTest, EncodeDecodeRoundTrip) {
   WriteBatch b;
   b.Put("k1", "v1");
@@ -82,6 +83,7 @@ TEST(WriteBatchTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(out.ops()[0].key, "k1");
   EXPECT_EQ(out.ops()[1].type, WriteBatch::OpType::kDelete);
   EXPECT_EQ(out.ops()[2].value.size(), 1000u);
+  EXPECT_TRUE(out.reads().empty());
 }
 
 TEST(WriteBatchTest, DecodeTruncatedFails) {
@@ -93,338 +95,103 @@ TEST(WriteBatchTest, DecodeTruncatedFails) {
   EXPECT_TRUE(WriteBatch::Decode(encoded, &out).IsCorruption());
 }
 
-// --- MvccStore -----------------------------------------------------------------------
-
-TEST(MvccTest, SnapshotReadsSeeCorrectVersions) {
-  MvccStore store;
-  WriteBatch b1;
-  b1.Put("k", "v10");
-  ASSERT_TRUE(store.CommitBatch(b1, 10).ok());
-  WriteBatch b2;
-  b2.Put("k", "v20");
-  ASSERT_TRUE(store.CommitBatch(b2, 20).ok());
-
-  std::string value;
-  ASSERT_TRUE(store.Read("k", 15, &value).ok());
-  EXPECT_EQ(value, "v10");
-  ASSERT_TRUE(store.Read("k", 25, &value).ok());
-  EXPECT_EQ(value, "v20");
-  EXPECT_TRUE(store.Read("k", 5, &value).IsNotFound());
+TEST(WriteBatchTest, BlindEncodingMatchesGoldenBytes) {
+  EXPECT_EQ(ToHex(BlindBatch().Encode()), kBlindBatchHex);
+  WriteBatch decoded;
+  ASSERT_TRUE(WriteBatch::Decode(FromHex(kBlindBatchHex), &decoded).ok());
+  EXPECT_EQ(decoded.Encode(), BlindBatch().Encode());
+  EXPECT_TRUE(decoded.reads().empty());
 }
 
-TEST(MvccTest, DeleteCreatesTombstone) {
-  MvccStore store;
-  WriteBatch b1;
-  b1.Put("k", "v");
-  ASSERT_TRUE(store.CommitBatch(b1, 10).ok());
-  WriteBatch b2;
-  b2.Delete("k");
-  ASSERT_TRUE(store.CommitBatch(b2, 20).ok());
-  std::string value;
-  ASSERT_TRUE(store.Read("k", 15, &value).ok());
-  EXPECT_TRUE(store.Read("k", 25, &value).IsNotFound());
+TEST(WriteBatchTest, ReadSetRoundTripsAfterTheOps) {
+  const WriteBatch batch = BatchWithReads();
+  const std::string encoded = batch.Encode();
+  // The op list is byte-identical to the blind batch's; the read set
+  // follows it.
+  EXPECT_EQ(encoded.compare(0, BlindBatch().Encode().size(),
+                            BlindBatch().Encode()),
+            0);
+  WriteBatch out;
+  ASSERT_TRUE(WriteBatch::Decode(encoded, &out).ok());
+  ASSERT_EQ(out.reads().size(), 2u);
+  EXPECT_EQ(out.reads()[0].key, "acct/1");
+  EXPECT_TRUE(out.reads()[0].present);
+  EXPECT_EQ(out.reads()[0].value_hash, Hash256::Of("90"));
+  EXPECT_EQ(out.reads()[1].key, "acct/3");
+  EXPECT_FALSE(out.reads()[1].present);
+  EXPECT_EQ(out.Encode(), encoded);
+
+  // Append carries reads too.
+  WriteBatch merged = BlindBatch();
+  WriteBatch reads_only;
+  reads_only.Expect("acct/1", Slice("90"));
+  reads_only.Expect("acct/3", std::nullopt);
+  merged.Append(reads_only);
+  EXPECT_EQ(merged.Encode(), encoded);
+  EXPECT_FALSE(reads_only.empty());
+  EXPECT_EQ(reads_only.size(), 0u);
 }
 
-TEST(MvccTest, TimestampOrderingConflictAborts) {
-  MvccStore store;
-  WriteBatch init;
-  init.Put("k", "v0");
-  ASSERT_TRUE(store.CommitBatch(init, 10).ok());
-
-  // A reader at ts=30 reads the version written at 10.
-  std::string value;
-  ASSERT_TRUE(store.Read("k", 30, &value).ok());
-
-  // A writer at ts=20 now tries to install between them: aborted,
-  // because the ts=30 read would have had to see it.
-  WriteBatch late;
-  late.Put("k", "v20");
-  EXPECT_TRUE(store.CommitBatch(late, 20).IsAborted());
-  EXPECT_EQ(store.stats().aborts, 1u);
-
-  // A writer above the read timestamp is fine.
-  WriteBatch ok;
-  ok.Put("k", "v40");
-  EXPECT_TRUE(store.CommitBatch(ok, 40).ok());
-}
-
-TEST(MvccTest, WriteBelowUnreadVersionAllowed) {
-  MvccStore store;
-  WriteBatch b1;
-  b1.Put("k", "v30");
-  ASSERT_TRUE(store.CommitBatch(b1, 30).ok());
-  // No one has read at/below 20, so inserting an older version keeps
-  // timestamp order consistent.
-  WriteBatch b2;
-  b2.Put("k", "v20");
-  EXPECT_TRUE(store.CommitBatch(b2, 20).ok());
-  std::string value;
-  ASSERT_TRUE(store.Read("k", 25, &value).ok());
-  EXPECT_EQ(value, "v20");
-}
-
-TEST(MvccTest, DuplicateWriteTimestampAborts) {
-  MvccStore store;
-  WriteBatch b;
-  b.Put("k", "v");
-  ASSERT_TRUE(store.CommitBatch(b, 10).ok());
-  WriteBatch dup;
-  dup.Put("k", "other");
-  EXPECT_TRUE(store.CommitBatch(dup, 10).IsAborted());
-}
-
-TEST(MvccTest, PreparedKeyBlocksReadersAndWriters) {
-  MvccStore store;
-  WriteBatch b;
-  b.Put("k", "v");
-  ASSERT_TRUE(store.Prepare(b, 10).ok());
-
-  std::string value;
-  EXPECT_TRUE(store.Read("k", 20, &value).IsBusy());
-  WriteBatch other;
-  other.Put("k", "w");
-  EXPECT_TRUE(store.CommitBatch(other, 30).IsBusy());
-
-  store.CommitPrepared(b, 10);
-  ASSERT_TRUE(store.Read("k", 20, &value).ok());
-  EXPECT_EQ(value, "v");
-}
-
-TEST(MvccTest, AbortPreparedReleasesLock) {
-  MvccStore store;
-  WriteBatch b;
-  b.Put("k", "v");
-  ASSERT_TRUE(store.Prepare(b, 10).ok());
-  store.AbortPrepared(b, 10);
-  std::string value;
-  EXPECT_TRUE(store.Read("k", 20, &value).IsNotFound());
-  WriteBatch other;
-  other.Put("k", "w");
-  EXPECT_TRUE(store.CommitBatch(other, 30).ok());
-}
-
-TEST(MvccTest, LiveKeyCountAtSnapshots) {
-  MvccStore store;
-  WriteBatch b1;
-  b1.Put("a", "1");
-  b1.Put("b", "2");
-  ASSERT_TRUE(store.CommitBatch(b1, 10).ok());
-  WriteBatch b2;
-  b2.Delete("a");
-  ASSERT_TRUE(store.CommitBatch(b2, 20).ok());
-  EXPECT_EQ(store.LiveKeyCount(15), 2u);
-  EXPECT_EQ(store.LiveKeyCount(25), 1u);
-  EXPECT_EQ(store.LiveKeyCount(5), 0u);
-}
-
-// --- Distributed transactions (2PC) ----------------------------------------------
-
-TEST(TwoPhaseCommitTest, CrossShardCommit) {
-  ShardedStore store(4);
-  TxnCoordinator coord(&store, TimestampScheme::kOracle);
-  DistributedTxn txn = coord.Begin();
-  for (int i = 0; i < 20; i++) {
-    txn.Put("key" + std::to_string(i), "v" + std::to_string(i));
-  }
-  ASSERT_TRUE(txn.Commit().ok());
-
-  DistributedTxn reader = coord.Begin();
-  std::string value;
-  for (int i = 0; i < 20; i++) {
-    ASSERT_TRUE(reader.Get("key" + std::to_string(i), &value).ok());
-    EXPECT_EQ(value, "v" + std::to_string(i));
-  }
-}
-
-TEST(TwoPhaseCommitTest, ReadYourOwnWrites) {
-  ShardedStore store(2);
-  TxnCoordinator coord(&store, TimestampScheme::kHlc);
-  DistributedTxn txn = coord.Begin();
-  txn.Put("k", "mine");
-  std::string value;
-  ASSERT_TRUE(txn.Get("k", &value).ok());
-  EXPECT_EQ(value, "mine");
-  txn.Delete("k");
-  EXPECT_TRUE(txn.Get("k", &value).IsNotFound());
-}
-
-TEST(TwoPhaseCommitTest, AbortDropsWrites) {
-  ShardedStore store(2);
-  TxnCoordinator coord(&store, TimestampScheme::kOracle);
-  DistributedTxn txn = coord.Begin();
-  txn.Put("k", "v");
-  txn.Abort();
-  ASSERT_TRUE(txn.Commit().ok());  // nothing to commit
-  DistributedTxn reader = coord.Begin();
-  std::string value;
-  EXPECT_TRUE(reader.Get("k", &value).IsNotFound());
-}
-
-TEST(TwoPhaseCommitTest, ConflictAbortsAtomicallyAcrossShards) {
-  ShardedStore store(4);
-  TxnCoordinator coord(&store, TimestampScheme::kOracle);
-
-  // Seed a key and read it at a high timestamp to poison low-ts writes.
-  DistributedTxn seed = coord.Begin();
-  seed.Put("hot", "seed");
-  for (int i = 0; i < 10; i++) {
-    seed.Put("cold" + std::to_string(i), "seed");
-  }
-  ASSERT_TRUE(seed.Commit().ok());
-  DistributedTxn high_reader = coord.Begin();
-  std::string value;
-  // Advance the oracle well past the doomed writer.
-  for (int i = 0; i < 10; i++) coord.Begin();
-  DistributedTxn late_reader = coord.Begin();
-  ASSERT_TRUE(late_reader.Get("hot", &value).ok());
-
-  // A txn whose ts is below late_reader's must abort on "hot" — and its
-  // writes to other shards must roll back too.
-  DistributedTxn doomed = high_reader;  // earlier timestamp than late_reader
-  doomed.Put("cold1", "doomed");
-  doomed.Put("hot", "doomed");
-  Status s = doomed.Commit();
-  EXPECT_FALSE(s.ok());
-
-  DistributedTxn checker = coord.Begin();
-  ASSERT_TRUE(checker.Get("cold1", &value).ok());
-  EXPECT_EQ(value, "seed") << "2PC must roll back prepared shards";
-}
-
-// Property: concurrent transfers preserve the total balance invariant
-// (serializability smoke test).
-TEST(TwoPhaseCommitTest, ConcurrentTransfersPreserveTotal) {
-  constexpr int kAccounts = 16;
-  constexpr int kThreads = 8;
-  constexpr int kTransfersEach = 300;
-  constexpr int kInitial = 1000;
-
-  ShardedStore store(4);
-  TxnCoordinator coord(&store, TimestampScheme::kOracle);
-  {
-    DistributedTxn init = coord.Begin();
-    for (int i = 0; i < kAccounts; i++) {
-      init.Put("acct" + std::to_string(i), std::to_string(kInitial));
-    }
-    ASSERT_TRUE(init.Commit().ok());
-  }
-
-  std::atomic<int> committed{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; t++) {
-    threads.emplace_back([&, t] {
-      Random rng(1000 + t);
-      for (int i = 0; i < kTransfersEach; i++) {
-        DistributedTxn txn = coord.Begin();
-        int from = static_cast<int>(rng.Uniform(kAccounts));
-        int to = static_cast<int>(rng.Uniform(kAccounts));
-        if (from == to) continue;
-        std::string fv, tv;
-        if (!txn.Get("acct" + std::to_string(from), &fv).ok()) continue;
-        if (!txn.Get("acct" + std::to_string(to), &tv).ok()) continue;
-        int amount = static_cast<int>(rng.Range(1, 50));
-        int from_balance = std::stoi(fv);
-        if (from_balance < amount) continue;
-        txn.Put("acct" + std::to_string(from),
-                std::to_string(from_balance - amount));
-        txn.Put("acct" + std::to_string(to),
-                std::to_string(std::stoi(tv) + amount));
-        if (txn.Commit().ok()) committed++;
+TEST(WriteBatchTest, DecodeRejectsEveryTruncationAndOneByteExtension) {
+  const std::string blind = BlindBatch().Encode();
+  for (const WriteBatch& batch : {BlindBatch(), BatchWithReads()}) {
+    const std::string encoded = batch.Encode();
+    for (size_t len = 0; len < encoded.size(); len++) {
+      WriteBatch out;
+      Status s = WriteBatch::Decode(Slice(encoded.data(), len), &out);
+      if (len == blind.size()) {
+        // Cutting exactly the read set off leaves the blind batch — the
+        // encoding is the op list then the reads. Frames (the wire's
+        // length prefix, txn.log's length and CRC) rule that cut out.
+        ASSERT_TRUE(s.ok()) << s.ToString();
+        EXPECT_EQ(out.Encode(), blind);
+        continue;
       }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_GT(committed.load(), 0);
-
-  DistributedTxn audit = coord.Begin();
-  long total = 0;
-  for (int i = 0; i < kAccounts; i++) {
-    std::string value;
-    ASSERT_TRUE(audit.Get("acct" + std::to_string(i), &value).ok());
-    total += std::stoi(value);
-  }
-  EXPECT_EQ(total, static_cast<long>(kAccounts) * kInitial);
-}
-
-TEST(MvccTest, ReadCommittedDoesNotPoisonWriters) {
-  MvccStore store;
-  WriteBatch init;
-  init.Put("k", "v0");
-  ASSERT_TRUE(store.CommitBatch(init, 10).ok());
-
-  // A read-committed reader at a (logically) high timestamp...
-  std::string value;
-  ASSERT_TRUE(store.ReadCommitted("k", &value).ok());
-  EXPECT_EQ(value, "v0");
-
-  // ...does NOT abort a later writer with a lower timestamp, unlike a
-  // serializable read (compare TimestampOrderingConflictAborts).
-  WriteBatch late;
-  late.Put("k", "v20");
-  EXPECT_TRUE(store.CommitBatch(late, 20).ok());
-}
-
-TEST(MvccTest, ReadCommittedIgnoresPreparedWrites) {
-  MvccStore store;
-  WriteBatch init;
-  init.Put("k", "committed");
-  ASSERT_TRUE(store.CommitBatch(init, 10).ok());
-  WriteBatch prepared;
-  prepared.Put("k", "in-doubt");
-  ASSERT_TRUE(store.Prepare(prepared, 20).ok());
-
-  // Serializable read blocks; read-committed proceeds.
-  std::string value;
-  EXPECT_TRUE(store.Read("k", 30, &value).IsBusy());
-  ASSERT_TRUE(store.ReadCommitted("k", &value).ok());
-  EXPECT_EQ(value, "committed");
-  store.CommitPrepared(prepared, 20);
-  ASSERT_TRUE(store.ReadCommitted("k", &value).ok());
-  EXPECT_EQ(value, "in-doubt");
-}
-
-TEST(MvccTest, ReadCommittedSeesLatestNotSnapshot) {
-  MvccStore store;
-  WriteBatch b1;
-  b1.Put("k", "old");
-  ASSERT_TRUE(store.CommitBatch(b1, 10).ok());
-  WriteBatch b2;
-  b2.Put("k", "new");
-  ASSERT_TRUE(store.CommitBatch(b2, 20).ok());
-  std::string value;
-  ASSERT_TRUE(store.ReadCommitted("k", &value).ok());
-  EXPECT_EQ(value, "new");
-}
-
-TEST(TwoPhaseCommitTest, ReadCommittedAnalyticsDoNotAbortOltp) {
-  // The section 3.3 scenario: an analytical status check runs at read
-  // committed while purchases continue; the purchases never abort on
-  // account of the analytics.
-  ShardedStore store(4);
-  TxnCoordinator coord(&store, TimestampScheme::kOracle);
-  {
-    DistributedTxn init = coord.Begin();
-    for (int i = 0; i < 20; i++) {
-      init.Put("stock" + std::to_string(i), std::to_string(100 - i * 5));
+      EXPECT_TRUE(s.IsCorruption()) << "prefix " << len << ": " << s.ToString();
     }
-    ASSERT_TRUE(init.Commit().ok());
+    for (int extra = 0; extra < 256; extra++) {
+      WriteBatch out;
+      Status s = WriteBatch::Decode(encoded + static_cast<char>(extra), &out);
+      EXPECT_TRUE(s.IsCorruption()) << "extension " << extra;
+    }
   }
-  // Analytics txn begun EARLY, reading everything at read committed.
-  DistributedTxn analytics = coord.Begin();
-  // Interleaved writers with later timestamps.
-  int low_stock = 0;
-  for (int i = 0; i < 20; i++) {
-    std::string value;
-    ASSERT_TRUE(
-        analytics.GetReadCommitted("stock" + std::to_string(i), &value)
-            .ok());
-    if (atoi(value.c_str()) < 50) low_stock++;
-    DistributedTxn writer = coord.Begin();
-    writer.Put("stock" + std::to_string(i), "999");
-    ASSERT_TRUE(writer.Commit().ok())
-        << "read-committed reads must not abort writers";
-  }
-  EXPECT_GT(low_stock, 0);
+}
+
+TEST(WriteBatchTest, DecodeRejectsNonCanonicalReadSets) {
+  const std::string blind = BlindBatch().Encode();
+  WriteBatch out;
+  // An empty read set is never encoded.
+  EXPECT_TRUE(WriteBatch::Decode(blind + '\x00', &out).IsCorruption());
+  // A present flag other than 0 or 1.
+  WriteBatch absent;
+  absent.Expect("r", std::nullopt);
+  std::string encoded = absent.Encode();
+  ASSERT_EQ(encoded.back(), '\x00');
+  encoded.back() = '\x02';
+  EXPECT_TRUE(WriteBatch::Decode(encoded, &out).IsCorruption());
+}
+
+TEST(WriteBatchTest, ValidateReadsChecksPresenceAndValue) {
+  std::map<std::string, std::string> state = {{"a", "1"}};
+  auto get = [&](const Slice& key, std::string* value) {
+    auto it = state.find(key.ToString());
+    if (it == state.end()) return Status::NotFound("absent");
+    *value = it->second;
+    return Status::OK();
+  };
+  WriteBatch batch;
+  batch.Expect("a", Slice("1"));
+  batch.Expect("b", std::nullopt);
+  EXPECT_TRUE(batch.ValidateReads(get).ok());
+  state["a"] = "2";
+  EXPECT_TRUE(batch.ValidateReads(get).IsAborted());
+  state["a"] = "1";
+  state["b"] = "";
+  EXPECT_TRUE(batch.ValidateReads(get).IsAborted());
+  state.erase("b");
+  state.erase("a");
+  EXPECT_TRUE(batch.ValidateReads(get).IsAborted());
+  EXPECT_TRUE(WriteBatch().ValidateReads(get).ok());
 }
 
 // --- DeferredVerifier ---------------------------------------------------------------
@@ -494,12 +261,18 @@ TEST(DeferredVerifierTest, DestructorDrainsWorker) {
 
 // --- TxnParticipant -----------------------------------------------------------
 
+// The validate callback of an owner whose every read is current.
+Status ReadsCurrent(const WriteBatch&) { return Status::OK(); }
+
 TEST(TxnParticipantTest, FailedApplyLeavesTheTxnInDoubtAndAbortable) {
   int applies = 0;
-  TxnParticipant participant(nullptr, "", [&](uint64_t, const WriteBatch&) {
-    applies++;
-    return Status::IOError("apply failed");
-  });
+  TxnParticipant participant(
+      nullptr, "",
+      [&](uint64_t, const WriteBatch&) {
+        applies++;
+        return Status::IOError("apply failed");
+      },
+      ReadsCurrent);
   WriteBatch batch;
   batch.Put("k", "v");
   ASSERT_TRUE(participant.PrepareTxn(7, batch).ok());
@@ -528,7 +301,7 @@ TEST(TxnParticipantTest, FailedCommitMarkerKeepsThePinUntilARetry) {
   WriteBatch batch;
   batch.Put("k", "v");
   {
-    TxnParticipant participant(&env, dir, apply);
+    TxnParticipant participant(&env, dir, apply, ReadsCurrent);
     ASSERT_TRUE(participant.Recover().ok());
     // Ops 0 and 1: the prepare record's append and fsync. Op 2: the
     // commit marker's append, after the apply succeeded.
@@ -551,12 +324,114 @@ TEST(TxnParticipantTest, FailedCommitMarkerKeepsThePinUntilARetry) {
   }
   // The retried marker is durable: a restarted participant knows the
   // outcome.
-  TxnParticipant restarted(&env, dir, apply);
+  TxnParticipant restarted(&env, dir, apply, ReadsCurrent);
   ASSERT_TRUE(restarted.Recover().ok());
   EXPECT_TRUE(restarted.CommitTxn(7).ok());
   EXPECT_TRUE(restarted.AbortTxn(7).IsInvalidArgument());
   EXPECT_EQ(applies, 2);
   std::filesystem::remove_all(dir);
+}
+
+// A participant over a fresh txn.log directory.
+class TxnParticipantLogTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = ::testing::TempDir() + "/spitz_txn_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::string dir_;
+  int applies_ = 0;
+  TxnParticipant::ApplyFn apply_ = [this](uint64_t, const WriteBatch&) {
+    applies_++;
+    return Status::OK();
+  };
+};
+
+TEST_F(TxnParticipantLogTest, BlindPrepareRecordMatchesGoldenBytesAndReplays) {
+  {
+    TxnParticipant participant(Env::Default(), dir_, apply_, ReadsCurrent);
+    ASSERT_TRUE(participant.Recover().ok());
+    ASSERT_TRUE(participant.PrepareTxn(kGoldenTxnId, BlindBatch()).ok());
+    std::string log;
+    ASSERT_TRUE(Env::Default()->ReadFileToString(dir_ + "/txn.log", &log).ok());
+    EXPECT_EQ(ToHex(log), kBlindPrepareRecordHex);
+  }
+  // A log holding exactly those bytes replays: the txn is in doubt with
+  // its keys locked, and the decision applies the batch.
+  std::filesystem::remove_all(dir_);
+  std::filesystem::create_directories(dir_);
+  {
+    std::unique_ptr<WritableLog> log;
+    ASSERT_TRUE(
+        Env::Default()->NewWritableLog(dir_ + "/txn.log", &log).ok());
+    ASSERT_TRUE(log->Append(FromHex(kBlindPrepareRecordHex)).ok());
+    ASSERT_TRUE(log->Sync().ok());
+    ASSERT_TRUE(log->Close().ok());
+  }
+  TxnParticipant restarted(Env::Default(), dir_, apply_, ReadsCurrent);
+  ASSERT_TRUE(restarted.Recover().ok());
+  std::vector<uint64_t> in_doubt;
+  ASSERT_TRUE(restarted.InDoubtTxns(&in_doubt).ok());
+  EXPECT_EQ(in_doubt, std::vector<uint64_t>{kGoldenTxnId});
+  WriteBatch intruder;
+  intruder.Put("acct/2", "x");
+  EXPECT_TRUE(restarted.CheckConflicts(intruder, 0).IsBusy());
+  ASSERT_TRUE(restarted.CommitTxn(kGoldenTxnId).ok());
+  EXPECT_EQ(applies_, 1);
+  EXPECT_TRUE(restarted.CheckConflicts(intruder, 0).ok());
+}
+
+TEST_F(TxnParticipantLogTest, ReadOnlyPrepareLocksItsReadKeysUntilDecided) {
+  TxnParticipant participant(Env::Default(), dir_, apply_, ReadsCurrent);
+  ASSERT_TRUE(participant.Recover().ok());
+  WriteBatch reads_only;
+  reads_only.Expect("seen", Slice("v"));
+  ASSERT_TRUE(participant.PrepareTxn(11, reads_only).ok());
+  WriteBatch writer;
+  writer.Put("seen", "w");
+  EXPECT_TRUE(participant.CheckConflicts(writer, 0).IsBusy());
+  // Another txn's read of a locked key is Busy too: it could not be
+  // validated against the value the decision may still change.
+  EXPECT_TRUE(participant.CheckConflicts(reads_only, 0).IsBusy());
+  ASSERT_TRUE(participant.CommitTxn(11).ok());
+  EXPECT_EQ(applies_, 0);  // nothing to apply
+  EXPECT_TRUE(participant.CheckConflicts(writer, 0).ok());
+  // A batch with neither writes nor reads is still refused.
+  EXPECT_TRUE(participant.PrepareTxn(12, WriteBatch()).IsInvalidArgument());
+}
+
+TEST_F(TxnParticipantLogTest, StaleReadOrFailedVoteReleasesTheLocks) {
+  FaultInjectionEnv env(Env::Default());
+  Status verdict = Status::Aborted("stale read of key 'seen'");
+  TxnParticipant participant(&env, dir_, apply_,
+                             [&](const WriteBatch&) { return verdict; });
+  ASSERT_TRUE(participant.Recover().ok());
+  WriteBatch rmw;
+  rmw.Expect("seen", Slice("v"));
+  rmw.Put("seen", "v+1");
+  WriteBatch writer;
+  writer.Put("seen", "w");
+
+  EXPECT_TRUE(participant.PrepareTxn(21, rmw).IsAborted());
+  EXPECT_TRUE(participant.CheckConflicts(writer, 0).ok());
+
+  // A current read whose vote cannot be made durable: no yes vote, no
+  // locks left behind.
+  verdict = Status::OK();
+  env.FailAt(env.ops_seen(), FaultKind::kFailWrite);
+  EXPECT_TRUE(participant.PrepareTxn(22, rmw).IsIOError());
+  EXPECT_TRUE(participant.CheckConflicts(writer, 0).ok());
+  std::vector<uint64_t> in_doubt;
+  ASSERT_TRUE(participant.InDoubtTxns(&in_doubt).ok());
+  EXPECT_TRUE(in_doubt.empty());
+
+  env.Revive();
+  ASSERT_TRUE(participant.PrepareTxn(23, rmw).ok());
+  EXPECT_TRUE(participant.CheckConflicts(writer, 0).IsBusy());
 }
 
 }  // namespace
