@@ -147,6 +147,8 @@ void SpitzDb::WireMetrics() {
   registry_.RegisterCounter("core.db.journal.truncated_bytes",
                             &journal_truncated_bytes_);
   registry_.RegisterCounter("core.db.journal.fsyncs", &journal_fsyncs_);
+  registry_.RegisterCounter("core.db.commit.read_set_aborts",
+                            &read_set_aborts_);
   participant_->ExportMetrics(&registry_);
   registry_.RegisterCounter("gc.runs", &gc_runs_);
   registry_.RegisterCounter("gc.failures", &gc_failures_);
@@ -628,10 +630,12 @@ void SpitzDb::FlushJournal() {
   journal_log_->Flush();
 }
 
-Status SpitzDb::ValidateReadsLocked(const WriteBatch& batch) const {
-  return batch.ValidateReads([this](const Slice& key, std::string* value) {
+Status SpitzDb::ValidateReadsLocked(const WriteBatch& batch) {
+  Status s = batch.ValidateReads([this](const Slice& key, std::string* value) {
     return index_->Get(root_, key, value);
   });
+  if (s.IsAborted()) read_set_aborts_.Increment();
+  return s;
 }
 
 Status SpitzDb::ApplyBatchLocked(const WriteBatch& batch) {

@@ -535,8 +535,9 @@ class SpitzDb : public VerifiedKv {
   void FlushJournal();
 
   // Checks the batch's read set against root_ under mu_: Aborted when
-  // a read is stale (WriteBatch::ValidateReads).
-  Status ValidateReadsLocked(const WriteBatch& batch) const;
+  // a read is stale (WriteBatch::ValidateReads), counted in
+  // core.db.commit.read_set_aborts.
+  Status ValidateReadsLocked(const WriteBatch& batch);
 
   // Applies one batch's ops to the index and the ledger buffer under
   // mu_ (no seal, no I/O). The batch is atomic: on failure root_ and
@@ -625,6 +626,9 @@ class SpitzDb : public VerifiedKv {
   // and per SyncStorage, not one per put — the ratio to total puts is
   // the amortization group commit buys.
   Counter journal_fsyncs_;
+  // Batches failed Aborted by a stale read set, on the 1PC commit path
+  // and at 2PC prepare alike (core.db.commit.read_set_aborts).
+  Counter read_set_aborts_;
   Journal ledger_;
   TimestampOracle clock_;
   std::unique_ptr<DeferredVerifier> auditor_;

@@ -475,6 +475,16 @@ Status IncrementAll(ClusterClient* client,
   return client->Write(WriteOptions(), batch);
 }
 
+// core.db.commit.read_set_aborts summed over every shard of the fleet.
+uint64_t ReadSetAborts(const LocalFleet& fleet) {
+  uint64_t total = 0;
+  for (size_t shard = 0; shard < fleet.shards(); shard++) {
+    total += fleet.db(shard)->Metrics().CounterValue(
+        "core.db.commit.read_set_aborts");
+  }
+  return total;
+}
+
 // Re-runs `txn` (which re-reads) while it fails Aborted (a stale read)
 // or Busy (a key locked by a transaction mid-commit).
 Status RetryConflicts(const std::function<Status()>& txn) {
@@ -511,8 +521,11 @@ TEST(ClusterReadSetTest, OfTwoIncrementsFromTheSameReadExactlyOneCommits) {
       b.Put(y, "b");
     }
     ASSERT_TRUE(fx.client->Write(WriteOptions(), a).ok());
+    const uint64_t aborts_before = ReadSetAborts(*fx.fleet);
     Status lost = other->Write(WriteOptions(), b);
     EXPECT_TRUE(lost.IsAborted()) << lost.ToString();
+    // x's shard counted the stale read once, on either path.
+    EXPECT_EQ(ReadSetAborts(*fx.fleet), aborts_before + 1);
     // Nothing of the aborted batch applied.
     EXPECT_EQ(TxnRead(fx.client.get(), x), "1");
     if (cross_shard) {
@@ -914,6 +927,15 @@ TEST(ClusterVerifyTest, VerifiedReadsSurviveConcurrentCommits) {
                                       &value);
     EXPECT_TRUE(s.ok()) << s.ToString();
     if (s.ok()) EXPECT_EQ(value, "value");
+  }
+  // Verified scans too: every shard's range proof checks against the
+  // snapshot pinned while the writer keeps committing.
+  for (int i = 0; i < 20; i++) {
+    std::vector<PosEntry> rows;
+    Status s = fx.client->VerifiedScan("stable-", "stable-~", 0, &rows);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(rows.size(), 20u);
+    for (const PosEntry& row : rows) EXPECT_EQ(row.value, "value");
   }
   stop.store(true);
   writer.join();

@@ -536,6 +536,24 @@ TEST(ConcurrencyTest, GroupCommitSyncWritersAmortizeFsyncs) {
         ASSERT_TRUE(db->Get(key, &value).ok()) << key;
       }
     }
+
+    // The same writers without sync buffer their appends; one final
+    // FlushBlock + SyncStorage makes the lot durable.
+    pool.clear();
+    for (int w = 0; w < kWriters; w++) {
+      pool.emplace_back([&, w] {
+        for (int i = 0; i < kPerWriter; i++) {
+          std::string key =
+              "aw" + std::to_string(w) + "k" + std::to_string(i);
+          if (!db->Put(key, "buffered").ok()) put_errors.fetch_add(1);
+        }
+      });
+    }
+    for (auto& t : pool) t.join();
+    EXPECT_EQ(put_errors.load(), 0u);
+    ASSERT_TRUE(db->FlushBlock().ok());
+    ASSERT_TRUE(db->SyncStorage().ok());
+    EXPECT_EQ(db->key_count(), 2 * puts);
   }
   std::filesystem::remove_all(dir);
 }

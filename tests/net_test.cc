@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <filesystem>
 #include <thread>
 
 #include "cluster/local_fleet.h"
@@ -736,6 +737,9 @@ TEST(NetSpitzTest, EightConcurrentClientsStress) {
         std::string value = "v" + std::to_string(i);
         if (!client->Put(key, value).ok()) failures.fetch_add(1);
         std::string got;
+        if (!client->Get(key, &got).ok() || got != value) {
+          failures.fetch_add(1);
+        }
         if (!client->VerifiedGet(key, &got).ok() || got != value) {
           failures.fetch_add(1);
         }
@@ -749,7 +753,64 @@ TEST(NetSpitzTest, EightConcurrentClientsStress) {
   EXPECT_EQ(m.CounterValue("net.protocol_errors"), 0u);
   EXPECT_GE(m.CounterValue("net.server.accepts"), kClients);
   EXPECT_EQ(m.CounterValue("net.server.frames_served"),
-            2 * kClients * kOpsPerClient);
+            3 * kClients * kOpsPerClient);
+  EXPECT_GE(m.CounterValue("net.frames.rx"), 3 * kClients * kOpsPerClient);
+
+  // The digest that verified those reads covers every write but the
+  // open block: at most one block's worth is still unsealed.
+  auto checker = fx.Client();
+  SpitzDigest digest;
+  ASSERT_TRUE(checker->Digest(&digest).ok());
+  const uint64_t block_size = LocalFleet::Options().db.block_size;
+  EXPECT_LE(digest.journal.entry_count, kClients * kOpsPerClient);
+  EXPECT_GE(digest.journal.entry_count + block_size,
+            kClients * kOpsPerClient);
+}
+
+// A durable server with sync_writes acknowledges each Put only once it
+// is fsync'd; eight concurrent clients must share those fsyncs through
+// group commit. Without sync_writes the same load is buffered.
+TEST(NetSpitzTest, SyncWritesServerSharesFsyncsAcrossClients) {
+  constexpr size_t kClients = 8, kOpsPerClient = 40;
+  const std::string dir = ::testing::TempDir() + "/spitz_net_sync_writes";
+  for (bool sync_writes : {true, false}) {
+    SCOPED_TRACE(sync_writes ? "sync_writes" : "buffered");
+    std::filesystem::remove_all(dir);
+    LocalFleet::Options options;
+    options.db.data_dir = dir;
+    options.db.sync_writes = sync_writes;
+    std::unique_ptr<LocalFleet> fleet;
+    ASSERT_TRUE(LocalFleet::Open(options, &fleet).ok());
+
+    std::atomic<uint64_t> errors{0};
+    std::vector<std::thread> threads;
+    for (size_t c = 0; c < kClients; c++) {
+      threads.emplace_back([&, c] {
+        std::unique_ptr<SpitzClient> client;
+        if (!SpitzClient::Open(fleet->ClientOptions(0), &client).ok()) {
+          errors.fetch_add(kOpsPerClient);
+          return;
+        }
+        for (size_t i = 0; i < kOpsPerClient; i++) {
+          const std::string key =
+              "w" + std::to_string(c) + "-key" + std::to_string(i);
+          if (!client->Put(key, std::string(100, 'v')).ok()) {
+            errors.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(errors.load(), 0u);
+    if (sync_writes) {
+      const uint64_t puts = kClients * kOpsPerClient;
+      const uint64_t fsyncs =
+          fleet->db(0)->Metrics().CounterValue("core.db.journal.fsyncs");
+      EXPECT_GE(fsyncs, 1u);
+      EXPECT_LT(fsyncs, puts) << "concurrent clients shared no fsync";
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(NetSpitzTest, PerMethodLatencyHistogramsPopulate) {

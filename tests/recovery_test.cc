@@ -182,13 +182,16 @@ TEST_F(RecoveryTest, JournalWriteAfterTornTailIsNotLost) {
     }
     ASSERT_TRUE(db->SyncStorage().ok());
   }
+  // One crash tears both logs at once: 5 garbage bytes on each tail.
   AppendJournalGarbage(dir_ + "/journal.log");
+  AppendGarbage(dir_ + "/chunks/" + FileChunkStore::SegmentFileName(1));
   {
     std::unique_ptr<SpitzDb> db;
     ASSERT_TRUE(SpitzDb::Open(DurableOptions(8), &db).ok());
     EXPECT_EQ(db->key_count(), 8u);
-    EXPECT_GT(db->Metrics().CounterValue("core.db.journal.truncated_bytes"),
-              0u);
+    MetricsSnapshot m = db->Metrics();
+    EXPECT_EQ(m.CounterValue("chunk.file.truncated_bytes"), 5u);
+    EXPECT_EQ(m.CounterValue("core.db.journal.truncated_bytes"), 5u);
     for (int i = 0; i < 8; i++) {
       ASSERT_TRUE(db->Put("post" + std::to_string(i), "v").ok());
     }

@@ -8,14 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/cluster_client.h"
 #include "cluster/cluster_digest.h"
 #include "cluster/local_fleet.h"
 #include "cluster/partition.h"
+#include "common/random.h"
 #include "core/spitz_db.h"
 #include "net/spitz_client.h"
 #include "net/spitz_server.h"
@@ -131,6 +134,10 @@ TEST(ReplicaTest, BackupIndependentlyDerivesThePrimarysDigest) {
   MetricsSnapshot m = replicator->Metrics();
   EXPECT_GT(m.CounterValue("replica.primary.batches_acked"), 0u);
   EXPECT_EQ(m.CounterValue("replica.primary.digest_mismatches"), 0u);
+  // The live blocks were timed from seal to ack.
+  const HistogramSnapshot* lag = m.FindHistogram("replica.primary.lag_ns");
+  ASSERT_NE(lag, nullptr);
+  EXPECT_GT(lag->count, 0u);
 }
 
 TEST(ReplicaTest, TamperedRecordIsRejectedAndCounted) {
@@ -349,6 +356,67 @@ TEST(ReplicaClusterTest, VerifiedReadsFailOverAndPromoteRestoresWrites) {
   EXPECT_EQ(value, "v0-after");
   // Idempotent.
   EXPECT_TRUE(cluster.client->Promote(0).ok());
+}
+
+// YCSB-style mixed traffic through a ClusterClient: 50% updates, 45%
+// plain reads, 5% verified reads. Returns the op's status, NotFound
+// folded into OK.
+Status MixedOp(ClusterClient* client, Random* rng) {
+  const uint64_t dice = rng->Uniform(100);
+  const std::string key = "user" + std::to_string(100000 + rng->Uniform(512));
+  if (dice < 50) return client->Put(WriteOptions(), key, rng->Bytes(64));
+  ReadOptions options;
+  options.verify = dice >= 95;
+  std::string value;
+  Status s = client->Get(options, key, &value);
+  return s.IsNotFound() ? Status::OK() : s;
+}
+
+TEST(ReplicaClusterTest, KillWithoutDrainLosesOnlyTheUnackedTail) {
+  constexpr int kOps = 1000;
+  LocalFleet::Options options;
+  options.replicated = true;
+  options.db.block_size = 8;  // a sealed block every ~8 writes
+  std::unique_ptr<LocalFleet> fleet;
+  ASSERT_TRUE(LocalFleet::Open(options, &fleet).ok());
+  ClusterClient::Options client_options = fleet->ClusterOptions();
+  client_options.shards[0].connect_attempts = 2;
+  std::unique_ptr<ClusterClient> client;
+  ASSERT_TRUE(ClusterClient::Open(client_options, &client).ok());
+
+  Random rng(9103);
+  for (int i = 0; i < kOps / 2; i++) {
+    Status s = MixedOp(client.get(), &rng);
+    ASSERT_TRUE(s.ok()) << "before the kill: " << s.ToString();
+  }
+
+  // The kill, with no drain: whatever the stream had not acked is lost.
+  const uint64_t sealed = fleet->db(0)->Digest().journal.block_count;
+  const uint64_t acked = fleet->replicator(0)->acked_blocks();
+  fleet->KillPrimary(0);
+  // The replicator ships block by block, so the loss is the in-flight
+  // tail, not an unbounded queue.
+  EXPECT_LE(sealed - acked, 8u);
+
+  // The next verified read fails over to the backup's last-agreed
+  // digest and verifies.
+  Status first;
+  for (int attempt = 0; attempt < 1000; attempt++) {
+    ReadOptions verified;
+    verified.verify = true;
+    std::string value;
+    first = client->Get(verified, "user100000", &value);
+    if (first.IsNotFound()) first = Status::OK();
+    if (first.ok() || first.IsVerificationFailed()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(first.ok()) << first.ToString();
+
+  ASSERT_TRUE(client->Promote(0).ok());
+  for (int i = kOps / 2; i < kOps; i++) {
+    Status s = MixedOp(client.get(), &rng);
+    ASSERT_TRUE(s.ok()) << "after promotion: " << s.ToString();
+  }
 }
 
 TEST(ReplicaClusterTest, OpenProbeRejectsABackupListedAsPrimary) {
