@@ -205,6 +205,40 @@ void BM_SpitzDbPut(benchmark::State& state) {
 }
 BENCHMARK(BM_SpitzDbPut)->Arg(1)->Arg(0);
 
+// Provenance lookups: KeyHistory (every sealed write of one key, each
+// with its journal inclusion proof) for random keys of a bulk-loaded
+// database (arg = keys, one write each, 64 per block). Reports the
+// key-history index's resident bytes per indexed write.
+void BM_SpitzDbKeyHistory(benchmark::State& state) {
+  SpitzDb db;
+  Random rng(17);
+  const int n = static_cast<int>(state.range(0));
+  std::vector<std::string> keys;
+  std::vector<PosEntry> entries;
+  for (int i = 0; i < n; i++) {
+    keys.push_back("key" + std::to_string(i));
+    entries.push_back({keys.back(), rng.Bytes(20)});
+  }
+  if (!db.BulkLoad(std::move(entries)).ok()) abort();
+  if (!db.FlushBlock().ok()) abort();
+  std::vector<SpitzDb::HistoricalWrite> history;
+  for (auto _ : state) {
+    if (!db.KeyHistory(keys[rng.Uniform(keys.size())], &history).ok()) {
+      abort();
+    }
+    benchmark::DoNotOptimize(history.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  MetricsSnapshot snap = db.Metrics();
+  const uint64_t writes = snap.GaugeValue("core.db.history.writes");
+  state.counters["history_bytes_per_write"] =
+      writes == 0 ? 0.0
+                  : static_cast<double>(
+                        snap.GaugeValue("core.db.history.bytes")) /
+                        static_cast<double>(writes);
+}
+BENCHMARK(BM_SpitzDbKeyHistory)->Arg(200000);
+
 // Drain rate of the deferred-verification worker pool on a CPU-bound
 // check, reporting the backlog the producer saw (arg = workers).
 void BM_DeferredVerifierDrain(benchmark::State& state) {

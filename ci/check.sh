@@ -4,11 +4,11 @@
 #   the metrics smoke, the auditor smoke and chaos runs, and the
 #   repository benchmark (spitzbench) smoke. Every other behaviour
 #   check lives in ctest; every end-to-end measurement in spitzbench.
-# TSan: the concurrency, 2PC participant, read-set, network, cluster
-#   and replica tests.
-# ASan+UBSan: the proof-codec, database, 2PC participant, write-batch
-#   and read-set, network, cluster, replica, SHA-256/CRC32C kernel,
-#   journal and persistence tests (untrusted wire bytes are decoded
+# TSan: the concurrency, 2PC participant, read-set, key-history,
+#   network, cluster and replica tests.
+# ASan+UBSan: the proof-codec, database, key-history, 2PC participant,
+#   write-batch and read-set, network, cluster, replica, SHA-256/CRC32C
+#   kernel, journal and persistence tests (untrusted wire bytes are decoded
 #   there, and the hardware hash kernels make unaligned vector loads,
 #   so memory errors and UB are the failure modes that matter).
 # The read-set suites are ClusterReadSetTest, TwoPhaseCommitTest,
@@ -75,23 +75,24 @@ echo "==> tier-2: ThreadSanitizer concurrency suite"
 cmake -B "${PREFIX}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DSPITZ_SANITIZE=thread
 cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
-      --target concurrency_test txn_test spitz_db_test metrics_test \
-               recovery_test net_test cluster_test replica_test
+      --target concurrency_test txn_test spitz_db_test key_history_test \
+               metrics_test recovery_test net_test cluster_test replica_test
 # TSAN_OPTIONS makes any reported race fail the run (exit code).
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
   ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
-        -R 'Concurrency|DeferredVerifier|TxnParticipant|SpitzDb|Metrics|Recovery|Net|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep'
+        -R 'Concurrency|DeferredVerifier|TxnParticipant|SpitzDb|KeyHistory|Metrics|Recovery|Net|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep'
 
 echo "==> tier-2: ASan+UBSan proof-codec and database suite"
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DSPITZ_SANITIZE=address,undefined
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
-      --target siri_proof_test siri_backend_test spitz_db_test recovery_test \
-               net_test concurrency_test cluster_test replica_test txn_test \
-               crypto_test common_test journal_test persistence_test
+      --target siri_proof_test siri_backend_test spitz_db_test \
+               key_history_test recovery_test net_test concurrency_test \
+               cluster_test replica_test txn_test crypto_test common_test \
+               journal_test persistence_test
 ASAN_OPTIONS="halt_on_error=1 exitcode=66" \
 UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \
   ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-        -R 'Siri|SpitzDb|SpitzOptions|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence'
+        -R 'Siri|SpitzDb|SpitzOptions|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence'
 
 echo "==> all checks passed"

@@ -149,6 +149,12 @@ class PosixWritableLog : public WritableLog {
       done += static_cast<size_t>(n);
     }
     buffer_.clear();
+    // A manual-flush owner may have buffered far more than the working
+    // size (a bulk load's whole journal); do not keep that capacity.
+    if (buffer_.capacity() > kBufferSize) {
+      std::string().swap(buffer_);
+      buffer_.reserve(kBufferSize);
+    }
     return Status::OK();
   }
 

@@ -147,6 +147,18 @@ void SpitzDb::WireMetrics() {
   registry_.RegisterCounter("core.db.journal.truncated_bytes",
                             &journal_truncated_bytes_);
   registry_.RegisterCounter("core.db.journal.fsyncs", &journal_fsyncs_);
+  registry_.RegisterGaugeFn("core.db.journal.resident_bytes", [this] {
+    std::lock_guard<std::mutex> lock(mu_);
+    return ledger_.stored_bytes();
+  });
+  registry_.RegisterGaugeFn("core.db.history.bytes", [this] {
+    std::lock_guard<std::mutex> lock(mu_);
+    return history_.memory_bytes();
+  });
+  registry_.RegisterGaugeFn("core.db.history.writes", [this] {
+    std::lock_guard<std::mutex> lock(mu_);
+    return history_.write_count();
+  });
   registry_.RegisterCounter("core.db.commit.read_set_aborts",
                             &read_set_aborts_);
   participant_->ExportMetrics(&registry_);
@@ -216,7 +228,7 @@ Status SpitzDb::Recover() {
       if (!s.ok()) return s;
       s = ledger_.Restore(last, record);
       if (!s.ok()) return s;
-      IndexBlockHistoryLocked(last.height(), last.entries());
+      history_.AddBlock(last.entries());
     }
     // Discard the torn tail before reopening for append; otherwise
     // every block persisted from now on would sit behind unparseable
@@ -328,10 +340,7 @@ Status SpitzDb::CollectGarbage(ChunkGcStats* stats_out) {
     uint64_t blocks = ledger_.block_count();
     uint64_t keep = std::min<uint64_t>(options_.retain_versions, blocks);
     for (uint64_t i = 0; i < keep; i++) {
-      Block block;
-      Status s = ledger_.GetBlock(blocks - 1 - i, &block);
-      if (!s.ok()) return s;
-      roots.push_back(block.index_root());
+      roots.push_back(ledger_.IndexRoot(blocks - 1 - i));
     }
     mark_seq = chunks_->BeginGc();
   }
@@ -505,7 +514,7 @@ Status SpitzDb::CommitGroup(const std::vector<CommitRequest*>& group,
                             bool sync, uint64_t* append_seq,
                             bool* flush_backpressure) {
   if (metrics_.group_size) metrics_.group_size->Record(group.size());
-  std::vector<std::string> records;  // serialized journal records
+  JournalRecords records;
   bool sealed = false;
   uint64_t block_count = 0;
   Status io;
@@ -668,12 +677,12 @@ Status SpitzDb::ApplyBatchLocked(const WriteBatch& batch) {
   return Status::OK();
 }
 
-void SpitzDb::SealPendingLocked(std::vector<std::string>* records) {
+void SpitzDb::SealPendingLocked(JournalRecords* records) {
   if (pending_.empty()) return;
   ScopedTimer timer(metrics_.seal_ns);
   // Index history from the entries in hand, before Append takes them:
   // decoding the sealed block back would hash it a second time.
-  IndexBlockHistoryLocked(ledger_.block_count(), pending_);
+  history_.AddBlock(pending_);
   // Each block stores the index root as of its last entry — "each block
   // in the ledger stores a historical index instance" (section 6.1).
   // Because sealing happens immediately after the batch that crossed
@@ -681,26 +690,26 @@ void SpitzDb::SealPendingLocked(std::vector<std::string>* records) {
   uint64_t height = ledger_.Append(std::move(pending_), root_, NowMicros());
   pending_.clear();
   if (journal_log_ == nullptr) return;
-  std::string record;
-  AppendRecordFrame(ledger_.SerializedBlock(height), &record);
-  records->push_back(std::move(record));
+  records->Add(ledger_.SerializedBlock(height));
 }
 
-void SpitzDb::IndexBlockHistoryLocked(
-    uint64_t height, const std::vector<LedgerEntry>& entries) {
-  for (size_t i = 0; i < entries.size(); i++) {
-    history_index_[entries[i].key].emplace_back(height, i);
+void SpitzDb::JournalRecords::Add(const Slice& serialized_block) {
+  AppendRecordFrame(serialized_block, &bytes);
+  ends.push_back(bytes.size());
+}
+
+Status SpitzDb::AppendJournalRecordsLocked(const JournalRecords& records) {
+  if (journal_log_ == nullptr || records.ends.empty()) return Status::OK();
+  std::vector<Slice> slices;
+  size_t begin = 0;
+  for (size_t end : records.ends) {
+    slices.emplace_back(records.bytes.data() + begin, end - begin);
+    begin = end;
   }
-}
-
-Status SpitzDb::AppendJournalRecordsLocked(
-    const std::vector<std::string>& records) {
-  if (journal_log_ == nullptr || records.empty()) return Status::OK();
-  std::vector<Slice> slices(records.begin(), records.end());
   Status s = journal_log_->AppendV(slices.data(), slices.size());
   if (!s.ok()) {
     return Status::IOError("journal append failed for " +
-                           std::to_string(records.size()) +
+                           std::to_string(slices.size()) +
                            " block(s): " + s.message());
   }
   // Advance the append cut SyncCommitted coalesces on: a barrier whose
@@ -734,7 +743,7 @@ Status SpitzDb::BulkLoad(std::vector<PosEntry> entries) {
   // ingestion is the original group commit.
   std::vector<LedgerEntry> all = std::move(pending_);
   pending_.clear();
-  std::vector<std::string> records;
+  JournalRecords records;
   size_t i = 0;
   while (all.size() - i >= options_.block_size) {
     pending_.assign(std::make_move_iterator(all.begin() + i),
@@ -795,7 +804,7 @@ Status SpitzDb::FlushBlock() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (pending_.empty()) return Status::OK();
-    std::vector<std::string> records;
+    JournalRecords records;
     SealPendingLocked(&records);
     io = AppendJournalRecordsLocked(records);
     block_count = ledger_.block_count();
@@ -1102,27 +1111,29 @@ Status SpitzDb::ProveHistoricalEntry(uint64_t height, uint64_t entry_index,
 Status SpitzDb::KeyHistory(const Slice& key,
                            std::vector<HistoricalWrite>* history) const {
   history->clear();
+  std::vector<KeyHistoryIndex::Position> candidates;
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = history_index_.find(key.ToString());
-  if (it == history_index_.end()) {
-    return Status::NotFound("no sealed history for key");
-  }
-  for (const auto& [height, index] : it->second) {
+  history_.Lookup(key, &candidates);
+  for (const KeyHistoryIndex::Position& at : candidates) {
     HistoricalWrite write;
-    write.block_height = height;
-    Status s = ledger_.ProveEntry(height, index, &write.proof, &write.entry);
+    write.block_height = at.height;
+    Status s = ledger_.ProveEntry(at.height, at.index, &write.proof,
+                                  &write.entry);
     if (!s.ok()) return s;
+    // A candidate may be another key with the same fingerprint.
+    if (write.entry.key != key) continue;
     history->push_back(std::move(write));
   }
+  if (history->empty()) return Status::NotFound("no sealed history for key");
   return Status::OK();
 }
 
 Status SpitzDb::IndexRootAt(uint64_t block_height, Hash256* root) const {
   std::lock_guard<std::mutex> lock(mu_);
-  Block block;
-  Status s = ledger_.GetBlock(block_height, &block);
-  if (!s.ok()) return s;
-  *root = block.index_root();
+  if (block_height >= ledger_.block_count()) {
+    return Status::NotFound("block height beyond journal");
+  }
+  *root = ledger_.IndexRoot(block_height);
   return Status::OK();
 }
 
@@ -1315,11 +1326,11 @@ Status SpitzDb::ApplyReplicatedRecord(const Slice& record, bool sync,
     while (clock_.Peek() <= max_ts) {
       clock_.AllocateBatch(max_ts + 1 - clock_.Peek());
     }
-    IndexBlockHistoryLocked(height, block.entries());
+    history_.AddBlock(block.entries());
     if (journal_log_ != nullptr) {
-      std::vector<std::string> records(1);
-      AppendRecordFrame(serialized, &records[0]);
-      s = AppendJournalRecordsLocked(records);
+      JournalRecords record;
+      record.Add(serialized);
+      s = AppendJournalRecordsLocked(record);
       if (!s.ok()) return s;
     }
     append_seq = append_seq_;

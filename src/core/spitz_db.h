@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -23,6 +22,7 @@
 #include "index/pos_tree_iterator.h"
 #include "index/siri.h"
 #include "ledger/journal.h"
+#include "ledger/key_history_index.h"
 #include "txn/batch_verifier.h"
 #include "txn/participant.h"
 #include "txn/timestamp_oracle.h"
@@ -544,21 +544,29 @@ class SpitzDb : public VerifiedKv {
   // pending_ are untouched.
   Status ApplyBatchLocked(const WriteBatch& batch);
 
+  // Framed journal records of freshly sealed blocks, back to back in
+  // one buffer; record i ends at ends[i]. A bulk load seals thousands
+  // of blocks: a string per record would sit between the sealed blocks
+  // the journal keeps and leave the heap fragmented once freed.
+  struct JournalRecords {
+    std::string bytes;
+    std::vector<size_t> ends;
+
+    // Frames one serialized block onto the end.
+    void Add(const Slice& serialized_block);
+  };
+
   // Seals every pending entry into one block (the serial-path boundary:
   // seal-all once pending reaches block_size) and, in durable mode,
-  // pushes the block's serialized journal record onto *records for a
-  // later coalesced append.
-  void SealPendingLocked(std::vector<std::string>* records);
+  // adds the block's framed journal record to *records for a later
+  // coalesced append.
+  void SealPendingLocked(JournalRecords* records);
 
   // One gathered AppendV of the records (durable mode only). An error
   // means none/only a prefix of the blocks will survive a restart — the
   // in-memory seals stand either way, and the caller must surface the
   // failure to every writer in the group.
-  Status AppendJournalRecordsLocked(const std::vector<std::string>& records);
-
-  // Adds the entries of the block at `height` to the history index.
-  void IndexBlockHistoryLocked(uint64_t height,
-                               const std::vector<LedgerEntry>& entries);
+  Status AppendJournalRecordsLocked(const JournalRecords& records);
 
   // Recovery of a durable database (journal, then the participant's
   // txn.log); called by Open().
@@ -678,10 +686,10 @@ class SpitzDb : public VerifiedKv {
   // (AppendJournalRecordsLocked). SyncCommitted(seq) promises exactly
   // "every append cut ≤ seq is durable".
   uint64_t append_seq_ = 0;
-  // History index: key -> journal positions of its sealed writes,
-  // maintained at seal time (rebuilt during recovery).
-  std::map<std::string, std::vector<std::pair<uint64_t, uint64_t>>>
-      history_index_;
+  // Key-history index: the journal position of every sealed write, one
+  // fingerprint slot per key and no key bytes (KeyHistoryIndex). Fed at
+  // seal, at recovery and on replica apply, beside each ledger append.
+  KeyHistoryIndex history_;
 
   // --- Version GC state ---------------------------------------------------
 

@@ -11,9 +11,12 @@ uint64_t Journal::Append(std::vector<LedgerEntry> entries,
   Block block(height, entry_count_, tip_hash_, std::move(entries), index_root,
               timestamp);
   std::string encoded = block.Encode();
+  // Encode grew the string by doubling; the journal keeps it for good.
+  encoded.shrink_to_fit();
   entry_count_ += block.entries().size();
   tip_hash_ = block.block_hash();
   block_hashes_.push_back(tip_hash_);
+  index_roots_.push_back(index_root);
   block_tree_.AppendLeafHash(Hash256::OfLeaf(tip_hash_.slice()));
   stored_bytes_ += encoded.size();
   serialized_blocks_.push_back(std::move(encoded));
@@ -33,6 +36,7 @@ Status Journal::Restore(const Block& block, const Slice& serialized) {
   entry_count_ += block.entries().size();
   tip_hash_ = block.block_hash();
   block_hashes_.push_back(tip_hash_);
+  index_roots_.push_back(block.index_root());
   block_tree_.AppendLeafHash(Hash256::OfLeaf(tip_hash_.slice()));
   stored_bytes_ += serialized.size();
   serialized_blocks_.push_back(serialized.ToString());

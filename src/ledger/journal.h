@@ -80,6 +80,12 @@ class Journal {
     return block_hashes_[height];
   }
 
+  // The index root recorded in the block at `height`, without decoding
+  // the block.
+  const Hash256& IndexRoot(uint64_t height) const {
+    return index_roots_[height];
+  }
+
   // Proof that the block at `height` is included in the journal's
   // Merkle tree (block-level only; cheap, O(log n)).
   Status BlockInclusionProof(uint64_t height,
@@ -112,6 +118,7 @@ class Journal {
  private:
   std::vector<std::string> serialized_blocks_;
   std::vector<Hash256> block_hashes_;
+  std::vector<Hash256> index_roots_;  // each block's index_root()
   MerkleTree block_tree_;  // Merkle tree over block hashes
   Hash256 tip_hash_;
   uint64_t entry_count_ = 0;

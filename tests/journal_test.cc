@@ -194,6 +194,18 @@ TEST_F(JournalRestoreTest, AcceptsTheNextBlockInTheChain) {
   EXPECT_EQ(journal_.SerializedBlock(1), next.Encode());
 }
 
+TEST_F(JournalRestoreTest, IndexRootKeptWithoutDecodingOnAppendAndRestore) {
+  ASSERT_TRUE(Restore(Next(1, 2, tip_)).ok());
+  journal_.Append({MakeEntry("d", "4")}, Hash256::Of("idx2"), 3);
+  ASSERT_EQ(journal_.block_count(), 3u);
+  for (uint64_t height = 0; height < journal_.block_count(); height++) {
+    Block block;
+    ASSERT_TRUE(journal_.GetBlock(height, &block).ok());
+    EXPECT_EQ(journal_.IndexRoot(height), block.index_root()) << height;
+  }
+  EXPECT_EQ(journal_.IndexRoot(2), Hash256::Of("idx2"));
+}
+
 TEST_F(JournalRestoreTest, RejectsWrongHeight) {
   ExpectRejected(Next(2, 2, tip_), "wrong height");
   ExpectRejected(Next(0, 2, tip_), "wrong height");

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -576,6 +577,46 @@ TEST_F(PersistenceTest, StoreManyTimesTheCacheVerifiesCollectsAndReopens) {
     }
   }
   EXPECT_EQ(reopen_failures, 0);
+}
+
+// What a bulk-loaded node keeps resident: its cache, the sealed journal
+// (Journal holds every block in RAM) and a few bytes of key history per
+// write. Neither the history index nor the journal's write buffer may
+// grow with the keys' bytes or keep the bulk load's journal after the
+// flush.
+TEST_F(PersistenceTest, BulkLoadResidentMemoryIsCachePlusLedger) {
+  constexpr int kRecords = 100000;
+  constexpr size_t kValueBytes = 100;
+  constexpr size_t kCacheBytes = 1 << 20;
+  constexpr uint64_t kSlackBytes = 8 << 20;
+  SpitzOptions options = DurableOptions(64);
+  options.buffer_cache_bytes = kCacheBytes;
+  malloc_trim(0);
+  const uint64_t resident_before = ResidentBytes();
+  std::unique_ptr<SpitzDb> db;
+  ASSERT_TRUE(SpitzDb::Open(options, &db).ok());
+  {
+    std::vector<PosEntry> entries;
+    entries.reserve(kRecords);
+    for (int i = 0; i < kRecords; i++) {
+      entries.push_back({PagedKey(i), PagedValue(i, 0, kValueBytes)});
+    }
+    ASSERT_TRUE(db->BulkLoad(std::move(entries)).ok());
+  }
+  ASSERT_TRUE(db->FlushBlock().ok());
+  ASSERT_TRUE(db->SyncStorage().ok());
+  malloc_trim(0);
+  const uint64_t growth = ResidentBytes() - resident_before;
+  const uint64_t journal_bytes =
+      std::filesystem::file_size(dir_ + "/journal.log");
+  EXPECT_LE(growth,
+            kCacheBytes + journal_bytes + 32ull * kRecords + kSlackBytes)
+      << "journal.log " << journal_bytes << " B";
+  MetricsSnapshot m = db->Metrics();
+  EXPECT_EQ(m.GaugeValue("core.db.history.writes"),
+            static_cast<uint64_t>(kRecords));
+  EXPECT_LE(m.GaugeValue("core.db.history.bytes"), 32ull * kRecords);
+  EXPECT_LE(m.GaugeValue("core.db.journal.resident_bytes"), journal_bytes);
 }
 
 // --- Format pin -------------------------------------------------------------
