@@ -8,9 +8,11 @@
 #   network, cluster and replica tests.
 # ASan+UBSan: the proof-codec, database, key-history, 2PC participant,
 #   write-batch and read-set, network, cluster, replica, SHA-256/CRC32C
-#   kernel, journal and persistence tests (untrusted wire bytes are decoded
-#   there, and the hardware hash kernels make unaligned vector loads,
-#   so memory errors and UB are the failure modes that matter).
+#   kernel, journal and persistence tests (untrusted bytes are decoded
+#   there — proof envelopes, wire requests, journal blocks and the
+#   replication-record decoder, swept byte by byte in ReplicaRecordTest —
+#   and the hardware hash kernels make unaligned vector loads, so memory
+#   errors and UB are the failure modes that matter).
 # The read-set suites are ClusterReadSetTest, TwoPhaseCommitTest,
 # MvccTest and TxnConfigSweep (cluster_test) plus WriteBatchTest
 # (txn_test).

@@ -78,16 +78,6 @@ class BoundedQueue {
     return true;
   }
 
-  // Non-blocking pop.
-  std::optional<T> TryPop() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return item;
-  }
-
   // After Close(), producers fail and consumers drain remaining items
   // then receive nullopt.
   void Close() {

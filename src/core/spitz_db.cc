@@ -212,50 +212,35 @@ Status SpitzDb::Open(SpitzOptions options, std::unique_ptr<SpitzDb>* db) {
 
 Status SpitzDb::Recover() {
   const std::string journal_path = options_.data_dir + "/journal.log";
+  // A missing journal reads as an empty one.
   std::string contents;
-  Status read_status = env_->ReadFileToString(journal_path, &contents);
-  if (!read_status.ok() && !read_status.IsNotFound()) return read_status;
-  if (read_status.ok()) {
-    // A corrupt record fails recovery: restoring it would rebuild the
-    // ledger over a block whose hashes no longer match its content.
-    std::vector<Slice> records;
-    uint64_t consumed = 0;
-    Status s = ReadRecordFrames(contents, journal_path, &records, &consumed);
+  Status s = env_->ReadFileToString(journal_path, &contents);
+  if (!s.ok() && !s.IsNotFound()) return s;
+  // A corrupt record fails recovery: restoring it would rebuild the
+  // ledger over a block whose hashes no longer match its content.
+  std::vector<Slice> records;
+  uint64_t consumed = 0;
+  s = ReadRecordFrames(contents, journal_path, &records, &consumed);
+  if (!s.ok()) return s;
+  for (const Slice& record : records) {
+    Block block;
+    s = Block::Decode(record, &block);
+    if (s.ok()) s = AdoptSealedBlockLocked(block, record);
     if (!s.ok()) return s;
-    Block last;
-    for (const Slice& record : records) {
-      s = Block::Decode(record, &last);
-      if (!s.ok()) return s;
-      s = ledger_.Restore(last, record);
-      if (!s.ok()) return s;
-      history_.AddBlock(last.entries());
-    }
-    // Discard the torn tail before reopening for append; otherwise
-    // every block persisted from now on would sit behind unparseable
-    // garbage, unreachable by all future recoveries.
-    if (consumed < contents.size()) {
-      s = env_->Truncate(journal_path, consumed);
-      if (!s.ok()) return s;
-      journal_truncated_bytes_.Increment(contents.size() - consumed);
-    }
-    // The current version is the index root recorded in the last block.
-    if (ledger_.block_count() > 0) {
-      root_ = last.index_root();
-      // Sanity: the recovered root must resolve in the chunk store.
-      uint64_t count = 0;
-      s = index_->Count(root_, &count);
-      if (!s.ok()) {
-        return Status::Corruption(
-            "recovered index root missing from chunk store");
-      }
-      // Resume commit timestamps beyond everything recovered.
-      uint64_t max_ts = 0;
-      for (const LedgerEntry& e : last.entries()) {
-        if (e.commit_ts > max_ts) max_ts = e.commit_ts;
-      }
-      clock_.AllocateBatch(max_ts + 1);
-      last_commit_ts_ = max_ts;
-    }
+  }
+  // Discard the torn tail before reopening for append; otherwise every
+  // block persisted from now on would sit behind unparseable garbage,
+  // unreachable by all future recoveries.
+  if (consumed < contents.size()) {
+    s = env_->Truncate(journal_path, consumed);
+    if (!s.ok()) return s;
+    journal_truncated_bytes_.Increment(contents.size() - consumed);
+  }
+  // Sanity: the recovered root (the last block's) must resolve in the
+  // chunk store.
+  uint64_t count = 0;
+  if (!records.empty() && !index_->Count(root_, &count).ok()) {
+    return Status::Corruption("recovered index root missing from chunk store");
   }
   Status open_status = env_->NewWritableLog(journal_path, &journal_log_);
   if (!open_status.ok()) {
@@ -388,9 +373,9 @@ Status SpitzDb::SyncStorage() {
 }
 
 void SpitzDb::PublishSnapshotLocked(bool journal_changed) {
-  std::shared_ptr<const Snapshot> prev = CurrentSnapshot();
-  auto snap = std::make_shared<Snapshot>();
-  snap->root = root_;
+  std::shared_ptr<const SpitzDigest> prev = CurrentSnapshot();
+  auto snap = std::make_shared<SpitzDigest>();
+  snap->index_root = root_;
   snap->last_commit_ts = last_commit_ts_;
   snap->journal = (journal_changed || prev == nullptr) ? ledger_.Digest()
                                                        : prev->journal;
@@ -647,20 +632,26 @@ Status SpitzDb::ValidateReadsLocked(const WriteBatch& batch) {
   return s;
 }
 
-Status SpitzDb::ApplyBatchLocked(const WriteBatch& batch) {
-  uint64_t commit_ts = clock_.Allocate();
-  Hash256 root = root_;
-  // Apply every op to the unified index (copy-on-write; shared nodes).
+Status SpitzDb::ApplyToIndex(const WriteBatch& batch, Hash256* root) const {
   for (const WriteBatch::Op& op : batch.ops()) {
     Status s;
     if (op.type == WriteBatch::OpType::kPut) {
-      s = index_->Put(root, op.key, op.value, &root);
+      s = index_->Put(*root, op.key, op.value, root);
     } else {
-      s = index_->Delete(root, op.key, &root);
+      s = index_->Delete(*root, op.key, root);
       if (s.IsNotFound()) continue;  // deleting an absent key is a no-op
     }
     if (!s.ok()) return s;
   }
+  return Status::OK();
+}
+
+Status SpitzDb::ApplyBatchLocked(const WriteBatch& batch) {
+  uint64_t commit_ts = clock_.Allocate();
+  // Apply every op to the unified index (copy-on-write; shared nodes).
+  Hash256 root = root_;
+  Status s = ApplyToIndex(batch, &root);
+  if (!s.ok()) return s;
   root_ = root;
   last_commit_ts_ = commit_ts;
   // Record the modification in the ledger buffer.
@@ -737,7 +728,7 @@ Status SpitzDb::BulkLoad(std::vector<PosEntry> entries) {
   }
   Status s = index_->Build(std::move(entries), &root_);
   if (!s.ok()) return s;
-  last_commit_ts_ = commit_ts + pending_.size();
+  last_commit_ts_ = commit_ts + pending_.size() - 1;
   // Seal full blocks; the (possibly short) tail stays pending. All the
   // resulting journal records go out as one gathered append — bulk
   // ingestion is the original group commit.
@@ -828,27 +819,27 @@ Status SpitzDb::Get(const Slice& key, std::string* value) const {
   // always retained; the pin protects the window where an *older*
   // snapshot captured before a commit is still being read).
   auto pin = chunks_->PinReads();
-  return index_->Get(CurrentSnapshot()->root, key, value);
+  return index_->Get(CurrentSnapshot()->index_root, key, value);
 }
 
 // A proof is produced for presence and (non-degenerate) absence alike;
 // its wire size is what the client pays either way.
 Status SpitzDb::GetWithProof(const Slice& key, std::string* value,
                              ReadProof* proof) const {
-  return GetWithProofAt(CurrentSnapshot()->root, key, value, proof);
+  return GetWithProofAt(CurrentSnapshot()->index_root, key, value, proof);
 }
 
 Status SpitzDb::Scan(const Slice& start, const Slice& end, size_t limit,
                      std::vector<PosEntry>* out) const {
   ScopedTimer timer(metrics_.scan_ns);
   auto pin = chunks_->PinReads();
-  return index_->Scan(CurrentSnapshot()->root, start, end, limit, out);
+  return index_->Scan(CurrentSnapshot()->index_root, start, end, limit, out);
 }
 
 Status SpitzDb::ScanWithProof(const Slice& start, const Slice& end,
                               size_t limit, std::vector<PosEntry>* out,
                               spitz::ScanProof* proof) const {
-  return ScanWithProofAt(CurrentSnapshot()->root, start, end, limit, out,
+  return ScanWithProofAt(CurrentSnapshot()->index_root, start, end, limit, out,
                          proof);
 }
 
@@ -880,14 +871,7 @@ Status SpitzDb::ScanWithProofAt(const Hash256& index_root, const Slice& start,
   return s;
 }
 
-SpitzDigest SpitzDb::Digest() const {
-  std::shared_ptr<const Snapshot> snap = CurrentSnapshot();
-  SpitzDigest d;
-  d.index_root = snap->root;
-  d.journal = snap->journal;
-  d.last_commit_ts = snap->last_commit_ts;
-  return d;
-}
+SpitzDigest SpitzDb::Digest() const { return *CurrentSnapshot(); }
 
 // --- VerifiedKv surface -----------------------------------------------------
 
@@ -1143,13 +1127,6 @@ Status SpitzDb::GetAt(const Hash256& index_root, const Slice& key,
   return index_->Get(index_root, key, value);
 }
 
-Status SpitzDb::ScanAt(const Hash256& index_root, const Slice& start,
-                       const Slice& end, size_t limit,
-                       std::vector<PosEntry>* out) const {
-  auto pin = chunks_->PinReads();
-  return index_->Scan(index_root, start, end, limit, out);
-}
-
 // --- Primary-backup replication seam (DESIGN.md §15) ------------------------
 
 void SpitzDb::SetSealListener(SealListener listener) {
@@ -1157,198 +1134,85 @@ void SpitzDb::SetSealListener(SealListener listener) {
   seal_listener_ = std::move(listener);
 }
 
-Status SpitzDb::BlockHashAt(uint64_t height, Hash256* hash) const {
+Status SpitzDb::SealedBlock(uint64_t height, std::string* serialized) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (height >= ledger_.block_count()) {
     return Status::NotFound("block " + std::to_string(height) +
                             " is past the sealed tip");
   }
-  *hash = ledger_.BlockHash(height);
+  *serialized = ledger_.SerializedBlock(height);
   return Status::OK();
 }
 
-Status SpitzDb::BuildReplicationRecord(uint64_t height,
-                                       std::string* out) const {
-  std::string serialized;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (height >= ledger_.block_count()) {
-      return Status::NotFound("block " + std::to_string(height) +
-                              " is not sealed yet");
-    }
-    serialized = ledger_.SerializedBlock(height);
-  }
-  Block block;
-  Status s = Block::Decode(serialized, &block);
-  if (!s.ok()) return s;
-  out->clear();
-  PutFixed64(out, height);
-  PutLengthPrefixedSlice(out, serialized);
-  const std::vector<LedgerEntry>& entries = block.entries();
-  for (size_t i = 0; i < entries.size(); i++) {
-    if (entries[i].op != LedgerEntry::Op::kPut) continue;
-    // A put superseded by a later same-key entry in the same block does
-    // not survive to the block's sealed root — its value is neither
-    // retrievable nor needed to re-derive that root on the backup.
-    bool superseded = false;
-    for (size_t j = i + 1; j < entries.size() && !superseded; j++) {
-      superseded = entries[j].key == entries[i].key;
-    }
-    if (superseded) {
-      out->push_back('\0');
-      continue;
-    }
-    std::string value;
-    s = GetAt(block.index_root(), entries[i].key, &value);
-    if (!s.ok()) {
-      // The usual cause: the block's root was garbage-collected out of
-      // the retention window before the backup caught up.
-      return Status::NotFound(
-          "cannot rebuild replication record for block " +
-          std::to_string(height) +
-          " (root aged out of the version-retention window? " +
-          s.ToString() + "); re-seed the backup");
-    }
-    if (Hash256::Of(value) != entries[i].value_hash) {
-      return Status::Corruption("value of '" + entries[i].key +
-                                "' does not match its ledger entry hash");
-    }
-    out->push_back('\x01');
-    PutLengthPrefixedSlice(out, value);
-  }
-  return Status::OK();
-}
-
-Status SpitzDb::ApplyReplicatedRecord(const Slice& record, bool sync,
-                                      SpitzDigest* applied) {
+Status SpitzDb::ApplySealedBlock(const Block& block, const Slice& serialized,
+                                 const WriteBatch& ops, bool sync,
+                                 SpitzDigest* applied) {
   if (!init_status_.ok()) return init_status_;
-  Slice input = record;
-  if (input.size() < sizeof(uint64_t)) {
-    return Status::InvalidArgument("truncated replication record");
-  }
-  const uint64_t height = DecodeFixed64(input.data());
-  input.remove_prefix(sizeof(uint64_t));
-  Slice serialized;
-  Status s = GetLengthPrefixedSlice(&input, &serialized);
-  if (!s.ok()) return s;
-  Block block;
-  s = Block::Decode(serialized, &block);
-  if (!s.ok()) return s;
-  if (block.height() != height) {
-    return Status::InvalidArgument(
-        "replication record height disagrees with its block header");
-  }
-
   uint64_t block_count = 0;
   uint64_t append_seq = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (height != ledger_.block_count()) {
+    if (block.height() != ledger_.block_count()) {
       return Status::InvalidArgument(
-          "replication record out of order: expected block " +
+          "replicated block out of order: expected block " +
           std::to_string(ledger_.block_count()) + ", got " +
-          std::to_string(height));
+          std::to_string(block.height()));
     }
     if (!pending_.empty()) {
       return Status::Busy(
           "backup has locally buffered writes; refusing to interleave a "
           "replicated block");
     }
-    // Re-derive the block's index root from our own index — the
-    // replication invariant is recomputed agreement, never trust.
     Hash256 root = root_;
-    const std::vector<LedgerEntry>& entries = block.entries();
-    uint64_t max_ts = 0;
-    for (size_t i = 0; i < entries.size(); i++) {
-      const LedgerEntry& entry = entries[i];
-      if (entry.commit_ts > max_ts) max_ts = entry.commit_ts;
-      if (entry.op == LedgerEntry::Op::kDelete) {
-        s = index_->Delete(root, entry.key, &root);
-        // Deleting an absent key is a no-op on the primary's apply
-        // path, so it must be one here too.
-        if (!s.ok() && !s.IsNotFound()) return s;
-        continue;
-      }
-      if (input.empty()) {
-        return Status::InvalidArgument(
-            "replication record missing a value flag");
-      }
-      const uint8_t has_value = static_cast<uint8_t>(input[0]);
-      input.remove_prefix(1);
-      if (has_value == 0) {
-        // The primary claims this put is superseded within the block.
-        // Verify the claim locally — accepting it blindly would let a
-        // tampered stream drop arbitrary writes.
-        bool superseded = false;
-        for (size_t j = i + 1; j < entries.size() && !superseded; j++) {
-          superseded = entries[j].key == entry.key;
-        }
-        if (!superseded) {
-          return Status::VerificationFailed(
-              "replication record omits the value of a surviving put");
-        }
-        continue;
-      }
-      if (has_value != 1) {
-        return Status::InvalidArgument("bad replication value flag");
-      }
-      Slice value;
-      s = GetLengthPrefixedSlice(&input, &value);
-      if (!s.ok()) return s;
-      if (Hash256::Of(value) != entry.value_hash) {
-        return Status::VerificationFailed(
-            "replicated value of '" + entry.key +
-            "' does not hash to its ledger entry");
-      }
-      s = index_->Put(root, entry.key, value, &root);
-      if (!s.ok()) return s;
-    }
-    if (!input.empty()) {
-      return Status::InvalidArgument(
-          "trailing bytes in replication record");
-    }
+    Status s = ApplyToIndex(ops, &root);
+    if (!s.ok()) return s;
     if (root != block.index_root()) {
       // The hard replication fault: both sides applied the same ops
       // and derived different states.
       return Status::VerificationFailed(
           "replica digest mismatch: independently derived index root "
           "for block " +
-          std::to_string(height) + " disagrees with the sealed root");
+          std::to_string(block.height()) + " disagrees with the sealed root");
     }
-    // Chain the identical journal bytes; Restore checks that the block
-    // (its hash derived from these bytes) links from our current tip.
-    s = ledger_.Restore(block, serialized);
-    if (!s.ok()) return s;
-    root_ = root;
-    if (max_ts > last_commit_ts_) last_commit_ts_ = max_ts;
-    // A promoted backup allocates commit timestamps; they must land
-    // strictly after everything replicated.
-    while (clock_.Peek() <= max_ts) {
-      clock_.AllocateBatch(max_ts + 1 - clock_.Peek());
-    }
-    history_.AddBlock(block.entries());
-    if (journal_log_ != nullptr) {
+    s = AdoptSealedBlockLocked(block, serialized);
+    if (s.ok() && journal_log_ != nullptr) {
       JournalRecords record;
       record.Add(serialized);
       s = AppendJournalRecordsLocked(record);
-      if (!s.ok()) return s;
     }
+    if (!s.ok()) return s;
     append_seq = append_seq_;
     block_count = ledger_.block_count();
     PublishSnapshotLocked(/*journal_changed=*/true);
   }
   NotifySealed(block_count);
-  if (sync && journal_log_ != nullptr) {
-    s = SyncCommitted(append_seq);
-    if (!s.ok()) return s;
+  Status s = sync && journal_log_ != nullptr ? SyncCommitted(append_seq)
+                                             : Status::OK();
+  if (s.ok() && applied != nullptr) *applied = Digest();
+  return s;
+}
+
+Status SpitzDb::AdoptSealedBlockLocked(const Block& block,
+                                       const Slice& serialized) {
+  // Restore checks that the block links from our current tip.
+  Status s = ledger_.Restore(block, serialized);
+  if (!s.ok()) return s;
+  history_.AddBlock(block.entries());
+  root_ = block.index_root();
+  // The one clock-resume rule: commit timestamps allocated from here on
+  // land strictly after every adopted entry.
+  for (const LedgerEntry& entry : block.entries()) {
+    last_commit_ts_ = std::max(last_commit_ts_, entry.commit_ts);
   }
-  if (applied != nullptr) *applied = Digest();
+  if (clock_.Peek() <= last_commit_ts_) {
+    clock_.AllocateBatch(last_commit_ts_ + 1 - clock_.Peek());
+  }
   return Status::OK();
 }
 
 Status SpitzDb::AuditWrite(
     const Slice& key, const std::optional<std::string>& expected_value) {
-  Hash256 root = CurrentSnapshot()->root;
+  Hash256 root = CurrentSnapshot()->index_root;
   std::string key_copy = key.ToString();
   return auditor_->Submit([this, root, key_copy, expected_value] {
     Status result;
@@ -1429,7 +1293,7 @@ uint64_t SpitzDb::entry_count() const {
 uint64_t SpitzDb::key_count() const {
   auto pin = chunks_->PinReads();
   uint64_t count = 0;
-  index_->Count(CurrentSnapshot()->root, &count);
+  index_->Count(CurrentSnapshot()->index_root, &count);
   return count;
 }
 

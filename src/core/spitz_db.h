@@ -244,7 +244,7 @@ class SpitzDb : public VerifiedKv {
   // backend only — other backends have no ordered iteration (use Get).
   std::unique_ptr<PosTreeIterator> NewIterator() const {
     return std::make_unique<PosTreeIterator>(chunks_.get(),
-                                             CurrentSnapshot()->root);
+                                             CurrentSnapshot()->index_root);
   }
   std::unique_ptr<PosTreeIterator> NewIteratorAt(
       const Hash256& index_root) const {
@@ -309,9 +309,6 @@ class SpitzDb : public VerifiedKv {
   Status IndexRootAt(uint64_t block_height, Hash256* root) const;
   Status GetAt(const Hash256& index_root, const Slice& key,
                std::string* value) const;
-  Status ScanAt(const Hash256& index_root, const Slice& start,
-                const Slice& end, size_t limit,
-                std::vector<PosEntry>* out) const;
 
   // Seals any buffered entries into a final block. Returns an IOError
   // if the sealed block could not be persisted (durable mode).
@@ -357,7 +354,6 @@ class SpitzDb : public VerifiedKv {
   SiriBackend index_backend() const { return options_.index_backend; }
   // Whether the configured backend serves ordered (and verified) scans.
   bool SupportsScan() const { return index_->SupportsScan(); }
-  const ChunkStore* chunk_store() const { return chunks_.get(); }
   uint64_t key_count() const;
 
   // The unified observability surface: one consistent snapshot of every
@@ -370,18 +366,8 @@ class SpitzDb : public VerifiedKv {
 
   // --- Primary-backup replication seam (src/replica; DESIGN.md §15) ------
   //
-  // The replication unit is one sealed journal block together with the
-  // values of its surviving put entries (ledger entries carry only
-  // value hashes, so the journal alone cannot rebuild a backup's
-  // index). The primary ships the block's exact serialized bytes; the
-  // backup re-applies the ops to its OWN copy-on-write index, checks
-  // every value against the entry's recorded hash, and accepts the
-  // block only if its independently derived index root equals the one
-  // the primary sealed — the digest-agreement invariant. The backup
-  // then restores the identical journal bytes, so both replicas'
-  // journal digests (tip hash, Merkle root) are byte-equal at every
-  // acked height without the backup ever trusting a digest it did not
-  // recompute.
+  // src/replica owns the replication record (replica/record.h); the
+  // database only hands out sealed blocks and applies one.
 
   // Callback invoked after every seal, outside the writer lock, with
   // the new sealed-block count. The replicator's streaming thread is
@@ -391,32 +377,20 @@ class SpitzDb : public VerifiedKv {
   using SealListener = std::function<void(uint64_t sealed_blocks)>;
   void SetSealListener(SealListener listener);
 
-  // Encodes the replication record for the sealed block at `height`:
-  // fixed64 height, lp(serialized block), then per put entry a value
-  // flag (0 = superseded by a later same-key entry in the same block —
-  // its value is unrecoverable and irrelevant to the block's final
-  // root; 1 = lp(value) follows, fetched from the block's own index
-  // root). NotFound once the block's root aged out of the
-  // version-retention GC window — catch-up that far behind needs a
-  // re-seed, not a stream.
-  Status BuildReplicationRecord(uint64_t height, std::string* out) const;
+  // The journal bytes of the sealed block at `height`. NotFound past the
+  // sealed tip.
+  Status SealedBlock(uint64_t height, std::string* serialized) const;
 
-  // Backup-side ingest of one replication record, atomically: verifies
-  // the block's internal hashes, re-applies its ops to this database's
-  // index (checking each value against its ledger hash), hard-fails
-  // with VerificationFailed unless the derived root equals the block's
-  // sealed root, then restores the journal bytes and (durable mode)
-  // appends them to this replica's own journal log, fsync'd when
-  // `sync`. Records must arrive in height order; InvalidArgument
-  // otherwise, and Busy if local writes are buffered (a backup must
-  // not take its own writes). Fills *applied (when non-null) with the
-  // digest after the apply — what the backup acks.
-  Status ApplyReplicatedRecord(const Slice& record, bool sync,
-                               SpitzDigest* applied);
-
-  // Hash of the sealed block at `height` (the journal chain link an
-  // ack is checked against). NotFound past the sealed tip.
-  Status BlockHashAt(uint64_t height, Hash256* hash) const;
+  // A backup's apply of the next sealed block, atomically: re-executes
+  // `ops` (its deletes and surviving puts) on this database's OWN index
+  // and fails VerificationFailed unless the derived root equals the
+  // sealed one — agreement is recomputed, never trusted — then adopts
+  // the block as recovery does and journals `serialized`, fsync'd when
+  // `sync`. InvalidArgument out of height order, Busy while local writes
+  // are buffered. *applied (when non-null) receives the digest to ack.
+  Status ApplySealedBlock(const Block& block, const Slice& serialized,
+                          const WriteBatch& ops, bool sync,
+                          SpitzDigest* applied);
 
   // Runs the durability barrier (SyncCommitted): snapshot-flush the
   // journal, fsync the chunk log, then fsync the journal — in that
@@ -435,22 +409,16 @@ class SpitzDb : public VerifiedKv {
   // every component is built from `options`, on data_dir when durable.
   SpitzDb(SpitzOptions options, bool durable);
 
-  // The immutable read-path state published by every commit: readers
-  // grab one shared_ptr and then traverse chunks that can never change
-  // underneath them, so Get/GetWithProof/Scan/Digest never serialize
-  // against commits or each other. mu_ remains the *writer* lock only;
-  // snapshot_mu_ guards nothing but the pointer copy below (a few
-  // instructions — it is never held across a traversal or a commit).
-  // A std::atomic<shared_ptr> would also work, but libstdc++'s
-  // lock-bit implementation trips ThreadSanitizer, and the dedicated
-  // micro-mutex is just as uncontended in practice.
-  struct Snapshot {
-    Hash256 root;  // current index version
-    uint64_t last_commit_ts = 0;
-    JournalDigest journal;  // digest of the sealed-block history
-  };
-
-  std::shared_ptr<const Snapshot> CurrentSnapshot() const {
+  // The immutable read-path state published by every commit is the
+  // digest itself: readers grab one shared_ptr and then traverse chunks
+  // that can never change underneath them, so Get/GetWithProof/Scan/
+  // Digest never serialize against commits or each other. mu_ remains
+  // the *writer* lock only; snapshot_mu_ guards nothing but the pointer
+  // copy below (a few instructions — it is never held across a
+  // traversal or a commit). A std::atomic<shared_ptr> would also work,
+  // but libstdc++'s lock-bit implementation trips ThreadSanitizer, and
+  // the dedicated micro-mutex is just as uncontended in practice.
+  std::shared_ptr<const SpitzDigest> CurrentSnapshot() const {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     return snapshot_;
   }
@@ -543,6 +511,17 @@ class SpitzDb : public VerifiedKv {
   // mu_ (no seal, no I/O). The batch is atomic: on failure root_ and
   // pending_ are untouched.
   Status ApplyBatchLocked(const WriteBatch& batch);
+
+  // The index-apply loop of ApplyBatchLocked and ApplySealedBlock:
+  // `batch`'s ops, copy-on-write from *root. Deleting an absent key is
+  // a no-op.
+  Status ApplyToIndex(const WriteBatch& batch, Hash256* root) const;
+
+  // Takes a sealed block as the next one — every journal record at
+  // recovery, every replicated block on a backup: chains it onto the
+  // journal, indexes its key history, makes its root current and resumes
+  // commit timestamps past its entries.
+  Status AdoptSealedBlockLocked(const Block& block, const Slice& serialized);
 
   // Framed journal records of freshly sealed blocks, back to back in
   // one buffer; record i ends at ends[i]. A bulk load seals thousands
@@ -641,9 +620,9 @@ class SpitzDb : public VerifiedKv {
   TimestampOracle clock_;
   std::unique_ptr<DeferredVerifier> auditor_;
 
-  // Read-path state; see Snapshot above. Never null after construction.
+  // Read-path state; see CurrentSnapshot. Never null after construction.
   mutable std::mutex snapshot_mu_;
-  std::shared_ptr<const Snapshot> snapshot_;
+  std::shared_ptr<const SpitzDigest> snapshot_;
 
   // The commit queue (see "OLTP write path" above). commit_mu_ guards
   // only the deque and the done/status handoff; it is never held while

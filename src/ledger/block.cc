@@ -90,6 +90,12 @@ Status Block::Decode(Slice input, Block* block) {
   uint64_t n = 0;
   s = GetVarint64(&input, &n);
   if (!s.ok()) return s;
+  // The count sizes the reserve, so it must fit the bytes that follow:
+  // an entry takes at least op, key length, hash and two varints.
+  constexpr uint64_t kMinEntryBytes = 1 + 1 + 32 + 1 + 1;
+  if (n > input.size() / kMinEntryBytes) {
+    return Status::Corruption("block entry count exceeds its bytes");
+  }
   b.entries_.reserve(n);
   for (uint64_t i = 0; i < n; i++) {
     LedgerEntry e;

@@ -76,10 +76,6 @@ class Journal {
   // Decodes and returns the block at the given height.
   Status GetBlock(uint64_t height, Block* block) const;
 
-  const Hash256& BlockHash(uint64_t height) const {
-    return block_hashes_[height];
-  }
-
   // The index root recorded in the block at `height`, without decoding
   // the block.
   const Hash256& IndexRoot(uint64_t height) const {

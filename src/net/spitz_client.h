@@ -122,8 +122,9 @@ class SpitzClient : public VerifiedKv {
 
   // --- Replication RPCs (protocol v3; replicator/cluster-facing) ----------
 
-  // Ships one replication record (SpitzDb::BuildReplicationRecord
-  // bytes) to a backup and returns its independently derived ack.
+  // Ships one replication record (EncodeReplicationRecord bytes,
+  // replica/record.h) to a backup and returns its independently derived
+  // ack.
   Status Replicate(const std::string& record, wire::ReplicaAck* ack);
   // Queries the backup's latest applied state (the resume point after
   // a reconnect).

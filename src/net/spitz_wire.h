@@ -68,6 +68,8 @@ struct ReplicaAck {
 
   void EncodeTo(std::string* out) const;
   static Status DecodeFrom(Slice* input, ReplicaAck* out);
+
+  bool operator==(const ReplicaAck& other) const = default;
 };
 
 // kReplicaStatus request commands.

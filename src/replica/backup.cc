@@ -1,6 +1,6 @@
 #include "replica/backup.h"
 
-#include "common/codec.h"
+#include "replica/record.h"
 
 namespace spitz {
 
@@ -37,8 +37,10 @@ Status BackupReplica::Open(const Options& options,
   return Status::OK();
 }
 
-wire::ReplicaAck BackupReplica::AppliedNow() const {
-  SpitzDigest digest = db_->Digest();
+namespace {
+
+// A digest shaped as an ack: the backup's own state.
+wire::ReplicaAck AckOf(const SpitzDigest& digest) {
   wire::ReplicaAck ack;
   ack.applied_blocks = digest.journal.block_count;
   ack.index_root = digest.index_root;
@@ -46,9 +48,11 @@ wire::ReplicaAck BackupReplica::AppliedNow() const {
   return ack;
 }
 
+}  // namespace
+
 wire::ReplicaAck BackupReplica::Applied() const {
   std::lock_guard<std::mutex> lock(apply_mu_);
-  return AppliedNow();
+  return AckOf(db_->Digest());
 }
 
 Status BackupReplica::HandleReplicate(const Slice& request,
@@ -62,47 +66,36 @@ Status BackupReplica::HandleReplicate(const Slice& request,
     rejected_after_promote_->Increment();
     return Status::Aborted("replica was promoted; replication stream closed");
   }
-  if (request.size() < sizeof(uint64_t)) {
-    return Status::InvalidArgument("truncated replication record");
-  }
-  const uint64_t height = DecodeFixed64(request.data());
-  const SpitzDigest before = db_->Digest();
-  if (height < before.journal.block_count) {
+  // Decoded in full first, a duplicate included: a request that is not
+  // one well-formed record is never acked.
+  ReplicationRecord record;
+  wire::ReplicaAck ack;
+  Status s = DecodeReplicationRecord(request, &record);
+  if (s.ok() && record.block.height() < db_->Digest().journal.block_count) {
     // Duplicate delivery: the primary re-ships after a lost ack. Re-ack
     // from history — the database already holds this block, and the
     // historical root/tip let the primary run its usual agreement
     // check against the re-ack.
-    wire::ReplicaAck ack;
-    ack.applied_blocks = height + 1;
-    Status s = db_->IndexRootAt(height, &ack.index_root);
-    if (s.ok()) s = db_->BlockHashAt(height, &ack.tip_hash);
-    if (!s.ok()) return s;
-    duplicate_batches_->Increment();
-    ack.EncodeTo(response);
-    return Status::OK();
+    s = SealedBlockAck(*db_, record.block.height(), &ack);
+    if (s.ok()) duplicate_batches_->Increment();
+  } else if (s.ok()) {
+    SpitzDigest applied;
+    s = db_->ApplySealedBlock(record.block, record.serialized, record.ops,
+                              options_.sync_applies, &applied);
+    if (s.ok()) {
+      ack = AckOf(applied);
+      batches_applied_->Increment();
+      entries_applied_->Increment(record.block.entries().size());
+      applied_blocks_->Set(ack.applied_blocks);
+    }
   }
-  SpitzDigest applied;
-  Status s = db_->ApplyReplicatedRecord(request, options_.sync_applies,
-                                        &applied);
-  if (!s.ok()) {
-    if (s.IsVerificationFailed()) digest_mismatches_->Increment();
-    return s;
-  }
-  batches_applied_->Increment();
-  entries_applied_->Increment(applied.journal.entry_count -
-                              before.journal.entry_count);
-  applied_blocks_->Set(applied.journal.block_count);
-  wire::ReplicaAck ack;
-  ack.applied_blocks = applied.journal.block_count;
-  ack.index_root = applied.index_root;
-  ack.tip_hash = applied.journal.tip_hash;
-  ack.EncodeTo(response);
-  return Status::OK();
+  if (s.IsVerificationFailed()) digest_mismatches_->Increment();
+  if (s.ok()) ack.EncodeTo(response);
+  return s;
 }
 
 Status BackupReplica::HandleAck(std::string* response) {
-  std::lock_guard<std::mutex> lock(apply_mu_);
-  AppliedNow().EncodeTo(response);
+  Applied().EncodeTo(response);
   return Status::OK();
 }
 

@@ -37,8 +37,9 @@ namespace spitz {
 // blocks can no longer agree with its state.
 //
 // Duplicate deliveries (the primary re-ships after an ack was lost in a
-// connection drop) are idempotent: an already-applied height is re-acked
-// from history without touching the database.
+// connection drop) are idempotent: a record of an already-applied height
+// is re-acked from history without touching the database — once it
+// decodes in full (replica/record.h); a malformed one is never acked.
 //
 // Thread-safe; applies are serialized on one internal mutex.
 // ---------------------------------------------------------------------------
@@ -91,9 +92,6 @@ class BackupReplica : public ReplicaService {
 
  private:
   BackupReplica();
-
-  // db_->Digest() shaped as an ack.
-  wire::ReplicaAck AppliedNow() const;
 
   Options options_;
   SpitzDb* db_ = nullptr;

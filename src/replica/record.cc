@@ -1,0 +1,128 @@
+#include "replica/record.h"
+
+#include <string_view>
+#include <unordered_set>
+
+#include "common/codec.h"
+
+namespace spitz {
+
+std::vector<bool> SurvivingPuts(const std::vector<LedgerEntry>& entries) {
+  std::vector<bool> surviving(entries.size());
+  std::unordered_set<std::string_view> later_keys;
+  for (size_t i = entries.size(); i-- > 0;) {
+    surviving[i] = later_keys.insert(entries[i].key).second &&
+                   entries[i].op == LedgerEntry::Op::kPut;
+  }
+  return surviving;
+}
+
+Status EncodeReplicationRecord(const SpitzDb& db, uint64_t height,
+                               std::string* record, Block* block) {
+  std::string serialized;
+  Status s = db.SealedBlock(height, &serialized);
+  if (s.ok()) s = Block::Decode(serialized, block);
+  if (!s.ok()) return s;
+  record->clear();
+  PutFixed64(record, height);
+  PutLengthPrefixedSlice(record, serialized);
+  const std::vector<LedgerEntry>& entries = block->entries();
+  const std::vector<bool> surviving = SurvivingPuts(entries);
+  std::string value;
+  for (size_t i = 0; i < entries.size(); i++) {
+    if (entries[i].op != LedgerEntry::Op::kPut) continue;
+    record->push_back(surviving[i] ? '\x01' : '\0');
+    if (!surviving[i]) continue;
+    s = db.GetAt(block->index_root(), entries[i].key, &value);
+    if (!s.ok()) {
+      return Status::NotFound(
+          "cannot rebuild replication record for block " +
+          std::to_string(height) +
+          " (root aged out of the version-retention window? " +
+          s.ToString() + "); re-seed the backup");
+    }
+    if (Hash256::Of(value) != entries[i].value_hash) {
+      return Status::Corruption("value of '" + entries[i].key +
+                                "' does not match its ledger entry hash");
+    }
+    PutLengthPrefixedSlice(record, value);
+  }
+  return Status::OK();
+}
+
+Status DecodeReplicationRecord(const Slice& record, ReplicationRecord* out) {
+  Slice input = record;
+  uint64_t height = 0;
+  Status s = GetFixed64(&input, &height);
+  if (s.ok()) s = GetLengthPrefixedSlice(&input, &out->serialized);
+  if (s.ok()) s = Block::Decode(out->serialized, &out->block);
+  if (!s.ok()) {
+    return Status::InvalidArgument("malformed replication record: " +
+                                   s.message());
+  }
+  if (out->block.height() != height) {
+    return Status::InvalidArgument(
+        "replication record height disagrees with its block header");
+  }
+  out->ops.Clear();
+  const std::vector<LedgerEntry>& entries = out->block.entries();
+  const std::vector<bool> surviving = SurvivingPuts(entries);
+  for (size_t i = 0; i < entries.size(); i++) {
+    const LedgerEntry& entry = entries[i];
+    if (entry.op == LedgerEntry::Op::kDelete) {
+      out->ops.Delete(entry.key);
+      continue;
+    }
+    if (entry.op != LedgerEntry::Op::kPut) {
+      return Status::InvalidArgument("unknown ledger op in replicated block");
+    }
+    if (input.empty()) {
+      return Status::InvalidArgument("replication record missing a value flag");
+    }
+    const uint8_t flag = static_cast<uint8_t>(input[0]);
+    input.remove_prefix(1);
+    // A withheld value is checked locally: trusting the primary's claim
+    // would let a tampered stream drop arbitrary writes.
+    if (flag == 0 && surviving[i]) {
+      return Status::VerificationFailed(
+          "replication record omits the value of a surviving put");
+    }
+    if (flag != (surviving[i] ? 1 : 0)) {
+      return Status::InvalidArgument("bad replication value flag");
+    }
+    Slice value;
+    if (flag == 0) continue;
+    if (!GetLengthPrefixedSlice(&input, &value).ok()) {
+      return Status::InvalidArgument("truncated replicated value");
+    }
+    if (Hash256::Of(value) != entry.value_hash) {
+      return Status::VerificationFailed("replicated value of '" + entry.key +
+                                        "' does not hash to its ledger entry");
+    }
+    out->ops.Put(entry.key, value);
+  }
+  if (!input.empty()) {
+    return Status::InvalidArgument("trailing bytes in replication record");
+  }
+  return Status::OK();
+}
+
+wire::ReplicaAck BlockAck(const Block& block) {
+  wire::ReplicaAck ack;
+  ack.applied_blocks = block.height() + 1;
+  ack.index_root = block.index_root();
+  ack.tip_hash = block.block_hash();
+  return ack;
+}
+
+Status SealedBlockAck(const SpitzDb& db, uint64_t height,
+                      wire::ReplicaAck* ack) {
+  std::string serialized;
+  Block block;
+  Status s = db.SealedBlock(height, &serialized);
+  if (s.ok()) s = Block::Decode(serialized, &block);
+  if (s.ok()) *ack = BlockAck(block);
+  return s;
+}
+
+}  // namespace spitz

@@ -4,6 +4,7 @@
 
 #include "common/clock.h"
 #include "net/frame.h"
+#include "replica/record.h"
 
 namespace spitz {
 
@@ -58,11 +59,9 @@ Status Replicator::Open(const Options& options,
   wire::ReplicaAck ack;
   s = rep->client_->ReplicaAckQuery(&ack);
   if (!s.ok()) return s;
-  uint64_t next = 0;
-  s = rep->ResumeFromAck(ack, &next);
+  s = rep->ResumeFromAck(ack);
   if (!s.ok()) return s;
-  rep->next_height_ = next;
-  rep->acked_ = ack.applied_blocks;
+  rep->next_height_ = rep->acked_ = ack.applied_blocks;
   rep->sealed_hint_ = options.db->Digest().journal.block_count;
 
   Replicator* raw = rep.get();
@@ -99,58 +98,37 @@ void Replicator::Stop() {
   if (thread_.joinable()) thread_.join();
 }
 
-Status Replicator::ResumeFromAck(const wire::ReplicaAck& ack,
-                                 uint64_t* next_height) {
-  const uint64_t local = db_->Digest().journal.block_count;
-  if (ack.applied_blocks > local) {
+Status Replicator::ResumeFromAck(const wire::ReplicaAck& ack) {
+  // The backup's applied state must be a prefix of our ledger: the
+  // block it claims to have applied last must have our root and hash.
+  wire::ReplicaAck expected;
+  if (ack.applied_blocks > 0 &&
+      (!SealedBlockAck(*db_, ack.applied_blocks - 1, &expected).ok() ||
+       ack != expected)) {
     digest_mismatches_->Increment();
     return Status::VerificationFailed(
-        "backup claims " + std::to_string(ack.applied_blocks) +
-        " applied blocks but the primary has only " + std::to_string(local) +
-        " — it replicates a different primary or a diverged history");
+        "backup's applied state (" + std::to_string(ack.applied_blocks) +
+        " blocks) is not a prefix of the primary's ledger — it replicates "
+        "a different primary or a diverged history");
   }
-  if (ack.applied_blocks > 0) {
-    const uint64_t h = ack.applied_blocks - 1;
-    Hash256 root;
-    Hash256 tip;
-    Status s = db_->IndexRootAt(h, &root);
-    if (s.ok()) s = db_->BlockHashAt(h, &tip);
-    if (!s.ok()) {
-      return Status::NotFound(
-          "backup resume point (block " + std::to_string(h) +
-          ") aged out of the primary's version-retention window; re-seed "
-          "the backup from a fresh copy");
-    }
-    if (ack.index_root != root || ack.tip_hash != tip) {
-      digest_mismatches_->Increment();
-      return Status::VerificationFailed(
-          "backup's applied state at block " + std::to_string(h) +
-          " disagrees with the primary's ledger");
-    }
-  }
-  *next_height = ack.applied_blocks;
   return Status::OK();
 }
 
 Status Replicator::ShipOne(uint64_t height) {
   ScopedTimer timer(ship_ns_);
   std::string record;
-  Status s = db_->BuildReplicationRecord(height, &record);
+  Block block;
+  Status s = EncodeReplicationRecord(*db_, height, &record, &block);
   if (!s.ok()) return s;
   batches_shipped_->Increment();
   wire::ReplicaAck ack;
   s = client_->Replicate(record, &ack);
   if (!s.ok()) return s;
   // The agreement check: the backup's independently derived state at
-  // this height must equal ours. Tip-hash equality implies the whole
-  // chain matches (each block hash covers its predecessor's).
-  Hash256 root;
-  Hash256 tip;
-  s = db_->IndexRootAt(height, &root);
-  if (s.ok()) s = db_->BlockHashAt(height, &tip);
-  if (!s.ok()) return s;
-  if (ack.applied_blocks != height + 1 || ack.index_root != root ||
-      ack.tip_hash != tip) {
+  // this height must equal the block just shipped. Tip-hash equality
+  // implies the whole chain matches (each block hash covers its
+  // predecessor's).
+  if (ack != BlockAck(block)) {
     digest_mismatches_->Increment();
     return Status::VerificationFailed(
         "replication digest mismatch at block " + std::to_string(height) +
@@ -172,16 +150,14 @@ bool Replicator::ReconnectLocked(std::unique_lock<std::mutex>* lock) {
       // The record whose ack was lost in the drop may or may not have
       // applied; the backup's own count says which, and a re-ship of
       // an applied height is idempotently re-acked.
-      uint64_t next = 0;
-      Status rs = ResumeFromAck(ack, &next);
+      Status rs = ResumeFromAck(ack);
       lock->lock();
       if (!rs.ok()) {
         fault_ = rs;
         cv_.notify_all();
         return false;
       }
-      next_height_ = next;
-      acked_ = ack.applied_blocks;
+      next_height_ = acked_ = ack.applied_blocks;
       cv_.notify_all();
       return true;
     }

@@ -23,9 +23,9 @@ namespace spitz {
 //      (SpitzDb::SetSealListener), so a group-commit seal wakes the
 //      stream thread with no polling on the hot path;
 //   2. ships each sealed block as a self-verifying replication record
-//      (SpitzDb::BuildReplicationRecord) over wire::kReplicate;
+//      (EncodeReplicationRecord, replica/record.h) over wire::kReplicate;
 //   3. checks every ack: the backup's independently derived index root
-//      and journal tip must equal the primary's own at that height.
+//      and journal tip must equal those of the block just shipped.
 //      Disagreement is the replication fault — a hard, sticky,
 //      metric-counted error (replica.primary.digest_mismatches), never
 //      a warning. The stream stops; the pair needs operator attention
@@ -92,16 +92,16 @@ class Replicator {
   Replicator() = default;
 
   void StreamLoop();
-  // Build + ship + verify one block. Returns the RPC/verify status;
+  // Encode + ship + verify one block. Returns the RPC/verify status;
   // connection errors are retried by the caller, everything else
   // faults the stream.
   Status ShipOne(uint64_t height);
   // Redial until connected or Stop(); re-learns the resume point.
   // Returns false when stopping.
   bool ReconnectLocked(std::unique_lock<std::mutex>* lock);
-  // Validate the backup's claimed applied state against the local
-  // ledger and derive the next height to ship.
-  Status ResumeFromAck(const wire::ReplicaAck& ack, uint64_t* next_height);
+  // Validates the backup's claimed applied state against the local
+  // ledger; the stream resumes at ack.applied_blocks.
+  Status ResumeFromAck(const wire::ReplicaAck& ack);
 
   static bool IsConnectionError(const Status& s) {
     return s.IsIOError() || s.IsUnavailable() || s.IsTimedOut();

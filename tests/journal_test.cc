@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/random.h"
 #include "ledger/block.h"
 #include "ledger/journal.h"
@@ -111,6 +112,21 @@ TEST(BlockTest, EmptyBlockIsValid) {
   ASSERT_TRUE(Block::Decode(b.Encode(), &decoded).ok());
   EXPECT_TRUE(decoded.entries().empty());
   EXPECT_EQ(decoded.block_hash(), b.block_hash());
+}
+
+TEST(BlockTest, DecodeRejectsAnEntryCountItsBytesCannotHold) {
+  // A header whose entry count (2^40) no remaining bytes could hold: a
+  // corrupt or hostile block must fail to decode, not size a reserve.
+  std::string encoded;
+  PutVarint64(&encoded, 0);  // height
+  PutVarint64(&encoded, 0);  // first_seq
+  encoded.append(Hash256().ToBytes());
+  encoded.append(Hash256().ToBytes());
+  PutVarint64(&encoded, 1);  // timestamp
+  PutVarint64(&encoded, uint64_t{1} << 40);
+  MakeEntry("a", "1").EncodeTo(&encoded);
+  Block decoded;
+  EXPECT_TRUE(Block::Decode(encoded, &decoded).IsCorruption());
 }
 
 // --- Journal -------------------------------------------------------------------

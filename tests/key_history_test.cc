@@ -16,6 +16,8 @@
 #include "common/random.h"
 #include "core/spitz_db.h"
 #include "ledger/key_history_index.h"
+#include "replica/backup.h"
+#include "replica/record.h"
 
 namespace spitz {
 namespace {
@@ -266,12 +268,19 @@ TEST(KeyHistoryTest, IdenticalOnBackupAfterReplication) {
   options.block_size = 3;
   SpitzDb primary(options);
   SpitzDb backup(options);
+  BackupReplica::Options replica_options;
+  replica_options.db = &backup;
+  replica_options.sync_applies = false;
+  std::unique_ptr<BackupReplica> replica;
+  ASSERT_TRUE(BackupReplica::Open(replica_options, &replica).ok());
   const std::vector<std::string> keys = WriteRebuildWorkload(&primary);
   const uint64_t blocks = primary.Digest().journal.block_count;
   for (uint64_t height = 0; height < blocks; height++) {
-    std::string record;
-    ASSERT_TRUE(primary.BuildReplicationRecord(height, &record).ok());
-    ASSERT_TRUE(backup.ApplyReplicatedRecord(record, false, nullptr).ok());
+    std::string record, ack;
+    Block block;
+    ASSERT_TRUE(
+        EncodeReplicationRecord(primary, height, &record, &block).ok());
+    ASSERT_TRUE(replica->HandleReplicate(record, &ack).ok());
   }
   const SpitzDigest digest = backup.Digest();
   ASSERT_TRUE(digest == primary.Digest());

@@ -27,6 +27,7 @@
 #include "net/spitz_client.h"
 #include "net/spitz_server.h"
 #include "net/spitz_wire.h"
+#include "replica/record.h"
 
 namespace spitz {
 namespace {
@@ -1058,7 +1059,8 @@ TEST(NetSpitzTest, EveryMethodRejectsTrailingBytesAndChangesNothing) {
   SpitzDb source(source_options);
   ASSERT_TRUE(source.Put("replicated", "r").ok());
   std::string record;
-  ASSERT_TRUE(source.BuildReplicationRecord(0, &record).ok());
+  Block block;
+  ASSERT_TRUE(EncodeReplicationRecord(source, 0, &record, &block).ok());
 
   std::unique_ptr<NetClient> to_primary, to_backup;
   ASSERT_TRUE(

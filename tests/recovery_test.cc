@@ -496,6 +496,26 @@ int RunWorkload(SpitzDb* db) {
   return synced_keys;
 }
 
+TEST_F(RecoveryTest, CommitTimestampsResumeRightAfterTheRecoveredTip) {
+  // Recovery adopts journal blocks the way a backup adopts replicated
+  // ones: the next commit timestamp follows the last recovered one, as
+  // it would have had the database never closed.
+  uint64_t last = 0;
+  {
+    std::unique_ptr<SpitzDb> db;
+    ASSERT_TRUE(SpitzDb::Open(DurableOptions(), &db).ok());
+    ASSERT_TRUE(db->Put("a", "1").ok());
+    ASSERT_TRUE(db->FlushBlock().ok());
+    ASSERT_TRUE(db->SyncStorage().ok());
+    last = db->Digest().last_commit_ts;
+  }
+  std::unique_ptr<SpitzDb> db;
+  ASSERT_TRUE(SpitzDb::Open(DurableOptions(), &db).ok());
+  EXPECT_EQ(db->Digest().last_commit_ts, last);
+  ASSERT_TRUE(db->Put("b", "2").ok());
+  EXPECT_EQ(db->Digest().last_commit_ts, last + 1);
+}
+
 TEST_F(RecoveryTest, CrashAfterEveryIoOpRecoversExactlySyncedPrefix) {
   SpitzOptions tiny_segments = DurableOptions(kKeysPerBlock);
   tiny_segments.chunk_segment_bytes = kTinySegmentBytes;

@@ -22,7 +22,9 @@
 #include "core/spitz_db.h"
 #include "net/spitz_client.h"
 #include "net/spitz_server.h"
+#include "common/codec.h"
 #include "replica/backup.h"
+#include "replica/record.h"
 #include "replica/replicator.h"
 
 namespace spitz {
@@ -43,6 +45,15 @@ std::string KeyOnShard(size_t shard, size_t shard_count,
     std::string key = stem + "-" + std::to_string(i);
     if (PartitionOf(key, shard_count) == shard) return key;
   }
+}
+
+// The replication record of `db`'s sealed block `height`.
+std::string RecordOf(const SpitzDb& db, uint64_t height) {
+  std::string record;
+  Block block;
+  Status s = EncodeReplicationRecord(db, height, &record, &block);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return record;
 }
 
 // A replicated in-memory fleet with small blocks, so short tests seal.
@@ -147,8 +158,7 @@ TEST(ReplicaTest, TamperedRecordIsRejectedAndCounted) {
   }
   pair.StartBackup();
 
-  std::string record;
-  ASSERT_TRUE(pair.primary.BuildReplicationRecord(0, &record).ok());
+  const std::string record = RecordOf(pair.primary, 0);
   std::unique_ptr<SpitzClient> client = pair.BackupClient();
   ASSERT_NE(client, nullptr);
 
@@ -179,8 +189,7 @@ TEST(ReplicaTest, DuplicateRecordIsIdempotentlyReAcked) {
     ASSERT_TRUE(pair.primary.Put("d" + std::to_string(i), "v").ok());
   }
   pair.StartBackup();
-  std::string record;
-  ASSERT_TRUE(pair.primary.BuildReplicationRecord(0, &record).ok());
+  const std::string record = RecordOf(pair.primary, 0);
   std::unique_ptr<SpitzClient> client = pair.BackupClient();
   ASSERT_NE(client, nullptr);
 
@@ -196,6 +205,156 @@ TEST(ReplicaTest, DuplicateRecordIsIdempotentlyReAcked) {
   MetricsSnapshot m = pair.backup->Metrics();
   EXPECT_EQ(m.CounterValue("replica.backup.batches_applied"), 1u);
   EXPECT_EQ(m.CounterValue("replica.backup.duplicate_batches"), 1u);
+
+  // Only a whole record is a duplicate: the record with a trailing byte,
+  // or its bare height prefix, is malformed and never re-acked.
+  Status s = client->Replicate(record + '\x07', &second);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  s = client->Replicate(record.substr(0, sizeof(uint64_t)), &second);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  m = pair.backup->Metrics();
+  EXPECT_EQ(m.CounterValue("replica.backup.duplicate_batches"), 1u);
+  EXPECT_EQ(pair.backup_db.Digest().journal.block_count, 1u);
+}
+
+// --- The replication record -------------------------------------------------
+
+// Big enough blocks that only FlushBlock seals, and online audits (no
+// verifier threads per database: the sweep below opens a thousand).
+SpitzOptions CodecOptions() {
+  SpitzOptions options;
+  options.block_size = 64;
+  options.audit_batch_size = 0;
+  return options;
+}
+
+// Block 0 puts "a"; block 1 holds every case the record encodes: a put
+// superseded within the block, a delete of a present key, a delete of
+// an absent key and two surviving puts.
+void WriteCodecBlocks(SpitzDb* db) {
+  ASSERT_TRUE(db->Put("a", "value-a").ok());
+  ASSERT_TRUE(db->FlushBlock().ok());
+  WriteBatch batch;
+  batch.Put("c", "value-c1");
+  batch.Put("c", "value-c2");
+  batch.Delete("a");
+  batch.Delete("absent");
+  batch.Put("d", "value-d1");
+  ASSERT_TRUE(db->Write(batch).ok());
+  ASSERT_TRUE(db->FlushBlock().ok());
+}
+
+// An in-process backup replica of `db`, fed without a server.
+std::unique_ptr<BackupReplica> OpenBackup(SpitzDb* db) {
+  BackupReplica::Options options;
+  options.db = db;
+  options.sync_applies = false;
+  std::unique_ptr<BackupReplica> backup;
+  EXPECT_TRUE(BackupReplica::Open(options, &backup).ok());
+  return backup;
+}
+
+// Hands `record` to `backup` as a kReplicate request would; *ack
+// receives the decoded answer when the apply succeeds.
+Status Replicate(BackupReplica* backup, const std::string& record,
+                 wire::ReplicaAck* ack) {
+  std::string response;
+  Status s = backup->HandleReplicate(record, &response);
+  Slice input(response);
+  return s.ok() ? wire::ReplicaAck::DecodeFrom(&input, ack) : s;
+}
+
+TEST(ReplicaRecordTest, LayoutIsHeightBlockThenOneFlagPerPut) {
+  SpitzDb primary(CodecOptions());
+  WriteCodecBlocks(&primary);
+  std::string block_bytes;
+  ASSERT_TRUE(primary.SealedBlock(1, &block_bytes).ok());
+
+  // fixed64(h) ‖ lp(block bytes) ‖ per put entry 0, or 1 ‖ lp(value).
+  std::string expected;
+  PutFixed64(&expected, 1);
+  PutLengthPrefixedSlice(&expected, block_bytes);
+  expected.push_back('\0');  // c = value-c1, superseded by value-c2
+  expected.push_back('\x01');
+  PutLengthPrefixedSlice(&expected, "value-c2");
+  expected.push_back('\x01');
+  PutLengthPrefixedSlice(&expected, "value-d1");
+  EXPECT_EQ(RecordOf(primary, 1), expected);
+}
+
+TEST(ReplicaRecordTest, EveryByteFlipAndTruncationIsRejectedOrDisagrees) {
+  SpitzDb primary(CodecOptions());
+  WriteCodecBlocks(&primary);
+  const std::string record0 = RecordOf(primary, 0);
+  std::string record;
+  Block block;
+  ASSERT_TRUE(EncodeReplicationRecord(primary, 1, &record, &block).ok());
+  const wire::ReplicaAck primary_ack = BlockAck(block);
+
+  // Each variant goes to a fresh backup holding block 0. It is either
+  // rejected, leaving the backup as it was, or applied with an ack the
+  // primary's agreement check (Replicator::ShipOne) refuses.
+  size_t rejected = 0;
+  size_t disagreed = 0;
+  auto apply = [&](const std::string& variant) {
+    SpitzDb db(CodecOptions());
+    std::unique_ptr<BackupReplica> backup = OpenBackup(&db);
+    wire::ReplicaAck ack;
+    ASSERT_TRUE(Replicate(backup.get(), record0, &ack).ok());
+    const SpitzDigest before = db.Digest();
+    Status s = Replicate(backup.get(), variant, &ack);
+    if (!s.ok()) {
+      EXPECT_TRUE(db.Digest() == before) << s.ToString();
+      rejected++;
+    } else {
+      EXPECT_TRUE(ack != primary_ack);
+      disagreed++;
+    }
+  };
+  for (size_t i = 0; i < record.size(); i++) {
+    for (uint8_t mask : {0x01, 0xff}) {
+      std::string variant = record;
+      variant[i] = static_cast<char>(variant[i] ^ mask);
+      apply(variant);
+    }
+  }
+  for (size_t n = 0; n < record.size(); n++) apply(record.substr(0, n));
+  EXPECT_EQ(rejected + disagreed, 3 * record.size());
+  // Both outcomes occur: a flipped block timestamp still re-derives the
+  // sealed root, but not the block hash.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(disagreed, 0u);
+
+  // The untouched record applies and agrees.
+  SpitzDb db(CodecOptions());
+  std::unique_ptr<BackupReplica> backup = OpenBackup(&db);
+  wire::ReplicaAck ack;
+  ASSERT_TRUE(Replicate(backup.get(), record0, &ack).ok());
+  ASSERT_TRUE(Replicate(backup.get(), record, &ack).ok());
+  EXPECT_TRUE(ack == primary_ack);
+  EXPECT_TRUE(db.Digest() == primary.Digest());
+}
+
+TEST(ReplicaRecordTest, BackupOfABulkLoadAgreesOnTheWholeDigest) {
+  // Adopting a block resumes commit timestamps past its entries; the
+  // bulk-loaded primary must name the same last timestamp, and both
+  // must hand out the same next one. (One block: a bulk load records
+  // its final root in every block it seals.)
+  SpitzDb primary(CodecOptions());
+  std::vector<PosEntry> entries;
+  for (int i = 100; i < 164; i++) {
+    entries.push_back({"k" + std::to_string(i), "v" + std::to_string(i)});
+  }
+  ASSERT_TRUE(primary.BulkLoad(entries).ok());
+  ASSERT_EQ(primary.Digest().journal.block_count, 1u);
+  SpitzDb db(CodecOptions());
+  std::unique_ptr<BackupReplica> backup = OpenBackup(&db);
+  wire::ReplicaAck ack;
+  ASSERT_TRUE(Replicate(backup.get(), RecordOf(primary, 0), &ack).ok());
+  EXPECT_TRUE(db.Digest() == primary.Digest());
+  ASSERT_TRUE(primary.Put("next", "v").ok());
+  ASSERT_TRUE(db.Put("next", "v").ok());
+  EXPECT_EQ(db.Digest().last_commit_ts, primary.Digest().last_commit_ts);
 }
 
 // --- Roles and promotion ----------------------------------------------------
@@ -228,10 +387,8 @@ TEST(ReplicaTest, BackupIsReadOnlyUntilPromotedThenRejectsReplication) {
   EXPECT_EQ(status.role, 1u);
   EXPECT_TRUE(client->Put("write", "accepted").ok());
 
-  std::string record;
-  ASSERT_TRUE(primary->BuildReplicationRecord(0, &record).ok());
   wire::ReplicaAck ack;
-  s = client->Replicate(record, &ack);
+  s = client->Replicate(RecordOf(*primary, 0), &ack);
   EXPECT_TRUE(s.IsAborted()) << s.ToString();
 }
 
