@@ -56,7 +56,7 @@ void RunOne(uint32_t bits, ChunkStore& store, BufferCache* node_cache,
 
   std::string value;
   double get_kops = MeasureOpsPerSec(kReadOps, [&](size_t) {
-    if (!tree.Get(root, random_key(), &value).ok()) abort();
+    if (!tree.Get(root, random_key(), &value, nullptr).ok()) abort();
   }) / 1000.0;
 
   uint64_t chunks_before = store.stats().chunk_count;
@@ -77,7 +77,7 @@ void RunOne(uint32_t bits, ChunkStore& store, BufferCache* node_cache,
   double verify_kops = MeasureOpsPerSec(kProofOps, [&](size_t) {
     const std::string& key = random_key();
     PosProof proof;
-    if (!tree.GetWithProof(w, key, &value, &proof).ok()) abort();
+    if (!tree.Get(w, key, &value, &proof).ok()) abort();
     total_proof_bytes += proof.ByteSize();
     if (!PosTree::VerifyProof(w, key, value, proof).ok()) abort();
   }) / 1000.0;

@@ -77,7 +77,7 @@ IndexResult RunIndexLevel(SiriBackend kind,
 
   std::string value;
   r.get_kops = MeasureOpsPerSec(kReadOps, [&](size_t) {
-    if (!index->Get(root, random_key(), &value).ok()) abort();
+    if (!index->Get(root, random_key(), &value, nullptr).ok()) abort();
   }) / 1000.0;
 
   uint64_t chunks_before = store.stats().chunk_count;
@@ -97,7 +97,7 @@ IndexResult RunIndexLevel(SiriBackend kind,
   r.verify_kops = MeasureOpsPerSec(kProofOps, [&](size_t) {
     const std::string& key = random_key();
     SiriProof proof;
-    if (!index->GetWithProof(w, key, &value, &proof).ok()) abort();
+    if (!index->Get(w, key, &value, &proof).ok()) abort();
     std::string wire = proof.Encode();
     total_proof_bytes += wire.size();
     SiriProof decoded;

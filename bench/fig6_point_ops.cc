@@ -63,7 +63,7 @@ Measurement RunReads(size_t records) {
     m.spitz_verify = MeasureOpsPerSec(kVerifiedReadOps, [&](size_t i) {
       ReadProof proof;
       const std::string& key = random_key(i);
-      if (!spitz.GetWithProof(key, &value, &proof).ok()) abort();
+      if (!spitz.Read(kCurrentVersion, key, &value, &proof).ok()) abort();
       if (!SpitzDb::VerifyRead(digest, key, value, proof).ok()) abort();
     }) / 1000.0;
   }

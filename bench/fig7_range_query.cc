@@ -83,7 +83,10 @@ void Run() {
         std::string start, end;
         pick_range(&start, &end);
         ScanProof proof;
-        if (!spitz.ScanWithProof(start, end, 0, &rows, &proof).ok()) abort();
+        if (!spitz.ReadRange(kCurrentVersion, start, end, 0, &rows, &proof)
+                 .ok()) {
+          abort();
+        }
         if (!SpitzDb::VerifyScan(digest, start, end, 0, rows, proof).ok()) {
           abort();
         }

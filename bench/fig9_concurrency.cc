@@ -1,6 +1,6 @@
 // Concurrency scaling benchmark for the parallel verification pipeline:
 //
-//  1. Read-proof scaling — N reader threads hammer GetWithProof +
+//  1. Read-proof scaling — N reader threads hammer Read-with-proof +
 //     client-side VerifyProof against a preloaded SpitzDb. Reads
 //     snapshot the root lock-free and traverse immutable chunks, so
 //     throughput should scale with cores (cf. ForkBase's lock-free
@@ -56,7 +56,7 @@ double RunReaders(const SpitzDb& db, const std::vector<PosEntry>& records,
       size_t i = t * 7919;
       for (size_t n = 0; n < ops; n++) {
         const std::string& key = records[i % records.size()].key;
-        if (!db.GetWithProof(key, &value, &proof).ok() ||
+        if (!db.Read(kCurrentVersion, key, &value, &proof).ok() ||
             !proof.index_proof.Verify(proof.index_root, key, value).ok()) {
           errors.fetch_add(1);
         }
@@ -92,7 +92,9 @@ double RunVerifierDrain(const SpitzDb& db,
   for (size_t i = 0; i < checks; i++) {
     const std::string& key = records[(i * 7919) % records.size()].key;
     kvs[i].first = key;
-    if (!db.GetWithProof(key, &kvs[i].second, &proofs[i]).ok()) abort();
+    if (!db.Read(kCurrentVersion, key, &kvs[i].second, &proofs[i]).ok()) {
+      abort();
+    }
   }
 
   DeferredVerifier verifier(

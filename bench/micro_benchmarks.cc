@@ -76,7 +76,7 @@ void BM_PosTreeGet(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        tree.Get(root, entries[i % entries.size()].key, &value));
+        tree.Get(root, entries[i % entries.size()].key, &value, nullptr));
     i += 7919;
   }
 }
@@ -121,7 +121,7 @@ void BM_PosTreeVerifiedGet(benchmark::State& state) {
   for (auto _ : state) {
     PosProof proof;
     const std::string& key = entries[i % entries.size()].key;
-    if (!tree.GetWithProof(root, key, &value, &proof).ok()) abort();
+    if (!tree.Get(root, key, &value, &proof).ok()) abort();
     if (!PosTree::VerifyProof(root, key, value, proof).ok()) abort();
     i += 104729;
   }
@@ -152,7 +152,7 @@ void BM_SpitzDbVerifiedGet(benchmark::State& state) {
   for (auto _ : state) {
     ReadProof proof;
     const std::string& key = entries[i % entries.size()].key;
-    if (!db.GetWithProof(key, &value, &proof).ok()) abort();
+    if (!db.Read(kCurrentVersion, key, &value, &proof).ok()) abort();
     if (!SpitzDb::VerifyRead(digest, key, value, proof).ok()) abort();
     // Every read is also audited in the background — keeps a realistic
     // deferred-verification load on the pipeline.
@@ -342,12 +342,14 @@ void EmitMetricsSnapshot() {
     snprintf(key, sizeof(key), "k%06d", i);
     ReadProof proof;
     if (!db.Get(key, &value).ok()) abort();
-    if (!db.GetWithProof(key, &value, &proof).ok()) abort();
+    if (!db.Read(kCurrentVersion, key, &value, &proof).ok()) abort();
     if (!SpitzDb::VerifyRead(digest, key, value, proof).ok()) abort();
   }
   std::vector<PosEntry> rows;
   ScanProof scan_proof;
-  if (!db.ScanWithProof("k000010", "k000200", 0, &rows, &scan_proof).ok()) {
+  if (!db.ReadRange(kCurrentVersion, "k000010", "k000200", 0, &rows,
+                    &scan_proof)
+           .ok()) {
     abort();
   }
   if (!SpitzDb::VerifyScan(digest, "k000010", "k000200", 0, rows, scan_proof)

@@ -8,9 +8,11 @@
 #   network, cluster and replica tests.
 # ASan+UBSan: the proof-codec, database, key-history, 2PC participant,
 #   write-batch and read-set, network, cluster, replica, SHA-256/CRC32C
-#   kernel, journal and persistence tests (untrusted bytes are decoded
-#   there — proof envelopes, wire requests, journal blocks and the
-#   replication-record decoder, swept byte by byte in ReplicaRecordTest —
+#   kernel, journal, persistence, index-traversal (POS-tree, MPT, MBT,
+#   iterator and property) tests (untrusted bytes are decoded there —
+#   proof envelopes, wire requests, journal blocks, the chunk bytes every
+#   read traversal decodes and the replication-record decoder, swept
+#   byte by byte in ReplicaRecordTest —
 #   and the hardware hash kernels make unaligned vector loads, so memory
 #   errors and UB are the failure modes that matter).
 # The read-set suites are ClusterReadSetTest, TwoPhaseCommitTest,
@@ -91,10 +93,11 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
       --target siri_proof_test siri_backend_test spitz_db_test \
                key_history_test recovery_test net_test concurrency_test \
                cluster_test replica_test txn_test crypto_test common_test \
-               journal_test persistence_test
+               journal_test persistence_test pos_tree_test mpt_mbt_test \
+               iterator_test property_test
 ASAN_OPTIONS="halt_on_error=1 exitcode=66" \
 UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \
   ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-        -R 'Siri|SpitzDb|SpitzOptions|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence'
+        -R 'Siri|SpitzDb|SpitzOptions|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence|PosTree|Mpt|Mbt|Iterator'
 
 echo "==> all checks passed"

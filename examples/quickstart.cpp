@@ -41,7 +41,7 @@ int main() {
   // --- 3. Verified point read -------------------------------------------
   std::string value;
   ReadProof proof;
-  Status s = db.GetWithProof("user/0042", &value, &proof);
+  Status s = db.Read(kCurrentVersion, "user/0042", &value, &proof);
   if (!s.ok() || !client.CheckRead("user/0042", value, proof).ok()) {
     fprintf(stderr, "verified read failed\n");
     return 1;
@@ -70,7 +70,8 @@ int main() {
   // --- 5. Verified range query ------------------------------------------
   std::vector<PosEntry> rows;
   ScanProof scan_proof;
-  s = db.ScanWithProof("user/0010", "user/0020", 0, &rows, &scan_proof);
+  s = db.ReadRange(kCurrentVersion, "user/0010", "user/0020", 0, &rows,
+                   &scan_proof);
   if (!s.ok() ||
       !client.CheckScan("user/0010", "user/0020", 0, rows, scan_proof).ok()) {
     fprintf(stderr, "verified scan failed\n");

@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
       std::string key = line.substr(8);
       std::string value;
       ReadProof proof;
-      Status s = db->GetWithProof(key, &value, &proof);
+      Status s = db->Read(kCurrentVersion, key, &value, &proof);
       if (s.IsNotFound()) {
         Status v = SpitzDb::VerifyRead(db->Digest(), key, std::nullopt, proof);
         printf("absent (non-membership proof: %s)\n", v.ToString().c_str());

@@ -56,7 +56,7 @@ int main() {
     client.ObserveDigest(db.Digest());
     std::string value;
     ReadProof proof;
-    db.GetWithProof("account/7", &value, &proof);
+    db.Read(kCurrentVersion, "account/7", &value, &proof);
     // The honest result verifies...
     Expect(client.CheckRead("account/7", value, proof).ok(),
            "honest result accepted (sanity)");
@@ -79,7 +79,7 @@ int main() {
     client.ObserveDigest(db.Digest());
     std::vector<PosEntry> rows;
     ScanProof proof;
-    db.ScanWithProof("tx/0010", "tx/0030", 0, &rows, &proof);
+    db.ReadRange(kCurrentVersion, "tx/0010", "tx/0030", 0, &rows, &proof);
     Expect(client.CheckScan("tx/0010", "tx/0030", 0, rows, proof).ok(),
            "honest range result accepted (sanity)");
     std::vector<PosEntry> doctored = rows;

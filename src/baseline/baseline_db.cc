@@ -175,7 +175,7 @@ Status BaselineDb::Get(const Slice& key, std::string* value) const {
     std::lock_guard<std::mutex> lock(mu_);
     view = value_view_;
   }
-  return views_.Get(view, key, value);
+  return views_.Get(view, key, value, nullptr);
 }
 
 Status BaselineDb::GetVerified(const Slice& key, VerifiedValue* out) const {
@@ -186,13 +186,13 @@ Status BaselineDb::GetVerified(const Slice& key, VerifiedValue* out) const {
     value_view = value_view_;
     meta_view = meta_view_;
   }
-  Status s = views_.Get(value_view, key, &out->value);
+  Status s = views_.Get(value_view, key, &out->value, nullptr);
   if (!s.ok()) return s;
   // Locate the latest journal entry for this key, then rebuild the
   // within-block proof — the separate, per-record ledger search that
   // the unified Spitz index avoids.
   std::string loc;
-  s = views_.Get(meta_view, key, &loc);
+  s = views_.Get(meta_view, key, &loc, nullptr);
   if (!s.ok()) {
     return Status::Busy("record not yet sealed into the ledger");
   }
@@ -211,7 +211,7 @@ Status BaselineDb::Scan(const Slice& start, const Slice& end, size_t limit,
     std::lock_guard<std::mutex> lock(mu_);
     view = value_view_;
   }
-  return views_.Scan(view, start, end, limit, out);
+  return views_.Scan(view, start, end, limit, out, nullptr);
 }
 
 Status BaselineDb::ScanVerified(const Slice& start, const Slice& end,
@@ -225,7 +225,7 @@ Status BaselineDb::ScanVerified(const Slice& start, const Slice& end,
     meta_view = meta_view_;
   }
   std::vector<PosEntry> rows;
-  Status s = views_.Scan(value_view, start, end, limit, &rows);
+  Status s = views_.Scan(value_view, start, end, limit, &rows, nullptr);
   if (!s.ok()) return s;
   out->clear();
   out->reserve(rows.size());
@@ -233,7 +233,7 @@ Status BaselineDb::ScanVerified(const Slice& start, const Slice& end,
     VerifiedValue vv;
     vv.value = std::move(row.value);
     std::string loc;
-    s = views_.Get(meta_view, row.key, &loc);
+    s = views_.Get(meta_view, row.key, &loc, nullptr);
     if (!s.ok()) {
       return Status::Busy("record not yet sealed into the ledger");
     }
@@ -287,7 +287,7 @@ Status BaselineDb::History(
   std::string lo = HistoryKey(key, 0);
   std::string hi = HistoryKey(key, UINT64_MAX);
   std::vector<PosEntry> rows;
-  Status s = views_.Scan(history_view, lo, hi, 0, &rows);
+  Status s = views_.Scan(history_view, lo, hi, 0, &rows, nullptr);
   if (!s.ok()) return s;
   for (const PosEntry& row : rows) {
     uint64_t height = 0, index = 0;

@@ -383,19 +383,11 @@ void SpitzDb::PublishSnapshotLocked(bool journal_changed) {
   snapshot_ = std::move(snap);
 }
 
-Status SpitzDb::Put(const Slice& key, const Slice& value) {
-  return Put(WriteOptions(), key, value);
-}
-
 Status SpitzDb::Put(const WriteOptions& options, const Slice& key,
                     const Slice& value) {
   WriteBatch batch;
   batch.Put(key, value);
   return Write(options, batch);
-}
-
-Status SpitzDb::Delete(const Slice& key) {
-  return Delete(WriteOptions(), key);
 }
 
 Status SpitzDb::Delete(const WriteOptions& options, const Slice& key) {
@@ -626,7 +618,7 @@ void SpitzDb::FlushJournal() {
 
 Status SpitzDb::ValidateReadsLocked(const WriteBatch& batch) {
   Status s = batch.ValidateReads([this](const Slice& key, std::string* value) {
-    return index_->Get(root_, key, value);
+    return index_->Get(root_, key, value, nullptr);
   });
   if (s.IsAborted()) read_set_aborts_.Increment();
   return s;
@@ -807,117 +799,96 @@ Status SpitzDb::FlushBlock() {
   return io;
 }
 
-// The read path is lock-free: one atomic shared_ptr load pins an
-// immutable snapshot (root + digest), and the traversal below it only
-// touches content-addressed chunks that no writer ever mutates. Readers
+// The read path is lock-free: one shared_ptr copy pins an immutable
+// snapshot (root + digest), and the traversal below it only touches
+// content-addressed chunks that no writer ever mutates. Readers
 // therefore never serialize against commits or against each other.
-
-Status SpitzDb::Get(const Slice& key, std::string* value) const {
-  ScopedTimer timer(metrics_.read_ns);
-  // The epoch pin brackets the whole traversal so a concurrent GC pass
-  // cannot unpublish chunks mid-walk (the snapshot root itself is
-  // always retained; the pin protects the window where an *older*
-  // snapshot captured before a commit is still being read).
-  auto pin = chunks_->PinReads();
-  return index_->Get(CurrentSnapshot()->index_root, key, value);
-}
 
 // A proof is produced for presence and (non-degenerate) absence alike;
 // its wire size is what the client pays either way.
-Status SpitzDb::GetWithProof(const Slice& key, std::string* value,
-                             ReadProof* proof) const {
-  return GetWithProofAt(CurrentSnapshot()->index_root, key, value, proof);
-}
-
-Status SpitzDb::Scan(const Slice& start, const Slice& end, size_t limit,
-                     std::vector<PosEntry>* out) const {
-  ScopedTimer timer(metrics_.scan_ns);
+Status SpitzDb::Read(const ReadVersion& at, const Slice& key,
+                     std::string* value, ReadProof* proof) const {
+  ScopedTimer timer(proof != nullptr ? metrics_.proof_build_ns
+                                     : metrics_.read_ns);
+  // The epoch pin brackets the whole traversal so a concurrent GC pass
+  // cannot unpublish chunks mid-walk (the snapshot root itself is
+  // always retained; the pin protects the window where an *older*
+  // version is still being read).
   auto pin = chunks_->PinReads();
-  return index_->Scan(CurrentSnapshot()->index_root, start, end, limit, out);
-}
-
-Status SpitzDb::ScanWithProof(const Slice& start, const Slice& end,
-                              size_t limit, std::vector<PosEntry>* out,
-                              spitz::ScanProof* proof) const {
-  return ScanWithProofAt(CurrentSnapshot()->index_root, start, end, limit, out,
-                         proof);
-}
-
-Status SpitzDb::GetWithProofAt(const Hash256& index_root, const Slice& key,
-                               std::string* value, ReadProof* proof) const {
-  ScopedTimer timer(metrics_.proof_build_ns);
-  auto pin = chunks_->PinReads();
-  Status s = index_->GetWithProof(index_root, key, value,
-                                  &proof->index_proof);
-  proof->index_root = index_root;
+  const Hash256 root = RootOf(at);
+  Status s = index_->Get(root, key, value,
+                         proof != nullptr ? &proof->index_proof : nullptr);
+  if (proof == nullptr) return s;
+  proof->index_root = root;
   if (metrics_.proof_bytes && (s.ok() || s.IsNotFound())) {
     metrics_.proof_bytes->Record(proof->index_proof.ByteSize());
   }
   return s;
 }
 
-Status SpitzDb::ScanWithProofAt(const Hash256& index_root, const Slice& start,
-                                const Slice& end, size_t limit,
-                                std::vector<PosEntry>* out,
-                                spitz::ScanProof* proof) const {
-  ScopedTimer timer(metrics_.proof_build_ns);
+Status SpitzDb::ReadRange(const ReadVersion& at, const Slice& start,
+                          const Slice& end, size_t limit,
+                          std::vector<PosEntry>* rows,
+                          spitz::ScanProof* proof) const {
+  ScopedTimer timer(proof != nullptr ? metrics_.proof_build_ns
+                                     : metrics_.scan_ns);
   auto pin = chunks_->PinReads();
-  Status s = index_->ScanWithProof(index_root, start, end, limit, out,
-                                   &proof->index_proof);
-  proof->index_root = index_root;
+  const Hash256 root = RootOf(at);
+  Status s = index_->Scan(root, start, end, limit, rows,
+                          proof != nullptr ? &proof->index_proof : nullptr);
+  if (proof == nullptr) return s;
+  proof->index_root = root;
   if (metrics_.range_proof_bytes && s.ok()) {
     metrics_.range_proof_bytes->Record(proof->index_proof.ByteSize());
   }
   return s;
 }
 
+std::unique_ptr<PosTreeIterator> SpitzDb::NewIterator(
+    const ReadVersion& at) const {
+  const Hash256 root = RootOf(at);
+  if (!index_->SupportsScan()) {
+    return std::make_unique<PosTreeIterator>(
+        chunks_.get(), root,
+        Status::NotSupported(std::string(index_->name()) +
+                             " does not support ordered scans"));
+  }
+  return std::make_unique<PosTreeIterator>(chunks_.get(), root);
+}
+
 SpitzDigest SpitzDb::Digest() const { return *CurrentSnapshot(); }
 
 // --- VerifiedKv surface -----------------------------------------------------
-
-Status SpitzDb::ProveAtDigest(const Slice& key, SpitzDigest* digest,
-                              std::optional<std::string>* value,
-                              ReadProof* proof) const {
-  *digest = Digest();
-  std::string found;
-  Status s = GetWithProofAt(digest->index_root, key, &found, proof);
-  *value = s.ok() ? std::optional<std::string>(std::move(found))
-                  : std::nullopt;
-  return s;
-}
-
-Status SpitzDb::ProveAtDigest(const Slice& start, const Slice& end,
-                              size_t limit, SpitzDigest* digest,
-                              std::vector<PosEntry>* rows,
-                              spitz::ScanProof* proof) const {
-  *digest = Digest();
-  return ScanWithProofAt(digest->index_root, start, end, limit, rows, proof);
-}
+//
+// The verified reads and the evidence calls capture Digest() and read at
+// exactly its index root, so a commit in between cannot skew the pair.
 
 Status SpitzDb::Get(const ReadOptions& options, const Slice& key,
                     std::string* value) {
-  const SpitzDb* self = this;
-  if (!options.verify) return self->Get(key, value);
-  SpitzDigest digest;
-  std::optional<std::string> found;
+  if (!options.verify) return Read(kCurrentVersion, key, value, nullptr);
+  const SpitzDigest digest = Digest();
+  std::string found;
   ReadProof proof;
-  Status s = ProveAtDigest(key, &digest, &found, &proof);
+  Status s = Read(digest.index_root, key, &found, &proof);
   if (!s.ok() && !s.IsNotFound()) return s;
-  Status verdict = VerifyRead(digest, key, found, proof);
+  std::optional<std::string> expected;
+  if (s.ok()) expected = std::move(found);
+  Status verdict = VerifyRead(digest, key, expected, proof);
   if (!verdict.ok()) return verdict;
-  if (s.ok()) *value = std::move(*found);
+  if (s.ok()) *value = std::move(*expected);
   return s;
 }
 
 Status SpitzDb::Scan(const ReadOptions& options, const Slice& start,
                      const Slice& end, size_t limit,
                      std::vector<PosEntry>* rows) {
-  const SpitzDb* self = this;
-  if (!options.verify) return self->Scan(start, end, limit, rows);
-  SpitzDigest digest;
+  if (!options.verify) {
+    return ReadRange(kCurrentVersion, start, end, limit, rows, nullptr);
+  }
+  const SpitzDigest digest = Digest();
   std::vector<PosEntry> found;
   spitz::ScanProof proof;
-  Status s = ProveAtDigest(start, end, limit, &digest, &found, &proof);
+  Status s = ReadRange(digest.index_root, start, end, limit, &found, &proof);
   if (!s.ok()) return s;
   Status verdict = VerifyScan(digest, start, end, limit, found, proof);
   if (!verdict.ok()) return verdict;
@@ -926,10 +897,13 @@ Status SpitzDb::Scan(const ReadOptions& options, const Slice& start,
 }
 
 Status SpitzDb::GetProof(const Slice& key, Evidence* out) {
-  SpitzDigest digest;
+  const SpitzDigest digest = Digest();
+  std::string value;
   ReadProof proof;
-  Status s = ProveAtDigest(key, &digest, &out->value, &proof);
+  Status s = Read(digest.index_root, key, &value, &proof);
   if (!s.ok() && !s.IsNotFound()) return s;
+  out->value.reset();
+  if (s.ok()) out->value = std::move(value);
   out->proof.clear();
   proof.EncodeTo(&out->proof);
   out->digest.clear();
@@ -939,9 +913,10 @@ Status SpitzDb::GetProof(const Slice& key, Evidence* out) {
 
 Status SpitzDb::ScanProof(const Slice& start, const Slice& end, size_t limit,
                           ScanEvidence* out) {
-  SpitzDigest digest;
+  const SpitzDigest digest = Digest();
   spitz::ScanProof proof;
-  Status s = ProveAtDigest(start, end, limit, &digest, &out->rows, &proof);
+  Status s = ReadRange(digest.index_root, start, end, limit, &out->rows,
+                       &proof);
   if (!s.ok()) return s;
   out->proof.clear();
   proof.EncodeTo(&out->proof);
@@ -1121,12 +1096,6 @@ Status SpitzDb::IndexRootAt(uint64_t block_height, Hash256* root) const {
   return Status::OK();
 }
 
-Status SpitzDb::GetAt(const Hash256& index_root, const Slice& key,
-                      std::string* value) const {
-  auto pin = chunks_->PinReads();
-  return index_->Get(index_root, key, value);
-}
-
 // --- Primary-backup replication seam (DESIGN.md §15) ------------------------
 
 void SpitzDb::SetSealListener(SealListener listener) {
@@ -1222,7 +1191,7 @@ Status SpitzDb::AuditWrite(
       auto pin = chunks_->PinReads();
       std::string value;
       SiriProof proof;
-      Status s = index_->GetWithProof(root, key_copy, &value, &proof);
+      Status s = index_->Get(root, key_copy, &value, &proof);
       // The re-verification is the audit's actual work; its latency
       // feeds the proof-verify histogram (queueing lag is tracked
       // separately by the verifier itself).

@@ -76,11 +76,17 @@ struct ScanProof {
 // ReadOptions/WriteOptions live in core/verified_kv.h — they are part
 // of the VerifiedKv interface shared by every deployment shape.
 
+// The version a read sees: an index root, or kCurrentVersion for the
+// snapshot current when the read starts. A digest the client holds pins
+// a read through its index_root.
+using ReadVersion = std::optional<Hash256>;
+inline constexpr std::nullopt_t kCurrentVersion = std::nullopt;
+
 struct SpitzOptions {
   SpitzOptions() {}
   // Which SIRI instance backs the unified index (paper 3.1/6.1). The
   // POS-tree is the default; MPT and MBT are plug-compatible but do not
-  // support ordered scans, so Scan/ScanWithProof return NotSupported.
+  // support ordered scans, so ReadRange and Scan return NotSupported.
   SiriBackend index_backend = SiriBackend::kPosTree;
   // Ledger entries per sealed block (paper 6.1: "records are collected
   // into blocks and appended to a ledger").
@@ -176,10 +182,10 @@ class SpitzDb : public VerifiedKv {
   // if any member asked for durability — issues a single fsync for the
   // whole group before waking each waiter with its individual Status.
 
-  Status Put(const Slice& key, const Slice& value);
+  using VerifiedKv::Delete;
+  using VerifiedKv::Put;
   Status Put(const WriteOptions& options, const Slice& key,
              const Slice& value) override;
-  Status Delete(const Slice& key);
   Status Delete(const WriteOptions& options, const Slice& key) override;
   // Atomic multi-key write (one commit timestamp, one set of ledger
   // entries). A batch with a read set fails Aborted, applying nothing,
@@ -199,56 +205,49 @@ class SpitzDb : public VerifiedKv {
   TxnParticipant* participant() { return participant_.get(); }
 
   // --- Read path ------------------------------------------------------------
+  //
+  // One point read and one range read. Each reads the version `at` —
+  // pinned roots stay readable for the retain_versions GC window, which
+  // is what makes cluster-wide verified reads race-free: the coordinator
+  // snapshots every shard's digest into one cluster digest, and clients
+  // then ask each shard to prove against exactly the pinned root. A
+  // non-null proof is assembled from the same index traversal and names
+  // the root it proves against; a null proof skips the proof work. A
+  // read without a proof is timed in core.db.read_latency_ns (range:
+  // scan_latency_ns), one with a proof in proof_build_latency_ns.
 
-  Status Get(const Slice& key, std::string* value) const;
-  // VerifiedKv read: with options.verify the read is served with a
+  Status Read(const ReadVersion& at, const Slice& key, std::string* value,
+              ReadProof* proof) const;
+  // Range read of [start, end), at most `limit` rows (0 = no limit):
+  // section 6.2.2's "the proofs of the resultant records are returned
+  // simultaneously when the resultant records are scanned".
+  // (spitz:: qualification: inside this class the inherited ScanProof
+  // *method* hides the namespace-scope ScanProof *struct*.)
+  Status ReadRange(const ReadVersion& at, const Slice& start,
+                   const Slice& end, size_t limit, std::vector<PosEntry>* rows,
+                   spitz::ScanProof* proof) const;
+
+  // A forward iterator over the version `at`. Immutability makes it a
+  // stable snapshot: concurrent writes never disturb it. Backends without
+  // ordered iteration return an iterator whose status() is NotSupported.
+  std::unique_ptr<PosTreeIterator> NewIterator(
+      const ReadVersion& at = kCurrentVersion) const;
+
+  // VerifiedKv reads: with options.verify the read is served with a
   // proof and checked against the current digest before returning.
+  using VerifiedKv::Get;
+  using VerifiedKv::Scan;
   Status Get(const ReadOptions& options, const Slice& key,
              std::string* value) override;
   Status Scan(const ReadOptions& options, const Slice& start,
               const Slice& end, size_t limit,
               std::vector<PosEntry>* rows) override;
 
-  // Read returning the proof assembled from the same index traversal.
+  // Read(kCurrentVersion, ...) with a proof; spitzbench's in-process
+  // proof probe calls it by this name.
   Status GetWithProof(const Slice& key, std::string* value,
-                      ReadProof* proof) const;
-
-  Status Scan(const Slice& start, const Slice& end, size_t limit,
-              std::vector<PosEntry>* out) const;
-
-  // Range scan whose proof is gathered during the same traversal
-  // (section 6.2.2: "the proofs of the resultant records are returned
-  // simultaneously when the resultant records are scanned").
-  // (spitz:: qualification: inside this class the inherited ScanProof
-  // *method* hides the namespace-scope ScanProof *struct*.)
-  Status ScanWithProof(const Slice& start, const Slice& end, size_t limit,
-                       std::vector<PosEntry>* out,
-                       spitz::ScanProof* proof) const;
-
-  // Proofs pinned to a historical index version. This is what makes
-  // cluster-wide verified reads race-free: the coordinator snapshots
-  // every shard's digest into one cluster digest, and clients then ask
-  // each shard to prove against exactly the pinned root — immune to
-  // commits that land between the snapshot and the read. Pinned roots
-  // stay readable for the retain_versions GC window.
-  Status GetWithProofAt(const Hash256& index_root, const Slice& key,
-                        std::string* value, ReadProof* proof) const;
-  Status ScanWithProofAt(const Hash256& index_root, const Slice& start,
-                         const Slice& end, size_t limit,
-                         std::vector<PosEntry>* out,
-                         spitz::ScanProof* proof) const;
-
-  // A forward iterator over the current version. Immutability makes it
-  // a stable snapshot: concurrent writes never disturb it. Pass a
-  // historical root (IndexRootAt) to iterate an old version. POS-tree
-  // backend only — other backends have no ordered iteration (use Get).
-  std::unique_ptr<PosTreeIterator> NewIterator() const {
-    return std::make_unique<PosTreeIterator>(chunks_.get(),
-                                             CurrentSnapshot()->index_root);
-  }
-  std::unique_ptr<PosTreeIterator> NewIteratorAt(
-      const Hash256& index_root) const {
-    return std::make_unique<PosTreeIterator>(chunks_.get(), index_root);
+                      ReadProof* proof) const {
+    return Read(kCurrentVersion, key, value, proof);
   }
 
   // --- Verifiability surface -----------------------------------------------
@@ -305,10 +304,9 @@ class SpitzDb : public VerifiedKv {
                     std::vector<HistoricalWrite>* history) const;
 
   // The index root as of a sealed block (time travel onto old versions:
-  // reads against old roots keep working because chunks are immutable).
+  // Read/ReadRange at old roots keep working because chunks are
+  // immutable).
   Status IndexRootAt(uint64_t block_height, Hash256* root) const;
-  Status GetAt(const Hash256& index_root, const Slice& key,
-               std::string* value) const;
 
   // Seals any buffered entries into a final block. Returns an IOError
   // if the sealed block could not be persisted (durable mode).
@@ -411,8 +409,8 @@ class SpitzDb : public VerifiedKv {
 
   // The immutable read-path state published by every commit is the
   // digest itself: readers grab one shared_ptr and then traverse chunks
-  // that can never change underneath them, so Get/GetWithProof/Scan/
-  // Digest never serialize against commits or each other. mu_ remains
+  // that can never change underneath them, so Read/ReadRange/Digest
+  // never serialize against commits or each other. mu_ remains
   // the *writer* lock only; snapshot_mu_ guards nothing but the pointer
   // copy below (a few instructions — it is never held across a
   // traversal or a commit). A std::atomic<shared_ptr> would also work,
@@ -422,21 +420,15 @@ class SpitzDb : public VerifiedKv {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     return snapshot_;
   }
+  // The index root a read at `at` traverses.
+  Hash256 RootOf(const ReadVersion& at) const {
+    return at.has_value() ? *at : CurrentSnapshot()->index_root;
+  }
   // Re-publishes the snapshot from the writer-side state; callers hold
   // mu_ (or are single-threaded, during construction/recovery). The
   // journal digest is O(sealed blocks) to recompute, so it is carried
   // over from the previous snapshot unless `journal_changed`.
   void PublishSnapshotLocked(bool journal_changed);
-
-  // Captures Digest() and proves at exactly its index root (a commit in
-  // between cannot skew the pair): the one proof build behind the
-  // verified Get/Scan and GetProof/ScanProof.
-  Status ProveAtDigest(const Slice& key, SpitzDigest* digest,
-                       std::optional<std::string>* value,
-                       ReadProof* proof) const;
-  Status ProveAtDigest(const Slice& start, const Slice& end, size_t limit,
-                       SpitzDigest* digest, std::vector<PosEntry>* rows,
-                       spitz::ScanProof* proof) const;
 
   // --- Group-commit pipeline ----------------------------------------------
 

@@ -73,32 +73,28 @@ Status MerkleBucketTree::DecodeBucket(
 }
 
 Status MerkleBucketTree::Get(const Hash256& root, const Slice& key,
-                             std::string* value) const {
-  Proof proof;
-  return GetWithProof(root, key, value, &proof);
-}
-
-Status MerkleBucketTree::GetWithProof(const Hash256& root, const Slice& key,
-                                      std::string* value,
-                                      Proof* proof) const {
+                             std::string* value, Proof* proof) const {
   if (root.IsZero()) return Status::NotFound("empty tree");
-  std::shared_ptr<const Chunk> dir_chunk;
-  Status s = store_->Get(root, &dir_chunk);
-  if (!s.ok()) return s;
-  proof->directory_payload = dir_chunk->payload();
+  Status s;
+  if (proof != nullptr) {
+    std::shared_ptr<const Chunk> dir_chunk;
+    s = store_->Get(root, &dir_chunk);
+    if (!s.ok()) return s;
+    proof->directory_payload = dir_chunk->payload();
+  }
   std::vector<Hash256> bucket_ids;
   s = LoadDirectory(root, &bucket_ids);
   if (!s.ok()) return s;
   uint32_t b = BucketOf(key);
-  proof->bucket_index = b;
+  if (proof != nullptr) proof->bucket_index = b;
   if (bucket_ids[b].IsZero()) {
-    proof->bucket_payload.clear();
+    if (proof != nullptr) proof->bucket_payload.clear();
     return Status::NotFound("key absent");
   }
   std::shared_ptr<const Chunk> bucket_chunk;
   s = store_->Get(bucket_ids[b], &bucket_chunk);
   if (!s.ok()) return s;
-  proof->bucket_payload = bucket_chunk->payload();
+  if (proof != nullptr) proof->bucket_payload = bucket_chunk->payload();
   std::vector<std::pair<std::string, std::string>> entries;
   s = DecodeBucket(bucket_chunk->data(), &entries);
   if (!s.ok()) return s;

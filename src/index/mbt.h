@@ -37,8 +37,6 @@ class MerkleBucketTree {
 
   static Hash256 EmptyRoot() { return Hash256(); }
 
-  Status Get(const Hash256& root, const Slice& key, std::string* value) const;
-
   Status Put(const Hash256& root, const Slice& key, const Slice& value,
              Hash256* new_root) const;
 
@@ -55,8 +53,11 @@ class MerkleBucketTree {
     std::string bucket_payload;
   };
 
-  Status GetWithProof(const Hash256& root, const Slice& key,
-                      std::string* value, Proof* proof) const;
+  // Point read: the one traversal. With a non-null `proof` the directory
+  // and bucket payloads it reads are copied out as the proof; null skips
+  // the copies.
+  Status Get(const Hash256& root, const Slice& key, std::string* value,
+             Proof* proof) const;
 
   static Status VerifyProof(const Hash256& root, const Slice& key,
                             const std::optional<std::string>& expected_value,

@@ -138,15 +138,8 @@ Hash256 MerklePatriciaTrie::StoreNode(const Node& node) const {
 }
 
 Status MerklePatriciaTrie::Get(const Hash256& root, const Slice& key,
-                               std::string* value) const {
-  Proof proof;
-  return GetWithProof(root, key, value, &proof);
-}
-
-Status MerklePatriciaTrie::GetWithProof(const Hash256& root, const Slice& key,
-                                        std::string* value,
-                                        Proof* proof) const {
-  proof->node_payloads.clear();
+                               std::string* value, Proof* proof) const {
+  if (proof != nullptr) proof->node_payloads.clear();
   if (root.IsZero()) return Status::NotFound("empty trie");
   std::vector<uint8_t> nibbles = ToNibbles(key);
   Hash256 id = root;
@@ -155,7 +148,7 @@ Status MerklePatriciaTrie::GetWithProof(const Hash256& root, const Slice& key,
     std::shared_ptr<const Chunk> chunk;
     Status s = store_->Get(id, &chunk);
     if (!s.ok()) return s;
-    proof->node_payloads.push_back(chunk->payload());
+    if (proof != nullptr) proof->node_payloads.push_back(chunk->payload());
     Node node;
     s = DecodeNode(chunk->data(), &node);
     if (!s.ok()) return s;

@@ -32,8 +32,6 @@ class MerklePatriciaTrie {
 
   static Hash256 EmptyRoot() { return Hash256(); }
 
-  Status Get(const Hash256& root, const Slice& key, std::string* value) const;
-
   Status Put(const Hash256& root, const Slice& key, const Slice& value,
              Hash256* new_root) const;
 
@@ -45,8 +43,10 @@ class MerklePatriciaTrie {
     std::vector<std::string> node_payloads;
   };
 
-  Status GetWithProof(const Hash256& root, const Slice& key,
-                      std::string* value, Proof* proof) const;
+  // Point read: the one traversal. With a non-null `proof` the payloads
+  // of the nodes it visits are copied out as the proof; null skips it.
+  Status Get(const Hash256& root, const Slice& key, std::string* value,
+             Proof* proof) const;
 
   static Status VerifyProof(const Hash256& root, const Slice& key,
                             const std::optional<std::string>& expected_value,

@@ -243,45 +243,22 @@ Status PosTree::Build(std::vector<PosEntry> entries, Hash256* root) const {
 
 // --- Reads -------------------------------------------------------------
 
-Status PosTree::Get(const Hash256& root, const Slice& key,
-                    std::string* value) const {
-  if (root.IsZero()) return Status::NotFound("empty tree");
-  Hash256 id = root;
-  while (true) {
-    std::shared_ptr<const PosNode> node;
-    Status s = LoadNode(id, &node);
-    if (!s.ok()) return s;
-    if (!node->is_leaf()) {
-      if (node->children.empty()) {
-        return Status::Corruption("empty meta node");
-      }
-      id = node->children[RouteChild(node->children, key)].id;
-      continue;
-    }
-    auto it = std::lower_bound(node->entries.begin(), node->entries.end(),
-                               key, [](const PosEntry& e, const Slice& k) {
-                                 return Slice(e.key).compare(k) < 0;
-                               });
-    if (it == node->entries.end() || Slice(it->key) != key) {
-      return Status::NotFound("key absent");
-    }
-    *value = it->value;
-    return Status::OK();
+Status PosTree::Get(const Hash256& root, const Slice& key, std::string* value,
+                    PosProof* proof) const {
+  if (proof != nullptr) {
+    proof->node_payloads.clear();
+    proof->node_types.clear();
   }
-}
-
-Status PosTree::GetWithProof(const Hash256& root, const Slice& key,
-                             std::string* value, PosProof* proof) const {
-  proof->node_payloads.clear();
-  proof->node_types.clear();
   if (root.IsZero()) return Status::NotFound("empty tree");
   Hash256 id = root;
   while (true) {
     std::shared_ptr<const PosNode> node;
     Status s = LoadNode(id, &node);
     if (!s.ok()) return s;
-    proof->node_payloads.push_back(node->payload);
-    proof->node_types.push_back(static_cast<uint8_t>(node->type));
+    if (proof != nullptr) {
+      proof->node_payloads.push_back(node->payload);
+      proof->node_types.push_back(static_cast<uint8_t>(node->type));
+    }
     if (!node->is_leaf()) {
       if (node->children.empty()) {
         return Status::Corruption("empty meta node");
@@ -294,7 +271,7 @@ Status PosTree::GetWithProof(const Hash256& root, const Slice& key,
                                  return Slice(e.key).compare(k) < 0;
                                });
     if (it == node->entries.end() || Slice(it->key) != key) {
-      // The proof still demonstrates non-membership.
+      // A proof still demonstrates non-membership.
       return Status::NotFound("key absent");
     }
     *value = it->value;
@@ -303,78 +280,15 @@ Status PosTree::GetWithProof(const Hash256& root, const Slice& key,
 }
 
 Status PosTree::Scan(const Hash256& root, const Slice& start, const Slice& end,
-                     size_t limit, std::vector<PosEntry>* out) const {
+                     size_t limit, std::vector<PosEntry>* out,
+                     PosRangeProof* proof) const {
   out->clear();
-  if (root.IsZero()) return Status::OK();
-  // Frames share the decoded (possibly cached) node rather than copying
-  // its child list.
-  struct Frame {
-    std::shared_ptr<const PosNode> node;
-    size_t idx;
-
-    const std::vector<ChildRef>& children() const { return node->children; }
-  };
-  std::vector<Frame> frames;
-  Hash256 id = root;
-
-  // Descend to the first relevant leaf, then walk rightward.
-  while (true) {
-    std::shared_ptr<const PosNode> node;
-    Status s = LoadNode(id, &node);
-    if (!s.ok()) return s;
-    if (!node->is_leaf()) {
-      if (node->children.empty()) return Status::Corruption("empty meta node");
-      Frame f;
-      f.idx = RouteChild(node->children, start);
-      id = node->children[f.idx].id;
-      f.node = std::move(node);
-      frames.push_back(std::move(f));
-    } else {
-      for (const PosEntry& e : node->entries) {
-        if (Slice(e.key).compare(start) < 0) continue;
-        if (!end.empty() && Slice(e.key).compare(end) >= 0) {
-          return Status::OK();
-        }
-        out->push_back(e);
-        if (limit > 0 && out->size() >= limit) return Status::OK();
-      }
-      // Advance to the next leaf.
-      while (!frames.empty() &&
-             frames.back().idx + 1 >= frames.back().children().size()) {
-        frames.pop_back();
-      }
-      if (frames.empty()) return Status::OK();
-      frames.back().idx++;
-      id = frames.back().children()[frames.back().idx].id;
-      // Descend to that subtree's leftmost leaf via the main loop; any
-      // meta nodes encountered get a frame with idx = 0.
-      while (true) {
-        std::shared_ptr<const PosNode> n2;
-        s = LoadNode(id, &n2);
-        if (!s.ok()) return s;
-        if (n2->is_leaf()) break;
-        if (n2->children.empty()) return Status::Corruption("empty meta node");
-        Frame f;
-        f.idx = 0;
-        id = n2->children[0].id;
-        f.node = std::move(n2);
-        frames.push_back(std::move(f));
-      }
-    }
-  }
-}
-
-Status PosTree::ScanWithProof(const Hash256& root, const Slice& start,
-                              const Slice& end, size_t limit,
-                              std::vector<PosEntry>* out,
-                              PosRangeProof* proof) const {
-  out->clear();
-  proof->nodes.clear();
+  if (proof != nullptr) proof->nodes.clear();
   if (root.IsZero()) return Status::OK();
 
   // Recursive walk restricted to subtrees that can intersect the range;
-  // every visited node's payload is captured into the proof (this is the
-  // "proofs come back with the scan" behaviour of section 6.2.2).
+  // with a proof, every visited node's payload is captured into it (this
+  // is the "proofs come back with the scan" behaviour of section 6.2.2).
   struct Walker {
     const PosTree* tree;
     Slice start, end;
@@ -386,7 +300,9 @@ Status PosTree::ScanWithProof(const Hash256& root, const Slice& start,
       std::shared_ptr<const PosNode> node;
       Status s = tree->LoadNode(id, &node);
       if (!s.ok()) return s;
-      proof->nodes[id] = {static_cast<uint8_t>(node->type), node->payload};
+      if (proof != nullptr) {
+        proof->nodes[id] = {static_cast<uint8_t>(node->type), node->payload};
+      }
       if (node->is_leaf()) {
         for (const PosEntry& e : node->entries) {
           if (Slice(e.key).compare(start) < 0) continue;
@@ -403,6 +319,7 @@ Status PosTree::ScanWithProof(const Hash256& root, const Slice& start,
         return Status::OK();
       }
       const std::vector<ChildRef>& children = node->children;
+      if (children.empty()) return Status::Corruption("empty meta node");
       for (size_t i = 0; i < children.size() && !*done; i++) {
         // Skip subtrees entirely below the range start.
         if (Slice(children[i].last_key).compare(start) < 0) continue;

@@ -147,13 +147,12 @@ class PosTree {
   // by key, last write wins). Returns the new root.
   Status Build(std::vector<PosEntry> entries, Hash256* root) const;
 
-  // Point read. Returns NotFound if absent.
-  Status Get(const Hash256& root, const Slice& key, std::string* value) const;
-
-  // Point read that also produces the membership (or non-membership)
-  // proof assembled from the traversal itself.
-  Status GetWithProof(const Hash256& root, const Slice& key,
-                      std::string* value, PosProof* proof) const;
+  // Point read: the one root-to-leaf traversal. Returns NotFound if
+  // absent. When `proof` is non-null the nodes it visits are also
+  // copied out as the membership (or non-membership) proof; null skips
+  // that copy.
+  Status Get(const Hash256& root, const Slice& key, std::string* value,
+             PosProof* proof) const;
 
   // Writes one key (insert or overwrite); returns the new root.
   Status Put(const Hash256& root, const Slice& key, const Slice& value,
@@ -163,17 +162,13 @@ class PosTree {
   Status Delete(const Hash256& root, const Slice& key,
                 Hash256* new_root) const;
 
-  // Collects entries with key in [start, end) up to `limit` (0 = no
-  // limit), in key order.
+  // Range read: collects entries with key in [start, end) up to `limit`
+  // (0 = no limit), in key order. When `proof` is non-null every node
+  // the walk visits is captured as the range proof — the "unified
+  // index" behaviour of section 6.2.2; null skips the capture.
   Status Scan(const Hash256& root, const Slice& start, const Slice& end,
-              size_t limit, std::vector<PosEntry>* out) const;
-
-  // Range scan that gathers the proof during the same traversal — the
-  // "unified index" behaviour of section 6.2.2.
-  Status ScanWithProof(const Hash256& root, const Slice& start,
-                       const Slice& end, size_t limit,
-                       std::vector<PosEntry>* out,
-                       PosRangeProof* proof) const;
+              size_t limit, std::vector<PosEntry>* out,
+              PosRangeProof* proof) const;
 
   // Number of entries in the version rooted at `root`.
   Status Count(const Hash256& root, uint64_t* count) const;

@@ -20,8 +20,8 @@ void PosTreeIterator::Seek(const Slice& target) {
   entries_.clear();
   entry_idx_ = 0;
   valid_ = false;
-  status_ = Status::OK();
-  if (root_.IsZero()) return;
+  status_ = error_;
+  if (!status_.ok() || root_.IsZero()) return;
   Descend(root_, target);
   if (!status_.ok()) return;
   // Position within the leaf at the first key >= target; if the leaf is

@@ -31,6 +31,13 @@ class PosTreeIterator {
   // iterated root has since fallen out of the retention window.
   PosTreeIterator(const ChunkStore* store, const Hash256& root)
       : store_(store), root_(root), epoch_pin_(store->PinReads()) {}
+  // An iterator that cannot walk `root` (its index is not a POS-tree):
+  // never Valid(), and status() is `error` before and after every Seek.
+  PosTreeIterator(const ChunkStore* store, const Hash256& root, Status error)
+      : PosTreeIterator(store, root) {
+    error_ = std::move(error);
+    status_ = error_;
+  }
 
   PosTreeIterator(const PosTreeIterator&) = delete;
   PosTreeIterator& operator=(const PosTreeIterator&) = delete;
@@ -66,6 +73,7 @@ class PosTreeIterator {
   const ChunkStore* store_;
   Hash256 root_;
   EpochManager::Guard epoch_pin_;
+  Status error_;  // OK unless constructed over a non-POS index
   bool valid_ = false;
   Status status_;
 

@@ -225,45 +225,33 @@ Status SiriIndex::Build(std::vector<PosEntry> entries, Hash256* root) const {
 }
 
 Status SiriIndex::Scan(const Hash256&, const Slice&, const Slice&, size_t,
-                       std::vector<PosEntry>* out) const {
+                       std::vector<PosEntry>* out, SiriRangeProof*) const {
   out->clear();
   return Status::NotSupported(std::string(name()) +
                               " does not support ordered scans");
-}
-
-Status SiriIndex::ScanWithProof(const Hash256&, const Slice&, const Slice&,
-                                size_t, std::vector<PosEntry>* out,
-                                SiriRangeProof*) const {
-  out->clear();
-  return Status::NotSupported(std::string(name()) +
-                              " does not support verified scans");
 }
 
 // --- Backend adapters -------------------------------------------------------
 
 namespace {
 
-class PosSiriIndex : public SiriIndex {
+// One adapter per backend: `Tree` is the backend's tree, `Kind` its tag
+// and `Body` the SiriProof member its point proofs fill.
+template <typename Tree, SiriBackend Kind, auto Body>
+class TreeSiriIndex : public SiriIndex {
  public:
-  PosSiriIndex(ChunkStore* store, PosTreeOptions options)
-      : tree_(store, options) {}
+  template <typename... Args>
+  explicit TreeSiriIndex(ChunkStore* store, Args... args)
+      : tree_(store, args...) {}
 
-  SiriBackend kind() const override { return SiriBackend::kPosTree; }
-  bool SupportsScan() const override { return true; }
-  bool SupportsBulkBuild() const override { return true; }
-  void SetNodeCache(BufferCache* cache) override {
-    tree_.SetNodeCache(cache);
-  }
+  SiriBackend kind() const override { return Kind; }
 
-  Status Get(const Hash256& root, const Slice& key,
-             std::string* value) const override {
-    return tree_.Get(root, key, value);
-  }
-  Status GetWithProof(const Hash256& root, const Slice& key,
-                      std::string* value, SiriProof* proof) const override {
+  Status Get(const Hash256& root, const Slice& key, std::string* value,
+             SiriProof* proof) const override {
+    if (proof == nullptr) return tree_.Get(root, key, value, nullptr);
     *proof = SiriProof();
-    proof->kind = SiriBackend::kPosTree;
-    return tree_.GetWithProof(root, key, value, &proof->pos);
+    proof->kind = Kind;
+    return tree_.Get(root, key, value, &(proof->*Body));
   }
   Status Put(const Hash256& root, const Slice& key, const Slice& value,
              Hash256* new_root) const override {
@@ -280,102 +268,43 @@ class PosSiriIndex : public SiriIndex {
       const Hash256& root,
       std::unordered_set<Hash256, Hash256Hasher>* live) const override {
     return tree_.CollectChunks(root, live);
+  }
+
+ protected:
+  Tree tree_;
+};
+
+using MptSiriIndex = TreeSiriIndex<MerklePatriciaTrie,
+                                   SiriBackend::kMerklePatriciaTrie,
+                                   &SiriProof::mpt>;
+using MbtSiriIndex = TreeSiriIndex<MerkleBucketTree,
+                                   SiriBackend::kMerkleBucketTree,
+                                   &SiriProof::mbt>;
+
+// The POS-tree adds ordered scans, a native bulk build and a node cache.
+class PosSiriIndex
+    : public TreeSiriIndex<PosTree, SiriBackend::kPosTree, &SiriProof::pos> {
+ public:
+  PosSiriIndex(ChunkStore* store, PosTreeOptions options)
+      : TreeSiriIndex(store, options) {}
+
+  bool SupportsScan() const override { return true; }
+  void SetNodeCache(BufferCache* cache) override {
+    tree_.SetNodeCache(cache);
   }
   Status Build(std::vector<PosEntry> entries, Hash256* root) const override {
     return tree_.Build(std::move(entries), root);
   }
   Status Scan(const Hash256& root, const Slice& start, const Slice& end,
-              size_t limit, std::vector<PosEntry>* out) const override {
-    return tree_.Scan(root, start, end, limit, out);
-  }
-  Status ScanWithProof(const Hash256& root, const Slice& start,
-                       const Slice& end, size_t limit,
-                       std::vector<PosEntry>* out,
-                       SiriRangeProof* proof) const override {
+              size_t limit, std::vector<PosEntry>* out,
+              SiriRangeProof* proof) const override {
+    if (proof == nullptr) {
+      return tree_.Scan(root, start, end, limit, out, nullptr);
+    }
     *proof = SiriRangeProof();
     proof->kind = SiriBackend::kPosTree;
-    return tree_.ScanWithProof(root, start, end, limit, out, &proof->pos);
+    return tree_.Scan(root, start, end, limit, out, &proof->pos);
   }
-
- private:
-  PosTree tree_;
-};
-
-class MptSiriIndex : public SiriIndex {
- public:
-  explicit MptSiriIndex(ChunkStore* store) : tree_(store) {}
-
-  SiriBackend kind() const override {
-    return SiriBackend::kMerklePatriciaTrie;
-  }
-
-  Status Get(const Hash256& root, const Slice& key,
-             std::string* value) const override {
-    return tree_.Get(root, key, value);
-  }
-  Status GetWithProof(const Hash256& root, const Slice& key,
-                      std::string* value, SiriProof* proof) const override {
-    *proof = SiriProof();
-    proof->kind = SiriBackend::kMerklePatriciaTrie;
-    return tree_.GetWithProof(root, key, value, &proof->mpt);
-  }
-  Status Put(const Hash256& root, const Slice& key, const Slice& value,
-             Hash256* new_root) const override {
-    return tree_.Put(root, key, value, new_root);
-  }
-  Status Delete(const Hash256& root, const Slice& key,
-                Hash256* new_root) const override {
-    return tree_.Delete(root, key, new_root);
-  }
-  Status Count(const Hash256& root, uint64_t* count) const override {
-    return tree_.Count(root, count);
-  }
-  Status CollectChunks(
-      const Hash256& root,
-      std::unordered_set<Hash256, Hash256Hasher>* live) const override {
-    return tree_.CollectChunks(root, live);
-  }
-
- private:
-  MerklePatriciaTrie tree_;
-};
-
-class MbtSiriIndex : public SiriIndex {
- public:
-  MbtSiriIndex(ChunkStore* store, uint32_t bucket_count)
-      : tree_(store, MerkleBucketTree::Options(bucket_count)) {}
-
-  SiriBackend kind() const override { return SiriBackend::kMerkleBucketTree; }
-
-  Status Get(const Hash256& root, const Slice& key,
-             std::string* value) const override {
-    return tree_.Get(root, key, value);
-  }
-  Status GetWithProof(const Hash256& root, const Slice& key,
-                      std::string* value, SiriProof* proof) const override {
-    *proof = SiriProof();
-    proof->kind = SiriBackend::kMerkleBucketTree;
-    return tree_.GetWithProof(root, key, value, &proof->mbt);
-  }
-  Status Put(const Hash256& root, const Slice& key, const Slice& value,
-             Hash256* new_root) const override {
-    return tree_.Put(root, key, value, new_root);
-  }
-  Status Delete(const Hash256& root, const Slice& key,
-                Hash256* new_root) const override {
-    return tree_.Delete(root, key, new_root);
-  }
-  Status Count(const Hash256& root, uint64_t* count) const override {
-    return tree_.Count(root, count);
-  }
-  Status CollectChunks(
-      const Hash256& root,
-      std::unordered_set<Hash256, Hash256Hasher>* live) const override {
-    return tree_.CollectChunks(root, live);
-  }
-
- private:
-  MerkleBucketTree tree_;
 };
 
 }  // namespace
@@ -389,8 +318,9 @@ std::unique_ptr<SiriIndex> MakeSiriIndex(SiriBackend kind, ChunkStore* store,
       return std::make_unique<MptSiriIndex>(store);
     case SiriBackend::kMerkleBucketTree:
       return std::make_unique<MbtSiriIndex>(
-          store, options.mbt_bucket_count == 0 ? 256u
-                                               : options.mbt_bucket_count);
+          store, MerkleBucketTree::Options(options.mbt_bucket_count == 0
+                                               ? 256u
+                                               : options.mbt_bucket_count));
   }
   return std::make_unique<PosSiriIndex>(store, options.pos);
 }

@@ -104,10 +104,11 @@ struct SiriIndexOptions {
 
 // The unified index interface. A version is a root hash; all mutating
 // operations return the root of a new version and never touch existing
-// chunks, so any number of versions can be read concurrently. Backends
-// that cannot serve ordered scans report SupportsScan() == false and
-// return NotSupported from the scan entry points — callers fall back to
-// iterator-free paths.
+// chunks, so any number of versions can be read concurrently. Reads come
+// in two shapes, a point read and a range read, each one traversal whose
+// visited nodes double as the proof when the caller asks for one.
+// Backends that cannot serve ordered scans report SupportsScan() ==
+// false and return NotSupported from Scan.
 class SiriIndex {
  public:
   virtual ~SiriIndex() = default;
@@ -115,9 +116,7 @@ class SiriIndex {
   virtual SiriBackend kind() const = 0;
   const char* name() const { return SiriBackendName(kind()); }
 
-  // --- Capability flags ---------------------------------------------------
   virtual bool SupportsScan() const { return false; }
-  virtual bool SupportsBulkBuild() const { return false; }
 
   // The empty index is the zero hash for every backend.
   Hash256 EmptyRoot() const { return Hash256(); }
@@ -126,11 +125,22 @@ class SiriIndex {
   // accept a cache here; others ignore it.
   virtual void SetNodeCache(BufferCache* /*cache*/) {}
 
-  // --- Core operations ----------------------------------------------------
+  // --- Reads --------------------------------------------------------------
+
+  // Point read of `key` in the version `root`; NotFound if absent. A
+  // non-null `proof` receives the membership (or non-membership) proof
+  // assembled from the same traversal; null skips the proof work.
   virtual Status Get(const Hash256& root, const Slice& key,
-                     std::string* value) const = 0;
-  virtual Status GetWithProof(const Hash256& root, const Slice& key,
-                              std::string* value, SiriProof* proof) const = 0;
+                     std::string* value, SiriProof* proof) const = 0;
+  // Range read of [start, end), at most `limit` rows (0 = no limit), in
+  // key order; `proof` as for Get. NotSupported unless SupportsScan().
+  virtual Status Scan(const Hash256& root, const Slice& start,
+                      const Slice& end, size_t limit,
+                      std::vector<PosEntry>* out,
+                      SiriRangeProof* proof) const;
+
+  // --- Writes -------------------------------------------------------------
+
   virtual Status Put(const Hash256& root, const Slice& key, const Slice& value,
                      Hash256* new_root) const = 0;
   virtual Status Delete(const Hash256& root, const Slice& key,
@@ -150,15 +160,6 @@ class SiriIndex {
   // Bulk-builds a tree from entries (last write per key wins). The
   // default loops Put; backends with a native builder override.
   virtual Status Build(std::vector<PosEntry> entries, Hash256* root) const;
-
-  // --- Optional capabilities (SupportsScan) -------------------------------
-  virtual Status Scan(const Hash256& root, const Slice& start,
-                      const Slice& end, size_t limit,
-                      std::vector<PosEntry>* out) const;
-  virtual Status ScanWithProof(const Hash256& root, const Slice& start,
-                               const Slice& end, size_t limit,
-                               std::vector<PosEntry>* out,
-                               SiriRangeProof* proof) const;
 };
 
 // Constructs the backend named by `kind` over `store`.

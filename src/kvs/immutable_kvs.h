@@ -73,14 +73,14 @@ class ImmutableKvs {
   Status Get(const Slice& key, std::string* value) const {
     ScopedTimer timer(read_ns_);
     Hash256 root = CurrentRoot();
-    return index_.Get(root, key, value);
+    return index_.Get(root, key, value, nullptr);
   }
 
   Status Scan(const Slice& start, const Slice& end, size_t limit,
               std::vector<PosEntry>* out) const {
     ScopedTimer timer(scan_ns_);
     Hash256 root = CurrentRoot();
-    return index_.Scan(root, start, end, limit, out);
+    return index_.Scan(root, start, end, limit, out, nullptr);
   }
 
   Hash256 CurrentRoot() const {

@@ -232,7 +232,7 @@ Status SpitzServer::Handle(uint32_t method, const std::string& request,
     }
     case wire::kGet: {
       std::string value;
-      s = db_->Get(req.key, &value);
+      s = db_->Read(kCurrentVersion, req.key, &value, nullptr);
       if (s.ok()) PutLengthPrefixedSlice(response, value);
       return s;
     }
@@ -251,8 +251,8 @@ Status SpitzServer::Handle(uint32_t method, const std::string& request,
     }
     case wire::kScan: {
       std::vector<PosEntry> rows;
-      s = db_->Scan(req.start, req.end, static_cast<size_t>(req.limit),
-                    &rows);
+      s = db_->ReadRange(kCurrentVersion, req.start, req.end,
+                         static_cast<size_t>(req.limit), &rows, nullptr);
       if (!s.ok()) return s;
       wire::EncodeRows(rows, response);
       return Status::OK();
@@ -298,7 +298,7 @@ Status SpitzServer::Handle(uint32_t method, const std::string& request,
       // in the reply — the client verifies against the digest it pinned.
       std::string value;
       ReadProof proof;
-      s = db_->GetWithProofAt(req.root, req.key, &value, &proof);
+      s = db_->Read(req.root, req.key, &value, &proof);
       if (!s.ok() && !s.IsNotFound()) return s;
       PutLengthPrefixedSlice(response, s.ok() ? Slice(value) : Slice());
       proof.EncodeTo(response);
@@ -307,21 +307,17 @@ Status SpitzServer::Handle(uint32_t method, const std::string& request,
     case wire::kScanProofAt: {
       std::vector<PosEntry> rows;
       ScanProof proof;
-      s = db_->ScanWithProofAt(req.root, req.start, req.end,
-                               static_cast<size_t>(req.limit), &rows, &proof);
+      s = db_->ReadRange(req.root, req.start, req.end,
+                         static_cast<size_t>(req.limit), &rows, &proof);
       if (!s.ok()) return s;
       wire::EncodeRows(rows, response);
       proof.EncodeTo(response);
       return Status::OK();
     }
-    case wire::kAudit: {
-      // Synchronous audit verdict: queue the requested audit (a key's
-      // current binding, or the last sealed block when the key is
-      // empty), then drain so the reply carries the result.
-      s = req.key.empty() ? db_->AuditLastBlock() : db_->AuditKey(req.key);
-      if (!s.ok()) return s;
-      return db_->DrainAudits();
-    }
+    case wire::kAudit:
+      // Synchronous audit verdict: a key's current binding, or the last
+      // sealed block when the key is empty.
+      return db_->Audit(req.key);
     default:
       return Status::NotSupported("unknown method id");
   }

@@ -119,7 +119,7 @@ Status NonIntrusiveDb::HandleLedger(uint32_t method,
       if (!s.ok()) return s;
       std::string stored;
       ReadProof proof;
-      s = ledger_db_.GetWithProof(key, &stored, &proof);
+      s = ledger_db_.Read(kCurrentVersion, key, &stored, &proof);
       if (!s.ok()) return s;
       proof.EncodeTo(response);
       PutLengthPrefixedSlice(response, stored);

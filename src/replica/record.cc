@@ -33,7 +33,7 @@ Status EncodeReplicationRecord(const SpitzDb& db, uint64_t height,
     if (entries[i].op != LedgerEntry::Op::kPut) continue;
     record->push_back(surviving[i] ? '\x01' : '\0');
     if (!surviving[i]) continue;
-    s = db.GetAt(block->index_root(), entries[i].key, &value);
+    s = db.Read(block->index_root(), entries[i].key, &value, nullptr);
     if (!s.ok()) {
       return Status::NotFound(
           "cannot rebuild replication record for block " +

@@ -67,7 +67,7 @@ TEST(ConcurrencyTest, ConcurrentReadsWritesAndSeals) {
         if (!s.ok()) read_errors.fetch_add(1);
 
         ReadProof proof;
-        s = db.GetWithProof(key, &value, &proof);
+        s = db.Read(kCurrentVersion, key, &value, &proof);
         if (!s.ok() ||
             !proof.index_proof.Verify(proof.index_root, key, value).ok()) {
           read_errors.fetch_add(1);
@@ -78,7 +78,8 @@ TEST(ConcurrencyTest, ConcurrentReadsWritesAndSeals) {
         if (i % 16 == 0) {
           std::vector<PosEntry> out;
           ScanProof scan_proof;
-          if (!db.ScanWithProof("key0", "key9", 50, &out, &scan_proof)
+          if (!db.ReadRange(kCurrentVersion, "key0", "key9", 50, &out,
+                            &scan_proof)
                    .ok() ||
               !scan_proof.index_proof
                    .Verify(scan_proof.index_root, "key0", "key9", 50, out)
@@ -95,7 +96,7 @@ TEST(ConcurrencyTest, ConcurrentReadsWritesAndSeals) {
           std::string k2 = "key" + std::to_string(i % kKeys);
           // The digest may already be stale by the time the proof is
           // generated; only proof-vs-own-root consistency is asserted.
-          if (db.GetWithProof(k2, &v2, &p2).ok() &&
+          if (db.Read(kCurrentVersion, k2, &v2, &p2).ok() &&
               !p2.index_proof.Verify(p2.index_root, k2, v2).ok()) {
             read_errors.fetch_add(1);
           }
@@ -427,7 +428,7 @@ TEST(ConcurrencyTest, CachedAndUncachedTreesAgreeOnRootsAndProofs) {
   EXPECT_EQ(cached.Digest().index_root, uncached.Digest().index_root);
   std::string value;
   ReadProof proof;
-  ASSERT_TRUE(cached.GetWithProof("agree123", &value, &proof).ok());
+  ASSERT_TRUE(cached.Read(kCurrentVersion, "agree123", &value, &proof).ok());
   EXPECT_TRUE(SpitzDb::VerifyRead(uncached.Digest(), "agree123", value,
                                   proof)
                   .ok());
@@ -477,12 +478,12 @@ TEST(ConcurrencyTest, GroupCommitManyWritersMatchSerial) {
   // verifier holding the other tree's root.
   std::string value;
   ReadProof proof;
-  ASSERT_TRUE(concurrent.GetWithProof("gw3k77", &value, &proof).ok());
+  ASSERT_TRUE(concurrent.Read(kCurrentVersion, "gw3k77", &value, &proof).ok());
   EXPECT_TRUE(proof.index_proof.Verify(serial.Digest().index_root, "gw3k77",
                                        value)
                   .ok());
   ReadProof back;
-  ASSERT_TRUE(serial.GetWithProof("gw5k123", &value, &back).ok());
+  ASSERT_TRUE(serial.Read(kCurrentVersion, "gw5k123", &value, &back).ok());
   EXPECT_TRUE(back.index_proof.Verify(concurrent.Digest().index_root,
                                       "gw5k123", value)
                   .ok());
@@ -610,7 +611,7 @@ TEST(ConcurrencyTest, VersionGcRacesReadersWritersAndAuditors) {
           std::string key = "gckey" + std::to_string(i % kKeys);
           ReadProof proof;
           SpitzDigest digest = db->Digest();
-          Status s = db->GetWithProof(key, &value, &proof);
+          Status s = db->Read(kCurrentVersion, key, &value, &proof);
           if (!s.ok() && !s.IsNotFound()) {
             read_errors.fetch_add(1);
           } else if (s.ok() && proof.index_root == digest.index_root &&
@@ -663,7 +664,7 @@ TEST(ConcurrencyTest, VersionGcRacesReadersWritersAndAuditors) {
     for (int i = 0; i < kKeys; i++) {
       std::string key = "gckey" + std::to_string(i);
       ReadProof proof;
-      ASSERT_TRUE(db->GetWithProof(key, &value, &proof).ok()) << key;
+      ASSERT_TRUE(db->Read(kCurrentVersion, key, &value, &proof).ok()) << key;
       EXPECT_TRUE(
           SpitzDb::VerifyRead(db->Digest(), key, value, proof).ok());
     }

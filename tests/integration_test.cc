@@ -77,7 +77,8 @@ TEST_F(IntegrationTest, SqlOverDurableDbSurvivesRestart) {
   // pre-restart digest (the SQL layer keys cells as t<id>/<pk>/<col>).
   std::string value;
   ReadProof proof;
-  ASSERT_TRUE(db->GetWithProof("t1/acc7/balance", &value, &proof).ok());
+  ASSERT_TRUE(
+      db->Read(kCurrentVersion, "t1/acc7/balance", &value, &proof).ok());
   EXPECT_EQ(value, "700");
   EXPECT_TRUE(client.CheckRead("t1/acc7/balance", value, proof).ok());
 
@@ -146,12 +147,12 @@ TEST_F(IntegrationTest, HistoryQueriesAcrossRestart) {
   ASSERT_TRUE(db->IndexRootAt(0, &root_gen0).ok());
   ASSERT_TRUE(db->IndexRootAt(2, &root_gen2).ok());
   std::string value;
-  ASSERT_TRUE(db->GetAt(root_gen0, "doc", &value).ok());
+  ASSERT_TRUE(db->Read(root_gen0, "doc", &value, nullptr).ok());
   EXPECT_EQ(value, "draft");
-  ASSERT_TRUE(db->GetAt(root_gen2, "doc", &value).ok());
+  ASSERT_TRUE(db->Read(root_gen2, "doc", &value, nullptr).ok());
   EXPECT_EQ(value, "final");
   // Iterators over historical versions work post-recovery.
-  auto it = db->NewIteratorAt(root_gen0);
+  auto it = db->NewIterator(root_gen0);
   it->Seek("doc");
   ASSERT_TRUE(it->Valid());
   EXPECT_EQ(it->value().ToString(), "draft");

@@ -138,7 +138,7 @@ TEST_F(IteratorTest, HistoricalVersionIteration) {
   }
   Hash256 old_root;
   ASSERT_TRUE(db.IndexRootAt(0, &old_root).ok());
-  auto it = db.NewIteratorAt(old_root);
+  auto it = db.NewIterator(old_root);
   int old_values = 0;
   for (it->SeekToFirst(); it->Valid(); it->Next()) {
     if (it->value() == Slice("old")) old_values++;

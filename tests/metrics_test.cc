@@ -228,8 +228,9 @@ TEST(MetricsEndToEndTest, ProofAndLatencyHistogramsPerBackend) {
     ReadProof proof;
     for (int i = 0; i < 32; i++) {
       ASSERT_TRUE(db.Get("key" + std::to_string(i), &value).ok());
-      ASSERT_TRUE(
-          db.GetWithProof("key" + std::to_string(i), &value, &proof).ok());
+      ASSERT_TRUE(db.Read(kCurrentVersion, "key" + std::to_string(i), &value,
+                          &proof)
+                      .ok());
     }
     ASSERT_TRUE(db.DrainAudits().ok());
 
@@ -321,7 +322,9 @@ TEST(MetricsEndToEndTest, RangeProofBytesRecordedForScans) {
   }
   std::vector<PosEntry> rows;
   ScanProof proof;
-  ASSERT_TRUE(db.ScanWithProof("k000010", "k000030", 0, &rows, &proof).ok());
+  ASSERT_TRUE(db.ReadRange(kCurrentVersion, "k000010", "k000030", 0, &rows,
+                           &proof)
+                  .ok());
   MetricsSnapshot snap = db.Metrics();
   const HistogramSnapshot* bytes =
       snap.FindHistogram("index.siri.range_proof_bytes.pos-tree");
@@ -351,7 +354,7 @@ TEST(MetricsEndToEndTest, ClientSideVerifyLatencyLandsInGlobalRegistry) {
   ASSERT_TRUE(db.Put("k", "v").ok());
   std::string value;
   ReadProof proof;
-  ASSERT_TRUE(db.GetWithProof("k", &value, &proof).ok());
+  ASSERT_TRUE(db.Read(kCurrentVersion, "k", &value, &proof).ok());
   MetricsSnapshot baseline = MetricsRegistry::Global()->Snapshot();
   const HistogramSnapshot* prior =
       baseline.FindHistogram("client.db.verify_read_latency_ns");

@@ -22,7 +22,8 @@ class MptTest : public ::testing::Test {
 TEST_F(MptTest, EmptyTrie) {
   std::string value;
   EXPECT_TRUE(
-      trie_.Get(MerklePatriciaTrie::EmptyRoot(), "x", &value).IsNotFound());
+      trie_.Get(MerklePatriciaTrie::EmptyRoot(), "x", &value, nullptr)
+          .IsNotFound());
 }
 
 TEST_F(MptTest, PutGetSingle) {
@@ -31,11 +32,11 @@ TEST_F(MptTest, PutGetSingle) {
                         &root)
                   .ok());
   std::string value;
-  ASSERT_TRUE(trie_.Get(root, "key", &value).ok());
+  ASSERT_TRUE(trie_.Get(root, "key", &value, nullptr).ok());
   EXPECT_EQ(value, "value");
-  EXPECT_TRUE(trie_.Get(root, "kex", &value).IsNotFound());
-  EXPECT_TRUE(trie_.Get(root, "ke", &value).IsNotFound());
-  EXPECT_TRUE(trie_.Get(root, "keyy", &value).IsNotFound());
+  EXPECT_TRUE(trie_.Get(root, "kex", &value, nullptr).IsNotFound());
+  EXPECT_TRUE(trie_.Get(root, "ke", &value, nullptr).IsNotFound());
+  EXPECT_TRUE(trie_.Get(root, "keyy", &value, nullptr).IsNotFound());
 }
 
 TEST_F(MptTest, SharedPrefixesSplitCorrectly) {
@@ -45,13 +46,13 @@ TEST_F(MptTest, SharedPrefixesSplitCorrectly) {
   ASSERT_TRUE(trie_.Put(root, "ab", "3", &root).ok());
   ASSERT_TRUE(trie_.Put(root, "zz", "4", &root).ok());
   std::string value;
-  ASSERT_TRUE(trie_.Get(root, "abcd", &value).ok());
+  ASSERT_TRUE(trie_.Get(root, "abcd", &value, nullptr).ok());
   EXPECT_EQ(value, "1");
-  ASSERT_TRUE(trie_.Get(root, "abxy", &value).ok());
+  ASSERT_TRUE(trie_.Get(root, "abxy", &value, nullptr).ok());
   EXPECT_EQ(value, "2");
-  ASSERT_TRUE(trie_.Get(root, "ab", &value).ok());
+  ASSERT_TRUE(trie_.Get(root, "ab", &value, nullptr).ok());
   EXPECT_EQ(value, "3");
-  ASSERT_TRUE(trie_.Get(root, "zz", &value).ok());
+  ASSERT_TRUE(trie_.Get(root, "zz", &value, nullptr).ok());
   EXPECT_EQ(value, "4");
   uint64_t count = 0;
   ASSERT_TRUE(trie_.Count(root, &count).ok());
@@ -63,7 +64,7 @@ TEST_F(MptTest, OverwriteKeepsCount) {
   ASSERT_TRUE(trie_.Put(root, "k", "v1", &root).ok());
   ASSERT_TRUE(trie_.Put(root, "k", "v2", &root).ok());
   std::string value;
-  ASSERT_TRUE(trie_.Get(root, "k", &value).ok());
+  ASSERT_TRUE(trie_.Get(root, "k", &value, nullptr).ok());
   EXPECT_EQ(value, "v2");
   uint64_t count = 0;
   ASSERT_TRUE(trie_.Count(root, &count).ok());
@@ -134,7 +135,7 @@ TEST_F(MptTest, RandomOpsMatchStdMap) {
       EXPECT_EQ(s.ok(), oracle.erase(key) > 0);
     } else {
       std::string value;
-      Status s = trie_.Get(root, key, &value);
+      Status s = trie_.Get(root, key, &value, nullptr);
       auto it = oracle.find(key);
       if (it == oracle.end()) {
         EXPECT_TRUE(s.IsNotFound());
@@ -165,7 +166,7 @@ TEST_F(MptTest, MembershipProofVerifies) {
   }
   std::string value;
   MerklePatriciaTrie::Proof proof;
-  ASSERT_TRUE(trie_.GetWithProof(root, "key250", &value, &proof).ok());
+  ASSERT_TRUE(trie_.Get(root, "key250", &value, &proof).ok());
   EXPECT_EQ(value, "val250");
   EXPECT_TRUE(
       MerklePatriciaTrie::VerifyProof(root, "key250", value, proof).ok());
@@ -182,7 +183,7 @@ TEST_F(MptTest, NonMembershipProofVerifies) {
   std::string value;
   MerklePatriciaTrie::Proof proof;
   EXPECT_TRUE(
-      trie_.GetWithProof(root, "key-missing", &value, &proof).IsNotFound());
+      trie_.Get(root, "key-missing", &value, &proof).IsNotFound());
   EXPECT_TRUE(
       MerklePatriciaTrie::VerifyProof(root, "key-missing", std::nullopt, proof)
           .ok());
@@ -193,7 +194,7 @@ TEST_F(MptTest, ProofRejectsWrongRoot) {
   ASSERT_TRUE(trie_.Put(root, "a", "1", &root).ok());
   std::string value;
   MerklePatriciaTrie::Proof proof;
-  ASSERT_TRUE(trie_.GetWithProof(root, "a", &value, &proof).ok());
+  ASSERT_TRUE(trie_.Get(root, "a", &value, &proof).ok());
   EXPECT_FALSE(
       MerklePatriciaTrie::VerifyProof(Hash256::Of("x"), "a", value, proof)
           .ok());
@@ -210,7 +211,7 @@ TEST_F(MptTest, VersionSharing) {
   uint64_t added = store_.stats().chunk_count - before;
   EXPECT_LE(added, 16u);  // path copy only
   std::string value;
-  ASSERT_TRUE(trie_.Get(root, "key2500", &value).ok());
+  ASSERT_TRUE(trie_.Get(root, "key2500", &value, nullptr).ok());
   EXPECT_EQ(value, "v");  // old version intact
 }
 
@@ -225,7 +226,8 @@ class MbtTest : public ::testing::Test {
 TEST_F(MbtTest, EmptyTree) {
   std::string value;
   EXPECT_TRUE(
-      tree_.Get(MerkleBucketTree::EmptyRoot(), "x", &value).IsNotFound());
+      tree_.Get(MerkleBucketTree::EmptyRoot(), "x", &value, nullptr)
+          .IsNotFound());
 }
 
 TEST_F(MbtTest, PutGetDelete) {
@@ -233,7 +235,7 @@ TEST_F(MbtTest, PutGetDelete) {
   ASSERT_TRUE(
       tree_.Put(MerkleBucketTree::EmptyRoot(), "key", "value", &root).ok());
   std::string value;
-  ASSERT_TRUE(tree_.Get(root, "key", &value).ok());
+  ASSERT_TRUE(tree_.Get(root, "key", &value, nullptr).ok());
   EXPECT_EQ(value, "value");
   ASSERT_TRUE(tree_.Delete(root, "key", &root).ok());
   EXPECT_TRUE(root.IsZero());
@@ -251,7 +253,7 @@ TEST_F(MbtTest, ManyKeysAcrossBuckets) {
   ASSERT_TRUE(tree_.Count(root, &count).ok());
   EXPECT_EQ(count, 2000u);
   std::string value;
-  ASSERT_TRUE(tree_.Get(root, "key1234", &value).ok());
+  ASSERT_TRUE(tree_.Get(root, "key1234", &value, nullptr).ok());
   EXPECT_EQ(value, "v1234");
 }
 
@@ -285,7 +287,7 @@ TEST_F(MbtTest, ProofVerifies) {
   }
   std::string value;
   MerkleBucketTree::Proof proof;
-  ASSERT_TRUE(tree_.GetWithProof(root, "key77", &value, &proof).ok());
+  ASSERT_TRUE(tree_.Get(root, "key77", &value, &proof).ok());
   EXPECT_TRUE(
       MerkleBucketTree::VerifyProof(root, "key77", value, proof).ok());
   EXPECT_FALSE(MerkleBucketTree::VerifyProof(root, "key77",
@@ -300,7 +302,7 @@ TEST_F(MbtTest, NonMembershipProof) {
   }
   std::string value;
   MerkleBucketTree::Proof proof;
-  EXPECT_TRUE(tree_.GetWithProof(root, "absent", &value, &proof).IsNotFound());
+  EXPECT_TRUE(tree_.Get(root, "absent", &value, &proof).IsNotFound());
   EXPECT_TRUE(
       MerkleBucketTree::VerifyProof(root, "absent", std::nullopt, proof).ok());
 }
@@ -310,7 +312,7 @@ TEST_F(MbtTest, ProofRejectsTamperedDirectory) {
   ASSERT_TRUE(tree_.Put(root, "a", "1", &root).ok());
   std::string value;
   MerkleBucketTree::Proof proof;
-  ASSERT_TRUE(tree_.GetWithProof(root, "a", &value, &proof).ok());
+  ASSERT_TRUE(tree_.Get(root, "a", &value, &proof).ok());
   proof.directory_payload[0] ^= 1;
   EXPECT_FALSE(MerkleBucketTree::VerifyProof(root, "a", value, proof).ok());
 }

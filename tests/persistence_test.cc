@@ -250,7 +250,7 @@ TEST_F(PersistenceTest, ProofsVerifyAfterRecovery) {
   SpitzDigest digest = db->Digest();
   std::string value;
   ReadProof proof;
-  ASSERT_TRUE(db->GetWithProof("k33", &value, &proof).ok());
+  ASSERT_TRUE(db->Read(kCurrentVersion, "k33", &value, &proof).ok());
   EXPECT_TRUE(SpitzDb::VerifyRead(digest, "k33", value, proof).ok());
   // Historical entries recovered from disk remain provable.
   JournalEntryProof jproof;
@@ -533,7 +533,7 @@ TEST_F(PersistenceTest, StoreManyTimesTheCacheVerifiesCollectsAndReopens) {
                                      kRecords);
       std::string value;
       ReadProof proof;
-      if (!db->GetWithProof(PagedKey(k), &value, &proof).ok() ||
+      if (!db->Read(kCurrentVersion, PagedKey(k), &value, &proof).ok() ||
           !SpitzDb::VerifyRead(digest, PagedKey(k), value, proof).ok() ||
           value != PagedLatest(k, kValueBytes)) {
         verify_failures++;
@@ -570,7 +570,7 @@ TEST_F(PersistenceTest, StoreManyTimesTheCacheVerifiesCollectsAndReopens) {
   for (int i = 0; i < kRecords; i += kRecords / 1000) {
     std::string value;
     ReadProof proof;
-    if (!db->GetWithProof(PagedKey(i), &value, &proof).ok() ||
+    if (!db->Read(kCurrentVersion, PagedKey(i), &value, &proof).ok() ||
         !SpitzDb::VerifyRead(digest, PagedKey(i), value, proof).ok() ||
         value != PagedLatest(i, kValueBytes)) {
       reopen_failures++;

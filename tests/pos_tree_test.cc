@@ -30,7 +30,7 @@ std::vector<PosEntry> MakeEntries(int n, const std::string& prefix = "key") {
 TEST_F(PosTreeTest, EmptyTree) {
   Hash256 root = PosTree::EmptyRoot();
   std::string value;
-  EXPECT_TRUE(tree_.Get(root, "any", &value).IsNotFound());
+  EXPECT_TRUE(tree_.Get(root, "any", &value, nullptr).IsNotFound());
   uint64_t count = 99;
   ASSERT_TRUE(tree_.Count(root, &count).ok());
   EXPECT_EQ(count, 0u);
@@ -40,9 +40,9 @@ TEST_F(PosTreeTest, BuildAndGetSmall) {
   Hash256 root;
   ASSERT_TRUE(tree_.Build(MakeEntries(10), &root).ok());
   std::string value;
-  ASSERT_TRUE(tree_.Get(root, "key00000003", &value).ok());
+  ASSERT_TRUE(tree_.Get(root, "key00000003", &value, nullptr).ok());
   EXPECT_EQ(value, "value-3");
-  EXPECT_TRUE(tree_.Get(root, "missing", &value).IsNotFound());
+  EXPECT_TRUE(tree_.Get(root, "missing", &value, nullptr).IsNotFound());
 }
 
 TEST_F(PosTreeTest, BuildAndGetLarge) {
@@ -59,7 +59,7 @@ TEST_F(PosTreeTest, BuildAndGetLarge) {
   for (int i : {0, 1, 4242, 9999, 19999}) {
     char buf[32];
     snprintf(buf, sizeof(buf), "key%08d", i);
-    ASSERT_TRUE(tree_.Get(root, buf, &value).ok()) << i;
+    ASSERT_TRUE(tree_.Get(root, buf, &value, nullptr).ok()) << i;
     EXPECT_EQ(value, "value-" + std::to_string(i));
   }
 }
@@ -69,7 +69,7 @@ TEST_F(PosTreeTest, BuildDeduplicatesKeysLastWins) {
   Hash256 root;
   ASSERT_TRUE(tree_.Build(entries, &root).ok());
   std::string value;
-  ASSERT_TRUE(tree_.Get(root, "k", &value).ok());
+  ASSERT_TRUE(tree_.Get(root, "k", &value, nullptr).ok());
   EXPECT_EQ(value, "second");
   uint64_t count;
   ASSERT_TRUE(tree_.Count(root, &count).ok());
@@ -204,9 +204,9 @@ TEST_F(PosTreeTest, OldVersionRemainsReadable) {
   Hash256 v2;
   ASSERT_TRUE(tree_.Put(v1, "key00000500", "changed", &v2).ok());
   std::string value;
-  ASSERT_TRUE(tree_.Get(v1, "key00000500", &value).ok());
+  ASSERT_TRUE(tree_.Get(v1, "key00000500", &value, nullptr).ok());
   EXPECT_EQ(value, "value-500");
-  ASSERT_TRUE(tree_.Get(v2, "key00000500", &value).ok());
+  ASSERT_TRUE(tree_.Get(v2, "key00000500", &value, nullptr).ok());
   EXPECT_EQ(value, "changed");
 }
 
@@ -249,7 +249,7 @@ TEST_P(PosTreeOracleTest, RandomOpsMatchStdMap) {
       }
     } else {  // get
       std::string value;
-      Status s = tree.Get(root, key, &value);
+      Status s = tree.Get(root, key, &value, nullptr);
       auto it = oracle.find(key);
       if (it == oracle.end()) {
         ASSERT_TRUE(s.IsNotFound());
@@ -265,7 +265,7 @@ TEST_P(PosTreeOracleTest, RandomOpsMatchStdMap) {
   ASSERT_TRUE(tree.Count(root, &count).ok());
   EXPECT_EQ(count, oracle.size());
   std::vector<PosEntry> scan;
-  ASSERT_TRUE(tree.Scan(root, "", "", 0, &scan).ok());
+  ASSERT_TRUE(tree.Scan(root, "", "", 0, &scan, nullptr).ok());
   ASSERT_EQ(scan.size(), oracle.size());
   size_t i = 0;
   for (const auto& [k, v] : oracle) {
@@ -293,7 +293,8 @@ TEST_F(PosTreeTest, ScanRange) {
   Hash256 root;
   ASSERT_TRUE(tree_.Build(MakeEntries(1000), &root).ok());
   std::vector<PosEntry> out;
-  ASSERT_TRUE(tree_.Scan(root, "key00000100", "key00000110", 0, &out).ok());
+  ASSERT_TRUE(
+      tree_.Scan(root, "key00000100", "key00000110", 0, &out, nullptr).ok());
   ASSERT_EQ(out.size(), 10u);
   EXPECT_EQ(out.front().key, "key00000100");
   EXPECT_EQ(out.back().key, "key00000109");
@@ -303,7 +304,7 @@ TEST_F(PosTreeTest, ScanWithLimit) {
   Hash256 root;
   ASSERT_TRUE(tree_.Build(MakeEntries(1000), &root).ok());
   std::vector<PosEntry> out;
-  ASSERT_TRUE(tree_.Scan(root, "key00000100", "", 25, &out).ok());
+  ASSERT_TRUE(tree_.Scan(root, "key00000100", "", 25, &out, nullptr).ok());
   ASSERT_EQ(out.size(), 25u);
   EXPECT_EQ(out.front().key, "key00000100");
   EXPECT_EQ(out.back().key, "key00000124");
@@ -313,7 +314,7 @@ TEST_F(PosTreeTest, ScanOpenEnded) {
   Hash256 root;
   ASSERT_TRUE(tree_.Build(MakeEntries(100), &root).ok());
   std::vector<PosEntry> out;
-  ASSERT_TRUE(tree_.Scan(root, "key00000095", "", 0, &out).ok());
+  ASSERT_TRUE(tree_.Scan(root, "key00000095", "", 0, &out, nullptr).ok());
   EXPECT_EQ(out.size(), 5u);
 }
 
@@ -321,7 +322,7 @@ TEST_F(PosTreeTest, ScanEmptyRange) {
   Hash256 root;
   ASSERT_TRUE(tree_.Build(MakeEntries(100), &root).ok());
   std::vector<PosEntry> out;
-  ASSERT_TRUE(tree_.Scan(root, "zzz", "", 0, &out).ok());
+  ASSERT_TRUE(tree_.Scan(root, "zzz", "", 0, &out, nullptr).ok());
   EXPECT_TRUE(out.empty());
 }
 
@@ -332,7 +333,7 @@ TEST_F(PosTreeTest, MembershipProofVerifies) {
   ASSERT_TRUE(tree_.Build(MakeEntries(5000), &root).ok());
   std::string value;
   PosProof proof;
-  ASSERT_TRUE(tree_.GetWithProof(root, "key00002500", &value, &proof).ok());
+  ASSERT_TRUE(tree_.Get(root, "key00002500", &value, &proof).ok());
   EXPECT_EQ(value, "value-2500");
   EXPECT_TRUE(PosTree::VerifyProof(root, "key00002500", value, proof).ok());
 }
@@ -343,7 +344,7 @@ TEST_F(PosTreeTest, NonMembershipProofVerifies) {
   std::string value;
   PosProof proof;
   EXPECT_TRUE(
-      tree_.GetWithProof(root, "key00002500x", &value, &proof).IsNotFound());
+      tree_.Get(root, "key00002500x", &value, &proof).IsNotFound());
   EXPECT_TRUE(
       PosTree::VerifyProof(root, "key00002500x", std::nullopt, proof).ok());
   // Claiming the absent key is present must fail.
@@ -357,7 +358,7 @@ TEST_F(PosTreeTest, ProofRejectsWrongValue) {
   ASSERT_TRUE(tree_.Build(MakeEntries(1000), &root).ok());
   std::string value;
   PosProof proof;
-  ASSERT_TRUE(tree_.GetWithProof(root, "key00000042", &value, &proof).ok());
+  ASSERT_TRUE(tree_.Get(root, "key00000042", &value, &proof).ok());
   EXPECT_FALSE(
       PosTree::VerifyProof(root, "key00000042", std::string("wrong"), proof)
           .ok());
@@ -368,7 +369,7 @@ TEST_F(PosTreeTest, ProofRejectsWrongRoot) {
   ASSERT_TRUE(tree_.Build(MakeEntries(1000), &root).ok());
   std::string value;
   PosProof proof;
-  ASSERT_TRUE(tree_.GetWithProof(root, "key00000042", &value, &proof).ok());
+  ASSERT_TRUE(tree_.Get(root, "key00000042", &value, &proof).ok());
   EXPECT_FALSE(
       PosTree::VerifyProof(Hash256::Of("evil"), "key00000042", value, proof)
           .ok());
@@ -379,7 +380,7 @@ TEST_F(PosTreeTest, ProofRejectsTamperedPayload) {
   ASSERT_TRUE(tree_.Build(MakeEntries(1000), &root).ok());
   std::string value;
   PosProof proof;
-  ASSERT_TRUE(tree_.GetWithProof(root, "key00000042", &value, &proof).ok());
+  ASSERT_TRUE(tree_.Get(root, "key00000042", &value, &proof).ok());
   ASSERT_GE(proof.node_payloads.size(), 2u);
   proof.node_payloads.back()[3] ^= 0x1;
   EXPECT_FALSE(
@@ -393,7 +394,7 @@ TEST_F(PosTreeTest, ProofAgainstStaleRootFails) {
   ASSERT_TRUE(tree_.Put(v1, "key00000042", "updated", &v2).ok());
   std::string value;
   PosProof proof;
-  ASSERT_TRUE(tree_.GetWithProof(v2, "key00000042", &value, &proof).ok());
+  ASSERT_TRUE(tree_.Get(v2, "key00000042", &value, &proof).ok());
   // A proof from v2 does not verify against the v1 digest.
   EXPECT_FALSE(PosTree::VerifyProof(v1, "key00000042", value, proof).ok());
 }
@@ -405,8 +406,8 @@ TEST_F(PosTreeTest, RangeProofVerifies) {
   ASSERT_TRUE(tree_.Build(MakeEntries(10000), &root).ok());
   std::vector<PosEntry> out;
   PosRangeProof proof;
-  ASSERT_TRUE(tree_.ScanWithProof(root, "key00003000", "key00003100", 0, &out,
-                                  &proof)
+  ASSERT_TRUE(tree_.Scan(root, "key00003000", "key00003100", 0, &out,
+                         &proof)
                   .ok());
   ASSERT_EQ(out.size(), 100u);
   EXPECT_TRUE(PosTree::VerifyRangeProof(root, "key00003000", "key00003100", 0,
@@ -419,8 +420,8 @@ TEST_F(PosTreeTest, RangeProofRejectsDroppedResult) {
   ASSERT_TRUE(tree_.Build(MakeEntries(10000), &root).ok());
   std::vector<PosEntry> out;
   PosRangeProof proof;
-  ASSERT_TRUE(tree_.ScanWithProof(root, "key00003000", "key00003100", 0, &out,
-                                  &proof)
+  ASSERT_TRUE(tree_.Scan(root, "key00003000", "key00003100", 0, &out,
+                         &proof)
                   .ok());
   out.erase(out.begin() + 50);  // server drops a row
   EXPECT_FALSE(PosTree::VerifyRangeProof(root, "key00003000", "key00003100",
@@ -433,8 +434,8 @@ TEST_F(PosTreeTest, RangeProofRejectsModifiedResult) {
   ASSERT_TRUE(tree_.Build(MakeEntries(10000), &root).ok());
   std::vector<PosEntry> out;
   PosRangeProof proof;
-  ASSERT_TRUE(tree_.ScanWithProof(root, "key00003000", "key00003100", 0, &out,
-                                  &proof)
+  ASSERT_TRUE(tree_.Scan(root, "key00003000", "key00003100", 0, &out,
+                         &proof)
                   .ok());
   out[10].value = "forged";
   EXPECT_FALSE(PosTree::VerifyRangeProof(root, "key00003000", "key00003100",
@@ -448,7 +449,7 @@ TEST_F(PosTreeTest, RangeProofWithLimitVerifies) {
   std::vector<PosEntry> out;
   PosRangeProof proof;
   ASSERT_TRUE(
-      tree_.ScanWithProof(root, "key00003000", "", 37, &out, &proof).ok());
+      tree_.Scan(root, "key00003000", "", 37, &out, &proof).ok());
   ASSERT_EQ(out.size(), 37u);
   EXPECT_TRUE(
       PosTree::VerifyRangeProof(root, "key00003000", "", 37, out, proof)
@@ -458,8 +459,8 @@ TEST_F(PosTreeTest, RangeProofWithLimitVerifies) {
 TEST_F(PosTreeTest, EmptyRangeProofOnEmptyTree) {
   std::vector<PosEntry> out;
   PosRangeProof proof;
-  ASSERT_TRUE(tree_.ScanWithProof(PosTree::EmptyRoot(), "a", "z", 0, &out,
-                                  &proof)
+  ASSERT_TRUE(tree_.Scan(PosTree::EmptyRoot(), "a", "z", 0, &out,
+                         &proof)
                   .ok());
   EXPECT_TRUE(out.empty());
   EXPECT_TRUE(

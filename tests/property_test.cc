@@ -56,7 +56,7 @@ TEST_P(PosTreeOptionsSweep, StructuralInvarianceHolds) {
     if (checked++ > 40) break;
     std::string value;
     PosProof proof;
-    ASSERT_TRUE(tree.GetWithProof(root, k, &value, &proof).ok());
+    ASSERT_TRUE(tree.Get(root, k, &value, &proof).ok());
     EXPECT_TRUE(PosTree::VerifyProof(root, k, value, proof).ok());
   }
 }
@@ -94,7 +94,7 @@ TEST(PosTreeCapDominatedTest, InvarianceUnderCapCuts) {
   EXPECT_EQ(root, rebuilt);
   // Scans and proofs still correct under the pathological shape.
   std::vector<PosEntry> scan;
-  ASSERT_TRUE(tree.Scan(root, "", "", 0, &scan).ok());
+  ASSERT_TRUE(tree.Scan(root, "", "", 0, &scan, nullptr).ok());
   EXPECT_EQ(scan.size(), oracle.size());
 }
 
@@ -132,12 +132,12 @@ TEST_P(PosTreeHostileKeys, RoundTripsAndProves) {
   for (const auto& [k, v] : oracle) {
     std::string value;
     PosProof proof;
-    ASSERT_TRUE(tree.GetWithProof(root, k, &value, &proof).ok());
+    ASSERT_TRUE(tree.Get(root, k, &value, &proof).ok());
     EXPECT_EQ(value, v);
     EXPECT_TRUE(PosTree::VerifyProof(root, k, value, proof).ok());
   }
   std::vector<PosEntry> scan;
-  ASSERT_TRUE(tree.Scan(root, "", "", 0, &scan).ok());
+  ASSERT_TRUE(tree.Scan(root, "", "", 0, &scan, nullptr).ok());
   ASSERT_EQ(scan.size(), oracle.size());
   auto oit = oracle.begin();
   for (const PosEntry& e : scan) {
@@ -253,7 +253,7 @@ TEST_P(SpitzBlockSizeSweep, DigestsProofsAndConsistency) {
 
   std::string value;
   ReadProof proof;
-  ASSERT_TRUE(db.GetWithProof("k99", &value, &proof).ok());
+  ASSERT_TRUE(db.Read(kCurrentVersion, "k99", &value, &proof).ok());
   EXPECT_TRUE(SpitzDb::VerifyRead(last, "k99", value, proof).ok());
 
   MerkleConsistencyProof consistency;

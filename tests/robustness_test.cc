@@ -148,7 +148,7 @@ TEST(RobustnessTest, PosProofVerifierRejectsGarbagePayloads) {
   ASSERT_TRUE(tree.Build(entries, &root).ok());
   std::string value;
   PosProof valid;
-  ASSERT_TRUE(tree.GetWithProof(root, "key250", &value, &valid).ok());
+  ASSERT_TRUE(tree.Get(root, "key250", &value, &valid).ok());
 
   for (int i = 0; i < kTrials; i++) {
     PosProof mutated = valid;
@@ -195,7 +195,7 @@ TEST(RobustnessTest, ScanProofVerifierRejectsMutations) {
   std::vector<PosEntry> rows;
   PosRangeProof valid;
   ASSERT_TRUE(
-      tree.ScanWithProof(root, "k000100", "k000150", 0, &rows, &valid).ok());
+      tree.Scan(root, "k000100", "k000150", 0, &rows, &valid).ok());
 
   for (int i = 0; i < 100; i++) {
     PosRangeProof mutated = valid;

@@ -66,7 +66,7 @@ TEST_P(SiriBackendTest, ProofVerifiesAfterWireRoundTrip) {
 
   std::string value;
   ReadProof proof;
-  ASSERT_TRUE(db.GetWithProof("key17", &value, &proof).ok());
+  ASSERT_TRUE(db.Read(kCurrentVersion, "key17", &value, &proof).ok());
   EXPECT_EQ(value, "val17");
   EXPECT_EQ(proof.index_proof.kind, GetParam());
   ASSERT_TRUE(SpitzDb::VerifyRead(digest, "key17", value, proof).ok());
@@ -109,7 +109,8 @@ TEST_P(SiriBackendTest, NonMembershipProofVerifies) {
 
   std::string value;
   ReadProof proof;
-  EXPECT_TRUE(db.GetWithProof("never-written", &value, &proof).IsNotFound());
+  EXPECT_TRUE(db.Read(kCurrentVersion, "never-written", &value, &proof)
+                  .IsNotFound());
   std::string wire;
   proof.EncodeTo(&wire);
   ReadProof decoded;
@@ -148,7 +149,7 @@ TEST_P(SiriBackendTest, ScanCapabilityMatchesBackend) {
   Status s = db.Scan("s0", "s9", 0, &rows);
   ScanProof proof;
   std::vector<PosEntry> rows2;
-  Status sp = db.ScanWithProof("s0", "s9", 0, &rows2, &proof);
+  Status sp = db.ReadRange(kCurrentVersion, "s0", "s9", 0, &rows2, &proof);
   if (GetParam() == SiriBackend::kPosTree) {
     EXPECT_TRUE(db.SupportsScan());
     ASSERT_TRUE(s.ok());
@@ -162,6 +163,27 @@ TEST_P(SiriBackendTest, ScanCapabilityMatchesBackend) {
     EXPECT_FALSE(db.SupportsScan());
     EXPECT_TRUE(s.IsNotSupported());
     EXPECT_TRUE(sp.IsNotSupported());
+  }
+}
+
+// Ordered iteration is a POS-tree capability. The other backends must
+// refuse it with NotSupported, as Scan does, and never report their own
+// trie or bucket nodes as corruption (a false tamper alarm).
+TEST_P(SiriBackendTest, IteratorCapabilityMatchesBackend) {
+  SpitzDb db(BackendOptions(GetParam()));
+  for (int i = 0; i < 20; i++) {
+    ASSERT_TRUE(db.Put("i" + std::to_string(i), "v").ok());
+  }
+  auto it = db.NewIterator();
+  it->SeekToFirst();
+  if (GetParam() == SiriBackend::kPosTree) {
+    size_t rows = 0;
+    for (; it->Valid(); it->Next()) rows++;
+    EXPECT_TRUE(it->status().ok()) << it->status().ToString();
+    EXPECT_EQ(rows, 20u);
+  } else {
+    EXPECT_FALSE(it->Valid());
+    EXPECT_TRUE(it->status().IsNotSupported()) << it->status().ToString();
   }
 }
 

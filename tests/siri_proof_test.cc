@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "chunk/chunk_store.h"
+#include "core/spitz_db.h"
 #include "index/siri.h"
 
 namespace spitz {
@@ -44,7 +47,7 @@ TEST_P(SiriProofTest, MembershipProofRoundTrips) {
   for (const char* key : {"key00000", "key00099", "key00199"}) {
     std::string value;
     SiriProof proof;
-    ASSERT_TRUE(f.index->GetWithProof(f.root, key, &value, &proof).ok());
+    ASSERT_TRUE(f.index->Get(f.root, key, &value, &proof).ok());
     EXPECT_EQ(proof.kind, GetParam());
     EXPECT_TRUE(proof.Verify(f.root, key, value).ok());
 
@@ -65,7 +68,7 @@ TEST_P(SiriProofTest, NonMembershipProofRoundTrips) {
   Fixture f(GetParam());
   std::string value;
   SiriProof proof;
-  Status s = f.index->GetWithProof(f.root, "missing-key", &value, &proof);
+  Status s = f.index->Get(f.root, "missing-key", &value, &proof);
   ASSERT_TRUE(s.IsNotFound()) << s.ToString();
   ASSERT_TRUE(proof.Verify(f.root, "missing-key", std::nullopt).ok());
 
@@ -86,7 +89,7 @@ TEST_P(SiriProofTest, EverySingleByteTamperIsRejected) {
   const std::string key = "key00042";
   std::string value;
   SiriProof proof;
-  ASSERT_TRUE(f.index->GetWithProof(f.root, key, &value, &proof).ok());
+  ASSERT_TRUE(f.index->Get(f.root, key, &value, &proof).ok());
   const std::string wire = proof.Encode();
 
   for (size_t pos = 0; pos < wire.size(); pos++) {
@@ -115,7 +118,7 @@ TEST_P(SiriProofTest, EveryTruncationIsRejected) {
   const std::string key = "key00007";
   std::string value;
   SiriProof proof;
-  ASSERT_TRUE(f.index->GetWithProof(f.root, key, &value, &proof).ok());
+  ASSERT_TRUE(f.index->Get(f.root, key, &value, &proof).ok());
   const std::string wire = proof.Encode();
 
   for (size_t len = 0; len < wire.size(); len++) {
@@ -139,7 +142,7 @@ TEST_P(SiriProofTest, KindSwapIsRejected) {
   const std::string key = "key00011";
   std::string value;
   SiriProof proof;
-  ASSERT_TRUE(f.index->GetWithProof(f.root, key, &value, &proof).ok());
+  ASSERT_TRUE(f.index->Get(f.root, key, &value, &proof).ok());
   std::string wire = proof.Encode();
 
   for (SiriBackend other : kAllBackends) {
@@ -189,8 +192,8 @@ TEST(SiriRangeProofTest, RoundTripsAndVerifies) {
   std::vector<PosEntry> rows;
   SiriRangeProof proof;
   ASSERT_TRUE(f.index
-                  ->ScanWithProof(f.root, "key00010", "key00020", 0, &rows,
-                                  &proof)
+                  ->Scan(f.root, "key00010", "key00020", 0, &rows,
+                         &proof)
                   .ok());
   EXPECT_EQ(rows.size(), 10u);
   ASSERT_TRUE(proof.Verify(f.root, "key00010", "key00020", 0, rows).ok());
@@ -213,8 +216,8 @@ TEST(SiriRangeProofTest, TamperedBytesRejected) {
   std::vector<PosEntry> rows;
   SiriRangeProof proof;
   ASSERT_TRUE(f.index
-                  ->ScanWithProof(f.root, "key00100", "key00110", 0, &rows,
-                                  &proof)
+                  ->Scan(f.root, "key00100", "key00110", 0, &rows,
+                         &proof)
                   .ok());
   const std::string wire = proof.Encode();
   for (size_t pos = 0; pos < wire.size(); pos++) {
@@ -239,6 +242,68 @@ TEST(SiriRangeProofTest, NonPosTagRejectedAtDecode) {
   EXPECT_FALSE(SiriRangeProof::DecodeFrom(&input, &decoded).ok());
 }
 
+// Format pin: the encoded proofs a database serves for a fixed bulk load,
+// hashed. A point proof for a present and an absent key on every backend,
+// and POS-tree range proofs for a mid-range scan and for one that starts
+// past the last key. Any change to a read traversal that alters the
+// proof bytes clients receive fails here.
+TEST(SiriProofGoldenTest, ServedProofBytesMatchGolden) {
+  struct Golden {
+    SiriBackend kind;
+    const char* present;
+    const char* absent;
+  };
+  const Golden kGolden[] = {
+      {SiriBackend::kPosTree,
+       "da8c881c60745abf252fec0997e3237644ad2f4a130025bc49d9d7bfbf5e6c7c",
+       "6e6c51303addbe72e92fccaf1981383448252c4d74a89e76771e8fcabe4396e9"},
+      {SiriBackend::kMerklePatriciaTrie,
+       "a61810e7ad2c4233ec398fbdeeb51a01323cd16175f2769698f8ccdc372eae75",
+       "d7054af36568f2351a4d6692fcd5f6c8bac9f7c71048046e9849a8a90b8630ec"},
+      {SiriBackend::kMerkleBucketTree,
+       "9060c328fd21b7eae0c6e5ded43215b87d4149fdaa7ae32bc0ec62cbf8f4bb54",
+       "c09019674ca995b82f94122411f993253d990f34844031996c00405be707c84d"},
+  };
+  const char kGoldenMidScan[] =
+      "6053af0d85d47a6cf5ea7a1437f052f7b1cd709f6709dbeb5b833d1d133e728d";
+  const char kGoldenPastEndScan[] =
+      "d3f4e7cdd749cea628e546d11ca7f5552dac738787a2999f9698129db27e91bc";
+
+  std::vector<PosEntry> entries;
+  for (int i = 0; i < 2000; i++) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "user%06d", i);
+    entries.push_back({key, std::string(1 + i % 97, static_cast<char>(
+                                                        'a' + i % 26))});
+  }
+  for (const Golden& golden : kGolden) {
+    SpitzOptions options;
+    options.index_backend = golden.kind;
+    options.mbt_bucket_count = 16;
+    SpitzDb db(options);
+    ASSERT_TRUE(db.BulkLoad(entries).ok());
+
+    VerifiedKv::Evidence present;
+    ASSERT_TRUE(db.GetProof("user000123", &present).ok());
+    EXPECT_EQ(Hash256::Of(present.proof).ToHex(), golden.present)
+        << SiriBackendName(golden.kind);
+    VerifiedKv::Evidence absent;
+    ASSERT_TRUE(db.GetProof("absent-key", &absent).IsNotFound());
+    EXPECT_EQ(Hash256::Of(absent.proof).ToHex(), golden.absent)
+        << SiriBackendName(golden.kind);
+    if (golden.kind != SiriBackend::kPosTree) continue;
+
+    VerifiedKv::ScanEvidence mid;
+    ASSERT_TRUE(db.ScanProof("user000900", "user001400", 100, &mid).ok());
+    EXPECT_EQ(mid.rows.size(), 100u);
+    EXPECT_EQ(Hash256::Of(mid.proof).ToHex(), kGoldenMidScan);
+    VerifiedKv::ScanEvidence past_end;
+    ASSERT_TRUE(db.ScanProof("zzz", "", 0, &past_end).ok());
+    EXPECT_TRUE(past_end.rows.empty());
+    EXPECT_EQ(Hash256::Of(past_end.proof).ToHex(), kGoldenPastEndScan);
+  }
+}
+
 // The adapters must expose the advertised capability surface.
 TEST(SiriIndexTest, CapabilityFlagsMatchBackends) {
   ChunkStore store;
@@ -247,13 +312,13 @@ TEST(SiriIndexTest, CapabilityFlagsMatchBackends) {
     EXPECT_EQ(index->kind(), kind);
     bool is_pos = kind == SiriBackend::kPosTree;
     EXPECT_EQ(index->SupportsScan(), is_pos);
-    EXPECT_EQ(index->SupportsBulkBuild(), is_pos);
     if (!index->SupportsScan()) {
       Fixture f(kind, 10);
       std::vector<PosEntry> rows;
-      EXPECT_TRUE(f.index->Scan(f.root, "a", "z", 0, &rows).IsNotSupported());
+      EXPECT_TRUE(
+          f.index->Scan(f.root, "a", "z", 0, &rows, nullptr).IsNotSupported());
       SiriRangeProof proof;
-      EXPECT_TRUE(f.index->ScanWithProof(f.root, "a", "z", 0, &rows, &proof)
+      EXPECT_TRUE(f.index->Scan(f.root, "a", "z", 0, &rows, &proof)
                       .IsNotSupported());
     }
   }

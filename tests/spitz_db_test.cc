@@ -66,7 +66,7 @@ TEST(SpitzDbTest, VerifiedReadRoundTrip) {
   SpitzDigest digest = db.Digest();
   std::string value;
   ReadProof proof;
-  ASSERT_TRUE(db.GetWithProof("key500", &value, &proof).ok());
+  ASSERT_TRUE(db.Read(kCurrentVersion, "key500", &value, &proof).ok());
   EXPECT_EQ(value, "val500");
   EXPECT_TRUE(SpitzDb::VerifyRead(digest, "key500", value, proof).ok());
   // Tampered value rejected.
@@ -81,7 +81,7 @@ TEST(SpitzDbTest, NonMembershipVerifies) {
   SpitzDigest digest = db.Digest();
   std::string value;
   ReadProof proof;
-  EXPECT_TRUE(db.GetWithProof("ghost", &value, &proof).IsNotFound());
+  EXPECT_TRUE(db.Read(kCurrentVersion, "ghost", &value, &proof).IsNotFound());
   EXPECT_TRUE(SpitzDb::VerifyRead(digest, "ghost", std::nullopt, proof).ok());
 }
 
@@ -95,7 +95,9 @@ TEST(SpitzDbTest, VerifiedScanRoundTrip) {
   SpitzDigest digest = db.Digest();
   std::vector<PosEntry> rows;
   ScanProof proof;
-  ASSERT_TRUE(db.ScanWithProof("k000100", "k000200", 0, &rows, &proof).ok());
+  ASSERT_TRUE(db.ReadRange(kCurrentVersion, "k000100", "k000200", 0, &rows,
+                           &proof)
+                  .ok());
   ASSERT_EQ(rows.size(), 100u);
   EXPECT_TRUE(
       SpitzDb::VerifyScan(digest, "k000100", "k000200", 0, rows, proof).ok());
@@ -112,7 +114,7 @@ TEST(SpitzDbTest, ProofAgainstStaleDigestFails) {
   ASSERT_TRUE(db.Put("k", "v2").ok());
   std::string value;
   ReadProof proof;
-  ASSERT_TRUE(db.GetWithProof("k", &value, &proof).ok());
+  ASSERT_TRUE(db.Read(kCurrentVersion, "k", &value, &proof).ok());
   EXPECT_TRUE(
       SpitzDb::VerifyRead(stale, "k", value, proof).IsVerificationFailed());
 }
@@ -165,7 +167,7 @@ TEST(SpitzDbTest, TimeTravelOnOldRoots) {
   Hash256 old_root;
   ASSERT_TRUE(db.IndexRootAt(0, &old_root).ok());
   std::string value;
-  ASSERT_TRUE(db.GetAt(old_root, "k", &value).ok());
+  ASSERT_TRUE(db.Read(old_root, "k", &value, nullptr).ok());
   EXPECT_EQ(value, "version-9");
   ASSERT_TRUE(db.Get("k", &value).ok());
   EXPECT_EQ(value, "latest");
@@ -228,7 +230,7 @@ TEST(SpitzDbTest, ConcurrentReadersDuringWrites) {
         std::string key = "k" + std::to_string(rng.Uniform(500));
         std::string value;
         ReadProof proof;
-        Status s = db.GetWithProof(key, &value, &proof);
+        Status s = db.Read(kCurrentVersion, key, &value, &proof);
         if (s.ok()) {
           // Any proof must verify against its own root version.
           ASSERT_TRUE(
@@ -268,7 +270,7 @@ TEST(SpitzDbTest, BulkLoadEquivalentToIncrementalPuts) {
   // Proofs from the bulk-loaded database verify normally.
   std::string value;
   ReadProof proof;
-  ASSERT_TRUE(bulk.GetWithProof("key250", &value, &proof).ok());
+  ASSERT_TRUE(bulk.Read(kCurrentVersion, "key250", &value, &proof).ok());
   EXPECT_TRUE(SpitzDb::VerifyRead(bulk.Digest(), "key250", value, proof).ok());
 }
 

@@ -396,7 +396,7 @@ TEST(ClientVerifierTest, ChecksReadsAgainstRetainedDigest) {
   ASSERT_TRUE(client.ObserveDigest(db.Digest()).ok());
   std::string value;
   ReadProof proof;
-  ASSERT_TRUE(db.GetWithProof("k", &value, &proof).ok());
+  ASSERT_TRUE(db.Read(kCurrentVersion, "k", &value, &proof).ok());
   EXPECT_TRUE(client.CheckRead("k", value, proof).ok());
   EXPECT_TRUE(client.CheckRead("k", std::string("forged"), proof)
                   .IsVerificationFailed());
