@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <memory>
 
 #include "chunk/chunk_store.h"
 #include "chunk/chunker.h"
@@ -209,8 +211,7 @@ BENCHMARK(BM_SpitzDbPut)->Arg(1)->Arg(0);
 // with its journal inclusion proof) for random keys of a bulk-loaded
 // database (arg = keys, one write each, 64 per block). Reports the
 // key-history index's resident bytes per indexed write.
-void BM_SpitzDbKeyHistory(benchmark::State& state) {
-  SpitzDb db;
+void RunKeyHistory(benchmark::State& state, SpitzDb* db) {
   Random rng(17);
   const int n = static_cast<int>(state.range(0));
   std::vector<std::string> keys;
@@ -219,17 +220,18 @@ void BM_SpitzDbKeyHistory(benchmark::State& state) {
     keys.push_back("key" + std::to_string(i));
     entries.push_back({keys.back(), rng.Bytes(20)});
   }
-  if (!db.BulkLoad(std::move(entries)).ok()) abort();
-  if (!db.FlushBlock().ok()) abort();
+  if (!db->BulkLoad(std::move(entries)).ok()) abort();
+  if (!db->FlushBlock().ok()) abort();
+  if (!db->SyncStorage().ok()) abort();
   std::vector<SpitzDb::HistoricalWrite> history;
   for (auto _ : state) {
-    if (!db.KeyHistory(keys[rng.Uniform(keys.size())], &history).ok()) {
+    if (!db->KeyHistory(keys[rng.Uniform(keys.size())], &history).ok()) {
       abort();
     }
     benchmark::DoNotOptimize(history.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-  MetricsSnapshot snap = db.Metrics();
+  MetricsSnapshot snap = db->Metrics();
   const uint64_t writes = snap.GaugeValue("core.db.history.writes");
   state.counters["history_bytes_per_write"] =
       writes == 0 ? 0.0
@@ -237,7 +239,31 @@ void BM_SpitzDbKeyHistory(benchmark::State& state) {
                         snap.GaugeValue("core.db.history.bytes")) /
                         static_cast<double>(writes);
 }
+
+// In memory: every sealed block stays resident.
+void BM_SpitzDbKeyHistory(benchmark::State& state) {
+  SpitzDb db;
+  RunKeyHistory(state, &db);
+}
 BENCHMARK(BM_SpitzDbKeyHistory)->Arg(200000);
+
+// Durable and synced: every block is read back from journal.log (one
+// pread, frame CRC and block-hash check per lookup).
+void BM_SpitzDbKeyHistoryPaged(benchmark::State& state) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "spitz_bench_key_history")
+          .string();
+  std::filesystem::remove_all(dir);
+  {
+    SpitzOptions options;
+    options.data_dir = dir;
+    std::unique_ptr<SpitzDb> db;
+    if (!SpitzDb::Open(options, &db).ok()) abort();
+    RunKeyHistory(state, db.get());
+  }
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_SpitzDbKeyHistoryPaged)->Arg(200000);
 
 // Drain rate of the deferred-verification worker pool on a CPU-bound
 // check, reporting the backlog the producer saw (arg = workers).

@@ -10,9 +10,11 @@
 #   write-batch and read-set, network, cluster, replica, SHA-256/CRC32C
 #   kernel, journal, persistence, index-traversal (POS-tree, MPT, MBT,
 #   iterator and property) tests (untrusted bytes are decoded there —
-#   proof envelopes, wire requests, journal blocks, the chunk bytes every
-#   read traversal decodes and the replication-record decoder, swept
-#   byte by byte in ReplicaRecordTest —
+#   proof envelopes, wire requests, journal blocks replayed at recovery,
+#   sealed blocks read back from journal.log (frame CRC, then block
+#   hash, for proofs, key history, audits and the replication encoder),
+#   the chunk bytes every read traversal decodes and the
+#   replication-record decoder, swept byte by byte in ReplicaRecordTest —
 #   and the hardware hash kernels make unaligned vector loads, so memory
 #   errors and UB are the failure modes that matter).
 # The read-set suites are ClusterReadSetTest, TwoPhaseCommitTest,

@@ -19,6 +19,11 @@ inline void AppendRecordFrame(const Slice& payload, std::string* out) {
   PutFixed32(out, crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
 }
 
+// Bytes AppendRecordFrame adds for a payload of `payload_bytes`.
+inline uint64_t RecordFrameSize(uint64_t payload_bytes) {
+  return VarintLength(payload_bytes) + payload_bytes + sizeof(uint32_t);
+}
+
 // Splits a log's `contents` into the payloads of its complete frames.
 // Reading stops at a torn frame (a crash mid-append); *consumed is the
 // end offset of the last complete one. A complete frame whose CRC does

@@ -149,7 +149,7 @@ void SpitzDb::WireMetrics() {
   registry_.RegisterCounter("core.db.journal.fsyncs", &journal_fsyncs_);
   registry_.RegisterGaugeFn("core.db.journal.resident_bytes", [this] {
     std::lock_guard<std::mutex> lock(mu_);
-    return ledger_.stored_bytes();
+    return ledger_.resident_bytes();
   });
   registry_.RegisterGaugeFn("core.db.history.bytes", [this] {
     std::lock_guard<std::mutex> lock(mu_);
@@ -225,7 +225,7 @@ Status SpitzDb::Recover() {
   for (const Slice& record : records) {
     Block block;
     s = Block::Decode(record, &block);
-    if (s.ok()) s = AdoptSealedBlockLocked(block, record);
+    if (s.ok()) s = AdoptSealedBlockLocked(block, record, /*in_file=*/true);
     if (!s.ok()) return s;
   }
   // Discard the torn tail before reopening for append; otherwise every
@@ -252,6 +252,13 @@ Status SpitzDb::Recover() {
   // and so eligible for an in-flight fsync — before the chunk barrier
   // that covers it has been ordered ahead of it.
   journal_log_->SetManualFlush(true);
+  // journal.log is the home of every sealed block from here on: the
+  // journal reads a block back from it once a flush has covered it.
+  std::unique_ptr<RandomAccessFile> journal_file;
+  s = env_->NewRandomAccessFile(journal_path, &journal_file);
+  if (!s.ok()) return s;
+  ledger_.AttachFile(std::move(journal_file), journal_path);
+  journaled_blocks_ = ledger_.block_count();
   // Replay the 2PC participant log: prepares without a decision marker
   // become the in-doubt set, their key locks re-taken.
   return participant_->Recover();
@@ -573,7 +580,7 @@ Status SpitzDb::SyncCommitted(uint64_t seq) {
     // completes (every flush defers to the in-flight barrier; the
     // journal never flushes on its own in manual-flush mode).
     std::lock_guard<std::mutex> lock(mu_);
-    s = journal_log_->Flush();
+    s = FlushJournalLocked();
     flushed_seq = append_seq_;
   }
   if (!s.ok()) {
@@ -613,7 +620,13 @@ void SpitzDb::FlushJournal() {
   std::unique_lock<std::mutex> sync_lock(sync_mu_);
   sync_cv_.wait(sync_lock, [&] { return !sync_in_flight_; });
   std::lock_guard<std::mutex> lock(mu_);
-  journal_log_->Flush();
+  FlushJournalLocked();
+}
+
+Status SpitzDb::FlushJournalLocked() {
+  Status s = journal_log_->Flush();
+  if (s.ok()) ledger_.ReleaseResident(journaled_blocks_);
+  return s;
 }
 
 Status SpitzDb::ValidateReadsLocked(const WriteBatch& batch) {
@@ -670,10 +683,11 @@ void SpitzDb::SealPendingLocked(JournalRecords* records) {
   // in the ledger stores a historical index instance" (section 6.1).
   // Because sealing happens immediately after the batch that crossed
   // the boundary, root_ covers exactly the entries sealed so far.
-  uint64_t height = ledger_.Append(std::move(pending_), root_, NowMicros());
+  Slice serialized;
+  ledger_.Append(std::move(pending_), root_, NowMicros(), &serialized);
   pending_.clear();
   if (journal_log_ == nullptr) return;
-  records->Add(ledger_.SerializedBlock(height));
+  records->Add(serialized);
 }
 
 void SpitzDb::JournalRecords::Add(const Slice& serialized_block) {
@@ -698,6 +712,11 @@ Status SpitzDb::AppendJournalRecordsLocked(const JournalRecords& records) {
   // Advance the append cut SyncCommitted coalesces on: a barrier whose
   // flush observed this sequence has hardened these records.
   append_seq_++;
+  // The records are the blocks sealed since the last append; after an
+  // earlier failure they no longer start where the file ends.
+  if (journaled_blocks_ + records.ends.size() == ledger_.block_count()) {
+    journaled_blocks_ = ledger_.block_count();
+  }
   return Status::OK();
 }
 
@@ -749,31 +768,27 @@ Status SpitzDb::BulkLoad(std::vector<PosEntry> entries) {
 }
 
 Status SpitzDb::AuditLastBlock() {
-  // Snapshot everything the audit needs under the lock (all cheap
-  // copies); the expensive decode + re-hash work runs on the auditor
-  // thread without blocking writers.
-  std::string serialized;
-  MerkleInclusionProof block_path;
+  // Snapshot everything the audit needs under the lock (the block's
+  // location and path, all cheap copies); the read, decode and re-hash
+  // run on the auditor thread without blocking writers.
+  ProvableBlock last;
   JournalDigest digest;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (ledger_.block_count() == 0) return Status::OK();
-    uint64_t height = ledger_.block_count() - 1;
-    serialized = ledger_.SerializedBlock(height);
-    Status s = ledger_.BlockInclusionProof(height, &block_path);
+    Status s = LocateProvableLocked(ledger_.block_count() - 1, &last);
     if (!s.ok()) return s;
     digest = ledger_.Digest();
   }
-  return auditor_->Submit([serialized = std::move(serialized), block_path,
-                           digest] {
+  return auditor_->Submit([last = std::move(last), digest] {
     // The block hash recomputed from the stored bytes (entry Merkle
     // root, then header) must be included in the journal the digest
     // covers.
     Block block;
-    Status s = Block::Decode(serialized, &block);
+    Status s = Journal::Load(last.ref, nullptr, &block);
     if (!s.ok()) return s;
     if (!MerkleTree::VerifyInclusion(
-            Hash256::OfLeaf(block.block_hash().slice()), block_path,
+            Hash256::OfLeaf(block.block_hash().slice()), last.block_path,
             digest.merkle_root)) {
       return Status::VerificationFailed("audited block not in journal");
     }
@@ -1060,25 +1075,51 @@ bool SpitzDb::VerifyConsistency(const MerkleConsistencyProof& proof,
                                     new_digest.journal);
 }
 
+Status SpitzDb::LocateProvableLocked(uint64_t height,
+                                     ProvableBlock* out) const {
+  Status s = ledger_.Locate(height, &out->ref);
+  if (s.ok()) s = ledger_.BlockInclusionProof(height, &out->block_path);
+  return s;
+}
+
 Status SpitzDb::ProveHistoricalEntry(uint64_t height, uint64_t entry_index,
                                      JournalEntryProof* proof,
                                      LedgerEntry* entry) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ledger_.ProveEntry(height, entry_index, proof, entry);
+  ProvableBlock at;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    Status s = LocateProvableLocked(height, &at);
+    if (!s.ok()) return s;
+  }
+  return Journal::ProveEntryIn(at.ref, at.block_path, entry_index, proof,
+                               entry);
 }
 
 Status SpitzDb::KeyHistory(const Slice& key,
                            std::vector<HistoricalWrite>* history) const {
   history->clear();
   std::vector<KeyHistoryIndex::Position> candidates;
-  std::lock_guard<std::mutex> lock(mu_);
-  history_.Lookup(key, &candidates);
-  for (const KeyHistoryIndex::Position& at : candidates) {
+  std::vector<ProvableBlock> blocks;  // blocks[i] holds candidates[i]
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    history_.Lookup(key, &candidates);
+    for (const KeyHistoryIndex::Position& at : candidates) {
+      Status s = LocateProvableLocked(at.height, &blocks.emplace_back());
+      if (!s.ok()) return s;
+    }
+  }
+  for (size_t i = 0; i < candidates.size(); i++) {
     HistoricalWrite write;
-    write.block_height = at.height;
-    Status s = ledger_.ProveEntry(at.height, at.index, &write.proof,
-                                  &write.entry);
-    if (!s.ok()) return s;
+    write.block_height = candidates[i].height;
+    Status s = Journal::ProveEntryIn(blocks[i].ref, blocks[i].block_path,
+                                     candidates[i].index, &write.proof,
+                                     &write.entry);
+    if (!s.ok()) {
+      // A block that cannot be read or fails its checks yields no
+      // history at all, not the part before it.
+      history->clear();
+      return s;
+    }
     // A candidate may be another key with the same fingerprint.
     if (write.entry.key != key) continue;
     history->push_back(std::move(write));
@@ -1103,14 +1144,19 @@ void SpitzDb::SetSealListener(SealListener listener) {
   seal_listener_ = std::move(listener);
 }
 
-Status SpitzDb::SealedBlock(uint64_t height, std::string* serialized) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (height >= ledger_.block_count()) {
-    return Status::NotFound("block " + std::to_string(height) +
-                            " is past the sealed tip");
+Status SpitzDb::SealedBlock(uint64_t height, std::string* serialized,
+                            Block* block) const {
+  Journal::BlockRef ref;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (height >= ledger_.block_count()) {
+      return Status::NotFound("block " + std::to_string(height) +
+                              " is past the sealed tip");
+    }
+    Status s = ledger_.Locate(height, &ref);
+    if (!s.ok()) return s;
   }
-  *serialized = ledger_.SerializedBlock(height);
-  return Status::OK();
+  return Journal::Load(ref, serialized, block);
 }
 
 Status SpitzDb::ApplySealedBlock(const Block& block, const Slice& serialized,
@@ -1143,7 +1189,7 @@ Status SpitzDb::ApplySealedBlock(const Block& block, const Slice& serialized,
           "for block " +
           std::to_string(block.height()) + " disagrees with the sealed root");
     }
-    s = AdoptSealedBlockLocked(block, serialized);
+    s = AdoptSealedBlockLocked(block, serialized, /*in_file=*/false);
     if (s.ok() && journal_log_ != nullptr) {
       JournalRecords record;
       record.Add(serialized);
@@ -1162,9 +1208,10 @@ Status SpitzDb::ApplySealedBlock(const Block& block, const Slice& serialized,
 }
 
 Status SpitzDb::AdoptSealedBlockLocked(const Block& block,
-                                       const Slice& serialized) {
+                                       const Slice& serialized,
+                                       bool in_file) {
   // Restore checks that the block links from our current tip.
-  Status s = ledger_.Restore(block, serialized);
+  Status s = ledger_.Restore(block, serialized, in_file);
   if (!s.ok()) return s;
   history_.AddBlock(block.entries());
   root_ = block.index_root();

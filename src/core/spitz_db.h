@@ -375,9 +375,12 @@ class SpitzDb : public VerifiedKv {
   using SealListener = std::function<void(uint64_t sealed_blocks)>;
   void SetSealListener(SealListener listener);
 
-  // The journal bytes of the sealed block at `height`. NotFound past the
-  // sealed tip.
-  Status SealedBlock(uint64_t height, std::string* serialized) const;
+  // The journal bytes of the sealed block at `height` and their decoding,
+  // read back from journal.log once a flush has written them out.
+  // NotFound past the sealed tip, IOError when the read fails, Corruption
+  // when the bytes read fail their frame CRC or block hash.
+  Status SealedBlock(uint64_t height, std::string* serialized,
+                     Block* block) const;
 
   // A backup's apply of the next sealed block, atomically: re-executes
   // `ops` (its deletes and surviving puts) on this database's OWN index
@@ -510,10 +513,21 @@ class SpitzDb : public VerifiedKv {
   Status ApplyToIndex(const WriteBatch& batch, Hash256* root) const;
 
   // Takes a sealed block as the next one — every journal record at
-  // recovery, every replicated block on a backup: chains it onto the
-  // journal, indexes its key history, makes its root current and resumes
-  // commit timestamps past its entries.
-  Status AdoptSealedBlockLocked(const Block& block, const Slice& serialized);
+  // recovery (`in_file`), every replicated block on a backup: chains it
+  // onto the journal, indexes its key history, makes its root current
+  // and resumes commit timestamps past its entries.
+  Status AdoptSealedBlockLocked(const Block& block, const Slice& serialized,
+                                bool in_file);
+
+  // What a journal entry proof needs of its block, taken under mu_: where
+  // the block's bytes are, and the block's path to the journal root. The
+  // block is read and decoded after mu_ is released, so no journal read
+  // runs inside the writer lock.
+  struct ProvableBlock {
+    Journal::BlockRef ref;
+    MerkleInclusionProof block_path;
+  };
+  Status LocateProvableLocked(uint64_t height, ProvableBlock* out) const;
 
   // Framed journal records of freshly sealed blocks, back to back in
   // one buffer; record i ends at ends[i]. A bulk load seals thousands
@@ -538,6 +552,11 @@ class SpitzDb : public VerifiedKv {
   // in-memory seals stand either way, and the caller must surface the
   // failure to every writer in the group.
   Status AppendJournalRecordsLocked(const JournalRecords& records);
+
+  // Flushes the journal log to the kernel under mu_; on success every
+  // journaled block is readable from journal.log, and the journal drops
+  // its resident copies.
+  Status FlushJournalLocked();
 
   // Recovery of a durable database (journal, then the participant's
   // txn.log); called by Open().
@@ -657,6 +676,11 @@ class SpitzDb : public VerifiedKv {
   // (AppendJournalRecordsLocked). SyncCommitted(seq) promises exactly
   // "every append cut ≤ seq is durable".
   uint64_t append_seq_ = 0;
+  // Blocks whose records went to journal_log_ in height order, all
+  // appends succeeding: a flush makes exactly these readable from
+  // journal.log. A failed append stops it for good, since the offsets
+  // of every later block then overstate the file.
+  uint64_t journaled_blocks_ = 0;
   // Key-history index: the journal position of every sealed write, one
   // fingerprint slot per key and no key bytes (KeyHistoryIndex). Fed at
   // seal, at recovery and on replica apply, beside each ledger append.

@@ -49,6 +49,7 @@ Status Replicator::Open(const Options& options,
   rep->digest_mismatches_ =
       rep->registry_.counter("replica.primary.digest_mismatches");
   rep->reconnects_ = rep->registry_.counter("replica.primary.reconnects");
+  rep->read_retries_ = rep->registry_.counter("replica.primary.read_retries");
   rep->lag_blocks_ = rep->registry_.gauge("replica.primary.lag_blocks");
   rep->lag_ns_ = rep->registry_.histogram("replica.primary.lag_ns");
   rep->ship_ns_ = rep->registry_.histogram("replica.primary.ship_ns");
@@ -114,11 +115,12 @@ Status Replicator::ResumeFromAck(const wire::ReplicaAck& ack) {
   return Status::OK();
 }
 
-Status Replicator::ShipOne(uint64_t height) {
+Status Replicator::ShipOne(uint64_t height, bool* read_failed) {
   ScopedTimer timer(ship_ns_);
   std::string record;
   Block block;
   Status s = EncodeReplicationRecord(*db_, height, &record, &block);
+  *read_failed = s.IsIOError();
   if (!s.ok()) return s;
   batches_shipped_->Increment();
   wire::ReplicaAck ack;
@@ -184,7 +186,8 @@ void Replicator::StreamLoop() {
     while (!stop_ && fault_.ok() && next_height_ < sealed_hint_) {
       const uint64_t h = next_height_;
       lock.unlock();
-      Status s = ShipOne(h);
+      bool read_failed = false;
+      Status s = ShipOne(h, &read_failed);
       lock.lock();
       if (s.ok()) {
         next_height_ = h + 1;
@@ -198,6 +201,14 @@ void Replicator::StreamLoop() {
           seal_times_.pop_front();
         }
         cv_.notify_all();
+        continue;
+      }
+      if (read_failed) {
+        // This node could not read the block; the connection is fine.
+        read_retries_->Increment();
+        cv_.wait_for(lock,
+                     std::chrono::milliseconds(options_.reconnect_backoff_ms),
+                     [&] { return stop_; });
         continue;
       }
       if (IsConnectionError(s)) {

@@ -31,10 +31,15 @@ namespace spitz {
 //      a warning. The stream stops; the pair needs operator attention
 //      (one of the two databases is corrupt or diverged).
 //
-// Connection loss is the one recoverable failure: the replicator
-// redials with backoff, re-queries the backup's applied state
+// Connection loss is one recoverable failure: the replicator redials
+// with backoff, re-queries the backup's applied state
 // (wire::kReplicaAck) and resumes from there — a record whose ack was
-// lost in the drop is re-shipped and idempotently re-acked.
+// lost in the drop is re-shipped and idempotently re-acked. The other
+// is a failed local read (IOError from journal.log or a chunk segment
+// while encoding a record): the same block is retried after the same
+// backoff, on the same connection (replica.primary.read_retries). A
+// block whose bytes fail their CRC or hash (Corruption) is never
+// shipped: it faults the stream like a digest mismatch.
 //
 // WaitDrained() blocks until every currently sealed block is acked —
 // the precondition for planned promotion (unplanned failover instead
@@ -52,7 +57,8 @@ class Replicator {
     // Fallback poll interval: the stream thread also wakes this often
     // to catch blocks sealed before the listener was registered.
     uint64_t poll_interval_ms = 200;
-    // Redial backoff after a connection drop.
+    // Backoff before a redial after a connection drop, and before
+    // retrying a block whose local read failed.
     uint64_t reconnect_backoff_ms = 50;
 
     Status Validate() const;
@@ -92,10 +98,11 @@ class Replicator {
   Replicator() = default;
 
   void StreamLoop();
-  // Encode + ship + verify one block. Returns the RPC/verify status;
-  // connection errors are retried by the caller, everything else
-  // faults the stream.
-  Status ShipOne(uint64_t height);
+  // Encode + ship + verify one block. Returns the encode, RPC or verify
+  // status; *read_failed is set when the encode's local read failed
+  // with IOError (retried by the caller in place). Connection errors are
+  // retried after a redial; everything else faults the stream.
+  Status ShipOne(uint64_t height, bool* read_failed);
   // Redial until connected or Stop(); re-learns the resume point.
   // Returns false when stopping.
   bool ReconnectLocked(std::unique_lock<std::mutex>* lock);
@@ -130,6 +137,7 @@ class Replicator {
   Counter* batches_acked_ = nullptr;
   Counter* digest_mismatches_ = nullptr;
   Counter* reconnects_ = nullptr;
+  Counter* read_retries_ = nullptr;
   Gauge* lag_blocks_ = nullptr;
   Histogram* lag_ns_ = nullptr;
   Histogram* ship_ns_ = nullptr;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "chunk/buffer_cache.h"
+#include "common/random.h"
 #include "core/spitz_db.h"
 #include "gtest/gtest.h"
 #include "txn/batch_verifier.h"
@@ -555,6 +556,93 @@ TEST(ConcurrencyTest, GroupCommitSyncWritersAmortizeFsyncs) {
     ASSERT_TRUE(db->FlushBlock().ok());
     ASSERT_TRUE(db->SyncStorage().ok());
     EXPECT_EQ(db->key_count(), 2 * puts);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// --- Sealed-block readers vs flushes that page blocks out -----------------
+
+// Every sync write seals, flushes and so releases the journal's resident
+// tail under the writer lock, while readers locate blocks under it and
+// read them back (resident copy or journal.log) outside it. KeyHistory,
+// SealedBlock and the last-block audit must stay correct and TSan-clean
+// throughout.
+TEST(ConcurrencyTest, SealedBlockReadersRaceFlushesThatPageBlocksOut) {
+  std::string dir = ::testing::TempDir() + "/spitz_paged_block_race";
+  std::filesystem::remove_all(dir);
+  {
+    SpitzOptions options;
+    options.block_size = 4;
+    options.data_dir = dir;
+    std::unique_ptr<SpitzDb> db;
+    ASSERT_TRUE(SpitzDb::Open(options, &db).ok());
+    constexpr int kWriters = 2;
+    constexpr int kPerWriter = 150;
+    ASSERT_TRUE(db->Put("seed", "0").ok());
+    ASSERT_TRUE(db->FlushBlock().ok());
+
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> errors{0};
+    std::atomic<uint64_t> reads{0};
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; w++) {
+      writers.emplace_back([&, w] {
+        WriteOptions sync;
+        sync.sync = true;
+        for (int i = 0; i < kPerWriter; i++) {
+          // Each writer rewrites a few keys, so histories grow.
+          std::string key = "w" + std::to_string(w) + "k" +
+                            std::to_string(i % 5);
+          if (!db->Put(sync, key, std::to_string(i)).ok()) errors++;
+        }
+      });
+    }
+    std::vector<std::thread> readers;
+    readers.emplace_back([&] {
+      Random rng(5);
+      while (!stop.load()) {
+        std::string key = "w" + std::to_string(rng.Uniform(kWriters)) + "k" +
+                          std::to_string(rng.Uniform(5));
+        std::vector<SpitzDb::HistoricalWrite> history;
+        Status s = db->KeyHistory(key, &history);
+        if (!s.ok() && !s.IsNotFound()) errors++;
+        for (const SpitzDb::HistoricalWrite& write : history) {
+          if (write.entry.key != key) errors++;
+        }
+        reads++;
+      }
+    });
+    readers.emplace_back([&] {
+      Random rng(6);
+      while (!stop.load()) {
+        const uint64_t blocks = db->Digest().journal.block_count;
+        const uint64_t height = rng.Uniform(blocks);
+        std::string serialized;
+        Block block;
+        if (!db->SealedBlock(height, &serialized, &block).ok() ||
+            block.height() != height) {
+          errors++;
+        }
+        reads++;
+      }
+    });
+    readers.emplace_back([&] {
+      while (!stop.load()) {
+        if (!db->AuditLastBlock().ok()) errors++;
+        reads++;
+      }
+    });
+    for (auto& t : writers) t.join();
+    stop.store(true);
+    for (auto& t : readers) t.join();
+    EXPECT_EQ(errors.load(), 0u);
+    EXPECT_GT(reads.load(), 0u);
+    EXPECT_TRUE(db->DrainAudits().ok());
+    ASSERT_TRUE(db->SyncStorage().ok());
+    EXPECT_EQ(db->Metrics().GaugeValue("core.db.journal.resident_bytes"), 0u);
+    std::vector<SpitzDb::HistoricalWrite> history;
+    ASSERT_TRUE(db->KeyHistory("w1k3", &history).ok());
+    EXPECT_EQ(history.size(), static_cast<size_t>(kPerWriter / 5));
   }
   std::filesystem::remove_all(dir);
 }

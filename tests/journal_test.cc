@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/codec.h"
+#include "common/env.h"
 #include "common/random.h"
+#include "common/record_frame.h"
 #include "ledger/block.h"
 #include "ledger/journal.h"
 
@@ -175,7 +180,7 @@ class JournalRestoreTest : public ::testing::Test {
     Block decoded;
     Status s = Block::Decode(serialized, &decoded);
     if (!s.ok()) return s;
-    return journal_.Restore(decoded, serialized);
+    return journal_.Restore(decoded, serialized, /*in_file=*/false);
   }
 
   Block Next(uint64_t height, uint64_t first_seq, const Hash256& prev) {
@@ -207,7 +212,9 @@ TEST_F(JournalRestoreTest, AcceptsTheNextBlockInTheChain) {
   EXPECT_EQ(d.block_count, 2u);
   EXPECT_EQ(d.entry_count, 3u);
   EXPECT_EQ(d.tip_hash, next.block_hash());
-  EXPECT_EQ(journal_.SerializedBlock(1), next.Encode());
+  std::string serialized;
+  ASSERT_TRUE(journal_.ReadBlock(1, &serialized).ok());
+  EXPECT_EQ(serialized, next.Encode());
 }
 
 TEST_F(JournalRestoreTest, IndexRootKeptWithoutDecodingOnAppendAndRestore) {
@@ -376,6 +383,136 @@ TEST(JournalTest, RandomizedFullSweep) {
       EXPECT_TRUE(Journal::VerifyEntry(entry, proof, digest).ok());
     }
   }
+}
+
+// --- Blocks paged out to the file --------------------------------------------
+
+// A journal whose blocks are framed into a file the way SpitzDb writes
+// journal.log: released blocks read back from the file, byte for byte,
+// and still prove; a journal without a file never releases anything.
+TEST(JournalTest, ReleasedBlocksReadBackFromTheFile) {
+  const std::string path = ::testing::TempDir() + "/spitz_journal_paging.log";
+  std::filesystem::remove(path);
+  Journal j;
+  std::vector<std::string> serialized;
+  std::string frames;
+  for (int b = 0; b < 5; b++) {
+    Slice bytes;
+    j.Append({MakeEntry("k" + std::to_string(b), "v"),
+              MakeEntry("x" + std::to_string(b), "w")},
+             Hash256::Of("root" + std::to_string(b)), b, &bytes);
+    serialized.push_back(bytes.ToString());
+    AppendRecordFrame(bytes, &frames);
+  }
+  EXPECT_EQ(j.stored_bytes(), frames.size());
+  uint64_t all_bytes = 0;
+  for (const std::string& block : serialized) all_bytes += block.size();
+  EXPECT_EQ(j.resident_bytes(), all_bytes);
+  j.ReleaseResident(5);  // no file yet: nothing is released
+  EXPECT_EQ(j.resident_bytes(), all_bytes);
+
+  std::unique_ptr<WritableLog> log;
+  ASSERT_TRUE(Env::Default()->NewWritableLog(path, &log).ok());
+  ASSERT_TRUE(log->Append(frames).ok());
+  ASSERT_TRUE(log->Close().ok());
+  std::unique_ptr<RandomAccessFile> file;
+  ASSERT_TRUE(Env::Default()->NewRandomAccessFile(path, &file).ok());
+  j.AttachFile(std::move(file), path);
+  j.ReleaseResident(3);
+  EXPECT_EQ(j.resident_bytes(), serialized[3].size() + serialized[4].size());
+
+  const JournalDigest digest = j.Digest();
+  for (uint64_t h = 0; h < 5; h++) {
+    Journal::BlockRef ref;
+    ASSERT_TRUE(j.Locate(h, &ref).ok());
+    EXPECT_EQ(ref.resident, h >= 3) << h;
+    std::string bytes;
+    ASSERT_TRUE(j.ReadBlock(h, &bytes).ok()) << h;
+    EXPECT_EQ(bytes, serialized[h]) << h;
+    JournalEntryProof proof;
+    LedgerEntry entry;
+    ASSERT_TRUE(j.ProveEntry(h, 1, &proof, &entry).ok()) << h;
+    EXPECT_EQ(entry.key, "x" + std::to_string(h));
+    EXPECT_TRUE(Journal::VerifyEntry(entry, proof, digest).ok()) << h;
+  }
+  j.ReleaseResident(5);
+  EXPECT_EQ(j.resident_bytes(), 0u);
+  Block last;
+  ASSERT_TRUE(j.GetBlock(4, &last).ok());
+  EXPECT_EQ(last.index_root(), Hash256::Of("root4"));
+  std::filesystem::remove(path);
+}
+
+// A released block is read back only if its frame CRC holds and it
+// hashes to the block hash the chain recorded; otherwise Corruption
+// naming the file and offset. A short file is Corruption too.
+TEST(JournalTest, ReadBackChecksFrameAndBlockHash) {
+  const std::string path =
+      ::testing::TempDir() + "/spitz_journal_paging_checks.log";
+  Journal j;
+  std::vector<std::string> serialized;
+  for (int b = 0; b < 3; b++) {
+    Slice bytes;
+    j.Append({MakeEntry("k" + std::to_string(b), "v")}, Hash256(), b, &bytes);
+    serialized.push_back(bytes.ToString());
+  }
+  // Block 1 forged with a valid frame: same length, another value hash.
+  Block genuine;
+  ASSERT_TRUE(Block::Decode(serialized[1], &genuine).ok());
+  Block forged(genuine.height(), genuine.first_seq(), genuine.prev_hash(),
+               {MakeEntry("k1", "forged")}, genuine.index_root(),
+               genuine.timestamp());
+  ASSERT_EQ(forged.Encode().size(), serialized[1].size());
+  auto write_file = [&](const std::string& block1) {
+    std::string frames;
+    AppendRecordFrame(serialized[0], &frames);
+    AppendRecordFrame(block1, &frames);
+    AppendRecordFrame(serialized[2], &frames);
+    // Rewritten in place: the journal's handle stays on the same file.
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(frames.data(), static_cast<std::streamsize>(frames.size()));
+  };
+  write_file(forged.Encode());
+  std::unique_ptr<RandomAccessFile> file;
+  ASSERT_TRUE(Env::Default()->NewRandomAccessFile(path, &file).ok());
+  j.AttachFile(std::move(file), path);
+  j.ReleaseResident(3);
+
+  std::string bytes;
+  Status s = j.ReadBlock(1, &bytes);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find("block hash mismatch"), std::string::npos);
+  EXPECT_NE(s.ToString().find(path), std::string::npos);
+  Journal::BlockRef ref;
+  ASSERT_TRUE(j.Locate(1, &ref).ok());
+  EXPECT_NE(s.ToString().find("offset " + std::to_string(ref.offset)),
+            std::string::npos)
+      << s.ToString();
+  ASSERT_TRUE(j.ReadBlock(0, &bytes).ok());
+  EXPECT_EQ(bytes, serialized[0]);
+
+  // One flipped byte of the genuine frame fails its CRC.
+  write_file(serialized[1]);
+  ASSERT_TRUE(j.ReadBlock(1, &bytes).ok());
+  {
+    std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
+    const uint64_t at = ref.offset + ref.frame_bytes / 2;
+    io.seekg(static_cast<std::streamoff>(at));
+    char c = static_cast<char>(io.get());
+    io.seekp(static_cast<std::streamoff>(at));
+    io.put(static_cast<char>(c ^ 0x01));
+  }
+  s = j.ReadBlock(1, &bytes);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find("bad frame"), std::string::npos);
+  JournalEntryProof proof;
+  LedgerEntry entry;
+  EXPECT_TRUE(j.ProveEntry(1, 0, &proof, &entry).IsCorruption());
+
+  // A file cut short of the last frame.
+  std::filesystem::resize_file(path, j.stored_bytes() - 1);
+  EXPECT_TRUE(j.ReadBlock(2, &bytes).IsCorruption());
+  std::filesystem::remove(path);
 }
 
 }  // namespace

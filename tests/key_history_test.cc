@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/codec.h"
+#include "common/fault_env.h"
 #include "common/random.h"
 #include "core/spitz_db.h"
 #include "ledger/key_history_index.h"
@@ -240,11 +244,22 @@ TEST(KeyHistoryTest, IdenticalAfterReopen) {
     for (const std::string& key : keys) {
       History history;
       ASSERT_TRUE(db->KeyHistory(key, &history).ok()) << key;
+      ExpectVerified(history, key, db->Digest());
       before.push_back(std::move(history));
     }
     writes = db->Metrics().GaugeValue("core.db.history.writes");
     EXPECT_EQ(writes, db->Digest().journal.entry_count);
+    EXPECT_GT(db->Metrics().GaugeValue("core.db.journal.resident_bytes"), 0u);
+    // The flush pages every block out: the same answers now come from
+    // journal.log.
     ASSERT_TRUE(db->SyncStorage().ok());
+    EXPECT_EQ(db->Metrics().GaugeValue("core.db.journal.resident_bytes"), 0u);
+    for (size_t i = 0; i < keys.size(); i++) {
+      History history;
+      ASSERT_TRUE(db->KeyHistory(keys[i], &history).ok()) << keys[i];
+      ExpectSameHistory(before[i], history);
+      ExpectVerified(history, keys[i], db->Digest());
+    }
   }
   std::unique_ptr<SpitzDb> db;
   ASSERT_TRUE(SpitzDb::Open(options, &db).ok());
@@ -252,7 +267,8 @@ TEST(KeyHistoryTest, IdenticalAfterReopen) {
   MetricsSnapshot m = db->Metrics();
   EXPECT_EQ(m.GaugeValue("core.db.history.writes"), writes);
   EXPECT_GT(m.GaugeValue("core.db.history.bytes"), 0u);
-  EXPECT_GT(m.GaugeValue("core.db.journal.resident_bytes"), 0u);
+  // Recovery keeps only each block's offset.
+  EXPECT_EQ(m.GaugeValue("core.db.journal.resident_bytes"), 0u);
   for (size_t i = 0; i < keys.size(); i++) {
     History history;
     ASSERT_TRUE(db->KeyHistory(keys[i], &history).ok()) << keys[i];
@@ -291,6 +307,115 @@ TEST(KeyHistoryTest, IdenticalOnBackupAfterReplication) {
     ExpectSameHistory(on_primary, on_backup);
     ExpectVerified(on_backup, key, digest);
   }
+}
+
+// --- Blocks read back from journal.log ---------------------------------------
+
+// Flips one byte in the middle of block `height`'s frame in the journal
+// at `path`, under the live database that wrote it.
+void FlipJournalByte(const std::string& path, uint64_t height) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string contents((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  // Frames are lp(payload) ‖ crc32c; walk them without checking CRCs,
+  // which an earlier flip may already have broken.
+  Slice input(contents);
+  Slice payload;
+  for (uint64_t h = 0; h <= height; h++) {
+    if (h > 0) input.remove_prefix(sizeof(uint32_t));
+    ASSERT_TRUE(GetLengthPrefixedSlice(&input, &payload).ok());
+  }
+  const auto at = static_cast<std::streamoff>(payload.data() - contents.data() +
+                                              payload.size() / 2);
+  std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
+  io.seekp(at);
+  io.put(static_cast<char>(contents[at] ^ 0x20));
+}
+
+// Twelve writes k0..k11 in blocks of 4 (k4..k7 sit in block 1), synced:
+// every block paged out to journal.log.
+std::unique_ptr<SpitzDb> OpenPagedDb(const std::string& dir, Env* env) {
+  std::filesystem::remove_all(dir);
+  SpitzOptions options;
+  options.block_size = 4;
+  options.data_dir = dir;
+  options.env = env;
+  std::unique_ptr<SpitzDb> db;
+  EXPECT_TRUE(SpitzDb::Open(options, &db).ok());
+  for (int i = 0; i < 12; i++) {
+    EXPECT_TRUE(
+        db->Put("k" + std::to_string(i), "v" + std::to_string(i)).ok());
+  }
+  EXPECT_TRUE(db->SyncStorage().ok());
+  EXPECT_EQ(db->Metrics().GaugeValue("core.db.journal.resident_bytes"), 0u);
+  return db;
+}
+
+// A block paged out to journal.log is served only if it reads back
+// intact. One flipped byte makes every reader of that block report
+// Corruption naming the file: no history entry is returned and no
+// replication record is built. The blocks around it keep serving.
+TEST(KeyHistoryTest, FlippedJournalByteIsCorruptionForEveryReader) {
+  const std::string dir = ::testing::TempDir() + "/spitz_key_history_flip";
+  std::unique_ptr<SpitzDb> db = OpenPagedDb(dir, nullptr);
+  ASSERT_NE(db, nullptr);
+  const std::string journal = dir + "/journal.log";
+  FlipJournalByte(journal, 1);
+
+  History history;
+  Status s = db->KeyHistory("k4", &history);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find(journal), std::string::npos) << s.ToString();
+  EXPECT_TRUE(history.empty());
+  JournalEntryProof proof;
+  LedgerEntry entry;
+  s = db->ProveHistoricalEntry(1, 0, &proof, &entry);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  std::string serialized;
+  Block block;
+  EXPECT_TRUE(db->SealedBlock(1, &serialized, &block).IsCorruption());
+  std::string record;
+  EXPECT_TRUE(EncodeReplicationRecord(*db, 1, &record, &block).IsCorruption());
+  EXPECT_TRUE(record.empty());
+
+  const SpitzDigest digest = db->Digest();
+  for (const std::string key : {"k0", "k11"}) {
+    ASSERT_TRUE(db->KeyHistory(key, &history).ok()) << key;
+    ExpectVerified(history, key, digest);
+  }
+  // The last block is what a journal audit re-reads.
+  ASSERT_TRUE(db->Audit("").ok());
+  FlipJournalByte(journal, 2);
+  EXPECT_FALSE(db->Audit("").ok());
+  db.reset();
+  std::filesystem::remove_all(dir);
+}
+
+// A failed read of journal.log is an IOError for every reader, and
+// passes once the file reads again.
+TEST(KeyHistoryTest, FailedJournalReadIsIOError) {
+  const std::string dir = ::testing::TempDir() + "/spitz_key_history_eio";
+  FaultInjectionEnv env(Env::Default());
+  std::unique_ptr<SpitzDb> db = OpenPagedDb(dir, &env);
+  ASSERT_NE(db, nullptr);
+  env.SetReadFaults(true);
+  History history;
+  Status s = db->KeyHistory("k4", &history);
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_TRUE(history.empty());
+  JournalEntryProof proof;
+  LedgerEntry entry;
+  EXPECT_TRUE(db->ProveHistoricalEntry(1, 0, &proof, &entry).IsIOError());
+  std::string serialized;
+  Block block;
+  EXPECT_TRUE(db->SealedBlock(1, &serialized, &block).IsIOError());
+  env.SetReadFaults(false);
+  ASSERT_TRUE(db->KeyHistory("k4", &history).ok());
+  ExpectVerified(history, "k4", db->Digest());
+  ASSERT_TRUE(db->SealedBlock(1, &serialized, &block).ok());
+  EXPECT_EQ(block.height(), 1u);
+  db.reset();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,6 +20,7 @@
 #include "cluster/cluster_digest.h"
 #include "cluster/local_fleet.h"
 #include "cluster/partition.h"
+#include "common/fault_env.h"
 #include "common/random.h"
 #include "core/spitz_db.h"
 #include "net/spitz_client.h"
@@ -268,7 +271,8 @@ TEST(ReplicaRecordTest, LayoutIsHeightBlockThenOneFlagPerPut) {
   SpitzDb primary(CodecOptions());
   WriteCodecBlocks(&primary);
   std::string block_bytes;
-  ASSERT_TRUE(primary.SealedBlock(1, &block_bytes).ok());
+  Block block;
+  ASSERT_TRUE(primary.SealedBlock(1, &block_bytes, &block).ok());
 
   // fixed64(h) ‖ lp(block bytes) ‖ per put entry 0, or 1 ‖ lp(value).
   std::string expected;
@@ -426,6 +430,176 @@ TEST(ReplicaTest, ReplicatorRefusesABackupWithForeignHistory) {
   std::unique_ptr<Replicator> replicator;
   Status s = Replicator::Open(pair.StreamOptions(), &replicator);
   EXPECT_TRUE(s.IsVerificationFailed()) << s.ToString();
+}
+
+// --- Catch-up from blocks paged out of RAM ----------------------------------
+
+// A durable primary for the paging tests, in a fresh `dir`.
+std::unique_ptr<SpitzDb> OpenDurablePrimary(const std::string& dir,
+                                            Env* env) {
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  SpitzOptions options = SmallBlocks();
+  options.data_dir = dir;
+  options.env = env;
+  std::unique_ptr<SpitzDb> db;
+  Status s = SpitzDb::Open(options, &db);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return db;
+}
+
+// `blocks` full blocks of puts to `db`, then a sync that pages every
+// sealed block out to journal.log.
+void WriteAndPageOut(SpitzDb* db, const std::string& stem, int blocks) {
+  for (int i = 0; i < blocks * static_cast<int>(kBlockSize); i++) {
+    // Every third put overwrites, so records carry superseded puts.
+    ASSERT_TRUE(
+        db->Put(stem + std::to_string(i % 3 == 2 ? i - 1 : i), "v").ok());
+  }
+  ASSERT_TRUE(db->SyncStorage().ok());
+  EXPECT_EQ(db->Metrics().GaugeValue("core.db.journal.resident_bytes"), 0u);
+}
+
+// A durable backup behind its own server, for the tests that bounce it.
+struct DurableBackup {
+  std::unique_ptr<SpitzDb> db;
+  std::unique_ptr<BackupReplica> replica;
+  std::unique_ptr<SpitzServer> server;
+
+  // Opens (or reopens, after Close) the backup stored in `dir`.
+  void Open(const std::string& dir) {
+    SpitzOptions options = SmallBlocks();
+    options.data_dir = dir;
+    ASSERT_TRUE(SpitzDb::Open(options, &db).ok());
+    BackupReplica::Options replica_options;
+    replica_options.db = db.get();
+    ASSERT_TRUE(BackupReplica::Open(replica_options, &replica).ok());
+    SpitzServer::Options server_options;
+    server_options.db = db.get();
+    server_options.replica = replica.get();
+    ASSERT_TRUE(SpitzServer::Open(server_options, &server).ok());
+  }
+
+  void Close() {
+    server.reset();
+    replica.reset();
+    db.reset();
+  }
+};
+
+// A backup that fell many flushed blocks behind (its replicator paused
+// and the backup bounced) catches up from blocks read back from the
+// primary's journal.log and ends on the primary's digest, with the same
+// verified key history on both.
+TEST(ReplicaTest, BackupCatchesUpFromBlocksPagedOutOfTheJournal) {
+  const std::string dir = ::testing::TempDir() + "/spitz_replica_paged";
+  std::filesystem::remove_all(dir);
+  std::unique_ptr<SpitzDb> primary =
+      OpenDurablePrimary(dir + "/primary", nullptr);
+  ASSERT_NE(primary, nullptr);
+  DurableBackup backup;
+  backup.Open(dir + "/backup");
+  Replicator::Options stream;
+  stream.db = primary.get();
+  stream.backup.port = backup.server->port();
+
+  WriteAndPageOut(primary.get(), "early", 2);
+  std::unique_ptr<Replicator> replicator;
+  ASSERT_TRUE(Replicator::Open(stream, &replicator).ok());
+  ASSERT_TRUE(replicator->WaitDrained(10'000).ok());
+  replicator.reset();
+  backup.Close();
+
+  WriteAndPageOut(primary.get(), "late", 40);
+  backup.Open(dir + "/backup");
+  EXPECT_EQ(backup.db->Digest().journal.block_count, 2u);
+  stream.backup.port = backup.server->port();
+  ASSERT_TRUE(Replicator::Open(stream, &replicator).ok());
+  ASSERT_TRUE(replicator->WaitDrained(10'000).ok());
+  const SpitzDigest digest = primary->Digest();
+  EXPECT_EQ(digest.journal.block_count, 42u);
+  EXPECT_TRUE(backup.db->Digest() == digest);
+  EXPECT_EQ(replicator->Metrics().CounterValue("replica.primary.read_retries"),
+            0u);
+  // Synced applies paged the backup's blocks out too.
+  EXPECT_EQ(
+      backup.db->Metrics().GaugeValue("core.db.journal.resident_bytes"), 0u);
+
+  for (const std::string key : {"early0", "late4", "late100"}) {
+    std::vector<SpitzDb::HistoricalWrite> on_primary, on_backup;
+    ASSERT_TRUE(primary->KeyHistory(key, &on_primary).ok()) << key;
+    ASSERT_TRUE(backup.db->KeyHistory(key, &on_backup).ok()) << key;
+    ASSERT_EQ(on_primary.size(), on_backup.size()) << key;
+    for (size_t i = 0; i < on_backup.size(); i++) {
+      EXPECT_EQ(on_primary[i].entry, on_backup[i].entry);
+      EXPECT_TRUE(Journal::VerifyEntry(on_backup[i].entry, on_backup[i].proof,
+                                       digest.journal)
+                      .ok());
+    }
+  }
+  replicator.reset();
+  backup.Close();
+  primary.reset();
+  std::filesystem::remove_all(dir);
+}
+
+// A failed read of the primary's journal.log is retried on the same
+// connection until it succeeds; a block whose bytes fail their checks
+// is never shipped and faults the stream.
+TEST(ReplicaTest, FailedJournalReadIsRetriedAndACorruptBlockNeverShips) {
+  const std::string dir = ::testing::TempDir() + "/spitz_replica_eio";
+  FaultInjectionEnv env(Env::Default());
+  std::unique_ptr<SpitzDb> primary = OpenDurablePrimary(dir, &env);
+  ASSERT_NE(primary, nullptr);
+  ReplicaPair pair;
+  pair.StartBackup();
+  Replicator::Options stream = pair.StreamOptions();
+  stream.db = primary.get();
+  stream.reconnect_backoff_ms = 5;
+  WriteAndPageOut(primary.get(), "k", 3);
+
+  env.SetReadFaults(true);
+  std::unique_ptr<Replicator> replicator;
+  ASSERT_TRUE(Replicator::Open(stream, &replicator).ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (replicator->Metrics().CounterValue("replica.primary.read_retries") <
+             3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GE(replicator->Metrics().CounterValue("replica.primary.read_retries"),
+            3u);
+  EXPECT_TRUE(replicator->ReplicationFault().ok());
+  EXPECT_EQ(replicator->Metrics().CounterValue("replica.primary.reconnects"),
+            0u);
+  EXPECT_EQ(pair.backup_db.Digest().journal.block_count, 0u);
+  env.SetReadFaults(false);
+  ASSERT_TRUE(replicator->WaitDrained(10'000).ok());
+  EXPECT_TRUE(pair.backup_db.Digest() == primary->Digest());
+  replicator->Stop();
+
+  // Two more blocks; one byte near the end of the file lands in the
+  // last block's frame.
+  WriteAndPageOut(primary.get(), "m", 2);
+  {
+    const std::string path = dir + "/journal.log";
+    const auto at =
+        static_cast<std::streamoff>(std::filesystem::file_size(path) - 10);
+    std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
+    io.seekg(at);
+    const char c = static_cast<char>(io.get());
+    io.seekp(at);
+    io.put(static_cast<char>(c ^ 0x20));
+  }
+  ASSERT_TRUE(Replicator::Open(stream, &replicator).ok());
+  Status s = replicator->WaitDrained(10'000);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_TRUE(replicator->ReplicationFault().IsCorruption());
+  EXPECT_EQ(pair.backup_db.Digest().journal.block_count, 4u);
+  replicator.reset();
+  primary.reset();
+  std::filesystem::remove_all(dir);
 }
 
 // --- Cluster failover -------------------------------------------------------
