@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <memory>
 
+#include "chunk/buffer_cache.h"
 #include "chunk/chunk_store.h"
 #include "chunk/chunker.h"
 #include "common/crc32c.h"
@@ -129,6 +130,43 @@ void BM_PosTreeVerifiedGet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PosTreeVerifiedGet)->Arg(100000);
+
+// A node-cache miss: a point read of a tree that is one 32-entry leaf
+// (16 B keys, 100 B values), with the node cache cleared before every
+// read, so each iteration fetches the chunk and decodes the leaf. The
+// in-memory store serves the chunk, so no file read is timed; the
+// clear is.
+void BM_PosTreeLoadNodeMiss(benchmark::State& state) {
+  ChunkStore store;
+  PosTreeOptions options;
+  options.leaf_pattern_bits = 30;  // no pattern boundary: one leaf
+  PosTree tree(&store, options);
+  BufferCache cache(/*capacity_bytes=*/1 << 20, /*shard_count=*/1);
+  tree.SetNodeCache(&cache);
+  Random rng(6);
+  std::vector<PosEntry> entries;
+  for (int i = 0; i < 32; i++) {
+    char key[24];
+    snprintf(key, sizeof(key), "user%012d", i);
+    entries.push_back({key, rng.Bytes(100)});
+  }
+  Hash256 root;
+  uint32_t height = 0;
+  if (!tree.Build(entries, &root).ok() || !tree.Height(root, &height).ok() ||
+      height != 1) {
+    abort();
+  }
+  std::string value;
+  size_t i = 0;
+  for (auto _ : state) {
+    cache.Clear();
+    benchmark::DoNotOptimize(
+        tree.Get(root, entries[i % entries.size()].key, &value, nullptr));
+    i += 7;
+  }
+  if (cache.stats().kind[BufferCache::kPosNode].hits != 0) abort();
+}
+BENCHMARK(BM_PosTreeLoadNodeMiss);
 
 // Verified reads through the full database stack, with the unified
 // buffer cache sized generously (arg1 = cache bytes; the small setting

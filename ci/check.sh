@@ -13,8 +13,10 @@
 #   proof envelopes, wire requests, journal blocks replayed at recovery,
 #   sealed blocks read back from journal.log (frame CRC, then block
 #   hash, for proofs, key history, audits and the replication encoder),
-#   the chunk bytes every read traversal decodes and the
-#   replication-record decoder, swept byte by byte in ReplicaRecordTest —
+#   the POS-tree node decoder every read traversal and proof check runs
+#   (PosNode::Decode, which bounds a node's entry count by the bytes
+#   left to hold it) and the replication-record decoder, swept byte by
+#   byte in ReplicaRecordTest —
 #   and the hardware hash kernels make unaligned vector loads, so memory
 #   errors and UB are the failure modes that matter).
 # The read-set suites are ClusterReadSetTest, TwoPhaseCommitTest,

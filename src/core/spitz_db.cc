@@ -868,7 +868,8 @@ std::unique_ptr<PosTreeIterator> SpitzDb::NewIterator(
         Status::NotSupported(std::string(index_->name()) +
                              " does not support ordered scans"));
   }
-  return std::make_unique<PosTreeIterator>(chunks_.get(), root);
+  return std::make_unique<PosTreeIterator>(chunks_.get(), root,
+                                           buffer_cache_.get());
 }
 
 SpitzDigest SpitzDb::Digest() const { return *CurrentSnapshot(); }

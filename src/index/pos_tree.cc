@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 #include "chunk/buffer_cache.h"
 #include "common/codec.h"
@@ -9,23 +10,6 @@
 namespace spitz {
 
 namespace {
-
-// Routing: first child whose last_key >= key; keys greater than every
-// last_key route to the rightmost child (where an insert would land).
-template <typename ChildVec>
-size_t RouteChild(const ChildVec& children, const Slice& key) {
-  size_t lo = 0, hi = children.size();
-  while (lo < hi) {
-    size_t mid = (lo + hi) / 2;
-    if (Slice(children[mid].last_key).compare(key) < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (lo == children.size()) lo = children.size() - 1;
-  return lo;
-}
 
 uint32_t HashPrefix(const Hash256& h) {
   return (static_cast<uint32_t>(h.data()[0]) << 24) |
@@ -56,7 +40,13 @@ Hash256 PosTree::EntryHash(const PosEntry& e) {
 // --- Node serialization ----------------------------------------------------
 
 std::string PosTree::EncodeLeaf(const std::vector<PosEntry>& entries) {
+  size_t size = VarintLength(entries.size());
+  for (const PosEntry& e : entries) {
+    size += VarintLength(e.key.size()) + e.key.size() +
+            VarintLength(e.value.size()) + e.value.size();
+  }
   std::string out;
+  out.reserve(size);  // the chunk keeps this string: no growth slack
   PutVarint64(&out, entries.size());
   for (const PosEntry& e : entries) {
     PutLengthPrefixedSlice(&out, e.key);
@@ -65,26 +55,14 @@ std::string PosTree::EncodeLeaf(const std::vector<PosEntry>& entries) {
   return out;
 }
 
-Status PosTree::DecodeLeaf(const Slice& payload, std::vector<PosEntry>* out) {
-  Slice input = payload;
-  uint64_t n = 0;
-  Status s = GetVarint64(&input, &n);
-  if (!s.ok()) return s;
-  out->clear();
-  out->reserve(n);
-  for (uint64_t i = 0; i < n; i++) {
-    Slice key, value;
-    s = GetLengthPrefixedSlice(&input, &key);
-    if (!s.ok()) return s;
-    s = GetLengthPrefixedSlice(&input, &value);
-    if (!s.ok()) return s;
-    out->push_back(PosEntry{key.ToString(), value.ToString()});
-  }
-  return Status::OK();
-}
-
 std::string PosTree::EncodeMeta(const std::vector<ChildRef>& children) {
+  size_t size = VarintLength(children.size());
+  for (const ChildRef& c : children) {
+    size += VarintLength(c.last_key.size()) + c.last_key.size() +
+            Hash256::kSize + VarintLength(c.count);
+  }
   std::string out;
+  out.reserve(size);
   PutVarint64(&out, children.size());
   for (const ChildRef& c : children) {
     PutLengthPrefixedSlice(&out, c.last_key);
@@ -94,27 +72,93 @@ std::string PosTree::EncodeMeta(const std::vector<ChildRef>& children) {
   return out;
 }
 
-Status PosTree::DecodeMeta(const Slice& payload, std::vector<ChildRef>* out) {
-  Slice input = payload;
+Status PosNode::Decode(std::shared_ptr<const Chunk> chunk,
+                       std::shared_ptr<const PosNode>* out) {
+  const ChunkType type = chunk->type();
+  if (type != ChunkType::kIndexLeaf && type != ChunkType::kIndexMeta) {
+    return Status::Corruption("unexpected chunk type in tree");
+  }
+  if (chunk->payload().size() > std::numeric_limits<uint32_t>::max()) {
+    return Status::Corruption("index node of 4 GiB or more");
+  }
+  std::shared_ptr<PosNode> node(new PosNode(std::move(chunk)));
+  const char* base = node->payload().data();
+  Slice input(node->payload());
   uint64_t n = 0;
   Status s = GetVarint64(&input, &n);
   if (!s.ok()) return s;
-  out->clear();
-  out->reserve(n);
-  for (uint64_t i = 0; i < n; i++) {
-    ChildRef c;
-    Slice key;
-    s = GetLengthPrefixedSlice(&input, &key);
-    if (!s.ok()) return s;
-    c.last_key = key.ToString();
-    if (!GetHash256(&input, &c.id)) {
-      return Status::Corruption("truncated meta node");
+  // The count comes from untrusted bytes (a proof, or a damaged store):
+  // bound it by the smallest encoding of one element before reserving.
+  if (type == ChunkType::kIndexLeaf) {
+    if (n > input.size() / 2) {  // two one-byte length prefixes
+      return Status::Corruption("leaf entry count exceeds its bytes");
     }
-    s = GetVarint64(&input, &c.count);
-    if (!s.ok()) return s;
-    out->push_back(std::move(c));
+    node->slots_.reserve(n);
+    for (uint64_t i = 0; i < n; i++) {
+      Slice key, value;
+      s = GetLengthPrefixedSlice(&input, &key);
+      if (!s.ok()) return s;
+      s = GetLengthPrefixedSlice(&input, &value);
+      if (!s.ok()) return s;
+      node->slots_.push_back(Slot{static_cast<uint32_t>(key.data() - base),
+                                  static_cast<uint32_t>(key.size()),
+                                  static_cast<uint32_t>(value.data() - base),
+                                  static_cast<uint32_t>(value.size())});
+    }
+  } else {
+    if (n == 0) return Status::Corruption("empty meta node");
+    // A one-byte key prefix, the child id and a one-byte count.
+    if (n > input.size() / (2 + Hash256::kSize)) {
+      return Status::Corruption("meta child count exceeds its bytes");
+    }
+    node->children_.reserve(n);
+    for (uint64_t i = 0; i < n; i++) {
+      PosTree::ChildRef c;
+      Slice key;
+      s = GetLengthPrefixedSlice(&input, &key);
+      if (!s.ok()) return s;
+      c.last_key = key.ToString();
+      if (!GetHash256(&input, &c.id)) {
+        return Status::Corruption("truncated meta node");
+      }
+      s = GetVarint64(&input, &c.count);
+      if (!s.ok()) return s;
+      node->children_.push_back(std::move(c));
+    }
   }
+  *out = std::move(node);
   return Status::OK();
+}
+
+size_t PosNode::LowerBound(const Slice& key) const {
+  const char* base = payload().data();
+  auto it = std::lower_bound(
+      slots_.begin(), slots_.end(), key, [base](const Slot& s, const Slice& k) {
+        return Slice(base + s.key_offset, s.key_size).compare(k) < 0;
+      });
+  return static_cast<size_t>(it - slots_.begin());
+}
+
+size_t PosNode::Route(const Slice& key) const {
+  auto it = std::lower_bound(children_.begin(), children_.end(), key,
+                             [](const PosTree::ChildRef& c, const Slice& k) {
+                               return Slice(c.last_key).compare(k) < 0;
+                             });
+  return std::min(static_cast<size_t>(it - children_.begin()),
+                  children_.size() - 1);
+}
+
+size_t PosNode::ByteSize() const {
+  size_t n = sizeof(PosNode) + sizeof(Chunk) + payload().capacity() +
+             slots_.capacity() * sizeof(Slot) +
+             children_.capacity() * sizeof(PosTree::ChildRef);
+  for (const PosTree::ChildRef& c : children_) {
+    // Keys within the small-string buffer live inside the ChildRef.
+    if (c.last_key.capacity() > std::string().capacity()) {
+      n += c.last_key.capacity() + 1;
+    }
+  }
+  return n;
 }
 
 Status PosTree::LoadNode(const Hash256& id,
@@ -128,16 +172,8 @@ Status PosTree::LoadNode(const Hash256& id,
   std::shared_ptr<const Chunk> chunk;
   Status s = store_->Get(id, &chunk);
   if (!s.ok()) return s;
-  auto decoded = std::make_shared<PosNode>();
-  decoded->type = chunk->type();
-  decoded->payload = chunk->payload();
-  if (chunk->type() == ChunkType::kIndexLeaf) {
-    s = DecodeLeaf(chunk->data(), &decoded->entries);
-  } else if (chunk->type() == ChunkType::kIndexMeta) {
-    s = DecodeMeta(chunk->data(), &decoded->children);
-  } else {
-    return Status::Corruption("unexpected chunk type in tree");
-  }
+  std::shared_ptr<const PosNode> decoded;
+  s = PosNode::Decode(std::move(chunk), &decoded);
   if (!s.ok()) return s;
   if (cache_ != nullptr) {
     cache_->Insert(BufferCache::kPosNode, id, decoded, decoded->ByteSize());
@@ -243,6 +279,70 @@ Status PosTree::Build(std::vector<PosEntry> entries, Hash256* root) const {
 
 // --- Reads -------------------------------------------------------------
 
+namespace {
+
+// Appends a leaf's entries as owned copies (for building new leaves).
+void AppendEntries(const PosNode& leaf, std::vector<PosEntry>* out) {
+  for (size_t i = 0; i < leaf.entry_count(); i++) {
+    out->push_back(leaf.entry(i));
+  }
+}
+
+// The range walk that Scan runs over the store and VerifyRangeProof runs
+// over a proof: visits, in key order, the subtrees that can intersect
+// [start, end) and hands every entry in range to `emit(leaf, i)` until
+// `limit` entries (0 = no limit) have gone out. `load(id, &node)`
+// resolves a node; either callback stops the walk with an error.
+template <typename Load, typename Emit>
+struct RangeWalk {
+  Slice start, end;
+  size_t limit;
+  Load load;
+  Emit emit;
+  size_t emitted = 0;
+
+  Status Visit(const Hash256& id, bool* done) {
+    std::shared_ptr<const PosNode> node;
+    Status s = load(id, &node);
+    if (!s.ok()) return s;
+    if (node->is_leaf()) {
+      for (size_t i = node->LowerBound(start); i < node->entry_count(); i++) {
+        if (!end.empty() && node->key(i).compare(end) >= 0) {
+          *done = true;
+          return Status::OK();
+        }
+        s = emit(*node, i);
+        if (!s.ok()) return s;
+        if (limit > 0 && ++emitted >= limit) {
+          *done = true;
+          return Status::OK();
+        }
+      }
+      return Status::OK();
+    }
+    for (const PosTree::ChildRef& child : node->children()) {
+      if (*done) break;
+      // Skip subtrees entirely below the range start; subtrees after
+      // one that reached `end` are never visited.
+      if (Slice(child.last_key).compare(start) < 0) continue;
+      s = Visit(child.id, done);
+      if (!s.ok()) return s;
+    }
+    return Status::OK();
+  }
+};
+
+template <typename Load, typename Emit>
+Status WalkRange(const Hash256& root, const Slice& start, const Slice& end,
+                 size_t limit, Load load, Emit emit) {
+  RangeWalk<Load, Emit> walk{start, end, limit, std::move(load),
+                             std::move(emit)};
+  bool done = false;
+  return walk.Visit(root, &done);
+}
+
+}  // namespace
+
 Status PosTree::Get(const Hash256& root, const Slice& key, std::string* value,
                     PosProof* proof) const {
   if (proof != nullptr) {
@@ -256,25 +356,20 @@ Status PosTree::Get(const Hash256& root, const Slice& key, std::string* value,
     Status s = LoadNode(id, &node);
     if (!s.ok()) return s;
     if (proof != nullptr) {
-      proof->node_payloads.push_back(node->payload);
-      proof->node_types.push_back(static_cast<uint8_t>(node->type));
+      proof->node_payloads.push_back(node->payload());
+      proof->node_types.push_back(static_cast<uint8_t>(node->type()));
     }
     if (!node->is_leaf()) {
-      if (node->children.empty()) {
-        return Status::Corruption("empty meta node");
-      }
-      id = node->children[RouteChild(node->children, key)].id;
+      id = node->children()[node->Route(key)].id;
       continue;
     }
-    auto it = std::lower_bound(node->entries.begin(), node->entries.end(),
-                               key, [](const PosEntry& e, const Slice& k) {
-                                 return Slice(e.key).compare(k) < 0;
-                               });
-    if (it == node->entries.end() || Slice(it->key) != key) {
+    const size_t i = node->LowerBound(key);
+    if (i == node->entry_count() || node->key(i) != key) {
       // A proof still demonstrates non-membership.
       return Status::NotFound("key absent");
     }
-    *value = it->value;
+    const Slice found = node->value(i);
+    value->assign(found.data(), found.size());
     return Status::OK();
   }
 }
@@ -285,55 +380,22 @@ Status PosTree::Scan(const Hash256& root, const Slice& start, const Slice& end,
   out->clear();
   if (proof != nullptr) proof->nodes.clear();
   if (root.IsZero()) return Status::OK();
-
-  // Recursive walk restricted to subtrees that can intersect the range;
-  // with a proof, every visited node's payload is captured into it (this
-  // is the "proofs come back with the scan" behaviour of section 6.2.2).
-  struct Walker {
-    const PosTree* tree;
-    Slice start, end;
-    size_t limit;
-    std::vector<PosEntry>* out;
-    PosRangeProof* proof;
-
-    Status Visit(const Hash256& id, bool* done) {
-      std::shared_ptr<const PosNode> node;
-      Status s = tree->LoadNode(id, &node);
-      if (!s.ok()) return s;
-      if (proof != nullptr) {
-        proof->nodes[id] = {static_cast<uint8_t>(node->type), node->payload};
-      }
-      if (node->is_leaf()) {
-        for (const PosEntry& e : node->entries) {
-          if (Slice(e.key).compare(start) < 0) continue;
-          if (!end.empty() && Slice(e.key).compare(end) >= 0) {
-            *done = true;
-            return Status::OK();
-          }
-          out->push_back(e);
-          if (limit > 0 && out->size() >= limit) {
-            *done = true;
-            return Status::OK();
-          }
+  // With a proof, every visited node's payload is captured into it (the
+  // "proofs come back with the scan" behaviour of section 6.2.2).
+  return WalkRange(
+      root, start, end, limit,
+      [&](const Hash256& id, std::shared_ptr<const PosNode>* node) {
+        Status s = LoadNode(id, node);
+        if (s.ok() && proof != nullptr) {
+          proof->nodes[id] = {static_cast<uint8_t>((*node)->type()),
+                              (*node)->payload()};
         }
+        return s;
+      },
+      [&](const PosNode& leaf, size_t i) {
+        out->push_back(leaf.entry(i));
         return Status::OK();
-      }
-      const std::vector<ChildRef>& children = node->children;
-      if (children.empty()) return Status::Corruption("empty meta node");
-      for (size_t i = 0; i < children.size() && !*done; i++) {
-        // Skip subtrees entirely below the range start.
-        if (Slice(children[i].last_key).compare(start) < 0) continue;
-        s = Visit(children[i].id, done);
-        if (!s.ok()) return s;
-        // Subtrees after one that reached `end` are irrelevant.
-      }
-      return Status::OK();
-    }
-  };
-
-  Walker w{this, start, end, limit, out, proof};
-  bool done = false;
-  return w.Visit(root, &done);
+      });
 }
 
 Status PosTree::Count(const Hash256& root, uint64_t* count) const {
@@ -343,10 +405,10 @@ Status PosTree::Count(const Hash256& root, uint64_t* count) const {
   Status s = LoadNode(root, &node);
   if (!s.ok()) return s;
   if (node->is_leaf()) {
-    *count = node->entries.size();
+    *count = node->entry_count();
     return Status::OK();
   }
-  for (const ChildRef& c : node->children) *count += c.count;
+  for (const ChildRef& c : node->children()) *count += c.count;
   return Status::OK();
 }
 
@@ -359,7 +421,7 @@ Status PosTree::CollectChunks(
   Status s = LoadNode(root, &node);
   if (!s.ok()) return s;
   if (node->is_leaf()) return Status::OK();
-  for (const ChildRef& c : node->children) {
+  for (const ChildRef& c : node->children()) {
     s = CollectChunks(c.id, live);
     if (!s.ok()) return s;
   }
@@ -375,8 +437,7 @@ Status PosTree::Height(const Hash256& root, uint32_t* height) const {
     if (!s.ok()) return s;
     (*height)++;
     if (node->is_leaf()) break;
-    if (node->children.empty()) return Status::Corruption("empty meta node");
-    id = node->children[0].id;
+    id = node->children()[0].id;
   }
   return Status::OK();
 }
@@ -386,26 +447,24 @@ Status PosTree::Height(const Hash256& root, uint32_t* height) const {
 std::optional<PosTree::ChildRef> PosTree::SiblingCursor::Next() {
   // Find the deepest frame that can advance.
   int i = static_cast<int>(frames_.size()) - 1;
-  while (i >= 0 && frames_[i].idx + 1 >= frames_[i].children.size()) i--;
+  while (i >= 0 && frames_[i].idx + 1 >= frames_[i].node->children().size()) {
+    i--;
+  }
   if (i < 0) return std::nullopt;
   frames_[i].idx++;
   // Re-descend to the cursor level along the leftmost path.
   for (size_t l = i + 1; l < frames_.size(); l++) {
-    const Hash256& child_id = frames_[l - 1].children[frames_[l - 1].idx].id;
+    const PathFrame& parent = frames_[l - 1];
     std::shared_ptr<const PosNode> node;
-    Status s = tree_->LoadNode(child_id, &node);
+    Status s = tree_->LoadNode(parent.node->children()[parent.idx].id, &node);
     if (!s.ok()) return std::nullopt;
     if (node->is_leaf()) {
       return std::nullopt;  // structure shallower than expected
     }
-    PathFrame f;
-    f.id = child_id;
-    f.children = node->children;
-    f.idx = 0;
-    frames_[l] = std::move(f);
+    frames_[l] = PathFrame{std::move(node), 0};
   }
   const PathFrame& bottom = frames_.back();
-  return bottom.children[bottom.idx];
+  return bottom.node->children()[bottom.idx];
 }
 
 Status PosTree::Put(const Hash256& root, const Slice& key, const Slice& value,
@@ -434,18 +493,13 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
     std::shared_ptr<const PosNode> node;
     Status s = LoadNode(id, &node);
     if (!s.ok()) return s;
-    if (!node->is_leaf()) {
-      if (node->children.empty()) return Status::Corruption("empty meta node");
-      PathFrame f;
-      f.id = id;
-      f.children = node->children;
-      f.idx = RouteChild(f.children, key);
-      id = f.children[f.idx].id;
-      frames.push_back(std::move(f));
-    } else {
-      leaf_entries = node->entries;
+    if (node->is_leaf()) {
+      AppendEntries(*node, &leaf_entries);
       break;
     }
+    const size_t idx = node->Route(key);
+    id = node->children()[idx].id;
+    frames.push_back(PathFrame{std::move(node), idx});
   }
 
   // 2. Apply the mutation to the leaf's entry run.
@@ -497,27 +551,26 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
       return Status::Corruption("expected leaf sibling during update");
     }
     pending = std::move(suffix);
-    pending.insert(pending.end(), next_node->entries.begin(),
-                   next_node->entries.end());
+    AppendEntries(*next_node, &pending);
   }
 
   // 4. Propagate upward level by level.
   for (int fi = static_cast<int>(frames.size()) - 1; fi >= 0; fi--) {
-    const PathFrame& frame = frames[fi];
+    const std::vector<ChildRef>& children = frames[fi].node->children();
+    const size_t idx = frames[fi].idx;
     SiblingCursor cursor(
         this, std::vector<PathFrame>(frames.begin(), frames.begin() + fi));
 
     // Splice: children before the descent point stay; `consumed_old`
     // old children (possibly spanning sibling nodes) are replaced by
     // new_refs; the rest of the partially-consumed node is kept.
-    std::vector<ChildRef> pending_children(frame.children.begin(),
-                                           frame.children.begin() + frame.idx);
+    std::vector<ChildRef> pending_children(children.begin(),
+                                           children.begin() + idx);
     pending_children.insert(pending_children.end(), new_refs.begin(),
                             new_refs.end());
     uint64_t nodes_consumed_here = 1;  // this frame's node
     uint64_t to_consume = consumed_old;
-    std::vector<ChildRef> remaining(frame.children.begin() + frame.idx,
-                                    frame.children.end());
+    std::vector<ChildRef> remaining(children.begin() + idx, children.end());
     while (remaining.size() < to_consume) {
       to_consume -= remaining.size();
       std::optional<ChildRef> sib = cursor.Next();
@@ -533,7 +586,7 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
       if (sib_node->is_leaf()) {
         return Status::Corruption("expected meta sibling during update");
       }
-      remaining = sib_node->children;
+      remaining = sib_node->children();
     }
     pending_children.insert(pending_children.end(),
                             remaining.begin() + to_consume, remaining.end());
@@ -562,8 +615,8 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
         return Status::Corruption("expected meta sibling during update");
       }
       level_pending = std::move(suffix);
-      level_pending.insert(level_pending.end(), sib_node->children.begin(),
-                           sib_node->children.end());
+      level_pending.insert(level_pending.end(), sib_node->children().begin(),
+                           sib_node->children().end());
     }
     new_refs = std::move(refs_up);
     consumed_old = nodes_consumed_here;
@@ -578,8 +631,8 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
     Status s = LoadNode(result, &node);
     if (!s.ok()) return s;
     if (node->is_leaf()) break;
-    if (node->children.size() != 1) break;
-    result = node->children[0].id;
+    if (node->children().size() != 1) break;
+    result = node->children()[0].id;
   }
   *new_root = result;
   return Status::OK();
@@ -588,58 +641,56 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
 // --- Verification ------------------------------------------------------
 
 namespace {
-Hash256 ChunkIdOf(uint8_t type, const std::string& payload) {
-  return Chunk(static_cast<ChunkType>(type), payload).id();
+
+// Decodes one node a proof carries, after checking that it is the node
+// `id` names: the proof's bytes are untrusted until they hash to it.
+Status DecodeProofNode(uint8_t type, const std::string& payload,
+                       const Hash256& id,
+                       std::shared_ptr<const PosNode>* node) {
+  auto chunk =
+      std::make_shared<const Chunk>(static_cast<ChunkType>(type), payload);
+  if (chunk->id() != id) {
+    return Status::VerificationFailed("proof node hash mismatch");
+  }
+  if (!PosNode::Decode(std::move(chunk), node).ok()) {
+    return Status::VerificationFailed("bad proof node payload");
+  }
+  return Status::OK();
 }
+
 }  // namespace
 
 Status PosTree::VerifyProof(const Hash256& root, const Slice& key,
                             const std::optional<std::string>& expected_value,
                             const PosProof& proof) {
-  if (proof.node_payloads.size() != proof.node_types.size() ||
-      proof.node_payloads.empty()) {
+  const size_t depth = proof.node_payloads.size();
+  if (depth != proof.node_types.size() || depth == 0) {
     return Status::VerificationFailed("malformed proof");
   }
-  // Root binding.
-  if (ChunkIdOf(proof.node_types[0], proof.node_payloads[0]) != root) {
-    return Status::VerificationFailed("proof root does not match digest");
-  }
-  // Walk down: each meta must route `key` to the next node's id.
-  for (size_t i = 0; i + 1 < proof.node_payloads.size(); i++) {
-    if (proof.node_types[i] != static_cast<uint8_t>(ChunkType::kIndexMeta)) {
+  // Walk down from the root digest: each meta must route `key` to the
+  // id the next node hashes to.
+  Hash256 id = root;
+  std::shared_ptr<const PosNode> node;
+  for (size_t i = 0; i < depth; i++) {
+    Status s =
+        DecodeProofNode(proof.node_types[i], proof.node_payloads[i], id, &node);
+    if (!s.ok()) return s;
+    if (i + 1 == depth) break;
+    if (node->is_leaf()) {
       return Status::VerificationFailed("interior proof node is not meta");
     }
-    std::vector<ChildRef> children;
-    Status s = DecodeMeta(proof.node_payloads[i], &children);
-    if (!s.ok()) return Status::VerificationFailed("bad meta payload");
-    if (children.empty()) {
-      return Status::VerificationFailed("empty meta in proof");
-    }
-    size_t idx = RouteChild(children, key);
-    Hash256 next =
-        ChunkIdOf(proof.node_types[i + 1], proof.node_payloads[i + 1]);
-    if (children[idx].id != next) {
-      return Status::VerificationFailed("broken hash link in proof");
-    }
+    id = node->children()[node->Route(key)].id;
   }
-  // Leaf check.
-  if (proof.node_types.back() !=
-      static_cast<uint8_t>(ChunkType::kIndexLeaf)) {
+  if (!node->is_leaf()) {
     return Status::VerificationFailed("proof does not end at a leaf");
   }
-  std::vector<PosEntry> entries;
-  Status s = DecodeLeaf(proof.node_payloads.back(), &entries);
-  if (!s.ok()) return Status::VerificationFailed("bad leaf payload");
-  auto it = std::lower_bound(entries.begin(), entries.end(), key,
-                             [](const PosEntry& e, const Slice& k) {
-                               return Slice(e.key).compare(k) < 0;
-                             });
-  bool present = it != entries.end() && Slice(it->key) == key;
+  const size_t i = node->LowerBound(key);
+  const bool present = i < node->entry_count() && node->key(i) == key;
   if (expected_value.has_value()) {
     if (!present) {
       return Status::VerificationFailed("proof shows key absent");
     }
-    if (it->value != *expected_value) {
+    if (node->value(i) != Slice(*expected_value)) {
       return Status::VerificationFailed("value mismatch");
     }
   } else {
@@ -662,67 +713,31 @@ Status PosTree::VerifyRangeProof(const Hash256& root, const Slice& start,
   }
 
   // Re-walk the proof from the root, recomputing every chunk id, and
-  // independently rebuild the result set.
-  struct Walker {
-    const PosRangeProof* proof;
-    Slice start, end;
-    size_t limit;
-    std::vector<PosEntry> rebuilt;
-
-    Status Visit(const Hash256& id, bool* done) {
-      auto it = proof->nodes.find(id);
-      if (it == proof->nodes.end()) {
-        return Status::VerificationFailed("proof missing node " + id.ToHex());
-      }
-      uint8_t type = it->second.first;
-      const std::string& payload = it->second.second;
-      if (ChunkIdOf(type, payload) != id) {
-        return Status::VerificationFailed("proof node hash mismatch");
-      }
-      if (type == static_cast<uint8_t>(ChunkType::kIndexLeaf)) {
-        std::vector<PosEntry> entries;
-        Status s = DecodeLeaf(payload, &entries);
-        if (!s.ok()) return Status::VerificationFailed("bad leaf payload");
-        for (const PosEntry& e : entries) {
-          if (Slice(e.key).compare(start) < 0) continue;
-          if (!end.empty() && Slice(e.key).compare(end) >= 0) {
-            *done = true;
-            return Status::OK();
-          }
-          rebuilt.push_back(e);
-          if (limit > 0 && rebuilt.size() >= limit) {
-            *done = true;
-            return Status::OK();
-          }
+  // match each entry the walk yields against the claimed results.
+  size_t matched = 0;
+  Status s = WalkRange(
+      root, start, end, limit,
+      [&](const Hash256& id, std::shared_ptr<const PosNode>* node) {
+        auto it = proof.nodes.find(id);
+        if (it == proof.nodes.end()) {
+          return Status::VerificationFailed("proof missing node " +
+                                            id.ToHex());
+        }
+        return DecodeProofNode(it->second.first, it->second.second, id, node);
+      },
+      [&](const PosNode& leaf, size_t i) {
+        if (matched == expected.size()) {
+          return Status::VerificationFailed("result cardinality mismatch");
+        }
+        const PosEntry& e = expected[matched++];
+        if (leaf.key(i) != Slice(e.key) || leaf.value(i) != Slice(e.value)) {
+          return Status::VerificationFailed("result content mismatch");
         }
         return Status::OK();
-      }
-      if (type != static_cast<uint8_t>(ChunkType::kIndexMeta)) {
-        return Status::VerificationFailed("unexpected node type in proof");
-      }
-      std::vector<ChildRef> children;
-      Status s = DecodeMeta(payload, &children);
-      if (!s.ok()) return Status::VerificationFailed("bad meta payload");
-      for (size_t i = 0; i < children.size() && !*done; i++) {
-        if (Slice(children[i].last_key).compare(start) < 0) continue;
-        s = Visit(children[i].id, done);
-        if (!s.ok()) return s;
-      }
-      return Status::OK();
-    }
-  };
-
-  Walker w{&proof, start, end, limit, {}};
-  bool done = false;
-  Status s = w.Visit(root, &done);
+      });
   if (!s.ok()) return s;
-  if (w.rebuilt.size() != expected.size()) {
+  if (matched != expected.size()) {
     return Status::VerificationFailed("result cardinality mismatch");
-  }
-  for (size_t i = 0; i < expected.size(); i++) {
-    if (!(w.rebuilt[i] == expected[i])) {
-      return Status::VerificationFailed("result content mismatch");
-    }
   }
   return Status::OK();
 }

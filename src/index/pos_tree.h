@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_set>
@@ -102,7 +103,7 @@ struct PosTreeOptions {
 };
 
 class BufferCache;
-struct PosNode;
+class PosNode;
 
 // A handle over one version of a POS-tree. The tree itself lives in the
 // chunk store; a version is identified by its root chunk id. All
@@ -200,8 +201,7 @@ class PosTree {
                                  const PosRangeProof& proof);
 
   // A reference from a meta node to one child subtree. Public because
-  // decoded nodes (PosNode) expose their child lists to iterators and
-  // the node cache.
+  // decoded nodes (PosNode) expose their child lists to iterators.
   struct ChildRef {
     std::string last_key;  // max key in the subtree
     Hash256 id;
@@ -212,9 +212,8 @@ class PosTree {
   friend class PosTreeIterator;
 
   struct PathFrame {
-    Hash256 id;
-    std::vector<ChildRef> children;
-    size_t idx = 0;  // child taken during descent
+    std::shared_ptr<const PosNode> node;  // a meta node
+    size_t idx = 0;                       // child taken during descent
   };
 
   // Yields successive sibling node refs at a fixed level, starting after
@@ -238,11 +237,9 @@ class PosTree {
 
   static Hash256 EntryHash(const PosEntry& e);
 
-  // Node (de)serialization.
+  // Node serialization (PosNode::Decode reads it back).
   static std::string EncodeLeaf(const std::vector<PosEntry>& entries);
-  static Status DecodeLeaf(const Slice& payload, std::vector<PosEntry>* out);
   static std::string EncodeMeta(const std::vector<ChildRef>& children);
-  static Status DecodeMeta(const Slice& payload, std::vector<ChildRef>* out);
 
   // Fetches and decodes the node `id`, consulting the attached cache
   // first. On a miss the chunk is fetched from the store, decoded once,
@@ -277,29 +274,75 @@ class PosTree {
   BufferCache* cache_ = nullptr;
 };
 
-// A fully decoded POS-tree node: the raw payload (kept because proofs
-// ship payload bytes) plus the parsed entries or child refs. Immutable
-// once built, so one instance is safely shared by the cache and any
-// number of concurrent traversals.
-struct PosNode {
-  ChunkType type = ChunkType::kIndexLeaf;
-  std::string payload;
-  std::vector<PosEntry> entries;           // type == kIndexLeaf
-  std::vector<PosTree::ChildRef> children; // type == kIndexMeta
+// A decoded POS-tree node: a view over its immutable chunk. A leaf is
+// the chunk plus a table of 32-bit offsets into its payload, one slot
+// per entry, so a cached leaf holds each key and value exactly once —
+// in the chunk, the same object a kRawChunk cache entry for this id
+// holds — and makes no heap allocation per entry. A meta node also
+// keeps its child refs decoded and owned: metas are about one node in
+// 33 at the default fanout, and the update path copies the refs
+// anyway. Immutable once
+// built, so one instance is safely shared by the cache and any number
+// of concurrent traversals; every Slice it returns stays valid for as
+// long as the caller holds the node.
+class PosNode {
+ public:
+  // The one decoder of index node bytes, for chunks read from the store
+  // and for payloads a proof carries. Returns Corruption for a chunk
+  // that is not an index leaf or meta node, for bytes that do not parse,
+  // for an entry count larger than the remaining bytes can hold, for a
+  // meta node without children, and for a payload of 4 GiB or more.
+  static Status Decode(std::shared_ptr<const Chunk> chunk,
+                       std::shared_ptr<const PosNode>* node);
 
-  bool is_leaf() const { return type == ChunkType::kIndexLeaf; }
+  ChunkType type() const { return chunk_->type(); }
+  bool is_leaf() const { return type() == ChunkType::kIndexLeaf; }
+  // The serialized node, as proofs ship it.
+  const std::string& payload() const { return chunk_->payload(); }
 
-  // Approximate resident footprint, used as the cache charge.
-  size_t ByteSize() const {
-    size_t n = sizeof(PosNode) + payload.size();
-    for (const PosEntry& e : entries) {
-      n += sizeof(PosEntry) + e.key.size() + e.value.size();
-    }
-    for (const PosTree::ChildRef& c : children) {
-      n += sizeof(PosTree::ChildRef) + c.last_key.size();
-    }
-    return n;
+  // Leaf entries, in key order.
+  size_t entry_count() const { return slots_.size(); }
+  Slice key(size_t i) const {
+    return Slice(payload().data() + slots_[i].key_offset, slots_[i].key_size);
   }
+  Slice value(size_t i) const {
+    return Slice(payload().data() + slots_[i].value_offset,
+                 slots_[i].value_size);
+  }
+  PosEntry entry(size_t i) const {
+    return PosEntry{key(i).ToString(), value(i).ToString()};
+  }
+  // Index of the first entry whose key is >= `key` (entry_count() when
+  // there is none).
+  size_t LowerBound(const Slice& key) const;
+
+  // Meta children, in key order; never empty.
+  const std::vector<PosTree::ChildRef>& children() const { return children_; }
+  // The child `key` routes to: the first whose last_key is >= `key`;
+  // keys past every last_key route to the last child (where an insert
+  // would land).
+  size_t Route(const Slice& key) const;
+
+  // Every byte the node keeps alive, used as its cache charge: the
+  // whole chunk plus the tables. While a kRawChunk entry for the same
+  // chunk is resident, the chunk's bytes are charged to both entries,
+  // so the budget over-counts and never under-counts.
+  size_t ByteSize() const;
+
+ private:
+  struct Slot {
+    uint32_t key_offset;
+    uint32_t key_size;
+    uint32_t value_offset;
+    uint32_t value_size;
+  };
+
+  explicit PosNode(std::shared_ptr<const Chunk> chunk)
+      : chunk_(std::move(chunk)) {}
+
+  std::shared_ptr<const Chunk> chunk_;
+  std::vector<Slot> slots_;                 // leaf
+  std::vector<PosTree::ChildRef> children_; // meta
 };
 
 }  // namespace spitz

@@ -28,12 +28,18 @@ class PosTreeIterator {
  public:
   // The iterator holds a read epoch for its whole lifetime: the version
   // GC will not unmap any chunk while this iterator exists, even if the
-  // iterated root has since fallen out of the retention window.
-  PosTreeIterator(const ChunkStore* store, const Hash256& root)
-      : store_(store), root_(root), epoch_pin_(store->PinReads()) {}
+  // iterated root has since fallen out of the retention window. Nodes
+  // come through `cache` (when given) as in every other traversal: the
+  // iterator holds the decoded nodes on its path, and key() and value()
+  // view the current leaf's bytes.
+  PosTreeIterator(ChunkStore* store, const Hash256& root,
+                  BufferCache* cache = nullptr)
+      : tree_(store), root_(root), epoch_pin_(store->PinReads()) {
+    tree_.SetNodeCache(cache);
+  }
   // An iterator that cannot walk `root` (its index is not a POS-tree):
   // never Valid(), and status() is `error` before and after every Seek.
-  PosTreeIterator(const ChunkStore* store, const Hash256& root, Status error)
+  PosTreeIterator(ChunkStore* store, const Hash256& root, Status error)
       : PosTreeIterator(store, root) {
     error_ = std::move(error);
     status_ = error_;
@@ -49,28 +55,28 @@ class PosTreeIterator {
   bool Valid() const { return valid_; }
   void Next();
 
-  // Valid() must be true.
-  Slice key() const { return Slice(entries_[entry_idx_].key); }
-  Slice value() const { return Slice(entries_[entry_idx_].value); }
+  // Valid() must be true. The bytes stay valid until the iterator moves
+  // to another leaf.
+  Slice key() const { return leaf_->key(entry_idx_); }
+  Slice value() const { return leaf_->value(entry_idx_); }
 
   // Any error encountered during iteration (Valid() turns false).
   const Status& status() const { return status_; }
 
  private:
   struct MetaFrame {
-    std::vector<PosTree::ChildRef> children;
-    size_t idx = 0;
+    std::shared_ptr<const PosNode> node;
+    size_t idx = 0;  // child the iterator is under
   };
 
-  // Loads a node chunk; returns nullptr (and sets status_) on failure.
-  std::shared_ptr<const Chunk> LoadNode(const Hash256& id);
-  // Descends from `id` to a leaf, taking the child chosen by `pick` at
-  // every meta level and stacking frames.
-  void Descend(const Hash256& id, const Slice& target);
-  // Moves to the next leaf via the frame stack; clears valid_ at end.
-  void AdvanceLeaf();
+  // Descends from `id` to a leaf, routing by `target` at every meta
+  // level and stacking frames. Returns false (status_ set) on error.
+  bool Descend(Hash256 id, const Slice& target);
+  // Steps past exhausted leaves to the next entry via the frame stack;
+  // clears valid_ at the end.
+  void SkipExhaustedLeaves();
 
-  const ChunkStore* store_;
+  PosTree tree_;
   Hash256 root_;
   EpochManager::Guard epoch_pin_;
   Status error_;  // OK unless constructed over a non-POS index
@@ -78,7 +84,7 @@ class PosTreeIterator {
   Status status_;
 
   std::vector<MetaFrame> stack_;
-  std::vector<PosEntry> entries_;  // current leaf
+  std::shared_ptr<const PosNode> leaf_;
   size_t entry_idx_ = 0;
 };
 

@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "chunk/buffer_cache.h"
+#include "chunk/file_chunk_store.h"
+#include "common/codec.h"
 #include "common/random.h"
 #include "core/spitz_db.h"
 #include "gtest/gtest.h"
@@ -290,11 +292,18 @@ TEST(ConcurrencyTest, VerifierWorkerCountDefaultsToHardware) {
 
 // --- Decoded nodes in the BufferCache ---------------------------------------
 
+// A one-entry leaf, decoded from a real chunk as PosTree::LoadNode does.
 std::shared_ptr<const PosNode> MakeLeafNode(const std::string& key,
                                             size_t value_bytes) {
-  auto node = std::make_shared<PosNode>();
-  node->type = ChunkType::kIndexLeaf;
-  node->entries.push_back(PosEntry{key, std::string(value_bytes, 'v')});
+  std::string payload;
+  PutVarint64(&payload, 1);
+  PutLengthPrefixedSlice(&payload, key);
+  PutLengthPrefixedSlice(&payload, std::string(value_bytes, 'v'));
+  std::shared_ptr<const PosNode> node;
+  EXPECT_TRUE(PosNode::Decode(std::make_shared<const Chunk>(
+                                  ChunkType::kIndexLeaf, std::move(payload)),
+                              &node)
+                  .ok());
   return node;
 }
 
@@ -365,7 +374,7 @@ TEST(ConcurrencyTest, NodeCacheSharedUnderConcurrentTraffic) {
         if (node == nullptr) {
           InsertNode(&cache, ids[i],
                      MakeLeafNode("k" + std::to_string(i), 32));
-        } else if (node->entries[0].key != "k" + std::to_string(i)) {
+        } else if (node->key(0) != "k" + std::to_string(i)) {
           mismatches.fetch_add(1);
         }
       }
@@ -410,6 +419,125 @@ TEST(ConcurrencyTest, SpitzDbNodeCacheServesRepeatTraversals) {
   EXPECT_EQ(value, "v");
   MetricsSnapshot snap2 = db2.Metrics();
   EXPECT_GT(snap2.CounterValue("index.cache.misses"), 0u);
+}
+
+// Readers keep reading the bytes of decoded nodes they hold, and look
+// the same nodes up again, while another thread evicts the cache
+// entries behind them and GC passes erase the raw entries and unlink
+// the segments the chunks lived in: a held node's bytes never change.
+TEST(ConcurrencyTest, HeldNodesOutliveEvictionAndGcRaces) {
+  const std::string dir = ::testing::TempDir() + "/spitz_held_node_race";
+  std::filesystem::remove_all(dir);
+  constexpr int kKeys = 256;
+  constexpr int kRounds = 3;
+  BufferCache cache(/*capacity_bytes=*/32 << 10, /*shard_count=*/4);
+  FileChunkStore::Options store_options;
+  store_options.segment_bytes = 4 << 10;
+  store_options.cache = &cache;
+  std::unique_ptr<FileChunkStore> store;
+  ASSERT_TRUE(
+      FileChunkStore::Open(Env::Default(), dir, store_options, &store).ok());
+  PosTree tree(store.get());
+  tree.SetNodeCache(&cache);
+  const auto key_of = [](int i) { return "held" + std::to_string(1000 + i); };
+  const auto build = [&](int round, Hash256* root) {
+    std::vector<PosEntry> entries;
+    for (int i = 0; i < kKeys; i++) {
+      entries.push_back({key_of(i), "r" + std::to_string(round) + "-" +
+                                        std::to_string(i) +
+                                        std::string(48, 'x')});
+    }
+    Status s = tree.Build(std::move(entries), root);
+    store->OnBlockSealed();
+    if (s.ok()) s = store->Sync();
+    return s;
+  };
+  Hash256 root;
+  ASSERT_TRUE(build(0, &root).ok());
+
+  // Leaves of version 0, each taken from the node cache after the point
+  // read that decoded it, with an owned copy of what it held then.
+  struct Held {
+    Hash256 id;
+    std::shared_ptr<const PosNode> node;
+    std::vector<PosEntry> entries;
+  };
+  std::vector<Held> held;
+  for (int i = 0; i < kKeys; i += 16) {
+    std::string value;
+    PosProof proof;
+    ASSERT_TRUE(tree.Get(root, key_of(i), &value, &proof).ok());
+    Held h;
+    h.id = Chunk(static_cast<ChunkType>(proof.node_types.back()),
+                 proof.node_payloads.back())
+               .id();
+    h.node = LookupNode(&cache, h.id);
+    ASSERT_NE(h.node, nullptr);
+    for (size_t j = 0; j < h.node->entry_count(); j++) {
+      h.entries.push_back(h.node->entry(j));
+    }
+    held.push_back(std::move(h));
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> mismatches{0};
+  const auto same = [](const PosNode& node, const std::vector<PosEntry>& e) {
+    if (node.entry_count() != e.size()) return false;
+    for (size_t j = 0; j < e.size(); j++) {
+      if (node.key(j) != e[j].key || node.value(j) != e[j].value) return false;
+    }
+    return true;
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; r++) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        for (const Held& h : held) {
+          if (!same(*h.node, h.entries)) mismatches.fetch_add(1);
+          auto again = LookupNode(&cache, h.id);
+          if (again != nullptr && !same(*again, h.entries)) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  // Each round writes a new value for every key, reads the new version
+  // (evicting the held leaves' entries), reads the held leaves back
+  // into the cache as raw chunks while they still exist, and collects
+  // everything but the new version.
+  Status churn;
+  for (int round = 1; round <= kRounds && churn.ok(); round++) {
+    churn = build(round, &root);
+    for (int i = 0; i < kKeys && churn.ok(); i++) {
+      std::string value;
+      churn = tree.Get(root, key_of(i), &value, nullptr);
+    }
+    for (const Held& h : held) {
+      std::shared_ptr<const Chunk> raw;
+      store->Get(h.id, &raw);  // NotFound once collected
+    }
+    std::unordered_set<Hash256, Hash256Hasher> live;
+    const uint64_t mark = store->BeginGc();
+    if (churn.ok()) churn = tree.CollectChunks(root, &live);
+    ChunkGcStats stats;
+    if (churn.ok()) {
+      churn = store->RetainLive(live, mark, &stats);
+    } else {
+      store->AbortGc();
+    }
+    cache.Clear();
+  }
+  stop.store(true);
+  for (auto& t : readers) t.join();
+  EXPECT_TRUE(churn.ok()) << churn.ToString();
+  EXPECT_EQ(mismatches.load(), 0u);
+  for (const Held& h : held) {
+    std::shared_ptr<const Chunk> raw;
+    EXPECT_TRUE(store->Get(h.id, &raw).IsNotFound());
+  }
+  store.reset();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ConcurrencyTest, CachedAndUncachedTreesAgreeOnRootsAndProofs) {

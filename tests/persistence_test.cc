@@ -10,6 +10,7 @@
 #include <string>
 #include <unordered_set>
 
+#include "chunk/buffer_cache.h"
 #include "chunk/file_chunk_store.h"
 #include "common/codec.h"
 #include "common/random.h"
@@ -616,6 +617,149 @@ TEST_F(PersistenceTest, BulkLoadResidentMemoryIsCachePlusLedger) {
             static_cast<uint64_t>(kRecords));
   EXPECT_LE(m.GaugeValue("core.db.history.bytes"), 32ull * kRecords);
   EXPECT_EQ(m.GaugeValue("core.db.journal.resident_bytes"), 0u);
+}
+
+// A verified read of every key leaves each chunk resident once: a
+// decoded node views the bytes the raw cache entry holds, so the sweep
+// adds offset tables, not a second and third copy of every key and
+// value. The cache holds every chunk with room to spare, so nothing is
+// evicted during the sweep.
+TEST_F(PersistenceTest, VerifiedSweepKeepsEachCachedNodeOnce) {
+  constexpr int kRecords = 50000;
+  constexpr size_t kValueBytes = 100;
+  SpitzOptions options = DurableOptions(64);
+  options.buffer_cache_bytes = 64 << 20;
+  std::unique_ptr<SpitzDb> db;
+  ASSERT_TRUE(SpitzDb::Open(options, &db).ok());
+  {
+    std::vector<PosEntry> entries;
+    entries.reserve(kRecords);
+    for (int i = 0; i < kRecords; i++) {
+      entries.push_back({PagedKey(i), PagedValue(i, 0, kValueBytes)});
+    }
+    ASSERT_TRUE(db->BulkLoad(std::move(entries)).ok());
+  }
+  ASSERT_TRUE(db->FlushBlock().ok());
+  ASSERT_TRUE(db->SyncStorage().ok());
+  // The chunk store holds only index nodes, and the sweep decodes all.
+  const uint64_t chunk_bytes =
+      db->Metrics().CounterValue("chunk.store.physical_bytes");
+  ASSERT_GT(options.buffer_cache_bytes, 3 * chunk_bytes);
+  const auto raw_cache_bytes = [&db] {
+    MetricsSnapshot m = db->Metrics();
+    return m.GaugeValue("cache.bytes") - m.GaugeValue("index.cache.bytes");
+  };
+
+  malloc_trim(0);
+  const uint64_t raw_before = raw_cache_bytes();
+  const uint64_t resident_before = ResidentBytes();
+  const SpitzDigest digest = db->Digest();
+  int verify_failures = 0;
+  for (int i = 0; i < kRecords; i++) {
+    std::string value;
+    ReadProof proof;
+    if (!db->Read(kCurrentVersion, PagedKey(i), &value, &proof).ok() ||
+        !SpitzDb::VerifyRead(digest, PagedKey(i), value, proof).ok() ||
+        value != PagedValue(i, 0, kValueBytes)) {
+      verify_failures++;
+    }
+  }
+  EXPECT_EQ(verify_failures, 0);
+  malloc_trim(0);
+  const uint64_t resident_after = ResidentBytes();
+  const uint64_t growth =
+      resident_after > resident_before ? resident_after - resident_before : 0;
+  // Chunks the sweep had to read back are one copy, held by the raw
+  // entries; the decoded nodes may add well under a second.
+  const uint64_t raw_added = raw_cache_bytes() - raw_before;
+  EXPECT_LE(growth, raw_added + chunk_bytes / 2)
+      << "chunk bytes " << chunk_bytes << ", raw entries added " << raw_added;
+
+  MetricsSnapshot m = db->Metrics();
+  EXPECT_EQ(m.CounterValue("cache.evictions"), 0u);
+  EXPECT_LE(m.GaugeValue("index.cache.bytes"), chunk_bytes + 32ull * kRecords);
+}
+
+// A decoded node and a scan's rows outlive everything that could free
+// the bytes under them: eviction of the node and raw cache entries, and
+// a GC pass that erases the raw entry and unlinks the chunk's segment.
+// Under AddressSanitizer a view that outlived its chunk fails here.
+TEST_F(PersistenceTest, HeldNodeAndScanRowsOutliveEvictionAndGc) {
+  constexpr int kKeys = 1000;
+  constexpr size_t kValueBytes = 64;
+  BufferCache cache(/*capacity_bytes=*/48 << 10, /*shard_count=*/1);
+  FileChunkStore::Options store_options;
+  store_options.segment_bytes = 1 << 10;
+  store_options.cache = &cache;
+  std::unique_ptr<FileChunkStore> store;
+  ASSERT_TRUE(FileChunkStore::Open(Env::Default(), dir_ + "/chunks",
+                                   store_options, &store)
+                  .ok());
+  PosTree tree(store.get());
+  tree.SetNodeCache(&cache);
+  const auto build = [&](int round, Hash256* root) {
+    std::vector<PosEntry> entries;
+    for (int i = 0; i < kKeys; i++) {
+      entries.push_back({PagedKey(i), PagedValue(i, round, kValueBytes)});
+    }
+    ASSERT_TRUE(tree.Build(std::move(entries), root).ok());
+    store->OnBlockSealed();  // seal the segment so a GC can condemn it
+    ASSERT_TRUE(store->Sync().ok());
+  };
+  Hash256 old_root;
+  build(0, &old_root);
+
+  // The reader takes the leaf a point read decoded from the node cache,
+  // as every traversal does, and keeps views of one entry.
+  const std::string key = PagedKey(7);
+  std::string value;
+  PosProof proof;
+  ASSERT_TRUE(tree.Get(old_root, key, &value, &proof).ok());
+  const Hash256 leaf_id =
+      Chunk(static_cast<ChunkType>(proof.node_types.back()),
+            proof.node_payloads.back())
+          .id();
+  auto node = std::static_pointer_cast<const PosNode>(
+      cache.Lookup(BufferCache::kPosNode, leaf_id));
+  ASSERT_NE(node, nullptr);
+  const size_t slot = node->LowerBound(key);
+  ASSERT_LT(slot, node->entry_count());
+  const Slice held_key = node->key(slot);
+  const Slice held_value = node->value(slot);
+  std::vector<PosEntry> rows;
+  ASSERT_TRUE(
+      tree.Scan(old_root, PagedKey(0), PagedKey(50), 0, &rows, nullptr).ok());
+
+  // A new value for every key leaves no old chunk live; reading the new
+  // version through the tiny cache evicts the old entries.
+  Hash256 new_root;
+  build(1, &new_root);
+  for (int i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(tree.Get(new_root, PagedKey(i), &value, nullptr).ok());
+  }
+  EXPECT_EQ(cache.Lookup(BufferCache::kPosNode, leaf_id), nullptr);
+  EXPECT_EQ(cache.Lookup(BufferCache::kRawChunk, leaf_id), nullptr);
+  // Read the dead leaf back so the GC has a raw entry to erase.
+  std::shared_ptr<const Chunk> raw;
+  ASSERT_TRUE(store->Get(leaf_id, &raw).ok());
+  raw.reset();
+  ASSERT_NE(cache.Lookup(BufferCache::kRawChunk, leaf_id), nullptr);
+
+  std::unordered_set<Hash256, Hash256Hasher> live;
+  const uint64_t mark = store->BeginGc();
+  ASSERT_TRUE(tree.CollectChunks(new_root, &live).ok());
+  ChunkGcStats stats;
+  ASSERT_TRUE(store->RetainLive(live, mark, &stats).ok());
+  EXPECT_GT(stats.segments_deleted, 0u);
+  EXPECT_EQ(cache.Lookup(BufferCache::kRawChunk, leaf_id), nullptr);
+  EXPECT_TRUE(store->Get(leaf_id, &raw).IsNotFound());
+
+  EXPECT_EQ(held_key.ToString(), key);
+  EXPECT_EQ(held_value.ToString(), PagedValue(7, 0, kValueBytes));
+  ASSERT_EQ(rows.size(), 50u);
+  for (int i = 0; i < 50; i++) {
+    EXPECT_EQ(rows[i], (PosEntry{PagedKey(i), PagedValue(i, 0, kValueBytes)}));
+  }
 }
 
 // --- Format pin -------------------------------------------------------------

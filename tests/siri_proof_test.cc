@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "chunk/chunk_store.h"
+#include "common/codec.h"
 #include "core/spitz_db.h"
 #include "index/siri.h"
 
@@ -240,6 +241,77 @@ TEST(SiriRangeProofTest, NonPosTagRejectedAtDecode) {
   SiriRangeProof decoded;
   Slice input(wire);
   EXPECT_FALSE(SiriRangeProof::DecodeFrom(&input, &decoded).ok());
+}
+
+// --- Entry counts from untrusted bytes ---------------------------------------
+
+// A node whose entry count no payload of its size could hold, correctly
+// hashed and linked, so only the decoder stands between the count and
+// an allocation. `path` runs from the root to the node the key reaches.
+struct CraftedPath {
+  const char* name;
+  std::vector<std::pair<ChunkType, std::string>> path;
+};
+
+std::vector<CraftedPath> HugeCountPaths() {
+  std::string huge_leaf;
+  PutVarint64(&huge_leaf, uint64_t{1} << 40);
+  std::string huge_meta;
+  PutVarint64(&huge_meta, ~uint64_t{0});
+  // A well-formed meta whose one child is the crafted leaf.
+  std::string parent;
+  PutVarint64(&parent, 1);
+  PutLengthPrefixedSlice(&parent, "zzz");
+  parent.append(Chunk(ChunkType::kIndexLeaf, huge_leaf).id().ToBytes());
+  PutVarint64(&parent, 1);
+  return {
+      {"leaf", {{ChunkType::kIndexMeta, parent},
+                {ChunkType::kIndexLeaf, huge_leaf}}},
+      {"meta", {{ChunkType::kIndexMeta, huge_meta}}},
+  };
+}
+
+TEST(SiriProofDecodeTest, HugeEntryCountIsRejectedWithoutThrowing) {
+  for (const CraftedPath& crafted : HugeCountPaths()) {
+    SCOPED_TRACE(crafted.name);
+    const Hash256 root =
+        Chunk(crafted.path[0].first, crafted.path[0].second).id();
+    SiriProof proof;
+    SiriRangeProof range;
+    ChunkStore store;
+    for (const auto& [type, payload] : crafted.path) {
+      proof.pos.node_types.push_back(static_cast<uint8_t>(type));
+      proof.pos.node_payloads.push_back(payload);
+      const Hash256 id = store.Put(Chunk(type, payload));
+      range.pos.nodes[id] = {static_cast<uint8_t>(type), payload};
+    }
+
+    EXPECT_TRUE(PosTree::VerifyProof(root, "key", std::nullopt, proof.pos)
+                    .IsVerificationFailed());
+    EXPECT_TRUE(PosTree::VerifyProof(root, "key", std::string("v"), proof.pos)
+                    .IsVerificationFailed());
+    EXPECT_TRUE(PosTree::VerifyRangeProof(root, "", "", 0, {}, range.pos)
+                    .IsVerificationFailed());
+
+    // The same bytes through the wire envelopes a client decodes.
+    const std::string wire = proof.Encode();
+    Slice input(wire);
+    SiriProof decoded;
+    ASSERT_TRUE(SiriProof::DecodeFrom(&input, &decoded).ok());
+    EXPECT_TRUE(decoded.Verify(root, "key", std::nullopt).IsVerificationFailed());
+    const std::string range_wire = range.Encode();
+    Slice range_input(range_wire);
+    SiriRangeProof range_decoded;
+    ASSERT_TRUE(SiriRangeProof::DecodeFrom(&range_input, &range_decoded).ok());
+    EXPECT_TRUE(range_decoded.Verify(root, "", "", 0, {}).IsVerificationFailed());
+
+    // A server holding such a chunk reports it as damaged.
+    PosTree tree(&store);
+    std::string value;
+    EXPECT_TRUE(tree.Get(root, "key", &value, nullptr).IsCorruption());
+    std::vector<PosEntry> rows;
+    EXPECT_TRUE(tree.Scan(root, "", "", 0, &rows, nullptr).IsCorruption());
+  }
 }
 
 // Format pin: the encoded proofs a database serves for a fixed bulk load,
