@@ -167,9 +167,9 @@ DbResult RunSystemLevel(SiriBackend kind, const std::vector<PosEntry>& data,
   r.wire_proof_bytes = total_wire_bytes / kDbProofOps;
 
   r.audit_kops = MeasureOpsPerSec(kDbAuditOps, [&](size_t) {
-    if (!db.AuditKey(random_key()).ok()) abort();
+    if (!db.auditor()->AuditKey(random_key()).ok()) abort();
   }) / 1000.0;
-  if (!db.DrainAudits().ok()) abort();
+  if (!db.auditor()->Drain().ok()) abort();
   *metrics = db.Metrics();
   return r;
 }

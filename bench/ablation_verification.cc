@@ -34,10 +34,10 @@ double RunWithBatchSize(size_t batch_size,
     std::string value = value_rng.Bytes(20);
     if (!db.Put(key, value).ok()) abort();
     // Every write is audited; in online mode this blocks the writer.
-    Status s = db.AuditKey(key);
+    Status s = db.auditor()->AuditKey(key);
     if (!s.ok()) abort();
   }
-  if (!db.DrainAudits().ok()) abort();
+  if (!db.auditor()->Drain().ok()) abort();
   uint64_t elapsed = MonotonicNanos() - start;
   return static_cast<double>(kWriteOps) * 1e9 / elapsed / 1000.0;
 }

@@ -122,10 +122,10 @@ Measurement RunWrites(size_t records) {
     for (size_t i = 0; i < kWriteOps; i++) {
       if (!spitz.Put(target(i), value_rng.Bytes(20)).ok()) abort();
       if ((i + 1) % options.block_size == 0) {
-        if (!spitz.AuditLastBlock().ok()) abort();
+        if (!spitz.auditor()->AuditLastBlock().ok()) abort();
       }
     }
-    if (!spitz.DrainAudits().ok()) abort();
+    if (!spitz.auditor()->Drain().ok()) abort();
     uint64_t elapsed = MonotonicNanos() - start;
     m.spitz_verify =
         static_cast<double>(kWriteOps) * 1e9 / elapsed / 1000.0;

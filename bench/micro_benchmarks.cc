@@ -196,7 +196,7 @@ void BM_SpitzDbVerifiedGet(benchmark::State& state) {
     if (!SpitzDb::VerifyRead(digest, key, value, proof).ok()) abort();
     // Every read is also audited in the background — keeps a realistic
     // deferred-verification load on the pipeline.
-    if (!db.AuditKey(key).ok()) abort();
+    if (!db.auditor()->AuditKey(key).ok()) abort();
     i += 104729;
   }
   MetricsSnapshot snap = db.Metrics();
@@ -204,7 +204,7 @@ void BM_SpitzDbVerifiedGet(benchmark::State& state) {
       static_cast<double>(snap.GaugeValue("txn.verifier.queue_depth"));
   state.counters["verifier_workers"] =
       static_cast<double>(snap.GaugeValue("txn.verifier.workers"));
-  if (!db.DrainAudits().ok()) abort();
+  if (!db.auditor()->Drain().ok()) abort();
   snap = db.Metrics();
   uint64_t hits = snap.CounterValue("index.cache.hits") -
                   before.CounterValue("index.cache.hits");
@@ -397,7 +397,7 @@ void EmitMetricsSnapshot() {
     char key[16];
     snprintf(key, sizeof(key), "k%06d", i);
     if (!db.Put(key, rng.Bytes(20)).ok()) abort();
-    if (!db.AuditKey(key).ok()) abort();
+    if (!db.auditor()->AuditKey(key).ok()) abort();
   }
   SpitzDigest digest = db.Digest();
   std::string value;
@@ -420,7 +420,7 @@ void EmitMetricsSnapshot() {
            .ok()) {
     abort();
   }
-  if (!db.DrainAudits().ok()) abort();
+  if (!db.auditor()->Drain().ok()) abort();
 
   MetricsSnapshot snap = db.Metrics();
   // Client-side verification latencies live in the process-wide

@@ -4,12 +4,13 @@
 #   the metrics smoke, the auditor smoke and chaos runs, and the
 #   repository benchmark (spitzbench) smoke. Every other behaviour
 #   check lives in ctest; every end-to-end measurement in spitzbench.
-# TSan: the concurrency, 2PC participant, read-set, key-history,
-#   network, cluster and replica tests.
-# ASan+UBSan: the proof-codec, database, key-history, 2PC participant,
-#   write-batch and read-set, network, cluster, replica, SHA-256/CRC32C
-#   kernel, journal, persistence, index-traversal (POS-tree, MPT, MBT,
-#   iterator and property) tests (untrusted bytes are decoded there —
+# TSan: the concurrency, deferred-auditor, 2PC participant, read-set,
+#   key-history, network, cluster and replica tests.
+# ASan+UBSan: the proof-codec, database, deferred-auditor, key-history,
+#   2PC participant, write-batch and read-set, network, cluster,
+#   replica, SHA-256/CRC32C kernel, journal, persistence,
+#   index-traversal (POS-tree, MPT, MBT, iterator and property) tests
+#   (untrusted bytes are decoded there —
 #   proof envelopes, wire requests, journal blocks replayed at recovery,
 #   sealed blocks read back from journal.log (frame CRC, then block
 #   hash, for proofs, key history, audits and the replication encoder),
@@ -83,25 +84,27 @@ echo "==> tier-2: ThreadSanitizer concurrency suite"
 cmake -B "${PREFIX}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DSPITZ_SANITIZE=thread
 cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
-      --target concurrency_test txn_test spitz_db_test key_history_test \
-               metrics_test recovery_test net_test cluster_test replica_test
+      --target concurrency_test txn_test spitz_db_test auditor_test \
+               key_history_test metrics_test recovery_test net_test \
+               cluster_test replica_test
 # TSAN_OPTIONS makes any reported race fail the run (exit code).
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
   ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
-        -R 'Concurrency|DeferredVerifier|TxnParticipant|SpitzDb|KeyHistory|Metrics|Recovery|Net|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep'
+        -R 'Concurrency|DeferredVerifier|AuditorTest|TxnParticipant|SpitzDb|KeyHistory|Metrics|Recovery|Net|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep'
 
 echo "==> tier-2: ASan+UBSan proof-codec and database suite"
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DSPITZ_SANITIZE=address,undefined
 cmake --build "${PREFIX}-asan" -j "${JOBS}" \
       --target siri_proof_test siri_backend_test spitz_db_test \
-               key_history_test recovery_test net_test concurrency_test \
-               cluster_test replica_test txn_test crypto_test common_test \
+               auditor_test key_history_test recovery_test net_test \
+               concurrency_test cluster_test replica_test txn_test \
+               crypto_test common_test \
                journal_test persistence_test pos_tree_test mpt_mbt_test \
                iterator_test property_test
 ASAN_OPTIONS="halt_on_error=1 exitcode=66" \
 UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \
   ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-        -R 'Siri|SpitzDb|SpitzOptions|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence|PosTree|Mpt|Mbt|Iterator'
+        -R 'Siri|SpitzDb|SpitzOptions|AuditorTest|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence|PosTree|Mpt|Mbt|Iterator'
 
 echo "==> all checks passed"

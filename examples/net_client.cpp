@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
   printf("verified scan [user/0010, user/0020): %zu rows\n", rows.size());
 
   // --- Ask the server to audit itself -----------------------------------
-  s = client->AuditLastBlock();
+  s = client->AuditLastSealed();
   printf("server-side audit of the last sealed block: %s\n",
          s.ToString().c_str());
   return 0;

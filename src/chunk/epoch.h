@@ -85,17 +85,6 @@ class EpochManager {
     }
   }
 
-  // Live guards right now (approximate across slots; exact when idle).
-  uint64_t ActiveGuards() const {
-    uint64_t active = 0;
-    for (size_t i = 0; i < kSlots; i++) {
-      uint64_t enters = slots_[i].enters.load(std::memory_order_acquire);
-      uint64_t exits = slots_[i].exits.load(std::memory_order_acquire);
-      if (enters > exits) active += enters - exits;
-    }
-    return active;
-  }
-
  private:
   static constexpr size_t kSlots = 32;
 

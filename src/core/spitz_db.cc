@@ -84,9 +84,7 @@ SpitzDb::SpitzDb(SpitzOptions options, bool durable)
       buffer_cache_(std::make_unique<BufferCache>(
           options_.buffer_cache_bytes > 0
               ? options_.buffer_cache_bytes
-              : BufferCache::kDefaultCapacityBytes)),
-      auditor_(std::make_unique<DeferredVerifier>(DeferredVerifier::Options(
-          options_.audit_batch_size, options_.audit_workers))) {
+              : BufferCache::kDefaultCapacityBytes)) {
   // Durable databases must go through Open() so recovery errors are
   // reported; the plain constructor is the in-memory path.
   if (durable) {
@@ -124,6 +122,11 @@ SpitzDb::SpitzDb(SpitzOptions options, bool durable)
       init_status_);
   WireMetrics();
   PublishSnapshotLocked(/*journal_changed=*/true);
+  auditor_ = std::make_unique<Auditor>(
+      this,
+      DeferredVerifier::Options(options_.audit_batch_size,
+                                options_.audit_workers),
+      options_.enable_metrics ? &registry_ : nullptr);
 }
 
 void SpitzDb::WireMetrics() {
@@ -134,8 +137,6 @@ void SpitzDb::WireMetrics() {
   metrics_.seal_ns = registry_.histogram("core.db.seal_latency_ns");
   metrics_.proof_build_ns =
       registry_.histogram("core.db.proof_build_latency_ns");
-  metrics_.proof_verify_ns =
-      registry_.histogram("core.db.proof_verify_latency_ns");
   // Proof sizes are tagged with the backend that produced them, so an
   // ablation run comparing backends yields distinct series.
   const std::string backend = SiriBackendName(options_.index_backend);
@@ -192,7 +193,6 @@ void SpitzDb::WireMetrics() {
   registry_.RegisterGaugeFn("index.cache.capacity_bytes", [this] {
     return static_cast<uint64_t>(buffer_cache_->capacity_bytes());
   });
-  auditor_->ExportMetrics(&registry_);
 }
 
 Status SpitzDb::Open(SpitzOptions options, std::unique_ptr<SpitzDb>* db) {
@@ -273,7 +273,7 @@ SpitzDb::~SpitzDb() {
     gc_wake_cv_.notify_all();
     gc_thread_.join();
   }
-  auditor_->Flush();
+  auditor_.reset();
   if (journal_log_ != nullptr) journal_log_->Close();
 }
 
@@ -315,6 +315,12 @@ void SpitzDb::NotifySealed(uint64_t block_count) {
     if (block_count > gc_sealed_height_) gc_sealed_height_ = block_count;
   }
   gc_wake_cv_.notify_one();
+}
+
+bool SpitzDb::VersionCollected(const Hash256& index_root) {
+  if (index_root.IsZero()) return false;
+  { std::lock_guard<std::mutex> lock(gc_run_mu_); }
+  return !chunks_->Contains(index_root);
 }
 
 Status SpitzDb::CollectGarbage(ChunkGcStats* stats_out) {
@@ -767,35 +773,6 @@ Status SpitzDb::BulkLoad(std::vector<PosEntry> entries) {
   return io;
 }
 
-Status SpitzDb::AuditLastBlock() {
-  // Snapshot everything the audit needs under the lock (the block's
-  // location and path, all cheap copies); the read, decode and re-hash
-  // run on the auditor thread without blocking writers.
-  ProvableBlock last;
-  JournalDigest digest;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (ledger_.block_count() == 0) return Status::OK();
-    Status s = LocateProvableLocked(ledger_.block_count() - 1, &last);
-    if (!s.ok()) return s;
-    digest = ledger_.Digest();
-  }
-  return auditor_->Submit([last = std::move(last), digest] {
-    // The block hash recomputed from the stored bytes (entry Merkle
-    // root, then header) must be included in the journal the digest
-    // covers.
-    Block block;
-    Status s = Journal::Load(last.ref, nullptr, &block);
-    if (!s.ok()) return s;
-    if (!MerkleTree::VerifyInclusion(
-            Hash256::OfLeaf(block.block_hash().slice()), last.block_path,
-            digest.merkle_root)) {
-      return Status::VerificationFailed("audited block not in journal");
-    }
-    return Status::OK();
-  });
-}
-
 Status SpitzDb::FlushBlock() {
   uint64_t block_count = 0;
   Status io;
@@ -949,9 +926,9 @@ Status SpitzDb::Digest(std::string* out) {
 
 Status SpitzDb::Audit(const Slice& key) {
   if (!init_status_.ok()) return init_status_;
-  Status s = key.empty() ? AuditLastBlock() : AuditKey(key);
-  if (!s.ok()) return s;
-  return DrainAudits();
+  Status s = key.empty() ? auditor_->AuditLastBlock()
+                          : auditor_->AuditKey(key);
+  return s.ok() ? auditor_->Drain() : s;
 }
 
 // The static verifiers model the *client* side, which has no database
@@ -1076,45 +1053,45 @@ bool SpitzDb::VerifyConsistency(const MerkleConsistencyProof& proof,
                                     new_digest.journal);
 }
 
-Status SpitzDb::LocateProvableLocked(uint64_t height,
-                                     ProvableBlock* out) const {
-  Status s = ledger_.Locate(height, &out->ref);
-  if (s.ok()) s = ledger_.BlockInclusionProof(height, &out->block_path);
-  return s;
-}
-
 Status SpitzDb::ProveHistoricalEntry(uint64_t height, uint64_t entry_index,
                                      JournalEntryProof* proof,
-                                     LedgerEntry* entry) const {
-  ProvableBlock at;
+                                     LedgerEntry* entry,
+                                     JournalDigest* digest) const {
+  // The block's location and path are taken under mu_; the block is
+  // read and decoded after it is released, so no journal read runs
+  // inside the writer lock (also in KeyHistory).
+  Journal::BlockRef ref;
+  MerkleInclusionProof path;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    Status s = LocateProvableLocked(height, &at);
+    Status s = ledger_.Locate(height, &ref, &path);
     if (!s.ok()) return s;
+    if (digest != nullptr) *digest = ledger_.Digest();
   }
-  return Journal::ProveEntryIn(at.ref, at.block_path, entry_index, proof,
-                               entry);
+  return Journal::ProveEntryIn(ref, path, entry_index, proof, entry);
 }
 
 Status SpitzDb::KeyHistory(const Slice& key,
                            std::vector<HistoricalWrite>* history) const {
   history->clear();
   std::vector<KeyHistoryIndex::Position> candidates;
-  std::vector<ProvableBlock> blocks;  // blocks[i] holds candidates[i]
+  // refs[i] and paths[i] locate candidates[i]'s block.
+  std::vector<Journal::BlockRef> refs;
+  std::vector<MerkleInclusionProof> paths;
   {
     std::lock_guard<std::mutex> lock(mu_);
     history_.Lookup(key, &candidates);
     for (const KeyHistoryIndex::Position& at : candidates) {
-      Status s = LocateProvableLocked(at.height, &blocks.emplace_back());
+      Status s = ledger_.Locate(at.height, &refs.emplace_back(),
+                                &paths.emplace_back());
       if (!s.ok()) return s;
     }
   }
   for (size_t i = 0; i < candidates.size(); i++) {
     HistoricalWrite write;
     write.block_height = candidates[i].height;
-    Status s = Journal::ProveEntryIn(blocks[i].ref, blocks[i].block_path,
-                                     candidates[i].index, &write.proof,
-                                     &write.entry);
+    Status s = Journal::ProveEntryIn(refs[i], paths[i], candidates[i].index,
+                                     &write.proof, &write.entry);
     if (!s.ok()) {
       // A block that cannot be read or fails its checks yields no
       // history at all, not the part before it.
@@ -1223,81 +1200,6 @@ Status SpitzDb::AdoptSealedBlockLocked(const Block& block,
   }
   if (clock_.Peek() <= last_commit_ts_) {
     clock_.AllocateBatch(last_commit_ts_ + 1 - clock_.Peek());
-  }
-  return Status::OK();
-}
-
-Status SpitzDb::AuditWrite(
-    const Slice& key, const std::optional<std::string>& expected_value) {
-  Hash256 root = CurrentSnapshot()->index_root;
-  std::string key_copy = key.ToString();
-  return auditor_->Submit([this, root, key_copy, expected_value] {
-    Status result;
-    {
-      // The pin keeps a GC pass whose quiescence wait began after this
-      // point from unpublishing chunks mid-proof.
-      auto pin = chunks_->PinReads();
-      std::string value;
-      SiriProof proof;
-      Status s = index_->Get(root, key_copy, &value, &proof);
-      // The re-verification is the audit's actual work; its latency
-      // feeds the proof-verify histogram (queueing lag is tracked
-      // separately by the verifier itself).
-      auto timed_verify = [&](const std::optional<std::string>& expect) {
-        ScopedTimer timer(metrics_.proof_verify_ns);
-        return proof.Verify(root, key_copy, expect);
-      };
-      if (s.ok()) {
-        result =
-            timed_verify(value).ok() &&
-                    (!expected_value.has_value() || value == *expected_value)
-                ? Status::OK()
-                : Status::VerificationFailed("audit mismatch on " + key_copy);
-      } else if (s.IsNotFound()) {
-        if (expected_value.has_value()) {
-          result =
-              Status::VerificationFailed("audited key missing: " + key_copy);
-        } else if (root.IsZero()) {
-          // The empty index proves every absence trivially; there is no
-          // traversal to check a proof against.
-          result = Status::OK();
-        } else {
-          result = timed_verify(std::nullopt);
-        }
-      } else {
-        result = s;
-      }
-    }
-    return ResolveAuditResult(root, std::move(result));
-  });
-}
-
-// A deferred audit can outlive its version's retention window: by the
-// time it runs, a GC pass may have collected the chunks its captured
-// root names, and the proof build then fails through no fault of the
-// data. Such an audit is *vacuous* — the version no longer exists to be
-// verified. Distinguishing that from real tampering: wait out any
-// in-flight pass (gc_run_mu_), then probe the root chunk. A root that
-// survived a completed pass was in the live set, and the live set is
-// closed under reachability — its whole subtree survived too, so a
-// failure with the root still present is genuine. Called with no epoch
-// pin held (a pinned waiter on gc_run_mu_ would deadlock against the
-// pass's quiescence wait).
-Status SpitzDb::ResolveAuditResult(const Hash256& root, Status result) {
-  if (result.ok() || root.IsZero()) return result;
-  { std::lock_guard<std::mutex> lock(gc_run_mu_); }
-  if (!chunks_->Contains(root)) return Status::OK();
-  return result;
-}
-
-Status SpitzDb::AuditKey(const Slice& key) {
-  return AuditWrite(key, std::nullopt);
-}
-
-Status SpitzDb::DrainAudits() {
-  auditor_->Flush();
-  if (auditor_->failed()) {
-    return Status::VerificationFailed("deferred audits detected tampering");
   }
   return Status::OK();
 }

@@ -17,13 +17,13 @@
 #include "common/env.h"
 #include "common/metrics.h"
 #include "common/status.h"
+#include "core/auditor.h"
 #include "core/verified_kv.h"
 #include "crypto/hash.h"
 #include "index/pos_tree_iterator.h"
 #include "index/siri.h"
 #include "ledger/journal.h"
 #include "ledger/key_history_index.h"
-#include "txn/batch_verifier.h"
 #include "txn/participant.h"
 #include "txn/timestamp_oracle.h"
 #include "txn/write_batch.h"
@@ -204,6 +204,10 @@ class SpitzDb : public VerifiedKv {
   // through the group-commit pipeline, durably.
   TxnParticipant* participant() { return participant_.get(); }
 
+  // The deferred auditor (paper section 5.3): its audits read and
+  // verify through the public surface below, like a client.
+  Auditor* auditor() { return auditor_.get(); }
+
   // --- Read path ------------------------------------------------------------
   //
   // One point read and one range read. Each reads the version `at` —
@@ -259,7 +263,8 @@ class SpitzDb : public VerifiedKv {
                    ScanEvidence* out) override;
   Status Digest(std::string* out) override;
   // Audits `key`'s current binding (empty key: the last sealed block)
-  // and drains the deferred queue so the verdict is the return status.
+  // through auditor() and drains its queue, so the verdict is the
+  // return status.
   Status Audit(const Slice& key) override;
 
   // Client-side (stateless) verification helpers.
@@ -286,9 +291,12 @@ class SpitzDb : public VerifiedKv {
                                 const SpitzDigest& new_digest);
 
   // Proves a historical write: entry `entry_index` of block `height`.
+  // *digest (when non-null) receives the journal digest the proof's
+  // block path was taken against, so the proof verifies against it
+  // however far the journal has grown since.
   Status ProveHistoricalEntry(uint64_t height, uint64_t entry_index,
-                              JournalEntryProof* proof,
-                              LedgerEntry* entry) const;
+                              JournalEntryProof* proof, LedgerEntry* entry,
+                              JournalDigest* digest = nullptr) const;
 
   // The verified provenance of one key: every sealed write to it, in
   // commit order, each with its journal inclusion proof. This is the
@@ -326,25 +334,11 @@ class SpitzDb : public VerifiedKv {
   // passes themselves serialize. Fills *stats when non-null.
   Status CollectGarbage(ChunkGcStats* stats = nullptr);
 
-  // --- Auditor (deferred verification, section 5.3) -----------------------
-
-  // Queues an audit of the most recent write: re-derives the proof and
-  // verifies it against the current digest. Returns the verification
-  // status directly in online mode.
-  Status AuditWrite(const Slice& key,
-                    const std::optional<std::string>& expected_value);
-  // Integrity-only audit: whatever value (or absence) the key currently
-  // has must carry a valid proof. Used when later writers may legally
-  // change the value before the deferred audit runs.
-  Status AuditKey(const Slice& key);
-  // Queues a deferred verification of the most recently sealed block:
-  // block integrity, membership of its first entry in the journal, and
-  // the recorded index root. This is the batched deferred scheme of
-  // section 5.3 — one audit amortized over a block of writes.
-  Status AuditLastBlock();
-  // Blocks until all queued audits ran; returns VerificationFailed if
-  // any audit failed since startup.
-  Status DrainAudits();
+  // Whether GC has collected the version `index_root` (DESIGN.md
+  // section 12): waits out an in-flight pass, then probes the root
+  // chunk. Tells a deferred read's failure on a collected version from
+  // damage. Call with no read in flight on this thread.
+  bool VersionCollected(const Hash256& index_root);
 
   // --- Introspection ----------------------------------------------------------
 
@@ -519,16 +513,6 @@ class SpitzDb : public VerifiedKv {
   Status AdoptSealedBlockLocked(const Block& block, const Slice& serialized,
                                 bool in_file);
 
-  // What a journal entry proof needs of its block, taken under mu_: where
-  // the block's bytes are, and the block's path to the journal root. The
-  // block is read and decoded after mu_ is released, so no journal read
-  // runs inside the writer lock.
-  struct ProvableBlock {
-    Journal::BlockRef ref;
-    MerkleInclusionProof block_path;
-  };
-  Status LocateProvableLocked(uint64_t height, ProvableBlock* out) const;
-
   // Framed journal records of freshly sealed blocks, back to back in
   // one buffer; record i ends at ends[i]. A bulk load seals thousands
   // of blocks: a string per record would sit between the sealed blocks
@@ -567,11 +551,6 @@ class SpitzDb : public VerifiedKv {
   // thread (if configured) with the new ledger height.
   void NotifySealed(uint64_t block_count);
 
-  // Turns a failed deferred audit into a vacuous pass when its captured
-  // root was garbage-collected before the audit ran (the version no
-  // longer exists to verify). Must be called with no epoch pin held.
-  Status ResolveAuditResult(const Hash256& root, Status result);
-
   // Starts the background GC thread when gc_interval_blocks > 0; no-op
   // otherwise or if already running.
   void StartGcThread();
@@ -586,7 +565,6 @@ class SpitzDb : public VerifiedKv {
     Histogram* scan_ns = nullptr;         // core.db.scan_latency_ns
     Histogram* seal_ns = nullptr;         // core.db.seal_latency_ns
     Histogram* proof_build_ns = nullptr;  // core.db.proof_build_latency_ns
-    Histogram* proof_verify_ns = nullptr;  // core.db.proof_verify_latency_ns
     Histogram* proof_bytes = nullptr;  // index.siri.proof_bytes.<backend>
     Histogram* range_proof_bytes = nullptr;  // ...range_proof_bytes.<backend>
     // Batches per leader drain (core.db.commit.group_size): its mean is
@@ -604,7 +582,7 @@ class SpitzDb : public VerifiedKv {
   Status init_status_;
   // Declared before the components (and before auditor_) so registered
   // instruments outlive both the components that feed them and the
-  // audit threads that record verify latencies during shutdown.
+  // audit threads that record latencies during shutdown.
   MetricsRegistry registry_;
   DbMetrics metrics_;
   // The unified cache. Declared before the components that read through
@@ -629,7 +607,6 @@ class SpitzDb : public VerifiedKv {
   Counter read_set_aborts_;
   Journal ledger_;
   TimestampOracle clock_;
-  std::unique_ptr<DeferredVerifier> auditor_;
 
   // Read-path state; see CurrentSnapshot. Never null after construction.
   mutable std::mutex snapshot_mu_;
@@ -706,6 +683,10 @@ class SpitzDb : public VerifiedKv {
   Counter gc_rewritten_bytes_;
   Counter gc_segments_deleted_;
   Gauge gc_live_chunks_;  // survivor count of the most recent pass
+
+  // Last, and reset first by the destructor: its queue drains while
+  // everything an audit reads through is still alive.
+  std::unique_ptr<Auditor> auditor_;
 };
 
 }  // namespace spitz

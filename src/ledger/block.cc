@@ -39,7 +39,8 @@ Block::Block(uint64_t height, uint64_t first_seq, const Hash256& prev_hash,
       index_root_(index_root),
       timestamp_(timestamp) {
   entries_root_ = ComputeEntriesRoot(entries_);
-  block_hash_ = ComputeBlockHash();
+  block_hash_ = HeaderHash(height_, first_seq_, prev_hash_, entries_root_,
+                           index_root_, timestamp_);
 }
 
 Hash256 Block::ComputeEntriesRoot(const std::vector<LedgerEntry>& entries) {
@@ -50,14 +51,17 @@ Hash256 Block::ComputeEntriesRoot(const std::vector<LedgerEntry>& entries) {
   return tree.Root();
 }
 
-Hash256 Block::ComputeBlockHash() const {
+Hash256 Block::HeaderHash(uint64_t height, uint64_t first_seq,
+                          const Hash256& prev_hash,
+                          const Hash256& entries_root,
+                          const Hash256& index_root, uint64_t timestamp) {
   std::string header;
-  PutVarint64(&header, height_);
-  PutVarint64(&header, first_seq_);
-  header.append(prev_hash_.ToBytes());
-  header.append(entries_root_.ToBytes());
-  header.append(index_root_.ToBytes());
-  PutVarint64(&header, timestamp_);
+  PutVarint64(&header, height);
+  PutVarint64(&header, first_seq);
+  header.append(prev_hash.ToBytes());
+  header.append(entries_root.ToBytes());
+  header.append(index_root.ToBytes());
+  PutVarint64(&header, timestamp);
   return Hash256::Of(header);
 }
 
@@ -104,7 +108,8 @@ Status Block::Decode(Slice input, Block* block) {
     b.entries_.push_back(std::move(e));
   }
   b.entries_root_ = ComputeEntriesRoot(b.entries_);
-  b.block_hash_ = b.ComputeBlockHash();
+  b.block_hash_ = HeaderHash(b.height_, b.first_seq_, b.prev_hash_,
+                             b.entries_root_, b.index_root_, b.timestamp_);
   *block = std::move(b);
   return Status::OK();
 }

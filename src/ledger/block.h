@@ -70,9 +70,14 @@ class Block {
   // Computes the Merkle root over the entries of this block.
   static Hash256 ComputeEntriesRoot(const std::vector<LedgerEntry>& entries);
 
- private:
-  Hash256 ComputeBlockHash() const;
+  // The block hash over the header fields: the one encoding a block and
+  // a client recomputing it from a journal entry proof both hash.
+  static Hash256 HeaderHash(uint64_t height, uint64_t first_seq,
+                            const Hash256& prev_hash,
+                            const Hash256& entries_root,
+                            const Hash256& index_root, uint64_t timestamp);
 
+ private:
   uint64_t height_ = 0;
   uint64_t first_seq_ = 0;  // global sequence number of entries_[0]
   Hash256 prev_hash_;

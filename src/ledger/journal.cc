@@ -1,7 +1,6 @@
 #include "ledger/journal.h"
 
 #include "common/clock.h"
-#include "common/codec.h"
 #include "common/record_frame.h"
 
 namespace spitz {
@@ -83,9 +82,14 @@ JournalDigest Journal::Digest() const {
   return d;
 }
 
-Status Journal::Locate(uint64_t height, BlockRef* ref) const {
+Status Journal::Locate(uint64_t height, BlockRef* ref,
+                       MerkleInclusionProof* block_path) const {
   if (height >= block_count()) {
     return Status::NotFound("block height beyond journal");
+  }
+  if (block_path != nullptr) {
+    Status s = block_tree_.InclusionProof(height, block_path);
+    if (!s.ok()) return s;
   }
   ref->height = height;
   ref->block_hash = block_hashes_[height];
@@ -153,10 +157,9 @@ Status Journal::ProveEntry(uint64_t height, uint64_t entry_index,
                            LedgerEntry* entry) const {
   BlockRef ref;
   MerkleInclusionProof block_path;
-  Status s = Locate(height, &ref);
-  if (s.ok()) s = BlockInclusionProof(height, &block_path);
-  if (!s.ok()) return s;
-  return ProveEntryIn(ref, block_path, entry_index, proof, entry);
+  Status s = Locate(height, &ref, &block_path);
+  return s.ok() ? ProveEntryIn(ref, block_path, entry_index, proof, entry)
+                : s;
 }
 
 Status Journal::ProveEntryIn(const BlockRef& ref,
@@ -190,53 +193,16 @@ Status Journal::ProveEntryIn(const BlockRef& ref,
 Status Journal::VerifyEntry(const LedgerEntry& entry,
                             const JournalEntryProof& proof,
                             const JournalDigest& digest) {
-  // 1. Entry -> block entries root.
-  Hash256 leaf = entry.LeafHash();
-  // Reconstruct the entries root from the within-block path.
-  // VerifyInclusion needs the root; recompute it by folding: we instead
-  // derive the root via the canonical fold then compare by recomputing
-  // the block hash and checking the block-level inclusion.
-  // Fold the entry path to obtain the claimed entries root.
-  // (Same algorithm as MerkleTree::VerifyInclusion but returning the
-  // computed root.)
-  uint64_t fn = proof.entry_path.leaf_index;
-  uint64_t sn = proof.entry_path.tree_size == 0
-                    ? 0
-                    : proof.entry_path.tree_size - 1;
-  if (proof.entry_path.leaf_index >= proof.entry_path.tree_size) {
-    return Status::VerificationFailed("bad entry index in proof");
+  // Entry -> the block's entries root -> the block hash -> the journal
+  // Merkle root the digest covers.
+  Hash256 entries_root;
+  if (!MerkleTree::RootFromPath(entry.LeafHash(), proof.entry_path,
+                                &entries_root)) {
+    return Status::VerificationFailed("malformed entry path");
   }
-  Hash256 r = leaf;
-  for (const Hash256& c : proof.entry_path.path) {
-    if (sn == 0) return Status::VerificationFailed("entry path too long");
-    if ((fn & 1) == 1 || fn == sn) {
-      r = Hash256::OfPair(c, r);
-      while ((fn & 1) == 0 && fn != 0) {
-        fn >>= 1;
-        sn >>= 1;
-      }
-      fn >>= 1;
-      sn >>= 1;
-    } else {
-      r = Hash256::OfPair(r, c);
-      fn >>= 1;
-      sn >>= 1;
-    }
-  }
-  if (sn != 0) return Status::VerificationFailed("entry path too short");
-  Hash256 entries_root = r;
-
-  // 2. Entries root + header fields -> block hash.
-  std::string header;
-  PutVarint64(&header, proof.block_height);
-  PutVarint64(&header, proof.first_seq);
-  header.append(proof.prev_hash.ToBytes());
-  header.append(entries_root.ToBytes());
-  header.append(proof.index_root.ToBytes());
-  PutVarint64(&header, proof.block_timestamp);
-  Hash256 block_hash = Hash256::Of(header);
-
-  // 3. Block hash -> journal Merkle root.
+  Hash256 block_hash =
+      Block::HeaderHash(proof.block_height, proof.first_seq, proof.prev_hash,
+                        entries_root, proof.index_root, proof.block_timestamp);
   if (!MerkleTree::VerifyInclusion(Hash256::OfLeaf(block_hash.slice()),
                                    proof.block_path, digest.merkle_root)) {
     return Status::VerificationFailed("block not in journal");

@@ -99,8 +99,11 @@ class Journal {
     const RandomAccessFile* file = nullptr;
     const std::string* path = nullptr;
   };
-  // NotFound past the tip.
-  Status Locate(uint64_t height, BlockRef* ref) const;
+  // NotFound past the tip. *block_path (when non-null) receives the
+  // block's inclusion proof in the journal's Merkle tree, which an entry
+  // proof of the block needs (ProveEntryIn).
+  Status Locate(uint64_t height, BlockRef* ref,
+                MerkleInclusionProof* block_path = nullptr) const;
   // Reads and decodes the block `ref` names; *serialized (when non-null)
   // receives its bytes. A block read from the file must pass its frame
   // CRC and hash to its recorded block hash, or Load fails Corruption
@@ -124,13 +127,6 @@ class Journal {
     return index_roots_[height];
   }
 
-  // Proof that the block at `height` is included in the journal's
-  // Merkle tree (block-level only; cheap, O(log n)).
-  Status BlockInclusionProof(uint64_t height,
-                             MerkleInclusionProof* proof) const {
-    return block_tree_.InclusionProof(height, proof);
-  }
-
   // Builds the full proof for entry `entry_index` of block `height`.
   // This performs the honest work a ledger service must do when proofs
   // are retrieved individually: read and decode the stored block and
@@ -139,7 +135,7 @@ class Journal {
                     JournalEntryProof* proof, LedgerEntry* entry) const;
   // The half of ProveEntry that needs no lock: reads the block `ref`
   // names (Load) and proves its entry `entry_index`. `block_path` is the
-  // block's BlockInclusionProof, taken with `ref`.
+  // block's path, taken with `ref` by Locate.
   static Status ProveEntryIn(const BlockRef& ref,
                              const MerkleInclusionProof& block_path,
                              uint64_t entry_index, JournalEntryProof* proof,

@@ -38,9 +38,7 @@ Status MerkleInclusionProof::Decode(Slice input,
 }
 
 uint64_t MerkleTree::AppendLeafHash(const Hash256& leaf_hash) {
-  uint64_t index = leaves_.size();
-  leaves_.push_back(leaf_hash);
-  if (levels_.empty()) levels_.emplace_back();
+  uint64_t index = size();
   levels_[0].push_back(leaf_hash);
   // Bubble up: whenever a node completes a pair at some level, the
   // parent full-subtree hash becomes known.
@@ -58,7 +56,7 @@ uint64_t MerkleTree::AppendLeafHash(const Hash256& leaf_hash) {
 }
 
 Hash256 MerkleTree::SubtreeHash(uint64_t start, uint64_t size) const {
-  if (size == 1) return leaves_[start];
+  if (size == 1) return levels_[0][start];
   // Fast path: full, aligned subtree cached in levels_.
   if ((size & (size - 1)) == 0 && start % size == 0) {
     size_t level = 0;
@@ -77,12 +75,13 @@ Hash256 MerkleTree::SubtreeHash(uint64_t start, uint64_t size) const {
 }
 
 Hash256 MerkleTree::Root() const {
-  if (leaves_.empty()) return Hash256::Of(Slice("", 0));
-  return SubtreeHash(0, leaves_.size());
+  Hash256 root;
+  RootAt(size(), &root);
+  return root;
 }
 
 Status MerkleTree::RootAt(uint64_t size, Hash256* root) const {
-  if (size > leaves_.size()) {
+  if (size > this->size()) {
     return Status::InvalidArgument("size beyond tree");
   }
   if (size == 0) {
@@ -108,13 +107,13 @@ void MerkleTree::Path(uint64_t m, uint64_t start, uint64_t size,
 
 Status MerkleTree::InclusionProof(uint64_t leaf_index,
                                   MerkleInclusionProof* proof) const {
-  if (leaf_index >= leaves_.size()) {
+  if (leaf_index >= size()) {
     return Status::InvalidArgument("leaf index beyond tree");
   }
   proof->leaf_index = leaf_index;
-  proof->tree_size = leaves_.size();
+  proof->tree_size = size();
   proof->path.clear();
-  Path(leaf_index, 0, leaves_.size(), &proof->path);
+  Path(leaf_index, 0, size(), &proof->path);
   return Status::OK();
 }
 
@@ -136,22 +135,22 @@ void MerkleTree::SubProof(uint64_t m, uint64_t start, uint64_t size,
 
 Status MerkleTree::ConsistencyProof(uint64_t old_size,
                                     MerkleConsistencyProof* proof) const {
-  if (old_size > leaves_.size()) {
+  if (old_size > size()) {
     return Status::InvalidArgument("old size beyond tree");
   }
   proof->old_size = old_size;
-  proof->new_size = leaves_.size();
+  proof->new_size = size();
   proof->path.clear();
-  if (old_size == 0 || old_size == leaves_.size()) {
+  if (old_size == 0 || old_size == size()) {
     return Status::OK();  // trivially consistent
   }
-  SubProof(old_size, 0, leaves_.size(), true, &proof->path);
+  SubProof(old_size, 0, size(), true, &proof->path);
   return Status::OK();
 }
 
-bool MerkleTree::VerifyInclusion(const Hash256& leaf_hash,
-                                 const MerkleInclusionProof& proof,
-                                 const Hash256& root) {
+bool MerkleTree::RootFromPath(const Hash256& leaf_hash,
+                              const MerkleInclusionProof& proof,
+                              Hash256* root) {
   if (proof.leaf_index >= proof.tree_size) return false;
   // Canonical RFC 6962 verification.
   uint64_t fn = proof.leaf_index;
@@ -173,7 +172,9 @@ bool MerkleTree::VerifyInclusion(const Hash256& leaf_hash,
       sn >>= 1;
     }
   }
-  return sn == 0 && r == root;
+  if (sn != 0) return false;
+  *root = r;
+  return true;
 }
 
 bool MerkleTree::VerifyConsistency(const MerkleConsistencyProof& proof,

@@ -38,7 +38,7 @@ struct MerkleConsistencyProof {
 // client-side verifier.
 class MerkleTree {
  public:
-  MerkleTree() = default;
+  MerkleTree() : levels_(1) {}
 
   MerkleTree(const MerkleTree&) = delete;
   MerkleTree& operator=(const MerkleTree&) = delete;
@@ -51,7 +51,7 @@ class MerkleTree {
     return AppendLeafHash(Hash256::OfLeaf(data));
   }
 
-  uint64_t size() const { return static_cast<uint64_t>(leaves_.size()); }
+  uint64_t size() const { return levels_[0].size(); }
 
   // Root of the current tree. The root of an empty tree is defined as
   // SHA-256 of the empty string, as in RFC 6962.
@@ -67,9 +67,17 @@ class MerkleTree {
                           MerkleConsistencyProof* proof) const;
 
   // Stateless verification helpers (client side; no access to the tree).
+  // RootFromPath folds `leaf_hash` up `proof.path` into the root it
+  // implies; false when the path's length does not fit the leaf index
+  // and tree size. VerifyInclusion compares that root with `root`.
+  static bool RootFromPath(const Hash256& leaf_hash,
+                           const MerkleInclusionProof& proof, Hash256* root);
   static bool VerifyInclusion(const Hash256& leaf_hash,
                               const MerkleInclusionProof& proof,
-                              const Hash256& root);
+                              const Hash256& root) {
+    Hash256 computed;
+    return RootFromPath(leaf_hash, proof, &computed) && computed == root;
+  }
   static bool VerifyConsistency(const MerkleConsistencyProof& proof,
                                 const Hash256& old_root,
                                 const Hash256& new_root);
@@ -84,9 +92,9 @@ class MerkleTree {
   void SubProof(uint64_t m, uint64_t start, uint64_t size, bool complete,
                 std::vector<Hash256>* out) const;
 
-  std::vector<Hash256> leaves_;
-  // levels_[l][i] caches the hash of the full, aligned subtree covering
-  // leaves [i * 2^l, (i+1) * 2^l). Filled incrementally on append.
+  // levels_[0] holds the leaf hashes; levels_[l][i] the hash of the
+  // full, aligned subtree covering leaves [i * 2^l, (i+1) * 2^l).
+  // Filled incrementally on append.
   mutable std::vector<std::vector<Hash256>> levels_;
 };
 

@@ -76,7 +76,6 @@ class SpitzClient : public VerifiedKv {
   using VerifiedKv::Get;
   using VerifiedKv::Put;
   using VerifiedKv::Scan;
-  Status AuditLastBlock() { return Audit(Slice()); }
 
   // Atomic batch over the wire (wire::kWrite).
   Status Write(const WriteOptions& options, const WriteBatch& batch);

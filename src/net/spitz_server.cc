@@ -227,7 +227,7 @@ Status SpitzServer::Handle(uint32_t method, const std::string& request,
                                : db_->Delete(req.key);
       // The auditor role: queue a deferred, integrity-only audit of the
       // key (later writers may legally change it before the audit runs).
-      if (s.ok()) s = db_->AuditKey(req.key);
+      if (s.ok()) s = db_->auditor()->AuditKey(req.key);
       return s;
     }
     case wire::kGet: {

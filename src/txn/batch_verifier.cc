@@ -50,26 +50,19 @@ DeferredVerifier::~DeferredVerifier() {
   flush_cv_.notify_all();
 }
 
-void DeferredVerifier::RunCheck(Task& task) {
+Status DeferredVerifier::RunCheck(const Check& check) {
   uint64_t start = MonotonicNanos();
-  queue_wait_ns_.Record(start - task.enqueue_ns);
-  Status s = task.check();
+  Status s = check();
   verify_ns_.Record(MonotonicNanos() - start);
   verified_.fetch_add(1, std::memory_order_release);
   if (!s.ok()) failures_.fetch_add(1, std::memory_order_release);
+  return s;
 }
 
 Status DeferredVerifier::Submit(Check check) {
-  if (options_.batch_size == 0) {
-    // Online verification: the caller waits for the outcome. There is no
-    // queue, so only the verification latency is recorded.
-    uint64_t start = MonotonicNanos();
-    Status s = check();
-    verify_ns_.Record(MonotonicNanos() - start);
-    verified_.fetch_add(1, std::memory_order_release);
-    if (!s.ok()) failures_.fetch_add(1, std::memory_order_release);
-    return s;
-  }
+  // Online verification: the caller waits for the outcome. There is no
+  // queue, so only the verification latency is recorded.
+  if (options_.batch_size == 0) return RunCheck(check);
   const uint64_t seq = submitted_.fetch_add(1, std::memory_order_acq_rel);
   if (!queue_.Push(Task{std::move(check), MonotonicNanos(), seq})) {
     // Queue already closed (shutdown race): the check was not enqueued,
@@ -89,8 +82,9 @@ void DeferredVerifier::WorkerLoop() {
   std::vector<Task> batch;
   const size_t max_batch = std::max<size_t>(1, options_.batch_size);
   while (queue_.PopBatch(max_batch, &batch)) {
-    for (Task& task : batch) {
-      RunCheck(task);
+    for (const Task& task : batch) {
+      queue_wait_ns_.Record(MonotonicNanos() - task.enqueue_ns);
+      RunCheck(task.check);
     }
     // Publish completions under the flush mutex so a flusher's predicate
     // check cannot interleave between the retirement and the notify.

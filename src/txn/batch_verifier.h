@@ -114,8 +114,8 @@ class DeferredVerifier {
   };
 
   void WorkerLoop();
-  // Runs one check and records its outcome in the counters.
-  void RunCheck(Task& task);
+  // Runs one check and records its latency and outcome.
+  Status RunCheck(const Check& check);
   // Marks submission `seq` finished and advances retired_below_.
   // Caller holds flush_mu_.
   void RetireLocked(uint64_t seq);

@@ -118,7 +118,7 @@ TEST(ConcurrencyTest, ConcurrentReadsWritesAndSeals) {
   EXPECT_EQ(read_errors.load(), 0u);
   EXPECT_GT(verified_reads.load(), 0u);
   // Background audits submitted during the run must all pass.
-  EXPECT_TRUE(db.DrainAudits().ok());
+  EXPECT_TRUE(db.auditor()->Drain().ok());
 }
 
 TEST(ConcurrencyTest, IteratorStableWhileWritersAdvance) {
@@ -165,16 +165,16 @@ TEST(ConcurrencyTest, ConcurrentAuditsDrainExactly) {
     writers.emplace_back([&, w] {
       for (int i = 0; i < kOps; i++) {
         std::string key = "aud" + std::to_string(w) + "_" + std::to_string(i);
-        if (!db.Put(key, "value").ok() || !db.AuditKey(key).ok()) {
+        if (!db.Put(key, "value").ok() || !db.auditor()->AuditKey(key).ok()) {
           submit_failures.fetch_add(1);
         }
-        if (i % 25 == 0) db.AuditLastBlock();
+        if (i % 25 == 0) db.auditor()->AuditLastBlock();
       }
     });
   }
   for (auto& t : writers) t.join();
   EXPECT_EQ(submit_failures.load(), 0u);
-  EXPECT_TRUE(db.DrainAudits().ok());
+  EXPECT_TRUE(db.auditor()->Drain().ok());
   MetricsSnapshot snap = db.Metrics();
   EXPECT_EQ(snap.GaugeValue("txn.verifier.queue_depth"), 0u);
   EXPECT_EQ(snap.CounterValue("txn.verifier.failures"), 0u);
@@ -756,7 +756,7 @@ TEST(ConcurrencyTest, SealedBlockReadersRaceFlushesThatPageBlocksOut) {
     });
     readers.emplace_back([&] {
       while (!stop.load()) {
-        if (!db->AuditLastBlock().ok()) errors++;
+        if (!db->auditor()->AuditLastBlock().ok()) errors++;
         reads++;
       }
     });
@@ -765,7 +765,7 @@ TEST(ConcurrencyTest, SealedBlockReadersRaceFlushesThatPageBlocksOut) {
     for (auto& t : readers) t.join();
     EXPECT_EQ(errors.load(), 0u);
     EXPECT_GT(reads.load(), 0u);
-    EXPECT_TRUE(db->DrainAudits().ok());
+    EXPECT_TRUE(db->auditor()->Drain().ok());
     ASSERT_TRUE(db->SyncStorage().ok());
     EXPECT_EQ(db->Metrics().GaugeValue("core.db.journal.resident_bytes"), 0u);
     std::vector<SpitzDb::HistoricalWrite> history;
@@ -847,7 +847,7 @@ TEST(ConcurrencyTest, VersionGcRacesReadersWritersAndAuditors) {
     pool.emplace_back([&] {
       int i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        db->AuditKey("gckey" + std::to_string(i % kKeys));
+        db->auditor()->AuditKey("gckey" + std::to_string(i % kKeys));
         i++;
       }
     });
@@ -871,7 +871,7 @@ TEST(ConcurrencyTest, VersionGcRacesReadersWritersAndAuditors) {
     // legally observe NotFound only if its root was collected first —
     // retain_versions=2 plus the audit's epoch pin prevents that for
     // roots captured at submit time.)
-    EXPECT_TRUE(db->DrainAudits().ok());
+    EXPECT_TRUE(db->auditor()->Drain().ok());
     EXPECT_GE(db->Metrics().CounterValue("gc.runs"), 1u);
 
     // Every key still reads back with a verifying proof after the dust

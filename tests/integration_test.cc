@@ -110,7 +110,7 @@ TEST_F(IntegrationTest, ControlLayerOverDurableDb) {
     EXPECT_EQ(value, "v42");
     fleet->server(0)->Shutdown();
     SpitzDb* db = fleet->db(0);
-    ASSERT_TRUE(db->DrainAudits().ok());
+    ASSERT_TRUE(db->auditor()->Drain().ok());
     db->FlushBlock();
     digest = db->Digest();
   }

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -286,6 +287,60 @@ TEST(JournalTest, EntryProofRejectsTamperedEntry) {
   entry.value_hash = Hash256::Of("tampered");
   EXPECT_TRUE(
       Journal::VerifyEntry(entry, proof, digest).IsVerificationFailed());
+}
+
+// Every field of an entry proof feeds the recomputed block hash or one
+// of the two Merkle folds, so changing any one of them must fail.
+TEST(JournalTest, EntryProofRejectsEveryTamperedProofField) {
+  Journal j;
+  for (int b = 0; b < 5; b++) {
+    std::vector<LedgerEntry> entries;
+    for (int i = 0; i < 6; i++) {
+      entries.push_back(MakeEntry("k" + std::to_string(b * 6 + i), "v"));
+    }
+    j.Append(std::move(entries), Hash256::Of("idx" + std::to_string(b)),
+             b + 1);
+  }
+  JournalDigest digest = j.Digest();
+  JournalEntryProof honest;
+  LedgerEntry entry;
+  ASSERT_TRUE(j.ProveEntry(2, 3, &honest, &entry).ok());
+  ASSERT_TRUE(Journal::VerifyEntry(entry, honest, digest).ok());
+  ASSERT_FALSE(honest.entry_path.path.empty());
+  ASSERT_FALSE(honest.block_path.path.empty());
+
+  auto expect_rejected = [&](const std::string& field,
+                             const std::function<void(JournalEntryProof*)>&
+                                 tamper) {
+    JournalEntryProof proof = honest;
+    tamper(&proof);
+    EXPECT_TRUE(Journal::VerifyEntry(entry, proof, digest)
+                    .IsVerificationFailed())
+        << field;
+  };
+  expect_rejected("block_height", [](JournalEntryProof* p) {
+    p->block_height ^= 1;
+  });
+  expect_rejected("first_seq", [](JournalEntryProof* p) { p->first_seq ^= 1; });
+  expect_rejected("prev_hash",
+                  [](JournalEntryProof* p) { p->prev_hash.data()[0] ^= 1; });
+  expect_rejected("index_root",
+                  [](JournalEntryProof* p) { p->index_root.data()[0] ^= 1; });
+  expect_rejected("block_timestamp", [](JournalEntryProof* p) {
+    p->block_timestamp ^= 1;
+  });
+  for (size_t i = 0; i < honest.entry_path.path.size(); i++) {
+    expect_rejected("entry_path[" + std::to_string(i) + "]",
+                    [i](JournalEntryProof* p) {
+                      p->entry_path.path[i].data()[31] ^= 1;
+                    });
+  }
+  for (size_t i = 0; i < honest.block_path.path.size(); i++) {
+    expect_rejected("block_path[" + std::to_string(i) + "]",
+                    [i](JournalEntryProof* p) {
+                      p->block_path.path[i].data()[31] ^= 1;
+                    });
+  }
 }
 
 TEST(JournalTest, EntryProofRejectsWrongDigest) {

@@ -222,7 +222,7 @@ TEST(MetricsEndToEndTest, ProofAndLatencyHistogramsPerBackend) {
     for (int i = 0; i < 32; i++) {
       std::string key = "key" + std::to_string(i);
       ASSERT_TRUE(db.Put(key, "value").ok());
-      ASSERT_TRUE(db.AuditKey(key).ok());
+      ASSERT_TRUE(db.auditor()->AuditKey(key).ok());
     }
     std::string value;
     ReadProof proof;
@@ -232,7 +232,7 @@ TEST(MetricsEndToEndTest, ProofAndLatencyHistogramsPerBackend) {
                           &proof)
                       .ok());
     }
-    ASSERT_TRUE(db.DrainAudits().ok());
+    ASSERT_TRUE(db.auditor()->Drain().ok());
 
     MetricsSnapshot snap = db.Metrics();
     const std::string backend_name = SiriBackendName(backend);

@@ -717,7 +717,7 @@ TEST(NetSpitzTest, DigestAndAuditOverTheWire) {
   EXPECT_GT(digest.journal.block_count, 0u);
 
   ASSERT_TRUE(client->Audit("a3").ok());
-  ASSERT_TRUE(client->AuditLastBlock().ok());
+  ASSERT_TRUE(client->AuditLastSealed().ok());
 }
 
 TEST(NetSpitzTest, EightConcurrentClientsStress) {

@@ -131,13 +131,13 @@ TEST_P(SiriBackendTest, AuditPipelineRunsOnEveryBackend) {
   for (int i = 0; i < 40; i++) {
     std::string key = "a" + std::to_string(i);
     ASSERT_TRUE(db.Put(key, "v").ok());
-    ASSERT_TRUE(db.AuditWrite(key, std::string("v")).ok());
+    ASSERT_TRUE(db.auditor()->AuditKey(key, std::string("v")).ok());
   }
-  ASSERT_TRUE(db.AuditKey("a5").ok());
-  ASSERT_TRUE(db.AuditKey("not-there").ok());
+  ASSERT_TRUE(db.auditor()->AuditKey("a5").ok());
+  ASSERT_TRUE(db.auditor()->AuditKey("not-there").ok());
   ASSERT_TRUE(db.FlushBlock().ok());
-  ASSERT_TRUE(db.AuditLastBlock().ok());
-  EXPECT_TRUE(db.DrainAudits().ok());
+  ASSERT_TRUE(db.auditor()->AuditLastBlock().ok());
+  EXPECT_TRUE(db.auditor()->Drain().ok());
 }
 
 TEST_P(SiriBackendTest, ScanCapabilityMatchesBackend) {

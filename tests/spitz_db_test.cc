@@ -180,9 +180,9 @@ TEST(SpitzDbTest, DeferredAuditsPass) {
   for (int i = 0; i < 50; i++) {
     std::string key = "k" + std::to_string(i);
     ASSERT_TRUE(db.Put(key, "v" + std::to_string(i)).ok());
-    ASSERT_TRUE(db.AuditWrite(key, "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(db.auditor()->AuditKey(key, "v" + std::to_string(i)).ok());
   }
-  EXPECT_TRUE(db.DrainAudits().ok());
+  EXPECT_TRUE(db.auditor()->Drain().ok());
 }
 
 TEST(SpitzDbTest, DeferredAuditDetectsWrongExpectation) {
@@ -190,8 +190,8 @@ TEST(SpitzDbTest, DeferredAuditDetectsWrongExpectation) {
   options.audit_batch_size = 4;
   SpitzDb db(options);
   ASSERT_TRUE(db.Put("k", "actual").ok());
-  ASSERT_TRUE(db.AuditWrite("k", "expected-but-wrong").ok());
-  EXPECT_TRUE(db.DrainAudits().IsVerificationFailed());
+  ASSERT_TRUE(db.auditor()->AuditKey("k", "expected-but-wrong").ok());
+  EXPECT_TRUE(db.auditor()->Drain().IsVerificationFailed());
 }
 
 TEST(SpitzDbTest, OnlineAuditReturnsFailureImmediately) {
@@ -199,8 +199,8 @@ TEST(SpitzDbTest, OnlineAuditReturnsFailureImmediately) {
   options.audit_batch_size = 0;  // online
   SpitzDb db(options);
   ASSERT_TRUE(db.Put("k", "actual").ok());
-  EXPECT_TRUE(db.AuditWrite("k", "wrong").IsVerificationFailed());
-  EXPECT_TRUE(db.AuditWrite("k", "actual").ok());
+  EXPECT_TRUE(db.auditor()->AuditKey("k", "wrong").IsVerificationFailed());
+  EXPECT_TRUE(db.auditor()->AuditKey("k", "actual").ok());
 }
 
 TEST(SpitzDbTest, KeyCountTracksLiveKeys) {
@@ -341,10 +341,10 @@ TEST(SpitzDbTest, AuditLastBlockPasses) {
   for (int i = 0; i < 64; i++) {
     ASSERT_TRUE(db.Put("k" + std::to_string(i), "v").ok());
     if ((i + 1) % 8 == 0) {
-      ASSERT_TRUE(db.AuditLastBlock().ok());
+      ASSERT_TRUE(db.auditor()->AuditLastBlock().ok());
     }
   }
-  EXPECT_TRUE(db.DrainAudits().ok());
+  EXPECT_TRUE(db.auditor()->Drain().ok());
 }
 
 TEST(SpitzDbTest, KeyHistoryProvesEveryWrite) {

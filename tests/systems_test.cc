@@ -298,7 +298,7 @@ TEST(ProcessorPoolTest, ConcurrentMixedWorkload) {
   for (auto& w : writers) w.join();
   EXPECT_EQ(failures.load(), 0);
   SpitzDb* db = node.fleet->db(0);
-  ASSERT_TRUE(db->DrainAudits().ok());
+  ASSERT_TRUE(db->auditor()->Drain().ok());
   EXPECT_EQ(db->key_count(), 50u);
 }
 
