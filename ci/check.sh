@@ -4,6 +4,8 @@
 #   the metrics smoke, the auditor smoke and chaos runs, and the
 #   repository benchmark (spitzbench) smoke. Every other behaviour
 #   check lives in ctest; every end-to-end measurement in spitzbench.
+#   Last, ci/loc.sh prints the tracked line and ctest case counts (it
+#   gates nothing).
 # TSan: the concurrency, deferred-auditor, 2PC participant, read-set,
 #   key-history, network, cluster and replica tests.
 # ASan+UBSan: the proof-codec, database, deferred-auditor, key-history,
@@ -11,7 +13,8 @@
 #   replica, SHA-256/CRC32C kernel, journal, persistence,
 #   index-traversal (POS-tree, MPT, MBT, iterator and property) tests
 #   (untrusted bytes are decoded there —
-#   proof envelopes, wire requests, journal blocks replayed at recovery,
+#   proof envelopes, wire requests, the journal.log frames and blocks
+#   Journal::Open replays at recovery,
 #   sealed blocks read back from journal.log (frame CRC, then block
 #   hash, for proofs, key history, audits and the replication encoder),
 #   the POS-tree node decoder every read traversal and proof check runs
@@ -79,6 +82,9 @@ echo "==> tier-1: repository benchmark smoke (spitzbench, all workloads)"
 # the benchmark. Every workload runs at a tiny size with every
 # correctness check on; any failed check exits non-zero.
 CARGO_TARGET_DIR="${PREFIX}-spitzbench" python3 spitzbench/run.py --smoke
+
+echo "==> tier-1: line counts (printed, not gated)"
+ci/loc.sh "${PREFIX}"
 
 echo "==> tier-2: ThreadSanitizer concurrency suite"
 cmake -B "${PREFIX}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -3,14 +3,11 @@
 #include <dirent.h>
 #include <errno.h>
 #include <fcntl.h>
-#include <limits.h>
 #include <string.h>
 #include <sys/stat.h>
 #include <sys/types.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -40,54 +37,6 @@ class PosixWritableLog : public WritableLog {
     if (!status_.ok()) return status_;
     buffer_.append(data.data(), data.size());
     if (!manual_flush_ && buffer_.size() >= kBufferSize) return FlushBuffer();
-    return Status::OK();
-  }
-
-  Status AppendV(const Slice* records, size_t n) override {
-    if (!status_.ok()) return status_;
-    size_t total = 0;
-    for (size_t i = 0; i < n; i++) total += records[i].size();
-    // Small groups ride the existing buffer (one memcpy per record);
-    // anything the buffer cannot absorb is flushed and then handed to
-    // the kernel as a single gathered writev, so a commit group of many
-    // journal records still costs one syscall, not one per block. In
-    // manual-flush mode everything buffers unconditionally — the owner
-    // alone decides when bytes become kernel-visible.
-    if (manual_flush_ || buffer_.size() + total <= kBufferSize) {
-      for (size_t i = 0; i < n; i++) {
-        buffer_.append(records[i].data(), records[i].size());
-      }
-      return Status::OK();
-    }
-    Status s = FlushBuffer();
-    if (!s.ok()) return s;
-    std::vector<struct iovec> iov(n);
-    for (size_t i = 0; i < n; i++) {
-      iov[i].iov_base = const_cast<char*>(records[i].data());
-      iov[i].iov_len = records[i].size();
-    }
-    size_t next = 0;       // first iovec not fully written
-    size_t remaining = total;
-    while (remaining > 0) {
-      int count = static_cast<int>(std::min<size_t>(n - next, IOV_MAX));
-      ssize_t written = ::writev(fd_, iov.data() + next, count);
-      if (written < 0) {
-        if (errno == EINTR) continue;
-        status_ = Status::IOError(ErrnoMessage("writev " + path_, errno));
-        return status_;
-      }
-      remaining -= static_cast<size_t>(written);
-      // Advance past fully-written iovecs; trim a partially-written one.
-      size_t done = static_cast<size_t>(written);
-      while (done > 0 && done >= iov[next].iov_len) {
-        done -= iov[next].iov_len;
-        next++;
-      }
-      if (done > 0) {
-        iov[next].iov_base = static_cast<char*>(iov[next].iov_base) + done;
-        iov[next].iov_len -= done;
-      }
-    }
     return Status::OK();
   }
 

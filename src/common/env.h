@@ -56,30 +56,16 @@ class WritableLog {
   virtual ~WritableLog() = default;
 
   virtual Status Append(const Slice& data) = 0;
-  // Appends `n` records as one gathered I/O (a single writev once the
-  // user-space buffer cannot hold them). Record boundaries are still
-  // meaningful to the caller's format, not to the log — on failure a
-  // *prefix* of the records (possibly plus a partial record) may have
-  // reached the file, exactly like a short Append. This is the group
-  // commit primitive: the journal coalesces every record of a commit
-  // group into one call instead of one syscall per block.
-  virtual Status AppendV(const Slice* records, size_t n) {
-    for (size_t i = 0; i < n; i++) {
-      Status s = Append(records[i]);
-      if (!s.ok()) return s;
-    }
-    return Status::OK();
-  }
   // Pushes buffered appends to the kernel (write(2), no fsync). Not a
   // durability point; pairs with SyncFlushed() so the disk barrier can
   // run outside whatever lock serializes Append/Flush.
   virtual Status Flush() = 0;
-  // When on, Append/AppendV only ever grow the user-space buffer —
-  // bytes reach the kernel exclusively through an explicit
-  // Flush()/Sync()/Close(), never as a side effect of a full buffer.
-  // The journal runs in this mode so group commit can order chunk
-  // durability strictly before journal visibility: no journal byte can
-  // be picked up by an in-flight fsync before the commit pipeline has
+  // When on, Append only ever grows the user-space buffer — bytes reach
+  // the kernel exclusively through an explicit Flush()/Sync()/Close(),
+  // never as a side effect of a full buffer. Journal::Open puts
+  // journal.log in this mode so the owner's barrier can order chunk
+  // durability strictly before journal visibility: no frame can be
+  // picked up by an in-flight fsync before the commit pipeline has
   // decided to expose it. Callers own backpressure via BufferedBytes().
   virtual void SetManualFlush(bool on) { (void)on; }
   // Bytes appended but not yet handed to the kernel (always 0 for

@@ -18,10 +18,6 @@ class FaultWritableLog : public WritableLog {
     return env_->LogAppend(path_, data, base_.get());
   }
 
-  Status AppendV(const Slice* records, size_t n) override {
-    return env_->LogAppendV(path_, records, n, base_.get());
-  }
-
   // Flush pushes buffered bytes to the kernel but is not a durability
   // point (no op index, passes through on a dead env — like Close, a
   // crashed process's dirty pages may still reach the disk; whether
@@ -155,8 +151,11 @@ FaultKind FaultInjectionEnv::NextOp(size_t* partial_bytes) {
   return FaultKind::kNone;
 }
 
-Status FaultInjectionEnv::AppendOneLocked(FileState& st, const Slice& data,
-                                          WritableLog* base) {
+Status FaultInjectionEnv::LogAppend(const std::string& path, const Slice& data,
+                                    WritableLog* base) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (dead_) return Status::IOError("injected fault: environment is dead");
+  FileState& st = files_[path];
   size_t partial = 0;
   FaultKind kind = NextOp(&partial);
   switch (kind) {
@@ -181,31 +180,6 @@ Status FaultInjectionEnv::AppendOneLocked(FileState& st, const Slice& data,
       // append, which degrades to a plain write failure.
       return Status::IOError("injected write failure");
   }
-}
-
-Status FaultInjectionEnv::LogAppend(const std::string& path, const Slice& data,
-                                    WritableLog* base) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (dead_) return Status::IOError("injected fault: environment is dead");
-  return AppendOneLocked(files_[path], data, base);
-}
-
-Status FaultInjectionEnv::LogAppendV(const std::string& path,
-                                     const Slice* records, size_t n,
-                                     WritableLog* base) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (dead_) return Status::IOError("injected fault: environment is dead");
-  FileState& st = files_[path];
-  for (size_t i = 0; i < n; i++) {
-    Status s = AppendOneLocked(st, records[i], base);
-    // A fault mid-group stops the gather right there: the faulted
-    // record (and every record after it) never reaches the file, so a
-    // crash leaves a clean prefix of the group — which is also what a
-    // real short writev leaves, up to the torn record recovery
-    // truncates.
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
 }
 
 Status FaultInjectionEnv::LogSync(const std::string& path, WritableLog* base) {

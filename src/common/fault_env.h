@@ -118,12 +118,6 @@ class FaultInjectionEnv : public Env {
   // out (not part of the test-facing surface).
   Status LogAppend(const std::string& path, const Slice& data,
                    WritableLog* base);
-  // A gathered append consumes one op index *per record*, so a fault
-  // armed mid-group tears the group exactly where a per-record schedule
-  // would: records before the faulted index reach the file, the faulted
-  // one fails (or is shortened), everything after it is never written.
-  Status LogAppendV(const std::string& path, const Slice* records, size_t n,
-                    WritableLog* base);
   Status LogSync(const std::string& path, WritableLog* base);
   // Flush (buffer → kernel): consumes no op index and passes through on
   // a dead env, but records the flush point so LogSyncFlushed can model
@@ -145,10 +139,6 @@ class FaultInjectionEnv : public Env {
   // Decision + bookkeeping for one log op. Returns the fault to inject
   // into this op (kNone = proceed normally).
   FaultKind NextOp(size_t* partial_bytes);
-
-  // One record's append with the fault schedule applied; caller holds
-  // mu_ and has checked dead_. Shared by LogAppend and LogAppendV.
-  Status AppendOneLocked(FileState& st, const Slice& data, WritableLog* base);
 
   Env* const base_;
   mutable std::mutex mu_;

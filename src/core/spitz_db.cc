@@ -5,7 +5,6 @@
 #include "chunk/file_chunk_store.h"
 #include "common/clock.h"
 #include "common/codec.h"
-#include "common/record_frame.h"
 
 namespace spitz {
 
@@ -211,54 +210,20 @@ Status SpitzDb::Open(SpitzOptions options, std::unique_ptr<SpitzDb>* db) {
 }
 
 Status SpitzDb::Recover() {
-  const std::string journal_path = options_.data_dir + "/journal.log";
-  // A missing journal reads as an empty one.
-  std::string contents;
-  Status s = env_->ReadFileToString(journal_path, &contents);
-  if (!s.ok() && !s.IsNotFound()) return s;
-  // A corrupt record fails recovery: restoring it would rebuild the
-  // ledger over a block whose hashes no longer match its content.
-  std::vector<Slice> records;
-  uint64_t consumed = 0;
-  s = ReadRecordFrames(contents, journal_path, &records, &consumed);
+  uint64_t truncated = 0;
+  Status s = ledger_.Open(env_, options_.data_dir + "/journal.log",
+                          [this](const Block& block) { AdoptBlock(block); },
+                          &truncated);
   if (!s.ok()) return s;
-  for (const Slice& record : records) {
-    Block block;
-    s = Block::Decode(record, &block);
-    if (s.ok()) s = AdoptSealedBlockLocked(block, record, /*in_file=*/true);
-    if (!s.ok()) return s;
-  }
-  // Discard the torn tail before reopening for append; otherwise every
-  // block persisted from now on would sit behind unparseable garbage,
-  // unreachable by all future recoveries.
-  if (consumed < contents.size()) {
-    s = env_->Truncate(journal_path, consumed);
-    if (!s.ok()) return s;
-    journal_truncated_bytes_.Increment(contents.size() - consumed);
-  }
+  journal_truncated_bytes_.Increment(truncated);
   // Sanity: the recovered root (the last block's) must resolve in the
   // chunk store.
   uint64_t count = 0;
-  if (!records.empty() && !index_->Count(root_, &count).ok()) {
+  if (ledger_.block_count() > 0 && !index_->Count(root_, &count).ok()) {
     return Status::Corruption("recovered index root missing from chunk store");
   }
-  Status open_status = env_->NewWritableLog(journal_path, &journal_log_);
-  if (!open_status.ok()) {
-    return Status::IOError("cannot open journal log: " + journal_path + ": " +
-                           open_status.message());
-  }
-  // The journal flushes only inside the sync_mu_ barrier discipline
-  // (SyncCommitted/FlushJournal): no record may become kernel-visible —
-  // and so eligible for an in-flight fsync — before the chunk barrier
-  // that covers it has been ordered ahead of it.
-  journal_log_->SetManualFlush(true);
-  // journal.log is the home of every sealed block from here on: the
-  // journal reads a block back from it once a flush has covered it.
-  std::unique_ptr<RandomAccessFile> journal_file;
-  s = env_->NewRandomAccessFile(journal_path, &journal_file);
-  if (!s.ok()) return s;
-  ledger_.AttachFile(std::move(journal_file), journal_path);
-  journaled_blocks_ = ledger_.block_count();
+  // The recovered blocks are the file's contents: no barrier owes them.
+  synced_blocks_ = ledger_.block_count();
   // Replay the 2PC participant log: prepares without a decision marker
   // become the in-doubt set, their key locks re-taken.
   return participant_->Recover();
@@ -274,7 +239,6 @@ SpitzDb::~SpitzDb() {
     gc_thread_.join();
   }
   auditor_.reset();
-  if (journal_log_ != nullptr) journal_log_->Close();
 }
 
 void SpitzDb::StartGcThread() {
@@ -376,13 +340,13 @@ Status SpitzDb::CollectGarbage(ChunkGcStats* stats_out) {
 Status SpitzDb::SyncStorage() {
   // In-memory databases have no journal; syncing the chunk store is a
   // no-op there (virtual Sync defaults to OK) but kept for uniformity.
-  if (journal_log_ == nullptr) return chunks_->Sync();
-  uint64_t seq = 0;
+  if (!ledger_.has_log()) return chunks_->Sync();
+  uint64_t blocks = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    seq = append_seq_;
+    blocks = ledger_.block_count();
   }
-  return SyncCommitted(seq);
+  return SyncCommitted(blocks);
 }
 
 void SpitzDb::PublishSnapshotLocked(bool journal_changed) {
@@ -427,8 +391,7 @@ Status SpitzDb::WriteInternal(const WriteOptions& options,
   // Durability is only on offer when there is a journal to fsync; the
   // in-memory database ignores the flag rather than force-sealing
   // partial blocks for a barrier that cannot exist.
-  req.sync =
-      (options.sync || options_.sync_writes) && journal_log_ != nullptr;
+  req.sync = (options.sync || options_.sync_writes) && ledger_.has_log();
 
   std::unique_lock<std::mutex> lock(commit_mu_);
   commit_queue_.push_back(&req);
@@ -461,10 +424,9 @@ Status SpitzDb::WriteInternal(const WriteOptions& options,
   }
   lock.unlock();
 
-  uint64_t append_seq = 0;
+  uint64_t blocks = 0;
   bool flush_backpressure = false;
-  Status io = CommitGroup(group, group_sync, &append_seq,
-                          &flush_backpressure);
+  Status io = CommitGroup(group, group_sync, &blocks, &flush_backpressure);
 
   // Pipelined hand-off: pop the group and wake the next head *before*
   // any disk wait, so its apply stage (mu_) runs while this group sits
@@ -481,7 +443,7 @@ Status SpitzDb::WriteInternal(const WriteOptions& options,
     // other group whose records the same barrier happens to cover. No
     // lock is held: enqueueing writers, the next group's apply, readers
     // and the auditor all keep running while this group waits on disk.
-    io = SyncCommitted(append_seq);
+    io = SyncCommitted(blocks);
     if (!io.ok()) {
       // Every writer whose batch applied must hear that its write may
       // not survive a restart. Batches rejected at apply time keep
@@ -501,10 +463,9 @@ Status SpitzDb::WriteInternal(const WriteOptions& options,
 }
 
 Status SpitzDb::CommitGroup(const std::vector<CommitRequest*>& group,
-                            bool sync, uint64_t* append_seq,
+                            bool sync, uint64_t* blocks,
                             bool* flush_backpressure) {
   if (metrics_.group_size) metrics_.group_size->Record(group.size());
-  JournalRecords records;
   bool sealed = false;
   uint64_t block_count = 0;
   Status io;
@@ -529,7 +490,7 @@ Status SpitzDb::CommitGroup(const std::vector<CommitRequest*>& group,
       // are therefore identical to running the same batch sequence one
       // at a time, whatever grouping the queue happened to produce.
       if (r->status.ok() && pending_.size() >= options_.block_size) {
-        SealPendingLocked(&records);
+        SealPendingLocked();
         sealed = true;
       }
     }
@@ -537,24 +498,21 @@ Status SpitzDb::CommitGroup(const std::vector<CommitRequest*>& group,
     // for every write in the group, and only journaled blocks survive a
     // crash.
     if (sync && !pending_.empty()) {
-      SealPendingLocked(&records);
+      SealPendingLocked();
       sealed = true;
     }
-    io = AppendJournalRecordsLocked(records);
-    *append_seq = append_seq_;
-    block_count = ledger_.block_count();
+    if (sealed) io = ledger_.status();
+    *blocks = block_count = ledger_.block_count();
     PublishSnapshotLocked(/*journal_changed=*/sealed);
-    if (!sync && journal_log_ != nullptr) {
-      // Read under mu_ (appends are mu_-serialized, so this is exact):
-      // a long non-sync run must eventually hand its manual-flush
-      // buffer to the kernel or it grows without bound.
-      *flush_backpressure =
-          journal_log_->BufferedBytes() >= kJournalBackpressureBytes;
-    }
+    // Read under mu_ (appends are mu_-serialized, so this is exact): a
+    // long non-sync run must eventually hand the journal's manual-flush
+    // buffer to the kernel or it grows without bound.
+    *flush_backpressure =
+        !sync && ledger_.buffered_bytes() >= kJournalBackpressureBytes;
   }
   if (!io.ok()) {
-    // A failed journal append is group-wide: none or only a prefix of
-    // the blocks will survive a restart.
+    // A failed journal append is group-wide: the group's blocks will
+    // not survive a restart.
     for (CommitRequest* r : group) {
       if (r->status.ok()) r->status = io;
     }
@@ -563,7 +521,7 @@ Status SpitzDb::CommitGroup(const std::vector<CommitRequest*>& group,
   return io;
 }
 
-Status SpitzDb::SyncCommitted(uint64_t seq) {
+Status SpitzDb::SyncCommitted(uint64_t blocks) {
   std::unique_lock<std::mutex> sync_lock(sync_mu_);
   for (;;) {
     // A barrier that completed after our records were appended already
@@ -571,7 +529,7 @@ Status SpitzDb::SyncCommitted(uint64_t seq) {
     // piggyback and return without touching the disk. This is the
     // coalescing that keeps fsyncs ≪ puts — concurrent sync writers
     // converge on ~2 barriers per round, not one each.
-    if (synced_seq_ >= seq) return Status::OK();
+    if (synced_blocks_ >= blocks) return Status::OK();
     if (!sync_in_flight_) break;
     sync_cv_.wait(sync_lock);
   }
@@ -579,19 +537,18 @@ Status SpitzDb::SyncCommitted(uint64_t seq) {
   sync_lock.unlock();
 
   Status s;
-  uint64_t flushed_seq = 0;
+  uint64_t flushed_blocks = 0;
   {
-    // (1) Snapshot-flush: every journal record appended so far becomes
+    // (1) Snapshot-flush: every block sealed so far becomes
     // kernel-visible, and nothing else can follow until this barrier
     // completes (every flush defers to the in-flight barrier; the
-    // journal never flushes on its own in manual-flush mode).
+    // journal never flushes on its own in manual-flush mode). A journal
+    // whose append failed refuses, so no barrier covers a lost block.
     std::lock_guard<std::mutex> lock(mu_);
-    s = FlushJournalLocked();
-    flushed_seq = append_seq_;
+    s = ledger_.Flush();
+    flushed_blocks = ledger_.block_count();
   }
-  if (!s.ok()) {
-    s = Status::IOError("journal flush failed: " + s.message());
-  } else {
+  if (s.ok()) {
     // (2) Chunks strictly before (3) the journal: every record in the
     // snapshot references only chunks appended before it, so after
     // this barrier the chunk store durably holds every index node the
@@ -599,17 +556,16 @@ Status SpitzDb::SyncCommitted(uint64_t seq) {
     // order — it refuses roots that do not resolve in the chunk store.
     s = chunks_->Sync();
     if (s.ok()) {
-      s = journal_log_->SyncFlushed();
+      s = ledger_.SyncFlushed();
       journal_fsyncs_.Increment();
-      if (!s.ok()) {
-        s = Status::IOError("journal sync failed: " + s.message());
-      }
     }
   }
 
   sync_lock.lock();
   sync_in_flight_ = false;
-  if (s.ok() && flushed_seq > synced_seq_) synced_seq_ = flushed_seq;
+  if (s.ok() && flushed_blocks > synced_blocks_) {
+    synced_blocks_ = flushed_blocks;
+  }
   // Wake every waiter: covered ones return OK, the rest race to run the
   // next barrier (after a failure the winner retries the I/O and
   // surfaces the sticky error to its own caller).
@@ -621,18 +577,12 @@ void SpitzDb::FlushJournal() {
   // Kernel visibility only, not a durability point — but excluded
   // against the in-flight barrier, so no journal byte can slip into the
   // window between SyncCommitted's chunk barrier and its journal fsync.
-  // A failure here is sticky inside the log and surfaces on the next
-  // append or sync.
+  // A failure here is sticky inside the journal and surfaces on the
+  // next seal or sync.
   std::unique_lock<std::mutex> sync_lock(sync_mu_);
   sync_cv_.wait(sync_lock, [&] { return !sync_in_flight_; });
   std::lock_guard<std::mutex> lock(mu_);
-  FlushJournalLocked();
-}
-
-Status SpitzDb::FlushJournalLocked() {
-  Status s = journal_log_->Flush();
-  if (s.ok()) ledger_.ReleaseResident(journaled_blocks_);
-  return s;
+  ledger_.Flush();
 }
 
 Status SpitzDb::ValidateReadsLocked(const WriteBatch& batch) {
@@ -679,7 +629,7 @@ Status SpitzDb::ApplyBatchLocked(const WriteBatch& batch) {
   return Status::OK();
 }
 
-void SpitzDb::SealPendingLocked(JournalRecords* records) {
+void SpitzDb::SealPendingLocked() {
   if (pending_.empty()) return;
   ScopedTimer timer(metrics_.seal_ns);
   // Index history from the entries in hand, before Append takes them:
@@ -689,41 +639,8 @@ void SpitzDb::SealPendingLocked(JournalRecords* records) {
   // in the ledger stores a historical index instance" (section 6.1).
   // Because sealing happens immediately after the batch that crossed
   // the boundary, root_ covers exactly the entries sealed so far.
-  Slice serialized;
-  ledger_.Append(std::move(pending_), root_, NowMicros(), &serialized);
+  ledger_.Append(std::move(pending_), root_, NowMicros());
   pending_.clear();
-  if (journal_log_ == nullptr) return;
-  records->Add(serialized);
-}
-
-void SpitzDb::JournalRecords::Add(const Slice& serialized_block) {
-  AppendRecordFrame(serialized_block, &bytes);
-  ends.push_back(bytes.size());
-}
-
-Status SpitzDb::AppendJournalRecordsLocked(const JournalRecords& records) {
-  if (journal_log_ == nullptr || records.ends.empty()) return Status::OK();
-  std::vector<Slice> slices;
-  size_t begin = 0;
-  for (size_t end : records.ends) {
-    slices.emplace_back(records.bytes.data() + begin, end - begin);
-    begin = end;
-  }
-  Status s = journal_log_->AppendV(slices.data(), slices.size());
-  if (!s.ok()) {
-    return Status::IOError("journal append failed for " +
-                           std::to_string(slices.size()) +
-                           " block(s): " + s.message());
-  }
-  // Advance the append cut SyncCommitted coalesces on: a barrier whose
-  // flush observed this sequence has hardened these records.
-  append_seq_++;
-  // The records are the blocks sealed since the last append; after an
-  // earlier failure they no longer start where the file ends.
-  if (journaled_blocks_ + records.ends.size() == ledger_.block_count()) {
-    journaled_blocks_ = ledger_.block_count();
-  }
-  return Status::OK();
 }
 
 Status SpitzDb::BulkLoad(std::vector<PosEntry> entries) {
@@ -746,30 +663,27 @@ Status SpitzDb::BulkLoad(std::vector<PosEntry> entries) {
   Status s = index_->Build(std::move(entries), &root_);
   if (!s.ok()) return s;
   last_commit_ts_ = commit_ts + pending_.size() - 1;
-  // Seal full blocks; the (possibly short) tail stays pending. All the
-  // resulting journal records go out as one gathered append — bulk
-  // ingestion is the original group commit.
+  // Seal full blocks; the (possibly short) tail stays pending.
   std::vector<LedgerEntry> all = std::move(pending_);
   pending_.clear();
-  JournalRecords records;
   size_t i = 0;
   while (all.size() - i >= options_.block_size) {
     pending_.assign(std::make_move_iterator(all.begin() + i),
                     std::make_move_iterator(all.begin() + i +
                                             options_.block_size));
-    SealPendingLocked(&records);
+    SealPendingLocked();
     i += options_.block_size;
   }
   pending_.assign(std::make_move_iterator(all.begin() + i),
                   std::make_move_iterator(all.end()));
-  Status io = AppendJournalRecordsLocked(records);
+  Status io = ledger_.status();
   uint64_t block_count = ledger_.block_count();
   PublishSnapshotLocked(/*journal_changed=*/true);
   lock.unlock();
   if (block_count > 0) NotifySealed(block_count);
   // A bulk load can leave many MB in the journal's manual-flush buffer;
   // hand them to the kernel now instead of waiting for backpressure.
-  if (io.ok() && journal_log_ != nullptr) FlushJournal();
+  if (io.ok() && ledger_.has_log()) FlushJournal();
   return io;
 }
 
@@ -779,9 +693,8 @@ Status SpitzDb::FlushBlock() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (pending_.empty()) return Status::OK();
-    JournalRecords records;
-    SealPendingLocked(&records);
-    io = AppendJournalRecordsLocked(records);
+    SealPendingLocked();
+    io = ledger_.status();
     block_count = ledger_.block_count();
     PublishSnapshotLocked(/*journal_changed=*/true);
   }
@@ -1142,7 +1055,6 @@ Status SpitzDb::ApplySealedBlock(const Block& block, const Slice& serialized,
                                  SpitzDigest* applied) {
   if (!init_status_.ok()) return init_status_;
   uint64_t block_count = 0;
-  uint64_t append_seq = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (block.height() != ledger_.block_count()) {
@@ -1167,30 +1079,22 @@ Status SpitzDb::ApplySealedBlock(const Block& block, const Slice& serialized,
           "for block " +
           std::to_string(block.height()) + " disagrees with the sealed root");
     }
-    s = AdoptSealedBlockLocked(block, serialized, /*in_file=*/false);
-    if (s.ok() && journal_log_ != nullptr) {
-      JournalRecords record;
-      record.Add(serialized);
-      s = AppendJournalRecordsLocked(record);
-    }
+    // Restore checks that the block links from our current tip, and
+    // records it only once its frame is in the journal's log.
+    s = ledger_.Restore(block, serialized);
     if (!s.ok()) return s;
-    append_seq = append_seq_;
+    AdoptBlock(block);
     block_count = ledger_.block_count();
     PublishSnapshotLocked(/*journal_changed=*/true);
   }
   NotifySealed(block_count);
-  Status s = sync && journal_log_ != nullptr ? SyncCommitted(append_seq)
-                                             : Status::OK();
+  Status s = sync && ledger_.has_log() ? SyncCommitted(block_count)
+                                       : Status::OK();
   if (s.ok() && applied != nullptr) *applied = Digest();
   return s;
 }
 
-Status SpitzDb::AdoptSealedBlockLocked(const Block& block,
-                                       const Slice& serialized,
-                                       bool in_file) {
-  // Restore checks that the block links from our current tip.
-  Status s = ledger_.Restore(block, serialized, in_file);
-  if (!s.ok()) return s;
+void SpitzDb::AdoptBlock(const Block& block) {
   history_.AddBlock(block.entries());
   root_ = block.index_root();
   // The one clock-resume rule: commit timestamps allocated from here on
@@ -1201,7 +1105,6 @@ Status SpitzDb::AdoptSealedBlockLocked(const Block& block,
   if (clock_.Peek() <= last_commit_ts_) {
     clock_.AllocateBatch(last_commit_ts_ + 1 - clock_.Peek());
   }
-  return Status::OK();
 }
 
 uint64_t SpitzDb::entry_count() const {

@@ -178,9 +178,9 @@ class SpitzDb : public VerifiedKv {
   // concurrent writers enqueue their batch and block; the writer at the
   // head of the queue becomes the leader, drains a bounded group,
   // applies every batch to the copy-on-write index under the writer
-  // lock, appends all sealed journal blocks with one gathered I/O and —
-  // if any member asked for durability — issues a single fsync for the
-  // whole group before waking each waiter with its individual Status.
+  // lock, logs the frame of each block it seals and — if any member
+  // asked for durability — issues a single fsync for the whole group
+  // before waking each waiter with its individual Status.
 
   using VerifiedKv::Delete;
   using VerifiedKv::Put;
@@ -451,27 +451,28 @@ class SpitzDb : public VerifiedKv {
   // The leader's apply stage: applies each batch under mu_, seals
   // blocks at the same boundaries the serial path would (plus the
   // partial tail when `sync` — durability is promised for the whole
-  // group), appends every resulting journal record with one buffered
-  // AppendV, and publishes the snapshot. No disk I/O: the caller runs
+  // group), each seal logging its block's frame into the journal's
+  // buffer, and publishes the snapshot. No disk I/O: the caller runs
   // SyncCommitted() after handing the queue to the next leader. Sets
-  // each member's status; a journal-append failure is surfaced to every
-  // member whose batch applied. *append_seq receives the journal append
-  // sequence after this group's records — the cut SyncCommitted must
+  // each member's status; a journal failure is surfaced to every member
+  // whose batch applied when the group sealed. *blocks receives the
+  // block count after this group's seals — the cut SyncCommitted must
   // cover for the group to be durable. *flush_backpressure is set when
   // the journal's user-space buffer has outgrown its budget and the
   // caller should FlushJournal() (non-sync groups only — a sync group's
   // barrier drains the buffer anyway).
   Status CommitGroup(const std::vector<CommitRequest*>& group, bool sync,
-                     uint64_t* append_seq, bool* flush_backpressure);
+                     uint64_t* blocks, bool* flush_backpressure);
 
   // The coalescing durability barrier shared by sync commits and
-  // SyncStorage. Returns once every journal record with append sequence
-  // ≤ `seq` is durable. A caller whose records are already covered by a
-  // completed barrier returns immediately; one caller at a time runs
-  // the barrier proper — (1) flush the journal buffer under mu_,
-  // capturing the append sequence the barrier will harden; (2) fsync
-  // the chunk log; (3) fsync the journal — while later callers wait and
-  // then usually find themselves covered by it. This is where fsyncs
+  // SyncStorage. Returns once the first `blocks` sealed blocks are
+  // durable. A caller whose blocks are already covered by a completed
+  // barrier returns immediately; one caller at a time runs the barrier
+  // proper — (1) flush the journal under mu_, capturing the block count
+  // the barrier will harden (a journal whose append failed refuses, and
+  // every later barrier returns that error); (2) fsync the chunk log;
+  // (3) fsync the journal — while later callers wait and then usually
+  // find themselves covered by it. This is where fsyncs
   // amortize: N concurrent sync writers converge on ~2 barriers per
   // round instead of N.
   //
@@ -483,10 +484,10 @@ class SpitzDb : public VerifiedKv {
   // roots that do not resolve in the chunk store. The barrier holds no
   // lock during the fsyncs: the next group's apply stage (mu_) runs
   // concurrently — the pipelined half of group commit.
-  Status SyncCommitted(uint64_t seq);
+  Status SyncCommitted(uint64_t blocks);
 
   // Kernel visibility without a durability point: flushes the journal
-  // buffer under mu_ while excluding any in-flight barrier (sync_mu_).
+  // under mu_ while excluding any in-flight barrier (sync_mu_).
   // Backpressure valve for long non-sync runs so the manual-flush
   // buffer cannot grow without bound.
   void FlushJournal();
@@ -506,41 +507,16 @@ class SpitzDb : public VerifiedKv {
   // a no-op.
   Status ApplyToIndex(const WriteBatch& batch, Hash256* root) const;
 
-  // Takes a sealed block as the next one — every journal record at
-  // recovery (`in_file`), every replicated block on a backup: chains it
-  // onto the journal, indexes its key history, makes its root current
-  // and resumes commit timestamps past its entries.
-  Status AdoptSealedBlockLocked(const Block& block, const Slice& serialized,
-                                bool in_file);
-
-  // Framed journal records of freshly sealed blocks, back to back in
-  // one buffer; record i ends at ends[i]. A bulk load seals thousands
-  // of blocks: a string per record would sit between the sealed blocks
-  // the journal keeps and leave the heap fragmented once freed.
-  struct JournalRecords {
-    std::string bytes;
-    std::vector<size_t> ends;
-
-    // Frames one serialized block onto the end.
-    void Add(const Slice& serialized_block);
-  };
+  // What a block the journal took at recovery (Journal::Open) or from
+  // a primary (Journal::Restore) changes here: indexes its key history,
+  // makes its root current and resumes commit timestamps past its
+  // entries. Callers hold mu_ or run single-threaded (recovery).
+  void AdoptBlock(const Block& block);
 
   // Seals every pending entry into one block (the serial-path boundary:
-  // seal-all once pending reaches block_size) and, in durable mode,
-  // adds the block's framed journal record to *records for a later
-  // coalesced append.
-  void SealPendingLocked(JournalRecords* records);
-
-  // One gathered AppendV of the records (durable mode only). An error
-  // means none/only a prefix of the blocks will survive a restart — the
-  // in-memory seals stand either way, and the caller must surface the
-  // failure to every writer in the group.
-  Status AppendJournalRecordsLocked(const JournalRecords& records);
-
-  // Flushes the journal log to the kernel under mu_; on success every
-  // journaled block is readable from journal.log, and the journal drops
-  // its resident copies.
-  Status FlushJournalLocked();
+  // seal-all once pending reaches block_size); in durable mode the
+  // journal logs its frame, a failure sticky in ledger_.status().
+  void SealPendingLocked();
 
   // Recovery of a durable database (journal, then the participant's
   // txn.log); called by Open().
@@ -591,10 +567,8 @@ class SpitzDb : public VerifiedKv {
   std::unique_ptr<ChunkStore> chunks_;
   // The pluggable SIRI index chosen by options_.index_backend.
   std::unique_ptr<SiriIndex> index_;
-  // Durable mode: the resolved I/O environment and the journal log of
-  // sealed blocks (length-prefixed, CRC32C-trailed records).
+  // Durable mode: the resolved I/O environment.
   Env* env_ = nullptr;
-  std::unique_ptr<WritableLog> journal_log_;
   // Crash-garbage bytes cut from the journal tail during recovery
   // (core.db.journal.truncated_bytes).
   Counter journal_truncated_bytes_;
@@ -605,6 +579,7 @@ class SpitzDb : public VerifiedKv {
   // Batches failed Aborted by a stale read set, on the 1PC commit path
   // and at 2PC prepare alike (core.db.commit.read_set_aborts).
   Counter read_set_aborts_;
+  // The sealed blocks; in durable mode also the owner of journal.log.
   Journal ledger_;
   TimestampOracle clock_;
 
@@ -626,14 +601,12 @@ class SpitzDb : public VerifiedKv {
 
   // Barrier coalescing state (see SyncCommitted). sync_mu_ guards only
   // these fields plus FlushJournal's flush; the barrier's own I/O runs
-  // with sync_in_flight_ set and no lock held. synced_seq_ is the
-  // highest append_seq_ cut a completed barrier has hardened;
-  // append_seq_ itself lives under mu_ (bumped by every successful
-  // journal-record append).
+  // with sync_in_flight_ set and no lock held. synced_blocks_ is the
+  // highest block count a completed barrier has hardened.
   std::mutex sync_mu_;
   std::condition_variable sync_cv_;
   bool sync_in_flight_ = false;
-  uint64_t synced_seq_ = 0;
+  uint64_t synced_blocks_ = 0;
 
   // Lock order mu_ -> participant (CommitGroup checks prepared-key locks
   // under mu_); its apply callback is WriteInternal, and its validate
@@ -649,15 +622,6 @@ class SpitzDb : public VerifiedKv {
   Hash256 root_;                      // current index version
   std::vector<LedgerEntry> pending_;  // entries awaiting block seal
   uint64_t last_commit_ts_ = 0;
-  // Journal append sequence: bumped by every successful record append
-  // (AppendJournalRecordsLocked). SyncCommitted(seq) promises exactly
-  // "every append cut ≤ seq is durable".
-  uint64_t append_seq_ = 0;
-  // Blocks whose records went to journal_log_ in height order, all
-  // appends succeeding: a flush makes exactly these readable from
-  // journal.log. A failed append stops it for good, since the offsets
-  // of every later block then overstate the file.
-  uint64_t journaled_blocks_ = 0;
   // Key-history index: the journal position of every sealed write, one
   // fingerprint slot per key and no key bytes (KeyHistoryIndex). Fed at
   // seal, at recovery and on replica apply, beside each ledger append.

@@ -5,6 +5,48 @@
 
 namespace spitz {
 
+Status Journal::Open(Env* env, const std::string& path, const AdoptFn& adopt,
+                     uint64_t* truncated_bytes) {
+  *truncated_bytes = 0;
+  path_ = path;
+  std::string contents;
+  Status s = env->ReadFileToString(path, &contents);
+  if (!s.ok() && !s.IsNotFound()) return s;
+  // A corrupt frame fails recovery: restoring it would rebuild the
+  // ledger over a block whose hashes no longer match its content.
+  std::vector<Slice> payloads;
+  uint64_t consumed = 0;
+  s = ReadRecordFrames(contents, path, &payloads, &consumed);
+  if (!s.ok()) return s;
+  for (const Slice& payload : payloads) {
+    Block block;
+    s = Block::Decode(payload, &block);
+    if (s.ok()) s = CheckChains(block);
+    if (!s.ok()) return s;
+    // In the file already: only its offset is kept.
+    AddBlock(block.block_hash(), block.index_root(), block.entries().size(),
+             payload.size());
+    adopt(block);
+  }
+  // Cut the torn tail before reopening for append; otherwise every block
+  // logged from now on would sit behind unparseable garbage, unreachable
+  // by all future recoveries.
+  if (consumed < contents.size()) {
+    s = env->Truncate(path, consumed);
+    if (!s.ok()) return s;
+    *truncated_bytes = contents.size() - consumed;
+  }
+  s = env->NewWritableLog(path, &log_);
+  if (!s.ok()) {
+    return Status::IOError("cannot open journal log: " + path + ": " +
+                           s.message());
+  }
+  // No frame may reach the kernel, and so an in-flight fsync, before the
+  // owner's barrier has ordered the chunks it names ahead of it.
+  log_->SetManualFlush(true);
+  return env->NewRandomAccessFile(path, &file_);
+}
+
 uint64_t Journal::Append(std::vector<LedgerEntry> entries,
                          const Hash256& index_root, uint64_t timestamp,
                          Slice* serialized) {
@@ -15,6 +57,7 @@ uint64_t Journal::Append(std::vector<LedgerEntry> entries,
   // Encode grew the string by doubling; the block stays resident until
   // a flush covers it, and a journal without a file keeps it for good.
   encoded.shrink_to_fit();
+  if (log_ != nullptr) LogFrame(height, encoded);
   AddBlock(block.block_hash(), index_root, block.entries().size(),
            encoded.size());
   resident_bytes_ += encoded.size();
@@ -23,8 +66,18 @@ uint64_t Journal::Append(std::vector<LedgerEntry> entries,
   return height;
 }
 
-Status Journal::Restore(const Block& block, const Slice& serialized,
-                        bool in_file) {
+Status Journal::Restore(const Block& block, const Slice& serialized) {
+  Status s = CheckChains(block);
+  if (s.ok() && log_ != nullptr) s = LogFrame(block.height(), serialized);
+  if (!s.ok()) return s;
+  AddBlock(block.block_hash(), block.index_root(), block.entries().size(),
+           serialized.size());
+  resident_bytes_ += serialized.size();
+  resident_.push_back(serialized.ToString());
+  return Status::OK();
+}
+
+Status Journal::CheckChains(const Block& block) const {
   if (block.height() != block_hashes_.size()) {
     return Status::Corruption("restored block at wrong height");
   }
@@ -33,14 +86,6 @@ Status Journal::Restore(const Block& block, const Slice& serialized,
   }
   if (block.first_seq() != entry_count_) {
     return Status::Corruption("restored block at wrong sequence");
-  }
-  AddBlock(block.block_hash(), block.index_root(), block.entries().size(),
-           serialized.size());
-  // The resident blocks are always the newest ones: a block behind a
-  // resident one stays resident too, whatever the file holds.
-  if (!in_file || !resident_.empty()) {
-    resident_bytes_ += serialized.size();
-    resident_.push_back(serialized.ToString());
   }
   return Status::OK();
 }
@@ -56,21 +101,38 @@ void Journal::AddBlock(const Hash256& block_hash, const Hash256& index_root,
                         RecordFrameSize(serialized_bytes));
 }
 
-void Journal::AttachFile(std::unique_ptr<RandomAccessFile> file,
-                         std::string path) {
-  file_ = std::move(file);
-  path_ = std::move(path);
+Status Journal::LogFrame(uint64_t height, const Slice& serialized) {
+  // After a failure the log's tail is not where frame_ends_ says, so
+  // nothing more is logged.
+  if (!status_.ok()) return status_;
+  frame_.clear();
+  AppendRecordFrame(serialized, &frame_);
+  Status s = log_->Append(frame_);
+  if (!s.ok()) {
+    status_ = Status::IOError("journal append failed at block " +
+                              std::to_string(height) + ": " + s.message());
+  }
+  return status_;
 }
 
-void Journal::ReleaseResident(uint64_t height_end) {
-  if (file_ == nullptr) return;
-  uint64_t first_resident = block_count() - resident_.size();
-  for (; first_resident < height_end && !resident_.empty(); first_resident++) {
-    resident_bytes_ -= resident_.front().size();
-    resident_.pop_front();
+Status Journal::Flush() {
+  if (log_ == nullptr || !status_.ok()) return status_;
+  Status s = log_->Flush();
+  if (!s.ok()) {
+    status_ = Status::IOError("journal flush failed: " + s.message());
+    return status_;
   }
+  resident_.clear();
+  resident_bytes_ = 0;
   // A drained deque keeps its last chunk; give it back.
-  if (resident_.empty()) resident_.shrink_to_fit();
+  resident_.shrink_to_fit();
+  return Status::OK();
+}
+
+Status Journal::SyncFlushed() {
+  if (log_ == nullptr) return Status::OK();
+  Status s = log_->SyncFlushed();
+  return s.ok() ? s : Status::IOError("journal sync failed: " + s.message());
 }
 
 JournalDigest Journal::Digest() const {

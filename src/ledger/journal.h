@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,15 +48,24 @@ struct JournalEntryProof {
 // tree, which is exactly the per-record ledger-search cost the paper
 // attributes to the baseline (section 6.2.2).
 //
-// Where a block lives. Every block is framed (AppendRecordFrame) back to
-// back in journal.log, from offset 0; the journal keeps the frame
-// boundaries (8 B per block) beside each block's hash, index root and
-// Merkle leaf. A block's serialized bytes stay resident only until its
-// frame has reached the attached file: the owner calls ReleaseResident
-// after each journal flush, and every later read of the block is one
-// positional read of its frame, checked against its CRC and the resident
-// block hash. A journal without a file (an in-memory database) is never
-// released and keeps every block.
+// Where a block lives. A journal opened on journal.log (Open) is the one
+// owner of that file. It replays the file's frames at recovery, cuts a
+// torn tail, and from then on frames (AppendRecordFrame) every block it
+// seals (Append) or restores (Restore) onto the end of the log: one
+// WritableLog::Append per block, in height order. The log runs in
+// manual-flush mode, so bytes reach the kernel only at Flush, which the
+// owner serializes against its durability barrier. The journal keeps
+// the frame boundaries (8 B per block) beside each block's hash, index
+// root and Merkle leaf. A block's serialized bytes stay resident until a
+// Flush has handed its frame to the file; every later read of the block
+// is one positional read of its frame, checked against its CRC and the
+// resident block hash. A journal without a file (an in-memory database)
+// keeps every block.
+//
+// A failed log append or flush is sticky (status()): nothing more is
+// logged, every block sealed since stays resident, and every later
+// Flush returns the failure, so the owner's barrier can never report a
+// block durable that is not in the file.
 class Journal {
  public:
   Journal() = default;
@@ -63,28 +73,56 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
+  // What the owner derives from each block Open replays, once the
+  // journal has chained it (key history, current root, clock).
+  using AdoptFn = std::function<void(const Block& block)>;
+
+  // Makes journal.log at `path` the home of this empty journal. Every
+  // complete frame is chained as Restore chains a block and handed to
+  // `adopt`; a torn tail is truncated and *truncated_bytes receives the
+  // bytes cut. The file is then opened for appends, in manual-flush
+  // mode, and for positional reads. A missing file reads as an empty
+  // one; a frame whose CRC fails, or a block that does not chain, fails
+  // Open with Corruption.
+  Status Open(Env* env, const std::string& path, const AdoptFn& adopt,
+              uint64_t* truncated_bytes);
+
   // Appends a block containing the given entries; returns its height.
   // index_root records the state of the system's indexes as of this
-  // block (zero when unused). The block stays resident until released;
-  // *serialized (when non-null) points at its bytes until then.
+  // block (zero when unused). The block stays resident until a Flush
+  // covers it; *serialized (when non-null) points at its bytes until
+  // then. With a file, the block's frame is logged too; a failure is
+  // sticky in status(), and the block stands either way.
   uint64_t Append(std::vector<LedgerEntry> entries, const Hash256& index_root,
                   uint64_t timestamp, Slice* serialized = nullptr);
 
-  // Restores a block read back from disk or received from a primary.
-  // `block` is `serialized` decoded by the caller (Block::Decode derived
-  // its hashes); Restore checks that it chains from the current tip at
-  // the expected height and sequence. A block already in the file
-  // (`in_file`, recovery) keeps only its offset; any other block keeps
-  // `serialized` resident until released.
-  Status Restore(const Block& block, const Slice& serialized, bool in_file);
+  // Restores a block received from a primary. `block` is `serialized`
+  // decoded by the caller (Block::Decode derived its hashes); Restore
+  // checks that it chains from the current tip at the expected height
+  // and sequence. With a file, the block is recorded only once its frame
+  // is in the log: a failed append (or an earlier one) returns the
+  // sticky status() and leaves the journal unchanged.
+  Status Restore(const Block& block, const Slice& serialized);
 
-  // Makes `file`, opened on journal.log at `path`, the home of every
-  // released block. Called once, before any block is released or read.
-  void AttachFile(std::unique_ptr<RandomAccessFile> file, std::string path);
+  // Whether Open gave this journal a file.
+  bool has_log() const { return log_ != nullptr; }
+  // OK, or the first failed log append or flush.
+  const Status& status() const { return status_; }
+  // Bytes logged but not yet handed to the kernel.
+  uint64_t buffered_bytes() const {
+    return log_ != nullptr ? log_->BufferedBytes() : 0;
+  }
 
-  // Drops the resident bytes of every block below `height_end`. The
-  // caller guarantees that their frames are readable from the file.
-  void ReleaseResident(uint64_t height_end);
+  // Hands every logged frame to the kernel (not a durability point) and
+  // drops the resident bytes of every block, all of which are then
+  // readable from the file. Returns status() once it failed; OK without
+  // a file.
+  Status Flush();
+
+  // Fsyncs the frames earlier Flushes handed to the kernel. The one call
+  // that is safe without the owner's lock: it may run while another
+  // thread appends or flushes. OK without a file.
+  Status SyncFlushed();
 
   // Where the bytes of one block are, taken under the owner's lock by
   // Locate and read by Load without it: the frame extent in the file,
@@ -160,9 +198,14 @@ class Journal {
   uint64_t resident_bytes() const { return resident_bytes_; }
 
  private:
+  // Restore's checks: `block` must chain from the current tip.
+  Status CheckChains(const Block& block) const;
   // Records the hashes and frame extent of the next block.
   void AddBlock(const Hash256& block_hash, const Hash256& index_root,
                 uint64_t entries, size_t serialized_bytes);
+  // Frames `serialized`, the block at `height`, onto the log; a failure
+  // becomes status().
+  Status LogFrame(uint64_t height, const Slice& serialized);
 
   std::vector<Hash256> block_hashes_;
   std::vector<Hash256> index_roots_;  // each block's index_root()
@@ -172,8 +215,12 @@ class Journal {
   // The serialized bytes of the last resident_.size() blocks.
   std::deque<std::string> resident_;
   uint64_t resident_bytes_ = 0;
+  // journal.log once opened: appended through log_, read through file_.
+  std::unique_ptr<WritableLog> log_;
   std::unique_ptr<RandomAccessFile> file_;
   std::string path_;
+  Status status_;
+  std::string frame_;  // LogFrame's scratch, reused across blocks
   MerkleTree block_tree_;  // Merkle tree over block hashes
   Hash256 tip_hash_;
   uint64_t entry_count_ = 0;

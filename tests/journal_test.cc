@@ -181,7 +181,7 @@ class JournalRestoreTest : public ::testing::Test {
     Block decoded;
     Status s = Block::Decode(serialized, &decoded);
     if (!s.ok()) return s;
-    return journal_.Restore(decoded, serialized, /*in_file=*/false);
+    return journal_.Restore(decoded, serialized);
   }
 
   Block Next(uint64_t height, uint64_t first_seq, const Hash256& prev) {
@@ -442,38 +442,42 @@ TEST(JournalTest, RandomizedFullSweep) {
 
 // --- Blocks paged out to the file --------------------------------------------
 
-// A journal whose blocks are framed into a file the way SpitzDb writes
-// journal.log: released blocks read back from the file, byte for byte,
-// and still prove; a journal without a file never releases anything.
+// A journal opened on a file frames each block into it; a flush releases
+// the blocks, which then read back from the file, byte for byte, and
+// still prove. A journal without a file never releases anything.
 TEST(JournalTest, ReleasedBlocksReadBackFromTheFile) {
   const std::string path = ::testing::TempDir() + "/spitz_journal_paging.log";
   std::filesystem::remove(path);
+  Journal memory;
   Journal j;
+  uint64_t truncated = 0;
+  ASSERT_TRUE(j.Open(Env::Default(), path, [](const Block&) {}, &truncated)
+                  .ok());
+  EXPECT_EQ(truncated, 0u);
   std::vector<std::string> serialized;
   std::string frames;
   for (int b = 0; b < 5; b++) {
+    auto append = [&](Journal* journal, Slice* bytes) {
+      journal->Append({MakeEntry("k" + std::to_string(b), "v"),
+                       MakeEntry("x" + std::to_string(b), "w")},
+                      Hash256::Of("root" + std::to_string(b)), b, bytes);
+    };
     Slice bytes;
-    j.Append({MakeEntry("k" + std::to_string(b), "v"),
-              MakeEntry("x" + std::to_string(b), "w")},
-             Hash256::Of("root" + std::to_string(b)), b, &bytes);
+    append(&memory, nullptr);
+    append(&j, &bytes);
     serialized.push_back(bytes.ToString());
     AppendRecordFrame(bytes, &frames);
+    if (b == 2) {
+      ASSERT_TRUE(j.Flush().ok());  // blocks 0-2 go to the file
+    }
   }
   EXPECT_EQ(j.stored_bytes(), frames.size());
+  EXPECT_EQ(memory.stored_bytes(), frames.size());
   uint64_t all_bytes = 0;
   for (const std::string& block : serialized) all_bytes += block.size();
-  EXPECT_EQ(j.resident_bytes(), all_bytes);
-  j.ReleaseResident(5);  // no file yet: nothing is released
-  EXPECT_EQ(j.resident_bytes(), all_bytes);
-
-  std::unique_ptr<WritableLog> log;
-  ASSERT_TRUE(Env::Default()->NewWritableLog(path, &log).ok());
-  ASSERT_TRUE(log->Append(frames).ok());
-  ASSERT_TRUE(log->Close().ok());
-  std::unique_ptr<RandomAccessFile> file;
-  ASSERT_TRUE(Env::Default()->NewRandomAccessFile(path, &file).ok());
-  j.AttachFile(std::move(file), path);
-  j.ReleaseResident(3);
+  EXPECT_EQ(memory.resident_bytes(), all_bytes);
+  ASSERT_TRUE(memory.Flush().ok());  // no file: nothing is released
+  EXPECT_EQ(memory.resident_bytes(), all_bytes);
   EXPECT_EQ(j.resident_bytes(), serialized[3].size() + serialized[4].size());
 
   const JournalDigest digest = j.Digest();
@@ -490,11 +494,15 @@ TEST(JournalTest, ReleasedBlocksReadBackFromTheFile) {
     EXPECT_EQ(entry.key, "x" + std::to_string(h));
     EXPECT_TRUE(Journal::VerifyEntry(entry, proof, digest).ok()) << h;
   }
-  j.ReleaseResident(5);
+  ASSERT_TRUE(j.Flush().ok());
   EXPECT_EQ(j.resident_bytes(), 0u);
   Block last;
   ASSERT_TRUE(j.GetBlock(4, &last).ok());
   EXPECT_EQ(last.index_root(), Hash256::Of("root4"));
+  // The file holds exactly the frames, back to back from offset 0.
+  std::string contents;
+  ASSERT_TRUE(Env::Default()->ReadFileToString(path, &contents).ok());
+  EXPECT_EQ(contents, frames);
   std::filesystem::remove(path);
 }
 
@@ -504,13 +512,18 @@ TEST(JournalTest, ReleasedBlocksReadBackFromTheFile) {
 TEST(JournalTest, ReadBackChecksFrameAndBlockHash) {
   const std::string path =
       ::testing::TempDir() + "/spitz_journal_paging_checks.log";
+  std::filesystem::remove(path);
   Journal j;
+  uint64_t truncated = 0;
+  ASSERT_TRUE(j.Open(Env::Default(), path, [](const Block&) {}, &truncated)
+                  .ok());
   std::vector<std::string> serialized;
   for (int b = 0; b < 3; b++) {
     Slice bytes;
     j.Append({MakeEntry("k" + std::to_string(b), "v")}, Hash256(), b, &bytes);
     serialized.push_back(bytes.ToString());
   }
+  ASSERT_TRUE(j.Flush().ok());  // every block now reads from the file
   // Block 1 forged with a valid frame: same length, another value hash.
   Block genuine;
   ASSERT_TRUE(Block::Decode(serialized[1], &genuine).ok());
@@ -528,10 +541,6 @@ TEST(JournalTest, ReadBackChecksFrameAndBlockHash) {
     out.write(frames.data(), static_cast<std::streamsize>(frames.size()));
   };
   write_file(forged.Encode());
-  std::unique_ptr<RandomAccessFile> file;
-  ASSERT_TRUE(Env::Default()->NewRandomAccessFile(path, &file).ok());
-  j.AttachFile(std::move(file), path);
-  j.ReleaseResident(3);
 
   std::string bytes;
   Status s = j.ReadBlock(1, &bytes);

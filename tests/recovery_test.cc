@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -23,6 +24,7 @@
 #include "chunk/file_chunk_store.h"
 #include "common/crc32c.h"
 #include "common/fault_env.h"
+#include "common/record_frame.h"
 #include "core/spitz_db.h"
 
 namespace spitz {
@@ -651,36 +653,138 @@ TEST_F(RecoveryTest, CrashKeepingUnsyncedDataStillRecovers) {
 
 // --- Group commit under faults ----------------------------------------------
 //
-// The group-commit pipeline batches records from many writers into one
-// gathered append and one amortized fsync. These tests pin down the two
-// crash-safety promises that batching must not weaken: a fault inside a
-// gathered append tears the group at a record boundary (never inside
-// one), and a sync Put that returned OK survives any crash even though
-// its fsync was shared with other writers.
+// The group-commit pipeline logs the frames of many writers' blocks
+// behind one amortized fsync. These tests pin down the two crash-safety
+// promises that batching must not weaken: a fault inside a run of frames
+// tears it at a frame boundary (never inside one), and a sync Put that
+// returned OK survives any crash even though its fsync was shared with
+// other writers.
 
-TEST_F(RecoveryTest, AppendVFaultTearsGroupAtRecordBoundary) {
+// A bulk load seals five blocks and logs their frames last, one op
+// index per frame, so a dry run finds the op of each. A fault armed on
+// the third frame tears the load right there: the two frames before it
+// reach the file, the faulted one and every later one never do, and
+// recovery finds exactly two blocks.
+TEST_F(RecoveryTest, FaultTearsGroupAtRecordBoundary) {
+  constexpr size_t kBlocks = 5;
+  auto rows = [] {
+    std::vector<PosEntry> entries;
+    for (size_t k = 0; k < 8 * kBlocks; k++) {
+      entries.push_back({WorkloadKey(static_cast<int>(k)), "v"});
+    }
+    std::sort(entries.begin(), entries.end(),
+              [](const PosEntry& a, const PosEntry& b) { return a.key < b.key; });
+    return entries;
+  };
+  uint64_t load_ops = 0;
+  {
+    FaultInjectionEnv dry(Env::Default());
+    SpitzOptions options = DurableOptions(8, &dry);
+    options.data_dir = dir_ + "/dry";
+    std::unique_ptr<SpitzDb> db;
+    ASSERT_TRUE(SpitzDb::Open(options, &db).ok());
+    const uint64_t before = dry.ops_seen();
+    ASSERT_TRUE(db->BulkLoad(rows()).ok());
+    ASSERT_EQ(db->Digest().journal.block_count, kBlocks);
+    load_ops = dry.ops_seen() - before;
+    ASSERT_GT(load_ops, kBlocks);
+  }
+
   FaultInjectionEnv env(Env::Default());
-  std::string path = dir_ + "/log";
-  std::unique_ptr<WritableLog> log;
-  ASSERT_TRUE(env.NewWritableLog(path, &log).ok());
-  ASSERT_TRUE(log->Append("base|").ok());
-  ASSERT_TRUE(log->Sync().ok());
-  // A gathered append consumes one op index per record, so arming the
-  // fault two ops ahead lands it on the *third* record of the group.
-  uint64_t before = env.ops_seen();
-  env.FailAt(before + 2, FaultKind::kFailWrite);
-  Slice group[] = {"one|", "two|", "three|", "four|"};
-  EXPECT_TRUE(log->AppendV(group, 4).IsIOError());
-  EXPECT_TRUE(env.fault_fired());
-  // Records before the fault each consumed an op and reached the file;
-  // the faulted record and everything after it were never written.
-  EXPECT_EQ(env.ops_seen(), before + 3);
-  log->Close();
-  log.reset();
+  std::string expected;  // the frames of blocks 0 and 1
+  uint64_t fault_op = 0;
+  {
+    std::unique_ptr<SpitzDb> db;
+    ASSERT_TRUE(SpitzDb::Open(DurableOptions(8, &env), &db).ok());
+    fault_op = env.ops_seen() + load_ops - kBlocks + 2;
+    env.FailAt(fault_op, FaultKind::kFailWrite);
+    EXPECT_TRUE(db->BulkLoad(rows()).IsIOError());
+    EXPECT_TRUE(env.fault_fired());
+    // The frames before the fault each consumed an op; nothing after
+    // the faulted one did.
+    EXPECT_EQ(env.ops_seen(), fault_op + 1);
+    for (uint64_t h = 0; h < 2; h++) {
+      std::string bytes;
+      Block block;
+      ASSERT_TRUE(db->SealedBlock(h, &bytes, &block).ok());
+      AppendRecordFrame(bytes, &expected);
+    }
+  }
   ASSERT_TRUE(env.SimulateCrash(CrashMode::kKeepUnsynced).ok());
   std::string contents;
-  ASSERT_TRUE(env.ReadFileToString(path, &contents).ok());
-  EXPECT_EQ(contents, "base|one|two|");
+  ASSERT_TRUE(env.ReadFileToString(dir_ + "/journal.log", &contents).ok());
+  EXPECT_EQ(contents, expected);
+  env.Revive();
+  std::unique_ptr<SpitzDb> db;
+  ASSERT_TRUE(SpitzDb::Open(DurableOptions(8, &env), &db).ok());
+  EXPECT_EQ(db->Digest().journal.block_count, 2u);
+}
+
+// A failed journal append is sticky inside the journal, even once the
+// env is healthy again: SyncStorage and every later sync commit fail,
+// the unlogged block still serves and verifies from memory, and a crash
+// loses it and everything after it, never block 0.
+TEST_F(RecoveryTest, FailedJournalAppendIsStickyAndSurfacesThroughSyncStorage) {
+  FaultInjectionEnv env(Env::Default());
+  {
+    std::unique_ptr<SpitzDb> db;
+    ASSERT_TRUE(SpitzDb::Open(DurableOptions(8, &env), &db).ok());
+    for (int k = 0; k < 8; k++) {
+      ASSERT_TRUE(db->Put("b0-" + std::to_string(k), "v").ok());
+    }
+    ASSERT_TRUE(db->SyncStorage().ok());
+    for (int k = 0; k < 3; k++) {
+      ASSERT_TRUE(db->Put("b1-" + std::to_string(k), "v").ok());
+    }
+    env.FailAt(env.ops_seen(), FaultKind::kFailWrite);
+    Status s = db->FlushBlock();
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    EXPECT_NE(s.ToString().find("journal append failed"), std::string::npos)
+        << s.ToString();
+    EXPECT_TRUE(env.fault_fired());
+    env.Revive();
+
+    s = db->SyncStorage();
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    WriteOptions sync;
+    sync.sync = true;
+    s = db->Put(sync, "late", "v");
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    EXPECT_NE(s.ToString().find("journal append failed"), std::string::npos)
+        << s.ToString();
+    EXPECT_TRUE(db->SyncStorage().IsIOError());
+
+    std::vector<SpitzDb::HistoricalWrite> history;
+    ASSERT_TRUE(db->KeyHistory("b1-0", &history).ok());
+    ASSERT_EQ(history.size(), 1u);
+    EXPECT_EQ(history[0].block_height, 1u);
+    const SpitzDigest digest = db->Digest();
+    EXPECT_TRUE(Journal::VerifyEntry(history[0].entry, history[0].proof,
+                                     digest.journal)
+                    .ok());
+    std::string bytes;
+    Block block;
+    ASSERT_TRUE(db->SealedBlock(1, &bytes, &block).ok());
+    EXPECT_EQ(block.entries().size(), 3u);
+    JournalEntryProof proof;
+    LedgerEntry entry;
+    ASSERT_TRUE(db->ProveHistoricalEntry(1, 0, &proof, &entry).ok());
+    EXPECT_EQ(entry.key, "b1-0");
+    EXPECT_TRUE(Journal::VerifyEntry(entry, proof, digest.journal).ok());
+    EXPECT_GT(db->Metrics().GaugeValue("core.db.journal.resident_bytes"), 0u);
+  }
+  ASSERT_TRUE(env.SimulateCrash(CrashMode::kDropUnsynced).ok());
+  std::unique_ptr<SpitzDb> db;
+  ASSERT_TRUE(SpitzDb::Open(DurableOptions(8, &env), &db).ok());
+  EXPECT_EQ(db->Digest().journal.block_count, 1u);
+  std::string value;
+  for (int k = 0; k < 8; k++) {
+    EXPECT_TRUE(db->Get("b0-" + std::to_string(k), &value).ok()) << k;
+  }
+  for (int k = 0; k < 3; k++) {
+    EXPECT_TRUE(db->Get("b1-" + std::to_string(k), &value).IsNotFound()) << k;
+  }
+  EXPECT_TRUE(db->Get("late", &value).IsNotFound());
 }
 
 TEST_F(RecoveryTest, SyncPutIsDurableWithoutExplicitSyncStorage) {

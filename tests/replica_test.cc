@@ -602,6 +602,76 @@ TEST(ReplicaTest, FailedJournalReadIsRetriedAndACorruptBlockNeverShips) {
   std::filesystem::remove_all(dir);
 }
 
+// A backup whose journal append fails keeps nothing of the block: its
+// entry count, digest, roots and key history stay as they were, and a
+// retry returns the journal's sticky IOError. The same directory
+// reopened on the revived env applies the block with the primary's ack.
+TEST(ReplicaTest, FailedJournalAppendLeavesTheBackupUnchanged) {
+  const std::string dir = ::testing::TempDir() + "/spitz_replica_append";
+  SpitzOptions options = CodecOptions();
+  options.block_size = 8;
+  SpitzDb primary(options);
+  for (int i = 0; i < 8; i++) {
+    ASSERT_TRUE(primary.Put("k" + std::to_string(i), "v").ok());
+  }
+  std::string record;
+  Block block;
+  ASSERT_TRUE(EncodeReplicationRecord(primary, 0, &record, &block).ok());
+  wire::ReplicaAck ack;
+
+  // A dry run counts the apply's ops; its journal append is the last.
+  uint64_t apply_ops = 0;
+  {
+    FaultInjectionEnv dry(Env::Default());
+    std::unique_ptr<SpitzDb> db = OpenDurablePrimary(dir, &dry);
+    ASSERT_NE(db, nullptr);
+    std::unique_ptr<BackupReplica> backup = OpenBackup(db.get());
+    const uint64_t before = dry.ops_seen();
+    ASSERT_TRUE(Replicate(backup.get(), record, &ack).ok());
+    apply_ops = dry.ops_seen() - before;
+    ASSERT_GT(apply_ops, 1u);
+  }
+
+  FaultInjectionEnv env(Env::Default());
+  {
+    std::unique_ptr<SpitzDb> db = OpenDurablePrimary(dir, &env);
+    ASSERT_NE(db, nullptr);
+    std::unique_ptr<BackupReplica> backup = OpenBackup(db.get());
+    const SpitzDigest before = db->Digest();
+    env.FailAt(env.ops_seen() + apply_ops - 1, FaultKind::kFailWrite);
+    Status s = Replicate(backup.get(), record, &ack);
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    EXPECT_TRUE(env.fault_fired());
+    EXPECT_EQ(db->entry_count(), 0u);
+    EXPECT_TRUE(db->Digest() == before);
+    Hash256 root;
+    EXPECT_TRUE(db->IndexRootAt(0, &root).IsNotFound());
+    std::vector<SpitzDb::HistoricalWrite> history;
+    EXPECT_TRUE(db->KeyHistory("k0", &history).IsNotFound());
+    env.Revive();
+    s = Replicate(backup.get(), record, &ack);
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    EXPECT_NE(s.ToString().find("journal append failed"), std::string::npos)
+        << s.ToString();
+    EXPECT_EQ(db->entry_count(), 0u);
+    EXPECT_TRUE(db->Digest() == before);
+  }
+
+  SpitzOptions reopen = SmallBlocks();
+  reopen.data_dir = dir;
+  reopen.env = &env;
+  std::unique_ptr<SpitzDb> db;
+  ASSERT_TRUE(SpitzDb::Open(reopen, &db).ok());
+  EXPECT_EQ(db->Digest().journal.block_count, 0u);
+  std::unique_ptr<BackupReplica> backup = OpenBackup(db.get());
+  ASSERT_TRUE(Replicate(backup.get(), record, &ack).ok());
+  EXPECT_TRUE(ack == BlockAck(block));
+  EXPECT_EQ(db->entry_count(), 8u);
+  backup.reset();
+  db.reset();
+  std::filesystem::remove_all(dir);
+}
+
 // --- Cluster failover -------------------------------------------------------
 
 // A replicated fleet and one ClusterClient over its primaries and
