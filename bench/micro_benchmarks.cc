@@ -303,6 +303,88 @@ void BM_SpitzDbKeyHistoryPaged(benchmark::State& state) {
 }
 BENCHMARK(BM_SpitzDbKeyHistoryPaged)->Arg(200000);
 
+// `n` records of `value_bytes` each, in key order; the values are
+// distinct windows of one random pool, which is quick to make.
+std::vector<PosEntry> LoadEntries(size_t n, size_t value_bytes) {
+  Random rng(29);
+  const std::string pool = rng.Bytes(2 * value_bytes);
+  std::vector<PosEntry> entries(n);
+  for (size_t i = 0; i < n; i++) {
+    char key[24];
+    snprintf(key, sizeof(key), "user%012zu", i);
+    entries[i].key = key;
+    entries[i].value = pool.substr(i % value_bytes, value_bytes);
+  }
+  return entries;
+}
+
+std::string BenchDir(const char* name) {
+  return (std::filesystem::temp_directory_path() / name).string();
+}
+
+// A durable bulk load into a fresh data directory, as a spitzbench
+// set-up does it (arg0 = records, arg1 = value bytes): BulkLoad, the
+// tail block sealed and both files synced. Reports one load's time;
+// making the records and opening the empty database are not timed.
+void BM_SpitzDbBulkLoad(benchmark::State& state) {
+  const std::string dir = BenchDir("spitz_bench_bulk_load");
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::filesystem::remove_all(dir);
+    std::vector<PosEntry> entries =
+        LoadEntries(static_cast<size_t>(state.range(0)),
+                    static_cast<size_t>(state.range(1)));
+    SpitzOptions options;
+    options.data_dir = dir;
+    std::unique_ptr<SpitzDb> db;
+    if (!SpitzDb::Open(options, &db).ok()) abort();
+    state.ResumeTiming();
+    if (!db->BulkLoad(std::move(entries)).ok() || !db->FlushBlock().ok() ||
+        !db->SyncStorage().ok()) {
+      abort();
+    }
+    state.PauseTiming();
+    db.reset();
+    state.ResumeTiming();
+  }
+  std::filesystem::remove_all(dir);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_SpitzDbBulkLoad)
+    ->Args({200000, 100})
+    ->Args({200000, 512})
+    ->Unit(benchmark::kMillisecond);
+
+// Recovery: SpitzDb::Open of a data directory holding a durable bulk
+// load (arg = records of 100 B), which replays every chunk segment and
+// the journal, recomputing every chunk id and block hash. Closing is
+// not timed.
+void BM_SpitzDbReopen(benchmark::State& state) {
+  const std::string dir = BenchDir("spitz_bench_reopen");
+  std::filesystem::remove_all(dir);
+  SpitzOptions options;
+  options.data_dir = dir;
+  {
+    std::unique_ptr<SpitzDb> db;
+    if (!SpitzDb::Open(options, &db).ok() ||
+        !db->BulkLoad(LoadEntries(static_cast<size_t>(state.range(0)), 100))
+             .ok() ||
+        !db->FlushBlock().ok() || !db->SyncStorage().ok()) {
+      abort();
+    }
+  }
+  for (auto _ : state) {
+    std::unique_ptr<SpitzDb> db;
+    if (!SpitzDb::Open(options, &db).ok()) abort();
+    state.PauseTiming();
+    db.reset();
+    state.ResumeTiming();
+  }
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_SpitzDbReopen)->Arg(200000)->Unit(benchmark::kMillisecond);
+
 // Drain rate of the deferred-verification worker pool on a CPU-bound
 // check, reporting the backlog the producer saw (arg = workers).
 void BM_DeferredVerifierDrain(benchmark::State& state) {

@@ -7,7 +7,10 @@
 #   Last, ci/loc.sh prints the tracked line and ctest case counts (it
 #   gates nothing).
 # TSan: the concurrency, deferred-auditor, 2PC participant, read-set,
-#   key-history, network, cluster and replica tests.
+#   key-history, network, cluster and replica tests, and the POS-tree
+#   and persistence tests, whose bulk builds, bulk loads and recoveries
+#   hash on several threads (common/fork_join, whose own test runs here
+#   too).
 # ASan+UBSan: the proof-codec, database, deferred-auditor, key-history,
 #   2PC participant, write-batch and read-set, network, cluster,
 #   replica, SHA-256/CRC32C kernel, journal, persistence,
@@ -92,11 +95,12 @@ cmake -B "${PREFIX}-tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
       --target concurrency_test txn_test spitz_db_test auditor_test \
                key_history_test metrics_test recovery_test net_test \
-               cluster_test replica_test
+               cluster_test replica_test pos_tree_test persistence_test \
+               common_test
 # TSAN_OPTIONS makes any reported race fail the run (exit code).
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
   ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
-        -R 'Concurrency|DeferredVerifier|AuditorTest|TxnParticipant|SpitzDb|KeyHistory|Metrics|Recovery|Net|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep'
+        -R 'Concurrency|DeferredVerifier|AuditorTest|TxnParticipant|SpitzDb|KeyHistory|Metrics|Recovery|Net|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|PosTree|Persistence|ForkJoin'
 
 echo "==> tier-2: ASan+UBSan proof-codec and database suite"
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -30,8 +30,21 @@ class Chunk {
  public:
   Chunk() : type_(ChunkType::kBlob) {}
   Chunk(ChunkType type, std::string payload)
-      : type_(type), payload_(std::move(payload)) {
-    RecomputeId();
+      : type_(type),
+        payload_(std::move(payload)),
+        id_(IdOf(type_, payload_)) {}
+
+  // The chunk id: SHA-256 of the type byte followed by the payload. The
+  // one definition, for chunks built here and for bytes read back
+  // (segment replay, proof checks) without building a Chunk around them.
+  static Hash256 IdOf(ChunkType type, const Slice& payload) {
+    Sha256 h;
+    const uint8_t t = static_cast<uint8_t>(type);
+    h.Update(&t, 1);
+    h.Update(payload);
+    Hash256 id;
+    h.Final(id.data());
+    return id;
   }
 
   Chunk(const Chunk&) = default;
@@ -49,14 +62,6 @@ class Chunk {
   size_t stored_size() const { return payload_.size() + 1; }
 
  private:
-  void RecomputeId() {
-    Sha256 h;
-    uint8_t t = static_cast<uint8_t>(type_);
-    h.Update(&t, 1);
-    h.Update(payload_.data(), payload_.size());
-    h.Final(id_.data());
-  }
-
   ChunkType type_;
   std::string payload_;
   Hash256 id_;

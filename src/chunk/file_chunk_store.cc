@@ -8,10 +8,14 @@
 
 #include "common/codec.h"
 #include "common/crc32c.h"
+#include "common/fork_join.h"
 
 namespace spitz {
 
 namespace {
+
+// Segment replay: records whose chunk id is hashed per piece.
+constexpr size_t kReplayHashGrain = 256;
 
 // [1B type][varint len][payload][4B masked crc32c(type + payload)]
 void EncodeChunkRecord(const Chunk& chunk, std::string* out) {
@@ -198,6 +202,18 @@ Status FileChunkStore::ReplaySegment(uint32_t segment_id,
   Status read_status = env_->ReadFileToString(path, &contents);
   if (!read_status.ok() && !read_status.IsNotFound()) return read_status;
 
+  // Three passes. Parsing and CRC checks go in file order: they fix the
+  // record boundaries and meet a torn tail or a corrupt record where a
+  // one-pass replay would. The chunk ids are then hashed on every core,
+  // straight from the segment bytes. Last, the entries are published in
+  // file order, so the first copy of a duplicate still wins.
+  struct Record {
+    ChunkType type;
+    Slice payload;  // into `contents`
+    uint64_t offset;
+    uint32_t length;
+  };
+  std::vector<Record> records;
   Slice input(contents);
   uint64_t consumed = 0;
   while (!input.empty()) {
@@ -220,28 +236,38 @@ Status FileChunkStore::ReplaySegment(uint32_t segment_id,
       break;
     }
     const uint64_t record_len = before - input.size();
-    Chunk chunk(static_cast<ChunkType>(type),
-                std::string(payload.data(), payload.size()));
-    const Hash256 id = chunk.id();
+    records.push_back(Record{static_cast<ChunkType>(type), payload, consumed,
+                             static_cast<uint32_t>(record_len)});
+    consumed += record_len;
+  }
 
+  std::vector<Hash256> ids(records.size());
+  ParallelFor(records.size(), kReplayHashGrain, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; i++) {
+      ids[i] = Chunk::IdOf(records[i].type, records[i].payload);
+    }
+  });
+
+  for (size_t i = 0; i < records.size(); i++) {
+    const Record& record = records[i];
+    const size_t stored = record.payload.size() + 1;  // Chunk::stored_size
     puts_.Increment();
-    logical_bytes_.Increment(chunk.stored_size());
+    logical_bytes_.Increment(stored);
 
     Entry entry;
     entry.segment = segment_id;
-    entry.offset = consumed;
-    entry.length = static_cast<uint32_t>(record_len);
-    entry.stored = static_cast<uint32_t>(chunk.stored_size());
+    entry.offset = record.offset;
+    entry.length = record.length;
+    entry.stored = static_cast<uint32_t>(stored);
     entry.global_end = 0;  // on disk already: always pread-visible
-    if (PublishEntry(id, entry)) {
+    if (PublishEntry(ids[i], entry)) {
       recovered_.Increment();
     } else {
       // A duplicate record (a GC pass crashed after rewriting this
       // chunk but before unlinking its old home): first wins.
       dedup_hits_.Increment();
     }
-    replayed_bytes_.Increment(record_len);
-    consumed += record_len;
+    replayed_bytes_.Increment(record.length);
   }
 
   auto seg = std::make_shared<Segment>();

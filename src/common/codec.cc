@@ -60,14 +60,17 @@ void PutVarint32(std::string* dst, uint32_t value) {
 }
 
 void PutVarint64(std::string* dst, uint64_t value) {
-  unsigned char buf[10];
-  int n = 0;
+  char buf[10];
+  dst->append(buf, EncodeVarint64(buf, value) - buf);
+}
+
+char* EncodeVarint64(char* dst, uint64_t value) {
   while (value >= 0x80) {
-    buf[n++] = static_cast<unsigned char>(value) | 0x80;
+    *dst++ = static_cast<char>(value | 0x80);
     value >>= 7;
   }
-  buf[n++] = static_cast<unsigned char>(value);
-  dst->append(reinterpret_cast<char*>(buf), n);
+  *dst++ = static_cast<char>(value);
+  return dst;
 }
 
 Status GetVarint64(Slice* input, uint64_t* value) {
@@ -75,10 +78,14 @@ Status GetVarint64(Slice* input, uint64_t* value) {
   for (uint32_t shift = 0; shift <= 63 && !input->empty(); shift += 7) {
     auto byte = static_cast<unsigned char>((*input)[0]);
     input->remove_prefix(1);
-    if (byte & 0x80) {
-      result |= (static_cast<uint64_t>(byte & 0x7f) << shift);
-    } else {
-      result |= (static_cast<uint64_t>(byte) << shift);
+    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      // Only the encoding PutVarint64 writes: a tenth byte carries bit
+      // 63 alone, and a last byte of zero after the first (0x80 0x00
+      // for 0) would be a second spelling of a shorter varint.
+      if ((shift == 63 && byte > 0x01) || (shift > 0 && byte == 0)) {
+        return Status::Corruption("non-canonical varint64");
+      }
       *value = result;
       return Status::OK();
     }

@@ -30,6 +30,9 @@ Status GetFixed64(Slice* input, uint64_t* value);
 
 void PutVarint32(std::string* dst, uint32_t value);
 void PutVarint64(std::string* dst, uint64_t value);
+// Writes what PutVarint64 appends into dst, which has room for 10 bytes,
+// and returns the byte past it.
+char* EncodeVarint64(char* dst, uint64_t value);
 
 Status GetVarint32(Slice* input, uint32_t* value);
 Status GetVarint64(Slice* input, uint64_t* value);

@@ -1,0 +1,41 @@
+#include "common/fork_join.h"
+
+#include <algorithm>
+#include <atomic>
+#include <system_error>
+#include <thread>
+#include <vector>
+
+namespace spitz {
+
+void ParallelFor(size_t n, size_t grain,
+                 const std::function<void(size_t begin, size_t end)>& fn) {
+  grain = std::max<size_t>(grain, 1);
+  const size_t pieces = n / grain + (n % grain != 0 ? 1 : 0);
+  const size_t threads = std::min<size_t>(
+      pieces, std::max(1u, std::thread::hardware_concurrency()));
+  if (threads <= 1) {
+    if (n > 0) fn(0, n);
+    return;
+  }
+  std::atomic<size_t> next{0};
+  auto work = [&] {
+    for (size_t begin = next.fetch_add(grain); begin < n;
+         begin = next.fetch_add(grain)) {
+      fn(begin, std::min(n, begin + grain));
+    }
+  };
+  std::vector<std::thread> helpers;
+  helpers.reserve(threads - 1);
+  for (size_t i = 1; i < threads; i++) {
+    try {
+      helpers.emplace_back(work);
+    } catch (const std::system_error&) {
+      break;  // no thread to spare: the ones running take the rest
+    }
+  }
+  work();
+  for (std::thread& helper : helpers) helper.join();
+}
+
+}  // namespace spitz

@@ -5,6 +5,7 @@
 #include "chunk/file_chunk_store.h"
 #include "common/clock.h"
 #include "common/codec.h"
+#include "common/fork_join.h"
 
 namespace spitz {
 
@@ -47,6 +48,11 @@ constexpr size_t kMaxGroupBytes = 4 << 20;
 // (FlushJournal) before finishing — bounding user-space memory for
 // workloads that never ask for a barrier.
 constexpr size_t kJournalBackpressureBytes = 4 << 20;
+
+// BulkLoad's pieces of parallel work: values hashed, and full blocks
+// whose entries root is computed, per piece.
+constexpr size_t kValueHashGrain = 512;
+constexpr size_t kBlockRootGrain = 8;
 
 }  // namespace
 
@@ -629,7 +635,7 @@ Status SpitzDb::ApplyBatchLocked(const WriteBatch& batch) {
   return Status::OK();
 }
 
-void SpitzDb::SealPendingLocked() {
+void SpitzDb::SealPendingLocked(const Hash256* entries_root) {
   if (pending_.empty()) return;
   ScopedTimer timer(metrics_.seal_ns);
   // Index history from the entries in hand, before Append takes them:
@@ -639,7 +645,10 @@ void SpitzDb::SealPendingLocked() {
   // in the ledger stores a historical index instance" (section 6.1).
   // Because sealing happens immediately after the batch that crossed
   // the boundary, root_ covers exactly the entries sealed so far.
-  ledger_.Append(std::move(pending_), root_, NowMicros());
+  const Hash256 merkle_root = entries_root != nullptr
+                                 ? *entries_root
+                                 : Block::ComputeEntriesRoot(pending_);
+  ledger_.Append(std::move(pending_), merkle_root, root_, NowMicros());
   pending_.clear();
 }
 
@@ -650,32 +659,46 @@ Status SpitzDb::BulkLoad(std::vector<PosEntry> entries) {
     return Status::InvalidArgument("bulk load requires an empty database");
   }
   uint64_t commit_ts = clock_.AllocateBatch(entries.size());
-  // Ledger entries first (Build consumes the vector).
+  // Ledger entries first (Build consumes the vector). The keys are
+  // copied on this thread; the value hashes, which allocate nothing,
+  // run on every core.
+  std::vector<LedgerEntry> all(entries.size());
   for (size_t i = 0; i < entries.size(); i++) {
-    LedgerEntry entry;
-    entry.op = LedgerEntry::Op::kPut;
-    entry.key = entries[i].key;
-    entry.value_hash = Hash256::Of(entries[i].value);
-    entry.txn_id = commit_ts + i;
-    entry.commit_ts = commit_ts + i;
-    pending_.push_back(std::move(entry));
+    all[i].op = LedgerEntry::Op::kPut;
+    all[i].key = entries[i].key;
+    all[i].txn_id = commit_ts + i;
+    all[i].commit_ts = commit_ts + i;
   }
+  ParallelFor(entries.size(), kValueHashGrain, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; i++) {
+      all[i].value_hash = Hash256::Of(entries[i].value);
+    }
+  });
   Status s = index_->Build(std::move(entries), &root_);
   if (!s.ok()) return s;
-  last_commit_ts_ = commit_ts + pending_.size() - 1;
-  // Seal full blocks; the (possibly short) tail stays pending.
-  std::vector<LedgerEntry> all = std::move(pending_);
-  pending_.clear();
-  size_t i = 0;
-  while (all.size() - i >= options_.block_size) {
-    pending_.assign(std::make_move_iterator(all.begin() + i),
-                    std::make_move_iterator(all.begin() + i +
-                                            options_.block_size));
-    SealPendingLocked();
-    i += options_.block_size;
+  last_commit_ts_ = commit_ts + all.size() - 1;
+  // Seal full blocks; the (possibly short) tail stays pending. Every
+  // full block's entries root is hashed first, on every core; sealing,
+  // chaining and the key history then go in order on this thread.
+  const size_t block_size = options_.block_size;
+  std::vector<Hash256> entries_roots(all.size() / block_size);
+  ParallelFor(entries_roots.size(), kBlockRootGrain,
+              [&](size_t begin, size_t end) {
+                for (size_t b = begin; b < end; b++) {
+                  entries_roots[b] = Block::ComputeEntriesRoot(
+                      std::span<const LedgerEntry>(all).subspan(
+                          b * block_size, block_size));
+                }
+              });
+  for (size_t b = 0; b < entries_roots.size(); b++) {
+    const auto first = all.begin() + b * block_size;
+    pending_.assign(std::make_move_iterator(first),
+                    std::make_move_iterator(first + block_size));
+    SealPendingLocked(&entries_roots[b]);
   }
-  pending_.assign(std::make_move_iterator(all.begin() + i),
-                  std::make_move_iterator(all.end()));
+  pending_.assign(
+      std::make_move_iterator(all.begin() + entries_roots.size() * block_size),
+      std::make_move_iterator(all.end()));
   Status io = ledger_.status();
   uint64_t block_count = ledger_.block_count();
   PublishSnapshotLocked(/*journal_changed=*/true);

@@ -516,7 +516,9 @@ class SpitzDb : public VerifiedKv {
   // Seals every pending entry into one block (the serial-path boundary:
   // seal-all once pending reaches block_size); in durable mode the
   // journal logs its frame, a failure sticky in ledger_.status().
-  void SealPendingLocked();
+  // `entries_root`, when given, is Block::ComputeEntriesRoot(pending_),
+  // hashed ahead (BulkLoad hashes its blocks in parallel).
+  void SealPendingLocked(const Hash256* entries_root = nullptr);
 
   // Recovery of a durable database (journal, then the participant's
   // txn.log); called by Open().

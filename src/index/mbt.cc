@@ -176,7 +176,7 @@ Status MerkleBucketTree::VerifyProof(
     const std::optional<std::string>& expected_value, const Proof& proof,
     const Options& options) {
   // 1. The directory payload must hash to the trusted root.
-  if (Chunk(ChunkType::kBucket, proof.directory_payload).id() != root) {
+  if (Chunk::IdOf(ChunkType::kBucket, proof.directory_payload) != root) {
     return Status::VerificationFailed("directory does not match root");
   }
   if (proof.directory_payload.size() !=
@@ -204,7 +204,7 @@ Status MerkleBucketTree::VerifyProof(
     return Status::OK();
   }
   // 4. The bucket payload must hash to the directory's id for it.
-  if (Chunk(ChunkType::kBucket, proof.bucket_payload).id() != bucket_id) {
+  if (Chunk::IdOf(ChunkType::kBucket, proof.bucket_payload) != bucket_id) {
     return Status::VerificationFailed("bucket payload mismatch");
   }
   std::vector<std::pair<std::string, std::string>> entries;

@@ -467,7 +467,7 @@ Status MerklePatriciaTrie::VerifyProof(
   if (proof.node_payloads.empty()) {
     return Status::VerificationFailed("empty proof");
   }
-  if (Chunk(ChunkType::kTrieNode, proof.node_payloads[0]).id() != root) {
+  if (Chunk::IdOf(ChunkType::kTrieNode, proof.node_payloads[0]) != root) {
     return Status::VerificationFailed("proof root mismatch");
   }
   std::vector<uint8_t> nibbles = ToNibbles(key);
@@ -508,7 +508,7 @@ Status MerklePatriciaTrie::VerifyProof(
           return Status::VerificationFailed("proof truncated");
         }
         Hash256 next =
-            Chunk(ChunkType::kTrieNode, proof.node_payloads[i + 1]).id();
+            Chunk::IdOf(ChunkType::kTrieNode, proof.node_payloads[i + 1]);
         if (node.child != next) {
           return Status::VerificationFailed("broken hash link");
         }
@@ -537,7 +537,7 @@ Status MerklePatriciaTrie::VerifyProof(
           return Status::VerificationFailed("proof truncated");
         }
         Hash256 next =
-            Chunk(ChunkType::kTrieNode, proof.node_payloads[i + 1]).id();
+            Chunk::IdOf(ChunkType::kTrieNode, proof.node_payloads[i + 1]);
         if (node.children[nib] != next) {
           return Status::VerificationFailed("broken hash link");
         }

@@ -6,10 +6,24 @@
 
 #include "chunk/buffer_cache.h"
 #include "common/codec.h"
+#include "common/fork_join.h"
 
 namespace spitz {
 
 namespace {
+
+// Bulk build: entries per piece when hashing, leaves encoded before any
+// of them is stored (which bounds the encoded bytes in flight), and
+// leaves per piece when encoding.
+constexpr size_t kEntryHashGrain = 512;
+constexpr size_t kLeafWindow = 512;
+constexpr size_t kLeafGrain = 8;
+
+// The one rule that closes a node, for bulk builds and updates alike: its
+// last element matches the boundary pattern, or it reached the cap.
+bool ClosesNode(bool boundary, size_t node_size, size_t max_elements) {
+  return boundary || node_size >= max_elements;
+}
 
 uint32_t HashPrefix(const Hash256& h) {
   return (static_cast<uint32_t>(h.data()[0]) << 24) |
@@ -31,27 +45,43 @@ bool PosTree::IsMetaBoundary(const Hash256& child_id) const {
 }
 
 Hash256 PosTree::EntryHash(const PosEntry& e) {
-  std::string buf;
-  PutLengthPrefixedSlice(&buf, e.key);
-  PutLengthPrefixedSlice(&buf, e.value);
-  return Hash256::Of(buf);
+  // SHA-256 of the length-prefixed key and value, streamed from the
+  // entry rather than copied out.
+  Sha256 h;
+  char len[10];
+  h.Update(len, EncodeVarint64(len, e.key.size()) - len);
+  h.Update(e.key);
+  h.Update(len, EncodeVarint64(len, e.value.size()) - len);
+  h.Update(e.value);
+  Hash256 out;
+  h.Final(out.data());
+  return out;
 }
 
 // --- Node serialization ----------------------------------------------------
 
-std::string PosTree::EncodeLeaf(const std::vector<PosEntry>& entries) {
+size_t PosTree::LeafSize(std::span<const PosEntry> entries) {
   size_t size = VarintLength(entries.size());
   for (const PosEntry& e : entries) {
     size += VarintLength(e.key.size()) + e.key.size() +
             VarintLength(e.value.size()) + e.value.size();
   }
-  std::string out;
-  out.reserve(size);  // the chunk keeps this string: no growth slack
-  PutVarint64(&out, entries.size());
+  return size;
+}
+
+void PosTree::EncodeLeafInto(std::span<const PosEntry> entries,
+                             std::string* out) {
+  PutVarint64(out, entries.size());
   for (const PosEntry& e : entries) {
-    PutLengthPrefixedSlice(&out, e.key);
-    PutLengthPrefixedSlice(&out, e.value);
+    PutLengthPrefixedSlice(out, e.key);
+    PutLengthPrefixedSlice(out, e.value);
   }
+}
+
+std::string PosTree::EncodeLeaf(std::span<const PosEntry> entries) {
+  std::string out;
+  out.reserve(LeafSize(entries));  // the chunk keeps this string: no slack
+  EncodeLeafInto(entries, &out);
   return out;
 }
 
@@ -211,7 +241,7 @@ std::vector<Elem> EmitClosedRuns(const std::vector<Elem>& run,
   std::vector<Elem> current;
   for (const Elem& e : run) {
     current.push_back(e);
-    if (boundary(e) || current.size() >= max_elements) {
+    if (ClosesNode(boundary(e), current.size(), max_elements)) {
       emit(current);
       current.clear();
     }
@@ -220,44 +250,32 @@ std::vector<Elem> EmitClosedRuns(const std::vector<Elem>& run,
 }
 }  // namespace
 
-std::vector<PosTree::ChildRef> PosTree::EmitLeaves(
-    const std::vector<PosEntry>& run, bool* open_tail) const {
-  std::vector<ChildRef> out;
-  std::vector<PosEntry> suffix = EmitClosedRuns(
-      run, options_.max_node_elements,
-      [&](const PosEntry& e) { return IsLeafBoundary(EntryHash(e)); },
-      [&](const std::vector<PosEntry>& node) { out.push_back(StoreLeaf(node)); });
-  *open_tail = !suffix.empty();
-  if (!suffix.empty()) out.push_back(StoreLeaf(suffix));
-  return out;
-}
-
 std::vector<PosTree::ChildRef> PosTree::EmitMetas(
-    const std::vector<ChildRef>& run, bool* open_tail) const {
+    const std::vector<ChildRef>& run) const {
   std::vector<ChildRef> out;
   std::vector<ChildRef> suffix = EmitClosedRuns(
       run, options_.max_node_elements,
       [&](const ChildRef& c) { return IsMetaBoundary(c.id); },
       [&](const std::vector<ChildRef>& node) { out.push_back(StoreMeta(node)); });
-  *open_tail = !suffix.empty();
   if (!suffix.empty()) out.push_back(StoreMeta(suffix));
   return out;
 }
 
 Hash256 PosTree::BuildUp(std::vector<ChildRef> level_refs) const {
-  while (level_refs.size() > 1) {
-    bool open_tail = false;
-    level_refs = EmitMetas(level_refs, &open_tail);
-  }
+  while (level_refs.size() > 1) level_refs = EmitMetas(level_refs);
   if (level_refs.empty()) return EmptyRoot();
   return level_refs[0].id;
 }
 
 Status PosTree::Build(std::vector<PosEntry> entries, Hash256* root) const {
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const PosEntry& a, const PosEntry& b) {
-                     return a.key < b.key;
-                   });
+  auto by_key = [](const PosEntry& a, const PosEntry& b) {
+    return a.key < b.key;
+  };
+  // A bulk load usually arrives in key order; checking is one pass, and
+  // sorting even sorted input moves every entry log2(n) times.
+  if (!std::is_sorted(entries.begin(), entries.end(), by_key)) {
+    std::stable_sort(entries.begin(), entries.end(), by_key);
+  }
   // Deduplicate by key, keeping the last occurrence.
   std::vector<PosEntry> unique;
   unique.reserve(entries.size());
@@ -271,8 +289,54 @@ Status PosTree::Build(std::vector<PosEntry> entries, Hash256* root) const {
     *root = EmptyRoot();
     return Status::OK();
   }
-  bool open_tail = false;
-  std::vector<ChildRef> leaves = EmitLeaves(unique, &open_tail);
+  // The leaves come out as the update path's serial split would cut and
+  // store them. The independent work, every entry hash and every leaf's
+  // encoding and chunk id, runs on all cores; cutting, allocating and
+  // storing stay on this thread, in key order.
+  std::vector<uint8_t> boundary(unique.size());
+  ParallelFor(unique.size(), kEntryHashGrain, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; i++) {
+      boundary[i] = IsLeafBoundary(EntryHash(unique[i]));
+    }
+  });
+  std::vector<size_t> leaf_ends;  // leaf j is [leaf_ends[j - 1], leaf_ends[j])
+  size_t open = 0;
+  for (size_t i = 0; i < unique.size(); i++) {
+    if (ClosesNode(boundary[i], i + 1 - open, options_.max_node_elements)) {
+      open = i + 1;
+      leaf_ends.push_back(open);
+    }
+  }
+  if (open < unique.size()) leaf_ends.push_back(unique.size());
+  auto leaf = [&](size_t j) {
+    const size_t begin = j == 0 ? 0 : leaf_ends[j - 1];
+    return std::span<const PosEntry>(unique).subspan(begin,
+                                                     leaf_ends[j] - begin);
+  };
+  std::vector<ChildRef> leaves;
+  leaves.reserve(leaf_ends.size());
+  std::vector<std::string> payloads;
+  std::vector<Chunk> chunks;
+  for (size_t first = 0; first < leaf_ends.size(); first += kLeafWindow) {
+    const size_t count = std::min(kLeafWindow, leaf_ends.size() - first);
+    payloads.resize(count);
+    chunks.resize(count);
+    for (size_t k = 0; k < count; k++) {
+      payloads[k].reserve(LeafSize(leaf(first + k)));  // the chunk's bytes
+    }
+    ParallelFor(count, kLeafGrain, [&](size_t begin, size_t end) {
+      for (size_t k = begin; k < end; k++) {
+        EncodeLeafInto(leaf(first + k), &payloads[k]);
+        chunks[k] = Chunk(ChunkType::kIndexLeaf, std::move(payloads[k]));
+      }
+    });
+    for (size_t k = 0; k < count; k++) {
+      const std::span<const PosEntry> entries = leaf(first + k);
+      leaves.push_back(
+          ChildRef{entries.back().key, chunks[k].id(), entries.size()});
+      store_->Put(std::move(chunks[k]));
+    }
+  }
   *root = BuildUp(std::move(leaves));
   return Status::OK();
 }

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -237,8 +238,13 @@ class PosTree {
 
   static Hash256 EntryHash(const PosEntry& e);
 
-  // Node serialization (PosNode::Decode reads it back).
-  static std::string EncodeLeaf(const std::vector<PosEntry>& entries);
+  // Node serialization (PosNode::Decode reads it back). EncodeLeafInto
+  // appends the leaf to *out, which LeafSize bytes of capacity keep from
+  // growing.
+  static size_t LeafSize(std::span<const PosEntry> entries);
+  static void EncodeLeafInto(std::span<const PosEntry> entries,
+                             std::string* out);
+  static std::string EncodeLeaf(std::span<const PosEntry> entries);
   static std::string EncodeMeta(const std::vector<ChildRef>& children);
 
   // Fetches and decodes the node `id`, consulting the attached cache
@@ -251,13 +257,9 @@ class PosTree {
   ChildRef StoreLeaf(const std::vector<PosEntry>& entries) const;
   ChildRef StoreMeta(const std::vector<ChildRef>& children) const;
 
-  // Splits a run of entries into leaves by the pattern rule and stores
-  // them. `open_tail` reports whether the final leaf ended without a
-  // boundary entry.
-  std::vector<ChildRef> EmitLeaves(const std::vector<PosEntry>& run,
-                                   bool* open_tail) const;
-  std::vector<ChildRef> EmitMetas(const std::vector<ChildRef>& run,
-                                  bool* open_tail) const;
+  // Splits a run of child refs into meta nodes by the pattern rule and
+  // stores them, the last node closed or not.
+  std::vector<ChildRef> EmitMetas(const std::vector<ChildRef>& run) const;
 
   // Builds the levels above a list of child refs until a single root
   // remains.

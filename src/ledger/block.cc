@@ -36,14 +36,26 @@ Block::Block(uint64_t height, uint64_t first_seq, const Hash256& prev_hash,
       first_seq_(first_seq),
       prev_hash_(prev_hash),
       entries_(std::move(entries)),
+      entries_root_(ComputeEntriesRoot(entries_)),
       index_root_(index_root),
-      timestamp_(timestamp) {
-  entries_root_ = ComputeEntriesRoot(entries_);
-  block_hash_ = HeaderHash(height_, first_seq_, prev_hash_, entries_root_,
-                           index_root_, timestamp_);
-}
+      timestamp_(timestamp),
+      block_hash_(HeaderHash(height_, first_seq_, prev_hash_, entries_root_,
+                             index_root_, timestamp_)) {}
 
-Hash256 Block::ComputeEntriesRoot(const std::vector<LedgerEntry>& entries) {
+Block::Block(uint64_t height, uint64_t first_seq, const Hash256& prev_hash,
+             std::vector<LedgerEntry> entries, const Hash256& entries_root,
+             const Hash256& index_root, uint64_t timestamp)
+    : height_(height),
+      first_seq_(first_seq),
+      prev_hash_(prev_hash),
+      entries_(std::move(entries)),
+      entries_root_(entries_root),
+      index_root_(index_root),
+      timestamp_(timestamp),
+      block_hash_(HeaderHash(height_, first_seq_, prev_hash_, entries_root_,
+                             index_root_, timestamp_)) {}
+
+Hash256 Block::ComputeEntriesRoot(std::span<const LedgerEntry> entries) {
   MerkleTree tree;
   for (const LedgerEntry& e : entries) {
     tree.AppendLeafHash(e.LeafHash());

@@ -2,6 +2,7 @@
 #define SPITZ_LEDGER_BLOCK_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,11 @@ class Block {
   Block(uint64_t height, uint64_t first_seq, const Hash256& prev_hash,
         std::vector<LedgerEntry> entries, const Hash256& index_root,
         uint64_t timestamp);
+  // The same block, with its entries root hashed ahead by the caller:
+  // `entries_root` must be ComputeEntriesRoot(entries).
+  Block(uint64_t height, uint64_t first_seq, const Hash256& prev_hash,
+        std::vector<LedgerEntry> entries, const Hash256& entries_root,
+        const Hash256& index_root, uint64_t timestamp);
 
   uint64_t height() const { return height_; }
   const Hash256& prev_hash() const { return prev_hash_; }
@@ -67,8 +73,8 @@ class Block {
   // the decoded bytes (neither is stored in the encoding).
   static Status Decode(Slice input, Block* block);
 
-  // Computes the Merkle root over the entries of this block.
-  static Hash256 ComputeEntriesRoot(const std::vector<LedgerEntry>& entries);
+  // Computes the Merkle root over a block's entries.
+  static Hash256 ComputeEntriesRoot(std::span<const LedgerEntry> entries);
 
   // The block hash over the header fields: the one encoding a block and
   // a client recomputing it from a journal entry proof both hash.

@@ -1,9 +1,21 @@
 #include "ledger/journal.h"
 
+#include <algorithm>
+
 #include "common/clock.h"
+#include "common/fork_join.h"
 #include "common/record_frame.h"
 
 namespace spitz {
+
+namespace {
+
+// Recovery: blocks decoded before any is chained (which bounds the
+// decoded entries in memory), and blocks per piece.
+constexpr size_t kReplayWindow = 256;
+constexpr size_t kReplayGrain = 8;
+
+}  // namespace
 
 Status Journal::Open(Env* env, const std::string& path, const AdoptFn& adopt,
                      uint64_t* truncated_bytes) {
@@ -18,15 +30,31 @@ Status Journal::Open(Env* env, const std::string& path, const AdoptFn& adopt,
   uint64_t consumed = 0;
   s = ReadRecordFrames(contents, path, &payloads, &consumed);
   if (!s.ok()) return s;
-  for (const Slice& payload : payloads) {
-    Block block;
-    s = Block::Decode(payload, &block);
-    if (s.ok()) s = CheckChains(block);
-    if (!s.ok()) return s;
-    // In the file already: only its offset is kept.
-    AddBlock(block.block_hash(), block.index_root(), block.entries().size(),
-             payload.size());
-    adopt(block);
+  // Decoding a block and hashing its entries needs no other block, so a
+  // window of blocks does that on every core; chaining, recording and
+  // adopting them stays on this thread, in height order, so the first
+  // error is the one a block-by-block replay meets.
+  std::vector<Block> blocks;
+  std::vector<Status> decoded;
+  for (size_t first = 0; first < payloads.size(); first += kReplayWindow) {
+    const size_t count = std::min(kReplayWindow, payloads.size() - first);
+    blocks.assign(count, Block());
+    decoded.assign(count, Status::OK());
+    ParallelFor(count, kReplayGrain, [&](size_t begin, size_t end) {
+      for (size_t k = begin; k < end; k++) {
+        decoded[k] = Block::Decode(payloads[first + k], &blocks[k]);
+      }
+    });
+    for (size_t k = 0; k < count; k++) {
+      const Block& block = blocks[k];
+      s = decoded[k];
+      if (s.ok()) s = CheckChains(block);
+      if (!s.ok()) return s;
+      // In the file already: only its offset is kept.
+      AddBlock(block.block_hash(), block.index_root(), block.entries().size(),
+               payloads[first + k].size());
+      adopt(block);
+    }
   }
   // Cut the torn tail before reopening for append; otherwise every block
   // logged from now on would sit behind unparseable garbage, unreachable
@@ -50,9 +78,18 @@ Status Journal::Open(Env* env, const std::string& path, const AdoptFn& adopt,
 uint64_t Journal::Append(std::vector<LedgerEntry> entries,
                          const Hash256& index_root, uint64_t timestamp,
                          Slice* serialized) {
-  uint64_t height = block_hashes_.size();
-  Block block(height, entry_count_, tip_hash_, std::move(entries), index_root,
-              timestamp);
+  const Hash256 entries_root = Block::ComputeEntriesRoot(entries);
+  return Append(std::move(entries), entries_root, index_root, timestamp,
+                serialized);
+}
+
+uint64_t Journal::Append(std::vector<LedgerEntry> entries,
+                         const Hash256& entries_root,
+                         const Hash256& index_root, uint64_t timestamp,
+                         Slice* serialized) {
+  const uint64_t height = block_hashes_.size();
+  const Block block(height, entry_count_, tip_hash_, std::move(entries),
+                    entries_root, index_root, timestamp);
   std::string encoded = block.Encode();
   // Encode grew the string by doubling; the block stays resident until
   // a flush covers it, and a journal without a file keeps it for good.

@@ -95,6 +95,11 @@ class Journal {
   // sticky in status(), and the block stands either way.
   uint64_t Append(std::vector<LedgerEntry> entries, const Hash256& index_root,
                   uint64_t timestamp, Slice* serialized = nullptr);
+  // The same, with the block's entries root hashed ahead by the caller:
+  // `entries_root` must be Block::ComputeEntriesRoot(entries).
+  uint64_t Append(std::vector<LedgerEntry> entries,
+                  const Hash256& entries_root, const Hash256& index_root,
+                  uint64_t timestamp, Slice* serialized = nullptr);
 
   // Restores a block received from a primary. `block` is `serialized`
   // decoded by the caller (Block::Decode derived its hashes); Restore

@@ -9,6 +9,7 @@
 #include "common/codec.h"
 #include "common/crc32c.h"
 #include "common/crc32c_internal.h"
+#include "common/fork_join.h"
 #include "common/queue.h"
 #include "common/random.h"
 #include "common/slice.h"
@@ -164,6 +165,41 @@ TEST(CodecTest, VarintTruncated) {
   Slice in(buf);
   uint64_t out;
   EXPECT_TRUE(GetVarint64(&in, &out).IsCorruption());
+}
+
+TEST(CodecTest, VarintRejectsBitsPast64) {
+  // UINT64_MAX is nine 0xff bytes and a tenth byte of 0x01; a tenth byte
+  // above that names bits past 64.
+  std::string buf;
+  PutVarint64(&buf, UINT64_MAX);
+  ASSERT_EQ(buf.size(), 10u);
+  ASSERT_EQ(buf.back(), '\x01');
+  for (char last : {'\x02', '\x7f'}) {
+    buf.back() = last;
+    Slice in(buf);
+    uint64_t out = 0;
+    EXPECT_TRUE(GetVarint64(&in, &out).IsCorruption()) << int(last);
+  }
+}
+
+TEST(CodecTest, VarintRejectsNonMinimalEncoding) {
+  // Each spells a value PutVarint64 writes shorter: 0, 1 and 127 with a
+  // trailing zero group, and a tenth byte of zero.
+  const std::string cases[] = {std::string("\x80\x00", 2),
+                               std::string("\x81\x00", 2),
+                               std::string("\xff\x80\x00", 3),
+                               std::string(9, '\xff') + std::string(1, '\0')};
+  for (const std::string& buf : cases) {
+    Slice in(buf);
+    uint64_t out = 0;
+    EXPECT_TRUE(GetVarint64(&in, &out).IsCorruption()) << buf.size();
+  }
+  // A lone zero byte is the one encoding of 0.
+  std::string zero(1, '\0');
+  Slice in(zero);
+  uint64_t out = 1;
+  ASSERT_TRUE(GetVarint64(&in, &out).ok());
+  EXPECT_EQ(out, 0u);
 }
 
 TEST(CodecTest, LengthPrefixedSliceRoundTrip) {
@@ -417,6 +453,27 @@ TEST(Crc32cTest, Sse42MatchesTableRandomized) {
     ASSERT_EQ(crc32c::internal::ExtendSse42(seed, data, n),
               crc32c::internal::ExtendTable(seed, data, n))
         << "trial " << trial << ", " << n << " bytes";
+  }
+}
+
+// --- ParallelFor ------------------------------------------------------------
+
+// Every index runs exactly once, in pieces of at most `grain`, whether
+// the range is empty, one piece (inline) or many (helper threads).
+TEST(ForkJoinTest, EveryIndexRunsOnceInPiecesOfGrain) {
+  for (size_t n : {0, 1, 7, 64, 10000}) {
+    for (size_t grain : {0, 1, 8, 100000}) {
+      std::vector<std::atomic<int>> runs(n);
+      std::atomic<size_t> oversized{0};
+      ParallelFor(n, grain, [&](size_t begin, size_t end) {
+        if (end - begin > std::max<size_t>(grain, 1)) oversized++;
+        for (size_t i = begin; i < end; i++) runs[i]++;
+      });
+      EXPECT_EQ(oversized.load(), 0u) << n << " / " << grain;
+      for (size_t i = 0; i < n; i++) {
+        ASSERT_EQ(runs[i].load(), 1) << n << " / " << grain << " at " << i;
+      }
+    }
   }
 }
 

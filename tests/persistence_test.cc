@@ -355,12 +355,15 @@ TEST_F(PersistenceTest, TamperedJournalBlockDetectedOnRecovery) {
 
 // A forger who rewrites a middle block and recomputes its frame CRC
 // gets past the CRC; the next block's prev-hash link must still catch
-// the change.
+// the change. Recovery decodes the 600 blocks in windows, several
+// blocks at once; the forged one is in the second window.
 TEST_F(PersistenceTest, ForgedMiddleBlockWithValidCrcFailsRecovery) {
+  constexpr size_t kBlocks = 600;
+  constexpr size_t kForged = 300;
   {
     std::unique_ptr<SpitzDb> db;
     ASSERT_TRUE(SpitzDb::Open(DurableOptions(), &db).ok());
-    for (int i = 0; i < 24; i++) {  // three sealed blocks of 8
+    for (size_t i = 0; i < 8 * kBlocks; i++) {  // sealed blocks of 8
       ASSERT_TRUE(db->Put("k" + std::to_string(i), "honest").ok());
     }
     ASSERT_TRUE(db->FlushBlock().ok());
@@ -371,11 +374,11 @@ TEST_F(PersistenceTest, ForgedMiddleBlockWithValidCrcFailsRecovery) {
   std::vector<Slice> records;
   uint64_t consumed = 0;
   ASSERT_TRUE(ReadRecordFrames(original, path, &records, &consumed).ok());
-  ASSERT_EQ(records.size(), 3u);
+  ASSERT_EQ(records.size(), kBlocks);
   std::string forged_journal;
   for (size_t i = 0; i < records.size(); i++) {
     std::string payload = records[i].ToString();
-    if (i == 1) {
+    if (i == kForged) {
       // The last byte is the final varint byte of the last entry's
       // commit timestamp; flipping its low bit keeps the block
       // decodable but changes what it records.
@@ -441,16 +444,18 @@ TEST_F(PersistenceTest, KeyHistorySurvivesRecovery) {
 
 // --- Larger than the buffer cache -------------------------------------------
 
-#if defined(__SANITIZE_ADDRESS__)
-// From AddressSanitizer's runtime (sanitizer/allocator_interface.h).
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+// From the sanitizer runtime (sanitizer/allocator_interface.h).
 extern "C" size_t __sanitizer_get_current_allocated_bytes();
 #endif
 
 // Memory the process holds. AddressSanitizer keeps freed blocks
-// resident in its quarantine, so under it VmRSS would measure the
-// sanitizer; its allocator's count of live bytes measures the program.
+// resident in its quarantine, and ThreadSanitizer adds shadow memory
+// for every byte the program touches, so under either VmRSS would
+// measure the sanitizer; its allocator's count of live bytes measures
+// the program.
 uint64_t ResidentBytes() {
-#if defined(__SANITIZE_ADDRESS__)
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   return __sanitizer_get_current_allocated_bytes();
 #else
   std::ifstream in("/proc/self/status");
@@ -770,6 +775,8 @@ TEST_F(PersistenceTest, HeldNodeAndScanRowsOutliveEvictionAndGc) {
 // seal path that moved a single output byte fails here. Block
 // timestamps are wall-clock, so the journal is re-chained from its
 // decoded blocks with timestamp = height before its hashes are pinned.
+// On a multi-core host, 2000 entries in 32 blocks span several workers
+// of every parallel step of BulkLoad and of recovery.
 TEST_F(PersistenceTest, FormatPinBulkLoadJournalAndFrameMatchGolden) {
   const char kGoldenPosRoot[] =
       "e27fbe46a315f79f2226f0673406d098f632fab9cf701ec4d98aee0e2d4012db";

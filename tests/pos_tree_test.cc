@@ -2,6 +2,7 @@
 
 #include <map>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "chunk/chunk_store.h"
@@ -78,37 +79,53 @@ TEST_F(PosTreeTest, BuildDeduplicatesKeysLastWins) {
 
 // --- Structural invariance: the SIRI property -----------------------------
 
+// The 50000-entry builds span several workers of every parallel step of
+// Build and several of its leaf windows.
 TEST_F(PosTreeTest, BulkBuildIsOrderInvariant) {
-  Random rng(17);
-  std::vector<PosEntry> entries = MakeEntries(5000);
-  Hash256 sorted_root;
-  ASSERT_TRUE(tree_.Build(entries, &sorted_root).ok());
+  for (int n : {5000, 50000}) {
+    Random rng(17);
+    std::vector<PosEntry> entries = MakeEntries(n);
+    Hash256 sorted_root;
+    ASSERT_TRUE(tree_.Build(entries, &sorted_root).ok());
 
-  // Shuffle and rebuild.
-  for (size_t i = entries.size(); i > 1; i--) {
-    std::swap(entries[i - 1], entries[rng.Uniform(i)]);
+    // Shuffle and rebuild.
+    for (size_t i = entries.size(); i > 1; i--) {
+      std::swap(entries[i - 1], entries[rng.Uniform(i)]);
+    }
+    Hash256 shuffled_root;
+    ASSERT_TRUE(tree_.Build(entries, &shuffled_root).ok());
+    EXPECT_EQ(sorted_root, shuffled_root) << n;
   }
-  Hash256 shuffled_root;
-  ASSERT_TRUE(tree_.Build(entries, &shuffled_root).ok());
-  EXPECT_EQ(sorted_root, shuffled_root);
 }
 
 TEST_F(PosTreeTest, IncrementalInsertMatchesBulkBuild) {
   // THE structural-invariance property: inserting one at a time, in any
   // order, produces bit-identical roots to a bulk build.
-  Random rng(23);
-  std::vector<PosEntry> entries = MakeEntries(2000);
-  Hash256 bulk_root;
-  ASSERT_TRUE(tree_.Build(entries, &bulk_root).ok());
+  for (int n : {2000, 50000}) {
+    Random rng(23);
+    std::vector<PosEntry> entries = MakeEntries(n);
+    Hash256 bulk_root;
+    ASSERT_TRUE(tree_.Build(entries, &bulk_root).ok());
 
-  for (size_t i = entries.size(); i > 1; i--) {
-    std::swap(entries[i - 1], entries[rng.Uniform(i)]);
+    for (size_t i = entries.size(); i > 1; i--) {
+      std::swap(entries[i - 1], entries[rng.Uniform(i)]);
+    }
+    Hash256 root = PosTree::EmptyRoot();
+    for (size_t i = 0; i < entries.size(); i++) {
+      ASSERT_TRUE(
+          tree_.Put(root, entries[i].key, entries[i].value, &root).ok());
+      if (i % 2000 == 1999) {
+        // Collect the versions put behind, or the store keeps a path
+        // copy of every insert.
+        const uint64_t mark = store_.BeginGc();
+        std::unordered_set<Hash256, Hash256Hasher> live;
+        ASSERT_TRUE(tree_.CollectChunks(root, &live).ok());
+        ChunkGcStats stats;
+        ASSERT_TRUE(store_.RetainLive(live, mark, &stats).ok());
+      }
+    }
+    EXPECT_EQ(root, bulk_root) << n;
   }
-  Hash256 root = PosTree::EmptyRoot();
-  for (const PosEntry& e : entries) {
-    ASSERT_TRUE(tree_.Put(root, e.key, e.value, &root).ok());
-  }
-  EXPECT_EQ(root, bulk_root);
 }
 
 TEST_F(PosTreeTest, DeleteRestoresPreviousRoot) {
