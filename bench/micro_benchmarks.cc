@@ -12,6 +12,8 @@
 #include "chunk/buffer_cache.h"
 #include "chunk/chunk_store.h"
 #include "chunk/chunker.h"
+#include "cluster/local_fleet.h"
+#include "bench/alloc_counter.h"
 #include "common/crc32c.h"
 #include "common/metrics.h"
 #include "common/random.h"
@@ -384,6 +386,60 @@ void BM_SpitzDbReopen(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_SpitzDbReopen)->Arg(200000)->Unit(benchmark::kMillisecond);
+
+// One served in-memory node and a client connected to it.
+struct ServedNode {
+  std::unique_ptr<LocalFleet> fleet;
+  std::unique_ptr<SpitzClient> client;
+
+  ServedNode() {
+    if (!LocalFleet::Open(LocalFleet::Options(), &fleet).ok() ||
+        !SpitzClient::Open(fleet->ClientOptions(0), &client).ok()) {
+      abort();
+    }
+  }
+};
+
+// The hand-off floor of a round trip: a kDigest call, whose request is
+// empty and whose reply is ~110 bytes, so the time is the network hop
+// and its thread wake-ups rather than bytes or work.
+void BM_DigestRoundTrip(benchmark::State& state) {
+  ServedNode node;
+  SpitzDigest digest;
+  for (auto _ : state) {
+    if (!node.client->Digest(&digest).ok()) abort();
+  }
+}
+BENCHMARK(BM_DigestRoundTrip)->UseRealTime();
+
+// A verified get over the wire (arg = records of 100 B): the server
+// builds and encodes the proof, the client decodes and verifies it.
+// Reports the bytes allocated per operation, server and client
+// together.
+void BM_VerifiedGetRoundTrip(benchmark::State& state) {
+  ServedNode node;
+  const size_t n = static_cast<size_t>(state.range(0));
+  if (!node.fleet->db(0)->BulkLoad(LoadEntries(n, 100)).ok()) abort();
+  std::vector<std::string> keys(n);
+  for (size_t i = 0; i < n; i++) {
+    char key[24];
+    snprintf(key, sizeof(key), "user%012zu", i);
+    keys[i] = key;
+  }
+  std::string value;
+  size_t i = 0;
+  const uint64_t allocated = alloc_counter::BytesAllocatedBy([&] {
+    for (auto _ : state) {
+      if (!node.client->VerifiedGet(keys[i % n], &value).ok()) abort();
+      i += 104729;
+    }
+  });
+  if (alloc_counter::kEnabled) {
+    state.counters["bytes_allocated_per_op"] =
+        static_cast<double>(allocated) / state.iterations();
+  }
+}
+BENCHMARK(BM_VerifiedGetRoundTrip)->Arg(200000)->UseRealTime();
 
 // Drain rate of the deferred-verification worker pool on a CPU-bound
 // check, reporting the backlog the producer saw (arg = workers).

@@ -16,7 +16,11 @@
 #   replica, SHA-256/CRC32C kernel, journal, persistence,
 #   index-traversal (POS-tree, MPT, MBT, iterator and property) tests
 #   (untrusted bytes are decoded there —
-#   proof envelopes, wire requests, the journal.log frames and blocks
+#   proof envelopes, decoded as views over the reply's frame buffer
+#   (ReadProof/ScanProof, and the range-proof node order check) and
+#   verified in place, the FrameDecoder both ends of a connection run,
+#   which reads each frame into its own exactly sized buffer, wire
+#   requests, the journal.log frames and blocks
 #   Journal::Open replays at recovery,
 #   sealed blocks read back from journal.log (frame CRC, then block
 #   hash, for proofs, key history, audits and the replication encoder),

@@ -47,7 +47,7 @@ int main() {
     return 1;
   }
   printf("verified read: user/0042 -> %s (proof: %zu nodes)\n", value.c_str(),
-         proof.index_proof.pos.node_payloads.size());
+         proof.index_proof.pos.nodes.size());
 
   // A forged value does not verify.
   Status forged = client.CheckRead("user/0042", std::string("balance=1M"),

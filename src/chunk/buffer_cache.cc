@@ -87,15 +87,17 @@ void BufferCache::Unpin(Kind kind, const Hash256& id) {
   }
 }
 
-void BufferCache::Erase(Kind kind, const Hash256& id) {
-  Shard* shard = ShardOf(id);
+void BufferCache::Erase(const Hash256& id) {
+  Shard* shard = ShardOf(id);  // every kind of `id` lives in one shard
   std::lock_guard<std::mutex> lock(shard->mu);
-  auto it = shard->map.find(Key{id, static_cast<uint8_t>(kind)});
-  if (it == shard->map.end() || it->second->pins > 0) return;
-  shard->bytes[kind] -= it->second->charge;
-  shard->entries[kind]--;
-  shard->lru.erase(it->second);
-  shard->map.erase(it);
+  for (uint8_t kind = 0; kind < kKindCount; kind++) {
+    auto it = shard->map.find(Key{id, kind});
+    if (it == shard->map.end() || it->second->pins > 0) continue;
+    shard->bytes[kind] -= it->second->charge;
+    shard->entries[kind]--;
+    shard->lru.erase(it->second);
+    shard->map.erase(it);
+  }
 }
 
 void BufferCache::Clear() {

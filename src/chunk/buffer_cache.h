@@ -24,9 +24,9 @@ namespace spitz {
 // Coherence is trivial: keys are content hashes of immutable data, so a
 // cached value can never be stale — there is no invalidation path, only
 // eviction (the no-invalidation property the whole read path is built
-// on). Erase exists solely for the GC, which removes raw-chunk entries
-// whose backing records it is about to delete — not because they are
-// stale, but so dead chunks stop occupying budget.
+// on). Erase exists solely for the GC, which removes every entry of a
+// chunk whose backing record it is about to delete — not because they
+// are stale, but so dead chunks stop occupying budget.
 //
 // Pinning: an entry inserted (or re-inserted) with pin=true is exempt
 // from eviction and from Erase/Clear until Unpin balances every pin.
@@ -96,9 +96,9 @@ class BufferCache {
   // (and an over-budget shard sheds it on the next insert).
   void Unpin(Kind kind, const Hash256& id);
 
-  // Drops the entry unless it is pinned. Used by the GC to stop dead
-  // chunks from occupying budget.
-  void Erase(Kind kind, const Hash256& id);
+  // Drops every unpinned entry cached under `id`, of any kind. Used by
+  // the GC to stop a dead chunk, raw and decoded, from occupying budget.
+  void Erase(const Hash256& id);
 
   // Drops every unpinned entry (counters are retained).
   void Clear();

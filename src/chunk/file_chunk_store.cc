@@ -590,8 +590,12 @@ Status FileChunkStore::ReadChunkAt(const Hash256& id, const Entry& entry,
         "chunk record damaged in " + SegmentFileName(entry.segment) +
         " at offset " + std::to_string(entry.offset));
   }
-  Chunk decoded(static_cast<ChunkType>(type),
-                std::string(payload.data(), payload.size()));
+  // The record buffer becomes the chunk's payload: drop the framing
+  // around the payload in place rather than copy it out.
+  const size_t payload_size = payload.size();
+  buf.erase(0, static_cast<size_t>(payload.data() - buf.data()));
+  buf.resize(payload_size);
+  Chunk decoded(static_cast<ChunkType>(type), std::move(buf));
   if (!(decoded.id() == id)) {
     // The record round-trips its checksum but hashes to a different
     // id: the location table routed us to the wrong bytes.
@@ -739,7 +743,7 @@ Status FileChunkStore::RetainLive(
       }
     }
     if (!resurrected) {
-      cache_->Erase(BufferCache::kRawChunk, id);
+      cache_->Erase(id);
       continue;
     }
     if (victims.count(entry.segment) != 0) {

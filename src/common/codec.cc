@@ -4,20 +4,27 @@
 
 namespace spitz {
 
+void EncodeFixed32(char* dst, uint32_t value) {
+  for (int i = 0; i < 4; i++) {
+    dst[i] = static_cast<char>((value >> (8 * i)) & 0xff);
+  }
+}
+
+void EncodeFixed64(char* dst, uint64_t value) {
+  for (int i = 0; i < 8; i++) {
+    dst[i] = static_cast<char>((value >> (8 * i)) & 0xff);
+  }
+}
+
 void PutFixed32(std::string* dst, uint32_t value) {
   char buf[4];
-  buf[0] = static_cast<char>(value & 0xff);
-  buf[1] = static_cast<char>((value >> 8) & 0xff);
-  buf[2] = static_cast<char>((value >> 16) & 0xff);
-  buf[3] = static_cast<char>((value >> 24) & 0xff);
+  EncodeFixed32(buf, value);
   dst->append(buf, 4);
 }
 
 void PutFixed64(std::string* dst, uint64_t value) {
   char buf[8];
-  for (int i = 0; i < 8; i++) {
-    buf[i] = static_cast<char>((value >> (8 * i)) & 0xff);
-  }
+  EncodeFixed64(buf, value);
   dst->append(buf, 8);
 }
 

@@ -17,6 +17,9 @@ namespace spitz {
 
 void PutFixed32(std::string* dst, uint32_t value);
 void PutFixed64(std::string* dst, uint64_t value);
+// Write what PutFixed32/PutFixed64 append into dst.
+void EncodeFixed32(char* dst, uint32_t value);
+void EncodeFixed64(char* dst, uint64_t value);
 
 uint32_t DecodeFixed32(const char* ptr);
 uint64_t DecodeFixed64(const char* ptr);
@@ -43,6 +46,10 @@ int VarintLength(uint64_t value);
 // --- Length-prefixed byte strings ----------------------------------------
 
 void PutLengthPrefixedSlice(std::string* dst, const Slice& value);
+// Number of bytes PutLengthPrefixedSlice would emit for value.
+inline size_t LengthPrefixedSize(const Slice& value) {
+  return VarintLength(value.size()) + value.size();
+}
 Status GetLengthPrefixedSlice(Slice* input, Slice* result);
 
 }  // namespace spitz

@@ -930,12 +930,17 @@ Status GetHashField(Slice* input, Hash256* out) {
 // The digest's wire format (also the leaf bytes a cluster root digest
 // commits to — changing this re-hashes every cluster digest).
 void SpitzDigest::EncodeTo(std::string* out) const {
-  out->append(index_root.ToBytes());
+  out->append(index_root.slice().view());
   PutVarint64(out, journal.block_count);
   PutVarint64(out, journal.entry_count);
-  out->append(journal.tip_hash.ToBytes());
-  out->append(journal.merkle_root.ToBytes());
+  out->append(journal.tip_hash.slice().view());
+  out->append(journal.merkle_root.slice().view());
   PutVarint64(out, last_commit_ts);
+}
+
+size_t SpitzDigest::EncodedSize() const {
+  return 3 * Hash256::kSize + VarintLength(journal.block_count) +
+         VarintLength(journal.entry_count) + VarintLength(last_commit_ts);
 }
 
 Status SpitzDigest::DecodeFrom(Slice* input, SpitzDigest* out) {
@@ -953,27 +958,30 @@ Status SpitzDigest::DecodeFrom(Slice* input, SpitzDigest* out) {
 }
 
 void ReadProof::EncodeTo(std::string* out) const {
-  out->append(index_root.ToBytes());
+  out->append(index_root.slice().view());
   index_proof.EncodeTo(out);
 }
 
-Status ReadProof::DecodeFrom(Slice* input, ReadProof* out) {
+Status ReadProof::DecodeFrom(Slice* input, std::shared_ptr<const void> owner,
+                             ReadProof* out) {
   if (!GetHash256(input, &out->index_root)) {
     return Status::Corruption("truncated read proof");
   }
-  return SiriProof::DecodeFrom(input, &out->index_proof);
+  return SiriProof::DecodeFrom(input, std::move(owner), &out->index_proof);
 }
 
 void ScanProof::EncodeTo(std::string* out) const {
-  out->append(index_root.ToBytes());
+  out->append(index_root.slice().view());
   index_proof.EncodeTo(out);
 }
 
-Status ScanProof::DecodeFrom(Slice* input, ScanProof* out) {
+Status ScanProof::DecodeFrom(Slice* input, std::shared_ptr<const void> owner,
+                             ScanProof* out) {
   if (!GetHash256(input, &out->index_root)) {
     return Status::Corruption("truncated scan proof");
   }
-  return SiriRangeProof::DecodeFrom(input, &out->index_proof);
+  return SiriRangeProof::DecodeFrom(input, std::move(owner),
+                                    &out->index_proof);
 }
 
 Status SpitzDb::ProveConsistency(const SpitzDigest& old_digest,

@@ -6,6 +6,17 @@
 
 namespace spitz {
 
+namespace {
+
+// A proof's reference to a chunk the traversal read.
+ProofNode Cite(std::shared_ptr<const Chunk> chunk) {
+  const uint8_t type = static_cast<uint8_t>(chunk->type());
+  const Slice payload = chunk->data();
+  return ProofNode{type, payload, std::move(chunk)};
+}
+
+}  // namespace
+
 uint32_t MerkleBucketTree::BucketOf(const Slice& key) const {
   Hash256 h = Hash256::Of(key);
   uint32_t prefix = (static_cast<uint32_t>(h.data()[0]) << 24) |
@@ -74,30 +85,31 @@ Status MerkleBucketTree::DecodeBucket(
 
 Status MerkleBucketTree::Get(const Hash256& root, const Slice& key,
                              std::string* value, Proof* proof) const {
+  if (proof != nullptr) *proof = Proof();
   if (root.IsZero()) return Status::NotFound("empty tree");
   Status s;
   if (proof != nullptr) {
     std::shared_ptr<const Chunk> dir_chunk;
     s = store_->Get(root, &dir_chunk);
     if (!s.ok()) return s;
-    proof->directory_payload = dir_chunk->payload();
+    proof->directory = Cite(std::move(dir_chunk));
   }
   std::vector<Hash256> bucket_ids;
   s = LoadDirectory(root, &bucket_ids);
   if (!s.ok()) return s;
   uint32_t b = BucketOf(key);
-  if (proof != nullptr) proof->bucket_index = b;
-  if (bucket_ids[b].IsZero()) {
-    if (proof != nullptr) proof->bucket_payload.clear();
-    return Status::NotFound("key absent");
+  if (proof != nullptr) {
+    proof->bucket_index = b;
+    proof->bucket.type = static_cast<uint8_t>(ChunkType::kBucket);
   }
+  if (bucket_ids[b].IsZero()) return Status::NotFound("key absent");
   std::shared_ptr<const Chunk> bucket_chunk;
   s = store_->Get(bucket_ids[b], &bucket_chunk);
   if (!s.ok()) return s;
-  if (proof != nullptr) proof->bucket_payload = bucket_chunk->payload();
   std::vector<std::pair<std::string, std::string>> entries;
   s = DecodeBucket(bucket_chunk->data(), &entries);
   if (!s.ok()) return s;
+  if (proof != nullptr) proof->bucket = Cite(std::move(bucket_chunk));
   auto it = std::lower_bound(
       entries.begin(), entries.end(), key,
       [](const auto& e, const Slice& k) { return Slice(e.first).compare(k) < 0; });
@@ -176,10 +188,11 @@ Status MerkleBucketTree::VerifyProof(
     const std::optional<std::string>& expected_value, const Proof& proof,
     const Options& options) {
   // 1. The directory payload must hash to the trusted root.
-  if (Chunk::IdOf(ChunkType::kBucket, proof.directory_payload) != root) {
+  const Slice directory = proof.directory.payload;
+  if (Chunk::IdOf(ChunkType::kBucket, directory) != root) {
     return Status::VerificationFailed("directory does not match root");
   }
-  if (proof.directory_payload.size() !=
+  if (directory.size() !=
       static_cast<size_t>(options.bucket_count) * Hash256::kSize) {
     return Status::VerificationFailed("bad directory size");
   }
@@ -194,7 +207,7 @@ Status MerkleBucketTree::VerifyProof(
     return Status::VerificationFailed("wrong bucket in proof");
   }
   Hash256 bucket_id = Hash256::FromBytes(
-      Slice(proof.directory_payload.data() + b * Hash256::kSize,
+      Slice(directory.data() + b * Hash256::kSize,
             Hash256::kSize));
   // 3. Empty bucket: only non-membership can be shown.
   if (bucket_id.IsZero()) {
@@ -204,11 +217,11 @@ Status MerkleBucketTree::VerifyProof(
     return Status::OK();
   }
   // 4. The bucket payload must hash to the directory's id for it.
-  if (Chunk::IdOf(ChunkType::kBucket, proof.bucket_payload) != bucket_id) {
+  if (Chunk::IdOf(ChunkType::kBucket, proof.bucket.payload) != bucket_id) {
     return Status::VerificationFailed("bucket payload mismatch");
   }
   std::vector<std::pair<std::string, std::string>> entries;
-  if (!DecodeBucket(proof.bucket_payload, &entries).ok()) {
+  if (!DecodeBucket(proof.bucket.payload, &entries).ok()) {
     return Status::VerificationFailed("bad bucket payload");
   }
   auto it = std::lower_bound(

@@ -11,6 +11,7 @@
 #include "common/slice.h"
 #include "common/status.h"
 #include "crypto/hash.h"
+#include "index/proof_node.h"
 
 namespace spitz {
 
@@ -47,15 +48,16 @@ class MerkleBucketTree {
   // plus the queried bucket's payload. MBT proofs are inherently bulky —
   // the verifier needs the bucket directory — which is part of why the
   // SIRI analysis favours the POS-tree.
+  // An empty bucket is cited with an empty payload.
   struct Proof {
     uint32_t bucket_index = 0;
-    std::string directory_payload;
-    std::string bucket_payload;
+    ProofNode directory;
+    ProofNode bucket;
   };
 
-  // Point read: the one traversal. With a non-null `proof` the directory
-  // and bucket payloads it reads are copied out as the proof; null skips
-  // the copies.
+  // Point read: the one traversal. With a non-null `proof` it cites the
+  // directory and bucket chunks the traversal reads as the proof; null
+  // skips that.
   Status Get(const Hash256& root, const Slice& key, std::string* value,
              Proof* proof) const;
 

@@ -139,7 +139,7 @@ Hash256 MerklePatriciaTrie::StoreNode(const Node& node) const {
 
 Status MerklePatriciaTrie::Get(const Hash256& root, const Slice& key,
                                std::string* value, Proof* proof) const {
-  if (proof != nullptr) proof->node_payloads.clear();
+  if (proof != nullptr) proof->nodes.clear();
   if (root.IsZero()) return Status::NotFound("empty trie");
   std::vector<uint8_t> nibbles = ToNibbles(key);
   Hash256 id = root;
@@ -148,10 +148,14 @@ Status MerklePatriciaTrie::Get(const Hash256& root, const Slice& key,
     std::shared_ptr<const Chunk> chunk;
     Status s = store_->Get(id, &chunk);
     if (!s.ok()) return s;
-    if (proof != nullptr) proof->node_payloads.push_back(chunk->payload());
     Node node;
     s = DecodeNode(chunk->data(), &node);
     if (!s.ok()) return s;
+    if (proof != nullptr) {
+      const uint8_t type = static_cast<uint8_t>(chunk->type());
+      const Slice payload = chunk->data();
+      proof->nodes.push_back(ProofNode{type, payload, std::move(chunk)});
+    }
     switch (node.kind) {
       case NodeKind::kLeaf: {
         if (nibbles.size() - pos == node.path.size() &&
@@ -464,19 +468,19 @@ Status MerklePatriciaTrie::Delete(const Hash256& root, const Slice& key,
 Status MerklePatriciaTrie::VerifyProof(
     const Hash256& root, const Slice& key,
     const std::optional<std::string>& expected_value, const Proof& proof) {
-  if (proof.node_payloads.empty()) {
+  if (proof.nodes.empty()) {
     return Status::VerificationFailed("empty proof");
   }
-  if (Chunk::IdOf(ChunkType::kTrieNode, proof.node_payloads[0]) != root) {
+  if (Chunk::IdOf(ChunkType::kTrieNode, proof.nodes[0].payload) != root) {
     return Status::VerificationFailed("proof root mismatch");
   }
   std::vector<uint8_t> nibbles = ToNibbles(key);
   size_t pos = 0;
-  for (size_t i = 0; i < proof.node_payloads.size(); i++) {
+  for (size_t i = 0; i < proof.nodes.size(); i++) {
     Node node;
-    Status s = DecodeNode(proof.node_payloads[i], &node);
+    Status s = DecodeNode(proof.nodes[i].payload, &node);
     if (!s.ok()) return Status::VerificationFailed("bad proof node");
-    bool last = (i + 1 == proof.node_payloads.size());
+    bool last = (i + 1 == proof.nodes.size());
     switch (node.kind) {
       case NodeKind::kLeaf: {
         if (!last) return Status::VerificationFailed("leaf before proof end");
@@ -508,7 +512,7 @@ Status MerklePatriciaTrie::VerifyProof(
           return Status::VerificationFailed("proof truncated");
         }
         Hash256 next =
-            Chunk::IdOf(ChunkType::kTrieNode, proof.node_payloads[i + 1]);
+            Chunk::IdOf(ChunkType::kTrieNode, proof.nodes[i + 1].payload);
         if (node.child != next) {
           return Status::VerificationFailed("broken hash link");
         }
@@ -537,7 +541,7 @@ Status MerklePatriciaTrie::VerifyProof(
           return Status::VerificationFailed("proof truncated");
         }
         Hash256 next =
-            Chunk::IdOf(ChunkType::kTrieNode, proof.node_payloads[i + 1]);
+            Chunk::IdOf(ChunkType::kTrieNode, proof.nodes[i + 1].payload);
         if (node.children[nib] != next) {
           return Status::VerificationFailed("broken hash link");
         }

@@ -11,6 +11,7 @@
 #include "common/slice.h"
 #include "common/status.h"
 #include "crypto/hash.h"
+#include "index/proof_node.h"
 
 namespace spitz {
 
@@ -38,13 +39,13 @@ class MerklePatriciaTrie {
   Status Delete(const Hash256& root, const Slice& key,
                 Hash256* new_root) const;
 
-  // Point proof: the node payloads along the traversal, root first.
+  // Point proof: the nodes along the traversal, root first.
   struct Proof {
-    std::vector<std::string> node_payloads;
+    std::vector<ProofNode> nodes;
   };
 
-  // Point read: the one traversal. With a non-null `proof` the payloads
-  // of the nodes it visits are copied out as the proof; null skips it.
+  // Point read: the one traversal. With a non-null `proof` it cites the
+  // chunks the traversal visits as the proof; null skips that.
   Status Get(const Hash256& root, const Slice& key, std::string* value,
              Proof* proof) const;
 

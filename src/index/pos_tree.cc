@@ -102,18 +102,35 @@ std::string PosTree::EncodeMeta(const std::vector<ChildRef>& children) {
   return out;
 }
 
+Status PosNode::Decode(ChunkType type, const Slice& payload,
+                       std::shared_ptr<const void> owner,
+                       std::shared_ptr<const PosNode>* out) {
+  return Parse(std::shared_ptr<PosNode>(new PosNode(
+                   type, payload, std::move(owner), payload.size())),
+               out);
+}
+
 Status PosNode::Decode(std::shared_ptr<const Chunk> chunk,
                        std::shared_ptr<const PosNode>* out) {
   const ChunkType type = chunk->type();
+  const Slice payload = chunk->data();
+  const size_t owner_bytes = sizeof(Chunk) + chunk->payload().capacity();
+  return Parse(std::shared_ptr<PosNode>(new PosNode(
+                   type, payload, std::move(chunk), owner_bytes)),
+               out);
+}
+
+Status PosNode::Parse(std::shared_ptr<PosNode> node,
+                      std::shared_ptr<const PosNode>* out) {
+  const ChunkType type = node->type_;
   if (type != ChunkType::kIndexLeaf && type != ChunkType::kIndexMeta) {
     return Status::Corruption("unexpected chunk type in tree");
   }
-  if (chunk->payload().size() > std::numeric_limits<uint32_t>::max()) {
+  if (node->payload_.size() > std::numeric_limits<uint32_t>::max()) {
     return Status::Corruption("index node of 4 GiB or more");
   }
-  std::shared_ptr<PosNode> node(new PosNode(std::move(chunk)));
-  const char* base = node->payload().data();
-  Slice input(node->payload());
+  const char* base = node->payload_.data();
+  Slice input = node->payload_;
   uint64_t n = 0;
   Status s = GetVarint64(&input, &n);
   if (!s.ok()) return s;
@@ -161,7 +178,7 @@ Status PosNode::Decode(std::shared_ptr<const Chunk> chunk,
 }
 
 size_t PosNode::LowerBound(const Slice& key) const {
-  const char* base = payload().data();
+  const char* base = payload_.data();
   auto it = std::lower_bound(
       slots_.begin(), slots_.end(), key, [base](const Slot& s, const Slice& k) {
         return Slice(base + s.key_offset, s.key_size).compare(k) < 0;
@@ -179,7 +196,7 @@ size_t PosNode::Route(const Slice& key) const {
 }
 
 size_t PosNode::ByteSize() const {
-  size_t n = sizeof(PosNode) + sizeof(Chunk) + payload().capacity() +
+  size_t n = sizeof(PosNode) + owner_bytes_ +
              slots_.capacity() * sizeof(Slot) +
              children_.capacity() * sizeof(PosTree::ChildRef);
   for (const PosTree::ChildRef& c : children_) {
@@ -345,6 +362,11 @@ Status PosTree::Build(std::vector<PosEntry> entries, Hash256* root) const {
 
 namespace {
 
+// A proof's reference to a decoded node: its bytes, held by the node.
+ProofNode CiteNode(const std::shared_ptr<const PosNode>& node) {
+  return ProofNode{static_cast<uint8_t>(node->type()), node->payload(), node};
+}
+
 // Appends a leaf's entries as owned copies (for building new leaves).
 void AppendEntries(const PosNode& leaf, std::vector<PosEntry>* out) {
   for (size_t i = 0; i < leaf.entry_count(); i++) {
@@ -409,20 +431,14 @@ Status WalkRange(const Hash256& root, const Slice& start, const Slice& end,
 
 Status PosTree::Get(const Hash256& root, const Slice& key, std::string* value,
                     PosProof* proof) const {
-  if (proof != nullptr) {
-    proof->node_payloads.clear();
-    proof->node_types.clear();
-  }
+  if (proof != nullptr) proof->nodes.clear();
   if (root.IsZero()) return Status::NotFound("empty tree");
   Hash256 id = root;
   while (true) {
     std::shared_ptr<const PosNode> node;
     Status s = LoadNode(id, &node);
     if (!s.ok()) return s;
-    if (proof != nullptr) {
-      proof->node_payloads.push_back(node->payload());
-      proof->node_types.push_back(static_cast<uint8_t>(node->type()));
-    }
+    if (proof != nullptr) proof->nodes.push_back(CiteNode(node));
     if (!node->is_leaf()) {
       id = node->children()[node->Route(key)].id;
       continue;
@@ -444,16 +460,13 @@ Status PosTree::Scan(const Hash256& root, const Slice& start, const Slice& end,
   out->clear();
   if (proof != nullptr) proof->nodes.clear();
   if (root.IsZero()) return Status::OK();
-  // With a proof, every visited node's payload is captured into it (the
-  // "proofs come back with the scan" behaviour of section 6.2.2).
+  // With a proof, every visited node is cited by it (the "proofs come
+  // back with the scan" behaviour of section 6.2.2).
   return WalkRange(
       root, start, end, limit,
       [&](const Hash256& id, std::shared_ptr<const PosNode>* node) {
         Status s = LoadNode(id, node);
-        if (s.ok() && proof != nullptr) {
-          proof->nodes[id] = {static_cast<uint8_t>((*node)->type()),
-                              (*node)->payload()};
-        }
+        if (s.ok() && proof != nullptr) proof->Add(id, CiteNode(*node));
         return s;
       },
       [&](const PosNode& leaf, size_t i) {
@@ -706,17 +719,35 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
 
 namespace {
 
-// Decodes one node a proof carries, after checking that it is the node
-// `id` names: the proof's bytes are untrusted until they hash to it.
-Status DecodeProofNode(uint8_t type, const std::string& payload,
-                       const Hash256& id,
+bool IdBefore(const std::pair<Hash256, ProofNode>& entry, const Hash256& id) {
+  return entry.first < id;
+}
+
+}  // namespace
+
+void PosRangeProof::Add(const Hash256& id, ProofNode node) {
+  auto it = std::lower_bound(nodes.begin(), nodes.end(), id, IdBefore);
+  if (it != nodes.end() && it->first == id) return;
+  nodes.emplace(it, id, std::move(node));
+}
+
+const ProofNode* PosRangeProof::Find(const Hash256& id) const {
+  auto it = std::lower_bound(nodes.begin(), nodes.end(), id, IdBefore);
+  return it != nodes.end() && it->first == id ? &it->second : nullptr;
+}
+
+namespace {
+
+// Decodes one node a proof carries in place, after checking that it is
+// the node `id` names: the proof's bytes are untrusted until they hash
+// to it.
+Status DecodeProofNode(const ProofNode& cited, const Hash256& id,
                        std::shared_ptr<const PosNode>* node) {
-  auto chunk =
-      std::make_shared<const Chunk>(static_cast<ChunkType>(type), payload);
-  if (chunk->id() != id) {
+  const ChunkType type = static_cast<ChunkType>(cited.type);
+  if (Chunk::IdOf(type, cited.payload) != id) {
     return Status::VerificationFailed("proof node hash mismatch");
   }
-  if (!PosNode::Decode(std::move(chunk), node).ok()) {
+  if (!PosNode::Decode(type, cited.payload, cited.owner, node).ok()) {
     return Status::VerificationFailed("bad proof node payload");
   }
   return Status::OK();
@@ -727,17 +758,14 @@ Status DecodeProofNode(uint8_t type, const std::string& payload,
 Status PosTree::VerifyProof(const Hash256& root, const Slice& key,
                             const std::optional<std::string>& expected_value,
                             const PosProof& proof) {
-  const size_t depth = proof.node_payloads.size();
-  if (depth != proof.node_types.size() || depth == 0) {
-    return Status::VerificationFailed("malformed proof");
-  }
+  const size_t depth = proof.nodes.size();
+  if (depth == 0) return Status::VerificationFailed("malformed proof");
   // Walk down from the root digest: each meta must route `key` to the
   // id the next node hashes to.
   Hash256 id = root;
   std::shared_ptr<const PosNode> node;
   for (size_t i = 0; i < depth; i++) {
-    Status s =
-        DecodeProofNode(proof.node_types[i], proof.node_payloads[i], id, &node);
+    Status s = DecodeProofNode(proof.nodes[i], id, &node);
     if (!s.ok()) return s;
     if (i + 1 == depth) break;
     if (node->is_leaf()) {
@@ -782,12 +810,12 @@ Status PosTree::VerifyRangeProof(const Hash256& root, const Slice& start,
   Status s = WalkRange(
       root, start, end, limit,
       [&](const Hash256& id, std::shared_ptr<const PosNode>* node) {
-        auto it = proof.nodes.find(id);
-        if (it == proof.nodes.end()) {
+        const ProofNode* cited = proof.Find(id);
+        if (cited == nullptr) {
           return Status::VerificationFailed("proof missing node " +
                                             id.ToHex());
         }
-        return DecodeProofNode(it->second.first, it->second.second, id, node);
+        return DecodeProofNode(*cited, id, node);
       },
       [&](const PosNode& leaf, size_t i) {
         if (matched == expected.size()) {

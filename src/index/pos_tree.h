@@ -2,7 +2,6 @@
 #define SPITZ_INDEX_POS_TREE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -14,6 +13,7 @@
 #include "common/slice.h"
 #include "common/status.h"
 #include "crypto/hash.h"
+#include "index/proof_node.h"
 
 namespace spitz {
 
@@ -46,34 +46,41 @@ struct PosEntry {
   }
 };
 
-// An integrity proof for a point lookup: the serialized payloads of the
-// nodes on the root-to-leaf path. The verifier recomputes each chunk id
-// bottom-up and checks the top against the trusted root digest, checks
-// that each parent references the child by that id, and that routing was
+// An integrity proof for a point lookup: the nodes on the root-to-leaf
+// path, root first. The verifier recomputes each chunk id bottom-up and
+// checks the top against the trusted root digest, checks that each
+// parent references the child by that id, and that routing was
 // consistent with the queried key. Supports both membership and
 // non-membership (absent key) verification.
 struct PosProof {
-  // Payloads from root (front) to leaf (back), with their chunk types.
-  std::vector<std::string> node_payloads;
-  std::vector<uint8_t> node_types;
+  std::vector<ProofNode> nodes;
 
   size_t ByteSize() const {
     size_t n = 0;
-    for (const auto& p : node_payloads) n += p.size() + 1;
+    for (const ProofNode& node : nodes) n += node.payload.size() + 1;
     return n;
   }
 };
 
-// An integrity proof for a range scan: every node payload visited while
-// collecting the result, keyed by chunk id. The verifier re-walks the
-// tree from the root, recomputing hashes, and reconstructs the result
-// set independently.
+// An integrity proof for a range scan: every node visited while
+// collecting the result, in strictly ascending chunk-id order (the order
+// the wire form carries them in, and the one Find binary-searches). The
+// verifier re-walks the tree from the root, recomputing hashes, and
+// reconstructs the result set independently.
 struct PosRangeProof {
-  std::map<Hash256, std::pair<uint8_t, std::string>> nodes;  // id -> (type, payload)
+  std::vector<std::pair<Hash256, ProofNode>> nodes;
+
+  // Inserts `node` under `id` at its place in id order; a node already
+  // present under `id` is kept.
+  void Add(const Hash256& id, ProofNode node);
+  // The node cited under `id`, or null.
+  const ProofNode* Find(const Hash256& id) const;
 
   size_t ByteSize() const {
     size_t n = 0;
-    for (const auto& [id, tp] : nodes) n += Hash256::kSize + tp.second.size() + 1;
+    for (const auto& [id, node] : nodes) {
+      n += Hash256::kSize + node.payload.size() + 1;
+    }
     return n;
   }
 };
@@ -150,9 +157,9 @@ class PosTree {
   Status Build(std::vector<PosEntry> entries, Hash256* root) const;
 
   // Point read: the one root-to-leaf traversal. Returns NotFound if
-  // absent. When `proof` is non-null the nodes it visits are also
-  // copied out as the membership (or non-membership) proof; null skips
-  // that copy.
+  // absent. When `proof` is non-null it cites the nodes the traversal
+  // visits, by reference to the decoded nodes, as the membership (or
+  // non-membership) proof; null skips that.
   Status Get(const Hash256& root, const Slice& key, std::string* value,
              PosProof* proof) const;
 
@@ -165,8 +172,8 @@ class PosTree {
                 Hash256* new_root) const;
 
   // Range read: collects entries with key in [start, end) up to `limit`
-  // (0 = no limit), in key order. When `proof` is non-null every node
-  // the walk visits is captured as the range proof — the "unified
+  // (0 = no limit), in key order. When `proof` is non-null it cites
+  // every node the walk visits as the range proof — the "unified
   // index" behaviour of section 6.2.2; null skips the capture.
   Status Scan(const Hash256& root, const Slice& start, const Slice& end,
               size_t limit, std::vector<PosEntry>* out,
@@ -276,39 +283,46 @@ class PosTree {
   BufferCache* cache_ = nullptr;
 };
 
-// A decoded POS-tree node: a view over its immutable chunk. A leaf is
-// the chunk plus a table of 32-bit offsets into its payload, one slot
-// per entry, so a cached leaf holds each key and value exactly once —
-// in the chunk, the same object a kRawChunk cache entry for this id
-// holds — and makes no heap allocation per entry. A meta node also
-// keeps its child refs decoded and owned: metas are about one node in
-// 33 at the default fanout, and the update path copies the refs
-// anyway. Immutable once
-// built, so one instance is safely shared by the cache and any number
-// of concurrent traversals; every Slice it returns stays valid for as
-// long as the caller holds the node.
+// A decoded POS-tree node: a view over its immutable serialized bytes,
+// which the node keeps alive through their owner — the chunk for a node
+// read from the store, the frame buffer or a proof's copy for a node a
+// proof carries. A leaf is those bytes plus a table of 32-bit offsets
+// into them, one slot per entry, so a cached leaf holds each key and
+// value exactly once — in the chunk, the same object a kRawChunk cache
+// entry for this id holds — and makes no heap allocation per entry. A
+// meta node also keeps its child refs decoded and owned: metas are
+// about one node in 33 at the default fanout, and the update path
+// copies the refs anyway. Immutable once built, so one instance is
+// safely shared by the cache and any number of concurrent traversals;
+// every Slice it returns stays valid for as long as the caller holds
+// the node.
 class PosNode {
  public:
-  // The one decoder of index node bytes, for chunks read from the store
-  // and for payloads a proof carries. Returns Corruption for a chunk
-  // that is not an index leaf or meta node, for bytes that do not parse,
-  // for an entry count larger than the remaining bytes can hold, for a
-  // meta node without children, and for a payload of 4 GiB or more.
+  // The one decoder of index node bytes: decodes `payload`, a node of
+  // chunk type `type`, in place and holds `owner` to keep it alive.
+  // Returns Corruption for a type that is not an index leaf or meta
+  // node, for bytes that do not parse, for an entry count larger than
+  // the remaining bytes can hold, for a meta node without children, and
+  // for a payload of 4 GiB or more.
+  static Status Decode(ChunkType type, const Slice& payload,
+                       std::shared_ptr<const void> owner,
+                       std::shared_ptr<const PosNode>* node);
+  // A node read from the store: views and holds `chunk`.
   static Status Decode(std::shared_ptr<const Chunk> chunk,
                        std::shared_ptr<const PosNode>* node);
 
-  ChunkType type() const { return chunk_->type(); }
+  ChunkType type() const { return type_; }
   bool is_leaf() const { return type() == ChunkType::kIndexLeaf; }
   // The serialized node, as proofs ship it.
-  const std::string& payload() const { return chunk_->payload(); }
+  const Slice& payload() const { return payload_; }
 
   // Leaf entries, in key order.
   size_t entry_count() const { return slots_.size(); }
   Slice key(size_t i) const {
-    return Slice(payload().data() + slots_[i].key_offset, slots_[i].key_size);
+    return Slice(payload_.data() + slots_[i].key_offset, slots_[i].key_size);
   }
   Slice value(size_t i) const {
-    return Slice(payload().data() + slots_[i].value_offset,
+    return Slice(payload_.data() + slots_[i].value_offset,
                  slots_[i].value_size);
   }
   PosEntry entry(size_t i) const {
@@ -326,9 +340,10 @@ class PosNode {
   size_t Route(const Slice& key) const;
 
   // Every byte the node keeps alive, used as its cache charge: the
-  // whole chunk plus the tables. While a kRawChunk entry for the same
-  // chunk is resident, the chunk's bytes are charged to both entries,
-  // so the budget over-counts and never under-counts.
+  // owner (for a chunk, the whole chunk) plus the tables. While a
+  // kRawChunk entry for the same chunk is resident, the chunk's bytes
+  // are charged to both entries, so the budget over-counts and never
+  // under-counts.
   size_t ByteSize() const;
 
  private:
@@ -339,10 +354,21 @@ class PosNode {
     uint32_t value_size;
   };
 
-  explicit PosNode(std::shared_ptr<const Chunk> chunk)
-      : chunk_(std::move(chunk)) {}
+  PosNode(ChunkType type, const Slice& payload,
+          std::shared_ptr<const void> owner, size_t owner_bytes)
+      : type_(type),
+        payload_(payload),
+        owner_(std::move(owner)),
+        owner_bytes_(owner_bytes) {}
 
-  std::shared_ptr<const Chunk> chunk_;
+  // Builds the tables of `node` over its bytes.
+  static Status Parse(std::shared_ptr<PosNode> node,
+                      std::shared_ptr<const PosNode>* out);
+
+  ChunkType type_;
+  Slice payload_;
+  std::shared_ptr<const void> owner_;
+  size_t owner_bytes_;                      // what owner_ holds alive
   std::vector<Slot> slots_;                 // leaf
   std::vector<PosTree::ChildRef> children_; // meta
 };

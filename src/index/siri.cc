@@ -1,5 +1,7 @@
 #include "index/siri.h"
 
+#include <algorithm>
+
 #include "common/codec.h"
 
 namespace spitz {
@@ -25,34 +27,82 @@ const char* SiriBackendName(SiriBackend kind) {
 //
 // ("lp" = varint-length-prefixed byte string.)
 
+namespace {
+
+// Reads one lp payload as a node of `type` viewing the input.
+Status GetProofNode(Slice* input, uint8_t type,
+                    const std::shared_ptr<const void>& owner,
+                    ProofNode* node) {
+  Slice payload;
+  Status s = GetLengthPrefixedSlice(input, &payload);
+  if (!s.ok()) return s;
+  *node = ProofNode{type, payload, owner};
+  return Status::OK();
+}
+
+// Reads the type byte of a typed node.
+Status GetNodeType(Slice* input, uint8_t* type) {
+  if (input->empty()) return Status::Corruption("truncated proof");
+  *type = static_cast<uint8_t>((*input)[0]);
+  input->remove_prefix(1);
+  return Status::OK();
+}
+
+}  // namespace
+
 void SiriProof::EncodeTo(std::string* out) const {
   out->push_back(static_cast<char>(kind));
   switch (kind) {
     case SiriBackend::kPosTree: {
-      PutVarint64(out, pos.node_payloads.size());
-      for (size_t i = 0; i < pos.node_payloads.size(); i++) {
-        out->push_back(static_cast<char>(pos.node_types[i]));
-        PutLengthPrefixedSlice(out, pos.node_payloads[i]);
+      PutVarint64(out, pos.nodes.size());
+      for (const ProofNode& node : pos.nodes) {
+        out->push_back(static_cast<char>(node.type));
+        PutLengthPrefixedSlice(out, node.payload);
       }
       break;
     }
     case SiriBackend::kMerklePatriciaTrie: {
-      PutVarint64(out, mpt.node_payloads.size());
-      for (const std::string& payload : mpt.node_payloads) {
-        PutLengthPrefixedSlice(out, payload);
+      PutVarint64(out, mpt.nodes.size());
+      for (const ProofNode& node : mpt.nodes) {
+        PutLengthPrefixedSlice(out, node.payload);
       }
       break;
     }
     case SiriBackend::kMerkleBucketTree: {
       PutVarint64(out, mbt.bucket_index);
-      PutLengthPrefixedSlice(out, mbt.directory_payload);
-      PutLengthPrefixedSlice(out, mbt.bucket_payload);
+      PutLengthPrefixedSlice(out, mbt.directory.payload);
+      PutLengthPrefixedSlice(out, mbt.bucket.payload);
       break;
     }
   }
 }
 
-Status SiriProof::DecodeFrom(Slice* input, SiriProof* out) {
+size_t SiriProof::EncodedSize() const {
+  size_t n = 1;
+  switch (kind) {
+    case SiriBackend::kPosTree:
+      n += VarintLength(pos.nodes.size());
+      for (const ProofNode& node : pos.nodes) {
+        n += 1 + LengthPrefixedSize(node.payload);
+      }
+      break;
+    case SiriBackend::kMerklePatriciaTrie:
+      n += VarintLength(mpt.nodes.size());
+      for (const ProofNode& node : mpt.nodes) {
+        n += LengthPrefixedSize(node.payload);
+      }
+      break;
+    case SiriBackend::kMerkleBucketTree:
+      n += VarintLength(mbt.bucket_index) +
+           LengthPrefixedSize(mbt.directory.payload) +
+           LengthPrefixedSize(mbt.bucket.payload);
+      break;
+  }
+  return n;
+}
+
+Status SiriProof::DecodeFrom(Slice* input, std::shared_ptr<const void> owner,
+                             SiriProof* out) {
   *out = SiriProof();
   if (input->empty()) return Status::Corruption("empty proof envelope");
   uint8_t tag = static_cast<uint8_t>((*input)[0]);
@@ -66,14 +116,15 @@ Status SiriProof::DecodeFrom(Slice* input, SiriProof* out) {
       uint64_t n = 0;
       Status s = GetVarint64(input, &n);
       if (!s.ok()) return s;
+      // Every node takes at least its type byte and a length byte.
+      out->pos.nodes.reserve(std::min<uint64_t>(n, input->size() / 2));
       for (uint64_t i = 0; i < n; i++) {
-        if (input->empty()) return Status::Corruption("truncated proof");
-        out->pos.node_types.push_back(static_cast<uint8_t>((*input)[0]));
-        input->remove_prefix(1);
-        Slice payload;
-        s = GetLengthPrefixedSlice(input, &payload);
+        uint8_t type = 0;
+        s = GetNodeType(input, &type);
         if (!s.ok()) return s;
-        out->pos.node_payloads.push_back(payload.ToString());
+        out->pos.nodes.emplace_back();
+        s = GetProofNode(input, type, owner, &out->pos.nodes.back());
+        if (!s.ok()) return s;
       }
       return Status::OK();
     }
@@ -81,11 +132,12 @@ Status SiriProof::DecodeFrom(Slice* input, SiriProof* out) {
       uint64_t n = 0;
       Status s = GetVarint64(input, &n);
       if (!s.ok()) return s;
+      out->mpt.nodes.reserve(std::min<uint64_t>(n, input->size()));
       for (uint64_t i = 0; i < n; i++) {
-        Slice payload;
-        s = GetLengthPrefixedSlice(input, &payload);
+        out->mpt.nodes.emplace_back();
+        s = GetProofNode(input, static_cast<uint8_t>(ChunkType::kTrieNode),
+                         owner, &out->mpt.nodes.back());
         if (!s.ok()) return s;
-        out->mpt.node_payloads.push_back(payload.ToString());
       }
       return Status::OK();
     }
@@ -94,14 +146,10 @@ Status SiriProof::DecodeFrom(Slice* input, SiriProof* out) {
       Status s = GetVarint64(input, &bucket);
       if (!s.ok()) return s;
       out->mbt.bucket_index = static_cast<uint32_t>(bucket);
-      Slice directory, payload;
-      s = GetLengthPrefixedSlice(input, &directory);
+      const uint8_t type = static_cast<uint8_t>(ChunkType::kBucket);
+      s = GetProofNode(input, type, owner, &out->mbt.directory);
       if (!s.ok()) return s;
-      s = GetLengthPrefixedSlice(input, &payload);
-      if (!s.ok()) return s;
-      out->mbt.directory_payload = directory.ToString();
-      out->mbt.bucket_payload = payload.ToString();
-      return Status::OK();
+      return GetProofNode(input, type, owner, &out->mbt.bucket);
     }
   }
   return Status::Corruption("unknown proof backend tag");
@@ -128,7 +176,7 @@ Status SiriProof::Verify(
       // The directory is committed to by the root, so the bucket count
       // may be derived from its size once the binding is re-checked by
       // the backend verifier.
-      size_t dir = mbt.directory_payload.size();
+      size_t dir = mbt.directory.payload.size();
       if (dir == 0 || dir % Hash256::kSize != 0) {
         return Status::VerificationFailed("malformed MBT directory");
       }
@@ -147,13 +195,11 @@ size_t SiriProof::ByteSize() const {
       return 1 + pos.ByteSize();
     case SiriBackend::kMerklePatriciaTrie: {
       size_t n = 1;
-      for (const std::string& payload : mpt.node_payloads) {
-        n += payload.size() + 1;
-      }
+      for (const ProofNode& node : mpt.nodes) n += node.payload.size() + 1;
       return n;
     }
     case SiriBackend::kMerkleBucketTree:
-      return 1 + 4 + mbt.directory_payload.size() + mbt.bucket_payload.size();
+      return 1 + 4 + mbt.directory.payload.size() + mbt.bucket.payload.size();
   }
   return 0;
 }
@@ -167,13 +213,23 @@ void SiriRangeProof::EncodeTo(std::string* out) const {
   out->push_back(static_cast<char>(kind));
   PutVarint64(out, pos.nodes.size());
   for (const auto& [id, node] : pos.nodes) {
-    out->append(id.ToBytes());
-    out->push_back(static_cast<char>(node.first));
-    PutLengthPrefixedSlice(out, node.second);
+    out->append(id.slice().view());
+    out->push_back(static_cast<char>(node.type));
+    PutLengthPrefixedSlice(out, node.payload);
   }
 }
 
-Status SiriRangeProof::DecodeFrom(Slice* input, SiriRangeProof* out) {
+size_t SiriRangeProof::EncodedSize() const {
+  size_t n = 1 + VarintLength(pos.nodes.size());
+  for (const auto& [id, node] : pos.nodes) {
+    n += Hash256::kSize + 1 + LengthPrefixedSize(node.payload);
+  }
+  return n;
+}
+
+Status SiriRangeProof::DecodeFrom(Slice* input,
+                                  std::shared_ptr<const void> owner,
+                                  SiriRangeProof* out) {
   *out = SiriRangeProof();
   if (input->empty()) return Status::Corruption("empty range proof envelope");
   uint8_t tag = static_cast<uint8_t>((*input)[0]);
@@ -185,17 +241,21 @@ Status SiriRangeProof::DecodeFrom(Slice* input, SiriRangeProof* out) {
   uint64_t n = 0;
   Status s = GetVarint64(input, &n);
   if (!s.ok()) return s;
+  std::vector<std::pair<Hash256, ProofNode>>& nodes = out->pos.nodes;
+  // Every node takes at least its id, its type byte and a length byte.
+  nodes.reserve(std::min<uint64_t>(n, input->size() / (Hash256::kSize + 2)));
   for (uint64_t i = 0; i < n; i++) {
     Hash256 id;
-    if (!GetHash256(input, &id) || input->empty()) {
+    uint8_t type = 0;
+    if (!GetHash256(input, &id) || !GetNodeType(input, &type).ok()) {
       return Status::Corruption("truncated range proof node");
     }
-    uint8_t type = static_cast<uint8_t>((*input)[0]);
-    input->remove_prefix(1);
-    Slice payload;
-    s = GetLengthPrefixedSlice(input, &payload);
+    if (!nodes.empty() && !(nodes.back().first < id)) {
+      return Status::Corruption("range proof nodes out of id order");
+    }
+    nodes.emplace_back(id, ProofNode());
+    s = GetProofNode(input, type, owner, &nodes.back().second);
     if (!s.ok()) return s;
-    out->pos.nodes[id] = {type, payload.ToString()};
   }
   return Status::OK();
 }

@@ -49,7 +49,8 @@ const char* SiriBackendName(SiriBackend kind);
 // A serializable point-lookup proof. Exactly one of the kind-specific
 // bodies is populated, selected by `kind`. The envelope encodes as
 //   [kind:1][kind-specific body]
-// and Verify() dispatches to the matching backend verifier.
+// and Verify() dispatches to the matching backend verifier. Its nodes
+// are ProofNodes: views of bytes their owners keep alive.
 struct SiriProof {
   SiriBackend kind = SiriBackend::kPosTree;
   PosProof pos;                   // kind == kPosTree
@@ -63,8 +64,16 @@ struct SiriProof {
     EncodeTo(&out);
     return out;
   }
-  // Parses one envelope from the front of *input, advancing it.
-  static Status DecodeFrom(Slice* input, SiriProof* out);
+  // The exact number of bytes EncodeTo appends.
+  size_t EncodedSize() const;
+  // Parses one envelope from the front of *input, advancing it. The
+  // nodes view the input bytes, which `owner` keeps alive.
+  static Status DecodeFrom(Slice* input, std::shared_ptr<const void> owner,
+                           SiriProof* out);
+  // As above, over a copy of the envelope's bytes the proof owns.
+  static Status DecodeFrom(Slice* input, SiriProof* out) {
+    return DecodeOwnedCopy(input, out);
+  }
 
   // Verifies against a trusted root digest. nullopt expected_value
   // demands a non-membership proof. The MBT bucket count is derived
@@ -77,7 +86,9 @@ struct SiriProof {
 
 // A serializable range-scan proof. Only the POS-tree supports verified
 // scans today; the envelope still carries a kind tag so future backends
-// can join without a wire-format change.
+// can join without a wire-format change. A node list is accepted only
+// in strictly ascending id order, the one order the encoder writes, so
+// a proof has exactly one byte form.
 struct SiriRangeProof {
   SiriBackend kind = SiriBackend::kPosTree;
   PosRangeProof pos;  // kind == kPosTree
@@ -88,7 +99,12 @@ struct SiriRangeProof {
     EncodeTo(&out);
     return out;
   }
-  static Status DecodeFrom(Slice* input, SiriRangeProof* out);
+  size_t EncodedSize() const;
+  static Status DecodeFrom(Slice* input, std::shared_ptr<const void> owner,
+                           SiriRangeProof* out);
+  static Status DecodeFrom(Slice* input, SiriRangeProof* out) {
+    return DecodeOwnedCopy(input, out);
+  }
 
   Status Verify(const Hash256& root, const Slice& start, const Slice& end,
                 size_t limit, const std::vector<PosEntry>& expected) const;

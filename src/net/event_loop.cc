@@ -9,6 +9,7 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "common/clock.h"
@@ -19,6 +20,8 @@ namespace {
 
 constexpr uint64_t kListenToken = 0;
 constexpr uint64_t kWakeToken = 1;
+// Frames one sendmsg gathers.
+constexpr size_t kMaxGather = 64;
 
 Status Errno(const char* what) {
   return Status::IOError(std::string(what) + ": " + strerror(errno));
@@ -127,13 +130,11 @@ void EventLoop::WireMetrics(MetricsRegistry* registry) {
   });
 }
 
-bool EventLoop::SendFrame(uint64_t conn_id, const Frame& frame) {
+bool EventLoop::SendFrame(uint64_t conn_id, std::string frame) {
   if (stopped_.load(std::memory_order_acquire)) return false;
-  std::string encoded;
-  EncodeFrame(frame, &encoded);
   {
     std::lock_guard<std::mutex> lock(outbox_mu_);
-    outbox_.emplace_back(conn_id, std::move(encoded));
+    outbox_.emplace_back(conn_id, std::move(frame));
   }
   uint64_t one = 1;
   // A full eventfd counter (EAGAIN) still wakes the loop; other errors
@@ -205,13 +206,13 @@ void EventLoop::AcceptPending() {
 }
 
 void EventLoop::HandleReadable(Connection* conn) {
-  char buf[64 * 1024];
   while (true) {
-    ssize_t n = recv(conn->fd, buf, sizeof(buf), 0);
+    const size_t want = conn->decoder.space_size();
+    ssize_t n = recv(conn->fd, conn->decoder.space(), want, 0);
     if (n > 0) {
       conn->last_activity_ns = MonotonicNanos();
-      conn->decoder.Feed(buf, static_cast<size_t>(n));
-      Frame frame;
+      conn->decoder.Commit(static_cast<size_t>(n));
+      ReceivedFrame frame;
       FrameDecoder::Result r;
       while ((r = conn->decoder.Next(&frame)) ==
              FrameDecoder::Result::kFrame) {
@@ -229,7 +230,7 @@ void EventLoop::HandleReadable(Connection* conn) {
         CloseConnection(conn->id);
         return;
       }
-      if (static_cast<size_t>(n) < sizeof(buf)) return;  // likely drained
+      if (static_cast<size_t>(n) < want) return;  // likely drained
       continue;
     }
     if (n == 0) {
@@ -248,12 +249,37 @@ void EventLoop::HandleReadable(Connection* conn) {
 }
 
 void EventLoop::HandleWritable(Connection* conn) {
-  while (conn->out_pos < conn->outbuf.size()) {
-    ssize_t n = send(conn->fd, conn->outbuf.data() + conn->out_pos,
-                     conn->outbuf.size() - conn->out_pos, MSG_NOSIGNAL);
+  while (conn->out_head < conn->outq.size()) {
+    // Gather the queued frames into one send.
+    iovec iov[kMaxGather];
+    size_t count = 0;
+    for (size_t i = conn->out_head;
+         i < conn->outq.size() && count < kMaxGather; i++, count++) {
+      const size_t skip = i == conn->out_head ? conn->out_pos : 0;
+      iov[count].iov_base = conn->outq[i].data() + skip;
+      iov[count].iov_len = conn->outq[i].size() - skip;
+    }
+    msghdr msg;
+    memset(&msg, 0, sizeof(msg));
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    ssize_t n = sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
     if (n > 0) {
-      conn->out_pos += static_cast<size_t>(n);
       conn->last_activity_ns = MonotonicNanos();
+      // Free every frame the send completed.
+      size_t sent = static_cast<size_t>(n);
+      while (sent > 0) {
+        std::string& front = conn->outq[conn->out_head];
+        const size_t left = front.size() - conn->out_pos;
+        if (sent < left) {
+          conn->out_pos += sent;
+          break;
+        }
+        sent -= left;
+        std::string().swap(front);
+        conn->out_head++;
+        conn->out_pos = 0;
+      }
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
@@ -264,9 +290,9 @@ void EventLoop::HandleWritable(Connection* conn) {
     CloseConnection(conn->id);  // broken pipe etc.
     return;
   }
-  // Fully flushed: reclaim the buffer and disarm EPOLLOUT.
-  conn->outbuf.clear();
-  conn->out_pos = 0;
+  // Fully flushed: every frame is freed; disarm EPOLLOUT.
+  conn->outq.clear();
+  conn->out_head = 0;
   UpdateEpoll(conn, conn->epoll_events & ~uint32_t{EPOLLOUT});
   if ((conn->read_closed ||
        shutdown_requested_.load(std::memory_order_acquire)) &&
@@ -281,14 +307,21 @@ void EventLoop::DrainOutbox() {
     std::lock_guard<std::mutex> lock(outbox_mu_);
     batch.swap(outbox_);
   }
-  for (auto& [conn_id, bytes] : batch) {
+  for (auto& [conn_id, frame] : batch) {
     auto it = conns_.find(conn_id);
     if (it == conns_.end()) continue;  // connection died before the reply
     Connection* conn = it->second.get();
     if (conn->in_flight > 0) conn->in_flight--;
     frames_tx_.Increment();
-    conn->outbuf.append(bytes);
-    HandleWritable(conn);  // write immediately; arms EPOLLOUT on partial
+    conn->outq.push_back(std::move(frame));
+  }
+  // Write immediately, one gathered send per connection; arms EPOLLOUT
+  // on a partial write.
+  for (const auto& [conn_id, frame] : batch) {
+    auto it = conns_.find(conn_id);
+    if (it != conns_.end() && (it->second->epoll_events & EPOLLOUT) == 0) {
+      HandleWritable(it->second.get());
+    }
   }
 }
 
@@ -340,8 +373,7 @@ void EventLoop::Run() {
       uint64_t limit = options_.idle_timeout_ms * 1'000'000ull;
       std::vector<uint64_t> idle;
       for (const auto& [id, conn] : conns_) {
-        if (conn->in_flight == 0 && conn->out_pos >= conn->outbuf.size() &&
-            now - conn->last_activity_ns > limit) {
+        if (Drained(*conn) && now - conn->last_activity_ns > limit) {
           idle.push_back(id);
         }
       }

@@ -26,7 +26,7 @@ namespace spitz {
 //     registered for reads; beyond max_connections they are accepted
 //     and immediately closed (so the backlog cannot fill with sockets
 //     the server will never serve).
-//   * read state machine: bytes are fed to a per-connection
+//   * read state machine: bytes are read into a per-connection
 //     FrameDecoder; every complete, CRC-valid frame is handed to the
 //     frame handler (on the loop thread — the handler must not block;
 //     the server layers a dispatcher pool on top). A malformed frame —
@@ -34,9 +34,10 @@ namespace spitz {
 //     net.protocol_errors and closes the connection. It never crashes
 //     the server and never desynchronizes other connections.
 //   * write state machine: responses are queued from any thread via
-//     SendFrame (an eventfd wakes the loop); the loop appends them to
-//     the connection's output buffer, writes what the socket accepts,
-//     and arms EPOLLOUT for the remainder.
+//     SendFrame (an eventfd wakes the loop); the loop queues each
+//     encoded frame, as the buffer it was built in, on its connection,
+//     gathers the queue into one sendmsg per wake, frees every frame
+//     once it is fully sent, and arms EPOLLOUT for the remainder.
 //   * half-close: a peer that shut down its write side still receives
 //     the responses to every request it sent before the FIN.
 //   * idle timeout: connections with no traffic and no in-flight
@@ -63,7 +64,8 @@ class EventLoop {
 
   // Called on the loop thread for every decoded frame. Must not block:
   // hand the frame to a queue and return.
-  using FrameHandler = std::function<void(uint64_t conn_id, Frame frame)>;
+  using FrameHandler =
+      std::function<void(uint64_t conn_id, ReceivedFrame frame)>;
 
   EventLoop() = default;
   ~EventLoop();
@@ -77,10 +79,12 @@ class EventLoop {
 
   uint16_t port() const { return port_; }
 
-  // Queues `frame` for conn_id and wakes the loop; safe from any
-  // thread. Returns false once the loop has stopped. A frame for a
-  // connection that has meanwhile closed is silently dropped.
-  bool SendFrame(uint64_t conn_id, const Frame& frame);
+  // Queues an encoded frame (EncodeFrame or SealFrame bytes) for
+  // conn_id and wakes the loop; the buffer itself is sent and freed,
+  // never copied. Safe from any thread. Returns false once the loop has
+  // stopped. A frame for a connection that has meanwhile closed is
+  // silently dropped.
+  bool SendFrame(uint64_t conn_id, std::string frame);
 
   // Graceful stop; blocks until the loop thread exited. Idempotent.
   void Shutdown();
@@ -98,7 +102,10 @@ class EventLoop {
     int fd = -1;
     uint64_t id = 0;
     FrameDecoder decoder;
-    std::string outbuf;
+    // Encoded frames, oldest first; those before out_head are sent and
+    // freed, and out_pos bytes of outq[out_head] are sent.
+    std::vector<std::string> outq;
+    size_t out_head = 0;
     size_t out_pos = 0;
     uint64_t last_activity_ns = 0;
     uint32_t in_flight = 0;  // frames delivered, response not yet queued
@@ -114,9 +121,9 @@ class EventLoop {
   void UpdateEpoll(Connection* conn, uint32_t events);
   void CloseConnection(uint64_t conn_id);
   // True when the connection has nothing left to say: no unanswered
-  // request and an empty output buffer.
+  // request and no frame waiting to be sent.
   static bool Drained(const Connection& conn) {
-    return conn.in_flight == 0 && conn.out_pos >= conn.outbuf.size();
+    return conn.in_flight == 0 && conn.out_head == conn.outq.size();
   }
 
   Options options_;
@@ -134,8 +141,8 @@ class EventLoop {
   std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns_;
   uint64_t next_conn_id_ = 2;  // 0 = listen socket, 1 = wake eventfd
 
-  // Cross-thread response hand-off: SendFrame encodes into here, the
-  // loop moves bytes into the owning connection's output buffer.
+  // Cross-thread response hand-off: SendFrame queues frames here, the
+  // loop moves them onto their connections' queues.
   std::mutex outbox_mu_;
   std::vector<std::pair<uint64_t, std::string>> outbox_;
 

@@ -1,5 +1,6 @@
 #include "net/frame.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/codec.h"
@@ -7,68 +8,138 @@
 
 namespace spitz {
 
-void EncodeFrame(const Frame& frame, std::string* out) {
-  size_t body_len = kFrameHeaderBytes + frame.payload.size();
-  out->reserve(out->size() + 4 + body_len);
-  PutFixed32(out, static_cast<uint32_t>(body_len));
-  size_t crc_pos = out->size();
-  PutFixed32(out, 0);  // crc patched below
-  PutFixed32(out, frame.method);
-  PutFixed64(out, frame.request_id);
-  PutFixed32(out, frame.status);
-  out->append(frame.payload);
-  // The crc covers everything after itself: method, request id, status
-  // and payload — body_len - 4 bytes.
-  uint32_t masked =
-      crc32c::Mask(crc32c::Value(out->data() + crc_pos + 4, body_len - 4));
-  char* p = out->data() + crc_pos;
-  p[0] = static_cast<char>(masked & 0xff);
-  p[1] = static_cast<char>((masked >> 8) & 0xff);
-  p[2] = static_cast<char>((masked >> 16) & 0xff);
-  p[3] = static_cast<char>((masked >> 24) & 0xff);
+namespace {
+
+// The crc of a frame body: everything after the crc field.
+uint32_t BodyCrc(const char* body, size_t body_len) {
+  return crc32c::Value(body + 4, body_len - 4);
 }
 
-FrameDecoder::Result FrameDecoder::Next(Frame* out, std::string* error) {
-  if (poisoned_) {
-    if (error != nullptr) *error = "decoder poisoned by earlier error";
-    return Result::kError;
-  }
-  size_t available = buffer_.size() - pos_;
-  if (available < 4) return Result::kNeedMore;
-  uint32_t body_len = DecodeFixed32(buffer_.data() + pos_);
-  if (body_len < kFrameHeaderBytes) {
-    poisoned_ = true;
-    if (error != nullptr) *error = "frame length below header size";
-    return Result::kError;
-  }
-  if (body_len > max_body_) {
-    poisoned_ = true;
-    if (error != nullptr) *error = "frame exceeds max frame size";
-    return Result::kError;
-  }
-  if (available < 4 + static_cast<size_t>(body_len)) return Result::kNeedMore;
+// Fills in the prefix of the frame starting at `p`, whose payload of
+// `payload_size` bytes follows the prefix.
+void SealFrameAt(uint32_t method, uint64_t request_id, uint32_t status,
+                 char* p, size_t payload_size) {
+  const size_t body_len = kFrameHeaderBytes + payload_size;
+  EncodeFixed32(p, static_cast<uint32_t>(body_len));
+  EncodeFixed32(p + 8, method);
+  EncodeFixed64(p + 12, request_id);
+  EncodeFixed32(p + 20, status);
+  EncodeFixed32(p + 4, crc32c::Mask(BodyCrc(p + 4, body_len)));
+}
 
-  const char* body = buffer_.data() + pos_ + 4;
-  uint32_t stored_crc = crc32c::Unmask(DecodeFixed32(body));
-  uint32_t actual_crc = crc32c::Value(body + 4, body_len - 4);
-  if (stored_crc != actual_crc) {
-    poisoned_ = true;
-    if (error != nullptr) *error = "frame crc mismatch";
-    return Result::kError;
+}  // namespace
+
+void EncodeFrame(const Frame& frame, std::string* out) {
+  const size_t start = out->size();
+  out->reserve(start + kFramePrefixBytes + frame.payload.size());
+  out->resize(start + kFramePrefixBytes);
+  out->append(frame.payload);
+  SealFrameAt(frame.method, frame.request_id, frame.status,
+              out->data() + start, frame.payload.size());
+}
+
+void SealFrame(uint32_t method, uint64_t request_id, uint32_t status,
+               std::string* frame) {
+  SealFrameAt(method, request_id, status, frame->data(),
+              frame->size() - kFramePrefixBytes);
+}
+
+FrameDecoder::FrameDecoder(size_t max_frame_bytes)
+    : max_body_(max_frame_bytes), staging_(kStagingBytes) {}
+
+// While a frame's body is partly read, the staging area is empty: every
+// staged byte went into the body when its length became known.
+char* FrameDecoder::space() {
+  if (Assembling()) return body_.get() + filled_;
+  // Move a partial frame's first bytes to the front so the read can
+  // complete them.
+  if (staged_begin_ > 0) {
+    std::memmove(staging_.data(), staging_.data() + staged_begin_,
+                 staged_end_ - staged_begin_);
+    staged_end_ -= staged_begin_;
+    staged_begin_ = 0;
+  }
+  return staging_.data() + staged_end_;
+}
+
+size_t FrameDecoder::space_size() const {
+  if (Assembling()) return body_size_ - filled_;
+  return staging_.size() - (staged_end_ - staged_begin_);
+}
+
+void FrameDecoder::Commit(size_t n) {
+  if (Assembling()) {
+    filled_ += n;
+  } else {
+    staged_end_ += n;
+  }
+}
+
+void FrameDecoder::Feed(const char* data, size_t n) {
+  while (n > 0) {
+    if (!Assembling() && space_size() < n) {
+      staging_.resize(staged_end_ - staged_begin_ + n);
+    }
+    const size_t step = std::min(n, space_size());
+    std::memcpy(space(), data, step);
+    Commit(step);
+    data += step;
+    n -= step;
+  }
+}
+
+FrameDecoder::Result FrameDecoder::Fail(const char* reason,
+                                       std::string* error) {
+  poisoned_ = true;
+  if (error != nullptr) *error = reason;
+  return Result::kError;
+}
+
+FrameDecoder::Result FrameDecoder::Next(ReceivedFrame* out,
+                                       std::string* error) {
+  if (poisoned_) return Fail("decoder poisoned by earlier error", error);
+  if (body_ == nullptr) {
+    if (staged_end_ - staged_begin_ < 4) return Result::kNeedMore;
+    const uint32_t body_len = DecodeFixed32(staging_.data() + staged_begin_);
+    if (body_len < kFrameHeaderBytes) {
+      return Fail("frame length below header size", error);
+    }
+    if (body_len > max_body_) {
+      return Fail("frame exceeds max frame size", error);
+    }
+    staged_begin_ += 4;
+    body_ = std::make_shared_for_overwrite<char[]>(body_len);
+    body_size_ = body_len;
+    filled_ = std::min<size_t>(body_len, staged_end_ - staged_begin_);
+    std::memcpy(body_.get(), staging_.data() + staged_begin_, filled_);
+    staged_begin_ += filled_;
+  }
+  if (filled_ < body_size_) return Result::kNeedMore;
+  const char* body = body_.get();
+  if (crc32c::Unmask(DecodeFixed32(body)) != BodyCrc(body, body_size_)) {
+    return Fail("frame crc mismatch", error);
   }
   out->method = DecodeFixed32(body + 4);
   out->request_id = DecodeFixed64(body + 8);
   out->status = DecodeFixed32(body + 16);
-  out->payload.assign(body + kFrameHeaderBytes,
-                      body_len - kFrameHeaderBytes);
-  pos_ += 4 + body_len;
-  // Compact once the consumed prefix dominates, so a long-lived
-  // connection's buffer does not grow without bound.
-  if (pos_ > 4096 && pos_ > buffer_.size() / 2) {
-    buffer_.erase(0, pos_);
-    pos_ = 0;
-  }
+  out->payload =
+      Slice(body + kFrameHeaderBytes, body_size_ - kFrameHeaderBytes);
+  out->buffer = std::move(body_);
+  body_ = nullptr;
+  filled_ = 0;
   return Result::kFrame;
+}
+
+FrameDecoder::Result FrameDecoder::Next(Frame* out, std::string* error) {
+  ReceivedFrame frame;
+  const Result r = Next(&frame, error);
+  if (r == Result::kFrame) {
+    out->method = frame.method;
+    out->request_id = frame.request_id;
+    out->status = frame.status;
+    out->payload = frame.payload.ToString();
+  }
+  return r;
 }
 
 void Handshake::EncodeTo(std::string* out) const {

@@ -2,7 +2,9 @@
 #define SPITZ_NET_FRAME_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/slice.h"
 #include "common/status.h"
@@ -34,6 +36,7 @@ namespace spitz {
 // error message as plain bytes.
 // ---------------------------------------------------------------------------
 
+// A frame to encode.
 struct Frame {
   uint32_t method = 0;
   uint64_t request_id = 0;
@@ -45,38 +48,84 @@ struct Frame {
 inline constexpr size_t kFrameHeaderBytes = 4 + 4 + 8 + 4;
 // Body bytes covered by the crc: method + request_id + status.
 inline constexpr size_t kFrameCrcCoverageOffset = 8;
+// Encoded frame bytes before the payload: the length prefix + the header.
+inline constexpr size_t kFramePrefixBytes = 4 + kFrameHeaderBytes;
 
 // Appends the encoded frame (length prefix included) to *out.
 void EncodeFrame(const Frame& frame, std::string* out);
 
-// Incremental frame parser for one connection's byte stream. Feed()
-// whatever arrived; Next() yields complete frames until it reports
-// kNeedMore (wait for more bytes) or kError (the stream is garbage —
-// bad CRC, undersized or oversized length prefix — and the connection
-// must be closed; no resynchronization is attempted).
+// Completes a frame built in place: `frame` holds kFramePrefixBytes
+// reserved bytes followed by the payload. Fills in the length prefix,
+// method, request id and status, then the crc over all of them.
+void SealFrame(uint32_t method, uint64_t request_id, uint32_t status,
+               std::string* frame);
+
+// A frame as it arrived: the payload is a view into `buffer`, the
+// frame's own exactly sized buffer, which keeps it alive wherever the
+// frame goes.
+struct ReceivedFrame {
+  uint32_t method = 0;
+  uint64_t request_id = 0;
+  uint32_t status = 0;  // Status::Code on the wire; 0 in requests
+  Slice payload;
+  std::shared_ptr<const void> buffer;
+};
+
+// Incremental frame parser for one connection's byte stream, which
+// puts each frame into its own buffer of exactly its size. A socket
+// reader reads into space() and reports the bytes with Commit(); Next()
+// then yields complete frames until it reports kNeedMore (read more)
+// or kError (the stream is garbage — bad CRC, undersized or oversized
+// length prefix — and the connection must be closed; no
+// resynchronization is attempted). Until a frame's length prefix has
+// arrived, space() is a staging area that takes several small frames
+// in one read; once the length is known and within the limit, space()
+// is the rest of that frame's own buffer, so a large frame is read
+// straight into the buffer it is delivered in.
 class FrameDecoder {
  public:
-  explicit FrameDecoder(size_t max_frame_bytes) : max_body_(max_frame_bytes) {}
+  explicit FrameDecoder(size_t max_frame_bytes);
 
   FrameDecoder(const FrameDecoder&) = delete;
   FrameDecoder& operator=(const FrameDecoder&) = delete;
 
-  void Feed(const char* data, size_t n) { buffer_.append(data, n); }
+  // Where the next read writes, and how many bytes fit there. Call
+  // Next() until it stops yielding frames before asking again.
+  char* space();
+  size_t space_size() const;
+  void Commit(size_t n);
+  // Copies bytes that are already in memory in; any amount.
+  void Feed(const char* data, size_t n);
 
   enum class Result { kFrame, kNeedMore, kError };
 
   // On kFrame fills *out; on kError fills *error (when non-null) with
   // the reason. After kError the decoder is poisoned: every later call
   // reports kError again.
+  Result Next(ReceivedFrame* out, std::string* error = nullptr);
+  // As above, with a copy of the payload.
   Result Next(Frame* out, std::string* error = nullptr);
 
-  // Bytes buffered but not yet consumed (diagnostics/tests).
-  size_t buffered_bytes() const { return buffer_.size() - pos_; }
+  // Bytes read but not yet delivered in a frame (diagnostics/tests).
+  size_t buffered_bytes() const {
+    return staged_end_ - staged_begin_ + filled_;
+  }
 
  private:
+  static constexpr size_t kStagingBytes = 16 << 10;
+
+  Result Fail(const char* reason, std::string* error);
+  bool Assembling() const { return body_ != nullptr && filled_ < body_size_; }
+
   size_t max_body_;
-  std::string buffer_;
-  size_t pos_ = 0;
+  std::vector<char> staging_;
+  size_t staged_begin_ = 0;
+  size_t staged_end_ = 0;
+  // The frame being assembled: its body (everything after the length
+  // prefix), body_size_ bytes, of which filled_ have arrived.
+  std::shared_ptr<char[]> body_;
+  size_t body_size_ = 0;
+  size_t filled_ = 0;
   bool poisoned_ = false;
 };
 

@@ -88,6 +88,14 @@ NetClient::~NetClient() {
 
 Status NetClient::Call(uint32_t method, const std::string& request,
                        std::string* response, uint64_t deadline_ms) {
+  Reply reply;
+  Status s = Call(method, request, &reply, deadline_ms);
+  if (s.ok() || s.IsNotFound()) *response = reply.payload.ToString();
+  return s;
+}
+
+Status NetClient::Call(uint32_t method, const std::string& request,
+                       Reply* reply, uint64_t deadline_ms) {
   uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
   Pending pending;
   {
@@ -96,12 +104,11 @@ Status NetClient::Call(uint32_t method, const std::string& request,
     pending_[id] = &pending;
   }
 
-  Frame frame;
-  frame.method = method;
-  frame.request_id = id;
-  frame.payload = request;
   std::string encoded;
-  EncodeFrame(frame, &encoded);
+  encoded.reserve(kFramePrefixBytes + request.size());
+  encoded.resize(kFramePrefixBytes);
+  encoded.append(request);
+  SealFrame(method, id, /*status=*/0, &encoded);
   {
     std::lock_guard<std::mutex> lock(write_mu_);
     size_t sent = 0;
@@ -138,7 +145,7 @@ Status NetClient::Call(uint32_t method, const std::string& request,
     return Status::TimedOut("rpc deadline exceeded");
   }
   if (pending.status.ok() || pending.status.IsNotFound()) {
-    *response = std::move(pending.payload);
+    *reply = std::move(pending.reply);
   }
   return pending.status;
 }
@@ -156,16 +163,15 @@ void NetClient::BreakConnection(Status reason) {
 
 void NetClient::ReaderLoop() {
   FrameDecoder decoder(options_.max_frame_bytes);
-  char buf[64 * 1024];
   while (true) {
-    ssize_t n = recv(fd_, buf, sizeof(buf), 0);
+    ssize_t n = recv(fd_, decoder.space(), decoder.space_size(), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) {
       BreakConnection(Status::IOError("connection closed by server"));
       return;
     }
-    decoder.Feed(buf, static_cast<size_t>(n));
-    Frame frame;
+    decoder.Commit(static_cast<size_t>(n));
+    ReceivedFrame frame;
     FrameDecoder::Result r;
     std::string error;
     while ((r = decoder.Next(&frame, &error)) ==
@@ -178,7 +184,7 @@ void NetClient::ReaderLoop() {
           frame.status ==
               static_cast<uint32_t>(Status::Code::kNotFound)) {
         pending->status = StatusFromWire(frame.status, Slice());
-        pending->payload = std::move(frame.payload);
+        pending->reply = Reply{frame.payload, std::move(frame.buffer)};
       } else {
         pending->status = StatusFromWire(frame.status, frame.payload);
       }

@@ -57,13 +57,25 @@ class NetClient {
   NetClient(const NetClient&) = delete;
   NetClient& operator=(const NetClient&) = delete;
 
+  // A response payload as it arrived: a view into the frame buffer the
+  // reader read it into, which `buffer` keeps alive. Decoders that keep
+  // views of the payload (ReadProof, ScanProof) hold `buffer` too.
+  struct Reply {
+    Slice payload;
+    std::shared_ptr<const void> buffer;
+  };
+
   // Synchronous call with the default deadline. Thread-safe.
   Status Call(uint32_t method, const std::string& request,
               std::string* response) {
     return Call(method, request, response, options_.deadline_ms);
   }
+  // With an explicit deadline; 0 = wait forever. Copies the payload.
   Status Call(uint32_t method, const std::string& request,
               std::string* response, uint64_t deadline_ms);
+  // As above, handing over the frame buffer itself instead of a copy.
+  Status Call(uint32_t method, const std::string& request, Reply* reply,
+              uint64_t deadline_ms);
 
   uint64_t calls_sent() const {
     return calls_sent_.load(std::memory_order_relaxed);
@@ -85,7 +97,7 @@ class NetClient {
 
   struct Pending {
     Status status;
-    std::string payload;
+    Reply reply;
     bool done = false;
   };
 

@@ -30,7 +30,7 @@ Status NetServer::Start(Handler handler, Options options,
 
   NetServer* raw = server.get();
   Status s = server->loop_.Start(
-      options.loop, [raw](uint64_t conn_id, Frame frame) {
+      options.loop, [raw](uint64_t conn_id, ReceivedFrame frame) {
         uint32_t method = frame.method;
         uint64_t request_id = frame.request_id;
         if (!raw->queue_->TryPush(
@@ -42,7 +42,9 @@ Status NetServer::Start(Handler handler, Options options,
           reply.request_id = request_id;
           reply.status = WireStatusCode(Status::Busy());
           reply.payload = "server overloaded";
-          raw->loop_.SendFrame(conn_id, reply);
+          std::string encoded;
+          EncodeFrame(reply, &encoded);
+          raw->loop_.SendFrame(conn_id, std::move(encoded));
         }
       });
   if (!s.ok()) return s;
@@ -74,40 +76,36 @@ void NetServer::DispatcherLoop() {
   while (auto work = queue_->Pop()) {
     queue_wait_ns_->Record(MonotonicNanos() - work->enqueue_ns);
     ScopedTimer timer(dispatch_ns_);
-    Frame reply;
-    reply.method = work->frame.method;
-    reply.request_id = work->frame.request_id;
+    const uint32_t method = work->frame.method;
+    // The reply is built in place: the handler appends its payload after
+    // the reserved frame prefix, and SealFrame fills the prefix in.
+    std::string reply(kFramePrefixBytes, '\0');
+    Status s;
     // Handshake frames are answered by the transport itself, before the
     // application handler sees anything: a mismatched peer must learn
     // InvalidArgument even if the handler would choke on its bytes.
     // Not counted in frames_served_ — that counter means RPCs served.
-    if (work->frame.method == kHandshakeMethod) {
+    if (method == kHandshakeMethod) {
       Handshake peer;
-      Status hs = Handshake::DecodeFrom(work->frame.payload, &peer);
-      if (hs.ok()) hs = CheckHandshake(peer);
-      reply.status = WireStatusCode(hs);
-      if (hs.ok()) {
+      s = Handshake::DecodeFrom(work->frame.payload, &peer);
+      if (s.ok()) s = CheckHandshake(peer);
+      if (s.ok()) {
         Handshake ours;
         ours.features = options_.features;
-        ours.EncodeTo(&reply.payload);
-      } else {
-        reply.payload = hs.message();
+        ours.EncodeTo(&reply);
       }
-      loop_.SendFrame(work->conn_id, reply);
-      continue;
+    } else {
+      s = handler_(method, work->frame.payload.ToString(), &reply);
+      frames_served_.fetch_add(1, std::memory_order_relaxed);
     }
-    std::string response;
-    Status s = handler_(work->frame.method, work->frame.payload, &response);
-    reply.status = WireStatusCode(s);
     // kOk and kNotFound carry the method payload (proof-of-absence
     // bytes ride on NotFound); every other status carries the message.
-    if (s.ok() || s.IsNotFound()) {
-      reply.payload = std::move(response);
-    } else {
-      reply.payload = s.message();
+    if (!s.ok() && !s.IsNotFound()) {
+      reply.resize(kFramePrefixBytes);
+      reply.append(s.message());
     }
-    frames_served_.fetch_add(1, std::memory_order_relaxed);
-    loop_.SendFrame(work->conn_id, reply);
+    SealFrame(method, work->frame.request_id, WireStatusCode(s), &reply);
+    loop_.SendFrame(work->conn_id, std::move(reply));
   }
 }
 

@@ -20,7 +20,10 @@ namespace spitz {
 // NetServer — a framed request/response RPC server over an EventLoop.
 // The handler maps (method, request bytes) to (status, response bytes);
 // SpitzServer and the non-intrusive design's TcpChannel both serve
-// through it.
+// through it. A response is built where it is sent from: *response
+// arrives holding the reserved frame prefix (kFramePrefixBytes), the
+// handler appends its payload after it, and the server fills in the
+// prefix and crc in place and hands the buffer to the loop.
 //
 // Threading model: the event loop thread only moves bytes; decoded
 // frames are queued to a pool of dispatcher threads that run the
@@ -32,6 +35,8 @@ namespace spitz {
 // ---------------------------------------------------------------------------
 class NetServer {
  public:
+  // Appends the response payload to *response; never overwrites the
+  // bytes already there.
   using Handler =
       std::function<Status(uint32_t method, const std::string& request,
                            std::string* response)>;
@@ -77,7 +82,7 @@ class NetServer {
 
   struct Work {
     uint64_t conn_id = 0;
-    Frame frame;
+    ReceivedFrame frame;
     uint64_t enqueue_ns = 0;  // stamped on push, for queue_wait_ns
   };
 

@@ -30,6 +30,13 @@ Status SpitzClient::Call(uint32_t method, const std::string& request,
   return net->Call(method, request, response, deadline_ms);
 }
 
+Status SpitzClient::Call(uint32_t method, const std::string& request,
+                         NetClient::Reply* reply, uint64_t deadline_ms) {
+  std::shared_ptr<NetClient> net = channel();
+  return net->Call(method, request, reply,
+                   deadline_ms == 0 ? options_.net.deadline_ms : deadline_ms);
+}
+
 Status SpitzClient::ConnectionStatus() const {
   return channel()->connection_status();
 }
@@ -160,18 +167,19 @@ Status SpitzClient::Write(const WriteOptions& options,
 
 Status SpitzClient::GetProof(const Slice& key, ProofResult* out,
                              uint64_t deadline_ms) {
-  std::string request, response;
+  std::string request;
   PutLengthPrefixedSlice(&request, key);
-  Status call_status = Call(wire::kGetProof, request, &response, deadline_ms);
+  NetClient::Reply reply;
+  Status call_status = Call(wire::kGetProof, request, &reply, deadline_ms);
   if (!call_status.ok() && !call_status.IsNotFound()) return call_status;
-  Slice input(response);
+  Slice input = reply.payload;
   Slice value;
   Status s = GetLengthPrefixedSlice(&input, &value);
   if (!s.ok()) return s;
   out->value = call_status.ok()
                    ? std::optional<std::string>(value.ToString())
                    : std::nullopt;
-  s = ReadProof::DecodeFrom(&input, &out->proof);
+  s = ReadProof::DecodeFrom(&input, std::move(reply.buffer), &out->proof);
   if (!s.ok()) return s;
   s = SpitzDigest::DecodeFrom(&input, &out->digest);
   if (!s.ok()) return s;
@@ -195,16 +203,17 @@ Status SpitzClient::FetchScanProof(const Slice& start, const Slice& end,
                                    std::vector<PosEntry>* rows,
                                    spitz::ScanProof* proof,
                                    SpitzDigest* digest) {
-  std::string request, response;
+  std::string request;
   PutLengthPrefixedSlice(&request, start);
   PutLengthPrefixedSlice(&request, end);
   PutVarint64(&request, limit);
-  Status s = Call(wire::kScanProof, request, &response, deadline_ms);
+  NetClient::Reply reply;
+  Status s = Call(wire::kScanProof, request, &reply, deadline_ms);
   if (!s.ok()) return s;
-  Slice input(response);
+  Slice input = reply.payload;
   s = wire::DecodeRows(&input, rows);
   if (!s.ok()) return s;
-  s = spitz::ScanProof::DecodeFrom(&input, proof);
+  s = spitz::ScanProof::DecodeFrom(&input, std::move(reply.buffer), proof);
   if (!s.ok()) return s;
   return SpitzDigest::DecodeFrom(&input, digest);
 }
@@ -237,18 +246,19 @@ Status SpitzClient::Digest(SpitzDigest* out) {
 Status SpitzClient::GetProofAt(const Hash256& root, const Slice& key,
                                std::optional<std::string>* value,
                                ReadProof* proof) {
-  std::string request, response;
+  std::string request;
   request.append(reinterpret_cast<const char*>(root.data()), Hash256::kSize);
   PutLengthPrefixedSlice(&request, key);
-  Status call_status = Call(wire::kGetProofAt, request, &response);
+  NetClient::Reply reply;
+  Status call_status = Call(wire::kGetProofAt, request, &reply);
   if (!call_status.ok() && !call_status.IsNotFound()) return call_status;
-  Slice input(response);
+  Slice input = reply.payload;
   Slice v;
   Status s = GetLengthPrefixedSlice(&input, &v);
   if (!s.ok()) return s;
   *value = call_status.ok() ? std::optional<std::string>(v.ToString())
                             : std::nullopt;
-  s = ReadProof::DecodeFrom(&input, proof);
+  s = ReadProof::DecodeFrom(&input, std::move(reply.buffer), proof);
   if (!s.ok()) return s;
   return call_status;
 }
@@ -257,17 +267,18 @@ Status SpitzClient::ScanProofAt(const Hash256& root, const Slice& start,
                                 const Slice& end, size_t limit,
                                 std::vector<PosEntry>* rows,
                                 spitz::ScanProof* proof) {
-  std::string request, response;
+  std::string request;
   request.append(reinterpret_cast<const char*>(root.data()), Hash256::kSize);
   PutLengthPrefixedSlice(&request, start);
   PutLengthPrefixedSlice(&request, end);
   PutVarint64(&request, limit);
-  Status s = Call(wire::kScanProofAt, request, &response);
+  NetClient::Reply reply;
+  Status s = Call(wire::kScanProofAt, request, &reply);
   if (!s.ok()) return s;
-  Slice input(response);
+  Slice input = reply.payload;
   s = wire::DecodeRows(&input, rows);
   if (!s.ok()) return s;
-  return spitz::ScanProof::DecodeFrom(&input, proof);
+  return spitz::ScanProof::DecodeFrom(&input, std::move(reply.buffer), proof);
 }
 
 // --- 2PC participant RPCs --------------------------------------------------

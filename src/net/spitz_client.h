@@ -83,7 +83,8 @@ class SpitzClient : public VerifiedKv {
   // --- Typed evidence (decoded form of GetProof) --------------------------
 
   // The raw evidence of one read: the value (absent on NotFound), the
-  // proof bytes, and the digest they verify against.
+  // proof, and the digest it verifies against. The proof views the
+  // reply's frame buffer and keeps it alive.
   struct ProofResult {
     std::optional<std::string> value;
     ReadProof proof;
@@ -165,9 +166,12 @@ class SpitzClient : public VerifiedKv {
   SpitzClient() = default;
 
   // Routes every RPC through the current connection; deadline_ms = 0
-  // uses the transport default.
+  // uses the transport default. The Reply form hands over the frame
+  // buffer, which decoded proofs keep as the owner of their nodes.
   Status Call(uint32_t method, const std::string& request,
               std::string* response, uint64_t deadline_ms = 0);
+  Status Call(uint32_t method, const std::string& request,
+              NetClient::Reply* reply, uint64_t deadline_ms = 0);
 
   // The one kScanProof round trip, decoded: VerifiedScan verifies it,
   // ScanProof(ScanEvidence) encodes it.

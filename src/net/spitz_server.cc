@@ -180,6 +180,54 @@ Status DecodeRequest(uint32_t method, Slice input, Request* req) {
   return Status::OK();
 }
 
+// The proof-bearing reads. kGetProof and kScanProof capture the digest
+// and prove against its index root, then ship the digest after the
+// proof. kGetProofAt and kScanProofAt prove against the exact version a
+// cluster digest snapshot named, immune to concurrent commits, and ship
+// no digest: the client verifies against the digest it pinned. The
+// proof cites the cached nodes it visited, and the reply is encoded
+// from them once, into a buffer of exactly its size.
+
+Status ServeProof(SpitzDb* db, uint32_t method, const Request& req,
+                  std::string* response) {
+  const bool with_digest = method == wire::kGetProof;
+  const SpitzDigest digest = with_digest ? db->Digest() : SpitzDigest();
+  std::string value;
+  ReadProof proof;
+  Status s = db->Read(with_digest ? digest.index_root : req.root, req.key,
+                      &value, &proof);
+  if (!s.ok() && !s.IsNotFound()) return s;
+  // NotFound still carries a proof of absence; the value slot is simply
+  // empty, so the layout is one shape for both outcomes.
+  const Slice found = s.ok() ? Slice(value) : Slice();
+  response->reserve(response->size() + LengthPrefixedSize(found) +
+                    proof.EncodedSize() +
+                    (with_digest ? digest.EncodedSize() : 0));
+  PutLengthPrefixedSlice(response, found);
+  proof.EncodeTo(response);
+  if (with_digest) digest.EncodeTo(response);
+  return s;
+}
+
+Status ServeScanProof(SpitzDb* db, uint32_t method, const Request& req,
+                      std::string* response) {
+  const bool with_digest = method == wire::kScanProof;
+  const SpitzDigest digest = with_digest ? db->Digest() : SpitzDigest();
+  std::vector<PosEntry> rows;
+  ScanProof proof;
+  Status s = db->ReadRange(with_digest ? digest.index_root : req.root,
+                           req.start, req.end, static_cast<size_t>(req.limit),
+                           &rows, &proof);
+  if (!s.ok()) return s;
+  response->reserve(response->size() + wire::RowsSize(rows) +
+                    proof.EncodedSize() +
+                    (with_digest ? digest.EncodedSize() : 0));
+  wire::EncodeRows(rows, response);
+  proof.EncodeTo(response);
+  if (with_digest) digest.EncodeTo(response);
+  return Status::OK();
+}
+
 }  // namespace
 
 Status SpitzServer::Handle(uint32_t method, const std::string& request,
@@ -236,19 +284,9 @@ Status SpitzServer::Handle(uint32_t method, const std::string& request,
       if (s.ok()) PutLengthPrefixedSlice(response, value);
       return s;
     }
-    case wire::kGetProof: {
-      // The proof is built against the root of the digest it ships with.
-      VerifiedKv::Evidence evidence;
-      s = db_->GetProof(req.key, &evidence);
-      if (!s.ok() && !s.IsNotFound()) return s;
-      // NotFound still carries a proof of absence; the value slot is
-      // simply empty, so the layout is one shape for both outcomes.
-      PutLengthPrefixedSlice(
-          response, evidence.value ? Slice(*evidence.value) : Slice());
-      response->append(evidence.proof);
-      response->append(evidence.digest);
-      return s;
-    }
+    case wire::kGetProof:
+    case wire::kGetProofAt:
+      return ServeProof(db_, method, req, response);
     case wire::kScan: {
       std::vector<PosEntry> rows;
       s = db_->ReadRange(kCurrentVersion, req.start, req.end,
@@ -257,16 +295,9 @@ Status SpitzServer::Handle(uint32_t method, const std::string& request,
       wire::EncodeRows(rows, response);
       return Status::OK();
     }
-    case wire::kScanProof: {
-      VerifiedKv::ScanEvidence evidence;
-      s = db_->ScanProof(req.start, req.end, static_cast<size_t>(req.limit),
-                         &evidence);
-      if (!s.ok()) return s;
-      wire::EncodeRows(evidence.rows, response);
-      response->append(evidence.proof);
-      response->append(evidence.digest);
-      return Status::OK();
-    }
+    case wire::kScanProof:
+    case wire::kScanProofAt:
+      return ServeScanProof(db_, method, req, response);
     case wire::kDigest: {
       db_->Digest().EncodeTo(response);
       return Status::OK();
@@ -290,28 +321,6 @@ Status SpitzServer::Handle(uint32_t method, const std::string& request,
       if (!s.ok()) return s;
       PutVarint64(response, txn_ids.size());
       for (uint64_t txn_id : txn_ids) PutFixed64(response, txn_id);
-      return Status::OK();
-    }
-    case wire::kGetProofAt: {
-      // Pinned-root read: proves against the exact version a cluster
-      // digest snapshot named, immune to concurrent commits. No digest
-      // in the reply — the client verifies against the digest it pinned.
-      std::string value;
-      ReadProof proof;
-      s = db_->Read(req.root, req.key, &value, &proof);
-      if (!s.ok() && !s.IsNotFound()) return s;
-      PutLengthPrefixedSlice(response, s.ok() ? Slice(value) : Slice());
-      proof.EncodeTo(response);
-      return s;
-    }
-    case wire::kScanProofAt: {
-      std::vector<PosEntry> rows;
-      ScanProof proof;
-      s = db_->ReadRange(req.root, req.start, req.end,
-                         static_cast<size_t>(req.limit), &rows, &proof);
-      if (!s.ok()) return s;
-      wire::EncodeRows(rows, response);
-      proof.EncodeTo(response);
       return Status::OK();
     }
     case wire::kAudit:

@@ -48,6 +48,14 @@ const char* MethodName(uint32_t method) {
   }
 }
 
+size_t RowsSize(const std::vector<PosEntry>& rows) {
+  size_t n = VarintLength(rows.size());
+  for (const PosEntry& row : rows) {
+    n += LengthPrefixedSize(row.key) + LengthPrefixedSize(row.value);
+  }
+  return n;
+}
+
 void EncodeRows(const std::vector<PosEntry>& rows, std::string* out) {
   PutVarint64(out, rows.size());
   for (const PosEntry& row : rows) {

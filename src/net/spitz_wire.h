@@ -51,6 +51,8 @@ constexpr size_t kMethodCount = 18;
 // Row vectors for scan responses: varint count, then lp(key) lp(value)
 // per row.
 void EncodeRows(const std::vector<PosEntry>& rows, std::string* out);
+// The exact number of bytes EncodeRows appends.
+size_t RowsSize(const std::vector<PosEntry>& rows);
 Status DecodeRows(Slice* input, std::vector<PosEntry>* out);
 
 // --- Replication payloads (protocol v3) ----------------------------------

@@ -468,9 +468,8 @@ TEST(ConcurrencyTest, HeldNodesOutliveEvictionAndGcRaces) {
     PosProof proof;
     ASSERT_TRUE(tree.Get(root, key_of(i), &value, &proof).ok());
     Held h;
-    h.id = Chunk(static_cast<ChunkType>(proof.node_types.back()),
-                 proof.node_payloads.back())
-               .id();
+    h.id = Chunk::IdOf(static_cast<ChunkType>(proof.nodes.back().type),
+                       proof.nodes.back().payload);
     h.node = LookupNode(&cache, h.id);
     ASSERT_NE(h.node, nullptr);
     for (size_t j = 0; j < h.node->entry_count(); j++) {

@@ -313,7 +313,9 @@ TEST_F(MbtTest, ProofRejectsTamperedDirectory) {
   std::string value;
   MerkleBucketTree::Proof proof;
   ASSERT_TRUE(tree_.Get(root, "a", &value, &proof).ok());
-  proof.directory_payload[0] ^= 1;
+  std::string directory = proof.directory.payload.ToString();
+  directory[0] ^= 1;
+  proof.directory = OwnedProofNode(proof.directory.type, directory);
   EXPECT_FALSE(MerkleBucketTree::VerifyProof(root, "a", value, proof).ok());
 }
 

@@ -12,7 +12,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <thread>
 
@@ -155,6 +157,63 @@ TEST(NetFrameTest, PoisonedAfterError) {
       << "decoder must not resynchronize after an error";
 }
 
+// Feeds `bytes` to a decoder through its read window, at most `chunk`
+// bytes at a time as a socket read would, and collects every frame that
+// completes.
+void ReadInto(FrameDecoder* decoder, const std::string& bytes, size_t chunk,
+              std::vector<ReceivedFrame>* frames) {
+  for (size_t fed = 0; fed < bytes.size();) {
+    const size_t step =
+        std::min({chunk, bytes.size() - fed, decoder->space_size()});
+    std::memcpy(decoder->space(), bytes.data() + fed, step);
+    decoder->Commit(step);
+    fed += step;
+    ReceivedFrame f;
+    while (decoder->Next(&f) == FrameDecoder::Result::kFrame) {
+      frames->push_back(std::move(f));
+    }
+  }
+}
+
+// Each frame lands in its own buffer whatever the read sizes, small
+// frames staged and large ones read in place, and the payloads stay
+// valid after the decoder is gone.
+TEST(NetFrameTest, EachFrameIsReadIntoItsOwnBuffer) {
+  const std::vector<std::string> payloads = {
+      "first", "", std::string(100 << 10, 'L'), "after-large",
+      std::string(20 << 10, 'M')};
+  std::string wire;
+  for (size_t i = 0; i < payloads.size(); i++) {
+    EncodeFrame(MakeFrame(4, i + 1, 0, payloads[i]), &wire);
+  }
+  for (size_t chunk : {size_t{1}, size_t{7}, size_t{4096}, size_t{1} << 20}) {
+    SCOPED_TRACE(chunk);
+    std::vector<ReceivedFrame> frames;
+    {
+      FrameDecoder decoder(1 << 20);
+      ReadInto(&decoder, wire, chunk, &frames);
+      EXPECT_EQ(decoder.buffered_bytes(), 0u);
+    }
+    ASSERT_EQ(frames.size(), payloads.size());
+    for (size_t i = 0; i < frames.size(); i++) {
+      EXPECT_EQ(frames[i].request_id, i + 1);
+      EXPECT_EQ(frames[i].payload.ToString(), payloads[i]);
+      EXPECT_EQ(frames[i].payload.data(),
+                static_cast<const char*>(frames[i].buffer.get()) +
+                    kFrameHeaderBytes);
+    }
+  }
+}
+
+TEST(NetFrameTest, SealFrameWritesWhatEncodeFrameWrites) {
+  std::string encoded;
+  EncodeFrame(MakeFrame(6, 77, 1, "sealed in place"), &encoded);
+  std::string sealed(kFramePrefixBytes, '\0');
+  sealed.append("sealed in place");
+  SealFrame(6, 77, 1, &sealed);
+  EXPECT_EQ(sealed, encoded);
+}
+
 TEST(NetFrameTest, StatusCodesRoundTripTheWire) {
   const Status statuses[] = {
       Status::OK(),           Status::NotFound("nf"),
@@ -229,7 +288,7 @@ Status EchoHandler(uint32_t method, const std::string& request,
   if (method == 98) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
   }
-  *response = request;
+  response->append(request);
   return Status::OK();
 }
 
@@ -616,6 +675,47 @@ TEST(NetSpitzTest, NotFoundCarriesAProofOfAbsence) {
 
   std::string value = "sentinel";
   EXPECT_TRUE(client->VerifiedGet("absent", &value).IsNotFound());
+}
+
+// A decoded proof views the frame buffer its reply arrived in and keeps
+// that buffer alive: it still verifies once the call, its client and
+// the whole fleet are gone. Under AddressSanitizer a view that outlived
+// its bytes fails here.
+TEST(NetSpitzTest, DecodedProofsOutliveTheCallAndTheConnection) {
+  SpitzClient::ProofResult point;
+  SpitzDigest digest;
+  ReadProof pinned;
+  std::optional<std::string> pinned_value;
+  std::vector<PosEntry> rows;
+  ScanProof range;
+  {
+    SpitzFixture fx;
+    auto client = fx.Client();
+    for (int i = 0; i < 300; i++) {
+      char key[16];
+      snprintf(key, sizeof(key), "k%03d", i);
+      ASSERT_TRUE(client->Put(key, "v" + std::to_string(i)).ok());
+    }
+    ASSERT_TRUE(client->GetProof("k042", &point).ok());
+    ASSERT_TRUE(client->Digest(&digest).ok());
+    ASSERT_TRUE(client
+                    ->GetProofAt(digest.index_root, "k123", &pinned_value,
+                                 &pinned)
+                    .ok());
+    ASSERT_TRUE(client
+                    ->ScanProofAt(digest.index_root, "k100", "k200", 0,
+                                  &rows, &range)
+                    .ok());
+  }
+  ASSERT_TRUE(point.value.has_value());
+  EXPECT_TRUE(
+      SpitzDb::VerifyRead(point.digest, "k042", point.value, point.proof)
+          .ok());
+  EXPECT_TRUE(
+      SpitzDb::VerifyRead(digest, "k123", pinned_value, pinned).ok());
+  EXPECT_EQ(pinned_value, std::optional<std::string>("v123"));
+  ASSERT_EQ(rows.size(), 100u);
+  EXPECT_TRUE(SpitzDb::VerifyScan(digest, "k100", "k200", 0, rows, range).ok());
 }
 
 TEST(NetSpitzTest, VerifiedScanChecksTheRangeProof) {

@@ -16,6 +16,7 @@
 #include "common/random.h"
 #include "common/record_frame.h"
 #include "core/spitz_db.h"
+#include "index/siri.h"
 #include "net/frame.h"
 
 namespace spitz {
@@ -721,9 +722,8 @@ TEST_F(PersistenceTest, HeldNodeAndScanRowsOutliveEvictionAndGc) {
   PosProof proof;
   ASSERT_TRUE(tree.Get(old_root, key, &value, &proof).ok());
   const Hash256 leaf_id =
-      Chunk(static_cast<ChunkType>(proof.node_types.back()),
-            proof.node_payloads.back())
-          .id();
+      Chunk::IdOf(static_cast<ChunkType>(proof.nodes.back().type),
+                  proof.nodes.back().payload);
   auto node = std::static_pointer_cast<const PosNode>(
       cache.Lookup(BufferCache::kPosNode, leaf_id));
   ASSERT_NE(node, nullptr);
@@ -731,6 +731,11 @@ TEST_F(PersistenceTest, HeldNodeAndScanRowsOutliveEvictionAndGc) {
   ASSERT_LT(slot, node->entry_count());
   const Slice held_key = node->key(slot);
   const Slice held_value = node->value(slot);
+  // The served proof cites the nodes the read visited; it must keep
+  // them, byte for byte, through the eviction and the GC below.
+  SiriProof served;
+  served.pos = proof;
+  const std::string served_bytes = served.Encode();
   std::vector<PosEntry> rows;
   ASSERT_TRUE(
       tree.Scan(old_root, PagedKey(0), PagedKey(50), 0, &rows, nullptr).ok());
@@ -744,6 +749,7 @@ TEST_F(PersistenceTest, HeldNodeAndScanRowsOutliveEvictionAndGc) {
   }
   EXPECT_EQ(cache.Lookup(BufferCache::kPosNode, leaf_id), nullptr);
   EXPECT_EQ(cache.Lookup(BufferCache::kRawChunk, leaf_id), nullptr);
+  EXPECT_EQ(served.Encode(), served_bytes);
   // Read the dead leaf back so the GC has a raw entry to erase.
   std::shared_ptr<const Chunk> raw;
   ASSERT_TRUE(store->Get(leaf_id, &raw).ok());
@@ -759,12 +765,69 @@ TEST_F(PersistenceTest, HeldNodeAndScanRowsOutliveEvictionAndGc) {
   EXPECT_EQ(cache.Lookup(BufferCache::kRawChunk, leaf_id), nullptr);
   EXPECT_TRUE(store->Get(leaf_id, &raw).IsNotFound());
 
+  EXPECT_EQ(served.Encode(), served_bytes);
+  EXPECT_TRUE(
+      served.Verify(old_root, key, PagedValue(7, 0, kValueBytes)).ok());
+
   EXPECT_EQ(held_key.ToString(), key);
   EXPECT_EQ(held_value.ToString(), PagedValue(7, 0, kValueBytes));
   ASSERT_EQ(rows.size(), 50u);
   for (int i = 0; i < 50; i++) {
     EXPECT_EQ(rows[i], (PosEntry{PagedKey(i), PagedValue(i, 0, kValueBytes)}));
   }
+}
+
+// A GC pass drops every cache entry of a chunk it collects, the decoded
+// node as well as the raw bytes, so dead nodes stop occupying budget.
+TEST_F(PersistenceTest, CollectingPassErasesDecodedNodesOfCollectedChunks) {
+  constexpr int kKeys = 1000;
+  constexpr size_t kValueBytes = 64;
+  BufferCache cache(/*capacity_bytes=*/16 << 20, /*shard_count=*/1);
+  FileChunkStore::Options store_options;
+  store_options.segment_bytes = 1 << 10;
+  store_options.cache = &cache;
+  std::unique_ptr<FileChunkStore> store;
+  ASSERT_TRUE(FileChunkStore::Open(Env::Default(), dir_ + "/chunks",
+                                   store_options, &store)
+                  .ok());
+  PosTree tree(store.get());
+  tree.SetNodeCache(&cache);
+  const auto build = [&](int round, Hash256* root) {
+    std::vector<PosEntry> entries;
+    for (int i = 0; i < kKeys; i++) {
+      entries.push_back({PagedKey(i), PagedValue(i, round, kValueBytes)});
+    }
+    ASSERT_TRUE(tree.Build(std::move(entries), root).ok());
+    store->OnBlockSealed();
+    ASSERT_TRUE(store->Sync().ok());
+  };
+  Hash256 old_root;
+  build(0, &old_root);
+  // Read every key of the old version, decoding all of its nodes.
+  std::string value;
+  for (int i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(tree.Get(old_root, PagedKey(i), &value, nullptr).ok());
+  }
+  std::unordered_set<Hash256, Hash256Hasher> old_ids;
+  ASSERT_TRUE(tree.CollectChunks(old_root, &old_ids).ok());
+
+  Hash256 new_root;
+  build(1, &new_root);
+  std::unordered_set<Hash256, Hash256Hasher> live;
+  const uint64_t mark = store->BeginGc();
+  ASSERT_TRUE(tree.CollectChunks(new_root, &live).ok());
+  ChunkGcStats stats;
+  ASSERT_TRUE(store->RetainLive(live, mark, &stats).ok());
+  ASSERT_GT(stats.dead_chunks, 0u);
+
+  size_t collected = 0;
+  for (const Hash256& id : old_ids) {
+    if (live.count(id) != 0) continue;
+    collected++;
+    EXPECT_EQ(cache.Lookup(BufferCache::kPosNode, id), nullptr);
+    EXPECT_EQ(cache.Lookup(BufferCache::kRawChunk, id), nullptr);
+  }
+  EXPECT_EQ(collected, stats.dead_chunks);
 }
 
 // --- Format pin -------------------------------------------------------------

@@ -398,8 +398,10 @@ TEST_F(PosTreeTest, ProofRejectsTamperedPayload) {
   std::string value;
   PosProof proof;
   ASSERT_TRUE(tree_.Get(root, "key00000042", &value, &proof).ok());
-  ASSERT_GE(proof.node_payloads.size(), 2u);
-  proof.node_payloads.back()[3] ^= 0x1;
+  ASSERT_GE(proof.nodes.size(), 2u);
+  std::string tampered = proof.nodes.back().payload.ToString();
+  tampered[3] ^= 0x1;
+  proof.nodes.back() = OwnedProofNode(proof.nodes.back().type, tampered);
   EXPECT_FALSE(
       PosTree::VerifyProof(root, "key00000042", value, proof).ok());
 }

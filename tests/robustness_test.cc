@@ -153,27 +153,25 @@ TEST(RobustnessTest, PosProofVerifierRejectsGarbagePayloads) {
   for (int i = 0; i < kTrials; i++) {
     PosProof mutated = valid;
     int what = static_cast<int>(rng.Uniform(4));
-    if (what == 0 && !mutated.node_payloads.empty()) {
+    ProofNode& node = mutated.nodes[rng.Uniform(mutated.nodes.size())];
+    if (what == 0) {
       // Bit-flip a payload byte.
-      std::string& payload =
-          mutated.node_payloads[rng.Uniform(mutated.node_payloads.size())];
+      std::string payload = node.payload.ToString();
       if (!payload.empty()) {
         payload[rng.Uniform(payload.size())] ^=
             static_cast<char>(1 << rng.Uniform(8));
       }
+      node = OwnedProofNode(node.type, payload);
     } else if (what == 1) {
       // Replace a payload wholesale with garbage.
-      mutated.node_payloads[rng.Uniform(mutated.node_payloads.size())] =
-          RandomGarbage(&rng);
-    } else if (what == 2 && mutated.node_payloads.size() > 1) {
+      node = OwnedProofNode(node.type, RandomGarbage(&rng));
+    } else if (what == 2 && mutated.nodes.size() > 1) {
       // Drop a level.
-      size_t idx = rng.Uniform(mutated.node_payloads.size());
-      mutated.node_payloads.erase(mutated.node_payloads.begin() + idx);
-      mutated.node_types.erase(mutated.node_types.begin() + idx);
+      mutated.nodes.erase(mutated.nodes.begin() +
+                          rng.Uniform(mutated.nodes.size()));
     } else {
       // Scramble a node type.
-      mutated.node_types[rng.Uniform(mutated.node_types.size())] =
-          static_cast<uint8_t>(rng.Uniform(256));
+      node.type = static_cast<uint8_t>(rng.Uniform(256));
     }
     Status s = PosTree::VerifyProof(root, "key250", value, mutated);
     EXPECT_FALSE(s.ok()) << "mutated proof accepted at trial " << i;
@@ -199,14 +197,14 @@ TEST(RobustnessTest, ScanProofVerifierRejectsMutations) {
 
   for (int i = 0; i < 100; i++) {
     PosRangeProof mutated = valid;
-    // Corrupt one random node payload in the proof map.
-    size_t target = rng.Uniform(mutated.nodes.size());
-    auto it = mutated.nodes.begin();
-    std::advance(it, target);
-    std::string& payload = it->second.second;
+    // Corrupt one random node payload in the proof.
+    ProofNode& node =
+        mutated.nodes[rng.Uniform(mutated.nodes.size())].second;
+    std::string payload = node.payload.ToString();
     if (payload.empty()) continue;
     payload[rng.Uniform(payload.size())] ^=
         static_cast<char>(1 << rng.Uniform(8));
+    node = OwnedProofNode(node.type, payload);
     EXPECT_FALSE(PosTree::VerifyRangeProof(root, "k000100", "k000150", 0,
                                            rows, mutated)
                      .ok());

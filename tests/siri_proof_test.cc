@@ -176,6 +176,26 @@ TEST_P(SiriProofTest, EmptyAndUnknownTagEnvelopesRejected) {
   EXPECT_FALSE(blank.Verify(f.root, "key00000", std::nullopt).ok());
 }
 
+// EncodedSize sizes a reply buffer exactly, so it must equal what
+// EncodeTo appends, for present and absent keys on every backend.
+TEST_P(SiriProofTest, EncodedSizeIsExact) {
+  Fixture f(GetParam());
+  for (const char* key : {"key00000", "key00123", "absent"}) {
+    std::string value;
+    SiriProof proof;
+    Status s = f.index->Get(f.root, key, &value, &proof);
+    ASSERT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
+    EXPECT_EQ(proof.EncodedSize(), proof.Encode().size()) << key;
+  }
+  if (GetParam() == SiriBackend::kPosTree) {
+    std::vector<PosEntry> rows;
+    SiriRangeProof range;
+    ASSERT_TRUE(
+        f.index->Scan(f.root, "key00010", "key00150", 0, &rows, &range).ok());
+    EXPECT_EQ(range.EncodedSize(), range.Encode().size());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, SiriProofTest,
                          ::testing::ValuesIn(kAllBackends),
                          [](const auto& info) {
@@ -234,6 +254,46 @@ TEST(SiriRangeProofTest, TamperedBytesRejected) {
   }
 }
 
+// A range proof has one byte form: its nodes in strictly ascending id
+// order, as the encoder writes them. A list that repeats a node or puts
+// two out of order is rejected before anything is verified.
+TEST(SiriRangeProofTest, NodesOutOfIdOrderOrRepeatedAreCorruption) {
+  Fixture f(SiriBackend::kPosTree, 2000);
+  std::vector<PosEntry> rows;
+  SiriRangeProof proof;
+  ASSERT_TRUE(f.index
+                  ->Scan(f.root, "key00100", "key01500", 0, &rows, &proof)
+                  .ok());
+  const auto& nodes = proof.pos.nodes;
+  ASSERT_GE(nodes.size(), 3u);
+  const auto encode = [](const std::vector<size_t>& order,
+                         const SiriRangeProof& from) {
+    std::string wire(1, static_cast<char>(SiriBackend::kPosTree));
+    PutVarint64(&wire, order.size());
+    for (size_t i : order) {
+      const auto& [id, node] = from.pos.nodes[i];
+      wire.append(id.ToBytes());
+      wire.push_back(static_cast<char>(node.type));
+      PutLengthPrefixedSlice(&wire, node.payload);
+    }
+    return wire;
+  };
+  std::vector<size_t> in_order(nodes.size());
+  for (size_t i = 0; i < nodes.size(); i++) in_order[i] = i;
+  ASSERT_EQ(encode(in_order, proof), proof.Encode());
+
+  std::vector<size_t> swapped = in_order;
+  std::swap(swapped[0], swapped[1]);
+  std::vector<size_t> repeated = in_order;
+  repeated.insert(repeated.begin() + 1, 0);
+  for (const auto& order : {swapped, repeated}) {
+    const std::string wire = encode(order, proof);
+    Slice input(wire);
+    SiriRangeProof decoded;
+    EXPECT_TRUE(SiriRangeProof::DecodeFrom(&input, &decoded).IsCorruption());
+  }
+}
+
 TEST(SiriRangeProofTest, NonPosTagRejectedAtDecode) {
   std::string wire;
   wire.push_back(static_cast<char>(SiriBackend::kMerkleBucketTree));
@@ -280,10 +340,9 @@ TEST(SiriProofDecodeTest, HugeEntryCountIsRejectedWithoutThrowing) {
     SiriRangeProof range;
     ChunkStore store;
     for (const auto& [type, payload] : crafted.path) {
-      proof.pos.node_types.push_back(static_cast<uint8_t>(type));
-      proof.pos.node_payloads.push_back(payload);
-      const Hash256 id = store.Put(Chunk(type, payload));
-      range.pos.nodes[id] = {static_cast<uint8_t>(type), payload};
+      const ProofNode node{static_cast<uint8_t>(type), payload, nullptr};
+      proof.pos.nodes.push_back(node);
+      range.pos.Add(store.Put(Chunk(type, payload)), node);
     }
 
     EXPECT_TRUE(PosTree::VerifyProof(root, "key", std::nullopt, proof.pos)

@@ -97,7 +97,7 @@ std::unique_ptr<TcpChannel> StartChannel(NetServer::Handler handler) {
 TEST(RpcTest, EchoCall) {
   auto channel = StartChannel(
       [](uint32_t method, const std::string& req, std::string* resp) {
-        *resp = std::to_string(method) + ":" + req;
+        resp->append(std::to_string(method) + ":" + req);
         return Status::OK();
       });
   std::string response;
@@ -118,7 +118,7 @@ TEST(RpcTest, HandlerErrorPropagates) {
 TEST(RpcTest, ConcurrentCallersSerializedThroughQueue) {
   auto channel =
       StartChannel([](uint32_t, const std::string& req, std::string* resp) {
-        *resp = req;
+        resp->append(req);
         return Status::OK();
       });
   // Eight callers pipeline over the one connection; every echo must come
