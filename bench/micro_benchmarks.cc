@@ -18,10 +18,9 @@
 #include "common/metrics.h"
 #include "common/random.h"
 #include "core/spitz_db.h"
+#include "core/table.h"
 #include "crypto/sha256.h"
-#include "index/btree.h"
 #include "index/pos_tree.h"
-#include "index/skiplist.h"
 #include "ledger/merkle_tree.h"
 #include "txn/batch_verifier.h"
 
@@ -468,22 +467,68 @@ void BM_DeferredVerifierDrain(benchmark::State& state) {
 }
 BENCHMARK(BM_DeferredVerifierDrain)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-void BM_BTreePutGet(benchmark::State& state) {
-  BTree tree;
-  Random rng(6);
-  const int n = static_cast<int>(state.range(0));
-  for (int i = 0; i < n; i++) {
-    tree.Put("key" + std::to_string(i), rng.Bytes(20));
-  }
-  std::string value;
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tree.Get("key" + std::to_string(i % n), &value));
-    i += 7919;
+// The table layer's write and verified row read (paper section 5): a
+// three-column table of 1000 rows on an in-memory database.
+TableSchema BenchTableSchema() {
+  TableSchema schema;
+  schema.name = "bench";
+  schema.primary_key_column = "id";
+  schema.columns = {{"id", ColumnSpec::Type::kString, false},
+                    {"owner", ColumnSpec::Type::kString, true},
+                    {"balance", ColumnSpec::Type::kNumeric, true}};
+  return schema;
+}
+
+std::string BenchRowKey(size_t i) {
+  char pk[16];
+  snprintf(pk, sizeof(pk), "r%06zu", i % 1000);
+  return pk;
+}
+
+void FillBenchTable(Table* table) {
+  for (size_t i = 0; i < 1000; i++) {
+    if (!table
+             ->Upsert({{"id", BenchRowKey(i)},
+                       {"owner", "owner" + std::to_string(i % 7)},
+                       {"balance", std::to_string(i)}})
+             .ok()) {
+      abort();
+    }
   }
 }
-BENCHMARK(BM_BTreePutGet)->Arg(100000);
+
+void BM_TableUpsert(benchmark::State& state) {
+  SpitzDb db;
+  Table table(&db, BenchTableSchema(), 1);
+  FillBenchTable(&table);
+  size_t i = 0;
+  for (auto _ : state) {
+    if (!table
+             .Upsert({{"id", BenchRowKey(i)},
+                      {"balance", std::to_string(i)}})
+             .ok()) {
+      abort();
+    }
+    i += 7919;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_TableUpsert);
+
+void BM_TableGetRowVerified(benchmark::State& state) {
+  SpitzDb db;
+  Table table(&db, BenchTableSchema(), 1);
+  FillBenchTable(&table);
+  size_t i = 0;
+  for (auto _ : state) {
+    Row row;
+    if (!table.GetRowVerified(BenchRowKey(i), &row).ok()) abort();
+    benchmark::DoNotOptimize(row);
+    i += 7919;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_TableGetRowVerified);
 
 void BM_MerkleInclusionProof(benchmark::State& state) {
   MerkleTree tree;
@@ -504,20 +549,6 @@ void BM_MerkleInclusionProof(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MerkleInclusionProof)->Arg(4096)->Arg(1048576);
-
-void BM_SkipListRangeScan(benchmark::State& state) {
-  SkipList sl;
-  Random rng(8);
-  for (int i = 0; i < 100000; i++) {
-    sl.Insert(rng.Uniform(1000000), "p" + std::to_string(i));
-  }
-  for (auto _ : state) {
-    std::vector<std::string> postings;
-    sl.RangeScan(500000, 501000, &postings);
-    benchmark::DoNotOptimize(postings);
-  }
-}
-BENCHMARK(BM_SkipListRangeScan);
 
 // Runs a small but complete workload (writes, sealed blocks, reads,
 // proofs, scans, audits, client-side verification) and prints the

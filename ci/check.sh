@@ -14,8 +14,8 @@
 # ASan+UBSan: the proof-codec, database, deferred-auditor, key-history,
 #   2PC participant, write-batch and read-set, network, cluster,
 #   replica, SHA-256/CRC32C kernel, journal, persistence,
-#   index-traversal (POS-tree, MPT, MBT, iterator and property) tests
-#   (untrusted bytes are decoded there —
+#   index-traversal (POS-tree, MPT, MBT, iterator and property),
+#   table, SQL and integration tests (untrusted bytes are decoded there —
 #   proof envelopes, decoded as views over the reply's frame buffer
 #   (ReadProof/ScanProof, and the range-proof node order check) and
 #   verified in place, the FrameDecoder both ends of a connection run,
@@ -27,7 +27,8 @@
 #   the POS-tree node decoder every read traversal and proof check runs
 #   (PosNode::Decode, which bounds a node's entry count by the bytes
 #   left to hold it) and the replication-record decoder, swept byte by
-#   byte in ReplicaRecordTest —
+#   byte in ReplicaRecordTest, and the table catalog entries
+#   (DecodeCatalogEntry) SqlDatabase reads back from the ledger —
 #   and the hardware hash kernels make unaligned vector loads, so memory
 #   errors and UB are the failure modes that matter).
 # The read-set suites are ClusterReadSetTest, TwoPhaseCommitTest,
@@ -115,10 +116,11 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
                concurrency_test cluster_test replica_test txn_test \
                crypto_test common_test \
                journal_test persistence_test pos_tree_test mpt_mbt_test \
-               iterator_test property_test
+               iterator_test property_test table_test sql_test \
+               integration_test
 ASAN_OPTIONS="halt_on_error=1 exitcode=66" \
 UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \
   ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-        -R 'Siri|SpitzDb|SpitzOptions|AuditorTest|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence|PosTree|Mpt|Mbt|Iterator'
+        -R 'Siri|SpitzDb|SpitzOptions|AuditorTest|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence|PosTree|Mpt|Mbt|Iterator|Table|Sql|Integration'
 
 echo "==> all checks passed"

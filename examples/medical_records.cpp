@@ -6,11 +6,12 @@
 //
 // This example exercises:
 //   * the JSON document interface ("self-defined JSON schema", 5.1);
-//   * multi-version cells — the full history of a patient's record
-//     remains queryable (immutability requirement);
+//   * multi-version cells — every upsert seals one ledger block, so the
+//     full history of a patient's record remains queryable
+//     (immutability requirement);
 //   * coding-standard migration (ICD-9 -> ICD-10) as new versions, with
 //     the old coding still provable;
-//   * analytical queries over the inverted index;
+//   * analytical queries over INDEXED columns;
 //   * verified row reads for audits.
 //
 // Build & run:  ./build/examples/medical_records
@@ -23,7 +24,6 @@ using namespace spitz;
 
 int main() {
   SpitzDb db;
-  ChunkStore cell_chunks;
 
   TableSchema schema;
   schema.name = "patients";
@@ -35,7 +35,7 @@ int main() {
       {"attending", ColumnSpec::Type::kString, true},
       {"heart_rate", ColumnSpec::Type::kNumeric, true},
   };
-  Table patients(&db, &cell_chunks, schema, 1);
+  Table patients(&db, schema, 1);
 
   // --- Admissions arrive as JSON documents -------------------------------
   const char* admissions[] = {
@@ -84,7 +84,7 @@ int main() {
            old_row["diagnosis_code"].c_str(), old_row["heart_rate"].c_str());
   }
 
-  // --- Analytics over the inverted indexes --------------------------------
+  // --- Analytics over the INDEXED columns ---------------------------------
   std::vector<std::string> tachycardic;
   patients.QueryNumericRange("heart_rate", 100, 200, &tachycardic);
   printf("\npatients with latest heart rate >= 100: %zu\n",

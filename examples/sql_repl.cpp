@@ -7,6 +7,11 @@
 //   ./build/examples/sql_repl [data_dir]       # interactive
 //   echo "SELECT ..." | ./build/examples/sql_repl [data_dir]
 //
+// With a data_dir the database is durable and keeps its tables: the
+// catalog and every row live on the ledger, so a later run over the
+// same directory sees the tables, rows and history an earlier one
+// wrote.
+//
 // Statements end at end of line. Extras beyond SQL:
 //   .digest    print the current database digest
 //   .verify K  verified read of raw key K with client-side proof check

@@ -115,13 +115,63 @@ class Lexer {
   Token current_;
 };
 
+// Catalog keys are c/<name>; "c0" is the first key past them.
+const char kCatalogPrefix[] = "c/";
+const char kCatalogEnd[] = "c0";
+
 Status SyntaxError(const std::string& what) {
   return Status::InvalidArgument("syntax error: " + what);
 }
 
 }  // namespace
 
+Status SqlDatabase::LoadCatalog() {
+  if (catalog_loaded_ || !db_->SupportsScan()) return Status::OK();
+  std::vector<PosEntry> entries;
+  Status s = db_->ReadRange(kCurrentVersion, kCatalogPrefix, kCatalogEnd, 0,
+                            &entries, nullptr);
+  if (!s.ok()) return s;
+  for (const PosEntry& entry : entries) {
+    uint32_t id = 0;
+    TableSchema schema;
+    s = DecodeCatalogEntry(entry.value, &id, &schema);
+    if (s.ok() && entry.key != kCatalogPrefix + schema.name) {
+      s = Status::Corruption("catalog entry names another table");
+    }
+    if (!s.ok()) {
+      tables_.clear();
+      return Status::Corruption(entry.key + ": " + s.ToString());
+    }
+    next_table_id_ = std::max(next_table_id_, id + 1);
+    std::string name = schema.name;
+    tables_.emplace(std::move(name),
+                    std::make_unique<Table>(db_, std::move(schema), id));
+  }
+  catalog_loaded_ = true;
+  return Status::OK();
+}
+
+Status SqlDatabase::CreateTable(const TableSchema& schema) {
+  if (!db_->SupportsScan()) {
+    return Status::NotSupported(
+        "tables need an index backend with ordered scans (the POS-tree)");
+  }
+  Status s = ValidateSchema(schema);
+  if (!s.ok()) return s;
+  if (tables_.count(schema.name)) {
+    return Status::InvalidArgument("table already exists: " + schema.name);
+  }
+  const uint32_t id = next_table_id_;
+  s = db_->Put(kCatalogPrefix + schema.name, EncodeCatalogEntry(id, schema));
+  if (s.ok()) s = db_->FlushBlock();
+  if (!s.ok()) return s;
+  next_table_id_++;
+  tables_.emplace(schema.name, std::make_unique<Table>(db_, schema, id));
+  return Status::OK();
+}
+
 Table* SqlDatabase::GetTable(const std::string& name) {
+  if (!LoadCatalog().ok()) return nullptr;
   auto it = tables_.find(name);
   return it == tables_.end() ? nullptr : it->second.get();
 }
@@ -130,6 +180,8 @@ Status SqlDatabase::Execute(const Slice& sql, SqlResult* result) {
   result->columns.clear();
   result->rows.clear();
   result->message.clear();
+  Status loaded = LoadCatalog();
+  if (!loaded.ok()) return loaded;
   Lexer lex(sql);
 
   // ----------------------------------------------------------- CREATE ---
@@ -138,9 +190,6 @@ Status SqlDatabase::Execute(const Slice& sql, SqlResult* result) {
     Token name = lex.Take();
     if (name.kind != Token::Kind::kWord) {
       return SyntaxError("expected table name");
-    }
-    if (tables_.count(name.raw)) {
-      return Status::InvalidArgument("table already exists: " + name.raw);
     }
     if (!lex.TakeSymbol('(')) return SyntaxError("expected (");
     TableSchema schema;
@@ -178,12 +227,8 @@ Status SqlDatabase::Execute(const Slice& sql, SqlResult* result) {
       if (lex.TakeSymbol(')')) break;
       return SyntaxError("expected , or ) in column list");
     }
-    if (schema.primary_key_column.empty()) {
-      return Status::InvalidArgument("table needs a PRIMARY KEY column");
-    }
-    tables_.emplace(schema.name,
-                    std::make_unique<Table>(db_, &cell_chunks_, schema,
-                                            next_table_id_++));
+    Status s = CreateTable(schema);
+    if (!s.ok()) return s;
     result->message = "created table " + schema.name;
     return Status::OK();
   }

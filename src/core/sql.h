@@ -38,7 +38,11 @@ struct SqlResult {
   std::string message;
 };
 
-// A catalog of tables over one SpitzDb instance.
+// A catalog of tables over one SpitzDb instance. The catalog lives on
+// the ledger: CREATE TABLE writes key c/<name> (DecodeCatalogEntry), and
+// the first use of a SqlDatabase loads every table stored there, so a
+// reopened database keeps its tables. Tables need a backend with ordered
+// scans; on the MPT or MBT backend CREATE fails NotSupported.
 class SqlDatabase {
  public:
   explicit SqlDatabase(SpitzDb* db) : db_(db) {}
@@ -49,12 +53,17 @@ class SqlDatabase {
   // Parses and executes one SQL statement.
   Status Execute(const Slice& sql, SqlResult* result);
 
-  // Direct access for code that mixes SQL with the native API.
+  // Direct access for code that mixes SQL with the native API; nullptr
+  // if there is no such table or the catalog cannot be read.
   Table* GetTable(const std::string& name);
 
  private:
+  // Reads the catalog from the ledger unless already loaded.
+  Status LoadCatalog();
+  Status CreateTable(const TableSchema& schema);
+
   SpitzDb* db_;
-  ChunkStore cell_chunks_;
+  bool catalog_loaded_ = false;
   std::map<std::string, std::unique_ptr<Table>> tables_;
   uint32_t next_table_id_ = 1;
 };

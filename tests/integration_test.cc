@@ -91,6 +91,83 @@ TEST_F(IntegrationTest, SqlOverDurableDbSurvivesRestart) {
   EXPECT_TRUE(client.ObserveDigest(db->Digest(), &consistency).ok());
 }
 
+// Tables live on the ledger: after a close and reopen, a fresh
+// SqlDatabase finds the catalog and answers every query as before.
+TEST_F(IntegrationTest, SqlTablesSurviveReopen) {
+  const std::vector<std::string> queries = {
+      "SELECT * FROM accounts",
+      "SELECT id, owner FROM accounts WHERE balance BETWEEN 300 AND 700",
+      "SELECT HISTORY(balance) FROM accounts WHERE id = 'acc2'",
+  };
+  std::vector<SqlResult> before(queries.size());
+  uint64_t first_ts = 0;
+  Row at_first;
+  {
+    std::unique_ptr<SpitzDb> db;
+    ASSERT_TRUE(SpitzDb::Open(Durable(), &db).ok());
+    SqlDatabase sql(db.get());
+    SqlResult r;
+    ASSERT_TRUE(sql.Execute("CREATE TABLE accounts (id STRING PRIMARY KEY, "
+                            "owner STRING INDEXED, balance NUMERIC INDEXED)",
+                            &r)
+                    .ok());
+    for (int i = 0; i < 6; i++) {
+      ASSERT_TRUE(sql.Execute("INSERT INTO accounts (id, owner, balance) "
+                              "VALUES ('acc" + std::to_string(i) +
+                                  "', 'owner" + std::to_string(i % 2) +
+                                  "', " + std::to_string(i * 100) + ")",
+                              &r)
+                      .ok());
+    }
+    for (const char* balance : {"450", "900"}) {
+      ASSERT_TRUE(sql.Execute(std::string("UPDATE accounts SET balance = ") +
+                                  balance + " WHERE id = 'acc2'",
+                              &r)
+                      .ok());
+    }
+    for (size_t q = 0; q < queries.size(); q++) {
+      ASSERT_TRUE(sql.Execute(queries[q], &before[q]).ok()) << queries[q];
+    }
+    ASSERT_EQ(before[0].rows.size(), 6u);
+    ASSERT_EQ(before[1].rows.size(), 3u);  // acc3, acc4, acc5
+    ASSERT_EQ(before[2].rows.size(), 3u);  // 200, 450, 900
+    first_ts = std::stoull(before[2].rows[0][1]);
+    Table* accounts = sql.GetTable("accounts");
+    ASSERT_NE(accounts, nullptr);
+    ASSERT_TRUE(accounts->GetRowAt("acc2", first_ts, &at_first).ok());
+    EXPECT_EQ(at_first.at("balance"), "200");
+    ASSERT_TRUE(db->SyncStorage().ok());
+  }
+
+  std::unique_ptr<SpitzDb> db;
+  ASSERT_TRUE(SpitzDb::Open(Durable(), &db).ok());
+  SqlDatabase sql(db.get());
+  for (size_t q = 0; q < queries.size(); q++) {
+    SqlResult r;
+    Status s = sql.Execute(queries[q], &r);
+    ASSERT_TRUE(s.ok()) << queries[q] << ": " << s.ToString();
+    EXPECT_EQ(r.columns, before[q].columns) << queries[q];
+    EXPECT_EQ(r.rows, before[q].rows) << queries[q];
+  }
+  Table* accounts = sql.GetTable("accounts");
+  ASSERT_NE(accounts, nullptr);
+  Row row;
+  ASSERT_TRUE(accounts->GetRowAt("acc2", first_ts, &row).ok());
+  EXPECT_EQ(row, at_first);
+
+  // The name is taken; a new table gets the next unused id.
+  SqlResult r;
+  EXPECT_TRUE(sql.Execute("CREATE TABLE accounts (id STRING PRIMARY KEY)", &r)
+                  .IsInvalidArgument());
+  ASSERT_TRUE(
+      sql.Execute("CREATE TABLE audit (entry STRING PRIMARY KEY)", &r).ok());
+  ASSERT_TRUE(
+      sql.Execute("INSERT INTO audit (entry) VALUES ('e1')", &r).ok());
+  std::string value;
+  ASSERT_TRUE(db->Read(kCurrentVersion, "t2/e1/entry", &value, nullptr).ok());
+  EXPECT_EQ(value, "e1");
+}
+
 TEST_F(IntegrationTest, ControlLayerOverDurableDb) {
   LocalFleet::Options fleet_options;
   fleet_options.db = Durable();

@@ -12,10 +12,10 @@
 #include "common/random.h"
 #include "core/json.h"
 #include "core/spitz_db.h"
+#include "core/table.h"
 #include "index/pos_tree.h"
 #include "ledger/block.h"
 #include "ledger/merkle_tree.h"
-#include "store/cell.h"
 #include "txn/write_batch.h"
 
 namespace spitz {
@@ -103,11 +103,31 @@ TEST(RobustnessTest, InclusionProofDecoderNeverCrashes) {
   }
 }
 
-TEST(RobustnessTest, UniversalKeyDecoderNeverCrashes) {
+// The catalog decoder reads c/<name> values back from the ledger: random
+// bytes and every truncation of a valid entry are rejected.
+TEST(RobustnessTest, CatalogDecoderRejectsGarbageAndTruncations) {
   Random rng(106);
+  uint32_t id = 0;
+  TableSchema schema;
   for (int i = 0; i < kTrials; i++) {
-    UniversalKey key;
-    (void)UniversalKey::Decode(RandomGarbage(&rng), &key);
+    EXPECT_FALSE(DecodeCatalogEntry(RandomGarbage(&rng), &id, &schema).ok());
+  }
+  TableSchema valid;
+  valid.name = "orders";
+  valid.primary_key_column = "order_id";
+  valid.columns = {{"order_id", ColumnSpec::Type::kString, false},
+                   {"amount", ColumnSpec::Type::kNumeric, true}};
+  const std::string entry = EncodeCatalogEntry(7, valid);
+  ASSERT_TRUE(DecodeCatalogEntry(entry, &id, &schema).ok());
+  EXPECT_EQ(id, 7u);
+  EXPECT_EQ(schema.primary_key_column, "order_id");
+  ASSERT_EQ(schema.columns.size(), 2u);
+  EXPECT_EQ(schema.columns[1].type, ColumnSpec::Type::kNumeric);
+  EXPECT_TRUE(schema.columns[1].inverted_indexed);
+  for (size_t len = 0; len < entry.size(); len++) {
+    EXPECT_TRUE(DecodeCatalogEntry(Slice(entry.data(), len), &id, &schema)
+                    .IsCorruption())
+        << len;
   }
 }
 
