@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -385,6 +386,46 @@ void BM_SpitzDbReopen(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_SpitzDbReopen)->Arg(200000)->Unit(benchmark::kMillisecond);
+
+// Durable Puts with WriteOptions::sync from 1 and 8 threads on one fresh
+// durable database: the write pipeline end to end — group formation,
+// seal, journal append and the chunk + journal barrier. Reports journal
+// fsyncs per put (core.db.journal.fsyncs), which group commit keeps
+// below 1 once writers overlap.
+void BM_SpitzDbSyncPut(benchmark::State& state) {
+  static std::unique_ptr<SpitzDb> db;
+  const std::string dir = BenchDir("spitz_bench_sync_put");
+  if (state.thread_index() == 0) {
+    std::filesystem::remove_all(dir);
+    SpitzOptions options;
+    options.data_dir = dir;
+    if (!SpitzDb::Open(options, &db).ok()) abort();
+  }
+  WriteOptions sync;
+  sync.sync = true;
+  const std::string prefix = "t" + std::to_string(state.thread_index()) + "-";
+  const std::string value(100, 'v');
+  uint64_t i = 0;
+  for (auto _ : state) {
+    if (!db->Put(sync, prefix + std::to_string(i++ % 1000), value).ok()) {
+      abort();
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  if (state.thread_index() == 0) {
+    // Past the loop's closing barrier every thread's puts have returned,
+    // each timed in core.db.write_latency_ns.
+    const MetricsSnapshot snap = db->Metrics();
+    const HistogramSnapshot* writes =
+        snap.FindHistogram("core.db.write_latency_ns");
+    state.counters["fsyncs_per_put"] =
+        static_cast<double>(snap.CounterValue("core.db.journal.fsyncs")) /
+        static_cast<double>(std::max<uint64_t>(writes->count, 1));
+    db.reset();
+    std::filesystem::remove_all(dir);
+  }
+}
+BENCHMARK(BM_SpitzDbSyncPut)->Threads(1)->Threads(8)->UseRealTime();
 
 // One served in-memory node and a client connected to it.
 struct ServedNode {

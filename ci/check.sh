@@ -6,12 +6,13 @@
 #   check lives in ctest; every end-to-end measurement in spitzbench.
 #   Last, ci/loc.sh prints the tracked line and ctest case counts (it
 #   gates nothing).
-# TSan: the concurrency, deferred-auditor, 2PC participant, read-set,
-#   key-history, network, cluster and replica tests, and the POS-tree
-#   and persistence tests, whose bulk builds, bulk loads and recoveries
-#   hash on several threads (common/fork_join, whose own test runs here
-#   too).
-# ASan+UBSan: the proof-codec, database, deferred-auditor, key-history,
+# TSan: the concurrency, group-commit, version-GC, deferred-auditor,
+#   2PC participant, read-set, key-history, network, cluster and
+#   replica tests, and the POS-tree and persistence tests, whose bulk
+#   builds, bulk loads and recoveries hash on several threads
+#   (common/fork_join, whose own test runs here too).
+# ASan+UBSan: the proof-codec, database, group-commit, version-GC,
+#   deferred-auditor, key-history,
 #   2PC participant, write-batch and read-set, network, cluster,
 #   replica, SHA-256/CRC32C kernel, journal, persistence,
 #   index-traversal (POS-tree, MPT, MBT, iterator and property),
@@ -101,11 +102,11 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
       --target concurrency_test txn_test spitz_db_test auditor_test \
                key_history_test metrics_test recovery_test net_test \
                cluster_test replica_test pos_tree_test persistence_test \
-               common_test
+               common_test group_commit_test version_gc_test
 # TSAN_OPTIONS makes any reported race fail the run (exit code).
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
   ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
-        -R 'Concurrency|DeferredVerifier|AuditorTest|TxnParticipant|SpitzDb|KeyHistory|Metrics|Recovery|Net|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|PosTree|Persistence|ForkJoin'
+        -R 'Concurrency|DeferredVerifier|AuditorTest|TxnParticipant|SpitzDb|KeyHistory|Metrics|Recovery|Net|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|PosTree|Persistence|ForkJoin|GroupCommitTest|VersionGcTest'
 
 echo "==> tier-2: ASan+UBSan proof-codec and database suite"
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -117,10 +118,10 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
                crypto_test common_test \
                journal_test persistence_test pos_tree_test mpt_mbt_test \
                iterator_test property_test table_test sql_test \
-               integration_test
+               integration_test group_commit_test version_gc_test
 ASAN_OPTIONS="halt_on_error=1 exitcode=66" \
 UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \
   ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-        -R 'Siri|SpitzDb|SpitzOptions|AuditorTest|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence|PosTree|Mpt|Mbt|Iterator|Table|Sql|Integration'
+        -R 'Siri|SpitzDb|SpitzOptions|AuditorTest|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence|PosTree|Mpt|Mbt|Iterator|Table|Sql|Integration|GroupCommitTest|VersionGcTest'
 
 echo "==> all checks passed"

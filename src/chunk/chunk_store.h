@@ -77,9 +77,9 @@ class ChunkStore {
 
   // Makes every chunk stored so far crash-safe. The in-memory base
   // store has nothing to persist, so this is a no-op; FileChunkStore
-  // overrides it with a flush + fsync of the segment log. Callers (e.g.
-  // SpitzDb::SyncStorage and the group-commit leader) call this through
-  // the interface instead of probing for the durable subclass.
+  // overrides it with a flush + fsync of the segment log. The
+  // durability barrier (GroupCommit::Sync) calls this through the
+  // interface instead of probing for the durable subclass.
   virtual Status Sync() { return Status::OK(); }
 
   // Hook called by the database right after a block seals, so a paged

@@ -411,6 +411,7 @@ Status FileChunkStore::FlushAndSync() {
   // the disk (their records simply ride the next Sync). A concurrent
   // roll waits for syncs_in_flight_ to drain before closing the log.
   Status s = log->SyncFlushed();
+  fsyncs_.Increment();
   {
     std::lock_guard<std::mutex> lock(file_mu_);
     syncs_in_flight_--;
@@ -434,6 +435,7 @@ Status FileChunkStore::RollSegmentLocked(std::unique_lock<std::mutex>& lock) {
   // every sealed block in this segment are durable before any journal
   // entry written after the switch can be).
   s = log_->Sync();
+  fsyncs_.Increment();
   if (!s.ok()) {
     append_status_ = s;
     return s;
@@ -836,6 +838,7 @@ void FileChunkStore::ExportMetrics(MetricsRegistry* registry) const {
   registry->RegisterCounter("chunk.file.reads", &reads_);
   registry->RegisterCounter("chunk.file.read_bytes", &read_bytes_);
   registry->RegisterCounter("chunk.file.read_errors", &read_errors_);
+  registry->RegisterCounter("chunk.file.fsyncs", &fsyncs_);
   registry->RegisterCounter("chunk.segment.rolls", &rolls_);
   registry->RegisterGaugeFn("chunk.segment.count",
                             [this] { return segment_count(); });

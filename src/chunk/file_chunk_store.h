@@ -147,7 +147,7 @@ class FileChunkStore : public ChunkStore {
   BufferCache* cache() const { return cache_; }
 
   // Base export plus the paged-store accounting: `chunk.file.*`
-  // (replay, append, positional-read and read-error counts) and
+  // (replay, append, positional-read, read-error and fsync counts) and
   // `chunk.segment.*` (segment count, active-segment fill, rolls).
   void ExportMetrics(MetricsRegistry* registry) const override;
 
@@ -279,6 +279,8 @@ class FileChunkStore : public ChunkStore {
   mutable Counter read_bytes_;   // bytes fetched by positional reads
   mutable Counter read_errors_;  // positional reads that failed
   Counter rolls_;            // segment switches since Open()
+  // Segment-log fsyncs: every Sync() barrier, GC rewrite and roll.
+  Counter fsyncs_;
 };
 
 }  // namespace spitz

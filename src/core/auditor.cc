@@ -65,7 +65,7 @@ Status Auditor::CheckKey(const SpitzDigest& digest, const std::string& key,
   }
   // An audit can outlive its version's retention window; a failure on a
   // version GC has since collected is vacuous.
-  if (!s.ok() && db_->VersionCollected(digest.index_root)) {
+  if (!s.ok() && db_->gc()->Collected(digest.index_root)) {
     return Status::OK();
   }
   return s;

@@ -35,20 +35,6 @@ std::unique_ptr<ChunkStore> MakeChunkStore(const SpitzOptions& options,
   return file_store;
 }
 
-// Bounds on one commit group. The leader drains the queue up to these
-// caps so a burst of writers cannot stretch one group (and thus the
-// tail latency of its first member) without bound; writers past the cap
-// simply form the next group. The ops cap dominates for small writes,
-// the byte cap for blob-sized ones.
-constexpr size_t kMaxGroupOps = 4096;
-constexpr size_t kMaxGroupBytes = 4 << 20;
-
-// When a non-sync commit leaves more than this many bytes in the
-// journal's manual-flush buffer, the leader flushes them to the kernel
-// (FlushJournal) before finishing — bounding user-space memory for
-// workloads that never ask for a barrier.
-constexpr size_t kJournalBackpressureBytes = 4 << 20;
-
 // BulkLoad's pieces of parallel work: values hashed, and full blocks
 // whose entries root is computed, per piece.
 constexpr size_t kValueHashGrain = 512;
@@ -79,9 +65,7 @@ Status SpitzOptions::Validate() const {
 }
 
 SpitzDb::SpitzDb(SpitzOptions options)
-    : SpitzDb(std::move(options), /*durable=*/false) {
-  StartGcThread();
-}
+    : SpitzDb(std::move(options), /*durable=*/false) {}
 
 SpitzDb::SpitzDb(SpitzOptions options, bool durable)
     : options_(std::move(options)),
@@ -111,6 +95,13 @@ SpitzDb::SpitzDb(SpitzOptions options, bool durable)
   siri.mbt_bucket_count = options_.mbt_bucket_count;
   index_ = MakeSiriIndex(options_.index_backend, chunks_.get(), siri);
   index_->SetNodeCache(buffer_cache_.get());
+  MetricsRegistry* registry = options_.enable_metrics ? &registry_ : nullptr;
+  commit_ = std::make_unique<GroupCommit>(
+      &mu_, &ledger_, chunks_.get(),
+      [this](const std::vector<GroupCommit::Request*>& group, bool sync) {
+        return ApplyGroupLocked(group, sync);
+      },
+      [this](uint64_t blocks) { NotifySealed(blocks); }, registry);
   // A commit decision applies through the ordinary group-commit
   // pipeline, durably, exempt from its own prepared-key locks.
   participant_ = std::make_unique<TxnParticipant>(
@@ -127,11 +118,25 @@ SpitzDb::SpitzDb(SpitzOptions options, bool durable)
       init_status_);
   WireMetrics();
   PublishSnapshotLocked(/*journal_changed=*/true);
+  gc_ = std::make_unique<VersionGc>(
+      chunks_.get(), index_.get(),
+      [this](std::vector<Hash256>* roots) {
+        std::lock_guard<std::mutex> lock(mu_);
+        roots->push_back(root_);
+        const uint64_t blocks = ledger_.block_count();
+        const uint64_t keep =
+            std::min<uint64_t>(options_.retain_versions, blocks);
+        for (uint64_t i = 0; i < keep; i++) {
+          roots->push_back(ledger_.IndexRoot(blocks - 1 - i));
+        }
+        return chunks_->BeginGc();
+      },
+      options_.gc_interval_blocks, init_status_, registry);
   auditor_ = std::make_unique<Auditor>(
       this,
       DeferredVerifier::Options(options_.audit_batch_size,
                                 options_.audit_workers),
-      options_.enable_metrics ? &registry_ : nullptr);
+      registry);
 }
 
 void SpitzDb::WireMetrics() {
@@ -149,10 +154,8 @@ void SpitzDb::WireMetrics() {
       registry_.histogram("index.siri.proof_bytes." + backend);
   metrics_.range_proof_bytes =
       registry_.histogram("index.siri.range_proof_bytes." + backend);
-  metrics_.group_size = registry_.histogram("core.db.commit.group_size");
   registry_.RegisterCounter("core.db.journal.truncated_bytes",
                             &journal_truncated_bytes_);
-  registry_.RegisterCounter("core.db.journal.fsyncs", &journal_fsyncs_);
   registry_.RegisterGaugeFn("core.db.journal.resident_bytes", [this] {
     std::lock_guard<std::mutex> lock(mu_);
     return ledger_.resident_bytes();
@@ -168,14 +171,6 @@ void SpitzDb::WireMetrics() {
   registry_.RegisterCounter("core.db.commit.read_set_aborts",
                             &read_set_aborts_);
   participant_->ExportMetrics(&registry_);
-  registry_.RegisterCounter("gc.runs", &gc_runs_);
-  registry_.RegisterCounter("gc.failures", &gc_failures_);
-  registry_.RegisterCounter("gc.dead_chunks", &gc_dead_chunks_);
-  registry_.RegisterCounter("gc.reclaimed_bytes", &gc_reclaimed_bytes_);
-  registry_.RegisterCounter("gc.rewritten_bytes", &gc_rewritten_bytes_);
-  registry_.RegisterCounter("gc.segments_deleted", &gc_segments_deleted_);
-  registry_.RegisterGaugeFn("gc.live_chunks",
-                            [this] { return gc_live_chunks_.value(); });
   chunks_->ExportMetrics(&registry_);
   buffer_cache_->ExportMetrics(&registry_);
   // The decoded-node share of the unified cache, under index.cache.*.
@@ -210,7 +205,6 @@ Status SpitzDb::Open(SpitzOptions options, std::unique_ptr<SpitzDb>* db) {
   if (s.ok()) s = instance->Recover();
   if (!s.ok()) return s;
   instance->PublishSnapshotLocked(/*journal_changed=*/true);
-  instance->StartGcThread();
   *db = std::move(instance);
   return Status::OK();
 }
@@ -228,46 +222,13 @@ Status SpitzDb::Recover() {
   if (ledger_.block_count() > 0 && !index_->Count(root_, &count).ok()) {
     return Status::Corruption("recovered index root missing from chunk store");
   }
-  // The recovered blocks are the file's contents: no barrier owes them.
-  synced_blocks_ = ledger_.block_count();
+  commit_->MarkDurable(ledger_.block_count());
   // Replay the 2PC participant log: prepares without a decision marker
   // become the in-doubt set, their key locks re-taken.
   return participant_->Recover();
 }
 
-SpitzDb::~SpitzDb() {
-  if (gc_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(gc_wake_mu_);
-      gc_stop_ = true;
-    }
-    gc_wake_cv_.notify_all();
-    gc_thread_.join();
-  }
-  auditor_.reset();
-}
-
-void SpitzDb::StartGcThread() {
-  if (options_.gc_interval_blocks == 0 || gc_thread_.joinable()) return;
-  gc_thread_ = std::thread(&SpitzDb::GcThreadMain, this);
-}
-
-void SpitzDb::GcThreadMain() {
-  std::unique_lock<std::mutex> lock(gc_wake_mu_);
-  for (;;) {
-    gc_wake_cv_.wait(lock, [&] {
-      return gc_stop_ || gc_sealed_height_ - gc_ran_height_ >=
-                             options_.gc_interval_blocks;
-    });
-    if (gc_stop_) return;
-    gc_ran_height_ = gc_sealed_height_;
-    lock.unlock();
-    // Failures already land in gc.failures; a background pass has no
-    // caller to hand the status to.
-    CollectGarbage(nullptr);
-    lock.lock();
-  }
-}
+SpitzDb::~SpitzDb() { auditor_.reset(); }
 
 void SpitzDb::NotifySealed(uint64_t block_count) {
   // Outside mu_: the roll inside OnBlockSealed may fsync the outgoing
@@ -279,80 +240,16 @@ void SpitzDb::NotifySealed(uint64_t block_count) {
     std::lock_guard<std::mutex> lock(seal_listener_mu_);
     if (seal_listener_) seal_listener_(block_count);
   }
-  if (!gc_thread_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lock(gc_wake_mu_);
-    if (block_count > gc_sealed_height_) gc_sealed_height_ = block_count;
-  }
-  gc_wake_cv_.notify_one();
-}
-
-bool SpitzDb::VersionCollected(const Hash256& index_root) {
-  if (index_root.IsZero()) return false;
-  { std::lock_guard<std::mutex> lock(gc_run_mu_); }
-  return !chunks_->Contains(index_root);
-}
-
-Status SpitzDb::CollectGarbage(ChunkGcStats* stats_out) {
-  if (!init_status_.ok()) return init_status_;
-  std::lock_guard<std::mutex> gc_lock(gc_run_mu_);
-  // Snapshot the retained roots and arm the store's mark under the
-  // writer lock: every commit after this point carries an insertion
-  // sequence >= mark_seq and is untouchable by this pass, so the roots
-  // below cover everything the pass may collect.
-  std::vector<Hash256> roots;
-  uint64_t mark_seq = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    roots.push_back(root_);
-    uint64_t blocks = ledger_.block_count();
-    uint64_t keep = std::min<uint64_t>(options_.retain_versions, blocks);
-    for (uint64_t i = 0; i < keep; i++) {
-      roots.push_back(ledger_.IndexRoot(blocks - 1 - i));
-    }
-    mark_seq = chunks_->BeginGc();
-  }
-  // Mark outside the writer lock — the roots are immutable versions, so
-  // the walk never races a commit. The epoch pin keeps a concurrent
-  // (second) collector from sweeping mid-walk.
-  std::unordered_set<Hash256, Hash256Hasher> live;
-  {
-    auto pin = chunks_->PinReads();
-    for (const Hash256& root : roots) {
-      Status s = index_->CollectChunks(root, &live);
-      if (!s.ok()) {
-        chunks_->AbortGc();
-        gc_failures_.Increment();
-        return s;
-      }
-    }
-  }
-  ChunkGcStats stats;
-  Status s = chunks_->RetainLive(live, mark_seq, &stats);
-  if (!s.ok()) {
-    gc_failures_.Increment();
-    return s;
-  }
-  gc_runs_.Increment();
-  gc_live_chunks_.Set(stats.live_chunks);
-  gc_dead_chunks_.Increment(stats.dead_chunks);
-  gc_reclaimed_bytes_.Increment(stats.reclaimed_bytes);
-  gc_rewritten_bytes_.Increment(stats.rewritten_bytes);
-  gc_segments_deleted_.Increment(stats.segments_deleted);
-  if (stats_out != nullptr) *stats_out = stats;
-  return Status::OK();
+  gc_->OnSealed(block_count);
 }
 
 Status SpitzDb::SyncStorage() {
-  // In-memory databases have no journal; syncing the chunk store is a
-  // no-op there (virtual Sync defaults to OK) but kept for uniformity.
-  if (!ledger_.has_log()) return chunks_->Sync();
   uint64_t blocks = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     blocks = ledger_.block_count();
   }
-  return SyncCommitted(blocks);
+  return commit_->Sync(blocks);
 }
 
 void SpitzDb::PublishSnapshotLocked(bool journal_changed) {
@@ -391,204 +288,45 @@ Status SpitzDb::WriteInternal(const WriteOptions& options,
                               const WriteBatch& batch, uint64_t bypass_txn) {
   if (!init_status_.ok()) return init_status_;
   ScopedTimer timer(metrics_.write_ns);
-  CommitRequest req;
-  req.batch = &batch;
-  req.bypass_txn = bypass_txn;
-  // Durability is only on offer when there is a journal to fsync; the
-  // in-memory database ignores the flag rather than force-sealing
-  // partial blocks for a barrier that cannot exist.
-  req.sync = (options.sync || options_.sync_writes) && ledger_.has_log();
-
-  std::unique_lock<std::mutex> lock(commit_mu_);
-  commit_queue_.push_back(&req);
-  // Wait until a leader commits this request — or until this request
-  // reaches the head of the queue and must lead. A group stays queued
-  // through its apply stage, so exactly one leader applies at a time
-  // and journal records are appended in commit order. (The queue can be
-  // empty here: a popped-but-not-done request rechecking the predicate
-  // must not dereference front().)
-  commit_cv_.wait(lock, [&] {
-    return req.done ||
-           (!commit_queue_.empty() && &req == commit_queue_.front());
-  });
-  if (req.done) return req.status;
-
-  // Leader: drain a bounded group off the queue head. The requests stay
-  // queued (see above); later arrivals line up behind them.
-  std::vector<CommitRequest*> group;
-  bool group_sync = false;
-  size_t group_ops = 0, group_bytes = 0;
-  for (CommitRequest* r : commit_queue_) {
-    if (!group.empty() && (group_ops + r->batch->size() > kMaxGroupOps ||
-                           group_bytes + r->batch->ByteSize() > kMaxGroupBytes)) {
-      break;
-    }
-    group.push_back(r);
-    group_ops += r->batch->size();
-    group_bytes += r->batch->ByteSize();
-    group_sync |= r->sync;
-  }
-  lock.unlock();
-
-  uint64_t blocks = 0;
-  bool flush_backpressure = false;
-  Status io = CommitGroup(group, group_sync, &blocks, &flush_backpressure);
-
-  // Pipelined hand-off: pop the group and wake the next head *before*
-  // any disk wait, so its apply stage (mu_) runs while this group sits
-  // in the sync stage (sync_mu_). Popped members are not done yet —
-  // they keep waiting on commit_cv_ until after the barrier.
-  lock.lock();
-  commit_queue_.erase(commit_queue_.begin(),
-                      commit_queue_.begin() + group.size());
-  commit_cv_.notify_all();
-  lock.unlock();
-
-  if (group_sync && io.ok()) {
-    // One disk barrier amortized over the whole group — and over any
-    // other group whose records the same barrier happens to cover. No
-    // lock is held: enqueueing writers, the next group's apply, readers
-    // and the auditor all keep running while this group waits on disk.
-    io = SyncCommitted(blocks);
-    if (!io.ok()) {
-      // Every writer whose batch applied must hear that its write may
-      // not survive a restart. Batches rejected at apply time keep
-      // their own (more specific) error.
-      for (CommitRequest* r : group) {
-        if (r->status.ok()) r->status = io;
-      }
-    }
-  } else if (flush_backpressure) {
-    FlushJournal();
-  }
-
-  lock.lock();
-  for (CommitRequest* r : group) r->done = true;
-  commit_cv_.notify_all();
-  return req.status;
+  return commit_->Commit(batch, options.sync || options_.sync_writes,
+                         bypass_txn);
 }
 
-Status SpitzDb::CommitGroup(const std::vector<CommitRequest*>& group,
-                            bool sync, uint64_t* blocks,
-                            bool* flush_backpressure) {
-  if (metrics_.group_size) metrics_.group_size->Record(group.size());
+bool SpitzDb::ApplyGroupLocked(const std::vector<GroupCommit::Request*>& group,
+                               bool sync) {
   bool sealed = false;
-  uint64_t block_count = 0;
-  Status io;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (CommitRequest* r : group) {
-      // Prepared-key locks: a batch touching a key some in-doubt 2PC
-      // transaction prepared fails Busy until the coordinator decides,
-      // or the decided outcome could be clobbered between vote and
-      // commit.
-      r->status = participant_->CheckConflicts(*r->batch, r->bypass_txn);
-      // The read set is checked against root_ as the batches before it
-      // in this group left it, exactly as a serial run would. A commit
-      // decision's reads were checked at prepare and are locked since.
-      if (r->status.ok() && r->bypass_txn == 0) {
-        r->status = ValidateReadsLocked(*r->batch);
-      }
-      if (!r->status.ok()) continue;
-      r->status = ApplyBatchLocked(*r->batch);
-      // Seal inside the per-batch loop, exactly where the serial path
-      // would: block boundaries (and each block's recorded index root)
-      // are therefore identical to running the same batch sequence one
-      // at a time, whatever grouping the queue happened to produce.
-      if (r->status.ok() && pending_.size() >= options_.block_size) {
-        SealPendingLocked();
-        sealed = true;
-      }
+  for (GroupCommit::Request* r : group) {
+    // Prepared-key locks: a batch touching a key some in-doubt 2PC
+    // transaction prepared fails Busy until the coordinator decides,
+    // or the decided outcome could be clobbered between vote and
+    // commit.
+    r->status = participant_->CheckConflicts(*r->batch, r->bypass_txn);
+    // The read set is checked against root_ as the batches before it
+    // in this group left it, exactly as a serial run would. A commit
+    // decision's reads were checked at prepare and are locked since.
+    if (r->status.ok() && r->bypass_txn == 0) {
+      r->status = ValidateReadsLocked(*r->batch);
     }
-    // A sync group additionally seals its tail: durability is promised
-    // for every write in the group, and only journaled blocks survive a
-    // crash.
-    if (sync && !pending_.empty()) {
+    if (!r->status.ok()) continue;
+    r->status = ApplyBatchLocked(*r->batch);
+    // Seal inside the per-batch loop, exactly where the serial path
+    // would: block boundaries (and each block's recorded index root)
+    // are therefore identical to running the same batch sequence one
+    // at a time, whatever grouping the queue happened to produce.
+    if (r->status.ok() && pending_.size() >= options_.block_size) {
       SealPendingLocked();
       sealed = true;
     }
-    if (sealed) io = ledger_.status();
-    *blocks = block_count = ledger_.block_count();
-    PublishSnapshotLocked(/*journal_changed=*/sealed);
-    // Read under mu_ (appends are mu_-serialized, so this is exact): a
-    // long non-sync run must eventually hand the journal's manual-flush
-    // buffer to the kernel or it grows without bound.
-    *flush_backpressure =
-        !sync && ledger_.buffered_bytes() >= kJournalBackpressureBytes;
   }
-  if (!io.ok()) {
-    // A failed journal append is group-wide: the group's blocks will
-    // not survive a restart.
-    for (CommitRequest* r : group) {
-      if (r->status.ok()) r->status = io;
-    }
+  // A sync group additionally seals its tail: durability is promised
+  // for every write in the group, and only journaled blocks survive a
+  // crash.
+  if (sync && !pending_.empty()) {
+    SealPendingLocked();
+    sealed = true;
   }
-  if (sealed) NotifySealed(block_count);
-  return io;
-}
-
-Status SpitzDb::SyncCommitted(uint64_t blocks) {
-  std::unique_lock<std::mutex> sync_lock(sync_mu_);
-  for (;;) {
-    // A barrier that completed after our records were appended already
-    // hardened them (its flush snapshot is a superset of our cut):
-    // piggyback and return without touching the disk. This is the
-    // coalescing that keeps fsyncs ≪ puts — concurrent sync writers
-    // converge on ~2 barriers per round, not one each.
-    if (synced_blocks_ >= blocks) return Status::OK();
-    if (!sync_in_flight_) break;
-    sync_cv_.wait(sync_lock);
-  }
-  sync_in_flight_ = true;
-  sync_lock.unlock();
-
-  Status s;
-  uint64_t flushed_blocks = 0;
-  {
-    // (1) Snapshot-flush: every block sealed so far becomes
-    // kernel-visible, and nothing else can follow until this barrier
-    // completes (every flush defers to the in-flight barrier; the
-    // journal never flushes on its own in manual-flush mode). A journal
-    // whose append failed refuses, so no barrier covers a lost block.
-    std::lock_guard<std::mutex> lock(mu_);
-    s = ledger_.Flush();
-    flushed_blocks = ledger_.block_count();
-  }
-  if (s.ok()) {
-    // (2) Chunks strictly before (3) the journal: every record in the
-    // snapshot references only chunks appended before it, so after
-    // this barrier the chunk store durably holds every index node the
-    // journal's durable prefix can name. Recovery depends on that
-    // order — it refuses roots that do not resolve in the chunk store.
-    s = chunks_->Sync();
-    if (s.ok()) {
-      s = ledger_.SyncFlushed();
-      journal_fsyncs_.Increment();
-    }
-  }
-
-  sync_lock.lock();
-  sync_in_flight_ = false;
-  if (s.ok() && flushed_blocks > synced_blocks_) {
-    synced_blocks_ = flushed_blocks;
-  }
-  // Wake every waiter: covered ones return OK, the rest race to run the
-  // next barrier (after a failure the winner retries the I/O and
-  // surfaces the sticky error to its own caller).
-  sync_cv_.notify_all();
-  return s;
-}
-
-void SpitzDb::FlushJournal() {
-  // Kernel visibility only, not a durability point — but excluded
-  // against the in-flight barrier, so no journal byte can slip into the
-  // window between SyncCommitted's chunk barrier and its journal fsync.
-  // A failure here is sticky inside the journal and surfaces on the
-  // next seal or sync.
-  std::unique_lock<std::mutex> sync_lock(sync_mu_);
-  sync_cv_.wait(sync_lock, [&] { return !sync_in_flight_; });
-  std::lock_guard<std::mutex> lock(mu_);
-  ledger_.Flush();
+  PublishSnapshotLocked(/*journal_changed=*/sealed);
+  return sealed;
 }
 
 Status SpitzDb::ValidateReadsLocked(const WriteBatch& batch) {
@@ -706,7 +444,7 @@ Status SpitzDb::BulkLoad(std::vector<PosEntry> entries) {
   if (block_count > 0) NotifySealed(block_count);
   // A bulk load can leave many MB in the journal's manual-flush buffer;
   // hand them to the kernel now instead of waiting for backpressure.
-  if (io.ok() && ledger_.has_log()) FlushJournal();
+  if (io.ok()) commit_->FlushJournal();
   return io;
 }
 
@@ -1119,8 +857,7 @@ Status SpitzDb::ApplySealedBlock(const Block& block, const Slice& serialized,
     PublishSnapshotLocked(/*journal_changed=*/true);
   }
   NotifySealed(block_count);
-  Status s = sync && ledger_.has_log() ? SyncCommitted(block_count)
-                                       : Status::OK();
+  Status s = sync ? commit_->Sync(block_count) : Status::OK();
   if (s.ok() && applied != nullptr) *applied = Digest();
   return s;
 }

@@ -1,15 +1,12 @@
 #ifndef SPITZ_CORE_SPITZ_DB_H_
 #define SPITZ_CORE_SPITZ_DB_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "chunk/buffer_cache.h"
@@ -18,7 +15,9 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "core/auditor.h"
+#include "core/group_commit.h"
 #include "core/verified_kv.h"
+#include "core/version_gc.h"
 #include "crypto/hash.h"
 #include "index/pos_tree_iterator.h"
 #include "index/siri.h"
@@ -122,11 +121,11 @@ struct SpitzOptions {
   // segment rolls at the first sealed-block boundary past this size.
   size_t chunk_segment_bytes = 8 << 20;
   // How many of the most recent sealed blocks' index roots the version
-  // GC (CollectGarbage) keeps readable, in addition to the live root.
+  // GC (gc()->Collect) keeps readable, in addition to the live root.
   // Chunks reachable only from older versions are reclaimed. Must be
   // positive — the current version is always retained.
   size_t retain_versions = 8;
-  // When positive, a background thread runs CollectGarbage() every this
+  // When positive, a background thread runs gc()->Collect() every this
   // many sealed blocks. 0 (default) leaves GC entirely manual.
   size_t gc_interval_blocks = 0;
   // When non-empty, the database is durable: chunks and sealed ledger
@@ -189,13 +188,8 @@ class SpitzDb : public VerifiedKv {
 
   // --- OLTP write path ----------------------------------------------------
   //
-  // All writes flow through a leader-based group-commit pipeline:
-  // concurrent writers enqueue their batch and block; the writer at the
-  // head of the queue becomes the leader, drains a bounded group,
-  // applies every batch to the copy-on-write index under the writer
-  // lock, logs the frame of each block it seals and — if any member
-  // asked for durability — issues a single fsync for the whole group
-  // before waking each waiter with its individual Status.
+  // All writes flow through the group-commit pipeline (GroupCommit,
+  // core/group_commit.h), one barrier per group of sync writes.
 
   using VerifiedKv::Delete;
   using VerifiedKv::Put;
@@ -222,6 +216,11 @@ class SpitzDb : public VerifiedKv {
   // The deferred auditor (paper section 5.3): its audits read and
   // verify through the public surface below, like a client.
   Auditor* auditor() { return auditor_.get(); }
+
+  // The version GC (DESIGN.md section 12): a pass collects chunks
+  // unreachable from the live root and the index roots of the last
+  // retain_versions sealed blocks.
+  VersionGc* gc() { return gc_.get(); }
 
   // --- Read path ------------------------------------------------------------
   //
@@ -335,26 +334,6 @@ class SpitzDb : public VerifiedKv {
   // if the sealed block could not be persisted (durable mode).
   Status FlushBlock();
 
-  // --- Version GC (epoch-based; DESIGN.md section 12) ---------------------
-
-  // Reclaims chunks unreachable from the retained versions: the live
-  // root plus the index roots of the last `retain_versions` sealed
-  // blocks. The mark phase walks those roots outside the writer lock
-  // (chunks are immutable); the sweep rewrites still-live records out
-  // of condemned segments, waits for in-flight reader epochs, then
-  // unpublishes the dead ids and unlinks the victim files. Reads of
-  // retained versions — and traversals that began before the sweep —
-  // are never disturbed; reads of collected versions begin returning
-  // NotFound. Safe to call concurrently with reads, writes and audits;
-  // passes themselves serialize. Fills *stats when non-null.
-  Status CollectGarbage(ChunkGcStats* stats = nullptr);
-
-  // Whether GC has collected the version `index_root` (DESIGN.md
-  // section 12): waits out an in-flight pass, then probes the root
-  // chunk. Tells a deferred read's failure on a collected version from
-  // damage. Call with no read in flight on this thread.
-  bool VersionCollected(const Hash256& index_root);
-
   // --- Introspection ----------------------------------------------------------
 
   uint64_t entry_count() const;
@@ -402,16 +381,11 @@ class SpitzDb : public VerifiedKv {
                           const WriteBatch& ops, bool sync,
                           SpitzDigest* applied);
 
-  // Runs the durability barrier (SyncCommitted): snapshot-flush the
-  // journal, fsync the chunk log, then fsync the journal — in that
-  // order, so that at every durable journal prefix the chunk store
-  // already holds the index nodes its blocks reference. This is the
-  // durability point for non-sync writes: records merely written
-  // (Put/FlushBlock) can be lost in a crash until SyncStorage returns
-  // OK. (Writes issued with WriteOptions::sync are already durable when
-  // they return.) Only the buffer flush runs under the writer lock; the
-  // disk barriers themselves run outside it, so concurrent readers and
-  // writers never wait on the disk.
+  // Runs the durability barrier (GroupCommit::Sync) over every sealed
+  // block: the durability point for non-sync writes. Records merely
+  // written (Put/FlushBlock) can be lost in a crash until SyncStorage
+  // returns OK. (Writes issued with WriteOptions::sync are already
+  // durable when they return.) OK at once in memory.
   Status SyncStorage();
 
  private:
@@ -442,70 +416,17 @@ class SpitzDb : public VerifiedKv {
   // over from the previous snapshot unless `journal_changed`.
   void PublishSnapshotLocked(bool journal_changed);
 
-  // --- Group-commit pipeline ----------------------------------------------
-
-  // One writer's slot in the commit queue. The owning thread blocks on
-  // commit_cv_ until a leader sets `done` (under commit_mu_, so the
-  // status write is release/acquire-ordered with the wakeup).
-  struct CommitRequest {
-    const WriteBatch* batch = nullptr;
-    bool sync = false;
-    // Prepared-key lock bypass: the participant applies a committing
-    // batch through the ordinary pipeline, and it must not conflict
-    // with the locks its own prepare took. 0 = ordinary write.
-    uint64_t bypass_txn = 0;
-    Status status;
-    bool done = false;
-  };
-
   // Write() with a prepared-key-lock bypass; the public Write
   // delegates with bypass_txn = 0.
   Status WriteInternal(const WriteOptions& options, const WriteBatch& batch,
                        uint64_t bypass_txn);
 
-  // The leader's apply stage: applies each batch under mu_, seals
-  // blocks at the same boundaries the serial path would (plus the
-  // partial tail when `sync` — durability is promised for the whole
-  // group), each seal logging its block's frame into the journal's
-  // buffer, and publishes the snapshot. No disk I/O: the caller runs
-  // SyncCommitted() after handing the queue to the next leader. Sets
-  // each member's status; a journal failure is surfaced to every member
-  // whose batch applied when the group sealed. *blocks receives the
-  // block count after this group's seals — the cut SyncCommitted must
-  // cover for the group to be durable. *flush_backpressure is set when
-  // the journal's user-space buffer has outgrown its budget and the
-  // caller should FlushJournal() (non-sync groups only — a sync group's
-  // barrier drains the buffer anyway).
-  Status CommitGroup(const std::vector<CommitRequest*>& group, bool sync,
-                     uint64_t* blocks, bool* flush_backpressure);
-
-  // The coalescing durability barrier shared by sync commits and
-  // SyncStorage. Returns once the first `blocks` sealed blocks are
-  // durable. A caller whose blocks are already covered by a completed
-  // barrier returns immediately; one caller at a time runs the barrier
-  // proper — (1) flush the journal under mu_, capturing the block count
-  // the barrier will harden (a journal whose append failed refuses, and
-  // every later barrier returns that error); (2) fsync the chunk log;
-  // (3) fsync the journal — while later callers wait and then usually
-  // find themselves covered by it. This is where fsyncs
-  // amortize: N concurrent sync writers converge on ~2 barriers per
-  // round instead of N.
-  //
-  // Ordering invariant: chunk durability strictly precedes journal
-  // durability for every record a barrier hardens. The journal runs in
-  // manual-flush mode and every flush is serialized against the
-  // in-flight barrier, so no record can become kernel-visible between
-  // (2) and (3) — which is what recovery relies on when it refuses
-  // roots that do not resolve in the chunk store. The barrier holds no
-  // lock during the fsyncs: the next group's apply stage (mu_) runs
-  // concurrently — the pipelined half of group commit.
-  Status SyncCommitted(uint64_t blocks);
-
-  // Kernel visibility without a durability point: flushes the journal
-  // under mu_ while excluding any in-flight barrier (sync_mu_).
-  // Backpressure valve for long non-sync runs so the manual-flush
-  // buffer cannot grow without bound.
-  void FlushJournal();
+  // The group-commit leader's apply step (GroupCommit::ApplyFn), under
+  // mu_: per member, the prepared-key check, the read-set check and the
+  // apply, sealing at the serial path's boundaries; the tail seal when
+  // `sync`; then the snapshot. Returns whether it sealed.
+  bool ApplyGroupLocked(const std::vector<GroupCommit::Request*>& group,
+                        bool sync);
 
   // Checks the batch's read set against root_ under mu_: Aborted when
   // a read is stale (WriteBatch::ValidateReads), counted in
@@ -540,14 +461,9 @@ class SpitzDb : public VerifiedKv {
   Status Recover();
 
   // Post-seal work that must run outside mu_: aligns the chunk store's
-  // segment boundary with the sealed block and wakes the background GC
-  // thread (if configured) with the new ledger height.
+  // segment boundary with the sealed block, wakes the seal listener and
+  // hands the new ledger height to the version GC.
   void NotifySealed(uint64_t block_count);
-
-  // Starts the background GC thread when gc_interval_blocks > 0; no-op
-  // otherwise or if already running.
-  void StartGcThread();
-  void GcThreadMain();
 
   // Latency/size histograms on the hot paths, resolved once at wiring
   // time so recording is pointer-deref + relaxed atomics. All null when
@@ -560,10 +476,6 @@ class SpitzDb : public VerifiedKv {
     Histogram* proof_build_ns = nullptr;  // core.db.proof_build_latency_ns
     Histogram* proof_bytes = nullptr;  // index.siri.proof_bytes.<backend>
     Histogram* range_proof_bytes = nullptr;  // ...range_proof_bytes.<backend>
-    // Batches per leader drain (core.db.commit.group_size): its mean is
-    // the write-amortization factor, and fsyncs ≪ puts is the
-    // observable group-commit win.
-    Histogram* group_size = nullptr;
   };
 
   // Binds every component's instruments into registry_ (construction).
@@ -589,10 +501,6 @@ class SpitzDb : public VerifiedKv {
   // Crash-garbage bytes cut from the journal tail during recovery
   // (core.db.journal.truncated_bytes).
   Counter journal_truncated_bytes_;
-  // Journal fsyncs issued (core.db.journal.fsyncs): one per sync group
-  // and per SyncStorage, not one per put — the ratio to total puts is
-  // the amortization group commit buys.
-  Counter journal_fsyncs_;
   // Batches failed Aborted by a stale read set, on the 1PC commit path
   // and at 2PC prepare alike (core.db.commit.read_set_aborts).
   Counter read_set_aborts_;
@@ -604,29 +512,13 @@ class SpitzDb : public VerifiedKv {
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<const SpitzDigest> snapshot_;
 
-  // The commit queue (see "OLTP write path" above). commit_mu_ guards
-  // only the deque and the done/status handoff; it is never held while
-  // the leader works, so enqueueing writers do not serialize against
-  // the index apply or the fsync. A leader pops its group *before* the
-  // disk barrier, so the next leader's apply stage (mu_) overlaps this
-  // group's sync stage (sync_mu_). Lock order: commit_mu_ is never held
-  // together with any other lock; sync_mu_ may acquire mu_, never the
-  // reverse.
-  std::mutex commit_mu_;
-  std::condition_variable commit_cv_;
-  std::deque<CommitRequest*> commit_queue_;
+  // The write pipeline over ledger_ and chunks_ (see "OLTP write path"
+  // above). Lock order: its queue lock alone; its barrier lock, then
+  // mu_, never the reverse.
+  std::unique_ptr<GroupCommit> commit_;
 
-  // Barrier coalescing state (see SyncCommitted). sync_mu_ guards only
-  // these fields plus FlushJournal's flush; the barrier's own I/O runs
-  // with sync_in_flight_ set and no lock held. synced_blocks_ is the
-  // highest block count a completed barrier has hardened.
-  std::mutex sync_mu_;
-  std::condition_variable sync_cv_;
-  bool sync_in_flight_ = false;
-  uint64_t synced_blocks_ = 0;
-
-  // Lock order mu_ -> participant (CommitGroup checks prepared-key locks
-  // under mu_); its apply callback is WriteInternal, and its validate
+  // Lock order mu_ -> participant (ApplyGroupLocked checks prepared-key
+  // locks under mu_); its apply callback is WriteInternal, and its validate
   // callback takes mu_ to check a prepare's read set.
   std::unique_ptr<TxnParticipant> participant_;
 
@@ -644,26 +536,10 @@ class SpitzDb : public VerifiedKv {
   // seal, at recovery and on replica apply, beside each ledger append.
   KeyHistoryIndex history_;
 
-  // --- Version GC state ---------------------------------------------------
-
-  // One GC pass at a time (manual callers and the background thread
-  // contend here, never inside the store).
-  std::mutex gc_run_mu_;
-  // Background-thread wakeup state. gc_wake_mu_ is a leaf lock.
-  std::mutex gc_wake_mu_;
-  std::condition_variable gc_wake_cv_;
-  bool gc_stop_ = false;
-  uint64_t gc_sealed_height_ = 0;  // latest ledger height seen at a seal
-  uint64_t gc_ran_height_ = 0;     // height at the last background pass
-  std::thread gc_thread_;
-  // gc.* instruments: pass counts and cumulative reclamation.
-  Counter gc_runs_;
-  Counter gc_failures_;
-  Counter gc_dead_chunks_;
-  Counter gc_reclaimed_bytes_;
-  Counter gc_rewritten_bytes_;
-  Counter gc_segments_deleted_;
-  Gauge gc_live_chunks_;  // survivor count of the most recent pass
+  // After everything a pass reads (its arm step takes mu_ and reads
+  // root_ and ledger_), so its background thread is joined first. Lock
+  // order: its pass lock, then mu_.
+  std::unique_ptr<VersionGc> gc_;
 
   // Last, and reset first by the destructor: its queue drains while
   // everything an audit reads through is still alive.

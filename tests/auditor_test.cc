@@ -192,7 +192,7 @@ TEST_F(AuditorTest, HistoricalProofComesWithTheDigestItWasTakenAgainst) {
                   .IsVerificationFailed());
 }
 
-// VersionCollected tells a version a GC pass has collected from one it
+// VersionGc::Collected tells a version a GC pass has collected from one it
 // kept; the empty index is never collected.
 TEST_F(AuditorTest, VersionCollectedTellsCollectedFromRetained) {
   SpitzOptions options;
@@ -202,11 +202,11 @@ TEST_F(AuditorTest, VersionCollectedTellsCollectedFromRetained) {
   ASSERT_TRUE(db.Put("k", "v1").ok());
   const Hash256 old_root = db.Digest().index_root;
   ASSERT_TRUE(db.Put("k", "v2").ok());
-  EXPECT_FALSE(db.VersionCollected(old_root));
-  ASSERT_TRUE(db.CollectGarbage().ok());
-  EXPECT_TRUE(db.VersionCollected(old_root));
-  EXPECT_FALSE(db.VersionCollected(db.Digest().index_root));
-  EXPECT_FALSE(db.VersionCollected(Hash256()));
+  EXPECT_FALSE(db.gc()->Collected(old_root));
+  ASSERT_TRUE(db.gc()->Collect().ok());
+  EXPECT_TRUE(db.gc()->Collected(old_root));
+  EXPECT_FALSE(db.gc()->Collected(db.Digest().index_root));
+  EXPECT_FALSE(db.gc()->Collected(Hash256()));
 }
 
 }  // namespace

@@ -855,7 +855,7 @@ TEST(ConcurrencyTest, VersionGcRacesReadersWritersAndAuditors) {
       while (!stop.load(std::memory_order_relaxed)) {
         db->FlushBlock();
         ChunkGcStats stats;
-        Status s = db->CollectGarbage(&stats);
+        Status s = db->gc()->Collect(&stats);
         if (!s.ok()) read_errors.fetch_add(1);
       }
     });
@@ -914,7 +914,7 @@ TEST(ConcurrencyTest, IteratorSurvivesGcOfItsVersion) {
     // The GC pass blocks on the iterator's epoch pin during its
     // quiescence wait only if it needs to unpublish; either way the
     // iterator's held chunks stay readable.
-    db.CollectGarbage(nullptr);
+    db.gc()->Collect(nullptr);
   });
   for (; it->Valid(); it->Next()) seen++;
   EXPECT_TRUE(it->status().ok());

@@ -283,7 +283,7 @@ TEST(MetricsEndToEndTest, PagedStoreGcAndCacheMetricsRoundTripThroughJson) {
   }
   ASSERT_TRUE(db->FlushBlock().ok());
   ChunkGcStats stats;
-  ASSERT_TRUE(db->CollectGarbage(&stats).ok());
+  ASSERT_TRUE(db->gc()->Collect(&stats).ok());
   EXPECT_GT(stats.dead_chunks, 0u);
 
   MetricsSnapshot snap = db->Metrics();

@@ -556,7 +556,7 @@ TEST_F(PersistenceTest, StoreManyTimesTheCacheVerifiesCollectsAndReopens) {
     disk_bytes = DirBytes(dir_);
 
     ChunkGcStats stats;
-    ASSERT_TRUE(db->CollectGarbage(&stats).ok());
+    ASSERT_TRUE(db->gc()->Collect(&stats).ok());
     EXPECT_GT(stats.dead_chunks, 0u);
     EXPECT_GT(stats.reclaimed_bytes, 0u);
     ASSERT_TRUE(db->SyncStorage().ok());
