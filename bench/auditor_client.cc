@@ -375,10 +375,10 @@ void RunChaosTamper() {
     journal = buf.str();
   }
   AC_CHECK(journal.size() > 32, "journal has sealed records to tamper with");
-  // Offset 12 is inside the first record's payload (past its length
-  // prefix), so the record stays structurally complete — only its CRC
-  // can tell, and it must.
-  journal[12] ^= 0x40;
+  // 12 bytes past the header frame is inside the first block's payload
+  // (past its length prefix), so the record stays structurally complete
+  // — only its CRC can tell, and it must.
+  journal[Journal::HeaderFrame().size() + 12] ^= 0x40;
   {
     std::ofstream out(journal_path, std::ios::binary | std::ios::trunc);
     out.write(journal.data(), static_cast<std::streamsize>(journal.size()));

@@ -99,6 +99,17 @@ int main(int argc, char** argv) {
       failures++;
     }
   }
+  // Footprint gauges: the journal's size in frames, header included.
+  const std::vector<std::string> required_gauges = {
+      "core.db.journal.file_bytes",
+  };
+  for (const std::string& name : required_gauges) {
+    if (snap.GaugeValue(name) == 0) {
+      fprintf(stderr, "metrics_smoke: gauge missing or zero: %s\n",
+              name.c_str());
+      failures++;
+    }
+  }
   if (snap.CounterValue("txn.verifier.failures") != 0) {
     fprintf(stderr, "metrics_smoke: verifier reported failures\n");
     failures++;

@@ -324,10 +324,19 @@ std::string BenchDir(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
+// journal.log's size (core.db.journal.file_bytes, header included) per
+// ledger entry it holds.
+double JournalBytesPerEntry(const SpitzDb& db, uint64_t entries) {
+  return static_cast<double>(
+             db.Metrics().GaugeValue("core.db.journal.file_bytes")) /
+         static_cast<double>(entries);
+}
+
 // A durable bulk load into a fresh data directory, as a spitzbench
 // set-up does it (arg0 = records, arg1 = value bytes): BulkLoad, the
-// tail block sealed and both files synced. Reports one load's time;
-// making the records and opening the empty database are not timed.
+// tail block sealed and both files synced. Reports one load's time and
+// journal_bytes_per_entry; making the records and opening the empty
+// database are not timed.
 void BM_SpitzDbBulkLoad(benchmark::State& state) {
   const std::string dir = BenchDir("spitz_bench_bulk_load");
   for (auto _ : state) {
@@ -346,6 +355,8 @@ void BM_SpitzDbBulkLoad(benchmark::State& state) {
       abort();
     }
     state.PauseTiming();
+    state.counters["journal_bytes_per_entry"] = JournalBytesPerEntry(
+        *db, static_cast<uint64_t>(state.range(0)));
     db.reset();
     state.ResumeTiming();
   }
@@ -360,8 +371,9 @@ BENCHMARK(BM_SpitzDbBulkLoad)
 
 // Recovery: SpitzDb::Open of a data directory holding a durable bulk
 // load (arg = records of 100 B), which replays every chunk segment and
-// the journal, recomputing every chunk id and block hash. Closing is
-// not timed.
+// the journal, recomputing every chunk id and block hash; reports
+// journal_bytes_per_entry of the recovered journal. Closing is not
+// timed.
 void BM_SpitzDbReopen(benchmark::State& state) {
   const std::string dir = BenchDir("spitz_bench_reopen");
   std::filesystem::remove_all(dir);
@@ -380,6 +392,8 @@ void BM_SpitzDbReopen(benchmark::State& state) {
     std::unique_ptr<SpitzDb> db;
     if (!SpitzDb::Open(options, &db).ok()) abort();
     state.PauseTiming();
+    state.counters["journal_bytes_per_entry"] = JournalBytesPerEntry(
+        *db, static_cast<uint64_t>(state.range(0)));
     db.reset();
     state.ResumeTiming();
   }

@@ -21,8 +21,10 @@
 #   (ReadProof/ScanProof, and the range-proof node order check) and
 #   verified in place, the FrameDecoder both ends of a connection run,
 #   which reads each frame into its own exactly sized buffer, wire
-#   requests, the journal.log frames and blocks
-#   Journal::Open replays at recovery,
+#   requests, the journal.log header, frames and blocks
+#   Journal::Open replays at recovery (Block::Decode, swept byte by
+#   byte in BlockTest: every flip and truncation of an encoded block is
+#   refused or re-encodes to exactly those bytes),
 #   sealed blocks read back from journal.log (frame CRC, then block
 #   hash, for proofs, key history, audits and the replication encoder),
 #   the POS-tree node decoder every read traversal and proof check runs

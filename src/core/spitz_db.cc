@@ -160,6 +160,10 @@ void SpitzDb::WireMetrics() {
     std::lock_guard<std::mutex> lock(mu_);
     return ledger_.resident_bytes();
   });
+  registry_.RegisterGaugeFn("core.db.journal.file_bytes", [this] {
+    std::lock_guard<std::mutex> lock(mu_);
+    return ledger_.stored_bytes();
+  });
   registry_.RegisterGaugeFn("core.db.history.bytes", [this] {
     std::lock_guard<std::mutex> lock(mu_);
     return history_.memory_bytes();

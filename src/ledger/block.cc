@@ -1,32 +1,89 @@
 #include "ledger/block.h"
 
+#include <algorithm>
+
 #include "common/codec.h"
 #include "ledger/merkle_tree.h"
 
 namespace spitz {
 
-void LedgerEntry::EncodeTo(std::string* dst) const {
-  dst->push_back(static_cast<char>(op));
-  PutLengthPrefixedSlice(dst, key);
-  dst->append(value_hash.ToBytes());
-  PutVarint64(dst, txn_id);
-  PutVarint64(dst, commit_ts);
+namespace {
+
+// A difference of two uint64_t, read as two's complement, mapped so
+// that small magnitudes of either sign take short varints.
+uint64_t ZigZag(uint64_t delta) {
+  return (delta << 1) ^ (0 - (delta >> 63));
+}
+uint64_t UnZigZag(uint64_t zigzag) {
+  return (zigzag >> 1) ^ (0 - (zigzag & 1));
 }
 
-Status LedgerEntry::DecodeFrom(Slice* input, LedgerEntry* entry) {
+size_t SharedPrefix(const std::string& a, const std::string& b) {
+  const size_t n = std::min(a.size(), b.size());
+  size_t i = 0;
+  while (i < n && a[i] == b[i]) i++;
+  return i;
+}
+
+}  // namespace
+
+std::string LedgerEntry::Canonical() const {
+  std::string out;
+  out.push_back(static_cast<char>(op));
+  PutLengthPrefixedSlice(&out, key);
+  out.append(value_hash.ToBytes());
+  PutVarint64(&out, txn_id);
+  PutVarint64(&out, commit_ts);
+  return out;
+}
+
+void LedgerEntry::EncodeTo(const LedgerEntry& prev, std::string* dst) const {
+  const size_t shared = SharedPrefix(prev.key, key);
+  dst->push_back(static_cast<char>(op));
+  PutVarint64(dst, shared);
+  PutLengthPrefixedSlice(dst, Slice(key.data() + shared, key.size() - shared));
+  dst->append(value_hash.slice().data(), value_hash.slice().size());
+  PutVarint64(dst, ZigZag(commit_ts - prev.commit_ts));
+  PutVarint64(dst, ZigZag(txn_id - commit_ts));
+}
+
+Status LedgerEntry::DecodeFrom(Slice* input, const LedgerEntry& prev,
+                               LedgerEntry* entry) {
   if (input->empty()) return Status::Corruption("truncated ledger entry");
-  entry->op = static_cast<Op>((*input)[0]);
+  const auto op = static_cast<uint8_t>((*input)[0]);
+  if (op != static_cast<uint8_t>(Op::kPut) &&
+      op != static_cast<uint8_t>(Op::kDelete)) {
+    return Status::Corruption("unknown ledger op " + std::to_string(op));
+  }
   input->remove_prefix(1);
-  Slice key;
-  Status s = GetLengthPrefixedSlice(input, &key);
+  uint64_t shared = 0;
+  Slice suffix;
+  Status s = GetVarint64(input, &shared);
+  if (s.ok()) s = GetLengthPrefixedSlice(input, &suffix);
   if (!s.ok()) return s;
-  entry->key = key.ToString();
+  if (shared > prev.key.size()) {
+    return Status::Corruption("ledger entry shares more than the prior key");
+  }
+  // One byte form per entry: `shared` is the whole common prefix, so the
+  // suffix cannot go on matching the previous key.
+  if (shared < prev.key.size() && !suffix.empty() &&
+      suffix[0] == prev.key[shared]) {
+    return Status::Corruption("ledger entry shared prefix is not maximal");
+  }
   if (!GetHash256(input, &entry->value_hash)) {
     return Status::Corruption("truncated ledger entry hash");
   }
-  s = GetVarint64(input, &entry->txn_id);
+  uint64_t ts_delta = 0;
+  uint64_t txn_delta = 0;
+  s = GetVarint64(input, &ts_delta);
+  if (s.ok()) s = GetVarint64(input, &txn_delta);
   if (!s.ok()) return s;
-  return GetVarint64(input, &entry->commit_ts);
+  entry->op = static_cast<Op>(op);
+  entry->key.assign(prev.key, 0, shared);
+  entry->key.append(suffix.data(), suffix.size());
+  entry->commit_ts = prev.commit_ts + UnZigZag(ts_delta);
+  entry->txn_id = entry->commit_ts + UnZigZag(txn_delta);
+  return Status::OK();
 }
 
 Block::Block(uint64_t height, uint64_t first_seq, const Hash256& prev_hash,
@@ -85,8 +142,11 @@ std::string Block::Encode() const {
   out.append(index_root_.ToBytes());
   PutVarint64(&out, timestamp_);
   PutVarint64(&out, entries_.size());
+  const LedgerEntry none;
+  const LedgerEntry* prev = &none;
   for (const LedgerEntry& e : entries_) {
-    e.EncodeTo(&out);
+    e.EncodeTo(*prev, &out);
+    prev = &e;
   }
   return out;
 }
@@ -107,17 +167,23 @@ Status Block::Decode(Slice input, Block* block) {
   s = GetVarint64(&input, &n);
   if (!s.ok()) return s;
   // The count sizes the reserve, so it must fit the bytes that follow:
-  // an entry takes at least op, key length, hash and two varints.
-  constexpr uint64_t kMinEntryBytes = 1 + 1 + 32 + 1 + 1;
+  // an entry takes at least op, shared length, suffix length, hash and
+  // two varints.
+  constexpr uint64_t kMinEntryBytes = 1 + 1 + 1 + 32 + 1 + 1;
   if (n > input.size() / kMinEntryBytes) {
     return Status::Corruption("block entry count exceeds its bytes");
   }
   b.entries_.reserve(n);
+  const LedgerEntry none;
   for (uint64_t i = 0; i < n; i++) {
     LedgerEntry e;
-    s = LedgerEntry::DecodeFrom(&input, &e);
+    s = LedgerEntry::DecodeFrom(&input, i == 0 ? none : b.entries_.back(),
+                                &e);
     if (!s.ok()) return s;
     b.entries_.push_back(std::move(e));
+  }
+  if (!input.empty()) {
+    return Status::Corruption("trailing bytes after block entries");
   }
   b.entries_root_ = ComputeEntriesRoot(b.entries_);
   b.block_hash_ = HeaderHash(b.height_, b.first_seq_, b.prev_hash_,

@@ -24,17 +24,26 @@ struct LedgerEntry {
   uint64_t txn_id = 0;    // transaction that produced this entry
   uint64_t commit_ts = 0; // commit timestamp
 
-  void EncodeTo(std::string* dst) const;
-  static Status DecodeFrom(Slice* input, LedgerEntry* entry);
-
-  // Canonical serialized form used as the Merkle leaf content.
-  std::string Canonical() const {
-    std::string out;
-    EncodeTo(&out);
-    return out;
-  }
+  // The Merkle leaf content, which every entries root, block hash and
+  // proof hashes: op ‖ lp(key) ‖ value_hash ‖ varint(txn_id) ‖
+  // varint(commit_ts). The stored form below never changes it.
+  std::string Canonical() const;
 
   Hash256 LeafHash() const { return Hash256::OfLeaf(Canonical()); }
+
+  // The stored form inside a block, written against `prev`, the entry
+  // before it in the block (a default LedgerEntry for the first):
+  // op ‖ varint(shared) ‖ lp(key suffix) ‖ value_hash ‖
+  // zigzag varint(commit_ts − prev.commit_ts) ‖
+  // zigzag varint(txn_id − commit_ts), where `shared` is the length of
+  // the longest common prefix of prev.key and key, and the differences
+  // wrap modulo 2^64.
+  void EncodeTo(const LedgerEntry& prev, std::string* dst) const;
+  // Accepts exactly the bytes EncodeTo writes: Corruption on an unknown
+  // op, a shared length past prev.key or short of the longest common
+  // prefix, a non-canonical varint or a truncation.
+  static Status DecodeFrom(Slice* input, const LedgerEntry& prev,
+                           LedgerEntry* entry);
 
   bool operator==(const LedgerEntry& other) const {
     return op == other.op && key == other.key &&
@@ -68,9 +77,13 @@ class Block {
   const Hash256& block_hash() const { return block_hash_; }
   uint64_t first_seq() const { return first_seq_; }
 
+  // varint(height) ‖ varint(first_seq) ‖ prev_hash ‖ index_root ‖
+  // varint(timestamp) ‖ varint(entry count) ‖ each entry's stored form
+  // (LedgerEntry::EncodeTo against the entry before it).
   std::string Encode() const;
   // Decodes a block and derives its entries root and block hash from
-  // the decoded bytes (neither is stored in the encoding).
+  // the decoded bytes (neither is stored in the encoding). Accepts
+  // exactly the bytes Encode writes: trailing bytes are Corruption.
   static Status Decode(Slice input, Block* block);
 
   // Computes the Merkle root over a block's entries.

@@ -15,7 +15,40 @@ namespace {
 constexpr size_t kReplayWindow = 256;
 constexpr size_t kReplayGrain = 8;
 
+// The header frame's payload: magic ‖ varint(format version). Version 2
+// stores each block entry in its compact form (LedgerEntry::EncodeTo);
+// version 1 logs had no header and are not read.
+constexpr char kJournalMagic[8] = {'S', 'P', 'T', 'Z', 'J', 'R', 'N', 'L'};
+constexpr uint64_t kJournalFormatVersion = 2;
+
+Status CheckHeader(Slice payload, const std::string& path) {
+  if (!payload.starts_with(Slice(kJournalMagic, sizeof(kJournalMagic)))) {
+    return Status::NotSupported(path +
+                                " has no format header: written by an older "
+                                "release, whose journal format is not read");
+  }
+  payload.remove_prefix(sizeof(kJournalMagic));
+  uint64_t version = 0;
+  if (!GetVarint64(&payload, &version).ok() || !payload.empty()) {
+    return Status::Corruption("malformed journal header in " + path);
+  }
+  if (version != kJournalFormatVersion) {
+    return Status::NotSupported(
+        path + " is journal format v" + std::to_string(version) +
+        "; this build reads v" + std::to_string(kJournalFormatVersion));
+  }
+  return Status::OK();
+}
+
 }  // namespace
+
+std::string Journal::HeaderFrame() {
+  std::string payload(kJournalMagic, sizeof(kJournalMagic));
+  PutVarint64(&payload, kJournalFormatVersion);
+  std::string frame;
+  AppendRecordFrame(payload, &frame);
+  return frame;
+}
 
 Status Journal::Open(Env* env, const std::string& path, const AdoptFn& adopt,
                      uint64_t* truncated_bytes) {
@@ -30,6 +63,16 @@ Status Journal::Open(Env* env, const std::string& path, const AdoptFn& adopt,
   uint64_t consumed = 0;
   s = ReadRecordFrames(contents, path, &payloads, &consumed);
   if (!s.ok()) return s;
+  // The header frame comes first. Without a complete one the file is
+  // new, or a crash tore the header before any block followed it: an
+  // empty log, whose header goes out with the first block's frame.
+  header_pending_ = payloads.empty();
+  if (!header_pending_) {
+    s = CheckHeader(payloads.front(), path);
+    if (!s.ok()) return s;
+    payloads.erase(payloads.begin());
+  }
+  frame_ends_[0] = HeaderFrame().size();
   // Decoding a block and hashing its entries needs no other block, so a
   // window of blocks does that on every core; chaining, recording and
   // adopting them stays on this thread, in height order, so the first
@@ -143,12 +186,14 @@ Status Journal::LogFrame(uint64_t height, const Slice& serialized) {
   // nothing more is logged.
   if (!status_.ok()) return status_;
   frame_.clear();
+  if (header_pending_) frame_ = HeaderFrame();
   AppendRecordFrame(serialized, &frame_);
   Status s = log_->Append(frame_);
   if (!s.ok()) {
     status_ = Status::IOError("journal append failed at block " +
                               std::to_string(height) + ": " + s.message());
   }
+  header_pending_ = false;
   return status_;
 }
 

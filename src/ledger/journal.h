@@ -52,7 +52,8 @@ struct JournalEntryProof {
 // owner of that file. It replays the file's frames at recovery, cuts a
 // torn tail, and from then on frames (AppendRecordFrame) every block it
 // seals (Append) or restores (Restore) onto the end of the log: one
-// WritableLog::Append per block, in height order. The log runs in
+// WritableLog::Append per block, in height order, the first of which
+// also carries the header frame when the file had none. The log runs in
 // manual-flush mode, so bytes reach the kernel only at Flush, which the
 // owner serializes against its durability barrier. The journal keeps
 // the frame boundaries (8 B per block) beside each block's hash, index
@@ -77,15 +78,21 @@ class Journal {
   // journal has chained it (key history, current root, clock).
   using AdoptFn = std::function<void(const Block& block)>;
 
-  // Makes journal.log at `path` the home of this empty journal. Every
-  // complete frame is chained as Restore chains a block and handed to
-  // `adopt`; a torn tail is truncated and *truncated_bytes receives the
-  // bytes cut. The file is then opened for appends, in manual-flush
-  // mode, and for positional reads. A missing file reads as an empty
-  // one; a frame whose CRC fails, or a block that does not chain, fails
-  // Open with Corruption.
+  // Makes journal.log at `path` the home of this empty journal. The
+  // file opens with a header frame naming its format version; every
+  // complete frame after it is chained as Restore chains a block and
+  // handed to `adopt`; a torn tail is truncated and *truncated_bytes
+  // receives the bytes cut. The file is then opened for appends, in
+  // manual-flush mode, and for positional reads. A missing file, or one
+  // whose header is torn, reads as an empty one. A file whose first
+  // frame is not this build's header fails Open with NotSupported; a
+  // frame whose CRC fails, or a block that does not chain, with
+  // Corruption.
   Status Open(Env* env, const std::string& path, const AdoptFn& adopt,
               uint64_t* truncated_bytes);
+
+  // The frame journal.log opens with: magic ‖ varint(format version).
+  static std::string HeaderFrame();
 
   // Appends a block containing the given entries; returns its height.
   // index_root records the state of the system's indexes as of this
@@ -196,8 +203,9 @@ class Journal {
                                 const JournalDigest& old_digest,
                                 const JournalDigest& new_digest);
 
-  // Bytes of every block's frame: the size journal.log has once all of
-  // them are written.
+  // The last frame boundary: the size journal.log has once every
+  // block's frame is written, its header frame included (a journal
+  // without a file counts the block frames alone).
   uint64_t stored_bytes() const { return frame_ends_.back(); }
   // Serialized bytes still held in memory (the unreleased tail).
   uint64_t resident_bytes() const { return resident_bytes_; }
@@ -215,8 +223,11 @@ class Journal {
   std::vector<Hash256> block_hashes_;
   std::vector<Hash256> index_roots_;  // each block's index_root()
   // Frame boundaries in journal.log: block h spans
-  // [frame_ends_[h], frame_ends_[h + 1]).
+  // [frame_ends_[h], frame_ends_[h + 1]); frame_ends_[0] is past the
+  // header frame once Open gave the journal a file.
   std::vector<uint64_t> frame_ends_{0};
+  // Open found no header: the first logged frame carries it.
+  bool header_pending_ = false;
   // The serialized bytes of the last resident_.size() blocks.
   std::deque<std::string> resident_;
   uint64_t resident_bytes_ = 0;

@@ -161,8 +161,10 @@ inline constexpr uint32_t kHandshakeMethod = 0;
 // pinned-root proofs, cluster digest). v3: primary-backup replication
 // (kReplicate/kReplicaAck/kReplicaStatus) and the replica-pair cluster
 // digest envelope. v4: a kWrite/kTxnPrepare batch may carry a read set,
-// and every request must be consumed exactly (no trailing bytes).
-inline constexpr uint32_t kProtocolVersion = 4;
+// and every request must be consumed exactly (no trailing bytes). v5:
+// the block bytes a kReplicate record ships store their entries in the
+// compact form (shared key prefixes, delta timestamps).
+inline constexpr uint32_t kProtocolVersion = 5;
 inline constexpr char kHandshakeMagic[4] = {'S', 'P', 'T', 'Z'};
 
 // Feature bits advertised in the handshake.

@@ -72,9 +72,6 @@ Status DecodeReplicationRecord(const Slice& record, ReplicationRecord* out) {
       out->ops.Delete(entry.key);
       continue;
     }
-    if (entry.op != LedgerEntry::Op::kPut) {
-      return Status::InvalidArgument("unknown ledger op in replicated block");
-    }
     if (input.empty()) {
       return Status::InvalidArgument("replication record missing a value flag");
     }

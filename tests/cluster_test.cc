@@ -1343,6 +1343,22 @@ TEST(ClusterHandshakeTest, VersionMismatchIsRejectedAtConnect) {
   EXPECT_NE(client->server_features() & kFeatureClusterDigest, 0u);
 }
 
+// v5 changed the block bytes a kReplicate record ships (compact stored
+// entries), so a v4 peer is refused at the handshake rather than sent
+// blocks it would misread.
+TEST(ClusterHandshakeTest, VersionFourPeerIsRefused) {
+  ASSERT_EQ(kProtocolVersion, 5u);
+  std::unique_ptr<LocalFleet> fleet;
+  ASSERT_TRUE(LocalFleet::Open(LocalFleet::Options(), &fleet).ok());
+  NetClient::Options v4 = fleet->ClientOptions(0).net;
+  v4.protocol_version = 4;
+  std::unique_ptr<NetClient> client;
+  Status s = NetClient::Connect(v4, &client);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_NE(s.ToString().find("peer speaks v4"), std::string::npos)
+      << s.ToString();
+}
+
 TEST(ClusterFactoryTest, OpenFactoriesValidateTheirOptions) {
   {
     SpitzServer::Options options;  // no db

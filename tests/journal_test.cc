@@ -31,12 +31,13 @@ LedgerEntry MakeEntry(const std::string& key, const std::string& value,
 // --- LedgerEntry -------------------------------------------------------------
 
 TEST(LedgerEntryTest, EncodeDecodeRoundTrip) {
+  const LedgerEntry prev = MakeEntry("key0", "value0", 40, 770);
   LedgerEntry e = MakeEntry("key1", "value1", 42, 777);
   std::string buf;
-  e.EncodeTo(&buf);
+  e.EncodeTo(prev, &buf);
   Slice in(buf);
   LedgerEntry out;
-  ASSERT_TRUE(LedgerEntry::DecodeFrom(&in, &out).ok());
+  ASSERT_TRUE(LedgerEntry::DecodeFrom(&in, prev, &out).ok());
   EXPECT_EQ(out, e);
   EXPECT_TRUE(in.empty());
 }
@@ -45,11 +46,47 @@ TEST(LedgerEntryTest, DeleteOpRoundTrip) {
   LedgerEntry e = MakeEntry("k", "v");
   e.op = LedgerEntry::Op::kDelete;
   std::string buf;
-  e.EncodeTo(&buf);
+  e.EncodeTo(LedgerEntry(), &buf);
   Slice in(buf);
   LedgerEntry out;
-  ASSERT_TRUE(LedgerEntry::DecodeFrom(&in, &out).ok());
+  ASSERT_TRUE(LedgerEntry::DecodeFrom(&in, LedgerEntry(), &out).ok());
   EXPECT_EQ(out.op, LedgerEntry::Op::kDelete);
+}
+
+// The stored form shares the key prefix with the entry before it and
+// stores both timestamps as small signed differences; the Merkle leaf
+// (Canonical) keeps the full key and the absolute timestamps.
+TEST(LedgerEntryTest, StoredFormSharesThePrefixAndDeltasTheTimestamps) {
+  const LedgerEntry prev = MakeEntry("user000041", "a", 90, 90);
+  const LedgerEntry e = MakeEntry("user000042", "b", 89, 91);
+  std::string expected;
+  expected.push_back('\0');  // kPut
+  PutVarint64(&expected, 9);  // shares "user00004"
+  PutLengthPrefixedSlice(&expected, "2");
+  expected.append(Hash256::Of("b").ToBytes());
+  PutVarint64(&expected, 2);  // commit_ts 91 - 90 = +1, zigzagged
+  PutVarint64(&expected, 3);  // txn_id 89 - 91 = -2, zigzagged
+  std::string buf;
+  e.EncodeTo(prev, &buf);
+  EXPECT_EQ(buf, expected);
+
+  std::string canonical;
+  canonical.push_back('\0');
+  PutLengthPrefixedSlice(&canonical, "user000042");
+  canonical.append(Hash256::Of("b").ToBytes());
+  PutVarint64(&canonical, 89);
+  PutVarint64(&canonical, 91);
+  EXPECT_EQ(e.Canonical(), canonical);
+}
+
+TEST(LedgerEntryTest, DecodeTruncatedFails) {
+  LedgerEntry e = MakeEntry("key1", "value1");
+  std::string buf;
+  e.EncodeTo(LedgerEntry(), &buf);
+  buf.resize(buf.size() / 2);
+  Slice in(buf);
+  LedgerEntry out;
+  EXPECT_FALSE(LedgerEntry::DecodeFrom(&in, LedgerEntry(), &out).ok());
 }
 
 TEST(LedgerEntryTest, LeafHashDiffersByField) {
@@ -58,16 +95,6 @@ TEST(LedgerEntryTest, LeafHashDiffersByField) {
   LedgerEntry c = MakeEntry("l", "v");
   EXPECT_NE(a.LeafHash(), b.LeafHash());
   EXPECT_NE(a.LeafHash(), c.LeafHash());
-}
-
-TEST(LedgerEntryTest, DecodeTruncatedFails) {
-  LedgerEntry e = MakeEntry("key1", "value1");
-  std::string buf;
-  e.EncodeTo(&buf);
-  buf.resize(buf.size() / 2);
-  Slice in(buf);
-  LedgerEntry out;
-  EXPECT_FALSE(LedgerEntry::DecodeFrom(&in, &out).ok());
 }
 
 // --- Block --------------------------------------------------------------------
@@ -120,19 +147,152 @@ TEST(BlockTest, EmptyBlockIsValid) {
   EXPECT_EQ(decoded.block_hash(), b.block_hash());
 }
 
+// The bytes of a block header (height 0, first_seq 0, zero hashes,
+// timestamp 1) announcing `entries` entries.
+std::string HeaderBytes(uint64_t entries) {
+  std::string out;
+  PutVarint64(&out, 0);
+  PutVarint64(&out, 0);
+  out.append(Hash256().ToBytes());
+  out.append(Hash256().ToBytes());
+  PutVarint64(&out, 1);
+  PutVarint64(&out, entries);
+  return out;
+}
+
+// One stored entry written by hand: put, `shared` bytes of the prior
+// key, then `suffix`, with commit_ts and txn_id both 1 above the prior.
+std::string EntryBytes(uint64_t shared, const std::string& suffix) {
+  std::string out(1, '\0');
+  PutVarint64(&out, shared);
+  PutLengthPrefixedSlice(&out, suffix);
+  out.append(Hash256::Of("v").ToBytes());
+  PutVarint64(&out, 2);  // commit_ts delta +1
+  PutVarint64(&out, 0);  // txn_id == commit_ts
+  return out;
+}
+
 TEST(BlockTest, DecodeRejectsAnEntryCountItsBytesCannotHold) {
   // A header whose entry count (2^40) no remaining bytes could hold: a
   // corrupt or hostile block must fail to decode, not size a reserve.
-  std::string encoded;
-  PutVarint64(&encoded, 0);  // height
-  PutVarint64(&encoded, 0);  // first_seq
-  encoded.append(Hash256().ToBytes());
-  encoded.append(Hash256().ToBytes());
-  PutVarint64(&encoded, 1);  // timestamp
-  PutVarint64(&encoded, uint64_t{1} << 40);
-  MakeEntry("a", "1").EncodeTo(&encoded);
+  std::string encoded = HeaderBytes(uint64_t{1} << 40);
+  MakeEntry("a", "1").EncodeTo(LedgerEntry(), &encoded);
   Block decoded;
   EXPECT_TRUE(Block::Decode(encoded, &decoded).IsCorruption());
+
+  // The smallest stored entry (empty key, one-byte deltas) is 37 B: a
+  // count of one fits it, a count of two does not.
+  const std::string smallest = EntryBytes(0, "");
+  ASSERT_EQ(smallest.size(), 37u);
+  EXPECT_TRUE(Block::Decode(HeaderBytes(1) + smallest, &decoded).ok());
+  Status s = Block::Decode(HeaderBytes(2) + smallest, &decoded);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find("count exceeds"), std::string::npos);
+}
+
+// Only kPut and kDelete decode: any other op byte in a stored entry
+// fails the block, wherever the block came from (journal.log, a
+// replication record, a sealed-block read).
+TEST(BlockTest, DecodeRejectsAnUnknownOp) {
+  Block block(0, 0, Hash256(),
+              {MakeEntry("a", "v", 1, 1), MakeEntry("b", "v", 2, 2)},
+              Hash256(), 1);
+  const std::string encoded = block.Encode();
+  ASSERT_EQ(encoded, HeaderBytes(2) + EntryBytes(0, "a") + EntryBytes(0, "b"));
+  const size_t second_op = HeaderBytes(2).size() + EntryBytes(0, "a").size();
+  for (const char op : {'\x02', '\x7f', '\xff'}) {
+    std::string bad = encoded;
+    bad[second_op] = op;
+    Block decoded;
+    Status s = Block::Decode(bad, &decoded);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_NE(s.ToString().find("unknown ledger op"), std::string::npos);
+  }
+}
+
+// A block decodes from exactly one byte string, the one Encode writes:
+// every flipped byte and every truncation of an encoded block is either
+// rejected or decodes to a block that encodes back to those very bytes
+// (and so is a different block). Blocks cover sorted, unsorted, empty
+// and equal keys, deletes, and 2PC txn_ids far from their commit_ts.
+TEST(BlockTest, EveryByteStringDecodesToTheBlockThatEncodesIt) {
+  auto del = [](LedgerEntry e) {
+    e.op = LedgerEntry::Op::kDelete;
+    return e;
+  };
+  const uint64_t kMax = ~uint64_t{0};
+  const std::vector<std::vector<LedgerEntry>> blocks = {
+      {},
+      {MakeEntry("user000001", "a", 7, 7), MakeEntry("user000002", "b", 8, 8),
+       del(MakeEntry("user000010", "", 9, 9)),
+       MakeEntry("user000100", "c", 10, 10)},
+      {MakeEntry("zeta", "a", 3, 9), MakeEntry("alpha", "b", 2, 4),
+       MakeEntry("alphabet", "c", 1, 5), MakeEntry("al", "d", 6, 5)},
+      {MakeEntry("k", "a"), MakeEntry("k", "b"), del(MakeEntry("k", ""))},
+      {MakeEntry("", "a", 0, 0), MakeEntry("a", "b", 1, 1),
+       MakeEntry("", "c", 2, 2)},
+      {MakeEntry("t1", "a", uint64_t{1} << 40, 5),
+       MakeEntry("t2", "b", 3, kMax), MakeEntry("t3", "c", kMax, 0),
+       MakeEntry("t4", "d", 0, kMax - 1)},
+  };
+  for (size_t b = 0; b < blocks.size(); b++) {
+    SCOPED_TRACE("block " + std::to_string(b));
+    const Block block(b, 100 * b, Hash256::Of("prev"), blocks[b],
+                      Hash256::Of("idx"), 1000 + b);
+    const std::string encoded = block.Encode();
+    Block decoded;
+    ASSERT_TRUE(Block::Decode(encoded, &decoded).ok());
+    EXPECT_EQ(decoded.entries(), blocks[b]);
+    EXPECT_EQ(decoded.block_hash(), block.block_hash());
+
+    auto check = [&](const std::string& variant) {
+      Block out;
+      if (Block::Decode(variant, &out).ok()) {
+        EXPECT_EQ(out.Encode(), variant);
+        EXPECT_NE(out.block_hash(), block.block_hash());
+      }
+    };
+    for (size_t i = 0; i < encoded.size(); i++) {
+      for (int mask = 1; mask < 256; mask <<= 1) {
+        std::string variant = encoded;
+        variant[i] = static_cast<char>(variant[i] ^ mask);
+        check(variant);
+      }
+      std::string variant = encoded;
+      variant[i] = static_cast<char>(variant[i] ^ 0xff);
+      check(variant);
+    }
+    for (size_t n = 0; n < encoded.size(); n++) {
+      check(encoded.substr(0, n));
+    }
+    check(encoded + '\0');
+  }
+
+  // After "abc", "abd" shares exactly two bytes. Sharing one (suffix
+  // "bd") spells the same key a second way; sharing four runs past
+  // "abc". Both are refused; the maximal spelling decodes.
+  const std::string first = EntryBytes(0, "abc");
+  Block out;
+  EXPECT_TRUE(
+      Block::Decode(HeaderBytes(2) + first + EntryBytes(2, "d"), &out).ok());
+  EXPECT_EQ(out.entries()[1].key, "abd");
+  Status s = Block::Decode(HeaderBytes(2) + first + EntryBytes(1, "bd"), &out);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find("not maximal"), std::string::npos);
+  s = Block::Decode(HeaderBytes(2) + first + EntryBytes(4, ""), &out);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find("prior key"), std::string::npos);
+  // "abc" then "abc": the whole key is shared and the suffix is empty;
+  // "abc" then "ab" shares two bytes with nothing after them.
+  EXPECT_TRUE(
+      Block::Decode(HeaderBytes(2) + first + EntryBytes(3, ""), &out).ok());
+  EXPECT_EQ(out.entries()[1].key, "abc");
+  EXPECT_TRUE(
+      Block::Decode(HeaderBytes(2) + first + EntryBytes(2, ""), &out).ok());
+  EXPECT_EQ(out.entries()[1].key, "ab");
+  EXPECT_TRUE(
+      Block::Decode(HeaderBytes(2) + first + EntryBytes(3, "c"), &out).ok());
+  EXPECT_EQ(out.entries()[1].key, "abcc");
 }
 
 // --- Journal -------------------------------------------------------------------
@@ -471,7 +631,9 @@ TEST(JournalTest, ReleasedBlocksReadBackFromTheFile) {
       ASSERT_TRUE(j.Flush().ok());  // blocks 0-2 go to the file
     }
   }
-  EXPECT_EQ(j.stored_bytes(), frames.size());
+  // journal.log opens with the header frame; a journal without a file
+  // counts the block frames alone.
+  EXPECT_EQ(j.stored_bytes(), Journal::HeaderFrame().size() + frames.size());
   EXPECT_EQ(memory.stored_bytes(), frames.size());
   uint64_t all_bytes = 0;
   for (const std::string& block : serialized) all_bytes += block.size();
@@ -499,10 +661,11 @@ TEST(JournalTest, ReleasedBlocksReadBackFromTheFile) {
   Block last;
   ASSERT_TRUE(j.GetBlock(4, &last).ok());
   EXPECT_EQ(last.index_root(), Hash256::Of("root4"));
-  // The file holds exactly the frames, back to back from offset 0.
+  // The file holds the header frame, then exactly the block frames, back
+  // to back.
   std::string contents;
   ASSERT_TRUE(Env::Default()->ReadFileToString(path, &contents).ok());
-  EXPECT_EQ(contents, frames);
+  EXPECT_EQ(contents, Journal::HeaderFrame() + frames);
   std::filesystem::remove(path);
 }
 
@@ -532,7 +695,7 @@ TEST(JournalTest, ReadBackChecksFrameAndBlockHash) {
                genuine.timestamp());
   ASSERT_EQ(forged.Encode().size(), serialized[1].size());
   auto write_file = [&](const std::string& block1) {
-    std::string frames;
+    std::string frames = Journal::HeaderFrame();
     AppendRecordFrame(serialized[0], &frames);
     AppendRecordFrame(block1, &frames);
     AppendRecordFrame(serialized[2], &frames);
@@ -576,6 +739,73 @@ TEST(JournalTest, ReadBackChecksFrameAndBlockHash) {
   // A file cut short of the last frame.
   std::filesystem::resize_file(path, j.stored_bytes() - 1);
   EXPECT_TRUE(j.ReadBlock(2, &bytes).IsCorruption());
+  std::filesystem::remove(path);
+}
+
+// --- The header frame ---------------------------------------------------------
+
+// Writes `contents` as the whole of the file at `path`.
+void WriteFile(const std::string& path, const std::string& contents) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+}
+
+Status OpenJournal(const std::string& path, Journal* j,
+                   uint64_t* truncated) {
+  return j->Open(Env::Default(), path, [](const Block&) {}, truncated);
+}
+
+// A log whose first frame is not a header (an older release's log, whose
+// blocks start with their height) or whose header names another format
+// version is refused with NotSupported, not read as Corruption.
+TEST(JournalTest, OpenRefusesALogWithoutThisFormatsHeader) {
+  const std::string path = ::testing::TempDir() + "/spitz_journal_header.log";
+  Block block(0, 0, Hash256(), {MakeEntry("a", "1")}, Hash256(), 1);
+  std::string unheaded;
+  AppendRecordFrame(block.Encode(), &unheaded);
+  WriteFile(path, unheaded);
+  Journal old_format;
+  uint64_t truncated = 0;
+  Status s = OpenJournal(path, &old_format, &truncated);
+  EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
+  EXPECT_NE(s.ToString().find("no format header"), std::string::npos);
+
+  std::string payload = "SPTZJRNL";
+  PutVarint64(&payload, 3);
+  std::string future;
+  AppendRecordFrame(payload, &future);
+  AppendRecordFrame(block.Encode(), &future);
+  WriteFile(path, future);
+  Journal newer;
+  s = OpenJournal(path, &newer, &truncated);
+  EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
+  EXPECT_NE(s.ToString().find("format v3"), std::string::npos);
+  std::filesystem::remove(path);
+}
+
+// A crash that tears the header of a fresh log (it goes out with the
+// first block's frame) leaves an empty log: Open cuts the torn bytes,
+// and the next block's frame carries a whole header again.
+TEST(JournalTest, TornHeaderOfAFreshLogReadsAsEmpty) {
+  const std::string path = ::testing::TempDir() + "/spitz_journal_torn.log";
+  const std::string header = Journal::HeaderFrame();
+  WriteFile(path, header.substr(0, header.size() - 1));
+  {
+    Journal j;
+    uint64_t truncated = 0;
+    ASSERT_TRUE(OpenJournal(path, &j, &truncated).ok());
+    EXPECT_EQ(truncated, header.size() - 1);
+    EXPECT_EQ(j.block_count(), 0u);
+    EXPECT_EQ(j.stored_bytes(), header.size());
+    j.Append({MakeEntry("a", "1")}, Hash256(), 1);
+    ASSERT_TRUE(j.Flush().ok());
+    EXPECT_EQ(std::filesystem::file_size(path), j.stored_bytes());
+  }
+  Journal j;
+  uint64_t truncated = 0;
+  ASSERT_TRUE(OpenJournal(path, &j, &truncated).ok());
+  EXPECT_EQ(truncated, 0u);
+  EXPECT_EQ(j.block_count(), 1u);
   std::filesystem::remove(path);
 }
 

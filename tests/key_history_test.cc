@@ -317,12 +317,12 @@ void FlipJournalByte(const std::string& path, uint64_t height) {
   std::ifstream in(path, std::ios::binary);
   const std::string contents((std::istreambuf_iterator<char>(in)),
                              std::istreambuf_iterator<char>());
-  // Frames are lp(payload) ‖ crc32c; walk them without checking CRCs,
-  // which an earlier flip may already have broken.
+  // Frames are lp(payload) ‖ crc32c, the header first; walk them without
+  // checking CRCs, which an earlier flip may already have broken.
   Slice input(contents);
   Slice payload;
-  for (uint64_t h = 0; h <= height; h++) {
-    if (h > 0) input.remove_prefix(sizeof(uint32_t));
+  for (uint64_t frame = 0; frame <= height + 1; frame++) {
+    if (frame > 0) input.remove_prefix(sizeof(uint32_t));
     ASSERT_TRUE(GetLengthPrefixedSlice(&input, &payload).ok());
   }
   const auto at = static_cast<std::streamoff>(payload.data() - contents.data() +

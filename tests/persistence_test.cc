@@ -354,6 +354,49 @@ TEST_F(PersistenceTest, TamperedJournalBlockDetectedOnRecovery) {
   EXPECT_FALSE(s.ok()) << "tampered block must fail recovery validation";
 }
 
+// A journal.log written before the header frame (format v1: no header,
+// each entry stored in its full canonical form) is refused with
+// NotSupported, and left as it was, rather than read as Corruption or
+// cut as a torn tail.
+TEST_F(PersistenceTest, OldFormatJournalFailsOpenWithNotSupported) {
+  {
+    std::unique_ptr<SpitzDb> db;
+    ASSERT_TRUE(SpitzDb::Open(DurableOptions(4), &db).ok());
+    for (int i = 0; i < 12; i++) {
+      ASSERT_TRUE(db->Put("k" + std::to_string(i), "v").ok());
+    }
+    ASSERT_TRUE(db->SyncStorage().ok());
+  }
+  const std::string path = dir_ + "/journal.log";
+  const std::string current = ReadWholeFile(path);
+  std::vector<Slice> records;
+  uint64_t consumed = 0;
+  ASSERT_TRUE(ReadRecordFrames(current, path, &records, &consumed).ok());
+  ASSERT_EQ(records.size(), 4u);  // the header and three blocks
+  std::string v1;
+  for (size_t i = 1; i < records.size(); i++) {
+    Block block;
+    ASSERT_TRUE(Block::Decode(records[i], &block).ok());
+    std::string payload;
+    PutVarint64(&payload, block.height());
+    PutVarint64(&payload, block.first_seq());
+    payload.append(block.prev_hash().ToBytes());
+    payload.append(block.index_root().ToBytes());
+    PutVarint64(&payload, block.timestamp());
+    PutVarint64(&payload, block.entries().size());
+    for (const LedgerEntry& e : block.entries()) payload += e.Canonical();
+    AppendRecordFrame(payload, &v1);
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << v1;
+  }
+  std::unique_ptr<SpitzDb> db;
+  Status s = SpitzDb::Open(DurableOptions(4), &db);
+  EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
+  EXPECT_EQ(ReadWholeFile(path), v1);
+}
+
 // A forger who rewrites a middle block and recomputes its frame CRC
 // gets past the CRC; the next block's prev-hash link must still catch
 // the change. Recovery decodes the 600 blocks in windows, several
@@ -375,13 +418,13 @@ TEST_F(PersistenceTest, ForgedMiddleBlockWithValidCrcFailsRecovery) {
   std::vector<Slice> records;
   uint64_t consumed = 0;
   ASSERT_TRUE(ReadRecordFrames(original, path, &records, &consumed).ok());
-  ASSERT_EQ(records.size(), kBlocks);
+  ASSERT_EQ(records.size(), 1 + kBlocks);  // the header, then the blocks
   std::string forged_journal;
   for (size_t i = 0; i < records.size(); i++) {
     std::string payload = records[i].ToString();
-    if (i == kForged) {
-      // The last byte is the final varint byte of the last entry's
-      // commit timestamp; flipping its low bit keeps the block
+    if (i == 1 + kForged) {
+      // The last byte is the last entry's txn_id minus its commit
+      // timestamp (zigzagged); flipping its low bit keeps the block
       // decodable but changes what it records.
       payload.back() ^= 0x01;
       Block forged;
@@ -834,10 +877,13 @@ TEST_F(PersistenceTest, CollectingPassErasesDecodedNodesOfCollectedChunks) {
 
 // Every byte Spitz puts on disk or on the wire is named by a SHA-256 or
 // guarded by a CRC32C. These constants were captured from the portable
-// kernels; any change to either hash, to the block encoding or to the
-// seal path that moved a single output byte fails here. Block
-// timestamps are wall-clock, so the journal is re-chained from its
-// decoded blocks with timestamp = height before its hashes are pinned.
+// kernels; any change to either hash, to the block encoding, to the
+// journal.log framing or to the seal path that moved a single output
+// byte fails here. Block timestamps are wall-clock, so the journal is
+// re-chained from its decoded blocks with timestamp = height, into a
+// journal.log of its own, before its hashes and its bytes are pinned.
+// The hashes hash canonical entries, not their stored form, which
+// kGoldenJournal alone pins.
 // On a multi-core host, 2000 entries in 32 blocks span several workers
 // of every parallel step of BulkLoad and of recovery.
 TEST_F(PersistenceTest, FormatPinBulkLoadJournalAndFrameMatchGolden) {
@@ -852,6 +898,8 @@ TEST_F(PersistenceTest, FormatPinBulkLoadJournalAndFrameMatchGolden) {
   const char kGoldenFrame[] =
       "37456a166ded5f85902b4006baf237e2a5ed7ba1d9d94697aeb50aa2cc1b761b";
   const uint32_t kGoldenFrameCrc = 0xedab5670u;
+  const char kGoldenJournal[] =
+      "808a9cc78f8f7f82fdb8af49701931ca018ffa377400b6192e5ac35ff3631be2";
   Random rnd(20200901);
   std::vector<PosEntry> entries;
   for (int i = 0; i < 2000; i++) {
@@ -890,13 +938,25 @@ TEST_F(PersistenceTest, FormatPinBulkLoadJournalAndFrameMatchGolden) {
   ASSERT_TRUE(
       ReadRecordFrames(journal_bytes, journal_path, &records, &consumed).ok());
   ASSERT_EQ(consumed, journal_bytes.size());
+  ASSERT_EQ(journal_bytes.substr(0, Journal::HeaderFrame().size()),
+            Journal::HeaderFrame());
+  const std::string rechained_path = dir_ + "/rechained.log";
   Journal rechained;
-  for (const Slice& record : records) {
+  uint64_t truncated = 0;
+  ASSERT_TRUE(rechained
+                  .Open(Env::Default(), rechained_path,
+                        [](const Block&) {}, &truncated)
+                  .ok());
+  for (size_t i = 1; i < records.size(); i++) {
     Block block;
-    ASSERT_TRUE(Block::Decode(record, &block).ok());
-    EXPECT_EQ(block.Encode(), record.ToString());
+    ASSERT_TRUE(Block::Decode(records[i], &block).ok());
+    EXPECT_EQ(block.Encode(), records[i].ToString());
     rechained.Append(block.entries(), block.index_root(), block.height());
   }
+  ASSERT_TRUE(rechained.Flush().ok());
+  EXPECT_EQ(Hash256::Of(ReadWholeFile(rechained_path)).ToHex(),
+            kGoldenJournal);
+  std::filesystem::remove(rechained_path);
   JournalDigest journal = rechained.Digest();
   EXPECT_EQ(journal.block_count, 32u);
   EXPECT_EQ(journal.entry_count, 2000u);

@@ -235,7 +235,8 @@ TEST_F(RecoveryTest, JournalCorruptedMiddleRecordIsDetected) {
     }
     ASSERT_TRUE(db->SyncStorage().ok());
   }
-  FlipByteAt(dir_ + "/journal.log", 10);  // inside the first block body
+  // Inside the first block body, past the header frame.
+  FlipByteAt(dir_ + "/journal.log", Journal::HeaderFrame().size() + 10);
   std::unique_ptr<SpitzDb> db;
   Status s = SpitzDb::Open(DurableOptions(4), &db);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
@@ -691,7 +692,8 @@ TEST_F(RecoveryTest, FaultTearsGroupAtRecordBoundary) {
   }
 
   FaultInjectionEnv env(Env::Default());
-  std::string expected;  // the frames of blocks 0 and 1
+  // The header frame, then the frames of blocks 0 and 1.
+  std::string expected = Journal::HeaderFrame();
   uint64_t fault_op = 0;
   {
     std::unique_ptr<SpitzDb> db;

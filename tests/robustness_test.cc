@@ -56,11 +56,14 @@ TEST(RobustnessTest, CodecPrimitivesNeverCrash) {
 
 TEST(RobustnessTest, LedgerEntryDecoderNeverCrashes) {
   Random rng(102);
+  LedgerEntry prev;
+  prev.key = "user000042";
+  prev.commit_ts = 1000;
   for (int i = 0; i < kTrials; i++) {
     std::string garbage = RandomGarbage(&rng);
     Slice in(garbage);
     LedgerEntry entry;
-    (void)LedgerEntry::DecodeFrom(&in, &entry);
+    (void)LedgerEntry::DecodeFrom(&in, prev, &entry);
   }
 }
 

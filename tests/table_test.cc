@@ -285,7 +285,8 @@ class TableTamperTest : public ::testing::Test {
   }
 
   // Flips one byte in the middle of block `height`'s frame in
-  // journal.log (frames are lp(payload) ‖ crc32c).
+  // journal.log (frames are lp(payload) ‖ crc32c; frame 0 is the
+  // header, so block h is frame h + 1).
   void FlipJournalByte(uint64_t height) {
     const std::string path = dir_ + "/journal.log";
     std::ifstream in(path, std::ios::binary);
@@ -293,8 +294,8 @@ class TableTamperTest : public ::testing::Test {
                                std::istreambuf_iterator<char>());
     Slice input(contents);
     Slice payload;
-    for (uint64_t h = 0; h <= height; h++) {
-      if (h > 0) input.remove_prefix(sizeof(uint32_t));
+    for (uint64_t frame = 0; frame <= height + 1; frame++) {
+      if (frame > 0) input.remove_prefix(sizeof(uint32_t));
       ASSERT_TRUE(GetLengthPrefixedSlice(&input, &payload).ok());
     }
     const auto at = static_cast<std::streamoff>(
