@@ -7,15 +7,15 @@
 #   Last, ci/loc.sh prints the tracked line and ctest case counts (it
 #   gates nothing).
 # TSan: the concurrency, group-commit, version-GC, deferred-auditor,
-#   2PC participant, read-set, key-history, network, cluster and
-#   replica tests, and the POS-tree and persistence tests, whose bulk
-#   builds, bulk loads and recoveries hash on several threads
+#   2PC participant, timestamp-oracle, read-set, key-history, network,
+#   cluster and replica tests, and the POS-tree and persistence tests,
+#   whose bulk builds, bulk loads and recoveries hash on several threads
 #   (common/fork_join, whose own test runs here too).
 # ASan+UBSan: the proof-codec, database, group-commit, version-GC,
 #   deferred-auditor, key-history,
 #   2PC participant, write-batch and read-set, network, cluster,
 #   replica, SHA-256/CRC32C kernel, journal, persistence,
-#   index-traversal (POS-tree, MPT, MBT, iterator and property),
+#   index-traversal (POS-tree, MPT, MBT and property),
 #   table, SQL and integration tests (untrusted bytes are decoded there —
 #   proof envelopes, decoded as views over the reply's frame buffer
 #   (ReadProof/ScanProof, and the range-proof node order check) and
@@ -108,7 +108,7 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
 # TSAN_OPTIONS makes any reported race fail the run (exit code).
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
   ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
-        -R 'Concurrency|DeferredVerifier|AuditorTest|TxnParticipant|SpitzDb|KeyHistory|Metrics|Recovery|Net|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|PosTree|Persistence|ForkJoin|GroupCommitTest|VersionGcTest'
+        -R 'Concurrency|DeferredVerifier|AuditorTest|TxnParticipant|TimestampOracle|SpitzDb|KeyHistory|Metrics|Recovery|Net|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|PosTree|Persistence|ForkJoin|GroupCommitTest|VersionGcTest'
 
 echo "==> tier-2: ASan+UBSan proof-codec and database suite"
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -119,11 +119,11 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
                concurrency_test cluster_test replica_test txn_test \
                crypto_test common_test \
                journal_test persistence_test pos_tree_test mpt_mbt_test \
-               iterator_test property_test table_test sql_test \
+               property_test table_test sql_test \
                integration_test group_commit_test version_gc_test
 ASAN_OPTIONS="halt_on_error=1 exitcode=66" \
 UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \
   ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-        -R 'Siri|SpitzDb|SpitzOptions|AuditorTest|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence|PosTree|Mpt|Mbt|Iterator|Table|Sql|Integration|GroupCommitTest|VersionGcTest'
+        -R 'Siri|SpitzDb|SpitzOptions|AuditorTest|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence|PosTree|Mpt|Mbt|Table|Sql|Integration|GroupCommitTest|VersionGcTest'
 
 echo "==> all checks passed"

@@ -67,9 +67,9 @@ class ChunkStore {
   // (RetainLive) proves it unreachable from every retained root — a
   // held shared_ptr stays valid through that, but re-Getting the same
   // id later may return NotFound. Callers that traverse many chunks
-  // (proof builds, scans, iterators, auditors) additionally bracket the
-  // whole traversal with PinReads() so a concurrent GC pass cannot
-  // collect the version out from under them mid-walk.
+  // (proof builds, scans, auditors) additionally bracket the whole
+  // traversal with PinReads() so a concurrent GC pass cannot collect
+  // the version out from under them mid-walk.
   virtual Status Get(const Hash256& id,
                      std::shared_ptr<const Chunk>* chunk) const;
 

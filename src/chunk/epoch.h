@@ -12,10 +12,10 @@ namespace spitz {
 
 // Epoch-based quiescence for the chunk-store GC (DESIGN.md section 12).
 //
-// Readers bracket every multi-chunk traversal (a proof build, a scan, an
-// open iterator) with a Guard. The collector, after unpublishing dead
-// chunks from the resident map, calls WaitForQuiescence(): it snapshots
-// every slot's enter counter and waits until each slot's exit counter
+// Readers bracket every multi-chunk traversal (a proof build, a scan)
+// with a Guard. The collector, after unpublishing dead chunks from the
+// resident map, calls WaitForQuiescence(): it snapshots every slot's
+// enter counter and waits until each slot's exit counter
 // catches up — at which point every traversal that might still hold a
 // location into a victim segment has finished, and the segment files can
 // be unlinked. Readers that started *after* the snapshot are ignored:

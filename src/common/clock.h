@@ -1,7 +1,6 @@
 #ifndef SPITZ_COMMON_CLOCK_H_
 #define SPITZ_COMMON_CLOCK_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 
@@ -22,29 +21,6 @@ inline uint64_t MonotonicNanos() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-// A monotonically increasing logical clock handing out unique
-// timestamps. Thread-safe.
-class LogicalClock {
- public:
-  explicit LogicalClock(uint64_t start = 1) : next_(start) {}
-
-  uint64_t Tick() { return next_.fetch_add(1, std::memory_order_relaxed); }
-
-  uint64_t Peek() const { return next_.load(std::memory_order_relaxed); }
-
-  // Advances the clock to at least floor + 1 (used when observing a
-  // timestamp from another node).
-  void Observe(uint64_t floor) {
-    uint64_t cur = next_.load(std::memory_order_relaxed);
-    while (cur <= floor && !next_.compare_exchange_weak(
-                               cur, floor + 1, std::memory_order_relaxed)) {
-    }
-  }
-
- private:
-  std::atomic<uint64_t> next_;
-};
 
 }  // namespace spitz
 

@@ -514,19 +514,6 @@ Status SpitzDb::ReadRange(const ReadVersion& at, const Slice& start,
   return s;
 }
 
-std::unique_ptr<PosTreeIterator> SpitzDb::NewIterator(
-    const ReadVersion& at) const {
-  const Hash256 root = RootOf(at);
-  if (!index_->SupportsScan()) {
-    return std::make_unique<PosTreeIterator>(
-        chunks_.get(), root,
-        Status::NotSupported(std::string(index_->name()) +
-                             " does not support ordered scans"));
-  }
-  return std::make_unique<PosTreeIterator>(chunks_.get(), root,
-                                           buffer_cache_.get());
-}
-
 SpitzDigest SpitzDb::Digest() const { return *CurrentSnapshot(); }
 
 // --- VerifiedKv surface -----------------------------------------------------
@@ -813,10 +800,6 @@ Status SpitzDb::SealedBlock(uint64_t height, std::string* serialized,
   Journal::BlockRef ref;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (height >= ledger_.block_count()) {
-      return Status::NotFound("block " + std::to_string(height) +
-                              " is past the sealed tip");
-    }
     Status s = ledger_.Locate(height, &ref);
     if (!s.ok()) return s;
   }

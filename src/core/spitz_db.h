@@ -19,7 +19,6 @@
 #include "core/verified_kv.h"
 #include "core/version_gc.h"
 #include "crypto/hash.h"
-#include "index/pos_tree_iterator.h"
 #include "index/siri.h"
 #include "ledger/journal.h"
 #include "ledger/key_history_index.h"
@@ -244,12 +243,6 @@ class SpitzDb : public VerifiedKv {
   Status ReadRange(const ReadVersion& at, const Slice& start,
                    const Slice& end, size_t limit, std::vector<PosEntry>* rows,
                    spitz::ScanProof* proof) const;
-
-  // A forward iterator over the version `at`. Immutability makes it a
-  // stable snapshot: concurrent writes never disturb it. Backends without
-  // ordered iteration return an iterator whose status() is NotSupported.
-  std::unique_ptr<PosTreeIterator> NewIterator(
-      const ReadVersion& at = kCurrentVersion) const;
 
   // VerifiedKv reads: with options.verify the read is served with a
   // proof and checked against the current digest before returning.

@@ -209,7 +209,7 @@ class PosTree {
                                  const PosRangeProof& proof);
 
   // A reference from a meta node to one child subtree. Public because
-  // decoded nodes (PosNode) expose their child lists to iterators.
+  // decoded nodes (PosNode) expose their child lists.
   struct ChildRef {
     std::string last_key;  // max key in the subtree
     Hash256 id;
@@ -217,8 +217,6 @@ class PosTree {
   };
 
  private:
-  friend class PosTreeIterator;
-
   struct PathFrame {
     std::shared_ptr<const PosNode> node;  // a meta node
     size_t idx = 0;                       // child taken during descent

@@ -283,19 +283,6 @@ Status Journal::Load(const BlockRef& ref, std::string* serialized,
   return Status::OK();
 }
 
-Status Journal::ReadBlock(uint64_t height, std::string* serialized) const {
-  BlockRef ref;
-  Block block;
-  Status s = Locate(height, &ref);
-  return s.ok() ? Load(ref, serialized, &block) : s;
-}
-
-Status Journal::GetBlock(uint64_t height, Block* block) const {
-  BlockRef ref;
-  Status s = Locate(height, &ref);
-  return s.ok() ? Load(ref, nullptr, block) : s;
-}
-
 Status Journal::ProveEntry(uint64_t height, uint64_t entry_index,
                            JournalEntryProof* proof,
                            LedgerEntry* entry) const {

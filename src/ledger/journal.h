@@ -162,10 +162,6 @@ class Journal {
   static Status Load(const BlockRef& ref, std::string* serialized,
                      Block* block);
 
-  // Locate + Load, for callers that hold the owner's lock anyway.
-  Status ReadBlock(uint64_t height, std::string* serialized) const;
-  Status GetBlock(uint64_t height, Block* block) const;
-
   uint64_t block_count() const { return block_hashes_.size(); }
   uint64_t entry_count() const { return entry_count_; }
 

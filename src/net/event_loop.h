@@ -79,11 +79,10 @@ class EventLoop {
 
   uint16_t port() const { return port_; }
 
-  // Queues an encoded frame (EncodeFrame or SealFrame bytes) for
-  // conn_id and wakes the loop; the buffer itself is sent and freed,
-  // never copied. Safe from any thread. Returns false once the loop has
-  // stopped. A frame for a connection that has meanwhile closed is
-  // silently dropped.
+  // Queues a sealed frame (SealFrame bytes) for conn_id and wakes the
+  // loop; the buffer itself is sent and freed, never copied. Safe from
+  // any thread. Returns false once the loop has stopped. A frame for a
+  // connection that has meanwhile closed is silently dropped.
   bool SendFrame(uint64_t conn_id, std::string frame);
 
   // Graceful stop; blocks until the loop thread exited. Idempotent.

@@ -15,33 +15,17 @@ uint32_t BodyCrc(const char* body, size_t body_len) {
   return crc32c::Value(body + 4, body_len - 4);
 }
 
-// Fills in the prefix of the frame starting at `p`, whose payload of
-// `payload_size` bytes follows the prefix.
-void SealFrameAt(uint32_t method, uint64_t request_id, uint32_t status,
-                 char* p, size_t payload_size) {
-  const size_t body_len = kFrameHeaderBytes + payload_size;
+}  // namespace
+
+void SealFrame(uint32_t method, uint64_t request_id, uint32_t status,
+               std::string* frame) {
+  char* p = frame->data();
+  const size_t body_len = frame->size() - 4;
   EncodeFixed32(p, static_cast<uint32_t>(body_len));
   EncodeFixed32(p + 8, method);
   EncodeFixed64(p + 12, request_id);
   EncodeFixed32(p + 20, status);
   EncodeFixed32(p + 4, crc32c::Mask(BodyCrc(p + 4, body_len)));
-}
-
-}  // namespace
-
-void EncodeFrame(const Frame& frame, std::string* out) {
-  const size_t start = out->size();
-  out->reserve(start + kFramePrefixBytes + frame.payload.size());
-  out->resize(start + kFramePrefixBytes);
-  out->append(frame.payload);
-  SealFrameAt(frame.method, frame.request_id, frame.status,
-              out->data() + start, frame.payload.size());
-}
-
-void SealFrame(uint32_t method, uint64_t request_id, uint32_t status,
-               std::string* frame) {
-  SealFrameAt(method, request_id, status, frame->data(),
-              frame->size() - kFramePrefixBytes);
 }
 
 FrameDecoder::FrameDecoder(size_t max_frame_bytes)
@@ -72,19 +56,6 @@ void FrameDecoder::Commit(size_t n) {
     filled_ += n;
   } else {
     staged_end_ += n;
-  }
-}
-
-void FrameDecoder::Feed(const char* data, size_t n) {
-  while (n > 0) {
-    if (!Assembling() && space_size() < n) {
-      staging_.resize(staged_end_ - staged_begin_ + n);
-    }
-    const size_t step = std::min(n, space_size());
-    std::memcpy(space(), data, step);
-    Commit(step);
-    data += step;
-    n -= step;
   }
 }
 
@@ -128,18 +99,6 @@ FrameDecoder::Result FrameDecoder::Next(ReceivedFrame* out,
   body_ = nullptr;
   filled_ = 0;
   return Result::kFrame;
-}
-
-FrameDecoder::Result FrameDecoder::Next(Frame* out, std::string* error) {
-  ReceivedFrame frame;
-  const Result r = Next(&frame, error);
-  if (r == Result::kFrame) {
-    out->method = frame.method;
-    out->request_id = frame.request_id;
-    out->status = frame.status;
-    out->payload = frame.payload.ToString();
-  }
-  return r;
 }
 
 void Handshake::EncodeTo(std::string* out) const {

@@ -36,23 +36,12 @@ namespace spitz {
 // error message as plain bytes.
 // ---------------------------------------------------------------------------
 
-// A frame to encode.
-struct Frame {
-  uint32_t method = 0;
-  uint64_t request_id = 0;
-  uint32_t status = 0;  // Status::Code on the wire; 0 in requests
-  std::string payload;
-};
-
 // Frame body bytes before the payload: crc + method + request_id + status.
 inline constexpr size_t kFrameHeaderBytes = 4 + 4 + 8 + 4;
 // Body bytes covered by the crc: method + request_id + status.
 inline constexpr size_t kFrameCrcCoverageOffset = 8;
 // Encoded frame bytes before the payload: the length prefix + the header.
 inline constexpr size_t kFramePrefixBytes = 4 + kFrameHeaderBytes;
-
-// Appends the encoded frame (length prefix included) to *out.
-void EncodeFrame(const Frame& frame, std::string* out);
 
 // Completes a frame built in place: `frame` holds kFramePrefixBytes
 // reserved bytes followed by the payload. Fills in the length prefix,
@@ -94,8 +83,6 @@ class FrameDecoder {
   char* space();
   size_t space_size() const;
   void Commit(size_t n);
-  // Copies bytes that are already in memory in; any amount.
-  void Feed(const char* data, size_t n);
 
   enum class Result { kFrame, kNeedMore, kError };
 
@@ -103,8 +90,6 @@ class FrameDecoder {
   // the reason. After kError the decoder is poisoned: every later call
   // reports kError again.
   Result Next(ReceivedFrame* out, std::string* error = nullptr);
-  // As above, with a copy of the payload.
-  Result Next(Frame* out, std::string* error = nullptr);
 
   // Bytes read but not yet delivered in a frame (diagnostics/tests).
   size_t buffered_bytes() const {

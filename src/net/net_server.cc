@@ -37,14 +37,11 @@ Status NetServer::Start(Handler handler, Options options,
                 Work{conn_id, std::move(frame), MonotonicNanos()})) {
           // Queue full: answer Busy rather than blocking the loop.
           raw->overloaded_->Increment();
-          Frame reply;
-          reply.method = method;
-          reply.request_id = request_id;
-          reply.status = WireStatusCode(Status::Busy());
-          reply.payload = "server overloaded";
-          std::string encoded;
-          EncodeFrame(reply, &encoded);
-          raw->loop_.SendFrame(conn_id, std::move(encoded));
+          std::string reply(kFramePrefixBytes, '\0');
+          reply.append("server overloaded");
+          SealFrame(method, request_id, WireStatusCode(Status::Busy()),
+                    &reply);
+          raw->loop_.SendFrame(conn_id, std::move(reply));
         }
       });
   if (!s.ok()) return s;

@@ -1434,31 +1434,28 @@ class SilentShard {
     conn_fd_ = ::accept(listen_fd_, nullptr, nullptr);
     if (conn_fd_ < 0) return;
     FrameDecoder decoder(1 << 20);
-    char buf[4096];
-    Frame frame;
+    ReceivedFrame frame;
     while (true) {
-      ssize_t n = ::recv(conn_fd_, buf, sizeof(buf), 0);
+      ssize_t n =
+          ::recv(conn_fd_, decoder.space(), decoder.space_size(), 0);
       if (n <= 0) return;
-      decoder.Feed(buf, static_cast<size_t>(n));
+      decoder.Commit(static_cast<size_t>(n));
       if (decoder.Next(&frame) == FrameDecoder::Result::kFrame) break;
     }
     if (frame.method != kHandshakeMethod) return;
-    Handshake ours;
-    Frame reply;
-    reply.method = kHandshakeMethod;
-    reply.request_id = frame.request_id;
-    reply.status = WireStatusCode(Status::OK());
-    ours.EncodeTo(&reply.payload);
-    std::string encoded;
-    EncodeFrame(reply, &encoded);
+    std::string reply(kFramePrefixBytes, '\0');
+    Handshake().EncodeTo(&reply);
+    SealFrame(kHandshakeMethod, frame.request_id,
+              WireStatusCode(Status::OK()), &reply);
     size_t sent = 0;
-    while (sent < encoded.size()) {
-      ssize_t n = ::send(conn_fd_, encoded.data() + sent,
-                         encoded.size() - sent, MSG_NOSIGNAL);
+    while (sent < reply.size()) {
+      ssize_t n = ::send(conn_fd_, reply.data() + sent, reply.size() - sent,
+                         MSG_NOSIGNAL);
       if (n <= 0) return;
       sent += static_cast<size_t>(n);
     }
     // From here on: swallow every request, answer nothing.
+    char buf[4096];
     while (!stop_.load(std::memory_order_acquire)) {
       ssize_t n = ::recv(conn_fd_, buf, sizeof(buf), 0);
       if (n <= 0) return;

@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
 #include <thread>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/codec.h"
 #include "common/crc32c.h"
 #include "common/crc32c_internal.h"
@@ -286,41 +284,6 @@ TEST(RandomTest, BytesHaveRequestedLength) {
   Random r(5);
   EXPECT_EQ(r.Bytes(0).size(), 0u);
   EXPECT_EQ(r.Bytes(17).size(), 17u);
-}
-
-// --- LogicalClock ---------------------------------------------------------
-
-TEST(LogicalClockTest, MonotoneUniqueTicks) {
-  LogicalClock clock;
-  uint64_t prev = 0;
-  for (int i = 0; i < 100; i++) {
-    uint64_t t = clock.Tick();
-    EXPECT_GT(t, prev);
-    prev = t;
-  }
-}
-
-TEST(LogicalClockTest, ObserveAdvances) {
-  LogicalClock clock(1);
-  clock.Observe(100);
-  EXPECT_GT(clock.Tick(), 100u);
-}
-
-TEST(LogicalClockTest, ConcurrentTicksAreUnique) {
-  LogicalClock clock;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 1000;
-  std::vector<std::vector<uint64_t>> results(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; t++) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; i++) results[t].push_back(clock.Tick());
-    });
-  }
-  for (auto& th : threads) th.join();
-  std::set<uint64_t> all;
-  for (const auto& v : results) all.insert(v.begin(), v.end());
-  EXPECT_EQ(all.size(), static_cast<size_t>(kThreads * kPerThread));
 }
 
 // --- BoundedQueue -----------------------------------------------------------

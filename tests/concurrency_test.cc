@@ -121,36 +121,47 @@ TEST(ConcurrencyTest, ConcurrentReadsWritesAndSeals) {
   EXPECT_TRUE(db.auditor()->Drain().ok());
 }
 
-TEST(ConcurrencyTest, IteratorStableWhileWritersAdvance) {
+// A ReadRange at a root captured before the writers start sees exactly
+// that version however far they advance: immutability makes the
+// snapshot free, so neither overwrites of its keys nor new keys show.
+TEST(ConcurrencyTest, ReadRangeAtPinnedRootStableWhileWritersAdvance) {
   SpitzDb db;
+  std::vector<PosEntry> expected;
   for (int i = 0; i < 500; i++) {
-    ASSERT_TRUE(
-        db.Put("stable" + std::to_string(1000 + i), "snapshot").ok());
+    std::string key = "stable" + std::to_string(1000 + i);
+    ASSERT_TRUE(db.Put(key, "snapshot").ok());
+    expected.push_back({key, "snapshot"});
   }
-  auto it = db.NewIterator();
+  const Hash256 root = db.Digest().index_root;
 
   std::atomic<bool> stop{false};
+  std::atomic<int> written{0};
   std::thread writer([&] {
-    int i = 0;
-    while (!stop.load()) {
-      db.Put("churn" + std::to_string(i++), "x");
+    for (int i = 0; !stop.load(); i++) {
+      db.Put("stable" + std::to_string(1000 + i % 500), "overwritten");
+      db.Put("churn" + std::to_string(i), "x");
+      written.fetch_add(1);
     }
   });
 
-  size_t seen = 0;
-  for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    if (it->key().ToString().rfind("stable", 0) == 0) {
-      EXPECT_EQ(it->value().ToString(), "snapshot");
-      seen++;
-    }
+  size_t scans = 0;
+  size_t wrong = 0;
+  while (scans < 20 || written.load() < 500) {
+    std::vector<PosEntry> rows;
+    Status s = db.ReadRange(root, "", "", 0, &rows, nullptr);
+    if (!s.ok() || rows != expected) wrong++;
+    scans++;
   }
   stop.store(true);
   writer.join();
-  EXPECT_TRUE(it->status().ok());
-  // The iterator pinned the pre-churn snapshot: exactly the 500 stable
-  // keys (plus possibly some churn keys if the snapshot raced the first
-  // writer inserts — it cannot, since the iterator was created first).
-  EXPECT_EQ(seen, 500u);
+  EXPECT_EQ(wrong, 0u) << "of " << scans << " scans";
+  // The live version did move on: every snapshot key was overwritten.
+  std::vector<PosEntry> rows;
+  ASSERT_TRUE(db.ReadRange(kCurrentVersion, "stable", "stablf", 0, &rows,
+                           nullptr)
+                  .ok());
+  ASSERT_EQ(rows.size(), 500u);
+  for (const PosEntry& row : rows) EXPECT_EQ(row.value, "overwritten");
 }
 
 TEST(ConcurrencyTest, ConcurrentAuditsDrainExactly) {
@@ -887,42 +898,69 @@ TEST(ConcurrencyTest, VersionGcRacesReadersWritersAndAuditors) {
   std::filesystem::remove_all(dir);
 }
 
-// An open iterator pins its epoch: a GC pass that collects the
-// iterated version out of the retention window must not invalidate the
-// traversal mid-flight.
-TEST(ConcurrencyTest, IteratorSurvivesGcOfItsVersion) {
+// A ReadRange at an old version that races the GC pass collecting that
+// version returns either exactly that version's rows or a clean error,
+// never wrong rows: the read pins its epoch for the whole traversal, so
+// the pass either waits for it or unpublishes the version before it
+// starts.
+TEST(ConcurrencyTest, ReadRangeRacingGcOfItsVersionIsExactOrFails) {
+  std::string dir = ::testing::TempDir() + "/spitz_scan_gc_race";
+  std::filesystem::remove_all(dir);
   SpitzOptions options;
   options.block_size = 4;
   options.retain_versions = 1;
-  SpitzDb db(options);
-  for (int i = 0; i < 64; i++) {
-    ASSERT_TRUE(db.Put("it" + std::to_string(i / 10) + std::to_string(i % 10),
-                       "v0")
-                    .ok());
-  }
-  ASSERT_TRUE(db.FlushBlock().ok());
-  auto it = db.NewIterator();
-  it->SeekToFirst();
-  ASSERT_TRUE(it->Valid());
-  size_t seen = 0;
-  std::thread churn([&] {
-    // Overwrite everything (new version) and collect the old one.
+  options.chunk_segment_bytes = 16 << 10;
+  options.data_dir = dir;
+  std::unique_ptr<SpitzDb> opened;
+  ASSERT_TRUE(SpitzDb::Open(options, &opened).ok());
+  SpitzDb& db = *opened;
+  auto key = [](int i) {
+    return "it" + std::to_string(i / 10) + std::to_string(i % 10);
+  };
+  for (int round = 0; round < 4; round++) {
+    SCOPED_TRACE(round);
+    const std::string old_value = "v" + std::to_string(round);
+    std::vector<PosEntry> expected;
     for (int i = 0; i < 64; i++) {
-      db.Put("it" + std::to_string(i / 10) + std::to_string(i % 10), "v1");
+      ASSERT_TRUE(db.Put(key(i), old_value).ok());
+      expected.push_back({key(i), old_value});
     }
-    db.FlushBlock();
-    // The GC pass blocks on the iterator's epoch pin during its
-    // quiescence wait only if it needs to unpublish; either way the
-    // iterator's held chunks stay readable.
-    db.gc()->Collect(nullptr);
-  });
-  for (; it->Valid(); it->Next()) seen++;
-  EXPECT_TRUE(it->status().ok());
-  EXPECT_EQ(seen, 64u);
-  // Release the iterator's epoch pin so the GC's quiescence wait (on
-  // the churn thread) can complete.
-  it.reset();
-  churn.join();
+    ASSERT_TRUE(db.FlushBlock().ok());
+    const Hash256 old_root = db.Digest().index_root;
+
+    std::atomic<bool> collected{false};
+    std::thread churn([&] {
+      // Overwrite everything (a new version) and collect the old one.
+      for (int i = 0; i < 64; i++) db.Put(key(i), "next");
+      db.FlushBlock();
+      db.gc()->Collect(nullptr);
+      collected.store(true);
+    });
+    size_t exact = 0;
+    size_t failed = 0;
+    size_t wrong = 0;
+    do {
+      std::vector<PosEntry> rows;
+      Status s = db.ReadRange(old_root, "", "", 0, &rows, nullptr);
+      if (!s.ok()) {
+        failed++;
+      } else if (rows == expected) {
+        exact++;
+      } else {
+        wrong++;
+      }
+    } while (!collected.load());
+    churn.join();
+    EXPECT_EQ(wrong, 0u) << exact << " exact, " << failed << " failed";
+    EXPECT_GT(exact + failed, 0u);
+
+    // The pass did collect the old version, and a read of it now fails.
+    EXPECT_TRUE(db.gc()->Collected(old_root));
+    std::vector<PosEntry> rows;
+    EXPECT_FALSE(db.ReadRange(old_root, "", "", 0, &rows, nullptr).ok());
+  }
+  opened.reset();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

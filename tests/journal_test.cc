@@ -316,11 +316,14 @@ TEST(JournalTest, BlocksAreHashChained) {
   Journal j;
   j.Append({MakeEntry("a", "1")}, Hash256(), 1);
   j.Append({MakeEntry("b", "2")}, Hash256(), 2);
-  Block b0, b1;
-  ASSERT_TRUE(j.GetBlock(0, &b0).ok());
-  ASSERT_TRUE(j.GetBlock(1, &b1).ok());
-  EXPECT_EQ(b1.prev_hash(), b0.block_hash());
-  EXPECT_TRUE(b0.prev_hash().IsZero());
+  Block b[2];
+  for (uint64_t h = 0; h < 2; h++) {
+    Journal::BlockRef ref;
+    ASSERT_TRUE(j.Locate(h, &ref).ok());
+    ASSERT_TRUE(Journal::Load(ref, nullptr, &b[h]).ok());
+  }
+  EXPECT_EQ(b[1].prev_hash(), b[0].block_hash());
+  EXPECT_TRUE(b[0].prev_hash().IsZero());
 }
 
 // Restore's checks are the ones recovery and replication rely on: a
@@ -373,8 +376,11 @@ TEST_F(JournalRestoreTest, AcceptsTheNextBlockInTheChain) {
   EXPECT_EQ(d.block_count, 2u);
   EXPECT_EQ(d.entry_count, 3u);
   EXPECT_EQ(d.tip_hash, next.block_hash());
+  Journal::BlockRef ref;
+  ASSERT_TRUE(journal_.Locate(1, &ref).ok());
   std::string serialized;
-  ASSERT_TRUE(journal_.ReadBlock(1, &serialized).ok());
+  Block block;
+  ASSERT_TRUE(Journal::Load(ref, &serialized, &block).ok());
   EXPECT_EQ(serialized, next.Encode());
 }
 
@@ -383,8 +389,10 @@ TEST_F(JournalRestoreTest, IndexRootKeptWithoutDecodingOnAppendAndRestore) {
   journal_.Append({MakeEntry("d", "4")}, Hash256::Of("idx2"), 3);
   ASSERT_EQ(journal_.block_count(), 3u);
   for (uint64_t height = 0; height < journal_.block_count(); height++) {
+    Journal::BlockRef ref;
+    ASSERT_TRUE(journal_.Locate(height, &ref).ok());
     Block block;
-    ASSERT_TRUE(journal_.GetBlock(height, &block).ok());
+    ASSERT_TRUE(Journal::Load(ref, nullptr, &block).ok());
     EXPECT_EQ(journal_.IndexRoot(height), block.index_root()) << height;
   }
   EXPECT_EQ(journal_.IndexRoot(2), Hash256::Of("idx2"));
@@ -407,8 +415,8 @@ TEST_F(JournalRestoreTest, RejectsWrongFirstSeq) {
 
 TEST(JournalTest, GetBlockBeyondEndFails) {
   Journal j;
-  Block b;
-  EXPECT_TRUE(j.GetBlock(0, &b).IsNotFound());
+  Journal::BlockRef ref;
+  EXPECT_TRUE(j.Locate(0, &ref).IsNotFound());
 }
 
 TEST(JournalTest, EntryProofVerifies) {
@@ -566,11 +574,14 @@ TEST(JournalTest, IndexRootRecordedPerBlock) {
   Journal j;
   j.Append({MakeEntry("a", "1")}, Hash256::Of("root-v1"), 1);
   j.Append({MakeEntry("b", "2")}, Hash256::Of("root-v2"), 2);
-  Block b0, b1;
-  ASSERT_TRUE(j.GetBlock(0, &b0).ok());
-  ASSERT_TRUE(j.GetBlock(1, &b1).ok());
-  EXPECT_EQ(b0.index_root(), Hash256::Of("root-v1"));
-  EXPECT_EQ(b1.index_root(), Hash256::Of("root-v2"));
+  Block b[2];
+  for (uint64_t h = 0; h < 2; h++) {
+    Journal::BlockRef ref;
+    ASSERT_TRUE(j.Locate(h, &ref).ok());
+    ASSERT_TRUE(Journal::Load(ref, nullptr, &b[h]).ok());
+  }
+  EXPECT_EQ(b[0].index_root(), Hash256::Of("root-v1"));
+  EXPECT_EQ(b[1].index_root(), Hash256::Of("root-v2"));
 }
 
 // Randomized end-to-end: every entry in a multi-block journal proves.
@@ -648,7 +659,8 @@ TEST(JournalTest, ReleasedBlocksReadBackFromTheFile) {
     ASSERT_TRUE(j.Locate(h, &ref).ok());
     EXPECT_EQ(ref.resident, h >= 3) << h;
     std::string bytes;
-    ASSERT_TRUE(j.ReadBlock(h, &bytes).ok()) << h;
+    Block block;
+    ASSERT_TRUE(Journal::Load(ref, &bytes, &block).ok()) << h;
     EXPECT_EQ(bytes, serialized[h]) << h;
     JournalEntryProof proof;
     LedgerEntry entry;
@@ -658,8 +670,10 @@ TEST(JournalTest, ReleasedBlocksReadBackFromTheFile) {
   }
   ASSERT_TRUE(j.Flush().ok());
   EXPECT_EQ(j.resident_bytes(), 0u);
+  Journal::BlockRef last_ref;
+  ASSERT_TRUE(j.Locate(4, &last_ref).ok());
   Block last;
-  ASSERT_TRUE(j.GetBlock(4, &last).ok());
+  ASSERT_TRUE(Journal::Load(last_ref, nullptr, &last).ok());
   EXPECT_EQ(last.index_root(), Hash256::Of("root4"));
   // The file holds the header frame, then exactly the block frames, back
   // to back.
@@ -705,22 +719,24 @@ TEST(JournalTest, ReadBackChecksFrameAndBlockHash) {
   };
   write_file(forged.Encode());
 
+  Journal::BlockRef refs[3];
+  for (uint64_t h = 0; h < 3; h++) ASSERT_TRUE(j.Locate(h, &refs[h]).ok());
+  const Journal::BlockRef& ref = refs[1];
   std::string bytes;
-  Status s = j.ReadBlock(1, &bytes);
+  Block block;
+  Status s = Journal::Load(ref, &bytes, &block);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   EXPECT_NE(s.ToString().find("block hash mismatch"), std::string::npos);
   EXPECT_NE(s.ToString().find(path), std::string::npos);
-  Journal::BlockRef ref;
-  ASSERT_TRUE(j.Locate(1, &ref).ok());
   EXPECT_NE(s.ToString().find("offset " + std::to_string(ref.offset)),
             std::string::npos)
       << s.ToString();
-  ASSERT_TRUE(j.ReadBlock(0, &bytes).ok());
+  ASSERT_TRUE(Journal::Load(refs[0], &bytes, &block).ok());
   EXPECT_EQ(bytes, serialized[0]);
 
   // One flipped byte of the genuine frame fails its CRC.
   write_file(serialized[1]);
-  ASSERT_TRUE(j.ReadBlock(1, &bytes).ok());
+  ASSERT_TRUE(Journal::Load(ref, &bytes, &block).ok());
   {
     std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
     const uint64_t at = ref.offset + ref.frame_bytes / 2;
@@ -729,7 +745,7 @@ TEST(JournalTest, ReadBackChecksFrameAndBlockHash) {
     io.seekp(static_cast<std::streamoff>(at));
     io.put(static_cast<char>(c ^ 0x01));
   }
-  s = j.ReadBlock(1, &bytes);
+  s = Journal::Load(ref, &bytes, &block);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   EXPECT_NE(s.ToString().find("bad frame"), std::string::npos);
   JournalEntryProof proof;
@@ -738,7 +754,7 @@ TEST(JournalTest, ReadBackChecksFrameAndBlockHash) {
 
   // A file cut short of the last frame.
   std::filesystem::resize_file(path, j.stored_bytes() - 1);
-  EXPECT_TRUE(j.ReadBlock(2, &bytes).IsCorruption());
+  EXPECT_TRUE(Journal::Load(refs[2], &bytes, &block).IsCorruption());
   std::filesystem::remove(path);
 }
 

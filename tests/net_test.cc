@@ -14,8 +14,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
+#include <mutex>
 #include <thread>
 
 #include "cluster/local_fleet.h"
@@ -36,65 +38,69 @@ namespace {
 
 // --- Frame codec ------------------------------------------------------------
 
-Frame MakeFrame(uint32_t method, uint64_t id, uint32_t status,
-                std::string payload) {
-  Frame f;
-  f.method = method;
-  f.request_id = id;
-  f.status = status;
-  f.payload = std::move(payload);
-  return f;
+// The bytes of one frame, sealed in place.
+std::string SealedFrame(uint32_t method, uint64_t id, uint32_t status,
+                        const std::string& payload) {
+  std::string frame(kFramePrefixBytes, '\0');
+  frame.append(payload);
+  SealFrame(method, id, status, &frame);
+  return frame;
+}
+
+// Copies `bytes` into the decoder's read window as one socket read
+// would; they must fit in it.
+void ReadOnce(FrameDecoder* decoder, Slice bytes) {
+  ASSERT_LE(bytes.size(), decoder->space_size());
+  std::memcpy(decoder->space(), bytes.data(), bytes.size());
+  decoder->Commit(bytes.size());
 }
 
 TEST(NetFrameTest, RoundTrips) {
   for (const std::string& payload :
        {std::string(), std::string("x"), std::string(1000, 'p'),
         std::string("\x00\xff\x01", 3)}) {
-    std::string wire;
-    EncodeFrame(MakeFrame(7, 42, 3, payload), &wire);
+    std::string wire = SealedFrame(7, 42, 3, payload);
     EXPECT_EQ(wire.size(), 4 + kFrameHeaderBytes + payload.size());
 
     FrameDecoder decoder(1 << 20);
-    decoder.Feed(wire.data(), wire.size());
-    Frame out;
+    ReadOnce(&decoder, wire);
+    ReceivedFrame out;
     ASSERT_EQ(decoder.Next(&out), FrameDecoder::Result::kFrame);
     EXPECT_EQ(out.method, 7u);
     EXPECT_EQ(out.request_id, 42u);
     EXPECT_EQ(out.status, 3u);
-    EXPECT_EQ(out.payload, payload);
+    EXPECT_EQ(out.payload.ToString(), payload);
     EXPECT_EQ(decoder.Next(&out), FrameDecoder::Result::kNeedMore);
     EXPECT_EQ(decoder.buffered_bytes(), 0u);
   }
 }
 
 TEST(NetFrameTest, ByteAtATimeFeedAndBackToBackFrames) {
-  std::string wire;
-  EncodeFrame(MakeFrame(1, 1, 0, "first"), &wire);
-  EncodeFrame(MakeFrame(2, 2, 0, "second"), &wire);
+  std::string wire =
+      SealedFrame(1, 1, 0, "first") + SealedFrame(2, 2, 0, "second");
 
   FrameDecoder decoder(1 << 20);
-  std::vector<Frame> got;
+  std::vector<ReceivedFrame> got;
   for (char c : wire) {
-    decoder.Feed(&c, 1);
-    Frame f;
+    ReadOnce(&decoder, Slice(&c, 1));
+    ReceivedFrame f;
     while (decoder.Next(&f) == FrameDecoder::Result::kFrame) {
       got.push_back(f);
     }
   }
   ASSERT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0].payload, "first");
-  EXPECT_EQ(got[1].payload, "second");
+  EXPECT_EQ(got[0].payload.ToString(), "first");
+  EXPECT_EQ(got[1].payload.ToString(), "second");
 }
 
 TEST(NetFrameTest, EverySingleByteTamperIsRejectedOrChangesNothing) {
-  std::string wire;
-  EncodeFrame(MakeFrame(3, 9, 0, "payload-bytes"), &wire);
+  std::string wire = SealedFrame(3, 9, 0, "payload-bytes");
   for (size_t i = 0; i < wire.size(); i++) {
     std::string bad = wire;
     bad[i] = static_cast<char>(bad[i] ^ 0x40);
     FrameDecoder decoder(1 << 20);
-    decoder.Feed(bad.data(), bad.size());
-    Frame f;
+    ReadOnce(&decoder, bad);
+    ReceivedFrame f;
     std::string error;
     FrameDecoder::Result r = decoder.Next(&f, &error);
     if (i < 4) {
@@ -112,12 +118,11 @@ TEST(NetFrameTest, EverySingleByteTamperIsRejectedOrChangesNothing) {
 }
 
 TEST(NetFrameTest, TruncationNeverYieldsAFrame) {
-  std::string wire;
-  EncodeFrame(MakeFrame(3, 9, 0, "payload-bytes"), &wire);
+  std::string wire = SealedFrame(3, 9, 0, "payload-bytes");
   for (size_t len = 0; len < wire.size(); len++) {
     FrameDecoder decoder(1 << 20);
-    decoder.Feed(wire.data(), len);
-    Frame f;
+    ReadOnce(&decoder, Slice(wire.data(), len));
+    ReceivedFrame f;
     EXPECT_EQ(decoder.Next(&f), FrameDecoder::Result::kNeedMore)
         << "prefix " << len;
   }
@@ -128,8 +133,8 @@ TEST(NetFrameTest, OversizedAndUndersizedLengthPrefixAreErrors) {
   std::string wire;
   PutFixed32(&wire, 1 << 20);
   FrameDecoder small(4096);
-  small.Feed(wire.data(), wire.size());
-  Frame f;
+  ReadOnce(&small, wire);
+  ReceivedFrame f;
   std::string error;
   EXPECT_EQ(small.Next(&f, &error), FrameDecoder::Result::kError);
   EXPECT_FALSE(error.empty());
@@ -138,21 +143,20 @@ TEST(NetFrameTest, OversizedAndUndersizedLengthPrefixAreErrors) {
   std::string tiny;
   PutFixed32(&tiny, kFrameHeaderBytes - 5);
   FrameDecoder decoder(4096);
-  decoder.Feed(tiny.data(), tiny.size());
+  ReadOnce(&decoder, tiny);
   EXPECT_EQ(decoder.Next(&f), FrameDecoder::Result::kError);
 }
 
 TEST(NetFrameTest, PoisonedAfterError) {
   std::string bad;
   PutFixed32(&bad, 1);  // undersized body
-  std::string good;
-  EncodeFrame(MakeFrame(1, 1, 0, "ok"), &good);
+  std::string good = SealedFrame(1, 1, 0, "ok");
 
   FrameDecoder decoder(4096);
-  decoder.Feed(bad.data(), bad.size());
-  Frame f;
+  ReadOnce(&decoder, bad);
+  ReceivedFrame f;
   ASSERT_EQ(decoder.Next(&f), FrameDecoder::Result::kError);
-  decoder.Feed(good.data(), good.size());
+  ReadOnce(&decoder, good);
   EXPECT_EQ(decoder.Next(&f), FrameDecoder::Result::kError)
       << "decoder must not resynchronize after an error";
 }
@@ -184,7 +188,7 @@ TEST(NetFrameTest, EachFrameIsReadIntoItsOwnBuffer) {
       std::string(20 << 10, 'M')};
   std::string wire;
   for (size_t i = 0; i < payloads.size(); i++) {
-    EncodeFrame(MakeFrame(4, i + 1, 0, payloads[i]), &wire);
+    wire += SealedFrame(4, i + 1, 0, payloads[i]);
   }
   for (size_t chunk : {size_t{1}, size_t{7}, size_t{4096}, size_t{1} << 20}) {
     SCOPED_TRACE(chunk);
@@ -203,15 +207,6 @@ TEST(NetFrameTest, EachFrameIsReadIntoItsOwnBuffer) {
                     kFrameHeaderBytes);
     }
   }
-}
-
-TEST(NetFrameTest, SealFrameWritesWhatEncodeFrameWrites) {
-  std::string encoded;
-  EncodeFrame(MakeFrame(6, 77, 1, "sealed in place"), &encoded);
-  std::string sealed(kFramePrefixBytes, '\0');
-  sealed.append("sealed in place");
-  SealFrame(6, 77, 1, &sealed);
-  EXPECT_EQ(sealed, encoded);
 }
 
 TEST(NetFrameTest, StatusCodesRoundTripTheWire) {
@@ -507,8 +502,7 @@ TEST(NetFuzzTest, GarbageBytesAreAProtocolErrorAndTheServerSurvives) {
 
 TEST(NetFuzzTest, EverySingleByteTamperOnTheWireIsContained) {
   auto server = StartEchoServer();
-  std::string wire;
-  EncodeFrame(MakeFrame(1, 7, 0, "fuzz-me"), &wire);
+  std::string wire = SealedFrame(1, 7, 0, "fuzz-me");
 
   for (size_t i = 0; i < wire.size(); i++) {
     std::string bad = wire;
@@ -524,11 +518,11 @@ TEST(NetFuzzTest, EverySingleByteTamperOnTheWireIsContained) {
     ::close(fd);
     if (!response.empty()) {
       FrameDecoder decoder(1 << 20);
-      decoder.Feed(response.data(), response.size());
-      Frame f;
+      ReadOnce(&decoder, response);
+      ReceivedFrame f;
       if (decoder.Next(&f) == FrameDecoder::Result::kFrame) {
         EXPECT_FALSE(f.status == 0 && f.request_id == 7 &&
-                     f.payload == "fuzz-me")
+                     f.payload == Slice("fuzz-me"))
             << "tampered byte " << i << " was served as if untouched";
       }
     }
@@ -538,8 +532,7 @@ TEST(NetFuzzTest, EverySingleByteTamperOnTheWireIsContained) {
 
 TEST(NetFuzzTest, TruncatedFrameThenCloseIsHandled) {
   auto server = StartEchoServer();
-  std::string wire;
-  EncodeFrame(MakeFrame(1, 1, 0, "truncated"), &wire);
+  std::string wire = SealedFrame(1, 1, 0, "truncated");
 
   for (size_t len : {size_t(1), size_t(3), size_t(4), size_t(10),
                      wire.size() - 1}) {
@@ -572,9 +565,8 @@ TEST(NetFuzzTest, OversizedLengthPrefixClosesImmediately) {
 
 TEST(NetFuzzTest, HalfClosedSocketStillReceivesItsResponses) {
   auto server = StartEchoServer();
-  std::string wire;
-  EncodeFrame(MakeFrame(1, 11, 0, "before-fin-1"), &wire);
-  EncodeFrame(MakeFrame(1, 12, 0, "before-fin-2"), &wire);
+  std::string wire = SealedFrame(1, 11, 0, "before-fin-1") +
+                     SealedFrame(1, 12, 0, "before-fin-2");
 
   int fd = RawConnect(server->port());
   ASSERT_TRUE(SendAll(fd, wire));
@@ -583,19 +575,129 @@ TEST(NetFuzzTest, HalfClosedSocketStillReceivesItsResponses) {
   std::string bytes = RecvUntilClosed(fd);
   ::close(fd);
   FrameDecoder decoder(1 << 20);
-  decoder.Feed(bytes.data(), bytes.size());
-  Frame f;
-  std::vector<Frame> responses;
+  ReadOnce(&decoder, bytes);
+  ReceivedFrame f;
+  std::vector<ReceivedFrame> responses;
   while (decoder.Next(&f) == FrameDecoder::Result::kFrame) {
     responses.push_back(f);
   }
   ASSERT_EQ(responses.size(), 2u)
       << "both pre-FIN requests must be answered before the close";
-  for (const Frame& r : responses) {
+  for (const ReceivedFrame& r : responses) {
     EXPECT_EQ(r.status, 0u);
-    EXPECT_TRUE((r.request_id == 11 && r.payload == "before-fin-1") ||
-                (r.request_id == 12 && r.payload == "before-fin-2"));
+    EXPECT_TRUE(
+        (r.request_id == 11 && r.payload == Slice("before-fin-1")) ||
+        (r.request_id == 12 && r.payload == Slice("before-fin-2")));
   }
+}
+
+// A handler that holds every call until the test opens it.
+class HeldHandler {
+ public:
+  Status Call(uint32_t method, const std::string& request,
+              std::string* response) {
+    std::unique_lock<std::mutex> lock(mu_);
+    entered_++;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_; });
+    lock.unlock();
+    return EchoHandler(method, request, response);
+  }
+  void AwaitEntered(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_ >= n; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int entered_ = 0;
+  bool open_ = false;
+};
+
+// With its one dispatcher held in the handler and its one queue slot
+// taken, the server answers every further request Busy from the event
+// loop, each reply carrying its own request's id and method, and it
+// serves normally once the handler is released.
+TEST(NetRpcTest, QueueFullRepliesBusyToEachPipelinedRequest) {
+  HeldHandler held;
+  NetServer::Options options;
+  options.dispatcher_count = 1;
+  options.queue_depth = 1;
+  std::unique_ptr<NetServer> server;
+  ASSERT_TRUE(NetServer::Start(
+                  [&held](uint32_t method, const std::string& request,
+                          std::string* response) {
+                    return held.Call(method, request, response);
+                  },
+                  options, &server)
+                  .ok());
+  // Opens the handler on every way out, before the server shuts down.
+  struct OpenOnExit {
+    HeldHandler* held;
+    ~OpenOnExit() { held->Open(); }
+  } open_on_exit{&held};
+
+  int fd = RawConnect(server->port());
+  // Request 1 occupies the dispatcher ...
+  ASSERT_TRUE(SendAll(fd, SealedFrame(1, 1, 0, "payload-1")));
+  held.AwaitEntered(1);
+  // ... request 2 takes the queue slot, and 3..kRequests find it full.
+  constexpr uint64_t kRequests = 8;
+  std::string pipelined;
+  for (uint64_t id = 2; id <= kRequests; id++) {
+    pipelined += SealedFrame(static_cast<uint32_t>(id), id, 0,
+                             "payload-" + std::to_string(id));
+  }
+  ASSERT_TRUE(SendAll(fd, pipelined));
+
+  FrameDecoder decoder(1 << 20);
+  std::vector<ReceivedFrame> replies;
+  bool opened = false;
+  while (replies.size() < kRequests) {
+    // Every Busy reply arrives while the handler is still held.
+    if (!opened && replies.size() == kRequests - 2) {
+      held.Open();
+      opened = true;
+    }
+    ssize_t n = ::recv(fd, decoder.space(), decoder.space_size(), 0);
+    ASSERT_GT(n, 0) << replies.size() << " replies so far";
+    decoder.Commit(static_cast<size_t>(n));
+    ReceivedFrame f;
+    while (decoder.Next(&f) == FrameDecoder::Result::kFrame) {
+      replies.push_back(std::move(f));
+    }
+  }
+  ::close(fd);
+
+  ASSERT_EQ(replies.size(), kRequests);
+  std::vector<int> answered(kRequests + 1, 0);
+  uint64_t busy = 0;
+  for (const ReceivedFrame& r : replies) {
+    ASSERT_GE(r.request_id, 1u);
+    ASSERT_LE(r.request_id, kRequests);
+    answered[r.request_id]++;
+    EXPECT_EQ(r.method, r.request_id);
+    if (r.status == WireStatusCode(Status::Busy())) {
+      busy++;
+      EXPECT_EQ(r.payload.ToString(), "server overloaded");
+    } else {
+      EXPECT_EQ(r.status, 0u) << r.request_id;
+      EXPECT_EQ(r.payload.ToString(),
+                "payload-" + std::to_string(r.request_id));
+    }
+  }
+  for (uint64_t id = 1; id <= kRequests; id++) {
+    EXPECT_EQ(answered[id], 1) << "request " << id;
+  }
+  EXPECT_EQ(busy, kRequests - 2);
+  EXPECT_EQ(server->Metrics().CounterValue("net.server.overloaded"), busy);
+  ExpectServerStillServes(server->port());
 }
 
 // --- The typed pair: SpitzServer + SpitzClient ------------------------------
@@ -977,26 +1079,22 @@ class ResettingPeer {
     ASSERT_GE(fd, 0);
     // Answer the handshake so Connect() succeeds.
     FrameDecoder decoder(1 << 20);
-    char buf[4096];
-    Frame frame;
+    ReceivedFrame frame;
     while (true) {
-      ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      ssize_t n = ::recv(fd, decoder.space(), decoder.space_size(), 0);
       ASSERT_GT(n, 0);
-      decoder.Feed(buf, static_cast<size_t>(n));
+      decoder.Commit(static_cast<size_t>(n));
       if (decoder.Next(&frame) == FrameDecoder::Result::kFrame) break;
     }
     ASSERT_EQ(frame.method, kHandshakeMethod);
-    Handshake ours;
-    Frame reply;
-    reply.method = kHandshakeMethod;
-    reply.request_id = frame.request_id;
-    reply.status = WireStatusCode(Status::OK());
-    ours.EncodeTo(&reply.payload);
-    std::string encoded;
-    EncodeFrame(reply, &encoded);
-    ASSERT_TRUE(SendAll(fd, encoded));
+    std::string reply(kFramePrefixBytes, '\0');
+    Handshake().EncodeTo(&reply);
+    SealFrame(kHandshakeMethod, frame.request_id,
+              WireStatusCode(Status::OK()), &reply);
+    ASSERT_TRUE(SendAll(fd, reply));
     // Swallow a little of the next frame, then reset with data still
     // unread — the client is mid-send of a frame far larger than this.
+    char buf[4096];
     size_t consumed = 0;
     while (consumed < consume_bytes) {
       ssize_t n = ::recv(fd, buf, sizeof(buf), 0);

@@ -972,12 +972,9 @@ TEST_F(PersistenceTest, FormatPinBulkLoadJournalAndFrameMatchGolden) {
   }
 
   // Wire: one frame the size of a point-proof reply.
-  Frame frame;
-  frame.method = 5;
-  frame.request_id = 0x0102030405060708ull;
-  frame.payload = BinaryPayload(&rnd, 13 * 1024 + 5);
-  std::string encoded;
-  EncodeFrame(frame, &encoded);
+  std::string encoded(kFramePrefixBytes, '\0');
+  encoded.append(BinaryPayload(&rnd, 13 * 1024 + 5));
+  SealFrame(5, 0x0102030405060708ull, 0, &encoded);
   EXPECT_EQ(DecodeFixed32(encoded.data() + 4), kGoldenFrameCrc);
   EXPECT_EQ(Hash256::Of(encoded).ToHex(), kGoldenFrame);
 }

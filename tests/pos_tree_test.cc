@@ -315,6 +315,26 @@ TEST_F(PosTreeTest, ScanRange) {
   ASSERT_EQ(out.size(), 10u);
   EXPECT_EQ(out.front().key, "key00000100");
   EXPECT_EQ(out.back().key, "key00000109");
+  // A start between two keys lands on the next one.
+  out.clear();
+  ASSERT_TRUE(
+      tree_.Scan(root, "key00000100x", "key00000110", 0, &out, nullptr).ok());
+  ASSERT_EQ(out.size(), 9u);
+  EXPECT_EQ(out.front().key, "key00000101");
+
+  // A random 5000-key tree scans to exactly its contents, in order.
+  Random rng(33);
+  std::map<std::string, std::string> oracle;
+  for (int i = 0; i < 5000; i++) {
+    oracle[rng.Bytes(rng.Range(4, 10))] = rng.Bytes(8);
+  }
+  std::vector<PosEntry> entries;
+  for (const auto& [k, v] : oracle) entries.push_back({k, v});
+  Hash256 random_root;
+  ASSERT_TRUE(tree_.Build(entries, &random_root).ok());
+  out.clear();
+  ASSERT_TRUE(tree_.Scan(random_root, "", "", 0, &out, nullptr).ok());
+  EXPECT_EQ(out, entries);
 }
 
 TEST_F(PosTreeTest, ScanWithLimit) {
@@ -333,6 +353,19 @@ TEST_F(PosTreeTest, ScanOpenEnded) {
   std::vector<PosEntry> out;
   ASSERT_TRUE(tree_.Scan(root, "key00000095", "", 0, &out, nullptr).ok());
   EXPECT_EQ(out.size(), 5u);
+  // The whole tree, in order.
+  out.clear();
+  ASSERT_TRUE(tree_.Scan(root, "", "", 0, &out, nullptr).ok());
+  EXPECT_EQ(out, MakeEntries(100));
+  // A single-leaf tree.
+  Hash256 leaf_root;
+  ASSERT_TRUE(tree_.Build(MakeEntries(3), &leaf_root).ok());
+  uint32_t height = 0;
+  ASSERT_TRUE(tree_.Height(leaf_root, &height).ok());
+  ASSERT_EQ(height, 1u);
+  out.clear();
+  ASSERT_TRUE(tree_.Scan(leaf_root, "", "", 0, &out, nullptr).ok());
+  EXPECT_EQ(out, MakeEntries(3));
 }
 
 TEST_F(PosTreeTest, ScanEmptyRange) {
@@ -340,6 +373,10 @@ TEST_F(PosTreeTest, ScanEmptyRange) {
   ASSERT_TRUE(tree_.Build(MakeEntries(100), &root).ok());
   std::vector<PosEntry> out;
   ASSERT_TRUE(tree_.Scan(root, "zzz", "", 0, &out, nullptr).ok());
+  EXPECT_TRUE(out.empty());
+  // The empty tree has no rows at all.
+  ASSERT_TRUE(
+      tree_.Scan(PosTree::EmptyRoot(), "", "", 0, &out, nullptr).ok());
   EXPECT_TRUE(out.empty());
 }
 

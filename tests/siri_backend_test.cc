@@ -158,32 +158,11 @@ TEST_P(SiriBackendTest, ScanCapabilityMatchesBackend) {
     EXPECT_TRUE(
         SpitzDb::VerifyScan(db.Digest(), "s0", "s9", 0, rows2, proof).ok());
   } else {
-    // Iterator-free backends refuse scans instead of serving unordered
-    // or unverifiable results.
+    // Backends without ordered iteration refuse scans instead of serving
+    // unordered or unverifiable results.
     EXPECT_FALSE(db.SupportsScan());
     EXPECT_TRUE(s.IsNotSupported());
     EXPECT_TRUE(sp.IsNotSupported());
-  }
-}
-
-// Ordered iteration is a POS-tree capability. The other backends must
-// refuse it with NotSupported, as Scan does, and never report their own
-// trie or bucket nodes as corruption (a false tamper alarm).
-TEST_P(SiriBackendTest, IteratorCapabilityMatchesBackend) {
-  SpitzDb db(BackendOptions(GetParam()));
-  for (int i = 0; i < 20; i++) {
-    ASSERT_TRUE(db.Put("i" + std::to_string(i), "v").ok());
-  }
-  auto it = db.NewIterator();
-  it->SeekToFirst();
-  if (GetParam() == SiriBackend::kPosTree) {
-    size_t rows = 0;
-    for (; it->Valid(); it->Next()) rows++;
-    EXPECT_TRUE(it->status().ok()) << it->status().ToString();
-    EXPECT_EQ(rows, 20u);
-  } else {
-    EXPECT_FALSE(it->Valid());
-    EXPECT_TRUE(it->status().IsNotSupported()) << it->status().ToString();
   }
 }
 

@@ -169,6 +169,10 @@ TEST(SpitzDbTest, TimeTravelOnOldRoots) {
   std::string value;
   ASSERT_TRUE(db.Read(old_root, "k", &value, nullptr).ok());
   EXPECT_EQ(value, "version-9");
+  // A scan of the old root sees that version too.
+  std::vector<PosEntry> rows;
+  ASSERT_TRUE(db.ReadRange(old_root, "", "", 0, &rows, nullptr).ok());
+  EXPECT_EQ(rows, (std::vector<PosEntry>{{"k", "version-9"}}));
   ASSERT_TRUE(db.Get("k", &value).ok());
   EXPECT_EQ(value, "latest");
 }

@@ -3,7 +3,9 @@
 #include <atomic>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fault_env.h"
@@ -24,6 +26,43 @@ TEST(TimestampOracleTest, AllocateAndBatch) {
   uint64_t first = oracle.AllocateBatch(10);
   EXPECT_EQ(first, 102u);
   EXPECT_EQ(oracle.Allocate(), 112u);
+}
+
+// Every commit timestamp comes from the oracle, so no value may be
+// handed out twice, however single and batched allocations interleave.
+TEST(TimestampOracleTest, ConcurrentAllocationsAreUnique) {
+  TimestampOracle oracle;
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 500;
+  constexpr uint64_t kBatch = 4;
+  std::vector<std::vector<uint64_t>> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRounds; i++) {
+        if ((i + t) % 2 == 0) {
+          results[t].push_back(oracle.Allocate());
+        } else {
+          const uint64_t first = oracle.AllocateBatch(kBatch);
+          for (uint64_t k = 0; k < kBatch; k++) {
+            results[t].push_back(first + k);
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  std::set<uint64_t> all;
+  size_t handed_out = 0;
+  for (const auto& v : results) {
+    all.insert(v.begin(), v.end());
+    handed_out += v.size();
+  }
+  EXPECT_EQ(all.size(), handed_out);
+  // Nothing is skipped either: the values are exactly [1, next).
+  EXPECT_EQ(*all.begin(), 1u);
+  EXPECT_EQ(*all.rbegin(), handed_out);
+  EXPECT_EQ(oracle.Peek(), handed_out + 1);
 }
 
 // --- WriteBatch -------------------------------------------------------------------
