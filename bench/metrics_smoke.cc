@@ -91,6 +91,11 @@ int main(int argc, char** argv) {
       "index.cache.hits",
       "txn.verifier.submitted",
       "txn.verifier.verified",
+      // The paged store's delta records and the base reads that
+      // rebuild them on a cache miss.
+      "chunk.file.delta_records",
+      "chunk.file.delta_bytes",
+      "chunk.file.chain_reads",
   };
   for (const std::string& name : required_counters) {
     if (snap.CounterValue(name) == 0) {

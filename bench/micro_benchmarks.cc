@@ -8,11 +8,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <memory>
 
 #include "chunk/buffer_cache.h"
 #include "chunk/chunk_store.h"
 #include "chunk/chunker.h"
+#include "chunk/file_chunk_store.h"
 #include "cluster/local_fleet.h"
 #include "bench/alloc_counter.h"
 #include "common/crc32c.h"
@@ -23,6 +25,7 @@
 #include "crypto/sha256.h"
 #include "index/pos_tree.h"
 #include "ledger/merkle_tree.h"
+#include "spitzbench/workload_keys.h"
 #include "txn/batch_verifier.h"
 
 namespace spitz {
@@ -324,6 +327,102 @@ std::string BenchDir(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
+// Bytes a durable store appends per overwrite: a FileChunkStore under a
+// 66.7k-key tree (16 B keys, 100 B values; one cluster-rmw shard), with
+// scrambled zipfian (theta 0.99) overwrites. Each overwrite path-copies
+// a leaf and its metas, which the store writes as delta records on the
+// nodes they replace where that is shorter (see file_chunk_store.h).
+void BM_PosTreeOverwriteAppendedBytes(benchmark::State& state) {
+  constexpr uint64_t kKeys = 66667;
+  const std::string dir = BenchDir("spitz_bench_overwrite_bytes");
+  std::filesystem::remove_all(dir);
+  {
+    std::unique_ptr<FileChunkStore> store;
+    if (!FileChunkStore::Open(dir, &store).ok()) abort();
+    PosTree tree(store.get());
+    BufferCache node_cache(64 << 20);
+    tree.SetNodeCache(&node_cache);
+    Random rng(8);
+    std::vector<PosEntry> entries;
+    for (uint64_t i = 0; i < kKeys; i++) {
+      entries.push_back({bench::RecordKey(i), rng.Bytes(100)});
+    }
+    Hash256 root;
+    if (!tree.Build(std::move(entries), &root).ok()) abort();
+    MetricsRegistry registry;
+    store->ExportMetrics(&registry);
+    const MetricsSnapshot before = registry.Snapshot();
+    const bench::KeyChooser keys(kKeys, /*zipfian=*/true);
+    for (auto _ : state) {
+      if (!tree.Put(root, bench::RecordKey(keys.Next(&rng)), rng.Bytes(100),
+                    &root)
+               .ok()) {
+        abort();
+      }
+    }
+    const MetricsSnapshot after = registry.Snapshot();
+    const auto delta = [&](const char* name) {
+      return static_cast<double>(after.CounterValue(name) -
+                                 before.CounterValue(name));
+    };
+    const double n = static_cast<double>(state.iterations());
+    state.counters["appended_bytes_per_overwrite"] =
+        delta("chunk.file.appended_bytes") / n;
+    state.counters["delta_records_per_overwrite"] =
+        delta("chunk.file.delta_records") / n;
+    state.counters["records_per_overwrite"] = delta("chunk.store.puts") / n;
+  }
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_PosTreeOverwriteAppendedBytes)->Iterations(4000);
+
+// A cache-miss Get of a chunk stored at delta-chain depth arg (0 = a
+// full record): one positional read of its record plus one per base
+// below it, then the rebuild and one SHA-256 of the ~7 KB result. The
+// read-side price of FileChunkStore::kMaxChainDepth.
+void BM_FileChunkStoreMissAtDepth(benchmark::State& state) {
+  const std::string dir = BenchDir("spitz_bench_miss_at_depth");
+  std::filesystem::remove_all(dir);
+  {
+    BufferCache cache(1 << 20);
+    FileChunkStore::Options options;
+    options.cache = &cache;
+    std::unique_ptr<FileChunkStore> store;
+    if (!FileChunkStore::Open(Env::Default(), dir, options, &store).ok()) {
+      abort();
+    }
+    Random rng(9);
+    Chunk chunk(ChunkType::kIndexLeaf, rng.Bytes(7000));
+    store->Put(chunk);
+    for (int64_t d = 0; d < state.range(0); d++) {
+      std::string payload = chunk.payload();
+      payload.replace(rng.Uniform(payload.size() - 100), 100, rng.Bytes(100));
+      Chunk next(ChunkType::kIndexLeaf, std::move(payload));
+      store->Put(next, &chunk);
+      chunk = std::move(next);
+    }
+    if (!store->Sync().ok()) abort();
+    cache.Clear();  // the appends cached every chunk of the chain
+    MetricsRegistry registry;
+    store->ExportMetrics(&registry);
+    const uint64_t before =
+        registry.Snapshot().CounterValue("chunk.file.chain_reads");
+    std::shared_ptr<const Chunk> read;
+    for (auto _ : state) {
+      cache.Erase(chunk.id());
+      if (!store->Get(chunk.id(), &read).ok()) abort();
+      benchmark::DoNotOptimize(read.get());
+    }
+    state.counters["chain_reads_per_get"] =
+        static_cast<double>(
+            registry.Snapshot().CounterValue("chunk.file.chain_reads") -
+            before) /
+        static_cast<double>(state.iterations());
+  }
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_FileChunkStoreMissAtDepth)->Arg(0)->Arg(4)->Arg(8);
+
 // journal.log's size (core.db.journal.file_bytes, header included) per
 // ledger entry it holds.
 double JournalBytesPerEntry(const SpitzDb& db, uint64_t entries) {
@@ -605,6 +704,45 @@ void BM_MerkleInclusionProof(benchmark::State& state) {
 }
 BENCHMARK(BM_MerkleInclusionProof)->Arg(4096)->Arg(1048576);
 
+// The paged store's delta counters (chunk.file.delta_records,
+// delta_bytes and chain_reads), summed over two sessions of a durable
+// database: one whose overwrites append delta records, then one, with a
+// cache smaller than its data, whose reads rebuild them from their
+// bases.
+std::map<std::string, uint64_t> DurableStoreDeltaCounters() {
+  const std::string dir = BenchDir("spitz_bench_metrics_smoke");
+  std::filesystem::remove_all(dir);
+  SpitzOptions options;
+  options.data_dir = dir;
+  options.buffer_cache_bytes = 4 << 10;
+  std::map<std::string, uint64_t> counters;
+  for (int reopen = 0; reopen < 2; reopen++) {
+    std::unique_ptr<SpitzDb> db;
+    if (!SpitzDb::Open(options, &db).ok()) abort();
+    std::string value;
+    for (int i = 0; i < 60; i++) {
+      const std::string key = "k" + std::to_string(i % 32);
+      if (reopen == 0) {
+        if (!db->Put(key, std::string(100, static_cast<char>('a' + i % 26)))
+                 .ok()) {
+          abort();
+        }
+      } else if (!db->Get(key, &value).ok()) {
+        abort();
+      }
+    }
+    if (!db->FlushBlock().ok() || !db->SyncStorage().ok()) abort();
+    const MetricsSnapshot snap = db->Metrics();
+    for (const char* name : {"chunk.file.delta_records",
+                             "chunk.file.delta_bytes",
+                             "chunk.file.chain_reads"}) {
+      counters[name] += snap.CounterValue(name);
+    }
+  }
+  std::filesystem::remove_all(dir);
+  return counters;
+}
+
 // Runs a small but complete workload (writes, sealed blocks, reads,
 // proofs, scans, audits, client-side verification) and prints the
 // resulting MetricsSnapshot JSON between marker lines — the artifact
@@ -650,6 +788,9 @@ void EmitMetricsSnapshot() {
   // Client-side verification latencies live in the process-wide
   // registry; one merged snapshot tells the whole story.
   snap.MergeFrom(MetricsRegistry::Global()->Snapshot());
+  for (const auto& [name, value] : DurableStoreDeltaCounters()) {
+    snap.counters[name] = value;
+  }
   std::string json = snap.ToJsonString();
   printf("METRICS_SNAPSHOT_BEGIN\n%s\nMETRICS_SNAPSHOT_END\n", json.c_str());
   if (const char* path = getenv("SPITZ_METRICS_OUT")) {

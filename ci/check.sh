@@ -8,13 +8,14 @@
 #   gates nothing).
 # TSan: the concurrency, group-commit, version-GC, deferred-auditor,
 #   2PC participant, timestamp-oracle, read-set, key-history, network,
-#   cluster and replica tests, and the POS-tree and persistence tests,
-#   whose bulk builds, bulk loads and recoveries hash on several threads
-#   (common/fork_join, whose own test runs here too).
+#   cluster and replica tests, and the POS-tree, persistence and
+#   delta-chunk tests, whose bulk builds, bulk loads, recoveries and GC
+#   passes hash or read on several threads (common/fork_join, whose own
+#   test runs here too).
 # ASan+UBSan: the proof-codec, database, group-commit, version-GC,
 #   deferred-auditor, key-history,
 #   2PC participant, write-batch and read-set, network, cluster,
-#   replica, SHA-256/CRC32C kernel, journal, persistence,
+#   replica, SHA-256/CRC32C kernel, journal, persistence, delta-chunk,
 #   index-traversal (POS-tree, MPT, MBT and property),
 #   table, SQL and integration tests (untrusted bytes are decoded there —
 #   proof envelopes, decoded as views over the reply's frame buffer
@@ -29,8 +30,11 @@
 #   hash, for proofs, key history, audits and the replication encoder),
 #   the POS-tree node decoder every read traversal and proof check runs
 #   (PosNode::Decode, which bounds a node's entry count by the bytes
-#   left to hold it) and the replication-record decoder, swept byte by
-#   byte in ReplicaRecordTest, and the table catalog entries
+#   left to hold it), the replication-record decoder, swept byte by
+#   byte in ReplicaRecordTest, the chunk segments' delta records
+#   (ParseChunkRecord + ApplyDelta, swept byte by byte, resealed and
+#   against wrong bases in DeltaRecordTest: every variant is refused or
+#   rebuilds exactly the encoded chunk), and the table catalog entries
 #   (DecodeCatalogEntry) SqlDatabase reads back from the ledger —
 #   and the hardware hash kernels make unaligned vector loads, so memory
 #   errors and UB are the failure modes that matter).
@@ -104,11 +108,11 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
       --target concurrency_test txn_test spitz_db_test auditor_test \
                key_history_test metrics_test recovery_test net_test \
                cluster_test replica_test pos_tree_test persistence_test \
-               common_test group_commit_test version_gc_test
+               delta_chunk_test common_test group_commit_test version_gc_test
 # TSAN_OPTIONS makes any reported race fail the run (exit code).
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
   ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
-        -R 'Concurrency|DeferredVerifier|AuditorTest|TxnParticipant|TimestampOracle|SpitzDb|KeyHistory|Metrics|Recovery|Net|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|PosTree|Persistence|ForkJoin|GroupCommitTest|VersionGcTest'
+        -R 'Concurrency|DeferredVerifier|AuditorTest|TxnParticipant|TimestampOracle|SpitzDb|KeyHistory|Metrics|Recovery|Net|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|PosTree|Persistence|DeltaChunk|DeltaRecord|ForkJoin|GroupCommitTest|VersionGcTest'
 
 echo "==> tier-2: ASan+UBSan proof-codec and database suite"
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -118,12 +122,13 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
                auditor_test key_history_test recovery_test net_test \
                concurrency_test cluster_test replica_test txn_test \
                crypto_test common_test \
-               journal_test persistence_test pos_tree_test mpt_mbt_test \
+               journal_test persistence_test delta_chunk_test pos_tree_test \
+               mpt_mbt_test \
                property_test table_test sql_test \
                integration_test group_commit_test version_gc_test
 ASAN_OPTIONS="halt_on_error=1 exitcode=66" \
 UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \
   ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-        -R 'Siri|SpitzDb|SpitzOptions|AuditorTest|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence|PosTree|Mpt|Mbt|Table|Sql|Integration|GroupCommitTest|VersionGcTest'
+        -R 'Siri|SpitzDb|SpitzOptions|AuditorTest|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence|DeltaChunk|DeltaRecord|PosTree|Mpt|Mbt|Table|Sql|Integration|GroupCommitTest|VersionGcTest'
 
 echo "==> all checks passed"

@@ -23,7 +23,7 @@ bool ChunkStore::InsertInMemory(Chunk chunk, Hash256* id) {
   return true;
 }
 
-Hash256 ChunkStore::Put(Chunk chunk) {
+Hash256 ChunkStore::Put(Chunk chunk, const Chunk* /*base*/) {
   Hash256 id;
   InsertInMemory(std::move(chunk), &id);
   return id;

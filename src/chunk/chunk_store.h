@@ -58,8 +58,11 @@ class ChunkStore {
   ChunkStore& operator=(const ChunkStore&) = delete;
 
   // Stores the chunk (no-op if an identical chunk exists) and returns its
-  // content id.
-  virtual Hash256 Put(Chunk chunk);
+  // content id. A non-null `base` is a stored chunk this one replaces
+  // (the node a path copy rewrites), held by the caller for the call: a
+  // durable store may then record the new chunk as a patch on it. The
+  // in-memory store ignores it.
+  virtual Hash256 Put(Chunk chunk, const Chunk* base = nullptr);
 
   // Looks up a chunk by id. The returned shared_ptr is the caller's
   // hold on the bytes: keep it for as long as the chunk is in use. A

@@ -17,48 +17,15 @@ namespace {
 // Segment replay: records whose chunk id is hashed per piece.
 constexpr size_t kReplayHashGrain = 256;
 
-// [1B type][varint len][payload][4B masked crc32c(type + payload)]
-void EncodeChunkRecord(const Chunk& chunk, std::string* out) {
-  char type = static_cast<char>(chunk.type());
-  out->push_back(type);
-  PutVarint64(out, chunk.payload().size());
-  out->append(chunk.payload());
-  uint32_t crc = crc32c::Extend(0, &type, 1);
-  crc = crc32c::Extend(crc, chunk.payload().data(), chunk.payload().size());
-  PutFixed32(out, crc32c::Mask(crc));
-}
+// A delta chain longer than this can only be a loop of forged records;
+// chains the store writes stop at kMaxChainDepth.
+constexpr size_t kChainReadLimit = 64;
 
-// Parses one record from *input, advancing it past the record. A record
-// the input ends inside sets *torn (nothing consumed); a complete record
-// whose checksum does not match is Corruption.
-Status ParseChunkRecord(Slice* input, char* type, Slice* payload, bool* torn) {
-  *torn = false;
-  if (input->empty()) {
-    *torn = true;
-    return Status::OK();
-  }
-  Slice rest = *input;
-  char type_byte = rest[0];
-  rest.remove_prefix(1);
-  uint64_t len = 0;
-  if (!GetVarint64(&rest, &len).ok() || rest.size() < len + sizeof(uint32_t)) {
-    *torn = true;
-    return Status::OK();
-  }
-  const char* data = rest.data();
-  rest.remove_prefix(static_cast<size_t>(len));
-  uint32_t stored_crc = DecodeFixed32(rest.data());
-  rest.remove_prefix(sizeof(uint32_t));
-  uint32_t crc = crc32c::Extend(0, &type_byte, 1);
-  crc = crc32c::Extend(crc, data, static_cast<size_t>(len));
-  if (crc32c::Unmask(stored_crc) != crc) {
-    return Status::Corruption("chunk record CRC mismatch");
-  }
-  *type = type_byte;
-  *payload = Slice(data, static_cast<size_t>(len));
-  *input = rest;
-  return Status::OK();
-}
+// Depth of a replayed delta until ResolveChains sets it.
+constexpr uint8_t kUnresolvedDepth = UINT8_MAX;
+
+// The GC manifest: [varint count][4B segment id]...[4B masked CRC32C].
+constexpr char kGcManifest[] = "gc-victims";
 
 // chunk-NNNNNN.seg → segment id; false for anything else in the dir.
 bool ParseSegmentFileName(const std::string& name, uint32_t* id) {
@@ -106,6 +73,8 @@ Status FileChunkStore::Open(Env* env, const std::string& dir,
 
   Status cd = env->CreateDir(dir);
   if (!cd.ok()) return cd;
+  Status gc = s->FinishInterruptedGc();
+  if (!gc.ok()) return gc;
 
   uint64_t tail_valid = 0;
   Status replay_status = s->Replay(&tail_valid);
@@ -169,6 +138,58 @@ FileChunkStore::~FileChunkStore() {
   if (log_ != nullptr) log_->Close();
 }
 
+Status FileChunkStore::FinishInterruptedGc() {
+  const std::string path = dir_ + "/" + kGcManifest;
+  if (!env_->FileExists(path)) return Status::OK();
+  std::string contents;
+  Status s = env_->ReadFileToString(path, &contents);
+  if (!s.ok()) return s;
+  // A manifest that does not check out was never synced, and no pass
+  // unlinks a victim before its manifest is synced: nothing to finish.
+  bool intact = false;
+  uint64_t count = 0;
+  Slice input;
+  if (contents.size() >= sizeof(uint32_t)) {
+    const size_t body = contents.size() - sizeof(uint32_t);
+    input = Slice(contents.data(), body);
+    intact = crc32c::Unmask(DecodeFixed32(contents.data() + body)) ==
+                 crc32c::Value(contents.data(), body) &&
+             GetVarint64(&input, &count).ok() &&
+             count <= input.size() / sizeof(uint32_t) &&
+             input.size() == count * sizeof(uint32_t);
+  }
+  if (intact) {
+    for (uint64_t i = 0; i < count; i++) {
+      const uint32_t id = DecodeFixed32(input.data() + i * sizeof(uint32_t));
+      Status d = env_->DeleteFile(dir_ + "/" + SegmentFileName(id));
+      if (!d.ok() && !d.IsNotFound()) return d;
+    }
+    s = env_->SyncDir(dir_);
+    if (!s.ok()) return s;
+  }
+  s = env_->DeleteFile(path);
+  if (!s.ok() && !s.IsNotFound()) return s;
+  return env_->SyncDir(dir_);
+}
+
+Status FileChunkStore::WriteGcManifest(const std::set<uint32_t>& victims) {
+  const std::string path = dir_ + "/" + kGcManifest;
+  Status s = env_->DeleteFile(path);  // the log appends
+  if (!s.ok() && !s.IsNotFound()) return s;
+  std::string contents;
+  PutVarint64(&contents, victims.size());
+  for (uint32_t id : victims) PutFixed32(&contents, id);
+  PutFixed32(&contents,
+             crc32c::Mask(crc32c::Value(contents.data(), contents.size())));
+  std::unique_ptr<WritableLog> log;
+  s = env_->NewWritableLog(path, &log);
+  if (s.ok()) s = log->Append(contents);
+  if (s.ok()) s = log->Sync();
+  if (log != nullptr) log->Close();
+  if (s.ok()) s = env_->SyncDir(dir_);
+  return s;
+}
+
 Status FileChunkStore::Replay(uint64_t* tail_valid) {
   *tail_valid = 0;
   std::vector<std::string> names;
@@ -191,7 +212,7 @@ Status FileChunkStore::Replay(uint64_t* tail_valid) {
     if (!s.ok()) return s;
     if (is_last) *tail_valid = valid;
   }
-  return Status::OK();
+  return ResolveChains();
 }
 
 Status FileChunkStore::ReplaySegment(uint32_t segment_id,
@@ -202,14 +223,18 @@ Status FileChunkStore::ReplaySegment(uint32_t segment_id,
   Status read_status = env_->ReadFileToString(path, &contents);
   if (!read_status.ok() && !read_status.IsNotFound()) return read_status;
 
+  auto seg = std::make_shared<Segment>();
+  seg->id = segment_id;
+  seg->path = path;
+  segments_.emplace(segment_id, seg);
+
   // Three passes. Parsing and CRC checks go in file order: they fix the
   // record boundaries and meet a torn tail or a corrupt record where a
-  // one-pass replay would. The chunk ids are then hashed on every core,
-  // straight from the segment bytes. Last, the entries are published in
-  // file order, so the first copy of a duplicate still wins.
+  // one-pass replay would. The ids of full records are then hashed on
+  // every core, straight from the segment bytes; a delta carries its
+  // id. Last, the entries are published in file order.
   struct Record {
-    ChunkType type;
-    Slice payload;  // into `contents`
+    ChunkRecord record;  // views into `contents`
     uint64_t offset;
     uint32_t length;
   };
@@ -217,11 +242,10 @@ Status FileChunkStore::ReplaySegment(uint32_t segment_id,
   Slice input(contents);
   uint64_t consumed = 0;
   while (!input.empty()) {
-    char type = 0;
-    Slice payload;
+    ChunkRecord record;
     bool torn = false;
     const size_t before = input.size();
-    Status ps = ParseChunkRecord(&input, &type, &payload, &torn);
+    Status ps = ParseChunkRecord(&input, &record, &torn);
     if (!ps.ok()) {
       return Status::Corruption(ps.message() + " at offset " +
                                 std::to_string(consumed) + " in " + path);
@@ -236,101 +260,213 @@ Status FileChunkStore::ReplaySegment(uint32_t segment_id,
       break;
     }
     const uint64_t record_len = before - input.size();
-    records.push_back(Record{static_cast<ChunkType>(type), payload, consumed,
-                             static_cast<uint32_t>(record_len)});
+    records.push_back(
+        Record{record, consumed, static_cast<uint32_t>(record_len)});
     consumed += record_len;
   }
 
   std::vector<Hash256> ids(records.size());
   ParallelFor(records.size(), kReplayHashGrain, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; i++) {
-      ids[i] = Chunk::IdOf(records[i].type, records[i].payload);
+      const ChunkRecord& r = records[i].record;
+      ids[i] = r.delta ? r.id : Chunk::IdOf(r.type, r.body);
     }
   });
 
   for (size_t i = 0; i < records.size(); i++) {
     const Record& record = records[i];
-    const size_t stored = record.payload.size() + 1;  // Chunk::stored_size
-    puts_.Increment();
-    logical_bytes_.Increment(stored);
-
     Entry entry;
     entry.segment = segment_id;
     entry.offset = record.offset;
     entry.length = record.length;
-    entry.stored = static_cast<uint32_t>(stored);
     entry.global_end = 0;  // on disk already: always pread-visible
-    if (PublishEntry(ids[i], entry)) {
-      recovered_.Increment();
+    if (record.record.delta) {
+      entry.stored = record.length;
+      entry.depth = kUnresolvedDepth;
+      entry.base = record.record.base;
     } else {
-      // A duplicate record (a GC pass crashed after rewriting this
-      // chunk but before unlinking its old home): first wins.
-      dedup_hits_.Increment();
+      entry.stored = static_cast<uint32_t>(record.record.body.size() + 1);
     }
+    puts_.Increment();
+    logical_bytes_.Increment(entry.stored);
+    ReplayPublish(ids[i], entry);
     replayed_bytes_.Increment(record.length);
   }
 
-  auto seg = std::make_shared<Segment>();
-  seg->id = segment_id;
-  seg->path = path;
   seg->size = consumed;
   {
     std::unique_ptr<RandomAccessFile> f;
     if (env_->NewRandomAccessFile(path, &f).ok()) seg->file = std::move(f);
   }
-  segments_.emplace(segment_id, std::move(seg));
   *valid_offset = consumed;
   return Status::OK();
 }
 
-bool FileChunkStore::PublishEntry(const Hash256& id, Entry entry) {
+void FileChunkStore::ReplayPublish(const Hash256& id, Entry entry) {
+  uint32_t unpublished_delta = kResidentOnly;
+  {
+    MapShard& shard = map_shards_[MapShardOf(id)];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.entries.find(id);
+    if (it == shard.entries.end()) {
+      entry.seq = NextInsertSeq();
+      shard.entries.emplace(id, entry);
+      chunk_count_.Add(1);
+      physical_bytes_.Add(entry.stored);
+      recovered_.Increment();
+      return;
+    }
+    // A second copy: a GC pass crashed after rewriting this chunk but
+    // before unlinking its old home, flattened a delta whose old copy
+    // outlives the pass, or the chunk was Put again after a pass
+    // unpublished its dead copy. The later copy is the one the store
+    // pointed at; only its base is sure to be on disk.
+    dedup_hits_.Increment();
+    Entry& published = it->second;
+    if (published.depth != 0) unpublished_delta = published.segment;
+    physical_bytes_.Sub(published.stored);
+    physical_bytes_.Add(entry.stored);
+    entry.seq = published.seq;
+    published = entry;
+  }
+  if (unpublished_delta != kResidentOnly) CondemnSegment(unpublished_delta);
+}
+
+Status FileChunkStore::ResolveChains() {
+  // Open is single-threaded; the shard locks only keep the accesses
+  // uniform.
+  auto find = [this](const Hash256& id) -> Entry* {
+    MapShard& shard = map_shards_[MapShardOf(id)];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.entries.find(id);
+    return it == shard.entries.end() ? nullptr : &it->second;
+  };
+  std::vector<Hash256> deltas;
+  for (MapShard& shard : map_shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    for (const auto& kv : shard.entries) {
+      if (kv.second.depth == kUnresolvedDepth) deltas.push_back(kv.first);
+    }
+  }
+  std::vector<Entry*> chain;
+  for (const Hash256& id : deltas) {
+    chain.clear();
+    Entry* entry = find(id);
+    while (entry->depth == kUnresolvedDepth) {
+      chain.push_back(entry);
+      if (chain.size() > kChainReadLimit) {
+        return Status::Corruption("delta chain of chunk " + id.ToHex() +
+                                  " loops");
+      }
+      const Hash256 base = entry->base;
+      entry = find(base);
+      if (entry == nullptr) {
+        return Status::Corruption("delta base " + base.ToHex() +
+                                  " absent from the chunk segments");
+      }
+    }
+    uint8_t depth = entry->depth;
+    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+      // A chain the store wrote is at most kMaxChainDepth long; a longer
+      // one still reads, and Put never extends it.
+      depth = static_cast<uint8_t>(
+          std::min<size_t>(depth + 1, kUnresolvedDepth - 1));
+      (*it)->depth = depth;
+    }
+  }
+  return Status::OK();
+}
+
+void FileChunkStore::CondemnSegment(uint32_t id) {
+  std::lock_guard<std::mutex> lock(seg_mu_);
+  auto it = segments_.find(id);
+  if (it != segments_.end()) it->second->condemned = true;
+}
+
+void FileChunkStore::PublishEntry(const Hash256& id, Entry entry) {
   MapShard& shard = map_shards_[MapShardOf(id)];
   std::lock_guard<std::mutex> lock(shard.mu);
   entry.seq = NextInsertSeq();
-  auto inserted = shard.entries.emplace(id, entry);
-  if (!inserted.second) return false;
+  shard.entries.emplace(id, entry);
   chunk_count_.Add(1);
   physical_bytes_.Add(entry.stored);
+}
+
+void FileChunkStore::EncodeDelta(const Chunk& chunk, const Chunk& base,
+                                 std::string* record, Entry* entry) {
+  const MapShard& shard = map_shards_[MapShardOf(base.id())];
+  auto usable = [&](uint8_t* depth) {
+    auto it = shard.entries.find(base.id());
+    if (it == shard.entries.end() || it->second.segment == kResidentOnly ||
+        it->second.depth >= kMaxChainDepth) {
+      return false;
+    }
+    *depth = it->second.depth;
+    return true;
+  };
+  uint8_t depth = 0;
+  {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    if (!usable(&depth)) return;
+  }
+  std::string delta;
+  if (!EncodeDeltaRecord(chunk, base, &delta)) return;
+  {
+    // A GC pass may have unpublished the base meanwhile.
+    std::lock_guard<std::mutex> lock(shard.mu);
+    if (!usable(&depth)) return;
+    // Naming a base re-references it, as a dedup hit does: a GC pass
+    // marking now keeps it.
+    NoteDedupResurrection(base.id());
+  }
+  entry->base = base.id();
+  entry->depth = static_cast<uint8_t>(depth + 1);
+  entry->stored = static_cast<uint32_t>(delta.size());
+  *record = std::move(delta);
+}
+
+bool FileChunkStore::Dedup(const Hash256& id) {
+  MapShard& shard = map_shards_[MapShardOf(id)];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  if (shard.entries.find(id) == shard.entries.end()) return false;
+  dedup_hits_.Increment();
+  NoteDedupResurrection(id);
   return true;
 }
 
-Hash256 FileChunkStore::Put(Chunk chunk) {
+Hash256 FileChunkStore::Put(Chunk chunk, const Chunk* base) {
   const Hash256 id = chunk.id();
   const size_t stored = chunk.stored_size();
   puts_.Increment();
   logical_bytes_.Increment(stored);
-  {
-    MapShard& shard = map_shards_[MapShardOf(id)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.entries.find(id) != shard.entries.end()) {
-      dedup_hits_.Increment();
-      NoteDedupResurrection(id);
-      return id;
-    }
-  }
-
-  std::string record;
-  EncodeChunkRecord(chunk, &record);
-  auto sp = std::make_shared<const Chunk>(std::move(chunk));
+  if (Dedup(id)) return id;
 
   Entry entry;
-  entry.stored = static_cast<uint32_t>(stored);
-  {
-    std::unique_lock<std::mutex> lock(file_mu_);
-    AppendRecordLocked(lock, record, sp, &entry);
+  std::string record;
+  if (base != nullptr && !(base->id() == id)) {
+    EncodeDelta(chunk, *base, &record, &entry);
   }
-  if (!PublishEntry(id, entry)) {
-    // Lost a publication race against an identical concurrent Put; the
-    // duplicate record is harmless (first-wins replay skips it) and
-    // the double cache pin is balanced by the two flush unpins.
-    dedup_hits_.Increment();
+  if (record.empty()) {
+    EncodeChunkRecord(chunk, &record);
+    entry.stored = static_cast<uint32_t>(stored);
   }
+  auto sp = std::make_shared<const Chunk>(std::move(chunk));
+  std::unique_lock<std::mutex> lock(file_mu_);
+  // An identical concurrent Put may have published since the check
+  // above; checking again under the append lock appends each chunk
+  // once, so no record is left that no entry points at.
+  if (Dedup(id)) return id;
+  if (AppendRecordLocked(lock, record, sp, &entry).ok() && entry.depth != 0) {
+    delta_records_.Increment();
+    delta_bytes_.Increment(record.size());
+  }
+  PublishEntry(id, entry);
   return id;
 }
 
 Status FileChunkStore::AppendRecordLocked(
     std::unique_lock<std::mutex>& lock, const std::string& record,
-    const std::shared_ptr<const Chunk>& chunk, Entry* entry) {
+    const std::shared_ptr<const Chunk>& pin, Entry* entry) {
   // Hard cap: a store not driven through OnBlockSealed() still rolls,
   // just not aligned to block boundaries.
   if (append_status_.ok() &&
@@ -352,10 +488,13 @@ Status FileChunkStore::AppendRecordLocked(
       entry->global_end = end;
       appended_bytes_.Increment(record.size());
       // Pin until the flush watermark passes `end`: pread cannot see a
-      // record still sitting in the log's user-space buffer.
-      cache_->Insert(BufferCache::kRawChunk, chunk->id(), chunk,
-                     chunk->stored_size(), /*pin=*/true);
-      unflushed_.emplace_back(chunk->id(), end);
+      // record still sitting in the log's user-space buffer. Unpinned
+      // records (GC rewrites) are read through a flush instead.
+      if (pin != nullptr) {
+        cache_->Insert(BufferCache::kRawChunk, pin->id(), pin,
+                       pin->stored_size(), /*pin=*/true);
+        unflushed_.emplace_back(pin->id(), end);
+      }
       return Status::OK();
     }
     // After a failed append the log tail is suspect (a short write may
@@ -370,8 +509,10 @@ Status FileChunkStore::AppendRecordLocked(
   entry->offset = 0;
   entry->length = static_cast<uint32_t>(record.size());
   entry->global_end = UINT64_MAX;  // never treated as flushed
-  cache_->Insert(BufferCache::kRawChunk, chunk->id(), chunk,
-                 chunk->stored_size(), /*pin=*/true);
+  if (pin != nullptr) {
+    cache_->Insert(BufferCache::kRawChunk, pin->id(), pin, pin->stored_size(),
+                   /*pin=*/true);
+  }
   return append_status_;
 }
 
@@ -490,11 +631,28 @@ void FileChunkStore::OnBlockSealed() {
 
 Status FileChunkStore::Get(const Hash256& id,
                            std::shared_ptr<const Chunk>* chunk) const {
-  if (auto hit = cache_->Lookup(BufferCache::kRawChunk, id)) {
-    *chunk = std::static_pointer_cast<const Chunk>(hit);
+  return Load(id, /*gc_read=*/false, chunk);
+}
+
+Status FileChunkStore::Load(const Hash256& id, bool gc_read,
+                            std::shared_ptr<const Chunk>* chunk) const {
+  if (auto cached = cache_->Lookup(BufferCache::kRawChunk, id)) {
+    *chunk = std::static_pointer_cast<const Chunk>(cached);
     return Status::OK();
   }
   Entry entry;
+  std::shared_ptr<const Chunk> hit;
+  Status s = Locate(id, &entry, &hit);
+  if (!s.ok()) return s;
+  if (hit != nullptr) {
+    *chunk = std::move(hit);
+    return Status::OK();
+  }
+  return ReadChunkAt(id, entry, /*cache=*/!gc_read, chunk);
+}
+
+Status FileChunkStore::Locate(const Hash256& id, Entry* entry,
+                              std::shared_ptr<const Chunk>* hit) const {
   {
     const MapShard& shard = map_shards_[MapShardOf(id)];
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -502,17 +660,17 @@ Status FileChunkStore::Get(const Hash256& id,
     if (it == shard.entries.end()) {
       return Status::NotFound("chunk " + id.ToHex());
     }
-    entry = it->second;
+    *entry = it->second;
   }
-  if (entry.global_end > flushed_total_.load(std::memory_order_acquire)) {
+  if (entry->global_end > flushed_total_.load(std::memory_order_acquire)) {
     // The record is (or was, when the entry was published) invisible to
-    // pread. Its pin means a cache retry hits unless a flush raced in
-    // between — in which case the pread below is valid anyway.
-    if (auto hit = cache_->Lookup(BufferCache::kRawChunk, id)) {
-      *chunk = std::static_pointer_cast<const Chunk>(hit);
+    // pread. A pinned record's cache retry hits unless a flush raced in
+    // between — in which case the pread that follows is valid anyway.
+    if (auto cached = cache_->Lookup(BufferCache::kRawChunk, id)) {
+      *hit = std::static_pointer_cast<const Chunk>(cached);
       return Status::OK();
     }
-    if (entry.segment == kResidentOnly) {
+    if (entry->segment == kResidentOnly) {
       return Status::IOError("resident-only chunk " + id.ToHex() +
                              " missing from cache");
     }
@@ -520,7 +678,7 @@ Status FileChunkStore::Get(const Hash256& id,
     Status s = FlushLocked();
     if (!s.ok()) return s;
   }
-  return ReadChunkAt(id, entry, chunk);
+  return Status::OK();
 }
 
 bool FileChunkStore::Contains(const Hash256& id) const {
@@ -546,8 +704,8 @@ Status FileChunkStore::ReadHandle(
   return Status::OK();
 }
 
-Status FileChunkStore::ReadChunkAt(const Hash256& id, const Entry& entry,
-                                   std::shared_ptr<const Chunk>* chunk) const {
+Status FileChunkStore::ReadRecord(const Entry& entry, std::string* buf,
+                                  ChunkRecord* record) const {
   std::shared_ptr<Segment> segment;
   {
     std::lock_guard<std::mutex> lock(seg_mu_);
@@ -556,8 +714,8 @@ Status FileChunkStore::ReadChunkAt(const Hash256& id, const Entry& entry,
       // The GC unlinked the segment after this location was copied
       // out; the id no longer resolves (documented for reads of
       // collected versions).
-      return Status::NotFound("chunk " + id.ToHex() + " (segment " +
-                              std::to_string(entry.segment) + " collected)");
+      return Status::NotFound("segment " + std::to_string(entry.segment) +
+                              " collected");
     }
     segment = it->second;
   }
@@ -568,11 +726,10 @@ Status FileChunkStore::ReadChunkAt(const Hash256& id, const Entry& entry,
     return hs;
   }
   reads_.Increment();
-  std::string buf;
-  Status rs = file->Read(entry.offset, entry.length, &buf);
-  if (rs.ok() && buf.size() < entry.length) {
-    rs = Status::IOError("short read (" + std::to_string(buf.size()) + " of " +
-                         std::to_string(entry.length) + " bytes)");
+  Status rs = file->Read(entry.offset, entry.length, buf);
+  if (rs.ok() && buf->size() < entry.length) {
+    rs = Status::IOError("short read (" + std::to_string(buf->size()) +
+                         " of " + std::to_string(entry.length) + " bytes)");
   }
   if (!rs.ok()) {
     read_errors_.Increment();
@@ -582,33 +739,130 @@ Status FileChunkStore::ReadChunkAt(const Hash256& id, const Entry& entry,
   }
   read_bytes_.Increment(entry.length);
 
-  Slice input(buf);
-  char type = 0;
-  Slice payload;
+  Slice input(*buf);
   bool torn = false;
-  Status ps = ParseChunkRecord(&input, &type, &payload, &torn);
+  Status ps = ParseChunkRecord(&input, record, &torn);
   if (!ps.ok() || torn) {
     return Status::Corruption(
         "chunk record damaged in " + SegmentFileName(entry.segment) +
         " at offset " + std::to_string(entry.offset));
   }
-  // The record buffer becomes the chunk's payload: drop the framing
-  // around the payload in place rather than copy it out.
-  const size_t payload_size = payload.size();
-  buf.erase(0, static_cast<size_t>(payload.data() - buf.data()));
-  buf.resize(payload_size);
-  Chunk decoded(static_cast<ChunkType>(type), std::move(buf));
-  if (!(decoded.id() == id)) {
-    // The record round-trips its checksum but hashes to a different
-    // id: the location table routed us to the wrong bytes.
-    return Status::Corruption(
-        "chunk content hash mismatch in " + SegmentFileName(entry.segment) +
-        " at offset " + std::to_string(entry.offset) + " (wanted " +
-        id.ToHex() + ")");
+  return Status::OK();
+}
+
+Status FileChunkStore::ReadChunkAt(const Hash256& id, const Entry& entry,
+                                   bool cache,
+                                   std::shared_ptr<const Chunk>* chunk) const {
+  std::string buf;
+  ChunkRecord record;
+  Status s = ReadRecord(entry, &buf, &record);
+  if (s.IsNotFound()) {
+    return Status::NotFound("chunk " + id.ToHex() + " (" + s.message() + ")");
+  }
+  if (!s.ok()) return s;
+  const std::string where = " in " + SegmentFileName(entry.segment) +
+                            " at offset " + std::to_string(entry.offset);
+  Chunk decoded;
+  if (record.delta) {
+    if (!(record.id == id)) {
+      return Status::Corruption("delta record of another chunk" + where);
+    }
+    std::string base;
+    s = BasePayload(record.base, 1, &base);
+    if (s.ok()) s = RebuildChunk(record, base, &decoded);
+    if (!s.ok()) {
+      return s.IsNotFound() ? s
+                            : Status::Corruption(s.message() + where);
+    }
+  } else {
+    // The record buffer becomes the chunk's payload: drop the framing
+    // around the payload in place rather than copy it out.
+    const size_t payload_size = record.body.size();
+    buf.erase(0, static_cast<size_t>(record.body.data() - buf.data()));
+    buf.resize(payload_size);
+    decoded = Chunk(record.type, std::move(buf));
+    if (!(decoded.id() == id)) {
+      // The record round-trips its checksum but hashes to a different
+      // id: the location table routed us to the wrong bytes.
+      return Status::Corruption("chunk content hash mismatch" + where +
+                                " (wanted " + id.ToHex() + ")");
+    }
   }
   auto sp = std::make_shared<const Chunk>(std::move(decoded));
-  cache_->Insert(BufferCache::kRawChunk, id, sp, sp->stored_size());
+  if (cache) cache_->Insert(BufferCache::kRawChunk, id, sp, sp->stored_size());
   *chunk = std::move(sp);
+  return Status::OK();
+}
+
+Status FileChunkStore::BasePayload(const Hash256& id, size_t hops,
+                                   std::string* payload) const {
+  if (hops > kChainReadLimit) {
+    return Status::Corruption("delta chain through " + id.ToHex() + " loops");
+  }
+  std::shared_ptr<const Chunk> hit = std::static_pointer_cast<const Chunk>(
+      cache_->Lookup(BufferCache::kRawChunk, id));
+  Entry entry;
+  if (hit == nullptr) {
+    Status s = Locate(id, &entry, &hit);
+    if (s.IsNotFound()) {
+      return Status::NotFound("delta base " + id.ToHex() + " collected");
+    }
+    if (!s.ok()) return s;
+  }
+  if (hit != nullptr) {
+    payload->assign(hit->payload());
+    return Status::OK();
+  }
+  chain_reads_.Increment();
+  std::string buf;
+  ChunkRecord record;
+  Status s = ReadRecord(entry, &buf, &record);
+  if (!s.ok()) return s;
+  if (!record.delta) {
+    payload->assign(record.body.data(), record.body.size());
+    return Status::OK();
+  }
+  if (!(record.id == id)) {
+    return Status::Corruption("delta base " + id.ToHex() +
+                              " resolves to another chunk's record");
+  }
+  std::string below;
+  s = BasePayload(record.base, hops + 1, &below);
+  if (!s.ok()) return s;
+  return ApplyDelta(record, below, payload);
+}
+
+Status FileChunkStore::RewriteFull(const Hash256& id,
+                                   const std::set<uint32_t>& victims,
+                                   uint64_t* rewritten_bytes) {
+  std::shared_ptr<const Chunk> chunk;
+  Status s = Load(id, /*gc_read=*/true, &chunk);
+  if (!s.ok()) return s;
+  std::string record;
+  EncodeChunkRecord(*chunk, &record);
+  Entry fresh;
+  fresh.stored = static_cast<uint32_t>(chunk->stored_size());
+  {
+    std::unique_lock<std::mutex> lock(file_mu_);
+    s = AppendRecordLocked(lock, record, nullptr, &fresh);
+    if (!s.ok()) return s;
+  }
+  *rewritten_bytes += record.size();
+  uint32_t superseded_delta = kResidentOnly;
+  {
+    MapShard& shard = map_shards_[MapShardOf(id)];
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.entries.find(id);
+    if (it == shard.entries.end()) return Status::OK();
+    if (it->second.depth != 0 && victims.count(it->second.segment) == 0) {
+      superseded_delta = it->second.segment;
+    }
+    fresh.seq = it->second.seq;
+    physical_bytes_.Sub(it->second.stored);
+    physical_bytes_.Add(fresh.stored);
+    it->second = fresh;
+  }
+  if (superseded_delta != kResidentOnly) CondemnSegment(superseded_delta);
   return Status::OK();
 }
 
@@ -619,6 +873,13 @@ Status FileChunkStore::RetainLive(
   uint32_t active_snapshot = 0;
   {
     std::unique_lock<std::mutex> lock(file_mu_);
+    // Seal the active segment first, so this pass can condemn its dead
+    // records too. Delta records make it fill slowly: left open, it
+    // would hold every dead chunk written since the last roll.
+    if (append_status_.ok() &&
+        active_offset_.load(std::memory_order_relaxed) > 0) {
+      RollSegmentLocked(lock);
+    }
     if (!append_status_.ok()) {
       // A poisoned store cannot rewrite live records safely.
       Status s = append_status_;
@@ -628,92 +889,84 @@ Status FileChunkStore::RetainLive(
     }
     active_snapshot = active_segment_;
   }
+  auto fail = [this](Status s) {
+    EndGc();
+    return s;
+  };
 
-  // Phase 1: classify. Dead = inserted before the mark, not reachable
-  // from any retained root. Segments created after the snapshot carry
-  // ids above active_snapshot and are never victims, so concurrent
-  // Puts and rewrites land on safe ground.
-  std::vector<std::pair<Hash256, Entry>> dead;
-  std::unordered_set<Hash256, Hash256Hasher> dead_ids;
-  std::set<uint32_t> dead_segments;
+  // Phase 1: classify. Dead = in a sealed segment, inserted before the
+  // mark, not reachable from any retained root. Every record inserted
+  // before the mark is in a sealed segment once the active one rolled
+  // above; segments created since carry ids from active_snapshot up and
+  // are never victims, so concurrent Puts and rewrites land on safe
+  // ground. Victims: the segments holding a dead record, and sealed
+  // condemned ones. So every dead record goes with its segment in this
+  // pass, and no record on disk outlives a base it needs: a delta
+  // outside the victims whose base is dead is flattened.
+  std::unordered_map<Hash256, Entry, Hash256Hasher> dead;
+  std::vector<std::pair<Hash256, Entry>> deltas;
+  std::set<uint32_t> victims;
   uint64_t total_entries = 0;
   for (size_t i = 0; i < kMapShards; i++) {
     MapShard& shard = map_shards_[i];
     std::lock_guard<std::mutex> lock(shard.mu);
     for (const auto& kv : shard.entries) {
-      total_entries++;
       const Entry& entry = kv.second;
-      if (entry.seq < mark_seq && entry.segment != kResidentOnly &&
+      total_entries++;
+      if (entry.seq < mark_seq && entry.segment < active_snapshot &&
           live.find(kv.first) == live.end()) {
-        dead.emplace_back(kv.first, entry);
-        dead_ids.insert(kv.first);
-        dead_segments.insert(entry.segment);
+        dead.emplace(kv.first, entry);
+        victims.insert(entry.segment);
+      }
+      if (entry.depth != 0) deltas.emplace_back(kv.first, entry);
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(seg_mu_);
+    for (const auto& kv : segments_) {
+      if (kv.first < active_snapshot && kv.second->condemned) {
+        victims.insert(kv.first);
       }
     }
   }
-
-  std::set<uint32_t> victims;
-  for (uint32_t seg : dead_segments) {
-    if (seg < active_snapshot) victims.insert(seg);
+  std::vector<Hash256> flatten;
+  for (const auto& [id, entry] : deltas) {
+    if (victims.count(entry.segment) == 0 && dead.count(entry.base) != 0) {
+      flatten.push_back(id);
+    }
   }
 
   ChunkGcStats result;
 
-  // Phase 2: rewrite the still-live records of every victim into the
-  // active segment. Locations update in place, keeping the original
-  // insertion sequence (the chunk is the same age for future marks).
+  // Phase 2: rewrite, as full records, the still-live records of every
+  // victim and the deltas to flatten. Locations update in place,
+  // keeping the original insertion sequence (the chunk is the same age
+  // for future marks). Reads verify but skip the cache, so a pass does
+  // not evict the readers' working set.
+  std::vector<Hash256> rewrites = std::move(flatten);
   if (!victims.empty()) {
-    std::vector<std::pair<Hash256, Entry>> movers;
     for (size_t i = 0; i < kMapShards; i++) {
       MapShard& shard = map_shards_[i];
       std::lock_guard<std::mutex> lock(shard.mu);
       for (const auto& kv : shard.entries) {
         if (victims.count(kv.second.segment) != 0 &&
-            dead_ids.find(kv.first) == dead_ids.end()) {
-          movers.emplace_back(kv.first, kv.second);
+            dead.find(kv.first) == dead.end()) {
+          rewrites.push_back(kv.first);
         }
       }
     }
-    for (const auto& mover : movers) {
-      std::shared_ptr<const Chunk> chunk;
-      Status s = Get(mover.first, &chunk);
-      if (!s.ok()) {
-        EndGc();
-        return s;
-      }
-      std::string record;
-      EncodeChunkRecord(*chunk, &record);
-      Entry fresh;
-      fresh.stored = static_cast<uint32_t>(chunk->stored_size());
-      {
-        std::unique_lock<std::mutex> lock(file_mu_);
-        Status as = AppendRecordLocked(lock, record, chunk, &fresh);
-        if (!as.ok()) {
-          lock.unlock();
-          EndGc();
-          return as;
-        }
-      }
-      result.rewritten_bytes += record.size();
-      MapShard& shard = map_shards_[MapShardOf(mover.first)];
-      std::lock_guard<std::mutex> lock(shard.mu);
-      auto it = shard.entries.find(mover.first);
-      if (it != shard.entries.end()) {
-        fresh.seq = it->second.seq;
-        it->second = fresh;
-      }
-    }
+  }
+  for (const Hash256& id : rewrites) {
+    Status s = RewriteFull(id, victims, &result.rewritten_bytes);
+    if (!s.ok()) return fail(s);
   }
 
   // Phase 3: harden the rewrites before anything is unpublished — a
   // crash from here on replays either the old copies (victims still
-  // present) or both (first wins), never neither.
+  // present) or both (the later, rewritten copy wins), never neither.
   if (result.rewritten_bytes > 0) {
     Status s = FlushAndSync();
-    if (!s.ok()) {
-      EndGc();
-      return s;
-    }
+    if (!s.ok()) return fail(s);
   }
 
   // Phase 4: wait for every traversal that may still resolve condemned
@@ -721,13 +974,17 @@ Status FileChunkStore::RetainLive(
   epochs().Advance();
   epochs().WaitForQuiescence();
 
-  // Phase 5: unpublish the dead. A dedup hit since BeginGc resurrects
-  // the id — it stays, and if its only record sits in a victim it is
-  // re-appended from the still-present file before the unlink.
-  uint64_t late_rewrites = 0;
-  for (const auto& victim_entry : dead) {
-    const Hash256& id = victim_entry.first;
-    const Entry& entry = victim_entry.second;
+  // Phase 5: unpublish the dead, deepest deltas first so a base goes
+  // after every delta on it. A dedup hit since BeginGc resurrects the
+  // id — it stays, and its record, which sits in a victim, is
+  // re-appended (rebuilt through bases still published) before the
+  // unlink.
+  std::vector<std::pair<Hash256, Entry>> doomed(dead.begin(), dead.end());
+  std::sort(doomed.begin(), doomed.end(), [](const auto& a, const auto& b) {
+    return a.second.depth > b.second.depth;
+  });
+  const uint64_t rewritten_before = result.rewritten_bytes;
+  for (const auto& [id, entry] : doomed) {
     bool resurrected = false;
     {
       MapShard& shard = map_shards_[MapShardOf(id)];
@@ -748,49 +1005,26 @@ Status FileChunkStore::RetainLive(
       cache_->Erase(id);
       continue;
     }
-    if (victims.count(entry.segment) != 0) {
-      std::shared_ptr<const Chunk> chunk;
-      Status s = ReadChunkAt(id, entry, &chunk);
-      if (!s.ok()) {
-        EndGc();
-        return s;
-      }
-      std::string record;
-      EncodeChunkRecord(*chunk, &record);
-      Entry fresh;
-      fresh.stored = static_cast<uint32_t>(chunk->stored_size());
-      {
-        std::unique_lock<std::mutex> lock(file_mu_);
-        Status as = AppendRecordLocked(lock, record, chunk, &fresh);
-        if (!as.ok()) {
-          lock.unlock();
-          EndGc();
-          return as;
-        }
-      }
-      result.rewritten_bytes += record.size();
-      late_rewrites++;
-      MapShard& shard = map_shards_[MapShardOf(id)];
-      std::lock_guard<std::mutex> lock(shard.mu);
-      auto it = shard.entries.find(id);
-      if (it != shard.entries.end()) {
-        fresh.seq = it->second.seq;
-        it->second = fresh;
-      }
-    }
+    Status s = RewriteFull(id, victims, &result.rewritten_bytes);
+    if (!s.ok()) return fail(s);
   }
-  if (late_rewrites > 0) {
+  if (result.rewritten_bytes > rewritten_before) {
     Status s = FlushAndSync();
-    if (!s.ok()) {
-      EndGc();
-      return s;
-    }
+    if (!s.ok()) return fail(s);
   }
 
-  // Phase 6: unlink the victims. A straggling reader that copied a
-  // location before phase 5 keeps preading through the open handle the
-  // Segment holds; everyone else can no longer reach the segment.
+  // Phase 6: unlink the victims. Their dead records are unpublished
+  // now, so each is condemned until it is gone, and the synced manifest
+  // lets Open finish the unlinks a crash cuts short: a delta in one
+  // victim may name a base in another. A straggling reader that copied
+  // a location before phase 5 keeps preading through the open handle
+  // the Segment holds; everyone else can no longer reach the segment.
   Status first_error = Status::OK();
+  if (!victims.empty()) {
+    for (uint32_t victim : victims) CondemnSegment(victim);
+    first_error = WriteGcManifest(victims);
+    if (!first_error.ok()) return fail(first_error);
+  }
   for (uint32_t victim : victims) {
     std::shared_ptr<Segment> seg;
     {
@@ -809,6 +1043,9 @@ Status FileChunkStore::RetainLive(
   }
   if (!victims.empty() && first_error.ok()) {
     first_error = env_->SyncDir(dir_);
+    if (first_error.ok()) {
+      first_error = env_->DeleteFile(dir_ + "/" + kGcManifest);
+    }
   }
 
   EndGc();
@@ -839,6 +1076,9 @@ void FileChunkStore::ExportMetrics(MetricsRegistry* registry) const {
   registry->RegisterCounter("chunk.file.read_bytes", &read_bytes_);
   registry->RegisterCounter("chunk.file.read_errors", &read_errors_);
   registry->RegisterCounter("chunk.file.fsyncs", &fsyncs_);
+  registry->RegisterCounter("chunk.file.delta_records", &delta_records_);
+  registry->RegisterCounter("chunk.file.delta_bytes", &delta_bytes_);
+  registry->RegisterCounter("chunk.file.chain_reads", &chain_reads_);
   registry->RegisterCounter("chunk.segment.rolls", &rolls_);
   registry->RegisterGaugeFn("chunk.segment.count",
                             [this] { return segment_count(); });

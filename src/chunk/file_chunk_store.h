@@ -8,10 +8,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <utility>
 
 #include "chunk/buffer_cache.h"
+#include "chunk/chunk_record.h"
 #include "chunk/chunk_store.h"
 #include "common/env.h"
 
@@ -26,16 +28,37 @@ namespace spitz {
 // so the store serves datasets far larger than RAM with memory bounded
 // by the map and the cache budget.
 //
-// Record format (unchanged from the single-log store):
-//   [1B type] [varint payload length] [payload bytes] [4B masked CRC32C]
-// The checksum covers the type byte and the payload. Replay walks every
-// segment in numeric order and registers locations; a record that is
-// *incomplete* in the highest-numbered segment is a torn tail from a
-// crash — replay stops there and Open() truncates back to the last
-// valid record. An incomplete record in any *sealed* segment, or a
+// Record format (chunk/chunk_record.h): one framing for two kinds,
+//   [1B kind] [varint body length] [body] [4B masked CRC32C]
+// The checksum covers the kind byte and the body. A full record's body
+// is the chunk payload. A delta record's body is
+//   [32B own id] [32B base id] [varint payload size] [copy/literal ops]
+// and rebuilds the chunk from the payload of its base. Put writes one
+// when the caller names the chunk it replaces (a path-copied POS node),
+// the delta is the shorter record, and the base's chain of deltas is
+// shorter than kMaxChainDepth. A cache miss on a delta reads its chain
+// of records down to a full one (or to a base already in the cache,
+// which is verified) without caching the bases, and serves the rebuilt
+// chunk only after one SHA-256 of it matches the id, as for a full
+// record.
+//
+// Replay walks every segment in numeric order and registers locations:
+// a full record under the hash of its bytes, a delta under the id
+// stored in it. Of two copies of one id it keeps the later, which is
+// the full one whenever a GC pass wrote the second copy (a crash cut
+// the pass between its rewrites and its unlinks); a segment left
+// holding a delta copy no entry points at is condemned, so the next GC
+// pass deletes it. Put publishes under the append lock, so racing Puts
+// of one chunk append it once. Open fails with Corruption when a
+// registered delta's base is absent. A record that is *incomplete* in
+// the highest-numbered segment is a torn tail from a crash — replay
+// stops there and Open() truncates back to the last valid record. An
+// incomplete record in any *sealed* segment, or a
 // complete record with a bad checksum anywhere, is Corruption: sealed
 // segments are fsynced before the store moves past them, so nothing
-// short of bit rot explains damage there.
+// short of bit rot explains damage there. Stores written before delta
+// records existed open unchanged; a store holding deltas cannot be read
+// by a binary that predates them.
 //
 // Durability contract: Put() appends to the active segment (buffered);
 // only Sync() makes appended records crash-safe. Until the log flushes,
@@ -56,7 +79,15 @@ namespace spitz {
 // epochs to drain, then unpublishes the dead ids and unlinks the
 // victims — a straggling reader that already resolved a location keeps
 // working off the open file handle (POSIX keeps the inode alive), it
-// just can no longer find the id in the map afterwards.
+// just can no longer find the id in the map afterwards. A pass first
+// rolls a non-empty active segment, so it can collect what that
+// segment holds, and every dead record goes with its segment. Every
+// record the GC writes is full: a live delta in a victim, and a delta
+// outside the victims whose base the pass collects, are rewritten whole
+// ("flattened"), so no pass keeps a dead base alive and no delta on
+// disk outlives its base. The victims are listed in a synced manifest
+// before the first unlink; Open finishes the unlinks of a pass a crash
+// cut short.
 class FileChunkStore : public ChunkStore {
  public:
   struct Options {
@@ -90,10 +121,16 @@ class FileChunkStore : public ChunkStore {
   // The file name of segment `id` within the store directory.
   static std::string SegmentFileName(uint32_t id);
 
+  // Longest chain of delta records a chunk may sit on: a base whose own
+  // chain is this deep gets its successor written in full.
+  static constexpr uint8_t kMaxChainDepth = 8;
+
   // Stores the chunk; a previously unseen chunk is appended to the
-  // active segment and pinned in the cache until the log flushes.
-  // Append failures are sticky and surface through Sync()/status().
-  Hash256 Put(Chunk chunk) override;
+  // active segment (as a delta on `base` when that is shorter, see the
+  // record format above) and pinned in the cache until the log
+  // flushes. Append failures are sticky and surface through
+  // Sync()/status().
+  Hash256 Put(Chunk chunk, const Chunk* base = nullptr) override;
 
   // Resolves the id to its segment location and serves the bytes from
   // the cache or via one positional read (verifying the record CRC and
@@ -118,12 +155,13 @@ class FileChunkStore : public ChunkStore {
   // over segment switches unchanged.
   void OnBlockSealed() override;
 
-  // Collects dead chunks and reclaims their disk space: sealed
-  // segments containing at least one dead record are condemned, their
-  // live records rewritten into the active segment and fsynced, then —
+  // Collects dead chunks and reclaims their disk space: the active
+  // segment is sealed (rolled) if it holds any record, sealed segments
+  // containing at least one dead record are condemned, their live
+  // records rewritten into the new active segment and fsynced, then —
   // after in-flight reader epochs drain — the dead ids are unpublished
-  // and the victim files unlinked. Dead records still in the active
-  // segment survive until it seals and a later pass condemns it.
+  // and the victim files unlinked. Records appended during the pass
+  // wait for the next one.
   Status RetainLive(const std::unordered_set<Hash256, Hash256Hasher>& live,
                     uint64_t mark_seq, ChunkGcStats* stats) override;
 
@@ -147,8 +185,9 @@ class FileChunkStore : public ChunkStore {
   BufferCache* cache() const { return cache_; }
 
   // Base export plus the paged-store accounting: `chunk.file.*`
-  // (replay, append, positional-read, read-error and fsync counts) and
-  // `chunk.segment.*` (segment count, active-segment fill, rolls).
+  // (replay, append, positional-read, read-error, fsync, delta-record
+  // and chain-read counts) and `chunk.segment.*` (segment count,
+  // active-segment fill, rolls).
   void ExportMetrics(MetricsRegistry* registry) const override;
 
  private:
@@ -159,10 +198,14 @@ class FileChunkStore : public ChunkStore {
     uint32_t segment = 0;
     uint32_t length = 0;  // full record length
     uint64_t offset = 0;
-    uint32_t stored = 0;      // chunk.stored_size(), for accounting
+    uint32_t stored = 0;      // bytes stored, for accounting: a full
+                              // record's chunk.stored_size(), a delta
+                              // record's length
+    uint8_t depth = 0;        // delta records down to a full one
     uint64_t seq = 0;         // insertion sequence (GC mark comparison)
     uint64_t global_end = 0;  // append-stream offset after this record;
                               // > flushed watermark ⇒ pread can't see it
+    Hash256 base;             // a delta's base; zero for a full record
   };
 
   // One segment file. `file` opens eagerly at creation/replay and is
@@ -172,6 +215,11 @@ class FileChunkStore : public ChunkStore {
     uint32_t id = 0;
     std::string path;
     uint64_t size = 0;  // valid bytes (exact once sealed)
+    // Set when the first GC pass after this segment seals must delete
+    // it, whether or not a published record in it is dead: it holds a
+    // delta copy no entry points at, or a pass unpublished its dead
+    // records and failed before unlinking it. Guarded by seg_mu_.
+    bool condemned = false;
     std::mutex open_mu;
     std::shared_ptr<RandomAccessFile> file;
   };
@@ -187,22 +235,77 @@ class FileChunkStore : public ChunkStore {
     return id.data()[7] % kMapShards;
   }
 
-  // Replays every segment in `dir_`, registering locations. On return
-  // the segment table is populated and *tail_valid is the end of the
-  // last intact record of the highest-numbered segment.
+  // Replays every segment in `dir_`, registering locations, then
+  // resolves every delta's chain. On return the segment table is
+  // populated and *tail_valid is the end of the last intact record of
+  // the highest-numbered segment.
   Status Replay(uint64_t* tail_valid);
   Status ReplaySegment(uint32_t segment_id, const std::string& path,
                        bool is_last, uint64_t* valid_offset);
+  // Registers one replayed record. Of two copies of one id the later
+  // wins: it is the one the entry pointed at when the store closed (a
+  // GC pass's full rewrite, a flattened delta, a chunk Put again after
+  // its dead copy was unpublished). A delta copy left unpublished
+  // condemns its segment.
+  void ReplayPublish(const Hash256& id, Entry entry);
+  // Sets the depth of every replayed delta; Corruption when a base is
+  // absent or a chain loops.
+  Status ResolveChains();
+
+  // Unlinks the segments a GC manifest names (a pass a crash cut short)
+  // and removes the manifest. Called by Open before replay.
+  Status FinishInterruptedGc();
+  // Writes and syncs the manifest naming `victims`.
+  Status WriteGcManifest(const std::set<uint32_t>& victims);
+
+  // Marks segment `id` condemned (see Segment::condemned).
+  void CondemnSegment(uint32_t id);
 
   // Opens (or retries opening) the segment's read handle and returns
   // it; null plus an error status if the open fails.
   Status ReadHandle(const std::shared_ptr<Segment>& segment,
                     std::shared_ptr<RandomAccessFile>* file) const;
 
-  // Reads the record at `entry`, verifies CRC and content hash, and
-  // returns the chunk (also inserting it into the cache, unpinned).
-  Status ReadChunkAt(const Hash256& id, const Entry& entry,
+  // Copies out `id`'s entry and makes its record visible to pread
+  // (flushing the log if it may still sit in the buffer). When the
+  // record is still buffered and its pinned cache entry answers, *hit
+  // holds that chunk instead.
+  Status Locate(const Hash256& id, Entry* entry,
+                std::shared_ptr<const Chunk>* hit) const;
+
+  // The cache, else Locate and the verifying read of ReadChunkAt. A
+  // client's read (`gc_read` unset) goes into the cache; the GC's reads
+  // do not.
+  Status Load(const Hash256& id, bool gc_read,
+              std::shared_ptr<const Chunk>* chunk) const;
+
+  // Under the shard lock of `id`: true (counting a dedup hit, which a
+  // marking GC pass treats as a resurrection) when `id` is stored.
+  bool Dedup(const Hash256& id);
+
+  // Reads and CRC-checks the record at `entry` into *buf; *record views
+  // it.
+  Status ReadRecord(const Entry& entry, std::string* buf,
+                    ChunkRecord* record) const;
+
+  // Reads the record at `entry` and rebuilds the chunk (walking a
+  // delta's chain), verifies its content hash, and returns it; inserts
+  // it into the cache, unpinned, when `cache` is set.
+  Status ReadChunkAt(const Hash256& id, const Entry& entry, bool cache,
                      std::shared_ptr<const Chunk>* chunk) const;
+
+  // The payload of `id` as a delta base: from the cache (verified) or
+  // rebuilt from its chain of records, unverified and not cached.
+  // `hops` counts the bases read so far, to refuse a looping chain.
+  Status BasePayload(const Hash256& id, size_t hops,
+                     std::string* payload) const;
+
+  // Encodes `chunk` as a delta record on `base` into *record when the
+  // base is stored with a chain below the cap and the delta is the
+  // shorter record; fills entry->base, depth and stored. Leaves
+  // *record empty otherwise.
+  void EncodeDelta(const Chunk& chunk, const Chunk& base,
+                   std::string* record, Entry* entry);
 
   // Pushes buffered appends to the kernel, advances the flushed
   // watermark and releases the pins of now-readable records. Caller
@@ -210,24 +313,29 @@ class FileChunkStore : public ChunkStore {
   Status FlushLocked() const;
 
   // Appends an encoded record to the active segment, force-rolling at
-  // the hard cap first. On success fills *entry (seq left 0) and pins
-  // `chunk` in the cache; on failure poisons the store and leaves the
-  // chunk pinned as a resident-only entry. Caller holds file_mu_ via
-  // `lock`.
+  // the hard cap first. On success fills *entry (seq left 0) and, when
+  // `pin` is set, pins it in the cache until the log flushes; on
+  // failure poisons the store and leaves `pin` pinned as a
+  // resident-only entry. Caller holds file_mu_ via `lock`.
   Status AppendRecordLocked(std::unique_lock<std::mutex>& lock,
                             const std::string& record,
-                            const std::shared_ptr<const Chunk>& chunk,
+                            const std::shared_ptr<const Chunk>& pin,
                             Entry* entry);
+
+  // Rewrites `id` as a full record through the verifying read, without
+  // caching it, keeping its insertion sequence.
+  // A superseded delta copy outside `victims` condemns its segment.
+  Status RewriteFull(const Hash256& id, const std::set<uint32_t>& victims,
+                     uint64_t* rewritten_bytes);
 
   // Seals the active segment (flush + fsync + close) and starts its
   // successor. Waits for in-flight SyncFlushed barriers first. Caller
   // holds file_mu_ via `lock`; failures are sticky.
   Status RollSegmentLocked(std::unique_lock<std::mutex>& lock);
 
-  // Publishes `entry` for `id` unless the id is already mapped;
-  // updates the base accounting on first publication. Returns true if
-  // this call published it.
-  bool PublishEntry(const Hash256& id, Entry entry);
+  // Publishes `entry` for `id`, which is not mapped, and updates the
+  // base accounting. Caller holds file_mu_.
+  void PublishEntry(const Hash256& id, Entry entry);
 
   // Flush + fsync of the active log with the in-flight barrier
   // bookkeeping (the body of Sync(), reused by the GC).
@@ -278,6 +386,9 @@ class FileChunkStore : public ChunkStore {
   mutable Counter reads_;        // positional reads issued
   mutable Counter read_bytes_;   // bytes fetched by positional reads
   mutable Counter read_errors_;  // positional reads that failed
+  Counter delta_records_;    // delta records appended since Open()
+  Counter delta_bytes_;      // bytes appended as delta records
+  mutable Counter chain_reads_;  // base records read to rebuild a delta
   Counter rolls_;            // segment switches since Open()
   // Segment-log fsyncs: every Sync() barrier, GC rewrite and roll.
   Counter fsyncs_;

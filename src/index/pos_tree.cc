@@ -115,9 +115,10 @@ Status PosNode::Decode(std::shared_ptr<const Chunk> chunk,
   const ChunkType type = chunk->type();
   const Slice payload = chunk->data();
   const size_t owner_bytes = sizeof(Chunk) + chunk->payload().capacity();
-  return Parse(std::shared_ptr<PosNode>(new PosNode(
-                   type, payload, std::move(chunk), owner_bytes)),
-               out);
+  std::shared_ptr<PosNode> node(
+      new PosNode(type, payload, std::move(chunk), owner_bytes));
+  node->from_chunk_ = true;
+  return Parse(std::move(node), out);
 }
 
 Status PosNode::Parse(std::shared_ptr<PosNode> node,
@@ -229,22 +230,24 @@ Status PosTree::LoadNode(const Hash256& id,
   return Status::OK();
 }
 
-PosTree::ChildRef PosTree::StoreLeaf(
-    const std::vector<PosEntry>& entries) const {
+PosTree::ChildRef PosTree::StoreLeaf(const std::vector<PosEntry>& entries,
+                                     const Chunk* base) const {
   ChildRef ref;
   ref.last_key = entries.empty() ? std::string() : entries.back().key;
   ref.count = entries.size();
-  ref.id = store_->Put(Chunk(ChunkType::kIndexLeaf, EncodeLeaf(entries)));
+  ref.id = store_->Put(Chunk(ChunkType::kIndexLeaf, EncodeLeaf(entries)),
+                       base);
   return ref;
 }
 
-PosTree::ChildRef PosTree::StoreMeta(
-    const std::vector<ChildRef>& children) const {
+PosTree::ChildRef PosTree::StoreMeta(const std::vector<ChildRef>& children,
+                                     const Chunk* base) const {
   ChildRef ref;
   ref.last_key = children.empty() ? std::string() : children.back().last_key;
   ref.count = 0;
   for (const ChildRef& c : children) ref.count += c.count;
-  ref.id = store_->Put(Chunk(ChunkType::kIndexMeta, EncodeMeta(children)));
+  ref.id = store_->Put(Chunk(ChunkType::kIndexMeta, EncodeMeta(children)),
+                       base);
   return ref;
 }
 
@@ -562,8 +565,11 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
     return Build({PosEntry{key.ToString(), *value}}, new_root);
   }
 
-  // 1. Descend to the leaf, recording the path.
+  // 1. Descend to the leaf, recording the path. The node taken at each
+  //    level is the base every node rebuilt at that level is handed to
+  //    the store with (ChunkStore::Put).
   std::vector<PathFrame> frames;
+  std::shared_ptr<const PosNode> leaf;
   Hash256 id = root;
   std::vector<PosEntry> leaf_entries;
   while (true) {
@@ -572,6 +578,7 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
     if (!s.ok()) return s;
     if (node->is_leaf()) {
       AppendEntries(*node, &leaf_entries);
+      leaf = std::move(node);
       break;
     }
     const size_t idx = node->Route(key);
@@ -612,12 +619,13 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
         pending, options_.max_node_elements,
         [&](const PosEntry& e) { return IsLeafBoundary(EntryHash(e)); },
         [&](const std::vector<PosEntry>& node) {
-          new_refs.push_back(StoreLeaf(node));
+          new_refs.push_back(StoreLeaf(node, leaf->chunk()));
         });
     if (suffix.empty()) break;  // realigned with the old chunking
     std::optional<ChildRef> next = leaf_cursor.Next();
     if (!next.has_value()) {
-      new_refs.push_back(StoreLeaf(suffix));  // rightmost open leaf
+      // The rightmost open leaf.
+      new_refs.push_back(StoreLeaf(suffix, leaf->chunk()));
       break;
     }
     consumed_old++;
@@ -676,12 +684,12 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
           level_pending, options_.max_node_elements,
           [&](const ChildRef& c) { return IsMetaBoundary(c.id); },
           [&](const std::vector<ChildRef>& node) {
-            refs_up.push_back(StoreMeta(node));
+            refs_up.push_back(StoreMeta(node, frames[fi].node->chunk()));
           });
       if (suffix.empty()) break;
       std::optional<ChildRef> sib = cursor.Next();
       if (!sib.has_value()) {
-        refs_up.push_back(StoreMeta(suffix));
+        refs_up.push_back(StoreMeta(suffix, frames[fi].node->chunk()));
         break;
       }
       nodes_consumed_here++;

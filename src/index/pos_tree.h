@@ -258,9 +258,12 @@ class PosTree {
   Status LoadNode(const Hash256& id,
                   std::shared_ptr<const PosNode>* node) const;
 
-  // Writes a leaf chunk and returns its ref.
-  ChildRef StoreLeaf(const std::vector<PosEntry>& entries) const;
-  ChildRef StoreMeta(const std::vector<ChildRef>& children) const;
+  // Writes a leaf (meta) chunk and returns its ref. A non-null `base`
+  // is the chunk of the node it replaces, passed on to ChunkStore::Put.
+  ChildRef StoreLeaf(const std::vector<PosEntry>& entries,
+                     const Chunk* base = nullptr) const;
+  ChildRef StoreMeta(const std::vector<ChildRef>& children,
+                     const Chunk* base = nullptr) const;
 
   // Splits a run of child refs into meta nodes by the pattern rule and
   // stores them, the last node closed or not.
@@ -337,6 +340,13 @@ class PosNode {
   // would land).
   size_t Route(const Slice& key) const;
 
+  // The chunk a node read from the store was decoded from (the node
+  // keeps it alive); null for a node decoded from other bytes, such as
+  // a proof's.
+  const Chunk* chunk() const {
+    return from_chunk_ ? static_cast<const Chunk*>(owner_.get()) : nullptr;
+  }
+
   // Every byte the node keeps alive, used as its cache charge: the
   // owner (for a chunk, the whole chunk) plus the tables. While a
   // kRawChunk entry for the same chunk is resident, the chunk's bytes
@@ -364,6 +374,7 @@ class PosNode {
                       std::shared_ptr<const PosNode>* out);
 
   ChunkType type_;
+  bool from_chunk_ = false;  // owner_ is the Chunk payload_ views
   Slice payload_;
   std::shared_ptr<const void> owner_;
   size_t owner_bytes_;                      // what owner_ holds alive

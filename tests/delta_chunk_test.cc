@@ -1,0 +1,818 @@
+// Delta chunk records: the record codec (chunk/chunk_record.h) and what
+// FileChunkStore promises about them — small records for path-copied
+// POS nodes, a bounded chain, reads that verify, replay that refuses a
+// damaged or forged store, and GC passes (and crashes inside them) that
+// never leave a delta without its base.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <deque>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <map>
+#include <sstream>
+#include <string>
+#include <unordered_set>
+#include <vector>
+
+#include "chunk/buffer_cache.h"
+#include "chunk/chunk_record.h"
+#include "chunk/file_chunk_store.h"
+#include "common/codec.h"
+#include "common/crc32c.h"
+#include "common/env.h"
+#include "common/fault_env.h"
+#include "common/metrics.h"
+#include "common/random.h"
+#include "index/pos_tree.h"
+
+namespace spitz {
+namespace {
+
+std::string Key(int i) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "key%05d", i);
+  return buf;
+}
+
+std::string Value(int i, int round) {
+  std::string v = "v" + std::to_string(round) + "-" + std::to_string(i) + "-";
+  v.resize(100, static_cast<char>('a' + (i + round) % 26));
+  return v;
+}
+
+std::string RandomBytes(Random* rnd, size_t n) {
+  std::string s(n, '\0');
+  for (char& c : s) c = static_cast<char>(rnd->Next());
+  return s;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+// Recomputes the CRC of the record at `offset` of `bytes` in place, as
+// an attacker who can write the segment files would.
+void Reseal(std::string* bytes, size_t offset) {
+  Slice rest(bytes->data() + offset + 1, bytes->size() - offset - 1);
+  uint64_t len = 0;
+  ASSERT_TRUE(GetVarint64(&rest, &len).ok());
+  const size_t body = static_cast<size_t>(rest.data() - bytes->data());
+  uint32_t crc = crc32c::Extend(0, bytes->data() + offset, 1);
+  crc = crc32c::Extend(crc, bytes->data() + body, static_cast<size_t>(len));
+  std::string fixed;
+  PutFixed32(&fixed, crc32c::Mask(crc));
+  bytes->replace(body + static_cast<size_t>(len), fixed.size(), fixed);
+}
+
+// One record of a segment file, located by walking the file.
+struct Located {
+  size_t offset = 0;
+  ChunkRecord record;
+  Hash256 id;
+};
+
+std::vector<Located> WalkSegment(const std::string& bytes) {
+  std::vector<Located> out;
+  Slice input(bytes);
+  while (!input.empty()) {
+    Located at;
+    at.offset = bytes.size() - input.size();
+    bool torn = false;
+    if (!ParseChunkRecord(&input, &at.record, &torn).ok() || torn) break;
+    at.id = at.record.delta ? at.record.id
+                            : Chunk::IdOf(at.record.type, at.record.body);
+    out.push_back(at);
+  }
+  return out;
+}
+
+std::vector<std::string> SegmentPaths(const std::string& dir) {
+  std::vector<std::string> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("chunk-", 0) == 0) paths.push_back(entry.path().string());
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
+uint64_t Counter(const FileChunkStore& store, const char* name) {
+  MetricsRegistry registry;
+  store.ExportMetrics(&registry);
+  return registry.Snapshot().CounterValue(name);
+}
+
+// A scan of the whole version, checked against its range proof: reads
+// every node of the version.
+void ExpectVersionVerifies(const PosTree& tree, const Hash256& root,
+                           const std::map<std::string, std::string>& model) {
+  std::vector<PosEntry> rows;
+  PosRangeProof proof;
+  ASSERT_TRUE(tree.Scan(root, "", "\xff", 0, &rows, &proof).ok());
+  ASSERT_TRUE(
+      PosTree::VerifyRangeProof(root, "", "\xff", 0, rows, proof).ok());
+  ASSERT_EQ(rows.size(), model.size());
+  size_t i = 0;
+  for (const auto& [key, value] : model) {
+    EXPECT_EQ(rows[i].key, key);
+    EXPECT_EQ(rows[i].value, value);
+    i++;
+  }
+}
+
+class DeltaChunkTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = ::testing::TempDir() + "/spitz_delta_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::string dir_;
+};
+
+// --- The record codec -------------------------------------------------------
+
+// Every byte flip and truncation of an encoded delta record, with its
+// checksum as it is or recomputed, and every wrong base, is refused or
+// decodes to exactly the chunk that was encoded.
+TEST(DeltaRecordTest, EveryFlipTruncationAndWrongBaseIsRefusedOrExact) {
+  Random rnd(7);
+  const Chunk base(ChunkType::kIndexLeaf, RandomBytes(&rnd, 600));
+  std::string changed = base.payload();
+  changed[0] = static_cast<char>(changed[0] ^ 0x40);         // a count
+  changed.replace(200, 24, RandomBytes(&rnd, 24));            // an overwrite
+  changed.insert(400, RandomBytes(&rnd, 40));                 // an insert
+  const Chunk target(ChunkType::kIndexLeaf, changed);
+  std::string record;
+  ASSERT_TRUE(EncodeDeltaRecord(target, base, &record));
+  std::string full;
+  EncodeChunkRecord(target, &full);
+  EXPECT_LT(record.size() * 4, full.size());
+
+  size_t refused = 0;
+  size_t exact = 0;
+  auto check = [&](const std::string& bytes, const Chunk& with_base) {
+    Slice input(bytes);
+    ChunkRecord parsed;
+    bool torn = false;
+    Status s = ParseChunkRecord(&input, &parsed, &torn);
+    if (s.ok() && (torn || !input.empty() || !parsed.delta)) {
+      s = Status::Corruption("not one whole delta record");
+    }
+    Chunk rebuilt;
+    if (s.ok()) s = RebuildChunk(parsed, with_base.data(), &rebuilt);
+    if (!s.ok()) {
+      refused++;
+      return;
+    }
+    exact++;
+    EXPECT_EQ(rebuilt.type(), target.type());
+    EXPECT_EQ(rebuilt.payload(), target.payload());
+    EXPECT_EQ(rebuilt.id(), target.id());
+  };
+
+  check(record, base);
+  ASSERT_EQ(exact, 1u);
+  Slice header(record.data() + 1, record.size() - 1);
+  uint64_t body_size = 0;
+  ASSERT_TRUE(GetVarint64(&header, &body_size).ok());
+  const size_t body_start =
+      record.size() - sizeof(uint32_t) - static_cast<size_t>(body_size);
+  for (size_t i = 0; i < record.size(); i++) {
+    for (uint8_t mask : {0x01, 0xff}) {
+      std::string variant = record;
+      variant[i] = static_cast<char>(variant[i] ^ mask);
+      check(variant, base);
+      // Past the checksum, into the header and op decoder: every flip
+      // of the kind byte or the body, resealed.
+      if (i == 0 || (i >= body_start && i < body_start + body_size)) {
+        Reseal(&variant, 0);
+        check(variant, base);
+      }
+    }
+  }
+  for (size_t n = 0; n < record.size(); n++) check(record.substr(0, n), base);
+
+  std::vector<Chunk> wrong = {
+      Chunk(ChunkType::kIndexLeaf, ""),
+      target,
+      Chunk(ChunkType::kIndexLeaf, base.payload().substr(0, 300)),
+      Chunk(ChunkType::kIndexLeaf, RandomBytes(&rnd, 600)),
+  };
+  for (size_t i = 0; i < base.payload().size(); i++) {
+    std::string flipped = base.payload();
+    flipped[i] = static_cast<char>(flipped[i] ^ 0x01);
+    wrong.emplace_back(ChunkType::kIndexLeaf, flipped);
+  }
+  for (const Chunk& w : wrong) check(record, w);
+
+  EXPECT_GT(refused, 0u);
+  // The flips of base bytes the delta replaces still rebuild it.
+  EXPECT_GT(exact, 1u);
+}
+
+// A record of no use as a delta is not written as one.
+TEST(DeltaRecordTest, UnrelatedContentEncodesNoDelta) {
+  Random rnd(11);
+  const Chunk base(ChunkType::kBlob, RandomBytes(&rnd, 2000));
+  const Chunk other(ChunkType::kBlob, RandomBytes(&rnd, 2000));
+  std::string record;
+  EXPECT_FALSE(EncodeDeltaRecord(other, base, &record));
+  EXPECT_TRUE(record.empty());
+}
+
+// --- The store ---------------------------------------------------------------
+
+// On a 32-entry leaf, an overwrite, an insert and a delete each append
+// one delta record of at most an eighth of the full record.
+TEST_F(DeltaChunkTest, LeafOverwriteInsertAndDeleteEachAppendUnderAnEighth) {
+  std::unique_ptr<FileChunkStore> store;
+  ASSERT_TRUE(FileChunkStore::Open(dir_, &store).ok());
+  PosTreeOptions one_leaf;
+  one_leaf.leaf_pattern_bits = 30;
+  one_leaf.meta_pattern_bits = 30;
+  PosTree tree(store.get(), one_leaf);
+  std::map<std::string, std::string> model;
+  std::vector<PosEntry> entries;
+  for (int i = 0; i < 64; i += 2) {
+    entries.push_back({Key(i), Value(i, 0)});
+    model[Key(i)] = Value(i, 0);
+  }
+  Hash256 root;
+  ASSERT_TRUE(tree.Build(entries, &root).ok());
+  uint32_t height = 0;
+  ASSERT_TRUE(tree.Height(root, &height).ok());
+  ASSERT_EQ(height, 1u);
+
+  struct Op {
+    const char* name;
+    std::function<Status(Hash256*)> apply;
+  };
+  const Op ops[] = {
+      {"overwrite",
+       [&](Hash256* next) {
+         model[Key(20)] = Value(20, 1);
+         return tree.Put(root, Key(20), Value(20, 1), next);
+       }},
+      {"insert",
+       [&](Hash256* next) {
+         model[Key(33)] = Value(33, 1);
+         return tree.Put(root, Key(33), Value(33, 1), next);
+       }},
+      {"delete",
+       [&](Hash256* next) {
+         model.erase(Key(40));
+         return tree.Delete(root, Key(40), next);
+       }},
+  };
+  for (const Op& op : ops) {
+    SCOPED_TRACE(op.name);
+    const uint64_t records = Counter(*store, "chunk.file.delta_records");
+    const uint64_t delta = Counter(*store, "chunk.file.delta_bytes");
+    const uint64_t appended = Counter(*store, "chunk.file.appended_bytes");
+    ASSERT_TRUE(op.apply(&root).ok());
+    EXPECT_EQ(Counter(*store, "chunk.file.delta_records"), records + 1);
+    const uint64_t delta_bytes =
+        Counter(*store, "chunk.file.delta_bytes") - delta;
+    EXPECT_EQ(Counter(*store, "chunk.file.appended_bytes") - appended,
+              delta_bytes);
+    std::shared_ptr<const Chunk> leaf;
+    ASSERT_TRUE(store->Get(root, &leaf).ok());
+    std::string full;
+    EncodeChunkRecord(*leaf, &full);
+    EXPECT_LE(delta_bytes * 8, full.size())
+        << delta_bytes << " B delta for a " << full.size() << " B leaf";
+    ExpectVersionVerifies(tree, root, model);
+  }
+}
+
+// A key overwritten 100 times: no chunk's chain of delta records
+// exceeds the cap, and every version reads and verifies from a cold
+// cache, before and after a reopen.
+TEST_F(DeltaChunkTest, HundredOverwritesStayWithinTheCapAndEveryVersionReads) {
+  constexpr int kKeys = 2000;
+  constexpr int kVersions = 100;
+  std::vector<Hash256> roots;
+  std::vector<PosEntry> entries;
+  for (int i = 0; i < kKeys; i++) entries.push_back({Key(i), Value(i, 0)});
+
+  auto check_all = [&](FileChunkStore* store, BufferCache* cache) {
+    PosTree tree(store);
+    uint64_t deepest = 0;
+    for (int v = 0; v <= kVersions; v++) {
+      cache->Clear();
+      std::string value;
+      PosProof proof;
+      ASSERT_TRUE(tree.Get(roots[v], Key(777), &value, &proof).ok());
+      EXPECT_EQ(value, Value(777, v));
+      ASSERT_TRUE(
+          PosTree::VerifyProof(roots[v], Key(777), value, proof).ok());
+      for (const ProofNode& node : proof.nodes) {
+        const Hash256 id =
+            Chunk::IdOf(static_cast<ChunkType>(node.type), node.payload);
+        cache->Clear();
+        const uint64_t before = Counter(*store, "chunk.file.chain_reads");
+        std::shared_ptr<const Chunk> chunk;
+        ASSERT_TRUE(store->Get(id, &chunk).ok());
+        const uint64_t depth =
+            Counter(*store, "chunk.file.chain_reads") - before;
+        EXPECT_LE(depth, FileChunkStore::kMaxChainDepth);
+        deepest = std::max(deepest, depth);
+      }
+    }
+    EXPECT_EQ(deepest, FileChunkStore::kMaxChainDepth);
+  };
+
+  {
+    BufferCache cache(1 << 20);
+    FileChunkStore::Options options;
+    options.cache = &cache;
+    std::unique_ptr<FileChunkStore> store;
+    ASSERT_TRUE(FileChunkStore::Open(Env::Default(), dir_, options, &store)
+                    .ok());
+    PosTree tree(store.get());
+    Hash256 root;
+    ASSERT_TRUE(tree.Build(entries, &root).ok());
+    roots.push_back(root);
+    for (int v = 1; v <= kVersions; v++) {
+      ASSERT_TRUE(tree.Put(root, Key(777), Value(777, v), &root).ok());
+      roots.push_back(root);
+    }
+    ASSERT_TRUE(store->Sync().ok());
+    EXPECT_GE(Counter(*store, "chunk.file.delta_records"), 2u * kVersions);
+    check_all(store.get(), &cache);
+  }
+  BufferCache cache(1 << 20);
+  FileChunkStore::Options options;
+  options.cache = &cache;
+  std::unique_ptr<FileChunkStore> store;
+  ASSERT_TRUE(
+      FileChunkStore::Open(Env::Default(), dir_, options, &store).ok());
+  check_all(store.get(), &cache);
+}
+
+// A base record damaged on disk under a recomputed checksum: every
+// delta on it fails Get with Corruption, and the store no longer opens.
+TEST_F(DeltaChunkTest, CorruptBaseFailsEveryDeltaOnIt) {
+  PosTreeOptions one_leaf;
+  one_leaf.leaf_pattern_bits = 30;
+  std::vector<Hash256> roots;
+  {
+    std::unique_ptr<FileChunkStore> store;
+    ASSERT_TRUE(FileChunkStore::Open(dir_, &store).ok());
+    PosTree tree(store.get(), one_leaf);
+    std::vector<PosEntry> entries;
+    for (int i = 0; i < 32; i++) entries.push_back({Key(i), Value(i, 0)});
+    Hash256 root;
+    ASSERT_TRUE(tree.Build(entries, &root).ok());
+    roots.push_back(root);
+    for (int v = 1; v <= 5; v++) {
+      ASSERT_TRUE(tree.Put(root, Key(3), Value(3, v), &root).ok());
+      roots.push_back(root);
+    }
+    EXPECT_EQ(Counter(*store, "chunk.file.delta_records"), 5u);
+    ASSERT_TRUE(store->Sync().ok());
+  }
+
+  std::unique_ptr<FileChunkStore> store;
+  ASSERT_TRUE(FileChunkStore::Open(dir_, &store).ok());
+  const std::vector<std::string> segments = SegmentPaths(dir_);
+  ASSERT_EQ(segments.size(), 1u);
+  std::string bytes = ReadFile(segments[0]);
+  bool found = false;
+  for (const Located& at : WalkSegment(bytes)) {
+    if (at.record.delta || !(at.id == roots[0])) continue;
+    // A byte of the last value, which every version copies.
+    const size_t in_body =
+        static_cast<size_t>(at.record.body.data() - bytes.data()) +
+        at.record.body.size() - 3;
+    bytes[in_body] = static_cast<char>(bytes[in_body] ^ 0x20);
+    Reseal(&bytes, at.offset);
+    found = true;
+  }
+  ASSERT_TRUE(found);
+  WriteFile(segments[0], bytes);
+
+  for (const Hash256& root : roots) {
+    std::shared_ptr<const Chunk> chunk;
+    Status s = store->Get(root, &chunk);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_EQ(chunk, nullptr);
+  }
+  store.reset();
+  // Replay registers the damaged record under the hash of its bytes, so
+  // the deltas' base is absent.
+  Status s = FileChunkStore::Open(dir_, &store);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+// A delta record whose stored id is forged: registered under the forged
+// id, it fails Get with Corruption and serves no bytes; forged onto its
+// own base it makes a loop that fails Open.
+TEST_F(DeltaChunkTest, ForgedDeltaIdFailsAndServesNothing) {
+  Random rnd(5);
+  const Chunk base(ChunkType::kIndexLeaf, RandomBytes(&rnd, 2000));
+  std::string changed = base.payload();
+  changed.replace(1000, 50, RandomBytes(&rnd, 50));
+  const Chunk target(ChunkType::kIndexLeaf, changed);
+  {
+    std::unique_ptr<FileChunkStore> store;
+    ASSERT_TRUE(FileChunkStore::Open(dir_, &store).ok());
+    store->Put(base);
+    store->Put(target, &base);
+    EXPECT_EQ(Counter(*store, "chunk.file.delta_records"), 1u);
+    ASSERT_TRUE(store->Sync().ok());
+  }
+  const std::string segment = SegmentPaths(dir_)[0];
+  const std::string original = ReadFile(segment);
+  auto forge = [&](const Hash256& id) {
+    std::string bytes = original;
+    for (const Located& at : WalkSegment(bytes)) {
+      if (!at.record.delta) continue;
+      const size_t own = static_cast<size_t>(
+          at.record.body.data() - bytes.data() - 2 * Hash256::kSize -
+          VarintLength(at.record.size));
+      bytes.replace(own, Hash256::kSize, id.ToBytes());
+      Reseal(&bytes, at.offset);
+    }
+    WriteFile(segment, bytes);
+  };
+
+  const Hash256 forged = Hash256::Of("forged");
+  forge(forged);
+  {
+    std::unique_ptr<FileChunkStore> store;
+    ASSERT_TRUE(FileChunkStore::Open(dir_, &store).ok());
+    EXPECT_TRUE(store->Contains(forged));
+    EXPECT_FALSE(store->Contains(target.id()));
+    std::shared_ptr<const Chunk> chunk;
+    Status s = store->Get(forged, &chunk);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_EQ(chunk, nullptr);
+    EXPECT_TRUE(store->Get(target.id(), &chunk).IsNotFound());
+    ASSERT_TRUE(store->Get(base.id(), &chunk).ok());
+    EXPECT_EQ(chunk->payload(), base.payload());
+  }
+
+  forge(base.id());
+  std::unique_ptr<FileChunkStore> store;
+  Status s = FileChunkStore::Open(dir_, &store);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+// What a workload of versions over small segments keeps: the newest
+// few roots with their contents, and the live set of its last GC pass.
+struct Workload {
+  std::deque<std::pair<Hash256, std::map<std::string, std::string>>> retained;
+  std::unordered_set<Hash256, Hash256Hasher> live;
+};
+
+constexpr int kWorkloadKeys = 600;
+constexpr size_t kRetain = 3;
+
+// Overwrites `writes` random keys, one version each, keeping the newest
+// kRetain; `seal` rolls the segment after each (as a block seal would).
+void WriteVersions(FileChunkStore* store, const PosTree& tree, int writes,
+                   bool seal, Random* rnd, Workload* w) {
+  for (int i = 0; i < writes; i++) {
+    auto model = w->retained.back().second;
+    const int k = static_cast<int>(rnd->Uniform(kWorkloadKeys));
+    const std::string value = Value(k, static_cast<int>(rnd->Uniform(1000)));
+    model[Key(k)] = value;
+    Hash256 root;
+    ASSERT_TRUE(tree.Put(w->retained.back().first, Key(k), value, &root).ok());
+    w->retained.emplace_back(root, std::move(model));
+    if (w->retained.size() > kRetain) w->retained.pop_front();
+    if (seal) store->OnBlockSealed();
+  }
+}
+
+// One GC pass over everything but the retained versions.
+Status CollectAllButRetained(FileChunkStore* store, const PosTree& tree,
+                             Workload* w, ChunkGcStats* stats) {
+  const uint64_t mark = store->BeginGc();
+  w->live.clear();
+  for (const auto& [root, model] : w->retained) {
+    Status s = tree.CollectChunks(root, &w->live);
+    if (!s.ok()) {
+      store->AbortGc();
+      return s;
+    }
+  }
+  return store->RetainLive(w->live, mark, stats);
+}
+
+// Bulk-builds the first version, kWorkloadKeys keys in full records.
+void StartWorkload(FileChunkStore* store, const PosTree& tree, Workload* w) {
+  std::vector<PosEntry> entries;
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < kWorkloadKeys; i++) {
+    entries.push_back({Key(i), Value(i, 0)});
+    model[Key(i)] = Value(i, 0);
+  }
+  Hash256 root;
+  ASSERT_TRUE(tree.Build(entries, &root).ok());
+  store->OnBlockSealed();
+  w->retained.emplace_back(root, std::move(model));
+}
+
+// GC passes between rounds of writes: every chunk of a dropped version
+// is gone from the store's view, every retained version reads from a
+// cold cache (so no live delta names a base a pass unpublished), and a
+// reopen verifies them all.
+TEST_F(DeltaChunkTest, GcKeepsEveryLiveDeltaReadableAndReopenVerifies) {
+  BufferCache cache(1 << 20);
+  FileChunkStore::Options options;
+  options.segment_bytes = 16 << 10;
+  options.cache = &cache;
+  Workload w;
+  uint64_t deleted = 0;
+  uint64_t rewritten = 0;
+  {
+    std::unique_ptr<FileChunkStore> store;
+    ASSERT_TRUE(FileChunkStore::Open(Env::Default(), dir_, options, &store)
+                    .ok());
+    PosTree tree(store.get());
+    Random rnd(21);
+    StartWorkload(store.get(), tree, &w);
+    for (int round = 0; round < 8; round++) {
+      std::unordered_set<Hash256, Hash256Hasher> before;
+      for (const auto& [root, model] : w.retained) {
+        ASSERT_TRUE(tree.CollectChunks(root, &before).ok());
+      }
+      // The last writes of a round are left in the active segment,
+      // which the pass seals itself.
+      WriteVersions(store.get(), tree, 20, /*seal=*/true, &rnd, &w);
+      WriteVersions(store.get(), tree, 5, /*seal=*/false, &rnd, &w);
+      ChunkGcStats stats;
+      ASSERT_TRUE(CollectAllButRetained(store.get(), tree, &w, &stats).ok());
+      deleted += stats.segments_deleted;
+      rewritten += stats.rewritten_bytes;
+      for (const Hash256& id : before) {
+        if (w.live.count(id) == 0) {
+          EXPECT_FALSE(store->Contains(id));
+        }
+      }
+      for (const auto& [root, model] : w.retained) {
+        cache.Clear();
+        ExpectVersionVerifies(tree, root, model);
+      }
+    }
+    EXPECT_GT(Counter(*store, "chunk.file.delta_records"), 100u);
+    ASSERT_TRUE(store->Sync().ok());
+  }
+  EXPECT_GT(deleted, 0u);
+  EXPECT_GT(rewritten, 0u);
+
+  std::unique_ptr<FileChunkStore> store;
+  ASSERT_TRUE(
+      FileChunkStore::Open(Env::Default(), dir_, options, &store).ok());
+  PosTree tree(store.get());
+  for (const auto& [root, model] : w.retained) {
+    cache.Clear();
+    ExpectVersionVerifies(tree, root, model);
+  }
+}
+
+// A flattened delta's superseded copy condemns its segment, which then
+// goes no later than the full copy that replaced it: a reopen in
+// between keeps the full copy (the later one) and condemns the segment
+// again, and after the full copy dies and is collected no copy remains
+// on disk that names a base an earlier pass deleted.
+TEST_F(DeltaChunkTest, SupersededDeltaCopyGoesNoLaterThanItsFullCopy) {
+  Random rnd(13);
+  const Chunk base(ChunkType::kBlob, RandomBytes(&rnd, 3000));
+  std::string changed = base.payload();
+  changed.replace(100, 20, RandomBytes(&rnd, 20));
+  const Chunk delta(ChunkType::kBlob, changed);
+  const Chunk filler(ChunkType::kBlob, RandomBytes(&rnd, 3000));
+  FileChunkStore::Options options;
+  options.segment_bytes = 3000;  // OnBlockSealed rolls after each step
+  std::unordered_set<Hash256, Hash256Hasher> live = {delta.id(),
+                                                     filler.id()};
+  {
+    std::unique_ptr<FileChunkStore> store;
+    ASSERT_TRUE(
+        FileChunkStore::Open(Env::Default(), dir_, options, &store).ok());
+    store->Put(base);  // segment 1
+    store->OnBlockSealed();
+    store->Put(delta, &base);  // segment 2, with a live chunk that stays
+    store->Put(filler);
+    store->OnBlockSealed();
+    ASSERT_EQ(Counter(*store, "chunk.file.delta_records"), 1u);
+    ASSERT_EQ(store->segment_count(), 3u);
+
+    // The base dies: segment 1 goes, and the delta, in a sealed segment
+    // with no dead record, is flattened into segment 3.
+    ChunkGcStats stats;
+    ASSERT_TRUE(store->RetainLive(live, store->BeginGc(), &stats).ok());
+    EXPECT_EQ(stats.segments_deleted, 1u);
+    EXPECT_GT(stats.rewritten_bytes, base.payload().size());
+    store->OnBlockSealed();
+    ASSERT_TRUE(store->Sync().ok());
+  }
+  {
+    std::unique_ptr<FileChunkStore> store;
+    Status s = FileChunkStore::Open(Env::Default(), dir_, options, &store);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    std::shared_ptr<const Chunk> chunk;
+    ASSERT_TRUE(store->Get(delta.id(), &chunk).ok());
+    EXPECT_EQ(chunk->payload(), delta.payload());
+
+    // Then the delta dies: its full copy's segment 3 goes, and segment
+    // 2, which still holds the superseded delta, with it.
+    live.erase(delta.id());
+    ChunkGcStats stats;
+    ASSERT_TRUE(store->RetainLive(live, store->BeginGc(), &stats).ok());
+    EXPECT_EQ(stats.segments_deleted, 2u);
+    ASSERT_TRUE(store->Sync().ok());
+  }
+  std::unique_ptr<FileChunkStore> store;
+  Status s = FileChunkStore::Open(Env::Default(), dir_, options, &store);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  std::shared_ptr<const Chunk> chunk;
+  ASSERT_TRUE(store->Get(filler.id(), &chunk).ok());
+  EXPECT_EQ(chunk->payload(), filler.payload());
+  EXPECT_FALSE(store->Contains(delta.id()));
+}
+
+// The default environment, except that after `budget` unlinks every
+// further DeleteFile fails: a process that died partway through a GC
+// pass's unlinks, with everything before them synced.
+class UnlinkBudgetEnv : public Env {
+ public:
+  explicit UnlinkBudgetEnv(int budget) : budget_(budget) {}
+
+  Status NewWritableLog(const std::string& path,
+                        std::unique_ptr<WritableLog>* log) override {
+    return base_->NewWritableLog(path, log);
+  }
+  Status NewRandomAccessFile(
+      const std::string& path,
+      std::unique_ptr<RandomAccessFile>* file) override {
+    return base_->NewRandomAccessFile(path, file);
+  }
+  Status ReadFileToString(const std::string& path, std::string* out) override {
+    return base_->ReadFileToString(path, out);
+  }
+  Status Truncate(const std::string& path, uint64_t size) override {
+    return base_->Truncate(path, size);
+  }
+  Status CreateDir(const std::string& path) override {
+    return base_->CreateDir(path);
+  }
+  Status FileSize(const std::string& path, uint64_t* size) override {
+    return base_->FileSize(path, size);
+  }
+  bool FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  Status ListDir(const std::string& path,
+                 std::vector<std::string>* names) override {
+    return base_->ListDir(path, names);
+  }
+  Status DeleteFile(const std::string& path) override {
+    if (budget_ == 0) return Status::IOError("process died");
+    budget_--;
+    return base_->DeleteFile(path);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return base_->Rename(from, to);
+  }
+  Status SyncDir(const std::string& path) override {
+    return base_->SyncDir(path);
+  }
+
+ private:
+  Env* const base_ = Env::Default();
+  int budget_;
+};
+
+// A crash after a pass's flattening rewrites, with only some of its
+// victims unlinked: a delta in a surviving victim may name a base in an
+// unlinked one. Open finishes the pass, and every live chunk and every
+// retained version is there.
+TEST_F(DeltaChunkTest, CrashWithSomeVictimsUnlinkedReopensWithEveryLiveChunk) {
+  FileChunkStore::Options options;
+  options.segment_bytes = 16 << 10;
+  bool finished = false;
+  for (int budget = 0; !finished; budget++) {
+    SCOPED_TRACE("unlinks before the crash: " + std::to_string(budget));
+    ASSERT_LT(budget, 100);
+    std::filesystem::remove_all(dir_);
+    Workload w;
+    {
+      // The writes run on the default environment; the pass's unlinks
+      // stop after `budget` (the first unlink clears a stale manifest).
+      UnlinkBudgetEnv env(budget + 1);
+      std::unique_ptr<FileChunkStore> store;
+      ASSERT_TRUE(FileChunkStore::Open(&env, dir_, options, &store).ok());
+      PosTree tree(store.get());
+      Random rnd(33);
+      StartWorkload(store.get(), tree, &w);
+      WriteVersions(store.get(), tree, 30, /*seal=*/true, &rnd, &w);
+      WriteVersions(store.get(), tree, 5, /*seal=*/false, &rnd, &w);
+      ChunkGcStats stats;
+      finished = CollectAllButRetained(store.get(), tree, &w, &stats).ok();
+      if (finished) {
+        EXPECT_GT(stats.rewritten_bytes, 0u);
+        EXPECT_GT(stats.segments_deleted, 1u);
+      }
+    }
+    BufferCache cache(1 << 20);
+    FileChunkStore::Options reopen = options;
+    reopen.cache = &cache;
+    std::unique_ptr<FileChunkStore> store;
+    Status s = FileChunkStore::Open(Env::Default(), dir_, reopen, &store);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_FALSE(std::filesystem::exists(dir_ + "/gc-victims"));
+    for (const Hash256& id : w.live) {
+      std::shared_ptr<const Chunk> chunk;
+      Status g = store->Get(id, &chunk);
+      ASSERT_TRUE(g.ok()) << g.ToString();
+    }
+    PosTree tree(store.get());
+    for (const auto& [root, model] : w.retained) {
+      cache.Clear();
+      ExpectVersionVerifies(tree, root, model);
+    }
+  }
+}
+
+// A crash at every I/O op of a workload that writes deltas and then
+// collects: reopen always succeeds, and once the writes were synced
+// every retained version is whole, whatever the pass had done.
+TEST_F(DeltaChunkTest, CrashAtEveryIoOpOfAGcPassKeepsEveryRetainedVersion) {
+  FileChunkStore::Options options;
+  options.segment_bytes = 16 << 10;
+  // Phases reached before the env died: 1 = all writes synced, 2 = the
+  // GC pass completed too.
+  auto run_workload = [&](FaultInjectionEnv* env, Workload* w) {
+    int phase = 0;
+    std::unique_ptr<FileChunkStore> store;
+    if (!FileChunkStore::Open(env, dir_, options, &store).ok()) return phase;
+    PosTree tree(store.get());
+    Random rnd(44);
+    StartWorkload(store.get(), tree, w);
+    WriteVersions(store.get(), tree, 12, /*seal=*/true, &rnd, w);
+    WriteVersions(store.get(), tree, 3, /*seal=*/false, &rnd, w);
+    if (!store->Sync().ok()) return phase;
+    phase = 1;
+    ChunkGcStats stats;
+    if (CollectAllButRetained(store.get(), tree, w, &stats).ok()) phase = 2;
+    return phase;
+  };
+
+  uint64_t total_ops = 0;
+  {
+    FaultInjectionEnv env(Env::Default());
+    Workload w;
+    ASSERT_EQ(run_workload(&env, &w), 2);
+    total_ops = env.ops_seen();
+  }
+  ASSERT_GT(total_ops, 0u);
+  for (CrashMode mode : {CrashMode::kDropUnsynced, CrashMode::kKeepUnsynced}) {
+    for (uint64_t op = 0; op < total_ops; op++) {
+      SCOPED_TRACE("crash mode " + std::to_string(static_cast<int>(mode)) +
+                   ", short write at op " + std::to_string(op));
+      std::filesystem::remove_all(dir_);
+      FaultInjectionEnv env(Env::Default());
+      env.FailAt(op, FaultKind::kShortWrite, /*partial_bytes=*/2);
+      Workload w;
+      const int phase = run_workload(&env, &w);
+      EXPECT_LT(phase, 2);
+      env.Crash();
+      ASSERT_TRUE(env.SimulateCrash(mode).ok());
+      env.Revive();
+      BufferCache cache(1 << 20);
+      FileChunkStore::Options reopen = options;
+      reopen.cache = &cache;
+      std::unique_ptr<FileChunkStore> store;
+      Status s = FileChunkStore::Open(&env, dir_, reopen, &store);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      if (phase < 1) continue;
+      PosTree tree(store.get());
+      for (const auto& [root, model] : w.retained) {
+        ExpectVersionVerifies(tree, root, model);
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace spitz

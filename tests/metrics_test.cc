@@ -311,6 +311,54 @@ TEST(MetricsEndToEndTest, PagedStoreGcAndCacheMetricsRoundTripThroughJson) {
   std::filesystem::remove_all(dir);
 }
 
+// A durable node's overwrites append delta records, and its cold reads
+// of them read their bases: chunk.file.delta_records, delta_bytes and
+// chain_reads count both.
+TEST(MetricsEndToEndTest, PagedStoreCountsDeltaRecordsAndChainReads) {
+  std::string dir = ::testing::TempDir() + "/spitz_metrics_delta";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  SpitzOptions options;
+  options.block_size = 8;
+  options.data_dir = dir;
+  // Smaller than the data, so a cold read finds no base cached.
+  options.buffer_cache_bytes = 4 << 10;
+  for (int reopen = 0; reopen < 2; reopen++) {
+    std::unique_ptr<SpitzDb> db;
+    ASSERT_TRUE(SpitzDb::Open(options, &db).ok());
+    if (reopen == 0) {
+      // Nodes of 32 entries of ~100 B: a delta is far shorter than one.
+      // (The 60th version is a delta; every ninth is full.)
+      for (int i = 0; i < 60; i++) {
+        ASSERT_TRUE(db->Put("key" + std::to_string(i % 32),
+                            std::string(100, 'a' + i % 26))
+                        .ok());
+      }
+      ASSERT_TRUE(db->FlushBlock().ok());
+      ASSERT_TRUE(db->SyncStorage().ok());
+      JsonValue json;
+      ASSERT_TRUE(JsonValue::Parse(db->Metrics().ToJsonString(), &json).ok());
+      MetricsSnapshot snap;
+      ASSERT_TRUE(MetricsSnapshot::FromJson(json, &snap).ok());
+      const uint64_t records = snap.CounterValue("chunk.file.delta_records");
+      const uint64_t bytes = snap.CounterValue("chunk.file.delta_bytes");
+      EXPECT_GT(records, 0u);
+      EXPECT_GT(bytes, records * 2 * Hash256::kSize);
+      EXPECT_LT(bytes, snap.CounterValue("chunk.file.appended_bytes"));
+      EXPECT_EQ(snap.CounterValue("chunk.file.chain_reads"), 0u);
+    } else {
+      // A fresh cache: reading the newest version rebuilds its deltas.
+      std::string value;
+      for (int i = 0; i < 32; i++) {
+        ASSERT_TRUE(db->Get("key" + std::to_string(i), &value).ok());
+        EXPECT_EQ(value, std::string(100, 'a' + (i < 28 ? 32 + i : i) % 26));
+      }
+      EXPECT_GT(db->Metrics().CounterValue("chunk.file.chain_reads"), 0u);
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(MetricsEndToEndTest, RangeProofBytesRecordedForScans) {
   SpitzOptions options;
   options.block_size = 8;

@@ -873,6 +873,49 @@ TEST_F(PersistenceTest, CollectingPassErasesDecodedNodesOfCollectedChunks) {
   EXPECT_EQ(collected, stats.dead_chunks);
 }
 
+// A GC pass reads the records it moves without caching them: the
+// readers' resident raw chunks that it does not collect stay cached,
+// even when the pass moves many times the cache's capacity.
+TEST_F(PersistenceTest, CollectingPassLeavesUncollectedResidentChunksCached) {
+  BufferCache cache(/*capacity_bytes=*/64 << 10, /*shard_count=*/1);
+  FileChunkStore::Options options;
+  options.segment_bytes = 4 << 10;
+  options.cache = &cache;
+  std::unique_ptr<FileChunkStore> store;
+  ASSERT_TRUE(
+      FileChunkStore::Open(Env::Default(), dir_ + "/chunks", options, &store)
+          .ok());
+  Random rnd(41);
+  std::vector<Hash256> ids;
+  std::unordered_set<Hash256, Hash256Hasher> live;
+  for (int i = 0; i < 512; i++) {
+    ids.push_back(store->Put(Chunk(ChunkType::kBlob, RandomPayload(&rnd, 1024))));
+    if (i % 2 == 0) live.insert(ids.back());
+    store->OnBlockSealed();
+  }
+  ASSERT_TRUE(store->Sync().ok());
+  // Every sealed segment holds a dead chunk, so the pass moves every
+  // live one: 256 KiB through a 64 KiB cache.
+  cache.Clear();
+  std::vector<Hash256> resident;
+  for (int i = 0; i < 40; i += 2) {
+    std::shared_ptr<const Chunk> chunk;
+    ASSERT_TRUE(store->Get(ids[i], &chunk).ok());
+    resident.push_back(ids[i]);
+  }
+  const uint64_t mark = store->BeginGc();
+  ChunkGcStats stats;
+  ASSERT_TRUE(store->RetainLive(live, mark, &stats).ok());
+  EXPECT_GT(stats.rewritten_bytes, 4 * cache.capacity_bytes());
+  for (const Hash256& id : resident) {
+    EXPECT_NE(cache.Lookup(BufferCache::kRawChunk, id), nullptr);
+  }
+  for (const Hash256& id : live) {
+    std::shared_ptr<const Chunk> chunk;
+    EXPECT_TRUE(store->Get(id, &chunk).ok());
+  }
+}
+
 // --- Format pin -------------------------------------------------------------
 
 // Every byte Spitz puts on disk or on the wire is named by a SHA-256 or
