@@ -40,7 +40,11 @@
 #   errors and UB are the failure modes that matter).
 # The read-set suites are ClusterReadSetTest, TwoPhaseCommitTest,
 # MvccTest and TxnConfigSweep (cluster_test) plus WriteBatchTest
-# (txn_test).
+# (txn_test). The buffer cache's admission cases run in both legs: the
+# bulk load that writes around the cache and the GC mark that reads only
+# meta nodes (PersistenceTest), a bulk build torn by a short write
+# (RecoveryTest), passes marking beside a writer (VersionGcTest) and the
+# GC phase histograms' JSON round trip (MetricsEndToEndTest.GcMark...).
 # All legs must be green for a change to land.
 #
 # Usage: ci/check.sh [build-dir-prefix]   (default: build)
@@ -125,10 +129,10 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
                journal_test persistence_test delta_chunk_test pos_tree_test \
                mpt_mbt_test \
                property_test table_test sql_test \
-               integration_test group_commit_test version_gc_test
+               integration_test group_commit_test version_gc_test metrics_test
 ASAN_OPTIONS="halt_on_error=1 exitcode=66" \
 UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \
   ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-        -R 'Siri|SpitzDb|SpitzOptions|AuditorTest|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence|DeltaChunk|DeltaRecord|PosTree|Mpt|Mbt|Table|Sql|Integration|GroupCommitTest|VersionGcTest'
+        -R 'Siri|SpitzDb|SpitzOptions|AuditorTest|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence|DeltaChunk|DeltaRecord|PosTree|Mpt|Mbt|Table|Sql|Integration|GroupCommitTest|VersionGcTest|MetricsEndToEndTest.GcMark'
 
 echo "==> all checks passed"

@@ -30,11 +30,15 @@ namespace spitz {
 //
 // Pinning: an entry inserted (or re-inserted) with pin=true is exempt
 // from eviction and from Erase/Clear until Unpin balances every pin.
-// The durable store pins the entries for records that are not yet
-// kernel-visible (pread cannot serve them), which is what makes "Get
-// always works after Put" hold on the paged store; pinned bytes may
-// push a shard past its budget — the overshoot drains as soon as the
-// log flushes and the pins release.
+// The durable store pins the entries of update-path puts whose records
+// are not yet kernel-visible (pread cannot serve them), so the reads
+// that follow such a put hit here instead of flushing the log; pinned
+// bytes may push a shard past its budget — the overshoot drains as soon
+// as the log flushes and the pins release. One-pass writers (a bulk
+// build, a GC rewrite) write around the cache: nothing is inserted, and
+// a read of one of their records flushes the log before its pread. The
+// store also pins, for good, every chunk a sticky append failure left
+// unreadable from disk.
 //
 // Thread safety: fully thread-safe; sharded by a key byte like the
 // chunk store's resident map.

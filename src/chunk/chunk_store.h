@@ -64,6 +64,12 @@ class ChunkStore {
   // in-memory store ignores it.
   virtual Hash256 Put(Chunk chunk, const Chunk* base = nullptr);
 
+  // Stores a chunk that a one-pass writer (a bulk build) produces and no
+  // reader has asked for: the same as Put with no base, except that a
+  // durable store appends it around the cache instead of pinning it
+  // there, so a read of it before the log flushes flushes first.
+  virtual Hash256 PutWriteAround(Chunk chunk) { return Put(std::move(chunk)); }
+
   // Looks up a chunk by id. The returned shared_ptr is the caller's
   // hold on the bytes: keep it for as long as the chunk is in use. A
   // chunk can disappear from the *store* once the version GC

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "common/codec.h"
@@ -435,6 +436,14 @@ bool FileChunkStore::Dedup(const Hash256& id) {
 }
 
 Hash256 FileChunkStore::Put(Chunk chunk, const Chunk* base) {
+  return Store(std::move(chunk), base, /*pin=*/true);
+}
+
+Hash256 FileChunkStore::PutWriteAround(Chunk chunk) {
+  return Store(std::move(chunk), nullptr, /*pin=*/false);
+}
+
+Hash256 FileChunkStore::Store(Chunk chunk, const Chunk* base, bool pin) {
   const Hash256 id = chunk.id();
   const size_t stored = chunk.stored_size();
   puts_.Increment();
@@ -456,17 +465,26 @@ Hash256 FileChunkStore::Put(Chunk chunk, const Chunk* base) {
   // above; checking again under the append lock appends each chunk
   // once, so no record is left that no entry points at.
   if (Dedup(id)) return id;
-  if (AppendRecordLocked(lock, record, sp, &entry).ok() && entry.depth != 0) {
+  const bool appended = AppendRecordLocked(lock, record, sp, pin, &entry).ok();
+  if (appended && entry.depth != 0) {
     delta_records_.Increment();
     delta_bytes_.Increment(record.size());
   }
   PublishEntry(id, entry);
+  if (appended && !pin) {
+    // Held outside the cache until the flush, so the chunk stays
+    // readable should the log fail first. A long bulk build flushes
+    // every kMaxHeldBytes, which bounds what it holds.
+    held_bytes_ += stored;
+    held_.push_back(std::move(sp));
+    if (held_bytes_ >= kMaxHeldBytes) FlushLocked();  // failures are sticky
+  }
   return id;
 }
 
 Status FileChunkStore::AppendRecordLocked(
     std::unique_lock<std::mutex>& lock, const std::string& record,
-    const std::shared_ptr<const Chunk>& pin, Entry* entry) {
+    const std::shared_ptr<const Chunk>& chunk, bool pin, Entry* entry) {
   // Hard cap: a store not driven through OnBlockSealed() still rolls,
   // just not aligned to block boundaries.
   if (append_status_.ok() &&
@@ -489,11 +507,12 @@ Status FileChunkStore::AppendRecordLocked(
       appended_bytes_.Increment(record.size());
       // Pin until the flush watermark passes `end`: pread cannot see a
       // record still sitting in the log's user-space buffer. Unpinned
-      // records (GC rewrites) are read through a flush instead.
-      if (pin != nullptr) {
-        cache_->Insert(BufferCache::kRawChunk, pin->id(), pin,
-                       pin->stored_size(), /*pin=*/true);
-        unflushed_.emplace_back(pin->id(), end);
+      // records (bulk builds, GC rewrites) are read through a flush
+      // instead.
+      if (pin) {
+        cache_->Insert(BufferCache::kRawChunk, chunk->id(), chunk,
+                       chunk->stored_size(), /*pin=*/true);
+        unflushed_.emplace_back(chunk->id(), end);
       }
       return Status::OK();
     }
@@ -501,17 +520,18 @@ Status FileChunkStore::AppendRecordLocked(
     // have left a partial record); appending more would strand those
     // records past the failure point, so the store stays read/memory-
     // only and the sticky error surfaces via Sync()/status().
-    append_status_ = s;
+    PoisonLocked(s);
   }
   // The record never reached the log: keep the chunk readable for the
-  // life of the process as a permanently pinned cache entry.
+  // life of the process as a permanently pinned cache entry, whether or
+  // not a successful append would have pinned it.
   entry->segment = kResidentOnly;
   entry->offset = 0;
   entry->length = static_cast<uint32_t>(record.size());
   entry->global_end = UINT64_MAX;  // never treated as flushed
-  if (pin != nullptr) {
-    cache_->Insert(BufferCache::kRawChunk, pin->id(), pin, pin->stored_size(),
-                   /*pin=*/true);
+  if (chunk != nullptr) {
+    cache_->Insert(BufferCache::kRawChunk, chunk->id(), chunk,
+                   chunk->stored_size(), /*pin=*/true);
   }
   return append_status_;
 }
@@ -526,7 +546,7 @@ Status FileChunkStore::FlushLocked() const {
   // the same divergence as a failed append, and just as sticky.
   Status s = log_->Flush();
   if (!s.ok()) {
-    append_status_ = s;
+    PoisonLocked(s);
     return s;
   }
   flushed_total_.store(appended_total_.load(std::memory_order_relaxed),
@@ -535,7 +555,21 @@ Status FileChunkStore::FlushLocked() const {
     cache_->Unpin(BufferCache::kRawChunk, pending.first);
   }
   unflushed_.clear();
+  held_.clear();
+  held_bytes_ = 0;
   return Status::OK();
+}
+
+void FileChunkStore::PoisonLocked(const Status& s) const {
+  append_status_ = s;
+  // The held chunks' records will never flush: from now on only the
+  // cache can serve them, as it serves the pinned ones.
+  for (const auto& chunk : held_) {
+    cache_->Insert(BufferCache::kRawChunk, chunk->id(), chunk,
+                   chunk->stored_size(), /*pin=*/true);
+  }
+  held_.clear();
+  held_bytes_ = 0;
 }
 
 Status FileChunkStore::FlushAndSync() {
@@ -631,10 +665,10 @@ void FileChunkStore::OnBlockSealed() {
 
 Status FileChunkStore::Get(const Hash256& id,
                            std::shared_ptr<const Chunk>* chunk) const {
-  return Load(id, /*gc_read=*/false, chunk);
+  return Load(id, /*gc_window=*/nullptr, chunk);
 }
 
-Status FileChunkStore::Load(const Hash256& id, bool gc_read,
+Status FileChunkStore::Load(const Hash256& id, ReadWindow* gc_window,
                             std::shared_ptr<const Chunk>* chunk) const {
   if (auto cached = cache_->Lookup(BufferCache::kRawChunk, id)) {
     *chunk = std::static_pointer_cast<const Chunk>(cached);
@@ -648,7 +682,7 @@ Status FileChunkStore::Load(const Hash256& id, bool gc_read,
     *chunk = std::move(hit);
     return Status::OK();
   }
-  return ReadChunkAt(id, entry, /*cache=*/!gc_read, chunk);
+  return ReadChunkAt(id, entry, gc_window, chunk);
 }
 
 Status FileChunkStore::Locate(const Hash256& id, Entry* entry,
@@ -676,7 +710,15 @@ Status FileChunkStore::Locate(const Hash256& id, Entry* entry,
     }
     std::lock_guard<std::mutex> lock(file_mu_);
     Status s = FlushLocked();
-    if (!s.ok()) return s;
+    if (!s.ok()) {
+      // A write-around record the failure caught unflushed was pinned
+      // as the store was poisoned, perhaps after the lookup above.
+      if (auto cached = cache_->Lookup(BufferCache::kRawChunk, id)) {
+        *hit = std::static_pointer_cast<const Chunk>(cached);
+        return Status::OK();
+      }
+      return s;
+    }
   }
   return Status::OK();
 }
@@ -705,8 +747,10 @@ Status FileChunkStore::ReadHandle(
 }
 
 Status FileChunkStore::ReadRecord(const Entry& entry, std::string* buf,
-                                  ChunkRecord* record) const {
+                                  ChunkRecord* record,
+                                  ReadWindow* window) const {
   std::shared_ptr<Segment> segment;
+  uint64_t settled = 0;  // the segment's bytes known never to change
   {
     std::lock_guard<std::mutex> lock(seg_mu_);
     auto it = segments_.find(entry.segment);
@@ -718,6 +762,7 @@ Status FileChunkStore::ReadRecord(const Entry& entry, std::string* buf,
                               " collected");
     }
     segment = it->second;
+    settled = segment->size;
   }
   std::shared_ptr<RandomAccessFile> file;
   Status hs = ReadHandle(segment, &file);
@@ -725,8 +770,41 @@ Status FileChunkStore::ReadRecord(const Entry& entry, std::string* buf,
     read_errors_.Increment();
     return hs;
   }
-  reads_.Increment();
-  Status rs = file->Read(entry.offset, entry.length, buf);
+  const uint64_t end = entry.offset + entry.length;
+  Status rs;
+  if (window != nullptr && end <= settled) {
+    // A segment's bytes below its recorded size (sealed, or replayed)
+    // never change, so one read of up to kReadWindowBytes serves every
+    // record after this one that it covers.
+    if (window->segment != entry.segment || entry.offset < window->offset ||
+        end > window->offset + window->bytes.size()) {
+      window->segment = entry.segment;
+      window->offset = entry.offset;
+      reads_.Increment();
+      rs = file->Read(entry.offset,
+                      std::max<uint64_t>(
+                          entry.length,
+                          std::min<uint64_t>(kReadWindowBytes,
+                                             settled - entry.offset)),
+                      &window->bytes);
+      if (rs.ok()) {
+        read_bytes_.Increment(window->bytes.size());
+      } else {
+        window->bytes.clear();
+      }
+    }
+    if (rs.ok() && end <= window->offset + window->bytes.size()) {
+      buf->assign(window->bytes, entry.offset - window->offset, entry.length);
+    } else {
+      buf->clear();
+    }
+  } else {
+    reads_.Increment();
+    rs = file->Read(entry.offset, entry.length, buf);
+    if (rs.ok() && buf->size() == entry.length) {
+      read_bytes_.Increment(entry.length);
+    }
+  }
   if (rs.ok() && buf->size() < entry.length) {
     rs = Status::IOError("short read (" + std::to_string(buf->size()) +
                          " of " + std::to_string(entry.length) + " bytes)");
@@ -737,7 +815,6 @@ Status FileChunkStore::ReadRecord(const Entry& entry, std::string* buf,
                            SegmentFileName(entry.segment) + " at offset " +
                            std::to_string(entry.offset) + ": " + rs.message());
   }
-  read_bytes_.Increment(entry.length);
 
   Slice input(*buf);
   bool torn = false;
@@ -751,11 +828,11 @@ Status FileChunkStore::ReadRecord(const Entry& entry, std::string* buf,
 }
 
 Status FileChunkStore::ReadChunkAt(const Hash256& id, const Entry& entry,
-                                   bool cache,
+                                   ReadWindow* gc_window,
                                    std::shared_ptr<const Chunk>* chunk) const {
   std::string buf;
   ChunkRecord record;
-  Status s = ReadRecord(entry, &buf, &record);
+  Status s = ReadRecord(entry, &buf, &record, gc_window);
   if (s.IsNotFound()) {
     return Status::NotFound("chunk " + id.ToHex() + " (" + s.message() + ")");
   }
@@ -789,7 +866,9 @@ Status FileChunkStore::ReadChunkAt(const Hash256& id, const Entry& entry,
     }
   }
   auto sp = std::make_shared<const Chunk>(std::move(decoded));
-  if (cache) cache_->Insert(BufferCache::kRawChunk, id, sp, sp->stored_size());
+  if (gc_window == nullptr) {
+    cache_->Insert(BufferCache::kRawChunk, id, sp, sp->stored_size());
+  }
   *chunk = std::move(sp);
   return Status::OK();
 }
@@ -834,9 +913,10 @@ Status FileChunkStore::BasePayload(const Hash256& id, size_t hops,
 
 Status FileChunkStore::RewriteFull(const Hash256& id,
                                    const std::set<uint32_t>& victims,
+                                   ReadWindow* window,
                                    uint64_t* rewritten_bytes) {
   std::shared_ptr<const Chunk> chunk;
-  Status s = Load(id, /*gc_read=*/true, &chunk);
+  Status s = Load(id, window, &chunk);
   if (!s.ok()) return s;
   std::string record;
   EncodeChunkRecord(*chunk, &record);
@@ -844,7 +924,7 @@ Status FileChunkStore::RewriteFull(const Hash256& id,
   fresh.stored = static_cast<uint32_t>(chunk->stored_size());
   {
     std::unique_lock<std::mutex> lock(file_mu_);
-    s = AppendRecordLocked(lock, record, nullptr, &fresh);
+    s = AppendRecordLocked(lock, record, nullptr, /*pin=*/false, &fresh);
     if (!s.ok()) return s;
   }
   *rewritten_bytes += record.size();
@@ -929,10 +1009,10 @@ Status FileChunkStore::RetainLive(
       }
     }
   }
-  std::vector<Hash256> flatten;
+  std::vector<std::pair<Hash256, Entry>> flatten;
   for (const auto& [id, entry] : deltas) {
     if (victims.count(entry.segment) == 0 && dead.count(entry.base) != 0) {
-      flatten.push_back(id);
+      flatten.emplace_back(id, entry);
     }
   }
 
@@ -942,8 +1022,10 @@ Status FileChunkStore::RetainLive(
   // victim and the deltas to flatten. Locations update in place,
   // keeping the original insertion sequence (the chunk is the same age
   // for future marks). Reads verify but skip the cache, so a pass does
-  // not evict the readers' working set.
-  std::vector<Hash256> rewrites = std::move(flatten);
+  // not evict the readers' working set. The records are read in
+  // segment and offset order through one window, so a victim costs a
+  // few large reads rather than one per record.
+  std::vector<std::pair<Hash256, Entry>> rewrites = std::move(flatten);
   if (!victims.empty()) {
     for (size_t i = 0; i < kMapShards; i++) {
       MapShard& shard = map_shards_[i];
@@ -951,13 +1033,20 @@ Status FileChunkStore::RetainLive(
       for (const auto& kv : shard.entries) {
         if (victims.count(kv.second.segment) != 0 &&
             dead.find(kv.first) == dead.end()) {
-          rewrites.push_back(kv.first);
+          rewrites.emplace_back(kv.first, kv.second);
         }
       }
     }
   }
-  for (const Hash256& id : rewrites) {
-    Status s = RewriteFull(id, victims, &result.rewritten_bytes);
+  std::sort(rewrites.begin(), rewrites.end(),
+            [](const auto& a, const auto& b) {
+              return std::tie(a.second.segment, a.second.offset) <
+                     std::tie(b.second.segment, b.second.offset);
+            });
+  ReadWindow window;
+  for (const auto& rewrite : rewrites) {
+    Status s =
+        RewriteFull(rewrite.first, victims, &window, &result.rewritten_bytes);
     if (!s.ok()) return fail(s);
   }
 
@@ -1005,7 +1094,7 @@ Status FileChunkStore::RetainLive(
       cache_->Erase(id);
       continue;
     }
-    Status s = RewriteFull(id, victims, &result.rewritten_bytes);
+    Status s = RewriteFull(id, victims, &window, &result.rewritten_bytes);
     if (!s.ok()) return fail(s);
   }
   if (result.rewritten_bytes > rewritten_before) {

@@ -11,6 +11,7 @@
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "chunk/buffer_cache.h"
 #include "chunk/chunk_record.h"
@@ -62,11 +63,17 @@ namespace spitz {
 //
 // Durability contract: Put() appends to the active segment (buffered);
 // only Sync() makes appended records crash-safe. Until the log flushes,
-// a record's bytes are invisible to pread — the store keeps such chunks
-// pinned in the cache so Get() always works after Put(). A failed or
-// short append poisons the store with a sticky I/O error exactly as
-// before; chunks that never reached the log stay pinned in the cache so
-// they remain readable for the life of the process.
+// a record's bytes are invisible to pread. Put() pins the chunk in the
+// cache until then (the update path reads back what it just wrote);
+// PutWriteAround() (a bulk build) and the GC's rewrites leave it
+// uncached, and a Get() of such a record flushes the log before its
+// pread, so Get() works after either. A failed or short append poisons
+// the store with a sticky I/O error exactly as before; a chunk that
+// never reached the log, from either kind of put, stays pinned in the
+// cache so it remains readable for the life of the process. So does a
+// PutWriteAround() chunk whose record the failure caught unflushed: the
+// store holds those chunks, outside the cache, until their flush (a
+// long bulk build flushes every kMaxHeldBytes).
 //
 // Segment lifecycle: the active segment rolls once it crosses
 // segment_bytes — normally right after a sealed-block boundary (the
@@ -132,6 +139,10 @@ class FileChunkStore : public ChunkStore {
   // Sync()/status().
   Hash256 Put(Chunk chunk, const Chunk* base = nullptr) override;
 
+  // Stores the chunk like Put with no base, but does not cache it: the
+  // record is read back through a flush and a pread, as after a reopen.
+  Hash256 PutWriteAround(Chunk chunk) override;
+
   // Resolves the id to its segment location and serves the bytes from
   // the cache or via one positional read (verifying the record CRC and
   // the content hash). See ChunkStore::Get for the lifetime contract.
@@ -158,7 +169,8 @@ class FileChunkStore : public ChunkStore {
   // Collects dead chunks and reclaims their disk space: the active
   // segment is sealed (rolled) if it holds any record, sealed segments
   // containing at least one dead record are condemned, their live
-  // records rewritten into the new active segment and fsynced, then —
+  // records read in segment order (a ReadWindow at a time, uncached),
+  // rewritten into the new active segment and fsynced, then —
   // after in-flight reader epochs drain — the dead ids are unpublished
   // and the victim files unlinked. Records appended during the pass
   // wait for the next one.
@@ -273,10 +285,18 @@ class FileChunkStore : public ChunkStore {
   Status Locate(const Hash256& id, Entry* entry,
                 std::shared_ptr<const Chunk>* hit) const;
 
+  // A run of one segment's settled bytes (below Segment::size) that a
+  // GC pass read at once; it serves every record it covers.
+  struct ReadWindow {
+    uint32_t segment = 0;
+    uint64_t offset = 0;
+    std::string bytes;
+  };
+
   // The cache, else Locate and the verifying read of ReadChunkAt. A
-  // client's read (`gc_read` unset) goes into the cache; the GC's reads
-  // do not.
-  Status Load(const Hash256& id, bool gc_read,
+  // client's read (`gc_window` null) goes into the cache; the GC's
+  // reads do not, and read settled records through *gc_window.
+  Status Load(const Hash256& id, ReadWindow* gc_window,
               std::shared_ptr<const Chunk>* chunk) const;
 
   // Under the shard lock of `id`: true (counting a dedup hit, which a
@@ -284,14 +304,17 @@ class FileChunkStore : public ChunkStore {
   bool Dedup(const Hash256& id);
 
   // Reads and CRC-checks the record at `entry` into *buf; *record views
-  // it.
+  // it. With a `window`, a record in the segment's settled bytes comes
+  // from the window, which is refilled from the record on when it does
+  // not cover it.
   Status ReadRecord(const Entry& entry, std::string* buf,
-                    ChunkRecord* record) const;
+                    ChunkRecord* record, ReadWindow* window = nullptr) const;
 
   // Reads the record at `entry` and rebuilds the chunk (walking a
   // delta's chain), verifies its content hash, and returns it; inserts
-  // it into the cache, unpinned, when `cache` is set.
-  Status ReadChunkAt(const Hash256& id, const Entry& entry, bool cache,
+  // it into the cache, unpinned, when `gc_window` is null (see Load).
+  Status ReadChunkAt(const Hash256& id, const Entry& entry,
+                     ReadWindow* gc_window,
                      std::shared_ptr<const Chunk>* chunk) const;
 
   // The payload of `id` as a delta base: from the cache (verified) or
@@ -308,25 +331,34 @@ class FileChunkStore : public ChunkStore {
                    std::string* record, Entry* entry);
 
   // Pushes buffered appends to the kernel, advances the flushed
-  // watermark and releases the pins of now-readable records. Caller
-  // holds file_mu_.
+  // watermark and releases the pins and held chunks of now-readable
+  // records. Caller holds file_mu_.
   Status FlushLocked() const;
+
+  // Makes `s` the sticky append error and pins every held chunk in the
+  // cache for the life of the process. Caller holds file_mu_.
+  void PoisonLocked(const Status& s) const;
+
+  // The body of Put and PutWriteAround: dedups, encodes (as a delta on
+  // `base` when that is shorter), appends, and publishes `chunk`.
+  Hash256 Store(Chunk chunk, const Chunk* base, bool pin);
 
   // Appends an encoded record to the active segment, force-rolling at
   // the hard cap first. On success fills *entry (seq left 0) and, when
-  // `pin` is set, pins it in the cache until the log flushes; on
-  // failure poisons the store and leaves `pin` pinned as a
-  // resident-only entry. Caller holds file_mu_ via `lock`.
+  // `pin` is set, pins `chunk` in the cache until the log flushes; on
+  // failure poisons the store and leaves `chunk` (when non-null) pinned
+  // as a resident-only entry, `pin` or not. Caller holds file_mu_ via
+  // `lock`.
   Status AppendRecordLocked(std::unique_lock<std::mutex>& lock,
                             const std::string& record,
-                            const std::shared_ptr<const Chunk>& pin,
-                            Entry* entry);
+                            const std::shared_ptr<const Chunk>& chunk,
+                            bool pin, Entry* entry);
 
-  // Rewrites `id` as a full record through the verifying read, without
-  // caching it, keeping its insertion sequence.
+  // Rewrites `id` as a full record through the verifying read (via
+  // `window`), without caching it, keeping its insertion sequence.
   // A superseded delta copy outside `victims` condemns its segment.
   Status RewriteFull(const Hash256& id, const std::set<uint32_t>& victims,
-                     uint64_t* rewritten_bytes);
+                     ReadWindow* window, uint64_t* rewritten_bytes);
 
   // Seals the active segment (flush + fsync + close) and starts its
   // successor. Waits for in-flight SyncFlushed barriers first. Caller
@@ -342,6 +374,10 @@ class FileChunkStore : public ChunkStore {
   Status FlushAndSync();
 
   static constexpr size_t kMapShards = 16;
+  // Chunk bytes a run of PutWriteAround calls holds before it flushes.
+  static constexpr size_t kMaxHeldBytes = 1 << 20;
+  // Bytes one ReadWindow read fetches (a GC pass reads its movers so).
+  static constexpr size_t kReadWindowBytes = 1 << 20;
   // Entry.segment for chunks that never reached the log (sticky append
   // failure): they live only as permanently pinned cache entries.
   static constexpr uint32_t kResidentOnly = UINT32_MAX;
@@ -373,6 +409,11 @@ class FileChunkStore : public ChunkStore {
   // Records appended but not yet flushed, in order; each holds one
   // cache pin released when the watermark passes its global_end.
   mutable std::deque<std::pair<Hash256, uint64_t>> unflushed_;
+  // Chunks PutWriteAround appended since the last flush, held outside
+  // the cache so they stay readable if the log fails before flushing.
+  // Guarded by file_mu_.
+  mutable std::vector<std::shared_ptr<const Chunk>> held_;
+  mutable size_t held_bytes_ = 0;
   std::atomic<uint64_t> appended_total_{0};          // written under file_mu_
   mutable std::atomic<uint64_t> flushed_total_{0};   // written under file_mu_
 

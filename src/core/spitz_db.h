@@ -112,9 +112,9 @@ struct SpitzOptions {
   size_t audit_workers = 0;
   // Byte budget for the unified buffer cache (DESIGN.md section 12):
   // one budget shared by raw chunk bytes (the paged durable store reads
-  // through it) and decoded POS-tree nodes. Must be positive — a paged
-  // store cannot serve unflushed chunks without a cache to pin them in;
-  // size it small instead of disabling it.
+  // through it) and decoded POS-tree nodes. Must be positive — the
+  // paged store pins an update's unflushed chunks in it (a bulk load
+  // writes around it); size it small instead of disabling it.
   size_t buffer_cache_bytes = BufferCache::kDefaultCapacityBytes;
   // Target size of one chunk segment file (durable mode). The active
   // segment rolls at the first sealed-block boundary past this size.

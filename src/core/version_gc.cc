@@ -13,6 +13,8 @@ VersionGc::VersionGc(ChunkStore* chunks, const SiriIndex* index, ArmFn arm,
   if (registry != nullptr) {
     registry->RegisterCounter("gc.runs", &runs_);
     registry->RegisterCounter("gc.failures", &failures_);
+    registry->RegisterHistogram("gc.mark_latency_ns", &mark_ns_);
+    registry->RegisterHistogram("gc.sweep_latency_ns", &sweep_ns_);
     auto total = [this](uint64_t ChunkGcStats::*field) {
       return [this, field] {
         std::lock_guard<std::mutex> lock(totals_mu_);
@@ -84,6 +86,7 @@ Status VersionGc::Collect(ChunkGcStats* stats_out) {
   // (second) collector from sweeping mid-walk.
   std::unordered_set<Hash256, Hash256Hasher> live;
   {
+    ScopedTimer timer(&mark_ns_);
     auto pin = chunks_->PinReads();
     for (const Hash256& root : roots) {
       Status s = index_->CollectChunks(root, &live);
@@ -95,7 +98,11 @@ Status VersionGc::Collect(ChunkGcStats* stats_out) {
     }
   }
   ChunkGcStats stats;
-  Status s = chunks_->RetainLive(live, mark_seq, &stats);
+  Status s;
+  {
+    ScopedTimer timer(&sweep_ns_);
+    s = chunks_->RetainLive(live, mark_seq, &stats);
+  }
   if (!s.ok()) {
     failures_.Increment();
     return s;

@@ -92,6 +92,10 @@ class VersionGc {
   // of the most recent one. totals_mu_ is a leaf lock.
   Counter runs_;
   Counter failures_;
+  // gc.mark_latency_ns times each pass's walk of the retained roots,
+  // gc.sweep_latency_ns its RetainLive (a failed mark records no sweep).
+  Histogram mark_ns_;
+  Histogram sweep_ns_;
   mutable std::mutex totals_mu_;
   ChunkGcStats totals_;
 

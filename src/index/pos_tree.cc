@@ -241,13 +241,14 @@ PosTree::ChildRef PosTree::StoreLeaf(const std::vector<PosEntry>& entries,
 }
 
 PosTree::ChildRef PosTree::StoreMeta(const std::vector<ChildRef>& children,
-                                     const Chunk* base) const {
+                                     const Chunk* base, bool bulk) const {
   ChildRef ref;
   ref.last_key = children.empty() ? std::string() : children.back().last_key;
   ref.count = 0;
   for (const ChildRef& c : children) ref.count += c.count;
-  ref.id = store_->Put(Chunk(ChunkType::kIndexMeta, EncodeMeta(children)),
-                       base);
+  Chunk chunk(ChunkType::kIndexMeta, EncodeMeta(children));
+  ref.id = bulk ? store_->PutWriteAround(std::move(chunk))
+                : store_->Put(std::move(chunk), base);
   return ref;
 }
 
@@ -271,18 +272,20 @@ std::vector<Elem> EmitClosedRuns(const std::vector<Elem>& run,
 }  // namespace
 
 std::vector<PosTree::ChildRef> PosTree::EmitMetas(
-    const std::vector<ChildRef>& run) const {
+    const std::vector<ChildRef>& run, bool bulk) const {
   std::vector<ChildRef> out;
   std::vector<ChildRef> suffix = EmitClosedRuns(
       run, options_.max_node_elements,
       [&](const ChildRef& c) { return IsMetaBoundary(c.id); },
-      [&](const std::vector<ChildRef>& node) { out.push_back(StoreMeta(node)); });
-  if (!suffix.empty()) out.push_back(StoreMeta(suffix));
+      [&](const std::vector<ChildRef>& node) {
+        out.push_back(StoreMeta(node, nullptr, bulk));
+      });
+  if (!suffix.empty()) out.push_back(StoreMeta(suffix, nullptr, bulk));
   return out;
 }
 
-Hash256 PosTree::BuildUp(std::vector<ChildRef> level_refs) const {
-  while (level_refs.size() > 1) level_refs = EmitMetas(level_refs);
+Hash256 PosTree::BuildUp(std::vector<ChildRef> level_refs, bool bulk) const {
+  while (level_refs.size() > 1) level_refs = EmitMetas(level_refs, bulk);
   if (level_refs.empty()) return EmptyRoot();
   return level_refs[0].id;
 }
@@ -354,10 +357,10 @@ Status PosTree::Build(std::vector<PosEntry> entries, Hash256* root) const {
       const std::span<const PosEntry> entries = leaf(first + k);
       leaves.push_back(
           ChildRef{entries.back().key, chunks[k].id(), entries.size()});
-      store_->Put(std::move(chunks[k]));
+      store_->PutWriteAround(std::move(chunks[k]));
     }
   }
-  *root = BuildUp(std::move(leaves));
+  *root = BuildUp(std::move(leaves), /*bulk=*/true);
   return Status::OK();
 }
 
@@ -495,14 +498,29 @@ Status PosTree::Count(const Hash256& root, uint64_t* count) const {
 Status PosTree::CollectChunks(
     const Hash256& root,
     std::unordered_set<Hash256, Hash256Hasher>* live) const {
-  if (root.IsZero()) return Status::OK();
-  if (!live->insert(root).second) return Status::OK();  // shared subtree
-  std::shared_ptr<const PosNode> node;
-  Status s = LoadNode(root, &node);
+  if (root.IsZero() || live->count(root) != 0) return Status::OK();
+  // Every leaf sits at the same depth (a tree is the bulk build of its
+  // entries), so one descent finds the level whose ids the parents'
+  // refs name without reading the leaves themselves.
+  uint32_t height = 0;
+  Status s = Height(root, &height);
   if (!s.ok()) return s;
-  if (node->is_leaf()) return Status::OK();
+  return CollectSubtree(root, height, live);
+}
+
+Status PosTree::CollectSubtree(
+    const Hash256& id, uint32_t height,
+    std::unordered_set<Hash256, Hash256Hasher>* live) const {
+  if (!live->insert(id).second) return Status::OK();  // shared subtree
+  if (height <= 1) return Status::OK();               // a leaf
+  std::shared_ptr<const PosNode> node;
+  Status s = LoadNode(id, &node);
+  if (!s.ok()) return s;
+  if (node->is_leaf()) {
+    return Status::Corruption("leaf above the leaf level of " + id.ToHex());
+  }
   for (const ChildRef& c : node->children()) {
-    s = CollectChunks(c.id, live);
+    s = CollectSubtree(c.id, height - 1, live);
     if (!s.ok()) return s;
   }
   return Status::OK();
@@ -562,7 +580,9 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
                        Hash256* new_root) const {
   if (root.IsZero()) {
     if (!value.has_value()) return Status::NotFound("empty tree");
-    return Build({PosEntry{key.ToString(), *value}}, new_root);
+    // One entry is one leaf, the whole tree.
+    *new_root = StoreLeaf({PosEntry{key.ToString(), *value}}).id;
+    return Status::OK();
   }
 
   // 1. Descend to the leaf, recording the path. The node taken at each
@@ -684,12 +704,14 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
           level_pending, options_.max_node_elements,
           [&](const ChildRef& c) { return IsMetaBoundary(c.id); },
           [&](const std::vector<ChildRef>& node) {
-            refs_up.push_back(StoreMeta(node, frames[fi].node->chunk()));
+            refs_up.push_back(
+                StoreMeta(node, frames[fi].node->chunk(), /*bulk=*/false));
           });
       if (suffix.empty()) break;
       std::optional<ChildRef> sib = cursor.Next();
       if (!sib.has_value()) {
-        refs_up.push_back(StoreMeta(suffix, frames[fi].node->chunk()));
+        refs_up.push_back(
+            StoreMeta(suffix, frames[fi].node->chunk(), /*bulk=*/false));
         break;
       }
       nodes_consumed_here++;
@@ -710,7 +732,7 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
   // 5. Form the new root; collapse single-child meta chains so the
   //    result is identical to a fresh bulk build of the same data
   //    (structural invariance).
-  Hash256 result = BuildUp(std::move(new_refs));
+  Hash256 result = BuildUp(std::move(new_refs), /*bulk=*/false);
   while (!result.IsZero()) {
     std::shared_ptr<const PosNode> node;
     Status s = LoadNode(result, &node);

@@ -153,7 +153,8 @@ class PosTree {
   void SetNodeCache(BufferCache* cache) { cache_ = cache; }
 
   // Bulk-loads a tree from entries (they will be sorted and deduplicated
-  // by key, last write wins). Returns the new root.
+  // by key, last write wins). Returns the new root. Every node goes to
+  // ChunkStore::PutWriteAround: a load fills no cache.
   Status Build(std::vector<PosEntry> entries, Hash256* root) const;
 
   // Point read: the one root-to-leaf traversal. Returns NotFound if
@@ -188,6 +189,9 @@ class PosTree {
   // Inserts every chunk id reachable from `root` into *live, pruning
   // subtrees whose root is already present (version sharing makes the
   // union of several versions cheap to mark). Used by the version GC.
+  // Reads the meta nodes and one leaf (to learn the height); every
+  // other leaf id comes from its parent's ref, so a pass keeps the
+  // leaves (32 in 33 nodes) out of the cache.
   Status CollectChunks(const Hash256& root,
                        std::unordered_set<Hash256, Hash256Hasher>* live) const;
 
@@ -260,18 +264,26 @@ class PosTree {
 
   // Writes a leaf (meta) chunk and returns its ref. A non-null `base`
   // is the chunk of the node it replaces, passed on to ChunkStore::Put.
+  // A `bulk` meta (a bulk build's) goes to ChunkStore::PutWriteAround
+  // instead, as Build's leaves do.
   ChildRef StoreLeaf(const std::vector<PosEntry>& entries,
                      const Chunk* base = nullptr) const;
   ChildRef StoreMeta(const std::vector<ChildRef>& children,
-                     const Chunk* base = nullptr) const;
+                     const Chunk* base, bool bulk) const;
 
   // Splits a run of child refs into meta nodes by the pattern rule and
   // stores them, the last node closed or not.
-  std::vector<ChildRef> EmitMetas(const std::vector<ChildRef>& run) const;
+  std::vector<ChildRef> EmitMetas(const std::vector<ChildRef>& run,
+                                  bool bulk) const;
 
   // Builds the levels above a list of child refs until a single root
   // remains.
-  Hash256 BuildUp(std::vector<ChildRef> level_refs) const;
+  Hash256 BuildUp(std::vector<ChildRef> level_refs, bool bulk) const;
+
+  // CollectChunks below `id`, a node `height` levels tall (1 = a leaf,
+  // whose id is inserted without reading it).
+  Status CollectSubtree(const Hash256& id, uint32_t height,
+                        std::unordered_set<Hash256, Hash256Hasher>* live) const;
 
   // Core of Put/Delete: applies `apply` to the entries of the leaf the
   // key routes to and rebuilds the affected region of the tree.

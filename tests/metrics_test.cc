@@ -311,6 +311,54 @@ TEST(MetricsEndToEndTest, PagedStoreGcAndCacheMetricsRoundTripThroughJson) {
   std::filesystem::remove_all(dir);
 }
 
+// Every GC pass times its mark and its sweep: gc.mark_latency_ns and
+// gc.sweep_latency_ns hold one sample per pass and survive the JSON
+// wire format.
+TEST(MetricsEndToEndTest, GcMarkAndSweepLatencyRoundTripThroughJson) {
+  std::string dir = ::testing::TempDir() + "/spitz_metrics_gc_phases";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  SpitzOptions options;
+  options.block_size = 8;
+  options.data_dir = dir;
+  options.chunk_segment_bytes = 4 << 10;
+  options.retain_versions = 1;
+  std::unique_ptr<SpitzDb> db;
+  ASSERT_TRUE(SpitzDb::Open(options, &db).ok());
+  for (int pass = 0; pass < 2; pass++) {
+    for (int i = 0; i < 64; i++) {
+      ASSERT_TRUE(db->Put("key" + std::to_string(i),
+                          "pass" + std::to_string(pass) + "-" +
+                              std::to_string(i))
+                      .ok());
+    }
+    ASSERT_TRUE(db->FlushBlock().ok());
+    ASSERT_TRUE(db->gc()->Collect().ok());
+  }
+
+  MetricsSnapshot snap = db->Metrics();
+  JsonValue parsed;
+  ASSERT_TRUE(JsonValue::Parse(snap.ToJsonString(), &parsed).ok());
+  MetricsSnapshot decoded;
+  ASSERT_TRUE(MetricsSnapshot::FromJson(parsed, &decoded).ok());
+  for (const char* name : {"gc.mark_latency_ns", "gc.sweep_latency_ns"}) {
+    SCOPED_TRACE(name);
+    const HistogramSnapshot* h = snap.FindHistogram(name);
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->count, 2u);
+    EXPECT_GT(h->sum, 0u);
+    const HistogramSnapshot* back = decoded.FindHistogram(name);
+    ASSERT_NE(back, nullptr);
+    EXPECT_EQ(back->count, h->count);
+    EXPECT_EQ(back->sum, h->sum);
+    EXPECT_EQ(back->max, h->max);
+    EXPECT_EQ(back->buckets, h->buckets);
+  }
+
+  db.reset();
+  std::filesystem::remove_all(dir);
+}
+
 // A durable node's overwrites append delta records, and its cold reads
 // of them read their bases: chunk.file.delta_records, delta_bytes and
 // chain_reads count both.

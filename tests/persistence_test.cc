@@ -916,6 +916,194 @@ TEST_F(PersistenceTest, CollectingPassLeavesUncollectedResidentChunksCached) {
   }
 }
 
+// A GC pass reads the records it moves in segment order through one
+// window: a victim segment smaller than the window costs one read, however
+// many live records it holds, and nothing the pass reads is cached.
+TEST_F(PersistenceTest, CollectingPassReadsEachVictimSegmentOnce) {
+  BufferCache cache(/*capacity_bytes=*/1 << 20, /*shard_count=*/1);
+  FileChunkStore::Options options;
+  options.segment_bytes = 4 << 10;
+  options.cache = &cache;
+  std::unique_ptr<FileChunkStore> store;
+  ASSERT_TRUE(
+      FileChunkStore::Open(Env::Default(), dir_ + "/chunks", options, &store)
+          .ok());
+  MetricsRegistry registry;
+  store->ExportMetrics(&registry);
+  Random rnd(43);
+  std::unordered_set<Hash256, Hash256Hasher> live;
+  for (int i = 0; i < 512; i++) {
+    const Hash256 id =
+        store->Put(Chunk(ChunkType::kBlob, RandomPayload(&rnd, 1024)));
+    if (i % 2 == 0) live.insert(id);
+    store->OnBlockSealed();
+  }
+  ASSERT_TRUE(store->Sync().ok());
+  cache.Clear();
+  const uint64_t reads_before =
+      registry.Snapshot().CounterValue("chunk.file.reads");
+  const uint64_t mark = store->BeginGc();
+  ChunkGcStats stats;
+  ASSERT_TRUE(store->RetainLive(live, mark, &stats).ok());
+  const uint64_t reads =
+      registry.Snapshot().CounterValue("chunk.file.reads") - reads_before;
+  EXPECT_EQ(stats.dead_chunks, 256u);
+  EXPECT_GT(stats.segments_deleted, 0u);
+  EXPECT_LE(reads, stats.segments_deleted);
+  EXPECT_EQ(cache.stats().entries(), 0u);
+  for (const Hash256& id : live) {
+    std::shared_ptr<const Chunk> chunk;
+    EXPECT_TRUE(store->Get(id, &chunk).ok());
+  }
+}
+
+// A bulk load writes around the buffer cache: nothing it writes is
+// inserted or pinned there, yet every key reads back verified before the
+// load's records are synced (each such read flushes the log first),
+// after the sync, and after a reopen. The POS-tree is the backend with
+// a bulk builder; MPT and MBT build by repeated Puts.
+TEST_F(PersistenceTest, BulkLoadWritesAroundTheCacheAndReadsBackVerified) {
+  constexpr int kKeys = 3000;
+  std::vector<PosEntry> entries;
+  for (int i = 0; i < kKeys; i++) {
+    entries.push_back({PagedKey(i), PagedValue(i, 0, 100)});
+  }
+  const auto verify_all = [&](SpitzDb* db) {
+    const SpitzDigest digest = db->Digest();
+    int failures = 0;
+    for (int i = 0; i < kKeys; i++) {
+      std::string value;
+      ReadProof proof;
+      if (!db->Read(kCurrentVersion, PagedKey(i), &value, &proof).ok() ||
+          !SpitzDb::VerifyRead(digest, PagedKey(i), value, proof).ok() ||
+          value != entries[i].value) {
+        failures++;
+      }
+    }
+    EXPECT_EQ(failures, 0);
+  };
+  {
+    std::unique_ptr<SpitzDb> db;
+    ASSERT_TRUE(SpitzDb::Open(DurableOptions(64), &db).ok());
+    ASSERT_TRUE(db->BulkLoad(entries).ok());
+    const MetricsSnapshot loaded = db->Metrics();
+    EXPECT_EQ(loaded.CounterValue("cache.inserts"), 0u);
+    EXPECT_EQ(loaded.GaugeValue("cache.bytes"), 0u);
+    EXPECT_EQ(loaded.GaugeValue("cache.pinned_entries"), 0u);
+    verify_all(db.get());
+    ASSERT_TRUE(db->FlushBlock().ok());
+    ASSERT_TRUE(db->SyncStorage().ok());
+    verify_all(db.get());
+  }
+  std::unique_ptr<SpitzDb> db;
+  ASSERT_TRUE(SpitzDb::Open(DurableOptions(64), &db).ok());
+  verify_all(db.get());
+}
+
+// The GC mark reads meta nodes only. From a cleared cache, one pass's
+// live set is the one a walk loading every node finds, the mark reads
+// at most one record per meta node plus the tree height, the
+// pass collects exactly the chunks outside that set, and the leaves a
+// reader had cached stay cached (the mark's twin of the test above).
+TEST_F(PersistenceTest, GcMarkReadsOnlyMetaNodesAndLeavesReaderLeavesCached) {
+  constexpr int kKeys = 20000;
+  BufferCache cache(/*capacity_bytes=*/1 << 20, /*shard_count=*/1);
+  FileChunkStore::Options options;
+  options.segment_bytes = 64 << 10;
+  options.cache = &cache;
+  std::unique_ptr<FileChunkStore> store;
+  ASSERT_TRUE(
+      FileChunkStore::Open(Env::Default(), dir_ + "/chunks", options, &store)
+          .ok());
+  MetricsRegistry registry;
+  store->ExportMetrics(&registry);
+  PosTree tree(store.get());
+  tree.SetNodeCache(&cache);
+  std::vector<PosEntry> entries;
+  for (int i = 0; i < kKeys; i++) {
+    entries.push_back({PagedKey(i), PagedValue(i, 0, 100)});
+  }
+  Hash256 root;
+  ASSERT_TRUE(tree.Build(std::move(entries), &root).ok());
+  store->OnBlockSealed();
+  // Overwrites make versions; the newest three are retained.
+  std::vector<Hash256> retained;
+  for (int i = 0; i < 64; i++) {
+    const int k = (i * 7919) % kKeys;
+    ASSERT_TRUE(tree.Put(root, PagedKey(k), PagedValue(k, 1, 100), &root).ok());
+    retained.push_back(root);
+    store->OnBlockSealed();
+  }
+  retained.erase(retained.begin(), retained.end() - 3);
+  ASSERT_TRUE(store->Sync().ok());
+
+  // The reference mark: load every node, counting the meta nodes.
+  std::unordered_set<Hash256, Hash256Hasher> reference;
+  size_t metas = 0;
+  std::vector<Hash256> pending(retained.begin(), retained.end());
+  while (!pending.empty()) {
+    const Hash256 id = pending.back();
+    pending.pop_back();
+    if (!reference.insert(id).second) continue;
+    std::shared_ptr<const Chunk> chunk;
+    ASSERT_TRUE(store->Get(id, &chunk).ok());
+    std::shared_ptr<const PosNode> node;
+    ASSERT_TRUE(PosNode::Decode(chunk, &node).ok());
+    if (node->is_leaf()) continue;
+    metas++;
+    for (const PosTree::ChildRef& c : node->children()) pending.push_back(c.id);
+  }
+  uint32_t height = 0;
+  ASSERT_TRUE(tree.Height(retained.back(), &height).ok());
+  ASSERT_GE(height, 3u);
+  const uint64_t stored = store->stats().chunk_count;
+
+  // A reader caches 20 leaves of the newest version.
+  cache.Clear();
+  std::vector<Hash256> reader_leaves;
+  for (int i = 0; i < kKeys; i += kKeys / 20) {
+    std::string value;
+    PosProof proof;
+    ASSERT_TRUE(tree.Get(retained.back(), PagedKey(i), &value, &proof).ok());
+    const ProofNode& leaf = proof.nodes.back();
+    reader_leaves.push_back(
+        Chunk::IdOf(static_cast<ChunkType>(leaf.type), leaf.payload));
+  }
+
+  // A chunk read costs one positional read of its record, plus one per
+  // base when the record is a delta (chunk.file.chain_reads); only the
+  // former count nodes.
+  const auto node_reads = [&] {
+    const MetricsSnapshot m = registry.Snapshot();
+    return m.CounterValue("chunk.file.reads") -
+           m.CounterValue("chunk.file.chain_reads");
+  };
+  const uint64_t reads_before = node_reads();
+  const uint64_t mark = store->BeginGc();
+  std::unordered_set<Hash256, Hash256Hasher> live;
+  for (const Hash256& r : retained) {
+    ASSERT_TRUE(tree.CollectChunks(r, &live).ok());
+  }
+  EXPECT_LE(node_reads() - reads_before, metas + height);
+  EXPECT_TRUE(live == reference);
+
+  ChunkGcStats stats;
+  ASSERT_TRUE(store->RetainLive(live, mark, &stats).ok());
+  EXPECT_EQ(stats.dead_chunks, stored - reference.size());
+  EXPECT_EQ(stats.live_chunks, reference.size());
+  for (const Hash256& id : reader_leaves) {
+    EXPECT_NE(cache.Lookup(BufferCache::kRawChunk, id), nullptr);
+    EXPECT_NE(cache.Lookup(BufferCache::kPosNode, id), nullptr);
+  }
+  for (int i = 0; i < kKeys; i += 97) {
+    std::string value;
+    PosProof proof;
+    ASSERT_TRUE(tree.Get(retained.front(), PagedKey(i), &value, &proof).ok());
+    EXPECT_TRUE(
+        PosTree::VerifyProof(retained.front(), PagedKey(i), value, proof).ok());
+  }
+}
+
 // --- Format pin -------------------------------------------------------------
 
 // Every byte Spitz puts on disk or on the wire is named by a SHA-256 or

@@ -26,6 +26,7 @@
 #include "common/fault_env.h"
 #include "common/record_frame.h"
 #include "core/spitz_db.h"
+#include "index/pos_tree.h"
 
 namespace spitz {
 namespace {
@@ -302,6 +303,68 @@ TEST_F(RecoveryTest, ChunkStoreShortWriteIsStickyAndRecoverable) {
   EXPECT_EQ(store->recovered_chunks(), 2u);
   EXPECT_TRUE(store->Contains(durable.id()));
   EXPECT_TRUE(store->Contains(after.id()));
+}
+
+// An in-memory store that records the order in which a bulk build puts
+// its distinct chunks.
+class PutOrderStore : public ChunkStore {
+ public:
+  Hash256 PutWriteAround(Chunk chunk) override {
+    if (!Contains(chunk.id())) order.push_back(chunk.id());
+    return ChunkStore::PutWriteAround(std::move(chunk));
+  }
+  std::vector<Hash256> order;
+};
+
+// A short write in the middle of a bulk build. The build writes around
+// the cache, yet every chunk it wrote stays readable in this process:
+// those appended before the torn one (flushed to the segment, or still
+// buffered when the log failed), the torn one, and those after it that
+// never reached the log. status() and Sync() report the sticky error.
+TEST_F(RecoveryTest, ChunkStoreShortWriteDuringBulkBuildKeepsChunksReadable) {
+  std::vector<PosEntry> entries;
+  for (int i = 0; i < 20000; i++) {
+    entries.push_back({"key" + std::to_string(100000 + i),
+                       std::string(100, static_cast<char>('a' + i % 26))});
+  }
+  PutOrderStore reference;
+  Hash256 expected_root;
+  ASSERT_TRUE(PosTree(&reference).Build(entries, &expected_root).ok());
+  // ~2 MB of chunks: more than one flush's worth precedes the torn one.
+  const size_t torn_index = reference.order.size() * 3 / 4;
+  const Hash256 torn = reference.order[torn_index];
+
+  FaultInjectionEnv env(Env::Default());
+  std::unique_ptr<FileChunkStore> store;
+  ASSERT_TRUE(FileChunkStore::Open(&env, dir_ + "/chunks", &store).ok());
+  env.FailAt(env.ops_seen() + torn_index, FaultKind::kShortWrite, 3);
+  PosTree tree(store.get());
+  Hash256 root;
+  ASSERT_TRUE(tree.Build(entries, &root).ok());
+  EXPECT_EQ(root, expected_root);
+  EXPECT_TRUE(env.fault_fired());
+  EXPECT_TRUE(store->status().IsIOError());
+  EXPECT_TRUE(store->Sync().IsIOError());
+
+  std::shared_ptr<const Chunk> chunk;
+  ASSERT_TRUE(store->Get(torn, &chunk).ok());
+  std::shared_ptr<const Chunk> want;
+  ASSERT_TRUE(reference.Get(torn, &want).ok());
+  EXPECT_EQ(chunk->payload(), want->payload());
+  int unreadable = 0;
+  for (const Hash256& id : reference.order) {
+    if (!store->Get(id, &chunk).ok() || !reference.Get(id, &want).ok() ||
+        chunk->payload() != want->payload()) {
+      unreadable++;
+    }
+  }
+  EXPECT_EQ(unreadable, 0);
+  for (size_t i = 0; i < entries.size(); i += 101) {
+    std::string value;
+    PosProof proof;
+    ASSERT_TRUE(tree.Get(root, entries[i].key, &value, &proof).ok());
+    EXPECT_TRUE(PosTree::VerifyProof(root, entries[i].key, value, proof).ok());
+  }
 }
 
 // --- GC rewrite crash-point sweep -------------------------------------------

@@ -1,17 +1,21 @@
-// The version GC's background thread (src/core/version_gc.h): a pass
-// every gc_interval_blocks sealed blocks, and a clean stop when the
-// database closes right after waking one.
+// The version GC (src/core/version_gc.h): the background thread's pass
+// every gc_interval_blocks sealed blocks, a clean stop when the
+// database closes right after waking one, and passes marking beside a
+// writer.
 
 #include "core/version_gc.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/spitz_db.h"
 
@@ -110,6 +114,61 @@ TEST_F(VersionGcTest, ClosingRightAfterAWakingSealLeavesNoThread) {
   for (int round = 0; round < 3; round++) {
     EXPECT_EQ(open_seal_close(), threads_before) << "round " << round;
   }
+}
+
+// Passes mark the retained roots while a writer keeps committing on a
+// bulk-loaded database: every pass succeeds, and afterwards every key
+// reads back verified with its latest value.
+TEST_F(VersionGcTest, PassesBesideAWriterKeepEveryKeyVerified) {
+  constexpr int kKeys = 2000;
+  constexpr int kWrites = 400;
+  SpitzOptions options;
+  options.data_dir = dir_;
+  options.block_size = 8;
+  options.chunk_segment_bytes = 16 << 10;
+  options.retain_versions = 2;
+  std::unique_ptr<SpitzDb> db;
+  ASSERT_TRUE(SpitzDb::Open(options, &db).ok());
+  const auto key = [](int i) { return "key" + std::to_string(10000 + i); };
+  std::map<std::string, std::string> model;
+  std::vector<PosEntry> entries;
+  for (int i = 0; i < kKeys; i++) {
+    entries.push_back({key(i), "v" + std::to_string(i)});
+    model[key(i)] = entries.back().value;
+  }
+  ASSERT_TRUE(db->BulkLoad(entries).ok());
+  for (int i = 0; i < kWrites; i++) {
+    model[key(i * 7 % kKeys)] = "w" + std::to_string(i);
+  }
+
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int i = 0; i < kWrites; i++) {
+      EXPECT_TRUE(db->Put(key(i * 7 % kKeys), "w" + std::to_string(i)).ok());
+    }
+    done = true;
+  });
+  int passes = 0;
+  while (!done) {
+    EXPECT_TRUE(db->gc()->Collect().ok());
+    passes++;
+  }
+  writer.join();
+  ASSERT_TRUE(db->FlushBlock().ok());
+  ASSERT_TRUE(db->gc()->Collect().ok());
+  EXPECT_GT(passes, 0);
+
+  const SpitzDigest digest = db->Digest();
+  int failures = 0;
+  for (const auto& [k, v] : model) {
+    std::string value;
+    ReadProof proof;
+    if (!db->Read(kCurrentVersion, k, &value, &proof).ok() ||
+        !SpitzDb::VerifyRead(digest, k, value, proof).ok() || value != v) {
+      failures++;
+    }
+  }
+  EXPECT_EQ(failures, 0);
 }
 
 }  // namespace
