@@ -26,19 +26,9 @@ namespace spitz {
 // eviction (the no-invalidation property the whole read path is built
 // on). Erase exists solely for the GC, which removes every entry of a
 // chunk whose backing record it is about to delete — not because they
-// are stale, but so dead chunks stop occupying budget.
-//
-// Pinning: an entry inserted (or re-inserted) with pin=true is exempt
-// from eviction and from Erase/Clear until Unpin balances every pin.
-// The durable store pins the entries of update-path puts whose records
-// are not yet kernel-visible (pread cannot serve them), so the reads
-// that follow such a put hit here instead of flushing the log; pinned
-// bytes may push a shard past its budget — the overshoot drains as soon
-// as the log flushes and the pins release. One-pass writers (a bulk
-// build, a GC rewrite) write around the cache: nothing is inserted, and
-// a read of one of their records flushes the log before its pread. The
-// store also pins, for good, every chunk a sticky append failure left
-// unreadable from disk.
+// are stale, but so dead chunks stop occupying budget. Nor does any
+// reader depend on an entry staying: the durable store holds its own
+// unflushed chunks, so every entry can be evicted and read back.
 //
 // Thread safety: fully thread-safe; sharded by a key byte like the
 // chunk store's resident map.
@@ -59,7 +49,6 @@ class BufferCache {
   struct Stats {
     KindStats kind[kKindCount];
     uint64_t capacity_bytes = 0;
-    uint64_t pinned_entries = 0;
 
     uint64_t hits() const { return Total(&KindStats::hits); }
     uint64_t misses() const { return Total(&KindStats::misses); }
@@ -88,23 +77,17 @@ class BufferCache {
   std::shared_ptr<const void> Lookup(Kind kind, const Hash256& id);
 
   // Inserts (or refreshes) an entry. `charge` is its budget footprint.
-  // With pin=false, entries larger than a whole shard's budget are not
-  // cached and least-recently-used unpinned entries are evicted until
-  // the shard is back under budget. With pin=true the entry is inserted
-  // unconditionally and its pin count bumped (an existing entry is
-  // pinned in place); every pin must be balanced by one Unpin.
+  // Entries larger than a whole shard's budget are not cached; least-
+  // recently-used entries are evicted until the shard is back under
+  // budget.
   void Insert(Kind kind, const Hash256& id, std::shared_ptr<const void> value,
-              size_t charge, bool pin = false);
+              size_t charge);
 
-  // Releases one pin. Once unpinned the entry becomes evictable again
-  // (and an over-budget shard sheds it on the next insert).
-  void Unpin(Kind kind, const Hash256& id);
-
-  // Drops every unpinned entry cached under `id`, of any kind. Used by
+  // Drops every entry cached under `id`, of any kind. Used by
   // the GC to stop a dead chunk, raw and decoded, from occupying budget.
   void Erase(const Hash256& id);
 
-  // Drops every unpinned entry (counters are retained).
+  // Drops every entry (counters are retained).
   void Clear();
 
   Stats stats() const;
@@ -132,7 +115,6 @@ class BufferCache {
     Key key;
     std::shared_ptr<const void> value;
     size_t charge = 0;
-    uint32_t pins = 0;
   };
 
   struct Shard {
@@ -143,7 +125,6 @@ class BufferCache {
     size_t bytes[kKindCount] = {0, 0};
     size_t entries[kKindCount] = {0, 0};
     uint64_t evictions[kKindCount] = {0, 0};
-    uint64_t pinned = 0;
   };
 
   Shard* ShardOf(const Hash256& id) {
@@ -155,9 +136,8 @@ class BufferCache {
     return &shards_[id.data()[9] % shard_count_];
   }
 
-  // Evicts unpinned LRU entries until the shard is within budget.
-  // Pinned entries encountered at the tail are rotated to the front so
-  // the scan stays O(evicted). Caller holds shard->mu.
+  // Evicts LRU entries until the shard is within budget. Caller holds
+  // shard->mu.
   void EvictLocked(Shard* shard);
 
   static size_t ShardBytes(const Shard& shard) {

@@ -59,16 +59,12 @@ class ChunkStore {
 
   // Stores the chunk (no-op if an identical chunk exists) and returns its
   // content id. A non-null `base` is a stored chunk this one replaces
-  // (the node a path copy rewrites), held by the caller for the call: a
-  // durable store may then record the new chunk as a patch on it. The
+  // (the node a path copy rewrites), held by the caller for the call. A
+  // durable store may then record the new chunk as a patch on it, and
+  // caches the new chunk, which the next operation reads; a chunk put
+  // with no base (a bulk build's, a blob's) is not cached. The
   // in-memory store ignores it.
   virtual Hash256 Put(Chunk chunk, const Chunk* base = nullptr);
-
-  // Stores a chunk that a one-pass writer (a bulk build) produces and no
-  // reader has asked for: the same as Put with no base, except that a
-  // durable store appends it around the cache instead of pinning it
-  // there, so a read of it before the log flushes flushes first.
-  virtual Hash256 PutWriteAround(Chunk chunk) { return Put(std::move(chunk)); }
 
   // Looks up a chunk by id. The returned shared_ptr is the caller's
   // hold on the bytes: keep it for as long as the chunk is in use. A

@@ -436,14 +436,6 @@ bool FileChunkStore::Dedup(const Hash256& id) {
 }
 
 Hash256 FileChunkStore::Put(Chunk chunk, const Chunk* base) {
-  return Store(std::move(chunk), base, /*pin=*/true);
-}
-
-Hash256 FileChunkStore::PutWriteAround(Chunk chunk) {
-  return Store(std::move(chunk), nullptr, /*pin=*/false);
-}
-
-Hash256 FileChunkStore::Store(Chunk chunk, const Chunk* base, bool pin) {
   const Hash256 id = chunk.id();
   const size_t stored = chunk.stored_size();
   puts_.Increment();
@@ -460,31 +452,29 @@ Hash256 FileChunkStore::Store(Chunk chunk, const Chunk* base, bool pin) {
     entry.stored = static_cast<uint32_t>(stored);
   }
   auto sp = std::make_shared<const Chunk>(std::move(chunk));
-  std::unique_lock<std::mutex> lock(file_mu_);
-  // An identical concurrent Put may have published since the check
-  // above; checking again under the append lock appends each chunk
-  // once, so no record is left that no entry points at.
-  if (Dedup(id)) return id;
-  const bool appended = AppendRecordLocked(lock, record, sp, pin, &entry).ok();
-  if (appended && entry.depth != 0) {
-    delta_records_.Increment();
-    delta_bytes_.Increment(record.size());
+  {
+    std::unique_lock<std::mutex> lock(file_mu_);
+    // An identical concurrent Put may have published since the check
+    // above; checking again under the append lock appends each chunk
+    // once, so no record is left that no entry points at.
+    if (Dedup(id)) return id;
+    const bool appended = AppendRecordLocked(lock, record, sp, &entry).ok();
+    if (appended && entry.depth != 0) {
+      delta_records_.Increment();
+      delta_bytes_.Increment(record.size());
+    }
+    PublishEntry(id, entry);
   }
-  PublishEntry(id, entry);
-  if (appended && !pin) {
-    // Held outside the cache until the flush, so the chunk stays
-    // readable should the log fail first. A long bulk build flushes
-    // every kMaxHeldBytes, which bounds what it holds.
-    held_bytes_ += stored;
-    held_.push_back(std::move(sp));
-    if (held_bytes_ >= kMaxHeldBytes) FlushLocked();  // failures are sticky
-  }
+  // A path-copied node is what the next operation reads; every other
+  // put (a bulk build's, a blob's) writes around the cache.
+  if (base != nullptr) cache_->Insert(BufferCache::kRawChunk, id, sp, stored);
   return id;
 }
 
-Status FileChunkStore::AppendRecordLocked(
-    std::unique_lock<std::mutex>& lock, const std::string& record,
-    const std::shared_ptr<const Chunk>& chunk, bool pin, Entry* entry) {
+Status FileChunkStore::AppendRecordLocked(std::unique_lock<std::mutex>& lock,
+                                          const std::string& record,
+                                          std::shared_ptr<const Chunk> chunk,
+                                          Entry* entry) {
   // Hard cap: a store not driven through OnBlockSealed() still rolls,
   // just not aligned to block boundaries.
   if (append_status_.ok() &&
@@ -492,6 +482,13 @@ Status FileChunkStore::AppendRecordLocked(
       active_offset_.load(std::memory_order_relaxed) + record.size() >
           2 * segment_bytes_) {
     RollSegmentLocked(lock);
+  }
+  // Held until the flush: pread cannot see a record still sitting in
+  // the log's user-space buffer, nor one the log never took.
+  const size_t held = chunk->stored_size();
+  const Hash256 id = chunk->id();
+  if (unflushed_.emplace(id, std::move(chunk)).second) {
+    unflushed_bytes_ += held;
   }
   if (append_status_.ok()) {
     Status s = log_->Append(record);
@@ -505,38 +502,25 @@ Status FileChunkStore::AppendRecordLocked(
       appended_total_.store(end, std::memory_order_release);
       entry->global_end = end;
       appended_bytes_.Increment(record.size());
-      // Pin until the flush watermark passes `end`: pread cannot see a
-      // record still sitting in the log's user-space buffer. Unpinned
-      // records (bulk builds, GC rewrites) are read through a flush
-      // instead.
-      if (pin) {
-        cache_->Insert(BufferCache::kRawChunk, chunk->id(), chunk,
-                       chunk->stored_size(), /*pin=*/true);
-        unflushed_.emplace_back(chunk->id(), end);
-      }
+      if (unflushed_bytes_ >= kMaxHeldBytes) FlushLocked();  // sticky
       return Status::OK();
     }
     // After a failed append the log tail is suspect (a short write may
     // have left a partial record); appending more would strand those
     // records past the failure point, so the store stays read/memory-
     // only and the sticky error surfaces via Sync()/status().
-    PoisonLocked(s);
+    append_status_ = s;
   }
-  // The record never reached the log: keep the chunk readable for the
-  // life of the process as a permanently pinned cache entry, whether or
-  // not a successful append would have pinned it.
+  // The record never reached the log: the unflushed map serves the
+  // chunk for the life of the process.
   entry->segment = kResidentOnly;
   entry->offset = 0;
   entry->length = static_cast<uint32_t>(record.size());
   entry->global_end = UINT64_MAX;  // never treated as flushed
-  if (chunk != nullptr) {
-    cache_->Insert(BufferCache::kRawChunk, chunk->id(), chunk,
-                   chunk->stored_size(), /*pin=*/true);
-  }
   return append_status_;
 }
 
-Status FileChunkStore::FlushLocked() const {
+Status FileChunkStore::FlushLocked() {
   if (!append_status_.ok()) return append_status_;
   if (appended_total_.load(std::memory_order_relaxed) ==
       flushed_total_.load(std::memory_order_relaxed)) {
@@ -546,30 +530,14 @@ Status FileChunkStore::FlushLocked() const {
   // the same divergence as a failed append, and just as sticky.
   Status s = log_->Flush();
   if (!s.ok()) {
-    PoisonLocked(s);
+    append_status_ = s;
     return s;
   }
   flushed_total_.store(appended_total_.load(std::memory_order_relaxed),
                        std::memory_order_release);
-  for (const auto& pending : unflushed_) {
-    cache_->Unpin(BufferCache::kRawChunk, pending.first);
-  }
   unflushed_.clear();
-  held_.clear();
-  held_bytes_ = 0;
+  unflushed_bytes_ = 0;
   return Status::OK();
-}
-
-void FileChunkStore::PoisonLocked(const Status& s) const {
-  append_status_ = s;
-  // The held chunks' records will never flush: from now on only the
-  // cache can serve them, as it serves the pinned ones.
-  for (const auto& chunk : held_) {
-    cache_->Insert(BufferCache::kRawChunk, chunk->id(), chunk,
-                   chunk->stored_size(), /*pin=*/true);
-  }
-  held_.clear();
-  held_bytes_ = 0;
 }
 
 Status FileChunkStore::FlushAndSync() {
@@ -697,28 +665,12 @@ Status FileChunkStore::Locate(const Hash256& id, Entry* entry,
     *entry = it->second;
   }
   if (entry->global_end > flushed_total_.load(std::memory_order_acquire)) {
-    // The record is (or was, when the entry was published) invisible to
-    // pread. A pinned record's cache retry hits unless a flush raced in
-    // between — in which case the pread that follows is valid anyway.
-    if (auto cached = cache_->Lookup(BufferCache::kRawChunk, id)) {
-      *hit = std::static_pointer_cast<const Chunk>(cached);
-      return Status::OK();
-    }
-    if (entry->segment == kResidentOnly) {
-      return Status::IOError("resident-only chunk " + id.ToHex() +
-                             " missing from cache");
-    }
+    // The record was unflushed when the entry was published: the map
+    // holds the chunk unless a flush has since made the record visible
+    // to pread.
     std::lock_guard<std::mutex> lock(file_mu_);
-    Status s = FlushLocked();
-    if (!s.ok()) {
-      // A write-around record the failure caught unflushed was pinned
-      // as the store was poisoned, perhaps after the lookup above.
-      if (auto cached = cache_->Lookup(BufferCache::kRawChunk, id)) {
-        *hit = std::static_pointer_cast<const Chunk>(cached);
-        return Status::OK();
-      }
-      return s;
-    }
+    auto it = unflushed_.find(id);
+    if (it != unflushed_.end()) *hit = it->second;
   }
   return Status::OK();
 }
@@ -924,7 +876,7 @@ Status FileChunkStore::RewriteFull(const Hash256& id,
   fresh.stored = static_cast<uint32_t>(chunk->stored_size());
   {
     std::unique_lock<std::mutex> lock(file_mu_);
-    s = AppendRecordLocked(lock, record, nullptr, /*pin=*/false, &fresh);
+    s = AppendRecordLocked(lock, record, chunk, &fresh);
     if (!s.ok()) return s;
   }
   *rewritten_bytes += record.size();

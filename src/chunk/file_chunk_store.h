@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -63,17 +62,17 @@ namespace spitz {
 //
 // Durability contract: Put() appends to the active segment (buffered);
 // only Sync() makes appended records crash-safe. Until the log flushes,
-// a record's bytes are invisible to pread. Put() pins the chunk in the
-// cache until then (the update path reads back what it just wrote);
-// PutWriteAround() (a bulk build) and the GC's rewrites leave it
-// uncached, and a Get() of such a record flushes the log before its
-// pread, so Get() works after either. A failed or short append poisons
-// the store with a sticky I/O error exactly as before; a chunk that
-// never reached the log, from either kind of put, stays pinned in the
-// cache so it remains readable for the life of the process. So does a
-// PutWriteAround() chunk whose record the failure caught unflushed: the
-// store holds those chunks, outside the cache, until their flush (a
-// long bulk build flushes every kMaxHeldBytes).
+// a record's bytes are invisible to pread, so the store holds every
+// chunk whose record is unflushed (a Put's or a GC rewrite's) in its
+// own map and serves reads of those records from it: a read never
+// flushes the log. A flush clears the map, and the log flushes at the
+// latest once the map holds kMaxHeldBytes. A failed or short append or
+// flush poisons the store with a sticky I/O error; the map then stays
+// for the life of the process, and every chunk put afterwards joins it
+// without reaching the log, so all of them remain readable in-process.
+// The cache holds nothing a read needs: a Put that names a base (a
+// path-copied node, which the next operation reads) inserts its chunk,
+// any other put writes around it.
 //
 // Segment lifecycle: the active segment rolls once it crosses
 // segment_bytes — normally right after a sealed-block boundary (the
@@ -134,14 +133,10 @@ class FileChunkStore : public ChunkStore {
 
   // Stores the chunk; a previously unseen chunk is appended to the
   // active segment (as a delta on `base` when that is shorter, see the
-  // record format above) and pinned in the cache until the log
-  // flushes. Append failures are sticky and surface through
+  // record format above) and held until the log flushes. With a `base`
+  // it is also cached. Append failures are sticky and surface through
   // Sync()/status().
   Hash256 Put(Chunk chunk, const Chunk* base = nullptr) override;
-
-  // Stores the chunk like Put with no base, but does not cache it: the
-  // record is read back through a flush and a pread, as after a reopen.
-  Hash256 PutWriteAround(Chunk chunk) override;
 
   // Resolves the id to its segment location and serves the bytes from
   // the cache or via one positional read (verifying the record CRC and
@@ -278,10 +273,9 @@ class FileChunkStore : public ChunkStore {
   Status ReadHandle(const std::shared_ptr<Segment>& segment,
                     std::shared_ptr<RandomAccessFile>* file) const;
 
-  // Copies out `id`'s entry and makes its record visible to pread
-  // (flushing the log if it may still sit in the buffer). When the
-  // record is still buffered and its pinned cache entry answers, *hit
-  // holds that chunk instead.
+  // Copies out `id`'s entry. When its record is still unflushed, *hit
+  // holds the chunk from the unflushed map instead; otherwise the
+  // record is visible to pread.
   Status Locate(const Hash256& id, Entry* entry,
                 std::shared_ptr<const Chunk>* hit) const;
 
@@ -312,7 +306,7 @@ class FileChunkStore : public ChunkStore {
 
   // Reads the record at `entry` and rebuilds the chunk (walking a
   // delta's chain), verifies its content hash, and returns it; inserts
-  // it into the cache, unpinned, when `gc_window` is null (see Load).
+  // it into the cache when `gc_window` is null (see Load).
   Status ReadChunkAt(const Hash256& id, const Entry& entry,
                      ReadWindow* gc_window,
                      std::shared_ptr<const Chunk>* chunk) const;
@@ -331,28 +325,18 @@ class FileChunkStore : public ChunkStore {
                    std::string* record, Entry* entry);
 
   // Pushes buffered appends to the kernel, advances the flushed
-  // watermark and releases the pins and held chunks of now-readable
-  // records. Caller holds file_mu_.
-  Status FlushLocked() const;
+  // watermark and clears the unflushed map; a failure is sticky and
+  // keeps the map. Caller holds file_mu_.
+  Status FlushLocked();
 
-  // Makes `s` the sticky append error and pins every held chunk in the
-  // cache for the life of the process. Caller holds file_mu_.
-  void PoisonLocked(const Status& s) const;
-
-  // The body of Put and PutWriteAround: dedups, encodes (as a delta on
-  // `base` when that is shorter), appends, and publishes `chunk`.
-  Hash256 Store(Chunk chunk, const Chunk* base, bool pin);
-
-  // Appends an encoded record to the active segment, force-rolling at
-  // the hard cap first. On success fills *entry (seq left 0) and, when
-  // `pin` is set, pins `chunk` in the cache until the log flushes; on
-  // failure poisons the store and leaves `chunk` (when non-null) pinned
-  // as a resident-only entry, `pin` or not. Caller holds file_mu_ via
-  // `lock`.
+  // Appends an encoded record of `chunk` to the active segment, force-
+  // rolling at the hard cap first, and holds `chunk` in the unflushed
+  // map, flushing once the map reaches kMaxHeldBytes. On success fills
+  // *entry (seq left 0); on failure poisons the store and makes *entry
+  // resident-only. Caller holds file_mu_ via `lock`.
   Status AppendRecordLocked(std::unique_lock<std::mutex>& lock,
                             const std::string& record,
-                            const std::shared_ptr<const Chunk>& chunk,
-                            bool pin, Entry* entry);
+                            std::shared_ptr<const Chunk> chunk, Entry* entry);
 
   // Rewrites `id` as a full record through the verifying read (via
   // `window`), without caching it, keeping its insertion sequence.
@@ -374,12 +358,12 @@ class FileChunkStore : public ChunkStore {
   Status FlushAndSync();
 
   static constexpr size_t kMapShards = 16;
-  // Chunk bytes a run of PutWriteAround calls holds before it flushes.
+  // Chunk bytes the unflushed map holds before an append flushes.
   static constexpr size_t kMaxHeldBytes = 1 << 20;
   // Bytes one ReadWindow read fetches (a GC pass reads its movers so).
   static constexpr size_t kReadWindowBytes = 1 << 20;
   // Entry.segment for chunks that never reached the log (sticky append
-  // failure): they live only as permanently pinned cache entries.
+  // failure): they live only in the unflushed map.
   static constexpr uint32_t kResidentOnly = UINT32_MAX;
 
   Env* env_ = nullptr;
@@ -404,18 +388,16 @@ class FileChunkStore : public ChunkStore {
   std::unique_ptr<WritableLog> log_;
   uint32_t active_segment_ = 0;
   std::atomic<uint64_t> active_offset_{0};  // written under file_mu_
-  mutable Status append_status_;  // sticky: first append failure
+  Status append_status_;  // sticky: first append failure
   uint64_t syncs_in_flight_ = 0;
-  // Records appended but not yet flushed, in order; each holds one
-  // cache pin released when the watermark passes its global_end.
-  mutable std::deque<std::pair<Hash256, uint64_t>> unflushed_;
-  // Chunks PutWriteAround appended since the last flush, held outside
-  // the cache so they stay readable if the log fails before flushing.
-  // Guarded by file_mu_.
-  mutable std::vector<std::shared_ptr<const Chunk>> held_;
-  mutable size_t held_bytes_ = 0;
+  // The chunks of records appended since the last flush (and, once the
+  // store is poisoned, of every record after it), served to reads that
+  // pread cannot. Guarded by file_mu_.
+  std::unordered_map<Hash256, std::shared_ptr<const Chunk>, Hash256Hasher>
+      unflushed_;
+  size_t unflushed_bytes_ = 0;
   std::atomic<uint64_t> appended_total_{0};          // written under file_mu_
-  mutable std::atomic<uint64_t> flushed_total_{0};   // written under file_mu_
+  std::atomic<uint64_t> flushed_total_{0};           // written under file_mu_
 
   // One GC pass at a time.
   std::mutex sweep_mu_;

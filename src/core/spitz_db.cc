@@ -53,8 +53,9 @@ Status SpitzOptions::Validate() const {
   }
   if (buffer_cache_bytes == 0) {
     return Status::InvalidArgument(
-        "buffer_cache_bytes must be positive (the paged store pins "
-        "unflushed chunks in the cache; size it small, don't disable it)");
+        "buffer_cache_bytes must be positive (with no cache every "
+        "traversal re-reads and re-hashes each node; size it small, "
+        "don't disable it)");
   }
   if (retain_versions == 0) {
     return Status::InvalidArgument(

@@ -112,9 +112,9 @@ struct SpitzOptions {
   size_t audit_workers = 0;
   // Byte budget for the unified buffer cache (DESIGN.md section 12):
   // one budget shared by raw chunk bytes (the paged durable store reads
-  // through it) and decoded POS-tree nodes. Must be positive — the
-  // paged store pins an update's unflushed chunks in it (a bulk load
-  // writes around it); size it small instead of disabling it.
+  // through it) and decoded POS-tree nodes. Must be positive — with no
+  // cache every traversal re-reads and re-hashes each node it visits;
+  // size it small instead of disabling it.
   size_t buffer_cache_bytes = BufferCache::kDefaultCapacityBytes;
   // Target size of one chunk segment file (durable mode). The active
   // segment rolls at the first sealed-block boundary past this size.
@@ -155,8 +155,9 @@ struct SpitzOptions {
 
   // Rejects nonsensical configurations: block_size == 0 (degenerate
   // sealing), bucket_count == 0 for the MBT backend, a zero buffer
-  // cache (the paged store needs somewhere to pin unflushed chunks)
-  // and retain_versions == 0 (the live version cannot be collected).
+  // cache (nothing correctness needs lives there, but every traversal
+  // would re-read and re-hash each node it visits) and
+  // retain_versions == 0 (the live version cannot be collected).
   // Checked by Open() and by the in-memory constructor (whose write
   // paths then fail with the validation error).
   Status Validate() const;

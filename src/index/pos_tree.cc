@@ -241,14 +241,13 @@ PosTree::ChildRef PosTree::StoreLeaf(const std::vector<PosEntry>& entries,
 }
 
 PosTree::ChildRef PosTree::StoreMeta(const std::vector<ChildRef>& children,
-                                     const Chunk* base, bool bulk) const {
+                                     const Chunk* base) const {
   ChildRef ref;
   ref.last_key = children.empty() ? std::string() : children.back().last_key;
   ref.count = 0;
   for (const ChildRef& c : children) ref.count += c.count;
-  Chunk chunk(ChunkType::kIndexMeta, EncodeMeta(children));
-  ref.id = bulk ? store_->PutWriteAround(std::move(chunk))
-                : store_->Put(std::move(chunk), base);
+  ref.id = store_->Put(Chunk(ChunkType::kIndexMeta, EncodeMeta(children)),
+                       base);
   return ref;
 }
 
@@ -272,20 +271,20 @@ std::vector<Elem> EmitClosedRuns(const std::vector<Elem>& run,
 }  // namespace
 
 std::vector<PosTree::ChildRef> PosTree::EmitMetas(
-    const std::vector<ChildRef>& run, bool bulk) const {
+    const std::vector<ChildRef>& run) const {
   std::vector<ChildRef> out;
   std::vector<ChildRef> suffix = EmitClosedRuns(
       run, options_.max_node_elements,
       [&](const ChildRef& c) { return IsMetaBoundary(c.id); },
       [&](const std::vector<ChildRef>& node) {
-        out.push_back(StoreMeta(node, nullptr, bulk));
+        out.push_back(StoreMeta(node));
       });
-  if (!suffix.empty()) out.push_back(StoreMeta(suffix, nullptr, bulk));
+  if (!suffix.empty()) out.push_back(StoreMeta(suffix));
   return out;
 }
 
-Hash256 PosTree::BuildUp(std::vector<ChildRef> level_refs, bool bulk) const {
-  while (level_refs.size() > 1) level_refs = EmitMetas(level_refs, bulk);
+Hash256 PosTree::BuildUp(std::vector<ChildRef> level_refs) const {
+  while (level_refs.size() > 1) level_refs = EmitMetas(level_refs);
   if (level_refs.empty()) return EmptyRoot();
   return level_refs[0].id;
 }
@@ -357,10 +356,10 @@ Status PosTree::Build(std::vector<PosEntry> entries, Hash256* root) const {
       const std::span<const PosEntry> entries = leaf(first + k);
       leaves.push_back(
           ChildRef{entries.back().key, chunks[k].id(), entries.size()});
-      store_->PutWriteAround(std::move(chunks[k]));
+      store_->Put(std::move(chunks[k]));
     }
   }
-  *root = BuildUp(std::move(leaves), /*bulk=*/true);
+  *root = BuildUp(std::move(leaves));
   return Status::OK();
 }
 
@@ -704,14 +703,12 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
           level_pending, options_.max_node_elements,
           [&](const ChildRef& c) { return IsMetaBoundary(c.id); },
           [&](const std::vector<ChildRef>& node) {
-            refs_up.push_back(
-                StoreMeta(node, frames[fi].node->chunk(), /*bulk=*/false));
+            refs_up.push_back(StoreMeta(node, frames[fi].node->chunk()));
           });
       if (suffix.empty()) break;
       std::optional<ChildRef> sib = cursor.Next();
       if (!sib.has_value()) {
-        refs_up.push_back(
-            StoreMeta(suffix, frames[fi].node->chunk(), /*bulk=*/false));
+        refs_up.push_back(StoreMeta(suffix, frames[fi].node->chunk()));
         break;
       }
       nodes_consumed_here++;
@@ -732,7 +729,7 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
   // 5. Form the new root; collapse single-child meta chains so the
   //    result is identical to a fresh bulk build of the same data
   //    (structural invariance).
-  Hash256 result = BuildUp(std::move(new_refs), /*bulk=*/false);
+  Hash256 result = BuildUp(std::move(new_refs));
   while (!result.IsZero()) {
     std::shared_ptr<const PosNode> node;
     Status s = LoadNode(result, &node);

@@ -153,8 +153,8 @@ class PosTree {
   void SetNodeCache(BufferCache* cache) { cache_ = cache; }
 
   // Bulk-loads a tree from entries (they will be sorted and deduplicated
-  // by key, last write wins). Returns the new root. Every node goes to
-  // ChunkStore::PutWriteAround: a load fills no cache.
+  // by key, last write wins). Returns the new root. Every node is put
+  // with no base, so a load fills no cache.
   Status Build(std::vector<PosEntry> entries, Hash256* root) const;
 
   // Point read: the one root-to-leaf traversal. Returns NotFound if
@@ -264,21 +264,18 @@ class PosTree {
 
   // Writes a leaf (meta) chunk and returns its ref. A non-null `base`
   // is the chunk of the node it replaces, passed on to ChunkStore::Put.
-  // A `bulk` meta (a bulk build's) goes to ChunkStore::PutWriteAround
-  // instead, as Build's leaves do.
   ChildRef StoreLeaf(const std::vector<PosEntry>& entries,
                      const Chunk* base = nullptr) const;
   ChildRef StoreMeta(const std::vector<ChildRef>& children,
-                     const Chunk* base, bool bulk) const;
+                     const Chunk* base = nullptr) const;
 
   // Splits a run of child refs into meta nodes by the pattern rule and
   // stores them, the last node closed or not.
-  std::vector<ChildRef> EmitMetas(const std::vector<ChildRef>& run,
-                                  bool bulk) const;
+  std::vector<ChildRef> EmitMetas(const std::vector<ChildRef>& run) const;
 
   // Builds the levels above a list of child refs until a single root
   // remains.
-  Hash256 BuildUp(std::vector<ChildRef> level_refs, bool bulk) const;
+  Hash256 BuildUp(std::vector<ChildRef> level_refs) const;
 
   // CollectChunks below `id`, a node `height` levels tall (1 = a leaf,
   // whose id is inserted without reading it).

@@ -550,6 +550,73 @@ TEST(ConcurrencyTest, HeldNodesOutliveEvictionAndGcRaces) {
   std::filesystem::remove_all(dir);
 }
 
+// Readers Get records still sitting in the segment log's buffer while
+// one thread appends (each chunk a patch on the one before it) and
+// another syncs. The cache is too small to hold a single chunk, so
+// every read is served by the store's unflushed map or a pread.
+TEST(ConcurrencyTest, ReadsOfUnflushedRecordsRaceAppendsAndSyncs) {
+  const std::string dir = ::testing::TempDir() + "/spitz_unflushed_race";
+  std::filesystem::remove_all(dir);
+  constexpr int kChunks = 1500;
+  BufferCache cache(/*capacity_bytes=*/1 << 10, /*shard_count=*/1);
+  FileChunkStore::Options store_options;
+  store_options.segment_bytes = 256 << 10;
+  store_options.cache = &cache;
+  std::unique_ptr<FileChunkStore> store;
+  ASSERT_TRUE(
+      FileChunkStore::Open(Env::Default(), dir, store_options, &store).ok());
+  std::vector<Chunk> chunks;
+  Random rnd(17);
+  std::string payload(2048, 'x');
+  for (int i = 0; i < kChunks; i++) {
+    payload[rnd.Uniform(payload.size())] = static_cast<char>('a' + i % 26);
+    chunks.emplace_back(ChunkType::kBlob, payload + std::to_string(i));
+  }
+
+  std::atomic<int> published{0};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> failures{0};
+  std::thread writer([&] {
+    for (int i = 0; i < kChunks; i++) {
+      store->Put(chunks[i], i > 0 ? &chunks[i - 1] : nullptr);
+      if (i % 64 == 63) store->OnBlockSealed();
+      published.store(i + 1, std::memory_order_release);
+    }
+    done.store(true);
+  });
+  std::thread syncer([&] {
+    while (!done.load()) {
+      if (!store->Sync().ok()) failures.fetch_add(1);
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; r++) {
+    readers.emplace_back([&, r] {
+      Random pick(100 + r);
+      while (!done.load()) {
+        const int n = published.load(std::memory_order_acquire);
+        if (n == 0) continue;
+        // Mostly the newest records, the ones likeliest unflushed.
+        const int i = pick.OneIn(2) ? n - 1 : static_cast<int>(pick.Uniform(n));
+        std::shared_ptr<const Chunk> got;
+        if (!store->Get(chunks[i].id(), &got).ok() ||
+            got->payload() != chunks[i].payload()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  writer.join();
+  syncer.join();
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_TRUE(store->status().ok());
+  EXPECT_EQ(cache.stats().entries(), 0u);
+  store.reset();
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ConcurrencyTest, CachedAndUncachedTreesAgreeOnRootsAndProofs) {
   SpitzOptions cached_opts;
   cached_opts.buffer_cache_bytes = 4 << 20;

@@ -281,8 +281,22 @@ TEST_F(RecoveryTest, ChunkStoreShortWriteIsStickyAndRecoverable) {
     // diverging memory from disk silently.
     EXPECT_TRUE(store->status().IsIOError());
     EXPECT_TRUE(store->Sync().IsIOError());
-    // In-memory reads still serve the chunk in this process...
+    // In-memory reads still serve the chunk in this process, as they
+    // serve every chunk put after the fault, with or without a base,
+    // from the store itself: none of it depends on the cache...
     EXPECT_TRUE(store->Contains(torn.id()));
+    Chunk with_base(ChunkType::kBlob, "a patch on the synced chunk");
+    Chunk without_base(ChunkType::kBlob, "put after the fault");
+    store->Put(with_base, &durable);
+    store->Put(without_base);
+    store->cache()->Clear();
+    for (const Chunk* want : {&durable, &torn, &with_base, &without_base}) {
+      std::shared_ptr<const Chunk> got;
+      ASSERT_TRUE(store->Get(want->id(), &got).ok());
+      EXPECT_EQ(got->payload(), want->payload());
+    }
+    EXPECT_TRUE(store->status().IsIOError());
+    EXPECT_TRUE(store->Sync().IsIOError());
   }
   // ...but after a crash that keeps the torn prefix on disk, recovery
   // truncates the partial record and replays only what was intact.
@@ -309,9 +323,9 @@ TEST_F(RecoveryTest, ChunkStoreShortWriteIsStickyAndRecoverable) {
 // its distinct chunks.
 class PutOrderStore : public ChunkStore {
  public:
-  Hash256 PutWriteAround(Chunk chunk) override {
+  Hash256 Put(Chunk chunk, const Chunk* base = nullptr) override {
     if (!Contains(chunk.id())) order.push_back(chunk.id());
-    return ChunkStore::PutWriteAround(std::move(chunk));
+    return ChunkStore::Put(std::move(chunk), base);
   }
   std::vector<Hash256> order;
 };
@@ -365,6 +379,105 @@ TEST_F(RecoveryTest, ChunkStoreShortWriteDuringBulkBuildKeepsChunksReadable) {
     ASSERT_TRUE(tree.Get(root, entries[i].key, &value, &proof).ok());
     EXPECT_TRUE(PosTree::VerifyProof(root, entries[i].key, value, proof).ok());
   }
+}
+
+// The default environment, except that once `fail_flush` is set every
+// explicit WritableLog::Flush fails and leaves the log's buffered bytes
+// where they are. FaultInjectionEnv cannot fail a flush: it passes
+// flushes through.
+class FlushFaultEnv : public Env {
+ public:
+  bool fail_flush = false;
+
+  Status NewWritableLog(const std::string& path,
+                        std::unique_ptr<WritableLog>* log) override {
+    std::unique_ptr<WritableLog> base;
+    Status s = base_->NewWritableLog(path, &base);
+    if (s.ok()) *log = std::make_unique<Log>(this, std::move(base));
+    return s;
+  }
+  Status NewRandomAccessFile(
+      const std::string& path,
+      std::unique_ptr<RandomAccessFile>* file) override {
+    return base_->NewRandomAccessFile(path, file);
+  }
+  Status ReadFileToString(const std::string& path, std::string* out) override {
+    return base_->ReadFileToString(path, out);
+  }
+  Status Truncate(const std::string& path, uint64_t size) override {
+    return base_->Truncate(path, size);
+  }
+  Status CreateDir(const std::string& path) override {
+    return base_->CreateDir(path);
+  }
+  Status FileSize(const std::string& path, uint64_t* size) override {
+    return base_->FileSize(path, size);
+  }
+  bool FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  Status ListDir(const std::string& path,
+                 std::vector<std::string>* names) override {
+    return base_->ListDir(path, names);
+  }
+  Status DeleteFile(const std::string& path) override {
+    return base_->DeleteFile(path);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return base_->Rename(from, to);
+  }
+  Status SyncDir(const std::string& path) override {
+    return base_->SyncDir(path);
+  }
+
+ private:
+  class Log : public WritableLog {
+   public:
+    Log(FlushFaultEnv* env, std::unique_ptr<WritableLog> base)
+        : env_(env), base_(std::move(base)) {}
+    Status Append(const Slice& data) override { return base_->Append(data); }
+    Status Flush() override {
+      if (env_->fail_flush) return Status::IOError("injected flush failure");
+      return base_->Flush();
+    }
+    Status Sync() override { return base_->Sync(); }
+    Status SyncFlushed() override { return base_->SyncFlushed(); }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    FlushFaultEnv* const env_;
+    std::unique_ptr<WritableLog> base_;
+  };
+
+  Env* const base_ = Env::Default();
+};
+
+// A failed flush is as sticky as a failed append, and the chunks whose
+// records it caught unflushed stay readable in-process from the store
+// itself, beside every chunk put afterwards, with the cache cleared.
+TEST_F(RecoveryTest, ChunkStoreFailedFlushKeepsUnflushedChunksReadable) {
+  FlushFaultEnv env;
+  std::unique_ptr<FileChunkStore> store;
+  ASSERT_TRUE(FileChunkStore::Open(&env, dir_ + "/chunks", &store).ok());
+  Chunk durable(ChunkType::kBlob, "synced before the fault");
+  Chunk with_base(ChunkType::kBlob, "synced before the fault, patched");
+  Chunk without_base(ChunkType::kBlob, "buffered when the flush failed");
+  Chunk after(ChunkType::kBlob, "put after the failed flush");
+  store->Put(durable);
+  ASSERT_TRUE(store->Sync().ok());
+  store->Put(with_base, &durable);
+  store->Put(without_base);
+  env.fail_flush = true;
+  EXPECT_TRUE(store->Sync().IsIOError());
+  EXPECT_TRUE(store->status().IsIOError());
+  store->Put(after);
+  store->cache()->Clear();
+  for (const Chunk* want : {&durable, &with_base, &without_base, &after}) {
+    std::shared_ptr<const Chunk> got;
+    ASSERT_TRUE(store->Get(want->id(), &got).ok());
+    EXPECT_EQ(got->payload(), want->payload());
+  }
+  EXPECT_TRUE(store->Sync().IsIOError());
 }
 
 // --- GC rewrite crash-point sweep -------------------------------------------

@@ -286,8 +286,8 @@ TEST(SpitzDbTest, BulkLoadRejectsNonEmptyDb) {
 
 TEST(SpitzDbTest, OptionsRejectDisabledCacheAndRetention) {
   {
-    // The paged store pins unflushed chunks in the buffer cache, so a
-    // zero budget cannot mean "no cache" anymore.
+    // A zero budget would re-read and re-hash every node on every
+    // traversal, so it is rejected rather than taken as "no cache".
     SpitzOptions options;
     options.buffer_cache_bytes = 0;
     SpitzDb db(options);
