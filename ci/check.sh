@@ -38,6 +38,17 @@
 #   (DecodeCatalogEntry) SqlDatabase reads back from the ledger —
 #   and the hardware hash kernels make unaligned vector loads, so memory
 #   errors and UB are the failure modes that matter).
+#   Last in that leg, the codec mutation sweep (codec_mutation_test:
+#   CodecMutationTest and its one-byte-form regression cases,
+#   OneByteFormTest) runs alone with ASan's allocation cap at 256 MiB
+#   (max_allocation_size_mb=256, allocator_may_return_null=0). It
+#   mutates every decoder of untrusted bytes in src: digest, ReadProof
+#   and ScanProof (SiriProof of all three backends, SiriRangeProof),
+#   PosNode, MPT node, MBT bucket and directory, Block, WriteBatch,
+#   ClusterDigest, ReplicaAck, ReplicaStatusResult, the replication
+#   record, Handshake, the entry list, blob meta, catalog entry, and
+#   single-node and cluster evidence. A crafted count that drove one
+#   allocation past the cap fails the run instead of passing.
 # The read-set suites are ClusterReadSetTest, TwoPhaseCommitTest,
 # MvccTest and TxnConfigSweep (cluster_test) plus WriteBatchTest
 # (txn_test). The buffer cache's admission cases run in both legs: the
@@ -129,10 +140,16 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
                journal_test persistence_test delta_chunk_test pos_tree_test \
                mpt_mbt_test \
                property_test table_test sql_test \
-               integration_test group_commit_test version_gc_test metrics_test
+               integration_test group_commit_test version_gc_test metrics_test \
+               codec_mutation_test
 ASAN_OPTIONS="halt_on_error=1 exitcode=66" \
 UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \
   ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-        -R 'Siri|SpitzDb|SpitzOptions|AuditorTest|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence|DeltaChunk|DeltaRecord|PosTree|Mpt|Mbt|Table|Sql|Integration|GroupCommitTest|VersionGcTest|MetricsEndToEndTest.GcMark'
+        -R 'Siri|SpitzDb|SpitzOptions|AuditorTest|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence|DeltaChunk|DeltaRecord|PosTree|Mpt|Mbt|Table|Sql|Integration|GroupCommitTest|VersionGcTest|MetricsEndToEndTest.GcMark' \
+        -E 'CodecMutation|OneByteForm'
+ASAN_OPTIONS="halt_on_error=1 exitcode=66 max_allocation_size_mb=256 allocator_may_return_null=0" \
+UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \
+  ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
+        -R 'CodecMutation|OneByteForm'
 
 echo "==> all checks passed"

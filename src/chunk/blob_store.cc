@@ -4,44 +4,62 @@
 
 namespace spitz {
 
-Hash256 BlobStore::Put(const Slice& data) {
-  std::vector<ChunkExtent> extents = ChunkData(data, options_);
+std::string BlobStore::EncodeMeta(const std::vector<Segment>& segments) {
   std::string meta;
-  PutVarint64(&meta, extents.size());
-  for (const ChunkExtent& e : extents) {
-    Chunk segment(ChunkType::kBlob,
-                  std::string(data.data() + e.offset, e.length));
-    Hash256 id = chunks_->Put(std::move(segment));
-    meta.append(id.ToBytes());
-    PutVarint64(&meta, e.length);
+  PutVarint64(&meta, segments.size());
+  for (const Segment& segment : segments) {
+    meta.append(segment.id.ToBytes());
+    PutVarint64(&meta, segment.length);
   }
-  return chunks_->Put(Chunk(ChunkType::kBlobMeta, std::move(meta)));
+  return meta;
 }
 
-Status BlobStore::Get(const Hash256& id, std::string* out) const {
+Status BlobStore::DecodeMeta(const Slice& payload,
+                             std::vector<Segment>* segments) {
+  Slice input = payload;
+  uint64_t n = 0;
+  Status s = GetCount(&input, Hash256::kSize + 1, &n);
+  if (!s.ok()) return s;
+  segments->resize(n);
+  for (Segment& segment : *segments) {
+    s = GetHash256(&input, &segment.id);
+    if (s.ok()) s = GetVarint64(&input, &segment.length);
+    if (!s.ok()) return s;
+  }
+  return CheckConsumed(input, "blob meta");
+}
+
+Hash256 BlobStore::Put(const Slice& data) {
+  std::vector<Segment> segments;
+  for (const ChunkExtent& e : ChunkData(data, options_)) {
+    Chunk segment(ChunkType::kBlob,
+                  std::string(data.data() + e.offset, e.length));
+    segments.push_back(Segment{chunks_->Put(std::move(segment)), e.length});
+  }
+  return chunks_->Put(Chunk(ChunkType::kBlobMeta, EncodeMeta(segments)));
+}
+
+Status BlobStore::LoadMeta(const Hash256& id,
+                           std::vector<Segment>* segments) const {
   std::shared_ptr<const Chunk> meta;
   Status s = chunks_->Get(id, &meta);
   if (!s.ok()) return s;
   if (meta->type() != ChunkType::kBlobMeta) {
     return Status::Corruption("not a blob meta chunk");
   }
-  Slice input = meta->data();
-  uint64_t count = 0;
-  s = GetVarint64(&input, &count);
+  return DecodeMeta(meta->data(), segments);
+}
+
+Status BlobStore::Get(const Hash256& id, std::string* out) const {
+  std::vector<Segment> segments;
+  Status s = LoadMeta(id, &segments);
   if (!s.ok()) return s;
   out->clear();
-  for (uint64_t i = 0; i < count; i++) {
-    Hash256 seg_id;
-    if (!GetHash256(&input, &seg_id)) {
-      return Status::Corruption("truncated blob meta");
-    }
-    uint64_t len = 0;
-    s = GetVarint64(&input, &len);
-    if (!s.ok()) return s;
+  for (const Segment& segment : segments) {
     std::shared_ptr<const Chunk> seg;
-    s = chunks_->Get(seg_id, &seg);
+    s = chunks_->Get(segment.id, &seg);
     if (!s.ok()) return s;
-    if (seg->payload().size() != len) {
+    if (seg->payload().size() != segment.length) {
       return Status::Corruption("blob segment length mismatch");
     }
     out->append(seg->payload());
@@ -50,15 +68,10 @@ Status BlobStore::Get(const Hash256& id, std::string* out) const {
 }
 
 Status BlobStore::SegmentCount(const Hash256& id, size_t* count) const {
-  std::shared_ptr<const Chunk> meta;
-  Status s = chunks_->Get(id, &meta);
-  if (!s.ok()) return s;
-  Slice input = meta->data();
-  uint64_t n = 0;
-  s = GetVarint64(&input, &n);
-  if (!s.ok()) return s;
-  *count = static_cast<size_t>(n);
-  return Status::OK();
+  std::vector<Segment> segments;
+  Status s = LoadMeta(id, &segments);
+  if (s.ok()) *count = segments.size();
+  return s;
 }
 
 }  // namespace spitz

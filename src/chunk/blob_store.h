@@ -33,7 +33,21 @@ class BlobStore {
   // Number of segments a stored blob consists of.
   Status SegmentCount(const Hash256& id, size_t* count) const;
 
+  // One segment a meta chunk lists: its chunk id and its length.
+  struct Segment {
+    Hash256 id;
+    uint64_t length = 0;
+  };
+  // A meta chunk's payload: a varint count, then each segment's id and
+  // varint length, and nothing after them.
+  static std::string EncodeMeta(const std::vector<Segment>& segments);
+  static Status DecodeMeta(const Slice& payload,
+                           std::vector<Segment>* segments);
+
  private:
+  // Reads and decodes the meta chunk `id`.
+  Status LoadMeta(const Hash256& id, std::vector<Segment>* segments) const;
+
   ChunkStore* chunks_;
   ChunkerOptions options_;
 };

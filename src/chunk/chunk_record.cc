@@ -16,7 +16,6 @@ namespace {
 // Shorter runs stay literal.
 constexpr size_t kBlock = 16;
 constexpr uint32_t kNoBlock = UINT32_MAX;
-constexpr size_t kIdBytes = 2 * Hash256::kSize;
 
 uint32_t BlockHash(const char* p) {
   uint64_t a = 0;
@@ -144,14 +143,9 @@ Status ParseChunkRecord(Slice* input, ChunkRecord* record, bool* torn) {
   parsed.body = Slice(data, static_cast<size_t>(len));
   if (parsed.delta) {
     Slice body = parsed.body;
-    if (body.size() < kIdBytes) {
-      return Status::Corruption("delta record header damaged");
-    }
-    parsed.id = Hash256::FromBytes(Slice(body.data(), Hash256::kSize));
-    parsed.base = Hash256::FromBytes(
-        Slice(body.data() + Hash256::kSize, Hash256::kSize));
-    body.remove_prefix(kIdBytes);
-    if (!GetVarint64(&body, &parsed.size).ok()) {
+    if (!GetHash256(&body, &parsed.id).ok() ||
+        !GetHash256(&body, &parsed.base).ok() ||
+        !GetVarint64(&body, &parsed.size).ok()) {
       return Status::Corruption("delta record header damaged");
     }
     parsed.body = body;

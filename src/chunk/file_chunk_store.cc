@@ -155,8 +155,7 @@ Status FileChunkStore::FinishInterruptedGc() {
     input = Slice(contents.data(), body);
     intact = crc32c::Unmask(DecodeFixed32(contents.data() + body)) ==
                  crc32c::Value(contents.data(), body) &&
-             GetVarint64(&input, &count).ok() &&
-             count <= input.size() / sizeof(uint32_t) &&
+             GetCount(&input, sizeof(uint32_t), &count).ok() &&
              input.size() == count * sizeof(uint32_t);
   }
   if (intact) {

@@ -392,7 +392,7 @@ Status ClusterClient::ScanProof(const Slice& start, const Slice& end,
   out->proof.clear();
   PutVarint64(&out->proof, scan.rows.size());
   for (size_t i = 0; i < scan.rows.size(); i++) {
-    wire::EncodeRows(scan.rows[i], &out->proof);
+    PutEntryList(&out->proof, scan.rows[i]);
     scan.proofs[i].EncodeTo(&out->proof);
   }
   out->digest.clear();
@@ -425,13 +425,12 @@ Status ClusterClient::Audit(const Slice& key) {
 
 Status ClusterClient::VerifyGetEvidence(const Slice& key,
                                         const Evidence& evidence) {
-  Slice digest_input(evidence.digest);
+  Slice digest_input(evidence.digest), proof_input(evidence.proof);
   ClusterDigest digest;
-  Status s = ClusterDigest::DecodeFrom(&digest_input, &digest);
-  if (!s.ok()) return s;
-  Slice proof_input(evidence.proof);
   uint64_t shard = 0;
-  s = GetVarint64(&proof_input, &shard);
+  Status s = ClusterDigest::DecodeFrom(&digest_input, &digest);
+  if (s.ok()) s = CheckConsumed(digest_input, "evidence digest");
+  if (s.ok()) s = GetVarint64(&proof_input, &shard);
   if (!s.ok()) return s;
   if (shard >= digest.shards.size()) {
     return Status::VerificationFailed("evidence names a shard outside the cluster");
@@ -443,6 +442,7 @@ Status ClusterClient::VerifyGetEvidence(const Slice& key,
   }
   ReadProof proof;
   s = ReadProof::DecodeFrom(&proof_input, &proof);
+  if (s.ok()) s = CheckConsumed(proof_input, "evidence proof");
   if (!s.ok()) return s;
   return SpitzDb::VerifyRead(digest.shards[shard], key, evidence.value, proof);
 }
@@ -450,27 +450,28 @@ Status ClusterClient::VerifyGetEvidence(const Slice& key,
 Status ClusterClient::VerifyScanEvidence(const Slice& start, const Slice& end,
                                          size_t limit,
                                          const ScanEvidence& evidence) {
-  Slice digest_input(evidence.digest);
+  Slice digest_input(evidence.digest), proof_input(evidence.proof);
   ClusterDigest digest;
-  Status s = ClusterDigest::DecodeFrom(&digest_input, &digest);
-  if (!s.ok()) return s;
-  Slice proof_input(evidence.proof);
   uint64_t shard_count = 0;
-  s = GetVarint64(&proof_input, &shard_count);
+  Status s = ClusterDigest::DecodeFrom(&digest_input, &digest);
+  if (s.ok()) s = CheckConsumed(digest_input, "evidence digest");
+  if (s.ok()) s = GetVarint64(&proof_input, &shard_count);
   if (!s.ok()) return s;
   if (shard_count != digest.shards.size()) {
     return Status::VerificationFailed("scan evidence shard count mismatch");
   }
   std::vector<std::vector<PosEntry>> per_shard(digest.shards.size());
   for (size_t i = 0; i < digest.shards.size(); i++) {
-    s = wire::DecodeRows(&proof_input, &per_shard[i]);
-    if (!s.ok()) return s;
     spitz::ScanProof proof;
-    s = spitz::ScanProof::DecodeFrom(&proof_input, &proof);
-    if (!s.ok()) return s;
-    s = VerifyShardScan(digest, i, start, end, limit, per_shard[i], proof);
+    s = GetEntryList(&proof_input, &per_shard[i]);
+    if (s.ok()) s = spitz::ScanProof::DecodeFrom(&proof_input, &proof);
+    if (s.ok()) {
+      s = VerifyShardScan(digest, i, start, end, limit, per_shard[i], proof);
+    }
     if (!s.ok()) return s;
   }
+  s = CheckConsumed(proof_input, "evidence proof");
+  if (!s.ok()) return s;
   // The merged rows must be exactly the merge of the proven per-shard
   // sets — no row invented, dropped, or reordered after verification.
   std::vector<PosEntry> expected;

@@ -74,38 +74,24 @@ void ClusterDigest::EncodeTo(std::string* out) const {
 }
 
 Status ClusterDigest::DecodeFrom(Slice* input, ClusterDigest* out) {
+  // A pair takes a digest (three hashes, three varints) and its flag.
+  constexpr size_t kMinPairBytes = 3 * Hash256::kSize + 3 + 1;
   uint64_t n = 0;
-  Status s = GetVarint64(input, &n);
+  Status s = GetCount(input, kMinPairBytes, &n);
   if (!s.ok()) return s;
-  out->shards.clear();
-  out->backups.clear();
-  // Untrusted count: cap the reservation, let decode fail naturally.
-  out->shards.reserve(static_cast<size_t>(n < 1024 ? n : 1024));
-  out->backups.reserve(static_cast<size_t>(n < 1024 ? n : 1024));
-  for (uint64_t i = 0; i < n; i++) {
-    SpitzDigest shard;
-    s = SpitzDigest::DecodeFrom(input, &shard);
+  out->shards.resize(n);
+  out->backups.assign(n, std::nullopt);
+  for (size_t i = 0; i < n; i++) {
+    bool replicated = false;
+    s = SpitzDigest::DecodeFrom(input, &out->shards[i]);
+    if (s.ok()) s = GetBool(input, &replicated);
+    if (s.ok() && replicated) {
+      s = SpitzDigest::DecodeFrom(input, &out->backups[i].emplace());
+    }
     if (!s.ok()) return s;
-    if (input->empty()) {
-      return Status::Corruption("replica pair truncated before flag byte");
-    }
-    const char flag = (*input)[0];
-    input->remove_prefix(1);
-    std::optional<SpitzDigest> backup;
-    if (flag == kLeafReplicated) {
-      SpitzDigest b;
-      s = SpitzDigest::DecodeFrom(input, &b);
-      if (!s.ok()) return s;
-      backup = b;
-    } else if (flag != kLeafUnreplicated) {
-      return Status::Corruption("unknown replica-pair flag byte");
-    }
-    out->shards.push_back(shard);
-    out->backups.push_back(backup);
   }
-  if (!GetHash256(input, &out->root)) {
-    return Status::Corruption("cluster digest truncated before root");
-  }
+  s = GetHash256(input, &out->root);
+  if (!s.ok()) return s;
   if (out->root != ComputeRoot(out->shards, out->backups)) {
     return Status::VerificationFailed(
         "cluster digest root does not commit its replica pairs");

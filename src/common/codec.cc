@@ -137,4 +137,34 @@ Status GetLengthPrefixedSlice(Slice* input, Slice* result) {
   return Status::OK();
 }
 
+Status GetByte(Slice* input, uint8_t* value) {
+  if (input->empty()) return Status::Corruption("truncated byte field");
+  *value = static_cast<uint8_t>((*input)[0]);
+  input->remove_prefix(1);
+  return Status::OK();
+}
+
+Status GetBool(Slice* input, bool* value) {
+  uint8_t byte = 0;
+  Status s = GetByte(input, &byte);
+  if (!s.ok()) return s;
+  if (byte > 1) return Status::Corruption("flag byte is neither 0 nor 1");
+  *value = byte == 1;
+  return Status::OK();
+}
+
+Status GetCount(Slice* input, size_t min_bytes_per_item, uint64_t* n) {
+  Status s = GetVarint64(input, n);
+  if (!s.ok()) return s;
+  if (*n > input->size() / min_bytes_per_item) {
+    return Status::Corruption("count exceeds its bytes");
+  }
+  return Status::OK();
+}
+
+Status CheckConsumed(const Slice& input, const char* what) {
+  if (input.empty()) return Status::OK();
+  return Status::Corruption(std::string("trailing bytes after ") + what);
+}
+
 }  // namespace spitz

@@ -52,6 +52,24 @@ inline size_t LengthPrefixedSize(const Slice& value) {
 }
 Status GetLengthPrefixedSlice(Slice* input, Slice* result);
 
+// --- Readers of untrusted fields -------------------------------------------
+//
+// Every decoder of bytes a peer, a proof or a damaged file may have
+// chosen reads its fields with these, and so refuses the same way:
+// Corruption on a short input, and on any byte form the matching Put*
+// would not have written.
+
+Status GetByte(Slice* input, uint8_t* value);
+// A flag byte: 0 or 1, and any other byte is Corruption.
+Status GetBool(Slice* input, bool* value);
+// An element count as a varint, refused ("count exceeds its bytes")
+// unless the rest of *input can hold that many elements of at least
+// min_bytes_per_item bytes each. A caller may reserve *n elements.
+Status GetCount(Slice* input, size_t min_bytes_per_item, uint64_t* n);
+// Corruption naming `what` unless input is empty: the last check of a
+// decoder whose input must be exactly one encoding.
+Status CheckConsumed(const Slice& input, const char* what);
+
 }  // namespace spitz
 
 #endif  // SPITZ_COMMON_CODEC_H_

@@ -625,37 +625,42 @@ Status SpitzDb::VerifyScan(const SpitzDigest& digest, const Slice& start,
                                   results);
 }
 
+namespace {
+
+// Decodes evidence's digest and proof, each of which must be exactly one
+// encoding.
+template <typename Proof>
+Status DecodeEvidence(const std::string& digest_bytes,
+                      const std::string& proof_bytes, SpitzDigest* digest,
+                      Proof* proof) {
+  Slice digest_input(digest_bytes), proof_input(proof_bytes);
+  Status s = SpitzDigest::DecodeFrom(&digest_input, digest);
+  if (s.ok()) s = CheckConsumed(digest_input, "evidence digest");
+  if (s.ok()) s = Proof::DecodeFrom(&proof_input, proof);
+  if (s.ok()) s = CheckConsumed(proof_input, "evidence proof");
+  return s;
+}
+
+}  // namespace
+
 Status SpitzDb::VerifyGetEvidence(const Slice& key, const Evidence& evidence) {
-  Slice digest_input(evidence.digest), proof_input(evidence.proof);
   SpitzDigest digest;
   ReadProof proof;
-  Status s = SpitzDigest::DecodeFrom(&digest_input, &digest);
-  if (s.ok()) s = ReadProof::DecodeFrom(&proof_input, &proof);
+  Status s = DecodeEvidence(evidence.digest, evidence.proof, &digest, &proof);
   return s.ok() ? VerifyRead(digest, key, evidence.value, proof) : s;
 }
 
 Status SpitzDb::VerifyScanEvidence(const Slice& start, const Slice& end,
                                    size_t limit,
                                    const ScanEvidence& evidence) {
-  Slice digest_input(evidence.digest), proof_input(evidence.proof);
   SpitzDigest digest;
   spitz::ScanProof proof;
-  Status s = SpitzDigest::DecodeFrom(&digest_input, &digest);
-  if (s.ok()) s = spitz::ScanProof::DecodeFrom(&proof_input, &proof);
+  Status s = DecodeEvidence(evidence.digest, evidence.proof, &digest, &proof);
   return s.ok() ? VerifyScan(digest, start, end, limit, evidence.rows, proof)
                 : s;
 }
 
 // --- Proof wire formats -----------------------------------------------------
-
-namespace {
-
-Status GetHashField(Slice* input, Hash256* out) {
-  return GetHash256(input, out) ? Status::OK()
-                                : Status::Corruption("truncated hash field");
-}
-
-}  // namespace
 
 // The digest's wire format (also the leaf bytes a cluster root digest
 // commits to — changing this re-hashes every cluster digest).
@@ -674,17 +679,13 @@ size_t SpitzDigest::EncodedSize() const {
 }
 
 Status SpitzDigest::DecodeFrom(Slice* input, SpitzDigest* out) {
-  Status s = GetHashField(input, &out->index_root);
-  if (!s.ok()) return s;
-  s = GetVarint64(input, &out->journal.block_count);
-  if (!s.ok()) return s;
-  s = GetVarint64(input, &out->journal.entry_count);
-  if (!s.ok()) return s;
-  s = GetHashField(input, &out->journal.tip_hash);
-  if (!s.ok()) return s;
-  s = GetHashField(input, &out->journal.merkle_root);
-  if (!s.ok()) return s;
-  return GetVarint64(input, &out->last_commit_ts);
+  Status s = GetHash256(input, &out->index_root);
+  if (s.ok()) s = GetVarint64(input, &out->journal.block_count);
+  if (s.ok()) s = GetVarint64(input, &out->journal.entry_count);
+  if (s.ok()) s = GetHash256(input, &out->journal.tip_hash);
+  if (s.ok()) s = GetHash256(input, &out->journal.merkle_root);
+  if (s.ok()) s = GetVarint64(input, &out->last_commit_ts);
+  return s;
 }
 
 void ReadProof::EncodeTo(std::string* out) const {
@@ -694,9 +695,8 @@ void ReadProof::EncodeTo(std::string* out) const {
 
 Status ReadProof::DecodeFrom(Slice* input, std::shared_ptr<const void> owner,
                              ReadProof* out) {
-  if (!GetHash256(input, &out->index_root)) {
-    return Status::Corruption("truncated read proof");
-  }
+  Status s = GetHash256(input, &out->index_root);
+  if (!s.ok()) return s;
   return SiriProof::DecodeFrom(input, std::move(owner), &out->index_proof);
 }
 
@@ -707,9 +707,8 @@ void ScanProof::EncodeTo(std::string* out) const {
 
 Status ScanProof::DecodeFrom(Slice* input, std::shared_ptr<const void> owner,
                              ScanProof* out) {
-  if (!GetHash256(input, &out->index_root)) {
-    return Status::Corruption("truncated scan proof");
-  }
+  Status s = GetHash256(input, &out->index_root);
+  if (!s.ok()) return s;
   return SiriRangeProof::DecodeFrom(input, std::move(owner),
                                     &out->index_proof);
 }

@@ -49,43 +49,30 @@ std::string EncodeCatalogEntry(uint32_t table_id, const TableSchema& schema) {
   return out;
 }
 
-namespace {
-
-// A 0/1 byte of a catalog entry.
-Status GetFlag(Slice* input, bool* flag) {
-  if (input->empty() || static_cast<uint8_t>((*input)[0]) > 1) {
-    return Status::Corruption("bad catalog flag byte");
-  }
-  *flag = (*input)[0] == 1;
-  input->remove_prefix(1);
-  return Status::OK();
-}
-
-}  // namespace
-
 Status DecodeCatalogEntry(const Slice& bytes, uint32_t* table_id,
                           TableSchema* schema) {
   Slice input = bytes;
   Slice name, pk;
-  uint32_t count = 0;
+  uint64_t count = 0;
   *schema = TableSchema();
   Status s = GetVarint32(&input, table_id);
   if (s.ok()) s = GetLengthPrefixedSlice(&input, &name);
   if (s.ok()) s = GetLengthPrefixedSlice(&input, &pk);
-  if (s.ok()) s = GetVarint32(&input, &count);
-  for (uint32_t i = 0; s.ok() && i < count; i++) {
+  // A column takes a name length byte and two flag bytes at least.
+  if (s.ok()) s = GetCount(&input, 3, &count);
+  for (uint64_t i = 0; s.ok() && i < count; i++) {
     Slice col_name;
     bool numeric = false;
     ColumnSpec col;
     s = GetLengthPrefixedSlice(&input, &col_name);
-    if (s.ok()) s = GetFlag(&input, &numeric);
-    if (s.ok()) s = GetFlag(&input, &col.inverted_indexed);
+    if (s.ok()) s = GetBool(&input, &numeric);
+    if (s.ok()) s = GetBool(&input, &col.inverted_indexed);
     col.name = col_name.ToString();
     col.type = numeric ? ColumnSpec::Type::kNumeric : ColumnSpec::Type::kString;
     schema->columns.push_back(std::move(col));
   }
+  if (s.ok()) s = CheckConsumed(input, "the columns");
   if (!s.ok()) return Status::Corruption("catalog entry: " + s.ToString());
-  if (!input.empty()) return Status::Corruption("catalog entry: trailing bytes");
   if (*table_id == 0) return Status::Corruption("catalog entry: table id 0");
   schema->name = name.ToString();
   schema->primary_key_column = pk.ToString();

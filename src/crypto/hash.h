@@ -8,6 +8,7 @@
 #include <string>
 
 #include "common/slice.h"
+#include "common/status.h"
 #include "crypto/sha256.h"
 
 namespace spitz {
@@ -94,13 +95,14 @@ class Hash256 {
 };
 
 // Decodes a raw 32-byte hash field off the front of *input and advances
-// past it. False (nothing consumed) when the input is too short; each
-// caller reports the truncation with its own status.
-inline bool GetHash256(Slice* input, Hash256* out) {
-  if (input->size() < Hash256::kSize) return false;
+// past it. Corruption (nothing consumed) when the input is too short.
+inline Status GetHash256(Slice* input, Hash256* out) {
+  if (input->size() < Hash256::kSize) {
+    return Status::Corruption("truncated hash field");
+  }
   *out = Hash256::FromBytes(Slice(input->data(), Hash256::kSize));
   input->remove_prefix(Hash256::kSize);
-  return true;
+  return Status::OK();
 }
 
 struct Hash256Hasher {

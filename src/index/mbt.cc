@@ -15,6 +15,27 @@ ProofNode Cite(std::shared_ptr<const Chunk> chunk) {
   return ProofNode{type, payload, std::move(chunk)};
 }
 
+// A bucket's payload is its entry list and nothing after it.
+Status ParseBucket(Slice payload, std::vector<PosEntry>* entries) {
+  Status s = GetEntryList(&payload, entries);
+  return s.ok() ? CheckConsumed(payload, "MBT bucket") : s;
+}
+
+Chunk BucketChunk(const std::vector<PosEntry>& entries) {
+  std::string payload;
+  PutEntryList(&payload, entries);
+  return Chunk(ChunkType::kBucket, std::move(payload));
+}
+
+// The first entry of a sorted bucket whose key is not below `key`.
+std::vector<PosEntry>::iterator LowerBound(std::vector<PosEntry>& entries,
+                                           const Slice& key) {
+  return std::lower_bound(entries.begin(), entries.end(), key,
+                          [](const PosEntry& e, const Slice& k) {
+                            return Slice(e.key).compare(k) < 0;
+                          });
+}
+
 }  // namespace
 
 uint32_t MerkleBucketTree::BucketOf(const Slice& key) const {
@@ -53,36 +74,6 @@ Hash256 MerkleBucketTree::StoreDirectory(
   return store_->Put(Chunk(ChunkType::kBucket, std::move(payload)));
 }
 
-std::string MerkleBucketTree::EncodeBucket(
-    const std::vector<std::pair<std::string, std::string>>& entries) {
-  std::string out;
-  PutVarint64(&out, entries.size());
-  for (const auto& [k, v] : entries) {
-    PutLengthPrefixedSlice(&out, k);
-    PutLengthPrefixedSlice(&out, v);
-  }
-  return out;
-}
-
-Status MerkleBucketTree::DecodeBucket(
-    const Slice& payload,
-    std::vector<std::pair<std::string, std::string>>* entries) {
-  Slice input = payload;
-  uint64_t n = 0;
-  Status s = GetVarint64(&input, &n);
-  if (!s.ok()) return s;
-  entries->clear();
-  for (uint64_t i = 0; i < n; i++) {
-    Slice k, v;
-    s = GetLengthPrefixedSlice(&input, &k);
-    if (!s.ok()) return s;
-    s = GetLengthPrefixedSlice(&input, &v);
-    if (!s.ok()) return s;
-    entries->emplace_back(k.ToString(), v.ToString());
-  }
-  return Status::OK();
-}
-
 Status MerkleBucketTree::Get(const Hash256& root, const Slice& key,
                              std::string* value, Proof* proof) const {
   if (proof != nullptr) *proof = Proof();
@@ -106,17 +97,15 @@ Status MerkleBucketTree::Get(const Hash256& root, const Slice& key,
   std::shared_ptr<const Chunk> bucket_chunk;
   s = store_->Get(bucket_ids[b], &bucket_chunk);
   if (!s.ok()) return s;
-  std::vector<std::pair<std::string, std::string>> entries;
-  s = DecodeBucket(bucket_chunk->data(), &entries);
+  std::vector<PosEntry> entries;
+  s = ParseBucket(bucket_chunk->data(), &entries);
   if (!s.ok()) return s;
   if (proof != nullptr) proof->bucket = Cite(std::move(bucket_chunk));
-  auto it = std::lower_bound(
-      entries.begin(), entries.end(), key,
-      [](const auto& e, const Slice& k) { return Slice(e.first).compare(k) < 0; });
-  if (it == entries.end() || Slice(it->first) != key) {
+  auto it = LowerBound(entries, key);
+  if (it == entries.end() || Slice(it->key) != key) {
     return Status::NotFound("key absent");
   }
-  *value = it->second;
+  *value = it->value;
   return Status::OK();
 }
 
@@ -130,23 +119,20 @@ Status MerkleBucketTree::Put(const Hash256& root, const Slice& key,
     if (!s.ok()) return s;
   }
   uint32_t b = BucketOf(key);
-  std::vector<std::pair<std::string, std::string>> entries;
+  std::vector<PosEntry> entries;
   if (!bucket_ids[b].IsZero()) {
     std::shared_ptr<const Chunk> bucket_chunk;
     Status s = store_->Get(bucket_ids[b], &bucket_chunk);
-    if (!s.ok()) return s;
-    s = DecodeBucket(bucket_chunk->data(), &entries);
+    if (s.ok()) s = ParseBucket(bucket_chunk->data(), &entries);
     if (!s.ok()) return s;
   }
-  auto it = std::lower_bound(
-      entries.begin(), entries.end(), key,
-      [](const auto& e, const Slice& k) { return Slice(e.first).compare(k) < 0; });
-  if (it != entries.end() && Slice(it->first) == key) {
-    it->second = value.ToString();
+  auto it = LowerBound(entries, key);
+  if (it != entries.end() && Slice(it->key) == key) {
+    it->value = value.ToString();
   } else {
-    entries.insert(it, {key.ToString(), value.ToString()});
+    entries.insert(it, PosEntry{key.ToString(), value.ToString()});
   }
-  bucket_ids[b] = store_->Put(Chunk(ChunkType::kBucket, EncodeBucket(entries)));
+  bucket_ids[b] = store_->Put(BucketChunk(entries));
   *new_root = StoreDirectory(bucket_ids);
   return Status::OK();
 }
@@ -162,20 +148,16 @@ Status MerkleBucketTree::Delete(const Hash256& root, const Slice& key,
   std::shared_ptr<const Chunk> bucket_chunk;
   s = store_->Get(bucket_ids[b], &bucket_chunk);
   if (!s.ok()) return s;
-  std::vector<std::pair<std::string, std::string>> entries;
-  s = DecodeBucket(bucket_chunk->data(), &entries);
+  std::vector<PosEntry> entries;
+  s = ParseBucket(bucket_chunk->data(), &entries);
   if (!s.ok()) return s;
-  auto it = std::lower_bound(
-      entries.begin(), entries.end(), key,
-      [](const auto& e, const Slice& k) { return Slice(e.first).compare(k) < 0; });
-  if (it == entries.end() || Slice(it->first) != key) {
+  auto it = LowerBound(entries, key);
+  if (it == entries.end() || Slice(it->key) != key) {
     return Status::NotFound("key absent");
   }
   entries.erase(it);
-  bucket_ids[b] = entries.empty()
-                      ? Hash256()
-                      : store_->Put(
-                            Chunk(ChunkType::kBucket, EncodeBucket(entries)));
+  bucket_ids[b] =
+      entries.empty() ? Hash256() : store_->Put(BucketChunk(entries));
   // A fully-empty directory canonicalizes to the empty root.
   bool any = false;
   for (const Hash256& id : bucket_ids) any |= !id.IsZero();
@@ -220,16 +202,14 @@ Status MerkleBucketTree::VerifyProof(
   if (Chunk::IdOf(ChunkType::kBucket, proof.bucket.payload) != bucket_id) {
     return Status::VerificationFailed("bucket payload mismatch");
   }
-  std::vector<std::pair<std::string, std::string>> entries;
-  if (!DecodeBucket(proof.bucket.payload, &entries).ok()) {
+  std::vector<PosEntry> entries;
+  if (!ParseBucket(proof.bucket.payload, &entries).ok()) {
     return Status::VerificationFailed("bad bucket payload");
   }
-  auto it = std::lower_bound(
-      entries.begin(), entries.end(), key,
-      [](const auto& e, const Slice& k) { return Slice(e.first).compare(k) < 0; });
-  bool present = it != entries.end() && Slice(it->first) == key;
+  auto it = LowerBound(entries, key);
+  bool present = it != entries.end() && Slice(it->key) == key;
   if (expected_value.has_value()) {
-    if (!present || it->second != *expected_value) {
+    if (!present || it->value != *expected_value) {
       return Status::VerificationFailed("value mismatch");
     }
   } else if (present) {
@@ -249,8 +229,8 @@ Status MerkleBucketTree::Count(const Hash256& root, uint64_t* count) const {
     std::shared_ptr<const Chunk> chunk;
     s = store_->Get(id, &chunk);
     if (!s.ok()) return s;
-    std::vector<std::pair<std::string, std::string>> entries;
-    s = DecodeBucket(chunk->data(), &entries);
+    std::vector<PosEntry> entries;
+    s = ParseBucket(chunk->data(), &entries);
     if (!s.ok()) return s;
     *count += entries.size();
   }

@@ -11,6 +11,7 @@
 #include "common/slice.h"
 #include "common/status.h"
 #include "crypto/hash.h"
+#include "index/pos_tree.h"
 #include "index/proof_node.h"
 
 namespace spitz {
@@ -79,12 +80,6 @@ class MerkleBucketTree {
   Status LoadDirectory(const Hash256& root,
                        std::vector<Hash256>* bucket_ids) const;
   Hash256 StoreDirectory(const std::vector<Hash256>& bucket_ids) const;
-
-  static Status DecodeBucket(
-      const Slice& payload,
-      std::vector<std::pair<std::string, std::string>>* entries);
-  static std::string EncodeBucket(
-      const std::vector<std::pair<std::string, std::string>>& entries);
 
   ChunkStore* store_;
   Options options_;

@@ -32,21 +32,17 @@ std::vector<uint8_t> MerklePatriciaTrie::ToNibbles(const Slice& key) {
 std::string MerklePatriciaTrie::EncodeNode(const Node& node) {
   std::string out;
   out.push_back(static_cast<char>(node.kind));
+  const Slice path(reinterpret_cast<const char*>(node.path.data()),
+                   node.path.size());
   switch (node.kind) {
-    case NodeKind::kLeaf: {
-      PutVarint64(&out, node.path.size());
-      out.append(reinterpret_cast<const char*>(node.path.data()),
-                 node.path.size());
+    case NodeKind::kLeaf:
+      PutLengthPrefixedSlice(&out, path);
       PutLengthPrefixedSlice(&out, node.value);
       break;
-    }
-    case NodeKind::kExtension: {
-      PutVarint64(&out, node.path.size());
-      out.append(reinterpret_cast<const char*>(node.path.data()),
-                 node.path.size());
+    case NodeKind::kExtension:
+      PutLengthPrefixedSlice(&out, path);
       out.append(node.child.ToBytes());
       break;
-    }
     case NodeKind::kBranch: {
       uint16_t mask = 0;
       for (int i = 0; i < 16; i++) {
@@ -66,61 +62,45 @@ std::string MerklePatriciaTrie::EncodeNode(const Node& node) {
 
 Status MerklePatriciaTrie::DecodeNode(const Slice& payload, Node* node) {
   Slice input = payload;
-  if (input.empty()) return Status::Corruption("empty trie node");
-  node->kind = static_cast<NodeKind>(input[0]);
-  input.remove_prefix(1);
+  uint8_t kind = 0;
+  Slice path, value;
+  Status s = GetByte(&input, &kind);
+  if (!s.ok()) return s;
+  node->kind = static_cast<NodeKind>(kind);
   switch (node->kind) {
-    case NodeKind::kLeaf: {
-      uint64_t n = 0;
-      Status s = GetVarint64(&input, &n);
-      if (!s.ok()) return s;
-      if (input.size() < n) return Status::Corruption("truncated leaf path");
-      node->path.assign(input.data(), input.data() + n);
-      input.remove_prefix(n);
-      Slice value;
-      s = GetLengthPrefixedSlice(&input, &value);
-      if (!s.ok()) return s;
-      node->value = value.ToString();
-      return Status::OK();
-    }
-    case NodeKind::kExtension: {
-      uint64_t n = 0;
-      Status s = GetVarint64(&input, &n);
-      if (!s.ok()) return s;
-      if (input.size() < n) return Status::Corruption("truncated ext path");
-      node->path.assign(input.data(), input.data() + n);
-      input.remove_prefix(n);
-      if (!GetHash256(&input, &node->child)) {
-        return Status::Corruption("truncated ext child");
-      }
-      return Status::OK();
-    }
+    case NodeKind::kLeaf:
+      s = GetLengthPrefixedSlice(&input, &path);
+      if (s.ok()) s = GetLengthPrefixedSlice(&input, &value);
+      break;
+    case NodeKind::kExtension:
+      s = GetLengthPrefixedSlice(&input, &path);
+      if (s.ok()) s = GetHash256(&input, &node->child);
+      break;
     case NodeKind::kBranch: {
       uint32_t mask = 0;
-      Status s = GetFixed32(&input, &mask);
-      if (!s.ok()) return s;
-      for (int i = 0; i < 16; i++) {
-        if (mask & (1u << i)) {
-          if (!GetHash256(&input, &node->children[i])) {
-            return Status::Corruption("truncated branch child");
-          }
-        } else {
-          node->children[i] = Hash256();
+      s = GetFixed32(&input, &mask);
+      if (s.ok() && mask > 0xffff) s = Status::Corruption("bad branch mask");
+      // EncodeNode sets a mask bit for each non-zero child, and only then.
+      for (int i = 0; s.ok() && i < 16; i++) {
+        node->children[i] = Hash256();
+        if ((mask & (1u << i)) == 0) continue;
+        s = GetHash256(&input, &node->children[i]);
+        if (s.ok() && node->children[i].IsZero()) {
+          s = Status::Corruption("zero branch child");
         }
       }
-      if (input.empty()) return Status::Corruption("truncated branch flags");
-      node->has_value = input[0] != 0;
-      input.remove_prefix(1);
-      if (node->has_value) {
-        Slice value;
-        s = GetLengthPrefixedSlice(&input, &value);
-        if (!s.ok()) return s;
-        node->value = value.ToString();
-      }
-      return Status::OK();
+      if (s.ok()) s = GetBool(&input, &node->has_value);
+      if (s.ok() && node->has_value) s = GetLengthPrefixedSlice(&input, &value);
+      break;
     }
+    default:
+      return Status::Corruption("unknown trie node kind");
   }
-  return Status::Corruption("unknown trie node kind");
+  if (s.ok()) s = CheckConsumed(input, "trie node");
+  if (!s.ok()) return s;
+  node->path.assign(path.data(), path.data() + path.size());
+  node->value = value.ToString();
+  return Status::OK();
 }
 
 Status MerklePatriciaTrie::LoadNode(const Hash256& id, Node* node) const {

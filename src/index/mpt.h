@@ -61,7 +61,11 @@ class MerklePatriciaTrie {
   Status CollectChunks(const Hash256& root,
                        std::unordered_set<Hash256, Hash256Hasher>* live) const;
 
- private:
+  // A trie node and its payload codec. A leaf is kind, lp(nibble path),
+  // lp(value); an extension kind, lp(nibble path), child id; a branch
+  // kind, fixed32 child mask, each present child's id, a 0/1 value flag
+  // and lp(value) when set. DecodeNode refuses every payload EncodeNode
+  // would not have written.
   enum class NodeKind : uint8_t { kLeaf = 0, kExtension = 1, kBranch = 2 };
 
   struct Node {
@@ -73,9 +77,11 @@ class MerklePatriciaTrie {
     Hash256 child;              // extension child
   };
 
-  static std::vector<uint8_t> ToNibbles(const Slice& key);
   static std::string EncodeNode(const Node& node);
   static Status DecodeNode(const Slice& payload, Node* node);
+
+ private:
+  static std::vector<uint8_t> ToNibbles(const Slice& key);
 
   Status LoadNode(const Hash256& id, Node* node) const;
   Hash256 StoreNode(const Node& node) const;

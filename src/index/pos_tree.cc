@@ -60,28 +60,42 @@ Hash256 PosTree::EntryHash(const PosEntry& e) {
 
 // --- Node serialization ----------------------------------------------------
 
-size_t PosTree::LeafSize(std::span<const PosEntry> entries) {
+size_t EntryListSize(std::span<const PosEntry> entries) {
   size_t size = VarintLength(entries.size());
   for (const PosEntry& e : entries) {
-    size += VarintLength(e.key.size()) + e.key.size() +
-            VarintLength(e.value.size()) + e.value.size();
+    size += LengthPrefixedSize(e.key) + LengthPrefixedSize(e.value);
   }
   return size;
 }
 
-void PosTree::EncodeLeafInto(std::span<const PosEntry> entries,
-                             std::string* out) {
-  PutVarint64(out, entries.size());
+void PutEntryList(std::string* dst, std::span<const PosEntry> entries) {
+  PutVarint64(dst, entries.size());
   for (const PosEntry& e : entries) {
-    PutLengthPrefixedSlice(out, e.key);
-    PutLengthPrefixedSlice(out, e.value);
+    PutLengthPrefixedSlice(dst, e.key);
+    PutLengthPrefixedSlice(dst, e.value);
   }
+}
+
+Status GetEntryList(Slice* input, std::vector<PosEntry>* out) {
+  out->clear();
+  uint64_t n = 0;
+  Status s = GetCount(input, 2, &n);  // two one-byte length prefixes
+  if (!s.ok()) return s;
+  out->reserve(n);
+  for (uint64_t i = 0; i < n; i++) {
+    Slice key, value;
+    s = GetLengthPrefixedSlice(input, &key);
+    if (s.ok()) s = GetLengthPrefixedSlice(input, &value);
+    if (!s.ok()) return s;
+    out->push_back(PosEntry{key.ToString(), value.ToString()});
+  }
+  return Status::OK();
 }
 
 std::string PosTree::EncodeLeaf(std::span<const PosEntry> entries) {
   std::string out;
-  out.reserve(LeafSize(entries));  // the chunk keeps this string: no slack
-  EncodeLeafInto(entries, &out);
+  out.reserve(EntryListSize(entries));  // the chunk keeps it: no slack
+  PutEntryList(&out, entries);
   return out;
 }
 
@@ -132,21 +146,18 @@ Status PosNode::Parse(std::shared_ptr<PosNode> node,
   }
   const char* base = node->payload_.data();
   Slice input = node->payload_;
+  const bool leaf = type == ChunkType::kIndexLeaf;
+  // A leaf entry takes two one-byte length prefixes at least; a meta
+  // child a one-byte key prefix, its id and a one-byte count.
   uint64_t n = 0;
-  Status s = GetVarint64(&input, &n);
+  Status s = GetCount(&input, leaf ? 2 : 2 + Hash256::kSize, &n);
   if (!s.ok()) return s;
-  // The count comes from untrusted bytes (a proof, or a damaged store):
-  // bound it by the smallest encoding of one element before reserving.
-  if (type == ChunkType::kIndexLeaf) {
-    if (n > input.size() / 2) {  // two one-byte length prefixes
-      return Status::Corruption("leaf entry count exceeds its bytes");
-    }
+  if (leaf) {
     node->slots_.reserve(n);
     for (uint64_t i = 0; i < n; i++) {
       Slice key, value;
       s = GetLengthPrefixedSlice(&input, &key);
-      if (!s.ok()) return s;
-      s = GetLengthPrefixedSlice(&input, &value);
+      if (s.ok()) s = GetLengthPrefixedSlice(&input, &value);
       if (!s.ok()) return s;
       node->slots_.push_back(Slot{static_cast<uint32_t>(key.data() - base),
                                   static_cast<uint32_t>(key.size()),
@@ -155,27 +166,21 @@ Status PosNode::Parse(std::shared_ptr<PosNode> node,
     }
   } else {
     if (n == 0) return Status::Corruption("empty meta node");
-    // A one-byte key prefix, the child id and a one-byte count.
-    if (n > input.size() / (2 + Hash256::kSize)) {
-      return Status::Corruption("meta child count exceeds its bytes");
-    }
     node->children_.reserve(n);
     for (uint64_t i = 0; i < n; i++) {
       PosTree::ChildRef c;
       Slice key;
       s = GetLengthPrefixedSlice(&input, &key);
+      if (s.ok()) s = GetHash256(&input, &c.id);
+      if (s.ok()) s = GetVarint64(&input, &c.count);
       if (!s.ok()) return s;
       c.last_key = key.ToString();
-      if (!GetHash256(&input, &c.id)) {
-        return Status::Corruption("truncated meta node");
-      }
-      s = GetVarint64(&input, &c.count);
-      if (!s.ok()) return s;
       node->children_.push_back(std::move(c));
     }
   }
-  *out = std::move(node);
-  return Status::OK();
+  s = CheckConsumed(input, "index node");
+  if (s.ok()) *out = std::move(node);
+  return s;
 }
 
 size_t PosNode::LowerBound(const Slice& key) const {
@@ -343,12 +348,12 @@ Status PosTree::Build(std::vector<PosEntry> entries, Hash256* root) const {
     const size_t count = std::min(kLeafWindow, leaf_ends.size() - first);
     payloads.resize(count);
     chunks.resize(count);
-    for (size_t k = 0; k < count; k++) {
-      payloads[k].reserve(LeafSize(leaf(first + k)));  // the chunk's bytes
+    for (size_t k = 0; k < count; k++) {  // each exactly the chunk's bytes
+      payloads[k].reserve(EntryListSize(leaf(first + k)));
     }
     ParallelFor(count, kLeafGrain, [&](size_t begin, size_t end) {
       for (size_t k = begin; k < end; k++) {
-        EncodeLeafInto(leaf(first + k), &payloads[k]);
+        PutEntryList(&payloads[k], leaf(first + k));
         chunks[k] = Chunk(ChunkType::kIndexLeaf, std::move(payloads[k]));
       }
     });

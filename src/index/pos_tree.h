@@ -46,6 +46,14 @@ struct PosEntry {
   }
 };
 
+// An entry list: a varint count, then lp(key) lp(value) per entry ("lp"
+// = varint-length-prefixed). A POS leaf's payload, an MBT bucket and
+// the rows of a scan reply are all this one form.
+size_t EntryListSize(std::span<const PosEntry> entries);
+void PutEntryList(std::string* dst, std::span<const PosEntry> entries);
+// Reads an entry list off the front of *input into *out.
+Status GetEntryList(Slice* input, std::vector<PosEntry>* out);
+
 // An integrity proof for a point lookup: the nodes on the root-to-leaf
 // path, root first. The verifier recomputes each chunk id bottom-up and
 // checks the top against the trusted root digest, checks that each
@@ -247,12 +255,8 @@ class PosTree {
 
   static Hash256 EntryHash(const PosEntry& e);
 
-  // Node serialization (PosNode::Decode reads it back). EncodeLeafInto
-  // appends the leaf to *out, which LeafSize bytes of capacity keep from
-  // growing.
-  static size_t LeafSize(std::span<const PosEntry> entries);
-  static void EncodeLeafInto(std::span<const PosEntry> entries,
-                             std::string* out);
+  // Node serialization (PosNode::Decode reads it back). A leaf's
+  // payload is its entry list.
   static std::string EncodeLeaf(std::span<const PosEntry> entries);
   static std::string EncodeMeta(const std::vector<ChildRef>& children);
 
@@ -312,8 +316,8 @@ class PosNode {
   // chunk type `type`, in place and holds `owner` to keep it alive.
   // Returns Corruption for a type that is not an index leaf or meta
   // node, for bytes that do not parse, for an entry count larger than
-  // the remaining bytes can hold, for a meta node without children, and
-  // for a payload of 4 GiB or more.
+  // the remaining bytes can hold, for bytes after the last entry, for a
+  // meta node without children, and for a payload of 4 GiB or more.
   static Status Decode(ChunkType type, const Slice& payload,
                        std::shared_ptr<const void> owner,
                        std::shared_ptr<const PosNode>* node);

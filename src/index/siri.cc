@@ -1,7 +1,5 @@
 #include "index/siri.h"
 
-#include <algorithm>
-
 #include "common/codec.h"
 
 namespace spitz {
@@ -37,14 +35,6 @@ Status GetProofNode(Slice* input, uint8_t type,
   Status s = GetLengthPrefixedSlice(input, &payload);
   if (!s.ok()) return s;
   *node = ProofNode{type, payload, owner};
-  return Status::OK();
-}
-
-// Reads the type byte of a typed node.
-Status GetNodeType(Slice* input, uint8_t* type) {
-  if (input->empty()) return Status::Corruption("truncated proof");
-  *type = static_cast<uint8_t>((*input)[0]);
-  input->remove_prefix(1);
   return Status::OK();
 }
 
@@ -104,48 +94,42 @@ size_t SiriProof::EncodedSize() const {
 Status SiriProof::DecodeFrom(Slice* input, std::shared_ptr<const void> owner,
                              SiriProof* out) {
   *out = SiriProof();
-  if (input->empty()) return Status::Corruption("empty proof envelope");
-  uint8_t tag = static_cast<uint8_t>((*input)[0]);
-  input->remove_prefix(1);
+  uint8_t tag = 0;
+  Status s = GetByte(input, &tag);
+  if (!s.ok()) return s;
   if (tag > static_cast<uint8_t>(SiriBackend::kMerkleBucketTree)) {
     return Status::Corruption("unknown proof backend tag");
   }
   out->kind = static_cast<SiriBackend>(tag);
+  uint64_t n = 0;
   switch (out->kind) {
     case SiriBackend::kPosTree: {
-      uint64_t n = 0;
-      Status s = GetVarint64(input, &n);
-      if (!s.ok()) return s;
       // Every node takes at least its type byte and a length byte.
-      out->pos.nodes.reserve(std::min<uint64_t>(n, input->size() / 2));
-      for (uint64_t i = 0; i < n; i++) {
+      s = GetCount(input, 2, &n);
+      if (!s.ok()) return s;
+      out->pos.nodes.resize(n);
+      for (ProofNode& node : out->pos.nodes) {
         uint8_t type = 0;
-        s = GetNodeType(input, &type);
-        if (!s.ok()) return s;
-        out->pos.nodes.emplace_back();
-        s = GetProofNode(input, type, owner, &out->pos.nodes.back());
+        s = GetByte(input, &type);
+        if (s.ok()) s = GetProofNode(input, type, owner, &node);
         if (!s.ok()) return s;
       }
       return Status::OK();
     }
     case SiriBackend::kMerklePatriciaTrie: {
-      uint64_t n = 0;
-      Status s = GetVarint64(input, &n);
+      s = GetCount(input, 1, &n);
       if (!s.ok()) return s;
-      out->mpt.nodes.reserve(std::min<uint64_t>(n, input->size()));
-      for (uint64_t i = 0; i < n; i++) {
-        out->mpt.nodes.emplace_back();
+      out->mpt.nodes.resize(n);
+      for (ProofNode& node : out->mpt.nodes) {
         s = GetProofNode(input, static_cast<uint8_t>(ChunkType::kTrieNode),
-                         owner, &out->mpt.nodes.back());
+                         owner, &node);
         if (!s.ok()) return s;
       }
       return Status::OK();
     }
     case SiriBackend::kMerkleBucketTree: {
-      uint64_t bucket = 0;
-      Status s = GetVarint64(input, &bucket);
+      s = GetVarint32(input, &out->mbt.bucket_index);
       if (!s.ok()) return s;
-      out->mbt.bucket_index = static_cast<uint32_t>(bucket);
       const uint8_t type = static_cast<uint8_t>(ChunkType::kBucket);
       s = GetProofNode(input, type, owner, &out->mbt.directory);
       if (!s.ok()) return s;
@@ -231,30 +215,28 @@ Status SiriRangeProof::DecodeFrom(Slice* input,
                                   std::shared_ptr<const void> owner,
                                   SiriRangeProof* out) {
   *out = SiriRangeProof();
-  if (input->empty()) return Status::Corruption("empty range proof envelope");
-  uint8_t tag = static_cast<uint8_t>((*input)[0]);
-  input->remove_prefix(1);
+  uint8_t tag = 0;
+  Status s = GetByte(input, &tag);
+  if (!s.ok()) return s;
   if (tag != static_cast<uint8_t>(SiriBackend::kPosTree)) {
     return Status::Corruption("range proofs require a scan-capable backend");
   }
   out->kind = static_cast<SiriBackend>(tag);
+  // Every node takes at least its id, its type byte and a length byte.
   uint64_t n = 0;
-  Status s = GetVarint64(input, &n);
+  s = GetCount(input, Hash256::kSize + 2, &n);
   if (!s.ok()) return s;
   std::vector<std::pair<Hash256, ProofNode>>& nodes = out->pos.nodes;
-  // Every node takes at least its id, its type byte and a length byte.
-  nodes.reserve(std::min<uint64_t>(n, input->size() / (Hash256::kSize + 2)));
-  for (uint64_t i = 0; i < n; i++) {
-    Hash256 id;
+  nodes.resize(n);
+  for (size_t i = 0; i < nodes.size(); i++) {
+    auto& [id, node] = nodes[i];
     uint8_t type = 0;
-    if (!GetHash256(input, &id) || !GetNodeType(input, &type).ok()) {
-      return Status::Corruption("truncated range proof node");
+    s = GetHash256(input, &id);
+    if (s.ok()) s = GetByte(input, &type);
+    if (s.ok() && i > 0 && !(nodes[i - 1].first < id)) {
+      s = Status::Corruption("range proof nodes out of id order");
     }
-    if (!nodes.empty() && !(nodes.back().first < id)) {
-      return Status::Corruption("range proof nodes out of id order");
-    }
-    nodes.emplace_back(id, ProofNode());
-    s = GetProofNode(input, type, owner, &nodes.back().second);
+    if (s.ok()) s = GetProofNode(input, type, owner, &node);
     if (!s.ok()) return s;
   }
   return Status::OK();

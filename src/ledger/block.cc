@@ -49,16 +49,16 @@ void LedgerEntry::EncodeTo(const LedgerEntry& prev, std::string* dst) const {
 
 Status LedgerEntry::DecodeFrom(Slice* input, const LedgerEntry& prev,
                                LedgerEntry* entry) {
-  if (input->empty()) return Status::Corruption("truncated ledger entry");
-  const auto op = static_cast<uint8_t>((*input)[0]);
+  uint8_t op = 0;
+  Status s = GetByte(input, &op);
+  if (!s.ok()) return s;
   if (op != static_cast<uint8_t>(Op::kPut) &&
       op != static_cast<uint8_t>(Op::kDelete)) {
     return Status::Corruption("unknown ledger op " + std::to_string(op));
   }
-  input->remove_prefix(1);
   uint64_t shared = 0;
   Slice suffix;
-  Status s = GetVarint64(input, &shared);
+  s = GetVarint64(input, &shared);
   if (s.ok()) s = GetLengthPrefixedSlice(input, &suffix);
   if (!s.ok()) return s;
   if (shared > prev.key.size()) {
@@ -70,12 +70,10 @@ Status LedgerEntry::DecodeFrom(Slice* input, const LedgerEntry& prev,
       suffix[0] == prev.key[shared]) {
     return Status::Corruption("ledger entry shared prefix is not maximal");
   }
-  if (!GetHash256(input, &entry->value_hash)) {
-    return Status::Corruption("truncated ledger entry hash");
-  }
   uint64_t ts_delta = 0;
   uint64_t txn_delta = 0;
-  s = GetVarint64(input, &ts_delta);
+  s = GetHash256(input, &entry->value_hash);
+  if (s.ok()) s = GetVarint64(input, &ts_delta);
   if (s.ok()) s = GetVarint64(input, &txn_delta);
   if (!s.ok()) return s;
   entry->op = static_cast<Op>(op);
@@ -153,26 +151,17 @@ std::string Block::Encode() const {
 
 Status Block::Decode(Slice input, Block* block) {
   Block b;
-  Status s = GetVarint64(&input, &b.height_);
-  if (!s.ok()) return s;
-  s = GetVarint64(&input, &b.first_seq_);
-  if (!s.ok()) return s;
-  if (!GetHash256(&input, &b.prev_hash_) ||
-      !GetHash256(&input, &b.index_root_)) {
-    return Status::Corruption("truncated block header");
-  }
-  s = GetVarint64(&input, &b.timestamp_);
-  if (!s.ok()) return s;
+  // An entry takes at least op, shared length, suffix length, hash and
+  // two varints, so the count bounds the reserve.
+  constexpr size_t kMinEntryBytes = 1 + 1 + 1 + Hash256::kSize + 1 + 1;
   uint64_t n = 0;
-  s = GetVarint64(&input, &n);
+  Status s = GetVarint64(&input, &b.height_);
+  if (s.ok()) s = GetVarint64(&input, &b.first_seq_);
+  if (s.ok()) s = GetHash256(&input, &b.prev_hash_);
+  if (s.ok()) s = GetHash256(&input, &b.index_root_);
+  if (s.ok()) s = GetVarint64(&input, &b.timestamp_);
+  if (s.ok()) s = GetCount(&input, kMinEntryBytes, &n);
   if (!s.ok()) return s;
-  // The count sizes the reserve, so it must fit the bytes that follow:
-  // an entry takes at least op, shared length, suffix length, hash and
-  // two varints.
-  constexpr uint64_t kMinEntryBytes = 1 + 1 + 1 + 32 + 1 + 1;
-  if (n > input.size() / kMinEntryBytes) {
-    return Status::Corruption("block entry count exceeds its bytes");
-  }
   b.entries_.reserve(n);
   const LedgerEntry none;
   for (uint64_t i = 0; i < n; i++) {
@@ -182,9 +171,8 @@ Status Block::Decode(Slice input, Block* block) {
     if (!s.ok()) return s;
     b.entries_.push_back(std::move(e));
   }
-  if (!input.empty()) {
-    return Status::Corruption("trailing bytes after block entries");
-  }
+  s = CheckConsumed(input, "block entries");
+  if (!s.ok()) return s;
   b.entries_root_ = ComputeEntriesRoot(b.entries_);
   b.block_hash_ = HeaderHash(b.height_, b.first_seq_, b.prev_hash_,
                              b.entries_root_, b.index_root_, b.timestamp_);

@@ -10,33 +10,6 @@ uint64_t LargestPowerOfTwoBelow(uint64_t n) {
   return k;
 }
 
-std::string MerkleInclusionProof::Encode() const {
-  std::string out;
-  PutVarint64(&out, leaf_index);
-  PutVarint64(&out, tree_size);
-  PutVarint64(&out, path.size());
-  for (const Hash256& h : path) out.append(h.ToBytes());
-  return out;
-}
-
-Status MerkleInclusionProof::Decode(Slice input,
-                                    MerkleInclusionProof* proof) {
-  Status s = GetVarint64(&input, &proof->leaf_index);
-  if (!s.ok()) return s;
-  s = GetVarint64(&input, &proof->tree_size);
-  if (!s.ok()) return s;
-  uint64_t n = 0;
-  s = GetVarint64(&input, &n);
-  if (!s.ok()) return s;
-  proof->path.clear();
-  for (uint64_t i = 0; i < n; i++) {
-    if (!GetHash256(&input, &proof->path.emplace_back())) {
-      return Status::Corruption("truncated inclusion proof");
-    }
-  }
-  return Status::OK();
-}
-
 uint64_t MerkleTree::AppendLeafHash(const Hash256& leaf_hash) {
   uint64_t index = size();
   levels_[0].push_back(leaf_hash);

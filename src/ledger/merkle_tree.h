@@ -16,9 +16,6 @@ struct MerkleInclusionProof {
   uint64_t leaf_index = 0;
   uint64_t tree_size = 0;
   std::vector<Hash256> path;
-
-  std::string Encode() const;
-  static Status Decode(Slice input, MerkleInclusionProof* proof);
 };
 
 // A consistency (append-only) proof between two tree sizes.

@@ -108,18 +108,16 @@ void Handshake::EncodeTo(std::string* out) const {
 }
 
 Status Handshake::DecodeFrom(Slice input, Handshake* out) {
-  constexpr size_t kHandshakeBytes = sizeof(kHandshakeMagic) + 4 + 8;
-  if (input.size() < kHandshakeBytes) {
-    return Status::InvalidArgument("handshake payload too short");
-  }
-  if (std::memcmp(input.data(), kHandshakeMagic, sizeof(kHandshakeMagic)) !=
-      0) {
+  const Slice magic(kHandshakeMagic, sizeof(kHandshakeMagic));
+  if (!input.starts_with(magic)) {
     return Status::InvalidArgument("peer is not a spitz endpoint (bad magic)");
   }
-  out->protocol_version =
-      DecodeFixed32(input.data() + sizeof(kHandshakeMagic));
-  out->features = DecodeFixed64(input.data() + sizeof(kHandshakeMagic) + 4);
-  return Status::OK();
+  input.remove_prefix(magic.size());
+  Status s = GetFixed32(&input, &out->protocol_version);
+  if (s.ok()) s = GetFixed64(&input, &out->features);
+  if (s.ok()) s = CheckConsumed(input, "handshake");
+  if (s.ok()) return s;
+  return Status::InvalidArgument("bad handshake: " + s.message());
 }
 
 Status CheckHandshake(const Handshake& peer) {

@@ -168,9 +168,9 @@ struct Handshake {
   uint64_t features = kDefaultFeatures;
 
   void EncodeTo(std::string* out) const;
-  // InvalidArgument on short payloads or a wrong magic: the peer is not
-  // a Spitz endpoint (or predates the handshake) and nothing else it
-  // sends can be trusted to decode.
+  // InvalidArgument on a wrong magic, a short payload or bytes after
+  // it: the peer is not a Spitz endpoint (or predates the handshake)
+  // and nothing else it sends can be trusted to decode.
   static Status DecodeFrom(Slice input, Handshake* out);
 };
 

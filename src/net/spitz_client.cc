@@ -111,7 +111,7 @@ Status SpitzClient::Scan(const ReadOptions& options, const Slice& start,
   Status s = Call(wire::kScan, request, &response, options.deadline_ms);
   if (!s.ok()) return s;
   Slice input(response);
-  return wire::DecodeRows(&input, rows);
+  return GetEntryList(&input, rows);
 }
 
 Status SpitzClient::GetProof(const Slice& key, Evidence* out) {
@@ -211,7 +211,7 @@ Status SpitzClient::FetchScanProof(const Slice& start, const Slice& end,
   Status s = Call(wire::kScanProof, request, &reply, deadline_ms);
   if (!s.ok()) return s;
   Slice input = reply.payload;
-  s = wire::DecodeRows(&input, rows);
+  s = GetEntryList(&input, rows);
   if (!s.ok()) return s;
   s = spitz::ScanProof::DecodeFrom(&input, std::move(reply.buffer), proof);
   if (!s.ok()) return s;
@@ -276,7 +276,7 @@ Status SpitzClient::ScanProofAt(const Hash256& root, const Slice& start,
   Status s = Call(wire::kScanProofAt, request, &reply);
   if (!s.ok()) return s;
   Slice input = reply.payload;
-  s = wire::DecodeRows(&input, rows);
+  s = GetEntryList(&input, rows);
   if (!s.ok()) return s;
   return spitz::ScanProof::DecodeFrom(&input, std::move(reply.buffer), proof);
 }
@@ -335,15 +335,12 @@ Status SpitzClient::TxnInDoubt(std::vector<uint64_t>* txn_ids) {
   if (!s.ok()) return s;
   Slice input(response);
   uint64_t n = 0;
-  s = GetVarint64(&input, &n);
+  s = GetCount(&input, sizeof(uint64_t), &n);
   if (!s.ok()) return s;
-  txn_ids->clear();
-  for (uint64_t i = 0; i < n; i++) {
-    if (input.size() < sizeof(uint64_t)) {
-      return Status::Corruption("truncated in-doubt list");
-    }
-    txn_ids->push_back(DecodeFixed64(input.data()));
-    input.remove_prefix(sizeof(uint64_t));
+  txn_ids->resize(n);
+  for (uint64_t& txn_id : *txn_ids) {
+    s = GetFixed64(&input, &txn_id);
+    if (!s.ok()) return s;
   }
   return Status::OK();
 }

@@ -94,13 +94,6 @@ struct Request {
   Slice record;  // kReplicate / kReplicaStatus: the replica decodes it
 };
 
-Status GetRoot(Slice* input, Hash256* root) {
-  if (!GetHash256(input, root)) {
-    return Status::InvalidArgument("truncated hash field");
-  }
-  return Status::OK();
-}
-
 Status GetRange(Slice* input, Request* req) {
   Status s = GetLengthPrefixedSlice(input, &req->start);
   if (s.ok()) s = GetLengthPrefixedSlice(input, &req->end);
@@ -112,15 +105,13 @@ Status GetRange(Slice* input, Request* req) {
 Status GetBatch(Slice* input, WriteBatch* batch) {
   Status s = WriteBatch::Decode(*input, batch);
   *input = Slice();
-  if (!s.ok()) {
-    return Status::InvalidArgument("bad write batch: " + s.message());
-  }
-  return Status::OK();
+  return s;
 }
 
 // Decodes `method`'s request (wire layouts in spitz_wire.h). The whole
-// input must be consumed: leftover bytes are InvalidArgument, so junk
-// after a valid request never executes.
+// input must be consumed, so junk after a valid request never executes.
+// A malformed request of a known method is InvalidArgument, whichever
+// field failed.
 Status DecodeRequest(uint32_t method, Slice input, Request* req) {
   Status s;
   switch (method) {
@@ -143,10 +134,8 @@ Status DecodeRequest(uint32_t method, Slice input, Request* req) {
     case wire::kReplicaAck:
       break;
     case wire::kWrite:
-      if (input.empty()) return Status::InvalidArgument("short write request");
-      req->sync = input[0] != 0;
-      input.remove_prefix(1);
-      s = GetBatch(&input, &req->batch);
+      s = GetBool(&input, &req->sync);
+      if (s.ok()) s = GetBatch(&input, &req->batch);
       break;
     case wire::kTxnPrepare:
       s = GetFixed64(&input, &req->txn_id);
@@ -157,11 +146,11 @@ Status DecodeRequest(uint32_t method, Slice input, Request* req) {
       s = GetFixed64(&input, &req->txn_id);
       break;
     case wire::kGetProofAt:
-      s = GetRoot(&input, &req->root);
+      s = GetHash256(&input, &req->root);
       if (s.ok()) s = GetLengthPrefixedSlice(&input, &req->key);
       break;
     case wire::kScanProofAt:
-      s = GetRoot(&input, &req->root);
+      s = GetHash256(&input, &req->root);
       if (s.ok()) s = GetRange(&input, req);
       break;
     case wire::kReplicate:
@@ -172,12 +161,11 @@ Status DecodeRequest(uint32_t method, Slice input, Request* req) {
     default:
       return Status::NotSupported("unknown method id");
   }
-  if (!s.ok()) return s;
-  if (!input.empty()) {
-    return Status::InvalidArgument(std::string("trailing bytes after ") +
-                                   wire::MethodName(method) + " request");
-  }
-  return Status::OK();
+  if (s.ok()) s = CheckConsumed(input, "the request");
+  if (s.ok()) return s;
+  return Status::InvalidArgument(std::string("malformed ") +
+                                 wire::MethodName(method) +
+                                 " request: " + s.message());
 }
 
 // The proof-bearing reads. kGetProof and kScanProof capture the digest
@@ -219,10 +207,10 @@ Status ServeScanProof(SpitzDb* db, uint32_t method, const Request& req,
                            req.start, req.end, static_cast<size_t>(req.limit),
                            &rows, &proof);
   if (!s.ok()) return s;
-  response->reserve(response->size() + wire::RowsSize(rows) +
+  response->reserve(response->size() + EntryListSize(rows) +
                     proof.EncodedSize() +
                     (with_digest ? digest.EncodedSize() : 0));
-  wire::EncodeRows(rows, response);
+  PutEntryList(response, rows);
   proof.EncodeTo(response);
   if (with_digest) digest.EncodeTo(response);
   return Status::OK();
@@ -292,7 +280,7 @@ Status SpitzServer::Handle(uint32_t method, const std::string& request,
       s = db_->ReadRange(kCurrentVersion, req.start, req.end,
                          static_cast<size_t>(req.limit), &rows, nullptr);
       if (!s.ok()) return s;
-      wire::EncodeRows(rows, response);
+      PutEntryList(response, rows);
       return Status::OK();
     }
     case wire::kScanProof:

@@ -48,32 +48,6 @@ const char* MethodName(uint32_t method) {
   }
 }
 
-size_t RowsSize(const std::vector<PosEntry>& rows) {
-  size_t n = VarintLength(rows.size());
-  for (const PosEntry& row : rows) {
-    n += LengthPrefixedSize(row.key) + LengthPrefixedSize(row.value);
-  }
-  return n;
-}
-
-void EncodeRows(const std::vector<PosEntry>& rows, std::string* out) {
-  PutVarint64(out, rows.size());
-  for (const PosEntry& row : rows) {
-    PutLengthPrefixedSlice(out, row.key);
-    PutLengthPrefixedSlice(out, row.value);
-  }
-}
-
-namespace {
-
-Status GetRawHash(Slice* input, Hash256* out) {
-  return GetHash256(input, out)
-             ? Status::OK()
-             : Status::InvalidArgument("truncated hash in replica payload");
-}
-
-}  // namespace
-
 void ReplicaAck::EncodeTo(std::string* out) const {
   PutFixed64(out, applied_blocks);
   out->append(index_root.ToBytes());
@@ -81,14 +55,10 @@ void ReplicaAck::EncodeTo(std::string* out) const {
 }
 
 Status ReplicaAck::DecodeFrom(Slice* input, ReplicaAck* out) {
-  if (input->size() < sizeof(uint64_t)) {
-    return Status::InvalidArgument("truncated replica ack");
-  }
-  out->applied_blocks = DecodeFixed64(input->data());
-  input->remove_prefix(sizeof(uint64_t));
-  Status s = GetRawHash(input, &out->index_root);
-  if (!s.ok()) return s;
-  return GetRawHash(input, &out->tip_hash);
+  Status s = GetFixed64(input, &out->applied_blocks);
+  if (s.ok()) s = GetHash256(input, &out->index_root);
+  if (s.ok()) s = GetHash256(input, &out->tip_hash);
+  return s;
 }
 
 void ReplicaStatusResult::EncodeTo(std::string* out) const {
@@ -100,40 +70,13 @@ void ReplicaStatusResult::EncodeTo(std::string* out) const {
 
 Status ReplicaStatusResult::DecodeFrom(Slice* input,
                                        ReplicaStatusResult* out) {
-  if (input->empty()) {
-    return Status::InvalidArgument("truncated replica status");
-  }
-  out->role = static_cast<uint8_t>((*input)[0]);
-  input->remove_prefix(1);
-  Status s = ReplicaAck::DecodeFrom(input, &out->applied);
-  if (!s.ok()) return s;
-  if (input->size() < 2 * sizeof(uint64_t)) {
-    return Status::InvalidArgument("truncated replica status");
-  }
-  out->digest_mismatches = DecodeFixed64(input->data());
-  input->remove_prefix(sizeof(uint64_t));
-  out->applied_entries = DecodeFixed64(input->data());
-  input->remove_prefix(sizeof(uint64_t));
-  return Status::OK();
-}
-
-Status DecodeRows(Slice* input, std::vector<PosEntry>* out) {
-  uint64_t n = 0;
-  Status s = GetVarint64(input, &n);
-  if (!s.ok()) return s;
-  out->clear();
-  // The count is untrusted wire data: cap the up-front reservation so a
-  // lying header cannot force a huge allocation before decode fails.
-  out->reserve(static_cast<size_t>(n < 1024 ? n : 1024));
-  for (uint64_t i = 0; i < n; i++) {
-    Slice key, value;
-    s = GetLengthPrefixedSlice(input, &key);
-    if (!s.ok()) return s;
-    s = GetLengthPrefixedSlice(input, &value);
-    if (!s.ok()) return s;
-    out->push_back(PosEntry{key.ToString(), value.ToString()});
-  }
-  return Status::OK();
+  bool promoted = false;
+  Status s = GetBool(input, &promoted);
+  if (s.ok()) s = ReplicaAck::DecodeFrom(input, &out->applied);
+  if (s.ok()) s = GetFixed64(input, &out->digest_mismatches);
+  if (s.ok()) s = GetFixed64(input, &out->applied_entries);
+  out->role = promoted ? 1 : 0;
+  return s;
 }
 
 }  // namespace wire

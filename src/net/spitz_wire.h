@@ -46,14 +46,9 @@ constexpr size_t kMethodCount = 18;
 
 // --- Shared payload fragments -------------------------------------------
 //
-// A digest travels as SpitzDigest::EncodeTo / DecodeFrom bytes.
-
-// Row vectors for scan responses: varint count, then lp(key) lp(value)
-// per row.
-void EncodeRows(const std::vector<PosEntry>& rows, std::string* out);
-// The exact number of bytes EncodeRows appends.
-size_t RowsSize(const std::vector<PosEntry>& rows);
-Status DecodeRows(Slice* input, std::vector<PosEntry>* out);
+// A digest travels as SpitzDigest::EncodeTo / DecodeFrom bytes, and the
+// rows of a scan response as an entry list (PutEntryList /
+// GetEntryList, index/pos_tree.h).
 
 // --- Replication payloads (protocol v3) ----------------------------------
 

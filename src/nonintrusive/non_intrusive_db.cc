@@ -4,20 +4,10 @@
 
 namespace spitz {
 
-namespace {
-
-// --- Wire formats for the payloads crossing the RPC boundary -------------
-//
-// Proofs travel as the serialized ReadProof envelope (index root +
-// backend-tagged SiriProof), so the client verifies exactly what came
-// off the wire — whatever SIRI backend the ledger database runs.
-
-Status GetHash(Slice* input, Hash256* h) {
-  return GetHash256(input, h) ? Status::OK()
-                              : Status::Corruption("truncated hash");
-}
-
-}  // namespace
+// Proofs cross the RPC boundary as the serialized ReadProof envelope
+// (index root + backend-tagged SiriProof), so the client verifies
+// exactly what came off the wire — whatever SIRI backend the ledger
+// database runs. Scan rows cross it as one entry list.
 
 NonIntrusiveDb::NonIntrusiveDb(Options options)
     : ledger_db_(options.ledger) {
@@ -87,11 +77,7 @@ Status NonIntrusiveDb::HandleKvs(uint32_t method, const std::string& request,
       std::vector<PosEntry> entries;
       s = kvs_.Scan(start, end, static_cast<size_t>(limit), &entries);
       if (!s.ok()) return s;
-      PutVarint64(response, entries.size());
-      for (const PosEntry& e : entries) {
-        PutLengthPrefixedSlice(response, e.key);
-        PutLengthPrefixedSlice(response, e.value);
-      }
+      PutEntryList(response, entries);
       return Status::OK();
     }
     default:
@@ -109,7 +95,7 @@ Status NonIntrusiveDb::HandleLedger(uint32_t method,
       Status s = GetLengthPrefixedSlice(&input, &key);
       if (!s.ok()) return s;
       Hash256 value_hash;
-      s = GetHash(&input, &value_hash);
+      s = GetHash256(&input, &value_hash);
       if (!s.ok()) return s;
       return ledger_db_.Put(key, value_hash.ToBytes());
     }
@@ -204,19 +190,8 @@ Status NonIntrusiveDb::Scan(const Slice& start, const Slice& end,
   Status s = kvs_server_->Call(kKvsScan, request, &response);
   if (!s.ok()) return s;
   Slice input(response);
-  uint64_t n = 0;
-  s = GetVarint64(&input, &n);
-  if (!s.ok()) return s;
-  out->clear();
-  for (uint64_t i = 0; i < n; i++) {
-    Slice k, v;
-    s = GetLengthPrefixedSlice(&input, &k);
-    if (!s.ok()) return s;
-    s = GetLengthPrefixedSlice(&input, &v);
-    if (!s.ok()) return s;
-    out->push_back(PosEntry{k.ToString(), v.ToString()});
-  }
-  return Status::OK();
+  s = GetEntryList(&input, out);
+  return s.ok() ? CheckConsumed(input, "scan reply") : s;
 }
 
 Status NonIntrusiveDb::ScanVerified(const Slice& start, const Slice& end,

@@ -49,19 +49,18 @@ Status EncodeReplicationRecord(const SpitzDb& db, uint64_t height,
   return Status::OK();
 }
 
-Status DecodeReplicationRecord(const Slice& record, ReplicationRecord* out) {
-  Slice input = record;
+namespace {
+
+// DecodeReplicationRecord less its status mapping: the readers'
+// Corruption for a malformed record.
+Status ParseRecord(Slice input, ReplicationRecord* out) {
   uint64_t height = 0;
   Status s = GetFixed64(&input, &height);
   if (s.ok()) s = GetLengthPrefixedSlice(&input, &out->serialized);
   if (s.ok()) s = Block::Decode(out->serialized, &out->block);
-  if (!s.ok()) {
-    return Status::InvalidArgument("malformed replication record: " +
-                                   s.message());
-  }
+  if (!s.ok()) return s;
   if (out->block.height() != height) {
-    return Status::InvalidArgument(
-        "replication record height disagrees with its block header");
+    return Status::Corruption("height disagrees with its block header");
   }
   out->ops.Clear();
   const std::vector<LedgerEntry>& entries = out->block.entries();
@@ -72,35 +71,38 @@ Status DecodeReplicationRecord(const Slice& record, ReplicationRecord* out) {
       out->ops.Delete(entry.key);
       continue;
     }
-    if (input.empty()) {
-      return Status::InvalidArgument("replication record missing a value flag");
-    }
-    const uint8_t flag = static_cast<uint8_t>(input[0]);
-    input.remove_prefix(1);
+    bool has_value = false;
+    s = GetBool(&input, &has_value);
+    if (!s.ok()) return s;
     // A withheld value is checked locally: trusting the primary's claim
     // would let a tampered stream drop arbitrary writes.
-    if (flag == 0 && surviving[i]) {
+    if (!has_value && surviving[i]) {
       return Status::VerificationFailed(
           "replication record omits the value of a surviving put");
     }
-    if (flag != (surviving[i] ? 1 : 0)) {
-      return Status::InvalidArgument("bad replication value flag");
+    if (has_value != surviving[i]) {
+      return Status::Corruption("value of a superseded put");
     }
     Slice value;
-    if (flag == 0) continue;
-    if (!GetLengthPrefixedSlice(&input, &value).ok()) {
-      return Status::InvalidArgument("truncated replicated value");
-    }
+    if (!has_value) continue;
+    s = GetLengthPrefixedSlice(&input, &value);
+    if (!s.ok()) return s;
     if (Hash256::Of(value) != entry.value_hash) {
       return Status::VerificationFailed("replicated value of '" + entry.key +
                                         "' does not hash to its ledger entry");
     }
     out->ops.Put(entry.key, value);
   }
-  if (!input.empty()) {
-    return Status::InvalidArgument("trailing bytes in replication record");
-  }
-  return Status::OK();
+  return CheckConsumed(input, "replication record");
+}
+
+}  // namespace
+
+Status DecodeReplicationRecord(const Slice& record, ReplicationRecord* out) {
+  Status s = ParseRecord(record, out);
+  if (s.ok() || s.IsVerificationFailed()) return s;
+  return Status::InvalidArgument("malformed replication record: " +
+                                 s.message());
 }
 
 wire::ReplicaAck BlockAck(const Block& block) {

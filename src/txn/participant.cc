@@ -341,13 +341,12 @@ Status TxnParticipant::Recover() {
   if (!s.ok()) return s;
   std::lock_guard<std::mutex> lock(mu_);
   for (const Slice& payload : records) {
-    if (payload.size() < 1 + sizeof(uint64_t)) {
+    uint8_t type = 0;
+    uint64_t txn_id = 0;
+    Slice body = payload;
+    if (!GetByte(&body, &type).ok() || !GetFixed64(&body, &txn_id).ok()) {
       return Status::Corruption("short txn log record");
     }
-    const uint8_t type = static_cast<uint8_t>(payload[0]);
-    const uint64_t txn_id = DecodeFixed64(payload.data() + 1);
-    Slice body(payload.data() + 1 + sizeof(uint64_t),
-               payload.size() - 1 - sizeof(uint64_t));
     switch (type) {
       case kPrepareRecord: {
         PreparedTxn prepared;

@@ -42,53 +42,41 @@ std::string WriteBatch::Encode() const {
 
 Status WriteBatch::Decode(Slice input, WriteBatch* batch) {
   batch->Clear();
+  // An op takes its type byte and a key length byte at least; a read
+  // its key length byte and its present flag.
   uint64_t n = 0;
-  Status s = GetVarint64(&input, &n);
-  if (!s.ok()) return s;
-  for (uint64_t i = 0; i < n; i++) {
-    if (input.empty()) return Status::Corruption("truncated write batch");
-    OpType type = static_cast<OpType>(input[0]);
-    input.remove_prefix(1);
-    Slice key;
-    s = GetLengthPrefixedSlice(&input, &key);
+  Status s = GetCount(&input, 2, &n);
+  for (uint64_t i = 0; s.ok() && i < n; i++) {
+    uint8_t type = 0;
+    Slice key, value;
+    s = GetByte(&input, &type);
+    if (s.ok()) s = GetLengthPrefixedSlice(&input, &key);
     if (!s.ok()) return s;
-    if (type == OpType::kPut) {
-      Slice value;
+    if (type == static_cast<uint8_t>(OpType::kPut)) {
       s = GetLengthPrefixedSlice(&input, &value);
-      if (!s.ok()) return s;
-      batch->Put(key, value);
-    } else if (type == OpType::kDelete) {
+      if (s.ok()) batch->Put(key, value);
+    } else if (type == static_cast<uint8_t>(OpType::kDelete)) {
       batch->Delete(key);
     } else {
       return Status::Corruption("unknown op type in write batch");
     }
   }
-  if (input.empty()) return Status::OK();
-  s = GetVarint64(&input, &n);
+  if (!s.ok() || input.empty()) return s;
+  s = GetCount(&input, 2, &n);
   if (!s.ok()) return s;
   // The encoder omits an empty read set, so a zero count is not an
   // encoding any writer produces.
   if (n == 0) return Status::Corruption("empty read set in write batch");
-  for (uint64_t i = 0; i < n; i++) {
-    Read read;
+  batch->reads_.resize(n);
+  for (Read& read : batch->reads_) {
     Slice key;
     s = GetLengthPrefixedSlice(&input, &key);
+    if (s.ok()) s = GetBool(&input, &read.present);
+    if (s.ok() && read.present) s = GetHash256(&input, &read.value_hash);
     if (!s.ok()) return s;
     read.key = key.ToString();
-    if (input.empty()) return Status::Corruption("truncated read set");
-    const uint8_t present = static_cast<uint8_t>(input[0]);
-    input.remove_prefix(1);
-    if (present > 1) return Status::Corruption("bad read-set present flag");
-    read.present = present == 1;
-    if (read.present && !GetHash256(&input, &read.value_hash)) {
-      return Status::Corruption("truncated read-set value hash");
-    }
-    batch->reads_.push_back(std::move(read));
   }
-  if (!input.empty()) {
-    return Status::Corruption("trailing bytes after write batch");
-  }
-  return Status::OK();
+  return CheckConsumed(input, "write batch");
 }
 
 }  // namespace spitz

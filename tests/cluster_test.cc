@@ -1049,7 +1049,7 @@ TEST(ClusterVerifyTest, ScanRejectsRowsFromNonOwningShard) {
     ASSERT_TRUE(SpitzDb::VerifyScan(digest.shards[i], "fr-", "fr-~", 0,
                                     per_shard[i], proof)
                     .ok());
-    wire::EncodeRows(per_shard[i], &forged.proof);
+    PutEntryList(&forged.proof, per_shard[i]);
     proof.EncodeTo(&forged.proof);
   }
   digest.EncodeTo(&forged.digest);

@@ -119,32 +119,6 @@ TEST(MerkleTreeTest, ProofForIndexBeyondTreeFails) {
   EXPECT_TRUE(t.InclusionProof(1, &proof).IsInvalidArgument());
 }
 
-TEST(MerkleTreeTest, InclusionProofEncodingRoundTrip) {
-  MerkleTree t;
-  for (int i = 0; i < 20; i++) t.AppendLeafHash(Leaf(i));
-  MerkleInclusionProof proof;
-  ASSERT_TRUE(t.InclusionProof(7, &proof).ok());
-  std::string encoded = proof.Encode();
-  MerkleInclusionProof decoded;
-  ASSERT_TRUE(MerkleInclusionProof::Decode(encoded, &decoded).ok());
-  EXPECT_EQ(decoded.leaf_index, proof.leaf_index);
-  EXPECT_EQ(decoded.tree_size, proof.tree_size);
-  EXPECT_EQ(decoded.path.size(), proof.path.size());
-  EXPECT_TRUE(MerkleTree::VerifyInclusion(Leaf(7), decoded, t.Root()));
-}
-
-TEST(MerkleTreeTest, InclusionProofDecodeTruncatedFails) {
-  MerkleTree t;
-  for (int i = 0; i < 20; i++) t.AppendLeafHash(Leaf(i));
-  MerkleInclusionProof proof;
-  ASSERT_TRUE(t.InclusionProof(7, &proof).ok());
-  std::string encoded = proof.Encode();
-  encoded.resize(encoded.size() - 5);
-  MerkleInclusionProof decoded;
-  EXPECT_TRUE(
-      MerkleInclusionProof::Decode(encoded, &decoded).IsCorruption());
-}
-
 // Property: consistency proofs hold between every pair of sizes.
 TEST(MerkleTreeTest, ConsistencyProofPropertySweep) {
   MerkleTree t;

@@ -20,11 +20,14 @@
 #include <mutex>
 #include <thread>
 
+#include "chunk/chunk_store.h"
 #include "cluster/local_fleet.h"
 #include "common/clock.h"
 #include "common/codec.h"
 #include "common/random.h"
 #include "core/spitz_db.h"
+#include "index/mbt.h"
+#include "index/mpt.h"
 #include "net/frame.h"
 #include "net/net_client.h"
 #include "net/net_server.h"
@@ -250,11 +253,11 @@ TEST(NetWireTest, DigestRoundTrips) {
 TEST(NetWireTest, RowsRoundTripAndRejectTruncation) {
   std::vector<PosEntry> rows = {{"a", "1"}, {"bb", "22"}, {"ccc", ""}};
   std::string wire;
-  wire::EncodeRows(rows, &wire);
+  PutEntryList(&wire, rows);
 
   std::vector<PosEntry> out;
   Slice input(wire);
-  ASSERT_TRUE(wire::DecodeRows(&input, &out).ok());
+  ASSERT_TRUE(GetEntryList(&input, &out).ok());
   ASSERT_EQ(out.size(), rows.size());
   for (size_t i = 0; i < rows.size(); i++) {
     EXPECT_EQ(out[i].key, rows[i].key);
@@ -264,7 +267,7 @@ TEST(NetWireTest, RowsRoundTripAndRejectTruncation) {
   for (size_t len = 0; len < wire.size(); len++) {
     Slice truncated(wire.data(), len);
     std::vector<PosEntry> ignored;
-    EXPECT_FALSE(wire::DecodeRows(&truncated, &ignored).ok())
+    EXPECT_FALSE(GetEntryList(&truncated, &ignored).ok())
         << "prefix " << len;
   }
   // A huge claimed row count must fail cleanly, not allocate.
@@ -272,7 +275,7 @@ TEST(NetWireTest, RowsRoundTripAndRejectTruncation) {
   PutVarint64(&huge, 1ull << 40);
   Slice huge_input(huge);
   std::vector<PosEntry> ignored;
-  EXPECT_FALSE(wire::DecodeRows(&huge_input, &ignored).ok());
+  EXPECT_FALSE(GetEntryList(&huge_input, &ignored).ok());
 }
 
 // --- Generic transport: NetServer + NetClient -------------------------------
@@ -720,6 +723,66 @@ struct SpitzFixture {
     return client;
   }
 };
+
+// Pins the bytes the MPT and MBT backends hash and the rows a
+// kScanProof reply leads with, so a codec change that moves any of
+// them fails here. A fixed 1k-key dataset; the POS root is pinned by
+// PersistenceTest.FormatPinBulkLoadJournalAndFrameMatchGolden.
+TEST(FormatPinTest, MptMbtRootsBucketAndScanRowsMatchGolden) {
+  const char kGoldenMptRoot[] =
+      "944e9e2df720e42eada4be53ab2902fcf067888c286a0da4e10b64cb7e2fd28b";
+  const char kGoldenMbtRoot[] =
+      "7282e788b44078a6a9e27fe932e7cb543475621d52adf45f4494c2996ffb3e3a";
+  const char kGoldenBucket[] =
+      "050670696e3337310d7a7a7a7a7a7a7a7a7a7a7a7a7a0570696e34320c79797979"
+      "79797979797979790670696e3436390a6a6a6a6a6a6a6a6a6a6a0670696e3636"
+      "370a6a6a6a6a6a6a6a6a6a6a0670696e3732340c797979797979797979797979";
+  // kScanProof over ["b", "d"): varint(2) lp("bb") lp("bb!")
+  // lp("ccc") lp("ccc!"), then the proof and the digest.
+  const std::string kGoldenScanRows("\x02\x02" "bb" "\x03" "bb!"
+                                    "\x03" "ccc" "\x04" "ccc!");
+  auto hex = [](const Slice& bytes) {
+    static const char kDigits[] = "0123456789abcdef";
+    std::string out;
+    for (size_t i = 0; i < bytes.size(); i++) {
+      const auto b = static_cast<uint8_t>(bytes[i]);
+      out += kDigits[b >> 4];
+      out += kDigits[b & 0xf];
+    }
+    return out;
+  };
+  ChunkStore store;
+  MerklePatriciaTrie mpt(&store);
+  MerkleBucketTree mbt(&store);
+  Hash256 mpt_root = MerklePatriciaTrie::EmptyRoot();
+  Hash256 mbt_root;
+  for (int i = 0; i < 1000; i++) {
+    const std::string key = "pin" + std::to_string(i * 7919 % 1000);
+    const std::string value(1 + i % 13, static_cast<char>('a' + i % 26));
+    ASSERT_TRUE(mpt.Put(mpt_root, key, value, &mpt_root).ok());
+    ASSERT_TRUE(mbt.Put(mbt_root, key, value, &mbt_root).ok());
+  }
+  EXPECT_EQ(mpt_root.ToHex(), kGoldenMptRoot);
+  EXPECT_EQ(mbt_root.ToHex(), kGoldenMbtRoot);
+  std::string value;
+  MerkleBucketTree::Proof proof;
+  ASSERT_TRUE(mbt.Get(mbt_root, "pin42", &value, &proof).ok());
+  EXPECT_EQ(hex(proof.bucket.payload), kGoldenBucket);
+
+  std::unique_ptr<LocalFleet> fleet;
+  ASSERT_TRUE(LocalFleet::Open(LocalFleet::Options(), &fleet).ok());
+  for (const char* key : {"a", "bb", "ccc", "dddd"}) {
+    ASSERT_TRUE(fleet->db(0)->Put(key, std::string(key) + "!").ok());
+  }
+  std::unique_ptr<NetClient> client;
+  ASSERT_TRUE(NetClient::Connect(fleet->ClientOptions(0).net, &client).ok());
+  std::string request, response;
+  PutLengthPrefixedSlice(&request, "b");
+  PutLengthPrefixedSlice(&request, "d");
+  PutVarint64(&request, 0);
+  ASSERT_TRUE(client->Call(wire::kScanProof, request, &response).ok());
+  EXPECT_EQ(response.substr(0, kGoldenScanRows.size()), kGoldenScanRows);
+}
 
 TEST(NetSpitzTest, PutGetDeleteRoundTrip) {
   SpitzFixture fx;

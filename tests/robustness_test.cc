@@ -98,14 +98,6 @@ TEST(RobustnessTest, BlockDecoderRejectsBitFlips) {
   EXPECT_EQ(decoded_differently, 0);
 }
 
-TEST(RobustnessTest, InclusionProofDecoderNeverCrashes) {
-  Random rng(105);
-  for (int i = 0; i < kTrials; i++) {
-    MerkleInclusionProof proof;
-    (void)MerkleInclusionProof::Decode(RandomGarbage(&rng), &proof);
-  }
-}
-
 // The catalog decoder reads c/<name> values back from the ledger: random
 // bytes and every truncation of a valid entry are rejected.
 TEST(RobustnessTest, CatalogDecoderRejectsGarbageAndTruncations) {
