@@ -11,7 +11,11 @@
 #   cluster and replica tests, and the POS-tree, persistence and
 #   delta-chunk tests, whose bulk builds, bulk loads, recoveries and GC
 #   passes hash or read on several threads (common/fork_join, whose own
-#   test runs here too).
+#   test runs here too). Among the concurrency cases, readers pinned to
+#   versions inside and outside the retain_versions window race a writer
+#   whose seals erase the index nodes older blocks replaced from the
+#   buffer cache
+#   (ConcurrencyTest.PinnedReadersRaceRetirementOfReplacedNodes).
 # ASan+UBSan: the proof-codec, database, group-commit, version-GC,
 #   deferred-auditor, key-history,
 #   2PC participant, write-batch and read-set, network, cluster,

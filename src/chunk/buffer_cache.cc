@@ -67,6 +67,7 @@ void BufferCache::Erase(const Hash256& id) {
     if (it == shard->map.end()) continue;
     shard->bytes[kind] -= it->second->charge;
     shard->entries[kind]--;
+    shard->erases[kind]++;
     shard->lru.erase(it->second);
     shard->map.erase(it);
   }
@@ -100,6 +101,7 @@ BufferCache::Stats BufferCache::stats() const {
       s.kind[k].entries += shard.entries[k];
       s.kind[k].bytes += shard.bytes[k];
       s.kind[k].evictions += shard.evictions[k];
+      s.kind[k].erases += shard.erases[k];
     }
   }
   return s;
@@ -113,6 +115,8 @@ void BufferCache::ExportMetrics(MetricsRegistry* registry) const {
                               [this] { return stats().inserts(); });
   registry->RegisterCounterFn("cache.evictions",
                               [this] { return stats().evictions(); });
+  registry->RegisterCounterFn("cache.erases",
+                              [this] { return stats().erases(); });
   registry->RegisterGaugeFn("cache.entries",
                             [this] { return stats().entries(); });
   registry->RegisterGaugeFn("cache.bytes", [this] { return stats().bytes(); });

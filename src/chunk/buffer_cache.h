@@ -24,11 +24,14 @@ namespace spitz {
 // Coherence is trivial: keys are content hashes of immutable data, so a
 // cached value can never be stale — there is no invalidation path, only
 // eviction (the no-invalidation property the whole read path is built
-// on). Erase exists solely for the GC, which removes every entry of a
-// chunk whose backing record it is about to delete — not because they
-// are stale, but so dead chunks stop occupying budget. Nor does any
-// reader depend on an entry staying: the durable store holds its own
-// unflushed chunks, so every entry can be evicted and read back.
+// on). Erase retires entries that no longer earn their budget — not
+// because they are stale — and has two callers: the GC, which removes
+// every entry of a chunk whose backing record it is about to delete,
+// and SpitzDb, which removes the index nodes a write replaced once its
+// block leaves the retain_versions window, so the cache holds the
+// retained versions rather than the write history. Nor does any reader
+// depend on an entry staying: the durable store holds its own unflushed
+// chunks, so every entry can be evicted or erased and read back.
 //
 // Thread safety: fully thread-safe; sharded by a key byte like the
 // chunk store's resident map.
@@ -41,9 +44,10 @@ class BufferCache {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t inserts = 0;
-    uint64_t evictions = 0;
-    uint64_t entries = 0;  // currently resident
-    uint64_t bytes = 0;    // resident charge
+    uint64_t evictions = 0;  // dropped under budget pressure
+    uint64_t erases = 0;     // dropped by Erase
+    uint64_t entries = 0;    // currently resident
+    uint64_t bytes = 0;      // resident charge
   };
 
   struct Stats {
@@ -54,6 +58,7 @@ class BufferCache {
     uint64_t misses() const { return Total(&KindStats::misses); }
     uint64_t inserts() const { return Total(&KindStats::inserts); }
     uint64_t evictions() const { return Total(&KindStats::evictions); }
+    uint64_t erases() const { return Total(&KindStats::erases); }
     uint64_t entries() const { return Total(&KindStats::entries); }
     uint64_t bytes() const { return Total(&KindStats::bytes); }
 
@@ -83,8 +88,9 @@ class BufferCache {
   void Insert(Kind kind, const Hash256& id, std::shared_ptr<const void> value,
               size_t charge);
 
-  // Drops every entry cached under `id`, of any kind. Used by
-  // the GC to stop a dead chunk, raw and decoded, from occupying budget.
+  // Drops every entry cached under `id`, of any kind, so a chunk no
+  // longer worth its budget (dead to the GC, or replaced by a write
+  // older than the retained window) stops occupying it, raw and decoded.
   void Erase(const Hash256& id);
 
   // Drops every entry (counters are retained).
@@ -125,6 +131,7 @@ class BufferCache {
     size_t bytes[kKindCount] = {0, 0};
     size_t entries[kKindCount] = {0, 0};
     uint64_t evictions[kKindCount] = {0, 0};
+    uint64_t erases[kKindCount] = {0, 0};
   };
 
   Shard* ShardOf(const Hash256& id) {

@@ -61,9 +61,11 @@ class ChunkStore {
   // content id. A non-null `base` is a stored chunk this one replaces
   // (the node a path copy rewrites), held by the caller for the call. A
   // durable store may then record the new chunk as a patch on it, and
-  // caches the new chunk, which the next operation reads; a chunk put
-  // with no base (a bulk build's, a blob's) is not cached. The
-  // in-memory store ignores it.
+  // caches the new chunk, which the next operation reads, until a later
+  // write replaces it and that write's block leaves the retain_versions
+  // window (SpitzDb then erases it) or budget pressure evicts it; a
+  // chunk put with no base (a bulk build's, a blob's) is not cached.
+  // The in-memory store ignores it.
   virtual Hash256 Put(Chunk chunk, const Chunk* base = nullptr);
 
   // Looks up a chunk by id. The returned shared_ptr is the caller's

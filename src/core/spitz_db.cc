@@ -192,6 +192,8 @@ void SpitzDb::WireMetrics() {
                               node_stat(&KindStats::inserts));
   registry_.RegisterCounterFn("index.cache.evictions",
                               node_stat(&KindStats::evictions));
+  registry_.RegisterCounterFn("index.cache.erases",
+                              node_stat(&KindStats::erases));
   registry_.RegisterGaugeFn("index.cache.entries",
                             node_stat(&KindStats::entries));
   registry_.RegisterGaugeFn("index.cache.bytes", node_stat(&KindStats::bytes));
@@ -342,13 +344,14 @@ Status SpitzDb::ValidateReadsLocked(const WriteBatch& batch) {
   return s;
 }
 
-Status SpitzDb::ApplyToIndex(const WriteBatch& batch, Hash256* root) const {
+Status SpitzDb::ApplyToIndex(const WriteBatch& batch, Hash256* root,
+                             std::vector<Hash256>* replaced) const {
   for (const WriteBatch::Op& op : batch.ops()) {
     Status s;
     if (op.type == WriteBatch::OpType::kPut) {
-      s = index_->Put(*root, op.key, op.value, root);
+      s = index_->Put(*root, op.key, op.value, root, replaced);
     } else {
-      s = index_->Delete(*root, op.key, root);
+      s = index_->Delete(*root, op.key, root, replaced);
       if (s.IsNotFound()) continue;  // deleting an absent key is a no-op
     }
     if (!s.ok()) return s;
@@ -360,8 +363,13 @@ Status SpitzDb::ApplyBatchLocked(const WriteBatch& batch) {
   uint64_t commit_ts = clock_.Allocate();
   // Apply every op to the unified index (copy-on-write; shared nodes).
   Hash256 root = root_;
-  Status s = ApplyToIndex(batch, &root);
-  if (!s.ok()) return s;
+  const size_t replaced_before = replaced_.size();
+  Status s = ApplyToIndex(batch, &root, &replaced_);
+  if (!s.ok()) {
+    // The new root is not adopted, so its nodes replaced nothing.
+    replaced_.resize(replaced_before);
+    return s;
+  }
   root_ = root;
   last_commit_ts_ = commit_ts;
   // Record the modification in the ledger buffer.
@@ -393,6 +401,18 @@ void SpitzDb::SealPendingLocked(const Hash256* entries_root) {
                                  : Block::ComputeEntriesRoot(pending_);
   ledger_.Append(std::move(pending_), merkle_root, root_, NowMicros());
   pending_.clear();
+  RetireLocked(std::move(replaced_));
+  replaced_.clear();
+}
+
+void SpitzDb::RetireLocked(std::vector<Hash256> replaced) {
+  // A node block b replaced belongs to the versions before b, which
+  // the GC keeps until b - 1 leaves its window; one block more keeps
+  // every version a pinned read may still name cached.
+  retiring_.push_back(std::move(replaced));
+  if (retiring_.size() <= options_.retain_versions) return;
+  for (const Hash256& id : retiring_.front()) buffer_cache_->Erase(id);
+  retiring_.pop_front();
 }
 
 Status SpitzDb::BulkLoad(std::vector<PosEntry> entries) {
@@ -825,7 +845,8 @@ Status SpitzDb::ApplySealedBlock(const Block& block, const Slice& serialized,
           "replicated block");
     }
     Hash256 root = root_;
-    Status s = ApplyToIndex(ops, &root);
+    std::vector<Hash256> replaced;
+    Status s = ApplyToIndex(ops, &root, &replaced);
     if (!s.ok()) return s;
     if (root != block.index_root()) {
       // The hard replication fault: both sides applied the same ops
@@ -840,6 +861,7 @@ Status SpitzDb::ApplySealedBlock(const Block& block, const Slice& serialized,
     s = ledger_.Restore(block, serialized);
     if (!s.ok()) return s;
     AdoptBlock(block);
+    RetireLocked(std::move(replaced));
     block_count = ledger_.block_count();
     PublishSnapshotLocked(/*journal_changed=*/true);
   }

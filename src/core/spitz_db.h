@@ -2,6 +2,7 @@
 #define SPITZ_CORE_SPITZ_DB_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -433,9 +434,17 @@ class SpitzDb : public VerifiedKv {
   Status ApplyBatchLocked(const WriteBatch& batch);
 
   // The index-apply loop of ApplyBatchLocked and ApplySealedBlock:
-  // `batch`'s ops, copy-on-write from *root. Deleting an absent key is
-  // a no-op.
-  Status ApplyToIndex(const WriteBatch& batch, Hash256* root) const;
+  // `batch`'s ops, copy-on-write from *root, appending to *replaced the
+  // ids of the index nodes they replaced. Deleting an absent key is a
+  // no-op.
+  Status ApplyToIndex(const WriteBatch& batch, Hash256* root,
+                      std::vector<Hash256>* replaced) const;
+
+  // Files `replaced`, the ids of the index nodes a block entering the
+  // ledger replaced, as the newest of the retain_versions window; the
+  // block that leaves the window has its ids erased from the buffer
+  // cache, raw and decoded. Callers hold mu_.
+  void RetireLocked(std::vector<Hash256> replaced);
 
   // What a block the journal took at recovery (Journal::Open) or from
   // a primary (Journal::Restore) changes here: indexes its key history,
@@ -525,6 +534,12 @@ class SpitzDb : public VerifiedKv {
   Hash256 root_;                      // current index version
   std::vector<LedgerEntry> pending_;  // entries awaiting block seal
   uint64_t last_commit_ts_ = 0;
+  // The cache keeps the versions the GC keeps: ids of the index nodes
+  // the writes since the last seal replaced, then, per sealed block of
+  // the last retain_versions, the ids its writes replaced (oldest
+  // first). See RetireLocked.
+  std::vector<Hash256> replaced_;
+  std::deque<std::vector<Hash256>> retiring_;
   // Key-history index: the journal position of every sealed write, one
   // fingerprint slot per key and no key bytes (KeyHistoryIndex). Fed at
   // seal, at recovery and on replica apply, beside each ledger append.

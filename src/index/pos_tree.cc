@@ -570,18 +570,20 @@ std::optional<PosTree::ChildRef> PosTree::SiblingCursor::Next() {
 }
 
 Status PosTree::Put(const Hash256& root, const Slice& key, const Slice& value,
-                    Hash256* new_root) const {
-  return Update(root, key, value.ToString(), new_root);
+                    Hash256* new_root, std::vector<Hash256>* replaced) const {
+  return Update(root, key, value.ToString(), new_root, replaced);
 }
 
 Status PosTree::Delete(const Hash256& root, const Slice& key,
-                       Hash256* new_root) const {
-  return Update(root, key, std::nullopt, new_root);
+                       Hash256* new_root,
+                       std::vector<Hash256>* replaced) const {
+  return Update(root, key, std::nullopt, new_root, replaced);
 }
 
 Status PosTree::Update(const Hash256& root, const Slice& key,
                        const std::optional<std::string>& value,
-                       Hash256* new_root) const {
+                       Hash256* new_root,
+                       std::vector<Hash256>* replaced) const {
   if (root.IsZero()) {
     if (!value.has_value()) return Status::NotFound("empty tree");
     // One entry is one leaf, the whole tree.
@@ -591,7 +593,12 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
 
   // 1. Descend to the leaf, recording the path. The node taken at each
   //    level is the base every node rebuilt at that level is handed to
-  //    the store with (ChunkStore::Put).
+  //    the store with (ChunkStore::Put). `old_ids` gathers every node of
+  //    `root` this write replaces, `new_ids` every node it stores up to
+  //    the old root's level (a node stored above it, as the tree grows,
+  //    cannot repeat an old one).
+  std::vector<Hash256> old_ids;
+  std::vector<Hash256> new_ids;
   std::vector<PathFrame> frames;
   std::shared_ptr<const PosNode> leaf;
   Hash256 id = root;
@@ -600,6 +607,7 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
     std::shared_ptr<const PosNode> node;
     Status s = LoadNode(id, &node);
     if (!s.ok()) return s;
+    old_ids.push_back(id);
     if (node->is_leaf()) {
       AppendEntries(*node, &leaf_entries);
       leaf = std::move(node);
@@ -653,6 +661,7 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
       break;
     }
     consumed_old++;
+    old_ids.push_back(next->id);
     std::shared_ptr<const PosNode> next_node;
     Status s = LoadNode(next->id, &next_node);
     if (!s.ok()) return s;
@@ -662,6 +671,8 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
     pending = std::move(suffix);
     AppendEntries(*next_node, &pending);
   }
+
+  for (const ChildRef& ref : new_refs) new_ids.push_back(ref.id);
 
   // 4. Propagate upward level by level.
   for (int fi = static_cast<int>(frames.size()) - 1; fi >= 0; fi--) {
@@ -689,6 +700,7 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
         break;
       }
       nodes_consumed_here++;
+      old_ids.push_back(sib->id);
       std::shared_ptr<const PosNode> sib_node;
       Status s = LoadNode(sib->id, &sib_node);
       if (!s.ok()) return s;
@@ -717,6 +729,7 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
         break;
       }
       nodes_consumed_here++;
+      old_ids.push_back(sib->id);
       std::shared_ptr<const PosNode> sib_node;
       Status s = LoadNode(sib->id, &sib_node);
       if (!s.ok()) return s;
@@ -727,6 +740,7 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
       level_pending.insert(level_pending.end(), sib_node->children().begin(),
                            sib_node->children().end());
     }
+    for (const ChildRef& ref : refs_up) new_ids.push_back(ref.id);
     new_refs = std::move(refs_up);
     consumed_old = nodes_consumed_here;
   }
@@ -735,15 +749,28 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
   //    result is identical to a fresh bulk build of the same data
   //    (structural invariance).
   Hash256 result = BuildUp(std::move(new_refs));
+  std::vector<Hash256> collapsed;  // stored above, in no version
   while (!result.IsZero()) {
     std::shared_ptr<const PosNode> node;
     Status s = LoadNode(result, &node);
     if (!s.ok()) return s;
     if (node->is_leaf()) break;
     if (node->children().size() != 1) break;
+    collapsed.push_back(result);
     result = node->children()[0].id;
   }
   *new_root = result;
+  if (replaced != nullptr) {
+    // A re-chunk can store a node identical to one it consumed; the new
+    // version holds that one, so it is not replaced.
+    std::sort(new_ids.begin(), new_ids.end());
+    for (const Hash256& old : old_ids) {
+      if (!std::binary_search(new_ids.begin(), new_ids.end(), old)) {
+        replaced->push_back(old);
+      }
+    }
+    replaced->insert(replaced->end(), collapsed.begin(), collapsed.end());
+  }
   return Status::OK();
 }
 

@@ -172,13 +172,21 @@ class PosTree {
   Status Get(const Hash256& root, const Slice& key, std::string* value,
              PosProof* proof) const;
 
-  // Writes one key (insert or overwrite); returns the new root.
+  // Writes one key (insert or overwrite); returns the new root. A
+  // non-null `replaced` gets appended the ids of the nodes of `root`
+  // the write replaced: the descended leaf, every meta node on the
+  // path and the siblings consumed while re-chunking, less any id the
+  // new version still contains. It also gets any single-child root the
+  // write stored and then collapsed away, a node of no version. A
+  // no-op write or a failure appends nothing.
   Status Put(const Hash256& root, const Slice& key, const Slice& value,
-             Hash256* new_root) const;
+             Hash256* new_root,
+             std::vector<Hash256>* replaced = nullptr) const;
 
   // Removes one key; returns the new root. NotFound if absent.
-  Status Delete(const Hash256& root, const Slice& key,
-                Hash256* new_root) const;
+  // `replaced` as for Put.
+  Status Delete(const Hash256& root, const Slice& key, Hash256* new_root,
+                std::vector<Hash256>* replaced = nullptr) const;
 
   // Range read: collects entries with key in [start, end) up to `limit`
   // (0 = no limit), in key order. When `proof` is non-null it cites
@@ -289,8 +297,8 @@ class PosTree {
   // Core of Put/Delete: applies `apply` to the entries of the leaf the
   // key routes to and rebuilds the affected region of the tree.
   Status Update(const Hash256& root, const Slice& key,
-                const std::optional<std::string>& value,
-                Hash256* new_root) const;
+                const std::optional<std::string>& value, Hash256* new_root,
+                std::vector<Hash256>* replaced) const;
 
   ChunkStore* store_;
   PosTreeOptions options_;

@@ -296,12 +296,21 @@ class TreeSiriIndex : public SiriIndex {
     return tree_.Get(root, key, value, &(proof->*Body));
   }
   Status Put(const Hash256& root, const Slice& key, const Slice& value,
-             Hash256* new_root) const override {
-    return tree_.Put(root, key, value, new_root);
+             Hash256* new_root,
+             std::vector<Hash256>* replaced = nullptr) const override {
+    if constexpr (Kind == SiriBackend::kPosTree) {
+      return tree_.Put(root, key, value, new_root, replaced);
+    } else {
+      return tree_.Put(root, key, value, new_root);
+    }
   }
-  Status Delete(const Hash256& root, const Slice& key,
-                Hash256* new_root) const override {
-    return tree_.Delete(root, key, new_root);
+  Status Delete(const Hash256& root, const Slice& key, Hash256* new_root,
+                std::vector<Hash256>* replaced = nullptr) const override {
+    if constexpr (Kind == SiriBackend::kPosTree) {
+      return tree_.Delete(root, key, new_root, replaced);
+    } else {
+      return tree_.Delete(root, key, new_root);
+    }
   }
   Status Count(const Hash256& root, uint64_t* count) const override {
     return tree_.Count(root, count);

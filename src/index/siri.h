@@ -157,10 +157,15 @@ class SiriIndex {
 
   // --- Writes -------------------------------------------------------------
 
+  // A non-null `replaced` gets appended the ids of the nodes the write
+  // replaced (PosTree::Put); backends that cache no decoded nodes append
+  // nothing.
   virtual Status Put(const Hash256& root, const Slice& key, const Slice& value,
-                     Hash256* new_root) const = 0;
+                     Hash256* new_root,
+                     std::vector<Hash256>* replaced = nullptr) const = 0;
   virtual Status Delete(const Hash256& root, const Slice& key,
-                        Hash256* new_root) const = 0;
+                        Hash256* new_root,
+                        std::vector<Hash256>* replaced = nullptr) const = 0;
   virtual Status Count(const Hash256& root, uint64_t* count) const = 0;
 
   // Inserts the ids of every chunk reachable from `root` (the root

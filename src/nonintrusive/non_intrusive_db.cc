@@ -43,6 +43,9 @@ Status NonIntrusiveDb::Open(Options options,
 
 // --- Server-side handlers ---------------------------------------------------
 
+// A request is exactly one encoding: each handler reads its fields,
+// then refuses trailing bytes before serving.
+
 Status NonIntrusiveDb::HandleKvs(uint32_t method, const std::string& request,
                                  std::string* response) {
   Slice input(request);
@@ -50,14 +53,15 @@ Status NonIntrusiveDb::HandleKvs(uint32_t method, const std::string& request,
     case kKvsPut: {
       Slice key, value;
       Status s = GetLengthPrefixedSlice(&input, &key);
-      if (!s.ok()) return s;
-      s = GetLengthPrefixedSlice(&input, &value);
+      if (s.ok()) s = GetLengthPrefixedSlice(&input, &value);
+      if (s.ok()) s = CheckConsumed(input, "the kvs request");
       if (!s.ok()) return s;
       return kvs_.Put(key, value);
     }
     case kKvsGet: {
       Slice key;
       Status s = GetLengthPrefixedSlice(&input, &key);
+      if (s.ok()) s = CheckConsumed(input, "the kvs request");
       if (!s.ok()) return s;
       std::string value;
       s = kvs_.Get(key, &value);
@@ -69,10 +73,9 @@ Status NonIntrusiveDb::HandleKvs(uint32_t method, const std::string& request,
       Slice start, end;
       uint64_t limit = 0;
       Status s = GetLengthPrefixedSlice(&input, &start);
-      if (!s.ok()) return s;
-      s = GetLengthPrefixedSlice(&input, &end);
-      if (!s.ok()) return s;
-      s = GetVarint64(&input, &limit);
+      if (s.ok()) s = GetLengthPrefixedSlice(&input, &end);
+      if (s.ok()) s = GetVarint64(&input, &limit);
+      if (s.ok()) s = CheckConsumed(input, "the kvs request");
       if (!s.ok()) return s;
       std::vector<PosEntry> entries;
       s = kvs_.Scan(start, end, static_cast<size_t>(limit), &entries);
@@ -92,16 +95,17 @@ Status NonIntrusiveDb::HandleLedger(uint32_t method,
   switch (method) {
     case kLedgerAppend: {
       Slice key;
-      Status s = GetLengthPrefixedSlice(&input, &key);
-      if (!s.ok()) return s;
       Hash256 value_hash;
-      s = GetHash256(&input, &value_hash);
+      Status s = GetLengthPrefixedSlice(&input, &key);
+      if (s.ok()) s = GetHash256(&input, &value_hash);
+      if (s.ok()) s = CheckConsumed(input, "the ledger request");
       if (!s.ok()) return s;
       return ledger_db_.Put(key, value_hash.ToBytes());
     }
     case kLedgerProve: {
       Slice key;
       Status s = GetLengthPrefixedSlice(&input, &key);
+      if (s.ok()) s = CheckConsumed(input, "the ledger request");
       if (!s.ok()) return s;
       std::string stored;
       ReadProof proof;
@@ -112,6 +116,8 @@ Status NonIntrusiveDb::HandleLedger(uint32_t method,
       return Status::OK();
     }
     case kLedgerDigest: {
+      Status s = CheckConsumed(input, "the ledger request");
+      if (!s.ok()) return s;
       ledger_db_.Digest().EncodeTo(response);
       return Status::OK();
     }

@@ -85,7 +85,9 @@ class NonIntrusiveDb {
   uint64_t underlying_rpc_calls() const { return kvs_server_->calls_served(); }
   uint64_t ledger_rpc_calls() const { return ledger_server_->calls_served(); }
 
- private:
+  // The server side of the two channels: each decodes one request of
+  // `method` and serves it. A request must be exactly its fields;
+  // trailing bytes are Corruption.
   enum Method : uint32_t {
     kKvsPut = 1,
     kKvsGet = 2,
@@ -94,12 +96,12 @@ class NonIntrusiveDb {
     kLedgerProve = 11,
     kLedgerDigest = 12,
   };
-
   Status HandleKvs(uint32_t method, const std::string& request,
                    std::string* response);
   Status HandleLedger(uint32_t method, const std::string& request,
                       std::string* response);
 
+ private:
   // Serves `handler` on a new channel; sets init_status_ on failure (and
   // leaves the channel null).
   std::unique_ptr<TcpChannel> MakeChannel(NetServer::Handler handler);

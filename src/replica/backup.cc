@@ -1,5 +1,6 @@
 #include "replica/backup.h"
 
+#include "common/codec.h"
 #include "replica/record.h"
 
 namespace spitz {
@@ -101,10 +102,14 @@ Status BackupReplica::HandleAck(std::string* response) {
 
 Status BackupReplica::HandleStatus(const Slice& request,
                                    std::string* response) {
-  if (request.size() != 1) {
-    return Status::InvalidArgument("replica status request is one command byte");
+  Slice input = request;
+  uint8_t command = 0;
+  Status s = GetByte(&input, &command);
+  if (s.ok()) s = CheckConsumed(input, "the command byte");
+  if (!s.ok()) {
+    return Status::InvalidArgument(
+        "replica status request is one command byte: " + s.message());
   }
-  const uint8_t command = static_cast<uint8_t>(request[0]);
   switch (command) {
     case wire::kReplicaStatusQuery:
       break;

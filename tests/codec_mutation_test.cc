@@ -36,6 +36,8 @@
 #include "net/frame.h"
 #include "net/net_client.h"
 #include "net/spitz_wire.h"
+#include "nonintrusive/non_intrusive_db.h"
+#include "replica/backup.h"
 #include "replica/record.h"
 #include "txn/write_batch.h"
 
@@ -1081,6 +1083,81 @@ TEST(OneByteFormTest, ReplicaStatusRoleIsZeroOrOne) {
   bytes[0] = '\x02';
   input = Slice(bytes);
   EXPECT_FALSE(wire::ReplicaStatusResult::DecodeFrom(&input, &status).ok());
+}
+
+// NonIntrusiveDb's request handlers read a request's fields, then
+// refuse a trailing byte before serving: a put or append so refused
+// writes nothing.
+TEST(OneByteFormTest, NonIntrusiveKvsRequestsRefuseTrailingBytes) {
+  NonIntrusiveDb db;
+  std::string put, get, scan, response;
+  PutLengthPrefixedSlice(&put, "k");
+  PutLengthPrefixedSlice(&put, "v");
+  PutLengthPrefixedSlice(&get, "k");
+  PutLengthPrefixedSlice(&scan, "a");
+  PutLengthPrefixedSlice(&scan, "z");
+  PutVarint64(&scan, 0);
+  EXPECT_TRUE(db.HandleKvs(NonIntrusiveDb::kKvsPut, put + '\0', &response)
+                  .IsCorruption());
+  EXPECT_TRUE(db.HandleKvs(NonIntrusiveDb::kKvsGet, get, &response)
+                  .IsNotFound());
+  ASSERT_TRUE(db.HandleKvs(NonIntrusiveDb::kKvsPut, put, &response).ok());
+  for (const auto& [method, request] :
+       {std::pair{NonIntrusiveDb::kKvsGet, get},
+        std::pair{NonIntrusiveDb::kKvsScan, scan}}) {
+    SCOPED_TRACE(method);
+    response.clear();
+    EXPECT_TRUE(db.HandleKvs(method, request + '\0', &response).IsCorruption());
+    EXPECT_TRUE(response.empty());
+    EXPECT_TRUE(db.HandleKvs(method, request, &response).ok());
+  }
+}
+
+TEST(OneByteFormTest, NonIntrusiveLedgerRequestsRefuseTrailingBytes) {
+  NonIntrusiveDb db;
+  std::string append, prove, response;
+  PutLengthPrefixedSlice(&append, "k");
+  append += Hash256::Of("v").ToBytes();
+  PutLengthPrefixedSlice(&prove, "k");
+  EXPECT_TRUE(
+      db.HandleLedger(NonIntrusiveDb::kLedgerAppend, append + '\0', &response)
+          .IsCorruption());
+  EXPECT_TRUE(db.HandleLedger(NonIntrusiveDb::kLedgerProve, prove, &response)
+                  .IsNotFound());
+  ASSERT_TRUE(
+      db.HandleLedger(NonIntrusiveDb::kLedgerAppend, append, &response).ok());
+  for (const auto& [method, request] :
+       {std::pair{NonIntrusiveDb::kLedgerProve, prove},
+        std::pair{NonIntrusiveDb::kLedgerDigest, std::string()}}) {
+    SCOPED_TRACE(method);
+    response.clear();
+    EXPECT_TRUE(
+        db.HandleLedger(method, request + '\0', &response).IsCorruption());
+    EXPECT_TRUE(response.empty());
+    EXPECT_TRUE(db.HandleLedger(method, request, &response).ok());
+  }
+}
+
+// A replica status request is one command byte: none, or one more,
+// is InvalidArgument, and a refused promote leaves the node a backup.
+TEST(OneByteFormTest, ReplicaStatusRequestIsOneCommandByte) {
+  SpitzDb db;
+  BackupReplica::Options options;
+  options.db = &db;
+  std::unique_ptr<BackupReplica> backup;
+  ASSERT_TRUE(BackupReplica::Open(options, &backup).ok());
+  std::string response;
+  const std::string query(1, static_cast<char>(wire::kReplicaStatusQuery));
+  const std::string promote(1, static_cast<char>(wire::kReplicaStatusPromote));
+  EXPECT_TRUE(backup->HandleStatus("", &response).IsInvalidArgument());
+  EXPECT_TRUE(
+      backup->HandleStatus(query + '\0', &response).IsInvalidArgument());
+  EXPECT_TRUE(
+      backup->HandleStatus(promote + '\0', &response).IsInvalidArgument());
+  EXPECT_TRUE(response.empty());
+  EXPECT_TRUE(backup->IsBackup());
+  EXPECT_TRUE(backup->HandleStatus(query, &response).ok());
+  EXPECT_TRUE(backup->IsBackup());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // -fsanitize=thread (cmake -DSPITZ_SANITIZE=thread, or ci/check.sh) to
 // check for data races.
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <memory>
@@ -614,6 +615,71 @@ TEST(ConcurrencyTest, ReadsOfUnflushedRecordsRaceAppendsAndSyncs) {
   EXPECT_TRUE(store->status().ok());
   EXPECT_EQ(cache.stats().entries(), 0u);
   store.reset();
+  std::filesystem::remove_all(dir);
+}
+
+// Readers pinned to versions inside and outside the retain_versions
+// window race a writer whose every block retires the index nodes that
+// the block leaving the window replaced: every read returns the value
+// of its version and verifies against it, whether its nodes come from
+// the cache or, once retired, from the store.
+TEST(ConcurrencyTest, PinnedReadersRaceRetirementOfReplacedNodes) {
+  const std::string dir = ::testing::TempDir() + "/spitz_retire_race";
+  std::filesystem::remove_all(dir);
+  SpitzOptions options;
+  options.data_dir = dir;
+  options.block_size = 1;
+  options.retain_versions = 4;
+  std::unique_ptr<SpitzDb> db;
+  ASSERT_TRUE(SpitzDb::Open(options, &db).ok());
+  // Write i puts "v<i>" under key i % kKeys, so in the version after
+  // write i, key k holds the value of the last write j <= i on it.
+  constexpr int kKeys = 32;
+  constexpr int kWrites = 1500;
+  const auto key_of = [](int i) { return "hot" + std::to_string(i % kKeys); };
+  std::vector<Hash256> roots(kWrites);
+  std::atomic<int> published{0};
+  std::atomic<uint64_t> failures{0};
+  std::thread writer([&] {
+    for (int i = 0; i < kWrites; i++) {
+      if (!db->Put(key_of(i), "v" + std::to_string(i)).ok()) {
+        failures.fetch_add(1);
+      }
+      if (i % 64 == 63 && !db->SyncStorage().ok()) failures.fetch_add(1);
+      roots[i] = db->Digest().index_root;
+      published.store(i + 1, std::memory_order_release);
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; r++) {
+    readers.emplace_back([&, r] {
+      Random pick(300 + r);
+      for (;;) {
+        const int n = published.load(std::memory_order_acquire);
+        if (n == kWrites) break;
+        if (n < kKeys) continue;
+        // Half inside the window, half anywhere in the history.
+        const int lo = pick.OneIn(2) ? std::max(kKeys - 1, n - 4) : kKeys - 1;
+        const int i = lo + static_cast<int>(pick.Uniform(n - lo));
+        const int k = static_cast<int>(pick.Uniform(kKeys));
+        const int last = i - ((i - k) % kKeys);
+        SpitzDigest pinned;
+        pinned.index_root = roots[i];
+        std::string value;
+        ReadProof proof;
+        if (!db->Read(pinned.index_root, key_of(k), &value, &proof).ok() ||
+            value != "v" + std::to_string(last) ||
+            !SpitzDb::VerifyRead(pinned, key_of(k), value, proof).ok()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  writer.join();
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_GT(db->Metrics().CounterValue("index.cache.erases"), 0u);
+  db.reset();
   std::filesystem::remove_all(dir);
 }
 

@@ -311,6 +311,45 @@ TEST(MetricsEndToEndTest, PagedStoreGcAndCacheMetricsRoundTripThroughJson) {
   std::filesystem::remove_all(dir);
 }
 
+// cache.erases and index.cache.erases count entries Erase retired
+// apart from the ones budget pressure evicted: overwrites behind a
+// cache far larger than the data evict nothing, yet every block past
+// the retain_versions window erases the index nodes its writes
+// replaced, raw and decoded.
+TEST(MetricsEndToEndTest, CacheErasesCountRetirementApartFromEvictions) {
+  std::string dir = ::testing::TempDir() + "/spitz_metrics_erases";
+  std::filesystem::remove_all(dir);
+  SpitzOptions options;
+  options.block_size = 1;
+  options.data_dir = dir;
+  options.retain_versions = 2;
+  std::unique_ptr<SpitzDb> db;
+  ASSERT_TRUE(SpitzDb::Open(options, &db).ok());
+  for (int i = 0; i < 200; i++) {
+    ASSERT_TRUE(db->Put("key" + std::to_string(i % 16),
+                        "value" + std::to_string(i))
+                    .ok());
+  }
+  const MetricsSnapshot snap = db->Metrics();
+  EXPECT_EQ(snap.CounterValue("cache.evictions"), 0u);
+  EXPECT_EQ(snap.CounterValue("index.cache.evictions"), 0u);
+  const uint64_t node_erases = snap.CounterValue("index.cache.erases");
+  EXPECT_GT(node_erases, 0u);
+  // The raw copies of the same nodes are erased beside them.
+  EXPECT_GT(snap.CounterValue("cache.erases"), node_erases);
+
+  JsonValue parsed;
+  ASSERT_TRUE(JsonValue::Parse(snap.ToJsonString(), &parsed).ok());
+  MetricsSnapshot decoded;
+  ASSERT_TRUE(MetricsSnapshot::FromJson(parsed, &decoded).ok());
+  EXPECT_EQ(decoded.CounterValue("cache.erases"),
+            snap.CounterValue("cache.erases"));
+  EXPECT_EQ(decoded.CounterValue("index.cache.erases"), node_erases);
+
+  db.reset();
+  std::filesystem::remove_all(dir);
+}
+
 // Every GC pass times its mark and its sweep: gc.mark_latency_ns and
 // gc.sweep_latency_ns hold one sample per pass and survive the JSON
 // wire format.

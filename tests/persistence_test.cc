@@ -1145,6 +1145,92 @@ TEST_F(PersistenceTest, GcMarkReadsOnlyMetaNodesAndLeavesReaderLeavesCached) {
   }
 }
 
+// --- Retired index nodes ----------------------------------------------------
+
+// The bytes of every node of the current version, as a range proof
+// over the whole key space cites them.
+size_t LiveNodeBytes(const SpitzDb& db) {
+  std::vector<PosEntry> rows;
+  ScanProof proof;
+  EXPECT_TRUE(db.ReadRange(kCurrentVersion, "", "", 0, &rows, &proof).ok());
+  return proof.index_proof.ByteSize();
+}
+
+// A write's replaced index nodes leave the buffer cache once its block
+// leaves the retain_versions window, so a cache far larger than the
+// data holds the retained versions, not the write history: 20k
+// overwrites of a 64-key hot set, a block each, leave cache.bytes
+// within a small multiple of the live tree (each node is charged raw
+// and decoded, for the live version and the retained ones), where
+// keeping every superseded node would fill the whole budget.
+TEST_F(PersistenceTest, OverwritesLeaveTheCacheHoldingTheRetainedVersions) {
+  SpitzOptions options = DurableOptions(/*block_size=*/1);
+  options.buffer_cache_bytes = 8 << 20;
+  std::unique_ptr<SpitzDb> db;
+  ASSERT_TRUE(SpitzDb::Open(options, &db).ok());
+  constexpr int kHot = 64;
+  for (int i = 0; i < 20000; i++) {
+    const int k = static_cast<int>((i * 37u) % kHot);
+    ASSERT_TRUE(db->Put(PagedKey(k), PagedValue(k, i, 100)).ok());
+  }
+  const size_t live = LiveNodeBytes(*db);
+  const MetricsSnapshot m = db->Metrics();
+  EXPECT_LT(m.GaugeValue("cache.bytes"),
+            4 * (options.retain_versions + 2) * live);
+  EXPECT_EQ(m.CounterValue("cache.evictions"), 0u);
+  EXPECT_GT(m.CounterValue("index.cache.erases"), 0u);
+}
+
+// A read pinned to a version inside the retain_versions window is
+// served from the cache; one pinned to a version that has left it
+// reads the store (its replaced nodes are no longer cached) and still
+// verifies against that version.
+TEST_F(PersistenceTest, PinnedReadsHitTheCacheInsideTheWindowAndTheStoreOutside) {
+  SpitzOptions options = DurableOptions(/*block_size=*/1);
+  options.buffer_cache_bytes = 8 << 20;
+  std::unique_ptr<SpitzDb> db;
+  ASSERT_TRUE(SpitzDb::Open(options, &db).ok());
+  constexpr int kKeys = 64;
+  for (int k = 0; k < kKeys; k++) {
+    ASSERT_TRUE(db->Put(PagedKey(k), PagedValue(k, 0, 100)).ok());
+  }
+  const SpitzDigest pinned = db->Digest();
+  const auto file_reads = [&] {
+    return db->Metrics().CounterValue("chunk.file.reads");
+  };
+  // Reads every key at the pinned version and verifies each against
+  // it; returns the segment reads they cost.
+  const auto read_pinned = [&] {
+    const uint64_t before = file_reads();
+    int failures = 0;
+    for (int k = 0; k < kKeys; k++) {
+      std::string value;
+      ReadProof proof;
+      if (!db->Read(pinned.index_root, PagedKey(k), &value, &proof).ok() ||
+          value != PagedValue(k, 0, 100) ||
+          !SpitzDb::VerifyRead(pinned, PagedKey(k), value, proof).ok()) {
+        failures++;
+      }
+    }
+    EXPECT_EQ(failures, 0);
+    return file_reads() - before;
+  };
+  const auto overwrite_blocks = [&](size_t blocks, int round) {
+    for (size_t b = 0; b < blocks; b++) {
+      const int k = static_cast<int>(b % kKeys);
+      ASSERT_TRUE(db->Put(PagedKey(k), PagedValue(k, round, 100)).ok());
+    }
+    ASSERT_TRUE(db->SyncStorage().ok());  // no record left unflushed
+  };
+  read_pinned();  // every node of the pinned version cached
+
+  overwrite_blocks(options.retain_versions / 2, 1);
+  EXPECT_EQ(read_pinned(), 0u);
+
+  overwrite_blocks(options.retain_versions + 2, 2);
+  EXPECT_GT(read_pinned(), 0u);
+}
+
 // --- Format pin -------------------------------------------------------------
 
 // Every byte Spitz puts on disk or on the wire is named by a SHA-256 or

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -225,6 +227,172 @@ TEST_F(PosTreeTest, OldVersionRemainsReadable) {
   EXPECT_EQ(value, "value-500");
   ASSERT_TRUE(tree_.Get(v2, "key00000500", &value, nullptr).ok());
   EXPECT_EQ(value, "changed");
+}
+
+// --- Replaced nodes ----------------------------------------------------------
+
+// The ids of every node of the version rooted at `root`.
+std::unordered_set<Hash256, Hash256Hasher> NodesOf(const PosTree& tree,
+                                                   const Hash256& root) {
+  std::unordered_set<Hash256, Hash256Hasher> ids;
+  EXPECT_TRUE(tree.CollectChunks(root, &ids).ok());
+  return ids;
+}
+
+size_t LeavesOf(const ChunkStore& store,
+                const std::unordered_set<Hash256, Hash256Hasher>& ids) {
+  size_t leaves = 0;
+  for (const Hash256& id : ids) {
+    std::shared_ptr<const Chunk> chunk;
+    EXPECT_TRUE(store.Get(id, &chunk).ok());
+    if (chunk != nullptr && chunk->type() == ChunkType::kIndexLeaf) leaves++;
+  }
+  return leaves;
+}
+
+// One write from `old_root`, with everything a replaced-list check
+// needs: both versions' node sets and the list the write handed back.
+struct ReplacingWrite {
+  Hash256 new_root;
+  std::vector<Hash256> replaced;
+  std::unordered_set<Hash256, Hash256Hasher> old_nodes, new_nodes;
+
+  // The nodes of the old version the new one no longer holds.
+  std::unordered_set<Hash256, Hash256Hasher> OldSide() const {
+    std::unordered_set<Hash256, Hash256Hasher> ids;
+    for (const Hash256& id : old_nodes) {
+      if (new_nodes.count(id) == 0) ids.insert(id);
+    }
+    return ids;
+  }
+};
+
+// Puts `key` (or deletes it when `value` is nullopt) on `old_root`.
+ReplacingWrite Write(const PosTree& tree, const Hash256& old_root,
+                     const std::string& key,
+                     const std::optional<std::string>& value) {
+  ReplacingWrite w;
+  const Status s =
+      value.has_value()
+          ? tree.Put(old_root, key, *value, &w.new_root, &w.replaced)
+          : tree.Delete(old_root, key, &w.new_root, &w.replaced);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  w.old_nodes = NodesOf(tree, old_root);
+  w.new_nodes = NodesOf(tree, w.new_root);
+  return w;
+}
+
+// The list holds exactly the old side, each id once, and no id of the
+// new tree.
+void ExpectReplacedIsTheOldSide(const ReplacingWrite& w) {
+  const std::unordered_set<Hash256, Hash256Hasher> listed(w.replaced.begin(),
+                                                          w.replaced.end());
+  EXPECT_EQ(listed.size(), w.replaced.size()) << "an id listed twice";
+  for (const Hash256& id : w.replaced) {
+    EXPECT_EQ(w.new_nodes.count(id), 0u) << "lists a node of the new tree";
+  }
+  EXPECT_TRUE(listed == w.OldSide());
+}
+
+TEST_F(PosTreeTest, ReplacedListOfAnOverwriteIsThePath) {
+  const std::vector<PosEntry> entries = MakeEntries(5000);
+  Hash256 root;
+  ASSERT_TRUE(tree_.Build(entries, &root).ok());
+  uint32_t height = 0;
+  ASSERT_TRUE(tree_.Height(root, &height).ok());
+  ASSERT_GE(height, 3u);
+  // An overwrite that moves no boundary replaces the root-to-leaf path.
+  for (size_t i = 0; i < entries.size(); i += 7) {
+    const ReplacingWrite w = Write(tree_, root, entries[i].key, "overwritten");
+    if (w.new_nodes.size() != w.old_nodes.size() ||
+        w.OldSide().size() != height) {
+      continue;  // the new value made or broke a boundary
+    }
+    EXPECT_EQ(w.replaced.size(), height);
+    ExpectReplacedIsTheOldSide(w);
+    return;
+  }
+  FAIL() << "no overwrite kept every boundary";
+}
+
+TEST_F(PosTreeTest, ReplacedListOfASplitIsTheOldSide) {
+  const std::vector<PosEntry> entries = MakeEntries(2000);
+  Hash256 root;
+  ASSERT_TRUE(tree_.Build(entries, &root).ok());
+  const size_t leaves = LeavesOf(store_, NodesOf(tree_, root));
+  for (const PosEntry& e : entries) {
+    const ReplacingWrite w = Write(tree_, root, e.key + "-split", "inserted");
+    if (LeavesOf(store_, w.new_nodes) <= leaves) continue;
+    ExpectReplacedIsTheOldSide(w);
+    return;
+  }
+  FAIL() << "no insert split a leaf";
+}
+
+TEST_F(PosTreeTest, ReplacedListOfAMergeHoldsTheConsumedSibling) {
+  const std::vector<PosEntry> entries = MakeEntries(2000);
+  Hash256 root;
+  ASSERT_TRUE(tree_.Build(entries, &root).ok());
+  uint32_t height = 0;
+  ASSERT_TRUE(tree_.Height(root, &height).ok());
+  const size_t leaves = LeavesOf(store_, NodesOf(tree_, root));
+  // Deleting the entry that closes a leaf merges the leaf into its
+  // right sibling, which the write consumes too.
+  for (const PosEntry& e : entries) {
+    const ReplacingWrite w = Write(tree_, root, e.key, std::nullopt);
+    if (LeavesOf(store_, w.new_nodes) >= leaves) continue;
+    EXPECT_GT(w.replaced.size(), height);
+    ExpectReplacedIsTheOldSide(w);
+    return;
+  }
+  FAIL() << "no delete merged two leaves";
+}
+
+// A write that shrinks the tree stores a single-child root and then
+// collapses it away; that node belongs to no version, and the list
+// holds it beside the old side.
+TEST_F(PosTreeTest, ReplacedListHoldsACollapsedRootBesideTheOldSide) {
+  const std::vector<PosEntry> entries = MakeEntries(300);
+  Hash256 root;
+  ASSERT_TRUE(tree_.Build(entries, &root).ok());
+  size_t collapses = 0;
+  for (const PosEntry& e : entries) {
+    const ReplacingWrite w = Write(tree_, root, e.key, std::nullopt);
+    const std::unordered_set<Hash256, Hash256Hasher> old_side = w.OldSide();
+    size_t listed_old = 0;
+    for (const Hash256& id : w.replaced) {
+      if (old_side.count(id) != 0) {
+        listed_old++;
+        continue;
+      }
+      // Not of the old side: a collapsed single-child root.
+      EXPECT_EQ(w.new_nodes.count(id), 0u);
+      std::shared_ptr<const Chunk> chunk;
+      ASSERT_TRUE(store_.Get(id, &chunk).ok());
+      std::shared_ptr<const PosNode> node;
+      ASSERT_TRUE(PosNode::Decode(chunk, &node).ok());
+      EXPECT_FALSE(node->is_leaf());
+      EXPECT_EQ(node->children().size(), 1u);
+      collapses++;
+    }
+    EXPECT_EQ(listed_old, old_side.size());
+    root = w.new_root;
+  }
+  EXPECT_TRUE(root.IsZero());
+  EXPECT_GT(collapses, 0u);
+}
+
+TEST_F(PosTreeTest, ReplacedListOfANoOpOrFailedWriteIsEmpty) {
+  Hash256 root;
+  ASSERT_TRUE(tree_.Build(MakeEntries(50), &root).ok());
+  std::vector<Hash256> replaced;
+  Hash256 out;
+  ASSERT_TRUE(tree_.Put(root, "key00000010", "value-10", &out, &replaced).ok());
+  EXPECT_EQ(out, root);
+  EXPECT_TRUE(tree_.Delete(root, "absent", &out, &replaced).IsNotFound());
+  // The first entry of an empty tree replaces nothing either.
+  ASSERT_TRUE(tree_.Put(PosTree::EmptyRoot(), "k", "v", &out, &replaced).ok());
+  EXPECT_TRUE(replaced.empty());
 }
 
 // --- Oracle-based randomized property test -----------------------------------

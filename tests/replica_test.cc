@@ -267,6 +267,47 @@ Status Replicate(BackupReplica* backup, const std::string& record,
   return s.ok() ? wire::ReplicaAck::DecodeFrom(&input, ack) : s;
 }
 
+// A backup retires the index nodes each applied block replaced once
+// that block leaves its retain_versions window, as a primary does at
+// seal: 20k replicated overwrites of a 64-key hot set, a block each,
+// leave the backup's cache (far larger than the data) within a small
+// multiple of the live tree's node bytes.
+TEST(ReplicaTest, BackupCacheHoldsTheRetainedVersionsNotTheAppliedHistory) {
+  const std::string dir = ::testing::TempDir() + "/spitz_replica_retire";
+  std::filesystem::remove_all(dir);
+  SpitzOptions options;
+  options.block_size = 1;
+  SpitzDb primary(options);
+  options.data_dir = dir;
+  options.buffer_cache_bytes = 8 << 20;
+  std::unique_ptr<SpitzDb> backup;
+  ASSERT_TRUE(SpitzDb::Open(options, &backup).ok());
+  constexpr int kHot = 64;
+  for (int i = 0; i < 20000; i++) {
+    std::string value = "value-" + std::to_string(i);
+    value.resize(100, 'x');
+    ASSERT_TRUE(primary.Put("hot-" + std::to_string(i * 37 % kHot), value).ok());
+    const std::string record = RecordOf(primary, i);
+    ReplicationRecord decoded;
+    ASSERT_TRUE(DecodeReplicationRecord(record, &decoded).ok());
+    const Status s = backup->ApplySealedBlock(decoded.block, decoded.serialized,
+                                              decoded.ops, /*sync=*/false,
+                                              nullptr);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  }
+  ASSERT_EQ(backup->Digest(), primary.Digest());
+  std::vector<PosEntry> rows;
+  ScanProof live;
+  ASSERT_TRUE(
+      backup->ReadRange(kCurrentVersion, "", "", 0, &rows, &live).ok());
+  const MetricsSnapshot m = backup->Metrics();
+  EXPECT_LT(m.GaugeValue("cache.bytes"),
+            4 * (options.retain_versions + 2) * live.index_proof.ByteSize());
+  EXPECT_GT(m.CounterValue("index.cache.erases"), 0u);
+  backup.reset();
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ReplicaRecordTest, LayoutIsHeightBlockThenOneFlagPerPut) {
   SpitzDb primary(CodecOptions());
   WriteCodecBlocks(&primary);
