@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <unordered_set>
@@ -329,13 +330,15 @@ std::string BenchDir(const char* name) {
 }
 
 // Bytes a durable store appends per overwrite: a FileChunkStore under a
-// 66.7k-key tree (16 B keys, 100 B values; one cluster-rmw shard), with
-// scrambled zipfian (theta 0.99) overwrites. Each overwrite path-copies
-// a leaf and its metas, which the store writes as delta records on the
-// nodes they replace where that is shorter (see file_chunk_store.h).
-void BM_PosTreeOverwriteAppendedBytes(benchmark::State& state) {
+// 66.7k-key tree (16 B keys, 100 B values; one cluster-rmw shard), each
+// overwrite's key from `next_key`. Each overwrite path-copies a leaf and
+// its metas, which the store writes as delta records on the nodes they
+// replace where that is shorter, and at the chain cap as deltas on the
+// chain's full record (see file_chunk_store.h).
+void OverwriteAppendedBytes(benchmark::State& state, const char* name,
+                            const std::function<uint64_t(Random*)>& next_key) {
   constexpr uint64_t kKeys = 66667;
-  const std::string dir = BenchDir("spitz_bench_overwrite_bytes");
+  const std::string dir = BenchDir(name);
   std::filesystem::remove_all(dir);
   {
     std::unique_ptr<FileChunkStore> store;
@@ -353,29 +356,49 @@ void BM_PosTreeOverwriteAppendedBytes(benchmark::State& state) {
     MetricsRegistry registry;
     store->ExportMetrics(&registry);
     const MetricsSnapshot before = registry.Snapshot();
-    const bench::KeyChooser keys(kKeys, /*zipfian=*/true);
     for (auto _ : state) {
-      if (!tree.Put(root, bench::RecordKey(keys.Next(&rng)), rng.Bytes(100),
+      if (!tree.Put(root, bench::RecordKey(next_key(&rng)), rng.Bytes(100),
                     &root)
                .ok()) {
         abort();
       }
     }
     const MetricsSnapshot after = registry.Snapshot();
-    const auto delta = [&](const char* name) {
-      return static_cast<double>(after.CounterValue(name) -
-                                 before.CounterValue(name));
+    const auto delta = [&](const char* counter) {
+      return static_cast<double>(after.CounterValue(counter) -
+                                 before.CounterValue(counter));
     };
     const double n = static_cast<double>(state.iterations());
     state.counters["appended_bytes_per_overwrite"] =
         delta("chunk.file.appended_bytes") / n;
+    state.counters["full_bytes_per_overwrite"] =
+        (delta("chunk.file.appended_bytes") - delta("chunk.file.delta_bytes")) /
+        n;
     state.counters["delta_records_per_overwrite"] =
         delta("chunk.file.delta_records") / n;
+    state.counters["rebases_per_overwrite"] =
+        delta("chunk.file.delta_rebases") / n;
     state.counters["records_per_overwrite"] = delta("chunk.store.puts") / n;
   }
   std::filesystem::remove_all(dir);
 }
+
+// Scrambled zipfian (theta 0.99) overwrites.
+void BM_PosTreeOverwriteAppendedBytes(benchmark::State& state) {
+  const bench::KeyChooser keys(66667, /*zipfian=*/true);
+  OverwriteAppendedBytes(state, "spitz_bench_overwrite_bytes",
+                         [&](Random* rng) { return keys.Next(rng); });
+}
 BENCHMARK(BM_PosTreeOverwriteAppendedBytes)->Iterations(4000);
+
+// Every overwrite on one key, so the leaf and the metas above it are
+// path-copied every time and their chains reach
+// FileChunkStore::kMaxChainDepth.
+void BM_FileChunkStoreHotOverwriteBytes(benchmark::State& state) {
+  OverwriteAppendedBytes(state, "spitz_bench_hot_overwrite_bytes",
+                         [](Random*) { return uint64_t{66667 / 2}; });
+}
+BENCHMARK(BM_FileChunkStoreHotOverwriteBytes)->Iterations(1000);
 
 // A cache-miss Get of a chunk stored at delta-chain depth arg (0 = a
 // full record): one positional read of its record plus one per base

@@ -15,7 +15,15 @@
 #   versions inside and outside the retain_versions window race a writer
 #   whose seals erase the index nodes older blocks replaced from the
 #   buffer cache
-#   (ConcurrencyTest.PinnedReadersRaceRetirementOfReplacedNodes).
+#   (ConcurrencyTest.PinnedReadersRaceRetirementOfReplacedNodes), and a
+#   writer whose delta chains rebase onto their full record at the cap
+#   races GC passes that collect that record
+#   (ConcurrencyTest.RebasesRaceGcPassesCollectingTheirFullRecord). The
+#   DeltaChunk cases include the rebase's own
+#   (DeltaChunkTest.VersionPastTheCapIsADeltaOnItsChainsFullRecord,
+#   RebasedDeltaNoLongerShorterIsWrittenFull and
+#   GcCollectingAChainsFullRecordFlattensItsRebasedDeltas), which run in
+#   the ASan+UBSan leg too, as does the concurrency case.
 # ASan+UBSan: the proof-codec, database, group-commit, version-GC,
 #   deferred-auditor, key-history,
 #   2PC participant, write-batch and read-set, network, cluster,
@@ -50,8 +58,10 @@
 #   and ScanProof (SiriProof of all three backends, SiriRangeProof),
 #   PosNode, MPT node, MBT bucket and directory, Block, WriteBatch,
 #   ClusterDigest, ReplicaAck, ReplicaStatusResult, the replication
-#   record, Handshake, the entry list, blob meta, catalog entry, and
-#   single-node and cluster evidence. A crafted count that drove one
+#   record, Handshake, the entry list, blob meta, catalog entry,
+#   single-node and cluster evidence, and the reply payloads SpitzClient
+#   decodes (wire::Decode*Reply; OneByteFormTest serves each method's
+#   reply with a byte appended through a relaying NetServer). A crafted count that drove one
 #   allocation past the cap fails the run instead of passing.
 # The read-set suites are ClusterReadSetTest, TwoPhaseCommitTest,
 # MvccTest and TxnConfigSweep (cluster_test) plus WriteBatchTest

@@ -49,6 +49,15 @@ bool ParseSegmentFileName(const std::string& name, uint32_t* id) {
   return true;
 }
 
+// The chunk of a full record read into *buf: the buffer becomes the
+// payload, its framing dropped in place rather than the payload copied.
+Chunk TakePayload(const ChunkRecord& record, std::string* buf) {
+  const size_t payload_size = record.body.size();
+  buf->erase(0, static_cast<size_t>(record.body.data() - buf->data()));
+  buf->resize(payload_size);
+  return Chunk(record.type, std::move(*buf));
+}
+
 }  // namespace
 
 std::string FileChunkStore::SegmentFileName(uint32_t id) {
@@ -392,35 +401,72 @@ void FileChunkStore::PublishEntry(const Hash256& id, Entry entry) {
   physical_bytes_.Add(entry.stored);
 }
 
+bool FileChunkStore::OnDisk(const Hash256& id, Entry* entry) const {
+  const MapShard& shard = map_shards_[MapShardOf(id)];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.entries.find(id);
+  if (it == shard.entries.end() || it->second.segment == kResidentOnly) {
+    return false;
+  }
+  *entry = it->second;
+  return true;
+}
+
+std::shared_ptr<const Chunk> FileChunkStore::ChainStart(
+    const Hash256& id) const {
+  Hash256 at = id;
+  Entry entry;
+  for (size_t hops = 0;; hops++) {
+    // A link a GC pass collected, or a looping chain: no start to use.
+    if (hops > kChainReadLimit || !OnDisk(at, &entry)) return nullptr;
+    if (entry.depth == 0) break;
+    at = entry.base;
+  }
+  if (auto cached = cache_->Lookup(BufferCache::kRawChunk, at)) {
+    return std::static_pointer_cast<const Chunk>(cached);
+  }
+  std::shared_ptr<const Chunk> hit;
+  if (!Locate(at, &entry, &hit).ok()) return nullptr;
+  if (hit != nullptr) return hit;
+  rebase_reads_.Increment();
+  std::string buf;
+  ChunkRecord record;
+  if (!ReadRecord(entry, &buf, &record).ok() || record.delta) return nullptr;
+  auto full = std::make_shared<const Chunk>(TakePayload(record, &buf));
+  return full->id() == at ? full : nullptr;
+}
+
 void FileChunkStore::EncodeDelta(const Chunk& chunk, const Chunk& base,
                                  std::string* record, Entry* entry) {
-  const MapShard& shard = map_shards_[MapShardOf(base.id())];
-  auto usable = [&](uint8_t* depth) {
-    auto it = shard.entries.find(base.id());
-    if (it == shard.entries.end() || it->second.segment == kResidentOnly ||
-        it->second.depth >= kMaxChainDepth) {
-      return false;
-    }
-    *depth = it->second.depth;
-    return true;
-  };
-  uint8_t depth = 0;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (!usable(&depth)) return;
+  Entry base_entry;
+  if (!OnDisk(base.id(), &base_entry)) return;
+  // At the cap, rebase onto the full record the chain starts from: the
+  // delta then carries every change since that record, and the next
+  // full record is written once those changes are as large as the node.
+  std::shared_ptr<const Chunk> start;
+  if (base_entry.depth >= kMaxChainDepth) {
+    start = ChainStart(base.id());
+    if (start == nullptr) return;
   }
+  const Chunk& on = start != nullptr ? *start : base;
   std::string delta;
-  if (!EncodeDeltaRecord(chunk, base, &delta)) return;
+  if (!EncodeDeltaRecord(chunk, on, &delta)) return;
   {
     // A GC pass may have unpublished the base meanwhile.
+    const MapShard& shard = map_shards_[MapShardOf(on.id())];
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (!usable(&depth)) return;
+    auto it = shard.entries.find(on.id());
+    if (it == shard.entries.end() || it->second.segment == kResidentOnly ||
+        it->second.depth >= kMaxChainDepth) {
+      return;
+    }
+    base_entry = it->second;
     // Naming a base re-references it, as a dedup hit does: a GC pass
     // marking now keeps it.
-    NoteDedupResurrection(base.id());
+    NoteDedupResurrection(on.id());
   }
-  entry->base = base.id();
-  entry->depth = static_cast<uint8_t>(depth + 1);
+  entry->base = on.id();
+  entry->depth = static_cast<uint8_t>(base_entry.depth + 1);
   entry->stored = static_cast<uint32_t>(delta.size());
   *record = std::move(delta);
 }
@@ -461,6 +507,7 @@ Hash256 FileChunkStore::Put(Chunk chunk, const Chunk* base) {
     if (appended && entry.depth != 0) {
       delta_records_.Increment();
       delta_bytes_.Increment(record.size());
+      if (!(entry.base == base->id())) delta_rebases_.Increment();
     }
     PublishEntry(id, entry);
   }
@@ -803,12 +850,7 @@ Status FileChunkStore::ReadChunkAt(const Hash256& id, const Entry& entry,
                             : Status::Corruption(s.message() + where);
     }
   } else {
-    // The record buffer becomes the chunk's payload: drop the framing
-    // around the payload in place rather than copy it out.
-    const size_t payload_size = record.body.size();
-    buf.erase(0, static_cast<size_t>(record.body.data() - buf.data()));
-    buf.resize(payload_size);
-    decoded = Chunk(record.type, std::move(buf));
+    decoded = TakePayload(record, &buf);
     if (!(decoded.id() == id)) {
       // The record round-trips its checksum but hashes to a different
       // id: the location table routed us to the wrong bytes.
@@ -1119,6 +1161,8 @@ void FileChunkStore::ExportMetrics(MetricsRegistry* registry) const {
   registry->RegisterCounter("chunk.file.delta_records", &delta_records_);
   registry->RegisterCounter("chunk.file.delta_bytes", &delta_bytes_);
   registry->RegisterCounter("chunk.file.chain_reads", &chain_reads_);
+  registry->RegisterCounter("chunk.file.delta_rebases", &delta_rebases_);
+  registry->RegisterCounter("chunk.file.rebase_reads", &rebase_reads_);
   registry->RegisterCounter("chunk.segment.rolls", &rolls_);
   registry->RegisterGaugeFn("chunk.segment.count",
                             [this] { return segment_count(); });

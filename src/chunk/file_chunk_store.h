@@ -34,13 +34,16 @@ namespace spitz {
 // is the chunk payload. A delta record's body is
 //   [32B own id] [32B base id] [varint payload size] [copy/literal ops]
 // and rebuilds the chunk from the payload of its base. Put writes one
-// when the caller names the chunk it replaces (a path-copied POS node),
-// the delta is the shorter record, and the base's chain of deltas is
-// shorter than kMaxChainDepth. A cache miss on a delta reads its chain
-// of records down to a full one (or to a base already in the cache,
-// which is verified) without caching the bases, and serves the rebuilt
-// chunk only after one SHA-256 of it matches the id, as for a full
-// record.
+// when the caller names the chunk it replaces (a path-copied POS node)
+// and the delta is the shorter record. Its base is the named chunk
+// while that chunk's chain of deltas is shorter than kMaxChainDepth;
+// at the cap it is the full record the chain starts from (a rebase),
+// so the delta carries every change since that record, and a node is
+// written in full again only once those changes are as large as it is.
+// A cache miss on a delta reads its chain of records down to a full one
+// (or to a base already in the cache, which is verified) without
+// caching the bases, and serves the rebuilt chunk only after one
+// SHA-256 of it matches the id, as for a full record.
 //
 // Replay walks every segment in numeric order and registers locations:
 // a full record under the hash of its bytes, a delta under the id
@@ -127,13 +130,16 @@ class FileChunkStore : public ChunkStore {
   // The file name of segment `id` within the store directory.
   static std::string SegmentFileName(uint32_t id);
 
-  // Longest chain of delta records a chunk may sit on: a base whose own
-  // chain is this deep gets its successor written in full.
+  // Longest chain of delta records a chunk may sit on, so a cache miss
+  // reads at most this many bases: a base whose own chain is this deep
+  // gets its successor written as a delta on the chain's full record
+  // (depth 1), or in full when that delta is not the shorter record.
   static constexpr uint8_t kMaxChainDepth = 8;
 
   // Stores the chunk; a previously unseen chunk is appended to the
-  // active segment (as a delta on `base` when that is shorter, see the
-  // record format above) and held until the log flushes. With a `base`
+  // active segment (as a delta on `base`, or at the cap on the full
+  // record its chain starts from, when that is shorter; see the record
+  // format above) and held until the log flushes. With a `base`
   // it is also cached. Append failures are sticky and surface through
   // Sync()/status().
   Hash256 Put(Chunk chunk, const Chunk* base = nullptr) override;
@@ -192,9 +198,9 @@ class FileChunkStore : public ChunkStore {
   BufferCache* cache() const { return cache_; }
 
   // Base export plus the paged-store accounting: `chunk.file.*`
-  // (replay, append, positional-read, read-error, fsync, delta-record
-  // and chain-read counts) and `chunk.segment.*` (segment count,
-  // active-segment fill, rolls).
+  // (replay, append, positional-read, read-error, fsync, delta-record,
+  // chain-read, rebase and rebase-read counts) and `chunk.segment.*`
+  // (segment count, active-segment fill, rolls).
   void ExportMetrics(MetricsRegistry* registry) const override;
 
  private:
@@ -317,10 +323,20 @@ class FileChunkStore : public ChunkStore {
   Status BasePayload(const Hash256& id, size_t hops,
                      std::string* payload) const;
 
-  // Encodes `chunk` as a delta record on `base` into *record when the
-  // base is stored with a chain below the cap and the delta is the
-  // shorter record; fills entry->base, depth and stored. Leaves
-  // *record empty otherwise.
+  // Copies out `id`'s entry when its record reached the log (a delta
+  // base must have).
+  bool OnDisk(const Hash256& id, Entry* entry) const;
+
+  // The chunk of the full record `id`'s chain of deltas starts from,
+  // found by walking the base links: from the cache, the unflushed map
+  // or one verified record read (chunk.file.rebase_reads), not cached.
+  // Null when a link or the record is gone or does not check out.
+  std::shared_ptr<const Chunk> ChainStart(const Hash256& id) const;
+
+  // Encodes `chunk` as a delta record into *record when the delta is
+  // the shorter record: on `base` while its chain is below the cap, at
+  // the cap on the full record that chain starts from (ChainStart).
+  // Fills entry->base, depth and stored. Leaves *record empty otherwise.
   void EncodeDelta(const Chunk& chunk, const Chunk& base,
                    std::string* record, Entry* entry);
 
@@ -412,6 +428,8 @@ class FileChunkStore : public ChunkStore {
   Counter delta_records_;    // delta records appended since Open()
   Counter delta_bytes_;      // bytes appended as delta records
   mutable Counter chain_reads_;  // base records read to rebuild a delta
+  Counter delta_rebases_;    // deltas written on their chain's full record
+  mutable Counter rebase_reads_;  // full records a rebase read from segments
   Counter rolls_;            // segment switches since Open()
   // Segment-log fsyncs: every Sync() barrier, GC rewrite and roll.
   Counter fsyncs_;

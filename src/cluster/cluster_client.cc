@@ -114,11 +114,8 @@ Status ClusterClient::Open(const Options& options,
             wire::kReplicaStatus,
             std::string(1, static_cast<char>(wire::kReplicaStatusQuery)),
             &reply, options.probe_deadline_ms);
-        Slice reply_input(reply);
         wire::ReplicaStatusResult status;
-        if (s.ok() &&
-            wire::ReplicaStatusResult::DecodeFrom(&reply_input, &status)
-                .ok() &&
+        if (s.ok() && wire::DecodeReply(reply, &status).ok() &&
             status.role == 0) {
           return TagShard(
               i, Status::InvalidArgument(

@@ -90,9 +90,8 @@ Status SpitzClient::Get(const ReadOptions& options, const Slice& key,
   PutLengthPrefixedSlice(&request, key);
   Status s = Call(wire::kGet, request, &response, options.deadline_ms);
   if (!s.ok()) return s;
-  Slice input(response);
   Slice v;
-  s = GetLengthPrefixedSlice(&input, &v);
+  s = wire::DecodeGetReply(response, &v);
   if (!s.ok()) return s;
   *value = v.ToString();
   return Status::OK();
@@ -110,8 +109,7 @@ Status SpitzClient::Scan(const ReadOptions& options, const Slice& start,
   PutVarint64(&request, limit);
   Status s = Call(wire::kScan, request, &response, options.deadline_ms);
   if (!s.ok()) return s;
-  Slice input(response);
-  return GetEntryList(&input, rows);
+  return wire::DecodeScanReply(response, rows);
 }
 
 Status SpitzClient::GetProof(const Slice& key, Evidence* out) {
@@ -172,17 +170,13 @@ Status SpitzClient::GetProof(const Slice& key, ProofResult* out,
   NetClient::Reply reply;
   Status call_status = Call(wire::kGetProof, request, &reply, deadline_ms);
   if (!call_status.ok() && !call_status.IsNotFound()) return call_status;
-  Slice input = reply.payload;
   Slice value;
-  Status s = GetLengthPrefixedSlice(&input, &value);
+  Status s = wire::DecodeGetProofReply(reply.payload, std::move(reply.buffer),
+                                       &value, &out->proof, &out->digest);
   if (!s.ok()) return s;
   out->value = call_status.ok()
                    ? std::optional<std::string>(value.ToString())
                    : std::nullopt;
-  s = ReadProof::DecodeFrom(&input, std::move(reply.buffer), &out->proof);
-  if (!s.ok()) return s;
-  s = SpitzDigest::DecodeFrom(&input, &out->digest);
-  if (!s.ok()) return s;
   return call_status;
 }
 
@@ -210,12 +204,8 @@ Status SpitzClient::FetchScanProof(const Slice& start, const Slice& end,
   NetClient::Reply reply;
   Status s = Call(wire::kScanProof, request, &reply, deadline_ms);
   if (!s.ok()) return s;
-  Slice input = reply.payload;
-  s = GetEntryList(&input, rows);
-  if (!s.ok()) return s;
-  s = spitz::ScanProof::DecodeFrom(&input, std::move(reply.buffer), proof);
-  if (!s.ok()) return s;
-  return SpitzDigest::DecodeFrom(&input, digest);
+  return wire::DecodeScanProofReply(reply.payload, std::move(reply.buffer),
+                                    rows, proof, digest);
 }
 
 Status SpitzClient::VerifiedScan(const Slice& start, const Slice& end,
@@ -237,8 +227,7 @@ Status SpitzClient::Digest(SpitzDigest* out) {
   std::string response;
   Status s = Call(wire::kDigest, std::string(), &response);
   if (!s.ok()) return s;
-  Slice input(response);
-  return SpitzDigest::DecodeFrom(&input, out);
+  return wire::DecodeReply(response, out);
 }
 
 // --- Pinned-root proofs ----------------------------------------------------
@@ -252,14 +241,12 @@ Status SpitzClient::GetProofAt(const Hash256& root, const Slice& key,
   NetClient::Reply reply;
   Status call_status = Call(wire::kGetProofAt, request, &reply);
   if (!call_status.ok() && !call_status.IsNotFound()) return call_status;
-  Slice input = reply.payload;
   Slice v;
-  Status s = GetLengthPrefixedSlice(&input, &v);
+  Status s = wire::DecodeGetProofReply(reply.payload, std::move(reply.buffer),
+                                       &v, proof, /*digest=*/nullptr);
   if (!s.ok()) return s;
   *value = call_status.ok() ? std::optional<std::string>(v.ToString())
                             : std::nullopt;
-  s = ReadProof::DecodeFrom(&input, std::move(reply.buffer), proof);
-  if (!s.ok()) return s;
   return call_status;
 }
 
@@ -275,10 +262,8 @@ Status SpitzClient::ScanProofAt(const Hash256& root, const Slice& start,
   NetClient::Reply reply;
   Status s = Call(wire::kScanProofAt, request, &reply);
   if (!s.ok()) return s;
-  Slice input = reply.payload;
-  s = GetEntryList(&input, rows);
-  if (!s.ok()) return s;
-  return spitz::ScanProof::DecodeFrom(&input, std::move(reply.buffer), proof);
+  return wire::DecodeScanProofReply(reply.payload, std::move(reply.buffer),
+                                    rows, proof, /*digest=*/nullptr);
 }
 
 // --- 2PC participant RPCs --------------------------------------------------
@@ -307,16 +292,14 @@ Status SpitzClient::Replicate(const std::string& record,
   std::string response;
   Status s = Call(wire::kReplicate, record, &response);
   if (!s.ok()) return s;
-  Slice input(response);
-  return wire::ReplicaAck::DecodeFrom(&input, ack);
+  return wire::DecodeReply(response, ack);
 }
 
 Status SpitzClient::ReplicaAckQuery(wire::ReplicaAck* ack) {
   std::string response;
   Status s = Call(wire::kReplicaAck, std::string(), &response);
   if (!s.ok()) return s;
-  Slice input(response);
-  return wire::ReplicaAck::DecodeFrom(&input, ack);
+  return wire::DecodeReply(response, ack);
 }
 
 Status SpitzClient::ReplicaStatus(uint8_t command,
@@ -325,24 +308,14 @@ Status SpitzClient::ReplicaStatus(uint8_t command,
   std::string response;
   Status s = Call(wire::kReplicaStatus, request, &response);
   if (!s.ok()) return s;
-  Slice input(response);
-  return wire::ReplicaStatusResult::DecodeFrom(&input, out);
+  return wire::DecodeReply(response, out);
 }
 
 Status SpitzClient::TxnInDoubt(std::vector<uint64_t>* txn_ids) {
   std::string response;
   Status s = Call(wire::kTxnInDoubt, std::string(), &response);
   if (!s.ok()) return s;
-  Slice input(response);
-  uint64_t n = 0;
-  s = GetCount(&input, sizeof(uint64_t), &n);
-  if (!s.ok()) return s;
-  txn_ids->resize(n);
-  for (uint64_t& txn_id : *txn_ids) {
-    s = GetFixed64(&input, &txn_id);
-    if (!s.ok()) return s;
-  }
-  return Status::OK();
+  return wire::DecodeTxnInDoubtReply(response, txn_ids);
 }
 
 }  // namespace spitz

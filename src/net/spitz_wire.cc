@@ -79,5 +79,49 @@ Status ReplicaStatusResult::DecodeFrom(Slice* input,
   return s;
 }
 
+Status DecodeGetReply(Slice payload, Slice* value) {
+  Status s = GetLengthPrefixedSlice(&payload, value);
+  return s.ok() ? CheckConsumed(payload, "the reply") : s;
+}
+
+Status DecodeGetProofReply(Slice payload, std::shared_ptr<const void> owner,
+                           Slice* value, ReadProof* proof,
+                           SpitzDigest* digest) {
+  Status s = GetLengthPrefixedSlice(&payload, value);
+  if (s.ok()) s = ReadProof::DecodeFrom(&payload, std::move(owner), proof);
+  if (s.ok() && digest != nullptr) {
+    s = SpitzDigest::DecodeFrom(&payload, digest);
+  }
+  return s.ok() ? CheckConsumed(payload, "the reply") : s;
+}
+
+Status DecodeScanReply(Slice payload, std::vector<PosEntry>* rows) {
+  Status s = GetEntryList(&payload, rows);
+  return s.ok() ? CheckConsumed(payload, "the reply") : s;
+}
+
+Status DecodeScanProofReply(Slice payload, std::shared_ptr<const void> owner,
+                            std::vector<PosEntry>* rows, ScanProof* proof,
+                            SpitzDigest* digest) {
+  Status s = GetEntryList(&payload, rows);
+  if (s.ok()) s = ScanProof::DecodeFrom(&payload, std::move(owner), proof);
+  if (s.ok() && digest != nullptr) {
+    s = SpitzDigest::DecodeFrom(&payload, digest);
+  }
+  return s.ok() ? CheckConsumed(payload, "the reply") : s;
+}
+
+Status DecodeTxnInDoubtReply(Slice payload, std::vector<uint64_t>* txn_ids) {
+  uint64_t n = 0;
+  Status s = GetCount(&payload, sizeof(uint64_t), &n);
+  if (!s.ok()) return s;
+  txn_ids->resize(n);
+  for (uint64_t& txn_id : *txn_ids) {
+    s = GetFixed64(&payload, &txn_id);
+    if (!s.ok()) return s;
+  }
+  return CheckConsumed(payload, "the reply");
+}
+
 }  // namespace wire
 }  // namespace spitz

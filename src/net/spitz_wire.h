@@ -2,8 +2,11 @@
 #define SPITZ_NET_SPITZ_WIRE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "common/codec.h"
 #include "common/slice.h"
 #include "common/status.h"
 #include "core/spitz_db.h"
@@ -85,6 +88,38 @@ struct ReplicaStatusResult {
   void EncodeTo(std::string* out) const;
   static Status DecodeFrom(Slice* input, ReplicaStatusResult* out);
 };
+
+// --- Replies --------------------------------------------------------------
+//
+// The decoders SpitzClient runs on a reply's payload, one per reply form
+// of the table above. Each refuses a byte past the reply's last field,
+// so a reply has one byte form. A decoded value is a view of the
+// payload, and so is a proof, which keeps the payload's `owner` (the
+// reply's frame buffer) alive.
+
+// kGet: lp(value).
+Status DecodeGetReply(Slice payload, Slice* value);
+// kGetProof, and kGetProofAt when `digest` is null: lp(value) proof
+// [digest].
+Status DecodeGetProofReply(Slice payload, std::shared_ptr<const void> owner,
+                           Slice* value, ReadProof* proof,
+                           SpitzDigest* digest);
+// kScan: rows.
+Status DecodeScanReply(Slice payload, std::vector<PosEntry>* rows);
+// kScanProof, and kScanProofAt when `digest` is null: rows proof
+// [digest].
+Status DecodeScanProofReply(Slice payload, std::shared_ptr<const void> owner,
+                            std::vector<PosEntry>* rows, ScanProof* proof,
+                            SpitzDigest* digest);
+// kTxnInDoubt: var(n) fixed64*n.
+Status DecodeTxnInDoubtReply(Slice payload, std::vector<uint64_t>* txn_ids);
+// kDigest (SpitzDigest), kReplicate and kReplicaAck (ReplicaAck), and
+// kReplicaStatus (ReplicaStatusResult): one value's DecodeFrom form.
+template <typename T>
+Status DecodeReply(Slice payload, T* out) {
+  Status s = T::DecodeFrom(&payload, out);
+  return s.ok() ? CheckConsumed(payload, "the reply") : s;
+}
 
 }  // namespace wire
 }  // namespace spitz

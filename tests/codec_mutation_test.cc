@@ -35,6 +35,8 @@
 #include "ledger/block.h"
 #include "net/frame.h"
 #include "net/net_client.h"
+#include "net/net_server.h"
+#include "net/spitz_client.h"
 #include "net/spitz_wire.h"
 #include "nonintrusive/non_intrusive_db.h"
 #include "replica/backup.h"
@@ -750,6 +752,186 @@ TEST(CodecMutationTest, ReplicaAckAndStatus) {
          }});
 }
 
+// --- Client replies ------------------------------------------------------------
+
+// The reply payloads SpitzClient decodes (wire::Decode*Reply), built as
+// the server encodes them from one database's answers. A reply must
+// decode whole or not at all: a proof's or a digest's own form does not
+// end the reply.
+TEST(CodecMutationTest, ClientReplies) {
+  // Per seed: the point answers of every 23rd key (some deleted) and the
+  // range answers of a few ranges.
+  struct Answers {
+    std::vector<VerifiedKv::Evidence> gets;
+    std::vector<VerifiedKv::ScanEvidence> scans;
+  };
+  auto answers = [](uint64_t seed) {
+    SpitzDb db(SmallNodes(SiriBackend::kPosTree));
+    Fill(&db, seed);
+    Answers out;
+    for (uint64_t i = 0; i < 200; i += 23) {
+      out.gets.emplace_back();
+      Status s = db.GetProof(Key(i), &out.gets.back());
+      EXPECT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
+    }
+    for (uint64_t i = 0; i < 200; i += 61) {
+      out.scans.emplace_back();
+      EXPECT_TRUE(db.ScanProof(Key(i), Key(i + 9), i % 3, &out.scans.back())
+                      .ok());
+    }
+    return out;
+  };
+  auto lp = [](const Slice& value) {
+    std::string out;
+    PutLengthPrefixedSlice(&out, value);
+    return out;
+  };
+  auto rows_of = [](const std::vector<PosEntry>& rows) {
+    std::string out;
+    PutEntryList(&out, rows);
+    return out;
+  };
+
+  Sweep({"kGet reply",
+         [answers, lp](uint64_t seed) {
+           std::vector<std::string> out;
+           for (const auto& get : answers(seed).gets) {
+             out.push_back(lp(get.value.value_or("")));
+           }
+           return out;
+         },
+         [lp](const std::string& bytes, std::string* again) {
+           Slice value;
+           Status s = wire::DecodeGetReply(bytes, &value);
+           if (s.ok()) *again = lp(value);
+           return s;
+         }});
+  for (bool with_digest : {true, false}) {
+    Sweep({with_digest ? "kGetProof reply" : "kGetProofAt reply",
+           [answers, lp, with_digest](uint64_t seed) {
+             std::vector<std::string> out;
+             for (const auto& get : answers(seed).gets) {
+               out.push_back(lp(get.value.value_or("")) + get.proof +
+                             (with_digest ? get.digest : ""));
+             }
+             return out;
+           },
+           [lp, with_digest](const std::string& bytes, std::string* again) {
+             Slice value;
+             ReadProof proof;
+             SpitzDigest digest;
+             Status s = wire::DecodeGetProofReply(
+                 bytes, nullptr, &value, &proof,
+                 with_digest ? &digest : nullptr);
+             if (s.ok()) {
+               *again = lp(value) + EncodeOf(proof) +
+                        (with_digest ? EncodeOf(digest) : "");
+             }
+             return s;
+           }});
+    Sweep({with_digest ? "kScanProof reply" : "kScanProofAt reply",
+           [answers, rows_of, with_digest](uint64_t seed) {
+             std::vector<std::string> out;
+             for (const auto& scan : answers(seed).scans) {
+               out.push_back(rows_of(scan.rows) + scan.proof +
+                             (with_digest ? scan.digest : ""));
+             }
+             return out;
+           },
+           [rows_of, with_digest](const std::string& bytes,
+                                  std::string* again) {
+             std::vector<PosEntry> rows;
+             ScanProof proof;
+             SpitzDigest digest;
+             Status s = wire::DecodeScanProofReply(
+                 bytes, nullptr, &rows, &proof,
+                 with_digest ? &digest : nullptr);
+             if (s.ok()) {
+               *again = rows_of(rows) + EncodeOf(proof) +
+                        (with_digest ? EncodeOf(digest) : "");
+             }
+             return s;
+           }});
+  }
+  Sweep({"kScan reply",
+         [answers, rows_of](uint64_t seed) {
+           std::vector<std::string> out{rows_of({})};
+           for (const auto& scan : answers(seed).scans) {
+             out.push_back(rows_of(scan.rows));
+           }
+           return out;
+         },
+         [rows_of](const std::string& bytes, std::string* again) {
+           std::vector<PosEntry> rows;
+           Status s = wire::DecodeScanReply(bytes, &rows);
+           if (s.ok()) *again = rows_of(rows);
+           return s;
+         }});
+  auto in_doubt = [](const std::vector<uint64_t>& txn_ids) {
+    std::string out;
+    PutVarint64(&out, txn_ids.size());
+    for (uint64_t txn_id : txn_ids) PutFixed64(&out, txn_id);
+    return out;
+  };
+  Sweep({"kTxnInDoubt reply",
+         [in_doubt](uint64_t seed) {
+           Random rnd(seed);
+           std::vector<std::string> out{in_doubt({})};
+           for (size_t n : {1, 3}) {
+             std::vector<uint64_t> txn_ids;
+             for (size_t i = 0; i < n; i++) txn_ids.push_back(rnd.Next());
+             out.push_back(in_doubt(txn_ids));
+           }
+           return out;
+         },
+         [in_doubt](const std::string& bytes, std::string* again) {
+           std::vector<uint64_t> txn_ids;
+           Status s = wire::DecodeTxnInDoubtReply(bytes, &txn_ids);
+           if (s.ok()) *again = in_doubt(txn_ids);
+           return s;
+         }});
+  // kDigest, kReplicate, kReplicaAck and kReplicaStatus replies.
+  Sweep({"kDigest reply",
+         [answers](uint64_t seed) {
+           std::vector<std::string> out;
+           for (const auto& get : answers(seed).gets) out.push_back(get.digest);
+           return out;
+         },
+         [](const std::string& bytes, std::string* again) {
+           SpitzDigest digest;
+           Status s = wire::DecodeReply(bytes, &digest);
+           if (s.ok()) *again = EncodeOf(digest);
+           return s;
+         }});
+  Sweep({"kReplicaAck reply",
+         [](uint64_t seed) {
+           Random rnd(seed);
+           return std::vector<std::string>{EncodeOf(RandomAck(&rnd)),
+                                           EncodeOf(wire::ReplicaAck())};
+         },
+         [](const std::string& bytes, std::string* again) {
+           wire::ReplicaAck ack;
+           Status s = wire::DecodeReply(bytes, &ack);
+           if (s.ok()) *again = EncodeOf(ack);
+           return s;
+         }});
+  Sweep({"kReplicaStatus reply",
+         [](uint64_t seed) {
+           Random rnd(seed);
+           wire::ReplicaStatusResult status;
+           status.role = static_cast<uint8_t>(seed % 2);
+           status.applied = RandomAck(&rnd);
+           status.applied_entries = rnd.Next();
+           return std::vector<std::string>{EncodeOf(status)};
+         },
+         [](const std::string& bytes, std::string* again) {
+           wire::ReplicaStatusResult status;
+           Status s = wire::DecodeReply(bytes, &status);
+           if (s.ok()) *again = EncodeOf(status);
+           return s;
+         }});
+}
+
 TEST(CodecMutationTest, Handshake) {
   Sweep({"Handshake",
          [](uint64_t seed) {
@@ -1158,6 +1340,175 @@ TEST(OneByteFormTest, ReplicaStatusRequestIsOneCommandByte) {
   EXPECT_TRUE(backup->IsBackup());
   EXPECT_TRUE(backup->HandleStatus(query, &response).ok());
   EXPECT_TRUE(backup->IsBackup());
+}
+
+// A replicated one-shard fleet behind a NetServer that relays every
+// call (the replica methods to the backup) and, while `pad` is set,
+// serves each reply with one byte appended; `client` calls that server.
+// The client's reply decoders must refuse the padded replies.
+struct PaddedReplies {
+  std::unique_ptr<LocalFleet> fleet;
+  std::unique_ptr<NetClient> to_primary, to_backup;
+  std::atomic<bool> pad{true};
+  std::unique_ptr<NetServer> server;
+  std::unique_ptr<SpitzClient> client;
+
+  void Open() {
+    LocalFleet::Options options;
+    options.replicated = true;
+    ASSERT_TRUE(LocalFleet::Open(options, &fleet).ok());
+    ASSERT_TRUE(
+        NetClient::Connect(fleet->ClientOptions(0).net, &to_primary).ok());
+    ASSERT_TRUE(
+        NetClient::Connect(fleet->BackupClientOptions(0).net, &to_backup)
+            .ok());
+    NetServer::Options server_options;
+    server_options.features |= kFeatureReplication;
+    ASSERT_TRUE(NetServer::Start(
+                    [this](uint32_t method, const std::string& request,
+                           std::string* response) {
+                      NetClient* to = method >= wire::kReplicate
+                                          ? to_backup.get()
+                                          : to_primary.get();
+                      std::string reply;
+                      Status s = to->Call(method, request, &reply);
+                      response->append(reply);
+                      if (pad.load()) response->push_back('\0');
+                      return s;
+                    },
+                    server_options, &server)
+                    .ok());
+    SpitzClient::Options client_options;
+    client_options.net = fleet->ClientOptions(0).net;
+    client_options.net.port = server->port();
+    ASSERT_TRUE(SpitzClient::Open(client_options, &client).ok());
+    ASSERT_TRUE(fleet->db(0)->Put("k", "v").ok());
+  }
+
+  // `call` fails with Corruption on the padded reply and succeeds on
+  // the reply as served.
+  void Expect(const std::function<Status()>& call) {
+    pad.store(true);
+    Status s = call();
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    pad.store(false);
+    s = call();
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  }
+};
+
+TEST(OneByteFormTest, GetReplyRefusesATrailingByte) {
+  PaddedReplies r;
+  ASSERT_NO_FATAL_FAILURE(r.Open());
+  ReadOptions unverified;
+  unverified.verify = false;
+  std::string value;
+  r.Expect([&] { return r.client->Get(unverified, "k", &value); });
+  EXPECT_EQ(value, "v");
+}
+
+TEST(OneByteFormTest, GetProofReplyRefusesATrailingByte) {
+  PaddedReplies r;
+  ASSERT_NO_FATAL_FAILURE(r.Open());
+  std::string value;
+  r.Expect([&] { return r.client->VerifiedGet("k", &value); });
+  EXPECT_EQ(value, "v");
+}
+
+TEST(OneByteFormTest, ScanReplyRefusesATrailingByte) {
+  PaddedReplies r;
+  ASSERT_NO_FATAL_FAILURE(r.Open());
+  ReadOptions unverified;
+  unverified.verify = false;
+  std::vector<PosEntry> rows;
+  r.Expect([&] { return r.client->Scan(unverified, "a", "z", 0, &rows); });
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].value, "v");
+}
+
+TEST(OneByteFormTest, ScanProofReplyRefusesATrailingByte) {
+  PaddedReplies r;
+  ASSERT_NO_FATAL_FAILURE(r.Open());
+  std::vector<PosEntry> rows;
+  r.Expect([&] { return r.client->VerifiedScan("a", "z", 0, &rows); });
+  EXPECT_EQ(rows.size(), 1u);
+}
+
+TEST(OneByteFormTest, GetProofAtReplyRefusesATrailingByte) {
+  PaddedReplies r;
+  ASSERT_NO_FATAL_FAILURE(r.Open());
+  const Hash256 root = r.fleet->db(0)->Digest().index_root;
+  std::optional<std::string> value;
+  ReadProof proof;
+  r.Expect([&] { return r.client->GetProofAt(root, "k", &value, &proof); });
+  EXPECT_TRUE(SpitzDb::VerifyRead(r.fleet->db(0)->Digest(), "k", value, proof)
+                  .ok());
+}
+
+TEST(OneByteFormTest, ScanProofAtReplyRefusesATrailingByte) {
+  PaddedReplies r;
+  ASSERT_NO_FATAL_FAILURE(r.Open());
+  const Hash256 root = r.fleet->db(0)->Digest().index_root;
+  std::vector<PosEntry> rows;
+  ScanProof proof;
+  r.Expect(
+      [&] { return r.client->ScanProofAt(root, "a", "z", 0, &rows, &proof); });
+  EXPECT_TRUE(SpitzDb::VerifyScan(r.fleet->db(0)->Digest(), "a", "z", 0, rows,
+                                  proof)
+                  .ok());
+}
+
+TEST(OneByteFormTest, DigestReplyRefusesATrailingByte) {
+  PaddedReplies r;
+  ASSERT_NO_FATAL_FAILURE(r.Open());
+  SpitzDigest digest;
+  r.Expect([&] { return r.client->Digest(&digest); });
+  EXPECT_EQ(digest, r.fleet->db(0)->Digest());
+}
+
+TEST(OneByteFormTest, TxnInDoubtReplyRefusesATrailingByte) {
+  PaddedReplies r;
+  ASSERT_NO_FATAL_FAILURE(r.Open());
+  WriteBatch batch;
+  batch.Put("prepared", "p");
+  ASSERT_TRUE(r.fleet->db(0)->participant()->PrepareTxn(7, batch).ok());
+  std::vector<uint64_t> txn_ids;
+  r.Expect([&] { return r.client->TxnInDoubt(&txn_ids); });
+  EXPECT_EQ(txn_ids, std::vector<uint64_t>{7});
+}
+
+TEST(OneByteFormTest, ReplicateReplyRefusesATrailingByte) {
+  PaddedReplies r;
+  ASSERT_NO_FATAL_FAILURE(r.Open());
+  // Block 0 of another history, which the empty backup applies; the
+  // backup acknowledges a record it already applied again.
+  SpitzOptions source_options;
+  source_options.block_size = 1;
+  SpitzDb source(source_options);
+  ASSERT_TRUE(source.Put("replicated", "r").ok());
+  std::string record;
+  Block block;
+  ASSERT_TRUE(EncodeReplicationRecord(source, 0, &record, &block).ok());
+  wire::ReplicaAck ack;
+  r.Expect([&] { return r.client->Replicate(record, &ack); });
+  EXPECT_EQ(ack.applied_blocks, 1u);
+}
+
+TEST(OneByteFormTest, ReplicaAckReplyRefusesATrailingByte) {
+  PaddedReplies r;
+  ASSERT_NO_FATAL_FAILURE(r.Open());
+  wire::ReplicaAck ack;
+  r.Expect([&] { return r.client->ReplicaAckQuery(&ack); });
+}
+
+TEST(OneByteFormTest, ReplicaStatusReplyRefusesATrailingByte) {
+  PaddedReplies r;
+  ASSERT_NO_FATAL_FAILURE(r.Open());
+  wire::ReplicaStatusResult status;
+  r.Expect([&] {
+    return r.client->ReplicaStatus(wire::kReplicaStatusQuery, &status);
+  });
+  EXPECT_EQ(status.role, 0u);
 }
 
 }  // namespace

@@ -9,8 +9,10 @@
 #include <atomic>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "chunk/buffer_cache.h"
@@ -614,6 +616,119 @@ TEST(ConcurrencyTest, ReadsOfUnflushedRecordsRaceAppendsAndSyncs) {
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_TRUE(store->status().ok());
   EXPECT_EQ(cache.stats().entries(), 0u);
+  store.reset();
+  std::filesystem::remove_all(dir);
+}
+
+// A writer overwrites one chunk version after version, so every eighth
+// version rebases onto the full record its chain starts from, while GC
+// passes keep only the newest versions and so collect each chain's full
+// record, flattening the deltas on it, and readers Get the newest
+// versions. Each rebase either names a full record the pass then keeps
+// or finds it gone and writes in full: every retained version reads
+// back exactly, before and after a reopen.
+TEST(ConcurrencyTest, RebasesRaceGcPassesCollectingTheirFullRecord) {
+  const std::string dir = ::testing::TempDir() + "/spitz_rebase_gc_race";
+  std::filesystem::remove_all(dir);
+  constexpr int kVersions = 600;
+  constexpr size_t kRetain = 3;
+  // Too small to hold a version: a rebase reads its full record from
+  // the unflushed map or a segment a pass may be collecting.
+  BufferCache cache(/*capacity_bytes=*/1 << 10, /*shard_count=*/1);
+  FileChunkStore::Options store_options;
+  store_options.segment_bytes = 8 << 10;
+  store_options.cache = &cache;
+  std::unique_ptr<FileChunkStore> store;
+  ASSERT_TRUE(
+      FileChunkStore::Open(Env::Default(), dir, store_options, &store).ok());
+  std::vector<Chunk> versions;
+  Random rnd(23);
+  std::string payload(2048, 'x');
+  for (int i = 0; i < kVersions; i++) {
+    payload[rnd.Uniform(payload.size())] = static_cast<char>('a' + i % 26);
+    versions.emplace_back(ChunkType::kBlob, payload + std::to_string(i));
+  }
+
+  // A pass snapshots the retained versions and calls BeginGc under mu,
+  // and the writer puts and publishes a version under it, so no version
+  // is written between a pass's snapshot and its mark.
+  std::mutex mu;
+  std::atomic<int> published{0};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> failures{0};
+  std::atomic<uint64_t> passes{0};
+  std::thread writer([&] {
+    for (int i = 0; i < kVersions; i++) {
+      // A pass at least every two chains' length of versions: chains
+      // reach the cap between passes, and the passes overlap rebases.
+      if (i % (2 * FileChunkStore::kMaxChainDepth) == 0) {
+        const uint64_t seen = passes.load();
+        while (passes.load() == seen) std::this_thread::yield();
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      store->Put(versions[i], i > 0 ? &versions[i - 1] : nullptr);
+      store->OnBlockSealed();
+      published.store(i + 1, std::memory_order_release);
+    }
+    done.store(true);
+  });
+  std::thread collector([&] {
+    while (!done.load()) {
+      std::unordered_set<Hash256, Hash256Hasher> live;
+      uint64_t mark = 0;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        const int n = published.load(std::memory_order_relaxed);
+        for (int i = std::max(0, n - static_cast<int>(kRetain)); i < n; i++) {
+          live.insert(versions[i].id());
+        }
+        mark = store->BeginGc();
+      }
+      ChunkGcStats stats;
+      if (!store->RetainLive(live, mark, &stats).ok()) failures.fetch_add(1);
+      passes.fetch_add(1);
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; r++) {
+    readers.emplace_back([&] {
+      while (!done.load()) {
+        const int n = published.load(std::memory_order_acquire);
+        if (n == 0) continue;
+        // The newest version: collected only once a pass that began
+        // after kRetain later versions ran, and then NotFound.
+        std::shared_ptr<const Chunk> got;
+        Status s = store->Get(versions[n - 1].id(), &got);
+        if (s.ok() ? got->payload() != versions[n - 1].payload()
+                   : !s.IsNotFound()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  writer.join();
+  collector.join();
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_GT(passes.load(), 0u);
+  MetricsRegistry registry;
+  store->ExportMetrics(&registry);
+  EXPECT_GT(registry.Snapshot().CounterValue("chunk.file.delta_rebases"), 0u);
+  ASSERT_TRUE(store->Sync().ok());
+
+  const auto expect_retained = [&](FileChunkStore* s) {
+    for (int i = kVersions - static_cast<int>(kRetain); i < kVersions; i++) {
+      cache.Clear();
+      std::shared_ptr<const Chunk> got;
+      ASSERT_TRUE(s->Get(versions[i].id(), &got).ok()) << i;
+      EXPECT_EQ(got->payload(), versions[i].payload());
+    }
+  };
+  expect_retained(store.get());
+  store.reset();
+  ASSERT_TRUE(
+      FileChunkStore::Open(Env::Default(), dir, store_options, &store).ok());
+  expect_retained(store.get());
   store.reset();
   std::filesystem::remove_all(dir);
 }

@@ -1,8 +1,9 @@
 // Delta chunk records: the record codec (chunk/chunk_record.h) and what
 // FileChunkStore promises about them — small records for path-copied
-// POS nodes, a bounded chain, reads that verify, replay that refuses a
-// damaged or forged store, and GC passes (and crashes inside them) that
-// never leave a delta without its base.
+// POS nodes, a bounded chain that rebases onto its full record at the
+// cap, reads that verify, replay that refuses a damaged or forged
+// store, and GC passes (and crashes inside them) that never leave a
+// delta without its base.
 
 #include <gtest/gtest.h>
 
@@ -366,6 +367,191 @@ TEST_F(DeltaChunkTest, HundredOverwritesStayWithinTheCapAndEveryVersionReads) {
   check_all(store.get(), &cache);
 }
 
+// One leaf of 32 keys, written as a full record: every overwrite
+// path-copies just that leaf.
+struct OneLeaf {
+  explicit OneLeaf(FileChunkStore* store) : tree(store, Options()) {
+    std::vector<PosEntry> entries;
+    for (int i = 0; i < 32; i++) {
+      entries.push_back({Key(i), Value(i, 0)});
+      model[Key(i)] = Value(i, 0);
+    }
+    Hash256 root;
+    EXPECT_TRUE(tree.Build(entries, &root).ok());
+    versions.emplace_back(root, model);
+  }
+  static PosTreeOptions Options() {
+    PosTreeOptions options;
+    options.leaf_pattern_bits = 30;
+    options.meta_pattern_bits = 30;
+    return options;
+  }
+  // Overwrites key 5 `n` times, one version each.
+  void Overwrite(int n) {
+    for (int i = 0; i < n; i++) {
+      const int v = static_cast<int>(versions.size());
+      model[Key(5)] = Value(5, v);
+      Hash256 root;
+      ASSERT_TRUE(tree.Put(versions.back().first, Key(5), Value(5, v), &root)
+                      .ok());
+      versions.emplace_back(root, model);
+    }
+  }
+  const Hash256& root(size_t v) const { return versions[v].first; }
+
+  PosTree tree;
+  std::map<std::string, std::string> model;
+  std::vector<std::pair<Hash256, std::map<std::string, std::string>>>
+      versions;
+};
+
+// The base records one cold Get of `id` reads.
+uint64_t ColdChainReads(FileChunkStore* store, BufferCache* cache,
+                        const Hash256& id) {
+  cache->Clear();
+  const uint64_t before = Counter(*store, "chunk.file.chain_reads");
+  std::shared_ptr<const Chunk> chunk;
+  EXPECT_TRUE(store->Get(id, &chunk).ok());
+  return Counter(*store, "chunk.file.chain_reads") - before;
+}
+
+// A leaf whose chain of deltas is at the cap: its next version is a
+// depth-1 delta on the full record the chain starts from (read back
+// from the segment, not counted as a chain read), a cold Get of it
+// reads that one base, and the version after it chains on it.
+TEST_F(DeltaChunkTest, VersionPastTheCapIsADeltaOnItsChainsFullRecord) {
+  constexpr int kCap = FileChunkStore::kMaxChainDepth;
+  BufferCache cache(1 << 20);
+  FileChunkStore::Options options;
+  options.cache = &cache;
+  std::unique_ptr<FileChunkStore> store;
+  ASSERT_TRUE(
+      FileChunkStore::Open(Env::Default(), dir_, options, &store).ok());
+  OneLeaf leaf(store.get());
+  ASSERT_TRUE(store->Sync().ok());  // the full record is on disk
+  leaf.Overwrite(kCap);
+  EXPECT_EQ(Counter(*store, "chunk.file.delta_records"), uint64_t{kCap});
+  EXPECT_EQ(Counter(*store, "chunk.file.delta_rebases"), 0u);
+  // The first overwrite's read cached the full record; drop it, as the
+  // retirement of replaced nodes does.
+  cache.Erase(leaf.root(0));
+  leaf.Overwrite(1);
+  EXPECT_EQ(Counter(*store, "chunk.file.delta_records"), uint64_t{kCap} + 1);
+  EXPECT_EQ(Counter(*store, "chunk.file.delta_rebases"), 1u);
+  EXPECT_EQ(Counter(*store, "chunk.file.rebase_reads"), 1u);
+  EXPECT_EQ(Counter(*store, "chunk.file.chain_reads"), 0u);
+  ASSERT_TRUE(store->Sync().ok());
+
+  const std::vector<std::string> segments = SegmentPaths(dir_);
+  ASSERT_EQ(segments.size(), 1u);
+  const std::string bytes = ReadFile(segments[0]);
+  const std::vector<Located> records = WalkSegment(bytes);
+  auto base_of = [&](const Hash256& id) {
+    for (const Located& at : records) {
+      if (at.id == id) {
+        EXPECT_TRUE(at.record.delta);
+        return at.record.base;
+      }
+    }
+    ADD_FAILURE() << "no record of " << id.ToHex();
+    return Hash256();
+  };
+  EXPECT_EQ(base_of(leaf.root(kCap)), leaf.root(kCap - 1));
+  EXPECT_EQ(base_of(leaf.root(kCap + 1)), leaf.root(0));
+
+  EXPECT_EQ(ColdChainReads(store.get(), &cache, leaf.root(kCap)),
+            uint64_t{kCap});
+  EXPECT_EQ(ColdChainReads(store.get(), &cache, leaf.root(kCap + 1)), 1u);
+  leaf.Overwrite(1);
+  ASSERT_TRUE(store->Sync().ok());
+  EXPECT_EQ(ColdChainReads(store.get(), &cache, leaf.root(kCap + 2)), 2u);
+  for (const auto& [root, model] : leaf.versions) {
+    cache.Clear();
+    ExpectVersionVerifies(leaf.tree, root, model);
+  }
+}
+
+// The full record a rebase would read is damaged on disk under a
+// recomputed checksum: it does not hash to its id, so the version past
+// the cap is written whole rather than as a delta on the wrong bytes.
+TEST_F(DeltaChunkTest, DamagedFullRecordIsNotRebasedOnto) {
+  constexpr int kCap = FileChunkStore::kMaxChainDepth;
+  BufferCache cache(1 << 20);
+  FileChunkStore::Options options;
+  options.cache = &cache;
+  std::unique_ptr<FileChunkStore> store;
+  ASSERT_TRUE(
+      FileChunkStore::Open(Env::Default(), dir_, options, &store).ok());
+  OneLeaf leaf(store.get());
+  leaf.Overwrite(kCap);
+  ASSERT_TRUE(store->Sync().ok());
+  cache.Erase(leaf.root(0));
+
+  const std::string segment = SegmentPaths(dir_)[0];
+  std::string bytes = ReadFile(segment);
+  bool found = false;
+  for (const Located& at : WalkSegment(bytes)) {
+    if (at.record.delta || !(at.id == leaf.root(0))) continue;
+    // A byte of a key no version changes.
+    const size_t in_body =
+        static_cast<size_t>(at.record.body.data() - bytes.data()) + 3;
+    bytes[in_body] = static_cast<char>(bytes[in_body] ^ 0x20);
+    Reseal(&bytes, at.offset);
+    found = true;
+  }
+  ASSERT_TRUE(found);
+  WriteFile(segment, bytes);
+
+  leaf.Overwrite(1);
+  EXPECT_EQ(Counter(*store, "chunk.file.rebase_reads"), 1u);
+  EXPECT_EQ(Counter(*store, "chunk.file.delta_rebases"), 0u);
+  EXPECT_EQ(Counter(*store, "chunk.file.delta_records"), uint64_t{kCap});
+  ASSERT_TRUE(store->Sync().ok());
+  EXPECT_EQ(ColdChainReads(store.get(), &cache, leaf.root(kCap + 1)), 0u);
+  cache.Clear();
+  ExpectVersionVerifies(leaf.tree, leaf.root(kCap + 1),
+                        leaf.versions.back().second);
+}
+
+// A chunk whose chain is at the cap but differs from the chain's full
+// record in as many bytes as it holds: the rebased delta would not be
+// shorter, so it is written full, and its successor is a delta on it.
+TEST_F(DeltaChunkTest, RebasedDeltaNoLongerShorterIsWrittenFull) {
+  constexpr int kCap = FileChunkStore::kMaxChainDepth;
+  constexpr size_t kRegion = 500;
+  Random rnd(17);
+  // Version v rewrites region (v - 1) % kCap, so version kCap + 1 has
+  // rewritten every byte of version 0.
+  std::vector<Chunk> versions{
+      Chunk(ChunkType::kBlob, RandomBytes(&rnd, kRegion * kCap))};
+  std::unique_ptr<FileChunkStore> store;
+  ASSERT_TRUE(FileChunkStore::Open(dir_, &store).ok());
+  store->Put(versions[0]);
+  for (int v = 1; v <= kCap + 2; v++) {
+    std::string payload = versions.back().payload();
+    payload.replace((v - 1) % kCap * kRegion, kRegion,
+                    RandomBytes(&rnd, kRegion));
+    versions.emplace_back(ChunkType::kBlob, payload);
+    store->Put(versions[v], &versions[v - 1]);
+  }
+  EXPECT_EQ(Counter(*store, "chunk.file.delta_records"), uint64_t{kCap} + 1);
+  EXPECT_EQ(Counter(*store, "chunk.file.delta_rebases"), 0u);
+  ASSERT_TRUE(store->Sync().ok());
+
+  const std::string bytes = ReadFile(SegmentPaths(dir_)[0]);
+  const std::vector<Located> records = WalkSegment(bytes);
+  ASSERT_EQ(records.size(), versions.size());
+  for (size_t v = 0; v < versions.size(); v++) {
+    SCOPED_TRACE("version " + std::to_string(v));
+    EXPECT_EQ(records[v].id, versions[v].id());
+    const bool full = v == 0 || v == kCap + 1;
+    EXPECT_EQ(records[v].record.delta, !full);
+    if (!full) {
+      EXPECT_EQ(records[v].record.base, versions[v - 1].id());
+    }
+  }
+}
+
 // A base record damaged on disk under a recomputed checksum: every
 // delta on it fails Get with Corruption, and the store no longer opens.
 TEST_F(DeltaChunkTest, CorruptBaseFailsEveryDeltaOnIt) {
@@ -649,6 +835,58 @@ TEST_F(DeltaChunkTest, SupersededDeltaCopyGoesNoLaterThanItsFullCopy) {
   ASSERT_TRUE(store->Get(filler.id(), &chunk).ok());
   EXPECT_EQ(chunk->payload(), filler.payload());
   EXPECT_FALSE(store->Contains(delta.id()));
+}
+
+// The full record two rebased deltas sit on dies while they live, in
+// segments that hold no dead record: the GC pass flattens both, so they
+// read with no base, every retained version reads from a cold cache,
+// and a reopen verifies them all.
+TEST_F(DeltaChunkTest, GcCollectingAChainsFullRecordFlattensItsRebasedDeltas) {
+  constexpr int kCap = FileChunkStore::kMaxChainDepth;
+  BufferCache cache(1 << 20);
+  FileChunkStore::Options options;
+  options.segment_bytes = 1;  // a segment per record
+  options.cache = &cache;
+  std::unique_ptr<OneLeaf> leaf;
+  {
+    std::unique_ptr<FileChunkStore> store;
+    ASSERT_TRUE(
+        FileChunkStore::Open(Env::Default(), dir_, options, &store).ok());
+    leaf = std::make_unique<OneLeaf>(store.get());
+    leaf->Overwrite(2 * kCap + 4);
+    ASSERT_EQ(Counter(*store, "chunk.file.delta_rebases"), 2u);
+
+    // Keep the versions from the first rebased one on.
+    std::unordered_set<Hash256, Hash256Hasher> live;
+    const uint64_t mark = store->BeginGc();
+    for (size_t v = kCap + 1; v < leaf->versions.size(); v++) {
+      ASSERT_TRUE(leaf->tree.CollectChunks(leaf->root(v), &live).ok());
+    }
+    ChunkGcStats stats;
+    ASSERT_TRUE(store->RetainLive(live, mark, &stats).ok());
+    EXPECT_FALSE(store->Contains(leaf->root(0)));
+    EXPECT_EQ(stats.dead_chunks, uint64_t{kCap} + 1);
+    EXPECT_GT(stats.rewritten_bytes, 0u);
+    for (int rebased : {kCap + 1, 2 * kCap + 1}) {
+      EXPECT_EQ(ColdChainReads(store.get(), &cache, leaf->root(rebased)), 0u);
+      EXPECT_EQ(
+          ColdChainReads(store.get(), &cache, leaf->root(rebased + 1)), 1u);
+    }
+    for (size_t v = kCap + 1; v < leaf->versions.size(); v++) {
+      cache.Clear();
+      ExpectVersionVerifies(leaf->tree, leaf->root(v),
+                            leaf->versions[v].second);
+    }
+    ASSERT_TRUE(store->Sync().ok());
+  }
+  std::unique_ptr<FileChunkStore> store;
+  Status s = FileChunkStore::Open(Env::Default(), dir_, options, &store);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  PosTree tree(store.get(), OneLeaf::Options());
+  for (size_t v = kCap + 1; v < leaf->versions.size(); v++) {
+    cache.Clear();
+    ExpectVersionVerifies(tree, leaf->root(v), leaf->versions[v].second);
+  }
 }
 
 // The default environment, except that after `budget` unlinks every

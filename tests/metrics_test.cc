@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "chunk/file_chunk_store.h"
 #include "core/json.h"
 #include "core/spitz_db.h"
 
@@ -415,7 +416,6 @@ TEST(MetricsEndToEndTest, PagedStoreCountsDeltaRecordsAndChainReads) {
     ASSERT_TRUE(SpitzDb::Open(options, &db).ok());
     if (reopen == 0) {
       // Nodes of 32 entries of ~100 B: a delta is far shorter than one.
-      // (The 60th version is a delta; every ninth is full.)
       for (int i = 0; i < 60; i++) {
         ASSERT_TRUE(db->Put("key" + std::to_string(i % 32),
                             std::string(100, 'a' + i % 26))
@@ -442,6 +442,46 @@ TEST(MetricsEndToEndTest, PagedStoreCountsDeltaRecordsAndChainReads) {
       }
       EXPECT_GT(db->Metrics().CounterValue("chunk.file.chain_reads"), 0u);
     }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Overwrites of one key past the chain cap write the leaf's next
+// version as a delta on the full record its chain starts from, which
+// the cache no longer holds once its block left the retain_versions
+// window: chunk.file.delta_rebases counts those deltas and rebase_reads
+// the full records read back for them, while chain_reads, the bases
+// read to rebuild a delta, stays 0 on a run that only writes.
+TEST(MetricsEndToEndTest, PagedStoreCountsRebasesApartFromChainReads) {
+  std::string dir = ::testing::TempDir() + "/spitz_metrics_rebase";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  SpitzOptions options;
+  options.block_size = 1;
+  options.retain_versions = 2;
+  options.data_dir = dir;
+  {
+    std::unique_ptr<SpitzDb> db;
+    ASSERT_TRUE(SpitzDb::Open(options, &db).ok());
+    std::vector<PosEntry> entries;
+    for (int i = 0; i < 32; i++) {
+      entries.push_back({"key" + std::to_string(i), std::string(100, 'a')});
+    }
+    ASSERT_TRUE(db->BulkLoad(entries).ok());
+    ASSERT_TRUE(db->SyncStorage().ok());
+    for (int v = 1; v <= 2 * FileChunkStore::kMaxChainDepth + 1; v++) {
+      ASSERT_TRUE(db->Put("key7", std::string(100, 'a' + v % 26)).ok());
+    }
+    JsonValue json;
+    ASSERT_TRUE(JsonValue::Parse(db->Metrics().ToJsonString(), &json).ok());
+    MetricsSnapshot snap;
+    ASSERT_TRUE(MetricsSnapshot::FromJson(json, &snap).ok());
+    const uint64_t rebases = snap.CounterValue("chunk.file.delta_rebases");
+    EXPECT_GE(rebases, 2u);
+    EXPECT_LT(rebases, snap.CounterValue("chunk.file.delta_records"));
+    EXPECT_GE(snap.CounterValue("chunk.file.rebase_reads"), 1u);
+    EXPECT_LE(snap.CounterValue("chunk.file.rebase_reads"), rebases);
+    EXPECT_EQ(snap.CounterValue("chunk.file.chain_reads"), 0u);
   }
   std::filesystem::remove_all(dir);
 }
