@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <malloc.h>
 #include <map>
 #include <memory>
 #include <unordered_set>
@@ -174,6 +175,75 @@ void BM_PosTreeLoadNodeMiss(benchmark::State& state) {
   if (cache.stats().kind[BufferCache::kPosNode].hits != 0) abort();
 }
 BENCHMARK(BM_PosTreeLoadNodeMiss);
+
+// What a decoded, cached index node costs beyond its bytes: every node
+// of a 200k-record tree (16 B keys, 100 B values) decoded from the
+// in-memory store, which already holds the chunks, and cached under
+// kPosNode as PosTree::LoadNode caches it. heap_bytes_per_node is the
+// growth of glibc's in-use heap (mallinfo2, chunk headers included)
+// per cached node: the decoded node, its offsets and its cache entry.
+// payload_bytes_per_node is the mean serialized node beside it, and
+// charge_bytes_per_node the mean cache charge (PosNode::ByteSize, which
+// counts the chunk the node keeps alive).
+void BM_NodeCacheBytesPerNode(benchmark::State& state) {
+  constexpr uint64_t kKeys = 200000;
+  ChunkStore store;
+  PosTree tree(&store);
+  Random rng(12);
+  std::vector<PosEntry> entries;
+  for (uint64_t i = 0; i < kKeys; i++) {
+    entries.push_back({bench::RecordKey(i), rng.Bytes(100)});
+  }
+  Hash256 root;
+  if (!tree.Build(std::move(entries), &root).ok()) abort();
+  std::vector<Hash256> ids;
+  {
+    std::unordered_set<Hash256, Hash256Hasher> live;
+    if (!tree.CollectChunks(root, &live).ok()) abort();
+    ids.assign(live.begin(), live.end());
+  }
+  BufferCache cache(/*capacity_bytes=*/size_t{1} << 30);
+  size_t heap_bytes = 0, payload_bytes = 0, charge_bytes = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    cache.Clear();
+    malloc_trim(0);
+    const struct mallinfo2 before = mallinfo2();
+    payload_bytes = 0;
+    state.ResumeTiming();
+    for (const Hash256& id : ids) {
+      std::shared_ptr<const Chunk> chunk;
+      std::shared_ptr<const PosNode> node;
+      if (!store.Get(id, &chunk).ok() ||
+          !PosNode::Decode(std::move(chunk), &node).ok()) {
+        abort();
+      }
+      payload_bytes += node->payload().size();
+      const size_t charge = node->ByteSize();
+      cache.Insert(BufferCache::kPosNode, id, std::move(node), charge);
+    }
+    state.PauseTiming();
+    const struct mallinfo2 after = mallinfo2();
+    heap_bytes = (after.uordblks + after.hblkhd) -
+                 (before.uordblks + before.hblkhd);
+    charge_bytes = cache.stats().kind[BufferCache::kPosNode].bytes;
+    if (cache.stats().kind[BufferCache::kPosNode].entries != ids.size()) {
+      abort();
+    }
+    state.ResumeTiming();
+  }
+  const double nodes = static_cast<double>(ids.size());
+  state.counters["nodes"] = nodes;
+  state.counters["heap_bytes_per_node"] =
+      static_cast<double>(heap_bytes) / nodes;
+  state.counters["payload_bytes_per_node"] =
+      static_cast<double>(payload_bytes) / nodes;
+  state.counters["charge_bytes_per_node"] =
+      static_cast<double>(charge_bytes) / nodes;
+}
+BENCHMARK(BM_NodeCacheBytesPerNode)
+    ->Iterations(3)
+    ->Unit(benchmark::kMillisecond);
 
 // Verified reads through the full database stack, with the unified
 // buffer cache sized generously (arg1 = cache bytes; the small setting

@@ -23,7 +23,15 @@
 #   (DeltaChunkTest.VersionPastTheCapIsADeltaOnItsChainsFullRecord,
 #   RebasedDeltaNoLongerShorterIsWrittenFull and
 #   GcCollectingAChainsFullRecordFlattensItsRebasedDeltas), which run in
-#   the ASan+UBSan leg too, as does the concurrency case.
+#   the ASan+UBSan leg too, as does the concurrency case. The decoded
+#   node's offset tables (PosTreeTest.LeafAccessorsReadEveryPrefixWidth-
+#   AsTheEntryListDecodes, MetaAccessorsReadEveryPrefixWidth,
+#   WideKeysAndValuesReadBackThroughEveryTreeNode,
+#   LeafPastSixtyFourKibHasOffsetsPastSixteenBits and
+#   LowerBoundAndRouteAgreeWithALinearScanAtEveryBoundary) and the
+#   buffer cache's LRU list
+#   (ConcurrencyTest.NodeCacheLruOrderThroughPromoteRefreshEvictEraseClear)
+#   run in both legs under the existing PosTree and Concurrency filters.
 # ASan+UBSan: the proof-codec, database, group-commit, version-GC,
 #   deferred-auditor, key-history,
 #   2PC participant, write-batch and read-set, network, cluster,

@@ -10,6 +10,29 @@ BufferCache::BufferCache(size_t capacity_bytes, size_t shard_count)
       shard_budget_(std::max<size_t>(1, capacity_bytes / shard_count_)),
       shards_(new Shard[shard_count_]) {}
 
+void BufferCache::Shard::Unlink(Slot* slot) {
+  Entry& e = slot->second;
+  (e.prev != nullptr ? e.prev->second.next : head) = e.next;
+  (e.next != nullptr ? e.next->second.prev : tail) = e.prev;
+  e.prev = e.next = nullptr;
+}
+
+void BufferCache::Shard::PushFront(Slot* slot) {
+  slot->second.next = head;
+  (head != nullptr ? head->second.prev : tail) = slot;
+  head = slot;
+}
+
+void BufferCache::Shard::Remove(Map::iterator it,
+                                std::shared_ptr<const void>* dropped) {
+  const uint8_t kind = it->first.kind;
+  bytes[kind] -= it->second.charge;
+  entries[kind]--;
+  *dropped = std::move(it->second.value);
+  Unlink(&*it);
+  map.erase(it);
+}
+
 std::shared_ptr<const void> BufferCache::Lookup(Kind kind, const Hash256& id) {
   Shard* shard = ShardOf(id);
   std::lock_guard<std::mutex> lock(shard->mu);
@@ -20,8 +43,9 @@ std::shared_ptr<const void> BufferCache::Lookup(Kind kind, const Hash256& id) {
   }
   hits_[kind].Increment();
   // Promote to most-recently-used.
-  shard->lru.splice(shard->lru.begin(), shard->lru, it->second);
-  return it->second->value;
+  shard->Unlink(&*it);
+  shard->PushFront(&*it);
+  return it->second.value;
 }
 
 void BufferCache::Insert(Kind kind, const Hash256& id,
@@ -29,56 +53,55 @@ void BufferCache::Insert(Kind kind, const Hash256& id,
   if (value == nullptr) return;
   if (charge > shard_budget_) return;  // would evict a whole shard
   Shard* shard = ShardOf(id);
-  Key key{id, static_cast<uint8_t>(kind)};
+  std::vector<std::shared_ptr<const void>> dropped;  // freed after unlock
   std::lock_guard<std::mutex> lock(shard->mu);
-  auto it = shard->map.find(key);
-  if (it != shard->map.end()) {
+  auto [it, inserted] =
+      shard->map.try_emplace(Key{id, static_cast<uint8_t>(kind)});
+  if (!inserted) {
     // Same id ⇒ same content; refresh recency only.
-    shard->lru.splice(shard->lru.begin(), shard->lru, it->second);
+    shard->Unlink(&*it);
+    shard->PushFront(&*it);
     return;
   }
   inserts_[kind].Increment();
-  shard->lru.push_front(Entry{key, std::move(value), charge});
-  shard->map.emplace(key, shard->lru.begin());
+  it->second.value = std::move(value);
+  it->second.charge = charge;
+  shard->PushFront(&*it);
   shard->bytes[kind] += charge;
   shard->entries[kind]++;
-  EvictLocked(shard);
+  EvictLocked(shard, &dropped);
 }
 
-void BufferCache::EvictLocked(Shard* shard) {
+void BufferCache::EvictLocked(
+    Shard* shard, std::vector<std::shared_ptr<const void>>* dropped) {
   // The entry just inserted fits the budget alone, so this stops
   // before reaching it.
   while (ShardBytes(*shard) > shard_budget_) {
-    auto victim = std::prev(shard->lru.end());
-    Kind kind = static_cast<Kind>(victim->key.kind);
-    shard->bytes[kind] -= victim->charge;
-    shard->entries[kind]--;
-    shard->evictions[kind]++;
-    shard->map.erase(victim->key);
-    shard->lru.erase(victim);
+    auto victim = shard->map.find(shard->tail->first);
+    shard->evictions[victim->first.kind]++;
+    shard->Remove(victim, &dropped->emplace_back());
   }
 }
 
 void BufferCache::Erase(const Hash256& id) {
   Shard* shard = ShardOf(id);  // every kind of `id` lives in one shard
+  std::shared_ptr<const void> dropped[kKindCount];  // freed after unlock
   std::lock_guard<std::mutex> lock(shard->mu);
   for (uint8_t kind = 0; kind < kKindCount; kind++) {
     auto it = shard->map.find(Key{id, kind});
     if (it == shard->map.end()) continue;
-    shard->bytes[kind] -= it->second->charge;
-    shard->entries[kind]--;
     shard->erases[kind]++;
-    shard->lru.erase(it->second);
-    shard->map.erase(it);
+    shard->Remove(it, &dropped[kind]);
   }
 }
 
 void BufferCache::Clear() {
   for (size_t i = 0; i < shard_count_; i++) {
     Shard& shard = shards_[i];
+    Map dropped;  // freed after unlock
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.lru.clear();
-    shard.map.clear();
+    dropped.swap(shard.map);
+    shard.head = shard.tail = nullptr;
     for (size_t k = 0; k < kKindCount; k++) {
       shard.bytes[k] = 0;
       shard.entries[k] = 0;

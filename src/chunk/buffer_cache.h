@@ -3,10 +3,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/metrics.h"
 #include "crypto/hash.h"
@@ -32,6 +33,11 @@ namespace spitz {
 // retained versions rather than the write history. Nor does any reader
 // depend on an entry staying: the durable store holds its own unflushed
 // chunks, so every entry can be evicted or erased and read back.
+//
+// Footprint: an entry is one heap node, the map's, which carries the
+// entry's links in its shard's LRU list; a value an eviction, Erase or
+// Clear drops is freed after the shard lock is released, so freeing a
+// decoded node and its chunk never holds up the shard's other callers.
 //
 // Thread safety: fully thread-safe; sharded by a key byte like the
 // chunk store's resident map.
@@ -112,26 +118,40 @@ class BufferCache {
     }
   };
   struct KeyHasher {
-    size_t operator()(const Key& key) const {
+    // noexcept, so the map does not store each node's hash beside it.
+    size_t operator()(const Key& key) const noexcept {
       return Hash256Hasher()(key.id) ^ (static_cast<size_t>(key.kind) << 1);
     }
   };
 
+  // A map node's value: the cached value, its charge and the entry's
+  // links in its shard's LRU list.
+  struct Entry;
+  using Slot = std::pair<const Key, Entry>;  // a map node's value
   struct Entry {
-    Key key;
     std::shared_ptr<const void> value;
     size_t charge = 0;
+    Slot* prev = nullptr;  // toward the most recently used
+    Slot* next = nullptr;  // toward the least recently used
   };
+
+  using Map = std::unordered_map<Key, Entry, KeyHasher>;
 
   struct Shard {
     mutable std::mutex mu;
-    // Front = most recently used.
-    std::list<Entry> lru;
-    std::unordered_map<Key, std::list<Entry>::iterator, KeyHasher> map;
+    Map map;
+    Slot* head = nullptr;  // most recently used
+    Slot* tail = nullptr;  // least recently used: the next victim
     size_t bytes[kKindCount] = {0, 0};
     size_t entries[kKindCount] = {0, 0};
     uint64_t evictions[kKindCount] = {0, 0};
     uint64_t erases[kKindCount] = {0, 0};
+
+    void Unlink(Slot* slot);
+    void PushFront(Slot* slot);
+    // Unlinks and erases the entry at `it`, moving its value to
+    // *dropped so the caller frees it after releasing mu.
+    void Remove(Map::iterator it, std::shared_ptr<const void>* dropped);
   };
 
   Shard* ShardOf(const Hash256& id) {
@@ -143,9 +163,11 @@ class BufferCache {
     return &shards_[id.data()[9] % shard_count_];
   }
 
-  // Evicts LRU entries until the shard is within budget. Caller holds
-  // shard->mu.
-  void EvictLocked(Shard* shard);
+  // Evicts LRU entries until the shard is within budget, appending
+  // their values to *dropped for the caller to free after it releases
+  // shard->mu, which it holds.
+  void EvictLocked(Shard* shard,
+                   std::vector<std::shared_ptr<const void>>* dropped);
 
   static size_t ShardBytes(const Shard& shard) {
     size_t n = 0;

@@ -238,6 +238,14 @@ Status SpitzDb::Recover() {
 SpitzDb::~SpitzDb() { auditor_.reset(); }
 
 void SpitzDb::NotifySealed(uint64_t block_count) {
+  // Outside mu_, so commits do not wait on freeing the nodes the
+  // retained window let go of.
+  std::vector<Hash256> expired;
+  {
+    std::lock_guard<std::mutex> lock(expired_mu_);
+    expired.swap(expired_);
+  }
+  for (const Hash256& id : expired) buffer_cache_->Erase(id);
   // Outside mu_: the roll inside OnBlockSealed may fsync the outgoing
   // segment, and commits must not wait on that.
   chunks_->OnBlockSealed();
@@ -411,7 +419,15 @@ void SpitzDb::RetireLocked(std::vector<Hash256> replaced) {
   // every version a pinned read may still name cached.
   retiring_.push_back(std::move(replaced));
   if (retiring_.size() <= options_.retain_versions) return;
-  for (const Hash256& id : retiring_.front()) buffer_cache_->Erase(id);
+  {
+    std::lock_guard<std::mutex> lock(expired_mu_);
+    std::vector<Hash256>& front = retiring_.front();
+    if (expired_.empty()) {
+      expired_.swap(front);
+    } else {
+      expired_.insert(expired_.end(), front.begin(), front.end());
+    }
+  }
   retiring_.pop_front();
 }
 

@@ -442,8 +442,9 @@ class SpitzDb : public VerifiedKv {
 
   // Files `replaced`, the ids of the index nodes a block entering the
   // ledger replaced, as the newest of the retain_versions window; the
-  // block that leaves the window has its ids erased from the buffer
-  // cache, raw and decoded. Callers hold mu_.
+  // ids of the block that leaves the window go to expired_, and the
+  // NotifySealed that follows the seal erases them from the buffer
+  // cache, raw and decoded, outside mu_. Callers hold mu_.
   void RetireLocked(std::vector<Hash256> replaced);
 
   // What a block the journal took at recovery (Journal::Open) or from
@@ -463,7 +464,8 @@ class SpitzDb : public VerifiedKv {
   // txn.log); called by Open().
   Status Recover();
 
-  // Post-seal work that must run outside mu_: aligns the chunk store's
+  // Post-seal work that must run outside mu_: erases the expired ids
+  // (RetireLocked) from the buffer cache, aligns the chunk store's
   // segment boundary with the sealed block, wakes the seal listener and
   // hands the new ledger height to the version GC.
   void NotifySealed(uint64_t block_count);
@@ -540,6 +542,10 @@ class SpitzDb : public VerifiedKv {
   // first). See RetireLocked.
   std::vector<Hash256> replaced_;
   std::deque<std::vector<Hash256>> retiring_;
+  // Ids of the blocks that left the window, for the next NotifySealed
+  // to erase. Leaf lock, taken under mu_ or alone.
+  std::mutex expired_mu_;
+  std::vector<Hash256> expired_;
   // Key-history index: the journal position of every sealed write, one
   // fingerprint slot per key and no key bytes (KeyHistoryIndex). Fed at
   // seal, at recovery and on replica apply, beside each ledger append.

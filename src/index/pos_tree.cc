@@ -119,8 +119,9 @@ std::string PosTree::EncodeMeta(const std::vector<ChildRef>& children) {
 Status PosNode::Decode(ChunkType type, const Slice& payload,
                        std::shared_ptr<const void> owner,
                        std::shared_ptr<const PosNode>* out) {
-  return Parse(std::shared_ptr<PosNode>(new PosNode(
-                   type, payload, std::move(owner), payload.size())),
+  return Parse(std::make_shared<PosNode>(Passkey(), type, payload,
+                                         std::move(owner), payload.size(),
+                                         /*from_chunk=*/false),
                out);
 }
 
@@ -129,10 +130,10 @@ Status PosNode::Decode(std::shared_ptr<const Chunk> chunk,
   const ChunkType type = chunk->type();
   const Slice payload = chunk->data();
   const size_t owner_bytes = sizeof(Chunk) + chunk->payload().capacity();
-  std::shared_ptr<PosNode> node(
-      new PosNode(type, payload, std::move(chunk), owner_bytes));
-  node->from_chunk_ = true;
-  return Parse(std::move(node), out);
+  return Parse(std::make_shared<PosNode>(Passkey(), type, payload,
+                                         std::move(chunk), owner_bytes,
+                                         /*from_chunk=*/true),
+               out);
 }
 
 Status PosNode::Parse(std::shared_ptr<PosNode> node,
@@ -152,66 +153,115 @@ Status PosNode::Parse(std::shared_ptr<PosNode> node,
   uint64_t n = 0;
   Status s = GetCount(&input, leaf ? 2 : 2 + Hash256::kSize, &n);
   if (!s.ok()) return s;
-  if (leaf) {
-    node->slots_.reserve(n);
-    for (uint64_t i = 0; i < n; i++) {
-      Slice key, value;
-      s = GetLengthPrefixedSlice(&input, &key);
+  if (!leaf && n == 0) return Status::Corruption("empty meta node");
+  node->offsets_.reserve(n);
+  for (uint64_t i = 0; i < n; i++) {
+    node->offsets_.push_back(static_cast<uint32_t>(input.data() - base));
+    Slice key;
+    s = GetLengthPrefixedSlice(&input, &key);
+    if (leaf) {
+      Slice value;
       if (s.ok()) s = GetLengthPrefixedSlice(&input, &value);
-      if (!s.ok()) return s;
-      node->slots_.push_back(Slot{static_cast<uint32_t>(key.data() - base),
-                                  static_cast<uint32_t>(key.size()),
-                                  static_cast<uint32_t>(value.data() - base),
-                                  static_cast<uint32_t>(value.size())});
+    } else {
+      Hash256 id;
+      uint64_t count = 0;
+      if (s.ok()) s = GetHash256(&input, &id);
+      if (s.ok()) s = GetVarint64(&input, &count);
     }
-  } else {
-    if (n == 0) return Status::Corruption("empty meta node");
-    node->children_.reserve(n);
-    for (uint64_t i = 0; i < n; i++) {
-      PosTree::ChildRef c;
-      Slice key;
-      s = GetLengthPrefixedSlice(&input, &key);
-      if (s.ok()) s = GetHash256(&input, &c.id);
-      if (s.ok()) s = GetVarint64(&input, &c.count);
-      if (!s.ok()) return s;
-      c.last_key = key.ToString();
-      node->children_.push_back(std::move(c));
-    }
+    if (!s.ok()) return s;
   }
   s = CheckConsumed(input, "index node");
   if (s.ok()) *out = std::move(node);
   return s;
 }
 
+namespace {
+
+// Readers of a node's fields at p, bytes PosNode::Parse has checked:
+// each returns the byte past the field.
+const char* ReadVarint(const char* p, uint64_t* value) {
+  uint64_t result = 0;
+  for (uint32_t shift = 0;; shift += 7) {
+    const auto byte = static_cast<unsigned char>(*p++);
+    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) break;
+  }
+  *value = result;
+  return p;
+}
+
+const char* ReadPrefixed(const char* p, Slice* field) {
+  uint64_t size = 0;
+  p = ReadVarint(p, &size);
+  *field = Slice(p, static_cast<size_t>(size));
+  return p + size;
+}
+
+}  // namespace
+
+Slice PosNode::key(size_t i) const {
+  Slice key;
+  ReadPrefixed(payload_.data() + offsets_[i], &key);
+  return key;
+}
+
+Slice PosNode::value(size_t i) const {
+  Slice key, value;
+  ReadPrefixed(ReadPrefixed(payload_.data() + offsets_[i], &key), &value);
+  return value;
+}
+
+PosEntry PosNode::entry(size_t i) const {
+  return PosEntry{key(i).ToString(), value(i).ToString()};
+}
+
 size_t PosNode::LowerBound(const Slice& key) const {
-  const char* base = payload_.data();
-  auto it = std::lower_bound(
-      slots_.begin(), slots_.end(), key, [base](const Slot& s, const Slice& k) {
-        return Slice(base + s.key_offset, s.key_size).compare(k) < 0;
-      });
-  return static_cast<size_t>(it - slots_.begin());
+  size_t lo = 0, hi = offsets_.size();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (this->key(mid).compare(key) < 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+// A meta's child ref starts with its last key, as a leaf entry starts
+// with its key.
+Slice PosNode::last_key(size_t i) const { return key(i); }
+
+Hash256 PosNode::child_id(size_t i) const {
+  Slice key;
+  const char* id = ReadPrefixed(payload_.data() + offsets_[i], &key);
+  return Hash256::FromBytes(Slice(id, Hash256::kSize));
+}
+
+PosTree::ChildRef PosNode::child(size_t i) const {
+  PosTree::ChildRef ref;
+  Slice key;
+  const char* id = ReadPrefixed(payload_.data() + offsets_[i], &key);
+  ref.last_key = key.ToString();
+  ref.id = Hash256::FromBytes(Slice(id, Hash256::kSize));
+  ReadVarint(id + Hash256::kSize, &ref.count);
+  return ref;
+}
+
+std::vector<PosTree::ChildRef> PosNode::children() const {
+  std::vector<PosTree::ChildRef> out;
+  out.reserve(child_count());
+  for (size_t i = 0; i < child_count(); i++) out.push_back(child(i));
+  return out;
 }
 
 size_t PosNode::Route(const Slice& key) const {
-  auto it = std::lower_bound(children_.begin(), children_.end(), key,
-                             [](const PosTree::ChildRef& c, const Slice& k) {
-                               return Slice(c.last_key).compare(k) < 0;
-                             });
-  return std::min(static_cast<size_t>(it - children_.begin()),
-                  children_.size() - 1);
+  return std::min(LowerBound(key), child_count() - 1);
 }
 
 size_t PosNode::ByteSize() const {
-  size_t n = sizeof(PosNode) + owner_bytes_ +
-             slots_.capacity() * sizeof(Slot) +
-             children_.capacity() * sizeof(PosTree::ChildRef);
-  for (const PosTree::ChildRef& c : children_) {
-    // Keys within the small-string buffer live inside the ChildRef.
-    if (c.last_key.capacity() > std::string().capacity()) {
-      n += c.last_key.capacity() + 1;
-    }
-  }
-  return n;
+  return sizeof(PosNode) + owner_bytes_ +
+         offsets_.capacity() * sizeof(uint32_t);
 }
 
 Status PosTree::LoadNode(const Hash256& id,
@@ -384,6 +434,13 @@ void AppendEntries(const PosNode& leaf, std::vector<PosEntry>* out) {
   }
 }
 
+// Appends a meta's children [begin, end) as owned refs (for building
+// new metas).
+void AppendChildren(const PosNode& meta, size_t begin, size_t end,
+                    std::vector<PosTree::ChildRef>* out) {
+  for (size_t i = begin; i < end; i++) out->push_back(meta.child(i));
+}
+
 // The range walk that Scan runs over the store and VerifyRangeProof runs
 // over a proof: visits, in key order, the subtrees that can intersect
 // [start, end) and hands every entry in range to `emit(leaf, i)` until
@@ -416,12 +473,11 @@ struct RangeWalk {
       }
       return Status::OK();
     }
-    for (const PosTree::ChildRef& child : node->children()) {
-      if (*done) break;
+    for (size_t i = 0; i < node->child_count() && !*done; i++) {
       // Skip subtrees entirely below the range start; subtrees after
       // one that reached `end` are never visited.
-      if (Slice(child.last_key).compare(start) < 0) continue;
-      s = Visit(child.id, done);
+      if (node->last_key(i).compare(start) < 0) continue;
+      s = Visit(node->child_id(i), done);
       if (!s.ok()) return s;
     }
     return Status::OK();
@@ -450,7 +506,7 @@ Status PosTree::Get(const Hash256& root, const Slice& key, std::string* value,
     if (!s.ok()) return s;
     if (proof != nullptr) proof->nodes.push_back(CiteNode(node));
     if (!node->is_leaf()) {
-      id = node->children()[node->Route(key)].id;
+      id = node->child_id(node->Route(key));
       continue;
     }
     const size_t i = node->LowerBound(key);
@@ -495,7 +551,9 @@ Status PosTree::Count(const Hash256& root, uint64_t* count) const {
     *count = node->entry_count();
     return Status::OK();
   }
-  for (const ChildRef& c : node->children()) *count += c.count;
+  for (size_t i = 0; i < node->child_count(); i++) {
+    *count += node->child(i).count;
+  }
   return Status::OK();
 }
 
@@ -523,8 +581,8 @@ Status PosTree::CollectSubtree(
   if (node->is_leaf()) {
     return Status::Corruption("leaf above the leaf level of " + id.ToHex());
   }
-  for (const ChildRef& c : node->children()) {
-    s = CollectSubtree(c.id, height - 1, live);
+  for (size_t i = 0; i < node->child_count(); i++) {
+    s = CollectSubtree(node->child_id(i), height - 1, live);
     if (!s.ok()) return s;
   }
   return Status::OK();
@@ -539,7 +597,7 @@ Status PosTree::Height(const Hash256& root, uint32_t* height) const {
     if (!s.ok()) return s;
     (*height)++;
     if (node->is_leaf()) break;
-    id = node->children()[0].id;
+    id = node->child_id(0);
   }
   return Status::OK();
 }
@@ -549,7 +607,7 @@ Status PosTree::Height(const Hash256& root, uint32_t* height) const {
 std::optional<PosTree::ChildRef> PosTree::SiblingCursor::Next() {
   // Find the deepest frame that can advance.
   int i = static_cast<int>(frames_.size()) - 1;
-  while (i >= 0 && frames_[i].idx + 1 >= frames_[i].node->children().size()) {
+  while (i >= 0 && frames_[i].idx + 1 >= frames_[i].node->child_count()) {
     i--;
   }
   if (i < 0) return std::nullopt;
@@ -558,7 +616,7 @@ std::optional<PosTree::ChildRef> PosTree::SiblingCursor::Next() {
   for (size_t l = i + 1; l < frames_.size(); l++) {
     const PathFrame& parent = frames_[l - 1];
     std::shared_ptr<const PosNode> node;
-    Status s = tree_->LoadNode(parent.node->children()[parent.idx].id, &node);
+    Status s = tree_->LoadNode(parent.node->child_id(parent.idx), &node);
     if (!s.ok()) return std::nullopt;
     if (node->is_leaf()) {
       return std::nullopt;  // structure shallower than expected
@@ -566,7 +624,7 @@ std::optional<PosTree::ChildRef> PosTree::SiblingCursor::Next() {
     frames_[l] = PathFrame{std::move(node), 0};
   }
   const PathFrame& bottom = frames_.back();
-  return bottom.node->children()[bottom.idx];
+  return bottom.node->child(bottom.idx);
 }
 
 Status PosTree::Put(const Hash256& root, const Slice& key, const Slice& value,
@@ -614,7 +672,7 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
       break;
     }
     const size_t idx = node->Route(key);
-    id = node->children()[idx].id;
+    id = node->child_id(idx);
     frames.push_back(PathFrame{std::move(node), idx});
   }
 
@@ -676,7 +734,7 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
 
   // 4. Propagate upward level by level.
   for (int fi = static_cast<int>(frames.size()) - 1; fi >= 0; fi--) {
-    const std::vector<ChildRef>& children = frames[fi].node->children();
+    const PosNode& parent = *frames[fi].node;
     const size_t idx = frames[fi].idx;
     SiblingCursor cursor(
         this, std::vector<PathFrame>(frames.begin(), frames.begin() + fi));
@@ -684,13 +742,14 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
     // Splice: children before the descent point stay; `consumed_old`
     // old children (possibly spanning sibling nodes) are replaced by
     // new_refs; the rest of the partially-consumed node is kept.
-    std::vector<ChildRef> pending_children(children.begin(),
-                                           children.begin() + idx);
+    std::vector<ChildRef> pending_children;
+    AppendChildren(parent, 0, idx, &pending_children);
     pending_children.insert(pending_children.end(), new_refs.begin(),
                             new_refs.end());
     uint64_t nodes_consumed_here = 1;  // this frame's node
     uint64_t to_consume = consumed_old;
-    std::vector<ChildRef> remaining(children.begin() + idx, children.end());
+    std::vector<ChildRef> remaining;
+    AppendChildren(parent, idx, parent.child_count(), &remaining);
     while (remaining.size() < to_consume) {
       to_consume -= remaining.size();
       std::optional<ChildRef> sib = cursor.Next();
@@ -720,12 +779,12 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
           level_pending, options_.max_node_elements,
           [&](const ChildRef& c) { return IsMetaBoundary(c.id); },
           [&](const std::vector<ChildRef>& node) {
-            refs_up.push_back(StoreMeta(node, frames[fi].node->chunk()));
+            refs_up.push_back(StoreMeta(node, parent.chunk()));
           });
       if (suffix.empty()) break;
       std::optional<ChildRef> sib = cursor.Next();
       if (!sib.has_value()) {
-        refs_up.push_back(StoreMeta(suffix, frames[fi].node->chunk()));
+        refs_up.push_back(StoreMeta(suffix, parent.chunk()));
         break;
       }
       nodes_consumed_here++;
@@ -737,8 +796,7 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
         return Status::Corruption("expected meta sibling during update");
       }
       level_pending = std::move(suffix);
-      level_pending.insert(level_pending.end(), sib_node->children().begin(),
-                           sib_node->children().end());
+      AppendChildren(*sib_node, 0, sib_node->child_count(), &level_pending);
     }
     for (const ChildRef& ref : refs_up) new_ids.push_back(ref.id);
     new_refs = std::move(refs_up);
@@ -755,9 +813,9 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
     Status s = LoadNode(result, &node);
     if (!s.ok()) return s;
     if (node->is_leaf()) break;
-    if (node->children().size() != 1) break;
+    if (node->child_count() != 1) break;
     collapsed.push_back(result);
-    result = node->children()[0].id;
+    result = node->child_id(0);
   }
   *new_root = result;
   if (replaced != nullptr) {
@@ -830,7 +888,7 @@ Status PosTree::VerifyProof(const Hash256& root, const Slice& key,
     if (node->is_leaf()) {
       return Status::VerificationFailed("interior proof node is not meta");
     }
-    id = node->children()[node->Route(key)].id;
+    id = node->child_id(node->Route(key));
   }
   if (!node->is_leaf()) {
     return Status::VerificationFailed("proof does not end at a leaf");

@@ -229,7 +229,7 @@ class PosTree {
                                  const PosRangeProof& proof);
 
   // A reference from a meta node to one child subtree. Public because
-  // decoded nodes (PosNode) expose their child lists.
+  // decoded nodes (PosNode) hand out copies of their child refs.
   struct ChildRef {
     std::string last_key;  // max key in the subtree
     Hash256 id;
@@ -308,17 +308,26 @@ class PosTree {
 // A decoded POS-tree node: a view over its immutable serialized bytes,
 // which the node keeps alive through their owner — the chunk for a node
 // read from the store, the frame buffer or a proof's copy for a node a
-// proof carries. A leaf is those bytes plus a table of 32-bit offsets
-// into them, one slot per entry, so a cached leaf holds each key and
-// value exactly once — in the chunk, the same object a kRawChunk cache
-// entry for this id holds — and makes no heap allocation per entry. A
-// meta node also keeps its child refs decoded and owned: metas are
-// about one node in 33 at the default fanout, and the update path
-// copies the refs anyway. Immutable once built, so one instance is
-// safely shared by the cache and any number of concurrent traversals;
-// every Slice it returns stays valid for as long as the caller holds
-// the node.
+// proof carries. Beside those bytes the node keeps one 32-bit offset
+// per element (a leaf's entry, a meta's child ref): where the element's
+// first byte sits in the payload. Every accessor reads its key, value
+// or child ref from the bytes in place; Parse checked each byte once
+// when the node was built, so an access re-checks nothing. A cached
+// node therefore holds each key and value exactly once — in the chunk,
+// the same object a kRawChunk cache entry for this id holds — and costs
+// beyond its bytes one allocation (this object with its control block)
+// and one for the offsets, 4 bytes per element. The update path copies
+// child refs out (child, children) as it copies entries (entry).
+// Immutable once built, so one instance is safely shared by the cache
+// and any number of concurrent traversals; every Slice it returns stays
+// valid for as long as the caller holds the node.
 class PosNode {
+  // Only PosNode can name this, so only Decode can construct a node,
+  // while std::make_shared can still reach the public constructor.
+  struct Passkey {
+    explicit Passkey() = default;
+  };
+
  public:
   // The one decoder of index node bytes: decodes `payload`, a node of
   // chunk type `type`, in place and holds `owner` to keep it alive.
@@ -333,29 +342,38 @@ class PosNode {
   static Status Decode(std::shared_ptr<const Chunk> chunk,
                        std::shared_ptr<const PosNode>* node);
 
+  PosNode(Passkey, ChunkType type, const Slice& payload,
+          std::shared_ptr<const void> owner, size_t owner_bytes,
+          bool from_chunk)
+      : type_(type),
+        from_chunk_(from_chunk),
+        payload_(payload),
+        owner_(std::move(owner)),
+        owner_bytes_(owner_bytes) {}
+
   ChunkType type() const { return type_; }
   bool is_leaf() const { return type() == ChunkType::kIndexLeaf; }
   // The serialized node, as proofs ship it.
   const Slice& payload() const { return payload_; }
 
   // Leaf entries, in key order.
-  size_t entry_count() const { return slots_.size(); }
-  Slice key(size_t i) const {
-    return Slice(payload_.data() + slots_[i].key_offset, slots_[i].key_size);
-  }
-  Slice value(size_t i) const {
-    return Slice(payload_.data() + slots_[i].value_offset,
-                 slots_[i].value_size);
-  }
-  PosEntry entry(size_t i) const {
-    return PosEntry{key(i).ToString(), value(i).ToString()};
-  }
+  size_t entry_count() const { return offsets_.size(); }
+  Slice key(size_t i) const;
+  Slice value(size_t i) const;
+  // An owned copy of entry i.
+  PosEntry entry(size_t i) const;
   // Index of the first entry whose key is >= `key` (entry_count() when
   // there is none).
   size_t LowerBound(const Slice& key) const;
 
   // Meta children, in key order; never empty.
-  const std::vector<PosTree::ChildRef>& children() const { return children_; }
+  size_t child_count() const { return offsets_.size(); }
+  // Child i's last key (the max key of its subtree) and id.
+  Slice last_key(size_t i) const;
+  Hash256 child_id(size_t i) const;
+  // Child i as an owned ref; children() copies every child.
+  PosTree::ChildRef child(size_t i) const;
+  std::vector<PosTree::ChildRef> children() const;
   // The child `key` routes to: the first whose last_key is >= `key`;
   // keys past every last_key route to the last child (where an insert
   // would land).
@@ -369,38 +387,23 @@ class PosNode {
   }
 
   // Every byte the node keeps alive, used as its cache charge: the
-  // owner (for a chunk, the whole chunk) plus the tables. While a
-  // kRawChunk entry for the same chunk is resident, the chunk's bytes
-  // are charged to both entries, so the budget over-counts and never
-  // under-counts.
+  // owner (for a chunk, the whole chunk) plus this object and its
+  // offsets. While a kRawChunk entry for the same chunk is resident,
+  // the chunk's bytes are charged to both entries, so the budget
+  // over-counts and never under-counts.
   size_t ByteSize() const;
 
  private:
-  struct Slot {
-    uint32_t key_offset;
-    uint32_t key_size;
-    uint32_t value_offset;
-    uint32_t value_size;
-  };
-
-  PosNode(ChunkType type, const Slice& payload,
-          std::shared_ptr<const void> owner, size_t owner_bytes)
-      : type_(type),
-        payload_(payload),
-        owner_(std::move(owner)),
-        owner_bytes_(owner_bytes) {}
-
-  // Builds the tables of `node` over its bytes.
+  // Builds the offsets of `node` over its bytes.
   static Status Parse(std::shared_ptr<PosNode> node,
                       std::shared_ptr<const PosNode>* out);
 
   ChunkType type_;
-  bool from_chunk_ = false;  // owner_ is the Chunk payload_ views
+  bool from_chunk_;  // owner_ is the Chunk payload_ views
   Slice payload_;
   std::shared_ptr<const void> owner_;
-  size_t owner_bytes_;                      // what owner_ holds alive
-  std::vector<Slot> slots_;                 // leaf
-  std::vector<PosTree::ChildRef> children_; // meta
+  size_t owner_bytes_;             // what owner_ holds alive
+  std::vector<uint32_t> offsets_;  // each element's first payload byte
 };
 
 }  // namespace spitz

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -361,6 +362,98 @@ TEST(ConcurrencyTest, NodeCacheHitMissAndEviction) {
   cache.Clear();
   EXPECT_EQ(cache.stats().entries(), 0u);
   EXPECT_EQ(LookupNode(&cache, ids[4]), nullptr);
+}
+
+// The cache's own structure, one shard so the LRU order is exact: each
+// entry is charged 100 of a 400-byte budget, values are plain ints, and
+// a weak_ptr per value shows that a dropped entry frees its value.
+TEST(ConcurrencyTest, NodeCacheLruOrderThroughPromoteRefreshEvictEraseClear) {
+  constexpr auto kRaw = BufferCache::kRawChunk;
+  constexpr auto kNode = BufferCache::kPosNode;
+  BufferCache cache(/*capacity_bytes=*/400, /*shard_count=*/1);
+  std::map<std::string, std::weak_ptr<const int>> values;
+  const auto id = [](const std::string& name) { return Hash256::Of(name); };
+  const auto insert = [&](BufferCache::Kind kind, const std::string& name,
+                          size_t charge) {
+    auto value = std::make_shared<const int>(static_cast<int>(values.size()));
+    values[name + std::to_string(kind)] = value;
+    cache.Insert(kind, id(name), std::move(value), charge);
+  };
+  const auto resident = [&](BufferCache::Kind kind, const std::string& name) {
+    return !values[name + std::to_string(kind)].expired();
+  };
+  const auto expect_stats = [&](BufferCache::Kind kind, uint64_t inserts,
+                                uint64_t entries, uint64_t bytes,
+                                uint64_t evictions, uint64_t erases) {
+    const BufferCache::KindStats s = cache.stats().kind[kind];
+    EXPECT_EQ(s.inserts, inserts);
+    EXPECT_EQ(s.entries, entries);
+    EXPECT_EQ(s.bytes, bytes);
+    EXPECT_EQ(s.evictions, evictions);
+    EXPECT_EQ(s.erases, erases);
+  };
+
+  // Four inserts fill the budget exactly; most recent first: d c b a.
+  for (const char* name : {"a", "b", "c", "d"}) insert(kRaw, name, 100);
+  expect_stats(kRaw, 4, 4, 400, 0, 0);
+  // A hit promotes a: a d c b.
+  ASSERT_NE(cache.Lookup(kRaw, id("a")), nullptr);
+  EXPECT_EQ(cache.stats().kind[kRaw].hits, 1u);
+  // A second insert of b refreshes it and counts nothing: b a d c.
+  cache.Insert(kRaw, id("b"), std::make_shared<const int>(-1), 100);
+  expect_stats(kRaw, 4, 4, 400, 0, 0);
+  // e evicts the least recently used, c: e b a d.
+  insert(kRaw, "e", 100);
+  expect_stats(kRaw, 5, 4, 400, 1, 0);
+  EXPECT_FALSE(resident(kRaw, "c"));
+  EXPECT_TRUE(resident(kRaw, "a") && resident(kRaw, "b") &&
+              resident(kRaw, "d") && resident(kRaw, "e"));
+  EXPECT_EQ(cache.Lookup(kRaw, id("c")), nullptr);
+  EXPECT_EQ(cache.stats().kind[kRaw].misses, 1u);
+  // f, twice the charge, evicts d and then a: f e b.
+  insert(kRaw, "f", 200);
+  expect_stats(kRaw, 6, 3, 400, 3, 0);
+  EXPECT_FALSE(resident(kRaw, "d") || resident(kRaw, "a"));
+  EXPECT_TRUE(resident(kRaw, "b") && resident(kRaw, "e"));
+
+  // A decoded node under b's id is a second entry in the same budget.
+  // Promote b first (b f e), so the node evicts e: node-b b f.
+  ASSERT_NE(cache.Lookup(kRaw, id("b")), nullptr);
+  insert(kNode, "b", 100);
+  expect_stats(kRaw, 6, 2, 300, 4, 0);
+  expect_stats(kNode, 1, 1, 100, 0, 0);
+  EXPECT_FALSE(resident(kRaw, "e"));
+
+  // Erase drops both kinds of b and nothing else.
+  cache.Erase(id("b"));
+  expect_stats(kRaw, 6, 1, 200, 4, 1);
+  expect_stats(kNode, 1, 0, 0, 0, 1);
+  EXPECT_FALSE(resident(kRaw, "b") || resident(kNode, "b"));
+  EXPECT_TRUE(resident(kRaw, "f"));
+  EXPECT_EQ(cache.Lookup(kNode, id("b")), nullptr);
+  cache.Erase(id("absent"));
+  expect_stats(kRaw, 6, 1, 200, 4, 1);
+
+  // The list still links what remains: g and h evict nothing, i
+  // evicts f and then g (i h).
+  insert(kRaw, "g", 100);
+  insert(kNode, "h", 100);
+  insert(kRaw, "i", 300);
+  expect_stats(kRaw, 8, 1, 300, 6, 1);
+  expect_stats(kNode, 2, 1, 100, 0, 1);
+  EXPECT_FALSE(resident(kRaw, "f") || resident(kRaw, "g"));
+
+  // Clear drops every entry and keeps the counters; the cache fills
+  // and evicts in order again after it.
+  cache.Clear();
+  expect_stats(kRaw, 8, 0, 0, 6, 1);
+  expect_stats(kNode, 2, 0, 0, 0, 1);
+  EXPECT_FALSE(resident(kNode, "h") || resident(kRaw, "i"));
+  EXPECT_EQ(cache.Lookup(kRaw, id("i")), nullptr);
+  for (const char* name : {"j", "k", "l", "m", "n"}) insert(kRaw, name, 100);
+  expect_stats(kRaw, 13, 4, 400, 7, 1);
+  EXPECT_FALSE(resident(kRaw, "j"));
+  EXPECT_TRUE(resident(kRaw, "k") && resident(kRaw, "n"));
 }
 
 TEST(ConcurrencyTest, NodeCacheOversizedNodeNotCached) {

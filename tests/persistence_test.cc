@@ -732,14 +732,23 @@ TEST_F(PersistenceTest, VerifiedSweepKeepsEachCachedNodeOnce) {
   const uint64_t growth =
       resident_after > resident_before ? resident_after - resident_before : 0;
   // Chunks the sweep had to read back are one copy, held by the raw
-  // entries; the decoded nodes may add well under a second.
+  // entries. A decoded node adds its object and 4 bytes per element,
+  // and each cache entry one map node: about a tenth of the chunk
+  // bytes. Under ThreadSanitizer ResidentBytes reads the allocator's
+  // allocated bytes, which round each ~4 KB chunk up to a size class:
+  // about a sixth of the chunk bytes more.
+#if defined(__SANITIZE_THREAD__)
+  const uint64_t node_overhead = chunk_bytes / 3;
+#else
+  const uint64_t node_overhead = chunk_bytes / 5;
+#endif
   const uint64_t raw_added = raw_cache_bytes() - raw_before;
-  EXPECT_LE(growth, raw_added + chunk_bytes / 2)
+  EXPECT_LE(growth, raw_added + node_overhead)
       << "chunk bytes " << chunk_bytes << ", raw entries added " << raw_added;
 
   MetricsSnapshot m = db->Metrics();
   EXPECT_EQ(m.CounterValue("cache.evictions"), 0u);
-  EXPECT_LE(m.GaugeValue("index.cache.bytes"), chunk_bytes + 32ull * kRecords);
+  EXPECT_LE(m.GaugeValue("index.cache.bytes"), chunk_bytes + 16ull * kRecords);
 }
 
 // A decoded node and a scan's rows outlive everything that could free

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "chunk/chunk_store.h"
+#include "common/codec.h"
 #include "common/random.h"
 #include "index/pos_tree.h"
 
@@ -393,6 +394,211 @@ TEST_F(PosTreeTest, ReplacedListOfANoOpOrFailedWriteIsEmpty) {
   // The first entry of an empty tree replaces nothing either.
   ASSERT_TRUE(tree_.Put(PosTree::EmptyRoot(), "k", "v", &out, &replaced).ok());
   EXPECT_TRUE(replaced.empty());
+}
+
+// --- Decoded nodes: one offset per element, read in place --------------------
+
+// `size` bytes starting with `first`.
+std::string SizedField(char first, size_t size) {
+  std::string field(size, 'f');
+  if (size > 0) field[0] = first;
+  return field;
+}
+
+// Entries in key order whose keys and values take every length-prefix
+// width: 1 and 127 bytes (a 1-byte varint), 128 (2 bytes) and 16 384
+// (3 bytes), and empty values.
+std::vector<PosEntry> WideEntries() {
+  std::vector<PosEntry> entries;
+  char first = 'a';
+  for (size_t key_size : {1, 127, 128, 16384}) {
+    for (size_t value_size : {0, 127, 128, 16384}) {
+      entries.push_back(PosEntry{SizedField(first++, key_size),
+                                 SizedField('v', value_size)});
+    }
+  }
+  return entries;
+}
+
+// A meta node's bytes: a varint count, then lp(last key), the id and a
+// varint entry count per child.
+std::string MetaPayload(const std::vector<PosTree::ChildRef>& children) {
+  std::string out;
+  PutVarint64(&out, children.size());
+  for (const PosTree::ChildRef& c : children) {
+    PutLengthPrefixedSlice(&out, c.last_key);
+    out.append(c.id.ToBytes());
+    PutVarint64(&out, c.count);
+  }
+  return out;
+}
+
+// Expects every accessor of leaf `node` to read `entries` back.
+void ExpectLeafHolds(const PosNode& node,
+                     const std::vector<PosEntry>& entries) {
+  ASSERT_TRUE(node.is_leaf());
+  ASSERT_EQ(node.entry_count(), entries.size());
+  for (size_t i = 0; i < entries.size(); i++) {
+    EXPECT_TRUE(node.key(i) == Slice(entries[i].key)) << "entry " << i;
+    EXPECT_TRUE(node.value(i) == Slice(entries[i].value)) << "entry " << i;
+    EXPECT_TRUE(node.entry(i) == entries[i]) << "entry " << i;
+    EXPECT_EQ(node.LowerBound(entries[i].key), i);
+  }
+}
+
+TEST_F(PosTreeTest, LeafAccessorsReadEveryPrefixWidthAsTheEntryListDecodes) {
+  std::string payload;
+  PutEntryList(&payload, WideEntries());
+  Slice input(payload);
+  std::vector<PosEntry> decoded;
+  ASSERT_TRUE(GetEntryList(&input, &decoded).ok());
+  std::shared_ptr<const PosNode> node;
+  ASSERT_TRUE(
+      PosNode::Decode(ChunkType::kIndexLeaf, payload, nullptr, &node).ok());
+  ExpectLeafHolds(*node, decoded);
+}
+
+TEST_F(PosTreeTest, MetaAccessorsReadEveryPrefixWidth) {
+  std::vector<PosTree::ChildRef> children;
+  const uint64_t counts[] = {1, 127, 128, 16384, uint64_t{1} << 40};
+  char first = 'a';
+  for (size_t key_size : {1, 127, 128, 16384, 200}) {
+    PosTree::ChildRef c;
+    c.last_key = SizedField(first, key_size);
+    c.id = Hash256::Of(c.last_key);
+    c.count = counts[first - 'a'];
+    children.push_back(std::move(c));
+    first++;
+  }
+  const std::string payload = MetaPayload(children);
+  std::shared_ptr<const PosNode> node;
+  ASSERT_TRUE(
+      PosNode::Decode(ChunkType::kIndexMeta, payload, nullptr, &node).ok());
+  ASSERT_FALSE(node->is_leaf());
+  ASSERT_EQ(node->child_count(), children.size());
+  const std::vector<PosTree::ChildRef> copied = node->children();
+  ASSERT_EQ(copied.size(), children.size());
+  for (size_t i = 0; i < children.size(); i++) {
+    EXPECT_TRUE(node->last_key(i) == Slice(children[i].last_key));
+    EXPECT_EQ(node->child_id(i), children[i].id);
+    const PosTree::ChildRef ref = node->child(i);
+    EXPECT_EQ(ref.last_key, children[i].last_key);
+    EXPECT_EQ(ref.id, children[i].id);
+    EXPECT_EQ(ref.count, children[i].count);
+    EXPECT_EQ(copied[i].last_key, children[i].last_key);
+    EXPECT_EQ(copied[i].id, children[i].id);
+    EXPECT_EQ(copied[i].count, children[i].count);
+    EXPECT_EQ(node->Route(children[i].last_key), i);
+  }
+}
+
+TEST_F(PosTreeTest, WideKeysAndValuesReadBackThroughEveryTreeNode) {
+  // Two entries per leaf and per meta on average, so the wide keys are
+  // the last keys of metas on several levels too.
+  PosTreeOptions options;
+  options.leaf_pattern_bits = 1;
+  options.meta_pattern_bits = 1;
+  ChunkStore store;
+  PosTree tree(&store, options);
+  const std::vector<PosEntry> entries = WideEntries();
+  Hash256 root;
+  ASSERT_TRUE(tree.Build(entries, &root).ok());
+  uint32_t height = 0;
+  ASSERT_TRUE(tree.Height(root, &height).ok());
+  EXPECT_GE(height, 3u);
+  for (const PosEntry& e : entries) {
+    std::string value;
+    PosProof proof;
+    ASSERT_TRUE(tree.Get(root, e.key, &value, &proof).ok());
+    EXPECT_TRUE(value == e.value);
+    EXPECT_TRUE(PosTree::VerifyProof(root, e.key, e.value, proof).ok());
+  }
+  std::vector<PosEntry> out;
+  PosRangeProof range;
+  ASSERT_TRUE(tree.Scan(root, "", "", 0, &out, &range).ok());
+  EXPECT_TRUE(out == entries);
+  EXPECT_TRUE(PosTree::VerifyRangeProof(root, "", "", 0, out, range).ok());
+  uint64_t count = 0;
+  ASSERT_TRUE(tree.Count(root, &count).ok());
+  EXPECT_EQ(count, entries.size());
+}
+
+TEST_F(PosTreeTest, LeafPastSixtyFourKibHasOffsetsPastSixteenBits) {
+  std::vector<PosEntry> entries = MakeEntries(80);
+  for (PosEntry& e : entries) e.value = SizedField('v', 1024) + e.value;
+  std::string payload;
+  PutEntryList(&payload, entries);
+  ASSERT_GT(payload.size(), size_t{1} << 16);
+  std::shared_ptr<const PosNode> node;
+  ASSERT_TRUE(
+      PosNode::Decode(ChunkType::kIndexLeaf, payload, nullptr, &node).ok());
+  EXPECT_GT(static_cast<size_t>(node->key(79).data() - payload.data()),
+            size_t{1} << 16);
+  ExpectLeafHolds(*node, entries);
+
+  // The same leaf through a tree: one leaf, read and proven per key.
+  PosTreeOptions options;
+  options.leaf_pattern_bits = 30;
+  ChunkStore store;
+  PosTree tree(&store, options);
+  Hash256 root;
+  ASSERT_TRUE(tree.Build(entries, &root).ok());
+  uint32_t height = 0;
+  ASSERT_TRUE(tree.Height(root, &height).ok());
+  EXPECT_EQ(height, 1u);
+  for (const PosEntry& e : entries) {
+    std::string value;
+    PosProof proof;
+    ASSERT_TRUE(tree.Get(root, e.key, &value, &proof).ok());
+    EXPECT_EQ(value, e.value);
+    EXPECT_TRUE(PosTree::VerifyProof(root, e.key, e.value, proof).ok());
+  }
+}
+
+TEST_F(PosTreeTest, LowerBoundAndRouteAgreeWithALinearScanAtEveryBoundary) {
+  for (const std::vector<PosEntry>& entries :
+       {MakeEntries(37), WideEntries()}) {
+    std::string leaf_payload;
+    PutEntryList(&leaf_payload, entries);
+    std::vector<PosTree::ChildRef> children;
+    for (const PosEntry& e : entries) {
+      children.push_back(PosTree::ChildRef{e.key, Hash256::Of(e.key), 1});
+    }
+    const std::string meta_payload = MetaPayload(children);
+    std::shared_ptr<const PosNode> leaf, meta;
+    ASSERT_TRUE(PosNode::Decode(ChunkType::kIndexLeaf, leaf_payload, nullptr,
+                                &leaf)
+                    .ok());
+    ASSERT_TRUE(PosNode::Decode(ChunkType::kIndexMeta, meta_payload, nullptr,
+                                &meta)
+                    .ok());
+    // Every key, and the keys just below, just above and between them.
+    std::vector<std::string> probes = {"", std::string(2, '\xff')};
+    for (const PosEntry& e : entries) {
+      const std::string& k = e.key;
+      probes.push_back(k);
+      probes.push_back(k + '\0');
+      probes.push_back(k + '\xff');
+      probes.push_back(k.substr(0, k.size() - 1));
+      std::string below = k;
+      below.back() = static_cast<char>(below.back() - 1);
+      probes.push_back(below);
+      std::string above = k;
+      above.back() = static_cast<char>(above.back() + 1);
+      probes.push_back(above);
+    }
+    for (const std::string& probe : probes) {
+      size_t linear = 0;
+      while (linear < entries.size() &&
+             Slice(entries[linear].key).compare(probe) < 0) {
+        linear++;
+      }
+      EXPECT_EQ(leaf->LowerBound(probe), linear)
+          << "probe of " << probe.size();
+      EXPECT_EQ(meta->Route(probe), std::min(linear, entries.size() - 1))
+          << "probe of " << probe.size();
+    }
+  }
 }
 
 // --- Oracle-based randomized property test -----------------------------------
