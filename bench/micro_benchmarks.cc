@@ -245,6 +245,65 @@ BENCHMARK(BM_NodeCacheBytesPerNode)
     ->Iterations(3)
     ->Unit(benchmark::kMillisecond);
 
+// What the paged store's resident index costs per chunk: 135k chunks of
+// 256 B put across six stores (the three primaries and three backups
+// of a three-shard replicated fleet) and synced. heap_bytes_per_entry
+// is the growth of glibc's in-use heap (mallinfo2, chunk headers
+// included) per location, counting the bucket arrays the stores' maps
+// of unflushed chunks keep once emptied (~2 B a chunk here);
+// index_bytes_per_entry is what chunk.file.index_bytes counts.
+void BM_ChunkIndexBytesPerChunk(benchmark::State& state) {
+  constexpr size_t kStores = 6;
+  constexpr size_t kEntries = 135000;
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "spitz_bench_chunk_index")
+          .string();
+  size_t heap_bytes = 0, index_bytes = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::vector<std::unique_ptr<FileChunkStore>> stores(kStores);
+    for (size_t i = 0; i < kStores; i++) {
+      if (!FileChunkStore::Open(dir + "/" + std::to_string(i), &stores[i])
+               .ok()) {
+        abort();
+      }
+    }
+    Random rng(13);
+    malloc_trim(0);
+    const struct mallinfo2 before = mallinfo2();
+    state.ResumeTiming();
+    for (size_t i = 0; i < kEntries; i++) {
+      stores[i % kStores]->Put(Chunk(ChunkType::kIndexLeaf, rng.Bytes(256)));
+    }
+    for (const auto& store : stores) {
+      if (!store->Sync().ok()) abort();
+    }
+    state.PauseTiming();
+    const struct mallinfo2 after = mallinfo2();
+    heap_bytes = (after.uordblks + after.hblkhd) -
+                 (before.uordblks + before.hblkhd);
+    index_bytes = 0;
+    for (const auto& store : stores) {
+      MetricsRegistry registry;
+      store->ExportMetrics(&registry);
+      index_bytes += registry.Snapshot().GaugeValue("chunk.file.index_bytes");
+    }
+    stores.clear();
+    std::filesystem::remove_all(dir);
+    state.ResumeTiming();
+  }
+  state.counters["entries"] = static_cast<double>(kEntries);
+  state.counters["heap_bytes_per_entry"] =
+      static_cast<double>(heap_bytes) / kEntries;
+  state.counters["index_bytes_per_entry"] =
+      static_cast<double>(index_bytes) / kEntries;
+}
+BENCHMARK(BM_ChunkIndexBytesPerChunk)
+    ->Iterations(3)
+    ->Unit(benchmark::kMillisecond);
+
 // Verified reads through the full database stack, with the unified
 // buffer cache sized generously (arg1 = cache bytes; the small setting
 // is a thrash ablation — zero is rejected since the paged store pins

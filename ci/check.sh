@@ -32,6 +32,20 @@
 #   buffer cache's LRU list
 #   (ConcurrencyTest.NodeCacheLruOrderThroughPromoteRefreshEvictEraseClear)
 #   run in both legs under the existing PosTree and Concurrency filters.
+#   The chunk index (chunk_index_test: ChunkIndexTest, whose seeded
+#   sequences of inserts, dedup hits, erasures and lookups check the
+#   location index against a map model through table growth, slot reuse
+#   and probe runs that wrap, and ChunkIndexStoreTest, the same against
+#   FileChunkStore with delta chains, GC passes and a reopen) runs in
+#   both legs under the ChunkIndex filter, and
+#   DeltaChunkTest.BaseReferencesSurviveAPassThatRewritesTheirBases
+#   (a delta's 4-byte base reference through a pass that rewrites its
+#   base in place, and through replay) under DeltaChunk.
+#   AuditorTest.VersionWhoseRootSurvivesAsADeltaBaseIsCollected (a pass
+#   that keeps an old root as a delta base and erases the rest of its
+#   version) and AuditorTest.KeptVersionMissingAChunkIsNotCollected (a
+#   kept version's missing chunk is damage) run in both legs under
+#   AuditorTest.
 # ASan+UBSan: the proof-codec, database, group-commit, version-GC,
 #   deferred-auditor, key-history,
 #   2PC participant, write-batch and read-set, network, cluster,
@@ -145,11 +159,12 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
       --target concurrency_test txn_test spitz_db_test auditor_test \
                key_history_test metrics_test recovery_test net_test \
                cluster_test replica_test pos_tree_test persistence_test \
-               delta_chunk_test common_test group_commit_test version_gc_test
+               delta_chunk_test chunk_index_test common_test group_commit_test \
+               version_gc_test
 # TSAN_OPTIONS makes any reported race fail the run (exit code).
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
   ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
-        -R 'Concurrency|DeferredVerifier|AuditorTest|TxnParticipant|TimestampOracle|SpitzDb|KeyHistory|Metrics|Recovery|Net|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|PosTree|Persistence|DeltaChunk|DeltaRecord|ForkJoin|GroupCommitTest|VersionGcTest'
+        -R 'Concurrency|DeferredVerifier|AuditorTest|TxnParticipant|TimestampOracle|SpitzDb|KeyHistory|Metrics|Recovery|Net|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|PosTree|Persistence|DeltaChunk|DeltaRecord|ChunkIndex|ForkJoin|GroupCommitTest|VersionGcTest'
 
 echo "==> tier-2: ASan+UBSan proof-codec and database suite"
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -159,15 +174,15 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
                auditor_test key_history_test recovery_test net_test \
                concurrency_test cluster_test replica_test txn_test \
                crypto_test common_test \
-               journal_test persistence_test delta_chunk_test pos_tree_test \
-               mpt_mbt_test \
+               journal_test persistence_test delta_chunk_test chunk_index_test \
+               pos_tree_test mpt_mbt_test \
                property_test table_test sql_test \
                integration_test group_commit_test version_gc_test metrics_test \
                codec_mutation_test
 ASAN_OPTIONS="halt_on_error=1 exitcode=66" \
 UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \
   ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-        -R 'Siri|SpitzDb|SpitzOptions|AuditorTest|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence|DeltaChunk|DeltaRecord|PosTree|Mpt|Mbt|Table|Sql|Integration|GroupCommitTest|VersionGcTest|MetricsEndToEndTest.GcMark' \
+        -R 'Siri|SpitzDb|SpitzOptions|AuditorTest|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence|DeltaChunk|DeltaRecord|ChunkIndex|PosTree|Mpt|Mbt|Table|Sql|Integration|GroupCommitTest|VersionGcTest|MetricsEndToEndTest.GcMark' \
         -E 'CodecMutation|OneByteForm'
 ASAN_OPTIONS="halt_on_error=1 exitcode=66 max_allocation_size_mb=256 allocator_may_return_null=0" \
 UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \

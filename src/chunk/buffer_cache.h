@@ -40,7 +40,7 @@ namespace spitz {
 // decoded node and its chunk never holds up the shard's other callers.
 //
 // Thread safety: fully thread-safe; sharded by a key byte like the
-// chunk store's resident map.
+// chunk store's resident index.
 class BufferCache {
  public:
   enum Kind : uint8_t { kRawChunk = 0, kPosNode = 1 };

@@ -95,6 +95,16 @@ bool DiffOps(const Slice& base, const Slice& target, size_t limit,
 
 }  // namespace
 
+size_t FullRecordBody(size_t record_length) {
+  // The one body length whose varint fills the rest of the record.
+  for (size_t varint = 1; varint <= 5 && 5 + varint <= record_length;
+       varint++) {
+    const size_t body = record_length - 5 - varint;
+    if (RecordSize(body) == record_length) return body;
+  }
+  return 0;
+}
+
 void EncodeChunkRecord(const Chunk& chunk, std::string* out) {
   AppendRecord(static_cast<uint8_t>(chunk.type()), chunk.data(), out);
 }

@@ -1,6 +1,7 @@
 #ifndef SPITZ_CHUNK_CHUNK_RECORD_H_
 #define SPITZ_CHUNK_CHUNK_RECORD_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -39,6 +40,10 @@ struct ChunkRecord {
   Hash256 base;   // delta: the base id
   uint64_t size = 0;  // delta: the payload size the ops must rebuild
 };
+
+// The body length of a full record `record_length` bytes long: the
+// inverse of the framing above (0 when no body length frames to it).
+size_t FullRecordBody(size_t record_length);
 
 // Appends the full record of `chunk` to *out.
 void EncodeChunkRecord(const Chunk& chunk, std::string* out);

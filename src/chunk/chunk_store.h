@@ -48,7 +48,7 @@ struct ChunkGcStats {
 // id so that background auditors and concurrent readers do not serialize
 // against the write path. The base class is the in-memory store;
 // FileChunkStore (file_chunk_store.h) is the paged, durable store whose
-// resident map holds only {segment, offset, length} locations.
+// resident index holds only chunk locations.
 class ChunkStore {
  public:
   ChunkStore() = default;
@@ -160,7 +160,7 @@ class ChunkStore {
 
   // Accounting instruments (relaxed atomics); the same counters back
   // both stats() and the metrics-registry export. Protected so the
-  // durable subclass, which keeps its own resident map, shares one set
+  // durable subclass, which keeps its own resident index, shares one set
   // of books with the base. chunk_count_/physical_bytes_ are gauges:
   // the GC shrinks them.
   Counter puts_;

@@ -14,12 +14,12 @@ namespace spitz {
 //
 // Readers bracket every multi-chunk traversal (a proof build, a scan)
 // with a Guard. The collector, after unpublishing dead chunks from the
-// resident map, calls WaitForQuiescence(): it snapshots every slot's
+// resident index, calls WaitForQuiescence(): it snapshots every slot's
 // enter counter and waits until each slot's exit counter
 // catches up — at which point every traversal that might still hold a
 // location into a victim segment has finished, and the segment files can
 // be unlinked. Readers that started *after* the snapshot are ignored:
-// they can only observe the post-sweep map, which no longer routes any
+// they can only observe the post-sweep index, which no longer routes any
 // id into a victim.
 //
 // The slots are striped (cache-line sized) so concurrent readers on

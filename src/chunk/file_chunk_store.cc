@@ -1,6 +1,7 @@
 #include "chunk/file_chunk_store.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <cstdio>
 #include <set>
@@ -69,10 +70,17 @@ std::string FileChunkStore::SegmentFileName(uint32_t id) {
 Status FileChunkStore::Open(Env* env, const std::string& dir,
                             const Options& options,
                             std::unique_ptr<FileChunkStore>* store) {
+  if (options.segment_bytes == 0 ||
+      options.segment_bytes > kMaxSegmentBytes) {
+    return Status::InvalidArgument(
+        "segment_bytes must be between 1 and " +
+        std::to_string(kMaxSegmentBytes) + " (got " +
+        std::to_string(options.segment_bytes) + ")");
+  }
   auto s = std::unique_ptr<FileChunkStore>(new FileChunkStore());
   s->env_ = env;
   s->dir_ = dir;
-  s->segment_bytes_ = options.segment_bytes > 0 ? options.segment_bytes : 1;
+  s->segment_bytes_ = options.segment_bytes;
   if (options.cache != nullptr) {
     s->cache_ = options.cache;
   } else {
@@ -113,6 +121,9 @@ Status FileChunkStore::Open(Env* env, const std::string& dir,
     s->active_segment_ = last->id;
     s->active_offset_.store(tail_valid, std::memory_order_relaxed);
   }
+  s->flushed_.store(uint64_t{s->active_segment_} << 32 |
+                        s->active_offset_.load(std::memory_order_relaxed),
+                    std::memory_order_relaxed);
 
   Segment* active = s->segments_[s->active_segment_].get();
   Status open_status = env->NewWritableLog(active->path, &s->log_);
@@ -213,19 +224,21 @@ Status FileChunkStore::Replay(uint64_t* tail_valid) {
   }
   std::sort(ids.begin(), ids.end());
 
+  std::vector<Hash256> bases;
   for (size_t i = 0; i < ids.size(); i++) {
     const bool is_last = (i + 1 == ids.size());
     const std::string path = dir_ + "/" + SegmentFileName(ids[i]);
     uint64_t valid = 0;
-    Status s = ReplaySegment(ids[i], path, is_last, &valid);
+    Status s = ReplaySegment(ids[i], path, is_last, &bases, &valid);
     if (!s.ok()) return s;
     if (is_last) *tail_valid = valid;
   }
-  return ResolveChains();
+  return ResolveChains(bases);
 }
 
 Status FileChunkStore::ReplaySegment(uint32_t segment_id,
                                      const std::string& path, bool is_last,
+                                     std::vector<Hash256>* bases,
                                      uint64_t* valid_offset) {
   *valid_offset = 0;
   std::string contents;
@@ -269,6 +282,12 @@ Status FileChunkStore::ReplaySegment(uint32_t segment_id,
       break;
     }
     const uint64_t record_len = before - input.size();
+    if (consumed > UINT32_MAX) {
+      // A store never appends there (kMaxSegmentBytes); the index could
+      // not address the record.
+      return Status::Corruption("chunk segment " + path +
+                                " holds a record past offset 2^32");
+    }
     records.push_back(
         Record{record, consumed, static_cast<uint32_t>(record_len)});
     consumed += record_len;
@@ -285,20 +304,18 @@ Status FileChunkStore::ReplaySegment(uint32_t segment_id,
   for (size_t i = 0; i < records.size(); i++) {
     const Record& record = records[i];
     Entry entry;
+    entry.id = ids[i];
     entry.segment = segment_id;
-    entry.offset = record.offset;
+    entry.offset = static_cast<uint32_t>(record.offset);
     entry.length = record.length;
-    entry.global_end = 0;  // on disk already: always pread-visible
     if (record.record.delta) {
-      entry.stored = record.length;
       entry.depth = kUnresolvedDepth;
-      entry.base = record.record.base;
-    } else {
-      entry.stored = static_cast<uint32_t>(record.record.body.size() + 1);
+      entry.base = static_cast<uint32_t>(bases->size());
+      bases->push_back(record.record.base);
     }
     puts_.Increment();
-    logical_bytes_.Increment(entry.stored);
-    ReplayPublish(ids[i], entry);
+    logical_bytes_.Increment(StoredBytes(entry));
+    ReplayPublish(entry);
     replayed_bytes_.Increment(record.length);
   }
 
@@ -311,17 +328,17 @@ Status FileChunkStore::ReplaySegment(uint32_t segment_id,
   return Status::OK();
 }
 
-void FileChunkStore::ReplayPublish(const Hash256& id, Entry entry) {
+void FileChunkStore::ReplayPublish(Entry entry) {
   uint32_t unpublished_delta = kResidentOnly;
   {
-    MapShard& shard = map_shards_[MapShardOf(id)];
+    MapShard& shard = map_shards_[MapShardOf(entry.id)];
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(id);
-    if (it == shard.entries.end()) {
+    const uint32_t slot = shard.index.Find(entry.id);
+    if (slot == ChunkIndex::kNone) {
       entry.seq = NextInsertSeq();
-      shard.entries.emplace(id, entry);
+      shard.index.Insert(entry);
       chunk_count_.Add(1);
-      physical_bytes_.Add(entry.stored);
+      physical_bytes_.Add(StoredBytes(entry));
       recovered_.Increment();
       return;
     }
@@ -331,56 +348,74 @@ void FileChunkStore::ReplayPublish(const Hash256& id, Entry entry) {
     // unpublished its dead copy. The later copy is the one the store
     // pointed at; only its base is sure to be on disk.
     dedup_hits_.Increment();
-    Entry& published = it->second;
+    Entry& published = shard.index.at(slot);
     if (published.depth != 0) unpublished_delta = published.segment;
-    physical_bytes_.Sub(published.stored);
-    physical_bytes_.Add(entry.stored);
+    physical_bytes_.Sub(StoredBytes(published));
+    physical_bytes_.Add(StoredBytes(entry));
     entry.seq = published.seq;
     published = entry;
   }
   if (unpublished_delta != kResidentOnly) CondemnSegment(unpublished_delta);
 }
 
-Status FileChunkStore::ResolveChains() {
+Status FileChunkStore::ResolveChains(const std::vector<Hash256>& bases) {
   // Open is single-threaded; the shard locks only keep the accesses
   // uniform.
-  auto find = [this](const Hash256& id) -> Entry* {
-    MapShard& shard = map_shards_[MapShardOf(id)];
+  auto copy = [this](uint32_t ref) {
+    const MapShard& shard = ShardOfRef(ref);
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(id);
-    return it == shard.entries.end() ? nullptr : &it->second;
+    return shard.index.at(SlotOfRef(ref));
   };
-  std::vector<Hash256> deltas;
-  for (MapShard& shard : map_shards_) {
+  auto update = [this](uint32_t ref, auto&& change) {
+    MapShard& shard = ShardOfRef(ref);
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& kv : shard.entries) {
-      if (kv.second.depth == kUnresolvedDepth) deltas.push_back(kv.first);
-    }
+    change(shard.index.at(SlotOfRef(ref)));
+  };
+  std::vector<uint32_t> deltas;
+  for (size_t i = 0; i < kMapShards; i++) {
+    std::lock_guard<std::mutex> lock(map_shards_[i].mu);
+    map_shards_[i].index.ForEach([&](uint32_t slot, const Entry& entry) {
+      if (entry.depth == kUnresolvedDepth) deltas.push_back(RefOf(i, slot));
+    });
   }
-  std::vector<Entry*> chain;
-  for (const Hash256& id : deltas) {
-    chain.clear();
-    Entry* entry = find(id);
-    while (entry->depth == kUnresolvedDepth) {
-      chain.push_back(entry);
-      if (chain.size() > kChainReadLimit) {
-        return Status::Corruption("delta chain of chunk " + id.ToHex() +
-                                  " loops");
-      }
-      const Hash256 base = entry->base;
-      entry = find(base);
-      if (entry == nullptr) {
-        return Status::Corruption("delta base " + base.ToHex() +
-                                  " absent from the chunk segments");
-      }
+  // Each delta names its base's slot in place of the base id it was
+  // replayed with: a later copy of the base replaced the record in the
+  // same slot, so this is the copy the store points at.
+  for (const uint32_t ref : deltas) {
+    const Hash256& base = bases[copy(ref).base];
+    const size_t base_shard = MapShardOf(base);
+    uint32_t slot = ChunkIndex::kNone;
+    {
+      std::lock_guard<std::mutex> lock(map_shards_[base_shard].mu);
+      slot = map_shards_[base_shard].index.Find(base);
     }
-    uint8_t depth = entry->depth;
+    if (slot == ChunkIndex::kNone) {
+      return Status::Corruption("delta base " + base.ToHex() +
+                                " absent from the chunk segments");
+    }
+    update(ref, [&](Entry& entry) { entry.base = RefOf(base_shard, slot); });
+  }
+  std::vector<uint32_t> chain;
+  for (const uint32_t ref : deltas) {
+    chain.clear();
+    uint32_t at = ref;
+    Entry entry = copy(at);
+    while (entry.depth == kUnresolvedDepth) {
+      chain.push_back(at);
+      if (chain.size() > kChainReadLimit) {
+        return Status::Corruption("delta chain of chunk " +
+                                  copy(ref).id.ToHex() + " loops");
+      }
+      at = entry.base;
+      entry = copy(at);
+    }
+    uint8_t depth = entry.depth;
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
       // A chain the store wrote is at most kMaxChainDepth long; a longer
       // one still reads, and Put never extends it.
       depth = static_cast<uint8_t>(
           std::min<size_t>(depth + 1, kUnresolvedDepth - 1));
-      (*it)->depth = depth;
+      update(*it, [depth](Entry& e) { e.depth = depth; });
     }
   }
   return Status::OK();
@@ -392,36 +427,48 @@ void FileChunkStore::CondemnSegment(uint32_t id) {
   if (it != segments_.end()) it->second->condemned = true;
 }
 
-void FileChunkStore::PublishEntry(const Hash256& id, Entry entry) {
-  MapShard& shard = map_shards_[MapShardOf(id)];
+uint32_t FileChunkStore::StoredBytes(const Entry& entry) {
+  if (entry.depth != 0) return entry.length;
+  // A full record's payload and type byte.
+  return static_cast<uint32_t>(FullRecordBody(entry.length)) + 1;
+}
+
+void FileChunkStore::PublishEntry(Entry entry) {
+  MapShard& shard = map_shards_[MapShardOf(entry.id)];
   std::lock_guard<std::mutex> lock(shard.mu);
   entry.seq = NextInsertSeq();
-  shard.entries.emplace(id, entry);
+  shard.index.Insert(entry);
   chunk_count_.Add(1);
-  physical_bytes_.Add(entry.stored);
+  physical_bytes_.Add(StoredBytes(entry));
 }
 
 bool FileChunkStore::OnDisk(const Hash256& id, Entry* entry) const {
   const MapShard& shard = map_shards_[MapShardOf(id)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(id);
-  if (it == shard.entries.end() || it->second.segment == kResidentOnly) {
-    return false;
-  }
-  *entry = it->second;
-  return true;
+  const uint32_t slot = shard.index.Find(id);
+  if (slot == ChunkIndex::kNone) return false;
+  *entry = shard.index.at(slot);
+  return entry->segment != kResidentOnly;
+}
+
+bool FileChunkStore::OnDiskAt(uint32_t ref, Entry* entry) const {
+  const MapShard& shard = ShardOfRef(ref);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  *entry = shard.index.at(SlotOfRef(ref));
+  return entry->length != 0 && entry->segment != kResidentOnly;
 }
 
 std::shared_ptr<const Chunk> FileChunkStore::ChainStart(
     const Hash256& id) const {
-  Hash256 at = id;
   Entry entry;
-  for (size_t hops = 0;; hops++) {
+  if (!OnDisk(id, &entry)) return nullptr;
+  for (size_t hops = 0; entry.depth != 0; hops++) {
     // A link a GC pass collected, or a looping chain: no start to use.
-    if (hops > kChainReadLimit || !OnDisk(at, &entry)) return nullptr;
-    if (entry.depth == 0) break;
-    at = entry.base;
+    if (hops >= kChainReadLimit || !OnDiskAt(entry.base, &entry)) {
+      return nullptr;
+    }
   }
+  const Hash256 at = entry.id;
   if (auto cached = cache_->Lookup(BufferCache::kRawChunk, at)) {
     return std::static_pointer_cast<const Chunk>(cached);
   }
@@ -436,45 +483,47 @@ std::shared_ptr<const Chunk> FileChunkStore::ChainStart(
   return full->id() == at ? full : nullptr;
 }
 
-void FileChunkStore::EncodeDelta(const Chunk& chunk, const Chunk& base,
+bool FileChunkStore::EncodeDelta(const Chunk& chunk, const Chunk& base,
                                  std::string* record, Entry* entry) {
   Entry base_entry;
-  if (!OnDisk(base.id(), &base_entry)) return;
+  if (!OnDisk(base.id(), &base_entry)) return false;
   // At the cap, rebase onto the full record the chain starts from: the
   // delta then carries every change since that record, and the next
   // full record is written once those changes are as large as the node.
   std::shared_ptr<const Chunk> start;
   if (base_entry.depth >= kMaxChainDepth) {
     start = ChainStart(base.id());
-    if (start == nullptr) return;
+    if (start == nullptr) return false;
   }
   const Chunk& on = start != nullptr ? *start : base;
   std::string delta;
-  if (!EncodeDeltaRecord(chunk, on, &delta)) return;
+  if (!EncodeDeltaRecord(chunk, on, &delta)) return false;
   {
     // A GC pass may have unpublished the base meanwhile.
-    const MapShard& shard = map_shards_[MapShardOf(on.id())];
+    const size_t shard_index = MapShardOf(on.id());
+    const MapShard& shard = map_shards_[shard_index];
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(on.id());
-    if (it == shard.entries.end() || it->second.segment == kResidentOnly ||
-        it->second.depth >= kMaxChainDepth) {
-      return;
+    const uint32_t slot = shard.index.Find(on.id());
+    if (slot == ChunkIndex::kNone) return false;
+    base_entry = shard.index.at(slot);
+    if (base_entry.segment == kResidentOnly ||
+        base_entry.depth >= kMaxChainDepth) {
+      return false;
     }
-    base_entry = it->second;
     // Naming a base re-references it, as a dedup hit does: a GC pass
     // marking now keeps it.
     NoteDedupResurrection(on.id());
+    entry->base = RefOf(shard_index, slot);
   }
-  entry->base = on.id();
-  entry->depth = static_cast<uint8_t>(base_entry.depth + 1);
-  entry->stored = static_cast<uint32_t>(delta.size());
+  entry->depth = base_entry.depth + 1;
   *record = std::move(delta);
+  return start != nullptr;
 }
 
 bool FileChunkStore::Dedup(const Hash256& id) {
   MapShard& shard = map_shards_[MapShardOf(id)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.entries.find(id) == shard.entries.end()) return false;
+  if (shard.index.Find(id) == ChunkIndex::kNone) return false;
   dedup_hits_.Increment();
   NoteDedupResurrection(id);
   return true;
@@ -488,14 +537,13 @@ Hash256 FileChunkStore::Put(Chunk chunk, const Chunk* base) {
   if (Dedup(id)) return id;
 
   Entry entry;
+  entry.id = id;
   std::string record;
+  bool rebased = false;
   if (base != nullptr && !(base->id() == id)) {
-    EncodeDelta(chunk, *base, &record, &entry);
+    rebased = EncodeDelta(chunk, *base, &record, &entry);
   }
-  if (record.empty()) {
-    EncodeChunkRecord(chunk, &record);
-    entry.stored = static_cast<uint32_t>(stored);
-  }
+  if (record.empty()) EncodeChunkRecord(chunk, &record);
   auto sp = std::make_shared<const Chunk>(std::move(chunk));
   {
     std::unique_lock<std::mutex> lock(file_mu_);
@@ -507,9 +555,9 @@ Hash256 FileChunkStore::Put(Chunk chunk, const Chunk* base) {
     if (appended && entry.depth != 0) {
       delta_records_.Increment();
       delta_bytes_.Increment(record.size());
-      if (!(entry.base == base->id())) delta_rebases_.Increment();
+      if (rebased) delta_rebases_.Increment();
     }
-    PublishEntry(id, entry);
+    PublishEntry(entry);
   }
   // A path-copied node is what the next operation reads; every other
   // put (a bulk build's, a blob's) writes around the cache.
@@ -540,13 +588,10 @@ Status FileChunkStore::AppendRecordLocked(std::unique_lock<std::mutex>& lock,
     Status s = log_->Append(record);
     if (s.ok()) {
       entry->segment = active_segment_;
-      entry->offset = active_offset_.load(std::memory_order_relaxed);
+      entry->offset = static_cast<uint32_t>(
+          active_offset_.load(std::memory_order_relaxed));
       entry->length = static_cast<uint32_t>(record.size());
       active_offset_.fetch_add(record.size(), std::memory_order_relaxed);
-      const uint64_t end =
-          appended_total_.load(std::memory_order_relaxed) + record.size();
-      appended_total_.store(end, std::memory_order_release);
-      entry->global_end = end;
       appended_bytes_.Increment(record.size());
       if (unflushed_bytes_ >= kMaxHeldBytes) FlushLocked();  // sticky
       return Status::OK();
@@ -559,17 +604,18 @@ Status FileChunkStore::AppendRecordLocked(std::unique_lock<std::mutex>& lock,
   }
   // The record never reached the log: the unflushed map serves the
   // chunk for the life of the process.
-  entry->segment = kResidentOnly;
+  entry->segment = kResidentOnly;  // never treated as flushed
   entry->offset = 0;
   entry->length = static_cast<uint32_t>(record.size());
-  entry->global_end = UINT64_MAX;  // never treated as flushed
   return append_status_;
 }
 
 Status FileChunkStore::FlushLocked() {
   if (!append_status_.ok()) return append_status_;
-  if (appended_total_.load(std::memory_order_relaxed) ==
-      flushed_total_.load(std::memory_order_relaxed)) {
+  const uint64_t appended =
+      uint64_t{active_segment_} << 32 |
+      active_offset_.load(std::memory_order_relaxed);
+  if (flushed_.load(std::memory_order_relaxed) == appended) {
     return Status::OK();
   }
   // A failed flush means buffered records never reached the kernel —
@@ -579,8 +625,7 @@ Status FileChunkStore::FlushLocked() {
     append_status_ = s;
     return s;
   }
-  flushed_total_.store(appended_total_.load(std::memory_order_relaxed),
-                       std::memory_order_release);
+  flushed_.store(appended, std::memory_order_release);
   unflushed_.clear();
   unflushed_bytes_ = 0;
   return Status::OK();
@@ -662,6 +707,7 @@ Status FileChunkStore::RollSegmentLocked(std::unique_lock<std::mutex>& lock) {
   log_ = std::move(next_log);
   active_segment_ = next_id;
   active_offset_.store(0, std::memory_order_relaxed);
+  flushed_.store(uint64_t{next_id} << 32, std::memory_order_release);
   {
     std::lock_guard<std::mutex> seg_lock(seg_mu_);
     segments_.emplace(next_id, std::move(seg));
@@ -704,16 +750,16 @@ Status FileChunkStore::Locate(const Hash256& id, Entry* entry,
   {
     const MapShard& shard = map_shards_[MapShardOf(id)];
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(id);
-    if (it == shard.entries.end()) {
+    const uint32_t slot = shard.index.Find(id);
+    if (slot == ChunkIndex::kNone) {
       return Status::NotFound("chunk " + id.ToHex());
     }
-    *entry = it->second;
+    *entry = shard.index.at(slot);
   }
-  if (entry->global_end > flushed_total_.load(std::memory_order_acquire)) {
-    // The record was unflushed when the entry was published: the map
-    // holds the chunk unless a flush has since made the record visible
-    // to pread.
+  if (!Flushed(*entry)) {
+    // The record was unflushed a moment ago: the unflushed map holds
+    // the chunk unless a flush has since made the record visible to
+    // pread.
     std::lock_guard<std::mutex> lock(file_mu_);
     auto it = unflushed_.find(id);
     if (it != unflushed_.end()) *hit = it->second;
@@ -721,10 +767,20 @@ Status FileChunkStore::Locate(const Hash256& id, Entry* entry,
   return Status::OK();
 }
 
+bool FileChunkStore::Flushed(const Entry& entry) const {
+  // A stale read of flushed_ errs towards "unflushed", which only sends
+  // the read to the unflushed map first.
+  const uint64_t flushed = flushed_.load(std::memory_order_acquire);
+  const uint32_t segment = static_cast<uint32_t>(flushed >> 32);
+  return entry.segment < segment ||
+         (entry.segment == segment &&
+          uint64_t{entry.offset} + entry.length <= (flushed & UINT32_MAX));
+}
+
 bool FileChunkStore::Contains(const Hash256& id) const {
   const MapShard& shard = map_shards_[MapShardOf(id)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.entries.find(id) != shard.entries.end();
+  return shard.index.Find(id) != ChunkIndex::kNone;
 }
 
 Status FileChunkStore::ReadHandle(
@@ -768,7 +824,7 @@ Status FileChunkStore::ReadRecord(const Entry& entry, std::string* buf,
     read_errors_.Increment();
     return hs;
   }
-  const uint64_t end = entry.offset + entry.length;
+  const uint64_t end = uint64_t{entry.offset} + entry.length;
   Status rs;
   if (window != nullptr && end <= settled) {
     // A segment's bytes below its recorded size (sealed, or replayed)
@@ -914,7 +970,7 @@ Status FileChunkStore::RewriteFull(const Hash256& id,
   std::string record;
   EncodeChunkRecord(*chunk, &record);
   Entry fresh;
-  fresh.stored = static_cast<uint32_t>(chunk->stored_size());
+  fresh.id = id;
   {
     std::unique_lock<std::mutex> lock(file_mu_);
     s = AppendRecordLocked(lock, record, chunk, &fresh);
@@ -925,15 +981,16 @@ Status FileChunkStore::RewriteFull(const Hash256& id,
   {
     MapShard& shard = map_shards_[MapShardOf(id)];
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(id);
-    if (it == shard.entries.end()) return Status::OK();
-    if (it->second.depth != 0 && victims.count(it->second.segment) == 0) {
-      superseded_delta = it->second.segment;
+    const uint32_t slot = shard.index.Find(id);
+    if (slot == ChunkIndex::kNone) return Status::OK();
+    Entry& published = shard.index.at(slot);
+    if (published.depth != 0 && victims.count(published.segment) == 0) {
+      superseded_delta = published.segment;
     }
-    fresh.seq = it->second.seq;
-    physical_bytes_.Sub(it->second.stored);
-    physical_bytes_.Add(fresh.stored);
-    it->second = fresh;
+    fresh.seq = published.seq;
+    physical_bytes_.Sub(StoredBytes(published));
+    physical_bytes_.Add(StoredBytes(fresh));
+    published = fresh;
   }
   if (superseded_delta != kResidentOnly) CondemnSegment(superseded_delta);
   return Status::OK();
@@ -976,24 +1033,32 @@ Status FileChunkStore::RetainLive(
   // condemned ones. So every dead record goes with its segment in this
   // pass, and no record on disk outlives a base it needs: a delta
   // outside the victims whose base is dead is flattened.
-  std::unordered_map<Hash256, Entry, Hash256Hasher> dead;
-  std::vector<std::pair<Hash256, Entry>> deltas;
+  std::vector<std::pair<uint32_t, Entry>> dead;  // by reference
+  std::vector<Entry> deltas;
   std::set<uint32_t> victims;
   uint64_t total_entries = 0;
   for (size_t i = 0; i < kMapShards; i++) {
     MapShard& shard = map_shards_[i];
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& kv : shard.entries) {
-      const Entry& entry = kv.second;
+    shard.index.ForEach([&](uint32_t slot, const Entry& entry) {
       total_entries++;
       if (entry.seq < mark_seq && entry.segment < active_snapshot &&
-          live.find(kv.first) == live.end()) {
-        dead.emplace(kv.first, entry);
+          live.find(entry.id) == live.end()) {
+        dead.emplace_back(RefOf(i, slot), entry);
         victims.insert(entry.segment);
       }
-      if (entry.depth != 0) deltas.emplace_back(kv.first, entry);
-    }
+      if (entry.depth != 0) deltas.push_back(entry);
+    });
   }
+  // `dead` is in reference order (shard by shard, slot by slot), and a
+  // reference stays valid for the pass: only a pass frees a slot.
+  auto find_dead = [&dead](uint32_t ref) -> const Entry* {
+    auto it = std::lower_bound(
+        dead.begin(), dead.end(), ref,
+        [](const auto& d, uint32_t r) { return d.first < r; });
+    return it != dead.end() && it->first == ref ? &it->second : nullptr;
+  };
+  auto is_dead = [&](uint32_t ref) { return find_dead(ref) != nullptr; };
   {
     std::lock_guard<std::mutex> lock(seg_mu_);
     for (const auto& kv : segments_) {
@@ -1002,10 +1067,10 @@ Status FileChunkStore::RetainLive(
       }
     }
   }
-  std::vector<std::pair<Hash256, Entry>> flatten;
-  for (const auto& [id, entry] : deltas) {
-    if (victims.count(entry.segment) == 0 && dead.count(entry.base) != 0) {
-      flatten.emplace_back(id, entry);
+  std::vector<Entry> flatten;
+  for (const Entry& entry : deltas) {
+    if (victims.count(entry.segment) == 0 && is_dead(entry.base)) {
+      flatten.push_back(entry);
     }
   }
 
@@ -1018,28 +1083,27 @@ Status FileChunkStore::RetainLive(
   // not evict the readers' working set. The records are read in
   // segment and offset order through one window, so a victim costs a
   // few large reads rather than one per record.
-  std::vector<std::pair<Hash256, Entry>> rewrites = std::move(flatten);
+  std::vector<Entry> rewrites = std::move(flatten);
   if (!victims.empty()) {
     for (size_t i = 0; i < kMapShards; i++) {
       MapShard& shard = map_shards_[i];
       std::lock_guard<std::mutex> lock(shard.mu);
-      for (const auto& kv : shard.entries) {
-        if (victims.count(kv.second.segment) != 0 &&
-            dead.find(kv.first) == dead.end()) {
-          rewrites.emplace_back(kv.first, kv.second);
+      shard.index.ForEach([&](uint32_t slot, const Entry& entry) {
+        if (victims.count(entry.segment) != 0 && !is_dead(RefOf(i, slot))) {
+          rewrites.push_back(entry);
         }
-      }
+      });
     }
   }
   std::sort(rewrites.begin(), rewrites.end(),
-            [](const auto& a, const auto& b) {
-              return std::tie(a.second.segment, a.second.offset) <
-                     std::tie(b.second.segment, b.second.offset);
+            [](const Entry& a, const Entry& b) {
+              return std::tie(a.segment, a.offset) <
+                     std::tie(b.segment, b.offset);
             });
   ReadWindow window;
-  for (const auto& rewrite : rewrites) {
+  for (const Entry& rewrite : rewrites) {
     Status s =
-        RewriteFull(rewrite.first, victims, &window, &result.rewritten_bytes);
+        RewriteFull(rewrite.id, victims, &window, &result.rewritten_bytes);
     if (!s.ok()) return fail(s);
   }
 
@@ -1061,26 +1125,44 @@ Status FileChunkStore::RetainLive(
   // id — it stays, and its record, which sits in a victim, is
   // re-appended (rebuilt through bases still published) before the
   // unlink.
-  std::vector<std::pair<Hash256, Entry>> doomed(dead.begin(), dead.end());
-  std::sort(doomed.begin(), doomed.end(), [](const auto& a, const auto& b) {
+#ifndef NDEBUG
+  // No delta on disk outlives its base, which is what keeps a base
+  // reference from naming a reused slot: a delta on a base this pass
+  // erases is dead too (and erased first, being deeper) or was
+  // flattened above, unless naming the base resurrected it. Nothing is
+  // unpublished yet, so `dead` still holds each base's id, and
+  // WasResurrected takes only a leaf lock: one walk checks it.
+  for (size_t i = 0; i < kMapShards; i++) {
+    std::lock_guard<std::mutex> lock(map_shards_[i].mu);
+    map_shards_[i].index.ForEach([&](uint32_t slot, const Entry& entry) {
+      if (entry.depth == 0 || is_dead(RefOf(i, slot))) return;
+      const Entry* base = find_dead(entry.base);
+      assert((base == nullptr || WasResurrected(base->id)) &&
+             "a delta outlives its base");
+    });
+  }
+#endif
+  std::sort(dead.begin(), dead.end(), [](const auto& a, const auto& b) {
     return a.second.depth > b.second.depth;
   });
   const uint64_t rewritten_before = result.rewritten_bytes;
-  for (const auto& [id, entry] : doomed) {
+  for (const auto& doomed : dead) {
+    const Entry& entry = doomed.second;
+    const Hash256& id = entry.id;
     bool resurrected = false;
     {
       MapShard& shard = map_shards_[MapShardOf(id)];
       std::lock_guard<std::mutex> lock(shard.mu);
-      auto it = shard.entries.find(id);
-      if (it == shard.entries.end()) continue;
+      const uint32_t slot = shard.index.Find(id);
+      if (slot == ChunkIndex::kNone) continue;
       if (WasResurrected(id)) {
         resurrected = true;
       } else {
         chunk_count_.Sub(1);
-        physical_bytes_.Sub(it->second.stored);
-        shard.entries.erase(it);
+        physical_bytes_.Sub(StoredBytes(shard.index.at(slot)));
+        shard.index.Erase(slot);
         result.dead_chunks++;
-        result.reclaimed_bytes += entry.stored;
+        result.reclaimed_bytes += StoredBytes(entry);
       }
     }
     if (!resurrected) {
@@ -1148,6 +1230,16 @@ uint64_t FileChunkStore::segment_count() const {
   return segments_.size();
 }
 
+uint64_t FileChunkStore::IndexTotal(
+    size_t (ChunkIndex::*measure)() const) const {
+  uint64_t total = 0;
+  for (const MapShard& shard : map_shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    total += (shard.index.*measure)();
+  }
+  return total;
+}
+
 void FileChunkStore::ExportMetrics(MetricsRegistry* registry) const {
   ChunkStore::ExportMetrics(registry);
   registry->RegisterCounter("chunk.file.replayed_chunks", &recovered_);
@@ -1164,6 +1256,12 @@ void FileChunkStore::ExportMetrics(MetricsRegistry* registry) const {
   registry->RegisterCounter("chunk.file.delta_rebases", &delta_rebases_);
   registry->RegisterCounter("chunk.file.rebase_reads", &rebase_reads_);
   registry->RegisterCounter("chunk.segment.rolls", &rolls_);
+  registry->RegisterGaugeFn("chunk.file.index_entries", [this] {
+    return IndexTotal(&ChunkIndex::size);
+  });
+  registry->RegisterGaugeFn("chunk.file.index_bytes", [this] {
+    return IndexTotal(&ChunkIndex::bytes);
+  });
   registry->RegisterGaugeFn("chunk.segment.count",
                             [this] { return segment_count(); });
   registry->RegisterGaugeFn("chunk.segment.active_bytes", [this] {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "chunk/buffer_cache.h"
+#include "chunk/chunk_index.h"
 #include "chunk/chunk_record.h"
 #include "chunk/chunk_store.h"
 #include "common/env.h"
@@ -21,12 +22,15 @@ namespace spitz {
 
 // The paged, durable chunk store (DESIGN.md section 12): a directory of
 // fixed-size segment files, each an append-only log of chunk records,
-// fronted by a resident map that holds only locations — id → {segment,
-// offset, length} — instead of the chunk bytes themselves. Reads go
-// through the unified BufferCache; a miss costs one positional read
-// (pread) against the owning segment plus a CRC and content-hash check,
-// so the store serves datasets far larger than RAM with memory bounded
-// by the map and the cache budget.
+// fronted by a resident index that holds only locations instead of the
+// chunk bytes themselves: one 56-byte record per chunk (id, segment,
+// offset, length, chain depth, insertion sequence and, for a delta, a
+// 4-byte reference to its base's record) in a ChunkIndex per shard.
+// Reads go through the unified BufferCache; a miss costs one
+// positional read (pread) against the owning segment plus a CRC and
+// content-hash check, so the store serves datasets far larger than RAM
+// with memory bounded by the index, ~64 B per stored chunk with its
+// table, and the cache budget.
 //
 // Record format (chunk/chunk_record.h): one framing for two kinds,
 //   [1B kind] [varint body length] [body] [4B masked CRC32C]
@@ -88,7 +92,7 @@ namespace spitz {
 // epochs to drain, then unpublishes the dead ids and unlinks the
 // victims — a straggling reader that already resolved a location keeps
 // working off the open file handle (POSIX keeps the inode alive), it
-// just can no longer find the id in the map afterwards. A pass first
+// just can no longer find the id in the index afterwards. A pass first
 // rolls a non-empty active segment, so it can collect what that
 // segment holds, and every dead record goes with its segment. Every
 // record the GC writes is full: a live delta in a victim, and a delta
@@ -101,7 +105,8 @@ class FileChunkStore : public ChunkStore {
  public:
   struct Options {
     // Soft segment size: OnBlockSealed() rolls once the active segment
-    // is at least this big; Put() force-rolls at twice this.
+    // is at least this big; Put() force-rolls at twice this. Between 1
+    // and kMaxSegmentBytes.
     size_t segment_bytes = 8 << 20;
     // Cache fronting chunk reads. When null the store owns a private
     // cache of BufferCache::kDefaultCapacityBytes; a database passes
@@ -113,7 +118,8 @@ class FileChunkStore : public ChunkStore {
   // Opens (creating if necessary) the segment directory at `dir`
   // through `env`, replays every segment, and truncates any torn tail
   // of the active one. `env` and `options.cache` (when set) must
-  // outlive the store.
+  // outlive the store. InvalidArgument when options.segment_bytes is 0
+  // or above kMaxSegmentBytes.
   static Status Open(Env* env, const std::string& dir, const Options& options,
                      std::unique_ptr<FileChunkStore>* store);
   static Status Open(Env* env, const std::string& dir,
@@ -126,6 +132,11 @@ class FileChunkStore : public ChunkStore {
 
   FileChunkStore(const FileChunkStore&) = delete;
   FileChunkStore& operator=(const FileChunkStore&) = delete;
+
+  // Largest segment_bytes: a record starts below the 2x hard cap, and
+  // the index keeps a record's offset, and the end of the flushed
+  // bytes, in 32 bits.
+  static constexpr size_t kMaxSegmentBytes = (size_t{1} << 31) - 1;
 
   // The file name of segment `id` within the store directory.
   static std::string SegmentFileName(uint32_t id);
@@ -199,27 +210,20 @@ class FileChunkStore : public ChunkStore {
 
   // Base export plus the paged-store accounting: `chunk.file.*`
   // (replay, append, positional-read, read-error, fsync, delta-record,
-  // chain-read, rebase and rebase-read counts) and `chunk.segment.*`
-  // (segment count, active-segment fill, rolls).
+  // chain-read, rebase and rebase-read counts; the index's entries and
+  // heap bytes) and `chunk.segment.*` (segment count, active-segment
+  // fill, rolls).
   void ExportMetrics(MetricsRegistry* registry) const override;
 
  private:
-  // A chunk's location. Copied out under the shard lock and then used
-  // without it; the segment table keeps victim segments alive until
-  // every location copied before the GC's quiescence point is dead.
-  struct Entry {
-    uint32_t segment = 0;
-    uint32_t length = 0;  // full record length
-    uint64_t offset = 0;
-    uint32_t stored = 0;      // bytes stored, for accounting: a full
-                              // record's chunk.stored_size(), a delta
-                              // record's length
-    uint8_t depth = 0;        // delta records down to a full one
-    uint64_t seq = 0;         // insertion sequence (GC mark comparison)
-    uint64_t global_end = 0;  // append-stream offset after this record;
-                              // > flushed watermark ⇒ pread can't see it
-    Hash256 base;             // a delta's base; zero for a full record
-  };
+  // A chunk's location: its record in the shard's ChunkIndex, copied
+  // out under the shard lock and then used without it; the segment
+  // table keeps victim segments alive until every location copied
+  // before the GC's quiescence point is dead. A delta's `base` is a
+  // reference (RefOf) to its base's slot, which stays the base's while
+  // the delta is stored: the GC erases a base only once every delta on
+  // it is gone or flattened.
+  using Entry = ChunkIndex::Record;
 
   // One segment file. `file` opens eagerly at creation/replay and is
   // retried lazily under open_mu if that failed; readers copy the
@@ -239,7 +243,7 @@ class FileChunkStore : public ChunkStore {
 
   struct MapShard {
     mutable std::mutex mu;
-    std::unordered_map<Hash256, Entry, Hash256Hasher> entries;
+    ChunkIndex index;
   };
 
   FileChunkStore() = default;
@@ -248,22 +252,42 @@ class FileChunkStore : public ChunkStore {
     return id.data()[7] % kMapShards;
   }
 
+  // A reference to a record: its shard and its slot there. A delta
+  // names its base by one.
+  static uint32_t RefOf(size_t shard, uint32_t slot) {
+    return static_cast<uint32_t>(shard) << kSlotBits | slot;
+  }
+  const MapShard& ShardOfRef(uint32_t ref) const {
+    return map_shards_[ref >> kSlotBits];
+  }
+  MapShard& ShardOfRef(uint32_t ref) { return map_shards_[ref >> kSlotBits]; }
+  static uint32_t SlotOfRef(uint32_t ref) {
+    return ref & ((uint32_t{1} << kSlotBits) - 1);
+  }
+
+  // The stored bytes a record accounts for: a delta record's length, a
+  // full record's chunk.stored_size() (its payload and type byte).
+  static uint32_t StoredBytes(const Entry& entry);
+
   // Replays every segment in `dir_`, registering locations, then
   // resolves every delta's chain. On return the segment table is
   // populated and *tail_valid is the end of the last intact record of
   // the highest-numbered segment.
   Status Replay(uint64_t* tail_valid);
+  // A replayed delta's `base` indexes *bases, which holds its base id
+  // until ResolveChains.
   Status ReplaySegment(uint32_t segment_id, const std::string& path,
-                       bool is_last, uint64_t* valid_offset);
+                       bool is_last, std::vector<Hash256>* bases,
+                       uint64_t* valid_offset);
   // Registers one replayed record. Of two copies of one id the later
   // wins: it is the one the entry pointed at when the store closed (a
   // GC pass's full rewrite, a flattened delta, a chunk Put again after
   // its dead copy was unpublished). A delta copy left unpublished
   // condemns its segment.
-  void ReplayPublish(const Hash256& id, Entry entry);
-  // Sets the depth of every replayed delta; Corruption when a base is
-  // absent or a chain loops.
-  Status ResolveChains();
+  void ReplayPublish(Entry entry);
+  // Points every replayed delta at its base's slot and sets its depth;
+  // Corruption when a base is absent or a chain loops.
+  Status ResolveChains(const std::vector<Hash256>& bases);
 
   // Unlinks the segments a GC manifest names (a pass a crash cut short)
   // and removes the manifest. Called by Open before replay.
@@ -324,32 +348,40 @@ class FileChunkStore : public ChunkStore {
                      std::string* payload) const;
 
   // Copies out `id`'s entry when its record reached the log (a delta
-  // base must have).
+  // base must have). OnDiskAt does the same for the record `ref` names.
   bool OnDisk(const Hash256& id, Entry* entry) const;
+  bool OnDiskAt(uint32_t ref, Entry* entry) const;
+
+  // True when the record at `entry` is visible to pread: it lies in a
+  // sealed segment (a roll flushes before it seals) or below the active
+  // segment's flushed offset.
+  bool Flushed(const Entry& entry) const;
 
   // The chunk of the full record `id`'s chain of deltas starts from,
-  // found by walking the base links: from the cache, the unflushed map
-  // or one verified record read (chunk.file.rebase_reads), not cached.
-  // Null when a link or the record is gone or does not check out.
+  // found by walking the base references: from the cache, the
+  // unflushed map or one verified record read (chunk.file.rebase_reads),
+  // not cached. Null when a link or the record is gone or does not
+  // check out.
   std::shared_ptr<const Chunk> ChainStart(const Hash256& id) const;
 
   // Encodes `chunk` as a delta record into *record when the delta is
   // the shorter record: on `base` while its chain is below the cap, at
   // the cap on the full record that chain starts from (ChainStart).
-  // Fills entry->base, depth and stored. Leaves *record empty otherwise.
-  void EncodeDelta(const Chunk& chunk, const Chunk& base,
+  // Fills entry->base and depth, and returns true when it rebased.
+  // Leaves *record empty otherwise.
+  bool EncodeDelta(const Chunk& chunk, const Chunk& base,
                    std::string* record, Entry* entry);
 
-  // Pushes buffered appends to the kernel, advances the flushed
-  // watermark and clears the unflushed map; a failure is sticky and
-  // keeps the map. Caller holds file_mu_.
+  // Pushes buffered appends to the kernel, advances flushed_ and clears
+  // the unflushed map; a failure is sticky and keeps the map. Caller
+  // holds file_mu_.
   Status FlushLocked();
 
   // Appends an encoded record of `chunk` to the active segment, force-
   // rolling at the hard cap first, and holds `chunk` in the unflushed
   // map, flushing once the map reaches kMaxHeldBytes. On success fills
-  // *entry (seq left 0); on failure poisons the store and makes *entry
-  // resident-only. Caller holds file_mu_ via `lock`.
+  // entry->segment, offset and length; on failure poisons the store and
+  // makes *entry resident-only. Caller holds file_mu_ via `lock`.
   Status AppendRecordLocked(std::unique_lock<std::mutex>& lock,
                             const std::string& record,
                             std::shared_ptr<const Chunk> chunk, Entry* entry);
@@ -365,15 +397,21 @@ class FileChunkStore : public ChunkStore {
   // holds file_mu_ via `lock`; failures are sticky.
   Status RollSegmentLocked(std::unique_lock<std::mutex>& lock);
 
-  // Publishes `entry` for `id`, which is not mapped, and updates the
-  // base accounting. Caller holds file_mu_.
-  void PublishEntry(const Hash256& id, Entry entry);
+  // Publishes `entry`, whose id is not mapped, and updates the base
+  // accounting. Caller holds file_mu_.
+  void PublishEntry(Entry entry);
+
+  // The sum of `measure` over the shards' indexes.
+  uint64_t IndexTotal(size_t (ChunkIndex::*measure)() const) const;
 
   // Flush + fsync of the active log with the in-flight barrier
   // bookkeeping (the body of Sync(), reused by the GC).
   Status FlushAndSync();
 
   static constexpr size_t kMapShards = 16;
+  // A reference's low bits hold the slot, the high 4 the shard: 2^28
+  // records a shard, far past what a node's RAM holds.
+  static constexpr int kSlotBits = 28;
   // Chunk bytes the unflushed map holds before an append flushes.
   static constexpr size_t kMaxHeldBytes = 1 << 20;
   // Bytes one ReadWindow read fetches (a GC pass reads its movers so).
@@ -404,6 +442,10 @@ class FileChunkStore : public ChunkStore {
   std::unique_ptr<WritableLog> log_;
   uint32_t active_segment_ = 0;
   std::atomic<uint64_t> active_offset_{0};  // written under file_mu_
+  // The active segment's id (high 32 bits) and the bytes of it the log
+  // has flushed (low 32): every record below is visible to pread.
+  // Written under file_mu_.
+  std::atomic<uint64_t> flushed_{0};
   Status append_status_;  // sticky: first append failure
   uint64_t syncs_in_flight_ = 0;
   // The chunks of records appended since the last flush (and, once the
@@ -412,8 +454,6 @@ class FileChunkStore : public ChunkStore {
   std::unordered_map<Hash256, std::shared_ptr<const Chunk>, Hash256Hasher>
       unflushed_;
   size_t unflushed_bytes_ = 0;
-  std::atomic<uint64_t> appended_total_{0};          // written under file_mu_
-  std::atomic<uint64_t> flushed_total_{0};           // written under file_mu_
 
   // One GC pass at a time.
   std::mutex sweep_mu_;

@@ -57,6 +57,13 @@ Status SpitzOptions::Validate() const {
         "traversal re-reads and re-hashes each node; size it small, "
         "don't disable it)");
   }
+  if (chunk_segment_bytes == 0 ||
+      chunk_segment_bytes > FileChunkStore::kMaxSegmentBytes) {
+    return Status::InvalidArgument(
+        "chunk_segment_bytes must be between 1 and " +
+        std::to_string(FileChunkStore::kMaxSegmentBytes) +
+        " (a record's offset in its segment is kept in 32 bits)");
+  }
   if (retain_versions == 0) {
     return Status::InvalidArgument(
         "retain_versions must be at least 1 (the current version "

@@ -118,7 +118,10 @@ struct SpitzOptions {
   // size it small instead of disabling it.
   size_t buffer_cache_bytes = BufferCache::kDefaultCapacityBytes;
   // Target size of one chunk segment file (durable mode). The active
-  // segment rolls at the first sealed-block boundary past this size.
+  // segment rolls at the first sealed-block boundary past this size,
+  // and at twice it regardless. Between 1 and
+  // FileChunkStore::kMaxSegmentBytes (2 GiB - 1): the chunk index keeps
+  // a record's offset in 32 bits.
   size_t chunk_segment_bytes = 8 << 20;
   // How many of the most recent sealed blocks' index roots the version
   // GC (gc()->Collect) keeps readable, in addition to the live root.

@@ -1,5 +1,7 @@
 #include "core/version_gc.h"
 
+#include <algorithm>
+
 namespace spitz {
 
 VersionGc::VersionGc(ChunkStore* chunks, const SiriIndex* index, ArmFn arm,
@@ -72,8 +74,27 @@ void VersionGc::OnSealed(uint64_t blocks) {
 
 bool VersionGc::Collected(const Hash256& index_root) {
   if (index_root.IsZero()) return false;
-  { std::lock_guard<std::mutex> lock(run_mu_); }
-  return !chunks_->Contains(index_root);
+  // No pass erases while the version is walked.
+  std::lock_guard<std::mutex> lock(run_mu_);
+  // A kept version lost no chunk to a pass, so a failure on it is
+  // damage.
+  if (!swept_ ||
+      std::find(kept_.begin(), kept_.end(), index_root) != kept_.end()) {
+    return false;
+  }
+  // A pass can collect a version and keep its root, or another of its
+  // nodes: a chunk named as a delta base, or hit by a dedup, while the
+  // pass runs survives without the chunks it references. So a version
+  // the pass did not keep is collected once any chunk it reaches is
+  // gone.
+  std::unordered_set<Hash256, Hash256Hasher> reachable;
+  Status s = index_->CollectChunks(index_root, &reachable);
+  if (s.IsNotFound()) return true;
+  if (!s.ok()) return false;  // damage, not collection
+  for (const Hash256& id : reachable) {
+    if (!chunks_->Contains(id)) return true;
+  }
+  return false;
 }
 
 Status VersionGc::Collect(ChunkGcStats* stats_out) {
@@ -103,6 +124,9 @@ Status VersionGc::Collect(ChunkGcStats* stats_out) {
     ScopedTimer timer(&sweep_ns_);
     s = chunks_->RetainLive(live, mark_seq, &stats);
   }
+  // Even a failed sweep may have erased what these roots do not reach.
+  swept_ = true;
+  kept_ = std::move(roots);
   if (!s.ok()) {
     failures_.Increment();
     return s;

@@ -54,10 +54,11 @@ class VersionGc {
   Status Collect(ChunkGcStats* stats = nullptr);
 
   // Whether a pass has collected the version `index_root`: waits out an
-  // in-flight pass, then probes the root chunk. Tells a deferred read's
-  // failure on a collected version from damage. Call with no read in
-  // flight on this thread (a pass waits on read pins while holding the
-  // pass lock).
+  // in-flight pass; a version the last sweep kept is not collected, any
+  // other is once a chunk it reaches is gone (a pass may keep the root
+  // itself as a delta base). Tells a deferred read's failure on a
+  // collected version from damage. Call with no read in flight on this
+  // thread (a pass waits on read pins while holding the pass lock).
   bool Collected(const Hash256& index_root);
 
   // Called after every seal with the new block count; wakes the
@@ -78,6 +79,10 @@ class VersionGc {
   // contend here, never inside the store). Lock order: run_mu_, then
   // the owner's writer lock (inside arm_).
   std::mutex run_mu_;
+  // The roots the last pass that reached its sweep kept, whole; none
+  // is collected. Guarded by run_mu_.
+  bool swept_ = false;
+  std::vector<Hash256> kept_;
 
   // Background-thread wakeup state. wake_mu_ is a leaf lock.
   std::mutex wake_mu_;

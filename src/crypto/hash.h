@@ -6,6 +6,7 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <utility>
 
 #include "common/slice.h"
 #include "common/status.h"
@@ -105,14 +106,19 @@ inline Status GetHash256(Slice* input, Hash256* out) {
   return Status::OK();
 }
 
+// noexcept, so an unordered container keyed by Hash256 stores no copy
+// of the hash in each node (libstdc++ caches it for a hasher that may
+// throw).
 struct Hash256Hasher {
-  size_t operator()(const Hash256& h) const {
+  size_t operator()(const Hash256& h) const noexcept {
     // The digest bytes are already uniformly distributed.
     size_t out;
     std::memcpy(&out, h.data(), sizeof(out));
     return out;
   }
 };
+static_assert(noexcept(Hash256Hasher()(std::declval<const Hash256&>())),
+              "Hash256Hasher must stay noexcept");
 
 }  // namespace spitz
 

@@ -1,4 +1,5 @@
-// An allocation budget for verified reads over the wire. The binary
+// Allocation budgets: for verified reads over the wire, and for the
+// paged store's resident index of chunk locations. The binary
 // counts every byte allocated, by every thread, through a replaced
 // global operator new (bench/alloc_counter.h); it is left out of
 // sanitizer builds (tests/CMakeLists.txt), whose runtimes own operator
@@ -10,14 +11,21 @@
 // the proof inside it. So the bytes allocated per verified operation,
 // server and client together, stay within a small multiple of the
 // reply's wire bytes, cache misses included.
+//
+// A chunk's location in the paged store's index costs its packed record
+// plus its share of the open-addressing table, and no allocation of its
+// own.
 
 #include <gtest/gtest.h>
+
+#include <malloc.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "chunk/file_chunk_store.h"
 #include "cluster/local_fleet.h"
 #include "bench/alloc_counter.h"
 #include "common/codec.h"
@@ -135,6 +143,46 @@ TEST_F(AllocBudgetTest, VerifiedScanAllocatesAFewTimesItsWireBytes) {
         ASSERT_EQ(rows.size(), kScanRows);
       });
   EXPECT_LE(ratio, kMaxBytesPerWireByte);
+}
+
+// Heap bytes a chunk location may cost, index overhead included: the
+// node-per-chunk map the index replaced measured ~142 B (EXPERIMENTS.md
+// "A chunk's location in 64 bytes").
+constexpr size_t kLocations = 100000;
+constexpr double kMaxIndexBytesPerLocation = 72;
+
+// The growth of glibc's in-use heap (mallinfo2, chunk headers included)
+// while 100k small chunks are put and synced, per chunk. The sync
+// empties the store's map of unflushed chunks, whose bucket array
+// (~1.3 B a chunk here) stays and is counted too.
+TEST(IndexBudgetTest, AHundredThousandLocationsCostAtMost72BytesEach) {
+  const std::string dir = ::testing::TempDir() + "/spitz_index_budget";
+  std::filesystem::remove_all(dir);
+  std::unique_ptr<FileChunkStore> store;
+  ASSERT_TRUE(FileChunkStore::Open(dir, &store).ok());
+  Random rnd(3);
+  const struct mallinfo2 before = mallinfo2();
+  for (size_t i = 0; i < kLocations; i++) {
+    store->Put(Chunk(ChunkType::kBlob, rnd.Bytes(64)));
+  }
+  ASSERT_TRUE(store->Sync().ok());
+  const struct mallinfo2 after = mallinfo2();
+  const double per_location =
+      static_cast<double>((after.uordblks + after.hblkhd) -
+                          (before.uordblks + before.hblkhd)) /
+      kLocations;
+  MetricsRegistry registry;
+  store->ExportMetrics(&registry);
+  const MetricsSnapshot snap = registry.Snapshot();
+  ASSERT_EQ(snap.GaugeValue("chunk.file.index_entries"), kLocations);
+  std::printf("chunk index: %.1f heap bytes per location (%.1f counted by "
+              "chunk.file.index_bytes)\n",
+              per_location,
+              static_cast<double>(snap.GaugeValue("chunk.file.index_bytes")) /
+                  kLocations);
+  EXPECT_LE(per_location, kMaxIndexBytesPerLocation);
+  store.reset();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

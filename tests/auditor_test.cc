@@ -12,9 +12,14 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
+#include "chunk/buffer_cache.h"
+#include "chunk/file_chunk_store.h"
 #include "core/spitz_db.h"
+#include "core/version_gc.h"
+#include "index/siri.h"
 
 namespace spitz {
 namespace {
@@ -207,6 +212,112 @@ TEST_F(AuditorTest, VersionCollectedTellsCollectedFromRetained) {
   EXPECT_TRUE(db.gc()->Collected(old_root));
   EXPECT_FALSE(db.gc()->Collected(db.Digest().index_root));
   EXPECT_FALSE(db.gc()->Collected(Hash256()));
+}
+
+// A pass can collect a version yet keep its root: a write during the
+// pass whose root chain is at the delta cap rebases onto the chain's
+// full record, the old root, and naming it resurrects that node alone.
+// The pass erases the rest of the old version, so Collected must tell
+// it collected by the chunks it reaches, not by its root.
+TEST_F(AuditorTest, VersionWhoseRootSurvivesAsADeltaBaseIsCollected) {
+  BufferCache cache(1 << 20);
+  FileChunkStore::Options store_options;
+  store_options.cache = &cache;
+  std::unique_ptr<FileChunkStore> store;
+  ASSERT_TRUE(
+      FileChunkStore::Open(Env::Default(), dir_, store_options, &store).ok());
+  SiriIndexOptions index_options;
+  index_options.pos.meta_pattern_bits = 30;  // one meta over all leaves
+  std::unique_ptr<SiriIndex> index =
+      MakeSiriIndex(SiriBackend::kPosTree, store.get(), index_options);
+  std::vector<PosEntry> entries;
+  for (int i = 0; i < 400; i++) entries.push_back({Key(i), ValueMarker(i)});
+  std::vector<Hash256> roots(1);
+  ASSERT_TRUE(index->Build(entries, &roots[0]).ok());
+  ASSERT_TRUE(store->Sync().ok());
+  // Version 1 replaces the last leaf; versions 2..kCap the first, so the
+  // root's chain of deltas reaches the cap and the last leaf of version
+  // 0 is in no later version.
+  auto overwrite = [&](int key) {
+    std::vector<Hash256> replaced;
+    Hash256 root;
+    EXPECT_TRUE(index
+                    ->Put(roots.back(), Key(key),
+                          "v" + std::to_string(roots.size()), &root,
+                          &replaced)
+                    .ok());
+    roots.push_back(root);
+    return replaced;
+  };
+  const std::vector<Hash256> first = overwrite(399);
+  ASSERT_EQ(first.size(), 2u);  // the root and the last leaf
+  const Hash256 old_leaf = first[0] == roots[0] ? first[1] : first[0];
+  for (int v = 2; v <= FileChunkStore::kMaxChainDepth; v++) overwrite(0);
+
+  // The pass retains the newest version. Right after the mark, a write
+  // at the cap rebases the new root onto version 0's.
+  VersionGc gc(
+      store.get(), index.get(),
+      [&](std::vector<Hash256>* retained) {
+        retained->push_back(roots.back());
+        const uint64_t mark = store->BeginGc();
+        overwrite(0);
+        return mark;
+      },
+      /*interval_blocks=*/0, Status::OK(), /*registry=*/nullptr);
+  ASSERT_TRUE(gc.Collect().ok());
+  EXPECT_TRUE(store->Contains(roots[0]));
+  EXPECT_FALSE(store->Contains(old_leaf));
+  EXPECT_TRUE(gc.Collected(roots[0]));
+  EXPECT_TRUE(gc.Collected(roots[1]));
+  EXPECT_FALSE(gc.Collected(roots[roots.size() - 2]));
+  EXPECT_FALSE(gc.Collected(roots.back()));
+}
+
+// The other side: a version the last pass kept lost nothing to it, so
+// a chunk of it gone missing (here erased by a sweep whose live set
+// leaves it out, as a GC bug would) is damage, and the audit failure
+// stands.
+TEST_F(AuditorTest, KeptVersionMissingAChunkIsNotCollected) {
+  BufferCache cache(1 << 20);
+  FileChunkStore::Options store_options;
+  store_options.cache = &cache;
+  std::unique_ptr<FileChunkStore> store;
+  ASSERT_TRUE(
+      FileChunkStore::Open(Env::Default(), dir_, store_options, &store).ok());
+  std::unique_ptr<SiriIndex> index =
+      MakeSiriIndex(SiriBackend::kPosTree, store.get(), SiriIndexOptions());
+  std::vector<PosEntry> entries;
+  for (int i = 0; i < 400; i++) entries.push_back({Key(i), ValueMarker(i)});
+  Hash256 old_root;
+  ASSERT_TRUE(index->Build(entries, &old_root).ok());
+  Hash256 root;
+  ASSERT_TRUE(index->Put(old_root, Key(0), "v1", &root).ok());
+  VersionGc gc(
+      store.get(), index.get(),
+      [&](std::vector<Hash256>* retained) {
+        retained->push_back(root);
+        return store->BeginGc();
+      },
+      /*interval_blocks=*/0, Status::OK(), /*registry=*/nullptr);
+  ASSERT_TRUE(gc.Collect().ok());
+  std::vector<PosEntry> rows;
+  ASSERT_TRUE(index->Scan(root, "", "", 0, &rows, nullptr).ok());
+  EXPECT_FALSE(gc.Collected(root));
+
+  std::unordered_set<Hash256, Hash256Hasher> live;
+  ASSERT_TRUE(index->CollectChunks(root, &live).ok());
+  ASSERT_GT(live.size(), 1u);
+  const Hash256 lost = *live.begin() == root ? *std::next(live.begin())
+                                             : *live.begin();
+  live.erase(lost);
+  ASSERT_TRUE(store->RetainLive(live, store->BeginGc(), nullptr).ok());
+  ASSERT_FALSE(store->Contains(lost));
+  ASSERT_TRUE(store->Contains(root));
+  EXPECT_FALSE(index->Scan(root, "", "", 0, &rows, nullptr).ok());
+  EXPECT_FALSE(gc.Collected(root));
+  // The version the pass did not keep is still collected.
+  EXPECT_TRUE(gc.Collected(old_root));
 }
 
 }  // namespace

@@ -237,6 +237,18 @@ TEST(DeltaRecordTest, UnrelatedContentEncodesNoDelta) {
   EXPECT_TRUE(record.empty());
 }
 
+// FullRecordBody undoes the full record's framing at every varint
+// width of the body length, the widths' edges included.
+TEST(DeltaRecordTest, FullRecordBodyInvertsTheFraming) {
+  for (size_t body : {0, 1, 127, 128, 200, 16383, 16384, 70000}) {
+    std::string record;
+    EncodeChunkRecord(Chunk(ChunkType::kBlob, std::string(body, 'x')),
+                      &record);
+    EXPECT_EQ(FullRecordBody(record.size()), body) << body;
+  }
+  EXPECT_EQ(FullRecordBody(5), 0u);  // shorter than any record
+}
+
 // --- The store ---------------------------------------------------------------
 
 // On a 32-entry leaf, an overwrite, an insert and a delete each append
@@ -887,6 +899,95 @@ TEST_F(DeltaChunkTest, GcCollectingAChainsFullRecordFlattensItsRebasedDeltas) {
     cache.Clear();
     ExpectVersionVerifies(tree, leaf->root(v), leaf->versions[v].second);
   }
+}
+
+// A delta names its base by the base's slot in the store's index. A GC
+// pass that rewrites bases in place (the full record a chain starts
+// from, and the three deltas above it, flattened) leaves the deltas on
+// them naming the same slots, so the version past the cap rebases onto
+// the nearest flattened one, found by walking those references. A
+// reopen replays the deltas before their bases' rewritten copies and
+// resolves the references again: the next chain to reach the cap
+// rebases onto the same record.
+TEST_F(DeltaChunkTest, BaseReferencesSurviveAPassThatRewritesTheirBases) {
+  constexpr int kCap = FileChunkStore::kMaxChainDepth;
+  BufferCache cache(1 << 20);
+  FileChunkStore::Options options;
+  options.cache = &cache;
+  Random rnd(17);
+  const Chunk filler(ChunkType::kBlob, RandomBytes(&rnd, 3000));
+  // The base id of the newest record, which must be a delta.
+  auto newest_base = [&] {
+    const std::string bytes = ReadFile(SegmentPaths(dir_).back());
+    const std::vector<Located> records = WalkSegment(bytes);
+    EXPECT_FALSE(records.empty());
+    if (records.empty()) return Hash256();
+    EXPECT_TRUE(records.back().record.delta);
+    return records.back().record.base;
+  };
+  std::unique_ptr<OneLeaf> leaf;
+  {
+    std::unique_ptr<FileChunkStore> store;
+    ASSERT_TRUE(
+        FileChunkStore::Open(Env::Default(), dir_, options, &store).ok());
+    store->Put(filler);  // dies below, taking segment 1 with it
+    leaf = std::make_unique<OneLeaf>(store.get());
+    leaf->Overwrite(3);
+    std::unordered_set<Hash256, Hash256Hasher> live = {filler.id()};
+    for (int v = 0; v <= 3; v++) {
+      ASSERT_TRUE(leaf->tree.CollectChunks(leaf->root(v), &live).ok());
+    }
+    // Seals segment 1; nothing is dead.
+    ChunkGcStats stats;
+    ASSERT_TRUE(store->RetainLive(live, store->BeginGc(), &stats).ok());
+    EXPECT_EQ(stats.dead_chunks, 0u);
+    leaf->Overwrite(kCap - 3);  // depths 4 .. kCap, in segment 2
+    ASSERT_EQ(Counter(*store, "chunk.file.delta_records"), uint64_t{kCap});
+
+    live.erase(filler.id());
+    for (int v = 4; v <= kCap; v++) {
+      ASSERT_TRUE(leaf->tree.CollectChunks(leaf->root(v), &live).ok());
+    }
+    ASSERT_TRUE(store->RetainLive(live, store->BeginGc(), &stats).ok());
+    EXPECT_EQ(stats.dead_chunks, 1u);
+    EXPECT_EQ(stats.segments_deleted, 1u);
+    EXPECT_FALSE(store->Contains(filler.id()));
+    // Versions 0-3 were rewritten whole; 4 is still a delta on 3.
+    EXPECT_EQ(ColdChainReads(store.get(), &cache, leaf->root(3)), 0u);
+    EXPECT_EQ(ColdChainReads(store.get(), &cache, leaf->root(4)), 1u);
+
+    leaf->Overwrite(1);
+    EXPECT_EQ(Counter(*store, "chunk.file.delta_rebases"), 1u);
+    ASSERT_TRUE(store->Sync().ok());
+    EXPECT_EQ(newest_base(), leaf->root(3));
+    for (const auto& [root, model] : leaf->versions) {
+      cache.Clear();
+      ExpectVersionVerifies(leaf->tree, root, model);
+    }
+  }
+  // Segment 2's deltas replay before segment 3's rewritten bases.
+  std::unique_ptr<FileChunkStore> store;
+  Status s = FileChunkStore::Open(Env::Default(), dir_, options, &store);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  PosTree tree(store.get(), OneLeaf::Options());
+  for (const auto& [root, model] : leaf->versions) {
+    cache.Clear();
+    ExpectVersionVerifies(tree, root, model);
+  }
+  // The newest version is a delta on version 3; kCap more overwrites
+  // reach the cap again and rebase onto it.
+  Hash256 root = leaf->versions.back().first;
+  std::map<std::string, std::string> model = leaf->versions.back().second;
+  for (int i = 0; i < kCap; i++) {
+    const std::string value = "after reopen " + std::to_string(i);
+    ASSERT_TRUE(tree.Put(root, Key(5), value, &root).ok());
+    model[Key(5)] = value;
+  }
+  EXPECT_EQ(Counter(*store, "chunk.file.delta_rebases"), 1u);
+  ASSERT_TRUE(store->Sync().ok());
+  EXPECT_EQ(newest_base(), leaf->root(3));
+  cache.Clear();
+  ExpectVersionVerifies(tree, root, model);
 }
 
 // The default environment, except that after `budget` unlinks every

@@ -312,6 +312,65 @@ TEST(MetricsEndToEndTest, PagedStoreGcAndCacheMetricsRoundTripThroughJson) {
   std::filesystem::remove_all(dir);
 }
 
+// chunk.file.index_entries counts the locations the paged store keeps
+// resident, one per stored chunk, and chunk.file.index_bytes what they
+// cost: 56 B records in pages and the table finding them. A GC pass
+// frees slots for reuse but keeps the pages, so the entries fall and
+// the bytes hold; a reopen builds the index for the survivors alone.
+TEST(MetricsEndToEndTest, PagedStoreIndexGaugesCountEntriesAndBytes) {
+  const std::string dir = ::testing::TempDir() + "/spitz_metrics_index";
+  std::filesystem::remove_all(dir);
+  SpitzOptions options;
+  options.block_size = 8;
+  options.data_dir = dir;
+  options.retain_versions = 1;
+  std::unique_ptr<SpitzDb> db;
+  ASSERT_TRUE(SpitzDb::Open(options, &db).ok());
+  std::vector<PosEntry> entries;
+  for (int i = 0; i < 20000; i++) {
+    entries.push_back(
+        {"key" + std::to_string(100000 + i), std::string(40, 'v')});
+  }
+  ASSERT_TRUE(db->BulkLoad(std::move(entries)).ok());
+  for (int round = 0; round < 4; round++) {
+    for (int i = 0; i < 2000; i += 7) {
+      ASSERT_TRUE(db->Put("key" + std::to_string(100000 + i),
+                          "round" + std::to_string(round))
+                      .ok());
+    }
+  }
+  ASSERT_TRUE(db->FlushBlock().ok());
+  MetricsSnapshot snap = db->Metrics();
+  const uint64_t entries_before = snap.GaugeValue("chunk.file.index_entries");
+  const uint64_t bytes_before = snap.GaugeValue("chunk.file.index_bytes");
+  EXPECT_EQ(entries_before, snap.GaugeValue("chunk.store.chunk_count"));
+  EXPECT_GE(bytes_before, entries_before * sizeof(ChunkIndex::Record));
+  // Sixteen shards each hold a page of 64 records at least.
+  EXPECT_LE(bytes_before, entries_before * 72 +
+                              16 * ChunkIndex::kPageRecords *
+                                  sizeof(ChunkIndex::Record));
+
+  ChunkGcStats stats;
+  ASSERT_TRUE(db->gc()->Collect(&stats).ok());
+  ASSERT_GT(stats.dead_chunks, 0u);
+  snap = db->Metrics();
+  EXPECT_EQ(snap.GaugeValue("chunk.file.index_entries"),
+            entries_before - stats.dead_chunks);
+  EXPECT_EQ(snap.GaugeValue("chunk.file.index_entries"),
+            snap.GaugeValue("chunk.store.chunk_count"));
+  EXPECT_EQ(snap.GaugeValue("chunk.file.index_bytes"), bytes_before);
+
+  const uint64_t survivors = snap.GaugeValue("chunk.file.index_entries");
+  ASSERT_TRUE(db->SyncStorage().ok());
+  db.reset();
+  ASSERT_TRUE(SpitzDb::Open(options, &db).ok());
+  snap = db->Metrics();
+  EXPECT_EQ(snap.GaugeValue("chunk.file.index_entries"), survivors);
+  EXPECT_LE(snap.GaugeValue("chunk.file.index_bytes"), bytes_before);
+  db.reset();
+  std::filesystem::remove_all(dir);
+}
+
 // cache.erases and index.cache.erases count entries Erase retired
 // apart from the ones budget pressure evicted: overwrites behind a
 // cache far larger than the data evict nothing, yet every block past

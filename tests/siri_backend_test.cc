@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
+#include "chunk/file_chunk_store.h"
 #include "cluster/cluster_client.h"
 #include "cluster/local_fleet.h"
 #include "core/spitz_db.h"
@@ -235,6 +238,51 @@ TEST(SpitzOptionsTest, OpenRejectsInvalidOptions) {
   std::unique_ptr<SpitzDb> db;
   EXPECT_TRUE(SpitzDb::Open(options, &db).IsInvalidArgument());
   EXPECT_EQ(db, nullptr);
+}
+
+// A zero segment size used to be clamped to one byte, which rolls and
+// fsyncs a segment before every record.
+TEST(SpitzOptionsTest, RejectsZeroChunkSegmentBytes) {
+  SpitzOptions options;
+  options.chunk_segment_bytes = 0;
+  EXPECT_TRUE(options.Validate().IsInvalidArgument());
+  options.data_dir = ::testing::TempDir() + "/siri_backend_zero_segment";
+  std::unique_ptr<SpitzDb> db;
+  EXPECT_TRUE(SpitzDb::Open(options, &db).IsInvalidArgument());
+  EXPECT_EQ(db, nullptr);
+
+  FileChunkStore::Options store_options;
+  store_options.segment_bytes = 0;
+  std::unique_ptr<FileChunkStore> store;
+  EXPECT_TRUE(FileChunkStore::Open(Env::Default(), options.data_dir,
+                                   store_options, &store)
+                  .IsInvalidArgument());
+  // The smallest size stays valid: every record gets a segment.
+  options.chunk_segment_bytes = 1;
+  EXPECT_TRUE(options.Validate().ok());
+  std::filesystem::remove_all(options.data_dir);
+}
+
+// The chunk index keeps a record's offset in 32 bits, and a record
+// starts below twice the segment size.
+TEST(SpitzOptionsTest, RejectsChunkSegmentBytesPastTheOffsetField) {
+  SpitzOptions options;
+  options.chunk_segment_bytes = FileChunkStore::kMaxSegmentBytes;
+  EXPECT_TRUE(options.Validate().ok());
+  EXPECT_LE(2 * uint64_t{FileChunkStore::kMaxSegmentBytes}, UINT32_MAX);
+  options.chunk_segment_bytes = FileChunkStore::kMaxSegmentBytes + 1;
+  EXPECT_TRUE(options.Validate().IsInvalidArgument());
+  SpitzDb db(options);  // in-memory: the write path surfaces it
+  EXPECT_TRUE(db.Put("k", "v").IsInvalidArgument());
+
+  FileChunkStore::Options store_options;
+  store_options.segment_bytes = FileChunkStore::kMaxSegmentBytes + 1;
+  std::unique_ptr<FileChunkStore> store;
+  const std::string dir = ::testing::TempDir() + "/siri_backend_huge_segment";
+  EXPECT_TRUE(FileChunkStore::Open(Env::Default(), dir, store_options, &store)
+                  .IsInvalidArgument());
+  EXPECT_EQ(store, nullptr);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SpitzOptionsTest, DefaultsValidate) {
