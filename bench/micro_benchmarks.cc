@@ -18,6 +18,7 @@
 #include "chunk/chunk_store.h"
 #include "chunk/chunker.h"
 #include "chunk/file_chunk_store.h"
+#include "chunk/segment_gc.h"
 #include "cluster/local_fleet.h"
 #include "bench/alloc_counter.h"
 #include "common/crc32c.h"
@@ -624,6 +625,50 @@ void BM_VersionGcMark(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_VersionGcMark)->Unit(benchmark::kMillisecond);
+
+// One GC plan (PlanSegmentGc, chunk/segment_gc.h) over a snapshot of
+// arg0 location records, with no disk: records spread over segments of
+// ~1 000, a third of them deltas on an earlier record (chains up to
+// kMaxChainDepth), and a quarter of the records in the older half of
+// the segments dead, so half the segments are victims and the deltas
+// outside them on a dead base are flattened.
+void BM_SegmentGcPlan(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const uint32_t segments = static_cast<uint32_t>(n / 1000);
+  Random rng(29);
+  std::vector<GcRow> rows(n);
+  std::vector<uint32_t> ends(segments + 1, 0);
+  for (size_t i = 0; i < n; i++) {
+    GcRow& row = rows[i];
+    row.ref = static_cast<uint32_t>(i);
+    row.segment = static_cast<uint32_t>(1 + rng.Uniform(segments));
+    row.offset = ends[row.segment];
+    ends[row.segment] += 256;
+    if (i > 0 && rng.OneIn(3)) {
+      const GcRow& base = rows[rng.Uniform(i)];
+      if (base.depth < FileChunkStore::kMaxChainDepth) {
+        row.base = base.ref;
+        row.depth = static_cast<uint8_t>(base.depth + 1);
+      }
+    }
+    row.dead = row.segment <= segments / 2 && rng.OneIn(4);
+  }
+  GcPlan plan;
+  for (auto _ : state) {
+    plan = PlanSegmentGc(rows, {}, segments + 1);
+    benchmark::DoNotOptimize(plan.rewrites.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
+  state.counters["victims"] = static_cast<double>(plan.victims.size());
+  state.counters["rewrites"] = static_cast<double>(plan.rewrites.size());
+  state.counters["flattened_segments"] =
+      static_cast<double>(plan.condemned.size());
+  state.counters["dead"] = static_cast<double>(plan.dead.size());
+}
+BENCHMARK(BM_SegmentGcPlan)
+    ->Arg(100000)
+    ->Arg(1000000)
+    ->Unit(benchmark::kMillisecond);
 
 // journal.log's size (core.db.journal.file_bytes, header included) per
 // ledger entry it holds.

@@ -40,7 +40,13 @@
 #   both legs under the ChunkIndex filter, and
 #   DeltaChunkTest.BaseReferencesSurviveAPassThatRewritesTheirBases
 #   (a delta's 4-byte base reference through a pass that rewrites its
-#   base in place, and through replay) under DeltaChunk.
+#   base in place, and through replay) under DeltaChunk. The GC plan
+#   (chunk_index_test: SegmentGcPlanTest, PlanSegmentGc checked against
+#   a plain statement of the victim rule over seeded random snapshots,
+#   and hand cases) runs in both legs under the SegmentGcPlan filter,
+#   and DeltaChunkTest.VictimWhoseUnlinkFailedGoesWithTheNextPass (a
+#   victim whose unlink fails stays condemned, goes with the next pass,
+#   and the store reopens) under DeltaChunk.
 #   AuditorTest.VersionWhoseRootSurvivesAsADeltaBaseIsCollected (a pass
 #   that keeps an old root as a delta base and erases the rest of its
 #   version) and AuditorTest.KeptVersionMissingAChunkIsNotCollected (a
@@ -164,7 +170,7 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
 # TSAN_OPTIONS makes any reported race fail the run (exit code).
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
   ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
-        -R 'Concurrency|DeferredVerifier|AuditorTest|TxnParticipant|TimestampOracle|SpitzDb|KeyHistory|Metrics|Recovery|Net|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|PosTree|Persistence|DeltaChunk|DeltaRecord|ChunkIndex|ForkJoin|GroupCommitTest|VersionGcTest'
+        -R 'Concurrency|DeferredVerifier|AuditorTest|TxnParticipant|TimestampOracle|SpitzDb|KeyHistory|Metrics|Recovery|Net|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|PosTree|Persistence|DeltaChunk|DeltaRecord|ChunkIndex|SegmentGcPlan|ForkJoin|GroupCommitTest|VersionGcTest'
 
 echo "==> tier-2: ASan+UBSan proof-codec and database suite"
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -182,7 +188,7 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
 ASAN_OPTIONS="halt_on_error=1 exitcode=66" \
 UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \
   ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-        -R 'Siri|SpitzDb|SpitzOptions|AuditorTest|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence|DeltaChunk|DeltaRecord|ChunkIndex|PosTree|Mpt|Mbt|Table|Sql|Integration|GroupCommitTest|VersionGcTest|MetricsEndToEndTest.GcMark' \
+        -R 'Siri|SpitzDb|SpitzOptions|AuditorTest|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence|DeltaChunk|DeltaRecord|ChunkIndex|SegmentGcPlan|PosTree|Mpt|Mbt|Table|Sql|Integration|GroupCommitTest|VersionGcTest|MetricsEndToEndTest.GcMark' \
         -E 'CodecMutation|OneByteForm'
 ASAN_OPTIONS="halt_on_error=1 exitcode=66 max_allocation_size_mb=256 allocator_may_return_null=0" \
 UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \

@@ -118,7 +118,7 @@ class ChunkStore {
       const std::unordered_set<Hash256, Hash256Hasher>& live,
       uint64_t mark_seq, ChunkGcStats* stats);
 
-  // Brackets a multi-chunk read (proof build, scan, iteration, audit):
+  // Brackets a multi-chunk read (proof build, scan, audit):
   // RetainLive waits for every guard taken before its removal phase, so
   // a traversal that could still resolve ids into condemned chunks
   // completes before they go away. Cheap (two striped atomic adds);

@@ -5,9 +5,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <set>
-#include <tuple>
 #include <vector>
 
+#include "chunk/segment_gc.h"
 #include "common/codec.h"
 #include "common/crc32c.h"
 #include "common/fork_join.h"
@@ -89,14 +89,11 @@ Status FileChunkStore::Open(Env* env, const std::string& dir,
     s->cache_ = s->owned_cache_.get();
   }
 
-  Status cd = env->CreateDir(dir);
-  if (!cd.ok()) return cd;
-  Status gc = s->FinishInterruptedGc();
-  if (!gc.ok()) return gc;
-
   uint64_t tail_valid = 0;
-  Status replay_status = s->Replay(&tail_valid);
-  if (!replay_status.ok()) return replay_status;
+  Status st = env->CreateDir(dir);
+  if (st.ok()) st = s->FinishInterruptedGc();
+  if (st.ok()) st = s->Replay(&tail_valid);
+  if (!st.ok()) return st;
 
   bool fresh = s->segments_.empty();
   if (fresh) {
@@ -135,12 +132,7 @@ Status FileChunkStore::Open(Env* env, const std::string& dir,
     Status ds = env->SyncDir(dir);
     if (!ds.ok()) return ds;
   }
-  {
-    std::unique_ptr<RandomAccessFile> f;
-    if (env->NewRandomAccessFile(active->path, &f).ok()) {
-      active->file = std::move(f);
-    }
-  }
+  s->ReadHandle(s->segments_[s->active_segment_]);
   *store = std::move(s);
   return Status::OK();
 }
@@ -320,60 +312,46 @@ Status FileChunkStore::ReplaySegment(uint32_t segment_id,
   }
 
   seg->size = consumed;
-  {
-    std::unique_ptr<RandomAccessFile> f;
-    if (env_->NewRandomAccessFile(path, &f).ok()) seg->file = std::move(f);
-  }
+  ReadHandle(seg);
   *valid_offset = consumed;
   return Status::OK();
 }
 
 void FileChunkStore::ReplayPublish(Entry entry) {
-  uint32_t unpublished_delta = kResidentOnly;
-  {
-    MapShard& shard = map_shards_[MapShardOf(entry.id)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const uint32_t slot = shard.index.Find(entry.id);
-    if (slot == ChunkIndex::kNone) {
-      entry.seq = NextInsertSeq();
-      shard.index.Insert(entry);
-      chunk_count_.Add(1);
-      physical_bytes_.Add(StoredBytes(entry));
-      recovered_.Increment();
-      return;
-    }
-    // A second copy: a GC pass crashed after rewriting this chunk but
-    // before unlinking its old home, flattened a delta whose old copy
-    // outlives the pass, or the chunk was Put again after a pass
-    // unpublished its dead copy. The later copy is the one the store
-    // pointed at; only its base is sure to be on disk.
-    dedup_hits_.Increment();
-    Entry& published = shard.index.at(slot);
-    if (published.depth != 0) unpublished_delta = published.segment;
-    physical_bytes_.Sub(StoredBytes(published));
-    physical_bytes_.Add(StoredBytes(entry));
-    entry.seq = published.seq;
-    published = entry;
+  // Open is single-threaded: nothing publishes between the two locks.
+  if (!Contains(entry.id)) {
+    PublishEntry(entry);
+    recovered_.Increment();
+    return;
   }
-  if (unpublished_delta != kResidentOnly) CondemnSegment(unpublished_delta);
+  // A second copy: a GC pass crashed after rewriting this chunk but
+  // before unlinking its old home, flattened a delta whose old copy
+  // outlives the pass, or the chunk was Put again after a pass
+  // unpublished its dead copy. The later copy is the one the store
+  // pointed at; only its base is sure to be on disk.
+  dedup_hits_.Increment();
+  MapShard& shard = map_shards_[MapShardOf(entry.id)];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  CondemnSegment(Supersede(&shard.index.at(shard.index.Find(entry.id)), entry));
+}
+
+uint32_t FileChunkStore::Supersede(Entry* published, Entry entry) {
+  const uint32_t superseded =
+      published->depth != 0 ? published->segment : kResidentOnly;
+  physical_bytes_.Sub(StoredBytes(*published));
+  physical_bytes_.Add(StoredBytes(entry));
+  entry.seq = published->seq;
+  *published = entry;
+  return superseded;
 }
 
 Status FileChunkStore::ResolveChains(const std::vector<Hash256>& bases) {
-  // Open is single-threaded; the shard locks only keep the accesses
-  // uniform.
-  auto copy = [this](uint32_t ref) {
-    const MapShard& shard = ShardOfRef(ref);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    return shard.index.at(SlotOfRef(ref));
-  };
-  auto update = [this](uint32_t ref, auto&& change) {
-    MapShard& shard = ShardOfRef(ref);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    change(shard.index.at(SlotOfRef(ref)));
+  // Open is single-threaded, so the walk takes no shard lock.
+  auto at = [this](uint32_t ref) -> Entry& {
+    return ShardOfRef(ref).index.at(SlotOfRef(ref));
   };
   std::vector<uint32_t> deltas;
   for (size_t i = 0; i < kMapShards; i++) {
-    std::lock_guard<std::mutex> lock(map_shards_[i].mu);
     map_shards_[i].index.ForEach([&](uint32_t slot, const Entry& entry) {
       if (entry.depth == kUnresolvedDepth) deltas.push_back(RefOf(i, slot));
     });
@@ -382,40 +360,34 @@ Status FileChunkStore::ResolveChains(const std::vector<Hash256>& bases) {
   // replayed with: a later copy of the base replaced the record in the
   // same slot, so this is the copy the store points at.
   for (const uint32_t ref : deltas) {
-    const Hash256& base = bases[copy(ref).base];
+    const Hash256& base = bases[at(ref).base];
     const size_t base_shard = MapShardOf(base);
-    uint32_t slot = ChunkIndex::kNone;
-    {
-      std::lock_guard<std::mutex> lock(map_shards_[base_shard].mu);
-      slot = map_shards_[base_shard].index.Find(base);
-    }
+    const uint32_t slot = map_shards_[base_shard].index.Find(base);
     if (slot == ChunkIndex::kNone) {
       return Status::Corruption("delta base " + base.ToHex() +
                                 " absent from the chunk segments");
     }
-    update(ref, [&](Entry& entry) { entry.base = RefOf(base_shard, slot); });
+    at(ref).base = RefOf(base_shard, slot);
   }
   std::vector<uint32_t> chain;
   for (const uint32_t ref : deltas) {
     chain.clear();
-    uint32_t at = ref;
-    Entry entry = copy(at);
-    while (entry.depth == kUnresolvedDepth) {
-      chain.push_back(at);
+    uint32_t link = ref;
+    while (at(link).depth == kUnresolvedDepth) {
+      chain.push_back(link);
       if (chain.size() > kChainReadLimit) {
         return Status::Corruption("delta chain of chunk " +
-                                  copy(ref).id.ToHex() + " loops");
+                                  at(ref).id.ToHex() + " loops");
       }
-      at = entry.base;
-      entry = copy(at);
+      link = at(link).base;
     }
-    uint8_t depth = entry.depth;
+    uint8_t depth = at(link).depth;
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
       // A chain the store wrote is at most kMaxChainDepth long; a longer
       // one still reads, and Put never extends it.
       depth = static_cast<uint8_t>(
           std::min<size_t>(depth + 1, kUnresolvedDepth - 1));
-      update(*it, [depth](Entry& e) { e.depth = depth; });
+      at(*it).depth = depth;
     }
   }
   return Status::OK();
@@ -451,11 +423,10 @@ bool FileChunkStore::OnDisk(const Hash256& id, Entry* entry) const {
   return entry->segment != kResidentOnly;
 }
 
-bool FileChunkStore::OnDiskAt(uint32_t ref, Entry* entry) const {
+FileChunkStore::Entry FileChunkStore::At(uint32_t ref) const {
   const MapShard& shard = ShardOfRef(ref);
   std::lock_guard<std::mutex> lock(shard.mu);
-  *entry = shard.index.at(SlotOfRef(ref));
-  return entry->length != 0 && entry->segment != kResidentOnly;
+  return shard.index.at(SlotOfRef(ref));
 }
 
 std::shared_ptr<const Chunk> FileChunkStore::ChainStart(
@@ -464,9 +435,9 @@ std::shared_ptr<const Chunk> FileChunkStore::ChainStart(
   if (!OnDisk(id, &entry)) return nullptr;
   for (size_t hops = 0; entry.depth != 0; hops++) {
     // A link a GC pass collected, or a looping chain: no start to use.
-    if (hops >= kChainReadLimit || !OnDiskAt(entry.base, &entry)) {
-      return nullptr;
-    }
+    if (hops >= kChainReadLimit) return nullptr;
+    entry = At(entry.base);
+    if (entry.length == 0 || entry.segment == kResidentOnly) return nullptr;
   }
   const Hash256 at = entry.id;
   if (auto cached = cache_->Lookup(BufferCache::kRawChunk, at)) {
@@ -700,10 +671,7 @@ Status FileChunkStore::RollSegmentLocked(std::unique_lock<std::mutex>& lock) {
     append_status_ = s;
     return s;
   }
-  {
-    std::unique_ptr<RandomAccessFile> f;
-    if (env_->NewRandomAccessFile(seg->path, &f).ok()) seg->file = std::move(f);
-  }
+  ReadHandle(seg);
   log_ = std::move(next_log);
   active_segment_ = next_id;
   active_offset_.store(0, std::memory_order_relaxed);
@@ -796,7 +764,7 @@ Status FileChunkStore::ReadHandle(
     }
     segment->file = std::move(f);
   }
-  *file = segment->file;
+  if (file != nullptr) *file = segment->file;
   return Status::OK();
 }
 
@@ -960,10 +928,11 @@ Status FileChunkStore::BasePayload(const Hash256& id, size_t hops,
   return ApplyDelta(record, below, payload);
 }
 
-Status FileChunkStore::RewriteFull(const Hash256& id,
-                                   const std::set<uint32_t>& victims,
+Status FileChunkStore::RewriteFull(uint32_t ref,
+                                   const std::set<uint32_t>& condemns,
                                    ReadWindow* window,
                                    uint64_t* rewritten_bytes) {
+  const Hash256 id = At(ref).id;
   std::shared_ptr<const Chunk> chunk;
   Status s = Load(id, window, &chunk);
   if (!s.ok()) return s;
@@ -977,22 +946,10 @@ Status FileChunkStore::RewriteFull(const Hash256& id,
     if (!s.ok()) return s;
   }
   *rewritten_bytes += record.size();
-  uint32_t superseded_delta = kResidentOnly;
-  {
-    MapShard& shard = map_shards_[MapShardOf(id)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const uint32_t slot = shard.index.Find(id);
-    if (slot == ChunkIndex::kNone) return Status::OK();
-    Entry& published = shard.index.at(slot);
-    if (published.depth != 0 && victims.count(published.segment) == 0) {
-      superseded_delta = published.segment;
-    }
-    fresh.seq = published.seq;
-    physical_bytes_.Sub(StoredBytes(published));
-    physical_bytes_.Add(StoredBytes(fresh));
-    published = fresh;
-  }
-  if (superseded_delta != kResidentOnly) CondemnSegment(superseded_delta);
+  MapShard& shard = ShardOfRef(ref);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  const uint32_t superseded = Supersede(&shard.index.at(SlotOfRef(ref)), fresh);
+  if (condemns.count(superseded) != 0) CondemnSegment(superseded);
   return Status::OK();
 }
 
@@ -1000,6 +957,10 @@ Status FileChunkStore::RetainLive(
     const std::unordered_set<Hash256, Hash256Hasher>& live, uint64_t mark_seq,
     ChunkGcStats* stats) {
   std::lock_guard<std::mutex> sweep_lock(sweep_mu_);
+  auto fail = [this](Status s) {
+    EndGc();
+    return s;
+  };
   uint32_t active_snapshot = 0;
   {
     std::unique_lock<std::mutex> lock(file_mu_);
@@ -1014,96 +975,49 @@ Status FileChunkStore::RetainLive(
       // A poisoned store cannot rewrite live records safely.
       Status s = append_status_;
       lock.unlock();
-      EndGc();
-      return s;
+      return fail(s);
     }
     active_snapshot = active_segment_;
   }
-  auto fail = [this](Status s) {
-    EndGc();
-    return s;
-  };
 
-  // Phase 1: classify. Dead = in a sealed segment, inserted before the
-  // mark, not reachable from any retained root. Every record inserted
-  // before the mark is in a sealed segment once the active one rolled
-  // above; segments created since carry ids from active_snapshot up and
-  // are never victims, so concurrent Puts and rewrites land on safe
-  // ground. Victims: the segments holding a dead record, and sealed
-  // condemned ones. So every dead record goes with its segment in this
-  // pass, and no record on disk outlives a base it needs: a delta
-  // outside the victims whose base is dead is flattened.
-  std::vector<std::pair<uint32_t, Entry>> dead;  // by reference
-  std::vector<Entry> deltas;
-  std::set<uint32_t> victims;
-  uint64_t total_entries = 0;
+  // Phase 1: plan the pass (segment_gc.h) from one walk of the index,
+  // whose rows come in reference order; a reference stays valid for the
+  // pass, as only a pass frees a slot. Every record inserted before the
+  // mark is in a sealed segment once the active one rolled above;
+  // segments created since carry ids from active_snapshot up and are
+  // never victims, so concurrent Puts and rewrites land on safe ground.
+  std::vector<GcRow> rows;
   for (size_t i = 0; i < kMapShards; i++) {
-    MapShard& shard = map_shards_[i];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.index.ForEach([&](uint32_t slot, const Entry& entry) {
-      total_entries++;
-      if (entry.seq < mark_seq && entry.segment < active_snapshot &&
-          live.find(entry.id) == live.end()) {
-        dead.emplace_back(RefOf(i, slot), entry);
-        victims.insert(entry.segment);
-      }
-      if (entry.depth != 0) deltas.push_back(entry);
+    std::lock_guard<std::mutex> lock(map_shards_[i].mu);
+    map_shards_[i].index.ForEach([&](uint32_t slot, const Entry& entry) {
+      rows.push_back({RefOf(i, slot), entry.segment, entry.offset,
+                      entry.base, static_cast<uint8_t>(entry.depth),
+                      entry.seq < mark_seq &&
+                          entry.segment < active_snapshot &&
+                          live.find(entry.id) == live.end()});
     });
   }
-  // `dead` is in reference order (shard by shard, slot by slot), and a
-  // reference stays valid for the pass: only a pass frees a slot.
-  auto find_dead = [&dead](uint32_t ref) -> const Entry* {
-    auto it = std::lower_bound(
-        dead.begin(), dead.end(), ref,
-        [](const auto& d, uint32_t r) { return d.first < r; });
-    return it != dead.end() && it->first == ref ? &it->second : nullptr;
-  };
-  auto is_dead = [&](uint32_t ref) { return find_dead(ref) != nullptr; };
+  std::set<uint32_t> condemned;
   {
     std::lock_guard<std::mutex> lock(seg_mu_);
-    for (const auto& kv : segments_) {
-      if (kv.first < active_snapshot && kv.second->condemned) {
-        victims.insert(kv.first);
-      }
+    for (const auto& [id, segment] : segments_) {
+      if (segment->condemned) condemned.insert(id);
     }
   }
-  std::vector<Entry> flatten;
-  for (const Entry& entry : deltas) {
-    if (victims.count(entry.segment) == 0 && is_dead(entry.base)) {
-      flatten.push_back(entry);
-    }
-  }
+  const GcPlan plan = PlanSegmentGc(rows, condemned, active_snapshot);
 
   ChunkGcStats result;
 
-  // Phase 2: rewrite, as full records, the still-live records of every
-  // victim and the deltas to flatten. Locations update in place,
-  // keeping the original insertion sequence (the chunk is the same age
-  // for future marks). Reads verify but skip the cache, so a pass does
-  // not evict the readers' working set. The records are read in
-  // segment and offset order through one window, so a victim costs a
-  // few large reads rather than one per record.
-  std::vector<Entry> rewrites = std::move(flatten);
-  if (!victims.empty()) {
-    for (size_t i = 0; i < kMapShards; i++) {
-      MapShard& shard = map_shards_[i];
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard.index.ForEach([&](uint32_t slot, const Entry& entry) {
-        if (victims.count(entry.segment) != 0 && !is_dead(RefOf(i, slot))) {
-          rewrites.push_back(entry);
-        }
-      });
-    }
-  }
-  std::sort(rewrites.begin(), rewrites.end(),
-            [](const Entry& a, const Entry& b) {
-              return std::tie(a.segment, a.offset) <
-                     std::tie(b.segment, b.offset);
-            });
+  // Phase 2: rewrite the plan's records as full ones. Locations update
+  // in place, keeping the original insertion sequence (the chunk is the
+  // same age for future marks). Reads verify but skip the cache, so a
+  // pass does not evict the readers' working set. The records are read
+  // in segment and offset order through one window, so a victim costs
+  // a few large reads rather than one per record.
   ReadWindow window;
-  for (const Entry& rewrite : rewrites) {
-    Status s =
-        RewriteFull(rewrite.id, victims, &window, &result.rewritten_bytes);
+  for (const size_t row : plan.rewrites) {
+    Status s = RewriteFull(rows[row].ref, plan.condemned, &window,
+                           &result.rewritten_bytes);
     if (!s.ok()) return fail(s);
   }
 
@@ -1130,46 +1044,47 @@ Status FileChunkStore::RetainLive(
   // reference from naming a reused slot: a delta on a base this pass
   // erases is dead too (and erased first, being deeper) or was
   // flattened above, unless naming the base resurrected it. Nothing is
-  // unpublished yet, so `dead` still holds each base's id, and
-  // WasResurrected takes only a leaf lock: one walk checks it.
+  // unpublished yet, so a dead base's slot still holds its id.
+  std::vector<uint32_t> dead_bases;
   for (size_t i = 0; i < kMapShards; i++) {
     std::lock_guard<std::mutex> lock(map_shards_[i].mu);
     map_shards_[i].index.ForEach([&](uint32_t slot, const Entry& entry) {
-      if (entry.depth == 0 || is_dead(RefOf(i, slot))) return;
-      const Entry* base = find_dead(entry.base);
-      assert((base == nullptr || WasResurrected(base->id)) &&
-             "a delta outlives its base");
+      if (entry.depth == 0) return;
+      const GcRow* base = FindGcRow(rows, entry.base);
+      if (base == nullptr || !base->dead) return;
+      const GcRow* self = FindGcRow(rows, RefOf(i, slot));
+      if (self == nullptr || !self->dead) dead_bases.push_back(entry.base);
     });
   }
+  for (const uint32_t ref : dead_bases) {
+    assert(WasResurrected(At(ref).id) && "a delta outlives its base");
+  }
 #endif
-  std::sort(dead.begin(), dead.end(), [](const auto& a, const auto& b) {
-    return a.second.depth > b.second.depth;
-  });
   const uint64_t rewritten_before = result.rewritten_bytes;
-  for (const auto& doomed : dead) {
-    const Entry& entry = doomed.second;
-    const Hash256& id = entry.id;
+  for (const size_t row : plan.dead) {
+    const uint32_t ref = rows[row].ref;
+    Hash256 id;
     bool resurrected = false;
     {
-      MapShard& shard = map_shards_[MapShardOf(id)];
+      MapShard& shard = ShardOfRef(ref);
       std::lock_guard<std::mutex> lock(shard.mu);
-      const uint32_t slot = shard.index.Find(id);
-      if (slot == ChunkIndex::kNone) continue;
-      if (WasResurrected(id)) {
-        resurrected = true;
-      } else {
+      const Entry& entry = shard.index.at(SlotOfRef(ref));
+      id = entry.id;
+      resurrected = WasResurrected(id);
+      if (!resurrected) {
         chunk_count_.Sub(1);
-        physical_bytes_.Sub(StoredBytes(shard.index.at(slot)));
-        shard.index.Erase(slot);
+        physical_bytes_.Sub(StoredBytes(entry));
         result.dead_chunks++;
         result.reclaimed_bytes += StoredBytes(entry);
+        shard.index.Erase(SlotOfRef(ref));
       }
     }
     if (!resurrected) {
       cache_->Erase(id);
       continue;
     }
-    Status s = RewriteFull(id, victims, &window, &result.rewritten_bytes);
+    Status s = RewriteFull(ref, plan.condemned, &window,
+                           &result.rewritten_bytes);
     if (!s.ok()) return fail(s);
   }
   if (result.rewritten_bytes > rewritten_before) {
@@ -1178,34 +1093,29 @@ Status FileChunkStore::RetainLive(
   }
 
   // Phase 6: unlink the victims. Their dead records are unpublished
-  // now, so each is condemned until it is gone, and the synced manifest
-  // lets Open finish the unlinks a crash cuts short: a delta in one
-  // victim may name a base in another. A straggling reader that copied
-  // a location before phase 5 keeps preading through the open handle
-  // the Segment holds; everyone else can no longer reach the segment.
+  // now, so each is condemned until it is gone: one whose unlink fails
+  // stays in the segment table for the next pass to take again. The
+  // synced manifest lets Open finish the unlinks a crash cuts short (a
+  // delta in one victim may name a base in another). A straggling
+  // reader that copied a location before phase 5 keeps preading through
+  // the open handle the Segment holds.
   Status first_error = Status::OK();
-  if (!victims.empty()) {
-    for (uint32_t victim : victims) CondemnSegment(victim);
-    first_error = WriteGcManifest(victims);
+  if (!plan.victims.empty()) {
+    for (uint32_t victim : plan.victims) CondemnSegment(victim);
+    first_error = WriteGcManifest(plan.victims);
     if (!first_error.ok()) return fail(first_error);
   }
-  for (uint32_t victim : victims) {
-    std::shared_ptr<Segment> seg;
-    {
-      std::lock_guard<std::mutex> lock(seg_mu_);
-      auto it = segments_.find(victim);
-      if (it == segments_.end()) continue;
-      seg = it->second;
-      segments_.erase(it);
-    }
-    Status s = env_->DeleteFile(seg->path);
+  for (uint32_t victim : plan.victims) {
+    Status s = env_->DeleteFile(dir_ + "/" + SegmentFileName(victim));
     if (s.ok() || s.IsNotFound()) {
+      std::lock_guard<std::mutex> lock(seg_mu_);
+      segments_.erase(victim);
       result.segments_deleted++;
     } else if (first_error.ok()) {
       first_error = s;
     }
   }
-  if (!victims.empty() && first_error.ok()) {
+  if (!plan.victims.empty() && first_error.ok()) {
     first_error = env_->SyncDir(dir_);
     if (first_error.ok()) {
       first_error = env_->DeleteFile(dir_ + "/" + kGcManifest);
@@ -1213,9 +1123,7 @@ Status FileChunkStore::RetainLive(
   }
 
   EndGc();
-  result.live_chunks =
-      total_entries > result.dead_chunks ? total_entries - result.dead_chunks
-                                         : 0;
+  result.live_chunks = rows.size() - result.dead_chunks;
   if (stats != nullptr) *stats = result;
   return first_error;
 }

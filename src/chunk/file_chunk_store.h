@@ -32,22 +32,16 @@ namespace spitz {
 // with memory bounded by the index, ~64 B per stored chunk with its
 // table, and the cache budget.
 //
-// Record format (chunk/chunk_record.h): one framing for two kinds,
-//   [1B kind] [varint body length] [body] [4B masked CRC32C]
-// The checksum covers the kind byte and the body. A full record's body
-// is the chunk payload. A delta record's body is
-//   [32B own id] [32B base id] [varint payload size] [copy/literal ops]
-// and rebuilds the chunk from the payload of its base. Put writes one
-// when the caller names the chunk it replaces (a path-copied POS node)
-// and the delta is the shorter record. Its base is the named chunk
-// while that chunk's chain of deltas is shorter than kMaxChainDepth;
-// at the cap it is the full record the chain starts from (a rebase),
-// so the delta carries every change since that record, and a node is
-// written in full again only once those changes are as large as it is.
+// A record (chunk/chunk_record.h) holds a chunk in full or as a delta
+// on the payload of a base. Put writes a delta when the caller names
+// the chunk it replaces (a path-copied POS node) and the delta is the
+// shorter record. Its base is the named chunk while that chunk's chain
+// of deltas is shorter than kMaxChainDepth; at the cap it is the full
+// record the chain starts from (a rebase), so a node is written in full
+// again only once its changes since that record are as large as it is.
 // A cache miss on a delta reads its chain of records down to a full one
-// (or to a base already in the cache, which is verified) without
-// caching the bases, and serves the rebuilt chunk only after one
-// SHA-256 of it matches the id, as for a full record.
+// (or to a verified base in the cache), caching no base, and serves the
+// rebuilt chunk only once it hashes to the id, as for a full record.
 //
 // Replay walks every segment in numeric order and registers locations:
 // a full record under the hash of its bytes, a delta under the id
@@ -86,21 +80,17 @@ namespace spitz {
 // database calls OnBlockSealed() so switches line up with commit
 // durability), with a 2× hard cap as the standalone fallback. A roll
 // fsyncs the outgoing segment before creating its successor, which is
-// what lets replay demand sealed segments be intact. The version GC
-// (RetainLive) rewrites the still-live records of condemned sealed
-// segments into the active one, fsyncs, waits for in-flight reader
-// epochs to drain, then unpublishes the dead ids and unlinks the
-// victims — a straggling reader that already resolved a location keeps
-// working off the open file handle (POSIX keeps the inode alive), it
-// just can no longer find the id in the index afterwards. A pass first
-// rolls a non-empty active segment, so it can collect what that
-// segment holds, and every dead record goes with its segment. Every
-// record the GC writes is full: a live delta in a victim, and a delta
-// outside the victims whose base the pass collects, are rewritten whole
-// ("flattened"), so no pass keeps a dead base alive and no delta on
-// disk outlives its base. The victims are listed in a synced manifest
-// before the first unlink; Open finishes the unlinks of a pass a crash
-// cut short.
+// what lets replay demand sealed segments be intact. A GC pass
+// (RetainLive) rolls a non-empty active segment, so that every dead
+// record sits in a sealed one, and lets PlanSegmentGc
+// (chunk/segment_gc.h) pick the victim segments and the records to
+// rewrite whole from one snapshot of the index. It rewrites and fsyncs
+// them, waits for in-flight reader epochs to drain, unpublishes the
+// dead ids and unlinks the victims, which a synced manifest names
+// first so that Open finishes the unlinks a crash cut short; a victim
+// whose unlink fails stays condemned for the next pass. A straggling
+// reader that resolved a location keeps working off the open file
+// handle (POSIX keeps the inode alive).
 class FileChunkStore : public ChunkStore {
  public:
   struct Options {
@@ -178,14 +168,8 @@ class FileChunkStore : public ChunkStore {
   // over segment switches unchanged.
   void OnBlockSealed() override;
 
-  // Collects dead chunks and reclaims their disk space: the active
-  // segment is sealed (rolled) if it holds any record, sealed segments
-  // containing at least one dead record are condemned, their live
-  // records read in segment order (a ReadWindow at a time, uncached),
-  // rewritten into the new active segment and fsynced, then —
-  // after in-flight reader epochs drain — the dead ids are unpublished
-  // and the victim files unlinked. Records appended during the pass
-  // wait for the next one.
+  // Collects dead chunks and reclaims their disk space (see the class
+  // comment). Records appended during the pass wait for the next one.
   Status RetainLive(const std::unordered_set<Hash256, Hash256Hasher>& live,
                     uint64_t mark_seq, ChunkGcStats* stats) override;
 
@@ -280,11 +264,15 @@ class FileChunkStore : public ChunkStore {
                        bool is_last, std::vector<Hash256>* bases,
                        uint64_t* valid_offset);
   // Registers one replayed record. Of two copies of one id the later
-  // wins: it is the one the entry pointed at when the store closed (a
-  // GC pass's full rewrite, a flattened delta, a chunk Put again after
-  // its dead copy was unpublished). A delta copy left unpublished
-  // condemns its segment.
+  // wins (Supersede): it is the one the entry pointed at when the store
+  // closed (a GC pass's full rewrite, a flattened delta, a chunk Put
+  // again after its dead copy was unpublished).
   void ReplayPublish(Entry entry);
+  // Points *published at `entry`, a later copy of its chunk, keeping
+  // the insertion sequence. Returns the segment of a superseded delta
+  // copy, which that copy condemns, else kResidentOnly. Caller holds
+  // the shard lock.
+  uint32_t Supersede(Entry* published, Entry entry);
   // Points every replayed delta at its base's slot and sets its depth;
   // Corruption when a base is absent or a chain loops.
   Status ResolveChains(const std::vector<Hash256>& bases);
@@ -295,13 +283,14 @@ class FileChunkStore : public ChunkStore {
   // Writes and syncs the manifest naming `victims`.
   Status WriteGcManifest(const std::set<uint32_t>& victims);
 
-  // Marks segment `id` condemned (see Segment::condemned).
+  // Marks segment `id` condemned (see Segment::condemned); no-op for
+  // an id not in the table (kResidentOnly).
   void CondemnSegment(uint32_t id);
 
   // Opens (or retries opening) the segment's read handle and returns
-  // it; null plus an error status if the open fails.
+  // it through `file`, if given; an error status if the open fails.
   Status ReadHandle(const std::shared_ptr<Segment>& segment,
-                    std::shared_ptr<RandomAccessFile>* file) const;
+                    std::shared_ptr<RandomAccessFile>* file = nullptr) const;
 
   // Copies out `id`'s entry. When its record is still unflushed, *hit
   // holds the chunk from the unflushed map instead; otherwise the
@@ -348,9 +337,10 @@ class FileChunkStore : public ChunkStore {
                      std::string* payload) const;
 
   // Copies out `id`'s entry when its record reached the log (a delta
-  // base must have). OnDiskAt does the same for the record `ref` names.
+  // base must have).
   bool OnDisk(const Hash256& id, Entry* entry) const;
-  bool OnDiskAt(uint32_t ref, Entry* entry) const;
+  // Copies out the record `ref` names (a free slot has length 0).
+  Entry At(uint32_t ref) const;
 
   // True when the record at `entry` is visible to pread: it lies in a
   // sealed segment (a roll flushes before it seals) or below the active
@@ -386,10 +376,11 @@ class FileChunkStore : public ChunkStore {
                             const std::string& record,
                             std::shared_ptr<const Chunk> chunk, Entry* entry);
 
-  // Rewrites `id` as a full record through the verifying read (via
-  // `window`), without caching it, keeping its insertion sequence.
-  // A superseded delta copy outside `victims` condemns its segment.
-  Status RewriteFull(const Hash256& id, const std::set<uint32_t>& victims,
+  // Rewrites the record `ref` names as a full record through the
+  // verifying read (via `window`), without caching it, keeping its
+  // insertion sequence. A superseded delta copy in one of `condemns`
+  // (the GC plan's flattened deltas) condemns its segment.
+  Status RewriteFull(uint32_t ref, const std::set<uint32_t>& condemns,
                      ReadWindow* window, uint64_t* rewritten_bytes);
 
   // Seals the active segment (flush + fsync + close) and starts its

@@ -2,15 +2,20 @@
 // it: seeded random sequences of puts, dedup hits, erasures and lookups
 // checked against a std::unordered_map model, on the index alone
 // (growth, slot reuse, probe runs that wrap) and through FileChunkStore
-// (delta records naming their bases by slot, GC passes, a reopen).
+// (delta records naming their bases by slot, GC passes, a reopen); and
+// the GC plan over a snapshot of that index (chunk/segment_gc.h),
+// checked against a plain statement of the victim rule.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -18,6 +23,7 @@
 #include "chunk/buffer_cache.h"
 #include "chunk/chunk_index.h"
 #include "chunk/file_chunk_store.h"
+#include "chunk/segment_gc.h"
 #include "common/env.h"
 #include "common/metrics.h"
 #include "common/random.h"
@@ -261,6 +267,209 @@ TEST_F(ChunkIndexStoreTest, StoreMatchesAMapModelThroughPutsDedupsGcAndReopen) {
   Status s = FileChunkStore::Open(Env::Default(), dir_, options, &store);
   ASSERT_TRUE(s.ok()) << s.ToString();
   expect_reads(store.get());
+}
+
+// --- The GC plan -------------------------------------------------------------
+
+// GcRow::segment of a record held in memory only.
+constexpr uint32_t kInMemory = UINT32_MAX;
+
+// What a pass collects, stated plainly. The victims are the segments of
+// the dead records and the condemned segments below the active one. A
+// live record is rewritten when it sits in a victim, or when it is a
+// delta outside them whose base is dead; that delta's old copy then
+// condemns its segment, if it has one. The dead go deepest first.
+struct Expected {
+  std::set<uint32_t> victims;
+  std::vector<size_t> rewrites;  // in (segment, offset) order
+  std::set<uint32_t> condemned;
+  std::vector<size_t> dead;  // in row order
+};
+
+Expected StateTheRule(const std::vector<GcRow>& rows,
+                      const std::set<uint32_t>& condemned, uint32_t active) {
+  std::map<uint32_t, bool> dead_at;
+  for (const GcRow& row : rows) dead_at[row.ref] = row.dead;
+  Expected want;
+  for (const uint32_t id : condemned) {
+    if (id < active) want.victims.insert(id);
+  }
+  for (size_t i = 0; i < rows.size(); i++) {
+    if (rows[i].dead) {
+      want.victims.insert(rows[i].segment);
+      want.dead.push_back(i);
+    }
+  }
+  std::vector<std::tuple<uint32_t, uint32_t, size_t>> rewrites;
+  for (size_t i = 0; i < rows.size(); i++) {
+    const GcRow& row = rows[i];
+    if (row.dead) continue;
+    const bool in_victim = want.victims.count(row.segment) != 0;
+    const auto base = dead_at.find(row.base);
+    const bool flatten = !in_victim && row.depth != 0 &&
+                         base != dead_at.end() && base->second;
+    if (in_victim || flatten) rewrites.emplace_back(row.segment, row.offset, i);
+    if (flatten && row.segment != kInMemory) want.condemned.insert(row.segment);
+  }
+  std::sort(rewrites.begin(), rewrites.end());
+  for (const auto& rewrite : rewrites) {
+    want.rewrites.push_back(std::get<2>(rewrite));
+  }
+  return want;
+}
+
+void ExpectPlanFollowsTheRule(const std::vector<GcRow>& rows,
+                              const std::set<uint32_t>& condemned,
+                              uint32_t active) {
+  const GcPlan plan = PlanSegmentGc(rows, condemned, active);
+  const Expected want = StateTheRule(rows, condemned, active);
+  EXPECT_EQ(plan.victims, want.victims);
+  EXPECT_EQ(plan.rewrites, want.rewrites);
+  EXPECT_EQ(plan.condemned, want.condemned);
+  std::vector<size_t> dead = plan.dead;
+  std::sort(dead.begin(), dead.end());
+  EXPECT_EQ(dead, want.dead);
+  for (size_t i = 1; i < plan.dead.size(); i++) {
+    EXPECT_GE(rows[plan.dead[i - 1]].depth, rows[plan.dead[i]].depth);
+  }
+}
+
+// A random snapshot of a store's index. Its records sit in sealed
+// segments, in the active one and later ones (appended after the
+// snapshot), or in memory only. Chains of deltas reach kMaxChainDepth;
+// a few deltas name a base missing from the snapshot. Only a record in
+// a sealed segment is dead. Some segments are condemned, below the
+// active one and from it up.
+struct Snapshot {
+  std::vector<GcRow> rows;  // in ref order
+  std::set<uint32_t> condemned;
+  uint32_t active = 0;
+};
+
+Snapshot RandomSnapshot(Random* rnd) {
+  Snapshot snap;
+  const uint32_t segments = static_cast<uint32_t>(rnd->Range(1, 12));
+  snap.active = static_cast<uint32_t>(rnd->Range(1, segments));
+  for (uint32_t id = 1; id <= segments; id++) {
+    if (rnd->OneIn(5)) snap.condemned.insert(id);
+  }
+  const uint64_t dead_eighths = rnd->Range(0, 8);
+  std::set<uint32_t> refs;
+  std::map<uint32_t, uint32_t> ends;  // each segment's next offset
+  std::vector<GcRow> created;         // in creation order
+  const size_t n = rnd->Range(0, 400);
+  for (size_t i = 0; i < n; i++) {
+    GcRow row;
+    do {
+      row.ref = static_cast<uint32_t>(rnd->Uniform(1 << 20));
+    } while (!refs.insert(row.ref).second);
+    row.segment = rnd->OneIn(20) ? kInMemory
+                                 : static_cast<uint32_t>(rnd->Range(1, segments));
+    row.offset = ends[row.segment];
+    ends[row.segment] += static_cast<uint32_t>(rnd->Range(1, 4096));
+    if (rnd->OneIn(50)) {
+      row.depth = 1;
+      row.base = (1 << 20) + static_cast<uint32_t>(rnd->Uniform(1000));
+    } else if (!created.empty() && rnd->OneIn(2)) {
+      // On one of the three newest records, so chains grow deep.
+      const GcRow& base =
+          created[created.size() - 1 - rnd->Uniform(std::min<size_t>(
+                                           created.size(), 3))];
+      if (base.depth < FileChunkStore::kMaxChainDepth) {
+        row.depth = static_cast<uint8_t>(base.depth + 1);
+        row.base = base.ref;
+      }
+    }
+    row.dead = row.segment < snap.active && rnd->Uniform(8) < dead_eighths;
+    created.push_back(row);
+  }
+  snap.rows = created;
+  std::sort(snap.rows.begin(), snap.rows.end(),
+            [](const GcRow& a, const GcRow& b) { return a.ref < b.ref; });
+  return snap;
+}
+
+// The plan agrees with the plain statement of the rule on random
+// snapshots, and the snapshots reach every case the rule has.
+TEST(SegmentGcPlanTest, MatchesAPlainStatementOfTheRuleOnRandomSnapshots) {
+  size_t flattened = 0, in_memory_flattened = 0, deepest = 0;
+  size_t condemned_victims = 0, late_condemned = 0;
+  for (uint64_t seed = 1; seed <= 500; seed++) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Random rnd(seed);
+    const Snapshot snap = RandomSnapshot(&rnd);
+    ExpectPlanFollowsTheRule(snap.rows, snap.condemned, snap.active);
+    const GcPlan plan = PlanSegmentGc(snap.rows, snap.condemned, snap.active);
+    for (const size_t i : plan.rewrites) {
+      const GcRow& row = snap.rows[i];
+      if (plan.victims.count(row.segment) != 0) continue;
+      flattened++;
+      if (row.segment == kInMemory) in_memory_flattened++;
+    }
+    for (const GcRow& row : snap.rows) {
+      if (row.dead && row.depth == FileChunkStore::kMaxChainDepth) deepest++;
+    }
+    for (const uint32_t id : snap.condemned) {
+      (id < snap.active ? condemned_victims : late_condemned)++;
+    }
+  }
+  EXPECT_GT(flattened, 100u);
+  EXPECT_GT(in_memory_flattened, 0u);
+  EXPECT_GT(deepest, 0u);
+  EXPECT_GT(condemned_victims, 0u);
+  EXPECT_GT(late_condemned, 0u);
+}
+
+// A live delta outside the victims whose base is dead is flattened, and
+// its old copy condemns its segment; the live full record beside it
+// stays where it is.
+TEST(SegmentGcPlanTest, LiveDeltaOnADeadBaseIsFlattenedAndCondemnsItsSegment) {
+  const std::vector<GcRow> rows = {
+      {.ref = 1, .segment = 1, .offset = 0, .dead = true},
+      {.ref = 2, .segment = 2, .offset = 0, .base = 1, .depth = 1},
+      {.ref = 3, .segment = 2, .offset = 100},
+  };
+  const GcPlan plan = PlanSegmentGc(rows, {}, /*active_segment=*/3);
+  EXPECT_EQ(plan.victims, std::set<uint32_t>({1}));
+  EXPECT_EQ(plan.rewrites, std::vector<size_t>({1}));
+  EXPECT_EQ(plan.condemned, std::set<uint32_t>({2}));
+  EXPECT_EQ(plan.dead, std::vector<size_t>({0}));
+  ExpectPlanFollowsTheRule(rows, {}, 3);
+}
+
+// A dead chain comes out deepest first, whatever order its references
+// are in, so a base is unpublished after every delta on it.
+TEST(SegmentGcPlanTest, DeadChainComesOutDeepestFirst) {
+  const std::vector<GcRow> rows = {
+      {.ref = 1, .segment = 1, .offset = 0, .base = 3, .depth = 2,
+       .dead = true},
+      {.ref = 2, .segment = 1, .offset = 50, .dead = true},
+      {.ref = 3, .segment = 2, .offset = 0, .base = 2, .depth = 1,
+       .dead = true},
+      {.ref = 4, .segment = 2, .offset = 80, .base = 1, .depth = 3,
+       .dead = true},
+  };
+  const GcPlan plan = PlanSegmentGc(rows, {}, /*active_segment=*/3);
+  EXPECT_EQ(plan.dead, std::vector<size_t>({3, 0, 2, 1}));
+  EXPECT_EQ(plan.victims, std::set<uint32_t>({1, 2}));
+  EXPECT_TRUE(plan.rewrites.empty());
+  EXPECT_TRUE(plan.condemned.empty());
+}
+
+// A condemned sealed segment is a victim with no dead record in it: its
+// live records are rewritten, in offset order. A condemned segment from
+// the active one up waits for a later pass.
+TEST(SegmentGcPlanTest, CondemnedSealedSegmentIsAVictimWithNoDeadRecord) {
+  const std::vector<GcRow> rows = {
+      {.ref = 1, .segment = 2, .offset = 50},
+      {.ref = 2, .segment = 2, .offset = 10},
+      {.ref = 3, .segment = 4, .offset = 0},
+  };
+  const GcPlan plan = PlanSegmentGc(rows, {2, 4}, /*active_segment=*/4);
+  EXPECT_EQ(plan.victims, std::set<uint32_t>({2}));
+  EXPECT_EQ(plan.rewrites, std::vector<size_t>({1, 0}));
+  EXPECT_TRUE(plan.condemned.empty());
+  EXPECT_TRUE(plan.dead.empty());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <deque>
 #include <filesystem>
@@ -992,10 +993,13 @@ TEST_F(DeltaChunkTest, BaseReferencesSurviveAPassThatRewritesTheirBases) {
 
 // The default environment, except that after `budget` unlinks every
 // further DeleteFile fails: a process that died partway through a GC
-// pass's unlinks, with everything before them synced.
+// pass's unlinks, with everything before them synced. FailOnce fails
+// the first unlink of one path alone, as a transient error would.
 class UnlinkBudgetEnv : public Env {
  public:
   explicit UnlinkBudgetEnv(int budget) : budget_(budget) {}
+
+  void FailOnce(const std::string& path) { fail_once_ = path; }
 
   Status NewWritableLog(const std::string& path,
                         std::unique_ptr<WritableLog>* log) override {
@@ -1026,6 +1030,10 @@ class UnlinkBudgetEnv : public Env {
     return base_->ListDir(path, names);
   }
   Status DeleteFile(const std::string& path) override {
+    if (path == fail_once_) {
+      fail_once_.clear();
+      return Status::IOError("unlink failed");
+    }
     if (budget_ == 0) return Status::IOError("process died");
     budget_--;
     return base_->DeleteFile(path);
@@ -1040,6 +1048,7 @@ class UnlinkBudgetEnv : public Env {
  private:
   Env* const base_ = Env::Default();
   int budget_;
+  std::string fail_once_;
 };
 
 // A crash after a pass's flattening rewrites, with only some of its
@@ -1090,6 +1099,57 @@ TEST_F(DeltaChunkTest, CrashWithSomeVictimsUnlinkedReopensWithEveryLiveChunk) {
       cache.Clear();
       ExpectVersionVerifies(tree, root, model);
     }
+  }
+}
+
+// A victim whose unlink fails stays in the segment table, condemned:
+// the next pass takes it again and names it in its own manifest, so no
+// segment holding deltas on collected bases is left behind, and the
+// store reopens with every live chunk and retained version.
+TEST_F(DeltaChunkTest, VictimWhoseUnlinkFailedGoesWithTheNextPass) {
+  FileChunkStore::Options options;
+  options.segment_bytes = 16 << 10;
+  const std::string failing = dir_ + "/" + FileChunkStore::SegmentFileName(3);
+  Workload w;
+  {
+    UnlinkBudgetEnv env(INT_MAX);
+    env.FailOnce(failing);
+    std::unique_ptr<FileChunkStore> store;
+    ASSERT_TRUE(FileChunkStore::Open(&env, dir_, options, &store).ok());
+    PosTree tree(store.get());
+    Random rnd(33);
+    StartWorkload(store.get(), tree, &w);
+    for (int pass = 0; pass < 2; pass++) {
+      WriteVersions(store.get(), tree, 30, /*seal=*/true, &rnd, &w);
+      WriteVersions(store.get(), tree, 5, /*seal=*/false, &rnd, &w);
+      ChunkGcStats stats;
+      const Status s = CollectAllButRetained(store.get(), tree, &w, &stats);
+      if (pass == 0) {
+        EXPECT_TRUE(s.IsIOError()) << s.ToString();
+        EXPECT_TRUE(std::filesystem::exists(failing));
+      } else {
+        ASSERT_TRUE(s.ok()) << s.ToString();
+      }
+    }
+    EXPECT_FALSE(std::filesystem::exists(failing));
+    EXPECT_FALSE(std::filesystem::exists(dir_ + "/gc-victims"));
+    ASSERT_TRUE(store->Sync().ok());
+  }
+  BufferCache cache(1 << 20);
+  FileChunkStore::Options reopen = options;
+  reopen.cache = &cache;
+  std::unique_ptr<FileChunkStore> store;
+  Status s = FileChunkStore::Open(Env::Default(), dir_, reopen, &store);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  for (const Hash256& id : w.live) {
+    std::shared_ptr<const Chunk> chunk;
+    Status g = store->Get(id, &chunk);
+    ASSERT_TRUE(g.ok()) << g.ToString();
+  }
+  PosTree tree(store.get());
+  for (const auto& [root, model] : w.retained) {
+    cache.Clear();
+    ExpectVersionVerifies(tree, root, model);
   }
 }
 
