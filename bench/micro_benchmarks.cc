@@ -400,7 +400,8 @@ void RunKeyHistory(benchmark::State& state, SpitzDb* db) {
   if (!db->SyncStorage().ok()) abort();
   std::vector<SpitzDb::HistoricalWrite> history;
   for (auto _ : state) {
-    if (!db->KeyHistory(keys[rng.Uniform(keys.size())], &history).ok()) {
+    const std::string& key = keys[rng.Uniform(keys.size())];
+    if (!db->ledger()->KeyHistory(key, &history).ok()) {
       abort();
     }
     benchmark::DoNotOptimize(history.data());

@@ -51,7 +51,11 @@
 #   that keeps an old root as a delta base and erases the rest of its
 #   version) and AuditorTest.KeptVersionMissingAChunkIsNotCollected (a
 #   kept version's missing chunk is damage) run in both legs under
-#   AuditorTest.
+#   AuditorTest. SpitzDb's two components run in both legs: the
+#   versioned index (versioned_index_test: VersionedIndexTest, reads and
+#   proofs at old roots, the batch apply and the retire ring's cache
+#   erasures) and the ledger (ledger_test: LedgerTest, the seal, bulk
+#   seal, restore and every ledger proof).
 # ASan+UBSan: the proof-codec, database, group-commit, version-GC,
 #   deferred-auditor, key-history,
 #   2PC participant, write-batch and read-set, network, cluster,
@@ -166,11 +170,11 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
                key_history_test metrics_test recovery_test net_test \
                cluster_test replica_test pos_tree_test persistence_test \
                delta_chunk_test chunk_index_test common_test group_commit_test \
-               version_gc_test
+               version_gc_test versioned_index_test ledger_test
 # TSAN_OPTIONS makes any reported race fail the run (exit code).
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
   ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
-        -R 'Concurrency|DeferredVerifier|AuditorTest|TxnParticipant|TimestampOracle|SpitzDb|KeyHistory|Metrics|Recovery|Net|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|PosTree|Persistence|DeltaChunk|DeltaRecord|ChunkIndex|SegmentGcPlan|ForkJoin|GroupCommitTest|VersionGcTest'
+        -R 'Concurrency|DeferredVerifier|AuditorTest|TxnParticipant|TimestampOracle|SpitzDb|KeyHistory|Metrics|Recovery|Net|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|PosTree|Persistence|DeltaChunk|DeltaRecord|ChunkIndex|SegmentGcPlan|ForkJoin|GroupCommitTest|VersionGcTest|VersionedIndexTest|LedgerTest'
 
 echo "==> tier-2: ASan+UBSan proof-codec and database suite"
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -184,11 +188,11 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
                pos_tree_test mpt_mbt_test \
                property_test table_test sql_test \
                integration_test group_commit_test version_gc_test metrics_test \
-               codec_mutation_test
+               versioned_index_test ledger_test codec_mutation_test
 ASAN_OPTIONS="halt_on_error=1 exitcode=66" \
 UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \
   ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-        -R 'Siri|SpitzDb|SpitzOptions|AuditorTest|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence|DeltaChunk|DeltaRecord|ChunkIndex|SegmentGcPlan|PosTree|Mpt|Mbt|Table|Sql|Integration|GroupCommitTest|VersionGcTest|MetricsEndToEndTest.GcMark' \
+        -R 'Siri|SpitzDb|SpitzOptions|AuditorTest|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence|DeltaChunk|DeltaRecord|ChunkIndex|SegmentGcPlan|PosTree|Mpt|Mbt|Table|Sql|Integration|GroupCommitTest|VersionGcTest|VersionedIndexTest|LedgerTest|MetricsEndToEndTest.GcMark' \
         -E 'CodecMutation|OneByteForm'
 ASAN_OPTIONS="halt_on_error=1 exitcode=66 max_allocation_size_mb=256 allocator_may_return_null=0" \
 UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \

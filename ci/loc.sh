@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Prints the line counts ROADMAP.md's "Net state" tracks: C++ sources
 # and headers under src (and its index, ledger and common parts),
-# spitz_db.{h,cc}, tests and bench, plus spitzbench's C++ and Python,
+# spitz_db.{h,cc} and its two components (index/versioned_index.{h,cc}
+# and ledger/ledger.{h,cc}), tests and bench, plus spitzbench's C++ and Python,
 # and the number of ctest cases in the given build directory. It gates
 # nothing.
 #
@@ -26,6 +27,9 @@ row src/index "$(cpp src/index)"
 row src/ledger "$(cpp src/ledger)"
 row src/common "$(cpp src/common)"
 row 'spitz_db.{h,cc}' "$(cat src/core/spitz_db.h src/core/spitz_db.cc | wc -l)"
+row 'versioned_index.{h,cc}' \
+    "$(cat src/index/versioned_index.h src/index/versioned_index.cc | wc -l)"
+row 'ledger.{h,cc}' "$(cat src/ledger/ledger.h src/ledger/ledger.cc | wc -l)"
 row tests "$(cpp tests)"
 row bench "$(cpp bench)"
 row spitzbench "$(lines spitzbench -name '*.cc' -o -name '*.h' -o -name '*.py')"

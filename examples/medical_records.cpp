@@ -106,6 +106,6 @@ int main() {
          s.ToString().c_str(), row["diagnosis_code"].c_str());
 
   printf("ledger entries recorded: %llu\n",
-         static_cast<unsigned long long>(db.entry_count()));
+         static_cast<unsigned long long>(db.ledger()->entry_count()));
   return s.ok() ? 0 : 1;
 }

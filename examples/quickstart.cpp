@@ -30,7 +30,7 @@ int main() {
     }
   }
   printf("wrote 100 records; ledger holds %llu entries\n",
-         static_cast<unsigned long long>(db.entry_count()));
+         static_cast<unsigned long long>(db.ledger()->entry_count()));
 
   // --- 2. The client saves the digest (its only trusted state) ----------
   ClientVerifier client;
@@ -63,7 +63,7 @@ int main() {
   db.FlushBlock();
   SpitzDigest next = db.Digest();
   MerkleConsistencyProof consistency;
-  db.ProveConsistency(client.digest(), &consistency);
+  db.ledger()->ProveConsistency(client.digest().journal, &consistency);
   s = client.ObserveDigest(next, &consistency);
   printf("digest advanced append-only: %s\n", s.ToString().c_str());
 

@@ -60,7 +60,8 @@ int main(int argc, char** argv) {
     }
     db = durable.get();
     printf("-- durable database at %s (recovered %llu ledger entries)\n",
-           argv[1], static_cast<unsigned long long>(db->entry_count()));
+           argv[1],
+           static_cast<unsigned long long>(db->ledger()->entry_count()));
   } else {
     db = &in_memory;
     printf("-- in-memory database (pass a directory for durability)\n");
@@ -105,7 +106,7 @@ int main(int argc, char** argv) {
     if (line.rfind(".history ", 0) == 0) {
       std::string key = line.substr(9);
       std::vector<SpitzDb::HistoricalWrite> history;
-      Status s = db->KeyHistory(key, &history);
+      Status s = db->ledger()->KeyHistory(key, &history);
       if (!s.ok()) {
         printf("error: %s\n", s.ToString().c_str());
         continue;

@@ -108,7 +108,7 @@ int main() {
       forged.Put("rec/" + std::to_string(i), "original");
     }
     MerkleConsistencyProof consistency;
-    forged.ProveConsistency(client.digest(), &consistency);
+    forged.ledger()->ProveConsistency(client.digest().journal, &consistency);
     Expect(!client.ObserveDigest(forged.Digest(), &consistency).ok(),
            "rewritten history presented as an extension");
   }
@@ -141,7 +141,7 @@ int main() {
     client.ObserveDigest(db.Digest());
     JournalEntryProof proof;
     LedgerEntry entry;
-    db.ProveHistoricalEntry(2, 3, &proof, &entry);
+    db.ledger()->ProveHistoricalEntry(2, 3, &proof, &entry);
     Expect(client.CheckHistoricalEntry(entry, proof).ok(),
            "honest historical entry accepted (sanity)");
     LedgerEntry doctored = entry;

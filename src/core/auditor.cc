@@ -29,7 +29,8 @@ Status Auditor::AuditLastBlock() {
     JournalEntryProof proof;
     LedgerEntry entry;
     JournalDigest digest;
-    Status s = db_->ProveHistoricalEntry(height, 0, &proof, &entry, &digest);
+    Status s = db_->ledger()->ProveHistoricalEntry(height, 0, &proof, &entry,
+                                                   &digest);
     if (s.ok()) {
       ScopedTimer timer(proof_verify_ns_);
       s = Journal::VerifyEntry(entry, proof, digest);

@@ -303,12 +303,12 @@ Status Table::CellHistory(
   }
   const std::string key = CellKey(primary_key, column);
   std::vector<SpitzDb::HistoricalWrite> writes;
-  Status s = db_->KeyHistory(key, &writes);
+  Status s = db_->ledger()->KeyHistory(key, &writes);
   if (!s.ok()) return s;
   for (const SpitzDb::HistoricalWrite& write : writes) {
     Hash256 root;
     std::string value;
-    s = db_->IndexRootAt(write.block_height, &root);
+    s = db_->ledger()->IndexRootAt(write.block_height, &root);
     if (s.ok()) s = db_->Read(root, key, &value, nullptr);
     if (s.ok() && Hash256::Of(value) != write.entry.value_hash) {
       s = Status::Corruption("cell value does not match its ledger entry");
@@ -328,7 +328,7 @@ Status Table::GetRowAt(const Slice& primary_key, uint64_t snapshot_ts,
   // Every Upsert writes the primary key cell, so its history holds
   // every version of the row, each sealed in its own block.
   std::vector<SpitzDb::HistoricalWrite> writes;
-  Status s = db_->KeyHistory(
+  Status s = db_->ledger()->KeyHistory(
       CellKey(primary_key, schema_.primary_key_column), &writes);
   if (!s.ok() && !s.IsNotFound()) return s;
   const SpitzDb::HistoricalWrite* last = nullptr;
@@ -337,7 +337,7 @@ Status Table::GetRowAt(const Slice& primary_key, uint64_t snapshot_ts,
   }
   if (last == nullptr) return Status::NotFound("row absent at timestamp");
   Hash256 root;
-  s = db_->IndexRootAt(last->block_height, &root);
+  s = db_->ledger()->IndexRootAt(last->block_height, &root);
   if (!s.ok()) return s;
   return ReadRow(root, primary_key, row);
 }

@@ -5,9 +5,37 @@
 #include <string>
 #include <vector>
 
-#include "core/spitz_db.h"
+#include "crypto/hash.h"
+#include "index/versioned_index.h"
+#include "ledger/journal.h"
+#include "ledger/merkle_tree.h"
 
 namespace spitz {
+
+// The state a client needs to retain to verify any later answer: the
+// current index root (a SIRI index version) and the ledger digest
+// covering the block history. Every proof verifies against one of
+// these. Serializable — the digest crosses the wire to clients and is
+// the leaf a cluster root digest commits to.
+struct SpitzDigest {
+  Hash256 index_root;
+  JournalDigest journal;
+  uint64_t last_commit_ts = 0;
+
+  void EncodeTo(std::string* out) const;
+  size_t EncodedSize() const;
+  static Status DecodeFrom(Slice* input, SpitzDigest* out);
+
+  bool operator==(const SpitzDigest& other) const {
+    return index_root == other.index_root &&
+           journal.block_count == other.journal.block_count &&
+           journal.entry_count == other.journal.entry_count &&
+           journal.tip_hash == other.journal.tip_hash &&
+           journal.merkle_root == other.journal.merkle_root &&
+           last_commit_ts == other.last_commit_ts;
+  }
+  bool operator!=(const SpitzDigest& other) const { return !(*this == other); }
+};
 
 // ---------------------------------------------------------------------------
 // ClientVerifier — the client-side state machine of paper section 5.3:

@@ -19,7 +19,8 @@ namespace spitz {
 // entries whose decoded key matches: a collision costs a wasted decode,
 // never a wrong answer.
 //
-// Not thread-safe; the owner serializes access (SpitzDb: under mu_).
+// Not thread-safe; the owner serializes access (Ledger: under its
+// owner's writer lock).
 // Holds up to 2^32 - 1 writes, far beyond a journal that is resident in
 // RAM (DESIGN.md section 12).
 class KeyHistoryIndex {

@@ -20,7 +20,7 @@ std::vector<bool> SurvivingPuts(const std::vector<LedgerEntry>& entries) {
 Status EncodeReplicationRecord(const SpitzDb& db, uint64_t height,
                                std::string* record, Block* block) {
   std::string serialized;
-  Status s = db.SealedBlock(height, &serialized, block);
+  Status s = db.ledger()->SealedBlock(height, &serialized, block);
   if (!s.ok()) return s;
   record->clear();
   PutFixed64(record, height);
@@ -117,7 +117,7 @@ Status SealedBlockAck(const SpitzDb& db, uint64_t height,
                       wire::ReplicaAck* ack) {
   std::string serialized;
   Block block;
-  Status s = db.SealedBlock(height, &serialized, &block);
+  Status s = db.ledger()->SealedBlock(height, &serialized, &block);
   if (s.ok()) *ack = BlockAck(block);
   return s;
 }

@@ -189,7 +189,8 @@ TEST_F(AuditorTest, HistoricalProofComesWithTheDigestItWasTakenAgainst) {
   JournalEntryProof proof;
   LedgerEntry entry;
   JournalDigest digest;
-  ASSERT_TRUE(db.ProveHistoricalEntry(2, 0, &proof, &entry, &digest).ok());
+  ASSERT_TRUE(
+      db.ledger()->ProveHistoricalEntry(2, 0, &proof, &entry, &digest).ok());
   EXPECT_EQ(digest.block_count, 3u);
   for (int i = 6; i < 10; i++) ASSERT_TRUE(db.Put(Key(i), "v").ok());
   EXPECT_TRUE(Journal::VerifyEntry(entry, proof, digest).ok());

@@ -574,7 +574,7 @@ TEST(CodecMutationTest, Block) {
            for (uint64_t h = 0; h < db.Digest().journal.block_count; h += 3) {
              std::string bytes;
              Block block;
-             EXPECT_TRUE(db.SealedBlock(h, &bytes, &block).ok());
+             EXPECT_TRUE(db.ledger()->SealedBlock(h, &bytes, &block).ok());
              out.push_back(bytes);
            }
            return out;

@@ -1083,7 +1083,7 @@ TEST(ConcurrencyTest, SealedBlockReadersRaceFlushesThatPageBlocksOut) {
         std::string key = "w" + std::to_string(rng.Uniform(kWriters)) + "k" +
                           std::to_string(rng.Uniform(5));
         std::vector<SpitzDb::HistoricalWrite> history;
-        Status s = db->KeyHistory(key, &history);
+        Status s = db->ledger()->KeyHistory(key, &history);
         if (!s.ok() && !s.IsNotFound()) errors++;
         for (const SpitzDb::HistoricalWrite& write : history) {
           if (write.entry.key != key) errors++;
@@ -1098,7 +1098,7 @@ TEST(ConcurrencyTest, SealedBlockReadersRaceFlushesThatPageBlocksOut) {
         const uint64_t height = rng.Uniform(blocks);
         std::string serialized;
         Block block;
-        if (!db->SealedBlock(height, &serialized, &block).ok() ||
+        if (!db->ledger()->SealedBlock(height, &serialized, &block).ok() ||
             block.height() != height) {
           errors++;
         }
@@ -1120,7 +1120,7 @@ TEST(ConcurrencyTest, SealedBlockReadersRaceFlushesThatPageBlocksOut) {
     ASSERT_TRUE(db->SyncStorage().ok());
     EXPECT_EQ(db->Metrics().GaugeValue("core.db.journal.resident_bytes"), 0u);
     std::vector<SpitzDb::HistoricalWrite> history;
-    ASSERT_TRUE(db->KeyHistory("w1k3", &history).ok());
+    ASSERT_TRUE(db->ledger()->KeyHistory("w1k3", &history).ok());
     EXPECT_EQ(history.size(), static_cast<size_t>(kPerWriter / 5));
   }
   std::filesystem::remove_all(dir);

@@ -87,7 +87,9 @@ TEST_F(IntegrationTest, SqlOverDurableDbSurvivesRestart) {
   ASSERT_TRUE(db->Put("post-restart-key", "v").ok());
   db->FlushBlock();
   MerkleConsistencyProof consistency;
-  ASSERT_TRUE(db->ProveConsistency(client.digest(), &consistency).ok());
+  ASSERT_TRUE(db->ledger()
+                  ->ProveConsistency(client.digest().journal, &consistency)
+                  .ok());
   EXPECT_TRUE(client.ObserveDigest(db->Digest(), &consistency).ok());
 }
 
@@ -221,8 +223,8 @@ TEST_F(IntegrationTest, HistoryQueriesAcrossRestart) {
   ASSERT_TRUE(SpitzDb::Open(Durable(), &db).ok());
   // Time travel through recovered block roots.
   Hash256 root_gen0, root_gen2;
-  ASSERT_TRUE(db->IndexRootAt(0, &root_gen0).ok());
-  ASSERT_TRUE(db->IndexRootAt(2, &root_gen2).ok());
+  ASSERT_TRUE(db->ledger()->IndexRootAt(0, &root_gen0).ok());
+  ASSERT_TRUE(db->ledger()->IndexRootAt(2, &root_gen2).ok());
   std::string value;
   ASSERT_TRUE(db->Read(root_gen0, "doc", &value, nullptr).ok());
   EXPECT_EQ(value, "draft");

@@ -1,5 +1,5 @@
 // Tests for the key-history index (KeyHistoryIndex) and the provenance
-// query built on it (SpitzDb::KeyHistory): fingerprint collisions never
+// query built on it (Ledger::KeyHistory): fingerprint collisions never
 // leak another key's writes, seal order holds across many blocks, and
 // the index rebuilt at reopen or on a replica answers exactly as the
 // one fed at seal time.
@@ -139,21 +139,21 @@ TEST(KeyHistoryTest, FingerprintCollisionReturnsOnlyOwnWrites) {
   ASSERT_TRUE(db.FlushBlock().ok());
   History history;
   // Never written, but sharing a's fingerprint slot.
-  EXPECT_TRUE(db.KeyHistory(b, &history).IsNotFound());
+  EXPECT_TRUE(db.ledger()->KeyHistory(b, &history).IsNotFound());
   EXPECT_TRUE(history.empty());
 
   ASSERT_TRUE(db.Put(b, "b0").ok());
   ASSERT_TRUE(db.Put(a, "a2").ok());
   ASSERT_TRUE(db.FlushBlock().ok());
   const SpitzDigest digest = db.Digest();
-  ASSERT_TRUE(db.KeyHistory(a, &history).ok());
+  ASSERT_TRUE(db.ledger()->KeyHistory(a, &history).ok());
   ASSERT_EQ(history.size(), 3u);
   for (int i = 0; i < 3; i++) {
     EXPECT_EQ(history[i].entry.value_hash,
               Hash256::Of("a" + std::to_string(i)));
   }
   ExpectVerified(history, a, digest);
-  ASSERT_TRUE(db.KeyHistory(b, &history).ok());
+  ASSERT_TRUE(db.ledger()->KeyHistory(b, &history).ok());
   ASSERT_EQ(history.size(), 1u);
   EXPECT_EQ(history[0].entry.value_hash, Hash256::Of("b0"));
   ExpectVerified(history, b, digest);
@@ -171,7 +171,7 @@ TEST(KeyHistoryTest, SameKeyTwiceInOneBlockThenDeleted) {
   ASSERT_TRUE(db.Delete("k").ok());
   ASSERT_TRUE(db.FlushBlock().ok());
   History history;
-  ASSERT_TRUE(db.KeyHistory("k", &history).ok());
+  ASSERT_TRUE(db.ledger()->KeyHistory("k", &history).ok());
   ASSERT_EQ(history.size(), 4u);
   for (size_t i = 0; i < history.size(); i++) {
     EXPECT_EQ(history[i].block_height, 0u);
@@ -198,7 +198,7 @@ TEST(KeyHistoryTest, KeepsSealOrderAcrossThousandsOfBlocks) {
   const SpitzDigest digest = db.Digest();
   ASSERT_EQ(digest.journal.block_count, 2u * kWrites);
   History history;
-  ASSERT_TRUE(db.KeyHistory("hot", &history).ok());
+  ASSERT_TRUE(db.ledger()->KeyHistory("hot", &history).ok());
   ASSERT_EQ(history.size(), static_cast<size_t>(kWrites));
   for (int i = 0; i < kWrites; i++) {
     EXPECT_EQ(history[i].block_height, 2u * i);
@@ -243,7 +243,7 @@ TEST(KeyHistoryTest, IdenticalAfterReopen) {
     keys = WriteRebuildWorkload(db.get());
     for (const std::string& key : keys) {
       History history;
-      ASSERT_TRUE(db->KeyHistory(key, &history).ok()) << key;
+      ASSERT_TRUE(db->ledger()->KeyHistory(key, &history).ok()) << key;
       ExpectVerified(history, key, db->Digest());
       before.push_back(std::move(history));
     }
@@ -256,7 +256,7 @@ TEST(KeyHistoryTest, IdenticalAfterReopen) {
     EXPECT_EQ(db->Metrics().GaugeValue("core.db.journal.resident_bytes"), 0u);
     for (size_t i = 0; i < keys.size(); i++) {
       History history;
-      ASSERT_TRUE(db->KeyHistory(keys[i], &history).ok()) << keys[i];
+      ASSERT_TRUE(db->ledger()->KeyHistory(keys[i], &history).ok()) << keys[i];
       ExpectSameHistory(before[i], history);
       ExpectVerified(history, keys[i], db->Digest());
     }
@@ -271,7 +271,7 @@ TEST(KeyHistoryTest, IdenticalAfterReopen) {
   EXPECT_EQ(m.GaugeValue("core.db.journal.resident_bytes"), 0u);
   for (size_t i = 0; i < keys.size(); i++) {
     History history;
-    ASSERT_TRUE(db->KeyHistory(keys[i], &history).ok()) << keys[i];
+    ASSERT_TRUE(db->ledger()->KeyHistory(keys[i], &history).ok()) << keys[i];
     ExpectSameHistory(before[i], history);
     ExpectVerified(history, keys[i], digest);
   }
@@ -302,8 +302,8 @@ TEST(KeyHistoryTest, IdenticalOnBackupAfterReplication) {
   ASSERT_TRUE(digest == primary.Digest());
   for (const std::string& key : keys) {
     History on_primary, on_backup;
-    ASSERT_TRUE(primary.KeyHistory(key, &on_primary).ok()) << key;
-    ASSERT_TRUE(backup.KeyHistory(key, &on_backup).ok()) << key;
+    ASSERT_TRUE(primary.ledger()->KeyHistory(key, &on_primary).ok()) << key;
+    ASSERT_TRUE(backup.ledger()->KeyHistory(key, &on_backup).ok()) << key;
     ExpectSameHistory(on_primary, on_backup);
     ExpectVerified(on_backup, key, digest);
   }
@@ -363,24 +363,24 @@ TEST(KeyHistoryTest, FlippedJournalByteIsCorruptionForEveryReader) {
   FlipJournalByte(journal, 1);
 
   History history;
-  Status s = db->KeyHistory("k4", &history);
+  Status s = db->ledger()->KeyHistory("k4", &history);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   EXPECT_NE(s.ToString().find(journal), std::string::npos) << s.ToString();
   EXPECT_TRUE(history.empty());
   JournalEntryProof proof;
   LedgerEntry entry;
-  s = db->ProveHistoricalEntry(1, 0, &proof, &entry);
+  s = db->ledger()->ProveHistoricalEntry(1, 0, &proof, &entry);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   std::string serialized;
   Block block;
-  EXPECT_TRUE(db->SealedBlock(1, &serialized, &block).IsCorruption());
+  EXPECT_TRUE(db->ledger()->SealedBlock(1, &serialized, &block).IsCorruption());
   std::string record;
   EXPECT_TRUE(EncodeReplicationRecord(*db, 1, &record, &block).IsCorruption());
   EXPECT_TRUE(record.empty());
 
   const SpitzDigest digest = db->Digest();
   for (const std::string key : {"k0", "k11"}) {
-    ASSERT_TRUE(db->KeyHistory(key, &history).ok()) << key;
+    ASSERT_TRUE(db->ledger()->KeyHistory(key, &history).ok()) << key;
     ExpectVerified(history, key, digest);
   }
   // The last block is what a journal audit re-reads.
@@ -400,19 +400,20 @@ TEST(KeyHistoryTest, FailedJournalReadIsIOError) {
   ASSERT_NE(db, nullptr);
   env.SetReadFaults(true);
   History history;
-  Status s = db->KeyHistory("k4", &history);
+  Status s = db->ledger()->KeyHistory("k4", &history);
   EXPECT_TRUE(s.IsIOError()) << s.ToString();
   EXPECT_TRUE(history.empty());
   JournalEntryProof proof;
   LedgerEntry entry;
-  EXPECT_TRUE(db->ProveHistoricalEntry(1, 0, &proof, &entry).IsIOError());
+  EXPECT_TRUE(
+      db->ledger()->ProveHistoricalEntry(1, 0, &proof, &entry).IsIOError());
   std::string serialized;
   Block block;
-  EXPECT_TRUE(db->SealedBlock(1, &serialized, &block).IsIOError());
+  EXPECT_TRUE(db->ledger()->SealedBlock(1, &serialized, &block).IsIOError());
   env.SetReadFaults(false);
-  ASSERT_TRUE(db->KeyHistory("k4", &history).ok());
+  ASSERT_TRUE(db->ledger()->KeyHistory("k4", &history).ok());
   ExpectVerified(history, "k4", db->Digest());
-  ASSERT_TRUE(db->SealedBlock(1, &serialized, &block).ok());
+  ASSERT_TRUE(db->ledger()->SealedBlock(1, &serialized, &block).ok());
   EXPECT_EQ(block.height(), 1u);
   db.reset();
   std::filesystem::remove_all(dir);

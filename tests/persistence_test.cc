@@ -257,7 +257,7 @@ TEST_F(PersistenceTest, ProofsVerifyAfterRecovery) {
   // Historical entries recovered from disk remain provable.
   JournalEntryProof jproof;
   LedgerEntry entry;
-  ASSERT_TRUE(db->ProveHistoricalEntry(0, 0, &jproof, &entry).ok());
+  ASSERT_TRUE(db->ledger()->ProveHistoricalEntry(0, 0, &jproof, &entry).ok());
   EXPECT_TRUE(Journal::VerifyEntry(entry, jproof, digest.journal).ok());
 }
 
@@ -281,9 +281,11 @@ TEST_F(PersistenceTest, WritesContinueAfterRecovery) {
     db->FlushBlock();
     // The extended ledger is consistent with the recovered digest.
     MerkleConsistencyProof proof;
-    ASSERT_TRUE(db->ProveConsistency(first_digest, &proof).ok());
+    ASSERT_TRUE(
+        db->ledger()->ProveConsistency(first_digest.journal, &proof).ok());
     EXPECT_TRUE(
-        SpitzDb::VerifyConsistency(proof, first_digest, db->Digest()));
+        Journal::VerifyConsistency(proof, first_digest.journal,
+                                   db->Digest().journal));
   }
   {
     std::unique_ptr<SpitzDb> db;
@@ -477,7 +479,7 @@ TEST_F(PersistenceTest, KeyHistorySurvivesRecovery) {
   std::unique_ptr<SpitzDb> db;
   ASSERT_TRUE(SpitzDb::Open(DurableOptions(4), &db).ok());
   std::vector<SpitzDb::HistoricalWrite> history;
-  ASSERT_TRUE(db->KeyHistory("doc", &history).ok());
+  ASSERT_TRUE(db->ledger()->KeyHistory("doc", &history).ok());
   ASSERT_EQ(history.size(), 3u);
   SpitzDigest digest = db->Digest();
   for (const auto& write : history) {

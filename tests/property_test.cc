@@ -257,8 +257,9 @@ TEST_P(SpitzBlockSizeSweep, DigestsProofsAndConsistency) {
   EXPECT_TRUE(SpitzDb::VerifyRead(last, "k99", value, proof).ok());
 
   MerkleConsistencyProof consistency;
-  ASSERT_TRUE(db.ProveConsistency(first, &consistency).ok());
-  EXPECT_TRUE(SpitzDb::VerifyConsistency(consistency, first, last));
+  ASSERT_TRUE(db.ledger()->ProveConsistency(first.journal, &consistency).ok());
+  EXPECT_TRUE(Journal::VerifyConsistency(consistency, first.journal,
+                                         last.journal));
 }
 
 INSTANTIATE_TEST_SUITE_P(BlockSizes, SpitzBlockSizeSweep,

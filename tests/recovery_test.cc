@@ -884,7 +884,7 @@ TEST_F(RecoveryTest, FaultTearsGroupAtRecordBoundary) {
     for (uint64_t h = 0; h < 2; h++) {
       std::string bytes;
       Block block;
-      ASSERT_TRUE(db->SealedBlock(h, &bytes, &block).ok());
+      ASSERT_TRUE(db->ledger()->SealedBlock(h, &bytes, &block).ok());
       AppendRecordFrame(bytes, &expected);
     }
   }
@@ -933,7 +933,7 @@ TEST_F(RecoveryTest, FailedJournalAppendIsStickyAndSurfacesThroughSyncStorage) {
     EXPECT_TRUE(db->SyncStorage().IsIOError());
 
     std::vector<SpitzDb::HistoricalWrite> history;
-    ASSERT_TRUE(db->KeyHistory("b1-0", &history).ok());
+    ASSERT_TRUE(db->ledger()->KeyHistory("b1-0", &history).ok());
     ASSERT_EQ(history.size(), 1u);
     EXPECT_EQ(history[0].block_height, 1u);
     const SpitzDigest digest = db->Digest();
@@ -942,11 +942,11 @@ TEST_F(RecoveryTest, FailedJournalAppendIsStickyAndSurfacesThroughSyncStorage) {
                     .ok());
     std::string bytes;
     Block block;
-    ASSERT_TRUE(db->SealedBlock(1, &bytes, &block).ok());
+    ASSERT_TRUE(db->ledger()->SealedBlock(1, &bytes, &block).ok());
     EXPECT_EQ(block.entries().size(), 3u);
     JournalEntryProof proof;
     LedgerEntry entry;
-    ASSERT_TRUE(db->ProveHistoricalEntry(1, 0, &proof, &entry).ok());
+    ASSERT_TRUE(db->ledger()->ProveHistoricalEntry(1, 0, &proof, &entry).ok());
     EXPECT_EQ(entry.key, "b1-0");
     EXPECT_TRUE(Journal::VerifyEntry(entry, proof, digest.journal).ok());
     EXPECT_GT(db->Metrics().GaugeValue("core.db.journal.resident_bytes"), 0u);

@@ -313,7 +313,7 @@ TEST(ReplicaRecordTest, LayoutIsHeightBlockThenOneFlagPerPut) {
   WriteCodecBlocks(&primary);
   std::string block_bytes;
   Block block;
-  ASSERT_TRUE(primary.SealedBlock(1, &block_bytes, &block).ok());
+  ASSERT_TRUE(primary.ledger()->SealedBlock(1, &block_bytes, &block).ok());
 
   // fixed64(h) ‖ lp(block bytes) ‖ per put entry 0, or 1 ‖ lp(value).
   std::string expected;
@@ -568,8 +568,8 @@ TEST(ReplicaTest, BackupCatchesUpFromBlocksPagedOutOfTheJournal) {
 
   for (const std::string key : {"early0", "late4", "late100"}) {
     std::vector<SpitzDb::HistoricalWrite> on_primary, on_backup;
-    ASSERT_TRUE(primary->KeyHistory(key, &on_primary).ok()) << key;
-    ASSERT_TRUE(backup.db->KeyHistory(key, &on_backup).ok()) << key;
+    ASSERT_TRUE(primary->ledger()->KeyHistory(key, &on_primary).ok()) << key;
+    ASSERT_TRUE(backup.db->ledger()->KeyHistory(key, &on_backup).ok()) << key;
     ASSERT_EQ(on_primary.size(), on_backup.size()) << key;
     for (size_t i = 0; i < on_backup.size(); i++) {
       EXPECT_EQ(on_primary[i].entry, on_backup[i].entry);
@@ -683,18 +683,18 @@ TEST(ReplicaTest, FailedJournalAppendLeavesTheBackupUnchanged) {
     Status s = Replicate(backup.get(), record, &ack);
     EXPECT_TRUE(s.IsIOError()) << s.ToString();
     EXPECT_TRUE(env.fault_fired());
-    EXPECT_EQ(db->entry_count(), 0u);
+    EXPECT_EQ(db->ledger()->entry_count(), 0u);
     EXPECT_TRUE(db->Digest() == before);
     Hash256 root;
-    EXPECT_TRUE(db->IndexRootAt(0, &root).IsNotFound());
+    EXPECT_TRUE(db->ledger()->IndexRootAt(0, &root).IsNotFound());
     std::vector<SpitzDb::HistoricalWrite> history;
-    EXPECT_TRUE(db->KeyHistory("k0", &history).IsNotFound());
+    EXPECT_TRUE(db->ledger()->KeyHistory("k0", &history).IsNotFound());
     env.Revive();
     s = Replicate(backup.get(), record, &ack);
     EXPECT_TRUE(s.IsIOError()) << s.ToString();
     EXPECT_NE(s.ToString().find("journal append failed"), std::string::npos)
         << s.ToString();
-    EXPECT_EQ(db->entry_count(), 0u);
+    EXPECT_EQ(db->ledger()->entry_count(), 0u);
     EXPECT_TRUE(db->Digest() == before);
   }
 
@@ -707,7 +707,7 @@ TEST(ReplicaTest, FailedJournalAppendLeavesTheBackupUnchanged) {
   std::unique_ptr<BackupReplica> backup = OpenBackup(db.get());
   ASSERT_TRUE(Replicate(backup.get(), record, &ack).ok());
   EXPECT_TRUE(ack == BlockAck(block));
-  EXPECT_EQ(db->entry_count(), 8u);
+  EXPECT_EQ(db->ledger()->entry_count(), 8u);
   backup.reset();
   db.reset();
   std::filesystem::remove_all(dir);

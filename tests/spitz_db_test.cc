@@ -38,7 +38,7 @@ TEST(SpitzDbTest, AtomicWriteBatch) {
   std::string value;
   ASSERT_TRUE(db.Get("a", &value).ok());
   ASSERT_TRUE(db.Get("b", &value).ok());
-  EXPECT_EQ(db.entry_count(), 3u);
+  EXPECT_EQ(db.ledger()->entry_count(), 3u);
 }
 
 TEST(SpitzDbTest, BlocksSealAtConfiguredSize) {
@@ -132,8 +132,9 @@ TEST(SpitzDbTest, ConsistencyAcrossGrowth) {
   }
   SpitzDigest new_digest = db.Digest();
   MerkleConsistencyProof proof;
-  ASSERT_TRUE(db.ProveConsistency(old_digest, &proof).ok());
-  EXPECT_TRUE(SpitzDb::VerifyConsistency(proof, old_digest, new_digest));
+  ASSERT_TRUE(db.ledger()->ProveConsistency(old_digest.journal, &proof).ok());
+  EXPECT_TRUE(Journal::VerifyConsistency(proof, old_digest.journal,
+                                         new_digest.journal));
 }
 
 TEST(SpitzDbTest, HistoricalEntriesProvable) {
@@ -150,7 +151,7 @@ TEST(SpitzDbTest, HistoricalEntriesProvable) {
   for (uint64_t h = 0; h < digest.journal.block_count; h++) {
     JournalEntryProof proof;
     LedgerEntry entry;
-    ASSERT_TRUE(db.ProveHistoricalEntry(h, 0, &proof, &entry).ok());
+    ASSERT_TRUE(db.ledger()->ProveHistoricalEntry(h, 0, &proof, &entry).ok());
     EXPECT_TRUE(Journal::VerifyEntry(entry, proof, digest.journal).ok());
   }
 }
@@ -165,7 +166,7 @@ TEST(SpitzDbTest, TimeTravelOnOldRoots) {
   // Block 0 sealed with the index root after the 10th write.
   ASSERT_TRUE(db.Put("k", "latest").ok());
   Hash256 old_root;
-  ASSERT_TRUE(db.IndexRootAt(0, &old_root).ok());
+  ASSERT_TRUE(db.ledger()->IndexRootAt(0, &old_root).ok());
   std::string value;
   ASSERT_TRUE(db.Read(old_root, "k", &value, nullptr).ok());
   EXPECT_EQ(value, "version-9");
@@ -270,7 +271,7 @@ TEST(SpitzDbTest, BulkLoadEquivalentToIncrementalPuts) {
   }
   // Same index version (structural invariance) and same entry count.
   EXPECT_EQ(bulk.Digest().index_root, incremental.Digest().index_root);
-  EXPECT_EQ(bulk.entry_count(), incremental.entry_count());
+  EXPECT_EQ(bulk.ledger()->entry_count(), incremental.ledger()->entry_count());
   // Proofs from the bulk-loaded database verify normally.
   std::string value;
   ReadProof proof;
@@ -364,7 +365,7 @@ TEST(SpitzDbTest, KeyHistoryProvesEveryWrite) {
   db.FlushBlock();
   SpitzDigest digest = db.Digest();
   std::vector<SpitzDb::HistoricalWrite> history;
-  ASSERT_TRUE(db.KeyHistory("target", &history).ok());
+  ASSERT_TRUE(db.ledger()->KeyHistory("target", &history).ok());
   ASSERT_EQ(history.size(), 3u);
   for (int i = 0; i < 3; i++) {
     EXPECT_EQ(history[i].entry.value_hash,
@@ -376,7 +377,7 @@ TEST(SpitzDbTest, KeyHistoryProvesEveryWrite) {
   }
   // Commit order preserved.
   EXPECT_LT(history[0].entry.commit_ts, history[2].entry.commit_ts);
-  EXPECT_TRUE(db.KeyHistory("never-written", &history).IsNotFound());
+  EXPECT_TRUE(db.ledger()->KeyHistory("never-written", &history).IsNotFound());
 }
 
 TEST(SpitzDbTest, KeyHistoryIncludesDeletes) {
@@ -387,7 +388,7 @@ TEST(SpitzDbTest, KeyHistoryIncludesDeletes) {
   ASSERT_TRUE(db.Delete("k").ok());
   db.FlushBlock();
   std::vector<SpitzDb::HistoricalWrite> history;
-  ASSERT_TRUE(db.KeyHistory("k", &history).ok());
+  ASSERT_TRUE(db.ledger()->KeyHistory("k", &history).ok());
   ASSERT_EQ(history.size(), 2u);
   EXPECT_EQ(history[0].entry.op, LedgerEntry::Op::kPut);
   EXPECT_EQ(history[1].entry.op, LedgerEntry::Op::kDelete);
@@ -416,8 +417,9 @@ TEST(SpitzDbTest, ForkedHistoryDetectedByConsistencyCheck) {
   }
   SpitzDigest forked_digest = forked.Digest();
   MerkleConsistencyProof proof;
-  ASSERT_TRUE(forked.ProveConsistency(saved, &proof).ok());
-  EXPECT_FALSE(SpitzDb::VerifyConsistency(proof, saved, forked_digest))
+  ASSERT_TRUE(forked.ledger()->ProveConsistency(saved.journal, &proof).ok());
+  EXPECT_FALSE(Journal::VerifyConsistency(proof, saved.journal,
+                                          forked_digest.journal))
       << "a fork that rewrites history must not verify as consistent";
 }
 

@@ -239,7 +239,7 @@ TEST_F(SqlTest, SqlWritesAreLedgeredAndProvable) {
                    "VALUES ('o1', 42)",
                    &r)
                   .ok());
-  EXPECT_GT(db_.entry_count(), 0u);
+  EXPECT_GT(db_.ledger()->entry_count(), 0u);
   // The underlying cells are provable through the SpitzDb surface.
   Table* orders = sql_.GetTable("orders");
   ASSERT_NE(orders, nullptr);

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/local_fleet.h"
+#include "common/random.h"
 #include "core/verifier.h"
 #include "kvs/immutable_kvs.h"
 #include "nonintrusive/non_intrusive_db.h"
@@ -46,10 +48,68 @@ TEST(ImmutableKvsTest, OldRootsStayReadable) {
   Hash256 old_root = kvs.CurrentRoot();
   ASSERT_TRUE(kvs.Put("k", "new").ok());
   EXPECT_NE(kvs.CurrentRoot(), old_root);
-  // Old version still resolvable through the chunk store (immutability).
   std::string value;
   ASSERT_TRUE(kvs.Get("k", &value).ok());
   EXPECT_EQ(value, "new");
+  // Old version still resolvable through the chunk store (immutability).
+  ASSERT_TRUE(kvs.index().Read(old_root, "k", &value, nullptr).ok());
+  EXPECT_EQ(value, "old");
+}
+
+// Paper section 6.1: the KVS is Spitz without the ledger. Through a bulk
+// load and seeded batches of inserts, overwrites and deletes of present
+// keys, its root is SpitzDb's index root after every batch, which the
+// KVS takes one Put or Delete at a time.
+TEST(ImmutableKvsTest, RootIsSpitzDbIndexRootAfterEveryBatch) {
+  Random rng(6101);
+  std::vector<PosEntry> entries;
+  std::vector<std::string> present;
+  for (int i = 0; i < 2000; i++) {
+    char key[16];
+    snprintf(key, sizeof(key), "k%06d", i * 2);
+    entries.push_back({key, rng.Bytes(1 + rng.Uniform(40))});
+    present.push_back(key);
+  }
+  std::set<std::string> members(present.begin(), present.end());
+  ImmutableKvs kvs;
+  SpitzDb db;
+  ASSERT_TRUE(kvs.BulkLoad(entries).ok());
+  ASSERT_TRUE(db.BulkLoad(entries).ok());
+  ASSERT_EQ(kvs.CurrentRoot(), db.Digest().index_root);
+  for (int b = 0; b < 150; b++) {
+    WriteBatch batch;
+    const uint64_t ops = 1 + rng.Uniform(12);
+    for (uint64_t i = 0; i < ops; i++) {
+      const uint64_t kind = rng.Uniform(3);
+      if (kind == 0 || present.empty()) {
+        char key[16];
+        snprintf(key, sizeof(key), "k%06d",
+                 static_cast<int>(rng.Uniform(8000)) * 2 + 1);
+        batch.Put(key, rng.Bytes(1 + rng.Uniform(40)));
+        if (members.insert(key).second) present.push_back(key);
+      } else {
+        const size_t at = rng.Uniform(present.size());
+        if (kind == 1) {
+          batch.Put(present[at], rng.Bytes(1 + rng.Uniform(40)));
+        } else {
+          batch.Delete(present[at]);
+          members.erase(present[at]);
+          present[at] = present.back();
+          present.pop_back();
+        }
+      }
+    }
+    for (const WriteBatch::Op& op : batch.ops()) {
+      ASSERT_TRUE((op.type == WriteBatch::OpType::kPut
+                       ? kvs.Put(op.key, op.value)
+                       : kvs.Delete(op.key))
+                      .ok())
+          << "batch " << b << " key " << op.key;
+    }
+    ASSERT_TRUE(db.Write(batch).ok());
+    ASSERT_EQ(kvs.CurrentRoot(), db.Digest().index_root) << "batch " << b;
+  }
+  EXPECT_EQ(kvs.key_count(), db.key_count());
 }
 
 TEST(ImmutableKvsTest, OpenValidatesOptions) {
@@ -339,7 +399,8 @@ TEST(ClientVerifierTest, TrustOnFirstUseThenConsistency) {
   }
   SpitzDigest next = db.Digest();
   MerkleConsistencyProof proof;
-  ASSERT_TRUE(db.ProveConsistency(client.digest(), &proof).ok());
+  ASSERT_TRUE(
+      db.ledger()->ProveConsistency(client.digest().journal, &proof).ok());
   EXPECT_TRUE(client.ObserveDigest(next, &proof).ok());
 }
 

@@ -195,7 +195,7 @@ TEST_F(TableTest, ScanRowsByPrimaryKeyRange) {
 TEST_F(TableTest, WritesAreLedgered) {
   ASSERT_TRUE(table_.Upsert({{"order_id", "o1"}, {"status", "x"}}).ok());
   // Two cells (order_id + status) -> two ledger entries.
-  EXPECT_EQ(db_.entry_count(), 2u);
+  EXPECT_EQ(db_.ledger()->entry_count(), 2u);
 }
 
 // Primary keys holding '/' and bytes below it are escaped in cell keys:
@@ -373,7 +373,7 @@ TEST_F(TableTamperTest, FlippedJournalByteFailsHistory) {
   ASSERT_EQ(r.rows.size(), 3u);
 
   std::vector<SpitzDb::HistoricalWrite> writes;
-  ASSERT_TRUE(db->KeyHistory("t1/o1/status", &writes).ok());
+  ASSERT_TRUE(db->ledger()->KeyHistory("t1/o1/status", &writes).ok());
   ASSERT_EQ(writes.size(), 3u);
   FlipJournalByte(writes[1].block_height);
 
