@@ -162,7 +162,7 @@ DbResult RunSystemLevel(SiriBackend kind, const std::vector<PosEntry>& data,
     VerifiedKv::Evidence evidence;
     if (!db.GetProof(key, &evidence).ok()) abort();
     total_wire_bytes += evidence.proof.size();
-    if (!SpitzDb::VerifyGetEvidence(key, evidence).ok()) abort();
+    if (!VerifyGetEvidence(key, evidence).ok()) abort();
   }) / 1000.0;
   r.wire_proof_bytes = total_wire_bytes / kDbProofOps;
 

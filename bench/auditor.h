@@ -9,8 +9,8 @@
 // digest evolves:
 //
 //   * every Evidence / ScanEvidence envelope is decoded from bytes and
-//     checked by the one verifier of its format (SpitzDb::Verify*Evidence
-//     for a single node, ClusterClient::Verify*Evidence for a cluster) —
+//     checked by the one verifier of its format (Verify*Evidence for a
+//     single node, VerifyCluster*Evidence for a cluster) —
 //     never through any state the serving process handed us in memory;
 //   * the digest stream must be consistent: the journal entry count
 //     (per shard, for a cluster) never decreases — a digest that "goes
@@ -35,8 +35,8 @@
 #include <vector>
 
 #include "cluster/cluster_client.h"
-#include "core/spitz_db.h"
 #include "core/verified_kv.h"
+#include "core/verifier.h"
 
 namespace spitz {
 namespace bench {
@@ -186,8 +186,8 @@ inline AuditorReport RunAuditor(VerifiedKv* kv, const AuditorOptions& options) {
       }
       report.get_samples++;
       Status v = options.mode == AuditorOptions::Mode::kSingle
-                     ? SpitzDb::VerifyGetEvidence(key, evidence)
-                     : ClusterClient::VerifyGetEvidence(key, evidence);
+                     ? VerifyGetEvidence(key, evidence)
+                     : VerifyClusterGetEvidence(key, evidence);
       if (!v.ok()) {
         report.Fail("get evidence for '" + key + "': " + v.ToString());
       }
@@ -214,9 +214,9 @@ inline AuditorReport RunAuditor(VerifiedKv* kv, const AuditorOptions& options) {
       }
       report.scan_samples++;
       Status v = options.mode == AuditorOptions::Mode::kSingle
-                     ? SpitzDb::VerifyScanEvidence(range.first, range.second,
-                                                   options.scan_limit, evidence)
-                     : ClusterClient::VerifyScanEvidence(
+                     ? VerifyScanEvidence(range.first, range.second,
+                                          options.scan_limit, evidence)
+                     : VerifyClusterScanEvidence(
                            range.first, range.second, options.scan_limit,
                            evidence);
       if (!v.ok()) {

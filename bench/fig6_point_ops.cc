@@ -64,7 +64,7 @@ Measurement RunReads(size_t records) {
       ReadProof proof;
       const std::string& key = random_key(i);
       if (!spitz.Read(kCurrentVersion, key, &value, &proof).ok()) abort();
-      if (!SpitzDb::VerifyRead(digest, key, value, proof).ok()) abort();
+      if (!VerifyRead(digest, key, value, proof).ok()) abort();
     }) / 1000.0;
   }
   {

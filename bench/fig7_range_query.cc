@@ -87,7 +87,7 @@ void Run() {
                  .ok()) {
           abort();
         }
-        if (!SpitzDb::VerifyScan(digest, start, end, 0, rows, proof).ok()) {
+        if (!VerifyScan(digest, start, end, 0, rows, proof).ok()) {
           abort();
         }
       }) / 1000.0;

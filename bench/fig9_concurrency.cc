@@ -104,7 +104,7 @@ double RunVerifierDrain(const SpitzDb& db,
     const auto* kv = &kvs[i];
     const ReadProof* proof = &proofs[i];
     verifier.Submit([kv, proof, &digest] {
-      return SpitzDb::VerifyRead(digest, kv->first, kv->second, *proof);
+      return VerifyRead(digest, kv->first, kv->second, *proof);
     });
   }
   verifier.Flush();

@@ -330,7 +330,7 @@ void BM_SpitzDbVerifiedGet(benchmark::State& state) {
     ReadProof proof;
     const std::string& key = entries[i % entries.size()].key;
     if (!db.Read(kCurrentVersion, key, &value, &proof).ok()) abort();
-    if (!SpitzDb::VerifyRead(digest, key, value, proof).ok()) abort();
+    if (!VerifyRead(digest, key, value, proof).ok()) abort();
     // Every read is also audited in the background — keeps a realistic
     // deferred-verification load on the pipeline.
     if (!db.auditor()->AuditKey(key).ok()) abort();
@@ -1017,7 +1017,7 @@ void EmitMetricsSnapshot() {
     ReadProof proof;
     if (!db.Get(key, &value).ok()) abort();
     if (!db.Read(kCurrentVersion, key, &value, &proof).ok()) abort();
-    if (!SpitzDb::VerifyRead(digest, key, value, proof).ok()) abort();
+    if (!VerifyRead(digest, key, value, proof).ok()) abort();
   }
   std::vector<PosEntry> rows;
   ScanProof scan_proof;
@@ -1026,7 +1026,7 @@ void EmitMetricsSnapshot() {
            .ok()) {
     abort();
   }
-  if (!SpitzDb::VerifyScan(digest, "k000010", "k000200", 0, rows, scan_proof)
+  if (!VerifyScan(digest, "k000010", "k000200", 0, rows, scan_proof)
            .ok()) {
     abort();
   }

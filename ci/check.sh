@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # CI entry point, in three parts.
-# tier-1: the full ctest suite in Release, then the runnable examples,
-#   the metrics smoke, the auditor smoke and chaos runs, and the
-#   repository benchmark (spitzbench) smoke. Every other behaviour
+# tier-1: the full ctest suite in Release, then the pure-client link
+#   check (examples/net_client, cluster_client and auditor_client link
+#   neither spitz_core nor the network layer's server half,
+#   spitz_net_server), the runnable examples, the metrics smoke, the
+#   auditor smoke and chaos runs, and the repository benchmark
+#   (spitzbench) smoke. Every other behaviour
 #   check lives in ctest; every end-to-end measurement in spitzbench.
 #   Last, ci/loc.sh prints the tracked line and ctest case counts (it
 #   gates nothing).
@@ -115,6 +118,22 @@ echo "==> tier-1: Release build + full ctest"
 cmake -B "${PREFIX}" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "${PREFIX}" -j "${JOBS}"
 ctest --test-dir "${PREFIX}" --output-on-failure -j "${JOBS}"
+
+echo "==> tier-1: pure clients link no server"
+# A client verifies through spitz_verify (core/verifier.h) and talks
+# through the network layer's client half (spitz_net); a link line that
+# names spitz_core or the server half means a client pulled in a server.
+for target in net_client cluster_client auditor_client_example; do
+  link="${PREFIX}/examples/CMakeFiles/${target}.dir/link.txt"
+  if [ ! -f "${link}" ]; then
+    echo "no link line for ${target} at ${link}" >&2
+    exit 1
+  fi
+  if grep -Eq 'libspitz_(core|net_server)\.a' "${link}"; then
+    echo "${target} links a server library: $(cat "${link}")" >&2
+    exit 1
+  fi
+done
 
 echo "==> tier-1: examples smoke (runnable scenarios exit zero)"
 # The examples that need no arguments and finish on their own; each

@@ -80,10 +80,10 @@ int main(int argc, char** argv) {
   VerifiedKv::Evidence evidence;
   if (!cluster->GetProof(to, &evidence).ok()) return 1;
   printf("evidence verifies: %s\n",
-         ClusterClient::VerifyGetEvidence(to, evidence).ToString().c_str());
+         VerifyClusterGetEvidence(to, evidence).ToString().c_str());
   evidence.proof[evidence.proof.size() / 2] ^= 1;
   printf("tampered evidence rejected: %s\n",
-         ClusterClient::VerifyGetEvidence(to, evidence).ToString().c_str());
+         VerifyClusterGetEvidence(to, evidence).ToString().c_str());
 
   // --- A verified scan merges per-shard proofs in key order --------------
   std::vector<PosEntry> rows;

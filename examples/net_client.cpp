@@ -54,8 +54,8 @@ int main(int argc, char** argv) {
   // static verifier a local embedder would run.
   SpitzClient::ProofResult pr;
   if (!client->GetProof("user/0042", &pr).ok()) return 1;
-  Status forged = SpitzDb::VerifyRead(pr.digest, "user/0042",
-                                      std::string("balance=1M"), pr.proof);
+  Status forged = VerifyRead(pr.digest, "user/0042",
+                             std::string("balance=1M"), pr.proof);
   printf("forged value rejected: %s\n", forged.ToString().c_str());
 
   // Absence is proven, not asserted.

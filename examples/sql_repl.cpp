@@ -93,10 +93,10 @@ int main(int argc, char** argv) {
       ReadProof proof;
       Status s = db->Read(kCurrentVersion, key, &value, &proof);
       if (s.IsNotFound()) {
-        Status v = SpitzDb::VerifyRead(db->Digest(), key, std::nullopt, proof);
+        Status v = VerifyRead(db->Digest(), key, std::nullopt, proof);
         printf("absent (non-membership proof: %s)\n", v.ToString().c_str());
       } else if (s.ok()) {
-        Status v = SpitzDb::VerifyRead(db->Digest(), key, value, proof);
+        Status v = VerifyRead(db->Digest(), key, value, proof);
         printf("%s  (proof: %s)\n", value.c_str(), v.ToString().c_str());
       } else {
         printf("error: %s\n", s.ToString().c_str());

@@ -1,65 +1,11 @@
 #include "cluster/cluster_client.h"
 
-#include <algorithm>
-
 #include "cluster/partition.h"
 #include "common/codec.h"
 #include "net/frame.h"
 #include "net/spitz_wire.h"
 
 namespace spitz {
-
-namespace {
-
-// Re-wraps a shard's error with which shard produced it, preserving
-// the code (Status's code+message constructor is not public).
-Status TagShard(size_t shard, const Status& s) {
-  const std::string msg =
-      "shard " + std::to_string(shard) + ": " + s.ToString();
-  switch (s.code()) {
-    case Status::Code::kNotFound:
-      return Status::NotFound(msg);
-    case Status::Code::kCorruption:
-      return Status::Corruption(msg);
-    case Status::Code::kInvalidArgument:
-      return Status::InvalidArgument(msg);
-    case Status::Code::kIOError:
-      return Status::IOError(msg);
-    case Status::Code::kAborted:
-      return Status::Aborted(msg);
-    case Status::Code::kBusy:
-      return Status::Busy(msg);
-    case Status::Code::kNotSupported:
-      return Status::NotSupported(msg);
-    case Status::Code::kVerificationFailed:
-      return Status::VerificationFailed(msg);
-    case Status::Code::kTimedOut:
-      return Status::TimedOut(msg);
-    default:
-      return Status::Unavailable(msg);
-  }
-}
-
-// Verifies shard `shard`'s range proof, then that the shard owns every
-// row it proved: otherwise a scan could return a row that a point read
-// of the same key (routed to the owner) proves absent.
-Status VerifyShardScan(const ClusterDigest& digest, size_t shard,
-                       const Slice& start, const Slice& end, size_t limit,
-                       const std::vector<PosEntry>& rows,
-                       const ScanProof& proof) {
-  Status s = SpitzDb::VerifyScan(digest.shards[shard], start, end, limit, rows,
-                                 proof);
-  if (!s.ok()) return s;
-  for (const PosEntry& row : rows) {
-    if (PartitionOf(row.key, digest.shards.size()) != shard) {
-      return TagShard(shard, Status::VerificationFailed(
-                                 "proved a row it does not own: " + row.key));
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Status ClusterClient::Options::Validate() const {
   if (shards.empty()) {
@@ -332,7 +278,8 @@ Status ClusterClient::GetAttempt(const Slice& key, VerifiedGetResult* out) {
   s = snapshot.readers[out->shard]->GetProofAt(pinned.index_root, key,
                                                &out->value, &out->proof);
   if (!s.ok() && !s.IsNotFound()) return s;
-  Status verdict = SpitzDb::VerifyRead(pinned, key, out->value, out->proof);
+  Status verdict =
+      VerifyShardRead(out->digest, out->shard, key, out->value, out->proof);
   return verdict.ok() ? s : verdict;
 }
 
@@ -361,12 +308,9 @@ Status ClusterClient::ScanAttempt(const Slice& start, const Slice& end,
 
 // --- Evidence ---------------------------------------------------------------
 //
-// Cluster evidence wraps shard evidence: the digest slot carries the
-// ClusterDigest envelope (whose root commits every shard digest), the
-// proof slot carries which shard answered plus the shard's pinned-root
-// proof — for scans, every shard's full row set and proof, since the
-// merged rows alone cannot be re-verified per shard after truncation.
-// The encoding is deterministic, so the attempt's verdict covers it.
+// Cluster evidence is the encoding VerifyClusterGetEvidence and
+// VerifyClusterScanEvidence (core/verifier.h) decode. It is
+// deterministic, so the attempt's verdict covers it.
 
 Status ClusterClient::GetProof(const Slice& key, Evidence* out) {
   VerifiedGetResult read;
@@ -416,92 +360,6 @@ Status ClusterClient::Audit(const Slice& key) {
     if (!s.ok()) return TagShard(i, s);
   }
   return Status::OK();
-}
-
-// --- Stateless verifiers ----------------------------------------------------
-
-Status ClusterClient::VerifyGetEvidence(const Slice& key,
-                                        const Evidence& evidence) {
-  Slice digest_input(evidence.digest), proof_input(evidence.proof);
-  ClusterDigest digest;
-  uint64_t shard = 0;
-  Status s = ClusterDigest::DecodeFrom(&digest_input, &digest);
-  if (s.ok()) s = CheckConsumed(digest_input, "evidence digest");
-  if (s.ok()) s = GetVarint64(&proof_input, &shard);
-  if (!s.ok()) return s;
-  if (shard >= digest.shards.size()) {
-    return Status::VerificationFailed("evidence names a shard outside the cluster");
-  }
-  // The responding shard must be the one the partition function owns
-  // the key to — otherwise a shard could vouch for keys it never held.
-  if (shard != PartitionOf(key, digest.shards.size())) {
-    return Status::VerificationFailed("evidence shard does not own the key");
-  }
-  ReadProof proof;
-  s = ReadProof::DecodeFrom(&proof_input, &proof);
-  if (s.ok()) s = CheckConsumed(proof_input, "evidence proof");
-  if (!s.ok()) return s;
-  return SpitzDb::VerifyRead(digest.shards[shard], key, evidence.value, proof);
-}
-
-Status ClusterClient::VerifyScanEvidence(const Slice& start, const Slice& end,
-                                         size_t limit,
-                                         const ScanEvidence& evidence) {
-  Slice digest_input(evidence.digest), proof_input(evidence.proof);
-  ClusterDigest digest;
-  uint64_t shard_count = 0;
-  Status s = ClusterDigest::DecodeFrom(&digest_input, &digest);
-  if (s.ok()) s = CheckConsumed(digest_input, "evidence digest");
-  if (s.ok()) s = GetVarint64(&proof_input, &shard_count);
-  if (!s.ok()) return s;
-  if (shard_count != digest.shards.size()) {
-    return Status::VerificationFailed("scan evidence shard count mismatch");
-  }
-  std::vector<std::vector<PosEntry>> per_shard(digest.shards.size());
-  for (size_t i = 0; i < digest.shards.size(); i++) {
-    spitz::ScanProof proof;
-    s = GetEntryList(&proof_input, &per_shard[i]);
-    if (s.ok()) s = spitz::ScanProof::DecodeFrom(&proof_input, &proof);
-    if (s.ok()) {
-      s = VerifyShardScan(digest, i, start, end, limit, per_shard[i], proof);
-    }
-    if (!s.ok()) return s;
-  }
-  s = CheckConsumed(proof_input, "evidence proof");
-  if (!s.ok()) return s;
-  // The merged rows must be exactly the merge of the proven per-shard
-  // sets — no row invented, dropped, or reordered after verification.
-  std::vector<PosEntry> expected;
-  MergeShardRows(std::move(per_shard), limit, &expected);
-  if (expected != evidence.rows) {
-    return Status::VerificationFailed("scan evidence rows diverge from proofs");
-  }
-  return Status::OK();
-}
-
-// --- Merge ------------------------------------------------------------------
-
-void MergeShardRows(std::vector<std::vector<PosEntry>> per_shard, size_t limit,
-                    std::vector<PosEntry>* out) {
-  out->clear();
-  // limit 0 = no limit, matching the scan contract everywhere else.
-  const size_t cap = limit == 0 ? static_cast<size_t>(-1) : limit;
-  std::vector<size_t> cursor(per_shard.size(), 0);
-  while (out->size() < cap) {
-    int best = -1;
-    for (size_t i = 0; i < per_shard.size(); i++) {
-      if (cursor[i] >= per_shard[i].size()) continue;
-      if (best < 0 ||
-          per_shard[i][cursor[i]].key <
-              per_shard[static_cast<size_t>(best)][cursor[best]].key) {
-        best = static_cast<int>(i);
-      }
-    }
-    if (best < 0) break;
-    out->push_back(
-        std::move(per_shard[static_cast<size_t>(best)][cursor[best]]));
-    cursor[static_cast<size_t>(best)]++;
-  }
 }
 
 }  // namespace spitz

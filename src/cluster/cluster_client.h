@@ -103,7 +103,8 @@ class ClusterClient : public VerifiedKv {
               std::vector<PosEntry>* rows) override;
   // Evidence against the *cluster*: digest = ClusterDigest envelope,
   // proof = shard index + the shard's pinned-root proof. Verify with
-  // VerifyGetEvidence / VerifyScanEvidence.
+  // VerifyClusterGetEvidence / VerifyClusterScanEvidence
+  // (core/verifier.h).
   Status GetProof(const Slice& key, Evidence* out) override;
   Status ScanProof(const Slice& start, const Slice& end, size_t limit,
                    ScanEvidence* out) override;
@@ -126,13 +127,6 @@ class ClusterClient : public VerifiedKv {
 
   // Captures a fresh cluster snapshot (per-shard digests + root).
   Status GetClusterDigest(ClusterDigest* out);
-
-  // Stateless verifiers for cluster Evidence — the client-side end of
-  // the envelope; reject any tampered byte in value, proof, or digest.
-  static Status VerifyGetEvidence(const Slice& key, const Evidence& evidence);
-  static Status VerifyScanEvidence(const Slice& start, const Slice& end,
-                                   size_t limit,
-                                   const ScanEvidence& evidence);
 
   // Makes shard `shard`'s backup the new primary for writes: sends the
   // promote command, verifies the role flipped, and reroutes writes
@@ -211,11 +205,6 @@ class ClusterClient : public VerifiedKv {
   std::shared_ptr<ClusterCoordinator> coordinator_;
   int verify_retries_ = 3;
 };
-
-// k-way merge of per-shard scan results (each sorted by key) into one
-// sorted row set, truncated to `limit`. Exposed for tests.
-void MergeShardRows(std::vector<std::vector<PosEntry>> per_shard, size_t limit,
-                    std::vector<PosEntry>* out);
 
 }  // namespace spitz
 

@@ -123,4 +123,9 @@ bool ClusterDigest::VerifyShardInclusion(
   return MerkleTree::VerifyInclusion(Hash256::OfLeaf(leaf), proof, root);
 }
 
+Status TagShard(size_t shard, const Status& s) {
+  return Status::FromCode(
+      s.code(), "shard " + std::to_string(shard) + ": " + s.ToString());
+}
+
 }  // namespace spitz

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "core/spitz_db.h"
+#include "core/verifier.h"
 #include "ledger/merkle_tree.h"
 
 namespace spitz {
@@ -97,6 +97,10 @@ struct ClusterDigest {
   // explicit nullopt are the same (both encode flag 0).
   bool backup_equal(const ClusterDigest& other) const;
 };
+
+// Re-wraps shard `shard`'s error with the shard's index, keeping its
+// code.
+Status TagShard(size_t shard, const Status& s);
 
 }  // namespace spitz
 

@@ -68,6 +68,11 @@ class Status {
   static Status Unavailable(std::string msg = "") {
     return Status(Code::kUnavailable, std::move(msg));
   }
+  // Any code with `msg`: for decoders of a code and for wrappers that
+  // keep one.
+  static Status FromCode(Code code, std::string msg) {
+    return Status(code, std::move(msg));
+  }
 
   bool ok() const { return code_ == Code::kOk; }
   bool IsNotFound() const { return code_ == Code::kNotFound; }

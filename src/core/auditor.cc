@@ -58,7 +58,7 @@ Status Auditor::CheckKey(const SpitzDigest& digest, const std::string& key,
     if (s.ok()) found = std::move(value);
     {
       ScopedTimer timer(proof_verify_ns_);
-      s = SpitzDb::VerifyRead(digest, key, found, proof);
+      s = VerifyRead(digest, key, found, proof);
     }
     if (s.ok() && expected_value.has_value() && found != expected_value) {
       s = Status::VerificationFailed("audited value differs");

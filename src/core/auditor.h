@@ -31,7 +31,7 @@ class Auditor {
   Auditor& operator=(const Auditor&) = delete;
 
   // Queues an audit of `key` at the digest current now: Read with a
-  // proof at its index root, then SpitzDb::VerifyRead; with
+  // proof at its index root, then VerifyRead (core/verifier.h); with
   // `expected_value` the key must also hold that value. Without one the
   // audit checks integrity only, since later writers may legally change
   // the key first. Online mode (batch size 0) returns the verdict.

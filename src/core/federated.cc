@@ -21,7 +21,7 @@ Status FederatedAnalytics::FederatedScan(const Slice& start, const Slice& end,
     if (!s.ok()) return s;
     // Verify THIS party's evidence against THIS party's digest, from the
     // bytes alone, before it can contribute to the merged answer.
-    s = SpitzDb::VerifyScanEvidence(start, end, limit, evidence);
+    s = VerifyScanEvidence(start, end, limit, evidence);
     if (!s.ok()) {
       return Status::VerificationFailed("party '" + name +
                                         "' returned an unverifiable result: " +
@@ -59,7 +59,7 @@ Status FederatedAnalytics::AuditEvidence(
     const Slice& start, const Slice& end, size_t limit,
     const std::vector<PartyEvidence>& evidence) {
   for (const PartyEvidence& e : evidence) {
-    if (!SpitzDb::VerifyScanEvidence(start, end, limit, e).ok()) {
+    if (!VerifyScanEvidence(start, end, limit, e).ok()) {
       return Status::VerificationFailed("evidence from party '" + e.party +
                                         "' does not verify");
     }

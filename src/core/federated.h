@@ -36,7 +36,7 @@ class FederatedAnalytics {
   // One party's single-node ScanEvidence (rows plus proof and digest
   // bytes), tagged with the party. Bytes, so the bundle ships to a
   // downstream auditor verbatim; every verification — including the
-  // coordinator's own — is SpitzDb::VerifyScanEvidence on these bytes.
+  // coordinator's own — is VerifyScanEvidence on these bytes.
   struct PartyEvidence : VerifiedKv::ScanEvidence {
     std::string party;
   };

@@ -347,7 +347,7 @@ Status SpitzDb::Get(const ReadOptions& options, const Slice& key,
   if (!s.ok() && !s.IsNotFound()) return s;
   std::optional<std::string> expected;
   if (s.ok()) expected = std::move(found);
-  Status verdict = VerifyRead(digest, key, expected, proof);
+  Status verdict = spitz::VerifyRead(digest, key, expected, proof);
   if (!verdict.ok()) return verdict;
   if (s.ok()) *value = std::move(*expected);
   return s;
@@ -364,7 +364,7 @@ Status SpitzDb::Scan(const ReadOptions& options, const Slice& start,
   spitz::ScanProof proof;
   Status s = ReadRange(digest.index_root, start, end, limit, &found, &proof);
   if (!s.ok()) return s;
-  Status verdict = VerifyScan(digest, start, end, limit, found, proof);
+  Status verdict = spitz::VerifyScan(digest, start, end, limit, found, proof);
   if (!verdict.ok()) return verdict;
   *rows = std::move(found);
   return Status::OK();

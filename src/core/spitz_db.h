@@ -32,9 +32,9 @@ namespace spitz {
 
 
 // ReadOptions/WriteOptions live in core/verified_kv.h — they are part
-// of the VerifiedKv interface shared by every deployment shape; ReadProof,
-// ScanProof and ReadVersion in index/versioned_index.h; SpitzDigest in
-// core/verifier.h.
+// of the VerifiedKv interface shared by every deployment shape; ReadProof
+// and ScanProof in index/siri.h; ReadVersion in index/versioned_index.h;
+// SpitzDigest and every client-side check in core/verifier.h.
 
 // ---------------------------------------------------------------------------
 // SpitzDb — the clean-slate verifiable database of paper section 5/6.1.
@@ -162,20 +162,18 @@ class SpitzDb : public VerifiedKv {
   // through auditor() and drains its queue: the verdict is the status.
   Status Audit(const Slice& key) override;
 
-  // Client-side (stateless) verification helpers, in core/verifier.cc.
+  // spitzbench calls the checks of core/verifier.h by these names.
   static Status VerifyRead(const SpitzDigest& digest, const Slice& key,
                            const std::optional<std::string>& expected_value,
-                           const ReadProof& proof);
+                           const ReadProof& proof) {
+    return spitz::VerifyRead(digest, key, expected_value, proof);
+  }
   static Status VerifyScan(const SpitzDigest& digest, const Slice& start,
                            const Slice& end, size_t limit,
                            const std::vector<PosEntry>& results,
-                           const spitz::ScanProof& proof);
-  // The one verifier of single-node evidence (SpitzDb and SpitzClient
-  // GetProof/ScanProof): decodes it, then runs VerifyRead/VerifyScan.
-  static Status VerifyGetEvidence(const Slice& key, const Evidence& evidence);
-  static Status VerifyScanEvidence(const Slice& start, const Slice& end,
-                                   size_t limit,
-                                   const ScanEvidence& evidence);
+                           const spitz::ScanProof& proof) {
+    return spitz::VerifyScan(digest, start, end, limit, results, proof);
+  }
 
   // --- Introspection ----------------------------------------------------------
 

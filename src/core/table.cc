@@ -262,7 +262,7 @@ Status Table::GetRowVerified(const Slice& primary_key, Row* row) const {
   std::vector<PosEntry> cells;
   spitz::ScanProof proof;
   Status s = db_->ReadRange(digest.index_root, start, end, 0, &cells, &proof);
-  if (s.ok()) s = SpitzDb::VerifyScan(digest, start, end, 0, cells, proof);
+  if (s.ok()) s = VerifyScan(digest, start, end, 0, cells, proof);
   if (!s.ok()) return s;
   return CellsToRow(cells, row);
 }

@@ -5,12 +5,19 @@
 #include <string>
 #include <vector>
 
+#include "common/slice.h"
+#include "common/status.h"
+#include "core/verified_kv.h"
 #include "crypto/hash.h"
-#include "index/versioned_index.h"
+#include "index/siri.h"
 #include "ledger/journal.h"
 #include "ledger/merkle_tree.h"
 
 namespace spitz {
+
+// Every check a Spitz client runs on an answer (paper section 5.3),
+// defined once: the spitz_verify library, which links no server. A check
+// reads no database, only a digest and the evidence.
 
 // The state a client needs to retain to verify any later answer: the
 // current index root (a SIRI index version) and the ledger digest
@@ -37,6 +44,56 @@ struct SpitzDigest {
   bool operator!=(const SpitzDigest& other) const { return !(*this == other); }
 };
 
+// A point read (value present) or non-membership (nullopt) at `digest`,
+// timed in the process-wide client.db.verify_read_latency_ns.
+Status VerifyRead(const SpitzDigest& digest, const Slice& key,
+                  const std::optional<std::string>& expected_value,
+                  const ReadProof& proof);
+// The first `limit` rows (0 = no limit) of [start, end) at `digest`
+// (client.db.verify_scan_latency_ns).
+Status VerifyScan(const SpitzDigest& digest, const Slice& start,
+                  const Slice& end, size_t limit,
+                  const std::vector<PosEntry>& results,
+                  const ScanProof& proof);
+
+// Single-node evidence (SpitzDb's and SpitzClient's GetProof/ScanProof):
+// exactly one SpitzDigest and one proof, then VerifyRead/VerifyScan.
+Status VerifyGetEvidence(const Slice& key,
+                         const VerifiedKv::Evidence& evidence);
+Status VerifyScanEvidence(const Slice& start, const Slice& end, size_t limit,
+                          const VerifiedKv::ScanEvidence& evidence);
+
+struct ClusterDigest;  // cluster/cluster_digest.h
+
+// Shard `shard`'s answer at the cluster snapshot `digest`: the proof
+// against the shard digest the cluster root commits, and that the shard
+// owns every key it proved (otherwise a scan could return a row that a
+// point read of the same key, routed to the owner, proves absent). A
+// failure names the shard.
+Status VerifyShardRead(const ClusterDigest& digest, size_t shard,
+                       const Slice& key,
+                       const std::optional<std::string>& expected_value,
+                       const ReadProof& proof);
+Status VerifyShardScan(const ClusterDigest& digest, size_t shard,
+                       const Slice& start, const Slice& end, size_t limit,
+                       const std::vector<PosEntry>& rows,
+                       const ScanProof& proof);
+
+// Cluster evidence (ClusterClient's GetProof/ScanProof): the digest slot
+// is the ClusterDigest envelope; the proof slot is the answering shard's
+// index and proof, or for a scan every shard's rows and proof, since
+// merged rows cannot be re-verified per shard after truncation.
+Status VerifyClusterGetEvidence(const Slice& key,
+                                const VerifiedKv::Evidence& evidence);
+Status VerifyClusterScanEvidence(const Slice& start, const Slice& end,
+                                 size_t limit,
+                                 const VerifiedKv::ScanEvidence& evidence);
+
+// k-way merge of per-shard scan results (each sorted by key), truncated
+// to `limit` (0 = no limit).
+void MergeShardRows(std::vector<std::vector<PosEntry>> per_shard, size_t limit,
+                    std::vector<PosEntry>* out);
+
 // ---------------------------------------------------------------------------
 // ClientVerifier — the client-side state machine of paper section 5.3:
 // "Clients can use the digest of the ledger to perform verification
@@ -58,17 +115,14 @@ class ClientVerifier {
   Status ObserveDigest(const SpitzDigest& digest,
                        const MerkleConsistencyProof* consistency = nullptr);
 
-  // Verifies a point read (value present) or non-membership (nullopt)
-  // against the retained digest.
+  // VerifyRead, VerifyScan and Journal::VerifyEntry against the retained
+  // digest; VerificationFailed before the first ObserveDigest.
   Status CheckRead(const Slice& key,
                    const std::optional<std::string>& expected_value,
                    const ReadProof& proof) const;
-
   Status CheckScan(const Slice& start, const Slice& end, size_t limit,
                    const std::vector<PosEntry>& results,
                    const ScanProof& proof) const;
-
-  // Verifies a historical ledger entry against the retained digest.
   Status CheckHistoricalEntry(const LedgerEntry& entry,
                               const JournalEntryProof& proof) const;
 

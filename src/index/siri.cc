@@ -254,6 +254,31 @@ Status SiriRangeProof::Verify(const Hash256& root, const Slice& start,
 
 size_t SiriRangeProof::ByteSize() const { return 1 + pos.ByteSize(); }
 
+void ReadProof::EncodeTo(std::string* out) const {
+  out->append(index_root.slice().view());
+  index_proof.EncodeTo(out);
+}
+
+Status ReadProof::DecodeFrom(Slice* input, std::shared_ptr<const void> owner,
+                             ReadProof* out) {
+  Status s = GetHash256(input, &out->index_root);
+  if (!s.ok()) return s;
+  return SiriProof::DecodeFrom(input, std::move(owner), &out->index_proof);
+}
+
+void ScanProof::EncodeTo(std::string* out) const {
+  out->append(index_root.slice().view());
+  index_proof.EncodeTo(out);
+}
+
+Status ScanProof::DecodeFrom(Slice* input, std::shared_ptr<const void> owner,
+                             ScanProof* out) {
+  Status s = GetHash256(input, &out->index_root);
+  if (!s.ok()) return s;
+  return SiriRangeProof::DecodeFrom(input, std::move(owner),
+                                    &out->index_proof);
+}
+
 // --- SiriIndex defaults -----------------------------------------------------
 
 Status SiriIndex::Build(std::vector<PosEntry> entries, Hash256* root) const {

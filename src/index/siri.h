@@ -112,6 +112,39 @@ struct SiriRangeProof {
   size_t ByteSize() const;
 };
 
+// A verified read's complete evidence: a backend-tagged SIRI proof
+// envelope plus the index version it proves against. Serializable, so
+// it can cross a process boundary and be verified from decoded bytes.
+// A proof holds what it cites (ProofNode): the cached nodes on a
+// server, the reply's frame buffer on a client.
+struct ReadProof {
+  SiriProof index_proof;  // path through the unified SIRI index
+  Hash256 index_root;     // the version it proves against
+
+  void EncodeTo(std::string* out) const;
+  size_t EncodedSize() const { return Hash256::kSize + index_proof.EncodedSize(); }
+  // Decodes views of *input, which `owner` keeps alive.
+  static Status DecodeFrom(Slice* input, std::shared_ptr<const void> owner,
+                           ReadProof* out);
+  // Decodes into one copy of the proof's bytes that the proof owns.
+  static Status DecodeFrom(Slice* input, ReadProof* out) {
+    return DecodeOwnedCopy(input, out);
+  }
+};
+
+struct ScanProof {
+  SiriRangeProof index_proof;
+  Hash256 index_root;
+
+  void EncodeTo(std::string* out) const;
+  size_t EncodedSize() const { return Hash256::kSize + index_proof.EncodedSize(); }
+  static Status DecodeFrom(Slice* input, std::shared_ptr<const void> owner,
+                           ScanProof* out);
+  static Status DecodeFrom(Slice* input, ScanProof* out) {
+    return DecodeOwnedCopy(input, out);
+  }
+};
+
 struct SiriIndexOptions {
   SiriIndexOptions() {}
   PosTreeOptions pos;              // kPosTree tuning knobs

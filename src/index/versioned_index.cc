@@ -2,31 +2,6 @@
 
 namespace spitz {
 
-void ReadProof::EncodeTo(std::string* out) const {
-  out->append(index_root.slice().view());
-  index_proof.EncodeTo(out);
-}
-
-Status ReadProof::DecodeFrom(Slice* input, std::shared_ptr<const void> owner,
-                             ReadProof* out) {
-  Status s = GetHash256(input, &out->index_root);
-  if (!s.ok()) return s;
-  return SiriProof::DecodeFrom(input, std::move(owner), &out->index_proof);
-}
-
-void ScanProof::EncodeTo(std::string* out) const {
-  out->append(index_root.slice().view());
-  index_proof.EncodeTo(out);
-}
-
-Status ScanProof::DecodeFrom(Slice* input, std::shared_ptr<const void> owner,
-                             ScanProof* out) {
-  Status s = GetHash256(input, &out->index_root);
-  if (!s.ok()) return s;
-  return SiriRangeProof::DecodeFrom(input, std::move(owner),
-                                    &out->index_proof);
-}
-
 VersionedIndex::VersionedIndex(SiriBackend backend, ChunkStore* chunks,
                                BufferCache* cache,
                                const SiriIndexOptions& options,

@@ -135,32 +135,11 @@ uint32_t WireStatusCode(const Status& status) {
 }
 
 Status StatusFromWire(uint32_t code, const Slice& message) {
-  std::string msg = message.ToString();
-  switch (static_cast<Status::Code>(code)) {
-    case Status::Code::kOk:
-      return Status::OK();
-    case Status::Code::kNotFound:
-      return Status::NotFound(std::move(msg));
-    case Status::Code::kCorruption:
-      return Status::Corruption(std::move(msg));
-    case Status::Code::kInvalidArgument:
-      return Status::InvalidArgument(std::move(msg));
-    case Status::Code::kIOError:
-      return Status::IOError(std::move(msg));
-    case Status::Code::kAborted:
-      return Status::Aborted(std::move(msg));
-    case Status::Code::kBusy:
-      return Status::Busy(std::move(msg));
-    case Status::Code::kNotSupported:
-      return Status::NotSupported(std::move(msg));
-    case Status::Code::kVerificationFailed:
-      return Status::VerificationFailed(std::move(msg));
-    case Status::Code::kTimedOut:
-      return Status::TimedOut(std::move(msg));
-    case Status::Code::kUnavailable:
-      return Status::Unavailable(std::move(msg));
+  if (code == static_cast<uint32_t>(Status::Code::kOk)) return Status::OK();
+  if (code > static_cast<uint32_t>(Status::Code::kUnavailable)) {
+    return Status::Corruption("unknown wire status code");
   }
-  return Status::Corruption("unknown wire status code");
+  return Status::FromCode(static_cast<Status::Code>(code), message.ToString());
 }
 
 }  // namespace spitz

@@ -185,8 +185,7 @@ Status SpitzClient::VerifiedGet(const Slice& key, std::string* value,
   ProofResult result;
   Status s = GetProof(key, &result, deadline_ms);
   if (!s.ok() && !s.IsNotFound()) return s;
-  Status v = SpitzDb::VerifyRead(result.digest, key, result.value,
-                                 result.proof);
+  Status v = VerifyRead(result.digest, key, result.value, result.proof);
   if (!v.ok()) return v;
   if (result.value.has_value()) *value = *result.value;
   return s;
@@ -217,7 +216,7 @@ Status SpitzClient::VerifiedScan(const Slice& start, const Slice& end,
   Status s = FetchScanProof(start, end, limit, deadline_ms, &found, &proof,
                             &digest);
   if (!s.ok()) return s;
-  s = SpitzDb::VerifyScan(digest, start, end, limit, found, proof);
+  s = VerifyScan(digest, start, end, limit, found, proof);
   if (!s.ok()) return s;
   *rows = std::move(found);
   return Status::OK();

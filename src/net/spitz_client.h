@@ -7,7 +7,8 @@
 #include <string>
 #include <vector>
 
-#include "core/spitz_db.h"
+#include "core/verified_kv.h"
+#include "core/verifier.h"
 #include "net/net_client.h"
 #include "net/spitz_wire.h"
 #include "txn/write_batch.h"
@@ -23,7 +24,7 @@ namespace spitz {
 //
 // The verification story is entirely client-side: GetProof/VerifiedGet
 // decode the proof bytes and digest off the wire and run the same
-// static verifiers (SpitzDb::VerifyRead/VerifyScan) a local embedder
+// checks (VerifyRead/VerifyScan, core/verifier.h) a local embedder
 // would — a lying server fails verification exactly like a tampered
 // local database.
 //

@@ -9,7 +9,8 @@
 #include "common/codec.h"
 #include "common/slice.h"
 #include "common/status.h"
-#include "core/spitz_db.h"
+#include "core/verified_kv.h"
+#include "core/verifier.h"
 
 namespace spitz {
 namespace wire {

@@ -949,13 +949,13 @@ TEST(ClusterVerifyTest, GetEvidenceVerifiesAndEveryTamperIsRejected) {
   ASSERT_TRUE(evidence.value.has_value());
   EXPECT_EQ(*evidence.value, "evidence-value");
   ASSERT_TRUE(
-      ClusterClient::VerifyGetEvidence("evidence-key", evidence).ok());
+      VerifyClusterGetEvidence("evidence-key", evidence).ok());
 
   // Absence is provable too.
   VerifiedKv::Evidence absent;
   ASSERT_TRUE(fx.client->GetProof("never-written", &absent).IsNotFound());
   EXPECT_FALSE(absent.value.has_value());
-  EXPECT_TRUE(ClusterClient::VerifyGetEvidence("never-written", absent).ok());
+  EXPECT_TRUE(VerifyClusterGetEvidence("never-written", absent).ok());
 
   // Byte-level tamper fuzz over the whole envelope: value, proof and
   // digest. No flipped byte may verify.
@@ -966,14 +966,14 @@ TEST(ClusterVerifyTest, GetEvidenceVerifiesAndEveryTamperIsRejected) {
       const char original = (*field)[i];
       (*field)[i] = static_cast<char>(original ^ 0x2d);
       EXPECT_FALSE(
-          ClusterClient::VerifyGetEvidence("evidence-key", evidence).ok())
+          VerifyClusterGetEvidence("evidence-key", evidence).ok())
           << "tampered byte " << i << " accepted";
       (*field)[i] = original;
     }
   }
   // The key is part of the claim: evidence for one key must not vouch
   // for another.
-  EXPECT_FALSE(ClusterClient::VerifyGetEvidence("other-key", evidence).ok());
+  EXPECT_FALSE(VerifyClusterGetEvidence("other-key", evidence).ok());
 }
 
 TEST(ClusterVerifyTest, ScanEvidenceVerifiesAndSampledTampersAreRejected) {
@@ -986,17 +986,17 @@ TEST(ClusterVerifyTest, ScanEvidenceVerifiesAndSampledTampersAreRejected) {
   ASSERT_TRUE(fx.client->ScanProof("se-", "se-~", 0, &evidence).ok());
   EXPECT_EQ(evidence.rows.size(), 12u);
   ASSERT_TRUE(
-      ClusterClient::VerifyScanEvidence("se-", "se-~", 0, evidence).ok());
+      VerifyClusterScanEvidence("se-", "se-~", 0, evidence).ok());
 
   // Dropping, reordering or rewriting merged rows breaks verification.
   VerifiedKv::ScanEvidence dropped = evidence;
   dropped.rows.pop_back();
   EXPECT_FALSE(
-      ClusterClient::VerifyScanEvidence("se-", "se-~", 0, dropped).ok());
+      VerifyClusterScanEvidence("se-", "se-~", 0, dropped).ok());
   VerifiedKv::ScanEvidence rewritten = evidence;
   rewritten.rows[0].value = "forged";
   EXPECT_FALSE(
-      ClusterClient::VerifyScanEvidence("se-", "se-~", 0, rewritten).ok());
+      VerifyClusterScanEvidence("se-", "se-~", 0, rewritten).ok());
 
   // Sampled byte flips across proof and digest (every 7th byte keeps
   // the fuzz sweep fast; offsets cover varints, hashes and row bytes).
@@ -1005,7 +1005,7 @@ TEST(ClusterVerifyTest, ScanEvidenceVerifiesAndSampledTampersAreRejected) {
       const char original = (*field)[i];
       (*field)[i] = static_cast<char>(original ^ 0x11);
       EXPECT_FALSE(
-          ClusterClient::VerifyScanEvidence("se-", "se-~", 0, evidence).ok())
+          VerifyClusterScanEvidence("se-", "se-~", 0, evidence).ok())
           << "tampered byte " << i << " accepted";
       (*field)[i] = original;
     }
@@ -1046,8 +1046,8 @@ TEST(ClusterVerifyTest, ScanRejectsRowsFromNonOwningShard) {
                     ->ScanProofAt(digest.shards[i].index_root, "fr-", "fr-~",
                                   0, &per_shard[i], &proof)
                     .ok());
-    ASSERT_TRUE(SpitzDb::VerifyScan(digest.shards[i], "fr-", "fr-~", 0,
-                                    per_shard[i], proof)
+    ASSERT_TRUE(VerifyScan(digest.shards[i], "fr-", "fr-~", 0,
+                           per_shard[i], proof)
                     .ok());
     PutEntryList(&forged.proof, per_shard[i]);
     proof.EncodeTo(&forged.proof);
@@ -1055,8 +1055,86 @@ TEST(ClusterVerifyTest, ScanRejectsRowsFromNonOwningShard) {
   digest.EncodeTo(&forged.digest);
   MergeShardRows(per_shard, 0, &forged.rows);
   ASSERT_EQ(forged.rows.size(), 7u);
-  EXPECT_TRUE(ClusterClient::VerifyScanEvidence("fr-", "fr-~", 0, forged)
+  EXPECT_TRUE(VerifyClusterScanEvidence("fr-", "fr-~", 0, forged)
                   .IsVerificationFailed());
+}
+
+// The shard index in cluster evidence is untrusted: one past the
+// cluster, or any index into a cluster of no shards, is refused.
+TEST(ClusterVerifyTest, GetEvidenceNamingNoShardOfTheClusterIsRefused) {
+  ClusterFixture fx(3);
+  ASSERT_TRUE(fx.client->Put("k", "v").ok());
+  VerifiedKv::Evidence evidence;
+  ASSERT_TRUE(fx.client->GetProof("k", &evidence).ok());
+  ASSERT_TRUE(VerifyClusterGetEvidence("k", evidence).ok());
+  Slice input(evidence.proof);
+  uint64_t shard = 0;
+  ASSERT_TRUE(GetVarint64(&input, &shard).ok());
+  const std::string shard_proof = input.ToString();
+
+  VerifiedKv::Evidence past_the_end = evidence;
+  past_the_end.proof.clear();
+  PutVarint64(&past_the_end.proof, 3);
+  past_the_end.proof += shard_proof;
+  EXPECT_TRUE(
+      VerifyClusterGetEvidence("k", past_the_end).IsVerificationFailed());
+
+  ClusterDigest empty;
+  empty.Seal();
+  VerifiedKv::Evidence no_shards = evidence;
+  no_shards.digest.clear();
+  empty.EncodeTo(&no_shards.digest);
+  no_shards.proof.clear();
+  PutVarint64(&no_shards.proof, 0);
+  no_shards.proof += shard_proof;
+  EXPECT_TRUE(VerifyClusterGetEvidence("k", no_shards).IsVerificationFailed());
+}
+
+// Shard 1 of three served through a relay that rewrites "honest" to
+// "forged" in its pinned-root proof replies: the proof fails
+// verification, and the error names the shard that served it.
+TEST(ClusterVerifyTest, FailedShardProofNamesTheShard) {
+  LocalFleet::Options fleet_options;
+  fleet_options.shards = 3;
+  std::unique_ptr<LocalFleet> fleet;
+  ASSERT_TRUE(LocalFleet::Open(fleet_options, &fleet).ok());
+  std::unique_ptr<NetClient> to_shard;
+  ASSERT_TRUE(NetClient::Connect(fleet->ClientOptions(1).net, &to_shard).ok());
+  std::unique_ptr<NetServer> relay;
+  ASSERT_TRUE(NetServer::Start(
+                  [&](uint32_t method, const std::string& request,
+                      std::string* response) {
+                    std::string reply;
+                    Status s = to_shard->Call(method, request, &reply);
+                    if (method == wire::kGetProofAt ||
+                        method == wire::kScanProofAt) {
+                      const size_t at = reply.find("honest");
+                      if (at != std::string::npos) {
+                        reply.replace(at, 6, "forged");
+                      }
+                    }
+                    response->append(reply);
+                    return s;
+                  },
+                  NetServer::Options(), &relay)
+                  .ok());
+  ClusterClient::Options options = fleet->ClusterOptions();
+  options.shards[1].port = relay->port();
+  std::unique_ptr<ClusterClient> client;
+  ASSERT_TRUE(ClusterClient::Open(options, &client).ok());
+  const std::string key = KeyOnShard(1, 3, "tag");
+  ASSERT_TRUE(client->Put(key, "honest").ok());
+
+  std::string value;
+  Status s = client->VerifiedGet(key, &value);
+  EXPECT_TRUE(s.IsVerificationFailed()) << s.ToString();
+  EXPECT_NE(s.ToString().find("shard 1: "), std::string::npos)
+      << s.ToString();
+  std::vector<PosEntry> rows;
+  s = client->VerifiedScan("tag", "tag~", 0, &rows);
+  EXPECT_TRUE(s.IsVerificationFailed()) << s.ToString();
+  EXPECT_NE(s.ToString().find("shard 1: "), std::string::npos)
+      << s.ToString();
 }
 
 // --- Participant crash recovery ----------------------------------------------

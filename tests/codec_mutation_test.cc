@@ -272,7 +272,7 @@ TEST(CodecMutationTest, Digest) {
 }
 
 // Point evidence from one database: a ReadProof around the backend's
-// SiriProof, checked by SpitzDb::VerifyGetEvidence against the key and
+// SiriProof, checked by VerifyGetEvidence against the key and
 // value it was served for.
 void SweepGetEvidence(SiriBackend backend, const std::string& name) {
   struct Served {
@@ -307,7 +307,7 @@ void SweepGetEvidence(SiriBackend backend, const std::string& name) {
          [served](const std::string& bytes, size_t origin) {
            VerifiedKv::Evidence evidence = (*served)[origin].evidence;
            evidence.proof = bytes;
-           return SpitzDb::VerifyGetEvidence((*served)[origin].key, evidence)
+           return VerifyGetEvidence((*served)[origin].key, evidence)
                .ok();
          }});
   // The proof vouches for the digest's index root, and nothing else in
@@ -332,7 +332,7 @@ void SweepGetEvidence(SiriBackend backend, const std::string& name) {
            EXPECT_TRUE(SpitzDigest::DecodeFrom(&input, &original).ok());
            input = Slice(bytes);
            evidence.digest = bytes;
-           return SpitzDb::VerifyGetEvidence((*served)[origin].key, evidence)
+           return VerifyGetEvidence((*served)[origin].key, evidence)
                       .ok() &&
                   (!SpitzDigest::DecodeFrom(&input, &mutant).ok() ||
                    mutant.index_root != original.index_root);
@@ -385,8 +385,7 @@ TEST(CodecMutationTest, ScanProofAndEvidence) {
            const Served& one = (*served)[origin];
            VerifiedKv::ScanEvidence evidence = one.evidence;
            evidence.proof = bytes;
-           return SpitzDb::VerifyScanEvidence(one.start, one.end, one.limit,
-                                              evidence)
+           return VerifyScanEvidence(one.start, one.end, one.limit, evidence)
                .ok();
          }});
 }
@@ -1027,7 +1026,7 @@ TEST(CodecMutationTest, ClusterEvidence) {
     return [&, digest](const std::string& bytes, size_t origin) {
       VerifiedKv::Evidence evidence = gets[origin];
       (digest ? evidence.digest : evidence.proof) = bytes;
-      return ClusterClient::VerifyGetEvidence(keys[origin], evidence).ok();
+      return VerifyClusterGetEvidence(keys[origin], evidence).ok();
     };
   };
   Sweep({"cluster point evidence proof", get_field(false),
@@ -1074,8 +1073,8 @@ TEST(CodecMutationTest, ClusterEvidence) {
       const Scan& scan = scans[origin];
       VerifiedKv::ScanEvidence evidence = scan.evidence;
       (digest ? evidence.digest : evidence.proof) = bytes;
-      return ClusterClient::VerifyScanEvidence(scan.start, scan.end,
-                                               scan.limit, evidence)
+      return VerifyClusterScanEvidence(scan.start, scan.end,
+                                       scan.limit, evidence)
           .ok();
     };
   };
@@ -1110,16 +1109,16 @@ TEST(OneByteFormTest, SingleNodeEvidenceRefusesBytesAfterItsDigestOrProof) {
   ASSERT_TRUE(db.GetProof("k", &get).ok());
   VerifiedKv::ScanEvidence scan;
   ASSERT_TRUE(db.ScanProof("a", "z", 0, &scan).ok());
-  ASSERT_TRUE(SpitzDb::VerifyGetEvidence("k", get).ok());
-  ASSERT_TRUE(SpitzDb::VerifyScanEvidence("a", "z", 0, scan).ok());
+  ASSERT_TRUE(VerifyGetEvidence("k", get).ok());
+  ASSERT_TRUE(VerifyScanEvidence("a", "z", 0, scan).ok());
   for (std::string* field : {&get.digest, &get.proof}) {
     field->push_back('\0');
-    EXPECT_FALSE(SpitzDb::VerifyGetEvidence("k", get).ok());
+    EXPECT_FALSE(VerifyGetEvidence("k", get).ok());
     field->pop_back();
   }
   for (std::string* field : {&scan.digest, &scan.proof}) {
     field->push_back('\0');
-    EXPECT_FALSE(SpitzDb::VerifyScanEvidence("a", "z", 0, scan).ok());
+    EXPECT_FALSE(VerifyScanEvidence("a", "z", 0, scan).ok());
     field->pop_back();
   }
 }
@@ -1136,16 +1135,16 @@ TEST(OneByteFormTest, ClusterEvidenceRefusesBytesAfterItsDigestOrProof) {
   ASSERT_TRUE(client->GetProof("k", &get).ok());
   VerifiedKv::ScanEvidence scan;
   ASSERT_TRUE(client->ScanProof("a", "z", 0, &scan).ok());
-  ASSERT_TRUE(ClusterClient::VerifyGetEvidence("k", get).ok());
-  ASSERT_TRUE(ClusterClient::VerifyScanEvidence("a", "z", 0, scan).ok());
+  ASSERT_TRUE(VerifyClusterGetEvidence("k", get).ok());
+  ASSERT_TRUE(VerifyClusterScanEvidence("a", "z", 0, scan).ok());
   for (std::string* field : {&get.digest, &get.proof}) {
     field->push_back('\0');
-    EXPECT_FALSE(ClusterClient::VerifyGetEvidence("k", get).ok());
+    EXPECT_FALSE(VerifyClusterGetEvidence("k", get).ok());
     field->pop_back();
   }
   for (std::string* field : {&scan.digest, &scan.proof}) {
     field->push_back('\0');
-    EXPECT_FALSE(ClusterClient::VerifyScanEvidence("a", "z", 0, scan).ok());
+    EXPECT_FALSE(VerifyClusterScanEvidence("a", "z", 0, scan).ok());
     field->pop_back();
   }
 }
@@ -1234,7 +1233,7 @@ TEST(OneByteFormTest, MbtProofBucketIndexIsAVarint32) {
   ASSERT_TRUE(db.Put("k", "v").ok());
   VerifiedKv::Evidence evidence;
   ASSERT_TRUE(db.GetProof("k", &evidence).ok());
-  ASSERT_TRUE(SpitzDb::VerifyGetEvidence("k", evidence).ok());
+  ASSERT_TRUE(VerifyGetEvidence("k", evidence).ok());
   // Index root, backend tag, then bucket 0 as one varint byte: spell it
   // as 2^32 instead, which a 32-bit truncation would read as 0.
   const size_t at = Hash256::kSize + 1;
@@ -1242,7 +1241,7 @@ TEST(OneByteFormTest, MbtProofBucketIndexIsAVarint32) {
   std::string inflated;
   PutVarint64(&inflated, uint64_t{1} << 32);
   evidence.proof.replace(at, 1, inflated);
-  EXPECT_FALSE(SpitzDb::VerifyGetEvidence("k", evidence).ok());
+  EXPECT_FALSE(VerifyGetEvidence("k", evidence).ok());
 }
 
 TEST(OneByteFormTest, IndexNodeRefusesTrailingBytes) {
@@ -1441,7 +1440,7 @@ TEST(OneByteFormTest, GetProofAtReplyRefusesATrailingByte) {
   std::optional<std::string> value;
   ReadProof proof;
   r.Expect([&] { return r.client->GetProofAt(root, "k", &value, &proof); });
-  EXPECT_TRUE(SpitzDb::VerifyRead(r.fleet->db(0)->Digest(), "k", value, proof)
+  EXPECT_TRUE(VerifyRead(r.fleet->db(0)->Digest(), "k", value, proof)
                   .ok());
 }
 
@@ -1453,8 +1452,7 @@ TEST(OneByteFormTest, ScanProofAtReplyRefusesATrailingByte) {
   ScanProof proof;
   r.Expect(
       [&] { return r.client->ScanProofAt(root, "a", "z", 0, &rows, &proof); });
-  EXPECT_TRUE(SpitzDb::VerifyScan(r.fleet->db(0)->Digest(), "a", "z", 0, rows,
-                                  proof)
+  EXPECT_TRUE(VerifyScan(r.fleet->db(0)->Digest(), "a", "z", 0, rows, proof)
                   .ok());
 }
 

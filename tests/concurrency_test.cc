@@ -877,7 +877,7 @@ TEST(ConcurrencyTest, PinnedReadersRaceRetirementOfReplacedNodes) {
         ReadProof proof;
         if (!db->Read(pinned.index_root, key_of(k), &value, &proof).ok() ||
             value != "v" + std::to_string(last) ||
-            !SpitzDb::VerifyRead(pinned, key_of(k), value, proof).ok()) {
+            !VerifyRead(pinned, key_of(k), value, proof).ok()) {
           failures.fetch_add(1);
         }
       }
@@ -909,8 +909,7 @@ TEST(ConcurrencyTest, CachedAndUncachedTreesAgreeOnRootsAndProofs) {
   std::string value;
   ReadProof proof;
   ASSERT_TRUE(cached.Read(kCurrentVersion, "agree123", &value, &proof).ok());
-  EXPECT_TRUE(SpitzDb::VerifyRead(uncached.Digest(), "agree123", value,
-                                  proof)
+  EXPECT_TRUE(VerifyRead(uncached.Digest(), "agree123", value, proof)
                   .ok());
 }
 
@@ -1182,7 +1181,7 @@ TEST(ConcurrencyTest, VersionGcRacesReadersWritersAndAuditors) {
           if (!s.ok() && !s.IsNotFound()) {
             read_errors.fetch_add(1);
           } else if (s.ok() && proof.index_root == digest.index_root &&
-                     !SpitzDb::VerifyRead(digest, key, value, proof).ok()) {
+                     !VerifyRead(digest, key, value, proof).ok()) {
             proof_failures.fetch_add(1);
           }
           std::vector<PosEntry> out;
@@ -1233,7 +1232,7 @@ TEST(ConcurrencyTest, VersionGcRacesReadersWritersAndAuditors) {
       ReadProof proof;
       ASSERT_TRUE(db->Read(kCurrentVersion, key, &value, &proof).ok()) << key;
       EXPECT_TRUE(
-          SpitzDb::VerifyRead(db->Digest(), key, value, proof).ok());
+          VerifyRead(db->Digest(), key, value, proof).ok());
     }
   }
   std::filesystem::remove_all(dir);

@@ -593,7 +593,7 @@ TEST(MetricsEndToEndTest, ClientSideVerifyLatencyLandsInGlobalRegistry) {
   const HistogramSnapshot* prior =
       baseline.FindHistogram("client.db.verify_read_latency_ns");
   uint64_t before = prior == nullptr ? 0 : prior->count;
-  ASSERT_TRUE(SpitzDb::VerifyRead(db.Digest(), "k", value, proof).ok());
+  ASSERT_TRUE(VerifyRead(db.Digest(), "k", value, proof).ok());
   MetricsSnapshot global = MetricsRegistry::Global()->Snapshot();
   const HistogramSnapshot* h =
       global.FindHistogram("client.db.verify_read_latency_ns");

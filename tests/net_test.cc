@@ -819,10 +819,10 @@ TEST(NetSpitzTest, ProofsVerifyLocallyAgainstTheWireDigest) {
   ASSERT_TRUE(pr.value.has_value());
   EXPECT_EQ(*pr.value, "value7");
   EXPECT_TRUE(
-      SpitzDb::VerifyRead(pr.digest, "key7", *pr.value, pr.proof).ok());
+      VerifyRead(pr.digest, "key7", *pr.value, pr.proof).ok());
   // ...and refuses a wrong binding.
   EXPECT_FALSE(
-      SpitzDb::VerifyRead(pr.digest, "key7", std::string("forged"), pr.proof)
+      VerifyRead(pr.digest, "key7", std::string("forged"), pr.proof)
           .ok());
 }
 
@@ -836,7 +836,7 @@ TEST(NetSpitzTest, NotFoundCarriesAProofOfAbsence) {
   ASSERT_TRUE(s.IsNotFound()) << s.ToString();
   EXPECT_FALSE(pr.value.has_value());
   EXPECT_TRUE(
-      SpitzDb::VerifyRead(pr.digest, "absent", std::nullopt, pr.proof).ok());
+      VerifyRead(pr.digest, "absent", std::nullopt, pr.proof).ok());
 
   std::string value = "sentinel";
   EXPECT_TRUE(client->VerifiedGet("absent", &value).IsNotFound());
@@ -874,13 +874,13 @@ TEST(NetSpitzTest, DecodedProofsOutliveTheCallAndTheConnection) {
   }
   ASSERT_TRUE(point.value.has_value());
   EXPECT_TRUE(
-      SpitzDb::VerifyRead(point.digest, "k042", point.value, point.proof)
+      VerifyRead(point.digest, "k042", point.value, point.proof)
           .ok());
   EXPECT_TRUE(
-      SpitzDb::VerifyRead(digest, "k123", pinned_value, pinned).ok());
+      VerifyRead(digest, "k123", pinned_value, pinned).ok());
   EXPECT_EQ(pinned_value, std::optional<std::string>("v123"));
   ASSERT_EQ(rows.size(), 100u);
-  EXPECT_TRUE(SpitzDb::VerifyScan(digest, "k100", "k200", 0, rows, range).ok());
+  EXPECT_TRUE(VerifyScan(digest, "k100", "k200", 0, rows, range).ok());
 }
 
 TEST(NetSpitzTest, VerifiedScanChecksTheRangeProof) {
@@ -914,10 +914,10 @@ TEST(NetSpitzTest, EvidenceVerifiesAndEveryTamperIsRejected) {
   VerifiedKv::Evidence evidence;
   ASSERT_TRUE(client->GetProof("ev-107", &evidence).ok());
   ASSERT_TRUE(evidence.value.has_value());
-  ASSERT_TRUE(SpitzDb::VerifyGetEvidence("ev-107", evidence).ok());
+  ASSERT_TRUE(VerifyGetEvidence("ev-107", evidence).ok());
   VerifiedKv::Evidence absent;
   ASSERT_TRUE(client->GetProof("ev-never", &absent).IsNotFound());
-  EXPECT_TRUE(SpitzDb::VerifyGetEvidence("ev-never", absent).ok());
+  EXPECT_TRUE(VerifyGetEvidence("ev-never", absent).ok());
 
   // A read's claim binds the value, the proof and the digest's index
   // root (its first Hash256::kSize bytes); the digest's journal fields
@@ -935,34 +935,34 @@ TEST(NetSpitzTest, EvidenceVerifiesAndEveryTamperIsRejected) {
   auto get_verifies = [&] {
     VerifiedKv::Evidence forged = evidence;
     forged.digest.replace(0, Hash256::kSize, root_bytes);
-    return SpitzDb::VerifyGetEvidence("ev-107", forged).ok();
+    return VerifyGetEvidence("ev-107", forged).ok();
   };
   flip_every_byte(&*evidence.value, get_verifies);
   flip_every_byte(&evidence.proof, get_verifies);
   flip_every_byte(&root_bytes, get_verifies);
   // The key is part of the claim, and absence cannot vouch for presence.
-  EXPECT_FALSE(SpitzDb::VerifyGetEvidence("ev-108", evidence).ok());
+  EXPECT_FALSE(VerifyGetEvidence("ev-108", evidence).ok());
   absent.value = "v7";
-  EXPECT_FALSE(SpitzDb::VerifyGetEvidence("ev-never", absent).ok());
+  EXPECT_FALSE(VerifyGetEvidence("ev-never", absent).ok());
 
   VerifiedKv::ScanEvidence scan;
   ASSERT_TRUE(client->ScanProof("ev-", "ev-~", 0, &scan).ok());
   ASSERT_EQ(scan.rows.size(), 20u);
-  ASSERT_TRUE(SpitzDb::VerifyScanEvidence("ev-", "ev-~", 0, scan).ok());
+  ASSERT_TRUE(VerifyScanEvidence("ev-", "ev-~", 0, scan).ok());
   VerifiedKv::ScanEvidence dropped = scan;
   dropped.rows.erase(dropped.rows.begin() + 3);
-  EXPECT_FALSE(SpitzDb::VerifyScanEvidence("ev-", "ev-~", 0, dropped).ok());
+  EXPECT_FALSE(VerifyScanEvidence("ev-", "ev-~", 0, dropped).ok());
   VerifiedKv::ScanEvidence rewritten = scan;
   rewritten.rows[0].value = "forged";
-  EXPECT_FALSE(SpitzDb::VerifyScanEvidence("ev-", "ev-~", 0, rewritten).ok());
+  EXPECT_FALSE(VerifyScanEvidence("ev-", "ev-~", 0, rewritten).ok());
   // A limit is part of the claim: the full range does not verify as a
   // 5-row answer.
-  EXPECT_FALSE(SpitzDb::VerifyScanEvidence("ev-", "ev-~", 5, scan).ok());
+  EXPECT_FALSE(VerifyScanEvidence("ev-", "ev-~", 5, scan).ok());
   root_bytes = scan.digest.substr(0, Hash256::kSize);
   auto scan_verifies = [&] {
     VerifiedKv::ScanEvidence forged = scan;
     forged.digest.replace(0, Hash256::kSize, root_bytes);
-    return SpitzDb::VerifyScanEvidence("ev-", "ev-~", 0, forged).ok();
+    return VerifyScanEvidence("ev-", "ev-~", 0, forged).ok();
   };
   flip_every_byte(&scan.proof, scan_verifies);
   flip_every_byte(&root_bytes, scan_verifies);

@@ -253,7 +253,7 @@ TEST_F(PersistenceTest, ProofsVerifyAfterRecovery) {
   std::string value;
   ReadProof proof;
   ASSERT_TRUE(db->Read(kCurrentVersion, "k33", &value, &proof).ok());
-  EXPECT_TRUE(SpitzDb::VerifyRead(digest, "k33", value, proof).ok());
+  EXPECT_TRUE(VerifyRead(digest, "k33", value, proof).ok());
   // Historical entries recovered from disk remain provable.
   JournalEntryProof jproof;
   LedgerEntry entry;
@@ -593,7 +593,7 @@ TEST_F(PersistenceTest, StoreManyTimesTheCacheVerifiesCollectsAndReopens) {
       std::string value;
       ReadProof proof;
       if (!db->Read(kCurrentVersion, PagedKey(k), &value, &proof).ok() ||
-          !SpitzDb::VerifyRead(digest, PagedKey(k), value, proof).ok() ||
+          !VerifyRead(digest, PagedKey(k), value, proof).ok() ||
           value != PagedLatest(k, kValueBytes)) {
         verify_failures++;
       }
@@ -636,7 +636,7 @@ TEST_F(PersistenceTest, StoreManyTimesTheCacheVerifiesCollectsAndReopens) {
     std::string value;
     ReadProof proof;
     if (!db->Read(kCurrentVersion, PagedKey(i), &value, &proof).ok() ||
-        !SpitzDb::VerifyRead(digest, PagedKey(i), value, proof).ok() ||
+        !VerifyRead(digest, PagedKey(i), value, proof).ok() ||
         value != PagedLatest(i, kValueBytes)) {
       reopen_failures++;
     }
@@ -723,7 +723,7 @@ TEST_F(PersistenceTest, VerifiedSweepKeepsEachCachedNodeOnce) {
     std::string value;
     ReadProof proof;
     if (!db->Read(kCurrentVersion, PagedKey(i), &value, &proof).ok() ||
-        !SpitzDb::VerifyRead(digest, PagedKey(i), value, proof).ok() ||
+        !VerifyRead(digest, PagedKey(i), value, proof).ok() ||
         value != PagedValue(i, 0, kValueBytes)) {
       verify_failures++;
     }
@@ -999,7 +999,7 @@ TEST_F(PersistenceTest, BulkLoadWritesAroundTheCacheAndReadsBackVerified) {
       std::string value;
       ReadProof proof;
       if (!db->Read(kCurrentVersion, PagedKey(i), &value, &proof).ok() ||
-          !SpitzDb::VerifyRead(digest, PagedKey(i), value, proof).ok() ||
+          !VerifyRead(digest, PagedKey(i), value, proof).ok() ||
           value != entries[i].value) {
         failures++;
       }
@@ -1232,7 +1232,7 @@ TEST_F(PersistenceTest, PinnedReadsHitTheCacheInsideTheWindowAndTheStoreOutside)
       ReadProof proof;
       if (!db->Read(pinned.index_root, PagedKey(k), &value, &proof).ok() ||
           value != PagedValue(k, 0, 100) ||
-          !SpitzDb::VerifyRead(pinned, PagedKey(k), value, proof).ok()) {
+          !VerifyRead(pinned, PagedKey(k), value, proof).ok()) {
         failures++;
       }
     }

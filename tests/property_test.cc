@@ -254,7 +254,7 @@ TEST_P(SpitzBlockSizeSweep, DigestsProofsAndConsistency) {
   std::string value;
   ReadProof proof;
   ASSERT_TRUE(db.Read(kCurrentVersion, "k99", &value, &proof).ok());
-  EXPECT_TRUE(SpitzDb::VerifyRead(last, "k99", value, proof).ok());
+  EXPECT_TRUE(VerifyRead(last, "k99", value, proof).ok());
 
   MerkleConsistencyProof consistency;
   ASSERT_TRUE(db.ledger()->ProveConsistency(first.journal, &consistency).ok());

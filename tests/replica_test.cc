@@ -784,7 +784,7 @@ TEST(ReplicaClusterTest, VerifiedReadsFailOverAndPromoteRestoresWrites) {
   // Evidence still assembles and verifies through the failover.
   VerifiedKv::Evidence evidence;
   ASSERT_TRUE(cluster.client->GetProof(key0, &evidence).ok());
-  EXPECT_TRUE(ClusterClient::VerifyGetEvidence(key0, evidence).ok());
+  EXPECT_TRUE(VerifyClusterGetEvidence(key0, evidence).ok());
 
   // Writes to the dead shard fail until promotion...
   s = cluster.client->Put(key0, "rejected");

@@ -236,13 +236,13 @@ TEST(RobustnessTest, EmptyProofStructuresRejected) {
   // verified reads this way) but can never vouch for a value.
   SpitzDigest digest;
   ReadProof rp;
-  EXPECT_TRUE(SpitzDb::VerifyRead(digest, "k", std::nullopt, rp).ok());
+  EXPECT_TRUE(VerifyRead(digest, "k", std::nullopt, rp).ok());
   EXPECT_FALSE(
-      SpitzDb::VerifyRead(digest, "k", std::string("forged"), rp).ok());
+      VerifyRead(digest, "k", std::string("forged"), rp).ok());
   // Any non-empty root still rejects an empty proof outright.
   digest.index_root = Hash256::Of("x");
   rp.index_root = digest.index_root;
-  EXPECT_FALSE(SpitzDb::VerifyRead(digest, "k", std::nullopt, rp).ok());
+  EXPECT_FALSE(VerifyRead(digest, "k", std::nullopt, rp).ok());
 }
 
 }  // namespace

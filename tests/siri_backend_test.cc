@@ -72,7 +72,7 @@ TEST_P(SiriBackendTest, ProofVerifiesAfterWireRoundTrip) {
   ASSERT_TRUE(db.Read(kCurrentVersion, "key17", &value, &proof).ok());
   EXPECT_EQ(value, "val17");
   EXPECT_EQ(proof.index_proof.kind, GetParam());
-  ASSERT_TRUE(SpitzDb::VerifyRead(digest, "key17", value, proof).ok());
+  ASSERT_TRUE(VerifyRead(digest, "key17", value, proof).ok());
 
   // The serialized envelope — exactly what the RPC layer ships — must
   // verify after decoding, and reject a swapped value.
@@ -82,11 +82,11 @@ TEST_P(SiriBackendTest, ProofVerifiesAfterWireRoundTrip) {
   Slice input(wire);
   ASSERT_TRUE(ReadProof::DecodeFrom(&input, &decoded).ok());
   EXPECT_TRUE(input.empty());
-  EXPECT_TRUE(SpitzDb::VerifyRead(digest, "key17", value, decoded).ok());
+  EXPECT_TRUE(VerifyRead(digest, "key17", value, decoded).ok());
   EXPECT_FALSE(
-      SpitzDb::VerifyRead(digest, "key17", std::string("forged"), decoded)
+      VerifyRead(digest, "key17", std::string("forged"), decoded)
           .ok());
-  EXPECT_FALSE(SpitzDb::VerifyRead(digest, "key18", value, decoded).ok());
+  EXPECT_FALSE(VerifyRead(digest, "key18", value, decoded).ok());
 
   // Tampering with any of the first 64 wire bytes must be rejected by
   // decode or by verification.
@@ -97,7 +97,7 @@ TEST_P(SiriBackendTest, ProofVerifiesAfterWireRoundTrip) {
     ReadProof bad;
     Slice in2(tampered);
     if (!ReadProof::DecodeFrom(&in2, &bad).ok()) continue;
-    EXPECT_FALSE(SpitzDb::VerifyRead(digest, "key17", value, bad).ok())
+    EXPECT_FALSE(VerifyRead(digest, "key17", value, bad).ok())
         << "flip at byte " << pos;
   }
 }
@@ -120,10 +120,10 @@ TEST_P(SiriBackendTest, NonMembershipProofVerifies) {
   Slice input(wire);
   ASSERT_TRUE(ReadProof::DecodeFrom(&input, &decoded).ok());
   EXPECT_TRUE(
-      SpitzDb::VerifyRead(digest, "never-written", std::nullopt, decoded)
+      VerifyRead(digest, "never-written", std::nullopt, decoded)
           .ok());
   EXPECT_FALSE(
-      SpitzDb::VerifyRead(digest, "never-written", std::string("x"), decoded)
+      VerifyRead(digest, "never-written", std::string("x"), decoded)
           .ok());
 }
 
@@ -159,7 +159,7 @@ TEST_P(SiriBackendTest, ScanCapabilityMatchesBackend) {
     EXPECT_FALSE(rows.empty());
     ASSERT_TRUE(sp.ok());
     EXPECT_TRUE(
-        SpitzDb::VerifyScan(db.Digest(), "s0", "s9", 0, rows2, proof).ok());
+        VerifyScan(db.Digest(), "s0", "s9", 0, rows2, proof).ok());
   } else {
     // Backends without ordered iteration refuse scans instead of serving
     // unordered or unverifiable results.
@@ -391,8 +391,7 @@ void RunVerifiedKvBattery(VerifiedKv* kv, GetEvidenceVerifier verify_get,
 
 TEST(VerifiedKvInterfaceTest, EmbeddedDbPassesTheBattery) {
   SpitzDb db;
-  RunVerifiedKvBattery(&db, &SpitzDb::VerifyGetEvidence,
-                       &SpitzDb::VerifyScanEvidence);
+  RunVerifiedKvBattery(&db, &VerifyGetEvidence, &VerifyScanEvidence);
 }
 
 TEST(VerifiedKvInterfaceTest, ServedNodePassesTheBattery) {
@@ -400,8 +399,7 @@ TEST(VerifiedKvInterfaceTest, ServedNodePassesTheBattery) {
   ASSERT_TRUE(LocalFleet::Open(LocalFleet::Options(), &fleet).ok());
   std::unique_ptr<SpitzClient> client;
   ASSERT_TRUE(SpitzClient::Open(fleet->ClientOptions(0), &client).ok());
-  RunVerifiedKvBattery(client.get(), &SpitzDb::VerifyGetEvidence,
-                       &SpitzDb::VerifyScanEvidence);
+  RunVerifiedKvBattery(client.get(), &VerifyGetEvidence, &VerifyScanEvidence);
 }
 
 TEST(VerifiedKvInterfaceTest, ShardedClusterPassesTheBattery) {
@@ -411,8 +409,8 @@ TEST(VerifiedKvInterfaceTest, ShardedClusterPassesTheBattery) {
   ASSERT_TRUE(LocalFleet::Open(options, &fleet).ok());
   std::unique_ptr<ClusterClient> client;
   ASSERT_TRUE(ClusterClient::Open(fleet->ClusterOptions(), &client).ok());
-  RunVerifiedKvBattery(client.get(), &ClusterClient::VerifyGetEvidence,
-                       &ClusterClient::VerifyScanEvidence);
+  RunVerifiedKvBattery(client.get(), &VerifyClusterGetEvidence,
+                       &VerifyClusterScanEvidence);
 }
 
 }  // namespace

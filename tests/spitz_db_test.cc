@@ -68,10 +68,9 @@ TEST(SpitzDbTest, VerifiedReadRoundTrip) {
   ReadProof proof;
   ASSERT_TRUE(db.Read(kCurrentVersion, "key500", &value, &proof).ok());
   EXPECT_EQ(value, "val500");
-  EXPECT_TRUE(SpitzDb::VerifyRead(digest, "key500", value, proof).ok());
+  EXPECT_TRUE(VerifyRead(digest, "key500", value, proof).ok());
   // Tampered value rejected.
-  EXPECT_TRUE(SpitzDb::VerifyRead(digest, "key500", std::string("evil"),
-                                  proof)
+  EXPECT_TRUE(VerifyRead(digest, "key500", std::string("evil"), proof)
                   .IsVerificationFailed());
 }
 
@@ -82,7 +81,7 @@ TEST(SpitzDbTest, NonMembershipVerifies) {
   std::string value;
   ReadProof proof;
   EXPECT_TRUE(db.Read(kCurrentVersion, "ghost", &value, &proof).IsNotFound());
-  EXPECT_TRUE(SpitzDb::VerifyRead(digest, "ghost", std::nullopt, proof).ok());
+  EXPECT_TRUE(VerifyRead(digest, "ghost", std::nullopt, proof).ok());
 }
 
 TEST(SpitzDbTest, VerifiedScanRoundTrip) {
@@ -100,11 +99,11 @@ TEST(SpitzDbTest, VerifiedScanRoundTrip) {
                   .ok());
   ASSERT_EQ(rows.size(), 100u);
   EXPECT_TRUE(
-      SpitzDb::VerifyScan(digest, "k000100", "k000200", 0, rows, proof).ok());
+      VerifyScan(digest, "k000100", "k000200", 0, rows, proof).ok());
   // Dropping a row invalidates the proof.
   rows.pop_back();
   EXPECT_FALSE(
-      SpitzDb::VerifyScan(digest, "k000100", "k000200", 0, rows, proof).ok());
+      VerifyScan(digest, "k000100", "k000200", 0, rows, proof).ok());
 }
 
 TEST(SpitzDbTest, ProofAgainstStaleDigestFails) {
@@ -116,7 +115,7 @@ TEST(SpitzDbTest, ProofAgainstStaleDigestFails) {
   ReadProof proof;
   ASSERT_TRUE(db.Read(kCurrentVersion, "k", &value, &proof).ok());
   EXPECT_TRUE(
-      SpitzDb::VerifyRead(stale, "k", value, proof).IsVerificationFailed());
+      VerifyRead(stale, "k", value, proof).IsVerificationFailed());
 }
 
 TEST(SpitzDbTest, ConsistencyAcrossGrowth) {
@@ -276,7 +275,7 @@ TEST(SpitzDbTest, BulkLoadEquivalentToIncrementalPuts) {
   std::string value;
   ReadProof proof;
   ASSERT_TRUE(bulk.Read(kCurrentVersion, "key250", &value, &proof).ok());
-  EXPECT_TRUE(SpitzDb::VerifyRead(bulk.Digest(), "key250", value, proof).ok());
+  EXPECT_TRUE(VerifyRead(bulk.Digest(), "key250", value, proof).ok());
 }
 
 TEST(SpitzDbTest, BulkLoadRejectsNonEmptyDb) {

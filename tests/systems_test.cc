@@ -294,7 +294,7 @@ TEST(ProcessorPoolTest, HandlesAllRequestTypes) {
   SpitzClient::ProofResult pr;
   ASSERT_TRUE(client->GetProof("k1", &pr).ok());
   ASSERT_TRUE(pr.value.has_value());
-  EXPECT_TRUE(SpitzDb::VerifyRead(pr.digest, "k1", *pr.value, pr.proof).ok());
+  EXPECT_TRUE(VerifyRead(pr.digest, "k1", *pr.value, pr.proof).ok());
   std::vector<PosEntry> rows;
   ASSERT_TRUE(client->Scan("", "", 0, &rows).ok());
   EXPECT_EQ(rows.size(), 1u);
@@ -468,6 +468,88 @@ TEST(ClientVerifierTest, NoDigestMeansNoTrust) {
   ReadProof proof;
   EXPECT_TRUE(
       client.CheckRead("k", std::nullopt, proof).IsVerificationFailed());
+}
+
+TEST(ClientVerifierTest, ChecksScansAgainstRetainedDigest) {
+  SpitzDb db;
+  for (int i = 10; i < 40; i++) {
+    ASSERT_TRUE(db.Put("tx/" + std::to_string(i), "amount").ok());
+  }
+  ClientVerifier client;
+  ASSERT_TRUE(client.ObserveDigest(db.Digest()).ok());
+  std::vector<PosEntry> rows;
+  ScanProof proof;
+  ASSERT_TRUE(
+      db.ReadRange(kCurrentVersion, "tx/15", "tx/30", 0, &rows, &proof).ok());
+  ASSERT_EQ(rows.size(), 15u);
+  EXPECT_TRUE(client.CheckScan("tx/15", "tx/30", 0, rows, proof).ok());
+
+  std::vector<PosEntry> dropped = rows;
+  dropped.erase(dropped.begin() + 5);
+  EXPECT_TRUE(client.CheckScan("tx/15", "tx/30", 0, dropped, proof)
+                  .IsVerificationFailed());
+  std::vector<PosEntry> rewritten = rows;
+  rewritten[0].value = "forged";
+  EXPECT_TRUE(client.CheckScan("tx/15", "tx/30", 0, rewritten, proof)
+                  .IsVerificationFailed());
+}
+
+TEST(ClientVerifierTest, ChecksHistoricalEntriesAgainstRetainedDigest) {
+  SpitzOptions options;
+  options.block_size = 4;
+  SpitzDb db(options);
+  for (int i = 0; i < 20; i++) {
+    ASSERT_TRUE(db.Put("evt/" + std::to_string(i), "payload").ok());
+  }
+  ASSERT_TRUE(db.FlushBlock().ok());
+  ClientVerifier client;
+  ASSERT_TRUE(client.ObserveDigest(db.Digest()).ok());
+  JournalEntryProof proof;
+  LedgerEntry entry;
+  ASSERT_TRUE(db.ledger()->ProveHistoricalEntry(2, 3, &proof, &entry).ok());
+  EXPECT_TRUE(client.CheckHistoricalEntry(entry, proof).ok());
+
+  LedgerEntry rewritten = entry;
+  rewritten.value_hash = Hash256::Of("not-what-happened");
+  EXPECT_TRUE(
+      client.CheckHistoricalEntry(rewritten, proof).IsVerificationFailed());
+  LedgerEntry renamed = entry;
+  renamed.key = "evt/other";
+  EXPECT_TRUE(
+      client.CheckHistoricalEntry(renamed, proof).IsVerificationFailed());
+}
+
+TEST(ClientVerifierTest, RefusesEveryCheckBeforeTheFirstDigest) {
+  SpitzOptions options;
+  options.block_size = 2;
+  SpitzDb db(options);
+  ASSERT_TRUE(db.Put("a", "1").ok());
+  ASSERT_TRUE(db.Put("b", "2").ok());
+  std::string value;
+  ReadProof read_proof;
+  ASSERT_TRUE(db.Read(kCurrentVersion, "a", &value, &read_proof).ok());
+  std::vector<PosEntry> rows;
+  ScanProof scan_proof;
+  ASSERT_TRUE(
+      db.ReadRange(kCurrentVersion, "a", "z", 0, &rows, &scan_proof).ok());
+  JournalEntryProof entry_proof;
+  LedgerEntry entry;
+  ASSERT_TRUE(
+      db.ledger()->ProveHistoricalEntry(0, 0, &entry_proof, &entry).ok());
+
+  // Honest evidence, but nothing to check it against yet.
+  ClientVerifier client;
+  EXPECT_TRUE(client.CheckRead("a", value, read_proof).IsVerificationFailed());
+  EXPECT_TRUE(
+      client.CheckScan("a", "z", 0, rows, scan_proof).IsVerificationFailed());
+  EXPECT_TRUE(client.CheckHistoricalEntry(entry, entry_proof)
+                  .IsVerificationFailed());
+
+  // The same evidence passes once a digest is observed.
+  ASSERT_TRUE(client.ObserveDigest(db.Digest()).ok());
+  EXPECT_TRUE(client.CheckRead("a", value, read_proof).ok());
+  EXPECT_TRUE(client.CheckScan("a", "z", 0, rows, scan_proof).ok());
+  EXPECT_TRUE(client.CheckHistoricalEntry(entry, entry_proof).ok());
 }
 
 }  // namespace

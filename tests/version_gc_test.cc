@@ -164,7 +164,7 @@ TEST_F(VersionGcTest, PassesBesideAWriterKeepEveryKeyVerified) {
     std::string value;
     ReadProof proof;
     if (!db->Read(kCurrentVersion, k, &value, &proof).ok() ||
-        !SpitzDb::VerifyRead(digest, k, value, proof).ok() || value != v) {
+        !VerifyRead(digest, k, value, proof).ok() || value != v) {
       failures++;
     }
   }
