@@ -12,6 +12,7 @@
 #include <malloc.h>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <unordered_set>
 
 #include "chunk/buffer_cache.h"
@@ -21,6 +22,7 @@
 #include "chunk/segment_gc.h"
 #include "cluster/local_fleet.h"
 #include "bench/alloc_counter.h"
+#include "common/clock.h"
 #include "common/crc32c.h"
 #include "common/metrics.h"
 #include "common/random.h"
@@ -28,6 +30,7 @@
 #include "core/table.h"
 #include "crypto/sha256.h"
 #include "index/pos_tree.h"
+#include "ledger/ledger.h"
 #include "ledger/merkle_tree.h"
 #include "spitzbench/workload_keys.h"
 #include "txn/batch_verifier.h"
@@ -715,6 +718,46 @@ BENCHMARK(BM_SpitzDbBulkLoad)
     ->Args({200000, 100})
     ->Args({200000, 512})
     ->Unit(benchmark::kMillisecond);
+
+// The ledger's half of a durable bulk load (arg = records of 100 B, in
+// blocks of 64): the three steps SpitzDb::BulkLoad runs around its
+// index build, back to back on this thread — Ledger::PrepareLoad (every
+// full block encoded and hashed on every core), the key history, and
+// LoadLocked (chain fields, header hashes and frames into journal.log's
+// buffer). Opening the journal and closing it are not timed.
+void BM_LedgerLoad(benchmark::State& state) {
+  const std::string dir = BenchDir("spitz_bench_ledger_load");
+  const std::vector<PosEntry> records =
+      LoadEntries(static_cast<size_t>(state.range(0)), 100);
+  const Hash256 root = Hash256::Of("index root");
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::mutex mu;
+    auto ledger = std::make_unique<Ledger>(&mu, nullptr);
+    if (!ledger->Open(Env::Default(), dir + "/journal.log",
+                      [](const Block&) {})
+             .ok()) {
+      abort();
+    }
+    state.ResumeTiming();
+    Ledger::PreparedLoad load;
+    Ledger::PrepareLoad(records, 1, 64, NowMicros(), &load);
+    load.IndexHistory();
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      ledger->LoadLocked(std::move(load), root);
+    }
+    state.PauseTiming();
+    ledger.reset();
+    state.ResumeTiming();
+  }
+  std::filesystem::remove_all(dir);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_LedgerLoad)->Arg(200000)->Unit(benchmark::kMillisecond);
 
 // Recovery: SpitzDb::Open of a data directory holding a durable bulk
 // load (arg = records of 100 B), which replays every chunk segment and

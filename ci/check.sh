@@ -58,11 +58,18 @@
 #   versioned index (versioned_index_test: VersionedIndexTest, reads and
 #   proofs at old roots, the batch apply and the retire ring's cache
 #   erasures) and the ledger (ledger_test: LedgerTest, the seal, bulk
-#   seal, restore and every ledger proof).
+#   seal, restore and every ledger proof). The journal and block suites
+#   (journal_test: JournalTest, JournalRestoreTest, LedgerEntryTest and
+#   BlockTest) run here too: Journal::Open decodes and hashes blocks on
+#   several threads, and a bulk load encodes and hashes its blocks on
+#   every core and indexes their key history on a thread of its own
+#   beside the index build (LedgerTest checks that load against sealing
+#   block by block).
 # ASan+UBSan: the proof-codec, database, group-commit, version-GC,
 #   deferred-auditor, key-history,
 #   2PC participant, write-batch and read-set, network, cluster,
-#   replica, SHA-256/CRC32C kernel, journal, persistence, delta-chunk,
+#   replica, SHA-256/CRC32C kernel, journal (with the ledger entry's
+#   streamed leaf hash, LedgerEntryTest), persistence, delta-chunk,
 #   index-traversal (POS-tree, MPT, MBT and property),
 #   table, SQL and integration tests (untrusted bytes are decoded there —
 #   proof envelopes, decoded as views over the reply's frame buffer
@@ -189,11 +196,11 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
                key_history_test metrics_test recovery_test net_test \
                cluster_test replica_test pos_tree_test persistence_test \
                delta_chunk_test chunk_index_test common_test group_commit_test \
-               version_gc_test versioned_index_test ledger_test
+               version_gc_test versioned_index_test ledger_test journal_test
 # TSAN_OPTIONS makes any reported race fail the run (exit code).
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
   ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
-        -R 'Concurrency|DeferredVerifier|AuditorTest|TxnParticipant|TimestampOracle|SpitzDb|KeyHistory|Metrics|Recovery|Net|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|PosTree|Persistence|DeltaChunk|DeltaRecord|ChunkIndex|SegmentGcPlan|ForkJoin|GroupCommitTest|VersionGcTest|VersionedIndexTest|LedgerTest'
+        -R 'Concurrency|DeferredVerifier|AuditorTest|TxnParticipant|TimestampOracle|SpitzDb|KeyHistory|Metrics|Recovery|Net|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|PosTree|Persistence|DeltaChunk|DeltaRecord|ChunkIndex|SegmentGcPlan|ForkJoin|GroupCommitTest|VersionGcTest|VersionedIndexTest|LedgerTest|Journal|LedgerEntry|Block'
 
 echo "==> tier-2: ASan+UBSan proof-codec and database suite"
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -211,7 +218,7 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
 ASAN_OPTIONS="halt_on_error=1 exitcode=66" \
 UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \
   ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-        -R 'Siri|SpitzDb|SpitzOptions|AuditorTest|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|Block|Persistence|DeltaChunk|DeltaRecord|ChunkIndex|SegmentGcPlan|PosTree|Mpt|Mbt|Table|Sql|Integration|GroupCommitTest|VersionGcTest|VersionedIndexTest|LedgerTest|MetricsEndToEndTest.GcMark' \
+        -R 'Siri|SpitzDb|SpitzOptions|AuditorTest|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|LedgerEntry|Block|Persistence|DeltaChunk|DeltaRecord|ChunkIndex|SegmentGcPlan|PosTree|Mpt|Mbt|Table|Sql|Integration|GroupCommitTest|VersionGcTest|VersionedIndexTest|LedgerTest|MetricsEndToEndTest.GcMark' \
         -E 'CodecMutation|OneByteForm'
 ASAN_OPTIONS="halt_on_error=1 exitcode=66 max_allocation_size_mb=256 allocator_may_return_null=0" \
 UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 #include <system_error>
 #include <thread>
 #include <vector>
@@ -36,6 +37,22 @@ void ParallelFor(size_t n, size_t grain,
   }
   work();
   for (std::thread& helper : helpers) helper.join();
+}
+
+void RunBeside(const std::function<void()>& beside,
+               const std::function<void()>& fn) {
+  std::optional<std::thread> helper;
+  try {
+    helper.emplace(beside);
+  } catch (const std::system_error&) {
+    // No thread to spare: `beside` runs after `fn` instead.
+  }
+  fn();
+  if (helper.has_value()) {
+    helper->join();
+  } else {
+    beside();
+  }
 }
 
 }  // namespace spitz

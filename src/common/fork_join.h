@@ -22,6 +22,15 @@ namespace spitz {
 void ParallelFor(size_t n, size_t grain,
                  const std::function<void(size_t begin, size_t end)>& fn);
 
+// Runs `beside` on a thread started for this call while the calling
+// thread runs `fn`, and returns once both have; when no thread can be
+// started, runs `beside` after `fn`. For a step that needs nothing from
+// `fn` and shares no data with it (a bulk load's key history beside its
+// index build). `beside` must not allocate anything that outlives the
+// call, as for ParallelFor.
+void RunBeside(const std::function<void()>& beside,
+               const std::function<void()>& fn);
+
 }  // namespace spitz
 
 #endif  // SPITZ_COMMON_FORK_JOIN_H_

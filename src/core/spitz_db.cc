@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "chunk/file_chunk_store.h"
+#include "common/clock.h"
 #include "common/fork_join.h"
 
 namespace spitz {
@@ -31,8 +32,6 @@ std::unique_ptr<ChunkStore> MakeChunkStore(const SpitzOptions& options,
   if (!status->ok()) return std::make_unique<ChunkStore>();
   return file_store;
 }
-
-constexpr size_t kValueHashGrain = 512;  // BulkLoad's values per piece
 
 }  // namespace
 
@@ -271,7 +270,7 @@ Status SpitzDb::ApplyBatchLocked(const WriteBatch& batch) {
 void SpitzDb::SealLocked() {
   // Sealing happens immediately after the batch that crossed the
   // boundary, so the index root covers exactly the entries sealed so far.
-  ledger_.SealLocked(index_->root());
+  ledger_.SealLocked(index_->root(), NowMicros());
   index_->Seal();
 }
 
@@ -282,31 +281,26 @@ Status SpitzDb::BulkLoad(std::vector<PosEntry> entries) {
       ledger_.pending_count() != 0) {
     return Status::InvalidArgument("bulk load requires an empty database");
   }
-  uint64_t commit_ts = clock_.AllocateBatch(entries.size());
-  // Ledger entries first (Build consumes the vector). The keys are
-  // copied on this thread; the value hashes, which allocate nothing,
-  // run on every core.
-  std::vector<LedgerEntry> all(entries.size());
-  for (size_t i = 0; i < entries.size(); i++) {
-    all[i].op = LedgerEntry::Op::kPut;
-    all[i].key = entries[i].key;
-    all[i].txn_id = commit_ts + i;
-    all[i].commit_ts = commit_ts + i;
-  }
-  ParallelFor(entries.size(), kValueHashGrain, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; i++) {
-      all[i].value_hash = Hash256::Of(entries[i].value);
-    }
-  });
-  Status s = index_->Build(std::move(entries));
+  const size_t records = entries.size();
+  uint64_t commit_ts = clock_.AllocateBatch(records);
+  // The ledger reads the records before the index build takes them:
+  // every full block is encoded and hashed on every core. Of its work,
+  // only the key history needs order and not the index root, so it runs
+  // beside the build; the blocks are chained once the root exists.
+  Ledger::PreparedLoad load;
+  Ledger::PrepareLoad(entries, commit_ts, options_.block_size, NowMicros(),
+                      &load);
+  Status s;
+  RunBeside([&load] { load.IndexHistory(); },
+            [&] { s = index_->Build(std::move(entries)); });
   if (!s.ok()) return s;
-  last_commit_ts_ = commit_ts + all.size() - 1;
-  // Seal full blocks; the (possibly short) tail stays pending. The
-  // index replaced nothing, so there is nothing to retire.
-  ledger_.LoadLocked(std::move(all), options_.block_size, index_->root());
+  last_commit_ts_ = commit_ts + records - 1;
+  // The index replaced nothing, so there is nothing to retire.
+  ledger_.LoadLocked(std::move(load), index_->root());
   Status io = ledger_.journal().status();
   uint64_t block_count = ledger_.journal().block_count();
   PublishSnapshotLocked(/*journal_changed=*/true);
+  gc_->OnLoaded(block_count);
   lock.unlock();
   if (block_count > 0) NotifySealed(block_count);
   // A bulk load can leave many MB in the journal's manual-flush buffer;

@@ -72,6 +72,12 @@ void VersionGc::OnSealed(uint64_t blocks) {
   wake_cv_.notify_one();
 }
 
+void VersionGc::OnLoaded(uint64_t blocks) {
+  std::lock_guard<std::mutex> lock(wake_mu_);
+  sealed_height_ = std::max(sealed_height_, blocks);
+  ran_height_ = sealed_height_;
+}
+
 bool VersionGc::Collected(const Hash256& index_root) {
   if (index_root.IsZero()) return false;
   // No pass erases while the version is walked.

@@ -65,6 +65,10 @@ class VersionGc {
   // background thread once `interval_blocks` blocks have sealed since
   // its last pass.
   void OnSealed(uint64_t blocks);
+  // Called when a bulk load has sealed the first `blocks` blocks. A load
+  // replaces no version, so it leaves nothing to collect: the interval
+  // count starts at its height.
+  void OnLoaded(uint64_t blocks);
 
  private:
   void ThreadMain();

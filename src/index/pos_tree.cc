@@ -348,21 +348,28 @@ Status PosTree::Build(std::vector<PosEntry> entries, Hash256* root) const {
   auto by_key = [](const PosEntry& a, const PosEntry& b) {
     return a.key < b.key;
   };
-  // A bulk load usually arrives in key order; checking is one pass, and
-  // sorting even sorted input moves every entry log2(n) times.
-  if (!std::is_sorted(entries.begin(), entries.end(), by_key)) {
-    std::stable_sort(entries.begin(), entries.end(), by_key);
-  }
-  // Deduplicate by key, keeping the last occurrence.
-  std::vector<PosEntry> unique;
-  unique.reserve(entries.size());
-  for (size_t i = 0; i < entries.size(); i++) {
-    if (i + 1 < entries.size() && entries[i + 1].key == entries[i].key) {
-      continue;
+  // A bulk load usually arrives in strictly increasing key order, which
+  // one pass confirms: then nothing is sorted, moved or dropped. Sorting
+  // even sorted input moves every entry log2(n) times.
+  if (std::adjacent_find(entries.begin(), entries.end(),
+                         [&](const PosEntry& a, const PosEntry& b) {
+                           return !by_key(a, b);
+                         }) != entries.end()) {
+    if (!std::is_sorted(entries.begin(), entries.end(), by_key)) {
+      std::stable_sort(entries.begin(), entries.end(), by_key);
     }
-    unique.push_back(std::move(entries[i]));
+    // Deduplicate by key in place, keeping the last occurrence.
+    size_t kept = 0;
+    for (size_t i = 0; i < entries.size(); i++) {
+      if (i + 1 < entries.size() && entries[i + 1].key == entries[i].key) {
+        continue;
+      }
+      if (kept != i) entries[kept] = std::move(entries[i]);
+      kept++;
+    }
+    entries.erase(entries.begin() + kept, entries.end());
   }
-  if (unique.empty()) {
+  if (entries.empty()) {
     *root = EmptyRoot();
     return Status::OK();
   }
@@ -370,25 +377,25 @@ Status PosTree::Build(std::vector<PosEntry> entries, Hash256* root) const {
   // store them. The independent work, every entry hash and every leaf's
   // encoding and chunk id, runs on all cores; cutting, allocating and
   // storing stay on this thread, in key order.
-  std::vector<uint8_t> boundary(unique.size());
-  ParallelFor(unique.size(), kEntryHashGrain, [&](size_t begin, size_t end) {
+  std::vector<uint8_t> boundary(entries.size());
+  ParallelFor(entries.size(), kEntryHashGrain, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; i++) {
-      boundary[i] = IsLeafBoundary(EntryHash(unique[i]));
+      boundary[i] = IsLeafBoundary(EntryHash(entries[i]));
     }
   });
   std::vector<size_t> leaf_ends;  // leaf j is [leaf_ends[j - 1], leaf_ends[j])
   size_t open = 0;
-  for (size_t i = 0; i < unique.size(); i++) {
+  for (size_t i = 0; i < entries.size(); i++) {
     if (ClosesNode(boundary[i], i + 1 - open, options_.max_node_elements)) {
       open = i + 1;
       leaf_ends.push_back(open);
     }
   }
-  if (open < unique.size()) leaf_ends.push_back(unique.size());
+  if (open < entries.size()) leaf_ends.push_back(entries.size());
   auto leaf = [&](size_t j) {
     const size_t begin = j == 0 ? 0 : leaf_ends[j - 1];
-    return std::span<const PosEntry>(unique).subspan(begin,
-                                                     leaf_ends[j] - begin);
+    return std::span<const PosEntry>(entries).subspan(begin,
+                                                      leaf_ends[j] - begin);
   };
   std::vector<ChildRef> leaves;
   leaves.reserve(leaf_ends.size());
@@ -408,9 +415,8 @@ Status PosTree::Build(std::vector<PosEntry> entries, Hash256* root) const {
       }
     });
     for (size_t k = 0; k < count; k++) {
-      const std::span<const PosEntry> entries = leaf(first + k);
-      leaves.push_back(
-          ChildRef{entries.back().key, chunks[k].id(), entries.size()});
+      const std::span<const PosEntry> node = leaf(first + k);
+      leaves.push_back(ChildRef{node.back().key, chunks[k].id(), node.size()});
       store_->Put(std::move(chunks[k]));
     }
   }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "chunk/chunk_store.h"
+#include "common/pos_entry.h"
 #include "common/slice.h"
 #include "common/status.h"
 #include "crypto/hash.h"
@@ -35,16 +36,6 @@ namespace spitz {
 //    ARE the integrity proof; no separate ledger lookup is needed. This
 //    is the mechanism behind Spitz's advantage in Figures 6-8.
 // ---------------------------------------------------------------------------
-
-// A key-value pair stored in a leaf.
-struct PosEntry {
-  std::string key;
-  std::string value;
-
-  bool operator==(const PosEntry& other) const {
-    return key == other.key && value == other.value;
-  }
-};
 
 // An entry list: a varint count, then lp(key) lp(value) per entry ("lp"
 // = varint-length-prefixed). A POS leaf's payload, an MBT bucket and

@@ -1,6 +1,8 @@
 #include "ledger/block.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstring>
 
 #include "common/codec.h"
 #include "ledger/merkle_tree.h"
@@ -37,6 +39,26 @@ std::string LedgerEntry::Canonical() const {
   return out;
 }
 
+Hash256 LedgerEntry::LeafHash() const {
+  // The leaf tag and Canonical()'s bytes, fed to SHA-256 as they are
+  // laid out: no string is built.
+  char head[2 + 10];  // tag, op, varint(key length)
+  head[0] = 0x00;
+  head[1] = static_cast<char>(op);
+  char* end = EncodeVarint64(head + 2, key.size());
+  Sha256 h;
+  h.Update(head, end - head);
+  h.Update(key);
+  char tail[Hash256::kSize + 2 * 10];
+  std::memcpy(tail, value_hash.data(), Hash256::kSize);
+  end = EncodeVarint64(tail + Hash256::kSize, txn_id);
+  end = EncodeVarint64(end, commit_ts);
+  h.Update(tail, end - tail);
+  Hash256 out;
+  h.Final(out.data());
+  return out;
+}
+
 void LedgerEntry::EncodeTo(const LedgerEntry& prev, std::string* dst) const {
   const size_t shared = SharedPrefix(prev.key, key);
   dst->push_back(static_cast<char>(op));
@@ -45,6 +67,14 @@ void LedgerEntry::EncodeTo(const LedgerEntry& prev, std::string* dst) const {
   dst->append(value_hash.slice().data(), value_hash.slice().size());
   PutVarint64(dst, ZigZag(commit_ts - prev.commit_ts));
   PutVarint64(dst, ZigZag(txn_id - commit_ts));
+}
+
+size_t LedgerEntry::EncodedSize(const LedgerEntry& prev) const {
+  const size_t shared = SharedPrefix(prev.key, key);
+  const size_t suffix = key.size() - shared;
+  return 1 + VarintLength(shared) + VarintLength(suffix) + suffix +
+         Hash256::kSize + VarintLength(ZigZag(commit_ts - prev.commit_ts)) +
+         VarintLength(ZigZag(txn_id - commit_ts));
 }
 
 Status LedgerEntry::DecodeFrom(Slice* input, const LedgerEntry& prev,
@@ -97,21 +127,8 @@ Block::Block(uint64_t height, uint64_t first_seq, const Hash256& prev_hash,
       block_hash_(HeaderHash(height_, first_seq_, prev_hash_, entries_root_,
                              index_root_, timestamp_)) {}
 
-Block::Block(uint64_t height, uint64_t first_seq, const Hash256& prev_hash,
-             std::vector<LedgerEntry> entries, const Hash256& entries_root,
-             const Hash256& index_root, uint64_t timestamp)
-    : height_(height),
-      first_seq_(first_seq),
-      prev_hash_(prev_hash),
-      entries_(std::move(entries)),
-      entries_root_(entries_root),
-      index_root_(index_root),
-      timestamp_(timestamp),
-      block_hash_(HeaderHash(height_, first_seq_, prev_hash_, entries_root_,
-                             index_root_, timestamp_)) {}
-
 Hash256 Block::ComputeEntriesRoot(std::span<const LedgerEntry> entries) {
-  MerkleTree tree;
+  MerkleFrontier tree;
   for (const LedgerEntry& e : entries) {
     tree.AppendLeafHash(e.LeafHash());
   }
@@ -132,14 +149,41 @@ Hash256 Block::HeaderHash(uint64_t height, uint64_t first_seq,
   return Hash256::Of(header);
 }
 
+void Block::EncodeHeader(uint64_t height, uint64_t first_seq,
+                         const Hash256& prev_hash, const Hash256& index_root,
+                         uint64_t timestamp, uint64_t entry_count,
+                         std::string* dst) {
+  PutVarint64(dst, height);
+  PutVarint64(dst, first_seq);
+  dst->append(prev_hash.slice().data(), Hash256::kSize);
+  dst->append(index_root.slice().data(), Hash256::kSize);
+  PutVarint64(dst, timestamp);
+  PutVarint64(dst, entry_count);
+}
+
+size_t Block::HeaderSize(uint64_t height, uint64_t first_seq,
+                         uint64_t timestamp, uint64_t entry_count) {
+  return VarintLength(height) + VarintLength(first_seq) + 2 * Hash256::kSize +
+         VarintLength(timestamp) + VarintLength(entry_count);
+}
+
+void Block::SetChainFields(uint64_t height, uint64_t first_seq,
+                           const Hash256& prev_hash,
+                           const Hash256& index_root, std::string* encoded) {
+  std::string front;  // the header's bytes ahead of the two fields
+  PutVarint64(&front, height);
+  PutVarint64(&front, first_seq);
+  assert(encoded->size() >= front.size() + 2 * Hash256::kSize &&
+         encoded->compare(0, front.size(), front) == 0);
+  char* at = encoded->data() + front.size();
+  std::memcpy(at, prev_hash.data(), Hash256::kSize);
+  std::memcpy(at + Hash256::kSize, index_root.data(), Hash256::kSize);
+}
+
 std::string Block::Encode() const {
   std::string out;
-  PutVarint64(&out, height_);
-  PutVarint64(&out, first_seq_);
-  out.append(prev_hash_.ToBytes());
-  out.append(index_root_.ToBytes());
-  PutVarint64(&out, timestamp_);
-  PutVarint64(&out, entries_.size());
+  EncodeHeader(height_, first_seq_, prev_hash_, index_root_, timestamp_,
+               entries_.size(), &out);
   const LedgerEntry none;
   const LedgerEntry* prev = &none;
   for (const LedgerEntry& e : entries_) {

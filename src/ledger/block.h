@@ -29,7 +29,8 @@ struct LedgerEntry {
   // varint(commit_ts). The stored form below never changes it.
   std::string Canonical() const;
 
-  Hash256 LeafHash() const { return Hash256::OfLeaf(Canonical()); }
+  // Hash256::OfLeaf(Canonical()), streamed from the fields.
+  Hash256 LeafHash() const;
 
   // The stored form inside a block, written against `prev`, the entry
   // before it in the block (a default LedgerEntry for the first):
@@ -39,6 +40,8 @@ struct LedgerEntry {
   // the longest common prefix of prev.key and key, and the differences
   // wrap modulo 2^64.
   void EncodeTo(const LedgerEntry& prev, std::string* dst) const;
+  // The bytes EncodeTo(prev, ...) appends.
+  size_t EncodedSize(const LedgerEntry& prev) const;
   // Accepts exactly the bytes EncodeTo writes: Corruption on an unknown
   // op, a shared length past prev.key or short of the longest common
   // prefix, a non-canonical varint or a truncation.
@@ -62,11 +65,6 @@ class Block {
   Block(uint64_t height, uint64_t first_seq, const Hash256& prev_hash,
         std::vector<LedgerEntry> entries, const Hash256& index_root,
         uint64_t timestamp);
-  // The same block, with its entries root hashed ahead by the caller:
-  // `entries_root` must be ComputeEntriesRoot(entries).
-  Block(uint64_t height, uint64_t first_seq, const Hash256& prev_hash,
-        std::vector<LedgerEntry> entries, const Hash256& entries_root,
-        const Hash256& index_root, uint64_t timestamp);
 
   uint64_t height() const { return height_; }
   const Hash256& prev_hash() const { return prev_hash_; }
@@ -81,6 +79,20 @@ class Block {
   // varint(timestamp) ‖ varint(entry count) ‖ each entry's stored form
   // (LedgerEntry::EncodeTo against the entry before it).
   std::string Encode() const;
+  // Encode()'s bytes up to the first entry, and their count.
+  static void EncodeHeader(uint64_t height, uint64_t first_seq,
+                           const Hash256& prev_hash,
+                           const Hash256& index_root, uint64_t timestamp,
+                           uint64_t entry_count, std::string* dst);
+  static size_t HeaderSize(uint64_t height, uint64_t first_seq,
+                           uint64_t timestamp, uint64_t entry_count);
+  // Writes `prev_hash` and `index_root` into `encoded`, Encode()'s bytes
+  // of the block at `height` and `first_seq` with those two fields left
+  // zero (a bulk load encodes its blocks before it chains them, and
+  // before the index root they record exists).
+  static void SetChainFields(uint64_t height, uint64_t first_seq,
+                             const Hash256& prev_hash,
+                             const Hash256& index_root, std::string* encoded);
   // Decodes a block and derives its entries root and block hash from
   // the decoded bytes (neither is stored in the encoding). Accepts
   // exactly the bytes Encode writes: trailing bytes are Corruption.

@@ -121,25 +121,34 @@ Status Journal::Open(Env* env, const std::string& path, const AdoptFn& adopt,
 uint64_t Journal::Append(std::vector<LedgerEntry> entries,
                          const Hash256& index_root, uint64_t timestamp,
                          Slice* serialized) {
-  const Hash256 entries_root = Block::ComputeEntriesRoot(entries);
-  return Append(std::move(entries), entries_root, index_root, timestamp,
-                serialized);
-}
-
-uint64_t Journal::Append(std::vector<LedgerEntry> entries,
-                         const Hash256& entries_root,
-                         const Hash256& index_root, uint64_t timestamp,
-                         Slice* serialized) {
-  const uint64_t height = block_hashes_.size();
-  const Block block(height, entry_count_, tip_hash_, std::move(entries),
-                    entries_root, index_root, timestamp);
+  const Block block(block_count(), entry_count_, tip_hash_, std::move(entries),
+                    index_root, timestamp);
   std::string encoded = block.Encode();
   // Encode grew the string by doubling; the block stays resident until
   // a flush covers it, and a journal without a file keeps it for good.
   encoded.shrink_to_fit();
+  return Seal(block.block_hash(), index_root, block.entries().size(),
+              std::move(encoded), serialized);
+}
+
+uint64_t Journal::AppendEncoded(std::string encoded, uint64_t entries,
+                                const Hash256& entries_root,
+                                const Hash256& index_root,
+                                uint64_t timestamp) {
+  Block::SetChainFields(block_count(), entry_count_, tip_hash_, index_root,
+                        &encoded);
+  const Hash256 block_hash =
+      Block::HeaderHash(block_count(), entry_count_, tip_hash_, entries_root,
+                        index_root, timestamp);
+  return Seal(block_hash, index_root, entries, std::move(encoded), nullptr);
+}
+
+uint64_t Journal::Seal(const Hash256& block_hash, const Hash256& index_root,
+                       uint64_t entries, std::string encoded,
+                       Slice* serialized) {
+  const uint64_t height = block_count();
   if (log_ != nullptr) LogFrame(height, encoded);
-  AddBlock(block.block_hash(), index_root, block.entries().size(),
-           encoded.size());
+  AddBlock(block_hash, index_root, entries, encoded.size());
   resident_bytes_ += encoded.size();
   resident_.push_back(std::move(encoded));
   if (serialized != nullptr) *serialized = resident_.back();

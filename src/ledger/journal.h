@@ -102,11 +102,14 @@ class Journal {
   // sticky in status(), and the block stands either way.
   uint64_t Append(std::vector<LedgerEntry> entries, const Hash256& index_root,
                   uint64_t timestamp, Slice* serialized = nullptr);
-  // The same, with the block's entries root hashed ahead by the caller:
-  // `entries_root` must be Block::ComputeEntriesRoot(entries).
-  uint64_t Append(std::vector<LedgerEntry> entries,
-                  const Hash256& entries_root, const Hash256& index_root,
-                  uint64_t timestamp, Slice* serialized = nullptr);
+  // The same for a block encoded ahead (Ledger::PrepareLoad): `encoded`
+  // is Block::Encode()'s bytes of the next block, at this height and
+  // sequence, holding `entries` entries whose root is `entries_root`,
+  // stamped `timestamp`, with its chain fields left zero. Writes the tip
+  // hash and `index_root` into them.
+  uint64_t AppendEncoded(std::string encoded, uint64_t entries,
+                         const Hash256& entries_root,
+                         const Hash256& index_root, uint64_t timestamp);
 
   // Restores a block received from a primary. `block` is `serialized`
   // decoded by the caller (Block::Decode derived its hashes); Restore
@@ -209,6 +212,9 @@ class Journal {
  private:
   // Restore's checks: `block` must chain from the current tip.
   Status CheckChains(const Block& block) const;
+  // Logs and records `encoded`, the next block, and keeps it resident.
+  uint64_t Seal(const Hash256& block_hash, const Hash256& index_root,
+                uint64_t entries, std::string encoded, Slice* serialized);
   // Records the hashes and frame extent of the next block.
   void AddBlock(const Hash256& block_hash, const Hash256& index_root,
                 uint64_t entries, size_t serialized_bytes);

@@ -23,32 +23,53 @@ size_t KeyHistoryIndex::Probe(uint32_t fingerprint) const {
   return i;
 }
 
-void KeyHistoryIndex::Grow() {
+void KeyHistoryIndex::GrowFor(size_t used) {
+  size_t size = slots_.empty() ? 16 : slots_.size();
+  while (used * 5 > size * 4) size *= 2;
+  if (size == slots_.size()) return;
   std::vector<Slot> old = std::move(slots_);
-  slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
+  slots_.assign(size, Slot{});
   for (const Slot& slot : old) {
     if (slot.last != kNone) slots_[Probe(slot.fingerprint)] = slot;
   }
 }
 
-void KeyHistoryIndex::AddBlock(const std::vector<LedgerEntry>& entries) {
-  if (prev_.size() + entries.size() >= kNone) {
+void KeyHistoryIndex::Reserve(uint64_t writes, uint64_t blocks) {
+  prev_.reserve(prev_.size() + writes);
+  block_first_.reserve(block_first_.size() + blocks);
+  // Every write may bring a fingerprint of its own.
+  GrowFor(used_slots_ + writes);
+}
+
+void KeyHistoryIndex::BeginBlock(size_t writes) {
+  if (prev_.size() + writes >= kNone) {
     std::fprintf(stderr, "KeyHistoryIndex: more than 2^32 - 1 writes\n");
     std::abort();
   }
   block_first_.push_back(prev_.size());
-  for (const LedgerEntry& entry : entries) {
-    // Keep the load at most 4/5 (counting the slot this write may take).
-    if ((used_slots_ + 1) * 5 > slots_.size() * 4) Grow();
-    const uint32_t fingerprint = Fingerprint(entry.key);
-    Slot& slot = slots_[Probe(fingerprint)];
-    if (slot.last == kNone) {
-      slot.fingerprint = fingerprint;
-      used_slots_++;
-    }
-    prev_.push_back(slot.last);
-    slot.last = static_cast<uint32_t>(prev_.size() - 1);
+}
+
+void KeyHistoryIndex::Add(uint32_t fingerprint) {
+  // Keep the load at most 4/5 (counting the slot this write may take).
+  if ((used_slots_ + 1) * 5 > slots_.size() * 4) GrowFor(used_slots_ + 1);
+  Slot& slot = slots_[Probe(fingerprint)];
+  if (slot.last == kNone) {
+    slot.fingerprint = fingerprint;
+    used_slots_++;
   }
+  prev_.push_back(slot.last);
+  slot.last = static_cast<uint32_t>(prev_.size() - 1);
+}
+
+void KeyHistoryIndex::AddBlock(const std::vector<LedgerEntry>& entries) {
+  BeginBlock(entries.size());
+  for (const LedgerEntry& entry : entries) Add(Fingerprint(entry.key));
+}
+
+void KeyHistoryIndex::AddBlockFingerprints(
+    std::span<const uint32_t> fingerprints) {
+  BeginBlock(fingerprints.size());
+  for (uint32_t fingerprint : fingerprints) Add(fingerprint);
 }
 
 void KeyHistoryIndex::Lookup(const Slice& key,

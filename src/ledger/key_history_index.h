@@ -2,6 +2,7 @@
 #define SPITZ_LEDGER_KEY_HISTORY_INDEX_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/slice.h"
@@ -34,6 +35,14 @@ class KeyHistoryIndex {
   // Indexes the entries of the next block (heights 0, 1, 2, ... in seal
   // order). O(1) amortised per entry.
   void AddBlock(const std::vector<LedgerEntry>& entries);
+  // The same for a block whose keys' fingerprints are already computed
+  // (Fingerprint, in entry order).
+  void AddBlockFingerprints(std::span<const uint32_t> fingerprints);
+
+  // Makes room for `writes` more writes in `blocks` more blocks, so that
+  // adding them allocates nothing (a bulk load indexes its history on a
+  // thread of its own, DESIGN.md section 6).
+  void Reserve(uint64_t writes, uint64_t blocks);
 
   // Every indexed write whose key has `key`'s fingerprint, in seal
   // order. Touches only those writes.
@@ -55,7 +64,12 @@ class KeyHistoryIndex {
 
   // The slot holding `fingerprint`, or the empty slot where it belongs.
   size_t Probe(uint32_t fingerprint) const;
-  void Grow();
+  // Doubles the table (from 16 slots) until it holds `used` slots at
+  // most 4/5 full.
+  void GrowFor(size_t used);
+  // Checks that `writes` more fit, and starts the next block.
+  void BeginBlock(size_t writes);
+  void Add(uint32_t fingerprint);
 
   // prev_[seq]: the previous write with the same fingerprint, or kNone.
   std::vector<uint32_t> prev_;

@@ -1,15 +1,15 @@
 #include "ledger/ledger.h"
 
-#include "common/clock.h"
+#include <cassert>
+
 #include "common/fork_join.h"
 
 namespace spitz {
 
 namespace {
 
-// LoadLocked's pieces of parallel work: full blocks whose entries root
-// is computed, per piece.
-constexpr size_t kBlockRootGrain = 8;
+// PrepareLoad's pieces of parallel work: full blocks per piece.
+constexpr size_t kBlockGrain = 8;
 
 }  // namespace
 
@@ -63,8 +63,7 @@ void Ledger::AddLocked(const WriteBatch& batch, uint64_t commit_ts) {
   }
 }
 
-void Ledger::SealLocked(const Hash256& index_root,
-                        const Hash256* entries_root) {
+void Ledger::SealLocked(const Hash256& index_root, uint64_t timestamp) {
   if (pending_.empty()) return;
   ScopedTimer timer(seal_ns_);
   // Index history from the entries in hand, before Append takes them:
@@ -72,36 +71,97 @@ void Ledger::SealLocked(const Hash256& index_root,
   history_.AddBlock(pending_);
   // Each block stores the index root as of its last entry — "each block
   // in the ledger stores a historical index instance" (section 6.1).
-  const Hash256 merkle_root = entries_root != nullptr
-                                  ? *entries_root
-                                  : Block::ComputeEntriesRoot(pending_);
-  journal_.Append(std::move(pending_), merkle_root, index_root, NowMicros());
+  journal_.Append(std::move(pending_), index_root, timestamp);
   pending_.clear();
 }
 
-void Ledger::LoadLocked(std::vector<LedgerEntry> all, size_t block_size,
-                        const Hash256& index_root) {
-  // Every full block's entries root is hashed first, on every core;
-  // sealing, chaining and the key history then go in order on this
-  // thread.
-  std::vector<Hash256> entries_roots(all.size() / block_size);
-  ParallelFor(entries_roots.size(), kBlockRootGrain,
-              [&](size_t begin, size_t end) {
-                for (size_t b = begin; b < end; b++) {
-                  entries_roots[b] = Block::ComputeEntriesRoot(
-                      std::span<const LedgerEntry>(all).subspan(
-                          b * block_size, block_size));
-                }
-              });
-  for (size_t b = 0; b < entries_roots.size(); b++) {
-    const auto first = all.begin() + b * block_size;
-    pending_.assign(std::make_move_iterator(first),
-                    std::make_move_iterator(first + block_size));
-    SealLocked(index_root, &entries_roots[b]);
+void Ledger::PrepareLoad(std::span<const PosEntry> records, uint64_t first_ts,
+                         size_t block_size, uint64_t timestamp,
+                         PreparedLoad* load) {
+  const size_t blocks = records.size() / block_size;
+  const size_t sealed = blocks * block_size;
+  load->block_size = block_size;
+  load->timestamp = timestamp;
+  // Record i as the entry SealLocked would have sealed, but for its
+  // value hash. A LedgerEntry owns its key, so the workers fill two
+  // scratch entries of their own, in turn, which live no longer than
+  // their piece.
+  auto fill = [&](size_t i, LedgerEntry* entry) {
+    entry->key.assign(records[i].key);
+    entry->txn_id = first_ts + i;
+    entry->commit_ts = first_ts + i;
+  };
+  const LedgerEntry none;  // what a block's first entry is encoded against
+  // Each block's exact size first, so that this thread allocates the
+  // bytes the workers then encode into.
+  std::vector<size_t> sizes(blocks);
+  load->fingerprints.resize(sealed);
+  ParallelFor(blocks, kBlockGrain, [&](size_t begin, size_t end) {
+    LedgerEntry scratch[2];
+    for (size_t b = begin; b < end; b++) {
+      size_t size =
+          Block::HeaderSize(b, b * block_size, timestamp, block_size);
+      const LedgerEntry* prev = &none;
+      for (size_t i = b * block_size; i < (b + 1) * block_size; i++) {
+        LedgerEntry* entry = &scratch[i & 1];
+        fill(i, entry);
+        size += entry->EncodedSize(*prev);
+        load->fingerprints[i] = KeyHistoryIndex::Fingerprint(entry->key);
+        prev = entry;
+      }
+      sizes[b] = size;
+    }
+  });
+  load->blocks.resize(blocks);
+  for (size_t b = 0; b < blocks; b++) load->blocks[b].reserve(sizes[b]);
+  load->entries_roots.resize(blocks);
+  // The SHA-256 work: every value hash, leaf hash and entries root.
+  ParallelFor(blocks, kBlockGrain, [&](size_t begin, size_t end) {
+    LedgerEntry scratch[2];
+    for (size_t b = begin; b < end; b++) {
+      std::string* out = &load->blocks[b];
+      Block::EncodeHeader(b, b * block_size, Hash256(), Hash256(), timestamp,
+                          block_size, out);
+      MerkleFrontier tree;
+      const LedgerEntry* prev = &none;
+      for (size_t i = b * block_size; i < (b + 1) * block_size; i++) {
+        LedgerEntry* entry = &scratch[i & 1];
+        fill(i, entry);
+        entry->value_hash = Hash256::Of(records[i].value);
+        tree.AppendLeafHash(entry->LeafHash());
+        entry->EncodeTo(*prev, out);
+        prev = entry;
+      }
+      assert(out->size() == sizes[b]);
+      load->entries_roots[b] = tree.Root();
+    }
+  });
+  load->tail.resize(records.size() - sealed);
+  for (size_t i = sealed; i < records.size(); i++) {
+    LedgerEntry* entry = &load->tail[i - sealed];
+    fill(i, entry);
+    entry->value_hash = Hash256::Of(records[i].value);
   }
-  pending_.assign(
-      std::make_move_iterator(all.begin() + entries_roots.size() * block_size),
-      std::make_move_iterator(all.end()));
+  load->history.Reserve(sealed, blocks);
+}
+
+void Ledger::PreparedLoad::IndexHistory() {
+  for (size_t first = 0; first < fingerprints.size(); first += block_size) {
+    history.AddBlockFingerprints(
+        std::span<const uint32_t>(fingerprints).subspan(first, block_size));
+  }
+}
+
+void Ledger::LoadLocked(PreparedLoad load, const Hash256& index_root) {
+  assert(journal_.block_count() == 0 && pending_.empty() &&
+         history_.write_count() == 0);
+  assert(load.history.write_count() == load.fingerprints.size());
+  for (size_t b = 0; b < load.blocks.size(); b++) {
+    journal_.AppendEncoded(std::move(load.blocks[b]), load.block_size,
+                           load.entries_roots[b], index_root, load.timestamp);
+  }
+  history_ = std::move(load.history);
+  pending_ = std::move(load.tail);
 }
 
 Status Ledger::RestoreLocked(const Block& block, const Slice& serialized) {

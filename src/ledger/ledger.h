@@ -3,11 +3,13 @@
 
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/env.h"
 #include "common/metrics.h"
+#include "common/pos_entry.h"
 #include "common/status.h"
 #include "crypto/hash.h"
 #include "ledger/block.h"
@@ -51,17 +53,46 @@ class Ledger {
   size_t pending_count() const { return pending_.size(); }
   // Buffers `batch`'s ops as entries committed at `commit_ts`.
   void AddLocked(const WriteBatch& batch, uint64_t commit_ts);
-  // Seals every pending entry into one block recording `index_root`; in
-  // durable mode the journal logs its frame, a failure sticky in
-  // journal().status(). `entries_root`, when given, is
-  // Block::ComputeEntriesRoot of the pending entries, hashed ahead.
-  void SealLocked(const Hash256& index_root,
-                  const Hash256* entries_root = nullptr);
-  // Bulk ingestion: seals `entries` in blocks of `block_size`, each
-  // recording `index_root`, and leaves the short tail pending. The full
-  // blocks' entries roots are hashed on every core first.
-  void LoadLocked(std::vector<LedgerEntry> entries, size_t block_size,
-                  const Hash256& index_root);
+  // Seals every pending entry into one block recording `index_root`,
+  // stamped `timestamp`; in durable mode the journal logs its frame, a
+  // failure sticky in journal().status().
+  void SealLocked(const Hash256& index_root, uint64_t timestamp);
+
+  // Bulk ingestion (SpitzDb::BulkLoad): records become puts committed at
+  // first_ts, first_ts + 1, ..., sealed in full blocks of block_size that
+  // all record the loaded index root and share one timestamp; the short
+  // tail stays pending. Only the block headers need that root, so the
+  // work comes in three steps around the index build: PrepareLoad before
+  // it, PreparedLoad::IndexHistory beside it, LoadLocked after it.
+  struct PreparedLoad {
+    // The key history of the full blocks, as sealing them one by one
+    // indexes it. Allocates nothing (PrepareLoad made the room), so it
+    // may run on a thread of its own.
+    void IndexHistory();
+
+    size_t block_size = 0;
+    uint64_t timestamp = 0;
+    // Per full block: Block::Encode()'s bytes with the chain fields zero
+    // (Block::SetChainFields), and its entries root.
+    std::vector<std::string> blocks;
+    std::vector<Hash256> entries_roots;
+    // KeyHistoryIndex::Fingerprint of every full-block entry's key.
+    std::vector<uint32_t> fingerprints;
+    KeyHistoryIndex history;
+    std::vector<LedgerEntry> tail;
+  };
+  // Encodes every full block of `records` and hashes its entries root,
+  // on every core, and copies the tail's entries. Reads `records` during
+  // the call only; every buffer it leaves in *load is allocated on the
+  // calling thread.
+  static void PrepareLoad(std::span<const PosEntry> records,
+                          uint64_t first_ts, size_t block_size,
+                          uint64_t timestamp, PreparedLoad* load);
+  // Appends the prepared blocks, each recording `index_root` (their chain
+  // fields, header hashes and frames are all that is left), takes their
+  // key history and leaves the tail pending. The ledger must be empty,
+  // and IndexHistory done.
+  void LoadLocked(PreparedLoad load, const Hash256& index_root);
   // A block a primary sealed (Journal::Restore), then its key history.
   Status RestoreLocked(const Block& block, const Slice& serialized);
 

@@ -28,6 +28,30 @@ uint64_t MerkleTree::AppendLeafHash(const Hash256& leaf_hash) {
   return index;
 }
 
+void MerkleFrontier::AppendLeafHash(const Hash256& leaf_hash) {
+  // As in MerkleTree: each pair the new leaf completes hashes upward.
+  Hash256 carry = leaf_hash;
+  size_t level = 0;
+  while ((size_ >> level) & 1) {
+    carry = Hash256::OfPair(peaks_[level], carry);
+    level++;
+  }
+  peaks_[level] = carry;
+  size_++;
+}
+
+Hash256 MerkleFrontier::Root() const {
+  if (size_ == 0) return Hash256::Of(Slice("", 0));
+  // The tree splits at the largest power of two below its size, so the
+  // root folds the peaks from the smallest, rightmost one leftward.
+  size_t level = __builtin_ctzll(size_);
+  Hash256 root = peaks_[level];
+  for (level++; level < 64; level++) {
+    if ((size_ >> level) & 1) root = Hash256::OfPair(peaks_[level], root);
+  }
+  return root;
+}
+
 Hash256 MerkleTree::SubtreeHash(uint64_t start, uint64_t size) const {
   if (size == 1) return levels_[0][start];
   // Fast path: full, aligned subtree cached in levels_.

@@ -95,6 +95,22 @@ class MerkleTree {
   mutable std::vector<std::vector<Hash256>> levels_;
 };
 
+// The root MerkleTree::Root() gives over the same leaves, for a caller
+// that needs the root alone (a block's entries root): it keeps the
+// roots of the perfect subtrees the leaves so far fill, one per set bit
+// of their count, and allocates nothing.
+class MerkleFrontier {
+ public:
+  void AppendLeafHash(const Hash256& leaf_hash);
+  Hash256 Root() const;
+
+ private:
+  // peaks_[l] is the root of the 2^l leaves that bit l of size_ stands
+  // for, when that bit is set.
+  Hash256 peaks_[64];
+  uint64_t size_ = 0;
+};
+
 // Largest power of two strictly less than n (n >= 2).
 uint64_t LargestPowerOfTwoBelow(uint64_t n);
 

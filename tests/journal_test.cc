@@ -97,6 +97,34 @@ TEST(LedgerEntryTest, LeafHashDiffersByField) {
   EXPECT_NE(a.LeafHash(), c.LeafHash());
 }
 
+// The streamed leaf hash against the hash of the built Canonical()
+// string, over a seeded sweep of key lengths across the one- and
+// two-byte length prefix and timestamps across every varint width. Each
+// case also checks that EncodedSize is the bytes EncodeTo appends.
+TEST(LedgerEntryTest, LeafHashIsTheLeafHashOfCanonical) {
+  Random rnd(20261020);
+  const uint64_t values[] = {0, 127, 128, uint64_t{1} << 63, UINT64_MAX};
+  LedgerEntry prev;
+  for (size_t key_bytes : {0, 127, 128, 16384}) {
+    for (uint64_t txn_id : values) {
+      for (uint64_t commit_ts : values) {
+        LedgerEntry e;
+        e.op = rnd.OneIn(2) ? LedgerEntry::Op::kPut : LedgerEntry::Op::kDelete;
+        e.key = rnd.Bytes(key_bytes);
+        e.value_hash = Hash256::Of(rnd.Bytes(1 + rnd.Uniform(64)));
+        e.txn_id = txn_id;
+        e.commit_ts = commit_ts;
+        EXPECT_EQ(e.LeafHash(), Hash256::OfLeaf(e.Canonical()))
+            << key_bytes << " / " << txn_id << " / " << commit_ts;
+        std::string stored;
+        e.EncodeTo(prev, &stored);
+        EXPECT_EQ(e.EncodedSize(prev), stored.size());
+        prev = std::move(e);
+      }
+    }
+  }
+}
+
 // --- Block --------------------------------------------------------------------
 
 TEST(BlockTest, EncodeDecodePreservesHash) {

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "common/metrics.h"
+#include "common/random.h"
 
 namespace spitz {
 namespace {
@@ -22,7 +27,7 @@ class LedgerTest : public ::testing::Test {
     for (const std::string& key : keys) batch.Put(key, "v" + key);
     std::lock_guard<std::mutex> lock(mu_);
     ledger_.AddLocked(batch, ts);
-    ledger_.SealLocked(index_root);
+    ledger_.SealLocked(index_root, /*timestamp=*/ts);
   }
 
   std::mutex mu_;
@@ -88,15 +93,17 @@ TEST_F(LedgerTest, ConsistencyProofSpansTheGrowthSinceADigest) {
 }
 
 TEST_F(LedgerTest, LoadSealsFullBlocksAndLeavesTheTailPending) {
-  std::vector<LedgerEntry> entries(10);
-  for (size_t i = 0; i < entries.size(); i++) {
-    entries[i].key = "k" + std::to_string(i);
-    entries[i].commit_ts = i + 1;
+  std::vector<PosEntry> records(10);
+  for (size_t i = 0; i < records.size(); i++) {
+    records[i].key = "k" + std::to_string(i);
   }
   const Hash256 root = Hash256::Of("loaded");
   {
+    Ledger::PreparedLoad load;
+    Ledger::PrepareLoad(records, /*first_ts=*/1, 4, /*timestamp=*/7, &load);
+    load.IndexHistory();
     std::lock_guard<std::mutex> lock(mu_);
-    ledger_.LoadLocked(std::move(entries), 4, root);
+    ledger_.LoadLocked(std::move(load), root);
     EXPECT_EQ(ledger_.journal().block_count(), 2u);
     EXPECT_EQ(ledger_.pending_count(), 2u);
   }
@@ -108,6 +115,101 @@ TEST_F(LedgerTest, LoadSealsFullBlocksAndLeavesTheTailPending) {
   ASSERT_TRUE(ledger_.KeyHistory("k5", &history).ok());
   EXPECT_EQ(history[0].block_height, 1u);
   EXPECT_TRUE(ledger_.KeyHistory("k9", &history).IsNotFound()) << "pending";
+}
+
+// A bulk load's three steps write what sealing its records one block at
+// a time writes: the same blocks, journal.log bytes, digest, pending
+// tail and key history. The seeded records hold duplicate keys, keys of
+// 128 B and more (a two-byte length prefix) and a partial tail block.
+TEST_F(LedgerTest, LoadWritesTheSameJournalAsSealingBlockByBlock) {
+  constexpr size_t kBlockSize = 8;
+  constexpr uint64_t kFirstTs = 1000;
+  constexpr uint64_t kTimestamp = 1760000000000000;
+  Random rnd(43);
+  std::vector<std::string> keys;
+  for (int i = 0; i < 40; i++) {
+    keys.push_back("key" + rnd.Bytes(rnd.OneIn(4) ? 128 + rnd.Uniform(200)
+                                                  : rnd.Uniform(12)));
+  }
+  std::vector<PosEntry> records(13 * kBlockSize + 5);
+  for (PosEntry& record : records) {
+    record.key = keys[rnd.Uniform(keys.size())];
+    record.value = rnd.Bytes(rnd.Uniform(300));
+  }
+  const Hash256 root = Hash256::Of("loaded root");
+  const std::string dir = ::testing::TempDir() + "/spitz_ledger_load";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  auto no_adopt = [](const Block&) {};
+  ASSERT_TRUE(ledger_.Open(Env::Default(), dir + "/loaded.log", no_adopt).ok());
+  std::mutex sealed_mu;
+  Ledger sealed(&sealed_mu, nullptr);
+  ASSERT_TRUE(sealed.Open(Env::Default(), dir + "/sealed.log", no_adopt).ok());
+
+  Ledger::PreparedLoad load;
+  Ledger::PrepareLoad(records, kFirstTs, kBlockSize, kTimestamp, &load);
+  load.IndexHistory();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ledger_.LoadLocked(std::move(load), root);
+    ASSERT_TRUE(ledger_.mutable_journal()->Flush().ok());
+  }
+  {
+    std::lock_guard<std::mutex> lock(sealed_mu);
+    for (size_t i = 0; i < records.size(); i++) {
+      WriteBatch batch;
+      batch.Put(records[i].key, records[i].value);
+      sealed.AddLocked(batch, kFirstTs + i);
+      if ((i + 1) % kBlockSize == 0) sealed.SealLocked(root, kTimestamp);
+    }
+    ASSERT_TRUE(sealed.mutable_journal()->Flush().ok());
+  }
+
+  const uint64_t blocks = records.size() / kBlockSize;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> sealed_lock(sealed_mu);
+    ASSERT_EQ(ledger_.journal().block_count(), blocks);
+    ASSERT_EQ(sealed.journal().block_count(), blocks);
+    EXPECT_EQ(ledger_.pending_count(), records.size() % kBlockSize);
+    EXPECT_EQ(sealed.pending_count(), records.size() % kBlockSize);
+    const JournalDigest a = ledger_.journal().Digest();
+    const JournalDigest b = sealed.journal().Digest();
+    EXPECT_EQ(a.block_count, b.block_count);
+    EXPECT_EQ(a.entry_count, b.entry_count);
+    EXPECT_EQ(a.tip_hash, b.tip_hash);
+    EXPECT_EQ(a.merkle_root, b.merkle_root);
+  }
+  for (uint64_t h = 0; h < blocks; h++) {
+    std::string loaded_bytes, sealed_bytes;
+    Block loaded_block, sealed_block;
+    ASSERT_TRUE(ledger_.SealedBlock(h, &loaded_bytes, &loaded_block).ok());
+    ASSERT_TRUE(sealed.SealedBlock(h, &sealed_bytes, &sealed_block).ok());
+    EXPECT_EQ(loaded_block.block_hash(), sealed_block.block_hash()) << h;
+    EXPECT_EQ(loaded_block.entries_root(), sealed_block.entries_root()) << h;
+    EXPECT_EQ(loaded_bytes, sealed_bytes) << h;
+  }
+  auto file_bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string loaded_file = file_bytes(dir + "/loaded.log");
+  EXPECT_FALSE(loaded_file.empty());
+  EXPECT_EQ(loaded_file, file_bytes(dir + "/sealed.log"));
+
+  for (const std::string& key : keys) {
+    std::vector<Ledger::HistoricalWrite> a, b;
+    const Status sa = ledger_.KeyHistory(key, &a);
+    const Status sb = sealed.KeyHistory(key, &b);
+    ASSERT_EQ(sa.ok(), sb.ok()) << sa.ToString() << " / " << sb.ToString();
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); i++) {
+      EXPECT_EQ(a[i].block_height, b[i].block_height);
+      EXPECT_EQ(a[i].entry, b[i].entry);
+      EXPECT_EQ(a[i].proof.entry_index, b[i].proof.entry_index);
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(LedgerTest, RestoreTakesAnotherLedgersBlocksInOrderOnly) {

@@ -62,6 +62,17 @@ TEST(MerkleTreeTest, RootAtMatchesIncrementalRoots) {
   }
 }
 
+TEST(MerkleTreeTest, FrontierRootIsTheTreeRootAtEverySize) {
+  MerkleTree tree;
+  MerkleFrontier frontier;
+  EXPECT_EQ(frontier.Root(), tree.Root());
+  for (int i = 0; i < 300; i++) {
+    tree.AppendLeafHash(Leaf(i));
+    frontier.AppendLeafHash(Leaf(i));
+    ASSERT_EQ(frontier.Root(), tree.Root()) << "size " << i + 1;
+  }
+}
+
 TEST(MerkleTreeTest, RootAtBeyondSizeFails) {
   MerkleTree t;
   t.AppendLeafHash(Leaf(0));

@@ -94,6 +94,27 @@ TEST_F(VersionGcTest, BackgroundPassRunsEveryIntervalBlocks) {
   EXPECT_EQ(db->Metrics().CounterValue("gc.failures"), 0u);
 }
 
+// A bulk load replaces no version, so the blocks it seals count toward
+// no interval: no pass runs until `gc_interval_blocks` blocks seal
+// after it.
+TEST_F(VersionGcTest, BulkLoadStartsTheIntervalCountAtItsHeight) {
+  std::unique_ptr<SpitzDb> db = Open(/*gc_interval_blocks=*/4);
+  std::vector<PosEntry> entries;
+  for (int i = 0; i < 64 * 10; i++) {
+    entries.push_back({"load" + std::to_string(10000 + i), "v"});
+  }
+  ASSERT_TRUE(db->BulkLoad(std::move(entries)).ok());
+  ASSERT_EQ(db->Digest().journal.block_count, 10u);
+  for (int i = 0; i < 3; i++) Seal(db.get(), i);
+  // Give a wrongly woken pass time to show.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(Runs(db.get()), 0u);
+
+  Seal(db.get(), 3);
+  EXPECT_EQ(WaitForRuns(db.get(), 1), 1u);
+  EXPECT_EQ(db->Metrics().CounterValue("gc.failures"), 0u);
+}
+
 TEST_F(VersionGcTest, ClosingRightAfterAWakingSealLeavesNoThread) {
   // Opens, seals one block (waking a pass) and closes at once, with the
   // pass queued or running; returns the thread count once it settles.
