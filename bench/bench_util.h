@@ -89,6 +89,36 @@ inline void PrintRow(size_t records, const std::vector<double>& kops) {
 
 inline void PrintFooter(const char* note) { printf("%s\n", note); }
 
+// The paper's ranks, checked. Each check states that one measurement is
+// at least `factor` times another: a rank with a margin, never an
+// absolute number, since those depend on the host. Every check prints a
+// line to `out`; ExitCode() is non-zero once any failed. EXPERIMENTS.md
+// records each margin and the runs it was set from.
+class RankChecks {
+ public:
+  // `unit` names the scale each check is made at.
+  explicit RankChecks(const char* unit = "records", FILE* out = stdout)
+      : unit_(unit), out_(out) {}
+
+  // Checks higher >= factor * lower at scale `at`.
+  bool AtLeast(const std::string& what, size_t at, double higher,
+               double lower, double factor) {
+    const bool ok = higher >= factor * lower;
+    fprintf(out_, "rank %s: %s at %zu %s: ratio %.2f, needs >= %.2f\n",
+            ok ? "ok" : "FAILED", what.c_str(), at, unit_,
+            lower > 0 ? higher / lower : 0.0, factor);
+    failed_ += ok ? 0 : 1;
+    return ok;
+  }
+
+  int ExitCode() const { return failed_ == 0 ? 0 : 1; }
+
+ private:
+  const char* unit_;
+  FILE* out_;
+  int failed_ = 0;
+};
+
 }  // namespace bench
 }  // namespace spitz
 

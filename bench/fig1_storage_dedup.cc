@@ -7,12 +7,14 @@
 // ForkBase-style storage deduplicates unchanged content-defined chunks.
 //
 // Output: storage in KB at 10..60 versions for both strategies (the two
-// lines of Figure 1).
+// lines of Figure 1). Both ranks are checked (RankChecks, margins in
+// EXPERIMENTS.md); the binary exits non-zero when one inverts.
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "chunk/blob_store.h"
 #include "chunk/chunk_store.h"
 #include "common/random.h"
@@ -65,6 +67,8 @@ int main() {
     naive_bytes += page.size();
   }
 
+  // Both lines at 10 versions, where the table starts.
+  uint64_t naive_at_10 = 0, dedup_at_10 = 0;
   for (int version = 2; version <= kMaxVersions; version++) {
     // One page is updated per version step (a new snapshot of the
     // database is appended).
@@ -73,6 +77,10 @@ int main() {
     blobs.Put(pages[p]);
     naive_bytes += pages[p].size();
 
+    if (version == 10) {
+      naive_at_10 = naive_bytes;
+      dedup_at_10 = chunks.stats().physical_bytes;
+    }
     if (version % 10 == 0) {
       printf("%-12d  %20.1f  %20.1f\n", version,
              static_cast<double>(naive_bytes) / 1024.0,
@@ -81,11 +89,15 @@ int main() {
   }
 
   printf(
-      "\nShape check (paper): the deduplicated line grows far slower than\n"
-      "the naive line; at 60 versions the gap should be several-fold.\n");
-  double ratio = static_cast<double>(naive_bytes) /
-                 static_cast<double>(chunks.stats().physical_bytes);
-  printf("naive / dedup storage ratio at %d versions: %.2fx\n", kMaxVersions,
-         ratio);
-  return 0;
+      "\nshape: the deduplicated line grows far slower than the naive "
+      "line; at 60 versions the gap is several-fold\n");
+  const uint64_t dedup_bytes = chunks.stats().physical_bytes;
+  bench::RankChecks ranks("versions");
+  ranks.AtLeast("naive / dedup storage", kMaxVersions,
+                static_cast<double>(naive_bytes),
+                static_cast<double>(dedup_bytes), 2);
+  ranks.AtLeast("naive / dedup growth since 10 versions", kMaxVersions,
+                static_cast<double>(naive_bytes - naive_at_10),
+                static_cast<double>(dedup_bytes - dedup_at_10), 2);
+  return ranks.ExitCode();
 }

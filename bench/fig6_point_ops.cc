@@ -13,6 +13,9 @@
 //  * writes: Spitz ~ Immutable KVS with and without verification
 //    (deferred, batched audits); Baseline much worse because it
 //    maintains multiple indexed views plus the ledger.
+//
+// Each rank is checked at every scale (RankChecks, margins in
+// EXPERIMENTS.md); the binary exits non-zero when one inverts.
 
 #include <optional>
 
@@ -169,10 +172,37 @@ Measurement RunWrites(size_t records) {
   return m;
 }
 
-void Run() {
+// The reads' ranks. The KVS and Spitz share one read path, so "KVS
+// fastest" is gated only as far as their run-to-run noise allows.
+void CheckReads(size_t records, const Measurement& m, RankChecks* ranks) {
+  ranks->AtLeast("read: ImmutableKVS / Spitz", records, m.kvs, m.spitz, 0.5);
+  ranks->AtLeast("read: Baseline / Spitz (plain within 2x)", records,
+                 m.baseline, m.spitz, 0.5);
+  ranks->AtLeast("read: Baseline / Baseline-verify", records, m.baseline,
+                 m.baseline_verify, 10);
+  ranks->AtLeast("read: Spitz-verify / Baseline-verify", records,
+                 m.spitz_verify, m.baseline_verify, 3);
+}
+
+// The writes' ranks. Baseline-verify adds one proof per write to
+// Baseline's writes, a gap within this host's noise, so "Baseline-verify
+// worst" is gated only as far as that noise allows.
+void CheckWrites(size_t records, const Measurement& m, RankChecks* ranks) {
+  ranks->AtLeast("write: Spitz / ImmutableKVS", records, m.spitz, m.kvs, 0.5);
+  ranks->AtLeast("write: Spitz-verify / ImmutableKVS", records,
+                 m.spitz_verify, m.kvs, 0.5);
+  ranks->AtLeast("write: Spitz / Baseline", records, m.spitz, m.baseline,
+                 1.5);
+  ranks->AtLeast("write: Baseline / Baseline-verify", records, m.baseline,
+                 m.baseline_verify, 0.75);
+}
+
+int Run() {
   const std::vector<std::string> systems = {"ImmutableKVS", "Spitz",
                                             "Spitz-verify", "Baseline",
                                             "Baseline-verify"};
+  RankChecks ranks;
+  std::vector<std::pair<size_t, Measurement>> rows;
   PrintHeader(
       "Figure 6(a): read-only throughput, single thread (Kops/s)",
       systems);
@@ -180,11 +210,14 @@ void Run() {
     Measurement m = RunReads(records);
     PrintRow(records,
              {m.kvs, m.spitz, m.spitz_verify, m.baseline, m.baseline_verify});
+    rows.emplace_back(records, m);
   }
   PrintFooter(
       "shape: KVS fastest; Spitz ~ Baseline plain; Baseline-verify ~2 "
       "orders below Baseline; Spitz-verify >> Baseline-verify (paper: 7x)");
+  for (const auto& [records, m] : rows) CheckReads(records, m, &ranks);
 
+  rows.clear();
   PrintHeader(
       "Figure 6(b): write-only throughput, single thread (Kops/s)",
       systems);
@@ -192,18 +225,18 @@ void Run() {
     Measurement m = RunWrites(records);
     PrintRow(records,
              {m.kvs, m.spitz, m.spitz_verify, m.baseline, m.baseline_verify});
+    rows.emplace_back(records, m);
   }
   PrintFooter(
       "shape: Spitz ~ ImmutableKVS with and without verification "
       "(deferred batch audits); Baseline much worse (multiple views); "
       "Baseline-verify worst (per-record proof retrieval)");
+  for (const auto& [records, m] : rows) CheckWrites(records, m, &ranks);
+  return ranks.ExitCode();
 }
 
 }  // namespace
 }  // namespace bench
 }  // namespace spitz
 
-int main() {
-  spitz::bench::Run();
-  return 0;
-}
+int main() { return spitz::bench::Run(); }

@@ -12,6 +12,9 @@
 //  * with verification, Spitz outperforms the baseline by up to two
 //    orders of magnitude — proofs ride along with the scan in Spitz,
 //    while the baseline retrieves each record's proof individually.
+//
+// The last two are checked (RankChecks, margins in EXPERIMENTS.md); the
+// binary exits non-zero when one inverts.
 
 #include "baseline/baseline_db.h"
 #include "bench/bench_util.h"
@@ -31,14 +34,17 @@ size_t QueriesForScale(size_t records) {
   return q < 50 ? 50 : q;
 }
 
-void Run() {
+int Run() {
   const std::vector<std::string> systems = {"ImmutableKVS", "Spitz",
                                             "Spitz-verify", "Baseline",
                                             "Baseline-verify"};
   PrintHeader("Figure 7: range query throughput, selectivity 0.1% (Kops/s)",
               systems);
+  const std::vector<size_t> scales = RecordScales();
+  // Per scale, each system's Kops/s in `systems` order.
+  std::vector<std::vector<double>> rows;
 
-  for (size_t records : RecordScales()) {
+  for (size_t records : scales) {
     std::vector<PosEntry> data = MakeRecords(records);
     // Sorted keys let us pick range starts with a known span.
     std::vector<std::string> sorted_keys;
@@ -117,20 +123,33 @@ void Run() {
         }
       }) / 1000.0;
     }
-    PrintRow(records, {kvs_kops, spitz_kops, spitz_verify_kops, baseline_kops,
-                       baseline_verify_kops});
+    rows.push_back({kvs_kops, spitz_kops, spitz_verify_kops, baseline_kops,
+                    baseline_verify_kops});
+    PrintRow(records, rows.back());
   }
   PrintFooter(
       "shape: throughput falls with record count (fixed selectivity); "
       "Spitz-verify up to ~2 orders above Baseline-verify (batched proof "
       "retrieval vs per-record ledger search)");
+  RankChecks ranks;
+  for (size_t i = 0; i < rows.size(); i++) {
+    ranks.AtLeast("Spitz-verify / Baseline-verify", scales[i], rows[i][2],
+                  rows[i][4], 10);
+  }
+  // Each system at the smallest scale against itself at the largest.
+  // Between scales closer than 4x apart the verified series' fall is
+  // within this host's noise, so it is checked from 4x apart.
+  if (scales.size() > 1 && scales.back() >= 4 * scales.front()) {
+    for (size_t s = 0; s < systems.size(); s++) {
+      ranks.AtLeast(systems[s] + ": smallest scale / largest",
+                    scales.back(), rows.front()[s], rows.back()[s], 1.1);
+    }
+  }
+  return ranks.ExitCode();
 }
 
 }  // namespace
 }  // namespace bench
 }  // namespace spitz
 
-int main() {
-  spitz::bench::Run();
-  return 0;
-}
+int main() { return spitz::bench::Run(); }

@@ -12,7 +12,9 @@
 // The composed design's two services are served over real loopback TCP
 // sockets (framing, CRC, kernel round trips), so the overhead is
 // measured, not modelled. The results land in one JSON document so
-// BENCH_*.json tracking can diff runs.
+// BENCH_*.json tracking can diff runs. Both ranks are checked at every
+// scale (RankChecks, on stderr; margins in EXPERIMENTS.md); the binary
+// exits non-zero when one inverts.
 
 #include "bench/bench_util.h"
 #include "core/spitz_db.h"
@@ -170,7 +172,7 @@ double MeasureTcpRttMicros() {
   return static_cast<double>(MonotonicNanos() - start) / kProbes / 1000.0;
 }
 
-void Run() {
+int Run() {
   std::vector<Row> reads, writes;
   for (size_t records : RecordScales()) reads.push_back(RunReads(records));
   for (size_t records : RecordScales()) writes.push_back(RunWrites(records));
@@ -191,13 +193,21 @@ void Run() {
          "databases\"\n");
   printf("  ]\n");
   printf("}\n");
+
+  RankChecks ranks("records", stderr);
+  for (const Row& r : reads) {
+    ranks.AtLeast("read: Spitz-verify / Non-intrusive-verify", r.records,
+                  r.spitz_verify, r.composed_verify, 3);
+  }
+  for (const Row& r : writes) {
+    ranks.AtLeast("write: Spitz / Non-intrusive", r.records, r.spitz,
+                  r.composed, 2);
+  }
+  return ranks.ExitCode();
 }
 
 }  // namespace
 }  // namespace bench
 }  // namespace spitz
 
-int main() {
-  spitz::bench::Run();
-  return 0;
-}
+int main() { return spitz::bench::Run(); }

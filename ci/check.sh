@@ -4,9 +4,11 @@
 #   check (examples/net_client, cluster_client and auditor_client link
 #   neither spitz_core nor the network layer's server half,
 #   spitz_net_server), the runnable examples, the metrics smoke, the
-#   auditor smoke and chaos runs, and the repository benchmark
-#   (spitzbench) smoke. Every other behaviour
-#   check lives in ctest; every end-to-end measurement in spitzbench.
+#   auditor smoke and chaos runs, the paper's figure ranks (figures 1,
+#   6, 7 and 8 at 20 000 records; each binary exits non-zero when a rank
+#   the paper claims inverts) and the repository benchmark (spitzbench)
+#   smoke. Every other behaviour check lives in ctest; every end-to-end
+#   measurement in spitzbench.
 #   Last, ci/loc.sh prints the tracked line and ctest case counts (it
 #   gates nothing).
 # TSan: the concurrency, group-commit, version-GC, deferred-auditor,
@@ -64,7 +66,9 @@
 #   several threads, and a bulk load encodes and hashes its blocks on
 #   every core and indexes their key history on a thread of its own
 #   beside the index build (LedgerTest checks that load against sealing
-#   block by block).
+#   block by block). The baseline (baseline_db_test: BaselineDbTest)
+#   runs in both legs: it proves outside its lock, and verified readers
+#   race a writer whose puts seal blocks.
 # ASan+UBSan: the proof-codec, database, group-commit, version-GC,
 #   deferred-auditor, key-history,
 #   2PC participant, write-batch and read-set, network, cluster,
@@ -178,6 +182,15 @@ echo "==> tier-1: auditor chaos (bounce, failover, tampered run)"
 # actually fires.
 "${PREFIX}/bench/auditor_client" --chaos --smoke
 
+echo "==> tier-1: the paper's figure ranks (figures 1, 6, 7 and 8)"
+# Each figure binary checks the ranks the paper claims, with margins set
+# from repeated runs (EXPERIMENTS.md), and exits non-zero when one
+# inverts. Absolute numbers depend on the host and are not gated.
+"${PREFIX}/bench/fig1_storage_dedup" > /dev/null
+for figure in fig6_point_ops fig7_range_query fig8_nonintrusive; do
+  SPITZ_BENCH_MAX_RECORDS=20000 "${PREFIX}/bench/${figure}" > /dev/null
+done
+
 echo "==> tier-1: repository benchmark smoke (spitzbench, all workloads)"
 # spitzbench compiles src/ through its own CMake project, which ctest
 # never builds, so this leg is what catches a src/ change that breaks
@@ -196,11 +209,12 @@ cmake --build "${PREFIX}-tsan" -j "${JOBS}" \
                key_history_test metrics_test recovery_test net_test \
                cluster_test replica_test pos_tree_test persistence_test \
                delta_chunk_test chunk_index_test common_test group_commit_test \
-               version_gc_test versioned_index_test ledger_test journal_test
+               version_gc_test versioned_index_test ledger_test journal_test \
+               baseline_db_test
 # TSAN_OPTIONS makes any reported race fail the run (exit code).
 TSAN_OPTIONS="halt_on_error=1 exitcode=66" \
   ctest --test-dir "${PREFIX}-tsan" --output-on-failure -j "${JOBS}" \
-        -R 'Concurrency|DeferredVerifier|AuditorTest|TxnParticipant|TimestampOracle|SpitzDb|KeyHistory|Metrics|Recovery|Net|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|PosTree|Persistence|DeltaChunk|DeltaRecord|ChunkIndex|SegmentGcPlan|ForkJoin|GroupCommitTest|VersionGcTest|VersionedIndexTest|LedgerTest|Journal|LedgerEntry|Block'
+        -R 'Concurrency|DeferredVerifier|AuditorTest|TxnParticipant|TimestampOracle|SpitzDb|KeyHistory|Metrics|Recovery|Net|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|PosTree|Persistence|DeltaChunk|DeltaRecord|ChunkIndex|SegmentGcPlan|ForkJoin|GroupCommitTest|VersionGcTest|VersionedIndexTest|LedgerTest|Journal|LedgerEntry|Block|BaselineDb'
 
 echo "==> tier-2: ASan+UBSan proof-codec and database suite"
 cmake -B "${PREFIX}-asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -214,11 +228,12 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
                pos_tree_test mpt_mbt_test \
                property_test table_test sql_test \
                integration_test group_commit_test version_gc_test metrics_test \
-               versioned_index_test ledger_test codec_mutation_test
+               versioned_index_test ledger_test codec_mutation_test \
+               baseline_db_test
 ASAN_OPTIONS="halt_on_error=1 exitcode=66" \
 UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \
   ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-        -R 'Siri|SpitzDb|SpitzOptions|AuditorTest|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|LedgerEntry|Block|Persistence|DeltaChunk|DeltaRecord|ChunkIndex|SegmentGcPlan|PosTree|Mpt|Mbt|Table|Sql|Integration|GroupCommitTest|VersionGcTest|VersionedIndexTest|LedgerTest|MetricsEndToEndTest.GcMark' \
+        -R 'Siri|SpitzDb|SpitzOptions|AuditorTest|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|LedgerEntry|Block|Persistence|DeltaChunk|DeltaRecord|ChunkIndex|SegmentGcPlan|PosTree|Mpt|Mbt|Table|Sql|Integration|GroupCommitTest|VersionGcTest|VersionedIndexTest|LedgerTest|BaselineDb|MetricsEndToEndTest.GcMark' \
         -E 'CodecMutation|OneByteForm'
 ASAN_OPTIONS="halt_on_error=1 exitcode=66 max_allocation_size_mb=256 allocator_may_return_null=0" \
 UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \

@@ -2,8 +2,35 @@
 
 #include "common/clock.h"
 #include "common/codec.h"
+#include "kvs/immutable_kvs.h"
 
 namespace spitz {
+
+namespace {
+
+// Encoded location of a journal entry in the materialized meta view.
+std::string EncodeLocation(uint64_t height, uint64_t index) {
+  std::string out;
+  PutVarint64(&out, height);
+  PutVarint64(&out, index);
+  return out;
+}
+
+Status DecodeLocation(Slice in, uint64_t* height, uint64_t* index) {
+  Status s = GetVarint64(&in, height);
+  return s.ok() ? GetVarint64(&in, index) : s;
+}
+
+// History-view key: length-prefixed user key, then big-endian sequence
+// so versions of one key are contiguous and time-ordered.
+std::string HistoryKey(const Slice& key, uint64_t seq) {
+  std::string out;
+  PutLengthPrefixedSlice(&out, key);
+  PutFixed64(&out, __builtin_bswap64(seq));
+  return out;
+}
+
+}  // namespace
 
 Status BaselineDb::Open(Options options, std::unique_ptr<BaselineDb>* db) {
   Status s = options.Validate();
@@ -15,7 +42,11 @@ Status BaselineDb::Open(Options options, std::unique_ptr<BaselineDb>* db) {
 BaselineDb::BaselineDb(Options options)
     : options_(options),
       init_status_(options.Validate()),
-      views_(&chunks_, options.view_options) {
+      cache_(BufferCache::kDefaultCapacityBytes),
+      values_(MakeView()),
+      metas_(MakeView()),
+      history_(MakeView()),
+      ledger_(&mu_, nullptr) {
   // Clamp a rejected block size so sealing cannot spin even if the
   // caller ignores init_status_.
   if (options_.block_size == 0) options_.block_size = 128;
@@ -25,228 +56,188 @@ BaselineDb::BaselineDb(Options options)
       registry_.histogram("baseline.db.verified_read_latency_ns");
   scan_ns_ = registry_.histogram("baseline.db.scan_latency_ns");
   chunks_.ExportMetrics(&registry_);
+  cache_.ExportMetrics(&registry_);
 }
 
-std::string BaselineDb::EncodeLocation(uint64_t height, uint64_t index) {
-  std::string out;
-  PutVarint64(&out, height);
-  PutVarint64(&out, index);
-  return out;
+// A view keeps as many versions' nodes cached as the KVS does; the value
+// view's versions are writes, the others' sealed blocks.
+VersionedIndex BaselineDb::MakeView() {
+  SiriIndexOptions options;
+  options.pos = options_.view_options;
+  return VersionedIndex(SiriBackend::kPosTree, &chunks_, &cache_, options,
+                        ImmutableKvs::kRetainedVersions, &registry_,
+                        "baseline.view");
 }
-
-Status BaselineDb::DecodeLocation(const Slice& in, uint64_t* height,
-                                  uint64_t* index) {
-  Slice input = in;
-  Status s = GetVarint64(&input, height);
-  if (!s.ok()) return s;
-  return GetVarint64(&input, index);
-}
-
-namespace {
-// History-view key: length-prefixed user key, then big-endian sequence
-// so versions of one key are contiguous and time-ordered.
-std::string HistoryKey(const Slice& key, uint64_t seq) {
-  std::string out;
-  PutLengthPrefixedSlice(&out, key);
-  PutFixed64(&out, __builtin_bswap64(seq));
-  return out;
-}
-}  // namespace
 
 Status BaselineDb::Put(const Slice& key, const Slice& value) {
-  if (!init_status_.ok()) return init_status_;
-  ScopedTimer timer(write_ns_);
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t ts = clock_.Allocate();
-  // Materialized value view: immediately queryable.
-  Status s = views_.Put(value_view_, key, value, &value_view_);
-  if (!s.ok()) return s;
-  // Ledger entry: buffered until the block seals.
-  LedgerEntry entry;
-  entry.op = LedgerEntry::Op::kPut;
-  entry.key = key.ToString();
-  entry.value_hash = Hash256::Of(value);
-  entry.txn_id = ts;
-  entry.commit_ts = ts;
-  pending_.push_back(std::move(entry));
-  pending_keys_.push_back(key.ToString());
-  if (pending_.size() >= options_.block_size) SealBlockLocked();
-  return Status::OK();
+  WriteBatch batch;
+  batch.Put(key, value);
+  return Write(batch);
 }
 
 Status BaselineDb::Delete(const Slice& key) {
+  WriteBatch batch;
+  batch.Delete(key);
+  return Write(batch);
+}
+
+Status BaselineDb::Write(const WriteBatch& batch) {
   if (!init_status_.ok()) return init_status_;
   ScopedTimer timer(write_ns_);
-  std::lock_guard<std::mutex> lock(mu_);
-  Status s = views_.Delete(value_view_, key, &value_view_);
-  if (!s.ok()) return s;
-  uint64_t ts = clock_.Allocate();
-  LedgerEntry entry;
-  entry.op = LedgerEntry::Op::kDelete;
-  entry.key = key.ToString();
-  entry.value_hash = Hash256();
-  entry.txn_id = ts;
-  entry.commit_ts = ts;
-  pending_.push_back(std::move(entry));
-  pending_keys_.push_back(key.ToString());
-  if (pending_.size() >= options_.block_size) SealBlockLocked();
-  return Status::OK();
+  Status s;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const Hash256 before = values_.root();
+    // Materialized value view: immediately queryable.
+    s = values_.Apply(batch);
+    values_.Seal();
+    if (s.ok() && batch.ops()[0].type == WriteBatch::OpType::kDelete &&
+        values_.root() == before) {
+      s = Status::NotFound("key not found");
+    }
+    if (s.ok()) {
+      // Ledger entry: buffered until the block seals.
+      ledger_.AddLocked(batch, clock_.Allocate());
+      if (ledger_.pending_count() >= options_.block_size) {
+        s = SealBlockLocked();
+      }
+    }
+  }
+  EraseExpired();
+  return s;
 }
 
 Status BaselineDb::BulkLoad(std::vector<PosEntry> entries) {
   if (!init_status_.ok()) return init_status_;
   std::lock_guard<std::mutex> lock(mu_);
-  if (!value_view_.IsZero() || ledger_.block_count() != 0 ||
-      !pending_.empty()) {
+  if (!values_.root().IsZero() || ledger_.journal().block_count() != 0 ||
+      ledger_.pending_count() != 0) {
     return Status::InvalidArgument("bulk load requires an empty database");
   }
-  uint64_t ts = clock_.AllocateBatch(entries.size());
-  // Journal blocks.
-  std::vector<PosEntry> meta_entries;
-  std::vector<PosEntry> history_entries;
-  meta_entries.reserve(entries.size());
-  history_entries.reserve(entries.size());
-  std::vector<LedgerEntry> block;
-  uint64_t seq = 0;
-  for (size_t i = 0; i < entries.size(); i++) {
-    LedgerEntry entry;
-    entry.op = LedgerEntry::Op::kPut;
-    entry.key = entries[i].key;
-    entry.value_hash = Hash256::Of(entries[i].value);
-    entry.txn_id = ts + i;
-    entry.commit_ts = ts + i;
-    block.push_back(std::move(entry));
-    if (block.size() == options_.block_size) {
-      uint64_t height = ledger_.Append(std::move(block), Hash256(),
-                                       NowMicros());
-      block.clear();
-      for (size_t j = 0; j < options_.block_size; j++) {
-        size_t idx = i + 1 - options_.block_size + j;
-        std::string loc = EncodeLocation(height, j);
-        meta_entries.push_back(PosEntry{entries[idx].key, loc});
-        std::string hkey;
-        PutLengthPrefixedSlice(&hkey, entries[idx].key);
-        PutFixed64(&hkey, __builtin_bswap64(seq + j));
-        history_entries.push_back(PosEntry{std::move(hkey), loc});
-      }
-      seq += options_.block_size;
-    }
+  const size_t block_size = options_.block_size;
+  Ledger::PreparedLoad load;
+  Ledger::PrepareLoad(entries, clock_.AllocateBatch(entries.size()),
+                      block_size, NowMicros(), &load);
+  load.IndexHistory();
+  // The meta and history views locate the full blocks' entries; the
+  // tail stays pending (unsealed), as with incremental writes.
+  const size_t sealed = load.blocks.size() * block_size;
+  std::vector<PosEntry> metas;
+  std::vector<PosEntry> history;
+  metas.reserve(sealed);
+  history.reserve(sealed);
+  for (size_t i = 0; i < sealed; i++) {
+    std::string loc = EncodeLocation(i / block_size, i % block_size);
+    metas.push_back(PosEntry{entries[i].key, loc});
+    history.push_back(PosEntry{HistoryKey(entries[i].key, i), std::move(loc)});
   }
-  // Tail entries stay pending (unsealed), as with incremental writes.
-  for (size_t i = entries.size() - block.size(); i < entries.size(); i++) {
-    pending_keys_.push_back(entries[i].key);
-  }
-  pending_ = std::move(block);
-
-  Status s = views_.Build(std::move(meta_entries), &meta_view_);
-  if (!s.ok()) return s;
-  s = views_.Build(std::move(history_entries), &history_view_);
-  if (!s.ok()) return s;
-  return views_.Build(std::move(entries), &value_view_);
+  Status s = metas_.Build(std::move(metas));
+  if (s.ok()) s = history_.Build(std::move(history));
+  if (s.ok()) s = values_.Build(std::move(entries));
+  if (s.ok()) ledger_.LoadLocked(std::move(load), Hash256());
+  return s;
 }
 
-void BaselineDb::SealBlockLocked() {
-  if (pending_.empty()) return;
-  size_t count = pending_.size();
-  uint64_t first_seq = ledger_.entry_count();
-  uint64_t height =
-      ledger_.Append(std::move(pending_), Hash256(), NowMicros());
-  pending_.clear();
-  // Materialize the meta and history views for the sealed entries.
-  for (size_t i = 0; i < count; i++) {
-    const std::string& key = pending_keys_[i];
+Status BaselineDb::SealBlockLocked() {
+  const std::vector<LedgerEntry>& pending = ledger_.pending();
+  if (pending.empty()) return Status::OK();
+  const uint64_t height = ledger_.journal().block_count();
+  const uint64_t first_seq = ledger_.journal().entry_count();
+  WriteBatch metas;
+  WriteBatch history;
+  for (size_t i = 0; i < pending.size(); i++) {
     std::string loc = EncodeLocation(height, i);
-    views_.Put(meta_view_, key, loc, &meta_view_);
-    views_.Put(history_view_, HistoryKey(key, first_seq + i), loc,
-               &history_view_);
+    metas.Put(pending[i].key, loc);
+    history.Put(HistoryKey(pending[i].key, first_seq + i), loc);
   }
-  pending_keys_.clear();
+  ledger_.SealLocked(Hash256(), NowMicros());
+  // Materialize the meta and history views for the sealed entries.
+  Status s = metas_.Apply(metas);
+  if (s.ok()) s = history_.Apply(history);
+  metas_.Seal();
+  history_.Seal();
+  return s;
 }
 
 void BaselineDb::FlushBlock() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    SealBlockLocked();
+  }
+  EraseExpired();
+}
+
+void BaselineDb::EraseExpired() {
+  values_.EraseExpired();
+  metas_.EraseExpired();
+  history_.EraseExpired();
+}
+
+std::pair<Hash256, Hash256> BaselineDb::Roots() const {
   std::lock_guard<std::mutex> lock(mu_);
-  SealBlockLocked();
+  return {values_.root(), metas_.root()};
 }
 
 Status BaselineDb::Get(const Slice& key, std::string* value) const {
   ScopedTimer timer(read_ns_);
-  Hash256 view;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    view = value_view_;
-  }
-  return views_.Get(view, key, value, nullptr);
+  return values_.Read(Roots().first, key, value, nullptr);
 }
 
-Status BaselineDb::GetVerified(const Slice& key, VerifiedValue* out) const {
-  ScopedTimer timer(verified_read_ns_);
-  Hash256 value_view, meta_view;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    value_view = value_view_;
-    meta_view = meta_view_;
-  }
-  Status s = views_.Get(value_view, key, &out->value, nullptr);
-  if (!s.ok()) return s;
+Status BaselineDb::ProveLatest(const Hash256& metas, const Slice& key,
+                               VerifiedValue* vv) const {
   // Locate the latest journal entry for this key, then rebuild the
   // within-block proof — the separate, per-record ledger search that
   // the unified Spitz index avoids.
   std::string loc;
-  s = views_.Get(meta_view, key, &loc, nullptr);
-  if (!s.ok()) {
+  Status s = metas_.Read(metas, key, &loc, nullptr);
+  if (s.IsNotFound()) {
     return Status::Busy("record not yet sealed into the ledger");
   }
   uint64_t height = 0, index = 0;
-  s = DecodeLocation(loc, &height, &index);
+  if (s.ok()) s = DecodeLocation(loc, &height, &index);
+  if (s.ok()) {
+    s = ledger_.ProveHistoricalEntry(height, index, &vv->proof, &vv->entry);
+  }
   if (!s.ok()) return s;
-  std::lock_guard<std::mutex> lock(mu_);
-  return ledger_.ProveEntry(height, index, &out->proof, &out->entry);
+  // The value view holds unsealed writes too: a value the latest sealed
+  // write did not put is one whose write is still pending.
+  if (vv->entry.op != LedgerEntry::Op::kPut ||
+      vv->entry.value_hash != Hash256::Of(vv->value)) {
+    return Status::Busy("latest write not yet sealed into the ledger");
+  }
+  return Status::OK();
+}
+
+Status BaselineDb::GetVerified(const Slice& key, VerifiedValue* out) const {
+  ScopedTimer timer(verified_read_ns_);
+  const auto [values, metas] = Roots();
+  Status s = values_.Read(values, key, &out->value, nullptr);
+  return s.ok() ? ProveLatest(metas, key, out) : s;
 }
 
 Status BaselineDb::Scan(const Slice& start, const Slice& end, size_t limit,
                         std::vector<PosEntry>* out) const {
   ScopedTimer timer(scan_ns_);
-  Hash256 view;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    view = value_view_;
-  }
-  return views_.Scan(view, start, end, limit, out, nullptr);
+  return values_.ReadRange(Roots().first, start, end, limit, out, nullptr);
 }
 
 Status BaselineDb::ScanVerified(const Slice& start, const Slice& end,
                                 size_t limit,
                                 std::vector<VerifiedValue>* out) const {
   ScopedTimer timer(verified_read_ns_);
-  Hash256 value_view, meta_view;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    value_view = value_view_;
-    meta_view = meta_view_;
-  }
+  const auto [values, metas] = Roots();
   std::vector<PosEntry> rows;
-  Status s = views_.Scan(value_view, start, end, limit, &rows, nullptr);
+  Status s = values_.ReadRange(values, start, end, limit, &rows, nullptr);
   if (!s.ok()) return s;
   out->clear();
   out->reserve(rows.size());
   for (auto& row : rows) {
     VerifiedValue vv;
     vv.value = std::move(row.value);
-    std::string loc;
-    s = views_.Get(meta_view, row.key, &loc, nullptr);
-    if (!s.ok()) {
-      return Status::Busy("record not yet sealed into the ledger");
-    }
-    uint64_t height = 0, index = 0;
-    s = DecodeLocation(loc, &height, &index);
-    if (!s.ok()) return s;
     // One ledger search per resultant record (section 6.2.2: proofs
     // "must be processed by searching the digest in the ledger
     // individually").
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      s = ledger_.ProveEntry(height, index, &vv.proof, &vv.entry);
-    }
+    s = ProveLatest(metas, row.key, &vv);
     if (!s.ok()) return s;
     out->push_back(std::move(vv));
   }
@@ -255,13 +246,16 @@ Status BaselineDb::ScanVerified(const Slice& start, const Slice& end,
 
 JournalDigest BaselineDb::Digest() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return ledger_.Digest();
+  return ledger_.journal().Digest();
 }
 
 Status BaselineDb::VerifyValue(const JournalDigest& digest, const Slice& key,
                                const VerifiedValue& vv) {
   if (Slice(vv.entry.key) != key) {
     return Status::VerificationFailed("proof is for a different key");
+  }
+  if (vv.entry.op != LedgerEntry::Op::kPut) {
+    return Status::VerificationFailed("ledger entry is not a put");
   }
   if (Hash256::Of(vv.value) != vv.entry.value_hash) {
     return Status::VerificationFailed("value does not match ledger entry");
@@ -271,23 +265,23 @@ Status BaselineDb::VerifyValue(const JournalDigest& digest, const Slice& key,
 
 Status BaselineDb::ProveConsistency(uint64_t old_block_count,
                                     MerkleConsistencyProof* proof) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ledger_.ConsistencyProof(old_block_count, proof);
+  JournalDigest old_digest;
+  old_digest.block_count = old_block_count;
+  return ledger_.ProveConsistency(old_digest, proof);
 }
 
 Status BaselineDb::History(
     const Slice& key,
     std::vector<std::pair<uint64_t, uint64_t>>* positions) const {
-  Hash256 history_view;
+  Hash256 history;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    history_view = history_view_;
+    history = history_.root();
   }
   positions->clear();
-  std::string lo = HistoryKey(key, 0);
-  std::string hi = HistoryKey(key, UINT64_MAX);
   std::vector<PosEntry> rows;
-  Status s = views_.Scan(history_view, lo, hi, 0, &rows, nullptr);
+  Status s = history_.ReadRange(history, HistoryKey(key, 0),
+                                HistoryKey(key, UINT64_MAX), 0, &rows, nullptr);
   if (!s.ok()) return s;
   for (const PosEntry& row : rows) {
     uint64_t height = 0, index = 0;
@@ -299,9 +293,6 @@ Status BaselineDb::History(
   return Status::OK();
 }
 
-uint64_t BaselineDb::entry_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ledger_.entry_count() + pending_.size();
-}
+uint64_t BaselineDb::entry_count() const { return ledger_.entry_count(); }
 
 }  // namespace spitz

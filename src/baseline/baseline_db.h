@@ -2,19 +2,20 @@
 #define SPITZ_BASELINE_BASELINE_DB_H_
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include <memory>
-
+#include "chunk/buffer_cache.h"
 #include "chunk/chunk_store.h"
 #include "common/metrics.h"
 #include "common/status.h"
-#include "index/pos_tree.h"
-#include "ledger/journal.h"
+#include "index/versioned_index.h"
+#include "ledger/ledger.h"
 #include "txn/timestamp_oracle.h"
+#include "txn/write_batch.h"
 
 namespace spitz {
 
@@ -29,11 +30,10 @@ namespace spitz {
 //  * "the appended blocks are materialized to indexed views for fast
 //    query processing".
 //
-// The materialized views live in the same immutable, content-addressed
-// storage technology as Spitz's index (copy-on-write trees over a chunk
-// store) — a ledger product's user/history views are themselves
-// versioned tables. The decisive structural difference from Spitz is
-// that the data views and the ledger are SEPARATE:
+// It is Spitz's Ledger plus three VersionedIndex views over one chunk
+// store and one node cache, the stack SpitzDb's index and the KVS read
+// through. The decisive structural difference from Spitz is that the
+// data views and the ledger are SEPARATE (a block records no index root):
 //
 //  * writes must maintain *multiple* indexed views plus the journal
 //    (the write penalty of Figure 6(b));
@@ -98,7 +98,7 @@ class BaselineDb {
 
   // Read plus proof retrieval: locates the record's latest journal entry
   // and rebuilds the within-block proof (the per-record ledger search of
-  // section 6.2.2).
+  // section 6.2.2). Busy while the record's latest write is unsealed.
   Status GetVerified(const Slice& key, VerifiedValue* out) const;
 
   Status Scan(const Slice& start, const Slice& end, size_t limit,
@@ -107,6 +107,7 @@ class BaselineDb {
   // Range query with verification: the indexed view provides the rows in
   // one scan, but each row's proof must be fetched from the ledger
   // individually — there is no batched proof path in this design.
+  // Busy while any row's latest write is unsealed.
   Status ScanVerified(const Slice& start, const Slice& end, size_t limit,
                       std::vector<VerifiedValue>* out) const;
 
@@ -136,12 +137,21 @@ class BaselineDb {
   MetricsSnapshot Metrics() const { return registry_.Snapshot(); }
 
  private:
-  // Encoded location of a journal entry in the materialized meta view.
-  static std::string EncodeLocation(uint64_t height, uint64_t index);
-  static Status DecodeLocation(const Slice& in, uint64_t* height,
-                               uint64_t* index);
-
-  void SealBlockLocked();
+  // Applies `batch`, one op, to the value view and buffers its ledger
+  // entry, sealing a full block; NotFound deletes an absent key.
+  Status Write(const WriteBatch& batch);
+  // Seals the pending entries and locates them in the meta and history
+  // views.
+  Status SealBlockLocked();
+  // Erases the nodes the views' retired versions replaced; outside mu_.
+  void EraseExpired();
+  VersionedIndex MakeView();
+  // The value and meta views' roots, taken together.
+  std::pair<Hash256, Hash256> Roots() const;
+  // Proves the latest sealed write of `key`, which the meta view at
+  // `metas` locates, into *vv: Busy unless that write put vv->value.
+  Status ProveLatest(const Hash256& metas, const Slice& key,
+                     VerifiedValue* vv) const;
 
   Options options_;
   // InvalidArgument when the options failed Validate(); returned by
@@ -154,21 +164,18 @@ class BaselineDb {
   Histogram* scan_ns_ = nullptr;           // baseline.db.scan_latency_ns
   TimestampOracle clock_;
 
+  // Serializes writers; guards the ledger and the views' writer side.
   mutable std::mutex mu_;
-  Journal ledger_;
   ChunkStore chunks_;
-  PosTree views_;  // shared tree machinery for all three views
+  BufferCache cache_;
   // Materialized indexed views ("materialized to indexed views"): the
   // value view answers point/range queries; the meta view maps a key to
   // the journal location of its latest sealed write; the history view
-  // keys every write by (key, seq) for provenance queries. Each is an
-  // independent copy-on-write tree version.
-  Hash256 value_view_;
-  Hash256 meta_view_;
-  Hash256 history_view_;
-  // Entries buffered until the block seals.
-  std::vector<LedgerEntry> pending_;
-  std::vector<std::string> pending_keys_;
+  // keys every sealed write by (key, seq) for provenance queries.
+  VersionedIndex values_;
+  VersionedIndex metas_;
+  VersionedIndex history_;
+  Ledger ledger_;
 };
 
 }  // namespace spitz

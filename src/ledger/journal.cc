@@ -292,16 +292,6 @@ Status Journal::Load(const BlockRef& ref, std::string* serialized,
   return Status::OK();
 }
 
-Status Journal::ProveEntry(uint64_t height, uint64_t entry_index,
-                           JournalEntryProof* proof,
-                           LedgerEntry* entry) const {
-  BlockRef ref;
-  MerkleInclusionProof block_path;
-  Status s = Locate(height, &ref, &block_path);
-  return s.ok() ? ProveEntryIn(ref, block_path, entry_index, proof, entry)
-                : s;
-}
-
 Status Journal::ProveEntryIn(const BlockRef& ref,
                              const MerkleInclusionProof& block_path,
                              uint64_t entry_index, JournalEntryProof* proof,

@@ -176,14 +176,10 @@ class Journal {
     return index_roots_[height];
   }
 
-  // Builds the full proof for entry `entry_index` of block `height`.
-  // This performs the honest work a ledger service must do when proofs
-  // are retrieved individually: read and decode the stored block and
-  // recompute its internal Merkle tree.
-  Status ProveEntry(uint64_t height, uint64_t entry_index,
-                    JournalEntryProof* proof, LedgerEntry* entry) const;
-  // The half of ProveEntry that needs no lock: reads the block `ref`
-  // names (Load) and proves its entry `entry_index`. `block_path` is the
+  // Builds the full proof for entry `entry_index` of the block `ref`
+  // names, with no lock: the honest work a ledger service must do when
+  // proofs are retrieved individually — read and decode the stored block
+  // (Load) and recompute its internal Merkle tree. `block_path` is the
   // block's path, taken with `ref` by Locate.
   static Status ProveEntryIn(const BlockRef& ref,
                              const MerkleInclusionProof& block_path,

@@ -20,14 +20,14 @@
 
 namespace spitz {
 
-// The ledger of a SpitzDb (paper section 6.1: "records are collected
-// into blocks and appended to a ledger"): the journal of sealed blocks,
-// the key history over them, the entries waiting for the next seal, and
-// every ledger proof.
+// The ledger of a SpitzDb, and of the baseline (paper section 6.1:
+// "records are collected into blocks and appended to a ledger"): the
+// journal of sealed blocks, the key history over them, the entries
+// waiting for the next seal, and every ledger proof.
 //
 // Its lock is its owner's writer lock, handed in at construction (the
 // owner's GroupCommit flushes the journal under it too). Methods ending
-// in Locked, journal() and pending_count() expect it held, or run alone
+// in Locked, journal() and pending() expect it held, or run alone
 // at recovery; the readers take it, for a block's location only.
 class Ledger {
  public:
@@ -50,6 +50,9 @@ class Ledger {
   const Journal& journal() const { return journal_; }
   Journal* mutable_journal() { return &journal_; }
 
+  // The entries the next seal takes, in commit order. BaselineDb reads
+  // their keys to materialize its views' locations of that block.
+  const std::vector<LedgerEntry>& pending() const { return pending_; }
   size_t pending_count() const { return pending_.size(); }
   // Buffers `batch`'s ops as entries committed at `commit_ts`.
   void AddLocked(const WriteBatch& batch, uint64_t commit_ts);

@@ -57,6 +57,31 @@ TEST(BenchUtilTest, MakeRecordsIsDeterministicPerSeed) {
   EXPECT_TRUE(any_difference);
 }
 
+TEST(BenchUtilTest, RankChecksFailOnceARankInverts) {
+  FILE* out = tmpfile();
+  ASSERT_NE(out, nullptr);
+  RankChecks ranks("records", out);
+  EXPECT_TRUE(ranks.AtLeast("equal at factor one", 10, 5.0, 5.0, 1.0));
+  EXPECT_TRUE(ranks.AtLeast("within 2x", 10, 5.0, 9.0, 0.5));
+  EXPECT_EQ(ranks.ExitCode(), 0);
+  EXPECT_FALSE(ranks.AtLeast("short of its margin", 20, 5.0, 4.0, 1.5));
+  EXPECT_TRUE(ranks.AtLeast("a later pass", 20, 8.0, 4.0, 1.5));
+  EXPECT_NE(ranks.ExitCode(), 0);  // one failure fails the run
+
+  rewind(out);
+  char line[256];
+  ASSERT_NE(fgets(line, sizeof(line), out), nullptr);
+  EXPECT_STREQ(line,
+               "rank ok: equal at factor one at 10 records: ratio 1.00, "
+               "needs >= 1.00\n");
+  ASSERT_NE(fgets(line, sizeof(line), out), nullptr);
+  ASSERT_NE(fgets(line, sizeof(line), out), nullptr);
+  EXPECT_STREQ(line,
+               "rank FAILED: short of its margin at 20 records: ratio 1.25, "
+               "needs >= 1.50\n");
+  fclose(out);
+}
+
 }  // namespace
 }  // namespace bench
 }  // namespace spitz

@@ -28,6 +28,18 @@ LedgerEntry MakeEntry(const std::string& key, const std::string& value,
   return e;
 }
 
+// Proves entry `index` of block `height` as Ledger does: the block's
+// location and path (Locate), then the read and the proof
+// (ProveEntryIn).
+Status ProveEntry(const Journal& j, uint64_t height, uint64_t index,
+                  JournalEntryProof* proof, LedgerEntry* entry) {
+  Journal::BlockRef ref;
+  MerkleInclusionProof path;
+  Status s = j.Locate(height, &ref, &path);
+  if (!s.ok()) return s;
+  return Journal::ProveEntryIn(ref, path, index, proof, entry);
+}
+
 // --- LedgerEntry -------------------------------------------------------------
 
 TEST(LedgerEntryTest, EncodeDecodeRoundTrip) {
@@ -466,7 +478,7 @@ TEST(JournalTest, EntryProofVerifies) {
                                      {1, 29, 49}}) {
     JournalEntryProof proof;
     LedgerEntry entry;
-    ASSERT_TRUE(j.ProveEntry(height, idx, &proof, &entry).ok());
+    ASSERT_TRUE(ProveEntry(j, height, idx, &proof, &entry).ok());
     EXPECT_EQ(entry, entries[global]);
     EXPECT_TRUE(Journal::VerifyEntry(entry, proof, digest).ok())
         << "height=" << height << " idx=" << idx;
@@ -479,7 +491,7 @@ TEST(JournalTest, EntryProofRejectsTamperedEntry) {
   JournalDigest digest = j.Digest();
   JournalEntryProof proof;
   LedgerEntry entry;
-  ASSERT_TRUE(j.ProveEntry(0, 0, &proof, &entry).ok());
+  ASSERT_TRUE(ProveEntry(j, 0, 0, &proof, &entry).ok());
   entry.value_hash = Hash256::Of("tampered");
   EXPECT_TRUE(
       Journal::VerifyEntry(entry, proof, digest).IsVerificationFailed());
@@ -500,7 +512,7 @@ TEST(JournalTest, EntryProofRejectsEveryTamperedProofField) {
   JournalDigest digest = j.Digest();
   JournalEntryProof honest;
   LedgerEntry entry;
-  ASSERT_TRUE(j.ProveEntry(2, 3, &honest, &entry).ok());
+  ASSERT_TRUE(ProveEntry(j, 2, 3, &honest, &entry).ok());
   ASSERT_TRUE(Journal::VerifyEntry(entry, honest, digest).ok());
   ASSERT_FALSE(honest.entry_path.path.empty());
   ASSERT_FALSE(honest.block_path.path.empty());
@@ -544,7 +556,7 @@ TEST(JournalTest, EntryProofRejectsWrongDigest) {
   j.Append({MakeEntry("a", "1")}, Hash256(), 1);
   JournalEntryProof proof;
   LedgerEntry entry;
-  ASSERT_TRUE(j.ProveEntry(0, 0, &proof, &entry).ok());
+  ASSERT_TRUE(ProveEntry(j, 0, 0, &proof, &entry).ok());
 
   Journal other;
   other.Append({MakeEntry("x", "9")}, Hash256(), 1);
@@ -556,8 +568,8 @@ TEST(JournalTest, ProveEntryBadIndicesFail) {
   j.Append({MakeEntry("a", "1")}, Hash256(), 1);
   JournalEntryProof proof;
   LedgerEntry entry;
-  EXPECT_TRUE(j.ProveEntry(5, 0, &proof, &entry).IsNotFound());
-  EXPECT_TRUE(j.ProveEntry(0, 5, &proof, &entry).IsInvalidArgument());
+  EXPECT_TRUE(ProveEntry(j, 5, 0, &proof, &entry).IsNotFound());
+  EXPECT_TRUE(ProveEntry(j, 0, 5, &proof, &entry).IsInvalidArgument());
 }
 
 TEST(JournalTest, ConsistencyAcrossGrowth) {
@@ -632,7 +644,7 @@ TEST(JournalTest, RandomizedFullSweep) {
     for (size_t i = 0; i < blocks[b].size(); i++) {
       JournalEntryProof proof;
       LedgerEntry entry;
-      ASSERT_TRUE(j.ProveEntry(b, i, &proof, &entry).ok());
+      ASSERT_TRUE(ProveEntry(j, b, i, &proof, &entry).ok());
       EXPECT_EQ(entry, blocks[b][i]);
       EXPECT_TRUE(Journal::VerifyEntry(entry, proof, digest).ok());
     }
@@ -692,7 +704,7 @@ TEST(JournalTest, ReleasedBlocksReadBackFromTheFile) {
     EXPECT_EQ(bytes, serialized[h]) << h;
     JournalEntryProof proof;
     LedgerEntry entry;
-    ASSERT_TRUE(j.ProveEntry(h, 1, &proof, &entry).ok()) << h;
+    ASSERT_TRUE(ProveEntry(j, h, 1, &proof, &entry).ok()) << h;
     EXPECT_EQ(entry.key, "x" + std::to_string(h));
     EXPECT_TRUE(Journal::VerifyEntry(entry, proof, digest).ok()) << h;
   }
@@ -778,7 +790,7 @@ TEST(JournalTest, ReadBackChecksFrameAndBlockHash) {
   EXPECT_NE(s.ToString().find("bad frame"), std::string::npos);
   JournalEntryProof proof;
   LedgerEntry entry;
-  EXPECT_TRUE(j.ProveEntry(1, 0, &proof, &entry).IsCorruption());
+  EXPECT_TRUE(ProveEntry(j, 1, 0, &proof, &entry).IsCorruption());
 
   // A file cut short of the last frame.
   std::filesystem::resize_file(path, j.stored_bytes() - 1);
