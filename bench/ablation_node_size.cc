@@ -79,7 +79,7 @@ void RunOne(uint32_t bits, ChunkStore& store, BufferCache* node_cache,
     PosProof proof;
     if (!tree.Get(w, key, &value, &proof).ok()) abort();
     total_proof_bytes += proof.ByteSize();
-    if (!PosTree::VerifyProof(w, key, value, proof).ok()) abort();
+    if (!VerifyPosProof(w, key, value, proof).ok()) abort();
   }) / 1000.0;
 
   printf("%-6u  %-7u  %12.1f  %12.1f  %14.1f  %13.0f  %12.0f  %13.1f\n",

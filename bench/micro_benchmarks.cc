@@ -31,7 +31,7 @@
 #include "crypto/sha256.h"
 #include "index/pos_tree.h"
 #include "ledger/ledger.h"
-#include "ledger/merkle_tree.h"
+#include "proof/merkle_tree.h"
 #include "spitzbench/workload_keys.h"
 #include "txn/batch_verifier.h"
 
@@ -137,7 +137,7 @@ void BM_PosTreeVerifiedGet(benchmark::State& state) {
     PosProof proof;
     const std::string& key = entries[i % entries.size()].key;
     if (!tree.Get(root, key, &value, &proof).ok()) abort();
-    if (!PosTree::VerifyProof(root, key, value, proof).ok()) abort();
+    if (!VerifyPosProof(root, key, value, proof).ok()) abort();
     i += 104729;
   }
 }

@@ -3,7 +3,10 @@
 # tier-1: the full ctest suite in Release, then the pure-client link
 #   check (examples/net_client, cluster_client and auditor_client link
 #   neither spitz_core nor the network layer's server half,
-#   spitz_net_server), the runnable examples, the metrics smoke, the
+#   spitz_net_server, nor the engines below them: spitz_chunk,
+#   spitz_index and spitz_ledger; a client checks answers through
+#   spitz_verify and the formats of spitz_proof; the step prints each
+#   binary's size), the runnable examples, the metrics smoke, the
 #   auditor smoke and chaos runs, the paper's figure ranks (figures 1,
 #   6, 7 and 8 at 20 000 records; each binary exits non-zero when a rank
 #   the paper claims inverts) and the repository benchmark (spitzbench)
@@ -108,7 +111,12 @@
 #   single-node and cluster evidence, and the reply payloads SpitzClient
 #   decodes (wire::Decode*Reply; OneByteFormTest serves each method's
 #   reply with a byte appended through a relaying NetServer). A crafted count that drove one
-#   allocation past the cap fails the run instead of passing.
+#   allocation past the cap fails the run instead of passing. Beside it
+#   runs the format library alone (proof_format_test: ProofFormatTest,
+#   linked with spitz_proof and no tree, chunk store or journal), whose
+#   golden POS, MPT and MBT point proofs, POS range proof and journal
+#   entry and consistency proofs must verify, and every one-bit flip of
+#   each must not.
 # The read-set suites are ClusterReadSetTest, TwoPhaseCommitTest,
 # MvccTest and TxnConfigSweep (cluster_test) plus WriteBatchTest
 # (txn_test). The buffer cache's admission cases run in both legs: the
@@ -130,20 +138,25 @@ cmake -B "${PREFIX}" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "${PREFIX}" -j "${JOBS}"
 ctest --test-dir "${PREFIX}" --output-on-failure -j "${JOBS}"
 
-echo "==> tier-1: pure clients link no server"
-# A client verifies through spitz_verify (core/verifier.h) and talks
-# through the network layer's client half (spitz_net); a link line that
-# names spitz_core or the server half means a client pulled in a server.
+echo "==> tier-1: pure clients link no server, tree, chunk store or journal"
+# A client verifies through spitz_verify (core/verifier.h) over the
+# formats of spitz_proof (src/proof) and talks through the network
+# layer's client half (spitz_net); a link line that names spitz_core,
+# the server half, or an engine (spitz_chunk, spitz_index, spitz_ledger)
+# means a client pulled in a server or a database.
 for target in net_client cluster_client auditor_client_example; do
   link="${PREFIX}/examples/CMakeFiles/${target}.dir/link.txt"
   if [ ! -f "${link}" ]; then
     echo "no link line for ${target} at ${link}" >&2
     exit 1
   fi
-  if grep -Eq 'libspitz_(core|net_server)\.a' "${link}"; then
-    echo "${target} links a server library: $(cat "${link}")" >&2
+  if grep -Eq 'libspitz_(core|net_server|chunk|index|ledger)\.a' "${link}"; then
+    echo "${target} links a server or engine library: $(cat "${link}")" >&2
     exit 1
   fi
+done
+for binary in net_client cluster_client auditor_client; do
+  echo "${binary}: $(wc -c < "${PREFIX}/examples/${binary}") bytes"
 done
 
 echo "==> tier-1: examples smoke (runnable scenarios exit zero)"
@@ -229,15 +242,15 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}" \
                property_test table_test sql_test \
                integration_test group_commit_test version_gc_test metrics_test \
                versioned_index_test ledger_test codec_mutation_test \
-               baseline_db_test
+               proof_format_test baseline_db_test
 ASAN_OPTIONS="halt_on_error=1 exitcode=66" \
 UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \
   ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
         -R 'Siri|SpitzDb|SpitzOptions|AuditorTest|KeyHistory|TxnParticipant|WriteBatch|Recovery|Net|Concurrency|Cluster|Replica|TwoPhaseCommit|Mvcc|TxnConfigSweep|Sha256|Crc32c|Journal|LedgerEntry|Block|Persistence|DeltaChunk|DeltaRecord|ChunkIndex|SegmentGcPlan|PosTree|Mpt|Mbt|Table|Sql|Integration|GroupCommitTest|VersionGcTest|VersionedIndexTest|LedgerTest|BaselineDb|MetricsEndToEndTest.GcMark' \
-        -E 'CodecMutation|OneByteForm'
+        -E 'CodecMutation|OneByteForm|ProofFormat'
 ASAN_OPTIONS="halt_on_error=1 exitcode=66 max_allocation_size_mb=256 allocator_may_return_null=0" \
 UBSAN_OPTIONS="halt_on_error=1 exitcode=66 print_stacktrace=1" \
   ctest --test-dir "${PREFIX}-asan" --output-on-failure -j "${JOBS}" \
-        -R 'CodecMutation|OneByteForm'
+        -R 'CodecMutation|OneByteForm|ProofFormat'
 
 echo "==> all checks passed"

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Prints the line counts ROADMAP.md's "Net state" tracks: C++ sources
-# and headers under src (and its index, ledger and common parts),
+# and headers under src (and its index, ledger, proof and common parts),
 # spitz_db.{h,cc} and its two components (index/versioned_index.{h,cc}
 # and ledger/ledger.{h,cc}), tests and bench, plus spitzbench's C++ and Python,
 # and the number of ctest cases in the given build directory. It gates
@@ -25,6 +25,7 @@ row() { printf '%-16s %s\n' "$1" "$2"; }
 row src "$(cpp src)"
 row src/index "$(cpp src/index)"
 row src/ledger "$(cpp src/ledger)"
+row src/proof "$(cpp src/proof)"
 row src/common "$(cpp src/common)"
 row 'spitz_db.{h,cc}' "$(cat src/core/spitz_db.h src/core/spitz_db.cc | wc -l)"
 row 'versioned_index.{h,cc}' \

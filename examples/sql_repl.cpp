@@ -113,8 +113,8 @@ int main(int argc, char** argv) {
       }
       SpitzDigest digest = db->Digest();
       for (const auto& write : history) {
-        Status v = Journal::VerifyEntry(write.entry, write.proof,
-                                        digest.journal);
+        Status v = VerifyJournalEntry(write.entry, write.proof,
+                                      digest.journal);
         printf("block %-6llu ts %-8llu %s  value-hash %s... (%s)\n",
                static_cast<unsigned long long>(write.block_height),
                static_cast<unsigned long long>(write.entry.commit_ts),

@@ -260,7 +260,7 @@ Status BaselineDb::VerifyValue(const JournalDigest& digest, const Slice& key,
   if (Hash256::Of(vv.value) != vv.entry.value_hash) {
     return Status::VerificationFailed("value does not match ledger entry");
   }
-  return Journal::VerifyEntry(vv.entry, vv.proof, digest);
+  return VerifyJournalEntry(vv.entry, vv.proof, digest);
 }
 
 Status BaselineDb::ProveConsistency(uint64_t old_block_count,

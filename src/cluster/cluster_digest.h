@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/verifier.h"
-#include "ledger/merkle_tree.h"
+#include "proof/merkle_tree.h"
 
 namespace spitz {
 

@@ -33,7 +33,7 @@ Status Auditor::AuditLastBlock() {
                                                    &digest);
     if (s.ok()) {
       ScopedTimer timer(proof_verify_ns_);
-      s = Journal::VerifyEntry(entry, proof, digest);
+      s = VerifyJournalEntry(entry, proof, digest);
     }
     if (!s.ok()) NoteFailure("block " + std::to_string(height), s);
     return s;

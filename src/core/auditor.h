@@ -39,7 +39,7 @@ class Auditor {
                   std::optional<std::string> expected_value = std::nullopt);
 
   // Queues an audit of the last sealed block (OK when there is none):
-  // ProveHistoricalEntry of its first entry, then Journal::VerifyEntry
+  // ProveHistoricalEntry of its first entry, then VerifyJournalEntry
   // against the journal digest that proof was taken against.
   Status AuditLastBlock();
 

@@ -7,7 +7,7 @@
 
 #include "common/slice.h"
 #include "common/status.h"
-#include "index/pos_tree.h"
+#include "common/pos_entry.h"
 
 namespace spitz {
 

@@ -223,8 +223,8 @@ Status ClientVerifier::ObserveDigest(
     return Status::VerificationFailed(
         "digest advanced without a consistency proof");
   }
-  if (!Journal::VerifyConsistency(*consistency, digest_.journal,
-                                  digest.journal)) {
+  if (!VerifyJournalConsistency(*consistency, digest_.journal,
+                                digest.journal)) {
     return Status::VerificationFailed("ledger consistency proof invalid");
   }
   digest_ = digest;
@@ -249,7 +249,7 @@ Status ClientVerifier::CheckScan(const Slice& start, const Slice& end,
 Status ClientVerifier::CheckHistoricalEntry(
     const LedgerEntry& entry, const JournalEntryProof& proof) const {
   if (!has_digest_) return Status::VerificationFailed("no trusted digest");
-  return Journal::VerifyEntry(entry, proof, digest_.journal);
+  return VerifyJournalEntry(entry, proof, digest_.journal);
 }
 
 }  // namespace spitz

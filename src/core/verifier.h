@@ -9,9 +9,8 @@
 #include "common/status.h"
 #include "core/verified_kv.h"
 #include "crypto/hash.h"
-#include "index/siri.h"
-#include "ledger/journal.h"
-#include "ledger/merkle_tree.h"
+#include "proof/block.h"
+#include "proof/siri_proof.h"
 
 namespace spitz {
 
@@ -115,7 +114,7 @@ class ClientVerifier {
   Status ObserveDigest(const SpitzDigest& digest,
                        const MerkleConsistencyProof* consistency = nullptr);
 
-  // VerifyRead, VerifyScan and Journal::VerifyEntry against the retained
+  // VerifyRead, VerifyScan and VerifyJournalEntry against the retained
   // digest; VerificationFailed before the first ObserveDigest.
   Status CheckRead(const Slice& key,
                    const std::optional<std::string>& expected_value,

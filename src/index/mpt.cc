@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/codec.h"
-
 namespace spitz {
 
 namespace {
@@ -18,118 +16,33 @@ size_t CommonPrefix(const std::vector<uint8_t>& a, size_t a_pos,
 
 }  // namespace
 
-std::vector<uint8_t> MerklePatriciaTrie::ToNibbles(const Slice& key) {
-  std::vector<uint8_t> nibbles;
-  nibbles.reserve(key.size() * 2);
-  for (size_t i = 0; i < key.size(); i++) {
-    uint8_t b = static_cast<uint8_t>(key[i]);
-    nibbles.push_back(b >> 4);
-    nibbles.push_back(b & 0x0f);
-  }
-  return nibbles;
-}
-
-std::string MerklePatriciaTrie::EncodeNode(const Node& node) {
-  std::string out;
-  out.push_back(static_cast<char>(node.kind));
-  const Slice path(reinterpret_cast<const char*>(node.path.data()),
-                   node.path.size());
-  switch (node.kind) {
-    case NodeKind::kLeaf:
-      PutLengthPrefixedSlice(&out, path);
-      PutLengthPrefixedSlice(&out, node.value);
-      break;
-    case NodeKind::kExtension:
-      PutLengthPrefixedSlice(&out, path);
-      out.append(node.child.ToBytes());
-      break;
-    case NodeKind::kBranch: {
-      uint16_t mask = 0;
-      for (int i = 0; i < 16; i++) {
-        if (!node.children[i].IsZero()) mask |= (1u << i);
-      }
-      PutFixed32(&out, mask);
-      for (int i = 0; i < 16; i++) {
-        if (!node.children[i].IsZero()) out.append(node.children[i].ToBytes());
-      }
-      out.push_back(node.has_value ? 1 : 0);
-      if (node.has_value) PutLengthPrefixedSlice(&out, node.value);
-      break;
-    }
-  }
-  return out;
-}
-
-Status MerklePatriciaTrie::DecodeNode(const Slice& payload, Node* node) {
-  Slice input = payload;
-  uint8_t kind = 0;
-  Slice path, value;
-  Status s = GetByte(&input, &kind);
-  if (!s.ok()) return s;
-  node->kind = static_cast<NodeKind>(kind);
-  switch (node->kind) {
-    case NodeKind::kLeaf:
-      s = GetLengthPrefixedSlice(&input, &path);
-      if (s.ok()) s = GetLengthPrefixedSlice(&input, &value);
-      break;
-    case NodeKind::kExtension:
-      s = GetLengthPrefixedSlice(&input, &path);
-      if (s.ok()) s = GetHash256(&input, &node->child);
-      break;
-    case NodeKind::kBranch: {
-      uint32_t mask = 0;
-      s = GetFixed32(&input, &mask);
-      if (s.ok() && mask > 0xffff) s = Status::Corruption("bad branch mask");
-      // EncodeNode sets a mask bit for each non-zero child, and only then.
-      for (int i = 0; s.ok() && i < 16; i++) {
-        node->children[i] = Hash256();
-        if ((mask & (1u << i)) == 0) continue;
-        s = GetHash256(&input, &node->children[i]);
-        if (s.ok() && node->children[i].IsZero()) {
-          s = Status::Corruption("zero branch child");
-        }
-      }
-      if (s.ok()) s = GetBool(&input, &node->has_value);
-      if (s.ok() && node->has_value) s = GetLengthPrefixedSlice(&input, &value);
-      break;
-    }
-    default:
-      return Status::Corruption("unknown trie node kind");
-  }
-  if (s.ok()) s = CheckConsumed(input, "trie node");
-  if (!s.ok()) return s;
-  node->path.assign(path.data(), path.data() + path.size());
-  node->value = value.ToString();
-  return Status::OK();
-}
-
-Status MerklePatriciaTrie::LoadNode(const Hash256& id, Node* node) const {
+Status MerklePatriciaTrie::LoadNode(const Hash256& id, MptNode* node) const {
   std::shared_ptr<const Chunk> chunk;
   Status s = store_->Get(id, &chunk);
   if (!s.ok()) return s;
   if (chunk->type() != ChunkType::kTrieNode) {
     return Status::Corruption("not a trie node");
   }
-  return DecodeNode(chunk->data(), node);
+  return DecodeMptNode(chunk->data(), node);
 }
 
-Hash256 MerklePatriciaTrie::StoreNode(const Node& node) const {
-  return store_->Put(Chunk(ChunkType::kTrieNode, EncodeNode(node)));
+Hash256 MerklePatriciaTrie::StoreNode(const MptNode& node) const {
+  return store_->Put(Chunk(ChunkType::kTrieNode, EncodeMptNode(node)));
 }
 
 Status MerklePatriciaTrie::Get(const Hash256& root, const Slice& key,
-                               std::string* value, Proof* proof) const {
+                               std::string* value, MptProof* proof) const {
   if (proof != nullptr) proof->nodes.clear();
   if (root.IsZero()) return Status::NotFound("empty trie");
-  std::vector<uint8_t> nibbles = ToNibbles(key);
+  std::vector<uint8_t> nibbles = MptNibbles(key);
   Hash256 id = root;
   size_t pos = 0;
   while (true) {
     std::shared_ptr<const Chunk> chunk;
     Status s = store_->Get(id, &chunk);
     if (!s.ok()) return s;
-    Node node;
-    s = DecodeNode(chunk->data(), &node);
+    MptNode node;
+    s = DecodeMptNode(chunk->data(), &node);
     if (!s.ok()) return s;
     if (proof != nullptr) {
       const uint8_t type = static_cast<uint8_t>(chunk->type());
@@ -137,7 +50,7 @@ Status MerklePatriciaTrie::Get(const Hash256& root, const Slice& key,
       proof->nodes.push_back(ProofNode{type, payload, std::move(chunk)});
     }
     switch (node.kind) {
-      case NodeKind::kLeaf: {
+      case MptNodeKind::kLeaf: {
         if (nibbles.size() - pos == node.path.size() &&
             std::equal(node.path.begin(), node.path.end(),
                        nibbles.begin() + pos)) {
@@ -146,7 +59,7 @@ Status MerklePatriciaTrie::Get(const Hash256& root, const Slice& key,
         }
         return Status::NotFound("key absent");
       }
-      case NodeKind::kExtension: {
+      case MptNodeKind::kExtension: {
         if (nibbles.size() - pos < node.path.size() ||
             !std::equal(node.path.begin(), node.path.end(),
                         nibbles.begin() + pos)) {
@@ -156,7 +69,7 @@ Status MerklePatriciaTrie::Get(const Hash256& root, const Slice& key,
         id = node.child;
         break;
       }
-      case NodeKind::kBranch: {
+      case MptNodeKind::kBranch: {
         if (pos == nibbles.size()) {
           if (node.has_value) {
             *value = node.value;
@@ -181,38 +94,38 @@ Status MerklePatriciaTrie::InsertAt(const Hash256& id,
                                     size_t pos, const Slice& value,
                                     Hash256* out) const {
   if (id.IsZero()) {
-    Node leaf;
-    leaf.kind = NodeKind::kLeaf;
+    MptNode leaf;
+    leaf.kind = MptNodeKind::kLeaf;
     leaf.path.assign(nibbles.begin() + pos, nibbles.end());
     leaf.value = value.ToString();
     *out = StoreNode(leaf);
     return Status::OK();
   }
-  Node node;
+  MptNode node;
   Status s = LoadNode(id, &node);
   if (!s.ok()) return s;
 
   switch (node.kind) {
-    case NodeKind::kLeaf: {
+    case MptNodeKind::kLeaf: {
       size_t common = CommonPrefix(nibbles, pos, node.path, 0);
       if (common == node.path.size() && pos + common == nibbles.size()) {
         // Same key: overwrite.
-        Node leaf = node;
+        MptNode leaf = node;
         leaf.value = value.ToString();
         *out = StoreNode(leaf);
         return Status::OK();
       }
       // Split into branch (possibly under an extension for the common
       // prefix).
-      Node branch;
-      branch.kind = NodeKind::kBranch;
+      MptNode branch;
+      branch.kind = MptNodeKind::kBranch;
       // Existing leaf's continuation.
       if (common == node.path.size()) {
         branch.has_value = true;
         branch.value = node.value;
       } else {
-        Node old_leaf;
-        old_leaf.kind = NodeKind::kLeaf;
+        MptNode old_leaf;
+        old_leaf.kind = MptNodeKind::kLeaf;
         old_leaf.path.assign(node.path.begin() + common + 1, node.path.end());
         old_leaf.value = node.value;
         branch.children[node.path[common]] = StoreNode(old_leaf);
@@ -222,8 +135,8 @@ Status MerklePatriciaTrie::InsertAt(const Hash256& id,
         branch.has_value = true;
         branch.value = value.ToString();
       } else {
-        Node new_leaf;
-        new_leaf.kind = NodeKind::kLeaf;
+        MptNode new_leaf;
+        new_leaf.kind = MptNodeKind::kLeaf;
         new_leaf.path.assign(nibbles.begin() + pos + common + 1,
                              nibbles.end());
         new_leaf.value = value.ToString();
@@ -231,8 +144,8 @@ Status MerklePatriciaTrie::InsertAt(const Hash256& id,
       }
       Hash256 branch_id = StoreNode(branch);
       if (common > 0) {
-        Node ext;
-        ext.kind = NodeKind::kExtension;
+        MptNode ext;
+        ext.kind = MptNodeKind::kExtension;
         ext.path.assign(node.path.begin(), node.path.begin() + common);
         ext.child = branch_id;
         *out = StoreNode(ext);
@@ -241,27 +154,27 @@ Status MerklePatriciaTrie::InsertAt(const Hash256& id,
       }
       return Status::OK();
     }
-    case NodeKind::kExtension: {
+    case MptNodeKind::kExtension: {
       size_t common = CommonPrefix(nibbles, pos, node.path, 0);
       if (common == node.path.size()) {
         Hash256 new_child;
         s = InsertAt(node.child, nibbles, pos + common, value, &new_child);
         if (!s.ok()) return s;
-        Node ext = node;
+        MptNode ext = node;
         ext.child = new_child;
         *out = StoreNode(ext);
         return Status::OK();
       }
       // Split the extension.
-      Node branch;
-      branch.kind = NodeKind::kBranch;
+      MptNode branch;
+      branch.kind = MptNodeKind::kBranch;
       // The existing extension's remainder.
       uint8_t old_nib = node.path[common];
       if (common + 1 == node.path.size()) {
         branch.children[old_nib] = node.child;
       } else {
-        Node tail;
-        tail.kind = NodeKind::kExtension;
+        MptNode tail;
+        tail.kind = MptNodeKind::kExtension;
         tail.path.assign(node.path.begin() + common + 1, node.path.end());
         tail.child = node.child;
         branch.children[old_nib] = StoreNode(tail);
@@ -271,16 +184,16 @@ Status MerklePatriciaTrie::InsertAt(const Hash256& id,
         branch.has_value = true;
         branch.value = value.ToString();
       } else {
-        Node leaf;
-        leaf.kind = NodeKind::kLeaf;
+        MptNode leaf;
+        leaf.kind = MptNodeKind::kLeaf;
         leaf.path.assign(nibbles.begin() + pos + common + 1, nibbles.end());
         leaf.value = value.ToString();
         branch.children[nibbles[pos + common]] = StoreNode(leaf);
       }
       Hash256 branch_id = StoreNode(branch);
       if (common > 0) {
-        Node ext;
-        ext.kind = NodeKind::kExtension;
+        MptNode ext;
+        ext.kind = MptNodeKind::kExtension;
         ext.path.assign(node.path.begin(), node.path.begin() + common);
         ext.child = branch_id;
         *out = StoreNode(ext);
@@ -289,8 +202,8 @@ Status MerklePatriciaTrie::InsertAt(const Hash256& id,
       }
       return Status::OK();
     }
-    case NodeKind::kBranch: {
-      Node branch = node;
+    case MptNodeKind::kBranch: {
+      MptNode branch = node;
       if (pos == nibbles.size()) {
         branch.has_value = true;
         branch.value = value.ToString();
@@ -310,11 +223,11 @@ Status MerklePatriciaTrie::InsertAt(const Hash256& id,
 
 Status MerklePatriciaTrie::Put(const Hash256& root, const Slice& key,
                                const Slice& value, Hash256* new_root) const {
-  std::vector<uint8_t> nibbles = ToNibbles(key);
+  std::vector<uint8_t> nibbles = MptNibbles(key);
   return InsertAt(root, nibbles, 0, value, new_root);
 }
 
-Status MerklePatriciaTrie::Normalize(const Node& node, Hash256* out) const {
+Status MerklePatriciaTrie::Normalize(const MptNode& node, Hash256* out) const {
   // Count branch children.
   int child_count = 0;
   int only_child = -1;
@@ -329,34 +242,34 @@ Status MerklePatriciaTrie::Normalize(const Node& node, Hash256* out) const {
     return Status::OK();
   }
   if (child_count == 0 && node.has_value) {
-    Node leaf;
-    leaf.kind = NodeKind::kLeaf;
+    MptNode leaf;
+    leaf.kind = MptNodeKind::kLeaf;
     leaf.value = node.value;
     *out = StoreNode(leaf);
     return Status::OK();
   }
   if (child_count == 1 && !node.has_value) {
     // Merge with the single child: prepend its nibble to the child.
-    Node child;
+    MptNode child;
     Status s = LoadNode(node.children[only_child], &child);
     if (!s.ok()) return s;
     uint8_t nib = static_cast<uint8_t>(only_child);
     switch (child.kind) {
-      case NodeKind::kLeaf: {
-        Node leaf = child;
+      case MptNodeKind::kLeaf: {
+        MptNode leaf = child;
         leaf.path.insert(leaf.path.begin(), nib);
         *out = StoreNode(leaf);
         return Status::OK();
       }
-      case NodeKind::kExtension: {
-        Node ext = child;
+      case MptNodeKind::kExtension: {
+        MptNode ext = child;
         ext.path.insert(ext.path.begin(), nib);
         *out = StoreNode(ext);
         return Status::OK();
       }
-      case NodeKind::kBranch: {
-        Node ext;
-        ext.kind = NodeKind::kExtension;
+      case MptNodeKind::kBranch: {
+        MptNode ext;
+        ext.kind = MptNodeKind::kExtension;
         ext.path.push_back(nib);
         ext.child = node.children[only_child];
         *out = StoreNode(ext);
@@ -373,12 +286,12 @@ Status MerklePatriciaTrie::DeleteAt(const Hash256& id,
                                     const std::vector<uint8_t>& nibbles,
                                     size_t pos, Hash256* out) const {
   if (id.IsZero()) return Status::NotFound("key absent");
-  Node node;
+  MptNode node;
   Status s = LoadNode(id, &node);
   if (!s.ok()) return s;
 
   switch (node.kind) {
-    case NodeKind::kLeaf: {
+    case MptNodeKind::kLeaf: {
       if (nibbles.size() - pos == node.path.size() &&
           std::equal(node.path.begin(), node.path.end(),
                      nibbles.begin() + pos)) {
@@ -387,7 +300,7 @@ Status MerklePatriciaTrie::DeleteAt(const Hash256& id,
       }
       return Status::NotFound("key absent");
     }
-    case NodeKind::kExtension: {
+    case MptNodeKind::kExtension: {
       if (nibbles.size() - pos < node.path.size() ||
           !std::equal(node.path.begin(), node.path.end(),
                       nibbles.begin() + pos)) {
@@ -402,23 +315,23 @@ Status MerklePatriciaTrie::DeleteAt(const Hash256& id,
       }
       // The child may have collapsed into a leaf/extension: merge paths
       // to keep the trie canonical.
-      Node child;
+      MptNode child;
       s = LoadNode(new_child, &child);
       if (!s.ok()) return s;
-      if (child.kind == NodeKind::kBranch) {
-        Node ext = node;
+      if (child.kind == MptNodeKind::kBranch) {
+        MptNode ext = node;
         ext.child = new_child;
         *out = StoreNode(ext);
       } else {
-        Node merged = child;
+        MptNode merged = child;
         merged.path.insert(merged.path.begin(), node.path.begin(),
                            node.path.end());
         *out = StoreNode(merged);
       }
       return Status::OK();
     }
-    case NodeKind::kBranch: {
-      Node branch = node;
+    case MptNodeKind::kBranch: {
+      MptNode branch = node;
       if (pos == nibbles.size()) {
         if (!node.has_value) return Status::NotFound("key absent");
         branch.has_value = false;
@@ -441,111 +354,23 @@ Status MerklePatriciaTrie::DeleteAt(const Hash256& id,
 
 Status MerklePatriciaTrie::Delete(const Hash256& root, const Slice& key,
                                   Hash256* new_root) const {
-  std::vector<uint8_t> nibbles = ToNibbles(key);
+  std::vector<uint8_t> nibbles = MptNibbles(key);
   return DeleteAt(root, nibbles, 0, new_root);
-}
-
-Status MerklePatriciaTrie::VerifyProof(
-    const Hash256& root, const Slice& key,
-    const std::optional<std::string>& expected_value, const Proof& proof) {
-  if (proof.nodes.empty()) {
-    return Status::VerificationFailed("empty proof");
-  }
-  if (Chunk::IdOf(ChunkType::kTrieNode, proof.nodes[0].payload) != root) {
-    return Status::VerificationFailed("proof root mismatch");
-  }
-  std::vector<uint8_t> nibbles = ToNibbles(key);
-  size_t pos = 0;
-  for (size_t i = 0; i < proof.nodes.size(); i++) {
-    Node node;
-    Status s = DecodeNode(proof.nodes[i].payload, &node);
-    if (!s.ok()) return Status::VerificationFailed("bad proof node");
-    bool last = (i + 1 == proof.nodes.size());
-    switch (node.kind) {
-      case NodeKind::kLeaf: {
-        if (!last) return Status::VerificationFailed("leaf before proof end");
-        bool match = nibbles.size() - pos == node.path.size() &&
-                     std::equal(node.path.begin(), node.path.end(),
-                                nibbles.begin() + pos);
-        if (expected_value.has_value()) {
-          if (!match || node.value != *expected_value) {
-            return Status::VerificationFailed("value mismatch");
-          }
-        } else if (match) {
-          return Status::VerificationFailed("proof shows key present");
-        }
-        return Status::OK();
-      }
-      case NodeKind::kExtension: {
-        bool match = nibbles.size() - pos >= node.path.size() &&
-                     std::equal(node.path.begin(), node.path.end(),
-                                nibbles.begin() + pos);
-        if (!match) {
-          if (last && !expected_value.has_value()) return Status::OK();
-          return Status::VerificationFailed("extension diverges");
-        }
-        pos += node.path.size();
-        if (last) {
-          if (!expected_value.has_value()) {
-            return Status::VerificationFailed("proof truncated");
-          }
-          return Status::VerificationFailed("proof truncated");
-        }
-        Hash256 next =
-            Chunk::IdOf(ChunkType::kTrieNode, proof.nodes[i + 1].payload);
-        if (node.child != next) {
-          return Status::VerificationFailed("broken hash link");
-        }
-        break;
-      }
-      case NodeKind::kBranch: {
-        if (pos == nibbles.size()) {
-          if (!last) {
-            return Status::VerificationFailed("proof continues past key");
-          }
-          if (expected_value.has_value()) {
-            if (!node.has_value || node.value != *expected_value) {
-              return Status::VerificationFailed("value mismatch");
-            }
-          } else if (node.has_value) {
-            return Status::VerificationFailed("proof shows key present");
-          }
-          return Status::OK();
-        }
-        uint8_t nib = nibbles[pos];
-        if (node.children[nib].IsZero()) {
-          if (last && !expected_value.has_value()) return Status::OK();
-          return Status::VerificationFailed("branch has no such child");
-        }
-        if (last) {
-          return Status::VerificationFailed("proof truncated");
-        }
-        Hash256 next =
-            Chunk::IdOf(ChunkType::kTrieNode, proof.nodes[i + 1].payload);
-        if (node.children[nib] != next) {
-          return Status::VerificationFailed("broken hash link");
-        }
-        pos++;
-        break;
-      }
-    }
-  }
-  return Status::VerificationFailed("malformed proof");
 }
 
 Status MerklePatriciaTrie::Count(const Hash256& root, uint64_t* count) const {
   *count = 0;
   if (root.IsZero()) return Status::OK();
-  Node node;
+  MptNode node;
   Status s = LoadNode(root, &node);
   if (!s.ok()) return s;
   switch (node.kind) {
-    case NodeKind::kLeaf:
+    case MptNodeKind::kLeaf:
       *count = 1;
       return Status::OK();
-    case NodeKind::kExtension:
+    case MptNodeKind::kExtension:
       return Count(node.child, count);
-    case NodeKind::kBranch: {
+    case MptNodeKind::kBranch: {
       uint64_t total = node.has_value ? 1 : 0;
       for (int i = 0; i < 16; i++) {
         if (!node.children[i].IsZero()) {
@@ -567,15 +392,15 @@ Status MerklePatriciaTrie::CollectChunks(
     std::unordered_set<Hash256, Hash256Hasher>* live) const {
   if (root.IsZero()) return Status::OK();
   if (!live->insert(root).second) return Status::OK();  // shared subtree
-  Node node;
+  MptNode node;
   Status s = LoadNode(root, &node);
   if (!s.ok()) return s;
   switch (node.kind) {
-    case NodeKind::kLeaf:
+    case MptNodeKind::kLeaf:
       return Status::OK();
-    case NodeKind::kExtension:
+    case MptNodeKind::kExtension:
       return CollectChunks(node.child, live);
-    case NodeKind::kBranch: {
+    case MptNodeKind::kBranch: {
       for (int i = 0; i < 16; i++) {
         if (!node.children[i].IsZero()) {
           s = CollectChunks(node.children[i], live);

@@ -2,7 +2,6 @@
 #define SPITZ_INDEX_MPT_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -11,7 +10,7 @@
 #include "common/slice.h"
 #include "common/status.h"
 #include "crypto/hash.h"
-#include "index/proof_node.h"
+#include "proof/siri_proof.h"
 
 namespace spitz {
 
@@ -39,19 +38,10 @@ class MerklePatriciaTrie {
   Status Delete(const Hash256& root, const Slice& key,
                 Hash256* new_root) const;
 
-  // Point proof: the nodes along the traversal, root first.
-  struct Proof {
-    std::vector<ProofNode> nodes;
-  };
-
   // Point read: the one traversal. With a non-null `proof` it cites the
   // chunks the traversal visits as the proof; null skips that.
   Status Get(const Hash256& root, const Slice& key, std::string* value,
-             Proof* proof) const;
-
-  static Status VerifyProof(const Hash256& root, const Slice& key,
-                            const std::optional<std::string>& expected_value,
-                            const Proof& proof);
+             MptProof* proof) const;
 
   // Number of keys stored under `root` (full subtree walk).
   Status Count(const Hash256& root, uint64_t* count) const;
@@ -61,30 +51,9 @@ class MerklePatriciaTrie {
   Status CollectChunks(const Hash256& root,
                        std::unordered_set<Hash256, Hash256Hasher>* live) const;
 
-  // A trie node and its payload codec. A leaf is kind, lp(nibble path),
-  // lp(value); an extension kind, lp(nibble path), child id; a branch
-  // kind, fixed32 child mask, each present child's id, a 0/1 value flag
-  // and lp(value) when set. DecodeNode refuses every payload EncodeNode
-  // would not have written.
-  enum class NodeKind : uint8_t { kLeaf = 0, kExtension = 1, kBranch = 2 };
-
-  struct Node {
-    NodeKind kind = NodeKind::kLeaf;
-    std::vector<uint8_t> path;  // leaf or extension nibble path
-    std::string value;          // leaf value or branch value
-    bool has_value = false;     // branch-only
-    Hash256 children[16];       // branch children (zero = absent)
-    Hash256 child;              // extension child
-  };
-
-  static std::string EncodeNode(const Node& node);
-  static Status DecodeNode(const Slice& payload, Node* node);
-
  private:
-  static std::vector<uint8_t> ToNibbles(const Slice& key);
-
-  Status LoadNode(const Hash256& id, Node* node) const;
-  Hash256 StoreNode(const Node& node) const;
+  Status LoadNode(const Hash256& id, MptNode* node) const;
+  Hash256 StoreNode(const MptNode& node) const;
 
   // Recursive insert into the subtree rooted at `id` (zero = empty) for
   // the remaining nibble path; returns the new subtree id.
@@ -98,7 +67,7 @@ class MerklePatriciaTrie {
   // Canonicalizes a branch that may have lost children: collapses a
   // branch with one child and no value, or with a value only, into the
   // shorter canonical form.
-  Status Normalize(const Node& node, Hash256* out) const;
+  Status Normalize(const MptNode& node, Hash256* out) const;
 
   ChunkStore* store_;
 };

@@ -1,8 +1,6 @@
 #include "index/pos_tree.h"
 
 #include <algorithm>
-#include <cassert>
-#include <limits>
 
 #include "chunk/buffer_cache.h"
 #include "common/codec.h"
@@ -58,212 +56,6 @@ Hash256 PosTree::EntryHash(const PosEntry& e) {
   return out;
 }
 
-// --- Node serialization ----------------------------------------------------
-
-size_t EntryListSize(std::span<const PosEntry> entries) {
-  size_t size = VarintLength(entries.size());
-  for (const PosEntry& e : entries) {
-    size += LengthPrefixedSize(e.key) + LengthPrefixedSize(e.value);
-  }
-  return size;
-}
-
-void PutEntryList(std::string* dst, std::span<const PosEntry> entries) {
-  PutVarint64(dst, entries.size());
-  for (const PosEntry& e : entries) {
-    PutLengthPrefixedSlice(dst, e.key);
-    PutLengthPrefixedSlice(dst, e.value);
-  }
-}
-
-Status GetEntryList(Slice* input, std::vector<PosEntry>* out) {
-  out->clear();
-  uint64_t n = 0;
-  Status s = GetCount(input, 2, &n);  // two one-byte length prefixes
-  if (!s.ok()) return s;
-  out->reserve(n);
-  for (uint64_t i = 0; i < n; i++) {
-    Slice key, value;
-    s = GetLengthPrefixedSlice(input, &key);
-    if (s.ok()) s = GetLengthPrefixedSlice(input, &value);
-    if (!s.ok()) return s;
-    out->push_back(PosEntry{key.ToString(), value.ToString()});
-  }
-  return Status::OK();
-}
-
-std::string PosTree::EncodeLeaf(std::span<const PosEntry> entries) {
-  std::string out;
-  out.reserve(EntryListSize(entries));  // the chunk keeps it: no slack
-  PutEntryList(&out, entries);
-  return out;
-}
-
-std::string PosTree::EncodeMeta(const std::vector<ChildRef>& children) {
-  size_t size = VarintLength(children.size());
-  for (const ChildRef& c : children) {
-    size += VarintLength(c.last_key.size()) + c.last_key.size() +
-            Hash256::kSize + VarintLength(c.count);
-  }
-  std::string out;
-  out.reserve(size);
-  PutVarint64(&out, children.size());
-  for (const ChildRef& c : children) {
-    PutLengthPrefixedSlice(&out, c.last_key);
-    out.append(c.id.ToBytes());
-    PutVarint64(&out, c.count);
-  }
-  return out;
-}
-
-Status PosNode::Decode(ChunkType type, const Slice& payload,
-                       std::shared_ptr<const void> owner,
-                       std::shared_ptr<const PosNode>* out) {
-  return Parse(std::make_shared<PosNode>(Passkey(), type, payload,
-                                         std::move(owner), payload.size(),
-                                         /*from_chunk=*/false),
-               out);
-}
-
-Status PosNode::Decode(std::shared_ptr<const Chunk> chunk,
-                       std::shared_ptr<const PosNode>* out) {
-  const ChunkType type = chunk->type();
-  const Slice payload = chunk->data();
-  const size_t owner_bytes = sizeof(Chunk) + chunk->payload().capacity();
-  return Parse(std::make_shared<PosNode>(Passkey(), type, payload,
-                                         std::move(chunk), owner_bytes,
-                                         /*from_chunk=*/true),
-               out);
-}
-
-Status PosNode::Parse(std::shared_ptr<PosNode> node,
-                      std::shared_ptr<const PosNode>* out) {
-  const ChunkType type = node->type_;
-  if (type != ChunkType::kIndexLeaf && type != ChunkType::kIndexMeta) {
-    return Status::Corruption("unexpected chunk type in tree");
-  }
-  if (node->payload_.size() > std::numeric_limits<uint32_t>::max()) {
-    return Status::Corruption("index node of 4 GiB or more");
-  }
-  const char* base = node->payload_.data();
-  Slice input = node->payload_;
-  const bool leaf = type == ChunkType::kIndexLeaf;
-  // A leaf entry takes two one-byte length prefixes at least; a meta
-  // child a one-byte key prefix, its id and a one-byte count.
-  uint64_t n = 0;
-  Status s = GetCount(&input, leaf ? 2 : 2 + Hash256::kSize, &n);
-  if (!s.ok()) return s;
-  if (!leaf && n == 0) return Status::Corruption("empty meta node");
-  node->offsets_.reserve(n);
-  for (uint64_t i = 0; i < n; i++) {
-    node->offsets_.push_back(static_cast<uint32_t>(input.data() - base));
-    Slice key;
-    s = GetLengthPrefixedSlice(&input, &key);
-    if (leaf) {
-      Slice value;
-      if (s.ok()) s = GetLengthPrefixedSlice(&input, &value);
-    } else {
-      Hash256 id;
-      uint64_t count = 0;
-      if (s.ok()) s = GetHash256(&input, &id);
-      if (s.ok()) s = GetVarint64(&input, &count);
-    }
-    if (!s.ok()) return s;
-  }
-  s = CheckConsumed(input, "index node");
-  if (s.ok()) *out = std::move(node);
-  return s;
-}
-
-namespace {
-
-// Readers of a node's fields at p, bytes PosNode::Parse has checked:
-// each returns the byte past the field.
-const char* ReadVarint(const char* p, uint64_t* value) {
-  uint64_t result = 0;
-  for (uint32_t shift = 0;; shift += 7) {
-    const auto byte = static_cast<unsigned char>(*p++);
-    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) break;
-  }
-  *value = result;
-  return p;
-}
-
-const char* ReadPrefixed(const char* p, Slice* field) {
-  uint64_t size = 0;
-  p = ReadVarint(p, &size);
-  *field = Slice(p, static_cast<size_t>(size));
-  return p + size;
-}
-
-}  // namespace
-
-Slice PosNode::key(size_t i) const {
-  Slice key;
-  ReadPrefixed(payload_.data() + offsets_[i], &key);
-  return key;
-}
-
-Slice PosNode::value(size_t i) const {
-  Slice key, value;
-  ReadPrefixed(ReadPrefixed(payload_.data() + offsets_[i], &key), &value);
-  return value;
-}
-
-PosEntry PosNode::entry(size_t i) const {
-  return PosEntry{key(i).ToString(), value(i).ToString()};
-}
-
-size_t PosNode::LowerBound(const Slice& key) const {
-  size_t lo = 0, hi = offsets_.size();
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (this->key(mid).compare(key) < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-// A meta's child ref starts with its last key, as a leaf entry starts
-// with its key.
-Slice PosNode::last_key(size_t i) const { return key(i); }
-
-Hash256 PosNode::child_id(size_t i) const {
-  Slice key;
-  const char* id = ReadPrefixed(payload_.data() + offsets_[i], &key);
-  return Hash256::FromBytes(Slice(id, Hash256::kSize));
-}
-
-PosTree::ChildRef PosNode::child(size_t i) const {
-  PosTree::ChildRef ref;
-  Slice key;
-  const char* id = ReadPrefixed(payload_.data() + offsets_[i], &key);
-  ref.last_key = key.ToString();
-  ref.id = Hash256::FromBytes(Slice(id, Hash256::kSize));
-  ReadVarint(id + Hash256::kSize, &ref.count);
-  return ref;
-}
-
-std::vector<PosTree::ChildRef> PosNode::children() const {
-  std::vector<PosTree::ChildRef> out;
-  out.reserve(child_count());
-  for (size_t i = 0; i < child_count(); i++) out.push_back(child(i));
-  return out;
-}
-
-size_t PosNode::Route(const Slice& key) const {
-  return std::min(LowerBound(key), child_count() - 1);
-}
-
-size_t PosNode::ByteSize() const {
-  return sizeof(PosNode) + owner_bytes_ +
-         offsets_.capacity() * sizeof(uint32_t);
-}
-
 Status PosTree::LoadNode(const Hash256& id,
                          std::shared_ptr<const PosNode>* node) const {
   if (cache_ != nullptr) {
@@ -285,23 +77,23 @@ Status PosTree::LoadNode(const Hash256& id,
   return Status::OK();
 }
 
-PosTree::ChildRef PosTree::StoreLeaf(const std::vector<PosEntry>& entries,
-                                     const Chunk* base) const {
-  ChildRef ref;
+PosChildRef PosTree::StoreLeaf(const std::vector<PosEntry>& entries,
+                               const Chunk* base) const {
+  PosChildRef ref;
   ref.last_key = entries.empty() ? std::string() : entries.back().key;
   ref.count = entries.size();
-  ref.id = store_->Put(Chunk(ChunkType::kIndexLeaf, EncodeLeaf(entries)),
+  ref.id = store_->Put(Chunk(ChunkType::kIndexLeaf, EncodePosLeaf(entries)),
                        base);
   return ref;
 }
 
-PosTree::ChildRef PosTree::StoreMeta(const std::vector<ChildRef>& children,
-                                     const Chunk* base) const {
-  ChildRef ref;
+PosChildRef PosTree::StoreMeta(const std::vector<PosChildRef>& children,
+                               const Chunk* base) const {
+  PosChildRef ref;
   ref.last_key = children.empty() ? std::string() : children.back().last_key;
   ref.count = 0;
-  for (const ChildRef& c : children) ref.count += c.count;
-  ref.id = store_->Put(Chunk(ChunkType::kIndexMeta, EncodeMeta(children)),
+  for (const PosChildRef& c : children) ref.count += c.count;
+  ref.id = store_->Put(Chunk(ChunkType::kIndexMeta, EncodePosMeta(children)),
                        base);
   return ref;
 }
@@ -325,20 +117,20 @@ std::vector<Elem> EmitClosedRuns(const std::vector<Elem>& run,
 }
 }  // namespace
 
-std::vector<PosTree::ChildRef> PosTree::EmitMetas(
-    const std::vector<ChildRef>& run) const {
-  std::vector<ChildRef> out;
-  std::vector<ChildRef> suffix = EmitClosedRuns(
+std::vector<PosChildRef> PosTree::EmitMetas(
+    const std::vector<PosChildRef>& run) const {
+  std::vector<PosChildRef> out;
+  std::vector<PosChildRef> suffix = EmitClosedRuns(
       run, options_.max_node_elements,
-      [&](const ChildRef& c) { return IsMetaBoundary(c.id); },
-      [&](const std::vector<ChildRef>& node) {
+      [&](const PosChildRef& c) { return IsMetaBoundary(c.id); },
+      [&](const std::vector<PosChildRef>& node) {
         out.push_back(StoreMeta(node));
       });
   if (!suffix.empty()) out.push_back(StoreMeta(suffix));
   return out;
 }
 
-Hash256 PosTree::BuildUp(std::vector<ChildRef> level_refs) const {
+Hash256 PosTree::BuildUp(std::vector<PosChildRef> level_refs) const {
   while (level_refs.size() > 1) level_refs = EmitMetas(level_refs);
   if (level_refs.empty()) return EmptyRoot();
   return level_refs[0].id;
@@ -397,7 +189,7 @@ Status PosTree::Build(std::vector<PosEntry> entries, Hash256* root) const {
     return std::span<const PosEntry>(entries).subspan(begin,
                                                       leaf_ends[j] - begin);
   };
-  std::vector<ChildRef> leaves;
+  std::vector<PosChildRef> leaves;
   leaves.reserve(leaf_ends.size());
   std::vector<std::string> payloads;
   std::vector<Chunk> chunks;
@@ -416,7 +208,8 @@ Status PosTree::Build(std::vector<PosEntry> entries, Hash256* root) const {
     });
     for (size_t k = 0; k < count; k++) {
       const std::span<const PosEntry> node = leaf(first + k);
-      leaves.push_back(ChildRef{node.back().key, chunks[k].id(), node.size()});
+      leaves.push_back(
+          PosChildRef{node.back().key, chunks[k].id(), node.size()});
       store_->Put(std::move(chunks[k]));
     }
   }
@@ -443,60 +236,8 @@ void AppendEntries(const PosNode& leaf, std::vector<PosEntry>* out) {
 // Appends a meta's children [begin, end) as owned refs (for building
 // new metas).
 void AppendChildren(const PosNode& meta, size_t begin, size_t end,
-                    std::vector<PosTree::ChildRef>* out) {
+                    std::vector<PosChildRef>* out) {
   for (size_t i = begin; i < end; i++) out->push_back(meta.child(i));
-}
-
-// The range walk that Scan runs over the store and VerifyRangeProof runs
-// over a proof: visits, in key order, the subtrees that can intersect
-// [start, end) and hands every entry in range to `emit(leaf, i)` until
-// `limit` entries (0 = no limit) have gone out. `load(id, &node)`
-// resolves a node; either callback stops the walk with an error.
-template <typename Load, typename Emit>
-struct RangeWalk {
-  Slice start, end;
-  size_t limit;
-  Load load;
-  Emit emit;
-  size_t emitted = 0;
-
-  Status Visit(const Hash256& id, bool* done) {
-    std::shared_ptr<const PosNode> node;
-    Status s = load(id, &node);
-    if (!s.ok()) return s;
-    if (node->is_leaf()) {
-      for (size_t i = node->LowerBound(start); i < node->entry_count(); i++) {
-        if (!end.empty() && node->key(i).compare(end) >= 0) {
-          *done = true;
-          return Status::OK();
-        }
-        s = emit(*node, i);
-        if (!s.ok()) return s;
-        if (limit > 0 && ++emitted >= limit) {
-          *done = true;
-          return Status::OK();
-        }
-      }
-      return Status::OK();
-    }
-    for (size_t i = 0; i < node->child_count() && !*done; i++) {
-      // Skip subtrees entirely below the range start; subtrees after
-      // one that reached `end` are never visited.
-      if (node->last_key(i).compare(start) < 0) continue;
-      s = Visit(node->child_id(i), done);
-      if (!s.ok()) return s;
-    }
-    return Status::OK();
-  }
-};
-
-template <typename Load, typename Emit>
-Status WalkRange(const Hash256& root, const Slice& start, const Slice& end,
-                 size_t limit, Load load, Emit emit) {
-  RangeWalk<Load, Emit> walk{start, end, limit, std::move(load),
-                             std::move(emit)};
-  bool done = false;
-  return walk.Visit(root, &done);
 }
 
 }  // namespace
@@ -610,27 +351,29 @@ Status PosTree::Height(const Hash256& root, uint32_t* height) const {
 
 // --- Updates -----------------------------------------------------------
 
-std::optional<PosTree::ChildRef> PosTree::SiblingCursor::Next() {
+Status PosTree::SiblingCursor::Next(std::optional<PosChildRef>* next) {
+  next->reset();
   // Find the deepest frame that can advance.
   int i = static_cast<int>(frames_.size()) - 1;
   while (i >= 0 && frames_[i].idx + 1 >= frames_[i].node->child_count()) {
     i--;
   }
-  if (i < 0) return std::nullopt;
+  if (i < 0) return Status::OK();
   frames_[i].idx++;
   // Re-descend to the cursor level along the leftmost path.
   for (size_t l = i + 1; l < frames_.size(); l++) {
     const PathFrame& parent = frames_[l - 1];
     std::shared_ptr<const PosNode> node;
     Status s = tree_->LoadNode(parent.node->child_id(parent.idx), &node);
-    if (!s.ok()) return std::nullopt;
+    if (!s.ok()) return s;
     if (node->is_leaf()) {
-      return std::nullopt;  // structure shallower than expected
+      return Status::Corruption("leaf above the leaf level during update");
     }
     frames_[l] = PathFrame{std::move(node), 0};
   }
   const PathFrame& bottom = frames_.back();
-  return bottom.node->child(bottom.idx);
+  *next = bottom.node->child(bottom.idx);
+  return Status::OK();
 }
 
 Status PosTree::Put(const Hash256& root, const Slice& key, const Slice& value,
@@ -707,7 +450,7 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
   // 3. Rebuild level 0 (leaves), re-chunking rightward until the
   //    content-defined boundaries realign with the old structure.
   SiblingCursor leaf_cursor(this, frames);
-  std::vector<ChildRef> new_refs;
+  std::vector<PosChildRef> new_refs;
   uint64_t consumed_old = 1;  // the leaf we descended into
   std::vector<PosEntry> pending = std::move(leaf_entries);
   while (true) {
@@ -718,7 +461,9 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
           new_refs.push_back(StoreLeaf(node, leaf->chunk()));
         });
     if (suffix.empty()) break;  // realigned with the old chunking
-    std::optional<ChildRef> next = leaf_cursor.Next();
+    std::optional<PosChildRef> next;
+    Status s = leaf_cursor.Next(&next);
+    if (!s.ok()) return s;
     if (!next.has_value()) {
       // The rightmost open leaf.
       new_refs.push_back(StoreLeaf(suffix, leaf->chunk()));
@@ -727,7 +472,7 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
     consumed_old++;
     old_ids.push_back(next->id);
     std::shared_ptr<const PosNode> next_node;
-    Status s = LoadNode(next->id, &next_node);
+    s = LoadNode(next->id, &next_node);
     if (!s.ok()) return s;
     if (!next_node->is_leaf()) {
       return Status::Corruption("expected leaf sibling during update");
@@ -736,7 +481,7 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
     AppendEntries(*next_node, &pending);
   }
 
-  for (const ChildRef& ref : new_refs) new_ids.push_back(ref.id);
+  for (const PosChildRef& ref : new_refs) new_ids.push_back(ref.id);
 
   // 4. Propagate upward level by level.
   for (int fi = static_cast<int>(frames.size()) - 1; fi >= 0; fi--) {
@@ -748,17 +493,19 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
     // Splice: children before the descent point stay; `consumed_old`
     // old children (possibly spanning sibling nodes) are replaced by
     // new_refs; the rest of the partially-consumed node is kept.
-    std::vector<ChildRef> pending_children;
+    std::vector<PosChildRef> pending_children;
     AppendChildren(parent, 0, idx, &pending_children);
     pending_children.insert(pending_children.end(), new_refs.begin(),
                             new_refs.end());
     uint64_t nodes_consumed_here = 1;  // this frame's node
     uint64_t to_consume = consumed_old;
-    std::vector<ChildRef> remaining;
+    std::vector<PosChildRef> remaining;
     AppendChildren(parent, idx, parent.child_count(), &remaining);
     while (remaining.size() < to_consume) {
       to_consume -= remaining.size();
-      std::optional<ChildRef> sib = cursor.Next();
+      std::optional<PosChildRef> sib;
+      Status s = cursor.Next(&sib);
+      if (!s.ok()) return s;
       if (!sib.has_value()) {
         to_consume = 0;
         remaining.clear();
@@ -767,7 +514,7 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
       nodes_consumed_here++;
       old_ids.push_back(sib->id);
       std::shared_ptr<const PosNode> sib_node;
-      Status s = LoadNode(sib->id, &sib_node);
+      s = LoadNode(sib->id, &sib_node);
       if (!s.ok()) return s;
       if (sib_node->is_leaf()) {
         return Status::Corruption("expected meta sibling during update");
@@ -778,17 +525,19 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
                             remaining.begin() + to_consume, remaining.end());
 
     // Re-chunk this level until boundaries realign.
-    std::vector<ChildRef> refs_up;
-    std::vector<ChildRef> level_pending = std::move(pending_children);
+    std::vector<PosChildRef> refs_up;
+    std::vector<PosChildRef> level_pending = std::move(pending_children);
     while (true) {
-      std::vector<ChildRef> suffix = EmitClosedRuns(
+      std::vector<PosChildRef> suffix = EmitClosedRuns(
           level_pending, options_.max_node_elements,
-          [&](const ChildRef& c) { return IsMetaBoundary(c.id); },
-          [&](const std::vector<ChildRef>& node) {
+          [&](const PosChildRef& c) { return IsMetaBoundary(c.id); },
+          [&](const std::vector<PosChildRef>& node) {
             refs_up.push_back(StoreMeta(node, parent.chunk()));
           });
       if (suffix.empty()) break;
-      std::optional<ChildRef> sib = cursor.Next();
+      std::optional<PosChildRef> sib;
+      Status s = cursor.Next(&sib);
+      if (!s.ok()) return s;
       if (!sib.has_value()) {
         refs_up.push_back(StoreMeta(suffix, parent.chunk()));
         break;
@@ -796,7 +545,7 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
       nodes_consumed_here++;
       old_ids.push_back(sib->id);
       std::shared_ptr<const PosNode> sib_node;
-      Status s = LoadNode(sib->id, &sib_node);
+      s = LoadNode(sib->id, &sib_node);
       if (!s.ok()) return s;
       if (sib_node->is_leaf()) {
         return Status::Corruption("expected meta sibling during update");
@@ -804,7 +553,7 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
       level_pending = std::move(suffix);
       AppendChildren(*sib_node, 0, sib_node->child_count(), &level_pending);
     }
-    for (const ChildRef& ref : refs_up) new_ids.push_back(ref.id);
+    for (const PosChildRef& ref : refs_up) new_ids.push_back(ref.id);
     new_refs = std::move(refs_up);
     consumed_old = nodes_consumed_here;
   }
@@ -834,125 +583,6 @@ Status PosTree::Update(const Hash256& root, const Slice& key,
       }
     }
     replaced->insert(replaced->end(), collapsed.begin(), collapsed.end());
-  }
-  return Status::OK();
-}
-
-// --- Verification ------------------------------------------------------
-
-namespace {
-
-bool IdBefore(const std::pair<Hash256, ProofNode>& entry, const Hash256& id) {
-  return entry.first < id;
-}
-
-}  // namespace
-
-void PosRangeProof::Add(const Hash256& id, ProofNode node) {
-  auto it = std::lower_bound(nodes.begin(), nodes.end(), id, IdBefore);
-  if (it != nodes.end() && it->first == id) return;
-  nodes.emplace(it, id, std::move(node));
-}
-
-const ProofNode* PosRangeProof::Find(const Hash256& id) const {
-  auto it = std::lower_bound(nodes.begin(), nodes.end(), id, IdBefore);
-  return it != nodes.end() && it->first == id ? &it->second : nullptr;
-}
-
-namespace {
-
-// Decodes one node a proof carries in place, after checking that it is
-// the node `id` names: the proof's bytes are untrusted until they hash
-// to it.
-Status DecodeProofNode(const ProofNode& cited, const Hash256& id,
-                       std::shared_ptr<const PosNode>* node) {
-  const ChunkType type = static_cast<ChunkType>(cited.type);
-  if (Chunk::IdOf(type, cited.payload) != id) {
-    return Status::VerificationFailed("proof node hash mismatch");
-  }
-  if (!PosNode::Decode(type, cited.payload, cited.owner, node).ok()) {
-    return Status::VerificationFailed("bad proof node payload");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status PosTree::VerifyProof(const Hash256& root, const Slice& key,
-                            const std::optional<std::string>& expected_value,
-                            const PosProof& proof) {
-  const size_t depth = proof.nodes.size();
-  if (depth == 0) return Status::VerificationFailed("malformed proof");
-  // Walk down from the root digest: each meta must route `key` to the
-  // id the next node hashes to.
-  Hash256 id = root;
-  std::shared_ptr<const PosNode> node;
-  for (size_t i = 0; i < depth; i++) {
-    Status s = DecodeProofNode(proof.nodes[i], id, &node);
-    if (!s.ok()) return s;
-    if (i + 1 == depth) break;
-    if (node->is_leaf()) {
-      return Status::VerificationFailed("interior proof node is not meta");
-    }
-    id = node->child_id(node->Route(key));
-  }
-  if (!node->is_leaf()) {
-    return Status::VerificationFailed("proof does not end at a leaf");
-  }
-  const size_t i = node->LowerBound(key);
-  const bool present = i < node->entry_count() && node->key(i) == key;
-  if (expected_value.has_value()) {
-    if (!present) {
-      return Status::VerificationFailed("proof shows key absent");
-    }
-    if (node->value(i) != Slice(*expected_value)) {
-      return Status::VerificationFailed("value mismatch");
-    }
-  } else {
-    if (present) {
-      return Status::VerificationFailed("proof shows key present");
-    }
-  }
-  return Status::OK();
-}
-
-Status PosTree::VerifyRangeProof(const Hash256& root, const Slice& start,
-                                 const Slice& end, size_t limit,
-                                 const std::vector<PosEntry>& expected,
-                                 const PosRangeProof& proof) {
-  if (root.IsZero()) {
-    if (!expected.empty()) {
-      return Status::VerificationFailed("results from an empty tree");
-    }
-    return Status::OK();
-  }
-
-  // Re-walk the proof from the root, recomputing every chunk id, and
-  // match each entry the walk yields against the claimed results.
-  size_t matched = 0;
-  Status s = WalkRange(
-      root, start, end, limit,
-      [&](const Hash256& id, std::shared_ptr<const PosNode>* node) {
-        const ProofNode* cited = proof.Find(id);
-        if (cited == nullptr) {
-          return Status::VerificationFailed("proof missing node " +
-                                            id.ToHex());
-        }
-        return DecodeProofNode(*cited, id, node);
-      },
-      [&](const PosNode& leaf, size_t i) {
-        if (matched == expected.size()) {
-          return Status::VerificationFailed("result cardinality mismatch");
-        }
-        const PosEntry& e = expected[matched++];
-        if (leaf.key(i) != Slice(e.key) || leaf.value(i) != Slice(e.value)) {
-          return Status::VerificationFailed("result content mismatch");
-        }
-        return Status::OK();
-      });
-  if (!s.ok()) return s;
-  if (matched != expected.size()) {
-    return Status::VerificationFailed("result cardinality mismatch");
   }
   return Status::OK();
 }

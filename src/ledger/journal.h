@@ -11,35 +11,9 @@
 #include "common/env.h"
 #include "common/status.h"
 #include "crypto/hash.h"
-#include "ledger/block.h"
-#include "ledger/merkle_tree.h"
+#include "proof/block.h"
 
 namespace spitz {
-
-// The signed state a client retains to verify later proofs against: the
-// journal tip after `block_count` blocks.
-struct JournalDigest {
-  uint64_t block_count = 0;
-  uint64_t entry_count = 0;
-  Hash256 tip_hash;     // hash of the latest block (chain head)
-  Hash256 merkle_root;  // root of the Merkle tree over block hashes
-};
-
-// Proof that a specific entry is included in the journal covered by a
-// digest: the path from the entry through its block's internal Merkle
-// tree, the block header fields needed to recompute the block hash, and
-// the path from the block hash to the journal Merkle root.
-struct JournalEntryProof {
-  uint64_t block_height = 0;
-  uint64_t entry_index = 0;  // index within the block
-  MerkleInclusionProof entry_path;  // within-block proof
-  // Block header fields (entry root is recomputed by the verifier).
-  uint64_t first_seq = 0;
-  Hash256 prev_hash;
-  Hash256 index_root;
-  uint64_t block_timestamp = 0;
-  MerkleInclusionProof block_path;  // block-level proof to merkle_root
-};
 
 // An append-only journal of hash-chained blocks with a Merkle tree over
 // the block hashes, in the style of ledger databases such as Amazon QLDB
@@ -186,17 +160,9 @@ class Journal {
                              uint64_t entry_index, JournalEntryProof* proof,
                              LedgerEntry* entry);
 
-  // Client-side verification of an entry proof against a digest.
-  static Status VerifyEntry(const LedgerEntry& entry,
-                            const JournalEntryProof& proof,
-                            const JournalDigest& digest);
-
   // Append-only consistency between two digests observed over time.
   Status ConsistencyProof(uint64_t old_block_count,
                           MerkleConsistencyProof* proof) const;
-  static bool VerifyConsistency(const MerkleConsistencyProof& proof,
-                                const JournalDigest& old_digest,
-                                const JournalDigest& new_digest);
 
   // The last frame boundary: the size journal.log has once every
   // block's frame is written, its header frame included (a journal

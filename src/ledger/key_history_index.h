@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/slice.h"
-#include "ledger/block.h"
+#include "proof/block.h"
 
 namespace spitz {
 

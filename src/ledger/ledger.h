@@ -12,10 +12,10 @@
 #include "common/pos_entry.h"
 #include "common/status.h"
 #include "crypto/hash.h"
-#include "ledger/block.h"
+#include "proof/block.h"
 #include "ledger/journal.h"
 #include "ledger/key_history_index.h"
-#include "ledger/merkle_tree.h"
+#include "proof/merkle_tree.h"
 #include "txn/write_batch.h"
 
 namespace spitz {

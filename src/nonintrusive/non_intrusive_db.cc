@@ -112,7 +112,6 @@ Status NonIntrusiveDb::HandleLedger(uint32_t method,
       s = ledger_db_.Read(kCurrentVersion, key, &stored, &proof);
       if (!s.ok()) return s;
       proof.EncodeTo(response);
-      PutLengthPrefixedSlice(response, stored);
       return Status::OK();
     }
     case kLedgerDigest: {
@@ -181,8 +180,14 @@ Status NonIntrusiveDb::GetVerified(const Slice& key, VerifiedValue* out) {
   std::string response;
   s = ledger_server_->Call(kLedgerProve, request, &response);
   if (!s.ok()) return s;
-  Slice input(response);
-  return ReadProof::DecodeFrom(&input, &out->proof);
+  return DecodeProveReply(response, &out->proof);
+}
+
+Status NonIntrusiveDb::DecodeProveReply(const std::string& reply,
+                                        ReadProof* proof) {
+  Slice input(reply);
+  Status s = ReadProof::DecodeFrom(&input, proof);
+  return s.ok() ? CheckConsumed(input, "prove reply") : s;
 }
 
 Status NonIntrusiveDb::Scan(const Slice& start, const Slice& end,
@@ -217,9 +222,7 @@ Status NonIntrusiveDb::ScanVerified(const Slice& start, const Slice& end,
     PutLengthPrefixedSlice(&request, row.key);
     std::string response;
     s = ledger_server_->Call(kLedgerProve, request, &response);
-    if (!s.ok()) return s;
-    Slice input(response);
-    s = ReadProof::DecodeFrom(&input, &vv.proof);
+    if (s.ok()) s = DecodeProveReply(response, &vv.proof);
     if (!s.ok()) return s;
     out->push_back(std::move(vv));
     keys->push_back(row.key);
@@ -241,15 +244,11 @@ SpitzDigest NonIntrusiveDb::Digest() {
 Status NonIntrusiveDb::VerifyValue(const SpitzDigest& digest,
                                    const Slice& key,
                                    const VerifiedValue& vv) {
-  if (vv.proof.index_root != digest.index_root) {
-    return Status::VerificationFailed("proof is for a different version");
-  }
   // The ledger database maps key -> hash(value); the proof must show
   // exactly that binding, and the value from the underlying database
   // must match the hash. Verification dispatches on the proof's backend
   // tag, so any SIRI backend can serve the ledger role.
-  std::string expected = Hash256::Of(vv.value).ToBytes();
-  return vv.proof.index_proof.Verify(digest.index_root, key, expected);
+  return VerifyRead(digest, key, Hash256::Of(vv.value).ToBytes(), vv.proof);
 }
 
 }  // namespace spitz

@@ -78,9 +78,11 @@ class NonIntrusiveDb {
   // The client's trusted state: the ledger database's digest.
   SpitzDigest Digest();
 
-  // Client-side verification of a verified read.
+  // Client-side verification of a verified read (VerifyRead of its hash).
   static Status VerifyValue(const SpitzDigest& digest, const Slice& key,
                             const VerifiedValue& vv);
+  // Decodes a kLedgerProve reply: one ReadProof, no trailing bytes.
+  static Status DecodeProveReply(const std::string& reply, ReadProof* proof);
 
   uint64_t underlying_rpc_calls() const { return kvs_server_->calls_served(); }
   uint64_t ledger_rpc_calls() const { return ledger_server_->calls_served(); }

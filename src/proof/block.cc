@@ -1,11 +1,10 @@
-#include "ledger/block.h"
+#include "proof/block.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cstring>
 
 #include "common/codec.h"
-#include "ledger/merkle_tree.h"
 
 namespace spitz {
 
@@ -222,6 +221,40 @@ Status Block::Decode(Slice input, Block* block) {
                              b.entries_root_, b.index_root_, b.timestamp_);
   *block = std::move(b);
   return Status::OK();
+}
+
+Status VerifyJournalEntry(const LedgerEntry& entry,
+                          const JournalEntryProof& proof,
+                          const JournalDigest& digest) {
+  // Entry -> the block's entries root -> the block hash -> the journal
+  // Merkle root the digest covers.
+  Hash256 entries_root;
+  if (!MerkleTree::RootFromPath(entry.LeafHash(), proof.entry_path,
+                                &entries_root)) {
+    return Status::VerificationFailed("malformed entry path");
+  }
+  Hash256 block_hash =
+      Block::HeaderHash(proof.block_height, proof.first_seq, proof.prev_hash,
+                        entries_root, proof.index_root, proof.block_timestamp);
+  if (!MerkleTree::VerifyInclusion(Hash256::OfLeaf(block_hash.slice()),
+                                   proof.block_path, digest.merkle_root)) {
+    return Status::VerificationFailed("block not in journal");
+  }
+  if (proof.block_path.tree_size != digest.block_count) {
+    return Status::VerificationFailed("proof generated for different digest");
+  }
+  return Status::OK();
+}
+
+bool VerifyJournalConsistency(const MerkleConsistencyProof& proof,
+                              const JournalDigest& old_digest,
+                              const JournalDigest& new_digest) {
+  if (proof.old_size != old_digest.block_count ||
+      proof.new_size != new_digest.block_count) {
+    return false;
+  }
+  return MerkleTree::VerifyConsistency(proof, old_digest.merkle_root,
+                                       new_digest.merkle_root);
 }
 
 }  // namespace spitz

@@ -1,5 +1,5 @@
-#ifndef SPITZ_LEDGER_BLOCK_H_
-#define SPITZ_LEDGER_BLOCK_H_
+#ifndef SPITZ_PROOF_BLOCK_H_
+#define SPITZ_PROOF_BLOCK_H_
 
 #include <cstdint>
 #include <span>
@@ -9,6 +9,7 @@
 #include "common/slice.h"
 #include "common/status.h"
 #include "crypto/hash.h"
+#include "proof/merkle_tree.h"
 
 namespace spitz {
 
@@ -119,6 +120,45 @@ class Block {
   Hash256 block_hash_;
 };
 
+// --- A journal of blocks (ledger/journal.h): its digest and proofs ---------
+
+// The signed state a client retains to verify later proofs against: the
+// journal tip after `block_count` blocks.
+struct JournalDigest {
+  uint64_t block_count = 0;
+  uint64_t entry_count = 0;
+  Hash256 tip_hash;     // hash of the latest block (chain head)
+  Hash256 merkle_root;  // root of the Merkle tree over block hashes
+};
+
+// Proof that a specific entry is included in the journal covered by a
+// digest: the path from the entry through its block's internal Merkle
+// tree, the block header fields needed to recompute the block hash, and
+// the path from the block hash to the journal Merkle root.
+struct JournalEntryProof {
+  uint64_t block_height = 0;
+  uint64_t entry_index = 0;  // index within the block
+  MerkleInclusionProof entry_path;  // within-block proof
+  // Block header fields (entry root is recomputed by the verifier).
+  uint64_t first_seq = 0;
+  Hash256 prev_hash;
+  Hash256 index_root;
+  uint64_t block_timestamp = 0;
+  MerkleInclusionProof block_path;  // block-level proof to merkle_root
+};
+
+// Client-side verification of an entry proof (Journal::ProveEntryIn)
+// against a digest.
+Status VerifyJournalEntry(const LedgerEntry& entry,
+                          const JournalEntryProof& proof,
+                          const JournalDigest& digest);
+
+// Append-only consistency between two digests observed over time
+// (Journal::ConsistencyProof).
+bool VerifyJournalConsistency(const MerkleConsistencyProof& proof,
+                              const JournalDigest& old_digest,
+                              const JournalDigest& new_digest);
+
 }  // namespace spitz
 
-#endif  // SPITZ_LEDGER_BLOCK_H_
+#endif  // SPITZ_PROOF_BLOCK_H_

@@ -1,4 +1,4 @@
-#include "ledger/merkle_tree.h"
+#include "proof/merkle_tree.h"
 
 #include "common/codec.h"
 

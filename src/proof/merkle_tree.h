@@ -1,5 +1,5 @@
-#ifndef SPITZ_LEDGER_MERKLE_TREE_H_
-#define SPITZ_LEDGER_MERKLE_TREE_H_
+#ifndef SPITZ_PROOF_MERKLE_TREE_H_
+#define SPITZ_PROOF_MERKLE_TREE_H_
 
 #include <cstdint>
 #include <vector>
@@ -116,4 +116,4 @@ uint64_t LargestPowerOfTwoBelow(uint64_t n);
 
 }  // namespace spitz
 
-#endif  // SPITZ_LEDGER_MERKLE_TREE_H_
+#endif  // SPITZ_PROOF_MERKLE_TREE_H_

@@ -1,5 +1,5 @@
-#ifndef SPITZ_INDEX_PROOF_NODE_H_
-#define SPITZ_INDEX_PROOF_NODE_H_
+#ifndef SPITZ_PROOF_PROOF_NODE_H_
+#define SPITZ_PROOF_PROOF_NODE_H_
 
 #include <cstdint>
 #include <memory>
@@ -48,4 +48,4 @@ Status DecodeOwnedCopy(Slice* input, Proof* out) {
 
 }  // namespace spitz
 
-#endif  // SPITZ_INDEX_PROOF_NODE_H_
+#endif  // SPITZ_PROOF_PROOF_NODE_H_

@@ -193,8 +193,8 @@ TEST_F(AuditorTest, HistoricalProofComesWithTheDigestItWasTakenAgainst) {
       db.ledger()->ProveHistoricalEntry(2, 0, &proof, &entry, &digest).ok());
   EXPECT_EQ(digest.block_count, 3u);
   for (int i = 6; i < 10; i++) ASSERT_TRUE(db.Put(Key(i), "v").ok());
-  EXPECT_TRUE(Journal::VerifyEntry(entry, proof, digest).ok());
-  EXPECT_TRUE(Journal::VerifyEntry(entry, proof, db.Digest().journal)
+  EXPECT_TRUE(VerifyJournalEntry(entry, proof, digest).ok());
+  EXPECT_TRUE(VerifyJournalEntry(entry, proof, db.Digest().journal)
                   .IsVerificationFailed());
 }
 

@@ -201,7 +201,7 @@ TEST(BaselineDbTest, ConsistencyAcrossGrowth) {
   JournalDigest new_digest = db.Digest();
   MerkleConsistencyProof proof;
   ASSERT_TRUE(db.ProveConsistency(old_digest.block_count, &proof).ok());
-  EXPECT_TRUE(Journal::VerifyConsistency(proof, old_digest, new_digest));
+  EXPECT_TRUE(VerifyJournalConsistency(proof, old_digest, new_digest));
 }
 
 TEST(BaselineDbTest, RandomizedVerifiedSweep) {
@@ -287,7 +287,7 @@ TEST(BaselineDbTest, VerifyRejectsASealedDelete) {
   JournalDigest digest;
   ASSERT_TRUE(
       ledger.ProveHistoricalEntry(0, 0, &vv.proof, &vv.entry, &digest).ok());
-  ASSERT_TRUE(Journal::VerifyEntry(vv.entry, vv.proof, digest).ok());
+  ASSERT_TRUE(VerifyJournalEntry(vv.entry, vv.proof, digest).ok());
   EXPECT_EQ(vv.entry.value_hash, Hash256::Of(""));
   EXPECT_TRUE(
       BaselineDb::VerifyValue(digest, "k", vv).IsVerificationFailed());
@@ -358,7 +358,7 @@ Status VerifyAgainstLaterDigest(const BaselineDb& db, const Slice& key,
     if (!s.ok()) return s;
     later = db.Digest();
   } while (grown.new_size != later.block_count);
-  return Journal::VerifyConsistency(grown, at, later)
+  return VerifyJournalConsistency(grown, at, later)
              ? Status::OK()
              : Status::VerificationFailed("journal forked");
 }

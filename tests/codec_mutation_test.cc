@@ -32,7 +32,7 @@
 #include "index/mbt.h"
 #include "index/mpt.h"
 #include "index/pos_tree.h"
-#include "ledger/block.h"
+#include "proof/block.h"
 #include "net/frame.h"
 #include "net/net_client.h"
 #include "net/net_server.h"
@@ -431,7 +431,7 @@ std::string EncodePosNode(const PosNode& node) {
     return out;
   }
   PutVarint64(&out, node.children().size());
-  for (const PosTree::ChildRef& c : node.children()) {
+  for (const PosChildRef& c : node.children()) {
     PutLengthPrefixedSlice(&out, c.last_key);
     out.append(c.id.ToBytes());
     PutVarint64(&out, c.count);
@@ -472,9 +472,9 @@ TEST(CodecMutationTest, MptNode) {
            return out;
          },
          [](const std::string& bytes, std::string* again) {
-           MerklePatriciaTrie::Node node;
-           Status s = MerklePatriciaTrie::DecodeNode(bytes, &node);
-           if (s.ok()) *again = MerklePatriciaTrie::EncodeNode(node);
+           MptNode node;
+           Status s = DecodeMptNode(bytes, &node);
+           if (s.ok()) *again = EncodeMptNode(node);
            return s;
          }});
 }
@@ -483,7 +483,7 @@ TEST(CodecMutationTest, MptNode) {
 // that lists it. What it decoded to is its entry list.
 TEST(CodecMutationTest, MbtBucket) {
   ChunkStore store;
-  MerkleBucketTree tree(&store, MerkleBucketTree::Options(1));
+  MerkleBucketTree tree(&store, MbtOptions(1));
   Sweep({"MBT bucket",
          [](uint64_t seed) {
            std::vector<std::string> out;
@@ -1178,10 +1178,10 @@ TEST(OneByteFormTest, HandshakeRefusesTrailingBytes) {
 // takes verifies.
 Status VerifyTrieNode(const std::string& node, const Slice& key,
                       const std::string& value) {
-  MerklePatriciaTrie::Proof proof;
+  MptProof proof;
   proof.nodes.push_back(OwnedProofNode(
       static_cast<uint8_t>(ChunkType::kTrieNode), node));
-  return MerklePatriciaTrie::VerifyProof(
+  return VerifyMptProof(
       Chunk::IdOf(ChunkType::kTrieNode, node), key, value, proof);
 }
 
@@ -1212,13 +1212,13 @@ TEST(OneByteFormTest, MbtBucketRefusesTrailingBytes) {
   auto verify = [](const std::string& bucket) {
     const std::string directory =
         Chunk::IdOf(ChunkType::kBucket, bucket).ToBytes();
-    MerkleBucketTree::Proof proof;
+    MbtProof proof;
     const auto type = static_cast<uint8_t>(ChunkType::kBucket);
     proof.directory = OwnedProofNode(type, directory);
     proof.bucket = OwnedProofNode(type, bucket);
-    return MerkleBucketTree::VerifyProof(
+    return VerifyMbtProof(
         Chunk::IdOf(ChunkType::kBucket, directory), "k", "v", proof,
-        MerkleBucketTree::Options(1));
+        MbtOptions(1));
   };
   const std::string bucket("\x01\x01k\x01v", 5);  // one entry: k -> v
   ASSERT_TRUE(verify(bucket).ok());
@@ -1317,6 +1317,24 @@ TEST(OneByteFormTest, NonIntrusiveLedgerRequestsRefuseTrailingBytes) {
     EXPECT_TRUE(response.empty());
     EXPECT_TRUE(db.HandleLedger(method, request, &response).ok());
   }
+}
+
+// A kLedgerProve reply is exactly one ReadProof, and the client's
+// decoder refuses a reply with a byte appended (the reply once carried
+// the stored value after the proof, which no client read).
+TEST(OneByteFormTest, NonIntrusiveProveReplyRefusesATrailingByte) {
+  NonIntrusiveDb db;
+  ASSERT_TRUE(db.Put("k", "v").ok());
+  std::string prove, reply;
+  PutLengthPrefixedSlice(&prove, "k");
+  ASSERT_TRUE(
+      db.HandleLedger(NonIntrusiveDb::kLedgerProve, prove, &reply).ok());
+  ReadProof proof;
+  ASSERT_TRUE(NonIntrusiveDb::DecodeProveReply(reply, &proof).ok());
+  NonIntrusiveDb::VerifiedValue vv{"v", proof};
+  EXPECT_TRUE(NonIntrusiveDb::VerifyValue(db.Digest(), "k", vv).ok());
+  EXPECT_TRUE(
+      NonIntrusiveDb::DecodeProveReply(reply + '\0', &proof).IsCorruption());
 }
 
 // A replica status request is one command byte: none, or one more,

@@ -124,7 +124,7 @@ void ExpectVersionVerifies(const PosTree& tree, const Hash256& root,
   PosRangeProof proof;
   ASSERT_TRUE(tree.Scan(root, "", "\xff", 0, &rows, &proof).ok());
   ASSERT_TRUE(
-      PosTree::VerifyRangeProof(root, "", "\xff", 0, rows, proof).ok());
+      VerifyPosRangeProof(root, "", "\xff", 0, rows, proof).ok());
   ASSERT_EQ(rows.size(), model.size());
   size_t i = 0;
   for (const auto& [key, value] : model) {
@@ -335,7 +335,7 @@ TEST_F(DeltaChunkTest, HundredOverwritesStayWithinTheCapAndEveryVersionReads) {
       ASSERT_TRUE(tree.Get(roots[v], Key(777), &value, &proof).ok());
       EXPECT_EQ(value, Value(777, v));
       ASSERT_TRUE(
-          PosTree::VerifyProof(roots[v], Key(777), value, proof).ok());
+          VerifyPosProof(roots[v], Key(777), value, proof).ok());
       for (const ProofNode& node : proof.nodes) {
         const Hash256 id =
             Chunk::IdOf(static_cast<ChunkType>(node.type), node.payload);

@@ -11,7 +11,7 @@
 #include "common/env.h"
 #include "common/random.h"
 #include "common/record_frame.h"
-#include "ledger/block.h"
+#include "proof/block.h"
 #include "ledger/journal.h"
 
 namespace spitz {
@@ -480,7 +480,7 @@ TEST(JournalTest, EntryProofVerifies) {
     LedgerEntry entry;
     ASSERT_TRUE(ProveEntry(j, height, idx, &proof, &entry).ok());
     EXPECT_EQ(entry, entries[global]);
-    EXPECT_TRUE(Journal::VerifyEntry(entry, proof, digest).ok())
+    EXPECT_TRUE(VerifyJournalEntry(entry, proof, digest).ok())
         << "height=" << height << " idx=" << idx;
   }
 }
@@ -494,7 +494,7 @@ TEST(JournalTest, EntryProofRejectsTamperedEntry) {
   ASSERT_TRUE(ProveEntry(j, 0, 0, &proof, &entry).ok());
   entry.value_hash = Hash256::Of("tampered");
   EXPECT_TRUE(
-      Journal::VerifyEntry(entry, proof, digest).IsVerificationFailed());
+      VerifyJournalEntry(entry, proof, digest).IsVerificationFailed());
 }
 
 // Every field of an entry proof feeds the recomputed block hash or one
@@ -513,7 +513,7 @@ TEST(JournalTest, EntryProofRejectsEveryTamperedProofField) {
   JournalEntryProof honest;
   LedgerEntry entry;
   ASSERT_TRUE(ProveEntry(j, 2, 3, &honest, &entry).ok());
-  ASSERT_TRUE(Journal::VerifyEntry(entry, honest, digest).ok());
+  ASSERT_TRUE(VerifyJournalEntry(entry, honest, digest).ok());
   ASSERT_FALSE(honest.entry_path.path.empty());
   ASSERT_FALSE(honest.block_path.path.empty());
 
@@ -522,7 +522,7 @@ TEST(JournalTest, EntryProofRejectsEveryTamperedProofField) {
                                  tamper) {
     JournalEntryProof proof = honest;
     tamper(&proof);
-    EXPECT_TRUE(Journal::VerifyEntry(entry, proof, digest)
+    EXPECT_TRUE(VerifyJournalEntry(entry, proof, digest)
                     .IsVerificationFailed())
         << field;
   };
@@ -560,7 +560,7 @@ TEST(JournalTest, EntryProofRejectsWrongDigest) {
 
   Journal other;
   other.Append({MakeEntry("x", "9")}, Hash256(), 1);
-  EXPECT_FALSE(Journal::VerifyEntry(entry, proof, other.Digest()).ok());
+  EXPECT_FALSE(VerifyJournalEntry(entry, proof, other.Digest()).ok());
 }
 
 TEST(JournalTest, ProveEntryBadIndicesFail) {
@@ -584,7 +584,7 @@ TEST(JournalTest, ConsistencyAcrossGrowth) {
   JournalDigest new_digest = j.Digest();
   MerkleConsistencyProof proof;
   ASSERT_TRUE(j.ConsistencyProof(old_digest.block_count, &proof).ok());
-  EXPECT_TRUE(Journal::VerifyConsistency(proof, old_digest, new_digest));
+  EXPECT_TRUE(VerifyJournalConsistency(proof, old_digest, new_digest));
 }
 
 TEST(JournalTest, ConsistencyRejectsMismatchedDigests) {
@@ -597,7 +597,7 @@ TEST(JournalTest, ConsistencyRejectsMismatchedDigests) {
   JournalDigest fake;
   fake.block_count = 4;
   fake.merkle_root = Hash256::Of("fake");
-  EXPECT_FALSE(Journal::VerifyConsistency(proof, fake, j.Digest()));
+  EXPECT_FALSE(VerifyJournalConsistency(proof, fake, j.Digest()));
 }
 
 TEST(JournalTest, StoredBytesGrowWithAppends) {
@@ -646,7 +646,7 @@ TEST(JournalTest, RandomizedFullSweep) {
       LedgerEntry entry;
       ASSERT_TRUE(ProveEntry(j, b, i, &proof, &entry).ok());
       EXPECT_EQ(entry, blocks[b][i]);
-      EXPECT_TRUE(Journal::VerifyEntry(entry, proof, digest).ok());
+      EXPECT_TRUE(VerifyJournalEntry(entry, proof, digest).ok());
     }
   }
 }
@@ -706,7 +706,7 @@ TEST(JournalTest, ReleasedBlocksReadBackFromTheFile) {
     LedgerEntry entry;
     ASSERT_TRUE(ProveEntry(j, h, 1, &proof, &entry).ok()) << h;
     EXPECT_EQ(entry.key, "x" + std::to_string(h));
-    EXPECT_TRUE(Journal::VerifyEntry(entry, proof, digest).ok()) << h;
+    EXPECT_TRUE(VerifyJournalEntry(entry, proof, digest).ok()) << h;
   }
   ASSERT_TRUE(j.Flush().ok());
   EXPECT_EQ(j.resident_bytes(), 0u);

@@ -56,7 +56,7 @@ void ExpectVerified(const History& history, const std::string& key,
     EXPECT_EQ(write.entry.key, key);
     EXPECT_EQ(write.proof.block_height, write.block_height);
     EXPECT_TRUE(
-        Journal::VerifyEntry(write.entry, write.proof, digest.journal).ok());
+        VerifyJournalEntry(write.entry, write.proof, digest.journal).ok());
   }
 }
 

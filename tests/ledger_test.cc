@@ -55,7 +55,7 @@ TEST_F(LedgerTest, SealedBlocksRecordTheirRootsAndProveTheirEntries) {
       ledger_.ProveHistoricalEntry(0, 1, &proof, &entry, &digest).ok());
   EXPECT_EQ(entry.key, "b");
   EXPECT_EQ(entry.value_hash, Hash256::Of("vb"));
-  EXPECT_TRUE(Journal::VerifyEntry(entry, proof, digest).ok());
+  EXPECT_TRUE(VerifyJournalEntry(entry, proof, digest).ok());
 
   std::vector<Ledger::HistoricalWrite> history;
   ASSERT_TRUE(ledger_.KeyHistory("a", &history).ok());
@@ -88,8 +88,8 @@ TEST_F(LedgerTest, ConsistencyProofSpansTheGrowthSinceADigest) {
   MerkleConsistencyProof proof;
   ASSERT_TRUE(ledger_.ProveConsistency(old_digest, &proof).ok());
   std::lock_guard<std::mutex> lock(mu_);
-  EXPECT_TRUE(Journal::VerifyConsistency(proof, old_digest,
-                                         ledger_.journal().Digest()));
+  EXPECT_TRUE(VerifyJournalConsistency(proof, old_digest,
+                                       ledger_.journal().Digest()));
 }
 
 TEST_F(LedgerTest, LoadSealsFullBlocksAndLeavesTheTailPending) {

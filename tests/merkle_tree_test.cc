@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "common/random.h"
-#include "ledger/merkle_tree.h"
+#include "proof/merkle_tree.h"
 
 namespace spitz {
 namespace {

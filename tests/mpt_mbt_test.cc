@@ -165,13 +165,13 @@ TEST_F(MptTest, MembershipProofVerifies) {
             .ok());
   }
   std::string value;
-  MerklePatriciaTrie::Proof proof;
+  MptProof proof;
   ASSERT_TRUE(trie_.Get(root, "key250", &value, &proof).ok());
   EXPECT_EQ(value, "val250");
   EXPECT_TRUE(
-      MerklePatriciaTrie::VerifyProof(root, "key250", value, proof).ok());
-  EXPECT_FALSE(MerklePatriciaTrie::VerifyProof(root, "key250",
-                                               std::string("forged"), proof)
+      VerifyMptProof(root, "key250", value, proof).ok());
+  EXPECT_FALSE(VerifyMptProof(root, "key250",
+                              std::string("forged"), proof)
                    .ok());
 }
 
@@ -181,11 +181,11 @@ TEST_F(MptTest, NonMembershipProofVerifies) {
     ASSERT_TRUE(trie_.Put(root, "key" + std::to_string(i), "v", &root).ok());
   }
   std::string value;
-  MerklePatriciaTrie::Proof proof;
+  MptProof proof;
   EXPECT_TRUE(
       trie_.Get(root, "key-missing", &value, &proof).IsNotFound());
   EXPECT_TRUE(
-      MerklePatriciaTrie::VerifyProof(root, "key-missing", std::nullopt, proof)
+      VerifyMptProof(root, "key-missing", std::nullopt, proof)
           .ok());
 }
 
@@ -193,10 +193,10 @@ TEST_F(MptTest, ProofRejectsWrongRoot) {
   Hash256 root = MerklePatriciaTrie::EmptyRoot();
   ASSERT_TRUE(trie_.Put(root, "a", "1", &root).ok());
   std::string value;
-  MerklePatriciaTrie::Proof proof;
+  MptProof proof;
   ASSERT_TRUE(trie_.Get(root, "a", &value, &proof).ok());
   EXPECT_FALSE(
-      MerklePatriciaTrie::VerifyProof(Hash256::Of("x"), "a", value, proof)
+      VerifyMptProof(Hash256::Of("x"), "a", value, proof)
           .ok());
 }
 
@@ -286,12 +286,12 @@ TEST_F(MbtTest, ProofVerifies) {
             .ok());
   }
   std::string value;
-  MerkleBucketTree::Proof proof;
+  MbtProof proof;
   ASSERT_TRUE(tree_.Get(root, "key77", &value, &proof).ok());
   EXPECT_TRUE(
-      MerkleBucketTree::VerifyProof(root, "key77", value, proof).ok());
-  EXPECT_FALSE(MerkleBucketTree::VerifyProof(root, "key77",
-                                             std::string("bad"), proof)
+      VerifyMbtProof(root, "key77", value, proof).ok());
+  EXPECT_FALSE(VerifyMbtProof(root, "key77",
+                              std::string("bad"), proof)
                    .ok());
 }
 
@@ -301,22 +301,22 @@ TEST_F(MbtTest, NonMembershipProof) {
     ASSERT_TRUE(tree_.Put(root, "key" + std::to_string(i), "v", &root).ok());
   }
   std::string value;
-  MerkleBucketTree::Proof proof;
+  MbtProof proof;
   EXPECT_TRUE(tree_.Get(root, "absent", &value, &proof).IsNotFound());
   EXPECT_TRUE(
-      MerkleBucketTree::VerifyProof(root, "absent", std::nullopt, proof).ok());
+      VerifyMbtProof(root, "absent", std::nullopt, proof).ok());
 }
 
 TEST_F(MbtTest, ProofRejectsTamperedDirectory) {
   Hash256 root = MerkleBucketTree::EmptyRoot();
   ASSERT_TRUE(tree_.Put(root, "a", "1", &root).ok());
   std::string value;
-  MerkleBucketTree::Proof proof;
+  MbtProof proof;
   ASSERT_TRUE(tree_.Get(root, "a", &value, &proof).ok());
   std::string directory = proof.directory.payload.ToString();
   directory[0] ^= 1;
   proof.directory = OwnedProofNode(proof.directory.type, directory);
-  EXPECT_FALSE(MerkleBucketTree::VerifyProof(root, "a", value, proof).ok());
+  EXPECT_FALSE(VerifyMbtProof(root, "a", value, proof).ok());
 }
 
 TEST_F(MbtTest, DeleteMissingFails) {

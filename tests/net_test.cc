@@ -765,7 +765,7 @@ TEST(FormatPinTest, MptMbtRootsBucketAndScanRowsMatchGolden) {
   EXPECT_EQ(mpt_root.ToHex(), kGoldenMptRoot);
   EXPECT_EQ(mbt_root.ToHex(), kGoldenMbtRoot);
   std::string value;
-  MerkleBucketTree::Proof proof;
+  MbtProof proof;
   ASSERT_TRUE(mbt.Get(mbt_root, "pin42", &value, &proof).ok());
   EXPECT_EQ(hex(proof.bucket.payload), kGoldenBucket);
 

@@ -258,7 +258,7 @@ TEST_F(PersistenceTest, ProofsVerifyAfterRecovery) {
   JournalEntryProof jproof;
   LedgerEntry entry;
   ASSERT_TRUE(db->ledger()->ProveHistoricalEntry(0, 0, &jproof, &entry).ok());
-  EXPECT_TRUE(Journal::VerifyEntry(entry, jproof, digest.journal).ok());
+  EXPECT_TRUE(VerifyJournalEntry(entry, jproof, digest.journal).ok());
 }
 
 TEST_F(PersistenceTest, WritesContinueAfterRecovery) {
@@ -284,8 +284,8 @@ TEST_F(PersistenceTest, WritesContinueAfterRecovery) {
     ASSERT_TRUE(
         db->ledger()->ProveConsistency(first_digest.journal, &proof).ok());
     EXPECT_TRUE(
-        Journal::VerifyConsistency(proof, first_digest.journal,
-                                   db->Digest().journal));
+        VerifyJournalConsistency(proof, first_digest.journal,
+                                 db->Digest().journal));
   }
   {
     std::unique_ptr<SpitzDb> db;
@@ -484,7 +484,7 @@ TEST_F(PersistenceTest, KeyHistorySurvivesRecovery) {
   SpitzDigest digest = db->Digest();
   for (const auto& write : history) {
     EXPECT_TRUE(
-        Journal::VerifyEntry(write.entry, write.proof, digest.journal).ok());
+        VerifyJournalEntry(write.entry, write.proof, digest.journal).ok());
   }
 }
 
@@ -1116,7 +1116,7 @@ TEST_F(PersistenceTest, GcMarkReadsOnlyMetaNodesAndLeavesReaderLeavesCached) {
     ASSERT_TRUE(PosNode::Decode(chunk, &node).ok());
     if (node->is_leaf()) continue;
     metas++;
-    for (const PosTree::ChildRef& c : node->children()) pending.push_back(c.id);
+    for (const PosChildRef& c : node->children()) pending.push_back(c.id);
   }
   uint32_t height = 0;
   ASSERT_TRUE(tree.Height(retained.back(), &height).ok());
@@ -1165,7 +1165,7 @@ TEST_F(PersistenceTest, GcMarkReadsOnlyMetaNodesAndLeavesReaderLeavesCached) {
     PosProof proof;
     ASSERT_TRUE(tree.Get(retained.front(), PagedKey(i), &value, &proof).ok());
     EXPECT_TRUE(
-        PosTree::VerifyProof(retained.front(), PagedKey(i), value, proof).ok());
+        VerifyPosProof(retained.front(), PagedKey(i), value, proof).ok());
   }
 }
 

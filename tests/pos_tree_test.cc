@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
@@ -396,6 +397,89 @@ TEST_F(PosTreeTest, ReplacedListOfANoOpOrFailedWriteIsEmpty) {
   EXPECT_TRUE(replaced.empty());
 }
 
+// A store whose Get of one id fails, as an unreadable chunk does.
+class FailingGetStore : public ChunkStore {
+ public:
+  Status Get(const Hash256& id,
+             std::shared_ptr<const Chunk>* chunk) const override {
+    if (id == failing) return Status::IOError("injected read error");
+    return ChunkStore::Get(id, chunk);
+  }
+
+  Hash256 failing;  // zero: every read succeeds
+};
+
+// The ids of the nodes one level above the leaves of `root`, in key
+// order.
+std::vector<Hash256> LeafParents(const ChunkStore& store,
+                                 const Hash256& root) {
+  std::vector<Hash256> level{root}, below;
+  while (true) {
+    below.clear();
+    for (const Hash256& id : level) {
+      std::shared_ptr<const Chunk> chunk;
+      std::shared_ptr<const PosNode> node;
+      EXPECT_TRUE(store.Get(id, &chunk).ok());
+      EXPECT_TRUE(PosNode::Decode(chunk, &node).ok());
+      if (node->is_leaf()) return {};
+      for (size_t i = 0; i < node->child_count(); i++) {
+        below.push_back(node->child_id(i));
+      }
+    }
+    std::shared_ptr<const Chunk> first;
+    EXPECT_TRUE(store.Get(below.front(), &first).ok());
+    if (first->type() == ChunkType::kIndexLeaf) return level;
+    level.swap(below);
+  }
+}
+
+// A delete whose re-chunking must read the node to the right of the
+// written leaf's parent, and cannot, fails: it never returns a root
+// other than the bulk build of the entries left.
+TEST_F(PosTreeTest, WriteThatCannotReadASiblingFailsOrEqualsTheBulkBuild) {
+  const PosTreeOptions options{2, 1, 256};
+  const std::vector<PosEntry> entries = MakeEntries(3000);
+  FailingGetStore store;
+  PosTree tree(&store, options);
+  Hash256 root;
+  ASSERT_TRUE(tree.Build(entries, &root).ok());
+  const std::vector<Hash256> parents = LeafParents(store, root);
+  ASSERT_GT(parents.size(), 2u);
+  size_t failed = 0, succeeded = 0;
+  for (size_t k = 0; k < entries.size(); k += 7) {
+    SCOPED_TRACE(entries[k].key);
+    store.failing = Hash256();
+    std::string value;
+    PosProof path;
+    ASSERT_TRUE(tree.Get(root, entries[k].key, &value, &path).ok());
+    ASSERT_GE(path.nodes.size(), 2u);
+    const ProofNode& parent = path.nodes[path.nodes.size() - 2];
+    const Hash256 parent_id =
+        Chunk::IdOf(static_cast<ChunkType>(parent.type), parent.payload);
+    auto at = std::find(parents.begin(), parents.end(), parent_id);
+    ASSERT_NE(at, parents.end());
+    if (at + 1 == parents.end()) continue;
+    store.failing = *(at + 1);
+    Hash256 new_root;
+    const Status s = tree.Delete(root, entries[k].key, &new_root);
+    store.failing = Hash256();
+    if (!s.ok()) {
+      EXPECT_TRUE(s.IsIOError()) << s.ToString();
+      failed++;
+      continue;
+    }
+    std::vector<PosEntry> rest = entries;
+    rest.erase(rest.begin() + k);
+    ChunkStore clean;
+    Hash256 built;
+    ASSERT_TRUE(PosTree(&clean, options).Build(rest, &built).ok());
+    EXPECT_EQ(new_root, built);
+    succeeded++;
+  }
+  EXPECT_GT(failed, 0u);
+  EXPECT_GT(succeeded, 0u);
+}
+
 // --- Decoded nodes: one offset per element, read in place --------------------
 
 // `size` bytes starting with `first`.
@@ -422,10 +506,10 @@ std::vector<PosEntry> WideEntries() {
 
 // A meta node's bytes: a varint count, then lp(last key), the id and a
 // varint entry count per child.
-std::string MetaPayload(const std::vector<PosTree::ChildRef>& children) {
+std::string MetaPayload(const std::vector<PosChildRef>& children) {
   std::string out;
   PutVarint64(&out, children.size());
-  for (const PosTree::ChildRef& c : children) {
+  for (const PosChildRef& c : children) {
     PutLengthPrefixedSlice(&out, c.last_key);
     out.append(c.id.ToBytes());
     PutVarint64(&out, c.count);
@@ -459,11 +543,11 @@ TEST_F(PosTreeTest, LeafAccessorsReadEveryPrefixWidthAsTheEntryListDecodes) {
 }
 
 TEST_F(PosTreeTest, MetaAccessorsReadEveryPrefixWidth) {
-  std::vector<PosTree::ChildRef> children;
+  std::vector<PosChildRef> children;
   const uint64_t counts[] = {1, 127, 128, 16384, uint64_t{1} << 40};
   char first = 'a';
   for (size_t key_size : {1, 127, 128, 16384, 200}) {
-    PosTree::ChildRef c;
+    PosChildRef c;
     c.last_key = SizedField(first, key_size);
     c.id = Hash256::Of(c.last_key);
     c.count = counts[first - 'a'];
@@ -476,12 +560,12 @@ TEST_F(PosTreeTest, MetaAccessorsReadEveryPrefixWidth) {
       PosNode::Decode(ChunkType::kIndexMeta, payload, nullptr, &node).ok());
   ASSERT_FALSE(node->is_leaf());
   ASSERT_EQ(node->child_count(), children.size());
-  const std::vector<PosTree::ChildRef> copied = node->children();
+  const std::vector<PosChildRef> copied = node->children();
   ASSERT_EQ(copied.size(), children.size());
   for (size_t i = 0; i < children.size(); i++) {
     EXPECT_TRUE(node->last_key(i) == Slice(children[i].last_key));
     EXPECT_EQ(node->child_id(i), children[i].id);
-    const PosTree::ChildRef ref = node->child(i);
+    const PosChildRef ref = node->child(i);
     EXPECT_EQ(ref.last_key, children[i].last_key);
     EXPECT_EQ(ref.id, children[i].id);
     EXPECT_EQ(ref.count, children[i].count);
@@ -511,13 +595,13 @@ TEST_F(PosTreeTest, WideKeysAndValuesReadBackThroughEveryTreeNode) {
     PosProof proof;
     ASSERT_TRUE(tree.Get(root, e.key, &value, &proof).ok());
     EXPECT_TRUE(value == e.value);
-    EXPECT_TRUE(PosTree::VerifyProof(root, e.key, e.value, proof).ok());
+    EXPECT_TRUE(VerifyPosProof(root, e.key, e.value, proof).ok());
   }
   std::vector<PosEntry> out;
   PosRangeProof range;
   ASSERT_TRUE(tree.Scan(root, "", "", 0, &out, &range).ok());
   EXPECT_TRUE(out == entries);
-  EXPECT_TRUE(PosTree::VerifyRangeProof(root, "", "", 0, out, range).ok());
+  EXPECT_TRUE(VerifyPosRangeProof(root, "", "", 0, out, range).ok());
   uint64_t count = 0;
   ASSERT_TRUE(tree.Count(root, &count).ok());
   EXPECT_EQ(count, entries.size());
@@ -551,7 +635,7 @@ TEST_F(PosTreeTest, LeafPastSixtyFourKibHasOffsetsPastSixteenBits) {
     PosProof proof;
     ASSERT_TRUE(tree.Get(root, e.key, &value, &proof).ok());
     EXPECT_EQ(value, e.value);
-    EXPECT_TRUE(PosTree::VerifyProof(root, e.key, e.value, proof).ok());
+    EXPECT_TRUE(VerifyPosProof(root, e.key, e.value, proof).ok());
   }
 }
 
@@ -560,9 +644,9 @@ TEST_F(PosTreeTest, LowerBoundAndRouteAgreeWithALinearScanAtEveryBoundary) {
        {MakeEntries(37), WideEntries()}) {
     std::string leaf_payload;
     PutEntryList(&leaf_payload, entries);
-    std::vector<PosTree::ChildRef> children;
+    std::vector<PosChildRef> children;
     for (const PosEntry& e : entries) {
-      children.push_back(PosTree::ChildRef{e.key, Hash256::Of(e.key), 1});
+      children.push_back(PosChildRef{e.key, Hash256::Of(e.key), 1});
     }
     const std::string meta_payload = MetaPayload(children);
     std::shared_ptr<const PosNode> leaf, meta;
@@ -763,7 +847,7 @@ TEST_F(PosTreeTest, MembershipProofVerifies) {
   PosProof proof;
   ASSERT_TRUE(tree_.Get(root, "key00002500", &value, &proof).ok());
   EXPECT_EQ(value, "value-2500");
-  EXPECT_TRUE(PosTree::VerifyProof(root, "key00002500", value, proof).ok());
+  EXPECT_TRUE(VerifyPosProof(root, "key00002500", value, proof).ok());
 }
 
 TEST_F(PosTreeTest, NonMembershipProofVerifies) {
@@ -774,10 +858,10 @@ TEST_F(PosTreeTest, NonMembershipProofVerifies) {
   EXPECT_TRUE(
       tree_.Get(root, "key00002500x", &value, &proof).IsNotFound());
   EXPECT_TRUE(
-      PosTree::VerifyProof(root, "key00002500x", std::nullopt, proof).ok());
+      VerifyPosProof(root, "key00002500x", std::nullopt, proof).ok());
   // Claiming the absent key is present must fail.
-  EXPECT_FALSE(PosTree::VerifyProof(root, "key00002500x",
-                                    std::string("fake"), proof)
+  EXPECT_FALSE(VerifyPosProof(root, "key00002500x",
+                              std::string("fake"), proof)
                    .ok());
 }
 
@@ -788,7 +872,7 @@ TEST_F(PosTreeTest, ProofRejectsWrongValue) {
   PosProof proof;
   ASSERT_TRUE(tree_.Get(root, "key00000042", &value, &proof).ok());
   EXPECT_FALSE(
-      PosTree::VerifyProof(root, "key00000042", std::string("wrong"), proof)
+      VerifyPosProof(root, "key00000042", std::string("wrong"), proof)
           .ok());
 }
 
@@ -799,7 +883,7 @@ TEST_F(PosTreeTest, ProofRejectsWrongRoot) {
   PosProof proof;
   ASSERT_TRUE(tree_.Get(root, "key00000042", &value, &proof).ok());
   EXPECT_FALSE(
-      PosTree::VerifyProof(Hash256::Of("evil"), "key00000042", value, proof)
+      VerifyPosProof(Hash256::Of("evil"), "key00000042", value, proof)
           .ok());
 }
 
@@ -814,7 +898,7 @@ TEST_F(PosTreeTest, ProofRejectsTamperedPayload) {
   tampered[3] ^= 0x1;
   proof.nodes.back() = OwnedProofNode(proof.nodes.back().type, tampered);
   EXPECT_FALSE(
-      PosTree::VerifyProof(root, "key00000042", value, proof).ok());
+      VerifyPosProof(root, "key00000042", value, proof).ok());
 }
 
 TEST_F(PosTreeTest, ProofAgainstStaleRootFails) {
@@ -826,7 +910,7 @@ TEST_F(PosTreeTest, ProofAgainstStaleRootFails) {
   PosProof proof;
   ASSERT_TRUE(tree_.Get(v2, "key00000042", &value, &proof).ok());
   // A proof from v2 does not verify against the v1 digest.
-  EXPECT_FALSE(PosTree::VerifyProof(v1, "key00000042", value, proof).ok());
+  EXPECT_FALSE(VerifyPosProof(v1, "key00000042", value, proof).ok());
 }
 
 // --- Range proofs -------------------------------------------------------------
@@ -840,8 +924,8 @@ TEST_F(PosTreeTest, RangeProofVerifies) {
                          &proof)
                   .ok());
   ASSERT_EQ(out.size(), 100u);
-  EXPECT_TRUE(PosTree::VerifyRangeProof(root, "key00003000", "key00003100", 0,
-                                        out, proof)
+  EXPECT_TRUE(VerifyPosRangeProof(root, "key00003000", "key00003100", 0,
+                                  out, proof)
                   .ok());
 }
 
@@ -854,8 +938,8 @@ TEST_F(PosTreeTest, RangeProofRejectsDroppedResult) {
                          &proof)
                   .ok());
   out.erase(out.begin() + 50);  // server drops a row
-  EXPECT_FALSE(PosTree::VerifyRangeProof(root, "key00003000", "key00003100",
-                                         0, out, proof)
+  EXPECT_FALSE(VerifyPosRangeProof(root, "key00003000", "key00003100",
+                                   0, out, proof)
                    .ok());
 }
 
@@ -868,8 +952,8 @@ TEST_F(PosTreeTest, RangeProofRejectsModifiedResult) {
                          &proof)
                   .ok());
   out[10].value = "forged";
-  EXPECT_FALSE(PosTree::VerifyRangeProof(root, "key00003000", "key00003100",
-                                         0, out, proof)
+  EXPECT_FALSE(VerifyPosRangeProof(root, "key00003000", "key00003100",
+                                   0, out, proof)
                    .ok());
 }
 
@@ -882,7 +966,7 @@ TEST_F(PosTreeTest, RangeProofWithLimitVerifies) {
       tree_.Scan(root, "key00003000", "", 37, &out, &proof).ok());
   ASSERT_EQ(out.size(), 37u);
   EXPECT_TRUE(
-      PosTree::VerifyRangeProof(root, "key00003000", "", 37, out, proof)
+      VerifyPosRangeProof(root, "key00003000", "", 37, out, proof)
           .ok());
 }
 
@@ -894,7 +978,7 @@ TEST_F(PosTreeTest, EmptyRangeProofOnEmptyTree) {
                   .ok());
   EXPECT_TRUE(out.empty());
   EXPECT_TRUE(
-      PosTree::VerifyRangeProof(PosTree::EmptyRoot(), "a", "z", 0, out, proof)
+      VerifyPosRangeProof(PosTree::EmptyRoot(), "a", "z", 0, out, proof)
           .ok());
 }
 

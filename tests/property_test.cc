@@ -13,7 +13,7 @@
 #include "common/random.h"
 #include "core/spitz_db.h"
 #include "index/pos_tree.h"
-#include "ledger/merkle_tree.h"
+#include "proof/merkle_tree.h"
 
 namespace spitz {
 namespace {
@@ -57,7 +57,7 @@ TEST_P(PosTreeOptionsSweep, StructuralInvarianceHolds) {
     std::string value;
     PosProof proof;
     ASSERT_TRUE(tree.Get(root, k, &value, &proof).ok());
-    EXPECT_TRUE(PosTree::VerifyProof(root, k, value, proof).ok());
+    EXPECT_TRUE(VerifyPosProof(root, k, value, proof).ok());
   }
 }
 
@@ -134,7 +134,7 @@ TEST_P(PosTreeHostileKeys, RoundTripsAndProves) {
     PosProof proof;
     ASSERT_TRUE(tree.Get(root, k, &value, &proof).ok());
     EXPECT_EQ(value, v);
-    EXPECT_TRUE(PosTree::VerifyProof(root, k, value, proof).ok());
+    EXPECT_TRUE(VerifyPosProof(root, k, value, proof).ok());
   }
   std::vector<PosEntry> scan;
   ASSERT_TRUE(tree.Scan(root, "", "", 0, &scan, nullptr).ok());
@@ -258,8 +258,8 @@ TEST_P(SpitzBlockSizeSweep, DigestsProofsAndConsistency) {
 
   MerkleConsistencyProof consistency;
   ASSERT_TRUE(db.ledger()->ProveConsistency(first.journal, &consistency).ok());
-  EXPECT_TRUE(Journal::VerifyConsistency(consistency, first.journal,
-                                         last.journal));
+  EXPECT_TRUE(VerifyJournalConsistency(consistency, first.journal,
+                                       last.journal));
 }
 
 INSTANTIATE_TEST_SUITE_P(BlockSizes, SpitzBlockSizeSweep,

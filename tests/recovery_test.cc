@@ -377,7 +377,7 @@ TEST_F(RecoveryTest, ChunkStoreShortWriteDuringBulkBuildKeepsChunksReadable) {
     std::string value;
     PosProof proof;
     ASSERT_TRUE(tree.Get(root, entries[i].key, &value, &proof).ok());
-    EXPECT_TRUE(PosTree::VerifyProof(root, entries[i].key, value, proof).ok());
+    EXPECT_TRUE(VerifyPosProof(root, entries[i].key, value, proof).ok());
   }
 }
 
@@ -937,8 +937,8 @@ TEST_F(RecoveryTest, FailedJournalAppendIsStickyAndSurfacesThroughSyncStorage) {
     ASSERT_EQ(history.size(), 1u);
     EXPECT_EQ(history[0].block_height, 1u);
     const SpitzDigest digest = db->Digest();
-    EXPECT_TRUE(Journal::VerifyEntry(history[0].entry, history[0].proof,
-                                     digest.journal)
+    EXPECT_TRUE(VerifyJournalEntry(history[0].entry, history[0].proof,
+                                   digest.journal)
                     .ok());
     std::string bytes;
     Block block;
@@ -948,7 +948,7 @@ TEST_F(RecoveryTest, FailedJournalAppendIsStickyAndSurfacesThroughSyncStorage) {
     LedgerEntry entry;
     ASSERT_TRUE(db->ledger()->ProveHistoricalEntry(1, 0, &proof, &entry).ok());
     EXPECT_EQ(entry.key, "b1-0");
-    EXPECT_TRUE(Journal::VerifyEntry(entry, proof, digest.journal).ok());
+    EXPECT_TRUE(VerifyJournalEntry(entry, proof, digest.journal).ok());
     EXPECT_GT(db->Metrics().GaugeValue("core.db.journal.resident_bytes"), 0u);
   }
   ASSERT_TRUE(env.SimulateCrash(CrashMode::kDropUnsynced).ok());

@@ -573,8 +573,8 @@ TEST(ReplicaTest, BackupCatchesUpFromBlocksPagedOutOfTheJournal) {
     ASSERT_EQ(on_primary.size(), on_backup.size()) << key;
     for (size_t i = 0; i < on_backup.size(); i++) {
       EXPECT_EQ(on_primary[i].entry, on_backup[i].entry);
-      EXPECT_TRUE(Journal::VerifyEntry(on_backup[i].entry, on_backup[i].proof,
-                                       digest.journal)
+      EXPECT_TRUE(VerifyJournalEntry(on_backup[i].entry, on_backup[i].proof,
+                                     digest.journal)
                       .ok());
     }
   }

@@ -14,8 +14,8 @@
 #include "core/spitz_db.h"
 #include "core/table.h"
 #include "index/pos_tree.h"
-#include "ledger/block.h"
-#include "ledger/merkle_tree.h"
+#include "proof/block.h"
+#include "proof/merkle_tree.h"
 #include "txn/write_batch.h"
 
 namespace spitz {
@@ -188,7 +188,7 @@ TEST(RobustnessTest, PosProofVerifierRejectsGarbagePayloads) {
       // Scramble a node type.
       node.type = static_cast<uint8_t>(rng.Uniform(256));
     }
-    Status s = PosTree::VerifyProof(root, "key250", value, mutated);
+    Status s = VerifyPosProof(root, "key250", value, mutated);
     EXPECT_FALSE(s.ok()) << "mutated proof accepted at trial " << i;
   }
 }
@@ -220,16 +220,16 @@ TEST(RobustnessTest, ScanProofVerifierRejectsMutations) {
     payload[rng.Uniform(payload.size())] ^=
         static_cast<char>(1 << rng.Uniform(8));
     node = OwnedProofNode(node.type, payload);
-    EXPECT_FALSE(PosTree::VerifyRangeProof(root, "k000100", "k000150", 0,
-                                           rows, mutated)
+    EXPECT_FALSE(VerifyPosRangeProof(root, "k000100", "k000150", 0,
+                                     rows, mutated)
                      .ok());
   }
 }
 
 TEST(RobustnessTest, EmptyProofStructuresRejected) {
   PosProof empty;
-  EXPECT_FALSE(PosTree::VerifyProof(Hash256::Of("x"), "k", std::nullopt,
-                                    empty)
+  EXPECT_FALSE(VerifyPosProof(Hash256::Of("x"), "k", std::nullopt,
+                              empty)
                    .ok());
   // The zero root is the provably-empty tree: it vouches for absence
   // with no proof nodes at all (a never-written cluster shard answers

@@ -345,11 +345,11 @@ TEST(SiriProofDecodeTest, HugeEntryCountIsRejectedWithoutThrowing) {
       range.pos.Add(store.Put(Chunk(type, payload)), node);
     }
 
-    EXPECT_TRUE(PosTree::VerifyProof(root, "key", std::nullopt, proof.pos)
+    EXPECT_TRUE(VerifyPosProof(root, "key", std::nullopt, proof.pos)
                     .IsVerificationFailed());
-    EXPECT_TRUE(PosTree::VerifyProof(root, "key", std::string("v"), proof.pos)
+    EXPECT_TRUE(VerifyPosProof(root, "key", std::string("v"), proof.pos)
                     .IsVerificationFailed());
-    EXPECT_TRUE(PosTree::VerifyRangeProof(root, "", "", 0, {}, range.pos)
+    EXPECT_TRUE(VerifyPosRangeProof(root, "", "", 0, {}, range.pos)
                     .IsVerificationFailed());
 
     // The same bytes through the wire envelopes a client decodes.

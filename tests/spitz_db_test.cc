@@ -132,8 +132,8 @@ TEST(SpitzDbTest, ConsistencyAcrossGrowth) {
   SpitzDigest new_digest = db.Digest();
   MerkleConsistencyProof proof;
   ASSERT_TRUE(db.ledger()->ProveConsistency(old_digest.journal, &proof).ok());
-  EXPECT_TRUE(Journal::VerifyConsistency(proof, old_digest.journal,
-                                         new_digest.journal));
+  EXPECT_TRUE(VerifyJournalConsistency(proof, old_digest.journal,
+                                       new_digest.journal));
 }
 
 TEST(SpitzDbTest, HistoricalEntriesProvable) {
@@ -151,7 +151,7 @@ TEST(SpitzDbTest, HistoricalEntriesProvable) {
     JournalEntryProof proof;
     LedgerEntry entry;
     ASSERT_TRUE(db.ledger()->ProveHistoricalEntry(h, 0, &proof, &entry).ok());
-    EXPECT_TRUE(Journal::VerifyEntry(entry, proof, digest.journal).ok());
+    EXPECT_TRUE(VerifyJournalEntry(entry, proof, digest.journal).ok());
   }
 }
 
@@ -370,8 +370,8 @@ TEST(SpitzDbTest, KeyHistoryProvesEveryWrite) {
     EXPECT_EQ(history[i].entry.value_hash,
               Hash256::Of("version-" + std::to_string(i)));
     EXPECT_TRUE(
-        Journal::VerifyEntry(history[i].entry, history[i].proof,
-                             digest.journal)
+        VerifyJournalEntry(history[i].entry, history[i].proof,
+                           digest.journal)
             .ok());
   }
   // Commit order preserved.
@@ -417,8 +417,8 @@ TEST(SpitzDbTest, ForkedHistoryDetectedByConsistencyCheck) {
   SpitzDigest forked_digest = forked.Digest();
   MerkleConsistencyProof proof;
   ASSERT_TRUE(forked.ledger()->ProveConsistency(saved.journal, &proof).ok());
-  EXPECT_FALSE(Journal::VerifyConsistency(proof, saved.journal,
-                                          forked_digest.journal))
+  EXPECT_FALSE(VerifyJournalConsistency(proof, saved.journal,
+                                        forked_digest.journal))
       << "a fork that rewrites history must not verify as consistent";
 }
 
