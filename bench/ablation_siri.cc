@@ -84,7 +84,8 @@ IndexResult RunIndexLevel(SiriBackend kind,
   Random value_rng(6);
   Hash256 w = root;
   r.put_kops = MeasureOpsPerSec(kWriteOps, [&](size_t) {
-    if (!index->Put(w, random_key(), value_rng.Bytes(20), &w).ok()) abort();
+    IndexWrites one{{PosEntry{random_key(), value_rng.Bytes(20)}}, {}};
+    if (!index->Apply(w, std::move(one), &w).ok()) abort();
   }) / 1000.0;
   r.chunks_per_update =
       static_cast<double>(store.stats().chunk_count - chunks_before) /

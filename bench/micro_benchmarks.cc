@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -30,8 +31,10 @@
 #include "core/table.h"
 #include "crypto/sha256.h"
 #include "index/pos_tree.h"
+#include "index/versioned_index.h"
 #include "ledger/ledger.h"
 #include "proof/merkle_tree.h"
+#include "replica/record.h"
 #include "spitzbench/workload_keys.h"
 #include "txn/batch_verifier.h"
 
@@ -464,12 +467,16 @@ std::string BenchDir(const char* name) {
 }
 
 // Bytes a durable store appends per overwrite: a FileChunkStore under a
-// 66.7k-key tree (16 B keys, 100 B values; one cluster-rmw shard), each
-// overwrite's key from `next_key`. Each overwrite path-copies a leaf and
-// its metas, which the store writes as delta records on the nodes they
-// replace where that is shorter, and at the chain cap as deltas on the
-// chain's full record (see file_chunk_store.h).
+// 66.7k-key tree (16 B keys, 100 B values; one cluster-rmw shard),
+// overwritten in batches of `batch` keys (one iteration each), each key
+// from `next_key`, through the index's batch apply (VersionedIndex::
+// ApplyTo, as SpitzDb and a backup write). A batch rewrites the leaves
+// and metas it touches, which the store writes as delta records on the
+// nodes they replace where that is shorter, and at the chain cap as
+// deltas on the chain's full record (see file_chunk_store.h). Reports
+// per key: bytes, records, delta records and microseconds.
 void OverwriteAppendedBytes(benchmark::State& state, const char* name,
+                            size_t batch,
                             const std::function<uint64_t(Random*)>& next_key) {
   constexpr uint64_t kKeys = 66667;
   const std::string dir = BenchDir(name);
@@ -477,32 +484,40 @@ void OverwriteAppendedBytes(benchmark::State& state, const char* name,
   {
     std::unique_ptr<FileChunkStore> store;
     if (!FileChunkStore::Open(dir, &store).ok()) abort();
-    PosTree tree(store.get());
     BufferCache node_cache(64 << 20);
-    tree.SetNodeCache(&node_cache);
+    VersionedIndex index(SiriBackend::kPosTree, store.get(), &node_cache,
+                         SiriIndexOptions(), /*retain_versions=*/2, nullptr,
+                         "bench");
     Random rng(8);
     std::vector<PosEntry> entries;
     for (uint64_t i = 0; i < kKeys; i++) {
       entries.push_back({bench::RecordKey(i), rng.Bytes(100)});
     }
-    Hash256 root;
-    if (!tree.Build(std::move(entries), &root).ok()) abort();
+    if (!index.Build(std::move(entries)).ok()) abort();
     MetricsRegistry registry;
     store->ExportMetrics(&registry);
     const MetricsSnapshot before = registry.Snapshot();
+    Hash256 root = index.root();
+    std::vector<Hash256> replaced;
+    double seconds = 0;
     for (auto _ : state) {
-      if (!tree.Put(root, bench::RecordKey(next_key(&rng)), rng.Bytes(100),
-                    &root)
-               .ok()) {
-        abort();
+      WriteBatch writes;
+      for (size_t i = 0; i < batch; i++) {
+        writes.Put(bench::RecordKey(next_key(&rng)), rng.Bytes(100));
       }
+      const auto start = std::chrono::steady_clock::now();
+      if (!index.ApplyTo(writes, &root, &replaced).ok()) abort();
+      seconds += std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
+      replaced.clear();
     }
     const MetricsSnapshot after = registry.Snapshot();
     const auto delta = [&](const char* counter) {
       return static_cast<double>(after.CounterValue(counter) -
                                  before.CounterValue(counter));
     };
-    const double n = static_cast<double>(state.iterations());
+    const double n = static_cast<double>(state.iterations() * batch);
     state.counters["appended_bytes_per_overwrite"] =
         delta("chunk.file.appended_bytes") / n;
     state.counters["full_bytes_per_overwrite"] =
@@ -513,26 +528,97 @@ void OverwriteAppendedBytes(benchmark::State& state, const char* name,
     state.counters["rebases_per_overwrite"] =
         delta("chunk.file.delta_rebases") / n;
     state.counters["records_per_overwrite"] = delta("chunk.store.puts") / n;
+    state.counters["us_per_overwrite"] = seconds * 1e6 / n;
   }
   std::filesystem::remove_all(dir);
 }
 
-// Scrambled zipfian (theta 0.99) overwrites.
+// Scrambled zipfian (theta 0.99) overwrites in batches of arg keys.
 void BM_PosTreeOverwriteAppendedBytes(benchmark::State& state) {
   const bench::KeyChooser keys(66667, /*zipfian=*/true);
   OverwriteAppendedBytes(state, "spitz_bench_overwrite_bytes",
+                         static_cast<size_t>(state.range(0)),
                          [&](Random* rng) { return keys.Next(rng); });
 }
-BENCHMARK(BM_PosTreeOverwriteAppendedBytes)->Iterations(4000);
+BENCHMARK(BM_PosTreeOverwriteAppendedBytes)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(16)
+    ->Arg(64)
+    ->Iterations(4000);
 
 // Every overwrite on one key, so the leaf and the metas above it are
-// path-copied every time and their chains reach
+// rewritten every time and their chains reach
 // FileChunkStore::kMaxChainDepth.
 void BM_FileChunkStoreHotOverwriteBytes(benchmark::State& state) {
-  OverwriteAppendedBytes(state, "spitz_bench_hot_overwrite_bytes",
+  OverwriteAppendedBytes(state, "spitz_bench_hot_overwrite_bytes", 1,
                          [](Random*) { return uint64_t{66667 / 2}; });
 }
 BENCHMARK(BM_FileChunkStoreHotOverwriteBytes)->Iterations(1000);
+
+// A backup's apply of one sealed block of arg entries
+// (SpitzDb::ApplySealedBlock: re-executing its ops on the backup's own
+// index, the root check, the journal restore): scrambled zipfian
+// overwrites of 100 B values over 66.7k keys (one cluster-rmw shard),
+// written on an in-memory primary and replicated to an in-memory
+// backup. Only the apply is timed; reports us_per_entry.
+void BM_BackupApplyBlock(benchmark::State& state) {
+  constexpr uint64_t kKeys = 66667;
+  const size_t block = static_cast<size_t>(state.range(0));
+  SpitzOptions options;
+  options.block_size = block;
+  SpitzDb primary(options);
+  SpitzDb backup(options);
+  Random rng(10);
+  uint64_t height = 0;
+  // Replicates every block the primary sealed since the last call,
+  // timing the applies.
+  auto replicate = [&](double* seconds) {
+    for (; height < primary.Digest().journal.block_count; height++) {
+      std::string bytes;
+      Block sealed;
+      ReplicationRecord record;
+      if (!EncodeReplicationRecord(primary, height, &bytes, &sealed).ok() ||
+          !DecodeReplicationRecord(bytes, &record).ok()) {
+        abort();
+      }
+      const auto start = std::chrono::steady_clock::now();
+      if (!backup
+               .ApplySealedBlock(record.block, record.serialized, record.ops,
+                                 /*sync=*/false, nullptr)
+               .ok()) {
+        abort();
+      }
+      *seconds += std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+    }
+  };
+  double setup = 0;
+  for (uint64_t i = 0; i < kKeys; i++) {
+    if (!primary.Put(bench::RecordKey(i), rng.Bytes(100)).ok()) abort();
+  }
+  if (!primary.FlushBlock().ok()) abort();  // each iteration seals one block
+  replicate(&setup);
+  const bench::KeyChooser keys(kKeys, /*zipfian=*/true);
+  double seconds = 0;
+  for (auto _ : state) {
+    for (size_t i = 0; i < block; i++) {
+      if (!primary.Put(bench::RecordKey(keys.Next(&rng)), rng.Bytes(100))
+               .ok()) {
+        abort();
+      }
+    }
+    double apply = 0;
+    replicate(&apply);
+    state.SetIterationTime(apply);
+    seconds += apply;
+  }
+  if (backup.Digest() != primary.Digest()) abort();
+  state.counters["us_per_entry"] =
+      seconds * 1e6 / static_cast<double>(state.iterations() * block);
+}
+BENCHMARK(BM_BackupApplyBlock)->Arg(64)->UseManualTime();
 
 // A cache-miss Get of a chunk stored at delta-chain depth arg (0 = a
 // full record): one positional read of its record plus one per base

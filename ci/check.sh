@@ -63,7 +63,17 @@
 #   versioned index (versioned_index_test: VersionedIndexTest, reads and
 #   proofs at old roots, the batch apply and the retire ring's cache
 #   erasures) and the ledger (ledger_test: LedgerTest, the seal, bulk
-#   seal, restore and every ledger proof). The journal and block suites
+#   seal, restore and every ledger proof). The POS-tree's one write
+#   routine (PosTree::Apply; Build, Put and Delete are calls of it) runs
+#   in both legs under the PosTree filter, since its long runs hash and
+#   encode leaves on several threads:
+#   PosTreeTest.ApplyMatchesSequentialWritesAndTheBulkBuild (seeded
+#   batches of 1 to 256 writes against sequential writes and the bulk
+#   build), SingleKeyWritesStoreTheChunksAndBasesOfThePathCopy and the
+#   batches of WriteThatCannotReadASiblingFailsOrEqualsTheBulkBuild; a
+#   delete over a node the store lost fails its batch
+#   (VersionedIndexTest.DeleteOverALost*) under VersionedIndexTest.
+#   The journal and block suites
 #   (journal_test: JournalTest, JournalRestoreTest, LedgerEntryTest and
 #   BlockTest) run here too: Journal::Open decodes and hashes blocks on
 #   several threads, and a bulk load encodes and hashes its blocks on

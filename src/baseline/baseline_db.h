@@ -141,7 +141,7 @@ class BaselineDb {
   // entry, sealing a full block; NotFound deletes an absent key.
   Status Write(const WriteBatch& batch);
   // Seals the pending entries and locates them in the meta and history
-  // views.
+  // views, one entry at a time.
   Status SealBlockLocked();
   // Erases the nodes the views' retired versions replaced; outside mu_.
   void EraseExpired();

@@ -59,7 +59,7 @@ class ChunkStore {
 
   // Stores the chunk (no-op if an identical chunk exists) and returns its
   // content id. A non-null `base` is a stored chunk this one replaces
-  // (the node a path copy rewrites), held by the caller for the call. A
+  // (the node a write rewrites), held by the caller for the call. A
   // durable store may then record the new chunk as a patch on it, and
   // caches the new chunk, which the next operation reads, until a later
   // write replaces it and that write's block leaves the retain_versions
@@ -198,6 +198,15 @@ class ChunkStore {
   bool gc_active_ = false;
   std::unordered_set<Hash256, Hash256Hasher> resurrected_;
 };
+
+// The status of a write whose path names a node the store cannot
+// return: the store's NotFound becomes Corruption, because the version
+// is damaged, and a delete must not take that for an absent key.
+inline Status WritePathStatus(Status s) {
+  if (!s.IsNotFound()) return s;
+  return Status::Corruption("a write's path names a missing node: " +
+                            s.message());
+}
 
 }  // namespace spitz
 

@@ -530,7 +530,7 @@ Hash256 FileChunkStore::Put(Chunk chunk, const Chunk* base) {
     }
     PublishEntry(entry);
   }
-  // A path-copied node is what the next operation reads; every other
+  // A rewritten node is what the next operation reads; every other
   // put (a bulk build's, a blob's) writes around the cache.
   if (base != nullptr) cache_->Insert(BufferCache::kRawChunk, id, sp, stored);
   return id;

@@ -34,7 +34,7 @@ namespace spitz {
 //
 // A record (chunk/chunk_record.h) holds a chunk in full or as a delta
 // on the payload of a base. Put writes a delta when the caller names
-// the chunk it replaces (a path-copied POS node) and the delta is the
+// the chunk it replaces (a rewritten POS node) and the delta is the
 // shorter record. Its base is the named chunk while that chunk's chain
 // of deltas is shorter than kMaxChainDepth; at the cap it is the full
 // record the chain starts from (a rebase), so a node is written in full
@@ -72,7 +72,7 @@ namespace spitz {
 // for the life of the process, and every chunk put afterwards joins it
 // without reaching the log, so all of them remain readable in-process.
 // The cache holds nothing a read needs: a Put that names a base (a
-// path-copied node, which the next operation reads) inserts its chunk,
+// rewritten node, which the next operation reads) inserts its chunk,
 // any other put writes around it.
 //
 // Segment lifecycle: the active segment rolls once it crosses

@@ -13,8 +13,9 @@ void ParallelFor(size_t n, size_t grain,
                  const std::function<void(size_t begin, size_t end)>& fn) {
   grain = std::max<size_t>(grain, 1);
   const size_t pieces = n / grain + (n % grain != 0 ? 1 : 0);
-  const size_t threads = std::min<size_t>(
-      pieces, std::max(1u, std::thread::hardware_concurrency()));
+  // Only two pieces or more ask for the core count, a read of /sys.
+  const size_t cores = pieces > 1 ? std::thread::hardware_concurrency() : 1;
+  const size_t threads = std::min<size_t>(pieces, std::max<size_t>(1, cores));
   if (threads <= 1) {
     if (n > 0) fn(0, n);
     return;

@@ -74,7 +74,7 @@ Status MerkleBucketTree::Put(const Hash256& root, const Slice& key,
     bucket_ids.assign(options_.bucket_count, Hash256());
   } else {
     Status s = LoadDirectory(root, &bucket_ids);
-    if (!s.ok()) return s;
+    if (!s.ok()) return WritePathStatus(s);
   }
   uint32_t b = MbtBucketOf(key, options_);
   std::vector<PosEntry> entries;
@@ -82,7 +82,7 @@ Status MerkleBucketTree::Put(const Hash256& root, const Slice& key,
     std::shared_ptr<const Chunk> bucket_chunk;
     Status s = store_->Get(bucket_ids[b], &bucket_chunk);
     if (s.ok()) s = DecodeMbtBucket(bucket_chunk->data(), &entries);
-    if (!s.ok()) return s;
+    if (!s.ok()) return WritePathStatus(s);
   }
   auto it = MbtLowerBound(entries, key);
   if (it != entries.end() && Slice(it->key) == key) {
@@ -100,12 +100,12 @@ Status MerkleBucketTree::Delete(const Hash256& root, const Slice& key,
   if (root.IsZero()) return Status::NotFound("empty tree");
   std::vector<Hash256> bucket_ids;
   Status s = LoadDirectory(root, &bucket_ids);
-  if (!s.ok()) return s;
+  if (!s.ok()) return WritePathStatus(s);
   uint32_t b = MbtBucketOf(key, options_);
   if (bucket_ids[b].IsZero()) return Status::NotFound("key absent");
   std::shared_ptr<const Chunk> bucket_chunk;
   s = store_->Get(bucket_ids[b], &bucket_chunk);
-  if (!s.ok()) return s;
+  if (!s.ok()) return WritePathStatus(s);
   std::vector<PosEntry> entries;
   s = DecodeMbtBucket(bucket_chunk->data(), &entries);
   if (!s.ok()) return s;

@@ -103,7 +103,7 @@ Status MerklePatriciaTrie::InsertAt(const Hash256& id,
   }
   MptNode node;
   Status s = LoadNode(id, &node);
-  if (!s.ok()) return s;
+  if (!s.ok()) return WritePathStatus(s);
 
   switch (node.kind) {
     case MptNodeKind::kLeaf: {
@@ -252,7 +252,7 @@ Status MerklePatriciaTrie::Normalize(const MptNode& node, Hash256* out) const {
     // Merge with the single child: prepend its nibble to the child.
     MptNode child;
     Status s = LoadNode(node.children[only_child], &child);
-    if (!s.ok()) return s;
+    if (!s.ok()) return WritePathStatus(s);
     uint8_t nib = static_cast<uint8_t>(only_child);
     switch (child.kind) {
       case MptNodeKind::kLeaf: {
@@ -288,7 +288,7 @@ Status MerklePatriciaTrie::DeleteAt(const Hash256& id,
   if (id.IsZero()) return Status::NotFound("key absent");
   MptNode node;
   Status s = LoadNode(id, &node);
-  if (!s.ok()) return s;
+  if (!s.ok()) return WritePathStatus(s);
 
   switch (node.kind) {
     case MptNodeKind::kLeaf: {
@@ -317,7 +317,7 @@ Status MerklePatriciaTrie::DeleteAt(const Hash256& id,
       // to keep the trie canonical.
       MptNode child;
       s = LoadNode(new_child, &child);
-      if (!s.ok()) return s;
+      if (!s.ok()) return WritePathStatus(s);
       if (child.kind == MptNodeKind::kBranch) {
         MptNode ext = node;
         ext.child = new_child;

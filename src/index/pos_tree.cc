@@ -1,6 +1,10 @@
 #include "index/pos_tree.h"
 
 #include <algorithm>
+#include <deque>
+#include <iterator>
+#include <numeric>
+#include <span>
 
 #include "chunk/buffer_cache.h"
 #include "common/codec.h"
@@ -10,15 +14,15 @@ namespace spitz {
 
 namespace {
 
-// Bulk build: entries per piece when hashing, leaves encoded before any
-// of them is stored (which bounds the encoded bytes in flight), and
-// leaves per piece when encoding.
+// A long run of entries (a bulk build's): entries per piece when
+// hashing, leaves encoded before any of them is stored (which bounds the
+// encoded bytes in flight), and leaves per piece when encoding.
 constexpr size_t kEntryHashGrain = 512;
 constexpr size_t kLeafWindow = 512;
 constexpr size_t kLeafGrain = 8;
 
-// The one rule that closes a node, for bulk builds and updates alike: its
-// last element matches the boundary pattern, or it reached the cap.
+// The one rule that closes a node: its last element matches the
+// boundary pattern, or it reached the cap.
 bool ClosesNode(bool boundary, size_t node_size, size_t max_elements) {
   return boundary || node_size >= max_elements;
 }
@@ -77,146 +81,6 @@ Status PosTree::LoadNode(const Hash256& id,
   return Status::OK();
 }
 
-PosChildRef PosTree::StoreLeaf(const std::vector<PosEntry>& entries,
-                               const Chunk* base) const {
-  PosChildRef ref;
-  ref.last_key = entries.empty() ? std::string() : entries.back().key;
-  ref.count = entries.size();
-  ref.id = store_->Put(Chunk(ChunkType::kIndexLeaf, EncodePosLeaf(entries)),
-                       base);
-  return ref;
-}
-
-PosChildRef PosTree::StoreMeta(const std::vector<PosChildRef>& children,
-                               const Chunk* base) const {
-  PosChildRef ref;
-  ref.last_key = children.empty() ? std::string() : children.back().last_key;
-  ref.count = 0;
-  for (const PosChildRef& c : children) ref.count += c.count;
-  ref.id = store_->Put(Chunk(ChunkType::kIndexMeta, EncodePosMeta(children)),
-                       base);
-  return ref;
-}
-
-// Emits nodes for every closed (pattern- or cap-terminated) run prefix
-// and returns the open suffix.
-namespace {
-template <typename Elem, typename BoundaryFn, typename EmitFn>
-std::vector<Elem> EmitClosedRuns(const std::vector<Elem>& run,
-                                 size_t max_elements, BoundaryFn boundary,
-                                 EmitFn emit) {
-  std::vector<Elem> current;
-  for (const Elem& e : run) {
-    current.push_back(e);
-    if (ClosesNode(boundary(e), current.size(), max_elements)) {
-      emit(current);
-      current.clear();
-    }
-  }
-  return current;
-}
-}  // namespace
-
-std::vector<PosChildRef> PosTree::EmitMetas(
-    const std::vector<PosChildRef>& run) const {
-  std::vector<PosChildRef> out;
-  std::vector<PosChildRef> suffix = EmitClosedRuns(
-      run, options_.max_node_elements,
-      [&](const PosChildRef& c) { return IsMetaBoundary(c.id); },
-      [&](const std::vector<PosChildRef>& node) {
-        out.push_back(StoreMeta(node));
-      });
-  if (!suffix.empty()) out.push_back(StoreMeta(suffix));
-  return out;
-}
-
-Hash256 PosTree::BuildUp(std::vector<PosChildRef> level_refs) const {
-  while (level_refs.size() > 1) level_refs = EmitMetas(level_refs);
-  if (level_refs.empty()) return EmptyRoot();
-  return level_refs[0].id;
-}
-
-Status PosTree::Build(std::vector<PosEntry> entries, Hash256* root) const {
-  auto by_key = [](const PosEntry& a, const PosEntry& b) {
-    return a.key < b.key;
-  };
-  // A bulk load usually arrives in strictly increasing key order, which
-  // one pass confirms: then nothing is sorted, moved or dropped. Sorting
-  // even sorted input moves every entry log2(n) times.
-  if (std::adjacent_find(entries.begin(), entries.end(),
-                         [&](const PosEntry& a, const PosEntry& b) {
-                           return !by_key(a, b);
-                         }) != entries.end()) {
-    if (!std::is_sorted(entries.begin(), entries.end(), by_key)) {
-      std::stable_sort(entries.begin(), entries.end(), by_key);
-    }
-    // Deduplicate by key in place, keeping the last occurrence.
-    size_t kept = 0;
-    for (size_t i = 0; i < entries.size(); i++) {
-      if (i + 1 < entries.size() && entries[i + 1].key == entries[i].key) {
-        continue;
-      }
-      if (kept != i) entries[kept] = std::move(entries[i]);
-      kept++;
-    }
-    entries.erase(entries.begin() + kept, entries.end());
-  }
-  if (entries.empty()) {
-    *root = EmptyRoot();
-    return Status::OK();
-  }
-  // The leaves come out as the update path's serial split would cut and
-  // store them. The independent work, every entry hash and every leaf's
-  // encoding and chunk id, runs on all cores; cutting, allocating and
-  // storing stay on this thread, in key order.
-  std::vector<uint8_t> boundary(entries.size());
-  ParallelFor(entries.size(), kEntryHashGrain, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; i++) {
-      boundary[i] = IsLeafBoundary(EntryHash(entries[i]));
-    }
-  });
-  std::vector<size_t> leaf_ends;  // leaf j is [leaf_ends[j - 1], leaf_ends[j])
-  size_t open = 0;
-  for (size_t i = 0; i < entries.size(); i++) {
-    if (ClosesNode(boundary[i], i + 1 - open, options_.max_node_elements)) {
-      open = i + 1;
-      leaf_ends.push_back(open);
-    }
-  }
-  if (open < entries.size()) leaf_ends.push_back(entries.size());
-  auto leaf = [&](size_t j) {
-    const size_t begin = j == 0 ? 0 : leaf_ends[j - 1];
-    return std::span<const PosEntry>(entries).subspan(begin,
-                                                      leaf_ends[j] - begin);
-  };
-  std::vector<PosChildRef> leaves;
-  leaves.reserve(leaf_ends.size());
-  std::vector<std::string> payloads;
-  std::vector<Chunk> chunks;
-  for (size_t first = 0; first < leaf_ends.size(); first += kLeafWindow) {
-    const size_t count = std::min(kLeafWindow, leaf_ends.size() - first);
-    payloads.resize(count);
-    chunks.resize(count);
-    for (size_t k = 0; k < count; k++) {  // each exactly the chunk's bytes
-      payloads[k].reserve(EntryListSize(leaf(first + k)));
-    }
-    ParallelFor(count, kLeafGrain, [&](size_t begin, size_t end) {
-      for (size_t k = begin; k < end; k++) {
-        PutEntryList(&payloads[k], leaf(first + k));
-        chunks[k] = Chunk(ChunkType::kIndexLeaf, std::move(payloads[k]));
-      }
-    });
-    for (size_t k = 0; k < count; k++) {
-      const std::span<const PosEntry> node = leaf(first + k);
-      leaves.push_back(
-          PosChildRef{node.back().key, chunks[k].id(), node.size()});
-      store_->Put(std::move(chunks[k]));
-    }
-  }
-  *root = BuildUp(std::move(leaves));
-  return Status::OK();
-}
-
 // --- Reads -------------------------------------------------------------
 
 namespace {
@@ -224,20 +88,6 @@ namespace {
 // A proof's reference to a decoded node: its bytes, held by the node.
 ProofNode CiteNode(const std::shared_ptr<const PosNode>& node) {
   return ProofNode{static_cast<uint8_t>(node->type()), node->payload(), node};
-}
-
-// Appends a leaf's entries as owned copies (for building new leaves).
-void AppendEntries(const PosNode& leaf, std::vector<PosEntry>* out) {
-  for (size_t i = 0; i < leaf.entry_count(); i++) {
-    out->push_back(leaf.entry(i));
-  }
-}
-
-// Appends a meta's children [begin, end) as owned refs (for building
-// new metas).
-void AppendChildren(const PosNode& meta, size_t begin, size_t end,
-                    std::vector<PosChildRef>* out) {
-  for (size_t i = begin; i < end; i++) out->push_back(meta.child(i));
 }
 
 }  // namespace
@@ -349,242 +199,407 @@ Status PosTree::Height(const Hash256& root, uint32_t* height) const {
   return Status::OK();
 }
 
-// --- Updates -----------------------------------------------------------
+// --- Writes ------------------------------------------------------------
 
-Status PosTree::SiblingCursor::Next(std::optional<PosChildRef>* next) {
-  next->reset();
-  // Find the deepest frame that can advance.
-  int i = static_cast<int>(frames_.size()) - 1;
-  while (i >= 0 && frames_[i].idx + 1 >= frames_[i].node->child_count()) {
-    i--;
+namespace {
+
+// Merges writes [b, e) of `writes` (sorted, one per key) into the
+// entries of `leaf` (null: none) as *out, moving their entries there;
+// returns whether any write changed the leaf's entries.
+bool MergeLeaf(const PosNode* leaf, IndexWrites* writes, size_t b, size_t e,
+               std::vector<PosEntry>* out) {
+  if (leaf == nullptr && writes->erase.empty()) {  // a bulk build's puts
+    *out = std::move(writes->entries);
+    return !out->empty();
   }
-  if (i < 0) return Status::OK();
-  frames_[i].idx++;
-  // Re-descend to the cursor level along the leftmost path.
-  for (size_t l = i + 1; l < frames_.size(); l++) {
-    const PathFrame& parent = frames_[l - 1];
-    std::shared_ptr<const PosNode> node;
-    Status s = tree_->LoadNode(parent.node->child_id(parent.idx), &node);
-    if (!s.ok()) return s;
-    if (node->is_leaf()) {
-      return Status::Corruption("leaf above the leaf level during update");
+  const size_t n = leaf == nullptr ? 0 : leaf->entry_count();
+  out->reserve(n + e - b);
+  bool changed = false;
+  size_t i = 0;
+  for (size_t w = b; w < e; w++) {
+    PosEntry& write = writes->entries[w];
+    for (; i < n && leaf->key(i).compare(write.key) < 0; i++) {
+      out->push_back(leaf->entry(i));
     }
-    frames_[l] = PathFrame{std::move(node), 0};
+    const bool present = i < n && leaf->key(i) == write.key;
+    if (writes->erases(w)) {
+      i += present;
+      changed |= present;
+    } else if (!present || leaf->value(i) != write.value) {
+      out->push_back(std::move(write));
+      i += present;
+      changed = true;
+    }
   }
-  const PathFrame& bottom = frames_.back();
-  *next = bottom.node->child(bottom.idx);
-  return Status::OK();
+  for (; i < n; i++) out->push_back(leaf->entry(i));
+  return changed;
+}
+
+}  // namespace
+
+// One Apply. Touch descends to every leaf a write names and keeps the
+// nodes the batch changes. Emit then walks the old tree left to right
+// over them and feeds each level's cutter (levels_): a changed node
+// hands on its elements (a leaf its merged entries, a meta its
+// children); an unchanged node hands on its ref whole when every level
+// up to its own is between nodes (Aligned), and is opened and re-cut
+// when a changed run reaches into it. Leaves are stored as they are
+// cut; meta nodes once Finish knows the root, bottom-up as a bulk build
+// stores them, so a root that collapses is never stored.
+class PosTree::Writer {
+ public:
+  Writer(const PosTree* tree, IndexWrites* writes)
+      : tree_(tree), writes_(writes), levels_(1) {}
+
+  // The writes are sorted, one per key.
+  Status Run(const Hash256& root, Hash256* new_root,
+             std::vector<Hash256>* replaced) {
+    Touched top{root};
+    Status s = Touch(0, 0, writes_->entries.size(), &top);
+    if (s.ok() && !top.changed) {
+      *new_root = root;
+      return s;
+    }
+    top_level_ = leaf_depth_;
+    Hash256 result;
+    if (s.ok()) s = Emit(&top, top_level_);
+    if (s.ok()) s = Finish(&result);
+    if (!s.ok()) return s;
+    *new_root = result;
+    if (replaced != nullptr) {
+      // A re-cut can store a node identical to one it opened; the new
+      // version holds that one, so it is not replaced.
+      std::sort(stored_.begin(), stored_.end());
+      for (const Hash256& old : opened_) {
+        if (!std::binary_search(stored_.begin(), stored_.end(), old)) {
+          replaced->push_back(old);
+        }
+      }
+    }
+    return s;
+  }
+
+ private:
+  // A node of the old tree (the empty tree: a null leaf) and what the
+  // batch changes in it: a leaf's entries after the writes, or a meta's
+  // changed children.
+  struct Touched {
+    explicit Touched(const Hash256& id, size_t index = 0)
+        : id(id), index(index) {}
+
+    Hash256 id;
+    size_t index;  // its place among its parent's children
+    bool changed = false;
+    std::shared_ptr<const PosNode> node;
+    std::vector<PosEntry> entries;
+    std::vector<Touched> children;
+  };
+
+  // The new tree's cutter at one level (0 = the leaves).
+  struct Cutter {
+    std::vector<PosEntry> entries;      // level 0: the open leaf
+    std::vector<PosChildRef> children;  // above: the open meta node
+    // The last changed old node of this level: the base of the nodes
+    // cut here (none above the old root).
+    std::shared_ptr<const PosNode> base;
+    size_t nodes = 0;  // nodes handed to the level above, the last:
+    Hash256 last;
+    // Meta nodes cut here, with their bases, for Finish to store.
+    std::vector<std::pair<Chunk, std::shared_ptr<const PosNode>>> metas;
+
+    bool open() const { return !entries.empty() || !children.empty(); }
+  };
+
+  Cutter& Level(size_t level) {
+    while (levels_.size() <= level) levels_.emplace_back();
+    return levels_[level];
+  }
+
+  // Whether every level up to `level` is between nodes.
+  bool Aligned(size_t level) const {
+    for (size_t l = 0; l <= level && l < levels_.size(); l++) {
+      if (levels_[l].open()) return false;
+    }
+    return true;
+  }
+
+  // Loads t->id, `depth` below the root, and merges writes [b, e) below
+  // it.
+  Status Touch(size_t depth, size_t b, size_t e, Touched* t) {
+    Status s;
+    if (!t->id.IsZero()) s = WritePathStatus(tree_->LoadNode(t->id, &t->node));
+    if (!s.ok()) return s;
+    if (t->node == nullptr || t->node->is_leaf()) {  // null: the empty tree
+      if (leaf_depth_ == kNoDepth) leaf_depth_ = depth;
+      if (depth != leaf_depth_) {
+        return Status::Corruption("leaves at two depths under one root");
+      }
+      t->changed = MergeLeaf(t->node.get(), writes_, b, e, &t->entries);
+      return Status::OK();
+    }
+    const PosNode& node = *t->node;
+    const std::vector<PosEntry>& entries = writes_->entries;
+    while (b < e) {
+      // Child i takes the writes up to its last key; the last child
+      // takes every key past it.
+      const size_t i = node.Route(entries[b].key);
+      size_t end = e;
+      if (i + 1 < node.child_count()) {
+        const Slice last = node.last_key(i);
+        end = std::partition_point(entries.begin() + b, entries.begin() + e,
+                                   [&](const PosEntry& w) {
+                                     return last.compare(w.key) >= 0;
+                                   }) -
+              entries.begin();
+      }
+      Touched child{node.child_id(i), i};
+      s = Touch(depth + 1, b, end, &child);
+      if (!s.ok()) return s;
+      if (child.changed) t->children.push_back(std::move(child));
+      b = end;
+    }
+    t->changed = !t->children.empty();
+    return Status::OK();
+  }
+
+  // Hands the changed node `t`, of `level`, to the cutters.
+  Status Emit(Touched* t, size_t level) {
+    Level(level).base = t->node;
+    if (t->node != nullptr) opened_.push_back(t->id);  // null: the empty tree
+    if (level == 0) {
+      CutLeaves(std::move(t->entries));
+      return Status::OK();
+    }
+    auto changed = t->children.begin();
+    for (size_t i = 0; i < t->node->child_count(); i++) {
+      Status s = changed != t->children.end() && changed->index == i
+                     ? Emit(&*changed++, level - 1)
+                     : Pass(t->node->child(i), level - 1);
+      if (!s.ok()) return s;
+    }
+    return Status::OK();
+  }
+
+  // Hands the unchanged node `ref`, of `level`, to the cutters: whole,
+  // or opened when a changed run reaches into it.
+  Status Pass(PosChildRef ref, size_t level) {
+    if (Aligned(level)) {
+      Push(level + 1, std::move(ref));
+      return Status::OK();
+    }
+    std::shared_ptr<const PosNode> node;
+    Status s = WritePathStatus(tree_->LoadNode(ref.id, &node));
+    if (!s.ok()) return s;
+    if (node->is_leaf() != (level == 0)) {
+      return Status::Corruption("a node off its level during a write");
+    }
+    opened_.push_back(ref.id);
+    if (level == 0) {
+      std::vector<PosEntry> entries;
+      MergeLeaf(node.get(), writes_, 0, 0, &entries);  // a copy
+      CutLeaves(std::move(entries));
+      return Status::OK();
+    }
+    for (size_t i = 0; i < node->child_count() && s.ok(); i++) {
+      s = Pass(node->child(i), level - 1);
+    }
+    return s;
+  }
+
+  // Appends `run` to the open leaf and stores every leaf that closes,
+  // and the open one too when `last`. A long run's entry hashes and leaf
+  // encodings are computed on all cores, a window of leaves at a time
+  // (which bounds the encoded bytes in flight); cutting and storing stay
+  // on this thread, in key order.
+  void CutLeaves(std::vector<PosEntry> run, bool last = false) {
+    std::vector<PosEntry>& open = levels_[0].entries;
+    const size_t hashed = open.size();  // entries whose hash is known
+    if (open.empty()) {
+      open = std::move(run);
+    } else {
+      open.insert(open.end(), std::make_move_iterator(run.begin()),
+                  std::make_move_iterator(run.end()));
+    }
+    std::vector<uint8_t> boundary(open.size() - hashed);
+    ParallelFor(boundary.size(), kEntryHashGrain,
+                [&](size_t begin, size_t end) {
+                  for (size_t i = begin; i < end; i++) {
+                    boundary[i] =
+                        tree_->IsLeafBoundary(EntryHash(open[hashed + i]));
+                  }
+                });
+    std::vector<size_t> ends;  // leaf j is [ends[j - 1], ends[j])
+    for (size_t i = hashed; i < open.size(); i++) {
+      if (ClosesNode(boundary[i - hashed],
+                     i + 1 - (ends.empty() ? 0 : ends.back()),
+                     tree_->options_.max_node_elements)) {
+        ends.push_back(i + 1);
+      }
+    }
+    if (last && open.size() > (ends.empty() ? 0 : ends.back())) {
+      ends.push_back(open.size());
+    }
+    auto leaf = [&](size_t j) {
+      const size_t begin = j == 0 ? 0 : ends[j - 1];
+      return std::span<const PosEntry>(open).subspan(begin, ends[j] - begin);
+    };
+    const std::shared_ptr<const PosNode>& base = levels_[0].base;
+    std::vector<std::string> payloads;
+    std::vector<Chunk> chunks;
+    for (size_t first = 0; first < ends.size(); first += kLeafWindow) {
+      const size_t count = std::min(kLeafWindow, ends.size() - first);
+      payloads.resize(count);
+      chunks.resize(count);
+      for (size_t k = 0; k < count; k++) {  // each exactly the chunk's bytes
+        payloads[k].reserve(EntryListSize(leaf(first + k)));
+      }
+      ParallelFor(count, kLeafGrain, [&](size_t begin, size_t end) {
+        for (size_t k = begin; k < end; k++) {
+          PutEntryList(&payloads[k], leaf(first + k));
+          chunks[k] = Chunk(ChunkType::kIndexLeaf, std::move(payloads[k]));
+        }
+      });
+      for (size_t k = 0; k < count; k++) {
+        const std::span<const PosEntry> node = leaf(first + k);
+        PosChildRef ref{node.back().key, chunks[k].id(), node.size()};
+        stored_.push_back(ref.id);
+        tree_->store_->Put(std::move(chunks[k]),
+                           base == nullptr ? nullptr : base->chunk());
+        Push(1, std::move(ref));
+      }
+    }
+    open.erase(open.begin(), open.begin() + (ends.empty() ? 0 : ends.back()));
+  }
+
+  // Appends `ref`, a node of `level` - 1, to the open meta node of
+  // `level`, and cuts that node when `ref` closes it.
+  void Push(size_t level, PosChildRef ref) {
+    Cutter& below = Level(level - 1);
+    below.nodes++;
+    below.last = ref.id;
+    Cutter& cutter = Level(level);
+    cutter.children.push_back(std::move(ref));
+    if (ClosesNode(tree_->IsMetaBoundary(below.last), cutter.children.size(),
+                   tree_->options_.max_node_elements)) {
+      CutMeta(level);
+    }
+  }
+
+  // Cuts the open meta node of `level` and hands it up.
+  void CutMeta(size_t level) {
+    Cutter& cutter = levels_[level];
+    std::vector<PosChildRef> children = std::move(cutter.children);
+    cutter.children.clear();
+    PosChildRef ref{children.back().last_key, Hash256(), 0};
+    for (const PosChildRef& c : children) ref.count += c.count;
+    Chunk chunk(ChunkType::kIndexMeta, EncodePosMeta(children));
+    ref.id = chunk.id();
+    cutter.metas.emplace_back(std::move(chunk), cutter.base);
+    Push(level + 1, std::move(ref));
+  }
+
+  // Cuts each level's open node, bottom-up, up to the first level at or
+  // above the old root's that holds one node: the root, less any node of
+  // one child at the top, which collapses into that child. Then stores
+  // the meta nodes below it, level by level.
+  Status Finish(Hash256* root) {
+    size_t level = 0;
+    for (;; level++) {
+      if (level == 0) CutLeaves({}, /*last=*/true);
+      if (level > 0 && levels_[level].open()) CutMeta(level);
+      if (level >= top_level_ && levels_[level].nodes <= 1) break;
+    }
+    *root = levels_[level].nodes == 0 ? EmptyRoot() : levels_[level].last;
+    // Every ref the root's level got came from the level below: one is a
+    // meta cut here of that one child, none an old node kept whole.
+    for (; level > 0 && !root->IsZero(); level--) {
+      const Cutter& below = levels_[level - 1];
+      if (below.nodes == 1) {
+        *root = below.last;
+        continue;
+      }
+      if (below.nodes > 1) break;
+      std::shared_ptr<const PosNode> node;
+      Status s = WritePathStatus(tree_->LoadNode(*root, &node));
+      if (!s.ok()) return s;
+      if (node->is_leaf()) {
+        return Status::Corruption("a leaf above the leaf level");
+      }
+      if (node->child_count() != 1) break;
+      opened_.push_back(*root);
+      *root = node->child_id(0);
+    }
+    levels_.resize(level + 1);  // above: metas of one child, collapsed
+    for (Cutter& cutter : levels_) {
+      for (auto& [chunk, base] : cutter.metas) {
+        stored_.push_back(chunk.id());
+        tree_->store_->Put(std::move(chunk),
+                           base == nullptr ? nullptr : base->chunk());
+      }
+    }
+    return Status::OK();
+  }
+
+  static constexpr size_t kNoDepth = ~size_t{0};
+
+  const PosTree* tree_;
+  IndexWrites* writes_;
+  std::deque<Cutter> levels_;  // grows without moving a level in use
+  size_t leaf_depth_ = kNoDepth;
+  size_t top_level_ = 0;         // the old root's level
+  std::vector<Hash256> opened_;  // old nodes whose elements were re-cut
+  std::vector<Hash256> stored_;  // new nodes stored
+};
+
+Status PosTree::Apply(const Hash256& root, IndexWrites writes,
+                      Hash256* new_root,
+                      std::vector<Hash256>* replaced) const {
+  std::vector<PosEntry>& entries = writes.entries;
+  // A bulk load usually arrives in strictly increasing key order, which
+  // one pass confirms: then nothing is sorted, moved or dropped.
+  if (std::adjacent_find(entries.begin(), entries.end(),
+                         [](const PosEntry& a, const PosEntry& b) {
+                           return a.key >= b.key;
+                         }) != entries.end()) {
+    // Sorted stably, so a key's writes keep batch order; the last one
+    // is kept.
+    std::vector<size_t> order(entries.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return entries[a].key < entries[b].key;
+    });
+    IndexWrites sorted;
+    for (size_t k = 0; k < order.size(); k++) {
+      const size_t w = order[k];
+      if (k + 1 < order.size() && entries[order[k + 1]].key == entries[w].key) {
+        continue;
+      }
+      if (!writes.erase.empty()) sorted.erase.push_back(writes.erase[w]);
+      sorted.entries.push_back(std::move(entries[w]));
+    }
+    writes = std::move(sorted);
+  }
+  return Writer(this, &writes).Run(root, new_root, replaced);
+}
+
+Status PosTree::Build(std::vector<PosEntry> entries, Hash256* root) const {
+  return Apply(EmptyRoot(), IndexWrites{std::move(entries), {}}, root);
 }
 
 Status PosTree::Put(const Hash256& root, const Slice& key, const Slice& value,
                     Hash256* new_root, std::vector<Hash256>* replaced) const {
-  return Update(root, key, value.ToString(), new_root, replaced);
+  return Apply(root, {{{key.ToString(), value.ToString()}}, {}}, new_root,
+               replaced);
 }
 
 Status PosTree::Delete(const Hash256& root, const Slice& key,
                        Hash256* new_root,
                        std::vector<Hash256>* replaced) const {
-  return Update(root, key, std::nullopt, new_root, replaced);
-}
-
-Status PosTree::Update(const Hash256& root, const Slice& key,
-                       const std::optional<std::string>& value,
-                       Hash256* new_root,
-                       std::vector<Hash256>* replaced) const {
-  if (root.IsZero()) {
-    if (!value.has_value()) return Status::NotFound("empty tree");
-    // One entry is one leaf, the whole tree.
-    *new_root = StoreLeaf({PosEntry{key.ToString(), *value}}).id;
-    return Status::OK();
-  }
-
-  // 1. Descend to the leaf, recording the path. The node taken at each
-  //    level is the base every node rebuilt at that level is handed to
-  //    the store with (ChunkStore::Put). `old_ids` gathers every node of
-  //    `root` this write replaces, `new_ids` every node it stores up to
-  //    the old root's level (a node stored above it, as the tree grows,
-  //    cannot repeat an old one).
-  std::vector<Hash256> old_ids;
-  std::vector<Hash256> new_ids;
-  std::vector<PathFrame> frames;
-  std::shared_ptr<const PosNode> leaf;
-  Hash256 id = root;
-  std::vector<PosEntry> leaf_entries;
-  while (true) {
-    std::shared_ptr<const PosNode> node;
-    Status s = LoadNode(id, &node);
-    if (!s.ok()) return s;
-    old_ids.push_back(id);
-    if (node->is_leaf()) {
-      AppendEntries(*node, &leaf_entries);
-      leaf = std::move(node);
-      break;
-    }
-    const size_t idx = node->Route(key);
-    id = node->child_id(idx);
-    frames.push_back(PathFrame{std::move(node), idx});
-  }
-
-  // 2. Apply the mutation to the leaf's entry run.
-  auto it = std::lower_bound(leaf_entries.begin(), leaf_entries.end(), key,
-                             [](const PosEntry& e, const Slice& k) {
-                               return Slice(e.key).compare(k) < 0;
-                             });
-  if (value.has_value()) {
-    if (it != leaf_entries.end() && Slice(it->key) == key) {
-      if (it->value == *value) {
-        *new_root = root;  // no-op write: version unchanged
-        return Status::OK();
-      }
-      it->value = *value;
-    } else {
-      leaf_entries.insert(it, PosEntry{key.ToString(), *value});
-    }
-  } else {
-    if (it == leaf_entries.end() || Slice(it->key) != key) {
-      return Status::NotFound("key absent");
-    }
-    leaf_entries.erase(it);
-  }
-
-  // 3. Rebuild level 0 (leaves), re-chunking rightward until the
-  //    content-defined boundaries realign with the old structure.
-  SiblingCursor leaf_cursor(this, frames);
-  std::vector<PosChildRef> new_refs;
-  uint64_t consumed_old = 1;  // the leaf we descended into
-  std::vector<PosEntry> pending = std::move(leaf_entries);
-  while (true) {
-    std::vector<PosEntry> suffix = EmitClosedRuns(
-        pending, options_.max_node_elements,
-        [&](const PosEntry& e) { return IsLeafBoundary(EntryHash(e)); },
-        [&](const std::vector<PosEntry>& node) {
-          new_refs.push_back(StoreLeaf(node, leaf->chunk()));
-        });
-    if (suffix.empty()) break;  // realigned with the old chunking
-    std::optional<PosChildRef> next;
-    Status s = leaf_cursor.Next(&next);
-    if (!s.ok()) return s;
-    if (!next.has_value()) {
-      // The rightmost open leaf.
-      new_refs.push_back(StoreLeaf(suffix, leaf->chunk()));
-      break;
-    }
-    consumed_old++;
-    old_ids.push_back(next->id);
-    std::shared_ptr<const PosNode> next_node;
-    s = LoadNode(next->id, &next_node);
-    if (!s.ok()) return s;
-    if (!next_node->is_leaf()) {
-      return Status::Corruption("expected leaf sibling during update");
-    }
-    pending = std::move(suffix);
-    AppendEntries(*next_node, &pending);
-  }
-
-  for (const PosChildRef& ref : new_refs) new_ids.push_back(ref.id);
-
-  // 4. Propagate upward level by level.
-  for (int fi = static_cast<int>(frames.size()) - 1; fi >= 0; fi--) {
-    const PosNode& parent = *frames[fi].node;
-    const size_t idx = frames[fi].idx;
-    SiblingCursor cursor(
-        this, std::vector<PathFrame>(frames.begin(), frames.begin() + fi));
-
-    // Splice: children before the descent point stay; `consumed_old`
-    // old children (possibly spanning sibling nodes) are replaced by
-    // new_refs; the rest of the partially-consumed node is kept.
-    std::vector<PosChildRef> pending_children;
-    AppendChildren(parent, 0, idx, &pending_children);
-    pending_children.insert(pending_children.end(), new_refs.begin(),
-                            new_refs.end());
-    uint64_t nodes_consumed_here = 1;  // this frame's node
-    uint64_t to_consume = consumed_old;
-    std::vector<PosChildRef> remaining;
-    AppendChildren(parent, idx, parent.child_count(), &remaining);
-    while (remaining.size() < to_consume) {
-      to_consume -= remaining.size();
-      std::optional<PosChildRef> sib;
-      Status s = cursor.Next(&sib);
-      if (!s.ok()) return s;
-      if (!sib.has_value()) {
-        to_consume = 0;
-        remaining.clear();
-        break;
-      }
-      nodes_consumed_here++;
-      old_ids.push_back(sib->id);
-      std::shared_ptr<const PosNode> sib_node;
-      s = LoadNode(sib->id, &sib_node);
-      if (!s.ok()) return s;
-      if (sib_node->is_leaf()) {
-        return Status::Corruption("expected meta sibling during update");
-      }
-      remaining = sib_node->children();
-    }
-    pending_children.insert(pending_children.end(),
-                            remaining.begin() + to_consume, remaining.end());
-
-    // Re-chunk this level until boundaries realign.
-    std::vector<PosChildRef> refs_up;
-    std::vector<PosChildRef> level_pending = std::move(pending_children);
-    while (true) {
-      std::vector<PosChildRef> suffix = EmitClosedRuns(
-          level_pending, options_.max_node_elements,
-          [&](const PosChildRef& c) { return IsMetaBoundary(c.id); },
-          [&](const std::vector<PosChildRef>& node) {
-            refs_up.push_back(StoreMeta(node, parent.chunk()));
-          });
-      if (suffix.empty()) break;
-      std::optional<PosChildRef> sib;
-      Status s = cursor.Next(&sib);
-      if (!s.ok()) return s;
-      if (!sib.has_value()) {
-        refs_up.push_back(StoreMeta(suffix, parent.chunk()));
-        break;
-      }
-      nodes_consumed_here++;
-      old_ids.push_back(sib->id);
-      std::shared_ptr<const PosNode> sib_node;
-      s = LoadNode(sib->id, &sib_node);
-      if (!s.ok()) return s;
-      if (sib_node->is_leaf()) {
-        return Status::Corruption("expected meta sibling during update");
-      }
-      level_pending = std::move(suffix);
-      AppendChildren(*sib_node, 0, sib_node->child_count(), &level_pending);
-    }
-    for (const PosChildRef& ref : refs_up) new_ids.push_back(ref.id);
-    new_refs = std::move(refs_up);
-    consumed_old = nodes_consumed_here;
-  }
-
-  // 5. Form the new root; collapse single-child meta chains so the
-  //    result is identical to a fresh bulk build of the same data
-  //    (structural invariance).
-  Hash256 result = BuildUp(std::move(new_refs));
-  std::vector<Hash256> collapsed;  // stored above, in no version
-  while (!result.IsZero()) {
-    std::shared_ptr<const PosNode> node;
-    Status s = LoadNode(result, &node);
-    if (!s.ok()) return s;
-    if (node->is_leaf()) break;
-    if (node->child_count() != 1) break;
-    collapsed.push_back(result);
-    result = node->child_id(0);
-  }
-  *new_root = result;
-  if (replaced != nullptr) {
-    // A re-chunk can store a node identical to one it consumed; the new
-    // version holds that one, so it is not replaced.
-    std::sort(new_ids.begin(), new_ids.end());
-    for (const Hash256& old : old_ids) {
-      if (!std::binary_search(new_ids.begin(), new_ids.end(), old)) {
-        replaced->push_back(old);
-      }
-    }
-    replaced->insert(replaced->end(), collapsed.begin(), collapsed.end());
-  }
-  return Status::OK();
+  const Hash256 old_root = root;  // *new_root may alias `root`
+  Status s = Apply(old_root, {{{key.ToString(), ""}}, {true}}, new_root,
+                   replaced);
+  if (s.ok() && *new_root == old_root) return Status::NotFound("key absent");
+  return s;
 }
 
 }  // namespace spitz

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -25,8 +24,9 @@ namespace spitz {
 //  * Structural invariance: the tree shape (and therefore the root hash)
 //    is a pure function of the key-value set — independent of insertion
 //    order. Two parties holding the same data compute the same digest.
-//  * Version sharing: an update path-copies O(log n) nodes; all other
-//    nodes are shared with previous versions through the chunk store.
+//  * Version sharing: a write rewrites the O(log n) nodes on its path;
+//    all other nodes are shared with previous versions through the chunk
+//    store.
 //    Ledger blocks that embed successive index roots therefore share
 //    almost all of their structure (the SIRI property Spitz's ledger
 //    exploits, section 6.1).
@@ -61,6 +61,15 @@ struct PosTreeOptions {
 };
 
 class BufferCache;
+
+// A batch of index writes in batch order: entry i is put, or its key
+// deleted when erase[i]. An empty `erase` puts every entry.
+struct IndexWrites {
+  std::vector<PosEntry> entries;
+  std::vector<bool> erase;
+
+  bool erases(size_t i) const { return !erase.empty() && erase[i]; }
+};
 
 // A handle over one version of a POS-tree. The tree itself lives in the
 // chunk store; a version is identified by its root chunk id. All
@@ -101,9 +110,21 @@ class PosTree {
   // immutable chunks, cached entries can never go stale.
   void SetNodeCache(BufferCache* cache) { cache_ = cache; }
 
-  // Bulk-loads a tree from entries (they will be sorted and deduplicated
-  // by key, last write wins). Returns the new root. Every node is put
-  // with no base, so a load fills no cache.
+  // The one write routine: applies `writes` to the version `root` and
+  // returns the new root (DESIGN.md section 7). The last write per key
+  // wins; deleting a key its leaf does not hold is a no-op, and a batch
+  // that changes nothing returns `root`. Each node the batch touches is
+  // rewritten once, put with the old node the batch changed at its level
+  // as its base (none from the empty root). A non-null `replaced` gets
+  // appended the ids of the nodes of `root` the new version no longer
+  // holds; a failure appends nothing. A node a path names that the store
+  // cannot return fails the batch as Corruption.
+  Status Apply(const Hash256& root, IndexWrites writes, Hash256* new_root,
+               std::vector<Hash256>* replaced = nullptr) const;
+
+  // Bulk-loads a tree from entries (last write per key wins): their puts
+  // applied to the empty root. Every node is put with no base, so a
+  // load fills no cache.
   Status Build(std::vector<PosEntry> entries, Hash256* root) const;
 
   // Point read: the one root-to-leaf traversal. Returns NotFound if
@@ -113,19 +134,12 @@ class PosTree {
   Status Get(const Hash256& root, const Slice& key, std::string* value,
              PosProof* proof) const;
 
-  // Writes one key (insert or overwrite); returns the new root. A
-  // non-null `replaced` gets appended the ids of the nodes of `root`
-  // the write replaced: the descended leaf, every meta node on the
-  // path and the siblings consumed while re-chunking, less any id the
-  // new version still contains. It also gets any single-child root the
-  // write stored and then collapsed away, a node of no version. A
-  // no-op write or a failure appends nothing.
+  // Writes one key (insert or overwrite): Apply of one put.
   Status Put(const Hash256& root, const Slice& key, const Slice& value,
              Hash256* new_root,
              std::vector<Hash256>* replaced = nullptr) const;
 
-  // Removes one key; returns the new root. NotFound if absent.
-  // `replaced` as for Put.
+  // Removes one key: Apply of one delete, NotFound if absent.
   Status Delete(const Hash256& root, const Slice& key, Hash256* new_root,
                 std::vector<Hash256>* replaced = nullptr) const;
 
@@ -153,28 +167,8 @@ class PosTree {
                        std::unordered_set<Hash256, Hash256Hasher>* live) const;
 
  private:
-  struct PathFrame {
-    std::shared_ptr<const PosNode> node;  // a meta node
-    size_t idx = 0;                       // child taken during descent
-  };
-
-  // Yields successive sibling node refs at a fixed level, starting after
-  // the position described by `frames` (ancestor frames from the root
-  // down to the parent of that level).
-  class SiblingCursor {
-   public:
-    SiblingCursor(const PosTree* tree, std::vector<PathFrame> frames)
-        : tree_(tree), frames_(std::move(frames)) {}
-
-    // Sets *next to the next sibling ref at the cursor's level, or to
-    // nullopt past the level's last node. A node that fails to load, or
-    // a leaf where a meta node belongs (Corruption), fails the call.
-    Status Next(std::optional<PosChildRef>* next);
-
-   private:
-    const PosTree* tree_;
-    std::vector<PathFrame> frames_;
-  };
+  // One Apply's pass over the tree (pos_tree.cc).
+  class Writer;
 
   bool IsLeafBoundary(const Hash256& entry_hash) const;
   bool IsMetaBoundary(const Hash256& child_id) const;
@@ -187,32 +181,10 @@ class PosTree {
   Status LoadNode(const Hash256& id,
                   std::shared_ptr<const PosNode>* node) const;
 
-  // Writes a leaf (meta) chunk and returns its ref. A non-null `base`
-  // is the chunk of the node it replaces, passed on to ChunkStore::Put.
-  PosChildRef StoreLeaf(const std::vector<PosEntry>& entries,
-                        const Chunk* base = nullptr) const;
-  PosChildRef StoreMeta(const std::vector<PosChildRef>& children,
-                        const Chunk* base = nullptr) const;
-
-  // Splits a run of child refs into meta nodes by the pattern rule and
-  // stores them, the last node closed or not.
-  std::vector<PosChildRef> EmitMetas(
-      const std::vector<PosChildRef>& run) const;
-
-  // Builds the levels above a list of child refs until a single root
-  // remains.
-  Hash256 BuildUp(std::vector<PosChildRef> level_refs) const;
-
   // CollectChunks below `id`, a node `height` levels tall (1 = a leaf,
   // whose id is inserted without reading it).
   Status CollectSubtree(const Hash256& id, uint32_t height,
                         std::unordered_set<Hash256, Hash256Hasher>* live) const;
-
-  // Core of Put/Delete: applies `apply` to the entries of the leaf the
-  // key routes to and rebuilds the affected region of the tree.
-  Status Update(const Hash256& root, const Slice& key,
-                const std::optional<std::string>& value, Hash256* new_root,
-                std::vector<Hash256>* replaced) const;
 
   ChunkStore* store_;
   PosTreeOptions options_;

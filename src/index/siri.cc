@@ -4,16 +4,6 @@ namespace spitz {
 
 // --- SiriIndex defaults -----------------------------------------------------
 
-Status SiriIndex::Build(std::vector<PosEntry> entries, Hash256* root) const {
-  Hash256 r = EmptyRoot();
-  for (const PosEntry& e : entries) {
-    Status s = Put(r, e.key, e.value, &r);
-    if (!s.ok()) return s;
-  }
-  *root = r;
-  return Status::OK();
-}
-
 Status SiriIndex::Scan(const Hash256&, const Slice&, const Slice&, size_t,
                        std::vector<PosEntry>* out, SiriRangeProof*) const {
   out->clear();
@@ -43,22 +33,19 @@ class TreeSiriIndex : public SiriIndex {
     proof->kind = Kind;
     return tree_.Get(root, key, value, &(proof->*Body));
   }
-  Status Put(const Hash256& root, const Slice& key, const Slice& value,
-             Hash256* new_root,
-             std::vector<Hash256>* replaced = nullptr) const override {
-    if constexpr (Kind == SiriBackend::kPosTree) {
-      return tree_.Put(root, key, value, new_root, replaced);
-    } else {
-      return tree_.Put(root, key, value, new_root);
+  // One write at a time. A delete's NotFound is an absent key: a
+  // missing node fails as Corruption (WritePathStatus).
+  Status Apply(const Hash256& root, IndexWrites writes, Hash256* new_root,
+               std::vector<Hash256>* /*replaced*/) const override {
+    Hash256 r = root;
+    for (size_t i = 0; i < writes.entries.size(); i++) {
+      const PosEntry& e = writes.entries[i];
+      Status s = writes.erases(i) ? tree_.Delete(r, e.key, &r)
+                                  : tree_.Put(r, e.key, e.value, &r);
+      if (!s.ok() && !(writes.erases(i) && s.IsNotFound())) return s;
     }
-  }
-  Status Delete(const Hash256& root, const Slice& key, Hash256* new_root,
-                std::vector<Hash256>* replaced = nullptr) const override {
-    if constexpr (Kind == SiriBackend::kPosTree) {
-      return tree_.Delete(root, key, new_root, replaced);
-    } else {
-      return tree_.Delete(root, key, new_root);
-    }
+    *new_root = r;
+    return Status::OK();
   }
   Status Count(const Hash256& root, uint64_t* count) const override {
     return tree_.Count(root, count);
@@ -80,7 +67,7 @@ using MbtSiriIndex = TreeSiriIndex<MerkleBucketTree,
                                    SiriBackend::kMerkleBucketTree,
                                    &SiriProof::mbt>;
 
-// The POS-tree adds ordered scans, a native bulk build and a node cache.
+// The POS-tree adds ordered scans, a one-pass batch and a node cache.
 class PosSiriIndex
     : public TreeSiriIndex<PosTree, SiriBackend::kPosTree, &SiriProof::pos> {
  public:
@@ -91,8 +78,9 @@ class PosSiriIndex
   void SetNodeCache(BufferCache* cache) override {
     tree_.SetNodeCache(cache);
   }
-  Status Build(std::vector<PosEntry> entries, Hash256* root) const override {
-    return tree_.Build(std::move(entries), root);
+  Status Apply(const Hash256& root, IndexWrites writes, Hash256* new_root,
+               std::vector<Hash256>* replaced) const override {
+    return tree_.Apply(root, std::move(writes), new_root, replaced);
   }
   Status Scan(const Hash256& root, const Slice& start, const Slice& end,
               size_t limit, std::vector<PosEntry>* out,

@@ -63,15 +63,24 @@ class SiriIndex {
 
   // --- Writes -------------------------------------------------------------
 
-  // A non-null `replaced` gets appended the ids of the nodes the write
-  // replaced (PosTree::Put); backends that cache no decoded nodes append
-  // nothing.
-  virtual Status Put(const Hash256& root, const Slice& key, const Slice& value,
-                     Hash256* new_root,
-                     std::vector<Hash256>* replaced = nullptr) const = 0;
-  virtual Status Delete(const Hash256& root, const Slice& key,
-                        Hash256* new_root,
-                        std::vector<Hash256>* replaced = nullptr) const = 0;
+  // Applies `writes` to the version `root` (the last write per key
+  // wins; deleting an absent key is a no-op) and returns the new root.
+  // A non-null `replaced` gets appended the ids of the nodes of `root`
+  // the new version no longer holds (PosTree::Apply); backends that
+  // cache no decoded nodes append nothing. A node a write's path names
+  // that the store cannot return fails the call, and a failed call
+  // touches neither *new_root nor *replaced. MPT and MBT apply one
+  // write at a time; the POS-tree applies the batch in one pass.
+  virtual Status Apply(const Hash256& root, IndexWrites writes,
+                       Hash256* new_root,
+                       std::vector<Hash256>* replaced = nullptr) const = 0;
+
+  // Bulk-builds a tree from entries (last write per key wins): Apply of
+  // their puts on the empty root.
+  Status Build(std::vector<PosEntry> entries, Hash256* root) const {
+    return Apply(EmptyRoot(), IndexWrites{std::move(entries), {}}, root);
+  }
+
   virtual Status Count(const Hash256& root, uint64_t* count) const = 0;
 
   // Inserts the ids of every chunk reachable from `root` (the root
@@ -83,10 +92,6 @@ class SiriIndex {
   virtual Status CollectChunks(
       const Hash256& root,
       std::unordered_set<Hash256, Hash256Hasher>* live) const = 0;
-
-  // Bulk-builds a tree from entries (last write per key wins). The
-  // default loops Put; backends with a native builder override.
-  virtual Status Build(std::vector<PosEntry> entries, Hash256* root) const;
 };
 
 // Constructs the backend named by `kind` over `store`.

@@ -49,31 +49,17 @@ VersionedIndex::VersionedIndex(SiriBackend backend, ChunkStore* chunks,
 }
 
 Status VersionedIndex::Apply(const WriteBatch& batch) {
-  Hash256 root = root_;
-  const size_t replaced_before = replaced_.size();
-  Status s = ApplyTo(batch, &root, &replaced_);
-  if (!s.ok()) {
-    // The new root is not adopted, so its nodes replaced nothing.
-    replaced_.resize(replaced_before);
-    return s;
-  }
-  root_ = root;
-  return Status::OK();
+  return ApplyTo(batch, &root_, &replaced_);
 }
 
 Status VersionedIndex::ApplyTo(const WriteBatch& batch, Hash256* root,
                                std::vector<Hash256>* replaced) const {
+  IndexWrites writes;
   for (const WriteBatch::Op& op : batch.ops()) {
-    Status s;
-    if (op.type == WriteBatch::OpType::kPut) {
-      s = index_->Put(*root, op.key, op.value, root, replaced);
-    } else {
-      s = index_->Delete(*root, op.key, root, replaced);
-      if (s.IsNotFound()) continue;  // deleting an absent key is a no-op
-    }
-    if (!s.ok()) return s;
+    writes.entries.push_back({op.key, op.value});
+    writes.erase.push_back(op.type == WriteBatch::OpType::kDelete);
   }
-  return Status::OK();
+  return index_->Apply(*root, std::move(writes), root, replaced);
 }
 
 void VersionedIndex::Retire(std::vector<Hash256> replaced) {

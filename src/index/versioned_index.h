@@ -63,9 +63,9 @@ class VersionedIndex {
   // Applies `batch` to the current version, atomically: on failure the
   // root and the replaced ids are untouched.
   Status Apply(const WriteBatch& batch);
-  // `batch`'s ops, copy-on-write from *root, appending to *replaced the
-  // ids of the index nodes they replaced. Deleting an absent key is a
-  // no-op.
+  // `batch`'s ops in one SiriIndex::Apply, copy-on-write from *root,
+  // appending to *replaced the ids of the index nodes they replaced.
+  // Deleting an absent key is a no-op; a failure changes neither.
   Status ApplyTo(const WriteBatch& batch, Hash256* root,
                  std::vector<Hash256>* replaced) const;
   // The writes applied since the last Seal are a version: retires what

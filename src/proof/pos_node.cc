@@ -41,13 +41,6 @@ Status GetEntryList(Slice* input, std::vector<PosEntry>* out) {
   return Status::OK();
 }
 
-std::string EncodePosLeaf(std::span<const PosEntry> entries) {
-  std::string out;
-  out.reserve(EntryListSize(entries));  // the chunk keeps it: no slack
-  PutEntryList(&out, entries);
-  return out;
-}
-
 std::string EncodePosMeta(const std::vector<PosChildRef>& children) {
   size_t size = VarintLength(children.size());
   for (const PosChildRef& c : children) {

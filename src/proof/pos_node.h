@@ -75,9 +75,8 @@ struct PosChildRef {
   uint64_t count = 0;  // entries in the subtree
 };
 
-// Node serialization (PosNode::Decode reads it back). A leaf's payload
-// is its entry list.
-std::string EncodePosLeaf(std::span<const PosEntry> entries);
+// A meta node's payload (PosNode::Decode reads it back). A leaf's
+// payload is its entry list.
 std::string EncodePosMeta(const std::vector<PosChildRef>& children);
 
 // A decoded POS-tree node: a view over its immutable serialized bytes,
@@ -91,8 +90,8 @@ std::string EncodePosMeta(const std::vector<PosChildRef>& children);
 // node therefore holds each key and value exactly once — in the chunk,
 // the same object a kRawChunk cache entry for this id holds — and costs
 // beyond its bytes one allocation (this object with its control block)
-// and one for the offsets, 4 bytes per element. The update path copies
-// child refs out (child, children) as it copies entries (entry).
+// and one for the offsets, 4 bytes per element. A write copies child
+// refs out (child, children) as it copies entries (entry).
 // Immutable once built, so one instance is safely shared by the cache
 // and any number of concurrent traversals; every Slice it returns stays
 // valid for as long as the caller holds the node.

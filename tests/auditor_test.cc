@@ -243,9 +243,11 @@ TEST_F(AuditorTest, VersionWhoseRootSurvivesAsADeltaBaseIsCollected) {
     std::vector<Hash256> replaced;
     Hash256 root;
     EXPECT_TRUE(index
-                    ->Put(roots.back(), Key(key),
-                          "v" + std::to_string(roots.size()), &root,
-                          &replaced)
+                    ->Apply(roots.back(),
+                            {{PosEntry{Key(key),
+                                       "v" + std::to_string(roots.size())}},
+                             {}},
+                            &root, &replaced)
                     .ok());
     roots.push_back(root);
     return replaced;
@@ -293,7 +295,7 @@ TEST_F(AuditorTest, KeptVersionMissingAChunkIsNotCollected) {
   Hash256 old_root;
   ASSERT_TRUE(index->Build(entries, &old_root).ok());
   Hash256 root;
-  ASSERT_TRUE(index->Put(old_root, Key(0), "v1", &root).ok());
+  ASSERT_TRUE(index->Apply(old_root, {{PosEntry{Key(0), "v1"}}, {}}, &root).ok());
   VersionGc gc(
       store.get(), index.get(),
       [&](std::vector<Hash256>* retained) {

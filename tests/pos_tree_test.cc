@@ -350,34 +350,27 @@ TEST_F(PosTreeTest, ReplacedListOfAMergeHoldsTheConsumedSibling) {
   FAIL() << "no delete merged two leaves";
 }
 
-// A write that shrinks the tree stores a single-child root and then
-// collapses it away; that node belongs to no version, and the list
-// holds it beside the old side.
-TEST_F(PosTreeTest, ReplacedListHoldsACollapsedRootBesideTheOldSide) {
+// A write that shrinks the tree collapses a root of one child into that
+// child without storing it: the list is the old side, and the write
+// stores no node the new version does not hold.
+TEST_F(PosTreeTest, ReplacedListOfACollapseIsTheOldSide) {
   const std::vector<PosEntry> entries = MakeEntries(300);
   Hash256 root;
   ASSERT_TRUE(tree_.Build(entries, &root).ok());
   size_t collapses = 0;
   for (const PosEntry& e : entries) {
+    uint32_t before = 0, after = 0;
+    ASSERT_TRUE(tree_.Height(root, &before).ok());
+    const uint64_t chunks = store_.stats().chunk_count;
     const ReplacingWrite w = Write(tree_, root, e.key, std::nullopt);
-    const std::unordered_set<Hash256, Hash256Hasher> old_side = w.OldSide();
-    size_t listed_old = 0;
-    for (const Hash256& id : w.replaced) {
-      if (old_side.count(id) != 0) {
-        listed_old++;
-        continue;
-      }
-      // Not of the old side: a collapsed single-child root.
-      EXPECT_EQ(w.new_nodes.count(id), 0u);
-      std::shared_ptr<const Chunk> chunk;
-      ASSERT_TRUE(store_.Get(id, &chunk).ok());
-      std::shared_ptr<const PosNode> node;
-      ASSERT_TRUE(PosNode::Decode(chunk, &node).ok());
-      EXPECT_FALSE(node->is_leaf());
-      EXPECT_EQ(node->children().size(), 1u);
-      collapses++;
+    ExpectReplacedIsTheOldSide(w);
+    size_t new_side = 0;
+    for (const Hash256& id : w.new_nodes) {
+      new_side += w.old_nodes.count(id) == 0;
     }
-    EXPECT_EQ(listed_old, old_side.size());
+    EXPECT_LE(store_.stats().chunk_count - chunks, new_side);
+    ASSERT_TRUE(tree_.Height(w.new_root, &after).ok());
+    collapses += after < before;
     root = w.new_root;
   }
   EXPECT_TRUE(root.IsZero());
@@ -435,7 +428,8 @@ std::vector<Hash256> LeafParents(const ChunkStore& store,
 
 // A delete whose re-chunking must read the node to the right of the
 // written leaf's parent, and cannot, fails: it never returns a root
-// other than the bulk build of the entries left.
+// other than the bulk build of the entries left. Alone, and in batches
+// of 2 and 16 writes that also overwrite the keys just before it.
 TEST_F(PosTreeTest, WriteThatCannotReadASiblingFailsOrEqualsTheBulkBuild) {
   const PosTreeOptions options{2, 1, 256};
   const std::vector<PosEntry> entries = MakeEntries(3000);
@@ -445,39 +439,201 @@ TEST_F(PosTreeTest, WriteThatCannotReadASiblingFailsOrEqualsTheBulkBuild) {
   ASSERT_TRUE(tree.Build(entries, &root).ok());
   const std::vector<Hash256> parents = LeafParents(store, root);
   ASSERT_GT(parents.size(), 2u);
-  size_t failed = 0, succeeded = 0;
-  for (size_t k = 0; k < entries.size(); k += 7) {
-    SCOPED_TRACE(entries[k].key);
-    store.failing = Hash256();
-    std::string value;
-    PosProof path;
-    ASSERT_TRUE(tree.Get(root, entries[k].key, &value, &path).ok());
-    ASSERT_GE(path.nodes.size(), 2u);
-    const ProofNode& parent = path.nodes[path.nodes.size() - 2];
-    const Hash256 parent_id =
-        Chunk::IdOf(static_cast<ChunkType>(parent.type), parent.payload);
-    auto at = std::find(parents.begin(), parents.end(), parent_id);
-    ASSERT_NE(at, parents.end());
-    if (at + 1 == parents.end()) continue;
-    store.failing = *(at + 1);
-    Hash256 new_root;
-    const Status s = tree.Delete(root, entries[k].key, &new_root);
-    store.failing = Hash256();
-    if (!s.ok()) {
-      EXPECT_TRUE(s.IsIOError()) << s.ToString();
-      failed++;
-      continue;
+  for (size_t batch_size : {1, 2, 16}) {
+    SCOPED_TRACE(batch_size);
+    size_t failed = 0, succeeded = 0;
+    for (size_t k = 0; k < entries.size(); k += 7) {
+      SCOPED_TRACE(entries[k].key);
+      store.failing = Hash256();
+      std::string value;
+      PosProof path;
+      ASSERT_TRUE(tree.Get(root, entries[k].key, &value, &path).ok());
+      ASSERT_GE(path.nodes.size(), 2u);
+      const ProofNode& parent = path.nodes[path.nodes.size() - 2];
+      const Hash256 parent_id =
+          Chunk::IdOf(static_cast<ChunkType>(parent.type), parent.payload);
+      auto at = std::find(parents.begin(), parents.end(), parent_id);
+      ASSERT_NE(at, parents.end());
+      if (at + 1 == parents.end()) continue;
+      std::vector<PosEntry> rest = entries;
+      IndexWrites writes{{{entries[k].key, ""}}, {true}};
+      for (size_t j = 1; j < batch_size && j <= k; j++) {
+        rest[k - j].value = "batch";
+        writes.entries.push_back(rest[k - j]);
+        writes.erase.push_back(false);
+      }
+      rest.erase(rest.begin() + k);
+      store.failing = *(at + 1);
+      Hash256 new_root;
+      const Status s = batch_size == 1
+                           ? tree.Delete(root, entries[k].key, &new_root)
+                           : tree.Apply(root, writes, &new_root);
+      store.failing = Hash256();
+      if (!s.ok()) {
+        EXPECT_TRUE(s.IsIOError()) << s.ToString();
+        failed++;
+        continue;
+      }
+      ChunkStore clean;
+      Hash256 built;
+      ASSERT_TRUE(PosTree(&clean, options).Build(rest, &built).ok());
+      EXPECT_EQ(new_root, built);
+      succeeded++;
     }
-    std::vector<PosEntry> rest = entries;
-    rest.erase(rest.begin() + k);
-    ChunkStore clean;
-    Hash256 built;
-    ASSERT_TRUE(PosTree(&clean, options).Build(rest, &built).ok());
-    EXPECT_EQ(new_root, built);
-    succeeded++;
+    EXPECT_GT(failed, 0u);
+    EXPECT_GT(succeeded, 0u);
   }
-  EXPECT_GT(failed, 0u);
-  EXPECT_GT(succeeded, 0u);
+}
+
+// --- One write routine -------------------------------------------------------
+
+// A store that records every Put: the chunk's id and its base's (zero
+// for none), in order.
+class RecordingStore : public ChunkStore {
+ public:
+  Hash256 Put(Chunk chunk, const Chunk* base) override {
+    puts.emplace_back(chunk.id(), base == nullptr ? Hash256() : base->id());
+    return ChunkStore::Put(std::move(chunk), base);
+  }
+
+  std::vector<std::pair<Hash256, Hash256>> puts;
+};
+
+// A bulk build, then 2 000 seeded single-key inserts and overwrites, hand
+// the store the chunks and delta bases that the path-copy Put handed it
+// before Put became a one-op Apply: the same root, and the same
+// (chunk id, base id) for every Put of a node the write's version
+// holds, in order. (The path copy also stored a root that shrank to one
+// child and then collapsed it away; Apply stores no such node.) Once
+// with the default options, once with cap-dominated cuts.
+TEST_F(PosTreeTest, SingleKeyWritesStoreTheChunksAndBasesOfThePathCopy) {
+  struct Pin {
+    PosTreeOptions options;
+    const char* root;
+    const char* puts;
+  };
+  const Pin pins[] = {
+      {PosTreeOptions(),
+       "d20c29b37870380d8fcb91689af72a9b437dbe040b4bab971b560bb07883e191",
+       "47489f0e719a434481cb3784a9022bb46bd828cc7721f55f21fbd51ee957a75c"},
+      {PosTreeOptions{10, 10, 4},
+       "5fed4b22b11b85afb2634883215725abfa12ecc1abcc1c4e77c7d3f7fed9597e",
+       "91c62809283d35892e92bbcddbc6f7eb7908aa79fdcf27571d012e1b48084348"},
+  };
+  for (const Pin& pin : pins) {
+    RecordingStore store;
+    PosTree tree(&store, pin.options);
+    Random rnd(20261020);
+    Hash256 root;
+    ASSERT_TRUE(tree.Build(MakeEntries(3000), &root).ok());
+    std::string puts;  // (id, base id) per Put of a held node
+    auto record = [&] {
+      const std::unordered_set<Hash256, Hash256Hasher> held =
+          NodesOf(tree, root);
+      for (const auto& [id, base] : store.puts) {
+        if (held.count(id) != 0) puts += id.ToBytes() + base.ToBytes();
+      }
+      store.puts.clear();
+    };
+    record();
+    for (int i = 0; i < 2000; i++) {
+      char key[32];
+      snprintf(key, sizeof(key), "key%08d",
+               static_cast<int>(rnd.Uniform(6000)));
+      ASSERT_TRUE(
+          tree.Put(root, key, rnd.Bytes(rnd.Range(1, 40)), &root).ok());
+      record();
+    }
+    EXPECT_EQ(root.ToHex(), pin.root);
+    EXPECT_EQ(Hash256::Of(puts).ToHex(), pin.puts);
+  }
+}
+
+// One batch applied in one pass reaches the root that applying its ops
+// one at a time reaches, and the bulk build of the entries left; lists
+// as replaced exactly the nodes of the old version the new one no
+// longer holds; and hands the store only nodes of the new version.
+// Seeded batches of 1 to 256 writes mix inserts, overwrites, deletes of
+// present and absent keys and keys written twice, then shrink the tree
+// through one leaf to empty. Once with the default options, once with
+// cap-dominated cuts.
+TEST_F(PosTreeTest, ApplyMatchesSequentialWritesAndTheBulkBuild) {
+  for (const PosTreeOptions& options :
+       {PosTreeOptions(), PosTreeOptions{10, 10, 4}}) {
+    for (size_t batch_size : {1, 2, 16, 64, 256}) {
+      SCOPED_TRACE(testing::Message() << "cap " << options.max_node_elements
+                                      << " batch " << batch_size);
+      RecordingStore store;
+      PosTree tree(&store, options);
+      Random rnd(batch_size);
+      auto entries_of = [](const std::map<std::string, std::string>& map) {
+        std::vector<PosEntry> entries;
+        for (const auto& [k, v] : map) entries.push_back({k, v});
+        return entries;
+      };
+      auto key_of = [](uint64_t i) {
+        char key[16];
+        snprintf(key, sizeof(key), "k%06d", static_cast<int>(i));
+        return std::string(key);
+      };
+      std::map<std::string, std::string> oracle;
+      for (int i = 0; i < 600; i++) oracle[key_of(rnd.Uniform(900))] = "v";
+      Hash256 root;
+      ASSERT_TRUE(tree.Build(entries_of(oracle), &root).ok());
+      bool one_leaf = false;
+      for (int round = 0; !oracle.empty(); round++) {
+        ASSERT_LT(round, 2000);
+        const bool shrink = round >= 24;
+        IndexWrites writes;
+        for (size_t i = 0; i < batch_size; i++) {
+          std::string key = key_of(rnd.Uniform(900));
+          if (!writes.entries.empty() && rnd.OneIn(5)) {
+            key = writes.entries[rnd.Uniform(writes.entries.size())].key;
+          } else if (shrink && !oracle.empty()) {
+            auto it = oracle.lower_bound(key);
+            key = it == oracle.end() ? oracle.begin()->first : it->first;
+          }
+          const bool erase = shrink ? !rnd.OneIn(10) : rnd.OneIn(3);
+          writes.entries.push_back({key, erase ? "" : rnd.Bytes(1 + i % 8)});
+          writes.erase.push_back(erase);
+        }
+        const Hash256 old_root = root;
+        Hash256 sequential = old_root;
+        for (size_t i = 0; i < writes.entries.size(); i++) {
+          const PosEntry& e = writes.entries[i];
+          if (writes.erase[i]) {
+            const Status s = tree.Delete(sequential, e.key, &sequential);
+            ASSERT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
+            oracle.erase(e.key);
+          } else {
+            ASSERT_TRUE(tree.Put(sequential, e.key, e.value, &sequential).ok());
+            oracle[e.key] = e.value;
+          }
+        }
+        store.puts.clear();
+        std::vector<Hash256> replaced;
+        ASSERT_TRUE(tree.Apply(old_root, writes, &root, &replaced).ok());
+        ASSERT_EQ(root, sequential) << "round " << round;
+        Hash256 built;
+        ASSERT_TRUE(tree.Build(entries_of(oracle), &built).ok());
+        ASSERT_EQ(root, built) << "round " << round;
+
+        ReplacingWrite w{root, replaced, NodesOf(tree, old_root),
+                         NodesOf(tree, root)};
+        ExpectReplacedIsTheOldSide(w);
+        for (const auto& [id, base] : store.puts) {
+          EXPECT_EQ(w.new_nodes.count(id), 1u) << "stored a node of no version";
+        }
+        uint32_t height = 0;
+        ASSERT_TRUE(tree.Height(root, &height).ok());
+        one_leaf |= height == 1;
+      }
+      EXPECT_TRUE(root.IsZero());
+      if (batch_size == 1) {
+        EXPECT_TRUE(one_leaf);
+      }
+    }
+  }
 }
 
 // --- Decoded nodes: one offset per element, read in place --------------------

@@ -36,7 +36,7 @@ struct Fixture {
       snprintf(key, sizeof(key), "key%05zu", i);
       snprintf(value, sizeof(value), "value%05zu", i);
       entries.push_back(PosEntry{key, value});
-      EXPECT_TRUE(index->Put(root, key, value, &root).ok());
+      EXPECT_TRUE(index->Apply(root, {{PosEntry{key, value}}, {}}, &root).ok());
     }
   }
 };

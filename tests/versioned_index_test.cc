@@ -130,5 +130,54 @@ TEST_F(VersionedIndexTest, ReplacedNodesLeaveTheCacheWhenTheirVersionExpires) {
   EXPECT_GT(NodeErases(), 0u);
 }
 
+// A store whose Get of one id answers NotFound, as a store does for a
+// chunk it lost.
+class LosingStore : public ChunkStore {
+ public:
+  Status Get(const Hash256& id,
+             std::shared_ptr<const Chunk>* chunk) const override {
+    if (id == lost) return Status::NotFound("chunk " + id.ToHex());
+    return ChunkStore::Get(id, chunk);
+  }
+
+  Hash256 lost;  // zero: every read succeeds
+};
+
+// A delete whose path names a node the store cannot return fails the
+// batch and leaves the version alone: only a key absent from an intact
+// path is a no-op.
+void ExpectDeleteOverALostNodeFails(SiriBackend backend) {
+  LosingStore store;
+  BufferCache cache(BufferCache::kDefaultCapacityBytes);
+  VersionedIndex index(backend, &store, &cache, SiriIndexOptions(), 2,
+                       nullptr, "test.db");
+  std::vector<PosEntry> entries;
+  for (int i = 0; i < 5000; i++) entries.push_back({Key(i), "v"});
+  ASSERT_TRUE(index.Build(std::move(entries)).ok());
+  // The leaf (bucket) holding the key: the last node its proof cites.
+  std::string value;
+  ReadProof proof;
+  ASSERT_TRUE(index.Read(index.root(), Key(2500), &value, &proof).ok());
+  const ProofNode& node = backend == SiriBackend::kPosTree
+                              ? proof.index_proof.pos.nodes.back()
+                              : proof.index_proof.mbt.bucket;
+  store.lost = Chunk::IdOf(static_cast<ChunkType>(node.type), node.payload);
+  cache.Erase(store.lost);
+  const Hash256 before = index.root();
+  WriteBatch batch;
+  batch.Delete(Key(2500));
+  const Status s = index.Apply(batch);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(index.root(), before);
+}
+
+TEST_F(VersionedIndexTest, DeleteOverALostPosLeafFailsTheBatch) {
+  ExpectDeleteOverALostNodeFails(SiriBackend::kPosTree);
+}
+
+TEST_F(VersionedIndexTest, DeleteOverALostMbtBucketFailsTheBatch) {
+  ExpectDeleteOverALostNodeFails(SiriBackend::kMerkleBucketTree);
+}
+
 }  // namespace
 }  // namespace spitz
