@@ -1,6 +1,11 @@
 #!/usr/bin/env bash
 # CI entry point, in three parts.
-# tier-1: the full ctest suite in Release, then the pure-client link
+# tier-1: the full ctest suite in Release, then the GC race case
+#   (ConcurrencyTest.VersionGcRacesReadersWritersAndAuditors: a GC pass
+#   beside readers of the current version, writers and auditors) 50
+#   times in a row (~20 s), since one run in a few dozen failed while a
+#   read picked its version before it pinned the store's epoch, then the
+#   pure-client link
 #   check (examples/net_client, cluster_client and auditor_client link
 #   neither spitz_core nor the network layer's server half,
 #   spitz_net_server, nor the engines below them: spitz_chunk,
@@ -39,7 +44,11 @@
 #   LowerBoundAndRouteAgreeWithALinearScanAtEveryBoundary) and the
 #   buffer cache's LRU list
 #   (ConcurrencyTest.NodeCacheLruOrderThroughPromoteRefreshEvictEraseClear)
-#   run in both legs under the existing PosTree and Concurrency filters.
+#   run in both legs under the existing PosTree and Concurrency filters,
+#   as do the epoch cases (ConcurrencyTest.EpochWaitOutlastsANestedGuard
+#   and EpochWaitOutlastsAGuardSharingItsSlot: a GC wait outlasts every
+#   guard taken before it, whatever guards nest on its thread or share
+#   its slot).
 #   The chunk index (chunk_index_test: ChunkIndexTest, whose seeded
 #   sequences of inserts, dedup hits, erasures and lookups check the
 #   location index against a map model through table growth, slot reuse
@@ -147,6 +156,10 @@ echo "==> tier-1: Release build + full ctest"
 cmake -B "${PREFIX}" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "${PREFIX}" -j "${JOBS}"
 ctest --test-dir "${PREFIX}" --output-on-failure -j "${JOBS}"
+
+echo "==> tier-1: the GC race case, 50 runs in a row"
+ctest --test-dir "${PREFIX}" --output-on-failure --repeat until-fail:50 \
+      -R '^ConcurrencyTest\.VersionGcRacesReadersWritersAndAuditors$'
 
 echo "==> tier-1: pure clients link no server, tree, chunk store or journal"
 # A client verifies through spitz_verify (core/verifier.h) over the

@@ -2,30 +2,25 @@
 
 namespace spitz {
 
-bool ChunkStore::InsertInMemory(Chunk chunk, Hash256* id) {
-  *id = chunk.id();
+Hash256 ChunkStore::Put(Chunk chunk, const Chunk* /*base*/) {
+  const Hash256 id = chunk.id();
   const size_t size = chunk.stored_size();
   puts_.Increment();
   logical_bytes_.Increment(size);
-  Shard& shard = shards_[ShardOf(*id)];
+  Shard& shard = shards_[ShardOf(id)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.chunks.find(*id);
+  auto it = shard.chunks.find(id);
   if (it != shard.chunks.end()) {
+    // A hit re-references the chunk: a marking GC pass keeps it.
     dedup_hits_.Increment();
-    NoteDedupResurrection(*id);
-    return false;
+    it->second.seq = NextInsertSeq();
+    return id;
   }
   chunk_count_.Add(1);
   physical_bytes_.Add(size);
   shard.chunks.emplace(
-      *id, Resident{std::make_shared<const Chunk>(std::move(chunk)),
-                    NextInsertSeq()});
-  return true;
-}
-
-Hash256 ChunkStore::Put(Chunk chunk, const Chunk* /*base*/) {
-  Hash256 id;
-  InsertInMemory(std::move(chunk), &id);
+      id, Resident{std::make_shared<const Chunk>(std::move(chunk)),
+                   NextInsertSeq()});
   return id;
 }
 
@@ -47,31 +42,6 @@ bool ChunkStore::Contains(const Hash256& id) const {
   return shard.chunks.find(id) != shard.chunks.end();
 }
 
-uint64_t ChunkStore::BeginGc() {
-  std::lock_guard<std::mutex> lock(gc_mu_);
-  gc_active_ = true;
-  resurrected_.clear();
-  return insert_seq_.load(std::memory_order_acquire);
-}
-
-void ChunkStore::AbortGc() { EndGc(); }
-
-void ChunkStore::EndGc() {
-  std::lock_guard<std::mutex> lock(gc_mu_);
-  gc_active_ = false;
-  resurrected_.clear();
-}
-
-void ChunkStore::NoteDedupResurrection(const Hash256& id) {
-  std::lock_guard<std::mutex> lock(gc_mu_);
-  if (gc_active_) resurrected_.insert(id);
-}
-
-bool ChunkStore::WasResurrected(const Hash256& id) const {
-  std::lock_guard<std::mutex> lock(gc_mu_);
-  return resurrected_.find(id) != resurrected_.end();
-}
-
 Status ChunkStore::RetainLive(
     const std::unordered_set<Hash256, Hash256Hasher>& live, uint64_t mark_seq,
     ChunkGcStats* stats) {
@@ -80,7 +50,6 @@ Status ChunkStore::RetainLive(
   // see either the pruned map (NotFound for dead ids) or, transiently,
   // a dead chunk that is about to go — both are the documented contract
   // for reads of collected versions.
-  epochs_.Advance();
   epochs_.WaitForQuiescence();
 
   ChunkGcStats result;
@@ -89,8 +58,7 @@ Status ChunkStore::RetainLive(
     std::lock_guard<std::mutex> lock(shard.mu);
     for (auto it = shard.chunks.begin(); it != shard.chunks.end();) {
       const bool dead = it->second.seq < mark_seq &&
-                        live.find(it->first) == live.end() &&
-                        !WasResurrected(it->first);
+                        live.find(it->first) == live.end();
       if (!dead) {
         result.live_chunks++;
         ++it;
@@ -104,7 +72,6 @@ Status ChunkStore::RetainLive(
       it = shard.chunks.erase(it);
     }
   }
-  EndGc();
   if (stats != nullptr) *stats = result;
   return Status::OK();
 }

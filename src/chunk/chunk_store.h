@@ -101,15 +101,18 @@ class ChunkStore {
   // (SpitzDb holds the writer lock across the roots snapshot and
   // BeginGc, so every later commit's chunks carry a later sequence).
   // It then marks the live set by walking the retained roots, and calls
-  // RetainLive(live, mark_seq): every chunk inserted before mark_seq
-  // and in neither `live` nor the resurrected set (ids dedup-hit by
-  // concurrent Puts since BeginGc — a hit re-references a chunk the
-  // mark could not see) is collected. AbortGc() cancels after a failed
-  // mark. One GC pass at a time; RetainLive serializes internally.
+  // RetainLive(live, mark_seq): every chunk whose sequence is below
+  // mark_seq and that is not in `live` is collected. A write that
+  // re-references a stored chunk (a dedup hit, or naming it as a delta
+  // base) renews the chunk's sequence, so a chunk the mark could not
+  // see being re-referenced stays. One GC pass at a time; RetainLive
+  // serializes internally.
 
-  // Arms resurrection tracking and returns the mark sequence.
-  uint64_t BeginGc();
-  void AbortGc();
+  // The mark sequence: every chunk stored or re-referenced from here on
+  // carries this sequence or a later one.
+  uint64_t BeginGc() const {
+    return insert_seq_.load(std::memory_order_acquire);
+  }
 
   // Collects every dead chunk (see protocol above). Reads that began
   // before the call — under a PinReads() guard — finish first; reads of
@@ -121,8 +124,8 @@ class ChunkStore {
   // Brackets a multi-chunk read (proof build, scan, audit):
   // RetainLive waits for every guard taken before its removal phase, so
   // a traversal that could still resolve ids into condemned chunks
-  // completes before they go away. Cheap (two striped atomic adds);
-  // safe from any thread.
+  // completes before they go away. Guards nest. Cheap (an atomic add
+  // and a load on a striped slot); safe from any thread.
   EpochManager::Guard PinReads() const { return epochs_.Enter(); }
 
   ChunkStoreStats stats() const;
@@ -133,28 +136,14 @@ class ChunkStore {
   virtual void ExportMetrics(MetricsRegistry* registry) const;
 
  protected:
-  // Inserts without any persistence side effects; returns true when the
-  // chunk was not present before. Used by the in-memory Put.
-  bool InsertInMemory(Chunk chunk, Hash256* id);
-
   // Next insertion sequence number (monotonic across the store; the GC
   // compares entry sequences against its mark sequence). Call under the
-  // shard lock that publishes the entry so no published entry can carry
-  // a sequence later than one handed out after it.
+  // shard lock that publishes or re-references the entry, so no
+  // published entry can carry a sequence later than one handed out
+  // after it.
   uint64_t NextInsertSeq() {
     return insert_seq_.fetch_add(1, std::memory_order_acq_rel);
   }
-
-  // Records a dedup hit while a GC pass is marking: the id is live
-  // again no matter what the mark concludes. Call with the publishing
-  // shard lock held (lock order: shard mutex, then gc_mu_).
-  void NoteDedupResurrection(const Hash256& id);
-
-  // True when `id` was resurrected since BeginGc(). Same lock order as
-  // NoteDedupResurrection; used by RetainLive's removal phase.
-  bool WasResurrected(const Hash256& id) const;
-
-  void EndGc();
 
   EpochManager& epochs() const { return epochs_; }
 
@@ -190,13 +179,6 @@ class ChunkStore {
   Shard shards_[kShardCount];
   std::atomic<uint64_t> insert_seq_{0};
   mutable EpochManager epochs_;
-
-  // GC resurrection state. gc_mu_ is a leaf lock acquired only with a
-  // shard mutex already held (Put's dedup path and RetainLive's
-  // removal) or alone (BeginGc/AbortGc).
-  mutable std::mutex gc_mu_;
-  bool gc_active_ = false;
-  std::unordered_set<Hash256, Hash256Hasher> resurrected_;
 };
 
 // The status of a write whose path names a node the store cannot

@@ -5,39 +5,44 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <thread>
 #include <utility>
 
 namespace spitz {
 
-// Epoch-based quiescence for the chunk-store GC (DESIGN.md section 12).
+// Epoch-based quiescence for the chunk-store GC (DESIGN.md section 12),
+// in the manner of SRCU.
 //
 // Readers bracket every multi-chunk traversal (a proof build, a scan)
-// with a Guard. The collector, after unpublishing dead chunks from the
-// resident index, calls WaitForQuiescence(): it snapshots every slot's
-// enter counter and waits until each slot's exit counter
-// catches up — at which point every traversal that might still hold a
-// location into a victim segment has finished, and the segment files can
-// be unlinked. Readers that started *after* the snapshot are ignored:
-// they can only observe the post-sweep index, which no longer routes any
-// id into a victim.
+// with a Guard, and each slot counts its live guards under each parity
+// of the epoch. The collector calls WaitForQuiescence() before it
+// removes dead chunks: it flips the parity and waits until every
+// slot's count under the old parity is zero, so every traversal that
+// began before the call, and may be walking a version the pass
+// collects, has finished. Guards taken after the flip count under the
+// new parity and do not delay it: a read that picks its version after
+// pinning picks one the pass kept, since the pass armed before the
+// flip. Because a slot counts live guards rather than entries and
+// exits, a guard taken after the flip on the same slot (a nested guard
+// on one thread, or another thread sharing the slot) cannot stand in
+// for one taken before it.
 //
 // The slots are striped (cache-line sized) so concurrent readers on
-// different cores do not bounce one counter pair; a thread picks its
-// slot by a cheap thread-local token. Enter/Exit are two relaxed-ish
-// atomic increments — negligible next to the traversal they bracket.
+// different cores do not bounce one counter; a thread picks its slot by
+// a cheap thread-local token. Enter is an atomic add and a load of the
+// parity, Release one atomic subtract — negligible next to the
+// traversal they bracket.
 class EpochManager {
  public:
   class Guard {
    public:
     Guard() = default;
-    Guard(EpochManager* mgr, size_t slot) : mgr_(mgr), slot_(slot) {}
     Guard(Guard&& other) noexcept
-        : mgr_(std::exchange(other.mgr_, nullptr)), slot_(other.slot_) {}
+        : live_(std::exchange(other.live_, nullptr)) {}
     Guard& operator=(Guard&& other) noexcept {
       Release();
-      mgr_ = std::exchange(other.mgr_, nullptr);
-      slot_ = other.slot_;
+      live_ = std::exchange(other.live_, nullptr);
       return *this;
     }
     Guard(const Guard&) = delete;
@@ -45,14 +50,15 @@ class EpochManager {
     ~Guard() { Release(); }
 
    private:
+    friend class EpochManager;
+    explicit Guard(std::atomic<uint64_t>* live) : live_(live) {}
     void Release() {
-      if (mgr_ != nullptr) {
-        mgr_->slots_[slot_].exits.fetch_add(1, std::memory_order_release);
-        mgr_ = nullptr;
+      if (live_ != nullptr) {
+        live_->fetch_sub(1, std::memory_order_release);
+        live_ = nullptr;
       }
     }
-    EpochManager* mgr_ = nullptr;
-    size_t slot_ = 0;
+    std::atomic<uint64_t>* live_ = nullptr;  // the count this guard holds
   };
 
   EpochManager() = default;
@@ -60,26 +66,28 @@ class EpochManager {
   EpochManager& operator=(const EpochManager&) = delete;
 
   Guard Enter() {
-    size_t slot = SlotOfThisThread();
-    slots_[slot].enters.fetch_add(1, std::memory_order_acq_rel);
-    return Guard(this, slot);
+    Slot& slot = slots_[SlotOfThisThread()];
+    size_t parity = parity_.load(std::memory_order_seq_cst);
+    for (;;) {
+      slot.live[parity].fetch_add(1, std::memory_order_seq_cst);
+      // A flip between the load and the add may have scanned this slot
+      // before the add: count the guard under the new parity instead.
+      const size_t now = parity_.load(std::memory_order_seq_cst);
+      if (now == parity) return Guard(&slot.live[parity]);
+      slot.live[parity].fetch_sub(1, std::memory_order_release);
+      parity = now;
+    }
   }
-
-  // Advances the GC epoch (pure accounting; exposed as gc.epoch).
-  uint64_t Advance() {
-    return epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  }
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
   // Blocks until every Guard live at the time of the call has been
-  // released. Guards taken after the call do not delay it.
-  void WaitForQuiescence() const {
-    uint64_t snapshot[kSlots];
-    for (size_t i = 0; i < kSlots; i++) {
-      snapshot[i] = slots_[i].enters.load(std::memory_order_acquire);
-    }
-    for (size_t i = 0; i < kSlots; i++) {
-      while (slots_[i].exits.load(std::memory_order_acquire) < snapshot[i]) {
+  // released. Guards taken after the call do not delay it. Waits are
+  // serialized, so a flip never overtakes a wait on the other parity.
+  void WaitForQuiescence() {
+    std::lock_guard<std::mutex> lock(wait_mu_);
+    const size_t old = parity_.load(std::memory_order_relaxed);
+    parity_.store(old ^ 1, std::memory_order_seq_cst);
+    for (Slot& slot : slots_) {
+      while (slot.live[old].load(std::memory_order_seq_cst) != 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(50));
       }
     }
@@ -89,8 +97,7 @@ class EpochManager {
   static constexpr size_t kSlots = 32;
 
   struct alignas(64) Slot {
-    std::atomic<uint64_t> enters{0};
-    std::atomic<uint64_t> exits{0};
+    std::atomic<uint64_t> live[2]{};  // live guards under each parity
   };
 
   static size_t SlotOfThisThread() {
@@ -103,7 +110,8 @@ class EpochManager {
   }
 
   Slot slots_[kSlots];
-  std::atomic<uint64_t> epoch_{0};
+  std::atomic<size_t> parity_{0};
+  std::mutex wait_mu_;
 };
 
 }  // namespace spitz

@@ -472,18 +472,18 @@ bool FileChunkStore::EncodeDelta(const Chunk& chunk, const Chunk& base,
   {
     // A GC pass may have unpublished the base meanwhile.
     const size_t shard_index = MapShardOf(on.id());
-    const MapShard& shard = map_shards_[shard_index];
+    MapShard& shard = map_shards_[shard_index];
     std::lock_guard<std::mutex> lock(shard.mu);
     const uint32_t slot = shard.index.Find(on.id());
     if (slot == ChunkIndex::kNone) return false;
-    base_entry = shard.index.at(slot);
-    if (base_entry.segment == kResidentOnly ||
-        base_entry.depth >= kMaxChainDepth) {
+    Entry& named = shard.index.at(slot);
+    if (named.segment == kResidentOnly || named.depth >= kMaxChainDepth) {
       return false;
     }
     // Naming a base re-references it, as a dedup hit does: a GC pass
     // marking now keeps it.
-    NoteDedupResurrection(on.id());
+    named.seq = NextInsertSeq();
+    base_entry = named;
     entry->base = RefOf(shard_index, slot);
   }
   entry->depth = base_entry.depth + 1;
@@ -494,9 +494,10 @@ bool FileChunkStore::EncodeDelta(const Chunk& chunk, const Chunk& base,
 bool FileChunkStore::Dedup(const Hash256& id) {
   MapShard& shard = map_shards_[MapShardOf(id)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.index.Find(id) == ChunkIndex::kNone) return false;
+  const uint32_t slot = shard.index.Find(id);
+  if (slot == ChunkIndex::kNone) return false;
   dedup_hits_.Increment();
-  NoteDedupResurrection(id);
+  shard.index.at(slot).seq = NextInsertSeq();
   return true;
 }
 
@@ -957,10 +958,6 @@ Status FileChunkStore::RetainLive(
     const std::unordered_set<Hash256, Hash256Hasher>& live, uint64_t mark_seq,
     ChunkGcStats* stats) {
   std::lock_guard<std::mutex> sweep_lock(sweep_mu_);
-  auto fail = [this](Status s) {
-    EndGc();
-    return s;
-  };
   uint32_t active_snapshot = 0;
   {
     std::unique_lock<std::mutex> lock(file_mu_);
@@ -973,9 +970,7 @@ Status FileChunkStore::RetainLive(
     }
     if (!append_status_.ok()) {
       // A poisoned store cannot rewrite live records safely.
-      Status s = append_status_;
-      lock.unlock();
-      return fail(s);
+      return append_status_;
     }
     active_snapshot = active_segment_;
   }
@@ -1018,7 +1013,7 @@ Status FileChunkStore::RetainLive(
   for (const size_t row : plan.rewrites) {
     Status s = RewriteFull(rows[row].ref, plan.condemned, &window,
                            &result.rewritten_bytes);
-    if (!s.ok()) return fail(s);
+    if (!s.ok()) return s;
   }
 
   // Phase 3: harden the rewrites before anything is unpublished — a
@@ -1026,24 +1021,23 @@ Status FileChunkStore::RetainLive(
   // present) or both (the later, rewritten copy wins), never neither.
   if (result.rewritten_bytes > 0) {
     Status s = FlushAndSync();
-    if (!s.ok()) return fail(s);
+    if (!s.ok()) return s;
   }
 
   // Phase 4: wait for every traversal that may still resolve condemned
   // ids through the pre-sweep map.
-  epochs().Advance();
   epochs().WaitForQuiescence();
 
   // Phase 5: unpublish the dead, deepest deltas first so a base goes
-  // after every delta on it. A dedup hit since BeginGc resurrects the
-  // id — it stays, and its record, which sits in a victim, is
-  // re-appended (rebuilt through bases still published) before the
-  // unlink.
+  // after every delta on it. An id re-referenced since BeginGc carries
+  // a renewed sequence — it stays, and its record, which sits in a
+  // victim, is re-appended (rebuilt through bases still published)
+  // before the unlink.
 #ifndef NDEBUG
   // No delta on disk outlives its base, which is what keeps a base
   // reference from naming a reused slot: a delta on a base this pass
   // erases is dead too (and erased first, being deeper) or was
-  // flattened above, unless naming the base resurrected it. Nothing is
+  // flattened above, unless naming the base renewed its sequence. Nothing is
   // unpublished yet, so a dead base's slot still holds its id.
   std::vector<uint32_t> dead_bases;
   for (size_t i = 0; i < kMapShards; i++) {
@@ -1057,21 +1051,21 @@ Status FileChunkStore::RetainLive(
     });
   }
   for (const uint32_t ref : dead_bases) {
-    assert(WasResurrected(At(ref).id) && "a delta outlives its base");
+    assert(At(ref).seq >= mark_seq && "a delta outlives its base");
   }
 #endif
   const uint64_t rewritten_before = result.rewritten_bytes;
   for (const size_t row : plan.dead) {
     const uint32_t ref = rows[row].ref;
     Hash256 id;
-    bool resurrected = false;
+    bool renewed = false;
     {
       MapShard& shard = ShardOfRef(ref);
       std::lock_guard<std::mutex> lock(shard.mu);
       const Entry& entry = shard.index.at(SlotOfRef(ref));
       id = entry.id;
-      resurrected = WasResurrected(id);
-      if (!resurrected) {
+      renewed = entry.seq >= mark_seq;
+      if (!renewed) {
         chunk_count_.Sub(1);
         physical_bytes_.Sub(StoredBytes(entry));
         result.dead_chunks++;
@@ -1079,17 +1073,17 @@ Status FileChunkStore::RetainLive(
         shard.index.Erase(SlotOfRef(ref));
       }
     }
-    if (!resurrected) {
+    if (!renewed) {
       cache_->Erase(id);
       continue;
     }
     Status s = RewriteFull(ref, plan.condemned, &window,
                            &result.rewritten_bytes);
-    if (!s.ok()) return fail(s);
+    if (!s.ok()) return s;
   }
   if (result.rewritten_bytes > rewritten_before) {
     Status s = FlushAndSync();
-    if (!s.ok()) return fail(s);
+    if (!s.ok()) return s;
   }
 
   // Phase 6: unlink the victims. Their dead records are unpublished
@@ -1103,7 +1097,7 @@ Status FileChunkStore::RetainLive(
   if (!plan.victims.empty()) {
     for (uint32_t victim : plan.victims) CondemnSegment(victim);
     first_error = WriteGcManifest(plan.victims);
-    if (!first_error.ok()) return fail(first_error);
+    if (!first_error.ok()) return first_error;
   }
   for (uint32_t victim : plan.victims) {
     Status s = env_->DeleteFile(dir_ + "/" + SegmentFileName(victim));
@@ -1122,7 +1116,6 @@ Status FileChunkStore::RetainLive(
     }
   }
 
-  EndGc();
   result.live_chunks = rows.size() - result.dead_chunks;
   if (stats != nullptr) *stats = result;
   return first_error;

@@ -312,8 +312,9 @@ class FileChunkStore : public ChunkStore {
   Status Load(const Hash256& id, ReadWindow* gc_window,
               std::shared_ptr<const Chunk>* chunk) const;
 
-  // Under the shard lock of `id`: true (counting a dedup hit, which a
-  // marking GC pass treats as a resurrection) when `id` is stored.
+  // Under the shard lock of `id`: true (counting a dedup hit and
+  // renewing the entry's sequence, so a marking GC pass keeps it) when
+  // `id` is stored.
   bool Dedup(const Hash256& id);
 
   // Reads and CRC-checks the record at `entry` into *buf; *record views

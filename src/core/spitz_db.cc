@@ -174,10 +174,6 @@ Status SpitzDb::SyncStorage() {
   return commit_->Sync(blocks);
 }
 
-Hash256 SpitzDb::RootOf(const ReadVersion& at) const {
-  return at.has_value() ? *at : CurrentSnapshot()->index_root;
-}
-
 void SpitzDb::PublishSnapshotLocked(bool journal_changed) {
   std::shared_ptr<const SpitzDigest> prev = CurrentSnapshot();
   auto snap = std::make_shared<SpitzDigest>();
@@ -328,13 +324,15 @@ Status SpitzDb::FlushBlock() {
 
 // --- VerifiedKv surface -----------------------------------------------------
 //
-// The verified reads and the evidence calls capture Digest() and read at
-// exactly its index root, so a commit in between cannot skew the pair.
+// The verified reads and the evidence calls pin the current digest and
+// read at exactly its index root, so neither a commit nor a GC pass in
+// between can skew the pair.
 
 Status SpitzDb::Get(const ReadOptions& options, const Slice& key,
                     std::string* value) {
   if (!options.verify) return Read(kCurrentVersion, key, value, nullptr);
-  const SpitzDigest digest = Digest();
+  const PinnedDigest current = PinCurrent();
+  const SpitzDigest& digest = *current.digest;
   std::string found;
   ReadProof proof;
   Status s = Read(digest.index_root, key, &found, &proof);
@@ -353,7 +351,8 @@ Status SpitzDb::Scan(const ReadOptions& options, const Slice& start,
   if (!options.verify) {
     return ReadRange(kCurrentVersion, start, end, limit, rows, nullptr);
   }
-  const SpitzDigest digest = Digest();
+  const PinnedDigest current = PinCurrent();
+  const SpitzDigest& digest = *current.digest;
   std::vector<PosEntry> found;
   spitz::ScanProof proof;
   Status s = ReadRange(digest.index_root, start, end, limit, &found, &proof);
@@ -365,7 +364,8 @@ Status SpitzDb::Scan(const ReadOptions& options, const Slice& start,
 }
 
 Status SpitzDb::GetProof(const Slice& key, Evidence* out) {
-  const SpitzDigest digest = Digest();
+  const PinnedDigest current = PinCurrent();
+  const SpitzDigest& digest = *current.digest;
   std::string value;
   ReadProof proof;
   Status s = Read(digest.index_root, key, &value, &proof);
@@ -381,7 +381,8 @@ Status SpitzDb::GetProof(const Slice& key, Evidence* out) {
 
 Status SpitzDb::ScanProof(const Slice& start, const Slice& end, size_t limit,
                           ScanEvidence* out) {
-  const SpitzDigest digest = Digest();
+  const PinnedDigest current = PinCurrent();
+  const SpitzDigest& digest = *current.digest;
   spitz::ScanProof proof;
   Status s = ReadRange(digest.index_root, start, end, limit, &out->rows,
                        &proof);

@@ -122,7 +122,9 @@ class SpitzDb : public VerifiedKv {
 
   Status Read(const ReadVersion& at, const Slice& key, std::string* value,
               ReadProof* proof) const {
-    return index_->Read(RootOf(at), key, value, proof);
+    if (at.has_value()) return index_->Read(*at, key, value, proof);
+    const PinnedDigest current = PinCurrent();
+    return index_->Read(current.digest->index_root, key, value, proof);
   }
   // Range read of [start, end), at most `limit` rows (0 = no limit).
   // (spitz:: qualification: inside this class the inherited ScanProof
@@ -130,7 +132,12 @@ class SpitzDb : public VerifiedKv {
   Status ReadRange(const ReadVersion& at, const Slice& start,
                    const Slice& end, size_t limit, std::vector<PosEntry>* rows,
                    spitz::ScanProof* proof) const {
-    return index_->ReadRange(RootOf(at), start, end, limit, rows, proof);
+    if (at.has_value()) {
+      return index_->ReadRange(*at, start, end, limit, rows, proof);
+    }
+    const PinnedDigest current = PinCurrent();
+    return index_->ReadRange(current.digest->index_root, start, end, limit,
+                             rows, proof);
   }
 
   // VerifiedKv reads: with options.verify the read is served with a
@@ -181,7 +188,8 @@ class SpitzDb : public VerifiedKv {
   // Whether the configured backend serves ordered (and verified) scans.
   bool SupportsScan() const { return index_->siri()->SupportsScan(); }
   uint64_t key_count() const {
-    return index_->Count(CurrentSnapshot()->index_root);
+    const PinnedDigest current = PinCurrent();
+    return index_->Count(current.digest->index_root);
   }
 
   // One snapshot of every instrument this instance owns: core.db.*,
@@ -221,9 +229,18 @@ class SpitzDb : public VerifiedKv {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     return snapshot_;
   }
-  // The index root a read at `at` traverses. Like any root a client
-  // holds, the current one stays readable for the retain_versions window.
-  Hash256 RootOf(const ReadVersion& at) const;
+  // The current digest, read under a pin of the chunk store's epoch that
+  // the caller holds while it reads at the digest's root. The pin comes
+  // first: a GC pass whose wait began before the pin armed before the
+  // digest was picked, so it keeps the root; a later pass waits for the
+  // pin before it collects.
+  struct PinnedDigest {
+    EpochManager::Guard pin;
+    std::shared_ptr<const SpitzDigest> digest;
+  };
+  PinnedDigest PinCurrent() const {
+    return {chunks_->PinReads(), CurrentSnapshot()};
+  }
   // Publishes the (index root, journal digest) pair; callers hold mu_
   // or run alone. The journal digest is O(sealed blocks), so it carries
   // over from the previous snapshot unless `journal_changed`.

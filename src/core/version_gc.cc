@@ -118,7 +118,6 @@ Status VersionGc::Collect(ChunkGcStats* stats_out) {
     for (const Hash256& root : roots) {
       Status s = index_->CollectChunks(root, &live);
       if (!s.ok()) {
-        chunks_->AbortGc();
         failures_.Increment();
         return s;
       }

@@ -23,8 +23,8 @@ namespace spitz {
 class VersionGc {
  public:
   // Fills *roots with the retained roots — the live root plus the index
-  // roots of the last retain_versions sealed blocks — and arms the
-  // store's mark (ChunkStore::BeginGc), returning the mark sequence.
+  // roots of the last retain_versions sealed blocks — and returns the
+  // store's mark sequence (ChunkStore::BeginGc).
   // The owner runs both under its writer lock: every commit after the
   // mark carries a later insertion sequence, so the roots cover
   // everything the pass may collect.

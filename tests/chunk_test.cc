@@ -59,6 +59,24 @@ TEST(ChunkStoreTest, DedupCountsHits) {
   EXPECT_LT(stats.physical_bytes, stats.logical_bytes);
 }
 
+// A dedup hit between a GC pass's BeginGc and its RetainLive
+// re-references a chunk the pass's mark did not reach: the pass keeps
+// it, and collects the chunk nothing re-referenced.
+TEST(ChunkStoreTest, DedupHitDuringAPassKeepsTheChunk) {
+  ChunkStore store;
+  const Chunk x(ChunkType::kBlob, "x");
+  const Chunk y(ChunkType::kBlob, "y");
+  store.Put(x);
+  store.Put(y);
+  const uint64_t mark = store.BeginGc();
+  store.Put(x);
+  ChunkGcStats stats;
+  ASSERT_TRUE(store.RetainLive({}, mark, &stats).ok());
+  EXPECT_TRUE(store.Contains(x.id()));
+  EXPECT_FALSE(store.Contains(y.id()));
+  EXPECT_EQ(stats.dead_chunks, 1u);
+}
+
 TEST(ChunkStoreTest, ContainsReflectsContent) {
   ChunkStore store;
   Chunk c(ChunkType::kBlob, "x");

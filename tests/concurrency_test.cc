@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -627,11 +628,7 @@ TEST(ConcurrencyTest, HeldNodesOutliveEvictionAndGcRaces) {
     const uint64_t mark = store->BeginGc();
     if (churn.ok()) churn = tree.CollectChunks(root, &live);
     ChunkGcStats stats;
-    if (churn.ok()) {
-      churn = store->RetainLive(live, mark, &stats);
-    } else {
-      store->AbortGc();
-    }
+    if (churn.ok()) churn = store->RetainLive(live, mark, &stats);
     cache.Clear();
   }
   stop.store(true);
@@ -1301,6 +1298,57 @@ TEST(ConcurrencyTest, ReadRangeRacingGcOfItsVersionIsExactOrFails) {
   }
   opened.reset();
   std::filesystem::remove_all(dir);
+}
+
+// Runs EpochManager::WaitForQuiescence on a thread of its own while
+// `held` is live and `churn` takes and releases guards on held's slot,
+// then releases `held`. Returns whether the wait ended before that.
+bool WaitEndedWhileHeld(EpochManager* epochs, EpochManager::Guard held,
+                        const std::function<void()>& churn) {
+  std::atomic<bool> waited{false};
+  std::thread waiter([&] {
+    epochs->WaitForQuiescence();
+    waited.store(true);
+  });
+  churn();
+  const bool early = waited.load();
+  held = EpochManager::Guard();
+  waiter.join();
+  return early;
+}
+
+// A guard taken and released inside another on one thread (SpitzDb's
+// read pin around VersionedIndex's) does not end a wait the outer
+// guard must hold.
+TEST(ConcurrencyTest, EpochWaitOutlastsANestedGuard) {
+  EpochManager epochs;
+  EpochManager::Guard outer = epochs.Enter();
+  EXPECT_FALSE(WaitEndedWhileHeld(&epochs, std::move(outer), [&] {
+    for (int i = 0; i < 100; i++) {
+      { EpochManager::Guard inner = epochs.Enter(); }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }));
+}
+
+// Nor does a guard of another thread that shares the outer guard's
+// slot. Slots go to threads round-robin, process-wide, so of 64 new
+// threads some share it.
+TEST(ConcurrencyTest, EpochWaitOutlastsAGuardSharingItsSlot) {
+  EpochManager epochs;
+  EpochManager::Guard outer = epochs.Enter();
+  EXPECT_FALSE(WaitEndedWhileHeld(&epochs, std::move(outer), [&] {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 64; t++) {
+      threads.emplace_back([&] {
+        for (int i = 0; i < 100; i++) {
+          { EpochManager::Guard guard = epochs.Enter(); }
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+  }));
 }
 
 }  // namespace

@@ -708,10 +708,7 @@ Status CollectAllButRetained(FileChunkStore* store, const PosTree& tree,
   w->live.clear();
   for (const auto& [root, model] : w->retained) {
     Status s = tree.CollectChunks(root, &w->live);
-    if (!s.ok()) {
-      store->AbortGc();
-      return s;
-    }
+    if (!s.ok()) return s;
   }
   return store->RetainLive(w->live, mark, stats);
 }
@@ -848,6 +845,37 @@ TEST_F(DeltaChunkTest, SupersededDeltaCopyGoesNoLaterThanItsFullCopy) {
   ASSERT_TRUE(store->Get(filler.id(), &chunk).ok());
   EXPECT_EQ(chunk->payload(), filler.payload());
   EXPECT_FALSE(store->Contains(delta.id()));
+}
+
+// A Put that names a stored chunk as its delta base between a GC
+// pass's BeginGc and its RetainLive re-references the base: the pass
+// keeps it, so the delta reads, and collects the chunk nothing
+// re-referenced.
+TEST_F(DeltaChunkTest, BaseNamedDuringAPassSurvivesIt) {
+  Random rnd(17);
+  const Chunk x(ChunkType::kBlob, RandomBytes(&rnd, 3000));
+  const Chunk y(ChunkType::kBlob, RandomBytes(&rnd, 3000));
+  std::string changed = x.payload();
+  changed.replace(100, 20, RandomBytes(&rnd, 20));
+  const Chunk delta(ChunkType::kBlob, changed);
+  std::unique_ptr<FileChunkStore> store;
+  ASSERT_TRUE(FileChunkStore::Open(Env::Default(), dir_,
+                                   FileChunkStore::Options(), &store)
+                  .ok());
+  store->Put(x);
+  store->Put(y);
+  store->OnBlockSealed();
+  const uint64_t mark = store->BeginGc();
+  store->Put(delta, &x);
+  ASSERT_EQ(Counter(*store, "chunk.file.delta_records"), 1u);
+  ChunkGcStats stats;
+  ASSERT_TRUE(store->RetainLive({}, mark, &stats).ok());
+  EXPECT_TRUE(store->Contains(x.id()));
+  EXPECT_FALSE(store->Contains(y.id()));
+  EXPECT_EQ(stats.dead_chunks, 1u);
+  std::shared_ptr<const Chunk> chunk;
+  ASSERT_TRUE(store->Get(delta.id(), &chunk).ok());
+  EXPECT_EQ(chunk->payload(), delta.payload());
 }
 
 // The full record two rebased deltas sit on dies while they live, in
