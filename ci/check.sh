@@ -4,8 +4,10 @@
 #   (ConcurrencyTest.VersionGcRacesReadersWritersAndAuditors: a GC pass
 #   beside readers of the current version, writers and auditors) 50
 #   times in a row (~20 s), since one run in a few dozen failed while a
-#   read picked its version before it pinned the store's epoch, then the
-#   pure-client link
+#   read picked its version before it pinned the store's epoch, then
+#   every ReplicaTest and ReplicaClusterTest case 10 times in a row,
+#   since the replicator's stream thread wakes on seal notifications
+#   only (no timed poll backs a missed one up), then the pure-client link
 #   check (examples/net_client, cluster_client and auditor_client link
 #   neither spitz_core nor the network layer's server half,
 #   spitz_net_server, nor the engines below them: spitz_chunk,
@@ -90,7 +92,10 @@
 #   beside the index build (LedgerTest checks that load against sealing
 #   block by block). The baseline (baseline_db_test: BaselineDbTest)
 #   runs in both legs: it proves outside its lock, and verified readers
-#   race a writer whose puts seal blocks.
+#   race a writer whose puts seal blocks. So does
+#   ReplicaClusterTest.VerifiedReadsAskNothingOfALiveShardsBackup (a
+#   verified read sends no frame to a live primary's backup) under the
+#   Replica filter.
 # ASan+UBSan: the proof-codec, database, group-commit, version-GC,
 #   deferred-auditor, key-history,
 #   2PC participant, write-batch and read-set, network, cluster,
@@ -160,6 +165,10 @@ ctest --test-dir "${PREFIX}" --output-on-failure -j "${JOBS}"
 echo "==> tier-1: the GC race case, 50 runs in a row"
 ctest --test-dir "${PREFIX}" --output-on-failure --repeat until-fail:50 \
       -R '^ConcurrencyTest\.VersionGcRacesReadersWritersAndAuditors$'
+
+echo "==> tier-1: the replica cases, 10 runs in a row"
+ctest --test-dir "${PREFIX}" --output-on-failure --repeat until-fail:10 \
+      -R '^Replica(Test|ClusterTest)\.'
 
 echo "==> tier-1: pure clients link no server, tree, chunk store or journal"
 # A client verifies through spitz_verify (core/verifier.h) over the

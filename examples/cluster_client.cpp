@@ -74,9 +74,10 @@ int main(int argc, char** argv) {
   }
   printf("verified read: %s -> %s\n", to, value.c_str());
 
-  // The portable evidence: digest = the ClusterDigest envelope (its
-  // Merkle root is the one hash worth retaining), proof = the owning
-  // shard's pinned-root proof. Any tampered byte fails the verifier.
+  // The portable evidence: digest = the ClusterDigest envelope (every
+  // shard's digest, then their Merkle root, the one hash worth
+  // retaining), proof = the owning shard's pinned-root proof. Any
+  // tampered byte fails the verifier.
   VerifiedKv::Evidence evidence;
   if (!cluster->GetProof(to, &evidence).ok()) return 1;
   printf("evidence verifies: %s\n",

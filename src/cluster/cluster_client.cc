@@ -169,37 +169,18 @@ Status ClusterClient::FetchShardDigest(SpitzClient* client, SpitzDigest* out) {
 Status ClusterClient::TakeSnapshot(ClusterSnapshot* out) {
   const size_t n = shards_.size();
   out->digest.shards.assign(n, SpitzDigest());
-  out->digest.backups.assign(n, std::nullopt);
   out->readers.assign(n, nullptr);
   for (size_t i = 0; i < n; i++) {
     SpitzClient* node = WriteClient(i);
-    SpitzDigest digest;
-    Status s = FetchShardDigest(node, &digest);
-    if (s.ok()) {
-      out->digest.shards[i] = digest;
-      if (has_backup(i) && !promoted(i)) {
-        // Replicated shard: the leaf commits the {primary, backup}
-        // pair, the backup's digest being its last-agreed (acked)
-        // state — the root a failover would re-pin reads at. A backup
-        // that is itself down degrades the leaf to unreplicated; the
-        // snapshot stays verifiable.
-        SpitzDigest backup_digest;
-        if (FetchShardDigest(backups_[i].get(), &backup_digest).ok()) {
-          out->digest.backups[i] = backup_digest;
-        }
-      }
-    } else if (IsConnectionError(s) && has_backup(i) && !promoted(i)) {
+    Status s = FetchShardDigest(node, &out->digest.shards[i]);
+    if (IsConnectionError(s) && has_backup(i) && !promoted(i)) {
       // Verified-read failover: the primary is unreachable, so this
       // shard's slot is re-pinned at the backup's last-agreed digest
       // and its proofs will be fetched from the backup.
-      s = FetchShardDigest(backups_[i].get(), &digest);
-      if (!s.ok()) return TagShard(i, s);
-      out->digest.shards[i] = digest;
-      out->digest.backups[i] = digest;
       node = backups_[i].get();
-    } else {
-      return TagShard(i, s);
+      s = FetchShardDigest(node, &out->digest.shards[i]);
     }
+    if (!s.ok()) return TagShard(i, s);
     out->readers[i] = node;
   }
   out->digest.Seal();

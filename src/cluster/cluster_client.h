@@ -43,16 +43,17 @@ namespace spitz {
 // and truncate to `limit` — each shard proved its first `limit`
 // in-range rows, so the global first `limit` rows are covered by proofs.
 //
-// Replicated shards (protocol v3): Options::backups names each shard's
-// backup endpoint. A snapshot then commits the {primary, backup}
-// digest pair per shard leaf, and when a primary is unreachable the
-// client fails over for reads — the shard's slot in the snapshot is
-// re-pinned at the backup's *last-agreed* digest and proofs are fetched
-// from the backup over the same pinned-root methods, so every
-// post-failover read still verifies. Writes keep failing until
-// Promote(shard) flips the backup to primary-for-writes (the planned
-// path first drains the primary-side Replicator; an unplanned failover
-// bounds loss at the unacked tail — see DESIGN.md §15).
+// Replicated shards: Options::backups names each shard's backup
+// endpoint. A snapshot holds one digest per shard, from the node
+// that will serve that shard's proofs; a live primary's backup is asked
+// nothing. When a primary is unreachable the client fails over for
+// reads — the shard's slot in the snapshot is pinned at the backup's
+// *last-agreed* digest and proofs are fetched from the backup over the
+// same pinned-root methods, so every post-failover read still verifies.
+// Writes keep failing until Promote(shard) flips the backup to
+// primary-for-writes (the planned path first drains the primary-side
+// Replicator; an unplanned failover bounds loss at the unacked tail —
+// see DESIGN.md §15).
 //
 // Thread-safe: routing state is immutable after Open except the
 // per-shard promoted flag (atomic) and the coordinator, which is

@@ -144,8 +144,9 @@ inline constexpr uint32_t kHandshakeMethod = 0;
 // v1: the PR 5 single-node protocol (methods 1-8, implicit — no
 // handshake frame existed). v2: handshake + cluster methods (2PC,
 // pinned-root proofs, cluster digest). v3: primary-backup replication
-// (kReplicate/kReplicaAck/kReplicaStatus) and the replica-pair cluster
-// digest envelope. v4: a kWrite/kTxnPrepare batch may carry a read set,
+// (kReplicate/kReplicaAck/kReplicaStatus). The cluster digest envelope
+// is evidence a client makes, never a frame, so no version covers it.
+// v4: a kWrite/kTxnPrepare batch may carry a read set,
 // and every request must be consumed exactly (no trailing bytes). v5:
 // the block bytes a kReplicate record ships store their entries in the
 // compact form (shared key prefixes, delta timestamps).

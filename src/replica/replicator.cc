@@ -16,9 +16,6 @@ constexpr size_t kMaxSealTimes = 4096;
 
 Status Replicator::Options::Validate() const {
   if (db == nullptr) return Status::InvalidArgument("options.db must be set");
-  if (poll_interval_ms == 0) {
-    return Status::InvalidArgument("poll_interval_ms must be positive");
-  }
   if (reconnect_backoff_ms == 0) {
     return Status::InvalidArgument("reconnect_backoff_ms must be positive");
   }
@@ -221,8 +218,7 @@ void Replicator::StreamLoop() {
       return;
     }
     if (!fault_.ok()) return;
-    cv_.wait_for(lock, std::chrono::milliseconds(options_.poll_interval_ms),
-                 [&] { return stop_ || sealed_hint_ > next_height_; });
+    cv_.wait(lock, [&] { return stop_ || sealed_hint_ > next_height_; });
   }
 }
 

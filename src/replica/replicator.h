@@ -21,7 +21,7 @@ namespace spitz {
 //
 //   1. subscribes to the database's seal notifications
 //      (SpitzDb::SetSealListener), so a group-commit seal wakes the
-//      stream thread with no polling on the hot path;
+//      stream thread — the only wake-up it has besides Stop;
 //   2. ships each sealed block as a self-verifying replication record
 //      (EncodeReplicationRecord, replica/record.h) over wire::kReplicate;
 //   3. checks every ack: the backup's independently derived index root
@@ -54,9 +54,6 @@ class Replicator {
     // The backup endpoint (a SpitzServer wired to a BackupReplica; its
     // handshake must advertise kFeatureReplication).
     NetClient::Options backup;
-    // Fallback poll interval: the stream thread also wakes this often
-    // to catch blocks sealed before the listener was registered.
-    uint64_t poll_interval_ms = 200;
     // Backoff before a redial after a connection drop, and before
     // retrying a block whose local read failed.
     uint64_t reconnect_backoff_ms = 50;

@@ -118,21 +118,12 @@ TEST(ClusterDigestTest, RootCommitsEveryShardDigest) {
   mutated.shards[1].last_commit_ts ^= 1;
   EXPECT_NE(ClusterDigest::ComputeRoot(mutated.shards), digest.root);
 
-  // Round trip, and per-shard inclusion against the root alone.
   std::string encoded;
   digest.EncodeTo(&encoded);
   Slice input(encoded);
   ClusterDigest decoded;
   ASSERT_TRUE(ClusterDigest::DecodeFrom(&input, &decoded).ok());
   EXPECT_EQ(decoded, digest);
-  for (size_t i = 0; i < digest.shards.size(); i++) {
-    MerkleInclusionProof proof;
-    ASSERT_TRUE(digest.ShardInclusionProof(i, &proof).ok());
-    EXPECT_TRUE(ClusterDigest::VerifyShardInclusion(digest.shards[i], proof,
-                                                    digest.root));
-    EXPECT_FALSE(ClusterDigest::VerifyShardInclusion(
-        digest.shards[(i + 1) % digest.shards.size()], proof, digest.root));
-  }
 }
 
 TEST(ClusterDigestTest, EveryByteTamperOfTheEnvelopeIsRejected) {
@@ -163,70 +154,12 @@ SpitzDigest SyntheticDigest(uint8_t seed) {
   return d;
 }
 
-TEST(ClusterDigestTest, SingleShardInclusionProofVerifies) {
-  // Degenerate tree: one leaf IS the root; the proof is an empty path
-  // and must still verify (and still reject the wrong digest).
-  ClusterDigest digest;
-  digest.shards.push_back(SyntheticDigest(7));
-  digest.Seal();
-  MerkleInclusionProof proof;
-  ASSERT_TRUE(digest.ShardInclusionProof(0, &proof).ok());
-  EXPECT_TRUE(ClusterDigest::VerifyShardInclusion(digest.shards[0], proof,
-                                                  digest.root));
-  EXPECT_FALSE(ClusterDigest::VerifyShardInclusion(SyntheticDigest(8), proof,
-                                                   digest.root));
-  EXPECT_FALSE(digest.ShardInclusionProof(1, &proof).ok());
-}
-
-TEST(ClusterDigestTest, InclusionProofsCoverNonPowerOfTwoShardCounts) {
-  // RFC 6962 trees are unbalanced off powers of two; every leaf of
-  // every count must still prove, and no leaf may prove under another
-  // leaf's path.
-  for (size_t n : {1u, 2u, 3u, 5u, 6u, 7u, 9u, 13u}) {
-    ClusterDigest digest;
-    for (size_t i = 0; i < n; i++) {
-      digest.shards.push_back(SyntheticDigest(static_cast<uint8_t>(i + 1)));
-      if (i % 2 == 0) {
-        digest.backups.push_back(SyntheticDigest(static_cast<uint8_t>(100 + i)));
-      } else {
-        digest.backups.push_back(std::nullopt);
-      }
-    }
-    digest.Seal();
-    for (size_t i = 0; i < n; i++) {
-      MerkleInclusionProof proof;
-      ASSERT_TRUE(digest.ShardInclusionProof(i, &proof).ok())
-          << n << " shards, leaf " << i;
-      EXPECT_TRUE(ClusterDigest::VerifyShardInclusion(
-          digest.shards[i], digest.backups[i], proof, digest.root))
-          << n << " shards, leaf " << i;
-      const size_t other = (i + 1) % n;
-      if (n > 1) {
-        EXPECT_FALSE(ClusterDigest::VerifyShardInclusion(
-            digest.shards[other], digest.backups[other], proof, digest.root))
-            << n << " shards, leaf " << i;
-      }
-      // A replicated leaf must not verify as its unreplicated twin and
-      // vice versa: the flag byte is part of the committed bytes.
-      EXPECT_FALSE(ClusterDigest::VerifyShardInclusion(
-          digest.shards[i],
-          digest.backups[i].has_value()
-              ? std::optional<SpitzDigest>()
-              : std::optional<SpitzDigest>(SyntheticDigest(200)),
-          proof, digest.root))
-          << n << " shards, leaf " << i;
-    }
-  }
-}
-
-TEST(ClusterDigestTest, ReplicaPairEnvelopeRoundTripsAndRejectsEveryTamper) {
-  // The v3 envelope: replicated, unreplicated, and mixed leaves. Every
-  // byte flip anywhere in the envelope — primary digest, flag byte,
-  // backup digest, or root — must be rejected at decode, never
-  // accepted or crash.
+TEST(ClusterDigestTest, EnvelopeRoundTripsAndRejectsEveryTamper) {
+  // Every byte flip anywhere in the envelope — shard count, a shard
+  // digest, or root — must be rejected at decode, never accepted or
+  // crash.
   ClusterDigest digest;
   digest.shards = {SyntheticDigest(1), SyntheticDigest(2), SyntheticDigest(3)};
-  digest.backups = {SyntheticDigest(11), std::nullopt, SyntheticDigest(13)};
   digest.Seal();
 
   std::string encoded;
@@ -235,10 +168,6 @@ TEST(ClusterDigestTest, ReplicaPairEnvelopeRoundTripsAndRejectsEveryTamper) {
   ClusterDigest decoded;
   ASSERT_TRUE(ClusterDigest::DecodeFrom(&input, &decoded).ok());
   EXPECT_EQ(decoded, digest);
-  ASSERT_EQ(decoded.backups.size(), 3u);
-  EXPECT_TRUE(decoded.backups[0].has_value());
-  EXPECT_FALSE(decoded.backups[1].has_value());
-  EXPECT_EQ(*decoded.backup(2), *digest.backups[2]);
 
   for (size_t i = 0; i < encoded.size(); i++) {
     std::string bad = encoded;
@@ -255,27 +184,6 @@ TEST(ClusterDigestTest, ReplicaPairEnvelopeRoundTripsAndRejectsEveryTamper) {
     ClusterDigest reject;
     EXPECT_FALSE(ClusterDigest::DecodeFrom(&bad_input, &reject).ok())
         << "truncation to " << len << " bytes was accepted";
-  }
-}
-
-TEST(ClusterDigestTest, UnknownReplicaPairFlagByteIsRejected) {
-  // Only 0 (unreplicated) and 1 (backup digest follows) are legal flag
-  // values; any other byte is Corruption even if the root would check.
-  ClusterDigest digest;
-  digest.shards = {SyntheticDigest(1)};
-  digest.Seal();
-  std::string encoded;
-  digest.EncodeTo(&encoded);
-  // The flag byte sits immediately before the trailing 32-byte root.
-  const size_t flag_at = encoded.size() - Hash256::kSize - 1;
-  ASSERT_EQ(encoded[flag_at], '\0');
-  for (int flag = 2; flag < 256; flag += 13) {
-    std::string bad = encoded;
-    bad[flag_at] = static_cast<char>(flag);
-    Slice input(bad);
-    ClusterDigest reject;
-    Status s = ClusterDigest::DecodeFrom(&input, &reject);
-    EXPECT_TRUE(s.IsCorruption()) << "flag " << flag << ": " << s.ToString();
   }
 }
 

@@ -967,11 +967,8 @@ TEST(CodecMutationTest, ClusterDigest) {
                d.journal.merkle_root = RandomHash(&rnd);
                d.last_commit_ts = rnd.Next();
                digest.shards.push_back(d);
-               digest.backups.push_back(
-                   rnd.OneIn(2) ? std::optional<SpitzDigest>(d) : std::nullopt);
              }
-             digest.root = ClusterDigest::ComputeRoot(digest.shards,
-                                                      digest.backups);
+             digest.Seal();
              out.push_back(EncodeOf(digest));
            }
            return out;

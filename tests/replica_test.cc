@@ -731,29 +731,51 @@ struct ReplicatedCluster {
   }
 };
 
-TEST(ReplicaClusterTest, SnapshotCommitsTheReplicaPairPerShard) {
-  ReplicatedCluster cluster(2);
-  for (size_t shard = 0; shard < 2; shard++) {
-    ASSERT_TRUE(cluster.client->Put(KeyOnShard(shard, 2, "pair"), "v").ok());
+// A snapshot holds one digest per shard, from the node that serves the
+// shard's proofs: while the primary answers, its backup is asked
+// nothing, so a dead backup costs a verified read nothing either.
+TEST(ReplicaClusterTest, VerifiedReadsAskNothingOfALiveShardsBackup) {
+  ReplicaPair pair;
+  pair.StartBackup();
+  std::unique_ptr<Replicator> replicator;
+  ASSERT_TRUE(Replicator::Open(pair.StreamOptions(), &replicator).ok());
+  for (int i = 0; i < 3 * static_cast<int>(kBlockSize); i++) {
+    ASSERT_TRUE(pair.primary.Put("k" + std::to_string(i), "v").ok());
   }
-  ASSERT_TRUE(cluster.fleet->Drain().ok());
+  ASSERT_TRUE(pair.primary.FlushBlock().ok());
+  ASSERT_TRUE(replicator->WaitDrained(10'000).ok());
 
-  ClusterDigest digest;
-  ASSERT_TRUE(cluster.client->GetClusterDigest(&digest).ok());
-  ASSERT_EQ(digest.shards.size(), 2u);
-  ASSERT_EQ(digest.backups.size(), 2u);
-  for (size_t i = 0; i < 2; i++) {
-    // Drained pair: the backup's last-agreed digest IS the primary's.
-    ASSERT_TRUE(digest.backups[i].has_value());
-    EXPECT_TRUE(*digest.backups[i] == digest.shards[i]);
-    MerkleInclusionProof proof;
-    ASSERT_TRUE(digest.ShardInclusionProof(i, &proof).ok());
-    EXPECT_TRUE(ClusterDigest::VerifyShardInclusion(
-        digest.shards[i], digest.backups[i], proof, digest.root));
-    // The pair leaf is not interchangeable with an unreplicated one.
-    EXPECT_FALSE(ClusterDigest::VerifyShardInclusion(digest.shards[i], proof,
-                                                     digest.root));
-  }
+  SpitzServer::Options server_options;
+  server_options.db = &pair.primary;
+  std::unique_ptr<SpitzServer> primary_server;
+  ASSERT_TRUE(SpitzServer::Open(server_options, &primary_server).ok());
+  ClusterClient::Options options;
+  options.shards.emplace_back();
+  options.shards[0].port = primary_server->port();
+  options.backups.emplace_back();
+  options.backups[0].port = pair.backup_server->port();
+  std::unique_ptr<ClusterClient> client;
+  ASSERT_TRUE(ClusterClient::Open(options, &client).ok());
+
+  auto verified_reads = [&] {
+    for (int i = 0; i < 4; i++) {
+      std::string value;
+      ASSERT_TRUE(client->VerifiedGet("k" + std::to_string(i), &value).ok());
+      EXPECT_EQ(value, "v");
+    }
+    std::vector<PosEntry> rows;
+    ASSERT_TRUE(client->VerifiedScan("k", "l", 100, &rows).ok());
+    EXPECT_EQ(rows.size(), 3 * kBlockSize);
+    VerifiedKv::Evidence evidence;
+    ASSERT_TRUE(client->GetProof("k1", &evidence).ok());
+    EXPECT_TRUE(VerifyClusterGetEvidence("k1", evidence).ok());
+  };
+  const uint64_t frames = pair.backup_server->frames_served();
+  verified_reads();
+  EXPECT_EQ(pair.backup_server->frames_served(), frames);
+
+  pair.backup_server->Shutdown();
+  verified_reads();
 }
 
 TEST(ReplicaClusterTest, VerifiedReadsFailOverAndPromoteRestoresWrites) {
